@@ -34,9 +34,7 @@
 // to one shard, WithMesh selects the baseline, WithBuildWorkers bounds
 // every stage's worker pool and WithProgress observes the stages. The
 // built bytes are identical for every worker count, and a canceled ctx
-// aborts construction mid-stage. The older entry points — Build,
-// BuildSharded, BuildMesh — remain as deprecated shims over the same
-// plane.
+// aborts construction mid-stage.
 //
 // # The mutation plane
 //
@@ -102,11 +100,12 @@
 //
 // One logical database can be split across several independently built
 // and signed trees by cutting the domain into contiguous sub-boxes:
-// NewShardPlan + BuildSharded construct one tree per sub-box in
-// parallel, and every query routes deterministically to the shard that
-// owns its function input (points exactly on a cut go right). The
-// published parameters — and therefore client-side verification — are
-// identical to the single-tree deployment; see ARCHITECTURE.md. To
+// Outsource with WithShards (or NewShardPlan + WithPlan) constructs one
+// tree per sub-box in parallel, and every query routes
+// deterministically to the shard that owns its function input (points
+// exactly on a cut go right). The published parameters — and therefore
+// client-side verification — are identical to the single-tree
+// deployment; see ARCHITECTURE.md. To
 // spread the shards across processes, run one vqserve per shard and
 // compose them with cmd/vqfront (a Fanout over K remote backends) — or
 // build the same topology in Go with NewFanout.
@@ -166,7 +165,8 @@ type (
 	// Tree is the IFMH-tree — the authenticated data structure of the
 	// paper's contribution.
 	Tree = core.Tree
-	// Params configures Build.
+	// Params is the low-level single-tree build configuration
+	// (Outsource assembles it from a BuildSpec and options).
 	Params = core.Params
 	// PublicParams is what the owner publishes to its users.
 	PublicParams = core.PublicParams
@@ -415,33 +415,10 @@ func Apply(ctx context.Context, prev *BuildResult, muts ...Mutation) (*BuildResu
 	return build.Apply(ctx, prev, muts...)
 }
 
-// Build constructs the IFMH-tree (the server-side structure the data
-// owner uploads).
-//
-// Deprecated: use Outsource, which adds cancellation, sharding planners
-// and progress callbacks behind one entry point; Build remains as a
-// shim over the same construction path.
-func Build(tbl Table, p Params) (*Tree, error) { return core.Build(tbl, p) }
-
-// BuildMesh constructs the signature-mesh baseline.
-//
-// Deprecated: use Outsource with WithMesh.
-func BuildMesh(tbl Table, p MeshParams) (*SignatureMesh, error) { return mesh.Build(tbl, p) }
-
 // NewShardPlan splits the domain into k evenly sized sub-boxes along the
 // given axis (k = 1 is the trivial plan).
 func NewShardPlan(domain Box, axis, k int) (ShardPlan, error) {
 	return shard.NewPlan(domain, axis, k)
-}
-
-// BuildSharded constructs one independently signed IFMH-tree per sub-box
-// of the plan, in parallel; p.Domain must equal plan.Domain. Answers
-// from any shard verify against the same Public() bundle a single-tree
-// build would publish.
-//
-// Deprecated: use Outsource with WithPlan or WithShards.
-func BuildSharded(tbl Table, p Params, plan ShardPlan) (*ShardSet, error) {
-	return shard.Build(tbl, p, plan)
 }
 
 // NewShardRouter wraps a built shard set for query routing.

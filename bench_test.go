@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"aqverify"
+	"aqverify/internal/backend"
 	"aqverify/internal/bench"
 	"aqverify/internal/metrics"
 	"aqverify/internal/server"
@@ -75,6 +76,12 @@ func BenchmarkAblationShuffle(b *testing.B)    { benchFigure(b, "ablationA2") }
 
 // Micro-benchmarks of the hot paths behind the figures.
 
+// lineSpec is the build spec every micro-benchmark outsources: the
+// Lines workload under the (slope, intercept) template.
+func lineSpec(tbl aqverify.Table, dom aqverify.Box, signer aqverify.Signer) aqverify.BuildSpec {
+	return aqverify.BuildSpec{Table: tbl, Template: aqverify.AffineLine(0, 1), Domain: dom, Signer: signer}
+}
+
 func buildFixture(b *testing.B, n int, mode aqverify.Mode) (*aqverify.Tree, aqverify.Box) {
 	b.Helper()
 	tbl, dom, err := workload.Lines(workload.LinesConfig{N: n, Seed: 1})
@@ -85,14 +92,12 @@ func buildFixture(b *testing.B, n int, mode aqverify.Mode) (*aqverify.Tree, aqve
 	if err != nil {
 		b.Fatal(err)
 	}
-	tree, err := aqverify.Build(tbl, aqverify.Params{
-		Mode: mode, Signer: signer, Domain: dom,
-		Template: aqverify.AffineLine(0, 1), Shuffle: true,
-	})
+	res, err := aqverify.Outsource(context.Background(), lineSpec(tbl, dom, signer),
+		aqverify.WithMode(mode), aqverify.WithShuffle(0))
 	if err != nil {
 		b.Fatal(err)
 	}
-	return tree, dom
+	return res.Tree, dom
 }
 
 func BenchmarkBuildIFMH1000(b *testing.B) {
@@ -104,13 +109,11 @@ func BenchmarkBuildIFMH1000(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	spec, ctx := lineSpec(tbl, dom, signer), context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := aqverify.Build(tbl, aqverify.Params{
-			Mode: aqverify.OneSignature, Signer: signer, Domain: dom,
-			Template: aqverify.AffineLine(0, 1), Shuffle: true,
-		}); err != nil {
+		if _, err := aqverify.Outsource(ctx, spec, aqverify.WithShuffle(0)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -153,15 +156,14 @@ func BenchmarkBuildParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	spec, ctx := lineSpec(tbl, dom, signer), context.Background()
 	for _, workers := range workerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := aqverify.Build(tbl, aqverify.Params{
-					Mode: aqverify.MultiSignature, Signer: signer, Domain: dom,
-					Template: aqverify.AffineLine(0, 1), Shuffle: true,
-					Materialize: true, Workers: workers,
-				}); err != nil {
+				if _, err := aqverify.Outsource(ctx, spec,
+					aqverify.WithMode(aqverify.MultiSignature), aqverify.WithShuffle(0),
+					aqverify.WithMaterialize(), aqverify.WithBuildWorkers(workers)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -188,10 +190,7 @@ func BenchmarkOutsourceParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec := aqverify.BuildSpec{
-		Table: tbl, Template: aqverify.AffineLine(0, 1), Domain: dom, Signer: signer,
-	}
-	ctx := context.Background()
+	spec, ctx := lineSpec(tbl, dom, signer), context.Background()
 	for _, workers := range workerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
@@ -224,6 +223,7 @@ func BenchmarkShardedBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	spec, ctx := lineSpec(tbl, dom, signer), context.Background()
 	for _, k := range []int{1, 2, 4, 8} {
 		plan, err := aqverify.NewShardPlan(dom, 0, k)
 		if err != nil {
@@ -232,10 +232,8 @@ func BenchmarkShardedBuild(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := aqverify.BuildSharded(tbl, aqverify.Params{
-					Mode: aqverify.MultiSignature, Signer: signer, Domain: dom,
-					Template: aqverify.AffineLine(0, 1), Shuffle: true,
-				}, plan); err != nil {
+				if _, err := aqverify.Outsource(ctx, spec, aqverify.WithMode(aqverify.MultiSignature),
+					aqverify.WithShuffle(0), aqverify.WithPlan(plan)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -243,9 +241,10 @@ func BenchmarkShardedBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkHandleBatch measures the batched query plane: 256 mixed
-// queries per batch against one IFMH server, sequential versus fanned
-// out across the CPUs.
+// BenchmarkHandleBatch measures the batched query plane — Server.
+// QueryBatch, 256 mixed queries per batch against one IFMH server,
+// unverified — sequential versus fanned out across the CPUs. (The name
+// predates the plane; ROADMAP's hot-path numbers cite it.)
 func BenchmarkHandleBatch(b *testing.B) {
 	tree, dom := buildFixture(b, 2000, aqverify.OneSignature)
 	srv, err := server.New(server.IFMH{Tree: tree})
@@ -265,11 +264,12 @@ func BenchmarkHandleBatch(b *testing.B) {
 			qs[i] = aqverify.NewKNN(x, 1+rng.Intn(16), rng.NormFloat64())
 		}
 	}
+	ctx := context.Background()
 	for _, workers := range workerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, errs := srv.HandleBatch(qs, workers)
+				_, errs := srv.QueryBatch(ctx, qs, backend.WithWorkers(workers))
 				for j, err := range errs {
 					if err != nil {
 						b.Fatalf("query %d: %v", j, err)

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -23,18 +24,16 @@ import (
 
 	bkd "aqverify/internal/backend"
 	"aqverify/internal/build"
-	"aqverify/internal/client"
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
-	"aqverify/internal/owner"
+	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
 	"aqverify/internal/server"
 	"aqverify/internal/sig"
 	"aqverify/internal/tamper"
 	"aqverify/internal/transport"
-	"aqverify/internal/wire"
 	"aqverify/internal/workload"
 )
 
@@ -65,18 +64,23 @@ func run() error {
 		return err
 	}
 	tpl := funcs.AffineLine(0, 1)
-	o, err := owner.NewWithScheme(sig.RSA, sig.Options{})
+	signer, err := sig.NewSigner(sig.RSA, sig.Options{})
 	if err != nil {
 		return err
 	}
+	spec := build.Spec{Table: tbl, Template: tpl, Domain: dom, Signer: signer}
+	ctx := context.Background()
 
+	// The three parties: the owner's build, the server hosting it, and
+	// the user's verification option over the owner's published bundle.
 	var srv *server.Server
-	var cli *client.Client
+	var verify bkd.Option
+	var attacks []attack
 	var res *build.Result
+	rng := rand.New(rand.NewSource(*seed))
 	switch *backend {
 	case "ifmh":
-		res, err = build.Outsource(context.Background(), o.Spec(tbl, tpl, dom),
-			build.WithMode(mode), build.WithShuffle(*seed))
+		res, err = build.Outsource(ctx, spec, build.WithMode(mode), build.WithShuffle(*seed))
 		if err != nil {
 			return err
 		}
@@ -86,9 +90,12 @@ func run() error {
 		if srv, err = server.New(server.IFMH{Tree: res.Tree}); err != nil {
 			return err
 		}
-		cli = client.NewIFMH(res.Public)
+		verify = bkd.WithVerify(res.Public)
+		for _, atk := range tamper.IFMHCatalog() {
+			attacks = append(attacks, attack{atk.Name, tamper.IFMHAttack(atk, rng)})
+		}
 	case "mesh":
-		res, err = build.Outsource(context.Background(), o.Spec(tbl, tpl, dom), build.WithMesh())
+		res, err = build.Outsource(ctx, spec, build.WithMesh())
 		if err != nil {
 			return err
 		}
@@ -97,90 +104,62 @@ func run() error {
 		if srv, err = server.New(server.Mesh{M: res.Mesh}); err != nil {
 			return err
 		}
-		cli = client.NewMesh(res.MeshPublic)
+		verify = bkd.WithVerifyMesh(res.MeshPublic)
+		for _, atk := range tamper.MeshCatalog() {
+			attacks = append(attacks, attack{atk.Name, tamper.MeshAttack(atk, rng)})
+		}
 	default:
 		return fmt.Errorf("unknown backend %q", *backend)
 	}
 
-	rng := rand.New(rand.NewSource(*seed))
 	x := geometry.Point{dom.Lo[0] + (dom.Hi[0]-dom.Lo[0])*0.5}
 	queries := []query.Query{
 		query.NewTopK(x, 5),
 		query.NewRange(x, -1, 1),
 		query.NewKNN(x, 5, 0),
 	}
+	var client metrics.Counter // the user's cumulative verification cost
 
 	fmt.Println("\n== Honest round trips ==")
 	for _, q := range queries {
-		recs, err := cli.Query(srv, nil, q)
+		ans, err := srv.Query(ctx, q, verify, bkd.WithCounter(&client))
 		if err != nil {
 			return fmt.Errorf("%v: %w", q.Kind, err)
 		}
-		fmt.Printf("%-6v verified %d records", q.Kind, len(recs))
-		if len(recs) > 0 {
-			f := tpl.Interpret(0, recs[0])
-			fmt.Printf(" (first: id=%d score=%.3f)", recs[0].ID, f.Eval(q.X))
+		fmt.Printf("%-6v verified %d records", q.Kind, len(ans.Records))
+		if len(ans.Records) > 0 {
+			f := tpl.Interpret(0, ans.Records[0])
+			fmt.Printf(" (first: id=%d score=%.3f)", ans.Records[0].ID, f.Eval(q.X))
 		}
 		fmt.Println()
 	}
 
+	// Each attack sits between server and user as a tamper.Channel; an
+	// attack that leaves the honest bytes unchanged does not apply to
+	// this answer and is skipped.
 	fmt.Println("\n== Attacks ==")
 	detected, applied := 0, 0
-	if *backend == "ifmh" {
-		treeSrv := srv
-		for _, q := range queries {
-			for _, atk := range tamper.IFMHCatalog() {
-				atk := atk
-				ch := func(b []byte) []byte {
-					ans, err := wire.DecodeIFMH(b)
-					if err != nil {
-						return b
-					}
-					bad := ans.Clone()
-					if !atk.Apply(bad, rng) {
-						return b
-					}
-					return wire.EncodeIFMH(bad)
-				}
-				raw1, _ := treeSrv.Handle(q)
-				raw2 := ch(raw1)
-				if string(raw1) == string(raw2) {
-					continue // attack not applicable to this answer
-				}
-				applied++
-				if _, err := cli.Query(treeSrv, ch, q); err != nil {
-					detected++
-				} else {
-					fmt.Printf("MISSED: %s on %v\n", atk.Name, q.Kind)
-				}
-			}
+	for _, q := range queries {
+		honest, err := srv.Query(ctx, q)
+		if err != nil {
+			return err
 		}
-	} else {
-		for _, q := range queries {
-			for _, atk := range tamper.MeshCatalog() {
-				atk := atk
-				ch := func(b []byte) []byte {
-					ans, err := wire.DecodeMesh(b)
-					if err != nil {
-						return b
-					}
-					bad := ans.Clone()
-					if !atk.Apply(bad, rng) {
-						return b
-					}
-					return wire.EncodeMesh(bad)
-				}
-				raw1, _ := srv.Handle(q)
-				raw2 := ch(raw1)
-				if string(raw1) == string(raw2) {
-					continue
-				}
-				applied++
-				if _, err := cli.Query(srv, ch, q); err != nil {
-					detected++
-				} else {
-					fmt.Printf("MISSED: %s on %v\n", atk.Name, q.Kind)
-				}
+		for _, atk := range attacks {
+			did := false
+			ch := tamper.Channel{Inner: srv, Rewrite: func(q query.Query, raw []byte) []byte {
+				out := atk.rewrite(q, raw)
+				did = !bytes.Equal(out, honest.Raw)
+				return out
+			}}
+			_, err := ch.Query(ctx, q, verify, bkd.WithCounter(&client))
+			if !did {
+				continue
+			}
+			applied++
+			if errors.Is(err, core.ErrVerification) {
+				detected++
+			} else {
+				fmt.Printf("MISSED: %s on %v (err=%v)\n", atk.name, q.Kind, err)
 			}
 		}
 	}
@@ -190,16 +169,21 @@ func run() error {
 	}
 
 	if *backend == "ifmh" {
-		if err := liveMutation(context.Background(), res, srv, dom, *n); err != nil {
+		if err := liveMutation(ctx, res, srv, dom, *n); err != nil {
 			return err
 		}
 	}
 
 	stats, count := srv.Stats()
 	fmt.Printf("\nserver handled %d queries; cumulative: %s\n", count, (&stats).String())
-	cs := cli.Stats()
-	fmt.Printf("client cumulative: %s\n", (&cs).String())
+	fmt.Printf("client cumulative: %s\n", client.String())
 	return nil
+}
+
+// attack is one catalogue entry as a channel rewrite.
+type attack struct {
+	name    string
+	rewrite func(query.Query, []byte) []byte
 }
 
 // liveMutation walks the mutation plane end to end over a real HTTP

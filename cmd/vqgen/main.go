@@ -39,7 +39,6 @@ import (
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
-	"aqverify/internal/owner"
 	"aqverify/internal/record"
 	"aqverify/internal/sig"
 	"aqverify/internal/workload"
@@ -144,7 +143,7 @@ func outsourceArtifact(tbl record.Table, dom geometry.Box, kind string, dim int,
 	if keySeed != 0 {
 		sigOpt.Rand = sig.DeterministicRand(keySeed)
 	}
-	o, err := owner.NewWithScheme(sig.Scheme(scheme), sigOpt)
+	signer, err := sig.NewSigner(sig.Scheme(scheme), sigOpt)
 	if err != nil {
 		return err
 	}
@@ -169,7 +168,8 @@ func outsourceArtifact(tbl record.Table, dom geometry.Box, kind string, dim int,
 		opts = append(opts, build.WithShards(shards, shardAx), build.WithPlanner(planner))
 	}
 	start := time.Now()
-	res, err := build.Outsource(context.Background(), o.Spec(tbl, templateFor(kind, dim), dom), opts...)
+	res, err := build.Outsource(context.Background(),
+		build.Spec{Table: tbl, Template: templateFor(kind, dim), Domain: dom, Signer: signer}, opts...)
 	if err != nil {
 		return err
 	}

@@ -63,8 +63,9 @@
 // Try it:
 //
 //	vqserve -n 500 &
-//	# in Go: cli, _ := transport.Dial("http://localhost:8080", nil)
-//	#        recs, err := cli.Query(query.NewTopK(geometry.Point{x}, 10))
+//	# in Go: r, _ := transport.DialRemote("http://localhost:8080", nil)
+//	#        pub, _ := r.Client().Public()
+//	#        ans, err := r.Query(ctx, query.NewTopK(geometry.Point{x}, 10), backend.WithVerify(pub))
 package main
 
 import (
@@ -81,7 +82,6 @@ import (
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
-	"aqverify/internal/owner"
 	"aqverify/internal/record"
 	"aqverify/internal/server"
 	"aqverify/internal/sig"
@@ -161,7 +161,7 @@ func run() error {
 	if *keySeed != 0 {
 		sigOpt.Rand = sig.DeterministicRand(*keySeed)
 	}
-	o, err := owner.NewWithScheme(sig.Scheme(*scheme), sigOpt)
+	signer, err := sig.NewSigner(sig.Scheme(*scheme), sigOpt)
 	if err != nil {
 		return err
 	}
@@ -212,7 +212,8 @@ func run() error {
 	}
 
 	start := time.Now()
-	res, err := build.Outsource(context.Background(), o.Spec(tbl, tpl, dom), opts...)
+	res, err := build.Outsource(context.Background(),
+		build.Spec{Table: tbl, Template: tpl, Domain: dom, Signer: signer}, opts...)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package aqverify_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,16 +33,16 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tree, err := aqverify.Build(table, aqverify.Params{
-		Mode:     aqverify.OneSignature,
-		Signer:   signer,
-		Domain:   domain,
+	res, err := aqverify.Outsource(context.Background(), aqverify.BuildSpec{
+		Table:    table,
 		Template: aqverify.AffineLine(0, 1),
+		Domain:   domain,
+		Signer:   signer,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	pub := tree.Public()
+	tree, pub := res.Tree, res.Public
 
 	// Server: answer the two cheapest offers at x = 4 units.
 	q := aqverify.NewBottomK(aqverify.Point{4}, 2)

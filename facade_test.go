@@ -1,6 +1,7 @@
 package aqverify_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -32,16 +33,16 @@ func TestFacadeQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := aqverify.Build(table, aqverify.Params{
-		Mode:     aqverify.OneSignature,
-		Signer:   signer,
-		Domain:   domain,
+	res, err := aqverify.Outsource(context.Background(), aqverify.BuildSpec{
+		Table:    table,
 		Template: aqverify.AffineLine(0, 1),
+		Domain:   domain,
+		Signer:   signer,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub := tree.Public()
+	tree, pub := res.Tree, res.Public
 
 	x := aqverify.Point{0.5}
 	for _, q := range []aqverify.Query{
@@ -103,12 +104,13 @@ func TestFacadeMesh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := aqverify.BuildMesh(table, aqverify.MeshParams{
-		Signer: signer, Domain: domain, Template: aqverify.AffineLine(0, 1),
-	})
+	res, err := aqverify.Outsource(context.Background(), aqverify.BuildSpec{
+		Table: table, Template: aqverify.AffineLine(0, 1), Domain: domain, Signer: signer,
+	}, aqverify.WithMesh())
 	if err != nil {
 		t.Fatal(err)
 	}
+	var m *aqverify.SignatureMesh = res.Mesh
 	if m.SignatureCount() < table.Len()+1 {
 		t.Errorf("mesh signatures = %d", m.SignatureCount())
 	}
@@ -127,14 +129,13 @@ func TestFacadeStats(t *testing.T) {
 	table, _ := aqverify.NewTable(schema, records)
 	domain, _ := aqverify.NewBox([]float64{-2}, []float64{2})
 	signer, _ := aqverify.NewSigner(aqverify.Ed25519, aqverify.SignerOptions{})
-	tree, err := aqverify.Build(table, aqverify.Params{
-		Mode: aqverify.MultiSignature, Signer: signer, Domain: domain,
-		Template: aqverify.AffineLine(0, 1),
-	})
+	res, err := aqverify.Outsource(context.Background(), aqverify.BuildSpec{
+		Table: table, Template: aqverify.AffineLine(0, 1), Domain: domain, Signer: signer,
+	}, aqverify.WithMode(aqverify.MultiSignature))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st aqverify.TreeStats = tree.Stats()
+	var st aqverify.TreeStats = res.Tree.Stats()
 	if st.Records != 2 || st.Subdomains != 2 || st.Signatures != 2 {
 		t.Errorf("stats = %+v", st)
 	}

@@ -1,20 +1,16 @@
 // Package ctxthread enforces honest context threading in library code:
 // context.Background()/context.TODO() belong in process roots (package
-// main) and in the two blessed compatibility shapes, not in the middle
-// of the call graph where they sever the caller's cancellation chain —
+// main) and in the one blessed convenience shape, not in the middle of
+// the call graph where they sever the caller's cancellation chain —
 // the discipline PR 3–5 threaded through the query, build and wire
 // planes. It also flags exported functions that spawn goroutines
 // without accepting a context, since their callers have no way to
 // bound the work they start.
 //
-// The two exempt shapes, both checked structurally or by doc:
-//
-//   - a Ctx-sibling shim — a function whose whole body is
-//     `return XCtx(context.Background(), ...)` delegating to its own
-//     Ctx-suffixed variant (core.Build → core.BuildCtx), the
-//     documented no-cancellation convenience form;
-//   - a function whose doc comment carries a "Deprecated:" marker —
-//     retired entry points kept only for compatibility.
+// The exempt shape, checked structurally, is the Ctx-sibling shim — a
+// function whose whole body is `return XCtx(context.Background(), ...)`
+// delegating to its own Ctx-suffixed variant (core.Build →
+// core.BuildCtx), the documented no-cancellation convenience form.
 //
 // Anything else either threads the caller's ctx or carries a
 // //lint:ignore ctxthread <reason> naming why the context chain
@@ -24,7 +20,6 @@ package ctxthread
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"aqverify/internal/analysis"
 )
@@ -46,8 +41,7 @@ func run(pass *analysis.Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			exempt := deprecated(fd) || ctxShim(fd)
-			if !exempt {
+			if !ctxShim(fd) {
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
 					if call, ok := n.(*ast.CallExpr); ok {
 						if name := contextRootCall(pass, call); name != "" {
@@ -57,7 +51,7 @@ func run(pass *analysis.Pass) error {
 					return true
 				})
 			}
-			if fd.Name.IsExported() && !deprecated(fd) && !hasCtxParam(pass, fd) && spawns(fd.Body) {
+			if fd.Name.IsExported() && !hasCtxParam(pass, fd) && spawns(fd.Body) {
 				pass.Reportf(fd.Pos(), "exported %s spawns goroutines but has no context.Context parameter; callers cannot bound the work it starts", fd.Name.Name)
 			}
 		}
@@ -81,12 +75,6 @@ func contextRootCall(pass *analysis.Pass, call *ast.CallExpr) string {
 		return sel.Sel.Name
 	}
 	return ""
-}
-
-// deprecated reports whether the function doc carries the standard
-// "Deprecated:" marker.
-func deprecated(fd *ast.FuncDecl) bool {
-	return fd.Doc != nil && strings.Contains(fd.Doc.Text(), "Deprecated:")
 }
 
 // ctxShim recognizes the blessed no-cancellation convenience shape: a

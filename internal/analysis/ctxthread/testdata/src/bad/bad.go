@@ -49,14 +49,6 @@ func WalkCtx(ctx context.Context, n int) int {
 	return walkCtx(ctx, n)
 }
 
-// Legacy is kept only for compatibility.
-//
-// Deprecated: use WalkCtx.
-func Legacy(n int) int {
-	v := walkCtx(context.Background(), n)
-	return v
-}
-
 // SpawnCtx spawns but accepts a context: clean.
 func SpawnCtx(ctx context.Context, n int) {
 	done := make(chan struct{})

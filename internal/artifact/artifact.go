@@ -400,7 +400,7 @@ func sameBox(a, b geometry.Box) bool {
 }
 
 // Backend wraps the opened product as a server backend: IFMH for a
-// tree (or single shard), ShardedIFMH for a set — exactly what a
+// tree (or single shard), NewShardedIFMH for a set — exactly what a
 // freshly built result would wrap to, so server.Swap rolls a loaded
 // artifact out blue-green under the same epoch discipline.
 func (a *Artifact) Backend() (server.Backend, error) {

@@ -16,8 +16,9 @@
 // verification, persistence or re-routing uniformly. Functional options
 // replace positional parameters: WithWorkers bounds batch concurrency,
 // WithCounter accumulates the caller-side cost metrics, and WithVerify
-// checks every answer against the owner's published parameters before it
-// is returned, filling Answer.Records.
+// (WithVerifyMesh for the signature-mesh baseline) checks every answer
+// against the owner's published parameters before it is returned,
+// filling Answer.Records.
 //
 // Batches are index-stable: the slices QueryBatch returns are parallel
 // to the input, and QueryStream yields (index, result) pairs as items
@@ -32,6 +33,7 @@ import (
 	"iter"
 
 	"aqverify/internal/core"
+	"aqverify/internal/mesh"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
@@ -120,8 +122,15 @@ type Option func(*options)
 type options struct {
 	workers int
 	ctr     *metrics.Counter
-	pub     *core.PublicParams
+	verify  verifyFunc // nil: answers are returned raw
 }
+
+// verifyFunc decodes one serialized answer, checks it echoes q and
+// verifies it against the owner's published parameters, charging the
+// verification cost to ctr. Every failure wraps core.ErrVerification —
+// the bytes are untrusted, so bytes that do not parse are a rejection
+// like any other.
+type verifyFunc func(q query.Query, raw []byte, ctr *metrics.Counter) ([]record.Record, error)
 
 // WithWorkers bounds the call's worker pool (batch fan-out and batched
 // verification); <= 0 means one worker per CPU.
@@ -138,9 +147,52 @@ func WithCounter(ctr *metrics.Counter) Option { return func(o *options) { o.ctr 
 // parameters before returning it: the raw bytes are decoded, the echoed
 // query cross-checked, and core.Verify must accept. Verified answers
 // carry their records; a failed verification surfaces as the item's
-// error. Only IFMH-backed answers are verifiable this way.
+// error, wrapping core.ErrVerification. For IFMH-backed answers; the
+// signature-mesh baseline verifies under WithVerifyMesh.
 func WithVerify(pub core.PublicParams) Option {
-	return func(o *options) { o.pub = &pub }
+	verify := func(q query.Query, raw []byte, ctr *metrics.Counter) ([]record.Record, error) {
+		ans, err := wire.DecodeIFMH(raw)
+		if err != nil {
+			return nil, rejected(err)
+		}
+		if !query.Equal(q, ans.Query) {
+			return nil, errEcho
+		}
+		if err := core.Verify(pub, q, ans.Records, &ans.VO, ctr); err != nil {
+			return nil, err
+		}
+		return ans.Records, nil
+	}
+	return func(o *options) { o.verify = verify }
+}
+
+// WithVerifyMesh is WithVerify for the signature-mesh baseline: answers
+// decode as mesh answers and mesh.Verify must accept them.
+func WithVerifyMesh(pub mesh.PublicParams) Option {
+	verify := func(q query.Query, raw []byte, ctr *metrics.Counter) ([]record.Record, error) {
+		ans, err := wire.DecodeMesh(raw)
+		if err != nil {
+			return nil, rejected(err)
+		}
+		if !query.Equal(q, ans.Query) {
+			return nil, errEcho
+		}
+		if err := mesh.Verify(pub, q, ans.Records, &ans.VO, ctr); err != nil {
+			return nil, err
+		}
+		return ans.Records, nil
+	}
+	return func(o *options) { o.verify = verify }
+}
+
+// errEcho rejects an answer to a different query than the one asked.
+// Verification runs on the caller's own q, so the echo check guards
+// against confused servers, not forgery.
+var errEcho = fmt.Errorf("backend: %w: server answered a different query", core.ErrVerification)
+
+// rejected classes undecodable answer bytes as a verification failure.
+func rejected(err error) error {
+	return fmt.Errorf("backend: %w: %v", core.ErrVerification, err)
 }
 
 func buildOptions(opts []Option) options {
@@ -159,40 +211,13 @@ func buildOptions(opts []Option) options {
 // runs on the calling goroutine for Query and inside the pool workers
 // for batches (with per-worker counters merged at the join).
 func (o *options) finish(q query.Query, ans *Answer, ctr *metrics.Counter) error {
-	if o.pub == nil {
+	if o.verify == nil {
 		return nil
 	}
-	recs, err := verifyRaw(*o.pub, q, ans.Raw, ctr)
+	recs, err := o.verify(q, ans.Raw, ctr)
 	if err != nil {
 		return err
 	}
 	ans.Records = recs
 	return nil
-}
-
-// verifyRaw decodes and verifies one serialized IFMH answer against the
-// owner's published parameters.
-func verifyRaw(pub core.PublicParams, q query.Query, raw []byte, ctr *metrics.Counter) ([]record.Record, error) {
-	ans, err := decodeRaw(q, raw)
-	if err != nil {
-		return nil, err
-	}
-	if err := core.Verify(pub, q, ans.Records, &ans.VO, ctr); err != nil {
-		return nil, err
-	}
-	return ans.Records, nil
-}
-
-// decodeRaw parses one serialized IFMH answer and checks the server
-// echoed the query it was asked; both failures count as verification
-// failures — the bytes are untrusted.
-func decodeRaw(q query.Query, raw []byte) (*core.Answer, error) {
-	ans, err := wire.DecodeIFMH(raw)
-	if err != nil {
-		return nil, fmt.Errorf("backend: %w: %v", core.ErrVerification, err)
-	}
-	if !query.Equal(q, ans.Query) {
-		return nil, fmt.Errorf("backend: %w: server answered a different query", core.ErrVerification)
-	}
-	return ans, nil
 }

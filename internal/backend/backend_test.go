@@ -148,9 +148,10 @@ func TestWithVerify(t *testing.T) {
 	if !errors.Is(errs[0], core.ErrVerification) {
 		t.Fatalf("tampered batch answer accepted (err=%v)", errs[0])
 	}
-	// Without WithVerify the tampered bytes pass through raw.
-	if _, err := liar.Query(ctx, q); err != nil {
-		t.Fatalf("raw query unexpectedly failed: %v", err)
+	// Without WithVerify the tampered bytes pass through raw — and no
+	// unverified record is ever handed out.
+	if ans, err := liar.Query(ctx, q); err != nil || ans.Records != nil {
+		t.Fatalf("raw query: err=%v, %d records", err, len(ans.Records))
 	}
 }
 
@@ -162,7 +163,7 @@ type tamper struct {
 func (m tamper) Name() string { return m.inner.Name() }
 
 func (m tamper) process(q query.Query, ctr *metrics.Counter) (int, uint64, []byte, error) {
-	sh, epoch, raw, err := m.inner.process(q, ctr)
+	sh, epoch, raw, err := m.inner.Process(q, ctr)
 	if err == nil && len(raw) > 40 {
 		raw = append([]byte(nil), raw...)
 		raw[40] ^= 0xFF

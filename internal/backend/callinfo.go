@@ -1,7 +1,6 @@
 package backend
 
 import (
-	"aqverify/internal/core"
 	"aqverify/internal/metrics"
 	"aqverify/internal/pool"
 	"aqverify/internal/query"
@@ -25,7 +24,7 @@ func ResolveOptions(opts ...Option) CallInfo {
 }
 
 // Verifies reports whether the call includes WithVerify.
-func (ci CallInfo) Verifies() bool { return ci.o.pub != nil }
+func (ci CallInfo) Verifies() bool { return ci.o.verify != nil }
 
 // Workers returns the bounded pool size the options request for n
 // items, as the batch drivers would size it.
@@ -38,18 +37,9 @@ func (ci CallInfo) AddBytes(n uint64) { ci.o.ctr.AddBytes(n) }
 // counter.
 func (ci CallInfo) AddCost(c metrics.Counter) { ci.o.ctr.Add(c) }
 
-// VerifyRaw decodes and verifies one serialized IFMH answer against the
-// call's WithVerify parameters, accumulating the verification cost into
+// VerifyRaw decodes and verifies one serialized answer as the call's
+// WithVerify option prescribes, accumulating the verification cost into
 // ctr. It must not be called when Verifies() is false.
 func (ci CallInfo) VerifyRaw(q query.Query, raw []byte, ctr *metrics.Counter) ([]record.Record, error) {
-	return verifyRaw(*ci.o.pub, q, raw, ctr)
-}
-
-// Pub returns a copy of the call's WithVerify parameters and whether
-// they were set.
-func (ci CallInfo) Pub() (core.PublicParams, bool) {
-	if ci.o.pub == nil {
-		return core.PublicParams{}, false
-	}
-	return *ci.o.pub, true
+	return ci.o.verify(q, raw, ctr)
 }

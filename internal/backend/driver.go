@@ -55,41 +55,53 @@ func DriveBatchOrdered(ctx context.Context, p Process, qs []query.Query, order [
 	o := buildOptions(opts)
 	answers := make([]Answer, len(qs))
 	errs := make([]error, len(qs))
-	n := len(qs)
+	skipped, err := o.each(ctx, len(qs), order, func(i int, ctr *metrics.Counter) {
+		answers[i], errs[i] = driveOne(&o, p, qs[i], ctr)
+	})
+	for _, i := range skipped {
+		answers[i] = Answer{Shard: wire.ShardNone}
+		errs[i] = err
+	}
+	return answers, errs
+}
+
+// each runs fn(i, ctr) across the call's bounded worker pool for every
+// index in order (a nil order means 0..n-1), handing each worker a
+// private counter and folding them into the call's WithCounter counter
+// after the join — on the calling goroutine, as its contract requires.
+// Once ctx is done the pool stops claiming: the indexes it never
+// reached come back as skipped, with ctx's error.
+func (o *options) each(ctx context.Context, n int, order []int, fn func(i int, ctr *metrics.Counter)) (skipped []int, err error) {
 	if order != nil {
 		n = len(order)
 	}
 	if n == 0 {
-		return answers, errs
+		return nil, nil
+	}
+	at := func(k int) int {
+		if order != nil {
+			return order[k]
+		}
+		return k
 	}
 	started := make([]bool, n)
 	workers := pool.Workers(o.workers, n)
 	ctrs := make([]metrics.Counter, workers)
-	err := pool.RunCtx(ctx, n, workers, func(w, k int) {
+	err = pool.RunCtx(ctx, n, workers, func(w, k int) {
 		started[k] = true
-		i := k
-		if order != nil {
-			i = order[k]
-		}
-		answers[i], errs[i] = driveOne(&o, p, qs[i], &ctrs[w])
+		fn(at(k), &ctrs[w])
 	})
 	if err != nil {
-		for k := 0; k < n; k++ {
-			if started[k] {
-				continue
+		for k, ok := range started {
+			if !ok {
+				skipped = append(skipped, at(k))
 			}
-			i := k
-			if order != nil {
-				i = order[k]
-			}
-			answers[i] = Answer{Shard: wire.ShardNone}
-			errs[i] = err
 		}
 	}
 	for i := range ctrs {
 		o.ctr.Add(ctrs[i])
 	}
-	return answers, errs
+	return skipped, err
 }
 
 // driveOne evaluates and (optionally) verifies one query. Failures

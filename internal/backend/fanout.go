@@ -15,8 +15,8 @@ import (
 // Fanout is the multi-process shard front-end: it composes K backends —
 // one per sub-box of a shard plan, typically transport.Remote handles on
 // K vqserve processes — into one logical database. Every query routes to
-// the backend whose sub-box owns its function input (the same
-// deterministic on-cut-goes-right rule shard.Router applies), batches
+// the backend whose sub-box owns its function input (shard.Plan's
+// deterministic on-cut-goes-right rule), batches
 // are split per shard and dispatched to all owning backends
 // concurrently, and the merged results stay parallel to the input.
 // Answer.Shard always reports the front-end's routing choice, whatever
@@ -40,11 +40,13 @@ func NewFanout(plan shard.Plan, kids []Backend) (*Fanout, error) {
 	if len(kids) != plan.K() {
 		return nil, fmt.Errorf("backend: plan has %d shards but %d backends were given", plan.K(), len(kids))
 	}
-	name := kids[0].Name()
 	for i, k := range kids {
 		if k == nil {
 			return nil, fmt.Errorf("backend: shard %d backend is nil", i)
 		}
+	}
+	name := kids[0].Name()
+	for i, k := range kids {
 		if k.Name() != name {
 			return nil, fmt.Errorf("backend: shard %d serves %q, shard 0 serves %q; one logical database required",
 				i, k.Name(), name)
@@ -59,15 +61,6 @@ func (f *Fanout) Plan() shard.Plan { return f.plan }
 // NumShards returns the shard (child backend) count.
 func (f *Fanout) NumShards() int { return f.plan.K() }
 
-// Route returns the shard owning q — the backend Query would dispatch
-// to — without contacting it.
-func (f *Fanout) Route(q query.Query) (int, error) {
-	if err := q.Validate(f.plan.Domain.Dim()); err != nil {
-		return 0, err
-	}
-	return f.plan.Route(q.X)
-}
-
 // Name implements Backend.
 func (f *Fanout) Name() string { return f.name }
 
@@ -76,15 +69,7 @@ func (f *Fanout) Name() string { return f.name }
 // child reports one. During a per-shard rollout the maximum is the
 // authoritative epoch — the owner publishes monotonically, so the
 // highest epoch any shard serves is the newest bundle.
-func (f *Fanout) Epoch() uint64 {
-	var max uint64
-	for _, e := range f.Epochs() {
-		if e > max {
-			max = e
-		}
-	}
-	return max
-}
+func (f *Fanout) Epoch() uint64 { return maxEpoch(f.Epochs()) }
 
 // Epochs returns every child's publication epoch in shard order (0 for
 // children that report none). Children mid-rollout may legitimately
@@ -102,7 +87,7 @@ func (f *Fanout) Epochs() []uint64 {
 
 // Query implements Backend: route, then answer on the owning child.
 func (f *Fanout) Query(ctx context.Context, q query.Query, opts ...Option) (Answer, error) {
-	sh, err := f.Route(q)
+	sh, err := f.plan.RouteQuery(q)
 	if err != nil {
 		return Answer{Shard: wire.ShardNone}, err
 	}
@@ -120,12 +105,7 @@ func (f *Fanout) Query(ctx context.Context, q query.Query, opts ...Option) (Answ
 // shard), and the answers scatter back to their original indexes.
 func (f *Fanout) QueryBatch(ctx context.Context, qs []query.Query, opts ...Option) ([]Answer, []error) {
 	answers := make([]Answer, len(qs))
-	errs := make([]error, len(qs))
-	if len(qs) == 0 {
-		return answers, errs
-	}
-	o := buildOptions(opts)
-	groups, subqs := f.group(qs, errs)
+	groups, errs := f.plan.Group(qs)
 	for i, err := range errs {
 		if err != nil {
 			answers[i].Shard = wire.ShardNone
@@ -138,18 +118,21 @@ func (f *Fanout) QueryBatch(ctx context.Context, qs []query.Query, opts ...Optio
 			continue
 		}
 		wg.Add(1)
-		go func(sh int, g []int, sub []query.Query) {
+		go func(sh int, g []int) {
 			defer wg.Done()
-			sans, serrs := f.kids[sh].QueryBatch(ctx, sub, f.childOpts(&o, &ctrs[sh])...)
+			sans, serrs := f.kids[sh].QueryBatch(ctx, pick(qs, g), ReplaceCounter(opts, &ctrs[sh])...)
 			for j, i := range g {
 				answers[i], errs[i] = sans[j], serrs[j]
 				answers[i].Shard = sh
 			}
-		}(sh, g, subqs[sh])
+		}(sh, g)
 	}
 	wg.Wait()
+	// The caller's counter is only ever touched from the calling
+	// goroutine: children wrote private ones, merged here.
+	total := CounterOf(opts)
 	for i := range ctrs {
-		o.ctr.Add(ctrs[i])
+		total.Add(ctrs[i])
 	}
 	return answers, errs
 }
@@ -159,13 +142,11 @@ func (f *Fanout) QueryBatch(ctx context.Context, qs []query.Query, opts ...Optio
 // each item under its original index as it completes. An early break
 // cancels all child streams.
 func (f *Fanout) QueryStream(ctx context.Context, qs []query.Query, opts ...Option) iter.Seq2[int, BatchResult] {
-	o := buildOptions(opts)
 	return func(yield func(int, BatchResult) bool) {
 		if len(qs) == 0 {
 			return
 		}
-		errs := make([]error, len(qs))
-		groups, subqs := f.group(qs, errs)
+		groups, errs := f.plan.Group(qs)
 		// Unroutable queries complete immediately.
 		for i, err := range errs {
 			if err != nil && !yield(i, BatchResult{Answer: Answer{Shard: wire.ShardNone}, Err: err}) {
@@ -186,13 +167,13 @@ func (f *Fanout) QueryStream(ctx context.Context, qs []query.Query, opts ...Opti
 				continue
 			}
 			wg.Add(1)
-			go func(sh int, g []int, sub []query.Query) {
+			go func(sh int, g []int) {
 				defer wg.Done()
-				for j, r := range f.kids[sh].QueryStream(ctx, sub, f.childOpts(&o, &ctrs[sh])...) {
+				for j, r := range f.kids[sh].QueryStream(ctx, pick(qs, g), ReplaceCounter(opts, &ctrs[sh])...) {
 					r.Answer.Shard = sh // the front-end's routing choice, refused or not
 					out <- indexed{g[j], r}
 				}
-			}(sh, g, subqs[sh])
+			}(sh, g)
 		}
 		go func() { wg.Wait(); close(out) }()
 		broke := false
@@ -202,38 +183,19 @@ func (f *Fanout) QueryStream(ctx context.Context, qs []query.Query, opts ...Opti
 				cancel()
 			}
 		}
+		total := CounterOf(opts)
 		for i := range ctrs {
-			o.ctr.Add(ctrs[i])
+			total.Add(ctrs[i])
 		}
 	}
 }
 
-// group routes a batch: groups[k] lists the batch indexes owned by shard
-// k in arrival order, subqs[k] the corresponding queries, and unroutable
-// indexes get their routing error written into errs.
-func (f *Fanout) group(qs []query.Query, errs []error) (groups [][]int, subqs [][]query.Query) {
-	groups = make([][]int, len(f.kids))
-	subqs = make([][]query.Query, len(f.kids))
-	for i, q := range qs {
-		sh, err := f.Route(q)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		groups[sh] = append(groups[sh], i)
-		subqs[sh] = append(subqs[sh], q)
+// pick returns the queries at the given batch indexes, in order — one
+// shard's sub-batch.
+func pick(qs []query.Query, idx []int) []query.Query {
+	sub := make([]query.Query, len(idx))
+	for j, i := range idx {
+		sub[j] = qs[i]
 	}
-	return groups, subqs
-}
-
-// childOpts rebuilds the call options for one child dispatch: the worker
-// bound and verification forward unchanged, but each child writes into
-// its own counter, merged after the join — the caller's counter must
-// only ever be touched from the calling goroutine.
-func (f *Fanout) childOpts(o *options, ctr *metrics.Counter) []Option {
-	opts := []Option{WithWorkers(o.workers), WithCounter(ctr)}
-	if o.pub != nil {
-		opts = append(opts, WithVerify(*o.pub))
-	}
-	return opts
+	return sub
 }

@@ -3,7 +3,6 @@ package backend
 import (
 	"context"
 
-	"aqverify/internal/core"
 	"aqverify/internal/metrics"
 	"aqverify/internal/pool"
 	"aqverify/internal/query"
@@ -12,47 +11,39 @@ import (
 // FinishBatch applies one call's options to a batch of answers produced
 // elsewhere — e.g. by one HTTP batch exchange — exactly as DriveBatch
 // applies them to answers it produced itself: byte accounting into the
-// WithCounter counter and, under WithVerify, batched verification
-// fanned out across the worker pool (core.VerifyBatchCtx, so a canceled
-// context stops the verification promptly and the prevented indexes
-// report ctx.Err()). answers and errs are parallel to qs and updated in
-// place; indexes that already carry an error are left untouched.
+// WithCounter counter and, under WithVerify, verification fanned out
+// across the worker pool (a canceled context stops it promptly and the
+// prevented indexes report ctx.Err()). answers and errs are parallel to
+// qs and updated in place; indexes that already carry an error are left
+// untouched.
 func FinishBatch(ctx context.Context, qs []query.Query, answers []Answer, errs []error, opts ...Option) {
 	o := buildOptions(opts)
-	var total metrics.Counter
+	var raw metrics.Counter
+	answered := make([]int, 0, len(qs))
 	for i := range answers {
 		if errs[i] == nil {
-			total.AddBytes(uint64(len(answers[i].Raw)))
+			raw.AddBytes(uint64(len(answers[i].Raw)))
+			answered = append(answered, i)
 		}
 	}
-	if o.pub != nil {
-		// Decode serially (cheap), then verify the batch concurrently.
-		items := make([]core.BatchItem, 0, len(qs))
-		idx := make([]int, 0, len(qs))
-		for i := range qs {
-			if errs[i] != nil {
-				continue
-			}
-			ans, err := decodeRaw(qs[i], answers[i].Raw)
-			if err != nil {
-				answers[i] = Answer{Shard: answers[i].Shard}
-				errs[i] = err
-				continue
-			}
-			answers[i].Records = ans.Records
-			items = append(items, core.BatchItem{Query: qs[i], Records: ans.Records, VO: &ans.VO})
-			idx = append(idx, i)
-		}
-		for j, err := range core.VerifyBatchCtx(ctx, *o.pub, items, o.workers, &total) {
-			if err != nil {
-				// The Answer contract: a failed query carries neither
-				// Raw nor Records, only its shard attribution.
-				answers[idx[j]] = Answer{Shard: answers[idx[j]].Shard}
-				errs[idx[j]] = err
-			}
-		}
+	o.ctr.Add(raw)
+	if o.verify == nil {
+		return
 	}
-	o.ctr.Add(total)
+	// The Answer contract: a failed query carries neither Raw nor
+	// Records, only its shard attribution.
+	fail := func(i int, err error) {
+		answers[i] = Answer{Shard: answers[i].Shard}
+		errs[i] = err
+	}
+	skipped, err := o.each(ctx, len(qs), answered, func(i int, ctr *metrics.Counter) {
+		if err := o.finish(qs[i], &answers[i], ctr); err != nil {
+			fail(i, err)
+		}
+	})
+	for _, i := range skipped {
+		fail(i, err)
+	}
 }
 
 // Finisher applies one call's options to answers that arrive one at a
@@ -75,7 +66,7 @@ func NewFinisher(opts ...Option) *Finisher {
 // Verifies reports whether the captured options include WithVerify —
 // whether Finish does real per-item work (decode + signature check)
 // worth spreading across a pool, or only byte accounting.
-func (f *Finisher) Verifies() bool { return f.o.pub != nil }
+func (f *Finisher) Verifies() bool { return f.o.verify != nil }
 
 // Workers returns the bounded pool size the captured options request
 // for n items, as the batch drivers would size it.

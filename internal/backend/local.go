@@ -35,30 +35,39 @@ func (b *Local) Name() string { return ifmhName(b.tree.Mode()) }
 
 // Query implements Backend.
 func (b *Local) Query(ctx context.Context, q query.Query, opts ...Option) (Answer, error) {
-	return DriveQuery(ctx, b.process, q, opts...)
+	return DriveQuery(ctx, b.Process, q, opts...)
 }
 
 // QueryBatch implements Backend.
 func (b *Local) QueryBatch(ctx context.Context, qs []query.Query, opts ...Option) ([]Answer, []error) {
-	return DriveBatch(ctx, b.process, qs, opts...)
+	return DriveBatch(ctx, b.Process, qs, opts...)
 }
 
 // QueryStream implements Backend.
 func (b *Local) QueryStream(ctx context.Context, qs []query.Query, opts ...Option) iter.Seq2[int, BatchResult] {
-	return DriveStream(ctx, b.process, qs, opts...)
+	return DriveStream(ctx, b.Process, qs, opts...)
 }
 
 // Epoch returns the served tree's publication epoch.
 func (b *Local) Epoch() uint64 { return b.tree.Epoch() }
 
-func (b *Local) process(q query.Query, ctr *metrics.Counter) (int, uint64, []byte, error) {
+// Process is the Local's evaluation primitive (see the Process type):
+// walk the tree, serialize the answer, charge its bytes. The in-process
+// server hosts a tree through it.
+func (b *Local) Process(q query.Query, ctr *metrics.Counter) (int, uint64, []byte, error) {
 	ans, err := b.tree.Process(q, ctr)
 	if err != nil {
 		return wire.ShardNone, b.tree.Epoch(), nil, err
 	}
+	return wire.ShardNone, b.tree.Epoch(), encoded(ans, ctr), nil
+}
+
+// encoded serializes a walked answer and charges its bytes — the one
+// place an in-process IFMH answer becomes wire bytes.
+func encoded(ans *core.Answer, ctr *metrics.Counter) []byte {
 	out := wire.EncodeIFMH(ans)
 	ctr.AddBytes(uint64(len(out)))
-	return wire.ShardNone, b.tree.Epoch(), out, nil
+	return out
 }
 
 // Sharded serves a domain-sharded tree set behind a router: every query
@@ -87,31 +96,23 @@ func (b *Sharded) Name() string { return ifmhName(b.router.Set().Mode()) }
 
 // Query implements Backend.
 func (b *Sharded) Query(ctx context.Context, q query.Query, opts ...Option) (Answer, error) {
-	return DriveQuery(ctx, b.process, q, opts...)
+	return DriveQuery(ctx, b.Process, q, opts...)
 }
 
 // QueryBatch implements Backend.
 func (b *Sharded) QueryBatch(ctx context.Context, qs []query.Query, opts ...Option) ([]Answer, []error) {
-	return DriveBatch(ctx, b.process, qs, opts...)
+	return DriveBatch(ctx, b.Process, qs, opts...)
 }
 
 // QueryStream implements Backend.
 func (b *Sharded) QueryStream(ctx context.Context, qs []query.Query, opts ...Option) iter.Seq2[int, BatchResult] {
-	return DriveStream(ctx, b.process, qs, opts...)
+	return DriveStream(ctx, b.Process, qs, opts...)
 }
 
 // Epoch returns the served set's publication epoch — the maximum across
 // shards, which all agree on when the set is untorn (build.Apply and
 // shard.BuildCtx both land every shard on one epoch).
-func (b *Sharded) Epoch() uint64 {
-	var max uint64
-	for _, t := range b.router.Set().Trees {
-		if e := t.Epoch(); e > max {
-			max = e
-		}
-	}
-	return max
-}
+func (b *Sharded) Epoch() uint64 { return maxEpoch(b.Epochs()) }
 
 // Epochs returns every shard's publication epoch, in shard order.
 func (b *Sharded) Epochs() []uint64 {
@@ -123,18 +124,19 @@ func (b *Sharded) Epochs() []uint64 {
 	return out
 }
 
-func (b *Sharded) process(q query.Query, ctr *metrics.Counter) (int, uint64, []byte, error) {
+// Process is the Sharded's evaluation primitive (see the Process type):
+// route, answer on the owning tree, serialize. A refusal keeps the
+// owning shard's attribution; an unroutable query has none.
+func (b *Sharded) Process(q query.Query, ctr *metrics.Counter) (int, uint64, []byte, error) {
 	sh, ans, err := b.router.Process(q, ctr)
-	if err != nil {
-		if sh < 0 {
-			sh = wire.ShardNone
-			return sh, 0, nil, err
-		}
-		return sh, b.router.Set().Trees[sh].Epoch(), nil, err // the owning shard when routing succeeded
+	if sh < 0 {
+		return wire.ShardNone, 0, nil, err
 	}
-	out := wire.EncodeIFMH(ans)
-	ctr.AddBytes(uint64(len(out)))
-	return sh, b.router.Set().Trees[sh].Epoch(), out, nil
+	epoch := b.router.Set().Trees[sh].Epoch()
+	if err != nil {
+		return sh, epoch, nil, err
+	}
+	return sh, epoch, encoded(ans, ctr), nil
 }
 
 // ifmhName reports the backend name for a signing mode, matching the
@@ -144,4 +146,15 @@ func ifmhName(m core.Mode) string {
 		return "ifmh-one"
 	}
 	return "ifmh-multi"
+}
+
+// maxEpoch returns the newest of a shard set's epochs, 0 for none.
+func maxEpoch(epochs []uint64) uint64 {
+	var max uint64
+	for _, e := range epochs {
+		if e > max {
+			max = e
+		}
+	}
+	return max
 }

@@ -11,17 +11,12 @@ import "aqverify/internal/metrics"
 // a private counter, and only the winner's counts merge into the
 // caller's.
 
-// ReplaceCounter returns opts rebuilt with ctr as the call's counter:
-// every other option (workers, verification) forwards unchanged. Use a
+// ReplaceCounter returns opts with ctr as the call's counter: every
+// other option (workers, verification) forwards unchanged. Use a
 // private counter per concurrent launch, then fold the winner into
 // CounterOf(opts) on the calling goroutine.
 func ReplaceCounter(opts []Option, ctr *metrics.Counter) []Option {
-	o := buildOptions(opts)
-	out := []Option{WithWorkers(o.workers), WithCounter(ctr)}
-	if o.pub != nil {
-		out = append(out, WithVerify(*o.pub))
-	}
-	return out
+	return append(opts[:len(opts):len(opts)], WithCounter(ctr))
 }
 
 // CounterOf returns the counter opts install (nil when the call carries

@@ -1,10 +1,9 @@
 // Package build defines the unified construction plane: one
 // context-aware entry point — Outsource — over every product a data
 // owner can hand to the cloud. It mirrors internal/backend on the owner
-// side: PR 3 collapsed every evaluator behind one Backend query
-// interface; this package collapses the five positional construction
-// entry points (single tree, whole shard set, one shard of a set, the
-// signature-mesh baseline, and the facade's Build/BuildSharded) behind
+// side: every evaluator sits behind one Backend query interface, and
+// every product — single tree, whole shard set, one shard of a set, the
+// signature-mesh baseline — comes out of
 //
 //	build.Outsource(ctx, Spec, ...Option)
 //

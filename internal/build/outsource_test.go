@@ -10,6 +10,8 @@ import (
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
+	"aqverify/internal/hashing"
+	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/sig"
 	"aqverify/internal/wire"
@@ -78,8 +80,19 @@ func TestOutsourceProducts(t *testing.T) {
 	if single.Plan.K() != 1 || single.Shard != ShardNone {
 		t.Fatalf("single-tree product: plan K=%d shard=%d", single.Plan.K(), single.Shard)
 	}
-	if single.Public.Verifier == nil {
-		t.Fatal("single-tree product: missing published parameters")
+	if single.Public.Verifier == nil || single.Public.Mode != core.MultiSignature {
+		t.Fatalf("single-tree product: published parameters incomplete: %+v", single.Public)
+	}
+	if single.Tree.SignatureCount() != single.Tree.NumSubdomains() {
+		t.Fatal("multi-signature product: one signature per subdomain expected")
+	}
+	// An instrumented hasher observes the construction cost.
+	var ctr metrics.Counter
+	if _, err := Outsource(ctx, spec, WithHasher(hashing.New(&ctr))); err != nil {
+		t.Fatal(err)
+	}
+	if ctr.Hashes == 0 || ctr.SigSigns != 1 {
+		t.Fatalf("one-signature construction not instrumented: %+v", ctr)
 	}
 
 	for _, planner := range []Planner{nil, QuantileCuts} {
@@ -186,6 +199,16 @@ func TestOutsourceOptionConflicts(t *testing.T) {
 	}
 	if _, err := Outsource(ctx, Spec{Table: spec.Table, Template: spec.Template, Domain: spec.Domain}); err == nil {
 		t.Error("missing signer: no error")
+	}
+	// Construction errors propagate through the plane.
+	bad := spec
+	bad.Template = funcs.ScalarProduct(5)
+	if _, err := Outsource(ctx, bad); err == nil {
+		t.Error("template wider than the schema: no error")
+	}
+	bad.Template = funcs.ScalarProduct(2)
+	if _, err := Outsource(ctx, bad, WithMesh()); err == nil {
+		t.Error("multivariate mesh: no error")
 	}
 }
 

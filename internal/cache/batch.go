@@ -99,7 +99,7 @@ func (c *Cache) QueryBatch(ctx context.Context, qs []query.Query, opts ...backen
 			subqs[j] = qs[lf.idxs[0]]
 		}
 		var sub metrics.Counter
-		subAns, subErrs := c.inner.QueryBatch(ctx, subqs, withCounter(opts, &sub)...)
+		subAns, subErrs := c.inner.QueryBatch(ctx, subqs, backend.ReplaceCounter(opts, &sub)...)
 		cost.Add(sub)
 		for j, lf := range cl.led {
 			c.settleLed(lf, subAns[j], subErrs[j], answers, errs, &cost)
@@ -227,7 +227,7 @@ func (c *Cache) QueryStream(ctx context.Context, qs []query.Query, opts ...backe
 			go func() {
 				defer wg.Done()
 				completed := make([]bool, len(cl.led))
-				for j, r := range c.inner.QueryStream(ctx, subqs, withCounter(opts, &gctrs[0])...) {
+				for j, r := range c.inner.QueryStream(ctx, subqs, backend.ReplaceCounter(opts, &gctrs[0])...) {
 					lf := cl.led[j]
 					if r.Err == nil {
 						c.answers.put(storeKey(lf.k, r.Answer), entryOf(r.Answer))

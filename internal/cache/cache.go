@@ -291,7 +291,7 @@ func (c *Cache) queryOne(ctx context.Context, ci backend.CallInfo, q query.Query
 		if leader {
 			c.tally.CacheMiss()
 			var sub metrics.Counter
-			ans, err := c.inner.Query(ctx, q, withCounter(opts, &sub)...)
+			ans, err := c.inner.Query(ctx, q, backend.ReplaceCounter(opts, &sub)...)
 			cost.Add(sub)
 			if err == nil {
 				c.answers.put(storeKey(k, ans), entryOf(ans))
@@ -349,10 +349,6 @@ func storeKey(k akey, ans backend.Answer) akey {
 		k.epoch = ans.Epoch
 	}
 	return k
-}
-
-func withCounter(opts []backend.Option, ctr *metrics.Counter) []backend.Option {
-	return append(opts[:len(opts):len(opts)], backend.WithCounter(ctr))
 }
 
 func isCtxError(err error) bool {

@@ -8,12 +8,13 @@ import (
 	"testing"
 
 	"aqverify/internal/artifact"
+	"aqverify/internal/backend"
 	"aqverify/internal/build"
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
-	"aqverify/internal/owner"
 	"aqverify/internal/query"
+	"aqverify/internal/record"
 	"aqverify/internal/server"
 	"aqverify/internal/sig"
 	"aqverify/internal/transport"
@@ -29,12 +30,13 @@ func buildForArtifact(t *testing.T, n int, shuffle int64, opts ...build.Option) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := owner.NewWithScheme(sig.Ed25519, sig.Options{Rand: sig.DeterministicRand(7)})
+	signer, err := sig.NewSigner(sig.Ed25519, sig.Options{Rand: sig.DeterministicRand(7)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts = append([]build.Option{build.WithMode(core.MultiSignature), build.WithShuffle(shuffle)}, opts...)
-	res, err := build.Outsource(context.Background(), o.Spec(tbl, funcs.AffineLine(0, 1), dom), opts...)
+	res, err := build.Outsource(context.Background(),
+		build.Spec{Table: tbl, Template: funcs.AffineLine(0, 1), Domain: dom, Signer: signer}, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,28 +109,45 @@ func TestArtifactServeHTTP(t *testing.T) {
 	}
 	ts := serveArtifact(t, dir, -1)
 
-	cli, err := transport.Dial(ts.URL, nil)
+	r, verify := dialVerifying(t, ts.URL)
+	if cli := r.Client(); cli.Artifact() != info.HashHex() {
+		t.Fatalf("client pinned artifact %q, saved %q", cli.Artifact(), info.HashHex())
+	} else if cli.Provenance() != "loaded" {
+		t.Fatalf("provenance %q, want loaded", cli.Provenance())
+	}
+	verifyAgainstOracle(t, r, verify, res.Tree.Table(), artifactQueries(res.Tree.Domain()))
+}
+
+// dialVerifying dials url as a data user does and derives the
+// verification option from the advertised bundle.
+func dialVerifying(t *testing.T, url string) (*transport.Remote, backend.Option) {
+	t.Helper()
+	r, err := transport.DialRemote(url, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cli.Artifact() != info.HashHex() {
-		t.Fatalf("client pinned artifact %q, saved %q", cli.Artifact(), info.HashHex())
+	pub, ok := r.Client().Public()
+	if !ok {
+		t.Fatalf("%s does not advertise IFMH parameters", url)
 	}
-	if cli.Provenance() != "loaded" {
-		t.Fatalf("provenance %q, want loaded", cli.Provenance())
-	}
-	dom := res.Tree.Domain()
-	for _, q := range artifactQueries(dom) {
-		recs, err := cli.Query(q)
+	return r, backend.WithVerify(pub)
+}
+
+// verifyAgainstOracle answers every query through b, verified, and
+// compares the accepted window with the trusted local execution.
+func verifyAgainstOracle(t *testing.T, b backend.Backend, verify backend.Option, tbl record.Table, qs []query.Query) {
+	t.Helper()
+	for _, q := range qs {
+		ans, err := b.Query(context.Background(), q, verify)
 		if err != nil {
 			t.Fatalf("%v: %v", q.Kind, err)
 		}
-		want, err := query.Exec(res.Tree.Table(), funcs.AffineLine(0, 1), q)
+		want, err := query.Exec(tbl, funcs.AffineLine(0, 1), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(recs) != len(want.Records) {
-			t.Fatalf("%v: verified %d records, oracle %d", q.Kind, len(recs), len(want.Records))
+		if len(ans.Records) != len(want.Records) {
+			t.Fatalf("%v: verified %d records, oracle %d", q.Kind, len(ans.Records), len(want.Records))
 		}
 	}
 }
@@ -163,24 +182,8 @@ func TestArtifactFanout(t *testing.T) {
 	}
 	front := httptest.NewServer(h)
 	defer front.Close()
-	cli, err := transport.Dial(front.URL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl := res.Set.Trees[0].Table()
-	for _, q := range artifactQueries(res.Plan.Domain) {
-		recs, err := cli.Query(q)
-		if err != nil {
-			t.Fatalf("%v: %v", q.Kind, err)
-		}
-		want, err := query.Exec(tbl, funcs.AffineLine(0, 1), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(recs) != len(want.Records) {
-			t.Fatalf("%v: verified %d records, oracle %d", q.Kind, len(recs), len(want.Records))
-		}
-	}
+	r, verify := dialVerifying(t, front.URL)
+	verifyAgainstOracle(t, r, verify, res.Set.Trees[0].Table(), artifactQueries(res.Plan.Domain))
 }
 
 // TestArtifactFanoutMismatch composes shard servers loaded from two

@@ -1,42 +1,39 @@
 package e2e
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
-	"aqverify/internal/client"
+	"aqverify/internal/backend"
+	"aqverify/internal/build"
 	"aqverify/internal/core"
-	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
-	"aqverify/internal/owner"
 	"aqverify/internal/query"
 	"aqverify/internal/server"
+	"aqverify/internal/tamper"
 	"aqverify/internal/workload"
 )
 
 // TestBatchedRoundTrip drives the whole batched pipeline end to end for
 // a parallel-built tree: owner builds with a worker pool, server fans a
-// mixed batch out across HandleBatch, client verifies every answer
-// through the VerifyBatch-backed batch checker, and a tampering channel
-// takes down exactly the answers it touched.
+// mixed batch out across its QueryBatch pool, the user verifies every
+// answer across the WithWorkers pool, and a tampering channel takes
+// down exactly the answers it touched.
 func TestBatchedRoundTrip(t *testing.T) {
 	tbl, dom, err := workload.Lines(workload.LinesConfig{N: 150, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tpl := funcs.AffineLine(0, 1)
-	o := newOwner(t)
-
+	ctx := context.Background()
 	for _, mode := range []core.Mode{core.OneSignature, core.MultiSignature} {
-		tree, pub, err := o.OutsourceIFMH(tbl, tpl, dom, owner.Options{Mode: mode, Shuffle: true, Workers: 4})
+		res := outsource(t, tbl, dom, build.WithMode(mode), build.WithShuffle(0), build.WithWorkers(4))
+		srv, err := server.New(server.IFMH{Tree: res.Tree})
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := server.New(server.IFMH{Tree: tree})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cli := client.NewIFMH(pub)
+		opts := []backend.Option{backend.WithVerify(res.Public), backend.WithWorkers(4)}
 
 		rng := rand.New(rand.NewSource(8))
 		qs := make([]query.Query, 24)
@@ -56,43 +53,44 @@ func TestBatchedRoundTrip(t *testing.T) {
 
 		// Honest channel: every answer verifies and matches the trusted
 		// local execution.
-		for i, r := range cli.QueryBatch(srv, nil, qs, 4) {
-			if r.Err != nil {
-				t.Fatalf("%v: query %d rejected: %v", mode, i, r.Err)
+		answers, errs := srv.QueryBatch(ctx, qs, opts...)
+		for i, ans := range answers {
+			if errs[i] != nil {
+				t.Fatalf("%v: query %d rejected: %v", mode, i, errs[i])
 			}
 			want, err := query.Exec(tbl, tpl, qs[i])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(r.Records) != len(want.Records) {
-				t.Fatalf("%v: query %d returned %d records, trusted exec %d", mode, i, len(r.Records), len(want.Records))
+			if len(ans.Records) != len(want.Records) {
+				t.Fatalf("%v: query %d returned %d records, trusted exec %d", mode, i, len(ans.Records), len(want.Records))
 			}
 			for j := range want.Records {
-				if r.Records[j].ID != want.Records[j].ID {
-					t.Fatalf("%v: query %d record %d: ID %d, want %d", mode, i, j, r.Records[j].ID, want.Records[j].ID)
+				if ans.Records[j].ID != want.Records[j].ID {
+					t.Fatalf("%v: query %d record %d: ID %d, want %d", mode, i, j, ans.Records[j].ID, want.Records[j].ID)
 				}
 			}
 		}
 
 		// Tampering channel: flip a bit in every third answer.
-		var n int
-		ch := func(b []byte) []byte {
+		n := 0
+		ch := tamper.Channel{Inner: srv, Rewrite: func(_ query.Query, raw []byte) []byte {
 			n++
 			if n%3 != 0 {
-				return b
+				return raw
 			}
-			out := append([]byte(nil), b...)
+			out := append([]byte(nil), raw...)
 			out[len(out)/2] ^= 0x08
 			return out
-		}
-		n = 0
-		for i, r := range cli.QueryBatch(srv, ch, qs, 4) {
+		}}
+		_, errs = ch.QueryBatch(ctx, qs, opts...)
+		for i, err := range errs {
 			tampered := (i+1)%3 == 0
-			if tampered && r.Err == nil {
-				t.Fatalf("%v: tampered query %d accepted", mode, i)
+			if tampered && !errors.Is(err, core.ErrVerification) {
+				t.Fatalf("%v: tampered query %d: err=%v, want ErrVerification", mode, i, err)
 			}
-			if !tampered && r.Err != nil {
-				t.Fatalf("%v: untampered query %d rejected: %v", mode, i, r.Err)
+			if !tampered && err != nil {
+				t.Fatalf("%v: untampered query %d rejected: %v", mode, i, err)
 			}
 		}
 	}

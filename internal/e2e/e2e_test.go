@@ -1,198 +1,187 @@
 // Package e2e wires the three parties of the paper's system model
 // together — data owner, cloud server, data user — over the wire codec
-// and an adversarial channel, across both backends, both signing modes,
-// and all three query types.
+// and an adversarial channel, across every surface of the query plane,
+// both structures, both signing modes, and all query types.
 package e2e
 
 import (
-	"errors"
+	"bytes"
+	"context"
 	"math/rand"
+	"net/http/httptest"
 	"testing"
 
-	"aqverify/internal/client"
+	"aqverify/internal/backend"
+	"aqverify/internal/build"
+	"aqverify/internal/cache"
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
-	"aqverify/internal/owner"
+	"aqverify/internal/metrics"
 	"aqverify/internal/query"
+	"aqverify/internal/record"
 	"aqverify/internal/server"
+	"aqverify/internal/shard"
 	"aqverify/internal/sig"
+	"aqverify/internal/transport"
 	"aqverify/internal/workload"
 )
 
-func newOwner(t testing.TB) *owner.Owner {
+var tpl = funcs.AffineLine(0, 1)
+
+// outsource plays the data owner: one Ed25519 key per call, the lines
+// workload, whatever product the options select.
+func outsource(t testing.TB, tbl record.Table, dom geometry.Box, opts ...build.Option) *build.Result {
 	t.Helper()
-	o, err := owner.NewWithScheme(sig.Ed25519, sig.Options{})
+	signer, err := sig.NewSigner(sig.Ed25519, sig.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return o
+	return outsourceAs(t, signer, tbl, dom, opts...)
 }
 
-func TestFullRoundTripAllBackends(t *testing.T) {
-	tbl, dom, err := workload.Lines(workload.LinesConfig{N: 120, Seed: 1})
+func outsourceAs(t testing.TB, signer sig.Signer, tbl record.Table, dom geometry.Box, opts ...build.Option) *build.Result {
+	t.Helper()
+	res, err := build.Outsource(context.Background(),
+		build.Spec{Table: tbl, Template: tpl, Domain: dom, Signer: signer}, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tpl := funcs.AffineLine(0, 1)
-	o := newOwner(t)
+	return res
+}
 
-	type setup struct {
-		name string
-		srv  *server.Server
-		cli  *client.Client
+// surface is one way a data user can reach the outsourced database,
+// with the verification option for the bundle it serves.
+type surface struct {
+	name   string
+	b      backend.Backend
+	verify backend.Option
+}
+
+// serve puts a server on a loopback listener for the test's lifetime.
+func serve(t testing.TB, b server.Backend, pub core.PublicParams) string {
+	t.Helper()
+	srv, err := server.New(b)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var setups []setup
+	h, err := transport.NewIFMHHandler(srv, pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// surfaces outsources one table under one owner key as a single tree, a
+// K-shard set and the mesh baseline, and stands up every surface of the
+// query plane over them: the five backend.Backend implementations
+// (Local, Sharded, Server, Remote, Fanout), the cache decorator, and
+// the mesh server. The plan is the K-shard set's.
+func surfaces(t testing.TB, n, k int, mode core.Mode) ([]surface, shard.Plan, record.Table) {
+	t.Helper()
+	tbl, dom, err := workload.Lines(workload.LinesConfig{N: n, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	signer, err := sig.NewSigner(sig.Ed25519, sig.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := outsourceAs(t, signer, tbl, dom, build.WithMode(mode), build.WithShuffle(3))
+	set := outsourceAs(t, signer, tbl, dom, build.WithMode(mode), build.WithShuffle(3), build.WithShards(k, 0))
+	msh := outsourceAs(t, signer, tbl, dom, build.WithMesh())
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	local, err := backend.NewLocal(single.Tree)
+	must(err)
+	sharded, err := server.NewShardedIFMH(set.Set)
+	must(err)
+	srv, err := server.New(sharded)
+	must(err)
+	remote, err := transport.DialRemote(serve(t, server.IFMH{Tree: single.Tree}, single.Public), nil)
+	must(err)
+	urls := make([]string, k)
+	for i, tree := range set.Set.Trees {
+		urls[i] = serve(t, server.IFMH{Tree: tree}, set.Public)
+	}
+	fanout, _, err := transport.DialFanout(urls, nil)
+	must(err)
+	cached, err := cache.Wrap(local, cache.WithoutPermTier())
+	must(err)
+	msrv, err := server.New(server.Mesh{M: msh.Mesh})
+	must(err)
+
+	verify := backend.WithVerify(single.Public) // one bundle: sharding is transparent
+	return []surface{
+		{"local", local, verify},
+		{"sharded", sharded, verify},
+		{"server", srv, verify},
+		{"remote", remote, verify},
+		{"fanout", fanout, verify},
+		{"cached", cached, verify},
+		{"mesh-server", msrv, backend.WithVerifyMesh(msh.MeshPublic)},
+	}, set.Plan, tbl
+}
+
+// TestFullRoundTripAllSurfaces: honest answers verify on every surface,
+// under both signing modes, and agree with the trusted local execution
+// record for record; the caller-side counter observes the bytes.
+func TestFullRoundTripAllSurfaces(t *testing.T) {
 	for _, mode := range []core.Mode{core.OneSignature, core.MultiSignature} {
-		tree, pub, err := o.OutsourceIFMH(tbl, tpl, dom, owner.Options{Mode: mode, Shuffle: true})
-		if err != nil {
-			t.Fatal(err)
+		ss, plan, tbl := surfaces(t, 120, 3, mode)
+		dom := plan.Domain
+		rng := rand.New(rand.NewSource(2))
+		var qs []query.Query
+		for trial := 0; trial < 8; trial++ {
+			x := geometry.Point{dom.Lo[0] + (dom.Hi[0]-dom.Lo[0])*(0.02+0.96*rng.Float64())}
+			qs = append(qs,
+				query.NewTopK(x, 1+rng.Intn(10)),
+				query.NewBottomK(x, 1+rng.Intn(10)),
+				query.NewRange(x, -50, 50),
+				query.NewKNN(x, 1+rng.Intn(10), rng.NormFloat64()),
+			)
 		}
-		srv, err := server.New(server.IFMH{Tree: tree})
-		if err != nil {
-			t.Fatal(err)
-		}
-		setups = append(setups, setup{srv.Name(), srv, client.NewIFMH(pub)})
-	}
-	m, mpub, err := o.OutsourceMesh(tbl, tpl, dom, owner.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	msrv, err := server.New(server.Mesh{M: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	setups = append(setups, setup{msrv.Name(), msrv, client.NewMesh(mpub)})
-
-	rng := rand.New(rand.NewSource(2))
-	for _, su := range setups {
-		su := su
-		t.Run(su.name, func(t *testing.T) {
-			for trial := 0; trial < 20; trial++ {
-				x := geometry.Point{dom.Lo[0] + (dom.Hi[0]-dom.Lo[0])*rng.Float64()*0.96 + (dom.Hi[0]-dom.Lo[0])*0.02}
-				queries := []query.Query{
-					query.NewTopK(x, 1+rng.Intn(10)),
-					query.NewRange(x, -50, 50),
-					query.NewKNN(x, 1+rng.Intn(10), rng.NormFloat64()),
-				}
-				for _, q := range queries {
-					recs, err := su.cli.Query(su.srv, nil, q)
-					if err != nil {
-						t.Fatalf("%v: %v", q.Kind, err)
+		for _, su := range ss {
+			t.Run(mode.String()+"/"+su.name, func(t *testing.T) {
+				var ctr metrics.Counter
+				answers, errs := su.b.QueryBatch(context.Background(), qs, su.verify, backend.WithCounter(&ctr), backend.WithWorkers(4))
+				serial, _ := su.b.QueryBatch(context.Background(), qs, su.verify, backend.WithWorkers(1))
+				for i, q := range qs {
+					if !bytes.Equal(serial[i].Raw, answers[i].Raw) || len(serial[i].Records) != len(answers[i].Records) {
+						t.Fatalf("%v: workers=1 and workers=4 disagree", q.Kind)
 					}
-					// Cross-check against the trusted oracle.
+					if errs[i] != nil {
+						t.Fatalf("%v: %v", q.Kind, errs[i])
+					}
 					want, err := query.Exec(tbl, tpl, q)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if len(recs) != len(want.Records) {
-						t.Fatalf("%v: verified %d records, oracle %d", q.Kind, len(recs), len(want.Records))
+					if len(answers[i].Records) != len(want.Records) {
+						t.Fatalf("%v: verified %d records, oracle %d", q.Kind, len(answers[i].Records), len(want.Records))
+					}
+					for j := range want.Records {
+						if answers[i].Records[j].ID != want.Records[j].ID {
+							t.Fatalf("%v record %d: ID %d, oracle %d", q.Kind, j, answers[i].Records[j].ID, want.Records[j].ID)
+						}
 					}
 				}
-			}
-			stats, n := su.srv.Stats()
-			if n == 0 || stats.Traversed() == 0 {
-				t.Error("server metrics not accumulated")
-			}
-			if su.cli.Stats().Bytes == 0 {
-				t.Error("client byte metrics not accumulated")
-			}
-		})
-	}
-}
-
-func TestChannelBitFlipsAreRejected(t *testing.T) {
-	tbl, dom, err := workload.Lines(workload.LinesConfig{N: 60, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tpl := funcs.AffineLine(0, 1)
-	o := newOwner(t)
-	tree, pub, err := o.OutsourceIFMH(tbl, tpl, dom, owner.Options{Mode: core.OneSignature, Shuffle: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(server.IFMH{Tree: tree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli := client.NewIFMH(pub)
-	rng := rand.New(rand.NewSource(4))
-
-	flipper := func(b []byte) []byte {
-		out := append([]byte(nil), b...)
-		out[rng.Intn(len(out))] ^= 1 << uint(rng.Intn(8))
-		return out
-	}
-	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
-	q := query.NewTopK(x, 5)
-
-	// The identity channel must verify.
-	if _, err := cli.Query(srv, nil, q); err != nil {
-		t.Fatalf("honest channel rejected: %v", err)
-	}
-	// Random bit flips must never be silently accepted. A flip can land
-	// in a "don't care" region only if it changes nothing the verifier
-	// reads; our codec has no such slack except inside the query echo,
-	// which sameQuery catches.
-	rejected := 0
-	for trial := 0; trial < 200; trial++ {
-		_, err := cli.Query(srv, flipper, q)
-		if err == nil {
-			t.Fatal("bit-flipped answer accepted")
-		}
-		if errors.Is(err, client.ErrRejected) {
-			rejected++
+				if ctr.Bytes == 0 || ctr.SigVerifies == 0 {
+					t.Errorf("caller-side costs not accumulated: %+v", ctr)
+				}
+				if s, ok := su.b.(*server.Server); ok {
+					if stats, n := s.Stats(); n == 0 || stats.Traversed() == 0 {
+						t.Error("server metrics not accumulated")
+					}
+				}
+			})
 		}
 	}
-	if rejected == 0 {
-		t.Error("no flip was classified as a rejection")
-	}
-}
-
-func TestLyingServerIsCaughtEndToEnd(t *testing.T) {
-	// A "cost-saving" server that truncates every result by one record —
-	// the paper's inside-attack scenario.
-	tbl, dom, err := workload.Lines(workload.LinesConfig{N: 80, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tpl := funcs.AffineLine(0, 1)
-	o := newOwner(t)
-	tree, pub, err := o.OutsourceIFMH(tbl, tpl, dom, owner.Options{Mode: core.MultiSignature, Shuffle: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(server.IFMH{Tree: tree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli := client.NewIFMH(pub)
-
-	// The channel re-encodes a truncated answer: this models the server
-	// itself lying (same bytes it could have produced directly).
-	truncating := func(b []byte) []byte {
-		ans, err := decodeAndTruncate(b)
-		if err != nil {
-			return b
-		}
-		return ans
-	}
-	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
-	q := query.NewTopK(x, 6)
-	if _, err := cli.Query(srv, truncating, q); !errors.Is(err, client.ErrRejected) {
-		t.Fatalf("truncating server not caught: %v", err)
-	}
-}
-
-func decodeAndTruncate(b []byte) ([]byte, error) {
-	ans, err := wireDecode(b)
-	if err != nil {
-		return nil, err
-	}
-	if len(ans.Records) == 0 {
-		return nil, errors.New("nothing to truncate")
-	}
-	ans.Records = ans.Records[:len(ans.Records)-1]
-	return wireEncode(ans), nil
 }

@@ -34,12 +34,10 @@ import (
 	"iter"
 	"net"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
 	"aqverify/internal/backend"
-	"aqverify/internal/geometry"
 	"aqverify/internal/query"
 	"aqverify/internal/shard"
 	"aqverify/internal/transport"
@@ -147,97 +145,30 @@ type Frontend struct {
 }
 
 // DialFront dials every replica of every shard — groups[i] lists shard
-// group i's replica base URLs — recovers the shard plan from the
-// advertised serving domains, and composes the replica sets into a
-// Frontend. It enforces the same compatibility rules DialFanout
-// enforces, per replica: one backend name, verifier key and template
-// across the fleet; one artifact content hash across every
-// artifact-serving replica (a mismatch is an
-// *transport.ArtifactMismatchError naming both URLs); replicas of one
-// shard group must advertise the same sub-box. Epochs may differ — a
-// rolling swap looks like that — and surface as lag gauges, not errors.
-// Shard groups may be listed in any order; groups is reordered in place
-// into shard order. Dial failures name the URL that failed.
+// group i's replica base URLs — through transport.DialGroups, which
+// enforces that the fleet serves one logical database (one bundle, one
+// artifact, one sub-box per group; epochs may differ — a rolling swap
+// looks like that — and surface as lag gauges, not errors), recovers
+// the shard plan and reorders groups in place into shard order. The
+// replica sets are then composed into a Frontend.
 //
 // The returned Params is the merged trust bundle the front republishes,
 // exactly as DialFanout merges it.
 func DialFront(groups [][]string, hc *http.Client, opt Options) (*Frontend, transport.Params, error) { //lint:ignore ctxthread the prober is process-lifetime background work owned by the Frontend; Close stops it
 	opt = opt.withDefaults()
-	if len(groups) == 0 {
-		return nil, transport.Params{}, fmt.Errorf("front: no backends given")
-	}
-	type shardDial struct {
-		box    geometry.Box
-		params transport.Params
-		reps   []*replica
-		urls   []string
-	}
-	ds := make([]shardDial, len(groups))
-	var anchorURL, anchorHash string // artifact anchor across ALL replicas
-	var firstURL string              // bundle anchor: first replica dialed
-	var firstParams transport.Params
-	for si, urls := range groups {
-		if len(urls) == 0 {
-			return nil, transport.Params{}, fmt.Errorf("front: shard group %d has no replica URLs", si)
-		}
-		for ri, u := range urls {
-			rem, err := transport.DialRemote(u, hc)
-			if err != nil {
-				return nil, transport.Params{}, fmt.Errorf("front: shard group %d: %w", si, &transport.RemoteError{URL: u, Err: err})
-			}
-			p := rem.Client().Params()
-			box, ok := rem.Client().Domain()
-			if !ok {
-				return nil, transport.Params{}, fmt.Errorf("front: backend %s does not advertise its serving domain; run a current vqserve", u)
-			}
-			if firstURL == "" {
-				firstURL, firstParams = u, p
-			} else if err := transport.CheckSameBundle(u, p, firstURL, firstParams); err != nil {
-				return nil, transport.Params{}, err
-			}
-			if ri == 0 {
-				ds[si].box, ds[si].params = box, p
-			} else if !sameBox(box, ds[si].box) {
-				return nil, transport.Params{}, fmt.Errorf("front: replica %s advertises a different serving domain than replica %s; replicas of one shard group must serve the same sub-box",
-					u, urls[0])
-			}
-			if p.Artifact != "" {
-				if anchorHash == "" {
-					anchorURL, anchorHash = u, p.Artifact
-				} else if p.Artifact != anchorHash {
-					return nil, transport.Params{}, &transport.ArtifactMismatchError{
-						URL: u, Hash: p.Artifact,
-						OtherURL: anchorURL, OtherHash: anchorHash,
-					}
-				}
-			}
-			// The end client holds the epoch pin; every hop here relays.
-			rem.Relay()
-			ds[si].reps = append(ds[si].reps, &replica{rem: rem, url: u})
-		}
-		ds[si].urls = urls
-	}
-	// Shard order = ascending corner order, as DialFanout orders shards.
-	sort.SliceStable(ds, func(i, j int) bool {
-		for d := range ds[i].box.Lo {
-			if ds[i].box.Lo[d] != ds[j].box.Lo[d] {
-				return ds[i].box.Lo[d] < ds[j].box.Lo[d]
-			}
-		}
-		return false
-	})
-	boxes := make([]geometry.Box, len(ds))
-	kids := make([]backend.Backend, len(ds))
-	sets := make([]*ReplicaSet, len(ds))
-	for i, d := range ds {
-		boxes[i] = d.box
-		sets[i] = newReplicaSet(i, d.reps, opt)
-		kids[i] = sets[i]
-		groups[i] = d.urls
-	}
-	plan, err := shard.PlanFromBoxes(boxes)
+	plan, remotes, params, err := transport.DialGroups(groups, hc)
 	if err != nil {
-		return nil, transport.Params{}, fmt.Errorf("front: recovering the shard plan: %w", err)
+		return nil, transport.Params{}, fmt.Errorf("front: %w", err)
+	}
+	kids := make([]backend.Backend, len(remotes))
+	sets := make([]*ReplicaSet, len(remotes))
+	for i, rems := range remotes {
+		reps := make([]*replica, len(rems))
+		for j, rem := range rems {
+			reps[j] = &replica{rem: rem, url: groups[i][j]}
+		}
+		sets[i] = newReplicaSet(i, reps, opt)
+		kids[i] = sets[i]
 	}
 	fan, err := backend.NewFanout(plan, kids)
 	if err != nil {
@@ -252,26 +183,8 @@ func DialFront(groups [][]string, hc *http.Client, opt Options) (*Frontend, tran
 		f.done = make(chan struct{})
 		go f.probeLoop()
 	}
-	params := ds[0].params
-	params.Shards = plan.K()
-	params.Domain = transport.ToBoxJSON(plan.Domain)
 	params.Epoch = fan.Epoch()
-	params.Artifact = anchorHash
 	return f, params, nil
-}
-
-// sameBox compares two advertised boxes exactly: replicas of one shard
-// serve one sub-box, byte-identical through /params.
-func sameBox(a, b geometry.Box) bool {
-	if len(a.Lo) != len(b.Lo) {
-		return false
-	}
-	for d := range a.Lo {
-		if a.Lo[d] != b.Lo[d] || a.Hi[d] != b.Hi[d] {
-			return false
-		}
-	}
-	return true
 }
 
 // Close stops the background prober. The Frontend keeps serving; Close

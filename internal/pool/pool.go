@@ -1,6 +1,6 @@
 // Package pool provides the bounded worker-pool primitive shared by the
-// batched code paths (server.HandleBatch, core.VerifyBatch, the client's
-// batch checker): workers claim item indexes off a shared atomic, so
+// batched code paths (the backend batch drivers, core.VerifyBatch, the
+// sharded builders): workers claim item indexes off a shared atomic, so
 // unevenly sized items load-balance instead of straggling in a fixed
 // shard.
 package pool
@@ -14,7 +14,7 @@ import (
 
 // Workers normalizes a requested worker count for n items: non-positive
 // means one per CPU, and the count never exceeds n. Callers use the
-// result to size per-worker state (e.g. metrics counters) before Run.
+// result to size per-worker state (e.g. metrics counters) before RunCtx.
 func Workers(workers, n int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -28,45 +28,16 @@ func Workers(workers, n int) int {
 	return workers
 }
 
-// Run executes fn(worker, i) for every i in [0, n) across at most
+// RunCtx executes fn(worker, i) for every i in [0, n) across at most
 // workers goroutines (pass the value returned by Workers). fn is called
 // concurrently with distinct i; worker identifies the calling goroutine
-// in [0, workers) so fn can index per-worker state without locking. Run
-// returns once every index has been processed.
-func Run(n, workers int, fn func(worker, i int)) { //lint:ignore ctxthread Run is the uncancellable primitive; RunCtx is the context-aware variant callers thread
-	if n <= 0 {
-		return
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// RunCtx is Run with cooperative cancellation: workers stop claiming new
-// indexes once ctx is done, and RunCtx returns ctx.Err() (nil when every
-// index was processed). Indexes already claimed when the context fires
-// still run to completion — fn is never abandoned mid-item — so callers
-// know each index was either fully processed or never started. The
-// skipped set is the indexes for which fn was not called.
+// in [0, workers) so fn can index per-worker state without locking.
+// Cancellation is cooperative: workers stop claiming new indexes once
+// ctx is done, and RunCtx returns ctx.Err() (nil when every index was
+// processed). Indexes already claimed when the context fires still run
+// to completion — fn is never abandoned mid-item — so callers know each
+// index was either fully processed or never started. The skipped set is
+// the indexes for which fn was not called.
 func RunCtx(ctx context.Context, n, workers int, fn func(worker, i int)) error {
 	if n <= 0 {
 		return ctx.Err()

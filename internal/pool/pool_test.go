@@ -21,44 +21,28 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
-func TestRunCoversEveryIndexOnce(t *testing.T) {
+// TestRunCtxCoversEveryIndexOnce: an un-canceled context processes
+// every index exactly once, under worker ids in [0, workers).
+func TestRunCtxCoversEveryIndexOnce(t *testing.T) {
+	ctx := context.Background()
 	for _, workers := range []int{1, 3, 8} {
-		const n = 100
-		var hits [n]atomic.Int32
-		var perWorker [8]int
-		Run(n, workers, func(w, i int) {
+		var hits [100]atomic.Int32
+		if err := RunCtx(ctx, len(hits), workers, func(w, i int) {
 			hits[i].Add(1)
 			if w < 0 || w >= workers {
 				t.Errorf("worker id %d out of [0,%d)", w, workers)
 			}
-			if workers == 1 {
-				perWorker[w]++
-			}
-		})
+		}); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
 				t.Fatalf("workers=%d: index %d processed %d times", workers, i, got)
 			}
 		}
 	}
-	Run(0, 4, func(w, i int) { t.Error("fn called for n=0") })
-}
-
-// TestRunCtxCompletes: an un-canceled context processes every index,
-// exactly like Run.
-func TestRunCtxCompletes(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		var hits [50]atomic.Int64
-		if err := RunCtx(context.Background(), len(hits), workers, func(_, i int) {
-			hits[i].Add(1)
-		}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range hits {
-			if hits[i].Load() != 1 {
-				t.Fatalf("workers=%d: index %d processed %d times", workers, i, hits[i].Load())
-			}
-		}
+	if err := RunCtx(ctx, 0, 4, func(w, i int) { t.Error("fn called for n=0") }); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -10,44 +10,45 @@ import (
 	"aqverify/internal/wire"
 )
 
-// The Server is itself a backend.Backend: the unified query plane's
-// methods answer exactly as Handle/HandleBatch would — same routing,
-// same bytes, same cumulative metrics — but carry a context and the
-// plane's functional options. Handle and HandleBatch remain as the
-// positional entry points the HTTP transport predates the plane with.
+// The Server is itself a backend.Backend: the hosted structure's
+// evaluation lifted into the unified query plane by the backend.Drive*
+// helpers, with every outcome folded into the server's tally.
 var _ backend.Backend = (*Server)(nil)
 
-// Query implements backend.Backend. The answered query is recorded in
-// the server's cumulative metrics exactly as Handle records it.
+// Query implements backend.Backend. A failed query counts toward
+// ErrorCount only; its partial traversal cost is kept out of the
+// cumulative totals so per-query averages stay averages over answered
+// queries.
 func (s *Server) Query(ctx context.Context, q query.Query, opts ...backend.Option) (backend.Answer, error) {
-	return backend.DriveQuery(ctx, s.processRecorded, q, opts...)
+	return backend.DriveQuery(ctx, s.process, q, opts...)
 }
 
 // QueryBatch implements backend.Backend. Against a sharded backend the
-// batch is routed up front and dispatched in shard-contiguous order,
-// exactly as HandleBatchShards dispatches it: unroutable queries fail
-// without occupying a worker, and consecutive workers hit the same tree
-// instead of interleaving all K.
+// batch is grouped up front and dispatched in shard-contiguous order:
+// unroutable queries fail without occupying a worker, and consecutive
+// workers hit the same tree instead of interleaving all K. The answers
+// are byte-identical to per-query Query calls — the hosted structures
+// answer from immutable state.
 func (s *Server) QueryBatch(ctx context.Context, qs []query.Query, opts ...backend.Option) ([]backend.Answer, []error) {
-	// The routing pass and the per-query snapshots may straddle a Swap;
+	// The grouping pass and the per-query snapshots may straddle a Swap;
 	// that is safe because a swap never changes the shard plan (Swap
 	// enforces the same shard count, and mutations keep the sub-boxes),
 	// so the old snapshot's grouping is valid for the new one.
-	sharded := s.serving.Load().sharded
-	if sharded == nil {
-		return backend.DriveBatch(ctx, s.processRecorded, qs, opts...)
+	set := s.serving.Load().set
+	if set == nil {
+		return backend.DriveBatch(ctx, s.process, qs, opts...)
 	}
-	_, groups, rerrs := sharded.Group(qs)
+	groups, rerrs := set.Plan.Group(qs)
 	order := make([]int, 0, len(qs))
 	for _, g := range groups {
 		order = append(order, g...)
 	}
-	answers, errs := backend.DriveBatchOrdered(ctx, s.processRecorded, qs, order, opts...)
+	answers, errs := backend.DriveBatchOrdered(ctx, s.process, qs, order, opts...)
 	for i, err := range rerrs {
 		if err != nil {
 			errs[i] = err
 			answers[i] = backend.Answer{Shard: wire.ShardNone}
-			s.record(metrics.Counter{}, wire.ShardNone, err)
+			s.tally.Record(metrics.Counter{}, wire.ShardNone, err)
 		}
 	}
 	return answers, errs
@@ -55,38 +56,18 @@ func (s *Server) QueryBatch(ctx context.Context, qs []query.Query, opts ...backe
 
 // QueryStream implements backend.Backend.
 func (s *Server) QueryStream(ctx context.Context, qs []query.Query, opts ...backend.Option) iter.Seq2[int, backend.BatchResult] {
-	return backend.DriveStream(ctx, s.processRecorded, qs, opts...)
+	return backend.DriveStream(ctx, s.process, qs, opts...)
 }
 
-// processRecorded answers one query through the hosted backend, folding
-// its cost into the server's cumulative metrics (the driver's counter
-// may span many queries, so the per-query cost is measured locally and
-// merged).
-func (s *Server) processRecorded(q query.Query, ctr *metrics.Counter) (int, uint64, []byte, error) {
+// process answers one query through the hosted backend and records it.
+// The serving snapshot is loaded exactly once, so a query that races a
+// Swap is routed, answered and attributed against one consistent epoch.
+// The driver's counter may span many queries, so the query's own cost
+// is measured locally, tallied, and merged.
+func (s *Server) process(q query.Query, ctr *metrics.Counter) (int, uint64, []byte, error) {
 	var local metrics.Counter
-	sh, epoch, out, err := s.processOnce(q, &local)
+	sh, epoch, out, err := s.serving.Load().backend.Process(q, &local)
+	s.tally.Record(local, sh, err)
 	ctr.Add(local)
 	return sh, epoch, out, err
-}
-
-// processOnce routes and answers one query, recording it, and reports
-// the answering shard (wire.ShardNone for unsharded backends and
-// unroutable queries) and the epoch it answered under. The serving
-// snapshot is loaded exactly once, so a query that races a Swap is
-// routed, answered and attributed against one consistent epoch.
-func (s *Server) processOnce(q query.Query, ctr *metrics.Counter) (int, uint64, []byte, error) {
-	sv := s.serving.Load()
-	if sv.sharded != nil {
-		sh, err := sv.sharded.Shard(q)
-		if err != nil {
-			s.record(metrics.Counter{}, wire.ShardNone, err)
-			return wire.ShardNone, 0, nil, err
-		}
-		out, err := sv.sharded.ProcessOn(sh, q, ctr)
-		s.record(*ctr, sh, err)
-		return sh, sv.shardEpoch(sh), out, err
-	}
-	out, err := sv.backend.Process(q, ctr)
-	s.record(*ctr, wire.ShardNone, err)
-	return wire.ShardNone, sv.epoch, out, err
 }

@@ -2,30 +2,33 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
+	"aqverify/internal/backend"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
 )
 
-// TestHandleErrorKeepsTotalsClean: a failed query must not leak its
+// TestQueryErrorKeepsTotalsClean: a failed query must not leak its
 // partial traversal cost into the cumulative totals or the answered
 // count — only the error count moves.
-func TestHandleErrorKeepsTotalsClean(t *testing.T) {
+func TestQueryErrorKeepsTotalsClean(t *testing.T) {
 	tree, _, dom := fixtures(t)
 	s, err := New(IFMH{Tree: tree})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
-	if _, err := s.Handle(query.NewTopK(x, 3)); err != nil {
+	if _, err := s.Query(ctx, query.NewTopK(x, 3)); err != nil {
 		t.Fatal(err)
 	}
 	okTotal, okCount := s.Stats()
 
 	// Outside the owner's domain: the backend refuses.
-	if _, err := s.Handle(query.NewTopK(geometry.Point{dom.Hi[0] + 10}, 3)); err == nil {
+	if _, err := s.Query(ctx, query.NewTopK(geometry.Point{dom.Hi[0] + 10}, 3)); err == nil {
 		t.Fatal("out-of-domain query succeeded")
 	}
 	total, count := s.Stats()
@@ -40,10 +43,11 @@ func TestHandleErrorKeepsTotalsClean(t *testing.T) {
 	}
 }
 
-// TestHandleBatchMatchesHandle: the batched path must produce, for every
-// query, exactly the bytes and errors the sequential path produces, for
-// any worker count, and account metrics identically.
-func TestHandleBatchMatchesHandle(t *testing.T) {
+// TestQueryBatchMatchesQuery: the batched and streamed paths must
+// produce, for every query, exactly the bytes and errors the
+// single-query path produces, for any worker count, and account metrics
+// identically.
+func TestQueryBatchMatchesQuery(t *testing.T) {
 	tree, _, dom := fixtures(t)
 	rng := rand.New(rand.NewSource(7))
 	qs := make([]query.Query, 40)
@@ -62,6 +66,7 @@ func TestHandleBatchMatchesHandle(t *testing.T) {
 		}
 	}
 
+	ctx := context.Background()
 	ref, err := New(IFMH{Tree: tree})
 	if err != nil {
 		t.Fatal(err)
@@ -69,48 +74,65 @@ func TestHandleBatchMatchesHandle(t *testing.T) {
 	wantOut := make([][]byte, len(qs))
 	wantErr := make([]bool, len(qs))
 	for i, q := range qs {
-		out, err := ref.Handle(q)
-		wantOut[i], wantErr[i] = out, err != nil
+		ans, err := ref.Query(ctx, q)
+		wantOut[i], wantErr[i] = ans.Raw, err != nil
 	}
 	refTotal, refCount := ref.Stats()
 
+	check := func(name string, s *Server, outs [][]byte, errs []error) {
+		t.Helper()
+		for i := range qs {
+			if (errs[i] != nil) != wantErr[i] {
+				t.Fatalf("%s: query %d error = %v, want error=%v", name, i, errs[i], wantErr[i])
+			}
+			if !bytes.Equal(outs[i], wantOut[i]) {
+				t.Fatalf("%s: query %d bytes differ from single-query Query", name, i)
+			}
+		}
+		total, count := s.Stats()
+		if count != refCount || total != refTotal {
+			t.Errorf("%s: stats (%v, %d) differ from sequential (%v, %d)", name, &total, count, &refTotal, refCount)
+		}
+		if got, want := s.ErrorCount(), ref.ErrorCount(); got != want {
+			t.Errorf("%s: ErrorCount = %d, want %d", name, got, want)
+		}
+	}
 	for _, workers := range []int{0, 1, 3, 16} {
 		s, err := New(IFMH{Tree: tree})
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs, errs := s.HandleBatch(qs, workers)
-		if len(outs) != len(qs) || len(errs) != len(qs) {
-			t.Fatalf("workers=%d: result lengths %d/%d", workers, len(outs), len(errs))
+		answers, errs := s.QueryBatch(ctx, qs, backend.WithWorkers(workers))
+		if len(answers) != len(qs) || len(errs) != len(qs) {
+			t.Fatalf("workers=%d: result lengths %d/%d", workers, len(answers), len(errs))
 		}
-		for i := range qs {
-			if (errs[i] != nil) != wantErr[i] {
-				t.Fatalf("workers=%d: query %d error = %v, want error=%v", workers, i, errs[i], wantErr[i])
-			}
-			if !bytes.Equal(outs[i], wantOut[i]) {
-				t.Fatalf("workers=%d: query %d bytes differ from sequential Handle", workers, i)
-			}
+		outs := make([][]byte, len(qs))
+		for i := range answers {
+			outs[i] = answers[i].Raw
 		}
-		total, count := s.Stats()
-		if count != refCount || total != refTotal {
-			t.Errorf("workers=%d: stats (%v, %d) differ from sequential (%v, %d)",
-				workers, &total, count, &refTotal, refCount)
+		check("batch", s, outs, errs)
+
+		s, err = New(IFMH{Tree: tree})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got, want := s.ErrorCount(), ref.ErrorCount(); got != want {
-			t.Errorf("workers=%d: ErrorCount = %d, want %d", workers, got, want)
+		outs, errs = make([][]byte, len(qs)), make([]error, len(qs))
+		for i, r := range s.QueryStream(ctx, qs, backend.WithWorkers(workers)) {
+			outs[i], errs[i] = r.Answer.Raw, r.Err
 		}
+		check("stream", s, outs, errs)
 	}
 }
 
-// TestHandleBatchEmpty: a zero-length batch is a no-op.
-func TestHandleBatchEmpty(t *testing.T) {
+// TestQueryBatchEmpty: a zero-length batch is a no-op.
+func TestQueryBatchEmpty(t *testing.T) {
 	tree, _, _ := fixtures(t)
 	s, err := New(IFMH{Tree: tree})
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, errs := s.HandleBatch(nil, 4)
-	if len(outs) != 0 || len(errs) != 0 {
-		t.Errorf("empty batch returned %d/%d items", len(outs), len(errs))
+	answers, errs := s.QueryBatch(context.Background(), nil, backend.WithWorkers(4))
+	if len(answers) != 0 || len(errs) != 0 {
+		t.Errorf("empty batch returned %d/%d items", len(answers), len(errs))
 	}
 }

@@ -5,50 +5,51 @@ import (
 	"errors"
 	"testing"
 
+	"aqverify/internal/backend"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
+	"aqverify/internal/wire"
 )
 
-// TestHandleBatchShardsCtxCanceled pins the cancellation satellite: the
-// deprecated no-context shims route through the ...Ctx variants now, so
-// a legacy call shape holding a context can finally cancel — a done
-// context fails every prevented index with ctx.Err() and shard -1
-// instead of silently running the whole batch.
-func TestHandleBatchShardsCtxCanceled(t *testing.T) {
+// TestQueryBatchCanceled: a done context fails every prevented index
+// with ctx.Err(), no bytes and no shard, instead of silently running
+// the whole batch — on the unsharded path and on the shard-contiguous
+// one — and the same server still answers under a live context.
+func TestQueryBatchCanceled(t *testing.T) {
 	tree, _, dom := fixtures(t)
-	s, err := New(IFMH{Tree: tree})
+	single, err := New(IFMH{Tree: tree})
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
-	qs := make([]query.Query, 16)
-	for i := range qs {
-		qs[i] = query.NewTopK(x, 1+i%4)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	outs, shards, errs := s.HandleBatchShardsCtx(ctx, qs, 2)
-	for i := range qs {
-		if !errors.Is(errs[i], context.Canceled) {
-			t.Fatalf("query %d: err=%v, want context.Canceled", i, errs[i])
+	sharded, _, sdom := shardedFixture(t, 3)
+	for _, tc := range []struct {
+		name string
+		s    *Server
+		x    float64
+	}{
+		{"single", single, (dom.Lo[0] + dom.Hi[0]) / 2},
+		{"sharded", sharded, (sdom.Lo[0] + sdom.Hi[0]) / 2},
+	} {
+		qs := make([]query.Query, 16)
+		for i := range qs {
+			qs[i] = query.NewTopK(geometry.Point{tc.x}, 1+i%4)
 		}
-		if outs[i] != nil || shards[i] != -1 {
-			t.Fatalf("query %d: prevented item carries out=%v shard=%d", i, outs[i], shards[i])
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		answers, errs := tc.s.QueryBatch(ctx, qs, backend.WithWorkers(2))
+		for i := range qs {
+			if !errors.Is(errs[i], context.Canceled) {
+				t.Fatalf("%s query %d: err=%v, want context.Canceled", tc.name, i, errs[i])
+			}
+			if answers[i].Raw != nil || answers[i].Shard != wire.ShardNone {
+				t.Fatalf("%s query %d: prevented item carries raw=%v shard=%d", tc.name, i, answers[i].Raw, answers[i].Shard)
+			}
 		}
-	}
-	if _, errs := s.HandleBatchCtx(ctx, qs, 2); !errors.Is(errs[0], context.Canceled) {
-		t.Fatalf("HandleBatchCtx: err=%v, want context.Canceled", errs[0])
-	}
-
-	// The background-context shims still answer.
-	outs, shards, errs = s.HandleBatchShards(qs, 2)
-	for i := range qs {
-		if errs[i] != nil {
-			t.Fatalf("live shim query %d: %v", i, errs[i])
-		}
-		if len(outs[i]) == 0 || shards[i] != -1 {
-			t.Fatalf("live shim query %d: out=%d bytes shard=%d", i, len(outs[i]), shards[i])
+		answers, errs = tc.s.QueryBatch(context.Background(), qs, backend.WithWorkers(2))
+		for i := range qs {
+			if errs[i] != nil || len(answers[i].Raw) == 0 {
+				t.Fatalf("%s live query %d: err=%v, %d bytes", tc.name, i, errs[i], len(answers[i].Raw))
+			}
 		}
 	}
 }

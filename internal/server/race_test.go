@@ -6,15 +6,16 @@ import (
 	"sync"
 	"testing"
 
+	"aqverify/internal/backend"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
 )
 
 // TestStatsRaceUnderBatch is the regression test for the serving-tally
 // audit: per-query stats and error counters are updated from every
-// concurrent batch worker, so interleaving HandleBatch with the /stats
-// readers (Stats, ErrorCount, ShardStats) and single-query Handles must
-// be clean under -race. The audit moved the plain counts — answered,
+// concurrent batch worker, so interleaving QueryBatch with the /stats
+// readers (Stats, ErrorCount, ShardStats), single-query Query calls and
+// a QueryStream must be clean under -race. The audit moved the plain counts — answered,
 // refused, per-shard — to atomics and left only the multi-field metrics
 // counter under the mutex; this test pins both the absence of races and
 // the final tallies.
@@ -42,7 +43,7 @@ func TestStatsRaceUnderBatch(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for r := 0; r < rounds; r++ {
-				srv.HandleBatch(qs, 4)
+				srv.QueryBatch(context.Background(), qs, backend.WithWorkers(4))
 			}
 		}()
 	}
@@ -52,7 +53,7 @@ func TestStatsRaceUnderBatch(t *testing.T) {
 		<-start
 		for r := 0; r < rounds; r++ {
 			for _, q := range qs {
-				srv.Handle(q) //nolint:errcheck // outcome tallied below
+				srv.Query(context.Background(), q) //nolint:errcheck // outcome tallied below
 			}
 		}
 	}()
@@ -71,14 +72,15 @@ func TestStatsRaceUnderBatch(t *testing.T) {
 		defer wg.Done()
 		<-start
 		for r := 0; r < rounds; r++ {
-			srv.QueryBatch(context.Background(), qs)
+			for range srv.QueryStream(context.Background(), qs) {
+			}
 		}
 	}()
 	close(start)
 	wg.Wait()
 
 	routable := len(qs) - 1
-	writers := 3 + 1 + 1 // batch goroutines + Handle loop + QueryBatch loop
+	writers := 3 + 1 + 1 // batch goroutines + Query loop + QueryStream loop
 	_, answered := srv.Stats()
 	if want := writers * rounds * routable; answered != want {
 		t.Errorf("answered = %d, want %d", answered, want)

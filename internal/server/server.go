@@ -1,15 +1,15 @@
 // Package server models the cloud service provider: it hosts the data
 // owner's authenticated data structure, processes analytic queries, and
 // returns each result with its verification object serialized over the
-// wire. The backend is pluggable (IFMH-tree or signature mesh) so the
-// benchmark harness can compare them through one interface. Queries are
-// served one at a time through Handle or fanned out across a worker
-// pool through HandleBatch; either way cumulative metrics stay
-// consistent under concurrency.
+// wire. The hosted structure is pluggable (IFMH-tree, domain-sharded
+// tree set, or signature mesh) so the benchmark harness can compare
+// them through one interface. The Server is a backend.Backend — Query,
+// QueryBatch, QueryStream — that additionally keeps cumulative and
+// per-shard metrics, consistent under concurrency, and swaps whole
+// publication epochs in atomically.
 package server
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -20,29 +20,34 @@ import (
 	"aqverify/internal/mesh"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
+	"aqverify/internal/shard"
 	"aqverify/internal/wire"
 )
 
-// Backend is an authenticated data structure the server can host.
+// Backend is an authenticated data structure the server can host: a
+// name plus the evaluation primitive of the query plane in method form
+// (see backend.Process for the contract — shard and epoch attribution,
+// byte accounting). backend.Local and backend.Sharded are Backends as
+// they stand.
 type Backend interface {
 	// Name identifies the backend ("ifmh-one", "ifmh-multi", "mesh").
 	Name() string
-	// Process answers q, returning the serialized answer. The counter
-	// observes per-query traversal costs.
-	Process(q query.Query, ctr *metrics.Counter) ([]byte, error)
+	// Process answers q, returning the serialized answer with its shard
+	// and epoch attribution. The counter observes per-query costs.
+	Process(q query.Query, ctr *metrics.Counter) (shard int, epoch uint64, raw []byte, err error)
 }
 
-// IFMH hosts a core.Tree.
+// IFMH hosts a core.Tree: a backend.Local under the literal the
+// constructors and tests spell it with, plus the serving domain.
 type IFMH struct {
 	Tree *core.Tree
 }
 
-// Name implements Backend.
+// Name implements Backend. NewLocal only refuses a nil tree, which
+// has no mode to name; that fails here as it always has.
 func (b IFMH) Name() string {
-	if b.Tree.Mode() == core.OneSignature {
-		return "ifmh-one"
-	}
-	return "ifmh-multi"
+	l, _ := backend.NewLocal(b.Tree)
+	return l.Name()
 }
 
 // Domain returns the serving domain (the tree's sub-box when this
@@ -53,14 +58,24 @@ func (b IFMH) Domain() geometry.Box { return b.Tree.Domain() }
 func (b IFMH) Epoch() uint64 { return b.Tree.Epoch() }
 
 // Process implements Backend.
-func (b IFMH) Process(q query.Query, ctr *metrics.Counter) ([]byte, error) {
-	ans, err := b.Tree.Process(q, ctr)
+func (b IFMH) Process(q query.Query, ctr *metrics.Counter) (int, uint64, []byte, error) {
+	l, err := backend.NewLocal(b.Tree)
+	if err != nil {
+		return wire.ShardNone, 0, nil, err
+	}
+	return l.Process(q, ctr)
+}
+
+// NewShardedIFMH wraps a built shard set for hosting: a backend.Sharded
+// over the set's router. It advertises the same backend name as the
+// equivalent single tree — sharding is invisible to verifying clients,
+// which check every answer against the owner's one published bundle.
+func NewShardedIFMH(s *shard.Set) (*backend.Sharded, error) {
+	r, err := shard.NewRouter(s)
 	if err != nil {
 		return nil, err
 	}
-	out := wire.EncodeIFMH(ans)
-	ctr.AddBytes(uint64(len(out)))
-	return out, nil
+	return backend.NewSharded(r)
 }
 
 // Mesh hosts a mesh.Mesh.
@@ -74,15 +89,15 @@ func (Mesh) Name() string { return "mesh" }
 // Domain returns the serving domain.
 func (b Mesh) Domain() geometry.Box { return b.M.Domain() }
 
-// Process implements Backend.
-func (b Mesh) Process(q query.Query, ctr *metrics.Counter) ([]byte, error) {
+// Process implements Backend. The mesh is unsharded and pre-epoch.
+func (b Mesh) Process(q query.Query, ctr *metrics.Counter) (int, uint64, []byte, error) {
 	ans, err := b.M.Process(q, ctr)
 	if err != nil {
-		return nil, err
+		return wire.ShardNone, 0, nil, err
 	}
 	out := wire.EncodeMesh(ans)
 	ctr.AddBytes(uint64(len(out)))
-	return out, nil
+	return wire.ShardNone, 0, out, nil
 }
 
 // ShardStat is one shard's serving tally, including its publication
@@ -100,13 +115,20 @@ type ShardStat struct {
 // once and routes, answers and attributes against that one snapshot, so
 // an in-flight query finishes against the epoch it started on even if a
 // swap lands mid-query. Epoch is 0 for pre-epoch backends (the mesh
-// baseline and custom backends that report no epoch); epochs carries
-// the per-shard epochs of a sharded snapshot, nil otherwise.
+// baseline); set and epochs describe a sharded snapshot, nil otherwise.
 type serving struct {
 	backend Backend
-	sharded ShardedBackend // nil for single-tree backends
+	set     *shard.Set // nil for single-tree backends
 	epoch   uint64
 	epochs  []uint64
+}
+
+// sharded is what a hosted backend exposes when it serves a shard set
+// (backend.Sharded does): the server groups batches by the set's plan
+// and keeps per-shard tallies.
+type sharded interface {
+	Router() *shard.Router
+	Epochs() []uint64
 }
 
 // newServing snapshots a backend, discovering its epoch through the
@@ -116,27 +138,26 @@ func newServing(b Backend) *serving {
 	if e, ok := b.(interface{ Epoch() uint64 }); ok {
 		sv.epoch = e.Epoch()
 	}
-	if sb, ok := b.(ShardedBackend); ok {
-		sv.sharded = sb
+	if sb, ok := b.(sharded); ok {
+		sv.set = sb.Router().Set()
 		sv.epochs = sb.Epochs()
 	}
 	return sv
 }
 
-// shardEpoch returns the epoch of one shard's bundle within the
-// snapshot (the snapshot epoch when unsharded or out of range).
-func (sv *serving) shardEpoch(sh int) uint64 {
-	if sh >= 0 && sh < len(sv.epochs) {
-		return sv.epochs[sh]
+// numShards returns the snapshot's shard count, 0 when unsharded.
+func (sv *serving) numShards() int {
+	if sv.set == nil {
+		return 0
 	}
-	return sv.epoch
+	return sv.set.NumShards()
 }
 
 // Server wraps a backend with cumulative metrics. All methods are safe
 // for concurrent use; the pluggable backends answer queries from
 // immutable (or internally synchronized) state, so many queries may be
-// in flight at once. When the backend is sharded (ShardedBackend) the
-// server additionally routes batches shard-by-shard and keeps per-shard
+// in flight at once. When the backend serves a shard set the server
+// additionally dispatches batches shard-by-shard and keeps per-shard
 // tallies.
 //
 // The hosted backend lives behind an atomic snapshot pointer so Swap
@@ -171,11 +192,7 @@ func New(b Backend) (*Server, error) {
 	sv := newServing(b)
 	s := &Server{}
 	s.serving.Store(sv)
-	if sv.sharded != nil {
-		s.tally = NewTally(sv.sharded.NumShards())
-	} else {
-		s.tally = NewTally(0)
-	}
+	s.tally = NewTally(sv.numShards())
 	s.tally.ObserveEpoch(sv.epoch, sv.epochs)
 	return s, nil
 }
@@ -199,11 +216,11 @@ func (s *Server) Swap(b Backend) error {
 		return fmt.Errorf("server: cannot swap %q in over %q; same logical database required", b.Name(), cur.backend.Name())
 	}
 	nv := newServing(b)
-	if (nv.sharded == nil) != (cur.sharded == nil) {
+	if (nv.set == nil) != (cur.set == nil) {
 		return fmt.Errorf("server: cannot swap between sharded and unsharded backends")
 	}
-	if nv.sharded != nil && nv.sharded.NumShards() != cur.sharded.NumShards() {
-		return fmt.Errorf("server: swap changes the shard count from %d to %d; re-deploy instead", cur.sharded.NumShards(), nv.sharded.NumShards())
+	if nv.numShards() != cur.numShards() {
+		return fmt.Errorf("server: swap changes the shard count from %d to %d; re-deploy instead", cur.numShards(), nv.numShards())
 	}
 	for i, e := range nv.epochs {
 		if e != nv.epoch {
@@ -226,8 +243,7 @@ func (s *Server) Swap(b Backend) error {
 // same per-position caches on the new epoch's trees, keeping them warm
 // — the epoch in the cache key strands the previous epoch's entries.
 // Passing nil mk uninstalls nothing; it only stops future swaps from
-// installing. Backends without reachable trees (the mesh baseline,
-// custom backends) are left untouched.
+// installing. The mesh baseline has no trees and is left untouched.
 func (s *Server) SetPermCaches(mk func() core.PermCache) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
@@ -241,7 +257,7 @@ func (s *Server) installPermCaches(sv *serving) {
 	if s.permMk == nil {
 		return
 	}
-	for i, t := range servingTrees(sv.backend) {
+	for i, t := range sv.trees() {
 		if i >= len(s.permCaches) {
 			s.permCaches = append(s.permCaches, s.permMk())
 		}
@@ -249,19 +265,14 @@ func (s *Server) installPermCaches(sv *serving) {
 	}
 }
 
-// servingTrees enumerates the core trees a backend hosts: one for the
-// single-tree IFMH backend, the shard set's trees for the sharded one,
-// whatever a custom backend exposes through a Trees accessor, and none
-// for the mesh baseline.
-func servingTrees(b Backend) []*core.Tree {
-	switch v := b.(type) {
-	case IFMH:
-		return []*core.Tree{v.Tree}
-	case ShardedIFMH:
-		return v.Router.Set().Trees
+// trees enumerates the core trees the snapshot hosts: the shard set's,
+// the single IFMH tree, or none for the mesh baseline.
+func (sv *serving) trees() []*core.Tree {
+	if sv.set != nil {
+		return sv.set.Trees
 	}
-	if tp, ok := b.(interface{ Trees() []*core.Tree }); ok {
-		return tp.Trees()
+	if b, ok := sv.backend.(IFMH); ok {
+		return []*core.Tree{b.Tree}
 	}
 	return nil
 }
@@ -279,10 +290,15 @@ func (s *Server) Backend() Backend { return s.serving.Load().backend }
 // Name returns the backend name.
 func (s *Server) Name() string { return s.serving.Load().backend.Name() }
 
-// Domain returns the hosted backend's serving domain, when it reports
-// one (every built-in backend does).
+// Domain returns the hosted backend's serving domain — the full domain
+// a shard set partitions, or whatever a single backend reports (every
+// built-in one does).
 func (s *Server) Domain() (geometry.Box, bool) {
-	if d, ok := s.serving.Load().backend.(interface{ Domain() geometry.Box }); ok {
+	sv := s.serving.Load()
+	if sv.set != nil {
+		return sv.set.Plan.Domain, true
+	}
+	if d, ok := sv.backend.(interface{ Domain() geometry.Box }); ok {
 		return d.Domain(), true
 	}
 	return geometry.Box{}, false
@@ -290,81 +306,7 @@ func (s *Server) Domain() (geometry.Box, bool) {
 
 // NumShards returns the backend's shard count, or 0 for a single-tree
 // backend.
-func (s *Server) NumShards() int {
-	sv := s.serving.Load()
-	if sv.sharded == nil {
-		return 0
-	}
-	return sv.sharded.NumShards()
-}
-
-// Handle processes one query, accumulating metrics. It returns the
-// serialized answer bytes — what would travel over the network. Failed
-// queries count toward ErrorCount only; their partial traversal cost is
-// kept out of the cumulative totals so per-query averages stay averages
-// over answered queries.
-func (s *Server) Handle(q query.Query) ([]byte, error) {
-	var ctr metrics.Counter
-	_, _, out, err := s.processOnce(q, &ctr)
-	return out, err
-}
-
-// HandleBatch processes a batch of queries across a bounded worker pool,
-// sized by workers (<= 0 means runtime.GOMAXPROCS(0)). Both returned
-// slices are parallel to qs: outs[i] holds the serialized answer for
-// qs[i] and errs[i] its failure, exactly as Handle would have produced
-// them — the backends answer from immutable state, so batched answers
-// are byte-identical to sequential ones. Metrics accumulate per query
-// under the server's lock, as if each query had been handled alone.
-//
-// Deprecated: use QueryBatch, the unified query plane's batch entry
-// point, which adds per-call options; or HandleBatchCtx when only
-// cancellation is needed. HandleBatch remains as a thin shim over
-// HandleBatchCtx with a background context.
-func (s *Server) HandleBatch(qs []query.Query, workers int) (outs [][]byte, errs []error) {
-	return s.HandleBatchCtx(context.Background(), qs, workers)
-}
-
-// HandleBatchCtx is HandleBatch under a caller context: the batch pool
-// stops claiming queries once ctx is done and every prevented index
-// reports ctx.Err().
-func (s *Server) HandleBatchCtx(ctx context.Context, qs []query.Query, workers int) (outs [][]byte, errs []error) {
-	outs, _, errs = s.HandleBatchShardsCtx(ctx, qs, workers)
-	return outs, errs
-}
-
-// HandleBatchShards is HandleBatch plus shard attribution: shards[i] is
-// the shard that answered qs[i], or -1 when the backend is unsharded,
-// the query was unroutable, or the owning shard refused it.
-//
-// Deprecated: use QueryBatch, which carries the attribution in
-// Answer.Shard; or HandleBatchShardsCtx when only cancellation is
-// needed. HandleBatchShards remains as a thin shim over
-// HandleBatchShardsCtx with a background context.
-func (s *Server) HandleBatchShards(qs []query.Query, workers int) (outs [][]byte, shards []int, errs []error) {
-	return s.HandleBatchShardsCtx(context.Background(), qs, workers)
-}
-
-// HandleBatchShardsCtx is HandleBatchShards under a caller context: the
-// batch pool stops claiming queries once ctx is done and every
-// prevented index reports ctx.Err() with shard -1.
-func (s *Server) HandleBatchShardsCtx(ctx context.Context, qs []query.Query, workers int) (outs [][]byte, shards []int, errs []error) {
-	answers, errs := s.QueryBatch(ctx, qs, backend.WithWorkers(workers))
-	outs = make([][]byte, len(qs))
-	shards = make([]int, len(qs))
-	for i := range answers {
-		outs[i] = answers[i].Raw
-		shards[i] = answers[i].Shard
-	}
-	return outs, shards, errs
-}
-
-// record folds one query's cost into the cumulative metrics; sh
-// attributes it to a shard (-1 for unsharded backends and unroutable
-// queries).
-func (s *Server) record(ctr metrics.Counter, sh int, err error) {
-	s.tally.Record(ctr, sh, err)
-}
+func (s *Server) NumShards() int { return s.serving.Load().numShards() }
 
 // Stats returns the cumulative metrics and the answered-query count, as
 // a consistent pair.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -61,7 +62,7 @@ func TestBackendNames(t *testing.T) {
 	}
 }
 
-func TestHandleReturnsDecodableAnswers(t *testing.T) {
+func TestQueryReturnsDecodableAnswers(t *testing.T) {
 	tree, m, dom := fixtures(t)
 	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
 	q := query.NewTopK(x, 3)
@@ -70,11 +71,12 @@ func TestHandleReturnsDecodableAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := srv.Handle(q)
+	ctx := context.Background()
+	ans, err := srv.Query(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.DecodeIFMH(raw); err != nil {
+	if _, err := wire.DecodeIFMH(ans.Raw); err != nil {
 		t.Fatalf("IFMH answer not decodable: %v", err)
 	}
 
@@ -82,11 +84,11 @@ func TestHandleReturnsDecodableAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err = msrv.Handle(q)
+	ans, err = msrv.Query(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.DecodeMesh(raw); err != nil {
+	if _, err := wire.DecodeMesh(ans.Raw); err != nil {
 		t.Fatalf("mesh answer not decodable: %v", err)
 	}
 }
@@ -99,7 +101,7 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
 	for i := 0; i < 5; i++ {
-		if _, err := srv.Handle(query.NewTopK(x, 2)); err != nil {
+		if _, err := srv.Query(context.Background(), query.NewTopK(x, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,7 +113,7 @@ func TestStatsAccumulate(t *testing.T) {
 		t.Errorf("stats not accumulated: %+v", stats)
 	}
 	// Failed queries do not count.
-	if _, err := srv.Handle(query.NewTopK(geometry.Point{99}, 1)); err == nil {
+	if _, err := srv.Query(context.Background(), query.NewTopK(geometry.Point{99}, 1)); err == nil {
 		t.Fatal("out-of-domain query accepted")
 	}
 	_, n = srv.Stats()

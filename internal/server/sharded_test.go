@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
+	"aqverify/internal/backend"
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
@@ -37,11 +39,11 @@ func shardedFixture(t *testing.T, k int) (*Server, *shard.Set, geometry.Box) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backend, err := NewShardedIFMH(set)
+	sb, err := NewShardedIFMH(set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(backend)
+	srv, err := New(sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +59,12 @@ func TestShardedServerBasics(t *testing.T) {
 		t.Errorf("NumShards = %d, want 4", got)
 	}
 	q := query.NewTopK(geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}, 3)
-	out, err := srv.Handle(q)
+	ctx := context.Background()
+	out, err := srv.Query(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := wire.DecodeIFMH(out)
+	ans, err := wire.DecodeIFMH(out.Raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +72,7 @@ func TestShardedServerBasics(t *testing.T) {
 		t.Fatalf("sharded answer rejected: %v", err)
 	}
 	// Out-of-domain input: refused before routing, tallied as an error.
-	if _, err := srv.Handle(query.NewTopK(geometry.Point{dom.Hi[0] + 1}, 1)); err == nil {
+	if _, err := srv.Query(ctx, query.NewTopK(geometry.Point{dom.Hi[0] + 1}, 1)); err == nil {
 		t.Fatal("out-of-domain query answered")
 	}
 	if got := srv.ErrorCount(); got != 1 {
@@ -105,28 +108,29 @@ func TestShardedBatchGrouping(t *testing.T) {
 	}
 	qs = append(qs, query.NewTopK(geometry.Point{dom.Hi[0] + 5}, 1)) // unroutable
 
-	outs, shards, errs := srv.HandleBatchShards(qs, 3)
+	ctx := context.Background()
+	answers, errs := srv.QueryBatch(ctx, qs, backend.WithWorkers(3))
 	seenShards := make(map[int]bool)
 	for i, q := range qs {
 		want, werr := set.Plan.Route(q.X)
 		if werr != nil {
-			if errs[i] == nil || shards[i] != -1 {
-				t.Fatalf("item %d: unroutable query got shard %d err %v", i, shards[i], errs[i])
+			if errs[i] == nil || answers[i].Shard != wire.ShardNone {
+				t.Fatalf("item %d: unroutable query got shard %d err %v", i, answers[i].Shard, errs[i])
 			}
 			continue
 		}
 		if errs[i] != nil {
 			t.Fatalf("item %d failed: %v", i, errs[i])
 		}
-		if shards[i] != want {
-			t.Fatalf("item %d attributed to shard %d, routing says %d", i, shards[i], want)
+		if answers[i].Shard != want {
+			t.Fatalf("item %d attributed to shard %d, routing says %d", i, answers[i].Shard, want)
 		}
-		seenShards[shards[i]] = true
-		single, err := srv.Handle(q)
+		seenShards[want] = true
+		single, err := srv.Query(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(single, outs[i]) {
+		if single.Shard != want || !bytes.Equal(single.Raw, answers[i].Raw) {
 			t.Fatalf("item %d: batched answer differs from the single-query path", i)
 		}
 	}
@@ -141,20 +145,12 @@ func TestShardedBatchGrouping(t *testing.T) {
 		got += s.Queries
 	}
 	// Each routable query was answered twice: once batched, once via the
-	// cross-check Handle above.
+	// cross-check Query above.
 	if got != 2*routable {
 		t.Errorf("per-shard query tallies sum to %d, want %d", got, 2*routable)
 	}
 	if srv.ErrorCount() != 1 {
 		t.Errorf("ErrorCount = %d, want 1", srv.ErrorCount())
-	}
-
-	// HandleBatch must agree with HandleBatchShards minus attribution.
-	outs2, errs2 := srv.HandleBatch(qs, 0)
-	for i := range qs {
-		if (errs2[i] == nil) != (errs[i] == nil) || !bytes.Equal(outs2[i], outs[i]) {
-			t.Fatalf("item %d: HandleBatch disagrees with HandleBatchShards", i)
-		}
 	}
 }
 
@@ -173,11 +169,11 @@ func TestUnshardedBatchShards(t *testing.T) {
 		t.Error("single-tree server reports shard stats")
 	}
 	qs := []query.Query{query.NewTopK(geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}, 2)}
-	_, shards, errs := srv.HandleBatchShards(qs, 0)
+	answers, errs := srv.QueryBatch(context.Background(), qs)
 	if errs[0] != nil {
 		t.Fatal(errs[0])
 	}
-	if shards[0] != -1 {
-		t.Errorf("shard = %d, want -1", shards[0])
+	if answers[0].Shard != wire.ShardNone {
+		t.Errorf("shard = %d, want none", answers[0].Shard)
 	}
 }

@@ -8,9 +8,9 @@ import (
 	"aqverify/internal/query"
 )
 
-// Router maps queries onto the shard set: one query to its owning tree,
-// a batch into per-shard groups so a dispatcher can keep each shard's
-// work contiguous. A Router is immutable and safe for concurrent use.
+// Router maps queries onto the shard set: each query is answered by the
+// one tree whose sub-box owns its function input. A Router is immutable
+// and safe for concurrent use.
 type Router struct {
 	set *Set
 }
@@ -29,14 +29,9 @@ func (r *Router) NumShards() int { return r.set.NumShards() }
 // Set returns the underlying shard set.
 func (r *Router) Set() *Set { return r.set }
 
-// Route returns the shard owning the query's function input. The
-// boundary tie-break is deterministic (see Plan.Route).
-func (r *Router) Route(q query.Query) (int, error) {
-	if err := q.Validate(r.set.Plan.Domain.Dim()); err != nil {
-		return 0, err
-	}
-	return r.set.Plan.Route(q.X)
-}
+// Route returns the shard owning the query's function input (see
+// Plan.RouteQuery).
+func (r *Router) Route(q query.Query) (int, error) { return r.set.Plan.RouteQuery(q) }
 
 // Process routes q to its owning shard and answers it there, returning
 // the shard index alongside the answer. The answer window — records,
@@ -50,26 +45,4 @@ func (r *Router) Process(q query.Query, ctr *metrics.Counter) (int, *core.Answer
 	}
 	ans, err := r.set.Trees[id].Process(q, ctr)
 	return id, ans, err
-}
-
-// Group partitions a batch by owning shard: shards[i] is qs[i]'s shard
-// (or -1 with errs[i] set when the query is unroutable), and groups[k]
-// lists the batch indexes owned by shard k in arrival order. Dispatchers
-// use the groups to keep one shard's queries contiguous — one tree's
-// working set stays hot instead of interleaving K trees.
-func (r *Router) Group(qs []query.Query) (shards []int, groups [][]int, errs []error) {
-	shards = make([]int, len(qs))
-	groups = make([][]int, r.NumShards())
-	errs = make([]error, len(qs))
-	for i, q := range qs {
-		id, err := r.Route(q)
-		if err != nil {
-			shards[i] = -1
-			errs[i] = err
-			continue
-		}
-		shards[i] = id
-		groups[id] = append(groups[id], i)
-	}
-	return shards, groups, errs
 }

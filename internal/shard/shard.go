@@ -29,6 +29,7 @@ import (
 	"sort"
 
 	"aqverify/internal/geometry"
+	"aqverify/internal/query"
 )
 
 // Plan is a contiguous split of the owner's domain into K sub-boxes
@@ -187,4 +188,34 @@ func (p Plan) Route(x geometry.Point) (int, error) {
 		k++
 	}
 	return k, nil
+}
+
+// RouteQuery returns the shard owning q: the query is checked against
+// the domain's dimension (input validation — q may come off the wire),
+// then its function input routes as Route describes.
+func (p Plan) RouteQuery(q query.Query) (int, error) {
+	if err := q.Validate(p.Domain.Dim()); err != nil {
+		return 0, err
+	}
+	return p.Route(q.X)
+}
+
+// Group partitions a batch by owning shard: groups[k] lists the batch
+// indexes shard k owns, in arrival order, and errs[i] is set for every
+// unroutable qs[i] (which appears in no group). It is the one routine
+// every batch dispatcher — the in-process server, the fanout front-end
+// — splits a batch with, so one shard's queries stay contiguous and all
+// surfaces agree on ownership.
+func (p Plan) Group(qs []query.Query) (groups [][]int, errs []error) {
+	groups = make([][]int, p.K())
+	errs = make([]error, len(qs))
+	for i, q := range qs {
+		id, err := p.RouteQuery(q)
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		groups[id] = append(groups[id], i)
+	}
+	return groups, errs
 }

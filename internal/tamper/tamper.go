@@ -3,6 +3,9 @@
 // query results or verification objects. Each catalog entry is one attack
 // the verification machinery must detect; the test suites assert that
 // every applicable attack on every query type fails verification.
+// Channel puts the adversary on the query plane itself — a
+// backend.Backend decorator rewriting answer bytes in flight — so the
+// same attacks run against every surface a user can reach.
 package tamper
 
 import (

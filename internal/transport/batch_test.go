@@ -1,12 +1,16 @@
 package transport
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
 	"testing"
 
+	"aqverify/internal/core"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
 )
@@ -57,10 +61,8 @@ func TestHTTPBatchRoundTrip(t *testing.T) {
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
-	cli, err := Dial(ts.URL, ts.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, verify := dialVerifying(t, ts.URL, ts.Client())
+	ctx := context.Background()
 	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
 	qs := []query.Query{
 		query.NewTopK(x, 3),
@@ -69,26 +71,25 @@ func TestHTTPBatchRoundTrip(t *testing.T) {
 		query.NewRange(x, -2, 2),
 		query.NewKNN(x, 3, 0),
 	}
-	results, err := cli.QueryBatch(qs)
-	if err != nil {
-		t.Fatal(err)
+	answers, errs := r.QueryBatch(ctx, qs, verify)
+	if len(answers) != len(qs) {
+		t.Fatalf("got %d results for %d queries", len(answers), len(qs))
 	}
-	if len(results) != len(qs) {
-		t.Fatalf("got %d results for %d queries", len(results), len(qs))
-	}
-	for i, r := range results {
+	for i, ans := range answers {
 		if i == 2 {
-			if r.Err == nil {
+			if errs[i] == nil {
 				t.Error("out-of-domain query succeeded in batch")
+			} else if errors.Is(errs[i], core.ErrVerification) {
+				t.Errorf("server refusal misclassified as a verification rejection: %v", errs[i])
 			}
 			continue
 		}
-		if r.Err != nil {
-			t.Errorf("query %d: %v", i, r.Err)
+		if errs[i] != nil {
+			t.Errorf("query %d: %v", i, errs[i])
 			continue
 		}
-		if qs[i].Kind != query.Range && len(r.Records) != 3 {
-			t.Errorf("query %d: got %d records", i, len(r.Records))
+		if qs[i].Kind != query.Range && len(ans.Records) != 3 {
+			t.Errorf("query %d: got %d records", i, len(ans.Records))
 		}
 	}
 
@@ -97,17 +98,15 @@ func TestHTTPBatchRoundTrip(t *testing.T) {
 		if i == 2 {
 			continue
 		}
-		recs, err := cli.Query(q)
+		single, err := r.Query(ctx, q, verify)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(recs) != len(results[i].Records) {
-			t.Errorf("query %d: batch returned %d records, sequential %d", i, len(results[i].Records), len(recs))
+		if !bytes.Equal(single.Raw, answers[i].Raw) {
+			t.Errorf("query %d: batched bytes differ from the single-query exchange", i)
 		}
-		for j := range recs {
-			if recs[j].ID != results[i].Records[j].ID {
-				t.Errorf("query %d record %d: batch ID %d, sequential %d", i, j, results[i].Records[j].ID, recs[j].ID)
-			}
+		if len(single.Records) != len(answers[i].Records) {
+			t.Errorf("query %d: batch returned %d records, sequential %d", i, len(answers[i].Records), len(single.Records))
 		}
 	}
 }
@@ -129,20 +128,15 @@ func TestHTTPBatchTamperingRejected(t *testing.T) {
 	proxy := httptest.NewServer(&tamperingProxy{target: target, hc: origin.Client()})
 	defer proxy.Close()
 
-	cli, err := Dial(proxy.URL, proxy.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, verify := dialVerifying(t, proxy.URL, proxy.Client())
 	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
 	qs := []query.Query{query.NewRange(x, -2, 2), query.NewTopK(x, 3)}
 	for trial := 0; trial < 10; trial++ {
-		results, err := cli.QueryBatch(qs)
-		if err != nil {
-			continue // the flipped bit broke the outer frame: also a rejection
-		}
 		// Every byte of the frame is load-bearing, so the flipped bit
-		// must take down at least one item.
-		if results[0].Err == nil && results[1].Err == nil {
+		// must take down at least one item — or, when it breaks the
+		// outer frame, all of them as a transport failure.
+		_, errs := r.QueryBatch(context.Background(), qs, verify)
+		if errs[0] == nil && errs[1] == nil {
 			t.Fatal("bit-flipped batch answer fully accepted")
 		}
 	}

@@ -153,6 +153,68 @@ func TestEpochPinAndRefresh(t *testing.T) {
 	}
 }
 
+// TestStaleAnswerIsEpochErrorOnEveryEntryPoint is the regression test
+// for the drift the one-plane cleanup removed: the deleted
+// HTTPClient.QueryBatchCtx skipped the pin check, so after a swap a
+// pinned client saw an opaque verification failure (the epoch-2 answer
+// checked against epoch-1 parameters) instead of the typed staleness
+// signal. Every batch-shaped client entry point that remains — buffered
+// batch, pipelined stream (inline and pooled verification) and the
+// buffered stream fallback, raw or verifying against the now-stale
+// bundle — must report *backend.EpochError and never ErrVerification.
+func TestStaleAnswerIsEpochErrorOnEveryEntryPoint(t *testing.T) {
+	ctx := context.Background()
+	res, srv, ts, dom := epochFixture(t)
+	r, err := DialRemote(ts.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fallback, err := DialRemote(ts.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fallback.Client().noStream.Store(true) // as after a 404 on /query/stream
+	if err := srv.Swap(server.IFMH{Tree: mutated(t, res, 0).Tree}); err != nil {
+		t.Fatal(err)
+	}
+
+	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
+	qs := []query.Query{query.NewTopK(x, 3), query.NewRange(x, -1, 1), query.NewKNN(x, 2, 0)}
+	stale := backend.WithVerify(res.Public)
+	batch := func(r *Remote, opts ...backend.Option) []error {
+		_, errs := r.QueryBatch(ctx, qs, opts...)
+		return errs
+	}
+	stream := func(r *Remote, opts ...backend.Option) []error {
+		errs := make([]error, len(qs))
+		for i, br := range r.QueryStream(ctx, qs, opts...) {
+			errs[i] = br.Err
+		}
+		return errs
+	}
+	for _, tc := range []struct {
+		name string
+		errs []error
+	}{
+		{"batch raw", batch(r)},
+		{"batch verify", batch(r, stale)},
+		{"stream raw", stream(r)},
+		{"stream verify inline", stream(r, stale, backend.WithWorkers(1))},
+		{"stream verify pooled", stream(r, stale, backend.WithWorkers(4))},
+		{"fallback stream verify", stream(fallback, stale)},
+	} {
+		for i, err := range tc.errs {
+			var ee *backend.EpochError
+			if !errors.As(err, &ee) || ee.Want != 1 || ee.Got != 2 {
+				t.Errorf("%s item %d: err = %v, want EpochError{1,2}", tc.name, i, err)
+			}
+			if errors.Is(err, core.ErrVerification) {
+				t.Errorf("%s item %d: staleness surfaced as a verification failure: %v", tc.name, i, err)
+			}
+		}
+	}
+}
+
 // getJSON fetches a JSON endpoint into out.
 func getJSON(t *testing.T, url string, out any) {
 	t.Helper()

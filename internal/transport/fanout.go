@@ -13,102 +13,156 @@ import (
 // DialFanout dials every shard server of a multi-process deployment,
 // recovers the shard plan from the advertised serving domains (each
 // vqserve -shard i publishes its sub-box on /params), and composes the
-// remotes into a backend.Fanout. urls may list the backends in any
-// order; the slice is reordered in place into shard order (left to
-// right along the cut axis), index-aligned with the fanout's shards.
-// Every backend must advertise the same backend name, verifier key and
-// template — one logical database, one owner.
+// remotes into a backend.Fanout — DialGroups with one replica per shard
+// group. urls may list the backends in any order; the slice is
+// reordered in place into shard order (left to right along the cut
+// axis), index-aligned with the fanout's shards.
 //
 // The returned Params is the merged trust bundle the front-end
 // republishes on its own /params: the dialed bundle with the joined
 // domain and the shard count substituted, so a verifying client dials
 // the front-end exactly as it would dial a single vqserve.
 func DialFanout(urls []string, hc *http.Client) (*backend.Fanout, Params, error) {
-	if len(urls) == 0 {
-		return nil, Params{}, fmt.Errorf("transport: no backends given")
-	}
-	type dialed struct {
-		url    string
-		remote *Remote
-		box    geometry.Box
-		params Params
-	}
-	ds := make([]dialed, len(urls))
+	groups := make([][]string, len(urls))
 	for i, u := range urls {
-		r, err := DialRemote(u, hc)
-		if err != nil {
-			return nil, Params{}, &RemoteError{URL: u, Err: err}
-		}
-		box, ok := r.Client().Domain()
-		if !ok {
-			return nil, Params{}, fmt.Errorf("transport: backend %s does not advertise its serving domain; run a current vqserve", u)
-		}
-		ds[i] = dialed{url: u, remote: r, box: box, params: r.Client().Params()}
+		groups[i] = []string{u}
 	}
-	for _, d := range ds[1:] {
-		if err := CheckSameBundle(d.url, d.params, ds[0].url, ds[0].params); err != nil {
-			return nil, Params{}, err
-		}
-	}
-	// Shards serving from artifacts must serve shards of the *same*
-	// artifact set: the manifest hash is one value for the whole set, so
-	// two different nonempty hashes mean two different publications
-	// composed into one façade. A mix of built (no hash) and loaded
-	// shards is allowed — a rolling redeploy looks like that.
-	var anchor *dialed
-	for i := range ds {
-		if ds[i].params.Artifact == "" {
-			continue
-		}
-		if anchor == nil {
-			anchor = &ds[i]
-			continue
-		}
-		if ds[i].params.Artifact != anchor.params.Artifact {
-			return nil, Params{}, &ArtifactMismatchError{
-				URL: ds[i].url, Hash: ds[i].params.Artifact,
-				OtherURL: anchor.url, OtherHash: anchor.params.Artifact,
-			}
-		}
-	}
-	// Shard order = ascending corner order; for a one-axis split this is
-	// the left-to-right order PlanFromBoxes requires.
-	sort.SliceStable(ds, func(i, j int) bool {
-		for d := range ds[i].box.Lo {
-			if ds[i].box.Lo[d] != ds[j].box.Lo[d] {
-				return ds[i].box.Lo[d] < ds[j].box.Lo[d]
-			}
-		}
-		return false
-	})
-	boxes := make([]geometry.Box, len(ds))
-	kids := make([]backend.Backend, len(ds))
-	for i, d := range ds {
-		// Child remotes relay: the end client holds the epoch pin; the
-		// front-end forwards answers with their epoch stamps intact and
-		// keeps each child's observed epoch current across shard swaps.
-		d.remote.relay = true
-		boxes[i] = d.box
-		kids[i] = d.remote
-		urls[i] = d.url
-	}
-	plan, err := shard.PlanFromBoxes(boxes)
+	plan, remotes, params, err := DialGroups(groups, hc)
 	if err != nil {
-		return nil, Params{}, fmt.Errorf("transport: recovering the shard plan: %w", err)
+		return nil, Params{}, err
+	}
+	kids := make([]backend.Backend, len(remotes))
+	for i, reps := range remotes {
+		kids[i] = reps[0]
+		urls[i] = groups[i][0]
 	}
 	f, err := backend.NewFanout(plan, kids)
 	if err != nil {
 		return nil, Params{}, err
 	}
-	params := ds[0].params
-	params.Shards = plan.K()
-	params.Domain = ToBoxJSON(plan.Domain)
 	// The front-end advertises the newest epoch any shard serves — the
 	// owner publishes monotonically, so the maximum is authoritative;
 	// per-shard lag during a rollout shows on the front-end's /stats.
 	// The handler reads the live value off Fanout.Epoch at request time.
 	params.Epoch = f.Epoch()
 	return f, params, nil
+}
+
+// DialGroups dials every replica of every shard group of a
+// multi-process deployment — groups[i] lists one shard's replica base
+// URLs — and checks the fleet serves one logical database: every
+// replica must advertise its serving domain and the same backend name,
+// verifier key and template (CheckSameBundle); every artifact-serving
+// replica the same artifact content hash (a mismatch is an
+// *ArtifactMismatchError naming both URLs; built replicas advertise
+// none and mix freely — a rolling redeploy looks like that); replicas
+// of one group the same sub-box. Epochs may differ. It then recovers
+// the shard plan from the groups' sub-boxes. groups is reordered in
+// place into shard order (ascending box corner — left to right along
+// the cut axis) and the returned remotes are index-aligned with it,
+// each switched to relay mode: the end client holds the epoch pin, a
+// composing hop forwards answers with their epoch stamps intact.
+//
+// The returned Params is shard 0's bundle with the shard count, the
+// joined domain and the fleet's artifact hash substituted; the caller
+// stamps the epoch. A dial failure is a *RemoteError naming the
+// URL that failed.
+func DialGroups(groups [][]string, hc *http.Client) (shard.Plan, [][]*Remote, Params, error) {
+	fail := func(err error) (shard.Plan, [][]*Remote, Params, error) {
+		return shard.Plan{}, nil, Params{}, err
+	}
+	if len(groups) == 0 {
+		return fail(fmt.Errorf("transport: no backends given"))
+	}
+	type group struct {
+		urls []string
+		reps []*Remote
+		box  geometry.Box
+	}
+	gs := make([]group, len(groups))
+	var first, art *HTTPClient // bundle anchor; first artifact-serving replica
+	for gi, urls := range groups {
+		if len(urls) == 0 {
+			return fail(fmt.Errorf("transport: shard group %d has no replica URLs", gi))
+		}
+		gs[gi].urls = urls
+		for ri, u := range urls {
+			r, err := DialRemote(u, hc)
+			if err != nil {
+				return fail(&RemoteError{URL: u, Err: err})
+			}
+			box, ok := r.c.Domain()
+			if !ok {
+				return fail(fmt.Errorf("transport: backend %s does not advertise its serving domain; run a current vqserve", u))
+			}
+			if first == nil {
+				first = r.c
+			} else if err := CheckSameBundle(u, r.c.params, first.base, first.params); err != nil {
+				return fail(err)
+			}
+			if ri == 0 {
+				gs[gi].box = box
+			} else if !sameBox(box, gs[gi].box) {
+				return fail(fmt.Errorf("transport: replica %s advertises a different serving domain than replica %s; replicas of one shard group must serve the same sub-box", u, urls[0]))
+			}
+			// The manifest hash is one value for a whole saved set, so
+			// two different nonempty hashes mean two publications
+			// composed into one façade.
+			if hash := r.c.params.Artifact; hash != "" {
+				if art == nil {
+					art = r.c
+				} else if hash != art.params.Artifact {
+					return fail(&ArtifactMismatchError{
+						URL: u, Hash: hash,
+						OtherURL: art.base, OtherHash: art.params.Artifact,
+					})
+				}
+			}
+			r.relay = true
+			gs[gi].reps = append(gs[gi].reps, r)
+		}
+	}
+	// Shard order = ascending corner order; for a one-axis split this is
+	// the left-to-right order PlanFromBoxes requires.
+	sort.SliceStable(gs, func(i, j int) bool {
+		for d := range gs[i].box.Lo {
+			if gs[i].box.Lo[d] != gs[j].box.Lo[d] {
+				return gs[i].box.Lo[d] < gs[j].box.Lo[d]
+			}
+		}
+		return false
+	})
+	boxes := make([]geometry.Box, len(gs))
+	remotes := make([][]*Remote, len(gs))
+	for i, g := range gs {
+		boxes[i], remotes[i], groups[i] = g.box, g.reps, g.urls
+	}
+	plan, err := shard.PlanFromBoxes(boxes)
+	if err != nil {
+		return fail(fmt.Errorf("transport: recovering the shard plan: %w", err))
+	}
+	merged := remotes[0][0].c.params
+	merged.Shards = plan.K()
+	merged.Domain = ToBoxJSON(plan.Domain)
+	merged.Artifact = ""
+	if art != nil {
+		merged.Artifact = art.params.Artifact
+	}
+	return plan, remotes, merged, nil
+}
+
+// sameBox compares two advertised boxes exactly: replicas of one shard
+// serve one sub-box, byte-identical through /params.
+func sameBox(a, b geometry.Box) bool {
+	if len(a.Lo) != len(b.Lo) {
+		return false
+	}
+	for d := range a.Lo {
+		if a.Lo[d] != b.Lo[d] || a.Hi[d] != b.Hi[d] {
+			return false
+		}
+	}
+	return true
 }
 
 // ArtifactMismatchError reports two shard servers of one deployment
@@ -128,9 +182,9 @@ func (e *ArtifactMismatchError) Error() string {
 
 // CheckSameBundle verifies a server's advertised bundle describes the
 // same logical database as an anchor server's: same backend name, same
-// verifier key, same template — one database, one owner. DialFanout
-// runs it across the shard servers and front.DialFront across every
-// replica of every shard; the error names both URLs.
+// verifier key, same template — one database, one owner. DialGroups
+// runs it across every replica of every shard; the error names both
+// URLs.
 func CheckSameBundle(url string, p Params, anchorURL string, anchor Params) error {
 	if p.Backend != anchor.Backend {
 		return fmt.Errorf("transport: backend %s serves %q, %s serves %q; one logical database required",

@@ -12,12 +12,10 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"aqverify/internal/client"
 	"aqverify/internal/core"
 	"aqverify/internal/geometry"
 	"aqverify/internal/mesh"
 	"aqverify/internal/query"
-	"aqverify/internal/record"
 	"aqverify/internal/sig"
 	"aqverify/internal/wire"
 )
@@ -30,17 +28,18 @@ const maxAnswerBytes = 64 << 20
 // truncation would fail the whole batch with an opaque parse error.
 const maxBatchAnswerBytes = 512 << 20
 
-// HTTPClient is a verifying data user over HTTP: it fetches the owner's
-// trust bundle once, then verifies every answer locally before returning
-// records. The HTTP connection is untrusted by construction — any
-// tampering en route fails verification exactly like a lying server.
-// Remote wraps it into the unified backend.Backend query plane.
+// HTTPClient is one dialed vqserve session: the owner's trust bundle as
+// fetched from /params (with the verification parameters derived from
+// it), the pinned publication epoch, and the raw wire exchanges. It
+// returns bytes, never records — the HTTP connection is untrusted by
+// construction, and Remote, the backend.Backend over this client, is
+// where answers are verified (backend.WithVerify / WithVerifyMesh).
 type HTTPClient struct {
 	base   string
 	hc     *http.Client
-	cli    *client.Client
 	params Params
 	pub    *core.PublicParams // nil for mesh backends
+	mpub   *mesh.PublicParams // nil for IFMH backends
 	// epoch pins the publication epoch the client verified /params
 	// against, compared to the epoch word of every batched or streamed
 	// answer: a mismatch is a typed staleness signal (the server swapped
@@ -55,7 +54,7 @@ type HTTPClient struct {
 	noStream atomic.Bool
 }
 
-// Dial fetches /params from the base URL and prepares a verifying client.
+// Dial fetches /params from the base URL and prepares the session.
 func Dial(base string, hc *http.Client) (*HTTPClient, error) {
 	if hc == nil {
 		hc = http.DefaultClient
@@ -96,11 +95,8 @@ func Dial(base string, hc *http.Client) (*HTTPClient, error) {
 			Epoch: p.Epoch,
 		}
 		out.pub = &pub
-		out.cli = client.NewIFMH(pub)
 	case "mesh":
-		out.cli = client.NewMesh(mesh.PublicParams{
-			Verifier: ver, Template: tpl, SemTol: p.SemTol,
-		})
+		out.mpub = &mesh.PublicParams{Verifier: ver, Template: tpl, SemTol: p.SemTol}
 	default:
 		return nil, fmt.Errorf("transport: unknown backend %q", p.Backend)
 	}
@@ -197,36 +193,19 @@ func (c *HTTPClient) Public() (core.PublicParams, bool) {
 	return *c.pub, true
 }
 
-// Query sends q, verifies the answer, and returns the records. Every
-// failure — network, malformed bytes, failed verification — is an error;
-// no unverified record is ever returned.
-//
-// Deprecated: use Remote, the unified query plane over this client,
-// whose Query carries a context and per-call options; or QueryCtx when
-// only cancellation is needed. This entry point remains as a thin shim
-// over QueryCtx with a background context.
-func (c *HTTPClient) Query(q query.Query) ([]record.Record, error) {
-	return c.QueryCtx(context.Background(), q)
-}
-
-// QueryCtx is Query under a caller context: a canceled or expired ctx
-// aborts the HTTP exchange and surfaces its error.
-func (c *HTTPClient) QueryCtx(ctx context.Context, q query.Query) ([]record.Record, error) {
-	raw, err := c.rawQuery(ctx, q)
-	if err != nil {
-		return nil, err
+// MeshPublic returns the signature-mesh verification parameters
+// derived from the advertised bundle (zero for IFMH backends).
+func (c *HTTPClient) MeshPublic() (mesh.PublicParams, bool) {
+	if c.mpub == nil {
+		return mesh.PublicParams{}, false
 	}
-	return c.cli.Check(q, raw)
+	return *c.mpub, true
 }
 
 // rawQuery posts one query and returns the serialized answer bytes,
 // unverified. Transport failures and non-200 statuses are errors.
 func (c *HTTPClient) rawQuery(ctx context.Context, q query.Query) ([]byte, error) {
-	body, err := c.post(ctx, "/query", wire.EncodeQuery(q), maxAnswerBytes)
-	if err != nil {
-		return nil, err
-	}
-	return body, nil
+	return c.post(ctx, "/query", wire.EncodeQuery(q), maxAnswerBytes)
 }
 
 // rawBatch posts a query batch in one exchange and returns the decoded
@@ -326,52 +305,4 @@ func (c *HTTPClient) post(ctx context.Context, path string, reqBody []byte, limi
 		return nil, fmt.Errorf("transport: server returned %s: %s", resp.Status, strings.TrimSpace(string(body)))
 	}
 	return body, nil
-}
-
-// QueryBatch sends all queries in one POST /query/batch exchange and
-// verifies every answer locally, fanning the verification out across the
-// CPUs. The result slice is parallel to qs: a per-item Err reports that
-// query's server refusal or failed verification without aborting the
-// rest. The returned error covers transport-level failures only —
-// network errors, non-200 statuses, or a response frame that does not
-// parse.
-//
-// Deprecated: use Remote, whose QueryBatch carries a context and
-// per-call options; or QueryBatchCtx when only cancellation is needed.
-// This entry point remains as a thin shim over QueryBatchCtx with a
-// background context.
-func (c *HTTPClient) QueryBatch(qs []query.Query) ([]client.BatchResult, error) {
-	return c.QueryBatchCtx(context.Background(), qs)
-}
-
-// QueryBatchCtx is QueryBatch under a caller context: a canceled or
-// expired ctx aborts the HTTP exchange as one transport-level error, so
-// no unverified frame is ever handed to the verification fan-out.
-func (c *HTTPClient) QueryBatchCtx(ctx context.Context, qs []query.Query) ([]client.BatchResult, error) {
-	items, err := c.rawBatch(ctx, qs)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]client.BatchResult, len(qs))
-	raws := make([][]byte, len(qs))
-	for i, it := range items {
-		results[i].Shard = it.Shard
-		if it.Status == wire.StatusRefused {
-			results[i].Err = fmt.Errorf("transport: server refused query %d: %s", i, it.Err)
-			continue
-		}
-		raws[i] = it.Answer
-	}
-	for i, r := range c.cli.CheckBatch(qs, raws, 0) {
-		if results[i].Err == nil {
-			results[i].Records, results[i].Err = r.Records, r.Err
-		}
-	}
-	return results, nil
-}
-
-// Stats returns the client's cumulative verification metrics.
-func (c *HTTPClient) Stats() interface{ String() string } {
-	st := c.cli.Stats()
-	return &st
 }

@@ -133,26 +133,20 @@ func TestKProcessIdentity(t *testing.T) {
 		qs := kProcessQueries(dom, f.Plan().Cuts)
 
 		// The verifying client sees the front-end as one server.
-		cli, err := Dial(front.URL, nil)
-		if err != nil {
-			t.Fatal(err)
+		cli, verify := dialVerifying(t, front.URL, nil)
+		if cli.Client().Shards() != 3 {
+			t.Errorf("%v: front-end advertises %d shards, want 3", mode, cli.Client().Shards())
 		}
-		if cli.Shards() != 3 {
-			t.Errorf("%v: front-end advertises %d shards, want 3", mode, cli.Shards())
-		}
-		pub, ok := cli.Public()
+		pub, ok := cli.Client().Public()
 		if !ok {
 			t.Fatal("front-end params are not IFMH")
 		}
-		results, err := cli.QueryBatch(qs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		answers, errs := cli.QueryBatch(context.Background(), qs, verify)
 
 		for i, q := range qs {
 			want, werr := single.Process(q, &metrics.Counter{})
-			if (werr == nil) != (results[i].Err == nil) {
-				t.Fatalf("%v query %d: single err=%v, k-process err=%v", mode, i, werr, results[i].Err)
+			if (werr == nil) != (errs[i] == nil) {
+				t.Fatalf("%v query %d: single err=%v, k-process err=%v", mode, i, werr, errs[i])
 			}
 			if werr != nil {
 				continue
@@ -160,41 +154,26 @@ func TestKProcessIdentity(t *testing.T) {
 			if vErr := core.Verify(pub, q, want.Records, &want.VO, &metrics.Counter{}); vErr != nil {
 				t.Fatalf("%v query %d: single-tree answer rejected: %v", mode, i, vErr)
 			}
-			if len(results[i].Records) != len(want.Records) {
+			if len(answers[i].Records) != len(want.Records) {
 				t.Fatalf("%v query %d: k-process returned %d records, single %d",
-					mode, i, len(results[i].Records), len(want.Records))
+					mode, i, len(answers[i].Records), len(want.Records))
 			}
 			for j := range want.Records {
-				if results[i].Records[j].ID != want.Records[j].ID {
+				if answers[i].Records[j].ID != want.Records[j].ID {
 					t.Fatalf("%v query %d: record %d differs (%d vs %d)",
-						mode, i, j, results[i].Records[j].ID, want.Records[j].ID)
+						mode, i, j, answers[i].Records[j].ID, want.Records[j].ID)
 				}
 			}
 			wantShard, err := f.Plan().Route(q.X)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if results[i].Shard != wantShard {
+			if answers[i].Shard != wantShard {
 				t.Fatalf("%v query %d: answered by shard %d, routing says %d",
-					mode, i, results[i].Shard, wantShard)
+					mode, i, answers[i].Shard, wantShard)
 			}
-		}
-
-		// Window identity down to the VO layout, via the raw plane.
-		remote, err := DialRemote(front.URL, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		answers, errs := remote.QueryBatch(context.Background(), qs, backend.WithVerify(pub))
-		for i, q := range qs {
-			if errs[i] != nil {
-				t.Fatalf("%v query %d: %v", mode, i, errs[i])
-			}
+			// Window identity down to the VO layout.
 			got, err := wire.DecodeIFMH(answers[i].Raw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := single.Process(q, &metrics.Counter{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,7 +188,7 @@ func TestKProcessIdentity(t *testing.T) {
 		// streams in completion order, but what arrives — bytes,
 		// verified records, shard attributions — is the same batch.
 		seen := make([]bool, len(qs))
-		for i, r := range remote.QueryStream(context.Background(), qs, backend.WithVerify(pub)) {
+		for i, r := range cli.QueryStream(context.Background(), qs, verify) {
 			if seen[i] {
 				t.Fatalf("%v: streamed index %d twice", mode, i)
 			}
@@ -241,18 +220,17 @@ func TestKProcessIdentity(t *testing.T) {
 // the front-end and checks the front-end's own /stats tally.
 func TestKProcessSingleQueryAndStats(t *testing.T) {
 	front, f, single, dom := kProcessFixture(t, 80, 2, core.MultiSignature)
-	cli, err := Dial(front.URL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cli, verify := dialVerifying(t, front.URL, nil)
+	ctx := context.Background()
 	probe := append([]float64{(dom.Lo[0] + dom.Hi[0]) / 2}, f.Plan().Cuts...)
 	served := 0
 	for _, x := range probe {
 		q := query.NewTopK(geometry.Point{x}, 3)
-		recs, err := cli.Query(q)
+		ans, err := cli.Query(ctx, q, verify)
 		if err != nil {
 			t.Fatal(err)
 		}
+		recs := ans.Records
 		served++
 		want, err := single.Process(q, &metrics.Counter{})
 		if err != nil {
@@ -263,7 +241,7 @@ func TestKProcessSingleQueryAndStats(t *testing.T) {
 		}
 	}
 	// An unroutable query is refused by the front-end.
-	if _, err := cli.Query(query.NewTopK(geometry.Point{dom.Hi[0] + 1}, 1)); err == nil {
+	if _, err := cli.Query(ctx, query.NewTopK(geometry.Point{dom.Hi[0] + 1}, 1), verify); err == nil {
 		t.Fatal("out-of-domain query answered")
 	}
 

@@ -35,7 +35,8 @@ type Remote struct {
 	// forwards every answer with its epoch stamp intact — the end
 	// client, not the relay, holds the pin — and tracks the newest
 	// epoch seen so the composed /params stays current across the
-	// shard's swaps. Set by DialFanout.
+	// shard's swaps. Set by DialGroups at composition time, before the
+	// remote serves traffic.
 	relay bool
 }
 
@@ -58,13 +59,6 @@ func DialRemote(base string, hc *http.Client) (*Remote, error) {
 
 // Client returns the underlying HTTP client.
 func (r *Remote) Client() *HTTPClient { return r.c }
-
-// Relay switches the remote into relay mode: answers forward with their
-// epoch stamps intact (the end client holds the pin, not this hop) and
-// the newest epoch seen is tracked for the composed /params. Called by
-// DialFanout and front.DialFront at composition time, before the remote
-// serves traffic; it is not synchronized for later use.
-func (r *Remote) Relay() { r.relay = true }
 
 // RemoteError wraps a transport-level failure — network error, non-200
 // status, unparseable frame — with the base URL of the server that

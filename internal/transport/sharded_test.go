@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"math/rand"
@@ -14,6 +15,7 @@ import (
 	"aqverify/internal/server"
 	"aqverify/internal/shard"
 	"aqverify/internal/sig"
+	"aqverify/internal/wire"
 	"aqverify/internal/workload"
 )
 
@@ -38,11 +40,11 @@ func shardedHandler(t *testing.T, k int) (*Handler, *shard.Set, geometry.Box) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backend, err := server.NewShardedIFMH(set)
+	sb, err := server.NewShardedIFMH(set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(backend)
+	srv, err := server.New(sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,12 +63,9 @@ func TestHTTPShardedBatch(t *testing.T) {
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
-	cli, err := Dial(ts.URL, ts.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cli.Shards() != 4 {
-		t.Errorf("advertised shards = %d, want 4", cli.Shards())
+	r, verify := dialVerifying(t, ts.URL, ts.Client())
+	if r.Client().Shards() != 4 {
+		t.Errorf("advertised shards = %d, want 4", r.Client().Shards())
 	}
 
 	rng := rand.New(rand.NewSource(4))
@@ -78,20 +77,17 @@ func TestHTTPShardedBatch(t *testing.T) {
 	for _, c := range set.Plan.Cuts {
 		qs = append(qs, query.NewTopK(geometry.Point{c}, 2))
 	}
-	results, err := cli.QueryBatch(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("query %d rejected: %v", i, r.Err)
+	answers, errs := r.QueryBatch(context.Background(), qs, verify)
+	for i, ans := range answers {
+		if errs[i] != nil {
+			t.Fatalf("query %d rejected: %v", i, errs[i])
 		}
 		want, err := set.Plan.Route(qs[i].X)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Shard != want {
-			t.Errorf("query %d attributed to shard %d, routing says %d", i, r.Shard, want)
+		if ans.Shard != want {
+			t.Errorf("query %d attributed to shard %d, routing says %d", i, ans.Shard, want)
 		}
 	}
 
@@ -134,22 +130,16 @@ func TestHTTPUnshardedShardIsNone(t *testing.T) {
 	}
 	ts := httptest.NewServer(h)
 	defer ts.Close()
-	cli, err := Dial(ts.URL, ts.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cli.Shards() != 0 {
-		t.Errorf("advertised shards = %d, want 0", cli.Shards())
+	r, verify := dialVerifying(t, ts.URL, ts.Client())
+	if r.Client().Shards() != 0 {
+		t.Errorf("advertised shards = %d, want 0", r.Client().Shards())
 	}
 	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
-	results, err := cli.QueryBatch([]query.Query{query.NewTopK(x, 2)})
-	if err != nil {
-		t.Fatal(err)
+	answers, errs := r.QueryBatch(context.Background(), []query.Query{query.NewTopK(x, 2)}, verify)
+	if errs[0] != nil {
+		t.Fatal(errs[0])
 	}
-	if results[0].Err != nil {
-		t.Fatal(results[0].Err)
-	}
-	if results[0].Shard != -1 {
-		t.Errorf("shard = %d, want -1", results[0].Shard)
+	if answers[0].Shard != wire.ShardNone {
+		t.Errorf("shard = %d, want none", answers[0].Shard)
 	}
 }

@@ -633,10 +633,11 @@ func TestQueryOversizeRequest(t *testing.T) {
 	}
 }
 
-// TestClientCtxShims pins the cancellation satellite: the deprecated
-// no-context entry points now thread a caller context through their
-// ...Ctx variants, so legacy call shapes can finally cancel.
-func TestClientCtxShims(t *testing.T) {
+// TestRemoteCanceledContext: a canceled context aborts every Remote
+// entry point's HTTP exchange and surfaces context.Canceled on every
+// item — no unverified frame ever reaches the verification fan-out —
+// and the same remote still answers under a live context.
+func TestRemoteCanceledContext(t *testing.T) {
 	srv, pub, _, _, dom := fixtures(t)
 	h, err := NewIFMHHandler(srv, pub)
 	if err != nil {
@@ -644,27 +645,29 @@ func TestClientCtxShims(t *testing.T) {
 	}
 	ts := httptest.NewServer(h)
 	defer ts.Close()
-	cli, err := Dial(ts.URL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, verify := dialVerifying(t, ts.URL, nil)
 	q := query.NewTopK(geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}, 2)
+	qs := []query.Query{q}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := cli.QueryCtx(ctx, q); !errors.Is(err, context.Canceled) {
-		t.Errorf("QueryCtx on a canceled context: %v, want context.Canceled", err)
+	if _, err := r.Query(ctx, q, verify); !errors.Is(err, context.Canceled) {
+		t.Errorf("Query on a canceled context: %v, want context.Canceled", err)
 	}
-	if _, err := cli.QueryBatchCtx(ctx, []query.Query{q}); !errors.Is(err, context.Canceled) {
-		t.Errorf("QueryBatchCtx on a canceled context: %v, want context.Canceled", err)
+	if _, errs := r.QueryBatch(ctx, qs, verify); !errors.Is(errs[0], context.Canceled) {
+		t.Errorf("QueryBatch on a canceled context: %v, want context.Canceled", errs[0])
+	}
+	for _, res := range r.QueryStream(ctx, qs, verify) {
+		if !errors.Is(res.Err, context.Canceled) {
+			t.Errorf("QueryStream on a canceled context: %v, want context.Canceled", res.Err)
+		}
 	}
 
 	// The live paths still work.
-	if recs, err := cli.QueryCtx(context.Background(), q); err != nil || len(recs) == 0 {
-		t.Fatalf("live QueryCtx: recs=%d err=%v", len(recs), err)
+	if ans, err := r.Query(context.Background(), q, verify); err != nil || len(ans.Records) == 0 {
+		t.Fatalf("live Query: recs=%d err=%v", len(ans.Records), err)
 	}
-	results, err := cli.QueryBatchCtx(context.Background(), []query.Query{q})
-	if err != nil || results[0].Err != nil {
-		t.Fatalf("live QueryBatchCtx: err=%v item=%v", err, results)
+	if answers, errs := r.QueryBatch(context.Background(), qs, verify); errs[0] != nil || len(answers[0].Records) == 0 {
+		t.Fatalf("live QueryBatch: err=%v", errs[0])
 	}
 }

@@ -1,7 +1,8 @@
 // Package transport puts the outsourcing protocol on the network: an
 // http.Handler exposing a query backend's endpoints plus the data
-// owner's published parameters, and HTTP clients that fetch, parse and
-// verify answers. The data plane is the deterministic binary wire
+// owner's published parameters, and Remote, the backend.Backend over
+// one dialed server — answers travel raw and verify client-side under
+// backend.WithVerify. The data plane is the deterministic binary wire
 // codec; the control plane (/params, /stats) is JSON.
 //
 // Endpoints:
@@ -180,61 +181,50 @@ type Handler struct {
 
 // NewIFMHHandler wraps an IFMH-backed server.
 func NewIFMHHandler(srv *server.Server, pub core.PublicParams) (*Handler, error) {
-	return NewIFMHHandlerFor(srv, srv, pub)
-}
-
-// NewIFMHHandlerFor serves b under srv's published parameter bundle —
-// for decorated deployments where the backend answering queries wraps
-// the server rather than being it (vqserve -cache fronts srv with
-// cache.Wrap(srv), and the handler must serve the wrapper so hits skip
-// the walk while /params still describes srv's bundle).
-func NewIFMHHandlerFor(srv *server.Server, b backend.Backend, pub core.PublicParams) (*Handler, error) {
 	p, err := IFMHParams(srv, pub)
 	if err != nil {
 		return nil, err
 	}
-	return NewBackendHandler(b, p)
+	return NewBackendHandler(srv, p)
 }
 
 // IFMHParams assembles the trust bundle an IFMH-backed server publishes
 // — the building block behind NewIFMHHandler for deployments that add
-// fields before constructing the handler (vqserve stamps the artifact
-// content hash and provenance on it).
+// fields or decorate the backend before constructing the handler
+// (vqserve stamps the artifact content hash and provenance on it, and
+// with -cache serves cache.Wrap(srv) under srv's bundle).
 func IFMHParams(srv *server.Server, pub core.PublicParams) (Params, error) {
-	vb, err := sig.MarshalVerifier(pub.Verifier)
+	return bundleOf(srv, pub.Verifier, pub.Template, pub.SemTol)
+}
+
+// NewMeshHandler wraps a mesh-backed server.
+func NewMeshHandler(srv *server.Server, pub mesh.PublicParams) (*Handler, error) {
+	p, err := bundleOf(srv, pub.Verifier, pub.Template, pub.SemTol)
+	if err != nil {
+		return nil, err
+	}
+	return NewBackendHandler(srv, p)
+}
+
+// bundleOf assembles the published bundle for a server: the owner's
+// verification anchors plus what the server itself advertises (name,
+// shard count, serving domain).
+func bundleOf(srv *server.Server, ver sig.Verifier, tpl funcs.Template, semTol float64) (Params, error) {
+	vb, err := sig.MarshalVerifier(ver)
 	if err != nil {
 		return Params{}, err
 	}
 	p := Params{
 		Backend:  srv.Name(),
 		Verifier: base64.StdEncoding.EncodeToString(vb),
-		Template: toTplJSON(pub.Template),
-		SemTol:   pub.SemTol,
+		Template: toTplJSON(tpl),
+		SemTol:   semTol,
 		Shards:   srv.NumShards(),
 	}
 	if dom, ok := srv.Domain(); ok {
 		p.Domain = ToBoxJSON(dom)
 	}
 	return p, nil
-}
-
-// NewMeshHandler wraps a mesh-backed server.
-func NewMeshHandler(srv *server.Server, pub mesh.PublicParams) (*Handler, error) {
-	vb, err := sig.MarshalVerifier(pub.Verifier)
-	if err != nil {
-		return nil, err
-	}
-	p := Params{
-		Backend:  srv.Name(),
-		Verifier: base64.StdEncoding.EncodeToString(vb),
-		Template: toTplJSON(pub.Template),
-		SemTol:   pub.SemTol,
-		Shards:   srv.NumShards(),
-	}
-	if dom, ok := srv.Domain(); ok {
-		p.Domain = ToBoxJSON(dom)
-	}
-	return NewBackendHandler(srv, p)
 }
 
 // NewBackendHandler serves any backend.Backend under the published
@@ -270,8 +260,8 @@ func NewBackendHandler(b backend.Backend, p Params) (*Handler, error) {
 	// the front plane in the cache tier), so walk the Inner chain: the
 	// admission gate and the front gauges must keep working however the
 	// serving stack is composed.
-	h.admit = findAdmitter(b)
-	h.promSrc = findPromSource(b)
+	h.admit, _ = findIn[admitter](b)
+	h.promSrc, _ = findIn[promSource](b)
 	h.mux.HandleFunc("POST /query", h.handleQuery)
 	h.mux.HandleFunc("POST /query/batch", h.handleBatch)
 	h.mux.HandleFunc("POST /query/stream", h.handleStream)
@@ -281,35 +271,21 @@ func NewBackendHandler(b backend.Backend, p Params) (*Handler, error) {
 	return h, nil
 }
 
-// findAdmitter locates the admission gate in a decorated backend stack.
-func findAdmitter(b backend.Backend) admitter {
+// findIn locates an optional surface T in a decorated backend stack:
+// b itself, or the first backend down its Inner chain that has it.
+func findIn[T any](b backend.Backend) (T, bool) {
 	for cur := b; cur != nil; {
-		if a, ok := cur.(admitter); ok {
-			return a
+		if t, ok := cur.(T); ok {
+			return t, true
 		}
 		in, ok := cur.(interface{ Inner() backend.Backend })
 		if !ok {
-			return nil
+			break
 		}
 		cur = in.Inner()
 	}
-	return nil
-}
-
-// findPromSource locates the extra-families source in a decorated
-// backend stack.
-func findPromSource(b backend.Backend) promSource {
-	for cur := b; cur != nil; {
-		if p, ok := cur.(promSource); ok {
-			return p
-		}
-		in, ok := cur.(interface{ Inner() backend.Backend })
-		if !ok {
-			return nil
-		}
-		cur = in.Inner()
-	}
-	return nil
+	var zero T
+	return zero, false
 }
 
 // admitOr runs the admission gate when the backend has one, answering

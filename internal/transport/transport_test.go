@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -8,10 +10,12 @@ import (
 	"strings"
 	"testing"
 
+	"aqverify/internal/backend"
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/mesh"
+	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
 	"aqverify/internal/server"
@@ -57,6 +61,25 @@ func fixtures(t *testing.T) (*server.Server, core.PublicParams, *server.Server, 
 	return srv, tree.Public(), msrv, m.Public(), dom
 }
 
+// dialVerifying dials url the way a data user does — with nothing but
+// the URL — and derives the verification option from the advertised
+// bundle: WithVerify for an IFMH server, WithVerifyMesh for the mesh.
+func dialVerifying(t *testing.T, url string, hc *http.Client) (*Remote, backend.Option) {
+	t.Helper()
+	r, err := DialRemote(url, hc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pub, ok := r.Client().Public(); ok {
+		return r, backend.WithVerify(pub)
+	}
+	mpub, ok := r.Client().MeshPublic()
+	if !ok {
+		t.Fatalf("%s advertises neither IFMH nor mesh parameters", url)
+	}
+	return r, backend.WithVerifyMesh(mpub)
+}
+
 func TestHTTPRoundTripIFMH(t *testing.T) {
 	srv, pub, _, _, dom := fixtures(t)
 	h, err := NewIFMHHandler(srv, pub)
@@ -66,30 +89,31 @@ func TestHTTPRoundTripIFMH(t *testing.T) {
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
-	cli, err := Dial(ts.URL, ts.Client())
-	if err != nil {
-		t.Fatal(err)
+	r, verify := dialVerifying(t, ts.URL, ts.Client())
+	if r.Name() != "ifmh-multi" {
+		t.Errorf("backend = %q", r.Name())
 	}
-	if cli.Backend() != "ifmh-multi" {
-		t.Errorf("backend = %q", cli.Backend())
+	if _, ok := r.Client().MeshPublic(); ok {
+		t.Error("IFMH server advertises mesh parameters")
 	}
 	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
+	var ctr metrics.Counter
 	for _, q := range []query.Query{
 		query.NewTopK(x, 3),
 		query.NewBottomK(x, 3),
 		query.NewRange(x, -1, 1),
 		query.NewKNN(x, 3, 0),
 	} {
-		recs, err := cli.Query(q)
+		ans, err := r.Query(context.Background(), q, verify, backend.WithCounter(&ctr))
 		if err != nil {
 			t.Fatalf("%v: %v", q.Kind, err)
 		}
-		if q.Kind != query.Range && len(recs) != 3 {
-			t.Fatalf("%v: got %d records", q.Kind, len(recs))
+		if q.Kind != query.Range && len(ans.Records) != 3 {
+			t.Fatalf("%v: got %d records", q.Kind, len(ans.Records))
 		}
 	}
-	if !strings.Contains(cli.Stats().String(), "verifies") {
-		t.Error("client stats missing")
+	if ctr.SigVerifies == 0 || ctr.Bytes == 0 {
+		t.Errorf("client-side costs not accumulated: %+v", ctr)
 	}
 }
 
@@ -101,17 +125,32 @@ func TestHTTPRoundTripMesh(t *testing.T) {
 	}
 	ts := httptest.NewServer(h)
 	defer ts.Close()
-	cli, err := Dial(ts.URL, ts.Client())
+	r, verify := dialVerifying(t, ts.URL, ts.Client())
+	if _, ok := r.Client().Public(); ok {
+		t.Error("mesh server advertises IFMH parameters")
+	}
+	ctx := context.Background()
+	q := query.NewTopK(geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}, 4)
+	ans, err := r.Query(ctx, q, verify)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
-	recs, err := cli.Query(query.NewTopK(x, 4))
-	if err != nil {
-		t.Fatal(err)
+	if len(ans.Records) != 4 {
+		t.Fatalf("got %d records", len(ans.Records))
 	}
-	if len(recs) != 4 {
-		t.Fatalf("got %d records", len(recs))
+	// The batch and stream exchanges verify mesh answers the same way.
+	answers, errs := r.QueryBatch(ctx, []query.Query{q}, verify)
+	if errs[0] != nil || len(answers[0].Records) != 4 {
+		t.Fatalf("batch: %d records, err=%v", len(answers[0].Records), errs[0])
+	}
+	for _, res := range r.QueryStream(ctx, []query.Query{q}, verify) {
+		if res.Err != nil || len(res.Answer.Records) != 4 {
+			t.Fatalf("stream: %d records, err=%v", len(res.Answer.Records), res.Err)
+		}
+	}
+	// IFMH parameters do not verify mesh bytes: a rejection, not a panic.
+	if _, err := r.Query(ctx, q, backend.WithVerify(core.PublicParams{Verifier: mpub.Verifier, Template: mpub.Template})); !errors.Is(err, core.ErrVerification) {
+		t.Fatalf("mesh answer under IFMH parameters: err=%v, want ErrVerification", err)
 	}
 }
 
@@ -169,14 +208,11 @@ func TestHTTPTamperingChannelRejected(t *testing.T) {
 	proxy := httptest.NewServer(&tamperingProxy{target: target, hc: origin.Client()})
 	defer proxy.Close()
 
-	cli, err := Dial(proxy.URL, proxy.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, verify := dialVerifying(t, proxy.URL, proxy.Client())
 	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
 	for trial := 0; trial < 10; trial++ {
-		if _, err := cli.Query(query.NewRange(x, -2, 2)); err == nil {
-			t.Fatal("bit-flipped HTTP answer accepted")
+		if _, err := r.Query(context.Background(), query.NewRange(x, -2, 2), verify); !errors.Is(err, core.ErrVerification) {
+			t.Fatalf("bit-flipped HTTP answer: err=%v, want ErrVerification", err)
 		}
 	}
 }
@@ -200,12 +236,11 @@ func TestHTTPErrorPaths(t *testing.T) {
 		t.Errorf("junk query: status %d", resp.StatusCode)
 	}
 	// Out-of-domain query reaches the server and fails there.
-	cli, err := Dial(ts.URL, ts.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.Query(query.NewTopK(geometry.Point{99}, 1)); err == nil {
+	r, verify := dialVerifying(t, ts.URL, ts.Client())
+	if _, err := r.Query(context.Background(), query.NewTopK(geometry.Point{99}, 1), verify); err == nil {
 		t.Error("out-of-domain query succeeded")
+	} else if errors.Is(err, core.ErrVerification) {
+		t.Errorf("server refusal misclassified as a verification rejection: %v", err)
 	}
 	// Stats endpoint responds.
 	resp, err = ts.Client().Get(ts.URL + "/stats")
