@@ -92,9 +92,8 @@
 // one length-prefixed frame and answers them concurrently on the
 // server, and POST /query/stream, which pipelines the batch's answers
 // back frame by frame in completion order — the first verified result
-// is in hand before the last query finishes, and clients fall back to
-// the buffered exchange against servers that predate the route (see
-// internal/transport and docs/WIRE.md).
+// is in hand before the last query finishes (see internal/transport and
+// docs/WIRE.md).
 //
 // # Sharding
 //

@@ -1,5 +1,6 @@
-// Benchmarks regenerating the paper's evaluation, one testing.B target
-// per table/figure (see EXPERIMENTS.md for the paper-vs-measured record).
+// Benchmarks regenerating the evaluation, one sub-benchmark of
+// BenchmarkFigure per table/figure (see EXPERIMENTS.md for the
+// paper-vs-measured record), plus micro-benchmarks of the hot paths.
 // Each figure benchmark runs its full sweep at the quick scale; absolute
 // numbers are machine-specific but the series shapes mirror the paper.
 // Run the paper-scale sweep with cmd/vqbench instead.
@@ -10,7 +11,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"testing"
 
 	"aqverify"
@@ -21,58 +21,31 @@ import (
 	"aqverify/internal/workload"
 )
 
-// sharedHarness caches built structures across figure benchmarks so
-// `go test -bench=.` does not rebuild the sweep for every figure.
-var (
-	harnessOnce sync.Once
-	harness     *bench.Harness
-	harnessErr  error
-)
-
-func quickHarness(b *testing.B) *bench.Harness {
-	b.Helper()
-	harnessOnce.Do(func() {
-		harness, harnessErr = bench.NewHarness(bench.QuickConfig())
-	})
-	if harnessErr != nil {
-		b.Fatal(harnessErr)
-	}
-	return harness
-}
-
-func benchFigure(b *testing.B, id string) {
-	h := quickHarness(b)
-	f, err := bench.Lookup(id)
+// BenchmarkFigure regenerates every entry of bench.Figures() as its own
+// sub-benchmark (go test -bench 'Figure/fig6a$'), so a figure added to
+// the catalogue is benchmarked without a wrapper being written for it.
+// One harness serves them all: structures are built on a figure's first
+// iteration and shared from then on.
+func BenchmarkFigure(b *testing.B) {
+	h, err := bench.NewHarness(bench.QuickConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tbl, err := f.Run(context.Background(), h)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tbl.Rows) == 0 {
-			b.Fatal("empty table")
-		}
+	for _, f := range bench.Figures() {
+		b.Run(f.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tbl, err := f.Run(context.Background(), h)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(tbl.Rows) == 0 {
+					b.Fatal("empty table")
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkFig5aSignatures(b *testing.B)    { benchFigure(b, "fig5a") }
-func BenchmarkFig5bConstruction(b *testing.B)  { benchFigure(b, "fig5b") }
-func BenchmarkFig5cStructureSize(b *testing.B) { benchFigure(b, "fig5c") }
-func BenchmarkFig6aTopK(b *testing.B)          { benchFigure(b, "fig6a") }
-func BenchmarkFig6bKNN(b *testing.B)           { benchFigure(b, "fig6b") }
-func BenchmarkFig6cRange(b *testing.B)         { benchFigure(b, "fig6c") }
-func BenchmarkFig6dResultLength(b *testing.B)  { benchFigure(b, "fig6d") }
-func BenchmarkFig7aHashes(b *testing.B)        { benchFigure(b, "fig7a") }
-func BenchmarkFig7bHashTime(b *testing.B)      { benchFigure(b, "fig7b") }
-func BenchmarkFig7cDecryption(b *testing.B)    { benchFigure(b, "fig7c") }
-func BenchmarkFig7dTotalVerify(b *testing.B)   { benchFigure(b, "fig7d") }
-func BenchmarkFig8aVOByResult(b *testing.B)    { benchFigure(b, "fig8a") }
-func BenchmarkFig8bVOByDatabase(b *testing.B)  { benchFigure(b, "fig8b") }
-func BenchmarkAblationDelta(b *testing.B)      { benchFigure(b, "ablationA1") }
-func BenchmarkAblationShuffle(b *testing.B)    { benchFigure(b, "ablationA2") }
 
 // Micro-benchmarks of the hot paths behind the figures.
 
@@ -210,8 +183,8 @@ func BenchmarkOutsourceParallel(b *testing.B) {
 // database built as one tree (K=1) versus split into K sub-box trees
 // constructed concurrently. Each shard owns ~S/K subdomains, so the
 // serial work shrinks with K even before the shard builds overlap;
-// multicore speedup curves belong in EXPERIMENTS.md (this container is
-// 1-CPU).
+// multicore speedup curves belong in EXPERIMENTS.md (this container
+// has 2 CPUs).
 //
 //	go test -bench BenchmarkShardedBuild -benchtime 3x
 func BenchmarkShardedBuild(b *testing.B) {

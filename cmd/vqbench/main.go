@@ -1,14 +1,15 @@
-// Command vqbench regenerates the paper's evaluation figures (Fig 5a-8b)
-// plus this implementation's ablations, printing each as a markdown table
-// and optionally writing CSVs.
+// Command vqbench regenerates the paper's evaluation figures (Fig 5a-8b),
+// this implementation's ablations and its per-plane figures, printing
+// each as a markdown table and optionally writing CSVs. A figure whose
+// identity column does not read "ok" is an error: vqbench exits 1.
 //
 // Usage:
 //
 //	vqbench [flags]
 //
 //	-figure id     run one figure (fig5a..fig8b, ablationA1..A4, shardS1,
-//	               fanoutF1, streamT1, mutM1, cacheC1, loadA1, frontR1);
-//	               default runs all
+//	               planQ1, fanoutF1, streamT1, mutM1, cacheC1, loadA1,
+//	               frontR1); default runs all
 //	-quick         scaled-down sweep (seconds instead of minutes)
 //	-sizes list    comma-separated database sizes (default paper scale)
 //	-qsizes list   comma-separated result sizes for Figs 6d/7/8a
@@ -20,14 +21,8 @@
 //	-seed n        workload seed
 //	-workers n     construction worker pool per build (0 = one per CPU;
 //	               default 1 keeps the paper's single-threaded timings)
-//	-shards list   comma-separated domain-shard counts for the shardS1
-//	               and fanoutF1 figures (default 1,2,4,8)
-//	-stream        answer the fanoutF1 front-end batches over the
-//	               pipelined wire transport (POST /query/stream) instead
-//	               of the buffered batch exchange
-//	-cache         front the fanoutF1 front-end with the cache tier
-//	               (cache.Wrap), the vqfront -cache topology; the cacheC1
-//	               figure measures cached vs uncached regardless
+//	-shards list   comma-separated domain-shard counts for the shardS1,
+//	               planQ1 and fanoutF1 figures (default 1,2,4,8)
 //	-csv dir       also write one CSV per figure into dir
 package main
 
@@ -66,9 +61,7 @@ func run() error {
 		reps     = flag.Int("reps", 0, "queries per data point")
 		seed     = flag.Int64("seed", 0, "workload seed")
 		workers  = flag.Int("workers", 1, "construction worker pool per build (0 = one per CPU, 1 = the paper's serial timings)")
-		shards   = flag.String("shards", "", "comma-separated shard counts for the sharding figure")
-		stream   = flag.Bool("stream", false, "use the pipelined wire transport for the fanout figure's front-end exchanges")
-		cacheOn  = flag.Bool("cache", false, "front the fanout figure's front-end with the cache tier")
+		shards   = flag.String("shards", "", "comma-separated shard counts for the sharding figures")
 		csvDir   = flag.String("csv", "", "write CSVs into this directory")
 	)
 	flag.Parse()
@@ -110,8 +103,6 @@ func run() error {
 		cfg.Seed = *seed
 	}
 	cfg.Workers = *workers
-	cfg.Stream = *stream
-	cfg.Cache = *cacheOn
 	if *shards != "" {
 		v, err := parseInts(*shards)
 		if err != nil {

@@ -2,140 +2,119 @@ package bench
 
 import (
 	"context"
-	"fmt"
-	"time"
 
-	"aqverify/internal/build"
 	"aqverify/internal/core"
-	"aqverify/internal/funcs"
+	"aqverify/internal/geometry"
 	"aqverify/internal/metrics"
+	"aqverify/internal/query"
+	"aqverify/internal/wire"
 	"aqverify/internal/workload"
 )
 
-// Ablations over this implementation's own design choices (DESIGN.md §3).
-//
-// A1 quantifies the delta FMH representation (persistent Merkle sharing +
-// per-boundary swaps) against the paper-literal materialized layout
-// (every subdomain stores its permutation and a fresh FMH-tree).
-//
-// A2 quantifies shuffled versus as-generated intersection insertion order
-// in the IMH-tree, the BST-balance effect the paper leaves unspecified.
+// Ablations over design choices the paper leaves open (DESIGN.md §3).
+// Each row is handed its variants built and probes them with the same
+// few queries.
 
-func ablationDelta(ctx context.Context, h *Harness) (*Table, error) {
-	t := &Table{
-		ID:    "ablationA1",
-		Title: "Delta vs materialized subdomain lists (build time / FMH nodes / size)",
-		Columns: []string{"n",
-			"delta-sec", "mat-sec",
-			"delta-fmh-nodes", "mat-fmh-nodes",
-			"delta-bytes", "mat-bytes"},
-		Notes: []string{h.schemeNote(),
-			"materialized is the paper-literal O(S*n) layout; delta is this implementation's O(n + S log n) one"},
+// probe answers the queries on the tree and returns the mean IMH nodes
+// visited and the mean VO wire size.
+func probe(t *core.Tree, qs []query.Query) (nodes, voBytes float64, err error) {
+	var ctr metrics.Counter
+	var vo int
+	for _, q := range qs {
+		ans, err := t.Process(q, &ctr)
+		if err != nil {
+			return 0, 0, err
+		}
+		vo += wire.VOSizeIFMH(ans)
 	}
-	for _, n := range h.Cfg.AblationSizes {
-		tbl, dom, err := workload.Lines(workload.LinesConfig{
-			N: n, Seed: h.Cfg.Seed, Dist: h.Cfg.Dist, Density: h.Cfg.Density,
-		})
-		if err != nil {
-			return nil, err
-		}
-		buildTree := func(materialize bool) (core.Stats, float64, error) {
-			opts := []build.Option{
-				build.WithShuffle(h.Cfg.Seed),
-				build.WithWorkers(h.Cfg.Workers),
-			}
-			if materialize {
-				opts = append(opts, build.WithMaterialize())
-			}
-			start := time.Now()
-			res, err := build.Outsource(ctx,
-				build.Spec{Table: tbl, Template: funcs.AffineLine(0, 1), Domain: dom, Signer: h.signer},
-				opts...)
-			if err != nil {
-				return core.Stats{}, 0, err
-			}
-			return res.Tree.Stats(), time.Since(start).Seconds(), nil
-		}
-		ds, dt, err := buildTree(false)
-		if err != nil {
-			return nil, fmt.Errorf("bench: delta n=%d: %w", n, err)
-		}
-		ms, mt, err := buildTree(true)
-		if err != nil {
-			return nil, fmt.Errorf("bench: materialized n=%d: %w", n, err)
-		}
-		// The materialized layout additionally stores S permutations of n
-		// integers, which Stats does not model; add them explicitly.
-		matBytes := ms.ApproxBytes + ms.Subdomains*n*8
-		t.AddRow(fmtInt(n),
-			fmtF(dt), fmtF(mt),
-			fmtInt(ds.FMHNodes), fmtInt(ms.FMHNodes),
-			fmtBytes(ds.ApproxBytes), fmtBytes(matBytes))
-	}
-	return t, nil
+	k := float64(len(qs))
+	return float64(ctr.NodesVisited) / k, float64(vo) / k, nil
 }
 
-func ablationShuffle(ctx context.Context, h *Harness) (*Table, error) {
-	t := &Table{
-		ID:    "ablationA2",
-		Title: "Shuffled vs in-order intersection insertion (IMH depth / search cost)",
-		Columns: []string{"n",
-			"shuffled-depth", "inorder-depth",
-			"shuffled-search", "inorder-search"},
-		Notes: []string{h.schemeNote(),
-			"search is the mean IMH nodes visited over random queries"},
+// deltaRow is A1: the delta FMH representation (persistent Merkle
+// sharing + per-boundary swaps) against the paper-literal materialized
+// layout (every subdomain stores its permutation and a fresh FMH-tree).
+func deltaRow(_ context.Context, _ *Harness, p point, b []*built) ([]string, error) {
+	delta, mat := b[0], b[1]
+	ds, ms := delta.Tree.Stats(), mat.Tree.Stats()
+	// The materialized layout additionally stores S permutations of n
+	// integers, which Stats does not model; add them explicitly.
+	matBytes := ms.ApproxBytes + ms.Subdomains*p.n*8
+	return []string{fmtInt(p.n),
+		fmtF(delta.seconds), fmtF(mat.seconds),
+		fmtInt(ds.FMHNodes), fmtInt(ms.FMHNodes),
+		fmtBytes(ds.ApproxBytes), fmtBytes(matBytes)}, nil
+}
+
+// shuffleRow is A2: shuffled versus as-generated intersection insertion
+// order in the IMH-tree, the BST-balance effect the paper leaves
+// unspecified.
+func shuffleRow(_ context.Context, h *Harness, p point, b []*built) ([]string, error) {
+	shuffled, inorder := b[0], b[1]
+	qs := workload.TopK(shuffled.domain, workload.QueryConfig{Count: h.Cfg.Reps, Seed: h.Cfg.Seed, K: 1})
+	ss, _, err := probe(shuffled.Tree, qs)
+	if err != nil {
+		return nil, err
 	}
-	for _, n := range h.Cfg.AblationSizes {
-		tbl, dom, err := workload.Lines(workload.LinesConfig{
-			N: n, Seed: h.Cfg.Seed, Dist: h.Cfg.Dist, Density: h.Cfg.Density,
-		})
-		if err != nil {
-			return nil, err
-		}
-		buildTree := func(shuffle bool) (*core.Tree, error) {
-			opts := []build.Option{build.WithWorkers(h.Cfg.Workers)}
-			if shuffle {
-				opts = append(opts, build.WithShuffle(h.Cfg.Seed))
-			}
-			res, err := build.Outsource(ctx,
-				build.Spec{Table: tbl, Template: funcs.AffineLine(0, 1), Domain: dom, Signer: h.signer},
-				opts...)
-			if err != nil {
-				return nil, err
-			}
-			return res.Tree, nil
-		}
-		shuffled, err := buildTree(true)
-		if err != nil {
-			return nil, err
-		}
-		inorder, err := buildTree(false)
-		if err != nil {
-			return nil, err
-		}
-		qs := workload.TopK(dom, workload.QueryConfig{Count: h.Cfg.Reps, Seed: h.Cfg.Seed, K: 1})
-		search := func(tr *core.Tree) (float64, error) {
-			var total uint64
-			for _, q := range qs {
-				var ctr metrics.Counter
-				if _, err := tr.Process(q, &ctr); err != nil {
-					return 0, err
-				}
-				total += ctr.NodesVisited
-			}
-			return float64(total) / float64(len(qs)), nil
-		}
-		ss, err := search(shuffled)
-		if err != nil {
-			return nil, err
-		}
-		is, err := search(inorder)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmtInt(n),
-			fmtInt(shuffled.Stats().IMHDepth), fmtInt(inorder.Stats().IMHDepth),
-			fmtF(ss), fmtF(is))
+	is, _, err := probe(inorder.Tree, qs)
+	if err != nil {
+		return nil, err
 	}
-	return t, nil
+	return []string{fmtInt(p.n),
+		fmtInt(shuffled.Tree.Stats().IMHDepth), fmtInt(inorder.Tree.Stats().IMHDepth),
+		fmtF(ss), fmtF(is)}, nil
+}
+
+// variantRow is the body A3 and A4 share: one built variant, probed with
+// top-3 queries, reported as subdomains, one structural count of the
+// figure's choosing, build time, search cost and VO size.
+func variantRow(lead string, b *built, structural int, qs []query.Query) ([]string, error) {
+	nodes, vo, err := probe(b.Tree, qs)
+	if err != nil {
+		return nil, err
+	}
+	return []string{lead, fmtInt(b.Tree.Stats().Subdomains), fmtInt(structural),
+		fmtF(b.seconds), fmtF(nodes), fmtBytes(int(vo))}, nil
+}
+
+// distributionRow is A3 — attribute-distribution sensitivity. The paper
+// evaluates one unnamed synthetic distribution; this table shows how the
+// structure and query costs react to the standard top-k workload family
+// (uniform, gaussian, correlated, anti-correlated, clustered) at a fixed
+// n. The domain-sizing knob keeps the target density constant, so
+// differences expose genuinely distribution-driven behaviour (crossing
+// concentration, run lengths) rather than raw intersection counts.
+func distributionRow(_ context.Context, h *Harness, p point, b []*built) ([]string, error) {
+	qs := workload.TopK(b[0].domain, workload.QueryConfig{Count: h.Cfg.Reps, Seed: h.Cfg.Seed, K: 3})
+	return variantRow(p.arm, b[0], b[0].Tree.Stats().TotalSwaps, qs)
+}
+
+// dimensionN is A4's fixed table size: small enough that d = 3 builds.
+const dimensionN = 10
+
+// dimensionRow is A4 — the variable-count (dimension) sweep. The paper's
+// overhead analysis (§4.2) puts the subdomain count at O(n^{2d}) for
+// d-variable linear functions; this table makes the blowup concrete on
+// the LP-backed multivariate path: at a fixed (small) n, each added
+// weight multiplies the subdomain count and the construction cost, while
+// the per-query traversal and VO size stay modest — the asymmetry the
+// IFMH-tree is designed around.
+//
+// One family across dimensions: anti-correlated scalar-product records
+// over [0.05,1]^d. Anti-correlation maximizes rank crossings (the
+// adversarial case of the top-k literature), so the arrangement growth
+// in d is visible even at small n. d = 1 exercises the exact rational
+// fast path; d >= 2 the LP-backed polytope space.
+func dimensionRow(_ context.Context, h *Harness, p point, b []*built) ([]string, error) {
+	d := p.k
+	// Queries at a deterministic spread of interior weights.
+	qs := make([]query.Query, h.Cfg.Reps)
+	for i := range qs {
+		x := make(geometry.Point, d)
+		for j := range x {
+			x[j] = 0.1 + 0.8*float64((i*7+j*3)%10)/10
+		}
+		qs[i] = query.NewTopK(x, 3)
+	}
+	return variantRow(fmtInt(d), b[0], b[0].Tree.Stats().IMHDepth, qs)
 }

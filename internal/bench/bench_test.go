@@ -246,6 +246,21 @@ func TestConfigValidation(t *testing.T) {
 	if err := c.validate(); err == nil {
 		t.Error("size 1 accepted")
 	}
+	// Sweeps arrive from vqbench flags: a result size below 1 would not
+	// fail but silently measure random score bands under a wrong label.
+	for name, mutate := range map[string]func(*Config){
+		"qsizes 0":        func(c *Config) { c.QuerySizes = []int{100, 0} },
+		"qsizes negative": func(c *Config) { c.QuerySizes = []int{-5} },
+		"qfixed negative": func(c *Config) { c.QFixed = -1 },
+		"ablation size 1": func(c *Config) { c.AblationSizes = []int{100, 1} },
+		"shard count 0":   func(c *Config) { c.ShardCounts = []int{0} },
+	} {
+		c = QuickConfig()
+		mutate(&c)
+		if err := c.validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
 	c = QuickConfig()
 	if err := c.validate(); err != nil {
 		t.Errorf("QuickConfig invalid: %v", err)

@@ -3,15 +3,11 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"aqverify/internal/backend"
-	"aqverify/internal/build"
 	"aqverify/internal/cache"
-	"aqverify/internal/core"
-	"aqverify/internal/funcs"
-	"aqverify/internal/query"
+	"aqverify/internal/stats"
 	"aqverify/internal/wire"
 	"aqverify/internal/workload"
 )
@@ -21,76 +17,32 @@ import (
 // repeated dashboard queries concentrate real serving traffic.
 const cacheZipfS = 1.1
 
-// cacheScaling measures what the cache tier buys on a skewed workload:
-// the same Zipf query stream is answered twice by the same delta-mode
-// tree — bare, then fronted by cache.Wrap — with per-query verified
-// latencies recorded. The uncached arm prices the full walk every
-// query pays without a cache; the cached arm's hits are whole-answer
-// cache hits serving already-verified records. The identity column
-// replays every distinct query on both arms and compares outcomes and
-// result windows record for record, so the speedup is only reported
+// cacheRow measures what the cache tier buys on a skewed workload: the
+// same Zipf query stream is answered twice by the same delta-mode tree
+// — bare, then fronted by cache.Wrap — with per-query verified
+// latencies recorded. The uncached arm prices the full walk every query
+// pays without a cache; the cached arm's hits are whole-answer cache
+// hits serving already-verified records. The identity column replays
+// every distinct query on both arms, so the speedup is only reported
 // alongside proof that the cache changed nothing about the answers.
-func cacheScaling(ctx context.Context, h *Harness) (*Table, error) {
-	t := &Table{
-		ID:    "cacheC1",
-		Title: "Cache plane: verified query latency, cached vs uncached, Zipf workload",
-		Columns: []string{"n", "queries", "universe", "hit-rate",
-			"walk-p50-ms", "walk-p99-ms", "hit-p50-ms", "hit-p99-ms",
-			"p50-speedup", "identity"},
-		Notes: []string{h.schemeNote(),
-			fmt.Sprintf("workload: Zipf s=%g over `universe` distinct top-k queries, drawn `queries` times (workload.Zipf)", cacheZipfS),
-			"walk-p50/p99: per-query verified latency on the bare tree (every query pays the full walk)",
-			"hit-p50/p99: per-query verified latency of the cached arm's whole-answer hits",
-			"identity: every distinct query answered identically (outcome + record IDs) by both arms"},
-	}
+func cacheRow(ctx context.Context, h *Harness, p point, bs []*built) ([]string, error) {
+	b := bs[0]
 	count := 100 * h.Cfg.Reps
-	universe := count / 8
-	if universe > 256 {
-		universe = 256
-	}
-	if universe < 16 {
-		universe = 16
-	}
-	for _, n := range h.Cfg.AblationSizes {
-		tbl, dom, err := workload.Lines(workload.LinesConfig{
-			N: n, Seed: h.Cfg.Seed, Dist: h.Cfg.Dist, Density: h.Cfg.Density,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := build.Outsource(ctx,
-			build.Spec{Table: tbl, Template: funcs.AffineLine(0, 1), Domain: dom, Signer: h.signer},
-			build.WithMode(core.OneSignature),
-			build.WithShuffle(h.Cfg.Seed),
-			build.WithWorkers(h.Cfg.Workers))
-		if err != nil {
-			return nil, fmt.Errorf("bench: cacheC1 n=%d build: %w", n, err)
-		}
-		qs, distinct, err := workload.Zipf(dom, workload.ZipfConfig{
-			Count: count, Universe: universe, S: cacheZipfS, Seed: h.Cfg.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		row, err := cacheRow(ctx, res, qs, distinct)
-		if err != nil {
-			return nil, fmt.Errorf("bench: cacheC1 n=%d: %w", n, err)
-		}
-		t.AddRow(append([]string{fmt.Sprint(n), fmt.Sprint(count), fmt.Sprint(universe)}, row...)...)
-	}
-	return t, nil
-}
-
-// cacheRow runs one size's two arms. The uncached arm runs first — the
-// cache wrap installs the permutation tier on the tree itself, and the
-// bare arm must not benefit from it.
-func cacheRow(ctx context.Context, res *build.Result, qs, distinct []query.Query) ([]string, error) {
-	bare, err := backend.NewLocal(res.Tree)
+	universe := min(max(count/8, 16), 256)
+	qs, distinct, err := workload.Zipf(b.domain, workload.ZipfConfig{
+		Count: count, Universe: universe, S: cacheZipfS, Seed: h.Cfg.Seed,
+	})
 	if err != nil {
 		return nil, err
 	}
-	verify := backend.WithVerify(res.Public)
+	bare, err := backend.NewLocal(b.Tree)
+	if err != nil {
+		return nil, err
+	}
+	verify := backend.WithVerify(b.Public)
 
+	// The uncached arm runs first — before the wrap — so the bare walk
+	// cannot benefit from the permutation tier.
 	walkMS := make([]float64, 0, len(qs))
 	for _, q := range qs {
 		start := time.Now()
@@ -114,61 +66,23 @@ func cacheRow(ctx context.Context, res *build.Result, qs, distinct []query.Query
 		if _, err := cached.Query(ctx, q, verify); err != nil {
 			return nil, fmt.Errorf("cached query: %w", err)
 		}
-		ms := time.Since(start).Seconds() * 1e3
-		if hit {
+		if ms := time.Since(start).Seconds() * 1e3; hit {
 			hitMS = append(hitMS, ms)
 		}
 	}
-	stats := cached.CacheStats()
-	hitRate := float64(stats.Hits) / float64(len(qs))
+	hitRate := float64(cached.CacheStats().Hits) / float64(len(qs))
 
-	identity := "ok"
-	for _, q := range distinct {
-		a1, err1 := bare.Query(ctx, q, verify)
-		a2, err2 := cached.Query(ctx, q, verify)
-		if (err1 == nil) != (err2 == nil) {
-			identity = "MISMATCH"
-			break
-		}
-		if err1 != nil {
-			continue
-		}
-		if len(a1.Records) != len(a2.Records) {
-			identity = "MISMATCH"
-			break
-		}
-		for i := range a1.Records {
-			if a1.Records[i].ID != a2.Records[i].ID {
-				identity = "MISMATCH"
-				break
-			}
-		}
-	}
+	bareAns, bareErrs := bare.QueryBatch(ctx, distinct, verify)
+	cachedAns, cachedErrs := cached.QueryBatch(ctx, distinct, verify)
 
-	walkP50, walkP99 := percentile(walkMS, 0.50), percentile(walkMS, 0.99)
-	hitP50, hitP99 := percentile(hitMS, 0.50), percentile(hitMS, 0.99)
+	walkP50, hitP50 := stats.Percentile(walkMS, 50), stats.Percentile(hitMS, 50)
 	speedup := "n/a"
 	if hitP50 > 0 {
 		speedup = fmt.Sprintf("%.1fx", walkP50/hitP50)
 	}
-	return []string{
+	ms := func(v float64) string { return fmt.Sprintf("%.4f", v) }
+	return []string{fmtInt(p.n), fmtInt(count), fmtInt(universe),
 		fmt.Sprintf("%.2f", hitRate),
-		fmt.Sprintf("%.4f", walkP50), fmt.Sprintf("%.4f", walkP99),
-		fmt.Sprintf("%.4f", hitP50), fmt.Sprintf("%.4f", hitP99),
-		speedup, identity,
-	}, nil
-}
-
-// percentile returns the p-quantile of xs (nearest-rank), 0 when empty.
-func percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	i := int(p * float64(len(s)))
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return s[i]
+		ms(walkP50), ms(stats.Percentile(walkMS, 99)), ms(hitP50), ms(stats.Percentile(hitMS, 99)),
+		speedup, identical(bareAns, bareErrs, cachedAns, cachedErrs, false)}, nil
 }

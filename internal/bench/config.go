@@ -1,13 +1,8 @@
-// Package bench regenerates every table and figure of the paper's
-// evaluation (§4.3): data-owner overheads (Fig 5a-c), server overheads
-// (Fig 6a-d), user verification overheads (Fig 7a-d), communication
-// overheads (Fig 8a-b), plus two ablations over this implementation's own
-// design choices. Each figure is a named runner producing a Table whose
-// rows mirror the paper's plotted series.
 package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"aqverify/internal/sig"
 	"aqverify/internal/workload"
@@ -47,18 +42,10 @@ type Config struct {
 	// DefaultConfig/QuickConfig value — times the serial paths, which
 	// is what the paper's single-threaded Fig 5b numbers correspond to.
 	Workers int
-	// ShardCounts is the domain-shard sweep of the sharding figure
-	// (shardS1): one sharded build per K, over AblationSizes.
+	// ShardCounts is the domain-shard sweep of the sharding figures
+	// (shardS1, planQ1, fanoutF1): one sharded build per K, over
+	// AblationSizes.
 	ShardCounts []int
-	// Stream switches the fanout figure's front-end exchange to the
-	// pipelined wire transport (POST /query/stream) instead of the
-	// buffered batch, so its throughput can be compared across
-	// transports; the streamT1 figure always measures both.
-	Stream bool
-	// Cache fronts the fanout figure's front-end with the cache tier
-	// (cache.Wrap), the vqfront -cache topology; the cacheC1 figure
-	// always measures cached against uncached regardless.
-	Cache bool
 }
 
 // DefaultConfig approximates the paper's scale. The full sweep builds
@@ -97,15 +84,26 @@ func QuickConfig() Config {
 	}
 }
 
-// validate normalizes and checks a config.
+// validate normalizes and checks a config. The sweeps arrive from the
+// command line: a size below 2 builds nothing, and a result size below 1
+// is not "no results" but workload.Ranges' switch to random score bands,
+// which would print rows labelled with a |q| they do not measure.
 func (c *Config) validate() error {
 	if len(c.Sizes) == 0 {
 		return fmt.Errorf("bench: Sizes must be non-empty")
 	}
-	for _, n := range c.Sizes {
+	for _, n := range slices.Concat(c.Sizes, c.AblationSizes) {
 		if n < 2 {
 			return fmt.Errorf("bench: database size %d too small", n)
 		}
+	}
+	for _, q := range c.QuerySizes {
+		if q < 1 {
+			return fmt.Errorf("bench: result size %d must be positive", q)
+		}
+	}
+	if c.QFixed < 0 { // 0 is "unset" and defaults below
+		return fmt.Errorf("bench: result size %d must be positive", c.QFixed)
 	}
 	if c.Scheme == "" {
 		c.Scheme = sig.RSA
@@ -119,7 +117,7 @@ func (c *Config) validate() error {
 	if c.Reps <= 0 {
 		c.Reps = 10
 	}
-	if c.QFixed <= 0 {
+	if c.QFixed == 0 {
 		c.QFixed = 100
 	}
 	if len(c.QuerySizes) == 0 {
@@ -140,12 +138,4 @@ func (c *Config) validate() error {
 }
 
 // maxSize returns the largest database size in the sweep.
-func (c *Config) maxSize() int {
-	m := c.Sizes[0]
-	for _, n := range c.Sizes[1:] {
-		if n > m {
-			m = n
-		}
-	}
-	return m
-}
+func (c *Config) maxSize() int { return slices.Max(c.Sizes) }

@@ -1,47 +1,307 @@
+// Package bench regenerates every table of the paper's evaluation (§4.3)
+// and of this implementation's own planes: data-owner overheads (Fig
+// 5a-c), server overheads (Fig 6a-d), user verification overheads (Fig
+// 7a-d), communication overheads (Fig 8a-b); four ablations over design
+// choices the paper leaves open (A1-A4); and one figure per plane built
+// on top of the IFMH-tree — sharding and its planners (shardS1, planQ1),
+// the multi-process fanout and the streaming transport (fanoutF1,
+// streamT1), mutation (mutM1), cache (cacheC1), artifact (loadA1) and
+// front (frontR1).
+//
+// A figure is a row of data, not a runner: Figures lists 25 Figure
+// values — id, titles, columns, notes, a sweep, the fixtures a sweep
+// point needs, a function measuring the point on them, and the column
+// (if any) holding an identity verdict — and Figure.Run is the one
+// engine that turns a row into a Table: header, scheme note, sweep
+// loop, fixture builds, error labelling, and failing the figure when a
+// verdict is not "ok". Everything the rows measure on comes from one
+// place, the Harness: fixtures by key (build), the loopback HTTP stack
+// (loopback) and the identity verdict (identical).
 package bench
 
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
+
+	"aqverify/internal/core"
+	"aqverify/internal/query"
+	"aqverify/internal/workload"
 )
 
 // Figure is one regenerable evaluation artifact.
 type Figure struct {
-	ID    string
-	Title string
-	Run   func(ctx context.Context, h *Harness) (*Table, error)
+	ID string
+	// Title is the catalogue title; the rendered table is headed by
+	// heading when the figure sets one.
+	Title   string
+	heading func(c *Config) string
+	columns []string
+	// notes follow the scheme note; they may calibrate (Figs 7b, 7c).
+	notes func(h *Harness) ([]string, error)
+	// identity names the column whose cells are verdicts: any cell other
+	// than "ok" fails the figure.
+	identity string
+	sweep    func(c *Config) []point
+	// fixtures names the structures one sweep point is measured on; the
+	// engine builds (or recalls) them and hands them to row in order.
+	fixtures func(p point) []fixture
+	// row measures one sweep point and returns its cells, one per column.
+	row func(ctx context.Context, h *Harness, p point, b []*built) ([]string, error)
 }
 
-// Figures lists every paper figure plus the two ablations, in paper
-// order.
-func Figures() []Figure {
-	return []Figure{
-		{"fig5a", "Data owner: signatures needed", fig5a},
-		{"fig5b", "Data owner: construction time", fig5b},
-		{"fig5c", "Data owner: structure size", fig5c},
-		{"fig6a", "Server: traversal for top-3 queries", fig6a},
-		{"fig6b", "Server: traversal for 3NN queries", fig6b},
-		{"fig6c", "Server: traversal for range queries (3 results)", fig6c},
-		{"fig6d", "Server: traversal by result length", fig6d},
-		{"fig7a", "User: hashing operations", fig7a},
-		{"fig7b", "User: hashing time", fig7b},
-		{"fig7c", "User: signature decryption time (RSA vs DSA)", fig7c},
-		{"fig7d", "User: total verification time", fig7d},
-		{"fig8a", "Communication: VO size by result length", fig8a},
-		{"fig8b", "Communication: VO size by database size", fig8b},
-		{"ablationA1", "Ablation: delta vs materialized lists", ablationDelta},
-		{"ablationA2", "Ablation: shuffled vs in-order insertion", ablationShuffle},
-		{"ablationA3", "Ablation: attribute-distribution sensitivity", ablationDistributions},
-		{"ablationA4", "Ablation: dimension sweep (LP-backed space)", ablationDimensions},
-		{"shardS1", "Sharding: build cost and subdomain split by shard count", shardScaling},
-		{"planQ1", "Shard planners: even vs quantile cuts on a clustered workload", planScaling},
-		{"fanoutF1", "Fanout: single-process sharded vs K-process front-end batch throughput", fanoutScaling},
-		{"streamT1", "Streaming transport: time-to-first-verified-result vs the buffered batch exchange", streamFirstResult},
-		{"mutM1", "Mutation plane: incremental apply vs full rebuild by batch size", mutationScaling},
-		{"cacheC1", "Cache plane: verified query latency, cached vs uncached, Zipf workload", cacheScaling},
-		{"loadA1", "Artifact plane: cold rebuild vs artifact load", loadScaling},
-		{"frontR1", "Front plane: tail latency under one slow replica, hedged vs unhedged", frontTail},
+// point is one position of a figure's sweep. n is the database size; k
+// is the sweep's second coordinate when it has one — shard count K,
+// result size |q|, mutation batch or dimension d — and arm its third, a
+// planner or distribution name.
+type point struct {
+	n, k int
+	arm  string
+}
+
+func (p point) String() string {
+	return strings.TrimSpace(fmt.Sprintf("n=%d k=%d %s", p.n, p.k, p.arm))
+}
+
+// Run regenerates the figure on the harness. It is the one engine every
+// figure goes through; an identity verdict other than "ok" is an error,
+// so a broken identity fails vqbench and the tests instead of shipping
+// as a table cell nobody parses.
+func (f Figure) Run(ctx context.Context, h *Harness) (*Table, error) {
+	t := &Table{ID: f.ID, Title: f.Title, Columns: f.columns, Notes: []string{h.schemeNote()}}
+	if f.heading != nil {
+		t.Title = f.heading(&h.Cfg)
 	}
+	if f.notes != nil {
+		notes, err := f.notes(h)
+		if err != nil {
+			return nil, fmt.Errorf("bench: %s: %w", f.ID, err)
+		}
+		t.Notes = append(t.Notes, notes...)
+	}
+	verdict := slices.Index(f.columns, f.identity)
+	for _, p := range f.sweep(&h.Cfg) {
+		var bs []*built
+		for _, fx := range f.fixtures(p) {
+			b, err := h.build(ctx, fx)
+			if err != nil {
+				return nil, fmt.Errorf("bench: %s %v: %w", f.ID, p, err)
+			}
+			bs = append(bs, b)
+		}
+		cells, err := f.row(ctx, h, p, bs)
+		if err != nil {
+			return nil, fmt.Errorf("bench: %s %v: %w", f.ID, p, err)
+		}
+		if verdict >= 0 && cells[verdict] != "ok" {
+			return nil, fmt.Errorf("bench: %s %v: %s column reads %q, want \"ok\" (row %v)",
+				f.ID, p, f.identity, cells[verdict], cells)
+		}
+		t.AddRow(cells...)
+	}
+	return t, nil
+}
+
+// grid is the cross product sweeps are made of; an empty ks or arms
+// leaves that coordinate unset.
+func grid(ns, ks []int, arms ...string) []point {
+	if len(ks) == 0 {
+		ks = []int{0}
+	}
+	if len(arms) == 0 {
+		arms = []string{""}
+	}
+	var out []point
+	for _, n := range ns {
+		for _, k := range ks {
+			for _, arm := range arms {
+				out = append(out, point{n, k, arm})
+			}
+		}
+	}
+	return out
+}
+
+// The shared sweeps. A |q| sweep runs at the largest database size; the
+// paper figures clamp |q| to it when they measure (paperFig.row).
+func overSizes(c *Config) []point      { return grid(c.Sizes, nil) }
+func overQuerySizes(c *Config) []point { return grid([]int{c.maxSize()}, c.QuerySizes) }
+func overAblation(c *Config) []point   { return grid(c.AblationSizes, nil) }
+func overShards(c *Config) []point     { return grid(c.AblationSizes, c.ShardCounts) }
+
+// fixed is a heading or a note list that does not depend on the run.
+func fixed(s string) func(*Config) string { return func(*Config) string { return s } }
+func static(notes ...string) func(*Harness) ([]string, error) {
+	return func(*Harness) ([]string, error) { return notes, nil }
+}
+
+// Figures lists every figure — the paper's thirteen in paper order, the
+// four ablations, then one per plane.
+func Figures() []Figure {
+	byArm := func(lead string) []string { return append([]string{lead}, approaches...) }
+	atMaxSize := func(format string) func(*Config) string {
+		return func(c *Config) string { return fmt.Sprintf(format, c.maxSize()) }
+	}
+	plain := func(p point) []fixture { return []fixture{{n: p.n}} }
+	sharded := func(p point) []fixture { return []fixture{shardSet(p.n, p.k)} }
+	return []Figure{
+		{ID: "fig5a", Title: "Data owner: signatures needed", heading: fixed("Signatures needed to create the structure"),
+			columns: byArm("n"), sweep: overSizes, fixtures: threeArms, row: paperFig{value: signatures, format: asInt}.row},
+		{ID: "fig5b", Title: "Data owner: construction time", heading: fixed("Construction time (seconds)"),
+			columns: byArm("n"), sweep: overSizes, fixtures: threeArms, row: paperFig{value: buildSeconds, format: fmtF}.row},
+		{ID: "fig5c", Title: "Data owner: structure size", heading: fixed("Structure size"),
+			columns: byArm("n"), sweep: overSizes, fixtures: threeArms, row: paperFig{value: structureBytes, format: asBytes}.row,
+			notes: static("IFMH sizes use the delta representation (persistent FMH sharing); see ablation A1 for the paper-literal layout")},
+		{ID: "fig6a", Title: "Server: traversal for top-3 queries", heading: fixed("Elements traversed constructing VO(q), top-3 query"),
+			columns: byArm("n"), sweep: overSizes, fixtures: threeArms,
+			row: paperFig{kind: query.TopK, size: three, value: traversed, format: fmtF}.row},
+		{ID: "fig6b", Title: "Server: traversal for 3NN queries", heading: fixed("Elements traversed constructing VO(q), 3NN query"),
+			columns: byArm("n"), sweep: overSizes, fixtures: threeArms,
+			row: paperFig{kind: query.KNN, size: three, value: traversed, format: fmtF}.row},
+		{ID: "fig6c", Title: "Server: traversal for range queries (3 results)", heading: fixed("Elements traversed constructing VO(q), range query with 3 results"),
+			columns: byArm("n"), sweep: overSizes, fixtures: threeArms,
+			row: paperFig{kind: query.Range, size: three, value: traversed, format: fmtF}.row},
+		{ID: "fig6d", Title: "Server: traversal by result length", heading: atMaxSize("Elements traversed by result length (n = %d)"),
+			columns: byArm("|q|"), sweep: overQuerySizes, fixtures: threeArms,
+			row: paperFig{kind: query.Range, size: swept, value: traversed, format: fmtF}.row},
+		{ID: "fig7a", Title: "User: hashing operations", heading: fixed("Hashing operations per verification, by result length"),
+			columns: byArm("|q|"), sweep: overQuerySizes, fixtures: threeArms,
+			row: paperFig{kind: query.Range, size: swept, verify: true, value: verifyHashes, format: fmtF}.row},
+		{ID: "fig7b", Title: "User: hashing time", heading: fixed("Hashing time per verification (ms), by result length"),
+			columns: byArm("|q|"), sweep: overQuerySizes, fixtures: threeArms, notes: hashNote,
+			row: paperFig{kind: query.Range, size: swept, verify: true, value: verifyHashes, scale: hashMS, format: fmtF}.row},
+		{ID: "fig7c", Title: "User: signature decryption time (RSA vs DSA)", heading: fixed("Signature decryption time per verification (ms), RSA vs DSA"),
+			columns: []string{"|q|", "mesh/RSA", "mesh/DSA", "one-sig/RSA", "one-sig/DSA", "multi-sig/RSA", "multi-sig/DSA"},
+			sweep:   overQuerySizes, fixtures: threeArms, notes: decryptNote,
+			row: paperFig{kind: query.Range, size: swept, verify: true, value: sigVerifies, scale: decryptMS, format: fmtF}.row},
+		{ID: "fig7d", Title: "User: total verification time", heading: fixed("Total verification time (ms), by result length"),
+			columns: byArm("|q|"), sweep: overQuerySizes, fixtures: threeArms,
+			notes: static("measured wall time of the full client-side verification"),
+			row:   paperFig{kind: query.Range, size: swept, verify: true, value: verifyMS, format: fmtF}.row},
+		{ID: "fig8a", Title: "Communication: VO size by result length", heading: atMaxSize("Verification object size by result length (n = %d)"),
+			columns: byArm("|q|"), sweep: overQuerySizes, fixtures: threeArms,
+			row: paperFig{kind: query.Range, size: swept, value: voBytes, format: asBytes}.row},
+		{ID: "fig8b", Title: "Communication: VO size by database size",
+			heading: func(c *Config) string {
+				return fmt.Sprintf("Verification object size by database size (|q| = %d)", c.QFixed)
+			},
+			columns: byArm("n"), sweep: overSizes, fixtures: threeArms,
+			row: paperFig{kind: query.Range, size: qFixed, value: voBytes, format: asBytes}.row},
+
+		{ID: "ablationA1", Title: "Ablation: delta vs materialized lists", heading: fixed("Delta vs materialized subdomain lists (build time / FMH nodes / size)"),
+			columns: []string{"n", "delta-sec", "mat-sec", "delta-fmh-nodes", "mat-fmh-nodes", "delta-bytes", "mat-bytes"},
+			notes:   static("materialized is the paper-literal O(S*n) layout; delta is this implementation's O(n + S log n) one"),
+			sweep:   overAblation, row: deltaRow,
+			fixtures: func(p point) []fixture { return []fixture{{n: p.n}, {n: p.n, materialize: true, once: true}} }},
+		{ID: "ablationA2", Title: "Ablation: shuffled vs in-order insertion", heading: fixed("Shuffled vs in-order intersection insertion (IMH depth / search cost)"),
+			columns: []string{"n", "shuffled-depth", "inorder-depth", "shuffled-search", "inorder-search"},
+			notes:   static("search is the mean IMH nodes visited over random queries"),
+			sweep:   overAblation, row: shuffleRow,
+			fixtures: func(p point) []fixture { return []fixture{{n: p.n}, {n: p.n, inorder: true}} }},
+		{ID: "ablationA3", Title: "Ablation: attribute-distribution sensitivity", heading: fixed("Distribution sensitivity (fixed n, fixed target density)"),
+			columns: []string{"distribution", "subdomains", "swaps", "build-sec", "search-nodes", "vo-bytes"},
+			sweep:   overDistributions, row: distributionRow,
+			fixtures: func(p point) []fixture {
+				return []fixture{{n: p.n, dist: workload.Distribution(p.arm), mode: core.MultiSignature}}
+			}},
+		{ID: "ablationA4", Title: "Ablation: dimension sweep (LP-backed space)",
+			heading: fixed(fmt.Sprintf("Dimension sweep (n = %d anti-correlated scalar-product records)", dimensionN)),
+			columns: []string{"d", "subdomains", "imh-depth", "build-sec", "search-nodes", "vo-bytes"},
+			notes:   static("subdomain counts follow the arrangement of O(n^2) difference hyperplanes, the paper's O(n^{2d}) regime"),
+			sweep:   func(*Config) []point { return grid([]int{dimensionN}, []int{1, 2, 3}) }, row: dimensionRow,
+			fixtures: func(p point) []fixture { return []fixture{{n: p.n, dim: p.k, dist: workload.AntiCorrelated}} }},
+
+		{ID: "shardS1", Title: "Sharding: build cost and subdomain split by shard count",
+			columns:  []string{"n", "K", "build-sec", "subdomains-total", "subdomains-max-shard", "signatures", "identity"},
+			notes:    static("identity: sampled routed queries answered by the K-shard set match the K=1 build record-for-record"),
+			identity: "identity", sweep: overShards, row: shardRow,
+			// The identity baseline is always a true K=1 build, whatever
+			// shard counts the sweep was configured with; a K=1 sweep row
+			// names the same fixture twice, so it reuses the baseline (and
+			// its timing) instead of rebuilding.
+			fixtures: func(p point) []fixture { return []fixture{shardSet(p.n, 1), shardSet(p.n, p.k)} }},
+		{ID: "planQ1", Title: "Shard planners: even vs quantile cuts on a clustered workload",
+			columns: []string{"n", "K", "planner", "subdomains-min-shard", "subdomains-max-shard", "max/min", "identity"},
+			notes: static("dist=clustered regardless of -dist: the skew the quantile planner exists for",
+				"identity: sampled routed queries answered by the planned set match the K=1 build record-for-record"),
+			identity: "identity", row: planRow,
+			sweep: func(c *Config) []point { // K=1 has no cut to plan
+				ks := slices.DeleteFunc(slices.Clone(c.ShardCounts), func(k int) bool { return k == 1 })
+				return grid(c.AblationSizes, ks, "even", "quantile")
+			},
+			fixtures: func(p point) []fixture {
+				base := shardSet(p.n, 1)
+				base.dist = workload.Clustered
+				planned := base
+				planned.shards, planned.quantile = p.k, p.arm == "quantile"
+				return []fixture{base, planned}
+			}},
+		{ID: "fanoutF1", Title: "Fanout: single-process sharded vs K-process front-end batch throughput",
+			columns: []string{"n", "K", "batch", "sharded-qps", "fanout-qps", "fanout/sharded", "identity"},
+			notes: static("fanout = one HTTP server per shard (loopback) behind a routing front-end; sharded = one in-process server hosting all K trees",
+				"fanout exchange: buffered POST /query/batch per shard",
+				"identity: both deployments answer the same batch record-for-record"),
+			identity: "identity", sweep: overShards, fixtures: sharded, row: fanoutRow},
+		{ID: "streamT1", Title: "Streaming transport: time-to-first-verified-result vs the buffered batch exchange",
+			columns: []string{"n", "batch", "batch-full-ms", "stream-first-ms", "stream-full-ms", "first/batch-full", "identity"},
+			notes: static("batch-full = buffered POST /query/batch wall time (also its time-to-first: nothing yields before the frame closes)",
+				"stream-first = time until the first verified item of POST /query/stream; stream-full = until its last",
+				"identity: both transports return the same answers record-for-record"),
+			identity: "identity", sweep: overAblation, row: streamRow,
+			fixtures: func(p point) []fixture { return []fixture{{n: p.n, mode: core.MultiSignature}} }},
+		{ID: "mutM1", Title: "Mutation plane: incremental apply vs full rebuild by batch size",
+			columns: []string{"n", "batch", "apply-sec", "rebuild-sec", "speedup", "identity"},
+			notes: static("apply-sec: build.Apply of the batch onto the epoch-1 tree; rebuild-sec: full Outsource of the mutated table",
+				"batches mix insert/update/delete round-robin; mode=one (single root signature)",
+				"identity: sampled queries answered by the applied tree match the rebuilt tree record-for-record"),
+			identity: "identity", fixtures: plain, row: mutationRow,
+			sweep: func(c *Config) []point { // a batch must leave records to mutate
+				return slices.DeleteFunc(grid(c.AblationSizes, mutationBatchSizes), func(p point) bool { return p.k >= p.n })
+			}},
+		{ID: "cacheC1", Title: "Cache plane: verified query latency, cached vs uncached, Zipf workload",
+			columns: []string{"n", "queries", "universe", "hit-rate", "walk-p50-ms", "walk-p99-ms", "hit-p50-ms", "hit-p99-ms", "p50-speedup", "identity"},
+			notes: static(fmt.Sprintf("workload: Zipf s=%g over `universe` distinct top-k queries, drawn `queries` times (workload.Zipf)", cacheZipfS),
+				"walk-p50/p99: per-query verified latency on the bare tree (every query pays the full walk)",
+				"hit-p50/p99: per-query verified latency of the cached arm's whole-answer hits",
+				"identity: every distinct query answered identically (outcome + record IDs) by both arms"),
+			identity: "identity", sweep: overAblation, row: cacheRow,
+			// A tree of its own (once): the row's cache wrap installs the
+			// permutation tier on the tree itself, which no other figure's
+			// build may carry.
+			fixtures: func(p point) []fixture { return []fixture{{n: p.n, once: true}} }},
+		{ID: "loadA1", Title: "Artifact plane: cold rebuild vs artifact load",
+			columns: []string{"n", "build-sec", "save-sec", "load-sec", "speedup", "identity"},
+			notes: static("build-sec: full Outsource from the raw table; load-sec: artifact.Open of the saved directory (mmap + integrity checks + reconstruction)",
+				"speedup: build-sec / load-sec — what a restart skips by loading instead of rebuilding",
+				"identity: sampled queries answered by the loaded tree match the built tree byte-for-byte (wire-encoded answer, VO and signatures included)"),
+			identity: "identity", sweep: overAblation, fixtures: plain, row: loadRow},
+		{ID: "frontR1", Title: "Front plane: tail latency under one slow replica, hedged vs unhedged",
+			columns: []string{"n", "KxR", "queries", "slow", "p99-unhedged", "p99-hedged", "p99 ratio", "qps-unhedged", "qps-hedged", "hedges", "wins", "verified"},
+			notes: static(fmt.Sprintf("%d shard groups x %d replicas on loopback HTTP; one replica of shard 0 delayed by 'slow' (10x the calibrated healthy p99, floor 25ms) on every query route", frontShards, frontReplicas),
+				fmt.Sprintf("workload: mixed top-k/bottom-k/range/kNN single queries, %d concurrent clients, every answer verified client-side", frontClients),
+				"hedged arm: HedgeFraction 1.0, 2ms deadline floor; both arms drive the identical query sequence"),
+			identity: "verified", fixtures: sharded, row: frontRow,
+			sweep: func(c *Config) []point {
+				return grid(c.AblationSizes[len(c.AblationSizes)-1:], []int{frontShards})
+			}},
+	}
+}
+
+// overDistributions is A3's sweep: every workload distribution at the
+// largest configured size still cheap enough to build five times.
+func overDistributions(c *Config) []point {
+	n := c.Sizes[0]
+	for _, s := range c.Sizes {
+		if s > n && s <= 2000 {
+			n = s
+		}
+	}
+	var arms []string
+	for _, d := range workload.Distributions() {
+		arms = append(arms, string(d))
+	}
+	return grid([]int{n}, nil, arms...)
 }
 
 // Lookup finds a figure by ID.

@@ -4,156 +4,96 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"aqverify/internal/backend"
-	"aqverify/internal/build"
-	"aqverify/internal/core"
 	"aqverify/internal/front"
-	"aqverify/internal/funcs"
 	"aqverify/internal/query"
-	"aqverify/internal/server"
-	"aqverify/internal/transport"
-	"aqverify/internal/workload"
+	"aqverify/internal/stats"
 )
 
-// frontTail measures what the front plane's hedging buys under a
+// The frontR1 fleet: shard groups x replicas per group, and the
+// concurrent clients driving it.
+const (
+	frontShards   = 2
+	frontReplicas = 2
+	frontClients  = 4
+)
+
+// frontRow measures what the front plane's hedging buys under a
 // degraded fleet: K shard groups of R replicas each on loopback HTTP
 // servers, one replica of shard 0 slowed by an injected delay, and the
 // same verified query workload driven through a Frontend twice — hedging
-// off, then on. The figure reports client-observed p99 and throughput
-// for both arms, the hedge counters, and whether every answer verified.
-// The tail collapse is the point: an unhedged client waits out the slow
+// off, then on. The row reports client-observed p99 and throughput for
+// both arms, the hedge counters, and whether every answer verified. The
+// tail collapse is the point: an unhedged client waits out the slow
 // replica whenever P2C lands on it, a hedged client re-issues to the
 // healthy sibling after the p99-tracked deadline and takes the first
 // verified answer. See EXPERIMENTS.md for the protocol.
-func frontTail(ctx context.Context, h *Harness) (*Table, error) {
-	const (
-		shards   = 2
-		replicas = 2
-		workers  = 4
-	)
-	t := &Table{
-		ID:    "frontR1",
-		Title: "Front plane: tail latency under one slow replica, hedged vs unhedged",
-		Columns: []string{"n", "KxR", "queries", "slow", "p99-unhedged", "p99-hedged",
-			"p99 ratio", "qps-unhedged", "qps-hedged", "hedges", "wins", "verified"},
-		Notes: []string{h.schemeNote(),
-			fmt.Sprintf("%d shard groups x %d replicas on loopback HTTP; one replica of shard 0 delayed by 'slow' (10x the calibrated healthy p99, floor 25ms) on every query route", shards, replicas),
-			fmt.Sprintf("workload: mixed top-k/bottom-k/range/kNN single queries, %d concurrent clients, every answer verified client-side", workers),
-			"hedged arm: HedgeFraction 1.0, 2ms deadline floor; both arms drive the identical query sequence"},
-	}
-	n := h.Cfg.AblationSizes[len(h.Cfg.AblationSizes)-1]
-	tbl, dom, err := workload.Lines(workload.LinesConfig{
-		N: n, Seed: h.Cfg.Seed, Dist: h.Cfg.Dist, Density: h.Cfg.Density,
+func frontRow(ctx context.Context, h *Harness, p point, bs []*built) ([]string, error) {
+	b := bs[0]
+	// Replica 1 of shard 0 sleeps for slowNS on every query route once
+	// calibration sets it — the bench's stand-in for a replica with a
+	// saturated disk or a GC-pausing neighbor. Control routes (/params)
+	// stay fast so composition and probing see a live, compatible replica.
+	var slowNS atomic.Int64
+	groups, stop, err := loopback(b.Set.Trees, frontReplicas, func(tree, replica int, hd http.Handler) http.Handler {
+		if tree != 0 || replica != 1 {
+			return hd
+		}
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if d := time.Duration(slowNS.Load()); d > 0 && strings.HasPrefix(r.URL.Path, "/query") {
+				time.Sleep(d)
+			}
+			hd.ServeHTTP(w, r)
+		})
 	})
 	if err != nil {
 		return nil, err
 	}
-	res, err := build.Outsource(ctx,
-		build.Spec{Table: tbl, Template: funcs.AffineLine(0, 1), Domain: dom, Signer: h.signer},
-		build.WithMode(core.MultiSignature),
-		build.WithShuffle(h.Cfg.Seed),
-		build.WithWorkers(h.Cfg.Workers),
-		build.WithShards(shards, 0))
-	if err != nil {
-		return nil, fmt.Errorf("bench: frontR1 build: %w", err)
-	}
+	defer stop()
 
-	// One HTTP server per (shard, replica); replica 1 of shard 0 sleeps
-	// for slowNS on every query route once calibration sets it.
-	var slowNS atomic.Int64
-	groups := make([][]string, shards)
-	var servers []*httptest.Server
-	defer func() {
-		for _, ts := range servers {
-			ts.Close()
-		}
-	}()
-	for si, tree := range res.Set.Trees {
-		srv, err := server.New(server.IFMH{Tree: tree})
-		if err != nil {
-			return nil, err
-		}
-		hd, err := transport.NewIFMHHandler(srv, tree.Public())
-		if err != nil {
-			return nil, err
-		}
-		for ri := 0; ri < replicas; ri++ {
-			var handler http.Handler = hd
-			if si == 0 && ri == 1 {
-				handler = slowQueries{h: hd, delayNS: &slowNS}
-			}
-			ts := httptest.NewServer(handler)
-			servers = append(servers, ts)
-			groups[si] = append(groups[si], ts.URL)
-		}
-	}
-
-	qs := fanoutBatch(dom, 25*h.Cfg.Reps, h.Cfg.Seed)
-	verify := backend.WithVerify(res.Public)
+	qs := mixedQueries(b.domain, 25*h.Cfg.Reps, h.Cfg.Seed)
+	verify := backend.WithVerify(b.Public)
 
 	// Calibrate the healthy tail with the delay still zero, then slow the
 	// one replica by 10x the healthy p99 — the injected delay must clear
 	// the contention tail of the healthy replicas, or "slow" is
 	// indistinguishable from an ordinary bad draw (floor 25ms for fast
 	// loopbacks).
-	cal, err := driveFront(ctx, groups, 0, qs[:min(len(qs), 50)], workers, verify)
+	cal, err := driveFront(ctx, groups, 0, qs[:min(len(qs), 50)], verify)
 	if err != nil {
 		return nil, err
 	}
-	slow := 10 * percentileDur(cal.lats, 0.99)
-	if slow < 25*time.Millisecond {
-		slow = 25 * time.Millisecond
-	}
+	slow := max(time.Duration(10*cal.p99ms*float64(time.Millisecond)), 25*time.Millisecond)
 	slowNS.Store(int64(slow))
 
-	unhedged, err := driveFront(ctx, groups, 0, qs, workers, verify)
+	unhedged, err := driveFront(ctx, groups, 0, qs, verify)
 	if err != nil {
 		return nil, err
 	}
-	hedged, err := driveFront(ctx, groups, 1.0, qs, workers, verify)
+	hedged, err := driveFront(ctx, groups, 1.0, qs, verify)
 	if err != nil {
 		return nil, err
 	}
 	verified := "ok"
-	if unhedged.failed+hedged.failed > 0 {
-		verified = fmt.Sprintf("FAILED %d", unhedged.failed+hedged.failed)
+	if failed := unhedged.failed + hedged.failed; failed > 0 {
+		verified = fmt.Sprintf("FAILED %d", failed)
 	}
-	p99u, p99h := percentileDur(unhedged.lats, 0.99), percentileDur(hedged.lats, 0.99)
-	t.AddRow(fmt.Sprint(n), fmt.Sprintf("%dx%d", shards, replicas), fmt.Sprint(len(qs)),
+	return []string{fmtInt(p.n), fmt.Sprintf("%dx%d", frontShards, frontReplicas), fmtInt(len(qs)),
 		fmt.Sprint(slow.Round(time.Millisecond)),
-		fmt.Sprintf("%.1fms", float64(p99u)/1e6), fmt.Sprintf("%.1fms", float64(p99h)/1e6),
-		fmt.Sprintf("%.2f", float64(p99h)/float64(p99u)),
+		fmt.Sprintf("%.1fms", unhedged.p99ms), fmt.Sprintf("%.1fms", hedged.p99ms),
+		fmt.Sprintf("%.2f", hedged.p99ms/unhedged.p99ms),
 		fmt.Sprintf("%.0f", unhedged.qps), fmt.Sprintf("%.0f", hedged.qps),
-		fmt.Sprint(hedged.snap.Hedges()), fmt.Sprint(hedged.snap.HedgeWins()), verified)
-	return t, nil
-}
-
-// slowQueries delays every query route by the held duration — the
-// bench's stand-in for a replica with a saturated disk or a GC-pausing
-// neighbor. Control routes (/params) stay fast so composition and
-// probing see a live, compatible replica.
-type slowQueries struct {
-	h       http.Handler
-	delayNS *atomic.Int64
-}
-
-func (s slowQueries) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if d := time.Duration(s.delayNS.Load()); d > 0 && strings.HasPrefix(r.URL.Path, "/query") {
-		time.Sleep(d)
-	}
-	s.h.ServeHTTP(w, r)
+		fmt.Sprint(hedged.snap.Hedges()), fmt.Sprint(hedged.snap.HedgeWins()), verified}, nil
 }
 
 // frontRun is one measured arm.
 type frontRun struct {
-	lats   []time.Duration
+	p99ms  float64
 	qps    float64
 	failed int
 	snap   front.Snapshot
@@ -161,8 +101,8 @@ type frontRun struct {
 
 // driveFront dials a fresh Frontend over the groups (fresh latency
 // digest and counters per arm) and drives the query sequence through it
-// with the given concurrency, verifying every answer.
-func driveFront(ctx context.Context, groups [][]string, hedge float64, qs []query.Query, workers int, verify backend.Option) (frontRun, error) {
+// from frontClients concurrent clients, verifying every answer.
+func driveFront(ctx context.Context, groups [][]string, hedge float64, qs []query.Query, verify backend.Option) (frontRun, error) {
 	f, _, err := front.DialFront(groups, front.HTTPClient(), front.Options{
 		HedgeFraction: hedge,
 		HedgeAfterMin: 2 * time.Millisecond,
@@ -174,57 +114,30 @@ func driveFront(ctx context.Context, groups [][]string, hedge float64, qs []quer
 	defer f.Close()
 
 	var (
-		next   atomic.Int64
-		failed atomic.Int64
-		mu     sync.Mutex
-		lats   []time.Duration
-		wg     sync.WaitGroup
+		next, failed atomic.Int64
+		wg           sync.WaitGroup
 	)
+	latsMS := make([]float64, len(qs)) // each client writes only the slots it claimed
 	start := time.Now()
-	for w := 0; w < workers; w++ {
+	for w := 0; w < frontClients; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var mine []time.Duration
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(qs) {
-					break
-				}
+			for i := int(next.Add(1)) - 1; i < len(qs); i = int(next.Add(1)) - 1 {
 				t0 := time.Now()
 				if _, err := f.Query(ctx, qs[i], verify); err != nil {
 					failed.Add(1)
 				}
-				mine = append(mine, time.Since(t0))
+				latsMS[i] = time.Since(t0).Seconds() * 1e3
 			}
-			mu.Lock()
-			lats = append(lats, mine...)
-			mu.Unlock()
 		}()
 	}
 	wg.Wait()
 	secs := time.Since(start).Seconds()
 	return frontRun{
-		lats:   lats,
+		p99ms:  stats.Percentile(latsMS, 99),
 		qps:    float64(len(qs)) / secs,
 		failed: int(failed.Load()),
 		snap:   f.Snapshot(),
 	}, nil
-}
-
-// percentileDur returns the q-quantile of the sample by sorting a copy.
-func percentileDur(lats []time.Duration, q float64) time.Duration {
-	if len(lats) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), lats...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	i := int(q*float64(len(s))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return s[i]
 }

@@ -1,60 +1,48 @@
 package bench
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"slices"
 	"time"
 
+	"aqverify/internal/backend"
 	"aqverify/internal/build"
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/hashing"
-	"aqverify/internal/mesh"
-	"aqverify/internal/metrics"
+	"aqverify/internal/query"
 	"aqverify/internal/record"
+	"aqverify/internal/server"
 	"aqverify/internal/sig"
+	"aqverify/internal/transport"
+	"aqverify/internal/wire"
 	"aqverify/internal/workload"
 )
 
-// BuildStat captures one structure's construction cost — Fig 5's metrics.
-type BuildStat struct {
-	Seconds    float64
-	Signatures int
-	Hashes     uint64
-	Bytes      int
-}
-
-// Env caches the structures built for one database size, shared across
-// every figure that sweeps n.
-type Env struct {
-	N        int
-	Table    record.Table
-	Domain   geometry.Box
-	Template funcs.Template
-
-	One   *core.Tree
-	Multi *core.Tree
-	Mesh  *mesh.Mesh
-
-	// Build stats keyed "one", "multi", "mesh".
-	Builds map[string]BuildStat
-}
-
-// Harness owns the signer, the per-size environments and the timing
-// calibrations shared by all figure runners.
+// Harness owns the signer, the memoised fixtures and the timing
+// calibrations shared by every figure.
 type Harness struct {
 	Cfg    Config
 	signer sig.Signer
-	envs   map[int]*Env
 
+	fixtures map[fixture]*built
+	// verified memoises the client-side measurement per sweep point:
+	// Figs 7a-7d are four views of one timed run, so their cells stay
+	// mutually consistent (and the run is paid once).
+	verified     map[point][]sample
 	perHashSec   float64
 	perVerifySec map[sig.Scheme]float64
-	fig7cache    []fig7row
 }
 
 // NewHarness validates the config and prepares a harness. Structures are
-// built lazily per database size.
+// built lazily, on a figure's first request for them.
 func NewHarness(cfg Config) (*Harness, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -66,77 +54,235 @@ func NewHarness(cfg Config) (*Harness, error) {
 	return &Harness{
 		Cfg:          cfg,
 		signer:       signer,
-		envs:         make(map[int]*Env),
+		fixtures:     make(map[fixture]*built),
+		verified:     make(map[point][]sample),
 		perVerifySec: make(map[sig.Scheme]float64),
 	}, nil
 }
 
-// Env returns (building on first use) the environment for database size n.
-func (h *Harness) Env(ctx context.Context, n int) (*Env, error) {
-	if e, ok := h.envs[n]; ok {
-		return e, nil
+// fixture is the small key every figure reduces its set-up to: what
+// distinguishes one build in this package from another. The zero value
+// of each field is the common case — a shuffled, delta-layout,
+// one-signature tree over the configured Lines distribution.
+type fixture struct {
+	n    int
+	dist workload.Distribution // "" = Cfg.Dist
+	// dim 0 is the slope/intercept Lines workload under AffineLine;
+	// d > 0 is A4's d-weight Points workload under ScalarProduct.
+	dim         int
+	mode        core.Mode
+	mesh        bool   // the signature-mesh baseline instead of an IFMH product
+	shards      int    // 0 = one tree (Result.Tree); K >= 1 = a K-shard set (Result.Set)
+	quantile    bool   // cut shards with build.QuantileCuts instead of the default even cuts
+	inorder     bool   // skip the insertion shuffle (A2's in-order arm)
+	materialize bool   // the paper-literal per-subdomain lists (A1)
+	epoch       uint64 // pinned publication epoch (mutM1's rebuild); 0 = the build plane's default
+	// once opts out of the memo: A1's materialized arm is O(S·n) memory
+	// nobody should hold for the rest of the run, and cacheC1's cache
+	// wrap installs a permutation tier on the tree it is handed.
+	once bool
+}
+
+// built is a fixture's product with the inputs it was built from (query
+// generators need them) and the wall time of the Outsource call alone,
+// which is what every build-time column reports.
+type built struct {
+	*build.Result
+	table    record.Table
+	template funcs.Template
+	domain   geometry.Box
+	seconds  float64
+}
+
+// build returns the fixture's product, generating its table and
+// outsourcing it on first use. Fixtures are memoised for the harness's
+// lifetime, so figures that share a structure (the thirteen paper
+// figures; shardS1, fanoutF1 and frontR1; the one-signature planes)
+// share one build and report one build time.
+func (h *Harness) build(ctx context.Context, fx fixture) (*built, error) {
+	if fx.dist == "" {
+		fx.dist = h.Cfg.Dist // before the lookup: one key per structure
 	}
-	tbl, dom, err := workload.Lines(workload.LinesConfig{
-		N: n, Seed: h.Cfg.Seed, Dist: h.Cfg.Dist, Density: h.Cfg.Density,
-	})
+	if b, ok := h.fixtures[fx]; ok {
+		return b, nil
+	}
+	var (
+		tbl record.Table
+		dom geometry.Box
+		tpl funcs.Template
+		err error
+	)
+	if fx.dim > 0 {
+		tpl = funcs.ScalarProduct(fx.dim)
+		tbl, dom, err = workload.Points(workload.PointsConfig{N: fx.n, Dim: fx.dim, Seed: h.Cfg.Seed, Dist: fx.dist})
+	} else {
+		tpl = funcs.AffineLine(0, 1)
+		tbl, dom, err = workload.Lines(workload.LinesConfig{N: fx.n, Seed: h.Cfg.Seed, Dist: fx.dist, Density: h.Cfg.Density})
+	}
 	if err != nil {
 		return nil, err
 	}
-	e := &Env{
-		N: n, Table: tbl, Domain: dom,
-		Template: funcs.AffineLine(0, 1),
-		Builds:   make(map[string]BuildStat),
-	}
-
-	spec := build.Spec{Table: tbl, Template: e.Template, Domain: dom, Signer: h.signer}
-	buildTree := func(mode core.Mode) (*core.Tree, BuildStat, error) {
-		var ctr metrics.Counter
-		start := time.Now()
-		res, err := build.Outsource(ctx, spec,
-			build.WithMode(mode),
-			build.WithHasher(hashing.New(&ctr)),
-			build.WithShuffle(h.Cfg.Seed),
-			build.WithWorkers(h.Cfg.Workers))
-		if err != nil {
-			return nil, BuildStat{}, err
-		}
-		st := BuildStat{
-			Seconds:    time.Since(start).Seconds(),
-			Signatures: res.Tree.SignatureCount(),
-			Hashes:     ctr.Hashes,
-			Bytes:      res.Tree.Stats().ApproxBytes,
-		}
-		return res.Tree, st, nil
-	}
-	var st BuildStat
-	if e.One, st, err = buildTree(core.OneSignature); err != nil {
-		return nil, fmt.Errorf("bench: n=%d one-signature: %w", n, err)
-	}
-	e.Builds["one"] = st
-	if e.Multi, st, err = buildTree(core.MultiSignature); err != nil {
-		return nil, fmt.Errorf("bench: n=%d multi-signature: %w", n, err)
-	}
-	e.Builds["multi"] = st
-
-	var mctr metrics.Counter
-	start := time.Now()
-	meshRes, err := build.Outsource(ctx, spec,
-		build.WithMesh(),
-		build.WithHasher(hashing.New(&mctr)),
-		build.WithWorkers(h.Cfg.Workers))
+	b, err := h.outsource(ctx, fx, tbl, tpl, dom)
 	if err != nil {
-		return nil, fmt.Errorf("bench: n=%d mesh: %w", n, err)
+		return nil, err
 	}
-	e.Mesh = meshRes.Mesh
-	e.Builds["mesh"] = BuildStat{
-		Seconds:    time.Since(start).Seconds(),
-		Signatures: e.Mesh.SignatureCount(),
-		Hashes:     mctr.Hashes,
-		Bytes:      e.Mesh.Stats().ApproxBytes,
+	if !fx.once {
+		h.fixtures[fx] = b
 	}
+	return b, nil
+}
 
-	h.envs[n] = e
-	return e, nil
+// outsource is the package's one build.Outsource call: the fixture's
+// options over the given table, timed. build goes through it; mutM1
+// calls it directly to rebuild a mutated table no key can name.
+func (h *Harness) outsource(ctx context.Context, fx fixture, tbl record.Table, tpl funcs.Template, dom geometry.Box) (*built, error) {
+	opts := []build.Option{build.WithWorkers(h.Cfg.Workers)}
+	if fx.mesh {
+		opts = append(opts, build.WithMesh())
+	} else {
+		opts = append(opts, build.WithMode(fx.mode))
+		if !fx.inorder {
+			opts = append(opts, build.WithShuffle(h.Cfg.Seed))
+		}
+	}
+	if fx.materialize {
+		opts = append(opts, build.WithMaterialize())
+	}
+	if fx.shards > 0 {
+		opts = append(opts, build.WithShards(fx.shards, 0))
+	}
+	if fx.quantile {
+		opts = append(opts, build.WithPlanner(build.QuantileCuts))
+	}
+	if fx.epoch != 0 {
+		opts = append(opts, build.WithEpoch(fx.epoch))
+	}
+	start := time.Now()
+	res, err := build.Outsource(ctx, build.Spec{Table: tbl, Template: tpl, Domain: dom, Signer: h.signer}, opts...)
+	if err != nil {
+		return nil, fmt.Errorf("outsource %+v: %w", fx, err)
+	}
+	return &built{Result: res, table: tbl, template: tpl, domain: dom, seconds: time.Since(start).Seconds()}, nil
+}
+
+// loopback serves every tree on `replicas` loopback listeners — server.New
+// → transport.NewIFMHHandler → an httptest server, the vqserve stack
+// minus the process boundary — and returns the URLs grouped per tree
+// (the shape DialGroups and DialFront take) with the one closer for all
+// of them. wrap, when non-nil, decorates the handler of (tree, replica);
+// frontR1 slows one replica through it.
+func loopback(trees []*core.Tree, replicas int, wrap func(tree, replica int, h http.Handler) http.Handler) ([][]string, func(), error) {
+	var servers []*httptest.Server
+	stop := func() {
+		for _, ts := range servers {
+			ts.Close()
+		}
+	}
+	groups := make([][]string, len(trees))
+	for i, tree := range trees {
+		srv, err := server.New(server.IFMH{Tree: tree})
+		if err != nil {
+			stop()
+			return nil, nil, err
+		}
+		hd, err := transport.NewIFMHHandler(srv, tree.Public())
+		if err != nil {
+			stop()
+			return nil, nil, err
+		}
+		for r := 0; r < replicas; r++ {
+			var handler http.Handler = hd
+			if wrap != nil {
+				handler = wrap(i, r, hd)
+			}
+			ts := httptest.NewServer(handler)
+			servers = append(servers, ts)
+			groups[i] = append(groups[i], ts.URL)
+		}
+	}
+	return groups, stop, nil
+}
+
+// mixedQueries spreads every query kind uniformly across the domain,
+// shard cuts included implicitly by the uniform sweep. It is the batch
+// the serving figures time and the sample every identity column checks.
+func mixedQueries(dom geometry.Box, n int, seed int64) []query.Query {
+	rng := rand.New(rand.NewSource(seed))
+	qs := make([]query.Query, 0, n)
+	for len(qs) < n {
+		x := geometry.Point{dom.Lo[0] + rng.Float64()*(dom.Hi[0]-dom.Lo[0])}
+		switch len(qs) % 4 {
+		case 0:
+			qs = append(qs, query.NewTopK(x, 1+rng.Intn(8)))
+		case 1:
+			qs = append(qs, query.NewBottomK(x, 1+rng.Intn(8)))
+		case 2:
+			qs = append(qs, query.NewRange(x, -2, 2))
+		default:
+			qs = append(qs, query.NewKNN(x, 1+rng.Intn(8), rng.NormFloat64()))
+		}
+	}
+	return qs
+}
+
+// identical is the package's one identity verdict over two answer
+// sources, each a QueryBatch-shaped (answers, errors) pair parallel to
+// the same queries. "ok" needs
+// outcome parity on every item, no verification failure on either side,
+// and the same result record ids in the same order — or, bytewise, the
+// same wire-encoded answer, VO and signatures included. The engine
+// turns any other verdict into the figure's failure (Figure.Run).
+func identical(a []backend.Answer, aerrs []error, b []backend.Answer, berrs []error, bytewise bool) string {
+	same := func(i int) bool {
+		ea, eb := aerrs[i], berrs[i]
+		if errors.Is(ea, core.ErrVerification) || errors.Is(eb, core.ErrVerification) || (ea == nil) != (eb == nil) {
+			return false
+		}
+		if ea != nil {
+			return true // refused alike
+		}
+		if bytewise {
+			return bytes.Equal(a[i].Raw, b[i].Raw)
+		}
+		da, erra := wire.DecodeIFMH(a[i].Raw)
+		db, errb := wire.DecodeIFMH(b[i].Raw)
+		return erra == nil && errb == nil && slices.EqualFunc(da.Records, db.Records,
+			func(x, y record.Record) bool { return x.ID == y.ID })
+	}
+	ok := len(a) == len(b)
+	for i := 0; ok && i < len(a); i++ {
+		ok = same(i)
+	}
+	if !ok {
+		return "MISMATCH"
+	}
+	return "ok"
+}
+
+// identity answers Cfg.Reps mixed queries in-process on both products,
+// each verified against its own published bundle, and returns the
+// verdict. a must come from Outsource (its plan names the domain the
+// sample is drawn from); b may be applied, loaded or re-planned.
+func (h *Harness) identity(ctx context.Context, a, b *build.Result, bytewise bool) (string, error) {
+	qs := mixedQueries(a.Plan.Domain, h.Cfg.Reps, h.Cfg.Seed)
+	var answers [2][]backend.Answer
+	var errs [2][]error
+	for i, res := range []*build.Result{a, b} {
+		be, err := inProcess(res)
+		if err != nil {
+			return "", err
+		}
+		answers[i], errs[i] = be.QueryBatch(ctx, qs, backend.WithVerify(res.Public))
+	}
+	return identical(answers[0], errs[0], answers[1], errs[1], bytewise), nil
+}
+
+// inProcess is the bare in-process backend over a tree or a shard set.
+func inProcess(res *build.Result) (backend.Backend, error) {
+	if res.Set != nil {
+		return server.NewShardedIFMH(res.Set)
+	}
+	return backend.NewLocal(res.Tree)
 }
 
 // PerHashSeconds measures (once) the cost of one tagged SHA-256 over
@@ -153,7 +299,6 @@ func (h *Harness) PerHashSeconds() float64 {
 		a = hs.Node(a, b)
 	}
 	h.perHashSec = time.Since(start).Seconds() / reps
-	_ = a
 	return h.perHashSec
 }
 
@@ -186,17 +331,17 @@ func (h *Harness) PerVerifySeconds(scheme sig.Scheme) (float64, error) {
 	return v, nil
 }
 
-// schemeNote is appended to every table so readers know the crypto
+// schemeNote heads every table's notes so readers know the crypto
 // configuration behind absolute numbers.
 func (h *Harness) schemeNote() string {
-	bits := h.Cfg.RSABits
-	if bits == 0 {
-		bits = 2048
-	}
+	scheme := string(h.Cfg.Scheme)
 	if h.Cfg.Scheme == sig.RSA {
-		return fmt.Sprintf("scheme=RSA-%d, density=%.1f subdomains/record, dist=%s, reps=%d",
-			bits, h.Cfg.Density, h.Cfg.Dist, h.Cfg.Reps)
+		bits := h.Cfg.RSABits
+		if bits == 0 {
+			bits = 2048
+		}
+		scheme = fmt.Sprintf("RSA-%d", bits)
 	}
 	return fmt.Sprintf("scheme=%s, density=%.1f subdomains/record, dist=%s, reps=%d",
-		h.Cfg.Scheme, h.Cfg.Density, h.Cfg.Dist, h.Cfg.Reps)
+		scheme, h.Cfg.Density, h.Cfg.Dist, h.Cfg.Reps)
 }

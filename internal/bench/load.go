@@ -1,116 +1,46 @@
 package bench
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"math/rand"
 	"os"
 	"time"
 
 	"aqverify/internal/artifact"
-	"aqverify/internal/build"
-	"aqverify/internal/core"
-	"aqverify/internal/funcs"
-	"aqverify/internal/metrics"
-	"aqverify/internal/query"
-	"aqverify/internal/wire"
-	"aqverify/internal/workload"
 )
 
-// loadScaling measures the artifact plane's headline ratio: booting a
+// loadRow measures the artifact plane's headline ratio: booting a
 // server from a saved artifact (internal/artifact — memory-mapped
 // blobs, hashes and signatures reused, nothing re-signed) against the
-// cold rebuild it replaces, at each ablation size. Both paths end in a
-// serving tree; the identity column answers sampled queries on each and
-// requires the wire-encoded answers — records, VO, signatures — to be
-// byte-for-byte equal, so the speedup is bought with zero drift.
-func loadScaling(ctx context.Context, h *Harness) (*Table, error) {
-	t := &Table{
-		ID:    "loadA1",
-		Title: "Artifact plane: cold rebuild vs artifact load",
-		Columns: []string{"n", "build-sec", "save-sec", "load-sec",
-			"speedup", "identity"},
-		Notes: []string{h.schemeNote(),
-			"build-sec: full Outsource from the raw table; load-sec: artifact.Open of the saved directory (mmap + integrity checks + reconstruction)",
-			"speedup: build-sec / load-sec — what a restart skips by loading instead of rebuilding",
-			"identity: sampled queries answered by the loaded tree match the built tree byte-for-byte (wire-encoded answer, VO and signatures included)"},
+// cold rebuild it replaces. Both paths end in a serving tree; the
+// identity column answers sampled queries on each and requires the
+// wire-encoded answers — records, VO, signatures — to be byte-for-byte
+// equal, so the speedup is bought with zero drift.
+func loadRow(ctx context.Context, h *Harness, p point, bs []*built) ([]string, error) {
+	b := bs[0]
+	dir, err := os.MkdirTemp("", "aqverify-loadA1-*")
+	if err != nil {
+		return nil, err
 	}
-	for _, n := range h.Cfg.AblationSizes {
-		tbl, dom, err := workload.Lines(workload.LinesConfig{
-			N: n, Seed: h.Cfg.Seed, Dist: h.Cfg.Dist, Density: h.Cfg.Density,
-		})
-		if err != nil {
-			return nil, err
-		}
-		spec := build.Spec{Table: tbl, Template: funcs.AffineLine(0, 1), Domain: dom, Signer: h.signer}
-		opts := []build.Option{
-			build.WithMode(core.OneSignature),
-			build.WithShuffle(h.Cfg.Seed),
-			build.WithWorkers(h.Cfg.Workers),
-		}
-		start := time.Now()
-		res, err := build.Outsource(ctx, spec, opts...)
-		if err != nil {
-			return nil, fmt.Errorf("bench: n=%d build: %w", n, err)
-		}
-		buildSecs := time.Since(start).Seconds()
-
-		dir, err := os.MkdirTemp("", "aqverify-loadA1-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		start = time.Now()
-		if _, err := artifact.Save(dir, res); err != nil {
-			return nil, fmt.Errorf("bench: n=%d save: %w", n, err)
-		}
-		saveSecs := time.Since(start).Seconds()
-
-		start = time.Now()
-		a, err := artifact.Open(dir)
-		if err != nil {
-			return nil, fmt.Errorf("bench: n=%d load: %w", n, err)
-		}
-		loadSecs := time.Since(start).Seconds()
-		identity, err := loadIdentity(res.Tree, a.Result.Tree, h.Cfg.Reps, h.Cfg.Seed)
-		a.Close()
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprint(n),
-			fmt.Sprintf("%.4f", buildSecs), fmt.Sprintf("%.4f", saveSecs),
-			fmt.Sprintf("%.4f", loadSecs),
-			fmt.Sprintf("%.1fx", buildSecs/loadSecs), identity)
+	defer os.RemoveAll(dir)
+	start := time.Now()
+	if _, err := artifact.Save(dir, b.Result); err != nil {
+		return nil, fmt.Errorf("save: %w", err)
 	}
-	return t, nil
-}
+	saveSecs := time.Since(start).Seconds()
 
-// loadIdentity answers reps sampled queries on the built and the loaded
-// tree and compares the wire-encoded answers byte for byte.
-func loadIdentity(built, loaded *core.Tree, reps int, seed int64) (string, error) {
-	dom := built.Domain()
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < reps; i++ {
-		x := dom.Lo[0] + rng.Float64()*(dom.Hi[0]-dom.Lo[0])
-		var q query.Query
-		if i%2 == 0 {
-			q = query.NewTopK([]float64{x}, 1+rng.Intn(8))
-		} else {
-			q = query.NewRange([]float64{x}, -1, 1)
-		}
-		var ctr metrics.Counter
-		a1, err1 := built.Process(q, &ctr)
-		a2, err2 := loaded.Process(q, &ctr)
-		if (err1 == nil) != (err2 == nil) {
-			return "MISMATCH", nil
-		}
-		if err1 != nil {
-			continue
-		}
-		if !bytes.Equal(wire.EncodeIFMH(a1), wire.EncodeIFMH(a2)) {
-			return "MISMATCH", nil
-		}
+	start = time.Now()
+	a, err := artifact.Open(dir)
+	if err != nil {
+		return nil, fmt.Errorf("load: %w", err)
 	}
-	return "ok", nil
+	loadSecs := time.Since(start).Seconds()
+	defer a.Close()
+	verdict, err := h.identity(ctx, b.Result, a.Result, true)
+	if err != nil {
+		return nil, err
+	}
+	secs := func(v float64) string { return fmt.Sprintf("%.4f", v) }
+	return []string{fmtInt(p.n), secs(b.seconds), secs(saveSecs), secs(loadSecs),
+		fmt.Sprintf("%.1fx", b.seconds/loadSecs), verdict}, nil
 }

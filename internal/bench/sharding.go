@@ -3,198 +3,62 @@ package bench
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"time"
 
-	"aqverify/internal/build"
 	"aqverify/internal/core"
-	"aqverify/internal/funcs"
-	"aqverify/internal/metrics"
-	"aqverify/internal/query"
-	"aqverify/internal/shard"
-	"aqverify/internal/workload"
 )
 
-// shardScaling measures the domain-sharded builder against the single
-// tree: for each ablation size and each shard count K it builds a
-// K-shard set, reports the wall-clock build time, the per-shard and
-// total subdomain counts, and the signature count, then cross-checks a
-// sample of routed queries against the K=1 answers — every verdict and
-// every result window must be identical, the identity the shard
-// subsystem promises. On a 1-CPU host the build-time column shows
-// overhead only; record speedup curves on a multicore runner (see
-// EXPERIMENTS.md).
-func shardScaling(ctx context.Context, h *Harness) (*Table, error) {
-	t := &Table{
-		ID:    "shardS1",
-		Title: "Sharding: build cost and subdomain split by shard count",
-		Columns: []string{"n", "K", "build-sec", "subdomains-total",
-			"subdomains-max-shard", "signatures", "identity"},
-		Notes: []string{h.schemeNote(),
-			"identity: sampled routed queries answered by the K-shard set match the K=1 build record-for-record"},
-	}
-	for _, n := range h.Cfg.AblationSizes {
-		tbl, dom, err := workload.Lines(workload.LinesConfig{
-			N: n, Seed: h.Cfg.Seed, Dist: h.Cfg.Dist, Density: h.Cfg.Density,
-		})
-		if err != nil {
-			return nil, err
-		}
-		spec := build.Spec{Table: tbl, Template: funcs.AffineLine(0, 1), Domain: dom, Signer: h.signer}
-		buildSet := func(k int) (*shard.Set, float64, error) {
-			start := time.Now()
-			res, err := build.Outsource(ctx, spec,
-				build.WithMode(core.MultiSignature),
-				build.WithShuffle(h.Cfg.Seed),
-				build.WithWorkers(h.Cfg.Workers),
-				build.WithShards(k, 0))
-			if err != nil {
-				return nil, 0, fmt.Errorf("bench: n=%d K=%d: %w", n, k, err)
-			}
-			return res.Set, time.Since(start).Seconds(), nil
-		}
-		// The identity baseline is always a true K=1 build, whatever
-		// shard counts the sweep was configured with; a K=1 sweep row
-		// reuses it (and its timing) instead of rebuilding.
-		baseline, baseSecs, err := buildSet(1)
-		if err != nil {
-			return nil, err
-		}
-		for _, k := range h.Cfg.ShardCounts {
-			set, secs := baseline, baseSecs
-			if k != 1 {
-				if set, secs, err = buildSet(k); err != nil {
-					return nil, err
-				}
-			}
-			subsTotal, subsMax := 0, 0
-			for _, st := range set.Stats() {
-				subsTotal += st.Subdomains
-				if st.Subdomains > subsMax {
-					subsMax = st.Subdomains
-				}
-			}
-			identity, err := shardIdentity(baseline, set, h.Cfg.Reps, h.Cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(fmt.Sprint(n), fmt.Sprint(k),
-				fmt.Sprintf("%.3f", secs), fmt.Sprint(subsTotal),
-				fmt.Sprint(subsMax), fmt.Sprint(set.SignatureCount()), identity)
-		}
-	}
-	return t, nil
+// shardSet is the fixture both sharding figures, fanoutF1 and frontR1
+// build: a K-shard multi-signature set over the configured workload.
+func shardSet(n, k int) fixture {
+	return fixture{n: n, mode: core.MultiSignature, shards: k}
 }
 
-// planScaling compares the build plane's two shard planners on a skewed
+// subdomainSpread returns the total, smallest and largest per-shard
+// subdomain counts of a set.
+func subdomainSpread(stats []core.Stats) (total, lo, hi int) {
+	lo = stats[0].Subdomains // a set has at least one shard
+	for _, st := range stats {
+		total += st.Subdomains
+		lo, hi = min(lo, st.Subdomains), max(hi, st.Subdomains)
+	}
+	return total, lo, hi
+}
+
+// shardRow measures the domain-sharded builder against the single tree:
+// the K-shard set's wall-clock build time, its per-shard and total
+// subdomain counts and its signature count, then a sample of routed
+// queries cross-checked against the K=1 answers — every verdict and
+// every result window must be identical, the identity the shard
+// subsystem promises. On this 2-CPU host the build-time column is a
+// sanity point, not a speedup curve (see EXPERIMENTS.md).
+func shardRow(ctx context.Context, h *Harness, p point, b []*built) ([]string, error) {
+	base, set := b[0], b[1]
+	total, _, hi := subdomainSpread(set.Set.Stats())
+	verdict, err := h.identity(ctx, base.Result, set.Result, false)
+	if err != nil {
+		return nil, err
+	}
+	return []string{fmtInt(p.n), fmtInt(p.k), fmt.Sprintf("%.3f", set.seconds),
+		fmtInt(total), fmtInt(hi), fmtInt(set.Set.SignatureCount()), verdict}, nil
+}
+
+// planRow compares the build plane's two shard planners on a skewed
 // workload: clustered attributes concentrate the pairwise breakpoints,
 // so even cuts leave one shard owning most subdomains while quantile
-// cuts split the breakpoint mass evenly. The figure reports each
-// planner's per-shard subdomain spread (max/min over the K shards) and
+// cuts split the breakpoint mass evenly. It reports the planner's
+// per-shard subdomain spread (max/min over the K shards) and
 // cross-checks routed answers against the K=1 build — rebalancing must
 // never change a verdict or a result window.
-func planScaling(ctx context.Context, h *Harness) (*Table, error) {
-	t := &Table{
-		ID:    "planQ1",
-		Title: "Shard planners: even vs quantile cuts on a clustered workload",
-		Columns: []string{"n", "K", "planner", "subdomains-min-shard",
-			"subdomains-max-shard", "max/min", "identity"},
-		Notes: []string{h.schemeNote(),
-			"dist=clustered regardless of -dist: the skew the quantile planner exists for",
-			"identity: sampled routed queries answered by the planned set match the K=1 build record-for-record"},
-	}
-	planners := []struct {
-		name string
-		p    build.Planner
-	}{{"even", build.EvenCuts}, {"quantile", build.QuantileCuts}}
-	for _, n := range h.Cfg.AblationSizes {
-		tbl, dom, err := workload.Lines(workload.LinesConfig{
-			N: n, Seed: h.Cfg.Seed, Dist: workload.Clustered, Density: h.Cfg.Density,
-		})
-		if err != nil {
-			return nil, err
-		}
-		spec := build.Spec{Table: tbl, Template: funcs.AffineLine(0, 1), Domain: dom, Signer: h.signer}
-		opts := []build.Option{
-			build.WithMode(core.MultiSignature),
-			build.WithShuffle(h.Cfg.Seed),
-			build.WithWorkers(h.Cfg.Workers),
-		}
-		base, err := build.Outsource(ctx, spec, append(opts, build.WithShards(1, 0))...)
-		if err != nil {
-			return nil, fmt.Errorf("bench: n=%d K=1 baseline: %w", n, err)
-		}
-		for _, k := range h.Cfg.ShardCounts {
-			if k == 1 {
-				continue
-			}
-			for _, pl := range planners {
-				res, err := build.Outsource(ctx, spec,
-					append(opts, build.WithShards(k, 0), build.WithPlanner(pl.p))...)
-				if err != nil {
-					return nil, fmt.Errorf("bench: n=%d K=%d %s: %w", n, k, pl.name, err)
-				}
-				subsMin, subsMax := -1, 0
-				for _, st := range res.Set.Stats() {
-					if subsMin < 0 || st.Subdomains < subsMin {
-						subsMin = st.Subdomains
-					}
-					if st.Subdomains > subsMax {
-						subsMax = st.Subdomains
-					}
-				}
-				identity, err := shardIdentity(base.Set, res.Set, h.Cfg.Reps, h.Cfg.Seed)
-				if err != nil {
-					return nil, err
-				}
-				ratio := "inf"
-				if subsMin > 0 {
-					ratio = fmt.Sprintf("%.2f", float64(subsMax)/float64(subsMin))
-				}
-				t.AddRow(fmt.Sprint(n), fmt.Sprint(k), pl.name,
-					fmt.Sprint(subsMin), fmt.Sprint(subsMax), ratio, identity)
-			}
-		}
-	}
-	return t, nil
-}
-
-// shardIdentity answers reps random top-k queries on both sets and
-// compares verdicts and result windows.
-func shardIdentity(base, set *shard.Set, reps int, seed int64) (string, error) {
-	rbase, err := shard.NewRouter(base)
+func planRow(ctx context.Context, h *Harness, p point, b []*built) ([]string, error) {
+	base, set := b[0], b[1]
+	_, lo, hi := subdomainSpread(set.Set.Stats())
+	verdict, err := h.identity(ctx, base.Result, set.Result, false)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	rset, err := shard.NewRouter(set)
-	if err != nil {
-		return "", err
+	ratio := "inf"
+	if lo > 0 {
+		ratio = fmt.Sprintf("%.2f", float64(hi)/float64(lo))
 	}
-	dom := base.Plan.Domain
-	pub := base.Public()
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < reps; i++ {
-		x := dom.Lo[0] + rng.Float64()*(dom.Hi[0]-dom.Lo[0])
-		q := query.NewTopK([]float64{x}, 1+rng.Intn(8))
-		var ctr metrics.Counter
-		_, a1, err1 := rbase.Process(q, &ctr)
-		_, a2, err2 := rset.Process(q, &ctr)
-		if (err1 == nil) != (err2 == nil) {
-			return "MISMATCH", nil
-		}
-		if err1 != nil {
-			continue
-		}
-		v1 := core.Verify(pub, q, a1.Records, &a1.VO, &ctr)
-		v2 := core.Verify(pub, q, a2.Records, &a2.VO, &ctr)
-		if (v1 == nil) != (v2 == nil) || len(a1.Records) != len(a2.Records) {
-			return "MISMATCH", nil
-		}
-		for j := range a1.Records {
-			if a1.Records[j].ID != a2.Records[j].ID {
-				return "MISMATCH", nil
-			}
-		}
-	}
-	return "ok", nil
+	return []string{fmtInt(p.n), fmtInt(p.k), p.arm, fmtInt(lo), fmtInt(hi), ratio, verdict}, nil
 }

@@ -48,9 +48,6 @@ func (t *Table) CSV() string {
 // fmtInt renders an integer cell.
 func fmtInt(v int) string { return fmt.Sprintf("%d", v) }
 
-// fmtU64 renders a uint64 cell.
-func fmtU64(v uint64) string { return fmt.Sprintf("%d", v) }
-
 // fmtF renders a float cell with sensible precision.
 func fmtF(v float64) string {
 	switch {

@@ -159,9 +159,9 @@ func TestEpochPinAndRefresh(t *testing.T) {
 // pinned client saw an opaque verification failure (the epoch-2 answer
 // checked against epoch-1 parameters) instead of the typed staleness
 // signal. Every batch-shaped client entry point that remains — buffered
-// batch, pipelined stream (inline and pooled verification) and the
-// buffered stream fallback, raw or verifying against the now-stale
-// bundle — must report *backend.EpochError and never ErrVerification.
+// batch and pipelined stream (inline and pooled verification), raw or
+// verifying against the now-stale bundle — must report
+// *backend.EpochError and never ErrVerification.
 func TestStaleAnswerIsEpochErrorOnEveryEntryPoint(t *testing.T) {
 	ctx := context.Background()
 	res, srv, ts, dom := epochFixture(t)
@@ -169,11 +169,6 @@ func TestStaleAnswerIsEpochErrorOnEveryEntryPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fallback, err := DialRemote(ts.URL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fallback.Client().noStream.Store(true) // as after a 404 on /query/stream
 	if err := srv.Swap(server.IFMH{Tree: mutated(t, res, 0).Tree}); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +196,6 @@ func TestStaleAnswerIsEpochErrorOnEveryEntryPoint(t *testing.T) {
 		{"stream raw", stream(r)},
 		{"stream verify inline", stream(r, stale, backend.WithWorkers(1))},
 		{"stream verify pooled", stream(r, stale, backend.WithWorkers(4))},
-		{"fallback stream verify", stream(fallback, stale)},
 	} {
 		for i, err := range tc.errs {
 			var ee *backend.EpochError

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -47,11 +46,6 @@ type HTTPClient struct {
 	// failure. Refresh re-pins it; 0 disables the check (pre-epoch
 	// servers).
 	epoch atomic.Uint64
-	// noStream latches a discovered downgrade: the bundle advertised
-	// streaming but the route 404ed (e.g. a stripping proxy), so later
-	// calls skip the doomed probe and go straight to the buffered
-	// exchange.
-	noStream atomic.Bool
 }
 
 // Dial fetches /params from the base URL and prepares the session.
@@ -113,12 +107,6 @@ func (c *HTTPClient) Base() string { return c.base }
 // Shards returns the server's advertised domain-shard count (0 = single
 // tree). Verification is identical either way.
 func (c *HTTPClient) Shards() int { return c.params.Shards }
-
-// Streams reports whether the server advertises POST /query/stream, the
-// pipelined answer transport, and has not since proven the route
-// missing. Servers that predate it do not advertise, and clients fall
-// back to the buffered batch exchange.
-func (c *HTTPClient) Streams() bool { return c.params.Stream && !c.noStream.Load() }
 
 // Params returns the server's advertised trust bundle as fetched at
 // dial time. The live epoch is Epoch(), which Refresh re-pins.
@@ -226,17 +214,11 @@ func (c *HTTPClient) rawBatch(ctx context.Context, qs []query.Query) ([]wire.Bat
 	return items, nil
 }
 
-// errStreamUnsupported reports a server that does not serve the
-// pipelined POST /query/stream route; callers fall back to the buffered
-// batch exchange.
-var errStreamUnsupported = errors.New("transport: server does not stream")
-
 // openStream posts a query batch to POST /query/stream and hands back
 // the incremental frame decoder over the still-open response body, so
 // items can be consumed as the server completes them. The caller owns
 // the body and must close it — closing early is the honest way to break
-// the stream, cancelling the server's in-flight work. A 404/405 from a
-// server that predates the route maps to errStreamUnsupported.
+// the stream, cancelling the server's in-flight work.
 func (c *HTTPClient) openStream(ctx context.Context, qs []query.Query) (*wire.StreamReader, io.ReadCloser, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/query/stream",
 		bytes.NewReader(wire.EncodeQueryBatch(qs)))
@@ -247,11 +229,6 @@ func (c *HTTPClient) openStream(ctx context.Context, qs []query.Query) (*wire.St
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return nil, nil, fmt.Errorf("transport: post /query/stream: %w", err)
-	}
-	if resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusMethodNotAllowed {
-		resp.Body.Close()
-		c.noStream.Store(true) // don't pay the doomed probe again
-		return nil, nil, errStreamUnsupported
 	}
 	if resp.StatusCode == http.StatusTooManyRequests {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))

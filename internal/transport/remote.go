@@ -171,25 +171,16 @@ func (r *Remote) QueryBatch(ctx context.Context, qs []query.Query, opts ...backe
 // and cancels the request, which cancels the server's in-flight work. A
 // mid-stream transport failure (the server died, the frame stream is
 // truncated or malformed) fails exactly the items that had not yet been
-// delivered. Servers that predate the route — no /params capability, or
-// a 404/405 on the post — are answered through the buffered batch
-// exchange instead, yielding in index order.
+// delivered; so does any non-200 status on the post, the route's 404
+// included — every handler in this module serves it.
 func (r *Remote) QueryStream(ctx context.Context, qs []query.Query, opts ...backend.Option) iter.Seq2[int, backend.BatchResult] {
 	return func(yield func(int, backend.BatchResult) bool) {
 		if len(qs) == 0 {
 			return
 		}
-		if !r.c.Streams() {
-			r.streamBuffered(ctx, qs, opts, yield)
-			return
-		}
 		ctx, cancel := context.WithCancel(ctx)
 		defer cancel()
 		sr, body, err := r.c.openStream(ctx, qs)
-		if errors.Is(err, errStreamUnsupported) {
-			r.streamBuffered(ctx, qs, opts, yield)
-			return
-		}
 		delivered := make([]bool, len(qs))
 		if err != nil {
 			failUndelivered(delivered, r.wrapErr(err), yield)
@@ -323,18 +314,6 @@ func (r *Remote) streamVerifyPool(ctx context.Context, cancel context.CancelFunc
 	}
 	if rerr != nil {
 		failUndelivered(delivered, rerr, yield)
-	}
-}
-
-// streamBuffered is the fallback stream: one buffered batch exchange,
-// yielded in index order — exactly what QueryStream did before the
-// pipelined transport existed.
-func (r *Remote) streamBuffered(ctx context.Context, qs []query.Query, opts []backend.Option, yield func(int, backend.BatchResult) bool) {
-	answers, errs := r.QueryBatch(ctx, qs, opts...)
-	for i := range qs {
-		if !yield(i, backend.BatchResult{Answer: answers[i], Err: errs[i]}) {
-			return
-		}
 	}
 }
 

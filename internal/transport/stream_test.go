@@ -117,7 +117,7 @@ func TestRemoteStreamIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !remote.Client().Streams() {
+	if !remote.Client().Params().Stream {
 		t.Fatal("handler does not advertise the stream capability")
 	}
 	qs := streamBatch(dom, 24)
@@ -519,75 +519,48 @@ func TestFanoutStreamMidServerDeath(t *testing.T) {
 	}
 }
 
-// TestStreamFallbackToBatch pins both downgrade paths to old servers:
-// a trust bundle without the stream capability never touches the
-// route, and an advertised-but-missing route (404) falls back after
-// one probe — either way the results match the buffered exchange.
-func TestStreamFallbackToBatch(t *testing.T) {
+// TestStreamRouteMissingFailsItems pins what replaced the buffered
+// downgrade: every handler in this module serves POST /query/stream, so
+// a 404 on it (e.g. a stripping proxy) is a bad status like any other —
+// every item fails exactly once with the *RemoteError naming the
+// server, nothing is silently re-routed through POST /query/batch, and
+// each later stream asks the route again (no latch).
+func TestStreamRouteMissingFailsItems(t *testing.T) {
 	srv, pub, _, _, dom := fixtures(t)
 	h, err := NewIFMHHandler(srv, pub)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rc := newRouteCounter(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/query/stream" {
+			http.NotFound(w, r)
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	ts := httptest.NewServer(rc)
+	defer ts.Close()
+	remote, err := DialRemote(ts.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	qs := streamBatch(dom, 12)
 	ctx := context.Background()
-
-	check := func(t *testing.T, remote *Remote, rc *routeCounter, wantProbe int) {
-		t.Helper()
-		wantAns, wantErrs := remote.QueryBatch(ctx, qs, backend.WithVerify(pub))
-		gotAns, gotErrs := collectStream(t, len(qs), remote.QueryStream(ctx, qs, backend.WithVerify(pub)))
-		for i := range qs {
-			if (wantErrs[i] == nil) != (gotErrs[i] == nil) {
-				t.Fatalf("query %d: batch err=%v, fallback err=%v", i, wantErrs[i], gotErrs[i])
-			}
-			if wantErrs[i] == nil && string(gotAns[i].Raw) != string(wantAns[i].Raw) {
-				t.Fatalf("query %d: fallback bytes differ", i)
+	for round := 1; round <= 2; round++ {
+		_, errs := collectStream(t, len(qs), remote.QueryStream(ctx, qs, backend.WithVerify(pub)))
+		for i, err := range errs {
+			var re *RemoteError
+			if !errors.As(err, &re) || re.URL != ts.URL || !strings.Contains(err.Error(), "404") {
+				t.Fatalf("round %d item %d: err = %v, want a RemoteError for %s carrying the 404", round, i, err, ts.URL)
 			}
 		}
-		if got := rc.count("/query/stream"); got != wantProbe {
-			t.Errorf("POST /query/stream hit %d times, want %d", got, wantProbe)
-		}
-		if rc.count("/query/batch") < 2 {
-			t.Errorf("buffered fallback never used POST /query/batch")
+		if got := rc.count("/query/stream"); got != round {
+			t.Errorf("POST /query/stream hit %d times after %d streams", got, round)
 		}
 	}
-
-	t.Run("no capability", func(t *testing.T) {
-		rc := newRouteCounter(h)
-		ts := httptest.NewServer(rc)
-		defer ts.Close()
-		remote, err := DialRemote(ts.URL, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// An old server's /params simply lacks the field.
-		remote.Client().params.Stream = false
-		check(t, remote, rc, 0)
-	})
-
-	t.Run("route missing", func(t *testing.T) {
-		// The bundle advertises streaming but the route 404s (e.g. a
-		// stripping proxy): the client probes once, then downgrades.
-		rc := newRouteCounter(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/query/stream" {
-				http.NotFound(w, r)
-				return
-			}
-			h.ServeHTTP(w, r)
-		}))
-		ts := httptest.NewServer(rc)
-		defer ts.Close()
-		remote, err := DialRemote(ts.URL, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, remote, rc, 1)
-		// The downgrade latches: later streams skip the doomed probe.
-		collectStream(t, len(qs), remote.QueryStream(ctx, qs))
-		if got := rc.count("/query/stream"); got != 1 {
-			t.Errorf("downgrade not cached: POST /query/stream hit %d times, want 1", got)
-		}
-	})
+	if got := rc.count("/query/batch"); got != 0 {
+		t.Errorf("a missing stream route fell back to POST /query/batch (%d hits)", got)
+	}
 }
 
 // TestQueryOversizeRequest is the regression for the silent-truncation
