@@ -33,7 +33,6 @@ import (
 
 	"aqverify/internal/build"
 	"aqverify/internal/core"
-	"aqverify/internal/geometry"
 	"aqverify/internal/hashing"
 	"aqverify/internal/server"
 	"aqverify/internal/shard"
@@ -360,7 +359,7 @@ func (a *Artifact) openTree(dir string, m *manifest, v sig.Verifier, i int) (*co
 	if m.kind == KindSet {
 		wantDomain = m.plan.Boxes[i]
 	}
-	if !sameBox(d.domain, wantDomain) {
+	if !d.domain.Equal(wantDomain) {
 		return nil, fmt.Errorf("%w: %s domain %v disagrees with the plan's %v", ErrCorrupt, name, d.domain, wantDomain)
 	}
 
@@ -383,20 +382,6 @@ func (a *Artifact) openTree(dir string, m *manifest, v sig.Verifier, i int) (*co
 		return nil, fmt.Errorf("%w: %s fingerprint does not match the manifest", ErrCorrupt, name)
 	}
 	return t, nil
-}
-
-// sameBox reports exact corner equality — artifact domains must match
-// the plan bit-for-bit, they were written from it.
-func sameBox(a, b geometry.Box) bool {
-	if a.Dim() != b.Dim() {
-		return false
-	}
-	for i := range a.Lo {
-		if a.Lo[i] != b.Lo[i] || a.Hi[i] != b.Hi[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Backend wraps the opened product as a server backend: IFMH for a

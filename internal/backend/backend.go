@@ -117,13 +117,7 @@ type Backend interface {
 }
 
 // Option tunes one Query/QueryBatch/QueryStream call.
-type Option func(*options)
-
-type options struct {
-	workers int
-	ctr     *metrics.Counter
-	verify  verifyFunc // nil: answers are returned raw
-}
+type Option func(*Call)
 
 // verifyFunc decodes one serialized answer, checks it echoes q and
 // verifies it against the owner's published parameters, charging the
@@ -134,14 +128,14 @@ type verifyFunc func(q query.Query, raw []byte, ctr *metrics.Counter) ([]record.
 
 // WithWorkers bounds the call's worker pool (batch fan-out and batched
 // verification); <= 0 means one worker per CPU.
-func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
+func WithWorkers(n int) Option { return func(c *Call) { c.workers = n } }
 
 // WithCounter accumulates the call's caller-side costs — answer bytes
 // and, under WithVerify, hash and signature-verification counts — into
 // ctr. The counter is written from the calling goroutine only (batch
 // workers merge into it after the fan-out joins), so one counter can be
 // reused across sequential calls.
-func WithCounter(ctr *metrics.Counter) Option { return func(o *options) { o.ctr = ctr } }
+func WithCounter(ctr *metrics.Counter) Option { return func(c *Call) { c.ctr = ctr } }
 
 // WithVerify checks every answer against the owner's published
 // parameters before returning it: the raw bytes are decoded, the echoed
@@ -163,7 +157,7 @@ func WithVerify(pub core.PublicParams) Option {
 		}
 		return ans.Records, nil
 	}
-	return func(o *options) { o.verify = verify }
+	return func(c *Call) { c.verify = verify }
 }
 
 // WithVerifyMesh is WithVerify for the signature-mesh baseline: answers
@@ -182,7 +176,7 @@ func WithVerifyMesh(pub mesh.PublicParams) Option {
 		}
 		return ans.Records, nil
 	}
-	return func(o *options) { o.verify = verify }
+	return func(c *Call) { c.verify = verify }
 }
 
 // errEcho rejects an answer to a different query than the one asked.
@@ -193,31 +187,4 @@ var errEcho = fmt.Errorf("backend: %w: server answered a different query", core.
 // rejected classes undecodable answer bytes as a verification failure.
 func rejected(err error) error {
 	return fmt.Errorf("backend: %w: %v", core.ErrVerification, err)
-}
-
-func buildOptions(opts []Option) options {
-	var o options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return o
-}
-
-// finish applies the per-call options to one produced answer: under
-// WithVerify it decodes and verifies the raw bytes into ans.Records.
-// Byte accounting is the Process's job (see its contract) — adding it
-// here too would double-count for backends whose evaluation already
-// charges the encoded answer, as the in-process server's does. finish
-// runs on the calling goroutine for Query and inside the pool workers
-// for batches (with per-worker counters merged at the join).
-func (o *options) finish(q query.Query, ans *Answer, ctr *metrics.Counter) error {
-	if o.verify == nil {
-		return nil
-	}
-	recs, err := o.verify(q, ans.Raw, ctr)
-	if err != nil {
-		return err
-	}
-	ans.Records = recs
-	return nil
 }

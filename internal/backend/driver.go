@@ -3,7 +3,6 @@ package backend
 import (
 	"context"
 	"iter"
-	"sync"
 
 	"aqverify/internal/metrics"
 	"aqverify/internal/pool"
@@ -30,10 +29,10 @@ func DriveQuery(ctx context.Context, p Process, q query.Query, opts ...Option) (
 	if err := ctx.Err(); err != nil {
 		return Answer{Shard: wire.ShardNone}, err
 	}
-	o := buildOptions(opts)
+	c := Resolve(opts)
 	var ctr metrics.Counter
-	ans, err := driveOne(&o, p, q, &ctr)
-	o.ctr.Add(ctr)
+	ans, err := driveOne(c, p, q, &ctr)
+	c.Charge(ctr)
 	return ans, err
 }
 
@@ -52,11 +51,11 @@ func DriveBatch(ctx context.Context, p Process, qs []query.Query, opts ...Option
 // input order. Indexes absent from order are left untouched — zero
 // Answer, nil error — for the caller to fill (e.g. with routing errors).
 func DriveBatchOrdered(ctx context.Context, p Process, qs []query.Query, order []int, opts ...Option) ([]Answer, []error) {
-	o := buildOptions(opts)
+	c := Resolve(opts)
 	answers := make([]Answer, len(qs))
 	errs := make([]error, len(qs))
-	skipped, err := o.each(ctx, len(qs), order, func(i int, ctr *metrics.Counter) {
-		answers[i], errs[i] = driveOne(&o, p, qs[i], ctr)
+	skipped, err := c.each(ctx, len(qs), order, func(i int, ctr *metrics.Counter) {
+		answers[i], errs[i] = driveOne(c, p, qs[i], ctr)
 	})
 	for _, i := range skipped {
 		answers[i] = Answer{Shard: wire.ShardNone}
@@ -71,7 +70,7 @@ func DriveBatchOrdered(ctx context.Context, p Process, qs []query.Query, order [
 // after the join — on the calling goroutine, as its contract requires.
 // Once ctx is done the pool stops claiming: the indexes it never
 // reached come back as skipped, with ctx's error.
-func (o *options) each(ctx context.Context, n int, order []int, fn func(i int, ctr *metrics.Counter)) (skipped []int, err error) {
+func (c Call) each(ctx context.Context, n int, order []int, fn func(i int, ctr *metrics.Counter)) (skipped []int, err error) {
 	if order != nil {
 		n = len(order)
 	}
@@ -85,7 +84,7 @@ func (o *options) each(ctx context.Context, n int, order []int, fn func(i int, c
 		return k
 	}
 	started := make([]bool, n)
-	workers := pool.Workers(o.workers, n)
+	workers := pool.Workers(c.workers, n)
 	ctrs := make([]metrics.Counter, workers)
 	err = pool.RunCtx(ctx, n, workers, func(w, k int) {
 		started[k] = true
@@ -98,83 +97,49 @@ func (o *options) each(ctx context.Context, n int, order []int, fn func(i int, c
 			}
 		}
 	}
-	for i := range ctrs {
-		o.ctr.Add(ctrs[i])
-	}
+	c.Charge(ctrs...)
 	return skipped, err
 }
 
 // driveOne evaluates and (optionally) verifies one query. Failures
 // keep the Process's shard attribution — the shard that refused, or
 // ShardNone when the query never routed.
-func driveOne(o *options, p Process, q query.Query, ctr *metrics.Counter) (Answer, error) {
+func driveOne(c Call, p Process, q query.Query, ctr *metrics.Counter) (Answer, error) {
 	sh, epoch, raw, err := p(q, ctr)
 	if err != nil {
 		return Answer{Shard: sh, Epoch: epoch}, err
 	}
 	ans := Answer{Raw: raw, Shard: sh, Epoch: epoch}
-	if err := o.finish(q, &ans, ctr); err != nil {
-		return Answer{Shard: sh, Epoch: epoch}, err
-	}
-	return ans, nil
+	err = c.check(q, &ans, ctr)
+	return ans, err
 }
 
 // DriveStream yields (index, result) pairs in completion order. An early
 // break from the consumer cancels the remaining work; the producer pool
 // is always fully joined before the iterator returns.
 func DriveStream(ctx context.Context, p Process, qs []query.Query, opts ...Option) iter.Seq2[int, BatchResult] {
-	o := buildOptions(opts)
+	c := Resolve(opts)
 	return func(yield func(int, BatchResult) bool) {
 		if len(qs) == 0 {
 			return
 		}
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		workers := pool.Workers(o.workers, len(qs))
+		workers := pool.Workers(c.workers, len(qs))
 		ctrs := make([]metrics.Counter, workers)
-		type indexed struct {
-			i int
-			r BatchResult
-		}
-		out := make(chan indexed)
-		var wg sync.WaitGroup
-		wg.Add(1)
 		started := make([]bool, len(qs))
-		go func() {
-			defer wg.Done()
-			defer close(out)
-			pool.RunCtx(ctx, len(qs), workers, func(w, i int) {
+		var stopped error // the pool's verdict, read after the join
+		Merge(ctx, yield, func(yield func(int, BatchResult) bool) {
+			c.Charge(ctrs...)
+			// Surface cancellation on the indexes the pool never reached.
+			if stopped != nil {
+				Fail(started, stopped)(yield)
+			}
+		}, func(ctx context.Context, emit func(int, BatchResult) bool) {
+			stopped = pool.RunCtx(ctx, len(qs), workers, func(w, i int) {
 				started[i] = true
 				var r BatchResult
-				r.Answer, r.Err = driveOne(&o, p, qs[i], &ctrs[w])
-				out <- indexed{i, r}
+				r.Answer, r.Err = driveOne(c, p, qs[i], &ctrs[w])
+				emit(i, r)
 			})
-		}()
-		// Consume until the stream drains or the consumer breaks. The
-		// consumer keeps draining after a break so producer sends never
-		// block; the pool is always fully joined before the per-worker
-		// counters fold into the caller's, on this goroutine.
-		broke := false
-		for item := range out {
-			if !broke && !yield(item.i, item.r) {
-				broke = true
-				cancel()
-			}
-		}
-		wg.Wait()
-		for i := range ctrs {
-			o.ctr.Add(ctrs[i])
-		}
-		if broke {
-			return
-		}
-		// Surface cancellation on the indexes the pool never reached.
-		if err := ctx.Err(); err != nil {
-			for i := range qs {
-				if !started[i] && !yield(i, BatchResult{Answer: Answer{Shard: wire.ShardNone}, Err: err}) {
-					return
-				}
-			}
-		}
+		})
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
-	"sync"
+	"slices"
 
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
@@ -69,7 +69,7 @@ func (f *Fanout) Name() string { return f.name }
 // child reports one. During a per-shard rollout the maximum is the
 // authoritative epoch — the owner publishes monotonically, so the
 // highest epoch any shard serves is the newest bundle.
-func (f *Fanout) Epoch() uint64 { return maxEpoch(f.Epochs()) }
+func (f *Fanout) Epoch() uint64 { return slices.Max(f.Epochs()) }
 
 // Epochs returns every child's publication epoch in shard order (0 for
 // children that report none). Children mid-rollout may legitimately
@@ -78,9 +78,7 @@ func (f *Fanout) Epoch() uint64 { return maxEpoch(f.Epochs()) }
 func (f *Fanout) Epochs() []uint64 {
 	out := make([]uint64, len(f.kids))
 	for i, k := range f.kids {
-		if e, ok := k.(interface{ Epoch() uint64 }); ok {
-			out[i] = e.Epoch()
-		}
+		out[i] = Epoch(k)
 	}
 	return out
 }
@@ -104,37 +102,7 @@ func (f *Fanout) Query(ctx context.Context, q query.Query, opts ...Option) (Answ
 // its own QueryBatch, so a Remote child spends one HTTP exchange per
 // shard), and the answers scatter back to their original indexes.
 func (f *Fanout) QueryBatch(ctx context.Context, qs []query.Query, opts ...Option) ([]Answer, []error) {
-	answers := make([]Answer, len(qs))
-	groups, errs := f.plan.Group(qs)
-	for i, err := range errs {
-		if err != nil {
-			answers[i].Shard = wire.ShardNone
-		}
-	}
-	ctrs := make([]metrics.Counter, len(f.kids))
-	var wg sync.WaitGroup
-	for sh, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(sh int, g []int) {
-			defer wg.Done()
-			sans, serrs := f.kids[sh].QueryBatch(ctx, pick(qs, g), ReplaceCounter(opts, &ctrs[sh])...)
-			for j, i := range g {
-				answers[i], errs[i] = sans[j], serrs[j]
-				answers[i].Shard = sh
-			}
-		}(sh, g)
-	}
-	wg.Wait()
-	// The caller's counter is only ever touched from the calling
-	// goroutine: children wrote private ones, merged here.
-	total := CounterOf(opts)
-	for i := range ctrs {
-		total.Add(ctrs[i])
-	}
-	return answers, errs
+	return Collect(len(qs), f.scatter(ctx, qs, opts, Buffered))
 }
 
 // QueryStream implements Backend: every owning child streams its
@@ -142,6 +110,15 @@ func (f *Fanout) QueryBatch(ctx context.Context, qs []query.Query, opts ...Optio
 // each item under its original index as it completes. An early break
 // cancels all child streams.
 func (f *Fanout) QueryStream(ctx context.Context, qs []query.Query, opts ...Option) iter.Seq2[int, BatchResult] {
+	return f.scatter(ctx, qs, opts, Backend.QueryStream)
+}
+
+// scatter is both exchanges' body: group the batch per owning shard,
+// run every owning child's exchange — QueryStream, or its QueryBatch
+// through Buffered — concurrently, each into a private counter, and
+// merge the results under their original indexes.
+func (f *Fanout) scatter(ctx context.Context, qs []query.Query, opts []Option,
+	exchange func(Backend, context.Context, []query.Query, ...Option) iter.Seq2[int, BatchResult]) iter.Seq2[int, BatchResult] {
 	return func(yield func(int, BatchResult) bool) {
 		if len(qs) == 0 {
 			return
@@ -153,40 +130,26 @@ func (f *Fanout) QueryStream(ctx context.Context, qs []query.Query, opts ...Opti
 				return
 			}
 		}
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		type indexed struct {
-			i int
-			r BatchResult
-		}
-		out := make(chan indexed)
 		ctrs := make([]metrics.Counter, len(f.kids))
-		var wg sync.WaitGroup
+		var kids []func(context.Context, func(int, BatchResult) bool)
 		for sh, g := range groups {
 			if len(g) == 0 {
 				continue
 			}
-			wg.Add(1)
-			go func(sh int, g []int) {
-				defer wg.Done()
-				for j, r := range f.kids[sh].QueryStream(ctx, pick(qs, g), ReplaceCounter(opts, &ctrs[sh])...) {
+			kids = append(kids, func(ctx context.Context, emit func(int, BatchResult) bool) {
+				for j, r := range exchange(f.kids[sh], ctx, pick(qs, g), ReplaceCounter(opts, &ctrs[sh])...) {
 					r.Answer.Shard = sh // the front-end's routing choice, refused or not
-					out <- indexed{g[j], r}
+					if !emit(g[j], r) {
+						return // breaking the child's stream cancels it
+					}
 				}
-			}(sh, g)
+			})
 		}
-		go func() { wg.Wait(); close(out) }()
-		broke := false
-		for item := range out {
-			if !broke && !yield(item.i, item.r) {
-				broke = true
-				cancel()
-			}
-		}
-		total := CounterOf(opts)
-		for i := range ctrs {
-			total.Add(ctrs[i])
-		}
+		// The caller's counter is only ever touched from the calling
+		// goroutine: children wrote private ones, charged after the join.
+		Merge(ctx, yield, func(func(int, BatchResult) bool) {
+			Resolve(opts).Charge(ctrs...)
+		}, kids...)
 	}
 }
 

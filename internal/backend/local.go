@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"slices"
 
 	"aqverify/internal/core"
 	"aqverify/internal/metrics"
@@ -88,9 +89,6 @@ func NewSharded(r *shard.Router) (*Sharded, error) {
 // Router returns the underlying router.
 func (b *Sharded) Router() *shard.Router { return b.router }
 
-// NumShards returns the shard count.
-func (b *Sharded) NumShards() int { return b.router.NumShards() }
-
 // Name implements Backend.
 func (b *Sharded) Name() string { return ifmhName(b.router.Set().Mode()) }
 
@@ -112,7 +110,7 @@ func (b *Sharded) QueryStream(ctx context.Context, qs []query.Query, opts ...Opt
 // Epoch returns the served set's publication epoch — the maximum across
 // shards, which all agree on when the set is untorn (build.Apply and
 // shard.BuildCtx both land every shard on one epoch).
-func (b *Sharded) Epoch() uint64 { return maxEpoch(b.Epochs()) }
+func (b *Sharded) Epoch() uint64 { return slices.Max(b.Epochs()) }
 
 // Epochs returns every shard's publication epoch, in shard order.
 func (b *Sharded) Epochs() []uint64 {
@@ -146,15 +144,4 @@ func ifmhName(m core.Mode) string {
 		return "ifmh-one"
 	}
 	return "ifmh-multi"
-}
-
-// maxEpoch returns the newest of a shard set's epochs, 0 for none.
-func maxEpoch(epochs []uint64) uint64 {
-	var max uint64
-	for _, e := range epochs {
-		if e > max {
-			max = e
-		}
-	}
-	return max
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"iter"
-	"sync"
 
 	"aqverify/internal/backend"
 	"aqverify/internal/metrics"
@@ -13,14 +12,24 @@ import (
 )
 
 // classified is one batch's split against the cache: per-item keys,
-// the flights this batch leads (with every duplicate index that shares
-// the key), and the indexes waiting on foreign flights.
+// the indexes found cached, the flights this batch leads (with every
+// duplicate index that shares the key), and the indexes waiting on
+// foreign flights.
 type classified struct {
-	pin  uint64
 	keys []akey
+	hits []hit
 	led  []*ledFlight
-	wait []int
-	fls  []*flight // per waiting index
+	wait []waiter
+}
+
+type hit struct {
+	i int
+	e entry
+}
+
+type waiter struct {
+	i  int
+	fl *flight
 }
 
 type ledFlight struct {
@@ -30,17 +39,14 @@ type ledFlight struct {
 }
 
 // classify walks the batch once under one pin: duplicates of a led key
-// attach to its flight, cached items are answered through onHit, the
-// rest either lead a new flight or wait on a foreign one.
-func (c *Cache) classify(qs []query.Query, onHit func(i int, k akey, e entry)) classified {
-	cl := classified{
-		pin:  c.pin(),
-		keys: make([]akey, len(qs)),
-		fls:  make([]*flight, len(qs)),
-	}
+// attach to its flight, cached items are hits, the rest either lead a
+// new flight or wait on a foreign one.
+func (c *Cache) classify(qs []query.Query) classified {
+	cl := classified{keys: make([]akey, len(qs))}
+	pin := c.pin()
 	byKey := make(map[akey]*ledFlight)
 	for i, q := range qs {
-		k := akey{epoch: cl.pin, q: string(wire.EncodeQuery(q))}
+		k := akey{epoch: pin, q: string(wire.EncodeQuery(q))}
 		cl.keys[i] = k
 		if lf, ok := byKey[k]; ok {
 			lf.idxs = append(lf.idxs, i)
@@ -48,7 +54,7 @@ func (c *Cache) classify(qs []query.Query, onHit func(i int, k akey, e entry)) c
 		}
 		if e, ok := c.answers.get(k); ok {
 			c.tally.CacheHit()
-			onHit(i, k, e)
+			cl.hits = append(cl.hits, hit{i, e})
 			continue
 		}
 		fl, leader := c.flights.join(k)
@@ -59,231 +65,131 @@ func (c *Cache) classify(qs []query.Query, onHit func(i int, k akey, e entry)) c
 			cl.led = append(cl.led, lf)
 		} else {
 			c.tally.CacheCollapse()
-			cl.fls[i] = fl
-			cl.wait = append(cl.wait, i)
+			cl.wait = append(cl.wait, waiter{i, fl})
 		}
 	}
 	return cl
 }
 
-// QueryBatch implements Backend. Hits are answered from the cache, the
-// led misses walk the inner backend as one sub-batch (so its shard
-// grouping and worker pool apply), and items that collapse onto foreign
-// flights wait for them. Per-item outcomes land in the tally as they
-// resolve; the batch's cost folds into the caller's counter and the
-// tally once, at the end.
+// QueryBatch implements Backend: the led misses walk the inner backend
+// as one buffered sub-batch, so its shard grouping, worker pool and —
+// behind a front — hedging apply.
 func (c *Cache) QueryBatch(ctx context.Context, qs []query.Query, opts ...backend.Option) ([]backend.Answer, []error) {
-	answers := make([]backend.Answer, len(qs))
-	errs := make([]error, len(qs))
-	if len(qs) == 0 {
-		return answers, errs
-	}
-	if err := ctx.Err(); err != nil {
-		for i := range qs {
-			answers[i] = backend.Answer{Shard: wire.ShardNone}
-			errs[i] = err
-		}
-		return answers, errs
-	}
-	ci := backend.ResolveOptions(opts...)
-	var cost metrics.Counter
-
-	cl := c.classify(qs, func(i int, k akey, e entry) {
-		answers[i], errs[i] = c.serve(ci, qs[i], k, e, &cost)
-		c.tally.Count(answers[i].Shard, errs[i])
-	})
-
-	if len(cl.led) > 0 {
-		subqs := make([]query.Query, len(cl.led))
-		for j, lf := range cl.led {
-			subqs[j] = qs[lf.idxs[0]]
-		}
-		var sub metrics.Counter
-		subAns, subErrs := c.inner.QueryBatch(ctx, subqs, backend.ReplaceCounter(opts, &sub)...)
-		cost.Add(sub)
-		for j, lf := range cl.led {
-			c.settleLed(lf, subAns[j], subErrs[j], answers, errs, &cost)
-		}
-	}
-
-	for _, i := range cl.wait {
-		answers[i], errs[i] = c.awaitFlight(ctx, ci, qs[i], cl.keys[i], cl.fls[i], opts, &cost)
-		c.tally.Count(answers[i].Shard, errs[i])
-	}
-
-	ci.AddCost(cost)
-	c.tally.AddCost(cost)
-	return answers, errs
+	return backend.Collect(len(qs), c.stream(ctx, qs, opts, backend.Buffered))
 }
 
-// settleLed publishes one led flight's result: cache the success,
-// complete the flight, and fan the answer out to every batch index that
-// shares the key. Duplicate indexes are charged their answer bytes —
-// the caller receives that many copies — but not a second walk.
-func (c *Cache) settleLed(lf *ledFlight, ans backend.Answer, err error, answers []backend.Answer, errs []error, cost *metrics.Counter) {
-	if err == nil {
-		c.answers.put(storeKey(lf.k, ans), entryOf(ans))
-	}
-	c.flights.complete(lf.k, lf.fl, ans, err)
-	for di, i := range lf.idxs {
-		if di > 0 && err == nil {
-			cost.AddBytes(uint64(len(ans.Raw)))
-		}
-		answers[i], errs[i] = ans, err
-		c.tally.Count(ans.Shard, err)
-	}
-}
-
-// awaitFlight waits out a foreign flight for one batch item. A foreign
-// leader's cancellation is not this call's: if the flight dies of a
-// context error while ours is still live, the item retries through the
-// full single-query path (and may lead its own flight).
-func (c *Cache) awaitFlight(ctx context.Context, ci backend.CallInfo, q query.Query, k akey, fl *flight, opts []backend.Option, cost *metrics.Counter) (backend.Answer, error) {
-	select {
-	case <-fl.done:
-		if fl.err != nil {
-			if isCtxError(fl.err) && ctx.Err() == nil {
-				return c.queryOne(ctx, ci, q, opts, cost)
-			}
-			return backend.Answer{Shard: fl.ans.Shard, Epoch: fl.ans.Epoch}, fl.err
-		}
-		return c.serve(ci, q, k, entryOf(fl.ans), cost)
-	case <-ctx.Done():
-		return backend.Answer{Shard: wire.ShardNone}, ctx.Err()
-	}
-}
-
-// QueryStream implements Backend. Cached items are yielded first,
-// without waiting on any walk; led misses stream off the inner backend
-// and are yielded as they land; collapsed items are yielded as their
-// foreign flights resolve. Breaking out of the iteration cancels the
-// inner stream, completes this call's unfinished flights with the
-// cancellation (waiters elsewhere retry them), and still settles all
-// cost accounting. Item order is not index order.
+// QueryStream implements Backend: the led misses stream off the inner
+// backend and are yielded as they land. Item order is not index order.
 func (c *Cache) QueryStream(ctx context.Context, qs []query.Query, opts ...backend.Option) iter.Seq2[int, backend.BatchResult] {
+	return c.stream(ctx, qs, opts, backend.Backend.QueryStream)
+}
+
+// stream is both exchanges' body. Cached items are yielded without
+// waiting on any walk, and no walk waits on them: led misses go to the
+// inner backend as one sub-batch through exchange — its QueryStream, or
+// its QueryBatch through backend.Buffered — at once, and are yielded as
+// they land; collapsed items are yielded as their foreign flights
+// resolve. Per-item outcomes land in the tally as they are yielded; the
+// call's cost folds into the caller's counter and the tally once, at
+// the end. Breaking out of the iteration cancels the inner exchange and
+// completes this call's unfinished flights with the cancellation
+// (waiters elsewhere retry them).
+func (c *Cache) stream(ctx context.Context, qs []query.Query, opts []backend.Option,
+	exchange func(backend.Backend, context.Context, []query.Query, ...backend.Option) iter.Seq2[int, backend.BatchResult]) iter.Seq2[int, backend.BatchResult] {
 	return func(yield func(int, backend.BatchResult) bool) {
 		if len(qs) == 0 {
 			return
 		}
-		ci := backend.ResolveOptions(opts...)
-		var cost metrics.Counter
-		defer func() {
-			ci.AddCost(cost)
-			c.tally.AddCost(cost)
-		}()
 		if err := ctx.Err(); err != nil {
-			for i := range qs {
-				if !yield(i, backend.BatchResult{Answer: backend.Answer{Shard: wire.ShardNone}, Err: err}) {
+			backend.Fail(make([]bool, len(qs)), err)(yield)
+			return
+		}
+		call := backend.Resolve(opts)
+		cl := c.classify(qs)
+		// Producers write private counters, folded once they are done:
+		// the hits', the inner exchange's, one per foreign flight.
+		costs := make([]metrics.Counter, 2+len(cl.wait))
+		fold := func(func(int, backend.BatchResult) bool) {
+			var cost metrics.Counter
+			for i := range costs {
+				cost.Add(costs[i])
+			}
+			call.Charge(cost)
+			c.tally.AddCost(cost)
+		}
+		deliver := func(i int, r backend.BatchResult) bool {
+			c.tally.Count(r.Answer.Shard, r.Err)
+			return yield(i, r)
+		}
+		hits := func(_ context.Context, emit func(int, backend.BatchResult) bool) {
+			for _, h := range cl.hits {
+				var r backend.BatchResult
+				r.Answer, r.Err = c.serve(call, qs[h.i], cl.keys[h.i], h.e, &costs[0])
+				if !emit(h.i, r) {
 					return
 				}
 			}
+		}
+		if len(cl.led)+len(cl.wait) == 0 {
+			// All hits, nothing to overlap them with: serve them here.
+			hits(ctx, deliver)
+			fold(nil)
 			return
 		}
 
-		type hit struct {
-			i int
-			k akey
-			e entry
-		}
-		var hits []hit
-		cl := c.classify(qs, func(i int, k akey, e entry) {
-			hits = append(hits, hit{i: i, k: k, e: e})
-		})
-
-		ctx, cancel := context.WithCancel(ctx)
-
-		// Producers write per-goroutine counters, merged after the join;
-		// gctrs[0] belongs to the inner-stream goroutine. Cancel before
-		// joining, so an early break doesn't wait out the inner stream.
-		gctrs := make([]metrics.Counter, 1+len(cl.wait))
-		var wg sync.WaitGroup
-		defer func() {
-			cancel()
-			wg.Wait()
-			for i := range gctrs {
-				cost.Add(gctrs[i])
-			}
-		}()
-
-		// out is sized for every pending send, so producers never block
-		// on a consumer that stopped yielding.
-		type item struct {
-			i   int
-			ans backend.Answer
-			err error
-		}
-		pending := len(cl.wait)
-		for _, lf := range cl.led {
-			pending += len(lf.idxs)
-		}
-		out := make(chan item, pending)
-
+		producers := []func(context.Context, func(int, backend.BatchResult) bool){hits}
 		if len(cl.led) > 0 {
-			subqs := make([]query.Query, len(cl.led))
-			for j, lf := range cl.led {
-				subqs[j] = qs[lf.idxs[0]]
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				completed := make([]bool, len(cl.led))
-				for j, r := range c.inner.QueryStream(ctx, subqs, backend.ReplaceCounter(opts, &gctrs[0])...) {
-					lf := cl.led[j]
-					if r.Err == nil {
-						c.answers.put(storeKey(lf.k, r.Answer), entryOf(r.Answer))
-					}
-					c.flights.complete(lf.k, lf.fl, r.Answer, r.Err)
-					completed[j] = true
-					for di, i := range lf.idxs {
-						if di > 0 && r.Err == nil {
-							gctrs[0].AddBytes(uint64(len(r.Answer.Raw)))
-						}
-						out <- item{i: i, ans: r.Answer, err: r.Err}
+			producers = append(producers, func(ctx context.Context, emit func(int, backend.BatchResult) bool) {
+				subqs := make([]query.Query, len(cl.led))
+				for j, lf := range cl.led {
+					subqs[j] = qs[lf.idxs[0]]
+				}
+				landed := make([]bool, len(cl.led))
+				for j, r := range exchange(c.inner, ctx, subqs, backend.ReplaceCounter(opts, &costs[1])...) {
+					landed[j] = true
+					if !c.settle(cl.led[j], r, &costs[1], emit) {
+						break // which cancels the inner exchange
 					}
 				}
-				// An inner stream normally yields every index; if it ended
-				// early (our cancel, or a dying transport), the leftover
-				// flights must still complete or foreign waiters hang.
-				for j, done := range completed {
-					if done {
-						continue
-					}
-					err := ctx.Err()
-					if err == nil {
-						err = fmt.Errorf("cache: inner stream ended without answering")
-					}
-					lf := cl.led[j]
-					ans := backend.Answer{Shard: wire.ShardNone}
-					c.flights.complete(lf.k, lf.fl, ans, err)
-					for _, i := range lf.idxs {
-						out <- item{i: i, ans: ans, err: err}
-					}
+				// An inner exchange normally answers every index; if it
+				// ended early (our cancel, or a dying transport), the
+				// leftover flights must still complete or foreign waiters
+				// hang.
+				err := ctx.Err()
+				if err == nil {
+					err = fmt.Errorf("cache: inner stream ended without answering")
 				}
-			}()
+				for j, r := range backend.Fail(landed, err) {
+					c.settle(cl.led[j], r, &costs[1], emit)
+				}
+			})
 		}
+		for wi, w := range cl.wait {
+			producers = append(producers, func(ctx context.Context, emit func(int, backend.BatchResult) bool) {
+				r, retry := c.await(ctx, call, qs[w.i], cl.keys[w.i], w.fl, &costs[2+wi])
+				if retry {
+					r.Answer, r.Err = c.queryOne(ctx, call, qs[w.i], opts, &costs[2+wi])
+				}
+				emit(w.i, r)
+			})
+		}
+		backend.Merge(ctx, deliver, fold, producers...)
+	}
+}
 
-		for wi, i := range cl.wait {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ans, err := c.awaitFlight(ctx, ci, qs[i], cl.keys[i], cl.fls[i], opts, &gctrs[1+wi])
-				out <- item{i: i, ans: ans, err: err}
-			}()
+// settle publishes one led flight's result and fans it out to every
+// batch index that shares the key, reporting whether the consumer is
+// still listening. Duplicate indexes are charged their answer bytes —
+// the caller receives that many copies — but not a second walk.
+func (c *Cache) settle(lf *ledFlight, r backend.BatchResult, cost *metrics.Counter, emit func(int, backend.BatchResult) bool) bool {
+	c.land(lf.k, lf.fl, r)
+	for di, i := range lf.idxs {
+		if !emit(i, r) {
+			return false
 		}
-
-		for _, h := range hits {
-			ans, err := c.serve(ci, qs[h.i], h.k, h.e, &cost)
-			c.tally.Count(ans.Shard, err)
-			if !yield(h.i, backend.BatchResult{Answer: ans, Err: err}) {
-				return
-			}
-		}
-		for n := 0; n < pending; n++ {
-			it := <-out
-			c.tally.Count(it.ans.Shard, it.err)
-			if !yield(it.i, backend.BatchResult{Answer: it.ans, Err: it.err}) {
-				return
-			}
+		if di > 0 && r.Err == nil {
+			cost.AddBytes(uint64(len(r.Answer.Raw)))
 		}
 	}
+	return true
 }

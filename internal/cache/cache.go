@@ -124,14 +124,15 @@ type entry struct {
 }
 
 // Cache decorates a backend with the two cache tiers. It implements
-// backend.Backend, and mirrors the stats surface the HTTP handler
-// probes (Stats, ErrorCount, ShardStats, Swaps, Epoch, Epochs,
-// NumShards, CacheStats), so a cache-fronted host serves /stats with
-// the cache's tally.
+// backend.Backend and the stats surface the HTTP handler reports
+// (Stats, ErrorCount, ShardStats, Swaps, CacheStats), so a
+// cache-fronted host serves /stats with the cache's tally; what it
+// wraps — epochs, admission gate, gauges — stays reachable through
+// Inner (backend.Epoch, backend.Epochs, backend.Find).
 type Cache struct {
 	inner   backend.Backend
 	tally   *server.Tally
-	answers *alru
+	answers *lru[akey, entry]
 	flights flightMap
 
 	lastEpoch atomic.Uint64
@@ -155,15 +156,11 @@ func Wrap(b backend.Backend, opts ...Option) (*Cache, error) {
 			return nil, err
 		}
 	}
-	shards := 0
-	if ns, ok := b.(interface{ NumShards() int }); ok {
-		shards = ns.NumShards()
-	}
-	c := &Cache{inner: b, tally: server.NewTally(shards)}
-	c.answers = newALRU(cfg.answerCap, c.tally)
-	e := c.epochOf()
-	c.lastEpoch.Store(e)
-	c.tally.ObserveEpoch(e, c.epochsOf())
+	epoch, per := backend.Epoch(b), backend.Epochs(b)
+	c := &Cache{inner: b, tally: server.NewTally(len(per))}
+	c.answers = newLRU[akey, entry](cfg.answerCap)
+	c.lastEpoch.Store(epoch)
+	c.tally.ObserveEpoch(epoch, per)
 	if !cfg.noPerm {
 		c.installPermTier(cfg.permCap)
 	}
@@ -192,22 +189,6 @@ func (c *Cache) Inner() backend.Backend { return c.inner }
 // Name implements Backend.
 func (c *Cache) Name() string { return c.inner.Name() }
 
-// Epoch returns the inner backend's live publication epoch — the pin
-// every lookup is checked against.
-func (c *Cache) Epoch() uint64 { return c.epochOf() }
-
-// Epochs returns the inner backend's per-shard epochs, nil when it
-// reports none.
-func (c *Cache) Epochs() []uint64 { return c.epochsOf() }
-
-// NumShards returns the inner backend's shard count, 0 when unsharded.
-func (c *Cache) NumShards() int {
-	if ns, ok := c.inner.(interface{ NumShards() int }); ok {
-		return ns.NumShards()
-	}
-	return 0
-}
-
 // Stats returns the cumulative served metrics and answered-query count
 // (hits included — the cache's tally covers everything it serves).
 func (c *Cache) Stats() (metrics.Counter, int) { return c.tally.Stats() }
@@ -229,32 +210,20 @@ func (c *Cache) CacheStats() server.CacheStats { return c.tally.CacheStats() }
 // Len returns the whole-answer entry count, for tests and sizing.
 func (c *Cache) Len() int { return c.answers.len() }
 
-func (c *Cache) epochOf() uint64 {
-	if e, ok := c.inner.(interface{ Epoch() uint64 }); ok {
-		return e.Epoch()
-	}
-	return 0
-}
-
-func (c *Cache) epochsOf() []uint64 {
-	if es, ok := c.inner.(interface{ Epochs() []uint64 }); ok {
-		return es.Epochs()
-	}
-	return nil
-}
-
-// pin reads the inner backend's current epoch, updating the tally's
-// gauges (and resetting the per-epoch hit gauge) when it moved since
-// the last observation. Exactly one observer records each change.
+// pin reads the inner backend's current epoch — the one every lookup is
+// keyed on, so nothing but the epoch is read here — updating the
+// tally's gauges (and resetting the per-epoch hit gauge) when it moved
+// since the last observation. Exactly one observer records each change,
+// and only it pays for the per-shard epochs.
 func (c *Cache) pin() uint64 {
-	e := c.epochOf()
+	e := backend.Epoch(c.inner)
 	for {
 		last := c.lastEpoch.Load()
 		if e == last {
 			return e
 		}
 		if c.lastEpoch.CompareAndSwap(last, e) {
-			c.tally.ObserveSwap(e, c.epochsOf())
+			c.tally.ObserveSwap(e, backend.Epochs(c.inner))
 			return e
 		}
 	}
@@ -265,10 +234,10 @@ func (c *Cache) Query(ctx context.Context, q query.Query, opts ...backend.Option
 	if err := ctx.Err(); err != nil {
 		return backend.Answer{Shard: wire.ShardNone}, err
 	}
-	ci := backend.ResolveOptions(opts...)
+	call := backend.Resolve(opts)
 	var cost metrics.Counter
-	ans, err := c.queryOne(ctx, ci, q, opts, &cost)
-	ci.AddCost(cost)
+	ans, err := c.queryOne(ctx, call, q, opts, &cost)
+	call.Charge(cost)
 	c.tally.Record(cost, ans.Shard, err)
 	return ans, err
 }
@@ -278,14 +247,14 @@ func (c *Cache) Query(ctx context.Context, q query.Query, opts ...backend.Option
 // Caller-side costs accumulate into cost (never into the call's
 // WithCounter directly, so batch paths can run it off-goroutine and
 // merge after the join).
-func (c *Cache) queryOne(ctx context.Context, ci backend.CallInfo, q query.Query, opts []backend.Option, cost *metrics.Counter) (backend.Answer, error) {
+func (c *Cache) queryOne(ctx context.Context, call backend.Call, q query.Query, opts []backend.Option, cost *metrics.Counter) (backend.Answer, error) {
 	qenc := string(wire.EncodeQuery(q))
 	for {
 		pin := c.pin()
 		k := akey{epoch: pin, q: qenc}
 		if e, ok := c.answers.get(k); ok {
 			c.tally.CacheHit()
-			return c.serve(ci, q, k, e, cost)
+			return c.serve(call, q, k, e, cost)
 		}
 		fl, leader := c.flights.join(k)
 		if leader {
@@ -293,46 +262,67 @@ func (c *Cache) queryOne(ctx context.Context, ci backend.CallInfo, q query.Query
 			var sub metrics.Counter
 			ans, err := c.inner.Query(ctx, q, backend.ReplaceCounter(opts, &sub)...)
 			cost.Add(sub)
-			if err == nil {
-				c.answers.put(storeKey(k, ans), entryOf(ans))
-			}
-			c.flights.complete(k, fl, ans, err)
+			c.land(k, fl, backend.BatchResult{Answer: ans, Err: err})
 			return ans, err
 		}
 		c.tally.CacheCollapse()
-		select {
-		case <-fl.done:
-			if fl.err != nil {
-				if isCtxError(fl.err) && ctx.Err() == nil {
-					continue // the leader was canceled, not us: retry
-				}
-				return backend.Answer{Shard: fl.ans.Shard, Epoch: fl.ans.Epoch}, fl.err
-			}
-			return c.serve(ci, q, k, entryOf(fl.ans), cost)
-		case <-ctx.Done():
-			return backend.Answer{Shard: wire.ShardNone}, ctx.Err()
+		if r, retry := c.await(ctx, call, q, k, fl, cost); !retry {
+			return r.Answer, r.Err
 		}
 	}
+}
+
+// land publishes a led flight's outcome: a success is stored before
+// the flight completes (see flightMap), a failure only completes it —
+// errors are never cached.
+func (c *Cache) land(k akey, fl *flight, r backend.BatchResult) {
+	if r.Err == nil {
+		for n := c.answers.put(storeKey(k, r.Answer), entryOf(r.Answer)); n > 0; n-- {
+			c.tally.CacheEvict()
+		}
+	}
+	c.flights.complete(k, fl, r.Answer, r.Err)
+}
+
+// await waits out a foreign flight under this call's context and
+// serves its result. A foreign leader's cancellation is not this
+// call's: when the flight dies of a context error while ctx is still
+// live, retry is set and the caller runs the lookup again (and may lead
+// its own flight).
+func (c *Cache) await(ctx context.Context, call backend.Call, q query.Query, k akey, fl *flight, cost *metrics.Counter) (r backend.BatchResult, retry bool) {
+	select {
+	case <-fl.done:
+		if fl.err != nil {
+			r.Answer, r.Err = backend.Answer{Shard: fl.ans.Shard, Epoch: fl.ans.Epoch}, fl.err
+			return r, isCtxError(fl.err) && ctx.Err() == nil
+		}
+		r.Answer, r.Err = c.serve(call, q, k, entryOf(fl.ans), cost)
+	case <-ctx.Done():
+		r.Answer, r.Err = backend.Answer{Shard: wire.ShardNone}, ctx.Err()
+	}
+	return r, false
 }
 
 // serve finishes one cached or flight-shared answer for this call:
 // byte accounting always; under WithVerify, reuse of the stored
 // verified records, or verification now (upgrading the entry) when no
-// caller has verified this entry yet. A verification failure surfaces
-// as the item's error with attribution intact and is never cached. k is
-// the lookup key the entry was found (or its flight joined) under.
-func (c *Cache) serve(ci backend.CallInfo, q query.Query, k akey, e entry, cost *metrics.Counter) (backend.Answer, error) {
-	cost.AddBytes(uint64(len(e.raw)))
+// caller has verified this entry yet. The reuse rule lives here and
+// nowhere else: only the cache knows the records were verified from
+// exactly these bytes. A verification failure surfaces as the item's
+// error with attribution intact and is never cached. k is the lookup
+// key the entry was found (or its flight joined) under.
+func (c *Cache) serve(call backend.Call, q query.Query, k akey, e entry, cost *metrics.Counter) (backend.Answer, error) {
 	ans := backend.Answer{Raw: e.raw, Records: e.recs, Shard: e.shard, Epoch: e.epoch}
-	if ci.Verifies() && ans.Records == nil {
-		recs, err := ci.VerifyRaw(q, e.raw, cost)
-		if err != nil {
-			return backend.Answer{Shard: e.shard, Epoch: e.epoch}, err
-		}
-		ans.Records = recs
-		c.answers.upgrade(storeKey(k, ans), recs)
+	if e.recs != nil {
+		cost.AddBytes(uint64(len(e.raw)))
+		return ans, nil
 	}
-	return ans, nil
+	err := call.Finish(q, &ans, cost)
+	if ans.Records != nil {
+		// The first verifying caller pays once; later hits reuse.
+		c.answers.update(storeKey(k, ans), func(e *entry) { e.recs = ans.Records })
+	}
+	return ans, err
 }
 
 func entryOf(ans backend.Answer) entry {

@@ -68,8 +68,8 @@ func TestWrapValidation(t *testing.T) {
 	if c.Name() != b.Name() || c.Inner() != backend.Backend(b) {
 		t.Fatalf("delegation: name %q inner %T", c.Name(), c.Inner())
 	}
-	if c.Epoch() != res.Tree.Epoch() {
-		t.Fatalf("epoch pin %d, tree at %d", c.Epoch(), res.Tree.Epoch())
+	if e := backend.Epoch(c); e != res.Tree.Epoch() {
+		t.Fatalf("epoch pin %d, tree at %d", e, res.Tree.Epoch())
 	}
 }
 

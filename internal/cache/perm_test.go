@@ -48,7 +48,7 @@ func TestPermLRUUnit(t *testing.T) {
 		t.Fatalf("evictions %d, want 1", cs.PermEvictions)
 	}
 
-	if NewPermLRU(0, nil).cap != DefaultPermCapacity {
+	if NewPermLRU(0, nil).perms.cap != DefaultPermCapacity {
 		t.Fatal("capacity < 1 did not fall back to the default")
 	}
 	NewPermLRU(1, nil).Put(0, 1, nil) // nil sink must not panic

@@ -1,10 +1,5 @@
 package cache
 
-import (
-	"container/list"
-	"sync"
-)
-
 // PermSink receives the permutation tier's hit/miss/evict events.
 // *server.Tally implements it; a nil sink discards them.
 type PermSink interface {
@@ -32,16 +27,8 @@ type permKey struct {
 // while subdomains the mutation didn't touch still re-materialize only
 // once per epoch.
 type PermLRU struct {
-	mu   sync.Mutex
-	cap  int
-	ll   *list.List // of *pentry, front = most recently used
-	m    map[permKey]*list.Element
-	sink PermSink
-}
-
-type pentry struct {
-	k    permKey
-	perm []int
+	perms *lru[permKey, []int]
+	sink  PermSink
 }
 
 // NewPermLRU creates a permutation LRU bounded to capacity entries
@@ -50,64 +37,30 @@ func NewPermLRU(capacity int, sink PermSink) *PermLRU {
 	if capacity < 1 {
 		capacity = DefaultPermCapacity
 	}
-	return &PermLRU{
-		cap:  capacity,
-		ll:   list.New(),
-		m:    make(map[permKey]*list.Element),
-		sink: sink,
-	}
+	return &PermLRU{perms: newLRU[permKey, []int](capacity), sink: sink}
 }
 
 // Get implements core.PermCache. The returned slice is shared and must
 // be treated as read-only, like a materialized tree's own permutations.
 func (l *PermLRU) Get(sub int, epoch uint64) ([]int, bool) {
-	l.mu.Lock()
-	el, ok := l.m[permKey{sub: sub, epoch: epoch}]
-	if ok {
-		l.ll.MoveToFront(el)
-	}
-	l.mu.Unlock()
-	if !ok {
-		if l.sink != nil {
+	perm, ok := l.perms.get(permKey{sub: sub, epoch: epoch})
+	if l.sink != nil {
+		if ok {
+			l.sink.PermHit()
+		} else {
 			l.sink.PermMiss()
 		}
-		return nil, false
 	}
-	if l.sink != nil {
-		l.sink.PermHit()
-	}
-	return el.Value.(*pentry).perm, true
+	return perm, ok
 }
 
 // Put implements core.PermCache, evicting from the cold end while over
 // capacity.
 func (l *PermLRU) Put(sub int, epoch uint64, perm []int) {
-	k := permKey{sub: sub, epoch: epoch}
-	evicted := 0
-	l.mu.Lock()
-	if el, ok := l.m[k]; ok {
-		el.Value.(*pentry).perm = perm
-		l.ll.MoveToFront(el)
-	} else {
-		l.m[k] = l.ll.PushFront(&pentry{k: k, perm: perm})
-		for l.ll.Len() > l.cap {
-			cold := l.ll.Back()
-			l.ll.Remove(cold)
-			delete(l.m, cold.Value.(*pentry).k)
-			evicted++
-		}
-	}
-	l.mu.Unlock()
-	if l.sink != nil {
-		for ; evicted > 0; evicted-- {
-			l.sink.PermEvict()
-		}
+	for n := l.perms.put(permKey{sub: sub, epoch: epoch}, perm); n > 0 && l.sink != nil; n-- {
+		l.sink.PermEvict()
 	}
 }
 
 // Len returns the cached permutation count, for tests and sizing.
-func (l *PermLRU) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ll.Len()
-}
+func (l *PermLRU) Len() int { return l.perms.len() }

@@ -223,3 +223,61 @@ func TestCanceledLeaderDoesNotPoison(t *testing.T) {
 		t.Fatalf("waiter inherited the leader's cancellation: %v", err)
 	}
 }
+
+// TestStreamBreakReleasesLedFlights: a stream over a hit and a miss
+// starts the miss's walk without waiting for the hit to be consumed,
+// and a consumer that breaks on the hit strands nothing — the walk is
+// canceled, the flight the stream led completes with the cancellation,
+// and a foreign waiter collapsed onto it retries and is answered.
+func TestStreamBreakReleasesLedFlights(t *testing.T) {
+	res := outsrc(t, 80, core.OneSignature)
+	local, err := backend.NewLocal(res.Tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gated := newGated(local)
+	c, err := Wrap(gated, WithoutPermTier())
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := spreadQueries(res.Tree.Domain(), 2)
+	ctx := context.Background()
+
+	warmed := make(chan error, 1)
+	go func() {
+		_, err := c.Query(ctx, qs[0])
+		warmed <- err
+	}()
+	gated.gate <- struct{}{}
+	if err := <-warmed; err != nil {
+		t.Fatal(err)
+	}
+
+	waiterDone := make(chan error, 1)
+	yielded := 0
+	for i, r := range c.QueryStream(ctx, qs) {
+		yielded++
+		if i != 0 || r.Err != nil {
+			t.Fatalf("first item is index %d (err %v), want the cached index 0", i, r.Err)
+		}
+		waitFor(t, "the miss's walk to start while the hit is still being consumed", func() bool {
+			return gated.walks.Load() == 2
+		})
+		go func() {
+			_, err := c.Query(ctx, qs[1])
+			waiterDone <- err
+		}()
+		waitFor(t, "the foreign waiter to collapse onto the led flight", func() bool {
+			return c.CacheStats().Collapses >= 1
+		})
+		break
+	}
+	if yielded != 1 {
+		t.Fatalf("stream yielded %d items before the break, want 1", yielded)
+	}
+	waitFor(t, "the waiter to re-lead the canceled flight", func() bool { return gated.walks.Load() == 3 })
+	close(gated.gate)
+	if err := <-waiterDone; err != nil {
+		t.Fatalf("waiter inherited the stream's cancellation: %v", err)
+	}
+}

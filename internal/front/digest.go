@@ -1,9 +1,10 @@
 package front
 
 import (
-	"sort"
 	"sync"
 	"time"
+
+	"aqverify/internal/stats"
 )
 
 // digest is the decaying latency record a replica set tracks its hedge
@@ -16,19 +17,22 @@ import (
 // tail upward until hedging turns itself off.
 type digest struct {
 	mu   sync.Mutex
-	buf  []time.Duration
-	n    int // filled entries, ≤ len(buf)
-	next int // ring write position
+	buf  []float64 // nanoseconds
+	n    int       // filled entries, ≤ len(buf)
+	next int       // ring write position
 }
 
-func newDigest(size int) *digest {
-	return &digest{buf: make([]time.Duration, size)}
+// digestWindow is the completions per shard the hedge deadline tracks.
+const digestWindow = 128
+
+func newDigest() *digest {
+	return &digest{buf: make([]float64, digestWindow)}
 }
 
 // Record folds one completion in, displacing the oldest once full.
 func (d *digest) Record(v time.Duration) {
 	d.mu.Lock()
-	d.buf[d.next] = v
+	d.buf[d.next] = float64(v)
 	d.next = (d.next + 1) % len(d.buf)
 	if d.n < len(d.buf) {
 		d.n++
@@ -36,23 +40,12 @@ func (d *digest) Record(v time.Duration) {
 	d.mu.Unlock()
 }
 
-// Quantile returns the q-quantile (0 < q ≤ 1) of the recorded window,
-// 0 when nothing has been recorded yet (callers clamp to a floor).
-func (d *digest) Quantile(q float64) time.Duration {
+// Percentile returns the p-th percentile (0 < p ≤ 100) of the recorded
+// window under stats.Percentile's nearest-rank rule — the one rule every
+// percentile in the repo is reported with — and 0 when nothing has been
+// recorded yet (callers clamp to a floor).
+func (d *digest) Percentile(p float64) time.Duration {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.n == 0 {
-		return 0
-	}
-	tmp := make([]time.Duration, d.n)
-	copy(tmp, d.buf[:d.n])
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	i := int(q*float64(d.n)) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= d.n {
-		i = d.n - 1
-	}
-	return tmp[i]
+	return time.Duration(stats.Percentile(d.buf[:d.n], p))
 }

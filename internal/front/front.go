@@ -31,15 +31,12 @@ package front
 import (
 	"context"
 	"fmt"
-	"iter"
 	"net"
 	"net/http"
 	"sync"
 	"time"
 
 	"aqverify/internal/backend"
-	"aqverify/internal/query"
-	"aqverify/internal/shard"
 	"aqverify/internal/transport"
 	"aqverify/internal/wire"
 )
@@ -61,9 +58,6 @@ type Options struct {
 	// HedgeAfterMin floors the hedge deadline (default 1ms), so a cold
 	// or very fast digest still waits a beat before doubling load.
 	HedgeAfterMin time.Duration
-	// HedgeAfterMax caps the hedge deadline (default 1s), so a polluted
-	// digest cannot push hedging past usefulness.
-	HedgeAfterMax time.Duration
 	// MaxInFlight bounds concurrently admitted exchanges across the
 	// front; 0 means unbounded (no gate).
 	MaxInFlight int
@@ -75,9 +69,6 @@ type Options struct {
 	ProbeEvery time.Duration
 	// ProbeTimeout bounds one /params probe (default 2s).
 	ProbeTimeout time.Duration
-	// DigestSize is the latency window per shard the hedge deadline
-	// tracks (default 128 completions).
-	DigestSize int
 	// Logf receives ejection/re-admission notices; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -85,9 +76,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.HedgeAfterMin <= 0 {
 		o.HedgeAfterMin = time.Millisecond
-	}
-	if o.HedgeAfterMax <= 0 {
-		o.HedgeAfterMax = time.Second
 	}
 	if o.FailAfter <= 0 {
 		o.FailAfter = 3
@@ -97,9 +85,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ProbeTimeout <= 0 {
 		o.ProbeTimeout = 2 * time.Second
-	}
-	if o.DigestSize <= 0 {
-		o.DigestSize = 128
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -127,14 +112,16 @@ func HTTPClient() *http.Client {
 	}
 }
 
-// Frontend is the replica-aware serving layer: a backend.Fanout over K
-// ReplicaSets plus the admission gate and the front's gauges. It
-// implements backend.Backend (queries route ungated — the gate is the
-// HTTP boundary's concern, enforced by the transport handler through
-// Admit; programmatic callers that want gating call Admit themselves)
-// and WriteProm, which the handler's /metrics route picks up.
+// Frontend is the replica-aware serving layer: a backend.Fanout whose
+// children are K ReplicaSets — so every query method, the plan and the
+// epochs are the Fanout's own, and each sub-batch gets its set's
+// routing, hedging and failover — plus the admission gate and the
+// front's gauges. Queries route ungated: the gate is the HTTP
+// boundary's concern, enforced by the transport handler through Admit
+// (programmatic callers that want gating call Admit themselves).
+// WriteProm is what the handler's /metrics route picks up.
 type Frontend struct {
-	fan  *backend.Fanout
+	*backend.Fanout
 	sets []*ReplicaSet
 	gate *gate // nil when MaxInFlight is 0
 	opt  Options
@@ -174,7 +161,7 @@ func DialFront(groups [][]string, hc *http.Client, opt Options) (*Frontend, tran
 	if err != nil {
 		return nil, transport.Params{}, err
 	}
-	f := &Frontend{fan: fan, sets: sets, opt: opt}
+	f := &Frontend{Fanout: fan, sets: sets, opt: opt}
 	if opt.MaxInFlight > 0 {
 		f.gate = newGate(opt.MaxInFlight)
 	}
@@ -203,7 +190,8 @@ func (f *Frontend) Close() error {
 // probe clears the failure count and re-admits an ejected replica; a
 // failed or timed-out probe counts toward ejection exactly like a
 // failed request. Refresh also refuses an identity change (a different
-// backend or verifier key at the same URL), which ejects the imposter.
+// backend, verifier key or template at the same URL), which ejects the
+// imposter.
 func (f *Frontend) probeLoop() {
 	defer close(f.done)
 	t := time.NewTicker(f.opt.ProbeEvery)
@@ -232,40 +220,6 @@ func (f *Frontend) probeAll() {
 		}
 	}
 }
-
-// Name implements backend.Backend.
-func (f *Frontend) Name() string { return f.fan.Name() }
-
-// Query implements backend.Backend: route to the owning replica set,
-// which hedges and fails over as configured. Not gated — see the type
-// comment.
-func (f *Frontend) Query(ctx context.Context, q query.Query, opts ...backend.Option) (backend.Answer, error) {
-	return f.fan.Query(ctx, q, opts...)
-}
-
-// QueryBatch implements backend.Backend: the batch splits per owning
-// shard and each sub-batch gets its set's routing and hedging.
-func (f *Frontend) QueryBatch(ctx context.Context, qs []query.Query, opts ...backend.Option) ([]backend.Answer, []error) {
-	return f.fan.QueryBatch(ctx, qs, opts...)
-}
-
-// QueryStream implements backend.Backend: per-shard streams (one
-// replica each, unhedged) merged in completion order.
-func (f *Frontend) QueryStream(ctx context.Context, qs []query.Query, opts ...backend.Option) iter.Seq2[int, backend.BatchResult] {
-	return f.fan.QueryStream(ctx, qs, opts...)
-}
-
-// NumShards returns the shard (replica set) count.
-func (f *Frontend) NumShards() int { return f.fan.NumShards() }
-
-// Plan returns the recovered shard plan.
-func (f *Frontend) Plan() shard.Plan { return f.fan.Plan() }
-
-// Epoch returns the fleet's newest observed publication epoch.
-func (f *Frontend) Epoch() uint64 { return f.fan.Epoch() }
-
-// Epochs returns each shard's newest observed epoch, in shard order.
-func (f *Frontend) Epochs() []uint64 { return f.fan.Epochs() }
 
 // Replicas returns the total replica count across shards.
 func (f *Frontend) Replicas() int {

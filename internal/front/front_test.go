@@ -152,44 +152,58 @@ func TestHedgeRescuesSlowReplica(t *testing.T) {
 
 // TestHedgeBudget pins the hedge cap: with a fraction too small for the
 // request count, deadlines fire but launches are suppressed, so a
-// degraded fleet is never double-loaded past the budget.
+// degraded fleet is never double-loaded past the budget. With no budget
+// at all an exchange cannot hedge, so it arms no deadline and there is
+// nothing to suppress either.
 func TestHedgeBudget(t *testing.T) {
 	const slow = 30 * time.Millisecond
-	var delay atomic.Int64
-	fl := newFleet(t, 2, 2, func(si, ri int, h http.Handler) http.Handler {
-		if si == 0 && ri == 1 {
-			return delayQueries{h, &delay}
-		}
-		return h
-	})
-	f, _, err := front.DialFront(fl.groups, nil, front.Options{
-		HedgeFraction: 0.01, // needs 100 requests before the first hedge
-		HedgeAfterMin: 2 * time.Millisecond,
-		ProbeEvery:    -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	delay.Store(int64(slow))
+	for _, tc := range []struct {
+		name           string
+		fraction       float64
+		wantSuppressed bool
+	}{
+		{"budget too small", 0.01, true}, // needs 100 requests before the first hedge
+		{"no budget", 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var delay atomic.Int64
+			fl := newFleet(t, 2, 2, func(si, ri int, h http.Handler) http.Handler {
+				if si == 0 && ri == 1 {
+					return delayQueries{h, &delay}
+				}
+				return h
+			})
+			f, _, err := front.DialFront(fl.groups, nil, front.Options{
+				HedgeFraction: tc.fraction,
+				HedgeAfterMin: 2 * time.Millisecond,
+				ProbeEvery:    -1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			delay.Store(int64(slow))
 
-	ctx := context.Background()
-	verify := backend.WithVerify(fl.res.Public)
-	for i, q := range fleetQueries(fl.dom, 16) {
-		if _, err := f.Query(ctx, q, verify); err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-	}
-	snap := f.Snapshot()
-	if got := snap.Hedges(); got != 0 {
-		t.Errorf("issued %d hedges under a 0.01 budget with 16 requests; want 0", got)
-	}
-	var suppressed int64
-	for _, sh := range snap.Shards {
-		suppressed += sh.HedgesSuppressed
-	}
-	if suppressed == 0 {
-		t.Errorf("no suppressed hedges recorded; the slow replica's deadlines should have fired")
+			ctx := context.Background()
+			verify := backend.WithVerify(fl.res.Public)
+			for i, q := range fleetQueries(fl.dom, 16) {
+				if _, err := f.Query(ctx, q, verify); err != nil {
+					t.Fatalf("query %d: %v", i, err)
+				}
+			}
+			snap := f.Snapshot()
+			if got := snap.Hedges(); got != 0 {
+				t.Errorf("issued %d hedges under a %v budget with 16 requests; want 0", got, tc.fraction)
+			}
+			var suppressed int64
+			for _, sh := range snap.Shards {
+				suppressed += sh.HedgesSuppressed
+			}
+			if (suppressed > 0) != tc.wantSuppressed {
+				t.Errorf("%d suppressed hedges; want some: %v (the slow replica's deadlines fire only when a budget could act on them)",
+					suppressed, tc.wantSuppressed)
+			}
+		})
 	}
 }
 

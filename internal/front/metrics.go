@@ -87,38 +87,24 @@ type Snapshot struct {
 	Shards        []ShardStat
 }
 
-// Hedges sums hedge launches across shards.
-func (s Snapshot) Hedges() int64 {
-	var n int64
+// sum totals one ShardStat counter across shards.
+func (s Snapshot) sum(of func(ShardStat) int64) (n int64) {
 	for _, sh := range s.Shards {
-		n += sh.Hedges
+		n += of(sh)
 	}
 	return n
 }
+
+// Hedges sums hedge launches across shards.
+func (s Snapshot) Hedges() int64 { return s.sum(func(sh ShardStat) int64 { return sh.Hedges }) }
 
 // HedgeWins sums won hedge races across shards.
-func (s Snapshot) HedgeWins() int64 {
-	var n int64
-	for _, sh := range s.Shards {
-		n += sh.HedgeWins
-	}
-	return n
-}
+func (s Snapshot) HedgeWins() int64 { return s.sum(func(sh ShardStat) int64 { return sh.HedgeWins }) }
 
 // Ejections sums replica ejections across shards.
-func (s Snapshot) Ejections() int64 {
-	var n int64
-	for _, sh := range s.Shards {
-		n += sh.Ejections
-	}
-	return n
-}
+func (s Snapshot) Ejections() int64 { return s.sum(func(sh ShardStat) int64 { return sh.Ejections }) }
 
 // Readmissions sums replica re-admissions across shards.
 func (s Snapshot) Readmissions() int64 {
-	var n int64
-	for _, sh := range s.Shards {
-		n += sh.Readmissions
-	}
-	return n
+	return s.sum(func(sh ShardStat) int64 { return sh.Readmissions })
 }

@@ -14,12 +14,9 @@ import (
 func (f *Frontend) WriteProm(p *metrics.Prom) {
 	snap := f.Snapshot()
 
-	p.Family("aqv_front_inflight", "gauge", "Requests currently admitted by the front's gate.")
-	p.Int("aqv_front_inflight", nil, snap.InFlight)
-	p.Family("aqv_front_inflight_bound", "gauge", "The admission gate's in-flight bound (0 = unbounded).")
-	p.Int("aqv_front_inflight_bound", nil, snap.InFlightBound)
-	p.Family("aqv_front_shed_total", "counter", "Requests shed by the admission gate (answered 429).")
-	p.Int("aqv_front_shed_total", nil, snap.Shed)
+	p.Scalar("aqv_front_inflight", "gauge", "Requests currently admitted by the front's gate.", snap.InFlight)
+	p.Scalar("aqv_front_inflight_bound", "gauge", "The admission gate's in-flight bound (0 = unbounded).", snap.InFlightBound)
+	p.Scalar("aqv_front_shed_total", "counter", "Requests shed by the admission gate (answered 429).", snap.Shed)
 
 	p.Family("aqv_front_requests_total", "counter", "Batch/query exchanges routed, by shard.")
 	p.Family("aqv_front_streams_total", "counter", "Stream exchanges routed, by shard.")

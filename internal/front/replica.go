@@ -38,7 +38,6 @@ type ReplicaSet struct {
 	name  string
 	reps  []*replica
 	opt   Options
-	logf  func(format string, args ...any)
 
 	requests   atomic.Int64
 	streams    atomic.Int64
@@ -59,8 +58,7 @@ func newReplicaSet(shard int, reps []*replica, opt Options) *ReplicaSet {
 		name:  reps[0].rem.Name(),
 		reps:  reps,
 		opt:   opt,
-		logf:  opt.Logf,
-		lat:   newDigest(opt.DigestSize),
+		lat:   newDigest(),
 		hist:  newHistogram(),
 	}
 }
@@ -68,20 +66,15 @@ func newReplicaSet(shard int, reps []*replica, opt Options) *ReplicaSet {
 // Name implements backend.Backend.
 func (s *ReplicaSet) Name() string { return s.name }
 
-// Replicas returns the replica count.
-func (s *ReplicaSet) Replicas() int { return len(s.reps) }
-
 // Epoch returns the newest publication epoch any replica has been seen
 // serving — the owner publishes monotonically, so during a rolling swap
 // the maximum is the authoritative epoch and the others are lagging.
 func (s *ReplicaSet) Epoch() uint64 {
-	var max uint64
+	var newest uint64
 	for _, r := range s.reps {
-		if e := r.rem.Epoch(); e > max {
-			max = e
-		}
+		newest = max(newest, r.rem.Epoch())
 	}
-	return max
+	return newest
 }
 
 // pick chooses a replica by power-of-two-choices over in-flight counts,
@@ -122,29 +115,29 @@ func (s *ReplicaSet) pick(exclude *replica) *replica {
 	return a
 }
 
+// hedgeAfterMax caps the hedge deadline, so a polluted digest cannot
+// push hedging past usefulness.
+const hedgeAfterMax = time.Second
+
 // hedgeDelay is the deadline after which a second replica is tried: the
-// digest's p99, clamped to [HedgeAfterMin, HedgeAfterMax] so a cold
+// digest's p99, clamped to [HedgeAfterMin, hedgeAfterMax] so a cold
 // digest hedges eagerly rather than never.
 func (s *ReplicaSet) hedgeDelay() time.Duration {
-	d := s.lat.Quantile(0.99)
-	if d < s.opt.HedgeAfterMin {
-		d = s.opt.HedgeAfterMin
-	}
-	if d > s.opt.HedgeAfterMax {
-		d = s.opt.HedgeAfterMax
-	}
-	return d
+	return min(max(s.lat.Percentile(99), s.opt.HedgeAfterMin), hedgeAfterMax)
+}
+
+// canHedge reports whether an exchange on this set can hedge at all: it
+// takes a budget and a second replica. When it cannot, QueryBatch arms
+// no deadline — there is no decision for one to trigger.
+func (s *ReplicaSet) canHedge() bool {
+	return s.opt.HedgeFraction > 0 && len(s.reps) > 1
 }
 
 // allowHedge enforces the hedge budget: issued hedges may not exceed
 // HedgeFraction of requests, so hedging cannot double the load on a
 // degraded fleet.
 func (s *ReplicaSet) allowHedge() bool {
-	frac := s.opt.HedgeFraction
-	if frac <= 0 {
-		return false
-	}
-	return float64(s.hedges.Load()+1) <= frac*float64(s.requests.Load())
+	return float64(s.hedges.Load()+1) <= s.opt.HedgeFraction*float64(s.requests.Load())
 }
 
 // wholesale classifies a batch outcome: a transport-level failure fails
@@ -169,7 +162,7 @@ func (s *ReplicaSet) fail(r *replica, err error) {
 	n := r.fails.Add(1)
 	if int(n) >= s.opt.FailAfter && r.ejected.CompareAndSwap(false, true) {
 		s.ejections.Add(1)
-		s.logf("front: shard %d: ejecting replica %s after %d consecutive failures: %v", s.shard, r.url, n, err)
+		s.opt.Logf("front: shard %d: ejecting replica %s after %d consecutive failures: %v", s.shard, r.url, n, err)
 	}
 }
 
@@ -189,7 +182,7 @@ func (s *ReplicaSet) noteSuccess(r *replica) {
 	r.fails.Store(0)
 	if r.ejected.CompareAndSwap(true, false) {
 		s.readmits.Add(1)
-		s.logf("front: shard %d: re-admitting replica %s", s.shard, r.url)
+		s.opt.Logf("front: shard %d: re-admitting replica %s", s.shard, r.url)
 	}
 }
 
@@ -257,24 +250,25 @@ func (s *ReplicaSet) QueryBatch(ctx context.Context, qs []query.Query, opts ...b
 	go s.launch(ctx, primary, false, qs, opts, ch)
 
 	var res *launchResult
-	timer := time.NewTimer(s.hedgeDelay())
-	select {
-	case res = <-ch:
-		outstanding--
-	case <-timer.C:
-		if second := s.pick(primary); second != nil {
+	if !s.canHedge() {
+		res = <-ch
+	} else {
+		timer := time.NewTimer(s.hedgeDelay())
+		select {
+		case res = <-ch:
+		case <-timer.C:
 			if s.allowHedge() {
 				s.hedges.Add(1)
 				outstanding++
-				go s.launch(ctx, second, true, qs, opts, ch)
+				go s.launch(ctx, s.pick(primary), true, qs, opts, ch)
 			} else {
 				s.suppressed.Add(1)
 			}
+			res = <-ch
 		}
-		res = <-ch
-		outstanding--
+		timer.Stop()
 	}
-	timer.Stop()
+	outstanding--
 
 	if err := wholesale(res.errs); err != nil {
 		s.noteFailure(res.rep, err)
@@ -314,7 +308,7 @@ func (s *ReplicaSet) QueryBatch(ctx context.Context, qs []query.Query, opts ...b
 		}
 		s.hist.Observe(d)
 	}
-	backend.CounterOf(opts).Add(res.ctr)
+	backend.Resolve(opts).Charge(res.ctr)
 	return res.answers, res.errs
 }
 

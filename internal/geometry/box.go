@@ -3,6 +3,7 @@ package geometry
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Box is the axis-aligned bounded domain the data owner assigns to the
@@ -45,6 +46,13 @@ func MustBox(lo, hi []float64) Box {
 
 // Dim returns the box's dimensionality.
 func (b Box) Dim() int { return len(b.Lo) }
+
+// Equal reports whether the two boxes have identical corners, bit for
+// bit: a box that traveled through a plan, an artifact or /params
+// unchanged is Equal to its source, and nothing looser is accepted.
+func (b Box) Equal(o Box) bool {
+	return slices.Equal(b.Lo, o.Lo) && slices.Equal(b.Hi, o.Hi)
+}
 
 // Contains reports whether x lies inside the closed box.
 func (b Box) Contains(x Point) bool {

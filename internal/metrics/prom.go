@@ -80,6 +80,13 @@ func (p *Prom) Int(name string, labels []Label, v int64) {
 	p.Sample(name, labels, float64(v))
 }
 
+// Scalar writes a whole single-sample family: its header and its one
+// unlabeled integer value.
+func (p *Prom) Scalar(name, typ, help string, v int64) {
+	p.Family(name, typ, help)
+	p.Int(name, nil, v)
+}
+
 // Flush flushes the buffered exposition and returns the first error any
 // write hit.
 func (p *Prom) Flush() error {

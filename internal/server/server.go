@@ -131,13 +131,9 @@ type sharded interface {
 	Epochs() []uint64
 }
 
-// newServing snapshots a backend, discovering its epoch through the
-// optional Epoch()/Epochs() accessors the built-in backends provide.
+// newServing snapshots a backend and its epochs.
 func newServing(b Backend) *serving {
-	sv := &serving{backend: b}
-	if e, ok := b.(interface{ Epoch() uint64 }); ok {
-		sv.epoch = e.Epoch()
-	}
+	sv := &serving{backend: b, epoch: backend.Epoch(b)}
 	if sb, ok := b.(sharded); ok {
 		sv.set = sb.Router().Set()
 		sv.epochs = sb.Epochs()
@@ -281,6 +277,10 @@ func (sv *serving) trees() []*core.Tree {
 // backends).
 func (s *Server) Epoch() uint64 { return s.serving.Load().epoch }
 
+// Epochs returns the serving snapshot's per-shard epochs in shard
+// order, nil for a single-tree backend.
+func (s *Server) Epochs() []uint64 { return s.serving.Load().epochs }
+
 // Swaps returns how many epoch swaps this server has completed.
 func (s *Server) Swaps() int { return s.tally.Swaps() }
 
@@ -298,7 +298,7 @@ func (s *Server) Domain() (geometry.Box, bool) {
 	if sv.set != nil {
 		return sv.set.Plan.Domain, true
 	}
-	if d, ok := sv.backend.(interface{ Domain() geometry.Box }); ok {
+	if d, ok := backend.Find[interface{ Domain() geometry.Box }](sv.backend); ok {
 		return d.Domain(), true
 	}
 	return geometry.Box{}, false

@@ -30,7 +30,7 @@ func TestPlanFromBoxes(t *testing.T) {
 				t.Fatalf("axis %d: cut %d = %v, want %v", axis, i, got.Cuts[i], c)
 			}
 		}
-		if !sameBox(got.Domain, dom) {
+		if !got.Domain.Equal(dom) {
 			t.Fatalf("axis %d: reconstructed domain %v-%v", axis, got.Domain.Lo, got.Domain.Hi)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"aqverify/internal/core"
-	"aqverify/internal/geometry"
 	"aqverify/internal/itree"
 	"aqverify/internal/pool"
 	"aqverify/internal/record"
@@ -113,7 +112,7 @@ func shardBuckets(ctx context.Context, tbl record.Table, p core.Params, plan Pla
 	if plan.K() == 0 {
 		return nil, fmt.Errorf("shard: empty plan; use NewPlan")
 	}
-	if !sameBox(p.Domain, plan.Domain) {
+	if !p.Domain.Equal(plan.Domain) {
 		return nil, fmt.Errorf("shard: plan covers %v-%v but Params.Domain is %v-%v",
 			plan.Domain.Lo, plan.Domain.Hi, p.Domain.Lo, p.Domain.Hi)
 	}
@@ -194,17 +193,4 @@ func (s *Set) NumSubdomains() int {
 		n += t.NumSubdomains()
 	}
 	return n
-}
-
-// sameBox reports whether two boxes have identical corners.
-func sameBox(a, b geometry.Box) bool {
-	if a.Dim() != b.Dim() {
-		return false
-	}
-	for i := range a.Lo {
-		if a.Lo[i] != b.Lo[i] || a.Hi[i] != b.Hi[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"aqverify/internal/backend"
+	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/wire"
 )
@@ -15,10 +16,10 @@ import (
 // the inner backend produces passes through Rewrite before the caller's
 // options see it: the inner call runs with no options (so unverified),
 // the adversary rewrites Answer.Raw, and only then do the caller's
-// WithVerify/WithCounter apply, through the same backend.Finisher /
-// FinishBatch every transport finishes answers with. The attack suites
-// therefore reach whatever the plane can compose — local, sharded,
-// served, remote, fanned-out, cached.
+// WithVerify/WithCounter apply, through the same backend.Call.Finish
+// every transport finishes answers with. The attack suites therefore
+// reach whatever the plane can compose — local, sharded, served,
+// remote, fanned-out, cached.
 type Channel struct {
 	Inner backend.Backend
 	// Rewrite returns the bytes the user receives in place of raw, the
@@ -62,31 +63,37 @@ func (c Channel) Query(ctx context.Context, q query.Query, opts ...backend.Optio
 	if err != nil {
 		return ans, err
 	}
-	fin := backend.NewFinisher(opts...)
-	defer fin.Flush()
-	return c.deliver(fin, q, ans)
+	call := backend.Resolve(opts)
+	var cost metrics.Counter
+	err = c.deliver(call, q, &ans, &cost)
+	call.Charge(cost)
+	return ans, err
 }
 
-// QueryBatch implements backend.Backend.
+// QueryBatch implements backend.Backend over the inner backend's
+// buffered exchange.
 func (c Channel) QueryBatch(ctx context.Context, qs []query.Query, opts ...backend.Option) ([]backend.Answer, []error) {
-	answers, errs := c.Inner.QueryBatch(ctx, qs)
-	for i := range answers {
-		if errs[i] == nil {
-			answers[i].Raw = c.Rewrite(qs[i], answers[i].Raw)
-		}
-	}
-	backend.FinishBatch(ctx, qs, answers, errs, opts...)
-	return answers, errs
+	return backend.Collect(len(qs), c.stream(ctx, qs, opts, backend.Buffered))
 }
 
-// QueryStream implements backend.Backend.
+// QueryStream implements backend.Backend over the inner backend's
+// stream.
 func (c Channel) QueryStream(ctx context.Context, qs []query.Query, opts ...backend.Option) iter.Seq2[int, backend.BatchResult] {
+	return c.stream(ctx, qs, opts, backend.Backend.QueryStream)
+}
+
+// stream is both exchanges' body: every honest answer of the inner
+// exchange is delivered through the adversary, on the consuming
+// goroutine.
+func (c Channel) stream(ctx context.Context, qs []query.Query, opts []backend.Option,
+	exchange func(backend.Backend, context.Context, []query.Query, ...backend.Option) iter.Seq2[int, backend.BatchResult]) iter.Seq2[int, backend.BatchResult] {
 	return func(yield func(int, backend.BatchResult) bool) {
-		fin := backend.NewFinisher(opts...)
-		defer fin.Flush()
-		for i, r := range c.Inner.QueryStream(ctx, qs) {
+		call := backend.Resolve(opts)
+		var cost metrics.Counter
+		defer func() { call.Charge(cost) }()
+		for i, r := range exchange(c.Inner, ctx, qs) {
 			if r.Err == nil {
-				r.Answer, r.Err = c.deliver(fin, qs[i], r.Answer)
+				r.Err = c.deliver(call, qs[i], &r.Answer, &cost)
 			}
 			if !yield(i, r) {
 				return
@@ -96,11 +103,11 @@ func (c Channel) QueryStream(ctx context.Context, qs []query.Query, opts ...back
 }
 
 // deliver rewrites one honest answer and finishes it under the caller's
-// options; a rejected answer keeps only its attribution.
-func (c Channel) deliver(fin *backend.Finisher, q query.Query, ans backend.Answer) (backend.Answer, error) {
-	ans.Raw = c.Rewrite(q, ans.Raw)
-	if err := fin.Finish(q, &ans); err != nil {
-		return backend.Answer{Shard: ans.Shard, Epoch: ans.Epoch}, err
-	}
-	return ans, nil
+// options; a rejected answer keeps only its attribution. Only bytes
+// cross the channel: records the inner backend attached (a warm cache
+// does, even unasked) vouch for the honest bytes, not the rewritten
+// ones, and are dropped.
+func (c Channel) deliver(call backend.Call, q query.Query, ans *backend.Answer, cost *metrics.Counter) error {
+	ans.Raw, ans.Records = c.Rewrite(q, ans.Raw), nil
+	return call.Finish(q, ans, cost)
 }

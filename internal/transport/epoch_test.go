@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"aqverify/internal/backend"
@@ -394,5 +395,44 @@ func TestKProcessEpochRaceUnderSwap(t *testing.T) {
 		if errs[i] != nil || answers[i].Epoch != lastEpoch {
 			t.Fatalf("settled query %d: epoch %d err %v", i, answers[i].Epoch, errs[i])
 		}
+	}
+}
+
+// TestRefreshRefusesChangedIdentity: only the epoch may move on a
+// Refresh. A server that republishes /params under a different backend
+// name, verifier key or template — the anchors CheckSameBundle composes
+// a fleet under — is refused, and the pin stays where it was.
+func TestRefreshRefusesChangedIdentity(t *testing.T) {
+	_, _, ts, _ := epochFixture(t)
+	for name, change := range map[string]func(*Params){
+		"backend":  func(p *Params) { p.Backend = "ifmh-multi" },
+		"verifier": func(p *Params) { p.Verifier = "AAAA" + p.Verifier[4:] },
+		"template": func(p *Params) { p.Template.BiasAttr++ },
+	} {
+		t.Run(name, func(t *testing.T) {
+			var republish atomic.Pointer[func(*Params)] // nil: the honest bundle
+			impostor := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				var p Params
+				getJSON(t, ts.URL+"/params", &p)
+				p.Epoch = 7
+				if f := republish.Load(); f != nil {
+					(*f)(&p)
+				}
+				json.NewEncoder(w).Encode(p)
+			}))
+			defer impostor.Close()
+			c, err := Dial(impostor.URL, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			republish.Store(&change)
+			if e, err := c.Refresh(context.Background()); err == nil {
+				t.Fatalf("refresh accepted a changed %s (epoch %d)", name, e)
+			}
+			republish.Store(nil)
+			if e, err := c.Refresh(context.Background()); err != nil || e != 7 || c.Epoch() != 7 {
+				t.Fatalf("honest refresh: epoch %d (pinned %d), err %v", e, c.Epoch(), err)
+			}
+		})
 	}
 }

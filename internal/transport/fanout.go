@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 
 	"aqverify/internal/backend"
@@ -102,7 +103,7 @@ func DialGroups(groups [][]string, hc *http.Client) (shard.Plan, [][]*Remote, Pa
 			}
 			if ri == 0 {
 				gs[gi].box = box
-			} else if !sameBox(box, gs[gi].box) {
+			} else if !box.Equal(gs[gi].box) {
 				return fail(fmt.Errorf("transport: replica %s advertises a different serving domain than replica %s; replicas of one shard group must serve the same sub-box", u, urls[0]))
 			}
 			// The manifest hash is one value for a whole saved set, so
@@ -151,20 +152,6 @@ func DialGroups(groups [][]string, hc *http.Client) (shard.Plan, [][]*Remote, Pa
 	return plan, remotes, merged, nil
 }
 
-// sameBox compares two advertised boxes exactly: replicas of one shard
-// serve one sub-box, byte-identical through /params.
-func sameBox(a, b geometry.Box) bool {
-	if len(a.Lo) != len(b.Lo) {
-		return false
-	}
-	for d := range a.Lo {
-		if a.Lo[d] != b.Lo[d] || a.Hi[d] != b.Hi[d] {
-			return false
-		}
-	}
-	return true
-}
-
 // ArtifactMismatchError reports two shard servers of one deployment
 // advertising different artifact content hashes on /params: their trees
 // come from different saved publications, and composing them would
@@ -194,21 +181,8 @@ func CheckSameBundle(url string, p Params, anchorURL string, anchor Params) erro
 		return fmt.Errorf("transport: backend %s publishes a different verifier key than %s; all shards must share one owner key (vqserve -keyseed)",
 			url, anchorURL)
 	}
-	if !sameTemplate(p.Template, anchor.Template) {
+	if a, b := p.Template, anchor.Template; a.Name != b.Name || a.BiasAttr != b.BiasAttr || !slices.Equal(a.CoefAttrs, b.CoefAttrs) {
 		return fmt.Errorf("transport: backend %s publishes a different template than %s", url, anchorURL)
 	}
 	return nil
-}
-
-// sameTemplate compares two advertised templates field for field.
-func sameTemplate(a, b TplJSON) bool {
-	if a.Name != b.Name || a.BiasAttr != b.BiasAttr || len(a.CoefAttrs) != len(b.CoefAttrs) {
-		return false
-	}
-	for i := range a.CoefAttrs {
-		if a.CoefAttrs[i] != b.CoefAttrs[i] {
-			return false
-		}
-	}
-	return true
 }

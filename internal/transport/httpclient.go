@@ -54,17 +54,13 @@ func Dial(base string, hc *http.Client) (*HTTPClient, error) {
 		hc = http.DefaultClient
 	}
 	base = strings.TrimRight(base, "/")
-	resp, err := hc.Get(base + "/params")
+	req, err := http.NewRequest(http.MethodGet, base+"/params", nil)
 	if err != nil {
-		return nil, fmt.Errorf("transport: fetch params: %w", err)
+		return nil, fmt.Errorf("transport: build request: %w", err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("transport: params endpoint returned %s", resp.Status)
-	}
-	var p Params
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&p); err != nil {
-		return nil, fmt.Errorf("transport: parse params: %w", err)
+	p, err := fetchParams(hc, req)
+	if err != nil {
+		return nil, err
 	}
 	vb, err := base64.StdEncoding.DecodeString(p.Verifier)
 	if err != nil {
@@ -100,10 +96,6 @@ func Dial(base string, hc *http.Client) (*HTTPClient, error) {
 // Backend returns the server's advertised backend name.
 func (c *HTTPClient) Backend() string { return c.params.Backend }
 
-// Base returns the base URL the client dialed, for error attribution in
-// multi-server deployments (which replica failed, by name).
-func (c *HTTPClient) Base() string { return c.base }
-
 // Shards returns the server's advertised domain-shard count (0 = single
 // tree). Verification is identical either way.
 func (c *HTTPClient) Shards() int { return c.params.Shards }
@@ -129,31 +121,41 @@ func (c *HTTPClient) observeEpoch(e uint64) {
 	}
 }
 
+// fetchParams runs one GET /params exchange and parses the bundle.
+func fetchParams(hc *http.Client, req *http.Request) (Params, error) {
+	resp, err := hc.Do(req)
+	if err != nil {
+		return Params{}, fmt.Errorf("transport: fetch params: %w", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return Params{}, fmt.Errorf("transport: params endpoint returned %s", resp.Status)
+	}
+	var p Params
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&p); err != nil {
+		return Params{}, fmt.Errorf("transport: parse params: %w", err)
+	}
+	return p, nil
+}
+
 // Refresh re-reads /params and re-pins the serving epoch — the recovery
 // step after a backend.EpochError: the owner applied a mutation batch
 // and the server swapped the new bundle in, so the client refreshes its
-// pin and re-queries. Only the epoch moves; the trust anchors (verifier
-// key, template, domain) are fixed at dial, so a server that changes
+// pin and re-queries. Only the epoch moves; the trust anchors (backend
+// name, verifier key, template — CheckSameBundle, the same identity a
+// fleet is composed under) are fixed at dial, so a server that changes
 // them mid-flight is refused rather than silently re-trusted.
 func (c *HTTPClient) Refresh(ctx context.Context) (uint64, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/params", nil)
 	if err != nil {
 		return 0, fmt.Errorf("transport: build request: %w", err)
 	}
-	resp, err := c.hc.Do(req)
+	p, err := fetchParams(c.hc, req)
 	if err != nil {
-		return 0, fmt.Errorf("transport: refresh params: %w", err)
+		return 0, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("transport: params endpoint returned %s", resp.Status)
-	}
-	var p Params
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&p); err != nil {
-		return 0, fmt.Errorf("transport: parse params: %w", err)
-	}
-	if p.Backend != c.params.Backend || p.Verifier != c.params.Verifier {
-		return 0, fmt.Errorf("transport: server changed its identity (backend %q, was %q); re-dial to re-establish trust", p.Backend, c.params.Backend)
+	if err := CheckSameBundle(c.base, p, "its own dial-time bundle", c.params); err != nil {
+		return 0, fmt.Errorf("transport: server changed its identity; re-dial to re-establish trust: %w", err)
 	}
 	c.epoch.Store(p.Epoch)
 	return p.Epoch, nil
@@ -220,49 +222,27 @@ func (c *HTTPClient) rawBatch(ctx context.Context, qs []query.Query) ([]wire.Bat
 // the body and must close it — closing early is the honest way to break
 // the stream, cancelling the server's in-flight work.
 func (c *HTTPClient) openStream(ctx context.Context, qs []query.Query) (*wire.StreamReader, io.ReadCloser, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/query/stream",
-		bytes.NewReader(wire.EncodeQueryBatch(qs)))
+	resp, err := c.exchange(ctx, "/query/stream", wire.EncodeQueryBatch(qs))
 	if err != nil {
-		return nil, nil, fmt.Errorf("transport: build request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, nil, fmt.Errorf("transport: post /query/stream: %w", err)
-	}
-	if resp.StatusCode == http.StatusTooManyRequests {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		resp.Body.Close()
-		return nil, nil, fmt.Errorf("transport: %s: %w", strings.TrimSpace(string(msg)), wire.ErrOverload)
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		resp.Body.Close()
-		return nil, nil, fmt.Errorf("transport: server returned %s: %s", resp.Status, strings.TrimSpace(string(msg)))
+		return nil, nil, err
 	}
 	sr, err := wire.NewStreamReader(resp.Body)
+	if err == nil && sr.Count() != len(qs) {
+		err = fmt.Errorf("stream answers %d of %d queries", sr.Count(), len(qs))
+	}
 	if err != nil {
 		resp.Body.Close()
 		return nil, nil, fmt.Errorf("transport: answer stream: %w", err)
-	}
-	if sr.Count() != len(qs) {
-		resp.Body.Close()
-		return nil, nil, fmt.Errorf("transport: stream answers %d of %d queries", sr.Count(), len(qs))
 	}
 	return sr, resp.Body, nil
 }
 
 // post sends one octet-stream request and buffers up to limit response
-// bytes; a non-200 status surfaces the server's message.
+// bytes.
 func (c *HTTPClient) post(ctx context.Context, path string, reqBody []byte, limit int64) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(reqBody))
+	resp, err := c.exchange(ctx, path, reqBody)
 	if err != nil {
-		return nil, fmt.Errorf("transport: build request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("transport: post %s: %w", path, err)
+		return nil, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
@@ -272,14 +252,32 @@ func (c *HTTPClient) post(ctx context.Context, path string, reqBody []byte, limi
 	if int64(len(body)) > limit {
 		return nil, fmt.Errorf("transport: answer exceeds %d bytes", limit)
 	}
+	return body, nil
+}
+
+// exchange posts one octet-stream request and returns the response
+// with its body still open once the status is 200; any other status is
+// an error surfacing the server's message, the body already closed.
+func (c *HTTPClient) exchange(ctx context.Context, path string, reqBody []byte) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(reqBody))
+	if err != nil {
+		return nil, fmt.Errorf("transport: build request: %w", err)
+	}
+	req.Header.Set("Content-Type", "application/octet-stream")
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("transport: post %s: %w", path, err)
+	}
+	if resp.StatusCode == http.StatusOK {
+		return resp, nil
+	}
+	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+	resp.Body.Close()
 	if resp.StatusCode == http.StatusTooManyRequests {
 		// The host's admission gate shed the request before any work
 		// started; surface the typed overload signal so callers can
 		// retry elsewhere instead of treating it as a server fault.
-		return nil, fmt.Errorf("transport: %s: %w", strings.TrimSpace(string(body)), wire.ErrOverload)
+		return nil, fmt.Errorf("transport: %s: %w", strings.TrimSpace(string(msg)), wire.ErrOverload)
 	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("transport: server returned %s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-	return body, nil
+	return nil, fmt.Errorf("transport: server returned %s: %s", resp.Status, strings.TrimSpace(string(msg)))
 }

@@ -6,6 +6,7 @@ import (
 	"log"
 	"net/http"
 
+	"aqverify/internal/backend"
 	"aqverify/internal/metrics"
 	"aqverify/internal/server"
 )
@@ -23,15 +24,8 @@ import (
 // own pace, so /stats and /metrics re-read them at request time or the
 // epoch-lag gauges would freeze at boot values.
 func (h *Handler) refreshEpochGauges() {
-	if h.tally == nil {
-		return
-	}
-	if e, ok := h.b.(interface{ Epoch() uint64 }); ok {
-		var per []uint64
-		if es, ok := h.b.(interface{ Epochs() []uint64 }); ok {
-			per = es.Epochs()
-		}
-		h.tally.ObserveEpoch(e.Epoch(), per)
+	if h.tally != nil {
+		h.tally.ObserveEpoch(backend.Epoch(h.b), backend.Epochs(h.b))
 	}
 }
 
@@ -41,31 +35,16 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p := metrics.NewProm(&buf)
 
 	stats, n := h.stats.Stats()
-	p.Family("aqv_queries_total", "counter", "Queries answered successfully.")
-	p.Int("aqv_queries_total", nil, int64(n))
-	p.Family("aqv_query_errors_total", "counter", "Queries refused or failed.")
-	p.Int("aqv_query_errors_total", nil, int64(h.stats.ErrorCount()))
-	p.Family("aqv_answer_bytes_total", "counter", "Wire bytes of served answers (VO sizes).")
-	p.Int("aqv_answer_bytes_total", nil, int64(stats.Bytes))
-	p.Family("aqv_nodes_visited_total", "counter", "IFMH tree nodes traversed answering queries.")
-	p.Int("aqv_nodes_visited_total", nil, int64(stats.NodesVisited))
-	p.Family("aqv_cells_visited_total", "counter", "Mesh cells scanned answering queries.")
-	p.Int("aqv_cells_visited_total", nil, int64(stats.CellsVisited))
-	p.Family("aqv_hashes_total", "counter", "Hash invocations spent answering queries.")
-	p.Int("aqv_hashes_total", nil, int64(stats.Hashes))
-	p.Family("aqv_sig_verifies_total", "counter", "Signature verifications spent answering queries.")
-	p.Int("aqv_sig_verifies_total", nil, int64(stats.SigVerifies))
+	p.Scalar("aqv_queries_total", "counter", "Queries answered successfully.", int64(n))
+	p.Scalar("aqv_query_errors_total", "counter", "Queries refused or failed.", int64(h.stats.ErrorCount()))
+	p.Scalar("aqv_answer_bytes_total", "counter", "Wire bytes of served answers (VO sizes).", int64(stats.Bytes))
+	p.Scalar("aqv_nodes_visited_total", "counter", "IFMH tree nodes traversed answering queries.", int64(stats.NodesVisited))
+	p.Scalar("aqv_cells_visited_total", "counter", "Mesh cells scanned answering queries.", int64(stats.CellsVisited))
+	p.Scalar("aqv_hashes_total", "counter", "Hash invocations spent answering queries.", int64(stats.Hashes))
+	p.Scalar("aqv_sig_verifies_total", "counter", "Signature verifications spent answering queries.", int64(stats.SigVerifies))
 
-	epoch := h.params.Epoch
-	if e, ok := h.b.(interface{ Epoch() uint64 }); ok {
-		epoch = e.Epoch()
-	}
-	p.Family("aqv_epoch", "gauge", "Serving publication epoch.")
-	p.Int("aqv_epoch", nil, int64(epoch))
-	if sw, ok := h.stats.(interface{ Swaps() int }); ok {
-		p.Family("aqv_swaps_total", "counter", "Epoch swaps observed.")
-		p.Int("aqv_swaps_total", nil, int64(sw.Swaps()))
-	}
+	p.Scalar("aqv_epoch", "gauge", "Serving publication epoch.", int64(h.epoch()))
+	p.Scalar("aqv_swaps_total", "counter", "Epoch swaps observed.", int64(h.stats.Swaps()))
 
 	if ss := h.stats.ShardStats(); ss != nil {
 		p.Family("aqv_shard_queries_total", "counter", "Queries answered, by shard.")
@@ -81,8 +60,8 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 
-	if cs, ok := h.b.(interface{ CacheStats() server.CacheStats }); ok {
-		writeCacheProm(p, cs.CacheStats())
+	if h.cache != nil {
+		writeCacheProm(p, h.cache.CacheStats())
 	}
 	if h.promSrc != nil {
 		h.promSrc.WriteProm(p)
@@ -99,20 +78,12 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 func writeCacheProm(p *metrics.Prom, cs server.CacheStats) {
-	p.Family("aqv_cache_hits_total", "counter", "Whole-answer cache hits.")
-	p.Int("aqv_cache_hits_total", nil, cs.Hits)
-	p.Family("aqv_cache_epoch_hits", "gauge", "Whole-answer cache hits against the current epoch (resets on swap).")
-	p.Int("aqv_cache_epoch_hits", nil, cs.EpochHits)
-	p.Family("aqv_cache_misses_total", "counter", "Whole-answer cache misses.")
-	p.Int("aqv_cache_misses_total", nil, cs.Misses)
-	p.Family("aqv_cache_collapses_total", "counter", "Queries that joined an identical in-flight query.")
-	p.Int("aqv_cache_collapses_total", nil, cs.Collapses)
-	p.Family("aqv_cache_evictions_total", "counter", "Whole-answer entries evicted by the LRU.")
-	p.Int("aqv_cache_evictions_total", nil, cs.Evictions)
-	p.Family("aqv_cache_perm_hits_total", "counter", "Permutation-tier cache hits.")
-	p.Int("aqv_cache_perm_hits_total", nil, cs.PermHits)
-	p.Family("aqv_cache_perm_misses_total", "counter", "Permutation-tier cache misses.")
-	p.Int("aqv_cache_perm_misses_total", nil, cs.PermMisses)
-	p.Family("aqv_cache_perm_evictions_total", "counter", "Permutation entries evicted by the LRU.")
-	p.Int("aqv_cache_perm_evictions_total", nil, cs.PermEvictions)
+	p.Scalar("aqv_cache_hits_total", "counter", "Whole-answer cache hits.", cs.Hits)
+	p.Scalar("aqv_cache_epoch_hits", "gauge", "Whole-answer cache hits against the current epoch (resets on swap).", cs.EpochHits)
+	p.Scalar("aqv_cache_misses_total", "counter", "Whole-answer cache misses.", cs.Misses)
+	p.Scalar("aqv_cache_collapses_total", "counter", "Queries that joined an identical in-flight query.", cs.Collapses)
+	p.Scalar("aqv_cache_evictions_total", "counter", "Whole-answer entries evicted by the LRU.", cs.Evictions)
+	p.Scalar("aqv_cache_perm_hits_total", "counter", "Permutation-tier cache hits.", cs.PermHits)
+	p.Scalar("aqv_cache_perm_misses_total", "counter", "Permutation-tier cache misses.", cs.PermMisses)
+	p.Scalar("aqv_cache_perm_evictions_total", "counter", "Permutation entries evicted by the LRU.", cs.PermEvictions)
 }

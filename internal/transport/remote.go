@@ -7,7 +7,6 @@ import (
 	"io"
 	"iter"
 	"net/http"
-	"sync"
 
 	"aqverify/internal/backend"
 	"aqverify/internal/metrics"
@@ -26,9 +25,9 @@ import (
 // HTTP exchange for the whole batch; QueryStream opens the pipelined
 // POST /query/stream exchange and yields each item — verified as it
 // lands, under WithVerify, across the WithWorkers pool when one is
-// requested — the moment its frame arrives, in completion order.
-// Against a server that predates the route (no /params capability, or
-// a 404) it falls back to the buffered batch exchange.
+// requested — the moment its frame arrives, in completion order. There
+// is no fallback between the two: a server without the stream route
+// fails the stream's items like any other bad status.
 type Remote struct {
 	c *HTTPClient
 	// relay disables pin enforcement: a front-end's child remote
@@ -131,35 +130,35 @@ func (r *Remote) Query(ctx context.Context, q query.Query, opts ...backend.Optio
 // failure — network error, non-200 status, unparseable frame — fails
 // every item.
 func (r *Remote) QueryBatch(ctx context.Context, qs []query.Query, opts ...backend.Option) ([]backend.Answer, []error) {
-	answers := make([]backend.Answer, len(qs))
-	errs := make([]error, len(qs))
 	if len(qs) == 0 {
-		return answers, errs
+		return []backend.Answer{}, []error{}
 	}
 	items, err := r.c.rawBatch(ctx, qs)
 	if err != nil {
-		err = r.wrapErr(err)
-		for i := range errs {
-			answers[i].Shard = wire.ShardNone
-			errs[i] = err
-		}
-		return answers, errs
+		return backend.Collect(len(qs), backend.Fail(make([]bool, len(qs)), r.wrapErr(err)))
 	}
+	answers := make([]backend.Answer, len(qs))
+	errs := make([]error, len(qs))
 	for i, it := range items {
-		answers[i].Shard = it.Shard
-		answers[i].Epoch = it.Epoch
-		if it.Status == wire.StatusRefused {
-			errs[i] = fmt.Errorf("transport: server refused query %d: %s", i, it.Err)
-			continue
-		}
-		if err := r.epochErr(it); err != nil {
-			errs[i] = err
-			continue
-		}
-		answers[i].Raw = it.Answer
+		res := r.outcome(i, it)
+		answers[i], errs[i] = res.Answer, res.Err
 	}
-	backend.FinishBatch(ctx, qs, answers, errs, opts...)
+	backend.Resolve(opts).FinishBatch(ctx, qs, answers, errs)
 	return answers, errs
+}
+
+// outcome turns one wire item — a batch frame's or a stream's — into
+// the caller's result, unfinished: a refusal, a typed epoch mismatch,
+// or the raw answer bytes. Errors keep the item's shard and epoch
+// attribution and carry no bytes, per the Answer contract.
+func (r *Remote) outcome(i int, it wire.BatchAnswer) backend.BatchResult {
+	res := backend.BatchResult{Answer: backend.Answer{Shard: it.Shard, Epoch: it.Epoch}}
+	if it.Status == wire.StatusRefused {
+		res.Err = fmt.Errorf("transport: server refused query %d: %s", i, it.Err)
+	} else if res.Err = r.epochErr(it); res.Err == nil {
+		res.Answer.Raw = it.Answer
+	}
+	return res
 }
 
 // QueryStream implements backend.Backend over the pipelined wire
@@ -167,166 +166,80 @@ func (r *Remote) QueryBatch(ctx context.Context, qs []query.Query, opts ...backe
 // response is decoded frame by frame off the open body, so each item
 // yields — verified first, under WithVerify — as the server completes
 // it, in completion order, with the first result observable before the
-// last one is computed. Breaking out of the iteration closes the body
-// and cancels the request, which cancels the server's in-flight work. A
-// mid-stream transport failure (the server died, the frame stream is
-// truncated or malformed) fails exactly the items that had not yet been
-// delivered; so does any non-200 status on the post, the route's 404
-// included — every handler in this module serves it.
+// last one is computed. Breaking out of the iteration cancels the
+// request and closes the body, which cancels the server's in-flight
+// work. A transport failure (the post itself, any non-200 status — the
+// route's 404 included, every handler in this module serves it — or a
+// frame stream that dies, is truncated or malformed) fails exactly the
+// items that had not yet been delivered.
+//
+// One reader decodes frames and call.Workers goroutines finish them:
+// under WithVerify with a pool requested, per-item verification is real
+// work, worth overlapping with the network and with itself, and the
+// consumer sees verification-completion order.
 func (r *Remote) QueryStream(ctx context.Context, qs []query.Query, opts ...backend.Option) iter.Seq2[int, backend.BatchResult] {
 	return func(yield func(int, backend.BatchResult) bool) {
 		if len(qs) == 0 {
 			return
 		}
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		sr, body, err := r.c.openStream(ctx, qs)
+		call := backend.Resolve(opts)
+		costs := make([]metrics.Counter, call.Workers(len(qs))) // one per finisher
 		delivered := make([]bool, len(qs))
-		if err != nil {
-			failUndelivered(delivered, r.wrapErr(err), yield)
-			return
+		// The finishers drain frames until the reader closes it, so the
+		// reader's sends never block for good.
+		frames := make(chan wire.StreamItem)
+		var failed error // the reader's verdict, read after the join
+		producers := []func(context.Context, func(int, backend.BatchResult) bool){
+			func(ctx context.Context, _ func(int, backend.BatchResult) bool) {
+				defer close(frames)
+				failed = r.readStream(ctx, qs, frames)
+			},
 		}
-		defer body.Close()
-		fin := backend.NewFinisher(opts...)
-		if workers := fin.Workers(len(qs)); fin.Verifies() && workers > 1 {
-			// Per-item verification is real work; overlap it with the
-			// network and with itself across the requested pool.
-			r.streamVerifyPool(ctx, cancel, sr, qs, opts, workers, yield)
-			return
-		}
-		defer fin.Flush()
-		for {
-			item, err := sr.Next()
-			if errors.Is(err, io.EOF) {
-				return // strict trailer: every item was delivered
-			}
-			if err != nil {
-				failUndelivered(delivered, r.wrapErr(fmt.Errorf("transport: answer stream: %w", err)), yield)
-				return
-			}
-			delivered[item.Index] = true
-			if !yield(item.Index, r.streamResultOf(fin, qs, item)) {
-				return // deferred close + cancel abort the server side
-			}
-		}
-	}
-}
-
-// streamResultOf converts one decoded item frame into the consumer's
-// result, finishing (byte accounting and, under WithVerify, in-place
-// verification) answered items after the epoch check. A failed
-// verification or epoch mismatch keeps the shard and epoch attribution
-// and drops the bytes, per the Answer contract.
-func (r *Remote) streamResultOf(fin *backend.Finisher, qs []query.Query, item wire.StreamItem) backend.BatchResult {
-	res := backend.BatchResult{Answer: backend.Answer{Shard: item.Ans.Shard, Epoch: item.Ans.Epoch}}
-	if item.Ans.Status == wire.StatusRefused {
-		res.Err = fmt.Errorf("transport: server refused query %d: %s", item.Index, item.Ans.Err)
-		return res
-	}
-	if err := r.epochErr(item.Ans); err != nil {
-		res.Err = err
-		return res
-	}
-	res.Answer.Raw = item.Ans.Answer
-	if err := fin.Finish(qs[item.Index], &res.Answer); err != nil {
-		return backend.BatchResult{Answer: backend.Answer{Shard: item.Ans.Shard, Epoch: item.Ans.Epoch}, Err: err}
-	}
-	return res
-}
-
-// streamVerifyPool drains the frame decoder through a bounded
-// verification pool: one reader goroutine decodes frames off the open
-// body as they arrive, the workers verify them concurrently (each into
-// its own Finisher, flushed serially after the join, keeping the
-// WithCounter single-goroutine contract), and the consumer yields
-// verification-completion order. An early break cancels the request,
-// which aborts the body read and unwinds reader and workers; a
-// mid-stream transport failure fails exactly the items not yet yielded.
-func (r *Remote) streamVerifyPool(ctx context.Context, cancel context.CancelFunc, sr *wire.StreamReader,
-	qs []query.Query, opts []backend.Option, workers int, yield func(int, backend.BatchResult) bool) {
-	type indexed struct {
-		i int
-		r backend.BatchResult
-	}
-	frames := make(chan wire.StreamItem)
-	results := make(chan indexed)
-	finishers := make([]*backend.Finisher, workers)
-	for w := range finishers {
-		finishers[w] = backend.NewFinisher(opts...)
-	}
-	var rerr error // written by the reader, read after results closes
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // reader
-		defer wg.Done()
-		defer close(frames)
-		for {
-			item, err := sr.Next()
-			if errors.Is(err, io.EOF) {
-				return
-			}
-			if err != nil {
-				rerr = r.wrapErr(fmt.Errorf("transport: answer stream: %w", err))
-				return
-			}
-			select {
-			case frames <- item:
-			case <-ctx.Done():
-				rerr = ctx.Err()
-				return
-			}
-		}
-	}()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for item := range frames {
-				select {
-				case results <- indexed{item.Index, r.streamResultOf(finishers[w], qs, item)}:
-				case <-ctx.Done():
-					return
+		for w := range costs {
+			producers = append(producers, func(ctx context.Context, emit func(int, backend.BatchResult) bool) {
+				for item := range frames {
+					if ctx.Err() != nil {
+						continue // broken or canceled: finish nothing the consumer will not see
+					}
+					res := r.outcome(item.Index, item.Ans)
+					if res.Err == nil {
+						res.Err = call.Finish(qs[item.Index], &res.Answer, &costs[w])
+					}
+					delivered[item.Index] = true
+					emit(item.Index, res)
 				}
+			})
+		}
+		backend.Merge(ctx, yield, func(yield func(int, backend.BatchResult) bool) {
+			call.Charge(costs...)
+			if failed == nil {
+				failed = ctx.Err() // every frame arrived, but a cancel kept the finishers from some
 			}
-		}(w)
-	}
-	go func() { wg.Wait(); close(results) }()
-
-	// Consume until the pool drains; keep draining after a break so the
-	// join (and the counter flush) always happens on this goroutine.
-	delivered := make([]bool, len(qs))
-	broke := false
-	for item := range results {
-		if broke {
-			continue
-		}
-		delivered[item.i] = true
-		if !yield(item.i, item.r) {
-			broke = true
-			cancel() // aborts the body read, unblocking the reader
-		}
-	}
-	for _, f := range finishers {
-		f.Flush()
-	}
-	if broke {
-		return
-	}
-	if rerr != nil {
-		failUndelivered(delivered, rerr, yield)
+			if failed != nil {
+				backend.Fail(delivered, failed)(yield)
+			}
+		}, producers...)
 	}
 }
 
-// failUndelivered yields err for every index the stream had not
-// delivered when it failed: a transport-level failure costs exactly the
-// undelivered items, never the ones already yielded.
-func failUndelivered(delivered []bool, err error, yield func(int, backend.BatchResult) bool) {
-	for i, done := range delivered {
-		if done {
-			continue
+// readStream runs one POST /query/stream exchange under ctx, sending
+// each item frame to frames as it is decoded. It returns nil after the
+// strict trailer — every item was delivered — and the attributed
+// transport error otherwise.
+func (r *Remote) readStream(ctx context.Context, qs []query.Query, frames chan<- wire.StreamItem) error {
+	sr, body, err := r.c.openStream(ctx, qs)
+	if err != nil {
+		return r.wrapErr(err)
+	}
+	defer body.Close()
+	for {
+		item, err := sr.Next()
+		if errors.Is(err, io.EOF) {
+			return nil
 		}
-		if !yield(i, backend.BatchResult{Answer: backend.Answer{Shard: wire.ShardNone}, Err: err}) {
-			return
+		if err != nil {
+			return r.wrapErr(fmt.Errorf("transport: answer stream: %w", err))
 		}
+		frames <- item
 	}
 }

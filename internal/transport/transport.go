@@ -77,8 +77,9 @@ type Params struct {
 	// reconstructs the shard plan from its backends' domains.
 	Domain *BoxJSON `json:"domain,omitempty"`
 	// Stream advertises POST /query/stream, the pipelined answer
-	// transport. Absent on servers that predate it; clients fall back
-	// to the buffered batch exchange.
+	// transport; every handler in this module sets it. Informational:
+	// clients do not consult it, and a server without the route fails a
+	// stream's items like any other bad status.
 	Stream bool `json:"stream,omitempty"`
 	// Epoch advertises the serving publication epoch: 1 for a fresh
 	// outsourcing, bumped by every mutation batch the owner applies and
@@ -148,6 +149,7 @@ type statser interface {
 	Stats() (metrics.Counter, int)
 	ErrorCount() int
 	ShardStats() []server.ShardStat
+	Swaps() int
 }
 
 // admitter is the admission surface a served backend may expose — the
@@ -168,6 +170,12 @@ type promSource interface {
 	WriteProm(p *metrics.Prom)
 }
 
+// cacheSource is the cache tier's counter surface; /stats and /metrics
+// report it when the serving stack has one.
+type cacheSource interface {
+	CacheStats() server.CacheStats
+}
+
 // Handler serves one query backend over HTTP.
 type Handler struct {
 	b       backend.Backend
@@ -175,6 +183,7 @@ type Handler struct {
 	tally   *server.Tally // non-nil when the handler tallies itself
 	admit   admitter      // non-nil when the backend gates admission
 	promSrc promSource    // non-nil when the backend adds /metrics families
+	cache   cacheSource   // non-nil when the serving stack has a cache tier
 	params  Params
 	mux     *http.ServeMux
 }
@@ -242,65 +251,57 @@ func NewBackendHandler(b backend.Backend, p Params) (*Handler, error) {
 	if st, ok := b.(statser); ok {
 		h.stats = st
 	} else {
-		shards := 0
-		if ns, ok := b.(interface{ NumShards() int }); ok {
-			shards = ns.NumShards()
-		}
-		h.tally = server.NewTally(shards)
+		per := backend.Epochs(b)
+		h.tally = server.NewTally(len(per))
 		h.stats = h.tally
-		if e, ok := b.(interface{ Epoch() uint64 }); ok {
-			var per []uint64
-			if es, ok := b.(interface{ Epochs() []uint64 }); ok {
-				per = es.Epochs()
-			}
-			h.tally.ObserveEpoch(e.Epoch(), per)
-		}
+		h.tally.ObserveEpoch(backend.Epoch(b), per)
 	}
 	// Optional surfaces may sit behind decorators (vqfront -cache wraps
 	// the front plane in the cache tier), so walk the Inner chain: the
 	// admission gate and the front gauges must keep working however the
 	// serving stack is composed.
-	h.admit, _ = findIn[admitter](b)
-	h.promSrc, _ = findIn[promSource](b)
-	h.mux.HandleFunc("POST /query", h.handleQuery)
-	h.mux.HandleFunc("POST /query/batch", h.handleBatch)
-	h.mux.HandleFunc("POST /query/stream", h.handleStream)
+	h.admit, _ = backend.Find[admitter](b)
+	h.promSrc, _ = backend.Find[promSource](b)
+	h.cache, _ = backend.Find[cacheSource](b)
+	h.mux.HandleFunc("POST /query", h.admitted(h.handleQuery))
+	h.mux.HandleFunc("POST /query/batch", h.admitted(h.handleBatch))
+	h.mux.HandleFunc("POST /query/stream", h.admitted(h.handleStream))
 	h.mux.HandleFunc("GET /params", h.handleParams)
 	h.mux.HandleFunc("GET /stats", h.handleStats)
 	h.mux.HandleFunc("GET /metrics", h.handleMetrics)
 	return h, nil
 }
 
-// findIn locates an optional surface T in a decorated backend stack:
-// b itself, or the first backend down its Inner chain that has it.
-func findIn[T any](b backend.Backend) (T, bool) {
-	for cur := b; cur != nil; {
-		if t, ok := cur.(T); ok {
-			return t, true
-		}
-		in, ok := cur.(interface{ Inner() backend.Backend })
-		if !ok {
-			break
-		}
-		cur = in.Inner()
+// epoch reads the live serving epoch off the backend, so a client
+// re-reading /params after an epoch-mismatch error always sees the
+// current one; a backend that reports none serves under the epoch its
+// bundle was constructed with.
+func (h *Handler) epoch() uint64 {
+	if e := backend.Epoch(h.b); e != 0 {
+		return e
 	}
-	var zero T
-	return zero, false
+	return h.params.Epoch
 }
 
-// admitOr runs the admission gate when the backend has one, answering
-// 429 on refusal. The returned release is never nil; the caller defers
-// it around the whole exchange.
-func (h *Handler) admitOr(w http.ResponseWriter) (func(), bool) {
+// admitted puts the backend's admission gate, when it has one, in front
+// of a query route: a refusal is a 429 before any of the request is
+// read, and one admission covers the whole exchange — for a stream, its
+// whole response, which is also why admission must precede the route:
+// once a stream's 200 and header are written there is no status left to
+// shed with.
+func (h *Handler) admitted(route http.HandlerFunc) http.HandlerFunc {
 	if h.admit == nil {
-		return func() {}, true
+		return route
 	}
-	release, err := h.admit.Admit()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusTooManyRequests)
-		return nil, false
+	return func(w http.ResponseWriter, r *http.Request) {
+		release, err := h.admit.Admit()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusTooManyRequests)
+			return
+		}
+		defer release()
+		route(w, r)
 	}
-	return release, true
 }
 
 // ServeHTTP implements http.Handler.
@@ -309,20 +310,8 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
-	release, ok := h.admitOr(w)
+	body, ok := readRequest(w, r, maxQueryBytes, "query request exceeds the size limit")
 	if !ok {
-		return
-	}
-	defer release()
-	// Read one byte past the limit so an oversize request is a 413, not
-	// a silent truncation misreported as a 400 bad query.
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxQueryBytes+1))
-	if err != nil {
-		http.Error(w, "read: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(body) > maxQueryBytes {
-		http.Error(w, "query request exceeds the size limit", http.StatusRequestEntityTooLarge)
 		return
 	}
 	q, err := wire.DecodeQuery(body)
@@ -343,17 +332,28 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 	w.Write(ans.Raw)
 }
 
-// readBatchRequest reads and decodes the query-batch frame both batch
-// routes take, writing the error response itself: 413 past the size
-// limit (read limit+1, never silently truncate), 400 on a bad frame.
-func readBatchRequest(w http.ResponseWriter, r *http.Request) ([]query.Query, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBatchBytes+1))
+// readRequest reads a request body of at most limit bytes, writing the
+// error response itself. It reads one byte past the limit so an
+// oversize request is a 413 saying tooBig, not a silent truncation
+// misreported as a 400 bad frame.
+func readRequest(w http.ResponseWriter, r *http.Request, limit int64, tooBig string) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
 	if err != nil {
 		http.Error(w, "read: "+err.Error(), http.StatusBadRequest)
 		return nil, false
 	}
-	if len(body) > maxBatchBytes {
-		http.Error(w, "batch request exceeds the size limit; split it", http.StatusRequestEntityTooLarge)
+	if int64(len(body)) > limit {
+		http.Error(w, tooBig, http.StatusRequestEntityTooLarge)
+		return nil, false
+	}
+	return body, true
+}
+
+// readBatchRequest reads and decodes the query-batch frame both batch
+// routes take, writing the error response itself.
+func readBatchRequest(w http.ResponseWriter, r *http.Request) ([]query.Query, bool) {
+	body, ok := readRequest(w, r, maxBatchBytes, "batch request exceeds the size limit; split it")
+	if !ok {
 		return nil, false
 	}
 	qs, err := wire.DecodeQueryBatch(body)
@@ -369,11 +369,6 @@ func readBatchRequest(w http.ResponseWriter, r *http.Request) ([]query.Query, bo
 // pool, and every per-query failure travels inside the frame so the
 // other answers still arrive.
 func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
-	release, ok := h.admitOr(w)
-	if !ok {
-		return
-	}
-	defer release()
 	qs, ok := readBatchRequest(w, r)
 	if !ok {
 		return
@@ -419,14 +414,6 @@ func batchItem(ans backend.Answer, err error) wire.BatchAnswer {
 // through r.Context(); the trailer is only written after a complete
 // stream, so a dying server is always detectable as truncation.
 func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
-	// Admission precedes the stream header: once the 200 and header are
-	// written there is no status left to shed with, so an overloaded
-	// host refuses the whole stream here as a 429.
-	release, ok := h.admitOr(w)
-	if !ok {
-		return
-	}
-	defer release()
 	qs, ok := readBatchRequest(w, r)
 	if !ok {
 		return
@@ -473,14 +460,11 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 
 // handleParams serves the trust bundle with the *live* serving epoch:
 // the bundle fields are fixed at construction (verifier, template,
-// domain never change across epochs of one database), but the epoch is
-// read off the backend on every request, so a client re-reading /params
-// after an epoch-mismatch error always sees the current epoch.
+// domain never change across epochs of one database); only the epoch is
+// read per request.
 func (h *Handler) handleParams(w http.ResponseWriter, _ *http.Request) {
 	p := h.params
-	if e, ok := h.b.(interface{ Epoch() uint64 }); ok {
-		p.Epoch = e.Epoch()
-	}
+	p.Epoch = h.epoch()
 	writeJSON(w, p)
 }
 
@@ -494,21 +478,15 @@ func (h *Handler) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"nodesVisited": stats.NodesVisited,
 		"cellsVisited": stats.CellsVisited,
 		"bytes":        stats.Bytes,
-	}
-	if e, ok := h.b.(interface{ Epoch() uint64 }); ok {
-		body["epoch"] = e.Epoch()
-	} else {
-		body["epoch"] = h.params.Epoch
-	}
-	if sw, ok := h.stats.(interface{ Swaps() int }); ok {
-		body["swaps"] = sw.Swaps()
+		"epoch":        h.epoch(),
+		"swaps":        h.stats.Swaps(),
 	}
 	if ss := h.stats.ShardStats(); ss != nil {
 		body["shards"] = len(ss)
 		body["perShard"] = ss
 	}
-	if cs, ok := h.b.(interface{ CacheStats() server.CacheStats }); ok {
-		body["cache"] = cs.CacheStats()
+	if h.cache != nil {
+		body["cache"] = h.cache.CacheStats()
 	}
 	writeJSON(w, body)
 }
