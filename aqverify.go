@@ -26,15 +26,14 @@
 // # The build plane
 //
 // Every product a data owner can hand to the cloud — a single IFMH-tree,
-// an evenly or quantile-cut domain-sharded tree set, one shard of a set
-// for a multi-process deployment, the signature-mesh baseline — comes
-// out of one context-aware call, Outsource, shaped by functional
-// options: WithShards/WithPlan select sharding, WithPlanner picks the
-// cut placement (QuantileCuts balances skewed data), WithShard narrows
-// to one shard, WithMesh selects the baseline, WithBuildWorkers bounds
-// every stage's worker pool and WithProgress observes the stages. The
-// built bytes are identical for every worker count, and a canceled ctx
-// aborts construction mid-stage.
+// an evenly or quantile-cut domain-sharded tree set, the signature-mesh
+// baseline — comes out of one context-aware call, Outsource, shaped by
+// functional options: WithShards/WithPlan select sharding, WithPlanner
+// picks the cut placement (QuantileCuts balances skewed data), WithMesh
+// selects the baseline, WithBuildWorkers bounds every stage's worker
+// pool and WithProgress observes the stages. The built bytes are
+// identical for every worker count, and a canceled ctx aborts
+// construction mid-stage.
 //
 // # The mutation plane
 //
@@ -231,8 +230,8 @@ type (
 // must be re-outsourced from scratch with Outsource.
 var ErrStaticBuild = build.ErrStatic
 
-// ShardNone marks an unsharded product (BuildResult.Shard,
-// BuildProgress.Shard) or an unattributed answer (BackendAnswer.Shard).
+// ShardNone marks an unsharded build stage (BuildProgress.Shard) or an
+// unattributed answer (BackendAnswer.Shard).
 const ShardNone = build.ShardNone
 
 // The unified query plane (see internal/backend): one context-aware
@@ -334,7 +333,7 @@ func NewBottomK(x Point, k int) Query { return query.NewBottomK(x, k) }
 // IFMH-tree over the whole domain — and returns it with the parameter
 // bundle the owner publishes. Options: WithMode, WithShuffle,
 // WithMaterialize, WithBuildWorkers, WithProgress shape the
-// construction; WithShards/WithPlan (+ WithPlanner, WithShard) select a
+// construction; WithShards/WithPlan (+ WithPlanner) select a
 // domain-sharded product; WithMesh the signature-mesh baseline. The
 // result is byte-identical for every worker count, and a done ctx
 // cancels mid-stage.
@@ -369,10 +368,6 @@ func WithShards(k, axis int) BuildOption { return build.WithShards(k, axis) }
 
 // WithPlanner selects the cut placement used by WithShards.
 func WithPlanner(p ShardPlanner) BuildOption { return build.WithPlanner(p) }
-
-// WithShard narrows a sharded product to shard i alone (one process's
-// share of a multi-process deployment).
-func WithShard(i int) BuildOption { return build.WithShard(i) }
 
 // WithMesh asks for the signature-mesh baseline product.
 func WithMesh() BuildOption { return build.WithMesh() }

@@ -8,8 +8,7 @@
 //	vqbench [flags]
 //
 //	-figure id     run one figure (fig5a..fig8b, ablationA1..A4, shardS1,
-//	               planQ1, fanoutF1, streamT1, mutM1, cacheC1, loadA1,
-//	               frontR1); default runs all
+//	               planQ1, streamT1, mutM1, frontR1); default runs all
 //	-quick         scaled-down sweep (seconds instead of minutes)
 //	-sizes list    comma-separated database sizes (default paper scale)
 //	-qsizes list   comma-separated result sizes for Figs 6d/7/8a
@@ -21,8 +20,8 @@
 //	-seed n        workload seed
 //	-workers n     construction worker pool per build (0 = one per CPU;
 //	               default 1 keeps the paper's single-threaded timings)
-//	-shards list   comma-separated domain-shard counts for the shardS1,
-//	               planQ1 and fanoutF1 figures (default 1,2,4,8)
+//	-shards list   comma-separated domain-shard counts for the shardS1
+//	               and planQ1 figures (default 1,2,4,8)
 //	-csv dir       also write one CSV per figure into dir
 package main
 

@@ -1,6 +1,6 @@
 // Command vqfront is the routing front-end of a multi-process shard
 // deployment: K vqserve processes each serve one shard of a
-// domain-sharded database (vqserve -shards K -shard i), and vqfront
+// domain-sharded database (vqserve -load dir -shard i), and vqfront
 // composes them back into one logical database behind the same
 // endpoints a single vqserve exposes. Clients cannot tell the
 // difference — the trust bundle, the wire frames and the verification

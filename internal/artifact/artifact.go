@@ -136,9 +136,9 @@ type Artifact struct {
 // Save writes the build product as an artifact directory, creating it
 // if needed and overwriting a previous artifact in place (blobs first,
 // manifest last, so a torn overwrite is detectable by name). It refuses
-// the signature-mesh baseline (no artifact form) and partial one-shard
-// products — save the whole set, then serve any shard of it with
-// OpenShard.
+// the signature-mesh baseline (no artifact form) and a product whose
+// tree count disagrees with its plan (one shard re-opened with OpenShard
+// is not a whole publication).
 func Save(dir string, res *build.Result) (Info, error) {
 	if res == nil {
 		return Info{}, fmt.Errorf("artifact: nil build result")
@@ -152,9 +152,6 @@ func Save(dir string, res *build.Result) (Info, error) {
 		kind = KindSet
 		trees = res.Set.Trees
 	case res.Tree != nil:
-		if res.Shard != build.ShardNone {
-			return Info{}, fmt.Errorf("artifact: refusing to save shard %d alone; save the whole set and load one shard with OpenShard", res.Shard)
-		}
 		kind = KindTree
 		trees = []*core.Tree{res.Tree}
 	default:
@@ -282,19 +279,19 @@ func Open(dir string) (*Artifact, error) {
 		trees[i] = t
 	}
 	if m.kind == KindTree {
-		a.Result = &build.Result{Tree: trees[0], Plan: m.plan, Shard: build.ShardNone, Public: a.Info.Public}
+		a.Result = &build.Result{Tree: trees[0], Plan: m.plan, Public: a.Info.Public}
 	} else {
-		a.Result = &build.Result{Set: &shard.Set{Plan: m.plan, Trees: trees}, Plan: m.plan, Shard: build.ShardNone, Public: a.Info.Public}
+		a.Result = &build.Result{Set: &shard.Set{Plan: m.plan, Trees: trees}, Plan: m.plan, Public: a.Info.Public}
 	}
 	return a, nil
 }
 
 // OpenShard opens exactly one shard of a set artifact — what a
 // per-shard vqserve process loads, mapping only its own blob. The
-// result carries the shard index and the full plan, so the daemon can
-// publish its serving sub-domain; the advertised artifact hash is the
-// whole set's, which is what lets a front-end check that the K
-// processes serve shards of the same artifact.
+// result carries the shard's tree and the full plan (the tree's own
+// domain is the sub-box the daemon publishes); the advertised artifact
+// hash is the whole set's, which is what lets a front-end check that
+// the K processes serve shards of the same artifact.
 func OpenShard(dir string, i int) (*Artifact, error) {
 	m, v, err := readManifest(dir)
 	if err != nil {
@@ -312,7 +309,7 @@ func OpenShard(dir string, i int) (*Artifact, error) {
 		a.Close()
 		return nil, err
 	}
-	a.Result = &build.Result{Tree: t, Plan: m.plan, Shard: i, Public: a.Info.Public}
+	a.Result = &build.Result{Tree: t, Plan: m.plan, Public: a.Info.Public}
 	return a, nil
 }
 

@@ -166,8 +166,8 @@ func TestSaveOpenIdentity(t *testing.T) {
 }
 
 // TestOpenShard opens each shard of a set artifact individually and
-// checks it matches the corresponding tree of the full open, carries
-// the shard index, and advertises the whole set's artifact hash.
+// checks it matches the corresponding tree of the full open, serves
+// that shard's sub-box, and advertises the whole set's artifact hash.
 func TestOpenShard(t *testing.T) {
 	ctx := context.Background()
 	spec := testSpec(t, 60, 5)
@@ -185,8 +185,8 @@ func TestOpenShard(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
-		if a.Result.Shard != i || a.Result.Tree == nil {
-			t.Fatalf("shard %d: result shard %d", i, a.Result.Shard)
+		if a.Result.Tree == nil || !a.Result.Tree.Domain().Equal(res.Plan.Boxes[i]) {
+			t.Fatalf("shard %d: opened tree does not serve the plan's sub-box", i)
 		}
 		if a.Hash != info.Hash {
 			t.Fatalf("shard %d advertises hash %x, set hash %x", i, a.Hash, info.Hash)
@@ -213,8 +213,8 @@ func TestOpenShard(t *testing.T) {
 	}
 }
 
-// TestSaveRefusals: the mesh baseline and partial one-shard products
-// have no artifact form.
+// TestSaveRefusals: the mesh baseline and one shard re-opened from a
+// set have no artifact form.
 func TestSaveRefusals(t *testing.T) {
 	ctx := context.Background()
 	spec := testSpec(t, 30, 1)
@@ -228,12 +228,21 @@ func TestSaveRefusals(t *testing.T) {
 	if _, err := Save(t.TempDir(), mesh); err == nil {
 		t.Fatal("mesh result accepted")
 	}
-	one, err := build.Outsource(ctx, spec, build.WithShuffle(1), build.WithShards(3, 0), build.WithShard(1))
+	set, err := build.Outsource(ctx, spec, build.WithShuffle(1), build.WithShards(3, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Save(t.TempDir(), one); err == nil {
-		t.Fatal("partial one-shard result accepted")
+	dir := t.TempDir()
+	if _, err := Save(dir, set); err != nil {
+		t.Fatal(err)
+	}
+	one, err := OpenShard(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Close()
+	if _, err := Save(t.TempDir(), one.Result); err == nil {
+		t.Fatal("one shard of a set accepted as a whole publication")
 	}
 }
 

@@ -43,8 +43,7 @@ type Config struct {
 	// is what the paper's single-threaded Fig 5b numbers correspond to.
 	Workers int
 	// ShardCounts is the domain-shard sweep of the sharding figures
-	// (shardS1, planQ1, fanoutF1): one sharded build per K, over
-	// AblationSizes.
+	// (shardS1, planQ1): one sharded build per K, over AblationSizes.
 	ShardCounts []int
 }
 

@@ -46,8 +46,8 @@ func TestEveryFigure(t *testing.T) {
 			}
 		}
 	}
-	if len(Figures()) != 25 || verdicts != 8 {
-		t.Errorf("%d figures, %d with an identity column; want 25 and 8", len(Figures()), verdicts)
+	if len(Figures()) != 22 || verdicts != 5 {
+		t.Errorf("%d figures, %d with an identity column; want 22 and 5", len(Figures()), verdicts)
 	}
 }
 
@@ -61,7 +61,7 @@ func TestVerdictFailsFigure(t *testing.T) {
 		sweep:    func(*Config) []point { return grid([]int{7}, nil) },
 		fixtures: func(point) []fixture { return nil },
 		row: func(_ context.Context, _ *Harness, p point, _ []*built) ([]string, error) {
-			return []string{fmtInt(p.n), identical(nil, nil, nil, nil, false)}, nil
+			return []string{fmtInt(p.n), identical(nil, nil, nil, nil)}, nil
 		},
 	}
 	if tbl, err := stub.Run(context.Background(), h); err != nil || len(tbl.Rows) != 1 {

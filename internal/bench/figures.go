@@ -3,12 +3,12 @@
 // 5a-c), server overheads (Fig 6a-d), user verification overheads (Fig
 // 7a-d), communication overheads (Fig 8a-b); four ablations over design
 // choices the paper leaves open (A1-A4); and one figure per plane built
-// on top of the IFMH-tree — sharding and its planners (shardS1, planQ1),
-// the multi-process fanout and the streaming transport (fanoutF1,
-// streamT1), mutation (mutM1), cache (cacheC1), artifact (loadA1) and
+// on top of the IFMH-tree that the process-level benchmark (benchmark/)
+// does not already measure — sharding and its planners (shardS1,
+// planQ1), the streaming transport (streamT1), mutation (mutM1) and
 // front (frontR1).
 //
-// A figure is a row of data, not a runner: Figures lists 25 Figure
+// A figure is a row of data, not a runner: Figures lists 22 Figure
 // values — id, titles, columns, notes, a sweep, the fixtures a sweep
 // point needs, a function measuring the point on them, and the column
 // (if any) holding an identity verdict — and Figure.Run is the one
@@ -237,12 +237,6 @@ func Figures() []Figure {
 				planned.shards, planned.quantile = p.k, p.arm == "quantile"
 				return []fixture{base, planned}
 			}},
-		{ID: "fanoutF1", Title: "Fanout: single-process sharded vs K-process front-end batch throughput",
-			columns: []string{"n", "K", "batch", "sharded-qps", "fanout-qps", "fanout/sharded", "identity"},
-			notes: static("fanout = one HTTP server per shard (loopback) behind a routing front-end; sharded = one in-process server hosting all K trees",
-				"fanout exchange: buffered POST /query/batch per shard",
-				"identity: both deployments answer the same batch record-for-record"),
-			identity: "identity", sweep: overShards, fixtures: sharded, row: fanoutRow},
 		{ID: "streamT1", Title: "Streaming transport: time-to-first-verified-result vs the buffered batch exchange",
 			columns: []string{"n", "batch", "batch-full-ms", "stream-first-ms", "stream-full-ms", "first/batch-full", "identity"},
 			notes: static("batch-full = buffered POST /query/batch wall time (also its time-to-first: nothing yields before the frame closes)",
@@ -259,23 +253,6 @@ func Figures() []Figure {
 			sweep: func(c *Config) []point { // a batch must leave records to mutate
 				return slices.DeleteFunc(grid(c.AblationSizes, mutationBatchSizes), func(p point) bool { return p.k >= p.n })
 			}},
-		{ID: "cacheC1", Title: "Cache plane: verified query latency, cached vs uncached, Zipf workload",
-			columns: []string{"n", "queries", "universe", "hit-rate", "walk-p50-ms", "walk-p99-ms", "hit-p50-ms", "hit-p99-ms", "p50-speedup", "identity"},
-			notes: static(fmt.Sprintf("workload: Zipf s=%g over `universe` distinct top-k queries, drawn `queries` times (workload.Zipf)", cacheZipfS),
-				"walk-p50/p99: per-query verified latency on the bare tree (every query pays the full walk)",
-				"hit-p50/p99: per-query verified latency of the cached arm's whole-answer hits",
-				"identity: every distinct query answered identically (outcome + record IDs) by both arms"),
-			identity: "identity", sweep: overAblation, row: cacheRow,
-			// A tree of its own (once): the row's cache wrap installs the
-			// permutation tier on the tree itself, which no other figure's
-			// build may carry.
-			fixtures: func(p point) []fixture { return []fixture{{n: p.n, once: true}} }},
-		{ID: "loadA1", Title: "Artifact plane: cold rebuild vs artifact load",
-			columns: []string{"n", "build-sec", "save-sec", "load-sec", "speedup", "identity"},
-			notes: static("build-sec: full Outsource from the raw table; load-sec: artifact.Open of the saved directory (mmap + integrity checks + reconstruction)",
-				"speedup: build-sec / load-sec — what a restart skips by loading instead of rebuilding",
-				"identity: sampled queries answered by the loaded tree match the built tree byte-for-byte (wire-encoded answer, VO and signatures included)"),
-			identity: "identity", sweep: overAblation, fixtures: plain, row: loadRow},
 		{ID: "frontR1", Title: "Front plane: tail latency under one slow replica, hedged vs unhedged",
 			columns: []string{"n", "KxR", "queries", "slow", "p99-unhedged", "p99-hedged", "p99 ratio", "qps-unhedged", "qps-hedged", "hedges", "wins", "verified"},
 			notes: static(fmt.Sprintf("%d shard groups x %d replicas on loopback HTTP; one replica of shard 0 delayed by 'slow' (10x the calibrated healthy p99, floor 25ms) on every query route", frontShards, frontReplicas),

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -78,8 +77,7 @@ type fixture struct {
 	materialize bool   // the paper-literal per-subdomain lists (A1)
 	epoch       uint64 // pinned publication epoch (mutM1's rebuild); 0 = the build plane's default
 	// once opts out of the memo: A1's materialized arm is O(S·n) memory
-	// nobody should hold for the rest of the run, and cacheC1's cache
-	// wrap installs a permutation tier on the tree it is handed.
+	// nobody should hold for the rest of the run.
 	once bool
 }
 
@@ -97,7 +95,7 @@ type built struct {
 // build returns the fixture's product, generating its table and
 // outsourcing it on first use. Fixtures are memoised for the harness's
 // lifetime, so figures that share a structure (the thirteen paper
-// figures; shardS1, fanoutF1 and frontR1; the one-signature planes)
+// figures; shardS1 and frontR1; the one-signature planes)
 // share one build and report one build time.
 func (h *Harness) build(ctx context.Context, fx fixture) (*built, error) {
 	if fx.dist == "" {
@@ -229,10 +227,9 @@ func mixedQueries(dom geometry.Box, n int, seed int64) []query.Query {
 // sources, each a QueryBatch-shaped (answers, errors) pair parallel to
 // the same queries. "ok" needs
 // outcome parity on every item, no verification failure on either side,
-// and the same result record ids in the same order — or, bytewise, the
-// same wire-encoded answer, VO and signatures included. The engine
-// turns any other verdict into the figure's failure (Figure.Run).
-func identical(a []backend.Answer, aerrs []error, b []backend.Answer, berrs []error, bytewise bool) string {
+// and the same result record ids in the same order. The engine turns
+// any other verdict into the figure's failure (Figure.Run).
+func identical(a []backend.Answer, aerrs []error, b []backend.Answer, berrs []error) string {
 	same := func(i int) bool {
 		ea, eb := aerrs[i], berrs[i]
 		if errors.Is(ea, core.ErrVerification) || errors.Is(eb, core.ErrVerification) || (ea == nil) != (eb == nil) {
@@ -240,9 +237,6 @@ func identical(a []backend.Answer, aerrs []error, b []backend.Answer, berrs []er
 		}
 		if ea != nil {
 			return true // refused alike
-		}
-		if bytewise {
-			return bytes.Equal(a[i].Raw, b[i].Raw)
 		}
 		da, erra := wire.DecodeIFMH(a[i].Raw)
 		db, errb := wire.DecodeIFMH(b[i].Raw)
@@ -262,8 +256,8 @@ func identical(a []backend.Answer, aerrs []error, b []backend.Answer, berrs []er
 // identity answers Cfg.Reps mixed queries in-process on both products,
 // each verified against its own published bundle, and returns the
 // verdict. a must come from Outsource (its plan names the domain the
-// sample is drawn from); b may be applied, loaded or re-planned.
-func (h *Harness) identity(ctx context.Context, a, b *build.Result, bytewise bool) (string, error) {
+// sample is drawn from); b may be applied or re-planned.
+func (h *Harness) identity(ctx context.Context, a, b *build.Result) (string, error) {
 	qs := mixedQueries(a.Plan.Domain, h.Cfg.Reps, h.Cfg.Seed)
 	var answers [2][]backend.Answer
 	var errs [2][]error
@@ -274,7 +268,7 @@ func (h *Harness) identity(ctx context.Context, a, b *build.Result, bytewise boo
 		}
 		answers[i], errs[i] = be.QueryBatch(ctx, qs, backend.WithVerify(res.Public))
 	}
-	return identical(answers[0], errs[0], answers[1], errs[1], bytewise), nil
+	return identical(answers[0], errs[0], answers[1], errs[1]), nil
 }
 
 // inProcess is the bare in-process backend over a tree or a shard set.

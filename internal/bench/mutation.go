@@ -45,7 +45,7 @@ func mutationRow(ctx context.Context, h *Harness, p point, b []*built) ([]string
 	if err != nil {
 		return nil, fmt.Errorf("rebuild: %w", err)
 	}
-	verdict, err := h.identity(ctx, rebuilt.Result, applied, false)
+	verdict, err := h.identity(ctx, rebuilt.Result, applied)
 	if err != nil {
 		return nil, err
 	}

@@ -7,8 +7,8 @@ import (
 	"aqverify/internal/core"
 )
 
-// shardSet is the fixture both sharding figures, fanoutF1 and frontR1
-// build: a K-shard multi-signature set over the configured workload.
+// shardSet is the fixture both sharding figures and frontR1 build: a
+// K-shard multi-signature set over the configured workload.
 func shardSet(n, k int) fixture {
 	return fixture{n: n, mode: core.MultiSignature, shards: k}
 }
@@ -34,7 +34,7 @@ func subdomainSpread(stats []core.Stats) (total, lo, hi int) {
 func shardRow(ctx context.Context, h *Harness, p point, b []*built) ([]string, error) {
 	base, set := b[0], b[1]
 	total, _, hi := subdomainSpread(set.Set.Stats())
-	verdict, err := h.identity(ctx, base.Result, set.Result, false)
+	verdict, err := h.identity(ctx, base.Result, set.Result)
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +52,7 @@ func shardRow(ctx context.Context, h *Harness, p point, b []*built) ([]string, e
 func planRow(ctx context.Context, h *Harness, p point, b []*built) ([]string, error) {
 	base, set := b[0], b[1]
 	_, lo, hi := subdomainSpread(set.Set.Stats())
-	verdict, err := h.identity(ctx, base.Result, set.Result, false)
+	verdict, err := h.identity(ctx, base.Result, set.Result)
 	if err != nil {
 		return nil, err
 	}

@@ -107,7 +107,7 @@ func Apply(ctx context.Context, prev *Result, muts ...Mutation) (*Result, error)
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Tree: nt, Plan: prev.Plan, Shard: prev.Shard, Public: nt.Public()}, nil
+		return &Result{Tree: nt, Plan: prev.Plan, Public: nt.Public()}, nil
 
 	case prev.Set != nil:
 		set := prev.Set
@@ -139,7 +139,7 @@ func Apply(ctx context.Context, prev *Result, muts ...Mutation) (*Result, error)
 		if runErr != nil {
 			return nil, runErr
 		}
-		return &Result{Set: ns, Plan: prev.Plan, Shard: ShardNone, Public: ns.Public()}, nil
+		return &Result{Set: ns, Plan: prev.Plan, Public: ns.Public()}, nil
 
 	default:
 		return nil, fmt.Errorf("build: Result holds no product")

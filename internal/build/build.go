@@ -2,21 +2,23 @@
 // context-aware entry point — Outsource — over every product a data
 // owner can hand to the cloud. It mirrors internal/backend on the owner
 // side: every evaluator sits behind one Backend query interface, and
-// every product — single tree, whole shard set, one shard of a set, the
-// signature-mesh baseline — comes out of
+// every product — single tree, whole shard set, the signature-mesh
+// baseline — comes out of
 //
 //	build.Outsource(ctx, Spec, ...Option)
 //
 // where Spec carries what every product needs — the table, the utility
 // template, the owner-specified domain and the signing key — and
 // functional options select the product and its shape: WithShards /
-// WithPlan ask for a domain-sharded set, WithShard for one shard of it,
-// WithMesh for the baseline, WithPlanner for density-adaptive cuts
-// (QuantileCuts balances skewed workloads), WithWorkers bounds every
-// stage's worker pool, and WithProgress observes stage starts. The
-// result is byte-identical for every worker count, and a done ctx aborts
-// mid-stage and returns ctx.Err() — every stage runs under pool.RunCtx
-// (see core.BuildCtx, shard.BuildCtx, mesh.BuildCtx).
+// WithPlan ask for a domain-sharded set (a K-process deployment serves
+// one saved set, each process opening its shard with
+// artifact.OpenShard), WithMesh for the baseline, WithPlanner for
+// density-adaptive cuts (QuantileCuts balances skewed workloads),
+// WithWorkers bounds every stage's worker pool, and WithProgress
+// observes stage starts. The result is byte-identical for every worker
+// count, and a done ctx aborts mid-stage and returns ctx.Err() — every
+// stage runs under pool.RunCtx (see core.BuildCtx, shard.BuildCtx,
+// mesh.BuildCtx).
 package build
 
 import (
@@ -44,8 +46,8 @@ type Spec struct {
 	Signer   sig.Signer
 }
 
-// ShardNone marks a progress event or result that is not bound to a
-// shard (single-tree and mesh products, set-level work).
+// ShardNone marks a progress event that is not bound to a shard
+// (single-tree and mesh products, set-level work).
 const ShardNone = -1
 
 // Progress is one stage-start event of a running construction.
@@ -63,10 +65,11 @@ type Progress struct {
 
 // Result is one product of the build plane. Exactly one of Tree, Set and
 // Mesh is non-nil — which one follows from the options: Tree for the
-// default single-tree product and for WithShard, Set for WithShards /
-// WithPlan, Mesh for WithMesh.
+// default single-tree product, Set for WithShards / WithPlan, Mesh for
+// WithMesh.
 type Result struct {
-	// Tree is the built IFMH-tree (single-tree and one-shard products).
+	// Tree is the built IFMH-tree (the single-tree product, or one shard
+	// of a saved set opened with artifact.OpenShard).
 	Tree *core.Tree
 	// Set is the built domain-sharded tree set.
 	Set *shard.Set
@@ -76,9 +79,6 @@ type Result struct {
 	// IFMH products it is the trivial single-shard plan over the spec's
 	// domain (Plan.K() == 1). Unset for the mesh product.
 	Plan shard.Plan
-	// Shard is the index of the built shard for the one-shard product,
-	// ShardNone otherwise.
-	Shard int
 	// Public is the parameter bundle the owner publishes for verifying
 	// clients (IFMH products; shards share the single-tree bundle).
 	Public core.PublicParams
@@ -104,8 +104,6 @@ type options struct {
 	axis      int
 	shardsSet bool
 	planner   Planner
-	shardIdx  int
-	shardSet  bool
 	mesh      bool
 }
 
@@ -169,15 +167,6 @@ func WithShards(k, axis int) Option {
 // (default EvenCuts; QuantileCuts balances skewed workloads).
 func WithPlanner(p Planner) Option { return func(o *options) { o.planner = p } }
 
-// WithShard narrows a sharded product to shard i alone — one process's
-// share of a multi-process deployment. The tree is identical to the one
-// the whole-set build would place at index i. Requires WithPlan or
-// WithShards; any out-of-range i (negative included) is an error, never
-// a silent whole-set build.
-func WithShard(i int) Option {
-	return func(o *options) { o.shardIdx = i; o.shardSet = true }
-}
-
 // WithMesh asks for the signature-mesh baseline instead of an IFMH
 // product. Incompatible with the sharding options.
 func WithMesh() Option { return func(o *options) { o.mesh = true } }
@@ -199,7 +188,7 @@ func (o *options) stageFn(sh int) func(core.Stage, int) {
 // parameter bundle the owner publishes. See the package comment for the
 // determinism and cancellation contract.
 func Outsource(ctx context.Context, spec Spec, opts ...Option) (*Result, error) {
-	o := options{shardIdx: ShardNone}
+	var o options
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -212,11 +201,8 @@ func Outsource(ctx context.Context, spec Spec, opts ...Option) (*Result, error) 
 	if o.shardsSet && o.shards < 1 {
 		return nil, fmt.Errorf("build: need at least one shard, got %d", o.shards)
 	}
-	if o.shardSet && o.shardIdx < 0 {
-		return nil, fmt.Errorf("build: shard index %d is negative", o.shardIdx)
-	}
 	if o.mesh {
-		if o.plan != nil || o.shardsSet || o.shardSet {
+		if o.plan != nil || o.shardsSet {
 			return nil, fmt.Errorf("build: the mesh baseline cannot be domain-sharded")
 		}
 		if o.materialize || o.shuffle || o.mode != core.OneSignature || o.epoch != 0 {
@@ -233,7 +219,7 @@ func Outsource(ctx context.Context, spec Spec, opts ...Option) (*Result, error) 
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Mesh: m, MeshPublic: m.Public(), Shard: ShardNone}, nil
+		return &Result{Mesh: m, MeshPublic: m.Public()}, nil
 	}
 
 	params := core.Params{
@@ -250,9 +236,6 @@ func Outsource(ctx context.Context, spec Spec, opts ...Option) (*Result, error) 
 	}
 
 	if o.plan == nil && !o.shardsSet {
-		if o.shardSet {
-			return nil, fmt.Errorf("build: WithShard needs a plan (WithPlan or WithShards)")
-		}
 		params.Progress = o.stageFn(ShardNone)
 		tree, err := core.BuildCtx(ctx, spec.Table, params)
 		if err != nil {
@@ -262,7 +245,7 @@ func Outsource(ctx context.Context, spec Spec, opts ...Option) (*Result, error) 
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Tree: tree, Plan: trivial, Shard: ShardNone, Public: tree.Public()}, nil
+		return &Result{Tree: tree, Plan: trivial, Public: tree.Public()}, nil
 	}
 
 	// The pair enumeration is the one stage of a sharded build that runs
@@ -311,19 +294,11 @@ func Outsource(ctx context.Context, spec Spec, opts ...Option) (*Result, error) 
 		plan = p
 	}
 
-	if o.shardSet {
-		params.Progress = o.stageFn(o.shardIdx)
-		tree, err := shard.BuildOneCtx(ctx, spec.Table, params, plan, o.shardIdx)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Tree: tree, Plan: plan, Shard: o.shardIdx, Public: tree.Public()}, nil
-	}
 	set, err := shard.BuildCtx(ctx, spec.Table, params, plan, o.perShard())
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Set: set, Plan: plan, Shard: ShardNone, Public: set.Public()}, nil
+	return &Result{Set: set, Plan: plan, Public: set.Public()}, nil
 }
 
 // perShard adapts the progress callback to the set builder's per-shard

@@ -63,12 +63,10 @@ func answersOf(t *testing.T, tr *core.Tree, qs []query.Query) [][]byte {
 }
 
 // TestOutsourceProducts drives every product shape through the one entry
-// point and checks the result invariants, including that WithShard(i)
-// reproduces the whole-set build's shard i answer-for-answer.
+// point and checks the result invariants.
 func TestOutsourceProducts(t *testing.T) {
 	ctx := context.Background()
 	spec := testSpec(t, 60, 3, workload.Gaussian)
-	qs := sampleQueries(spec.Domain, 12)
 
 	single, err := Outsource(ctx, spec, WithMode(core.MultiSignature), WithShuffle(3))
 	if err != nil {
@@ -77,8 +75,8 @@ func TestOutsourceProducts(t *testing.T) {
 	if single.Tree == nil || single.Set != nil || single.Mesh != nil {
 		t.Fatal("single-tree product: wrong result shape")
 	}
-	if single.Plan.K() != 1 || single.Shard != ShardNone {
-		t.Fatalf("single-tree product: plan K=%d shard=%d", single.Plan.K(), single.Shard)
+	if single.Plan.K() != 1 {
+		t.Fatalf("single-tree product: plan K=%d", single.Plan.K())
 	}
 	if single.Public.Verifier == nil || single.Public.Mode != core.MultiSignature {
 		t.Fatalf("single-tree product: published parameters incomplete: %+v", single.Public)
@@ -109,23 +107,6 @@ func TestOutsourceProducts(t *testing.T) {
 		}
 		if set.Plan.K() != 3 {
 			t.Fatalf("sharded product: plan K=%d, want 3", set.Plan.K())
-		}
-		// One shard alone must reproduce the set's tree at that index.
-		for i := 0; i < 3; i++ {
-			one, err := Outsource(ctx, spec, append(opts, WithShard(i))...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if one.Tree == nil || one.Shard != i {
-				t.Fatalf("one-shard product: tree=%v shard=%d", one.Tree != nil, one.Shard)
-			}
-			a := answersOf(t, one.Tree, qs)
-			b := answersOf(t, set.Set.Trees[i], qs)
-			for k := range a {
-				if !bytes.Equal(a[k], b[k]) {
-					t.Fatalf("shard %d: answer %d differs between WithShard and the set build", i, k)
-				}
-			}
 		}
 	}
 
@@ -186,9 +167,6 @@ func TestOutsourceOptionConflicts(t *testing.T) {
 	}{
 		{"plan+shards", []Option{WithPlan(plan), WithShards(2, 0)}},
 		{"zero shards", []Option{WithShards(0, 0)}},
-		{"shard without plan", []Option{WithShard(0)}},
-		{"negative shard", []Option{WithShards(2, 0), WithShard(-1)}},
-		{"shard out of range", []Option{WithShards(2, 0), WithShard(2)}},
 		{"mesh+shards", []Option{WithMesh(), WithShards(2, 0)}},
 		{"mesh+materialize", []Option{WithMesh(), WithMaterialize()}},
 	}
@@ -221,7 +199,6 @@ func TestOutsourceCanceled(t *testing.T) {
 	products := [][]Option{
 		{WithMode(core.MultiSignature), WithShuffle(5), WithWorkers(4)},
 		{WithMode(core.MultiSignature), WithShuffle(5), WithWorkers(4), WithShards(3, 0)},
-		{WithMode(core.MultiSignature), WithShuffle(5), WithWorkers(4), WithShards(3, 0), WithShard(1)},
 		{WithMesh(), WithWorkers(4)},
 	}
 	for i, opts := range products {

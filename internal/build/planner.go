@@ -54,9 +54,8 @@ const quantileSample = 200_000
 // rebalance it without touching routing or verification, since any
 // strictly ascending interior cut list is a valid shard.Plan.
 //
-// The cuts are a function of the spec alone — a vqgen preview, a
-// vqserve shard process and a whole-set Outsource must all derive the
-// same plan. Up to maxExactPairs the breakpoints are exact: from
+// The cuts are a function of the spec alone — a vqgen -plan preview
+// and the Outsource that follows it must derive the same plan. Up to maxExactPairs the breakpoints are exact: from
 // req.Inters when the caller supplies it (a linear pass; Outsource
 // enumerates once and shares the list with the shard build), otherwise
 // via the same worker-sharded scan the tree build uses

@@ -73,34 +73,6 @@ func BuildCtx(ctx context.Context, tbl record.Table, p core.Params, plan Plan, p
 	return s, nil
 }
 
-// BuildOne constructs shard i's tree alone — the entry point for a
-// multi-process deployment, where each process builds and serves only
-// its own shard. The result is the same tree Build would have placed at
-// index i: the global intersection enumeration is partitioned with the
-// same half-open ownership rule, and the shard's seed derives from
-// p.Seed and i exactly as in Build, so a vqserve per shard and a
-// single-process K-shard set answer byte-for-byte identically.
-func BuildOne(tbl record.Table, p core.Params, plan Plan, i int) (*core.Tree, error) {
-	return BuildOneCtx(context.Background(), tbl, p, plan, i)
-}
-
-// BuildOneCtx is BuildOne with cooperative cancellation threaded through
-// the global enumeration and every construction stage.
-func BuildOneCtx(ctx context.Context, tbl record.Table, p core.Params, plan Plan, i int) (*core.Tree, error) {
-	if i < 0 || i >= plan.K() {
-		return nil, fmt.Errorf("shard: index %d out of range for a %d-shard plan", i, plan.K())
-	}
-	buckets, err := shardBuckets(ctx, tbl, p, plan)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := core.BuildCtx(ctx, tbl, shardParams(p, plan, buckets, i))
-	if err != nil {
-		return nil, fmt.Errorf("shard %d: %w", i, err)
-	}
-	return tree, nil
-}
-
 // shardBuckets validates the build inputs and partitions the global
 // intersection enumeration across the plan's sub-boxes (1-D templates
 // only; multivariate shards enumerate per sub-box inside core.Build).

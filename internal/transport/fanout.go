@@ -178,7 +178,7 @@ func CheckSameBundle(url string, p Params, anchorURL string, anchor Params) erro
 			url, p.Backend, anchorURL, anchor.Backend)
 	}
 	if p.Verifier != anchor.Verifier {
-		return fmt.Errorf("transport: backend %s publishes a different verifier key than %s; all shards must share one owner key (vqserve -keyseed)",
+		return fmt.Errorf("transport: backend %s publishes a different verifier key than %s; all shards must come from one owner build (vqgen -outsource -shards K)",
 			url, anchorURL)
 	}
 	if a, b := p.Template, anchor.Template; a.Name != b.Name || a.BiasAttr != b.BiasAttr || !slices.Equal(a.CoefAttrs, b.CoefAttrs) {

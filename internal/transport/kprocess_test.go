@@ -13,7 +13,6 @@ import (
 	"aqverify/internal/geometry"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
-	"aqverify/internal/record"
 	"aqverify/internal/server"
 	"aqverify/internal/shard"
 	"aqverify/internal/sig"
@@ -21,15 +20,11 @@ import (
 	"aqverify/internal/workload"
 )
 
-// startShardProcess builds shard i's tree alone — exactly what `vqserve
-// -shards K -shard i` does — and serves it on its own httptest server,
+// startShardProcess serves one shard's tree of the owner's set build on
+// its own httptest server — what `vqserve -load dir -shard i` serves —
 // standing in for one OS process of the multi-process deployment.
-func startShardProcess(t *testing.T, tbl record.Table, p core.Params, plan shard.Plan, i int) *httptest.Server {
+func startShardProcess(t *testing.T, tree *core.Tree) *httptest.Server {
 	t.Helper()
-	tree, err := shard.BuildOne(tbl, p, plan, i)
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv, err := server.New(server.IFMH{Tree: tree})
 	if err != nil {
 		t.Fatal(err)
@@ -52,8 +47,7 @@ func kProcessFixture(t *testing.T, n, k int, mode core.Mode) (front *httptest.Se
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One owner key shared by every process, as `vqserve -keyseed` shares
-	// it in a real deployment.
+	// One owner build signs every shard; each process serves its tree.
 	signer, err := sig.NewSigner(sig.Ed25519, sig.Options{Rand: sig.DeterministicRand(7)})
 	if err != nil {
 		t.Fatal(err)
@@ -66,9 +60,13 @@ func kProcessFixture(t *testing.T, n, k int, mode core.Mode) (front *httptest.Se
 	if err != nil {
 		t.Fatal(err)
 	}
+	set, err := shard.Build(tbl, p, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
 	urls := make([]string, k)
-	for i := 0; i < k; i++ {
-		urls[i] = startShardProcess(t, tbl, p, plan, i).URL
+	for i, tree := range set.Trees {
+		urls[i] = startShardProcess(t, tree).URL
 	}
 	// Hand the URLs over in scrambled order: the front-end must recover
 	// shard order from the advertised domains.

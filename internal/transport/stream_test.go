@@ -426,12 +426,12 @@ func TestFanoutStreamMidServerDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	set, err := shard.Build(tbl, p, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
 	urls := make([]string, 2)
-	for i := 0; i < 2; i++ {
-		tree, err := shard.BuildOne(tbl, p, plan, i)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, tree := range set.Trees {
 		srv, err := server.New(server.IFMH{Tree: tree})
 		if err != nil {
 			t.Fatal(err)

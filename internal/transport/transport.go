@@ -90,15 +90,15 @@ type Params struct {
 	// staleness error rather than a verification failure.
 	Epoch uint64 `json:"epoch,omitempty"`
 	// Artifact advertises the hex content hash of the on-disk artifact
-	// this server serves from (or saved at boot) — the manifest's sealed
-	// self-hash, one value for a whole K-shard set. Absent on servers
-	// that built in memory without -save. DialFanout compares nonempty
+	// this server serves from — the manifest's sealed self-hash, one
+	// value for a whole K-shard set. Absent on in-process servers over a
+	// fresh build that was never saved. DialFanout compares nonempty
 	// hashes across a multi-process deployment and refuses a mix of
 	// artifacts as an *ArtifactMismatchError.
 	Artifact string `json:"artifact,omitempty"`
-	// Provenance says how the serving bundle came to be: "built" (fresh
-	// build.Outsource at boot) or "loaded" (reconstructed from an
-	// artifact directory, vqserve -load). Informational — verification
+	// Provenance says how the serving bundle came to be: "built" (an
+	// in-process server over a fresh build.Outsource) or "loaded"
+	// (reconstructed from an artifact directory — every vqserve). Informational — verification
 	// is provenance-transparent.
 	Provenance string `json:"provenance,omitempty"`
 }

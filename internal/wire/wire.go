@@ -23,8 +23,14 @@ type writer struct {
 	buf []byte
 }
 
-func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *writer) bool(v bool)  { w.u8(map[bool]uint8{false: 0, true: 1}[v]) }
+func (w *writer) u8(v uint8) { w.buf = append(w.buf, v) }
+func (w *writer) bool(v bool) {
+	if v {
+		w.u8(1)
+	} else {
+		w.u8(0)
+	}
+}
 func (w *writer) u32(v uint32) { w.buf = binary.BigEndian.AppendUint32(w.buf, v) }
 func (w *writer) u64(v uint64) { w.buf = binary.BigEndian.AppendUint64(w.buf, v) }
 func (w *writer) f64(v float64) {

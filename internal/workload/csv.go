@@ -11,8 +11,7 @@ import (
 	"aqverify/internal/record"
 )
 
-// The CSV dataset format shared by cmd/vqgen (writer) and cmd/vqserve
-// (reader):
+// The CSV dataset format cmd/vqgen writes (-o) and reads back (-data):
 //
 //	# schema=<name> domain_lo=[a b ...] domain_hi=[c d ...]
 //	id,<col1>,...,<colK>,payload
