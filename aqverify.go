@@ -344,8 +344,10 @@ func Outsource(ctx context.Context, spec BuildSpec, opts ...BuildOption) (*Build
 // WithMode selects the IFMH signing scheme (default OneSignature).
 func WithMode(m Mode) BuildOption { return build.WithMode(m) }
 
-// WithShuffle randomizes the intersection insertion order with the
-// given seed (recommended: it keeps the expected IMH depth logarithmic).
+// WithShuffle seeds the canonical priorities that shape the IMH-tree
+// (default 0). Every build is in canonical order — expected-logarithmic
+// depth, shape a pure function of the table; the seed only picks which
+// such tree, and only one-signature verification objects depend on it.
 func WithShuffle(seed int64) BuildOption { return build.WithShuffle(seed) }
 
 // WithMaterialize selects the paper-literal O(S·n) layout.
@@ -355,8 +357,9 @@ func WithMaterialize() BuildOption { return build.WithMaterialize() }
 // one per CPU, 1 = serial); the product is byte-identical either way.
 func WithBuildWorkers(n int) BuildOption { return build.WithWorkers(n) }
 
-// WithProgress observes every construction stage as it starts; fn must
-// be cheap and, for sharded builds, safe for concurrent use.
+// WithProgress observes every construction stage as it starts — of the
+// Outsource call and of every Apply on its result; fn must be cheap
+// and, for sharded builds, safe for concurrent use.
 func WithProgress(fn func(BuildProgress)) BuildOption { return build.WithProgress(fn) }
 
 // WithPlan asks for a domain-sharded product under an explicit plan.
@@ -400,9 +403,10 @@ func Update(i int, rec Record) Mutation { return build.Update(i, rec) }
 // record mutations, returning a new BuildResult one publication epoch
 // above the input; the previous result is left untouched, so a server
 // keeps answering from its snapshot until the new epoch is swapped in.
-// For canonical-order builds (WithShuffle) over univariate templates
-// the work is incremental and byte-identical to a full Outsource of
-// the mutated table at the same epoch, at any worker count. Sharded
+// Over univariate templates the work is incremental, whatever options
+// built the product; multivariate products are rebuilt. Either way the
+// result is byte-identical to a full Outsource of the mutated table at
+// the same epoch, at any worker count. Sharded
 // products mutate every shard concurrently onto one common epoch; the
 // mesh baseline returns ErrStaticBuild.
 func Apply(ctx context.Context, prev *BuildResult, muts ...Mutation) (*BuildResult, error) {

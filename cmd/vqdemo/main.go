@@ -49,7 +49,7 @@ func run() error {
 		n       = flag.Int("n", 500, "database size")
 		modeStr = flag.String("mode", "one", "IFMH signing mode: one|multi")
 		backend = flag.String("backend", "ifmh", "backend: ifmh|mesh")
-		seed    = flag.Int64("seed", 42, "workload seed")
+		seed    = flag.Int64("seed", 42, "workload seed (also seeds the IMH-tree shape)")
 	)
 	flag.Parse()
 

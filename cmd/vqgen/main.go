@@ -30,7 +30,10 @@
 // (internal/artifact, docs/ARTIFACT.md) at -artifact dir, ready for
 // vqserve -load to boot from in milliseconds; with -shards K the
 // artifact is a K-shard set that vqserve -load serves whole or one
-// -shard i per process. The CSV still goes to -o when given; without
+// -shard i per process. Like every build it is in canonical order (under
+// the default shape seed, 0), so the artifact is a function of the
+// table, the mode, the plan and the key alone, and build.Apply on such a
+// build is incremental. The CSV still goes to -o when given; without
 // -o, -outsource skips the CSV (the artifact is the product). A nonzero
 // -keyseed derives the signing key deterministically (demo/testing
 // convenience — never protect real data with a 64-bit key seed).

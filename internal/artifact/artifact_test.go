@@ -482,7 +482,11 @@ func TestRefusalMatrix(t *testing.T) {
 // TestWorkedExample pins the worked example quoted in docs/ARTIFACT.md
 // byte-for-byte: a deterministic three-record build whose manifest hex,
 // blob content hash and artifact hash must never drift. If this test
-// breaks, the format changed — bump formatVersion and rewrite the doc.
+// breaks, the format or the default build changed: a format change bumps
+// formatVersion; either way the doc's quoted bytes are rewritten with the
+// constants here (the tree's IMH shape is part of the blob, so a change
+// to the default canonical order moves the hashes without touching the
+// format).
 func TestWorkedExample(t *testing.T) {
 	signer, err := sig.NewSigner(sig.Ed25519, sig.Options{Rand: sig.DeterministicRand(1)})
 	if err != nil {
@@ -516,9 +520,9 @@ func TestWorkedExample(t *testing.T) {
 	blob := mustRead(t, filepath.Join(dir, treeName))
 	blobHash := sha256.Sum256(blob[:len(blob)-32])
 
-	const wantManifest = "4151414d00000001010000000000000001000000002d04302a300506032b6570032100069d8d6980eaf1bca2e4118bc612a13f23791bf2c60ceef2692b581d27b0a1590000000b616666696e652d6c696e650000000100000000000000013e112e0be826d69500000001bff00000000000003ff000000000000000000000000000000000000111f5ea0b11f979d1952d9fdf819598bdc61e915f3124ea80493750cbbcc57a3e64967d1313ff935c60c0783f7fbfd9f2c261ce42875ccafaf597faf7bc1987528cfdb8e6d0e6d83deff492f33cc775a764b73d34cdad3b1e6d372d54ba5462bf"
-	const wantBlobHash = "11f5ea0b11f979d1952d9fdf819598bdc61e915f3124ea80493750cbbcc57a3e"
-	const wantArtifact = "8cfdb8e6d0e6d83deff492f33cc775a764b73d34cdad3b1e6d372d54ba5462bf"
+	const wantManifest = "4151414d00000001010000000000000001000000002d04302a300506032b6570032100069d8d6980eaf1bca2e4118bc612a13f23791bf2c60ceef2692b581d27b0a1590000000b616666696e652d6c696e650000000100000000000000013e112e0be826d69500000001bff00000000000003ff00000000000000000000000000000000000010979f1fb3fb5f7164eb7f50ca0e967e34a483f38199fdef36e24b14edeac3de4fbd8dbea173402914b48e3f7d8ce92804663025e9dc6d77391b1221a9bd76317bfb9ce27dfdc3340ac7dfce912f864757ccde03285ad0c2f2c770530a9883b8c"
+	const wantBlobHash = "0979f1fb3fb5f7164eb7f50ca0e967e34a483f38199fdef36e24b14edeac3de4"
+	const wantArtifact = "bfb9ce27dfdc3340ac7dfce912f864757ccde03285ad0c2f2c770530a9883b8c"
 	if manifestHex != wantManifest {
 		t.Errorf("manifest bytes drifted:\n got %s\nwant %s", manifestHex, wantManifest)
 	}

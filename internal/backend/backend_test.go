@@ -31,7 +31,7 @@ func fixture(t *testing.T, n int) (record.Table, *core.Tree, geometry.Box, core.
 	}
 	p := core.Params{
 		Mode: core.MultiSignature, Signer: signer, Domain: dom,
-		Template: funcs.AffineLine(0, 1), Shuffle: true, Seed: 1,
+		Template: funcs.AffineLine(0, 1), Seed: 1,
 	}
 	tree, err := core.Build(tbl, p)
 	if err != nil {

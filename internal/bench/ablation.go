@@ -46,25 +46,6 @@ func deltaRow(_ context.Context, _ *Harness, p point, b []*built) ([]string, err
 		fmtBytes(ds.ApproxBytes), fmtBytes(matBytes)}, nil
 }
 
-// shuffleRow is A2: shuffled versus as-generated intersection insertion
-// order in the IMH-tree, the BST-balance effect the paper leaves
-// unspecified.
-func shuffleRow(_ context.Context, h *Harness, p point, b []*built) ([]string, error) {
-	shuffled, inorder := b[0], b[1]
-	qs := workload.TopK(shuffled.domain, workload.QueryConfig{Count: h.Cfg.Reps, Seed: h.Cfg.Seed, K: 1})
-	ss, _, err := probe(shuffled.Tree, qs)
-	if err != nil {
-		return nil, err
-	}
-	is, _, err := probe(inorder.Tree, qs)
-	if err != nil {
-		return nil, err
-	}
-	return []string{fmtInt(p.n),
-		fmtInt(shuffled.Tree.Stats().IMHDepth), fmtInt(inorder.Tree.Stats().IMHDepth),
-		fmtF(ss), fmtF(is)}, nil
-}
-
 // variantRow is the body A3 and A4 share: one built variant, probed with
 // top-3 queries, reported as subdomains, one structural count of the
 // figure's choosing, build time, search cost and VO size.

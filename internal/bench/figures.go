@@ -8,7 +8,7 @@
 // planQ1), the streaming transport (streamT1), mutation (mutM1) and
 // front (frontR1).
 //
-// A figure is a row of data, not a runner: Figures lists 22 Figure
+// A figure is a row of data, not a runner: Figures lists 21 Figure
 // values — id, titles, columns, notes, a sweep, the fixtures a sweep
 // point needs, a function measuring the point on them, and the column
 // (if any) holding an identity verdict — and Figure.Run is the one
@@ -194,11 +194,6 @@ func Figures() []Figure {
 			notes:   static("materialized is the paper-literal O(S*n) layout; delta is this implementation's O(n + S log n) one"),
 			sweep:   overAblation, row: deltaRow,
 			fixtures: func(p point) []fixture { return []fixture{{n: p.n}, {n: p.n, materialize: true, once: true}} }},
-		{ID: "ablationA2", Title: "Ablation: shuffled vs in-order insertion", heading: fixed("Shuffled vs in-order intersection insertion (IMH depth / search cost)"),
-			columns: []string{"n", "shuffled-depth", "inorder-depth", "shuffled-search", "inorder-search"},
-			notes:   static("search is the mean IMH nodes visited over random queries"),
-			sweep:   overAblation, row: shuffleRow,
-			fixtures: func(p point) []fixture { return []fixture{{n: p.n}, {n: p.n, inorder: true}} }},
 		{ID: "ablationA3", Title: "Ablation: attribute-distribution sensitivity", heading: fixed("Distribution sensitivity (fixed n, fixed target density)"),
 			columns: []string{"distribution", "subdomains", "swaps", "build-sec", "search-nodes", "vo-bytes"},
 			sweep:   overDistributions, row: distributionRow,

@@ -61,7 +61,7 @@ func NewHarness(cfg Config) (*Harness, error) {
 
 // fixture is the small key every figure reduces its set-up to: what
 // distinguishes one build in this package from another. The zero value
-// of each field is the common case — a shuffled, delta-layout,
+// of each field is the common case — a delta-layout,
 // one-signature tree over the configured Lines distribution.
 type fixture struct {
 	n    int
@@ -73,7 +73,6 @@ type fixture struct {
 	mesh        bool   // the signature-mesh baseline instead of an IFMH product
 	shards      int    // 0 = one tree (Result.Tree); K >= 1 = a K-shard set (Result.Set)
 	quantile    bool   // cut shards with build.QuantileCuts instead of the default even cuts
-	inorder     bool   // skip the insertion shuffle (A2's in-order arm)
 	materialize bool   // the paper-literal per-subdomain lists (A1)
 	epoch       uint64 // pinned publication epoch (mutM1's rebuild); 0 = the build plane's default
 	// once opts out of the memo: A1's materialized arm is O(S·n) memory
@@ -138,10 +137,7 @@ func (h *Harness) outsource(ctx context.Context, fx fixture, tbl record.Table, t
 	if fx.mesh {
 		opts = append(opts, build.WithMesh())
 	} else {
-		opts = append(opts, build.WithMode(fx.mode))
-		if !fx.inorder {
-			opts = append(opts, build.WithShuffle(h.Cfg.Seed))
-		}
+		opts = append(opts, build.WithMode(fx.mode), build.WithShuffle(h.Cfg.Seed))
 	}
 	if fx.materialize {
 		opts = append(opts, build.WithMaterialize())

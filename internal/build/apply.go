@@ -72,14 +72,15 @@ func (m Mutation) String() string {
 // The previous Result is left untouched — a server keeps answering
 // from its snapshot until the new epoch is swapped in.
 //
-// For canonical-order builds (WithShuffle) over univariate templates —
-// sharded or not — the work is incremental: only the pair buckets,
-// sweep boundaries, and signatures the changed records touch are
-// recomputed (see core.Tree.ApplyCtx for the stage-by-stage contract).
-// Other builds fall back to a full rebuild under the same API and
-// epoch discipline. Either way the result is byte-identical to a full
-// Outsource of the mutated table at the same epoch, at any worker
-// count.
+// For every product over a univariate template — sharded or not,
+// whatever options built it — the work is incremental: only the pair
+// buckets, sweep boundaries, and signatures the changed records touch
+// are recomputed (see core.Tree.ApplyCtx for the stage-by-stage
+// contract), and the stages report to the WithProgress callback of the
+// original Outsource. Multivariate products fall back to a full rebuild
+// under the same API and epoch discipline. Either way the result is
+// byte-identical to a full Outsource of the mutated table at the same
+// epoch, at any worker count.
 //
 // Sharded products apply the batch to every shard concurrently; each
 // shard keeps its own sub-domain, derived seed and retained
@@ -103,7 +104,7 @@ func Apply(ctx context.Context, prev *Result, muts ...Mutation) (*Result, error)
 		if err != nil {
 			return nil, err
 		}
-		nt, err := prev.Tree.ApplyCtx(ctx, d, prev.Tree.Epoch()+1, nil)
+		nt, err := prev.Tree.ApplyCtx(ctx, d, prev.Tree.Epoch()+1)
 		if err != nil {
 			return nil, err
 		}
@@ -124,7 +125,7 @@ func Apply(ctx context.Context, prev *Result, muts ...Mutation) (*Result, error)
 		ns := &shard.Set{Plan: set.Plan, Trees: make([]*core.Tree, len(set.Trees))}
 		errs := make([]error, len(set.Trees))
 		runErr := pool.RunCtx(ctx, len(set.Trees), len(set.Trees), func(_, i int) {
-			nt, err := set.Trees[i].ApplyCtx(ctx, d, epoch+1, nil)
+			nt, err := set.Trees[i].ApplyCtx(ctx, d, epoch+1)
 			if err != nil {
 				errs[i] = fmt.Errorf("shard %d: %w", i, err)
 				return

@@ -5,10 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"aqverify/internal/core"
+	"aqverify/internal/funcs"
+	"aqverify/internal/itree"
 	"aqverify/internal/record"
+	"aqverify/internal/sig"
 	"aqverify/internal/workload"
 )
 
@@ -206,18 +210,26 @@ func TestApplyValidation(t *testing.T) {
 	}
 }
 
-// TestApplyFallback checks the non-canonical path: a build without
-// WithShuffle has no retained arrangement, so Apply falls back to a
-// full rebuild — same API, same epoch bump, and still byte-identical
-// to a direct Outsource of the mutated table.
+// TestApplyFallback checks the one full-rebuild path left: a multivariate
+// product has no arrangement to maintain, so Apply rebuilds it — same
+// API, same epoch bump, and still byte-identical to a direct Outsource
+// of the mutated table.
 func TestApplyFallback(t *testing.T) {
 	ctx := context.Background()
-	spec := testSpec(t, 40, 6, workload.Uniform)
-	r, err := Outsource(ctx, spec) // no shuffle: no canonical arrangement
+	tbl, dom, err := workload.Points(workload.PointsConfig{N: 8, Dim: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	muts := []Mutation{Delete(1), Insert(record.Record{ID: 4000001, Attrs: []float64{2, 2}})}
+	signer, err := sig.NewSigner(sig.Ed25519, sig.Options{Rand: sig.DeterministicRand(7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{Table: tbl, Template: funcs.ScalarProduct(2), Domain: dom, Signer: signer}
+	r, err := Outsource(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	muts := []Mutation{Delete(1), Insert(record.Record{ID: 4000001, Attrs: []float64{0.4, 0.7}})}
 	next, err := Apply(ctx, r, muts...)
 	if err != nil {
 		t.Fatal(err)
@@ -237,5 +249,81 @@ func TestApplyFallback(t *testing.T) {
 	}
 	if next.Tree.Fingerprint() != full.Tree.Fingerprint() {
 		t.Fatal("fallback apply differs from a direct rebuild")
+	}
+}
+
+// TestUnivariateBuildAlwaysAppliesIncrementally: a product built with no
+// shape option at all — what `vqgen -outsource` builds — retains its
+// arrangement, so Apply enumerates only the pairs touching the three
+// mutated rows (one StagePairs event per tree, its units the dirty-pair
+// count of that tree's sub-domain) instead of rebuilding, on a single
+// tree and a shard set, in both modes, and still lands on the bytes of a
+// direct Outsource of the mutated table.
+func TestUnivariateBuildAlwaysAppliesIncrementally(t *testing.T) {
+	ctx := context.Background()
+	spec := testSpec(t, 60, 4, workload.Gaussian)
+	muts := []Mutation{
+		Update(5, record.Record{ID: spec.Table.Records[5].ID, Attrs: []float64{0.7, -0.2}}),
+		Insert(record.Record{ID: 5000001, Attrs: []float64{-1.1, 0.3}}),
+		Delete(17),
+	}
+	d, err := mutate(spec.Table, muts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := spec.Template.InterpretTable(d.Table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []core.Mode{core.OneSignature, core.MultiSignature} {
+		for _, shards := range []int{0, 3} {
+			t.Run(fmt.Sprintf("%v/shards=%d", mode, shards), func(t *testing.T) {
+				opts := []Option{WithMode(mode)}
+				if shards > 0 {
+					opts = append(opts, WithShards(shards, 0))
+				}
+				var mu sync.Mutex
+				pairs := map[int][]int{} // shard -> units of its StagePairs events
+				observe := WithProgress(func(p Progress) {
+					if p.Stage == core.StagePairs {
+						mu.Lock()
+						pairs[p.Shard] = append(pairs[p.Shard], p.Units)
+						mu.Unlock()
+					}
+				})
+				prev, err := Outsource(ctx, spec, append(opts[:len(opts):len(opts)], observe)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pairs = map[int][]int{}
+				next, err := Apply(ctx, prev, muts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fullSpec := spec
+				fullSpec.Table = d.Table
+				full, err := Outsource(ctx, fullSpec, append(opts[:len(opts):len(opts)], WithEpoch(2))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				at, ft := treesOf(t, next), treesOf(t, full)
+				for i, tr := range at {
+					dirty, err := itree.DirtyPairs1D(fs, d.DirtyNew, tr.Domain())
+					if err != nil {
+						t.Fatal(err)
+					}
+					sh := i
+					if shards == 0 {
+						sh = ShardNone
+					}
+					if got := pairs[sh]; len(got) != 1 || got[0] != len(dirty) {
+						t.Errorf("tree %d: StagePairs units %v, want one event of the %d dirty pairs", i, got, len(dirty))
+					}
+					if tr.Fingerprint() != ft[i].Fingerprint() {
+						t.Errorf("tree %d: fingerprint differs between Apply and full Outsource", i)
+					}
+				}
+			})
+		}
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
-	"aqverify/internal/hashing"
 	"aqverify/internal/itree"
 	"aqverify/internal/mesh"
 	"aqverify/internal/record"
@@ -91,10 +90,8 @@ type Option func(*options)
 
 type options struct {
 	mode        core.Mode
-	shuffle     bool
 	seed        int64
 	materialize bool
-	hasher      *hashing.Hasher
 	workers     int
 	epoch       uint64
 	progress    func(Progress)
@@ -110,21 +107,18 @@ type options struct {
 // WithMode selects the IFMH signing scheme (default core.OneSignature).
 func WithMode(m core.Mode) Option { return func(o *options) { o.mode = m } }
 
-// WithShuffle randomizes the intersection insertion order with the given
-// seed (recommended; it keeps the expected IMH depth logarithmic). The
-// seed also derives each shard's per-shard seed.
-func WithShuffle(seed int64) Option {
-	return func(o *options) { o.shuffle = true; o.seed = seed }
-}
+// WithShuffle seeds the canonical priorities that shape the IMH-tree
+// (default 0; shard i of a set uses seed+i). Every build is in canonical
+// order — expected-logarithmic depth, shape a pure function of the
+// table — so the seed only picks which such tree: one-signature
+// verification objects, which carry the IMH path, depend on it;
+// multi-signature answers do not.
+func WithShuffle(seed int64) Option { return func(o *options) { o.seed = seed } }
 
 // WithMaterialize selects the paper-literal O(S·n) layout storing every
 // subdomain's permutation and FMH-tree; the default is the delta
 // representation.
 func WithMaterialize() Option { return func(o *options) { o.materialize = true } }
-
-// WithHasher supplies an instrumented hasher so construction cost (hash
-// and signature counts) lands in its metrics counter.
-func WithHasher(h *hashing.Hasher) Option { return func(o *options) { o.hasher = h } }
 
 // WithWorkers bounds every construction stage's worker pool: record
 // digesting, pair enumeration, the sweep plan, FMH-list building, hash
@@ -143,9 +137,11 @@ func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
 // epoch sequence.
 func WithEpoch(e uint64) Option { return func(o *options) { o.epoch = e } }
 
-// WithProgress observes every construction stage as it starts. fn must
-// be cheap, must not block, and — for sharded products, whose K shard
-// builds run concurrently — must be safe for concurrent use.
+// WithProgress observes every construction stage as it starts — of this
+// Outsource call and, since the product retains the callback, of every
+// Apply on its Result. fn must be cheap, must not block, and — for
+// sharded products, whose K shard builds run concurrently — must be safe
+// for concurrent use.
 func WithProgress(fn func(Progress)) Option { return func(o *options) { o.progress = fn } }
 
 // WithPlan asks for a domain-sharded product built under an explicit
@@ -205,14 +201,13 @@ func Outsource(ctx context.Context, spec Spec, opts ...Option) (*Result, error) 
 		if o.plan != nil || o.shardsSet {
 			return nil, fmt.Errorf("build: the mesh baseline cannot be domain-sharded")
 		}
-		if o.materialize || o.shuffle || o.mode != core.OneSignature || o.epoch != 0 {
+		if o.materialize || o.seed != 0 || o.mode != core.OneSignature || o.epoch != 0 {
 			return nil, fmt.Errorf("build: WithMode/WithShuffle/WithMaterialize/WithEpoch apply to IFMH products only")
 		}
 		m, err := mesh.BuildCtx(ctx, spec.Table, mesh.Params{
 			Signer:   spec.Signer,
 			Domain:   spec.Domain,
 			Template: spec.Template,
-			Hasher:   o.hasher,
 			Workers:  o.workers,
 			Progress: o.stageFn(ShardNone),
 		})
@@ -227,8 +222,6 @@ func Outsource(ctx context.Context, spec Spec, opts ...Option) (*Result, error) 
 		Signer:      spec.Signer,
 		Domain:      spec.Domain,
 		Template:    spec.Template,
-		Hasher:      o.hasher,
-		Shuffle:     o.shuffle,
 		Seed:        o.seed,
 		Materialize: o.materialize,
 		Workers:     o.workers,

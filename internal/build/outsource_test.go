@@ -4,14 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
-	"aqverify/internal/hashing"
-	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/sig"
 	"aqverify/internal/wire"
@@ -83,14 +82,6 @@ func TestOutsourceProducts(t *testing.T) {
 	}
 	if single.Tree.SignatureCount() != single.Tree.NumSubdomains() {
 		t.Fatal("multi-signature product: one signature per subdomain expected")
-	}
-	// An instrumented hasher observes the construction cost.
-	var ctr metrics.Counter
-	if _, err := Outsource(ctx, spec, WithHasher(hashing.New(&ctr))); err != nil {
-		t.Fatal(err)
-	}
-	if ctr.Hashes == 0 || ctr.SigSigns != 1 {
-		t.Fatalf("one-signature construction not instrumented: %+v", ctr)
 	}
 
 	for _, planner := range []Planner{nil, QuantileCuts} {
@@ -274,5 +265,47 @@ func TestOutsourceProgress(t *testing.T) {
 	}
 	if !sawPairs {
 		t.Fatal("sharded build never reported the shared pair enumeration (StagePairs, ShardNone)")
+	}
+}
+
+// TestPinnedFingerprints holds four fixed builds to the fingerprints the
+// insert-path construction produced for them (recorded at the commit
+// before univariate trees were read straight off the arrangement):
+// treap uniqueness checked end to end, through every hash and signature,
+// and the proof that no WithShuffle caller saw a byte move.
+func TestPinnedFingerprints(t *testing.T) {
+	ctx := context.Background()
+	spec := testSpec(t, 60, 3, workload.Gaussian)
+	for _, c := range []struct {
+		mode   core.Mode
+		shards int
+		want   []string
+	}{
+		{core.OneSignature, 0, []string{
+			"7f99a97cc03e7bf2784301192f5d5a7b1db0cafafa41051b06a53f43466350f2"}},
+		{core.OneSignature, 3, []string{
+			"21e9b4c8baf0aee573ecf6bbfa7bc7b7b786c131b69f4b4459ff0fb7964dcee1",
+			"8fbd0d3720be8b5c6d3f4500f0b0ffe97aa55a8b496742f3e3744612397e4768",
+			"0006480133a9cfcf2de830624955baac59a1b20d97cba3272d7e3d0fa99d5157"}},
+		{core.MultiSignature, 0, []string{
+			"472f1dced78631413f72fa3d1f62db132462b38c12224228ff443120c90ca79c"}},
+		{core.MultiSignature, 3, []string{
+			"d299df47e1048653eac36def6f6c9fb7f5fdc0719759daa4de9c9e780eaf05ba",
+			"9670374ff863204d3f140d0b1317e8b67608eac8c3fca3b56159927f094836eb",
+			"40b410886652a305e102d5414d9ac196adc74f7bf68abf443d237813f6af3aaa"}},
+	} {
+		opts := []Option{WithMode(c.mode), WithShuffle(5)}
+		if c.shards > 0 {
+			opts = append(opts, WithShards(c.shards, 0))
+		}
+		r, err := Outsource(ctx, spec, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tr := range treesOf(t, r) {
+			if got := fmt.Sprintf("%x", tr.Fingerprint()); got != c.want[i] {
+				t.Errorf("%v shards=%d tree %d: fingerprint %s, pinned %s", c.mode, c.shards, i, got, c.want[i])
+			}
+		}
 	}
 }

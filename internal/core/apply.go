@@ -6,13 +6,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/big"
 
 	"aqverify/internal/geometry"
 	"aqverify/internal/hashing"
 	"aqverify/internal/itree"
 	"aqverify/internal/record"
-	"aqverify/internal/sweep"
 )
 
 // Delta is a table mutation in digested form: the mutated table plus
@@ -85,29 +83,29 @@ func (d Delta) validate(prevLen int) error {
 // mutation, returning a new tree at the given epoch; the receiver is
 // left untouched, so a server can keep answering from its snapshot
 // while the next epoch builds. The result is byte-identical to a full
-// BuildCtx of the mutated table under the retained build parameters —
-// the canonical insertion order makes the I-tree shape a pure function
-// of the intersection set, so the incremental path and the full path
-// must meet at the same bytes (TestApplyEquivalence holds both to
-// that).
+// BuildCtx of the mutated table under the retained build parameters:
+// the I-tree shape is a pure function of the arrangement, and from the
+// arrangement onward the two run the same code (finish1D), so there is
+// one pipeline to keep right, not two that must meet
+// (TestApplyEquivalence still holds them to the same bytes). The
+// retained Params.Progress callback observes the stages.
 //
-// The localized work: record digests are copied for clean rows, pair
-// enumeration visits only pairs touching dirty rows (O(b·n) instead
-// of O(n²)), the canonical I-tree is reconstructed directly from the
-// merged arrangement in O(S) with no exact-rational descents, and the
-// sweep plan replays clean boundaries, re-sorting only dirty ones.
-// The per-subdomain FMH lists, the hash propagation and (in
+// The localized work, for every univariate tree built by this process:
+// record digests are copied for clean rows, pair enumeration visits
+// only pairs touching dirty rows (O(b·n) instead of O(n²)), those pairs
+// are merged into the retained arrangement instead of re-sorting it,
+// and the sweep plan replays clean boundaries, re-sorting only dirty
+// ones. The per-subdomain FMH lists, the hash propagation and (in
 // multi-signature mode) the signatures are rebuilt in full — every
 // subdomain's function list contains every record, so any real
 // mutation invalidates all of them; there is no sublinear form to
 // exploit. Signatures whose signed digest is unchanged are reused
 // rather than re-signed.
 //
-// Trees that were not built in canonical order (Shuffle off) or over
-// multivariate templates have no content-determined shape to maintain;
-// for those ApplyCtx falls back to a full rebuild under the same API —
-// still correct, just not localized.
-func (t *Tree) ApplyCtx(ctx context.Context, d Delta, epoch uint64, progress func(Stage, int)) (*Tree, error) {
+// Multivariate trees have no arrangement to maintain; for those
+// ApplyCtx is a full rebuild under the same API — still correct, just
+// not localized. Serve-only trees (FromSnapshot) are refused.
+func (t *Tree) ApplyCtx(ctx context.Context, d Delta, epoch uint64) (*Tree, error) {
 	if epoch <= t.epoch {
 		return nil, fmt.Errorf("core: apply epoch %d is not above the current epoch %d", epoch, t.epoch)
 	}
@@ -115,17 +113,11 @@ func (t *Tree) ApplyCtx(ctx context.Context, d Delta, epoch uint64, progress fun
 		return nil, err
 	}
 	p := t.bp
-	p.Progress = progress
 	p.Epoch = epoch
 	if p.Signer == nil {
-		// Covers both legacy trees and serve-only reconstructions
-		// (FromSnapshot / a loaded artifact): without the owner's key
-		// no next epoch can be signed here.
 		return nil, fmt.Errorf("core: tree is serve-only (no signer retained; e.g. reconstructed from an artifact); apply mutations on the owner's build and publish a new epoch")
 	}
 	if t.arr == nil {
-		// No canonical arrangement retained: fall back to a full
-		// rebuild at the bumped epoch.
 		return BuildCtx(ctx, d.Table, p)
 	}
 
@@ -145,11 +137,9 @@ func (t *Tree) ApplyCtx(ctx context.Context, d Delta, epoch uint64, progress fun
 		epoch:    epoch,
 		bp:       p,
 	}
-	nt.bp.Progress = nil
 
 	// Digest: copy clean rows, hash dirty ones.
-	b := d.dirtyCount()
-	p.progress(StageDigest, b)
+	p.progress(StageDigest, d.dirtyCount())
 	nt.recDigests = make([]hashing.Digest, d.Table.Len())
 	for oi, ni := range d.CleanRemap {
 		if ni >= 0 {
@@ -162,118 +152,21 @@ func (t *Tree) ApplyCtx(ctx context.Context, d Delta, epoch uint64, progress fun
 		}
 	}
 
-	space := t.space.(*geometry.Space1D)
-
-	// Pairs: enumerate only the pairs touching dirty rows.
+	// Pairs: enumerate only the pairs touching dirty rows, and merge
+	// them into the retained arrangement.
 	dirtyInters, err := itree.DirtyPairs1D(fs, d.DirtyNew, t.domain)
 	if err != nil {
 		return nil, err
 	}
 	p.progress(StagePairs, len(dirtyInters))
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// I-tree: merge the arrangement and reconstruct directly.
-	merged, classes, err := itree.MergeArrangement1D(space, t.arr, d.CleanRemap, dirtyInters)
+	merged, classes, err := itree.MergeArrangement1D(t.space.(*geometry.Space1D), t.arr, d.CleanRemap, dirtyInters)
 	if err != nil {
 		return nil, err
 	}
-	p.progress(StageITree, merged.NumBreakpoints())
-	nt.arr = merged
-	if nt.itree, err = itree.BuildCanonical1D(space, merged); err != nil {
-		return nil, err
-	}
-
-	// Sweep: replay clean boundaries, re-sort dirty ones.
-	p.progress(StageSweep, len(classes))
-	bs := make([]sweep.Boundary, len(classes))
-	for k, c := range classes {
-		g := merged.Groups[k]
-		pairs := make([]sweep.Pair, len(g.Members))
-		for m, in := range g.Members {
-			pairs[m] = sweep.Pair{I: in.I, J: in.J}
-		}
-		bs[k] = sweep.Boundary{Old: c.Old, Dirty: c.Dirty, Group: pairs}
-	}
-	witnessAt := func(k int) *big.Rat {
-		return space.WitnessRat(nt.itree.Subs[k].Region)
-	}
-	plan, err := sweep.ApplyCtx(ctx, fs, t.plan, d.CleanRemap, d.DirtyNew, bs, witnessAt)
-	if err != nil {
-		return nil, err
-	}
-
-	// Lists + propagate: full — every subdomain's list changed.
-	workers := p.workers()
-	if err := nt.listsFromPlan(ctx, plan, p, workers); err != nil {
-		return nil, err
-	}
-	p.progress(StagePropagate, nt.itree.NodeCount)
-	if err := nt.propagateHashes(ctx, workers); err != nil {
-		return nil, err
-	}
-	if err := nt.signReuse(ctx, p, t); err != nil {
+	if err := nt.finish1D(ctx, p, merged, mutation{prev: t, delta: d, classes: classes}); err != nil {
 		return nil, err
 	}
 	return nt, nil
-}
-
-// signReuse is the sign stage with previous-epoch signature reuse: a
-// signature whose signed digest is unchanged is copied instead of
-// re-signed. In practice a real mutation changes every subdomain's FMH
-// root (every list contains every record), so reuse fires mainly for
-// no-op updates — but it costs one digest comparison, and it spares
-// randomized schemes from churning bytes that did not change.
-func (t *Tree) signReuse(ctx context.Context, p Params, prev *Tree) error {
-	switch p.Mode {
-	case OneSignature:
-		if prev.mode == OneSignature && prev.rootDigest == t.rootDigest && prev.rootSig != nil {
-			p.progress(StageSign, 0)
-			t.rootSig = prev.rootSig
-			t.sigCount = 1
-			return nil
-		}
-		return t.sign(ctx, p)
-	case MultiSignature:
-		// Index the previous subdomain signatures by signed digest,
-		// with an uncounted hasher: the lookups are bookkeeping, not
-		// construction cost.
-		uh := hashing.New(nil)
-		prevSigs := make(map[hashing.Digest][]byte, len(prev.subs))
-		for _, si := range prev.subs {
-			if si.Sig == nil || si.IneqEnc == nil {
-				continue
-			}
-			prevSigs[uh.MultiSig(uh.Ineqs(si.IneqEnc), si.List.Root())] = si.Sig
-		}
-		p.progress(StageSign, len(t.subs))
-		err := t.parallelChunks(ctx, p.workers(), len(t.subs), func(h *hashing.Hasher, lo, hi int) error {
-			for _, si := range t.subs[lo:hi] {
-				si.Ineqs = t.space.Halfspaces(si.Sub.Region)
-				si.IneqEnc = geometry.EncodeHalfspaces(nil, si.Ineqs)
-				d := h.MultiSig(h.Ineqs(si.IneqEnc), si.List.Root())
-				if s, ok := prevSigs[d]; ok {
-					si.Sig = s
-					continue
-				}
-				s, err := p.Signer.Sign(d[:])
-				if err != nil {
-					return fmt.Errorf("core: signing subdomain %d: %w", si.Sub.ID, err)
-				}
-				h.Counter().AddSign(1)
-				si.Sig = s
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		t.sigCount = len(t.subs)
-		return nil
-	default:
-		return fmt.Errorf("core: unknown mode %v", p.Mode)
-	}
 }
 
 // Fingerprint returns a canonical content digest of the published

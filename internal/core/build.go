@@ -75,7 +75,6 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Tree, error) {
 	if t.epoch == 0 {
 		t.epoch = 1
 	}
-	t.bp.Progress = nil
 	t.bp.Inters1D = nil
 	workers := p.workers()
 	p.progress(StageDigest, tbl.Len())
@@ -90,7 +89,6 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Tree, error) {
 		return nil, err
 	}
 
-	opt := itree.BuildOptions{Shuffle: p.Shuffle, Seed: p.Seed}
 	if p.Template.Dim() == 1 {
 		space, err := geometry.NewSpace1D(p.Domain)
 		if err != nil {
@@ -104,51 +102,33 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Tree, error) {
 				return nil, err
 			}
 		}
-		p.progress(StageITree, len(inters))
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		t.itree, err = itree.Build(space, inters, opt)
+		arr, err := itree.NewArrangement1D(space, inters, p.Seed)
 		if err != nil {
 			return nil, err
 		}
-		if p.Shuffle {
-			// Retain the canonical arrangement the tree shape is a pure
-			// function of: the mutation plane merges dirty pairs into it
-			// and reconstructs the next epoch's tree directly, instead of
-			// re-enumerating and re-inserting from scratch.
-			if t.arr, err = itree.NewArrangement1D(space, inters, p.Seed); err != nil {
-				return nil, err
-			}
-		}
-		if err := t.buildLists1D(ctx, inters, p, workers); err != nil {
+		if err := t.finish1D(ctx, p, arr, mutation{}); err != nil {
 			return nil, err
 		}
-	} else {
-		space, err := geometry.NewSpaceND(p.Domain)
-		if err != nil {
-			return nil, err
-		}
-		t.space = space
-		p.progress(StageITree, 0)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		t.itree, err = itree.Build(space, itree.PairsND(fs), opt)
-		if err != nil {
-			return nil, err
-		}
-		p.progress(StageLists, len(t.itree.Subs))
-		if err := t.buildListsND(ctx, workers); err != nil {
-			return nil, err
-		}
+		return t, nil
 	}
 
-	p.progress(StagePropagate, t.itree.NodeCount)
-	if err := t.propagateHashes(ctx, workers); err != nil {
+	space, err := geometry.NewSpaceND(p.Domain)
+	if err != nil {
 		return nil, err
 	}
-	if err := t.sign(ctx, p); err != nil {
+	t.space = space
+	p.progress(StageITree, 0)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if t.itree, err = itree.Build(space, itree.PairsND(fs), p.Seed); err != nil {
+		return nil, err
+	}
+	p.progress(StageLists, len(t.itree.Subs))
+	if err := t.buildListsND(ctx, workers); err != nil {
+		return nil, err
+	}
+	if err := t.seal(ctx, p, nil); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -169,70 +149,102 @@ func (t *Tree) fmhFromPerm(h *hashing.Hasher, perm []int) (*fmh.List, error) {
 	})
 }
 
-// SweepInputs1D derives, for a built 1-D I-tree, the exact witnesses of
-// every subdomain and the function pairs crossing at every boundary — the
-// inputs to sweep.Compute. It is shared with the signature-mesh baseline,
-// which sweeps the same arrangement without the tree.
-func SweepInputs1D(space *geometry.Space1D, subs []*itree.Subdomain, boundaries []*big.Rat, inters []itree.Intersection) ([]*big.Rat, [][]sweep.Pair, error) {
-	witnesses := make([]*big.Rat, len(subs))
-	for i, s := range subs {
-		witnesses[i] = space.WitnessRat(s.Region)
-	}
-	groups := make(map[string][]sweep.Pair)
-	for _, in := range inters {
-		bp, ok := geometry.Breakpoint1D(in.H)
-		if !ok {
-			continue
+// CrossingPairs lists, per boundary of a univariate arrangement, the
+// function pairs crossing there — the boundary groups of sweep.ComputeCtx
+// and sweep.ApplyCtx. The signature-mesh baseline sweeps the same
+// arrangement without the tree and reads its groups here too.
+func CrossingPairs(arr *itree.Arrangement1D) [][]sweep.Pair {
+	out := make([][]sweep.Pair, len(arr.Groups))
+	for k, g := range arr.Groups {
+		out[k] = make([]sweep.Pair, len(g.Members))
+		for m, in := range g.Members {
+			out[k][m] = sweep.Pair{I: in.I, J: in.J}
 		}
-		k := bp.RatString()
-		groups[k] = append(groups[k], sweep.Pair{I: in.I, J: in.J})
 	}
-	out := make([][]sweep.Pair, len(boundaries))
-	for k, b := range boundaries {
-		g := groups[b.RatString()]
-		if len(g) == 0 {
-			return nil, nil, fmt.Errorf("core: boundary %d (%v) has no crossing intersections", k, b)
-		}
-		out[k] = g
-	}
-	return witnesses, out, nil
+	return out
 }
 
-// buildLists1D computes every subdomain's sorted function list by a
-// left-to-right sweep: seed the sorted order exactly (see
-// sweep.ComputeCtx for how the seeding shards across workers), then cross
-// each boundary by applying the adjacent transpositions of the function
-// pairs intersecting there, deriving each FMH-tree persistently from its
-// left neighbor.
+// mutation is what ApplyCtx knows that a first build does not: the tree
+// the batch applies to, the batch's index bookkeeping, and how every
+// boundary of the merged arrangement aligns with the previous one. The
+// zero value is a first build.
+type mutation struct {
+	prev    *Tree
+	delta   Delta
+	classes []itree.BoundaryClass
+}
+
+// finish1D is the univariate pipeline from "arrangement in hand" onward,
+// the one path BuildCtx and ApplyCtx both take: reconstruct the
+// canonical I-tree directly from the arrangement, read the sweep inputs
+// off it (crossing pairs from each group's members, exact witnesses from
+// the built subdomains), compute the sweep plan, build the FMH lists,
+// propagate and sign. A first build (the zero mutation) computes the
+// plan from scratch — seed the sorted order exactly (see
+// sweep.ComputeCtx for how the seeding shards across workers), then
+// cross each boundary by the adjacent transpositions of the pairs
+// intersecting there; a mutation replays the previous plan's clean
+// boundaries and re-sorts only the dirty ones, and reuses the previous
+// epoch's unchanged signatures. Both meet at the same bytes because
+// they differ in nothing else.
+func (t *Tree) finish1D(ctx context.Context, p Params, arr *itree.Arrangement1D, m mutation) error {
+	space := t.space.(*geometry.Space1D)
+	p.progress(StageITree, arr.NumBreakpoints())
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	var err error
+	t.arr = arr
+	if t.itree, err = itree.BuildCanonical1D(space, arr); err != nil {
+		return err
+	}
+
+	p.progress(StageSweep, arr.NumBreakpoints())
+	groups := CrossingPairs(arr)
+	witnessAt := func(k int) *big.Rat { return space.WitnessRat(t.itree.Subs[k].Region) }
+	var plan sweep.Plan
+	if m.prev == nil {
+		witnesses := make([]*big.Rat, len(t.itree.Subs))
+		for k := range witnesses {
+			witnesses[k] = witnessAt(k)
+		}
+		plan, err = sweep.ComputeCtx(ctx, t.fs, witnesses, groups, p.workers())
+	} else {
+		bs := make([]sweep.Boundary, len(groups))
+		for k, c := range m.classes {
+			bs[k] = sweep.Boundary{Old: c.Old, Dirty: c.Dirty, Group: groups[k]}
+		}
+		plan, err = sweep.ApplyCtx(ctx, t.fs, m.prev.plan, m.delta.CleanRemap, m.delta.DirtyNew, bs, witnessAt)
+	}
+	if err != nil {
+		return err
+	}
+	if err := t.listsFromPlan(ctx, plan, p); err != nil {
+		return err
+	}
+	return t.seal(ctx, p, m.prev)
+}
+
+// seal runs the two closing stages every layout shares: IMH hash
+// propagation and signing (prev as in sign).
+func (t *Tree) seal(ctx context.Context, p Params, prev *Tree) error {
+	p.progress(StagePropagate, t.itree.NodeCount)
+	if err := t.propagateHashes(ctx, p.workers()); err != nil {
+		return err
+	}
+	return t.sign(ctx, p, prev)
+}
+
+// listsFromPlan builds every subdomain's FMH list from a computed sweep
+// plan, deriving each FMH-tree persistently from its left neighbor.
 //
-// In materialized mode the sweep only replays permutations (cheap swaps);
+// In materialized mode the plan only replays permutations (cheap swaps);
 // the S independent O(n) FMH-tree constructions — the dominant cost of
 // the paper's literal layout — are then sharded across the worker pool.
 // Delta mode stays serial past the base list: each persistent tree is
 // derived from its left neighbor, an inherently sequential chain that is
 // already O(S log n) in total.
-func (t *Tree) buildLists1D(ctx context.Context, inters []itree.Intersection, p Params, workers int) error {
-	space := t.space.(*geometry.Space1D)
-	boundaries, err := t.itree.Boundaries1D()
-	if err != nil {
-		return err
-	}
-	witnesses, groups, err := SweepInputs1D(space, t.itree.Subs, boundaries, inters)
-	if err != nil {
-		return err
-	}
-	p.progress(StageSweep, len(boundaries))
-	plan, err := sweep.ComputeCtx(ctx, t.fs, witnesses, groups, workers)
-	if err != nil {
-		return err
-	}
-	return t.listsFromPlan(ctx, plan, p, workers)
-}
-
-// listsFromPlan builds every subdomain's FMH list from a computed sweep
-// plan — the tail of buildLists1D, shared with the mutation plane's
-// ApplyCtx, which derives the plan incrementally instead.
-func (t *Tree) listsFromPlan(ctx context.Context, plan sweep.Plan, p Params, workers int) error {
+func (t *Tree) listsFromPlan(ctx context.Context, plan sweep.Plan, p Params) error {
 	subs := t.itree.Subs
 	t.subs = make([]*SubInfo, len(subs))
 	t.plan = plan
@@ -251,7 +263,7 @@ func (t *Tree) listsFromPlan(ctx context.Context, plan sweep.Plan, p Params, wor
 			}
 			perms[k+1] = append([]int(nil), perm...)
 		}
-		return t.parallelChunks(ctx, workers, len(subs), func(h *hashing.Hasher, lo, hi int) error {
+		return t.parallelChunks(ctx, p.workers(), len(subs), func(h *hashing.Hasher, lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				list, err := t.fmhFromPerm(h, perms[i])
 				if err != nil {
@@ -379,9 +391,22 @@ func (t *Tree) propagateHashes(ctx context.Context, workers int) error {
 // are independent of the worker count (schemes with per-signature
 // randomness differ run to run regardless). Every sig.Signer is safe for
 // concurrent use: the schemes are stateless apart from crypto/rand.
-func (t *Tree) sign(ctx context.Context, p Params) error {
+//
+// prev is the tree a mutation was applied to, nil on a first build: a
+// signature of prev whose signed digest is unchanged is copied instead
+// of re-signed. In practice a real mutation changes every subdomain's
+// FMH root (every list contains every record), so reuse fires mainly for
+// no-op updates — but it costs one digest comparison, and it spares
+// randomized schemes from churning bytes that did not change.
+func (t *Tree) sign(ctx context.Context, p Params, prev *Tree) error {
 	switch p.Mode {
 	case OneSignature:
+		if prev != nil && prev.mode == OneSignature && prev.rootDigest == t.rootDigest && prev.rootSig != nil {
+			p.progress(StageSign, 0)
+			t.rootSig = prev.rootSig
+			t.sigCount = 1
+			return nil
+		}
 		p.progress(StageSign, 1)
 		if err := ctx.Err(); err != nil {
 			return err
@@ -394,12 +419,29 @@ func (t *Tree) sign(ctx context.Context, p Params) error {
 		t.rootSig = s
 		t.sigCount = 1
 	case MultiSignature:
+		// Index the previous subdomain signatures by signed digest,
+		// with an uncounted hasher: the lookups are bookkeeping, not
+		// construction cost.
+		var prevSigs map[hashing.Digest][]byte
+		if prev != nil {
+			uh := hashing.New(nil)
+			prevSigs = make(map[hashing.Digest][]byte, len(prev.subs))
+			for _, si := range prev.subs {
+				if si.Sig != nil && si.IneqEnc != nil {
+					prevSigs[uh.MultiSig(uh.Ineqs(si.IneqEnc), si.List.Root())] = si.Sig
+				}
+			}
+		}
 		p.progress(StageSign, len(t.subs))
 		err := t.parallelChunks(ctx, p.workers(), len(t.subs), func(h *hashing.Hasher, lo, hi int) error {
 			for _, si := range t.subs[lo:hi] {
 				si.Ineqs = t.space.Halfspaces(si.Sub.Region)
 				si.IneqEnc = geometry.EncodeHalfspaces(nil, si.Ineqs)
 				d := h.MultiSig(h.Ineqs(si.IneqEnc), si.List.Root())
+				if s, ok := prevSigs[d]; ok {
+					si.Sig = s
+					continue
+				}
 				s, err := p.Signer.Sign(d[:])
 				if err != nil {
 					return fmt.Errorf("core: signing subdomain %d: %w", si.Sub.ID, err)

@@ -26,7 +26,7 @@ func cancelFixture(t *testing.T, n, items int) (PublicParams, []BatchItem) {
 	}
 	tree, err := Build(tbl, Params{
 		Mode: MultiSignature, Signer: signer, Domain: dom,
-		Template: funcs.AffineLine(0, 1), Shuffle: true, Seed: 1,
+		Template: funcs.AffineLine(0, 1), Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

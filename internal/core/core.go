@@ -78,10 +78,11 @@ type Params struct {
 	// Hasher provides the one-way hash; nil means an uninstrumented
 	// SHA-256 hasher.
 	Hasher *hashing.Hasher
-	// Shuffle randomizes intersection insertion order (recommended; see
-	// the ablation bench). Seed seeds it.
-	Shuffle bool
-	Seed    int64
+	// Seed seeds the canonical priorities that shape the IMH-tree (see
+	// itree's canonical order): every seed gives an expected-logarithmic
+	// tree, a different seed a different one. Only one-signature
+	// verification objects — which carry the IMH path — depend on it.
+	Seed int64
 	// Materialize stores every subdomain's permutation and builds every
 	// FMH-tree from scratch — the paper's literal O(S·n) layout. The
 	// default (false) uses the delta representation: one base
@@ -104,13 +105,15 @@ type Params struct {
 	// which is how the build plane shares one scan between its cut
 	// planner and the shard build. It must contain every pair whose
 	// breakpoint lies inside Domain (a superset is fine: out-of-domain
-	// entries are pruned by the exact insertion checks). Nil means Build
+	// entries are pruned exactly by itree.NewArrangement1D). Nil means Build
 	// enumerates via itree.Pairs1D; ignored for multivariate templates.
 	Inters1D []itree.Intersection
 	// Progress, when non-nil, is invoked from the building goroutine at
 	// the start of every construction stage with the stage and the number
 	// of units (records, intersections, subdomains, tree nodes, ...) the
-	// stage is about to process. It must be cheap and must not block.
+	// stage is about to process. It must be cheap and must not block. The
+	// built tree retains it: ApplyCtx reports the stages of every later
+	// epoch to the same callback.
 	Progress func(stage Stage, units int)
 	// Epoch stamps the built tree's publication epoch. Zero means 1 —
 	// the first epoch of a fresh outsourcing; ApplyCtx bumps it per
@@ -128,7 +131,7 @@ type Stage string
 const (
 	StageDigest    Stage = "digest"    // record digesting
 	StagePairs     Stage = "pairs"     // pairwise-intersection enumeration (1-D)
-	StageITree     Stage = "itree"     // I-tree insertion
+	StageITree     Stage = "itree"     // I-tree construction
 	StageSweep     Stage = "sweep"     // subdomain sweep plan (1-D)
 	StageLists     Stage = "lists"     // per-subdomain FMH-list construction
 	StagePropagate Stage = "propagate" // IMH-tree hash propagation
@@ -202,10 +205,11 @@ type Tree struct {
 	verifier   sig.Verifier
 	sigCount   int
 
-	// Mutation-plane state: the publication epoch, the canonical
-	// arrangement the tree shape is a function of (1-D canonical-order
-	// builds only), and the build parameters, retained so ApplyCtx can
-	// rebuild stages the same way the original construction did.
+	// Mutation-plane state: the publication epoch, the arrangement the
+	// tree was read off (every univariate tree built or applied by this
+	// process; nil for multivariate and FromSnapshot trees), and the
+	// build parameters, retained so ApplyCtx runs the stages the way the
+	// original construction did.
 	epoch uint64
 	arr   *itree.Arrangement1D
 	bp    Params

@@ -51,7 +51,6 @@ func build1D(t testing.TB, tbl record.Table, mode Mode, materialize bool) *Tree 
 		Signer:      testSigner,
 		Domain:      geometry.MustBox([]float64{-1}, []float64{1}),
 		Template:    funcs.AffineLine(0, 1),
-		Shuffle:     true,
 		Seed:        42,
 		Materialize: materialize,
 	})
@@ -413,7 +412,6 @@ func TestBuildND2D(t *testing.T) {
 			Signer:   testSigner,
 			Domain:   geometry.MustBox([]float64{0.1, 0.1}, []float64{1, 1}),
 			Template: funcs.ScalarProduct(2),
-			Shuffle:  true,
 			Seed:     5,
 		})
 		if err != nil {

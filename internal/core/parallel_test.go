@@ -27,7 +27,6 @@ func buildWorkers(t testing.TB, tbl record.Table, mode Mode, materialize bool, w
 		Domain:      geometry.MustBox([]float64{-1}, []float64{1}),
 		Template:    funcs.AffineLine(0, 1),
 		Hasher:      hashing.New(ctr),
-		Shuffle:     true,
 		Seed:        42,
 		Materialize: materialize,
 		Workers:     workers,
@@ -80,6 +79,9 @@ func TestParallelBuildIdentical(t *testing.T) {
 				if serialCtr != parCtr {
 					t.Errorf("instrumentation differs:\nserial:   %v\nparallel: %v", &serialCtr, &parCtr)
 				}
+				if serialCtr.Hashes == 0 || int(serialCtr.SigSigns) != serial.SignatureCount() {
+					t.Errorf("construction not instrumented: %v for %d signatures", &serialCtr, serial.SignatureCount())
+				}
 			})
 		}
 	}
@@ -109,7 +111,6 @@ func TestParallelBuildIdenticalND(t *testing.T) {
 			Signer:   testSigner,
 			Domain:   geometry.MustBox([]float64{0.1, 0.1}, []float64{1, 1}),
 			Template: funcs.ScalarProduct(2),
-			Shuffle:  true,
 			Seed:     5,
 			Workers:  workers,
 		})
@@ -262,7 +263,6 @@ func TestBuildCtxCanceled(t *testing.T) {
 		Signer:   testSigner,
 		Domain:   geometry.MustBox([]float64{-1}, []float64{1}),
 		Template: funcs.AffineLine(0, 1),
-		Shuffle:  true,
 		Seed:     42,
 		Workers:  4,
 	})
@@ -281,7 +281,6 @@ func TestBuildProgressStages(t *testing.T) {
 		Signer:   testSigner,
 		Domain:   geometry.MustBox([]float64{-1}, []float64{1}),
 		Template: funcs.AffineLine(0, 1),
-		Shuffle:  true,
 		Workers:  2,
 		Progress: func(stage Stage, units int) { stages = append(stages, stage) },
 	})

@@ -12,30 +12,24 @@ import (
 
 // Canonical insertion order.
 //
-// Build used to shuffle the *index sequence* of the intersection list,
-// which balances the tree but makes its shape a function of how many
-// intersections happen to be enumerated — add or remove one pair and
-// every later insertion moves. The mutation plane needs the opposite: a
-// tree whose shape is a pure function of the intersection *set*, so
-// that an incremental apply and a full rebuild of the mutated table
-// agree byte for byte.
-//
-// The canonical order achieves both. Every intersection gets a
+// The mutation plane needs a tree whose shape is a pure function of the
+// intersection *set*, so that an incremental apply and a full rebuild
+// of the mutated table agree byte for byte; the query plane needs it
+// balanced. The canonical order gives both. Every intersection gets a
 // pseudorandom priority keyed by its content (a seeded FNV-64a of the
 // hyperplane's canonical encoding), and insertion proceeds in ascending
 // (priority, hyperplane bytes, I, J) order. Inserting keys into a
 // leaf-split BST in ascending priority order yields the treap over
 // (key, priority) — and a treap with distinct priorities is *unique*
-// given its key set. The tree is therefore still expected-logarithmic
-// (priorities are uniform for non-adversarial inputs) and now
-// content-determined: BuildCanonical1D reconstructs the identical tree
-// directly from a sorted breakpoint arrangement in O(S), which is what
-// makes incremental re-outsourcing possible.
+// given its key set. The tree is therefore expected-logarithmic
+// (priorities are uniform for non-adversarial inputs, whatever order
+// the pairs enumerate in) and content-determined: BuildCanonical1D
+// reconstructs the identical tree directly from a sorted breakpoint
+// arrangement in O(S).
 //
 // The priority hash is deliberately non-cryptographic: it only balances
 // the tree, never authenticates anything, and a crafted table can at
-// worst degrade depth (exactly as it could degrade the old seeded
-// shuffle), not soundness.
+// worst degrade depth, not soundness.
 
 // priorityOf returns the canonical priority of one intersection: a
 // seeded FNV-64a over the hyperplane's canonical byte encoding. It
@@ -86,8 +80,7 @@ func compareBytes(a, b []byte) int {
 }
 
 // canonicalOrder returns the indexes of inters sorted by the canonical
-// order under the given seed — the insertion sequence Build uses when
-// BuildOptions.Shuffle is set.
+// order under the given seed — the insertion sequence Build uses.
 func canonicalOrder(inters []Intersection, seed int64) []int {
 	prios := make([]uint64, len(inters))
 	for i := range inters {
@@ -196,9 +189,9 @@ func NewArrangement1D(space *geometry.Space1D, inters []Intersection, seed int64
 // breakpoint sequence (BST by breakpoint, min-heap by canonical
 // priority), with the subdomain leaves attached into the gaps. By treap
 // uniqueness it returns the same tree Build produces by inserting the
-// arrangement's intersections in canonical order — without any of
-// Build's O(S log S) exact-rational descent work — which is the
-// mutation plane's fast path.
+// arrangement's intersections in canonical order, without any of
+// Build's O(S log S) exact-rational descent work. Every univariate
+// tree — first build or applied mutation — is constructed here.
 func BuildCanonical1D(space *geometry.Space1D, arr *Arrangement1D) (*Tree, error) {
 	root, ok := space.Root().(geometry.Interval1D)
 	if !ok {

@@ -74,40 +74,103 @@ func randomLines(n int, seed int64) []funcs.Linear {
 	return fs
 }
 
-// TestBuildCanonicalEqualsInsert is the mutation plane's keystone: the
-// direct Cartesian construction from the arrangement must reproduce
-// the insert-path canonical tree exactly — treap uniqueness in action —
-// across random inputs with duplicate breakpoints, concurrent crossing
-// points and out-of-domain intersections.
+// bothWays builds the tree of one (sub-)domain by canonical-order
+// insertion and directly from the arrangement, asserts the two are the
+// same tree, and returns it.
+func bothWays(t *testing.T, dom geometry.Box, inters []Intersection, seed int64) *Tree {
+	t.Helper()
+	space, err := geometry.NewSpace1D(dom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaInsert, err := Build(space, inters, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr, err := NewArrangement1D(space, inters, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := BuildCanonical1D(space, arr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameTree(t, viaInsert, direct)
+	return direct
+}
+
+// TestBuildCanonicalEqualsInsert is the construction's keystone: the
+// direct Cartesian construction from the arrangement — the only way a
+// univariate tree is built — must reproduce the insert-path canonical
+// tree exactly, treap uniqueness in action, across random inputs with
+// duplicate breakpoints, concurrent crossing points and out-of-domain
+// intersections, and on forced ties and edges: three lines through one
+// point, a breakpoint exactly on each domain edge, and one exactly on a
+// shard cut (interior to the whole domain, on the edge of both
+// sub-boxes, where the half-open ownership rule hands it to the right
+// one and the exact filter prunes it).
 func TestBuildCanonicalEqualsInsert(t *testing.T) {
+	dom, err := geometry.NewBox([]float64{-1}, []float64{2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for trial := 0; trial < 20; trial++ {
 		fs := randomLines(30+trial, int64(trial))
-		dom, err := geometry.NewBox([]float64{-1}, []float64{2})
-		if err != nil {
-			t.Fatal(err)
-		}
 		inters, err := Pairs1D(fs, dom)
 		if err != nil {
 			t.Fatal(err)
 		}
-		space, err := geometry.NewSpace1D(dom)
+		bothWays(t, dom, inters, int64(trial*7))
+	}
+
+	const cut = 0.5
+	fs := lines(
+		// Three lines through (1, 3).
+		[2]float64{1, 2}, [2]float64{-2, 5}, [2]float64{3, 0},
+		// A crossing exactly on the lower domain edge, one on the upper.
+		[2]float64{1, 5}, [2]float64{-1, 3},
+		[2]float64{0.5, 9}, [2]float64{-0.5, 11},
+		// Three lines through (cut, 0.5).
+		[2]float64{1, 0}, [2]float64{-1, 1}, [2]float64{2, -0.5},
+	)
+	for seed := int64(0); seed < 4; seed++ {
+		inters, err := Pairs1D(fs, dom)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seed := int64(trial * 7)
-		viaInsert, err := Build(space, inters, BuildOptions{Shuffle: true, Seed: seed})
+		whole := bothWays(t, dom, inters, seed)
+		hasBoundary := func(tree *Tree, x float64) bool {
+			for _, b := range boundaries1D(t, tree) {
+				if f, exact := b.Float64(); exact && f == x {
+					return true
+				}
+			}
+			return false
+		}
+		if !hasBoundary(whole, 1) || !hasBoundary(whole, cut) {
+			t.Fatal("the concurrent crossing points are not boundaries of the whole-domain tree")
+		}
+		if hasBoundary(whole, -1) || hasBoundary(whole, 2) {
+			t.Fatal("a crossing on a domain edge split the domain")
+		}
+		buckets, err := PairsPartition1D(fs, dom, []float64{cut})
 		if err != nil {
 			t.Fatal(err)
 		}
-		arr, err := NewArrangement1D(space, inters, seed)
-		if err != nil {
-			t.Fatal(err)
+		inserted := 0
+		for k, box := range []geometry.Box{
+			geometry.MustBox([]float64{-1}, []float64{cut}),
+			geometry.MustBox([]float64{cut}, []float64{2}),
+		} {
+			sub := bothWays(t, box, buckets[k], seed+int64(k))
+			if hasBoundary(sub, cut) {
+				t.Fatalf("shard %d: the crossing on the cut split the sub-box", k)
+			}
+			inserted += sub.Inserted
 		}
-		direct, err := BuildCanonical1D(space, arr)
-		if err != nil {
-			t.Fatal(err)
+		if inserted != whole.Inserted-1 {
+			t.Fatalf("shards hold %d breakpoints, want the whole domain's %d minus the one on the cut", inserted, whole.Inserted)
 		}
-		sameTree(t, viaInsert, direct)
 	}
 }
 

@@ -5,18 +5,20 @@
 // region into the "above" (f_i - f_j >= 0) and "below" halves; leaves are
 // the subdomains inside which all record functions keep one fixed order.
 //
-// The construction follows the paper's §3.1 step 1 literally: every
-// intersection is inserted from the root, descending to each leaf whose
-// region it genuinely splits (with internal-node pruning so an insertion
-// only visits the subtrees its hyperplane crosses). The tree is built over
-// an abstract geometry.Space, so the same code serves the exact rational
-// 1-D space and the LP-backed n-dimensional space.
+// The paper's §3.1 step 1 inserts every intersection from the root,
+// descending to each leaf whose region it genuinely splits; it fixes no
+// insertion order. This package fixes the canonical one (canonical.go),
+// which makes the tree a pure function of the intersection set, and
+// builds it two ways: Build runs the literal insertions over an abstract
+// geometry.Space — the only construction for the LP-backed n-dimensional
+// space — while a univariate build sorts the breakpoints once into an
+// Arrangement1D and reads the same tree straight off it
+// (BuildCanonical1D), which is also what the sweep, the mutation plane
+// and the signature-mesh baseline take their boundaries from.
 package itree
 
 import (
 	"context"
-	"fmt"
-	"math/big"
 	"sort"
 
 	"aqverify/internal/funcs"
@@ -68,22 +70,6 @@ type Tree struct {
 	Inserted int
 }
 
-// BuildOptions tunes construction.
-type BuildOptions struct {
-	// Shuffle inserts the intersections in the canonical content-keyed
-	// pseudorandom order (see canonical.go) instead of enumeration
-	// order, which keeps the expected tree depth logarithmic the same
-	// way random insertion balances a binary search tree — the paper
-	// does not fix an insertion order; the ablation bench quantifies
-	// the difference. Unlike an index shuffle, the canonical order is a
-	// pure function of each intersection's content, so the tree shape
-	// is determined by the intersection *set* — the property the
-	// mutation plane's incremental apply relies on.
-	Shuffle bool
-	// Seed seeds the canonical priorities.
-	Seed int64
-}
-
 // Pairs1D enumerates the intersections of univariate linear functions
 // whose breakpoint falls inside the domain. A cheap float prefilter (with
 // a widened margin so no in-domain breakpoint is ever excluded) avoids
@@ -98,8 +84,7 @@ func Pairs1D(fs []funcs.Linear, domain geometry.Box) ([]Intersection, error) {
 
 // Pairs1DCtx is Pairs1D with the O(n²) scan sharded across workers and
 // cooperative cancellation (see PairsPartition1DCtx). The enumeration
-// order is byte-identical to Pairs1D for every worker count — the
-// property the seeded-shuffle tree construction depends on.
+// order is byte-identical to Pairs1D for every worker count.
 func Pairs1DCtx(ctx context.Context, fs []funcs.Linear, domain geometry.Box, workers int) ([]Intersection, error) {
 	buckets, err := PairsPartition1DCtx(ctx, fs, domain, nil, workers)
 	if err != nil {
@@ -125,23 +110,19 @@ func PairsND(fs []funcs.Linear) []Intersection {
 	return out
 }
 
-// Build constructs the I-tree over the given intersections.
-func Build(space geometry.Space, inters []Intersection, opt BuildOptions) (*Tree, error) {
+// Build constructs the I-tree by inserting the intersections one by one
+// in the canonical content-keyed order under seed (see canonical.go). It
+// is the only construction for n-D spaces; univariate builds go through
+// NewArrangement1D and BuildCanonical1D, which return the same tree
+// without the descents — Build over a 1-D space is the reference the
+// tests compare that direct construction against.
+func Build(space geometry.Space, inters []Intersection, seed int64) (*Tree, error) {
 	t := &Tree{
 		Space:     space,
 		Root:      &Node{Leaf: &Subdomain{Region: space.Root()}},
 		NodeCount: 1,
 	}
-	var order []int
-	if opt.Shuffle {
-		order = canonicalOrder(inters, opt.Seed)
-	} else {
-		order = make([]int, len(inters))
-		for i := range order {
-			order[i] = i
-		}
-	}
-	for _, k := range order {
+	for _, k := range canonicalOrder(inters, seed) {
 		t.insert(t.Root, space.Root(), &inters[k])
 	}
 	t.enumerate()
@@ -251,25 +232,4 @@ func (t *Tree) Depth() int {
 		return b + 1
 	}
 	return rec(t.Root)
-}
-
-// Boundaries1D returns, for a 1-D tree, the S-1 interior breakpoints
-// separating consecutive subdomains, in ascending order. It errors if two
-// adjacent leaves do not share an endpoint (which would indicate a
-// construction bug).
-func (t *Tree) Boundaries1D() ([]*big.Rat, error) {
-	if _, ok := t.Space.(*geometry.Space1D); !ok {
-		return nil, fmt.Errorf("itree: Boundaries1D needs a 1-D space")
-	}
-	out := make([]*big.Rat, 0, len(t.Subs)-1)
-	for i := 0; i+1 < len(t.Subs); i++ {
-		cur := t.Subs[i].Region.(geometry.Interval1D)
-		next := t.Subs[i+1].Region.(geometry.Interval1D)
-		if cur.Hi.Cmp(next.Lo) != 0 {
-			return nil, fmt.Errorf("itree: leaves %d and %d do not abut (%v vs %v)",
-				i, i+1, cur.Hi, next.Lo)
-		}
-		out = append(out, cur.Hi)
-	}
-	return out, nil
 }

@@ -1,6 +1,8 @@
 package itree
 
 import (
+	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -18,7 +20,7 @@ func lines(params ...[2]float64) []funcs.Linear {
 	return fs
 }
 
-func build1D(t *testing.T, fs []funcs.Linear, lo, hi float64, opt BuildOptions) *Tree {
+func build1D(t *testing.T, fs []funcs.Linear, lo, hi float64, seed int64) *Tree {
 	t.Helper()
 	domain := geometry.MustBox([]float64{lo}, []float64{hi})
 	space, err := geometry.NewSpace1D(domain)
@@ -29,11 +31,28 @@ func build1D(t *testing.T, fs []funcs.Linear, lo, hi float64, opt BuildOptions) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := Build(space, inters, opt)
+	tree, err := Build(space, inters, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tree
+}
+
+// boundaries1D returns the S-1 interior breakpoints separating
+// consecutive subdomains of a 1-D tree, ascending, and fails the test if
+// two adjacent leaves do not share an endpoint.
+func boundaries1D(t *testing.T, tree *Tree) []*big.Rat {
+	t.Helper()
+	out := make([]*big.Rat, 0, len(tree.Subs))
+	for i := 0; i+1 < len(tree.Subs); i++ {
+		cur := tree.Subs[i].Region.(geometry.Interval1D)
+		next := tree.Subs[i+1].Region.(geometry.Interval1D)
+		if cur.Hi.Cmp(next.Lo) != 0 {
+			t.Fatalf("leaves %d and %d do not abut (%v vs %v)", i, i+1, cur.Hi, next.Lo)
+		}
+		out = append(out, cur.Hi)
+	}
+	return out
 }
 
 func TestPaperFourLineExample(t *testing.T) {
@@ -41,7 +60,7 @@ func TestPaperFourLineExample(t *testing.T) {
 	// six intersections inside the domain partition it into seven
 	// subdomains.
 	fs := lines([2]float64{1, 0}, [2]float64{-1, 10}, [2]float64{0.5, 3.1}, [2]float64{-0.5, 8.3})
-	tree := build1D(t, fs, -100, 100, BuildOptions{})
+	tree := build1D(t, fs, -100, 100, 0)
 	if got := len(tree.Subs); got != 7 {
 		t.Fatalf("subdomains = %d, want 7", got)
 	}
@@ -52,10 +71,7 @@ func TestPaperFourLineExample(t *testing.T) {
 	if tree.NodeCount != 13 {
 		t.Errorf("NodeCount = %d, want 13", tree.NodeCount)
 	}
-	bs, err := tree.Boundaries1D()
-	if err != nil {
-		t.Fatal(err)
-	}
+	bs := boundaries1D(t, tree)
 	if len(bs) != 6 {
 		t.Fatalf("boundaries = %d, want 6", len(bs))
 	}
@@ -68,7 +84,7 @@ func TestPaperFourLineExample(t *testing.T) {
 
 func TestParallelLinesNoSplit(t *testing.T) {
 	fs := lines([2]float64{1, 0}, [2]float64{1, 5}, [2]float64{1, -3})
-	tree := build1D(t, fs, 0, 10, BuildOptions{})
+	tree := build1D(t, fs, 0, 10, 0)
 	if len(tree.Subs) != 1 {
 		t.Fatalf("parallel lines should leave one subdomain, got %d", len(tree.Subs))
 	}
@@ -77,7 +93,7 @@ func TestParallelLinesNoSplit(t *testing.T) {
 func TestOutOfDomainIntersections(t *testing.T) {
 	// Lines crossing at x=50, domain [0,10]: no split.
 	fs := lines([2]float64{1, 0}, [2]float64{0, 50})
-	tree := build1D(t, fs, 0, 10, BuildOptions{})
+	tree := build1D(t, fs, 0, 10, 0)
 	if len(tree.Subs) != 1 {
 		t.Fatalf("out-of-domain intersection split the domain: %d subdomains", len(tree.Subs))
 	}
@@ -90,7 +106,7 @@ func TestSearchFindsContainingSubdomain(t *testing.T) {
 		params = append(params, [2]float64{rng.NormFloat64(), rng.NormFloat64() * 5})
 	}
 	fs := lines(params...)
-	tree := build1D(t, fs, -3, 3, BuildOptions{Shuffle: true, Seed: 7})
+	tree := build1D(t, fs, -3, 3, 7)
 	space := tree.Space
 	for trial := 0; trial < 200; trial++ {
 		x := geometry.Point{rng.Float64()*6 - 3}
@@ -109,7 +125,7 @@ func TestSearchFindsContainingSubdomain(t *testing.T) {
 
 func TestSearchCountsNodes(t *testing.T) {
 	fs := lines([2]float64{1, 0}, [2]float64{-1, 2})
-	tree := build1D(t, fs, 0, 10, BuildOptions{})
+	tree := build1D(t, fs, 0, 10, 0)
 	var ctr metrics.Counter
 	tree.Search(geometry.Point{5}, &ctr)
 	if ctr.NodesVisited < 2 {
@@ -123,16 +139,14 @@ func TestSubdomainOrderIsSpatial1D(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		params = append(params, [2]float64{rng.NormFloat64(), rng.NormFloat64()})
 	}
-	tree := build1D(t, lines(params...), -2, 2, BuildOptions{Shuffle: true, Seed: 11})
+	tree := build1D(t, lines(params...), -2, 2, 11)
 	for i, sub := range tree.Subs {
 		if sub.ID != i {
 			t.Fatalf("Subs[%d].ID = %d", i, sub.ID)
 		}
 	}
 	// Intervals tile the domain left to right.
-	if _, err := tree.Boundaries1D(); err != nil {
-		t.Fatal(err)
-	}
+	boundaries1D(t, tree)
 	first := tree.Subs[0].Region.(geometry.Interval1D)
 	last := tree.Subs[len(tree.Subs)-1].Region.(geometry.Interval1D)
 	if f, _ := first.Lo.Float64(); f != -2 {
@@ -153,7 +167,7 @@ func TestSortabilityAcrossSubdomains(t *testing.T) {
 		params = append(params, [2]float64{rng.NormFloat64(), rng.NormFloat64()})
 	}
 	fs := lines(params...)
-	tree := build1D(t, fs, -1, 1, BuildOptions{Shuffle: true, Seed: 3})
+	tree := build1D(t, fs, -1, 1, 3)
 	for _, sub := range tree.Subs {
 		iv := sub.Region.(geometry.Interval1D)
 		lo, _ := iv.Lo.Float64()
@@ -171,24 +185,54 @@ func TestSortabilityAcrossSubdomains(t *testing.T) {
 	}
 }
 
-func TestShuffleReducesDepth(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	var params [][2]float64
-	for i := 0; i < 60; i++ {
-		params = append(params, [2]float64{rng.NormFloat64(), rng.NormFloat64()})
+// TestCanonicalDepthOnAscendingBreakpoints feeds the construction its
+// worst enumeration: one flat line crossed by S parallel ones, so
+// Pairs1D lists the S breakpoints in ascending order and inserting them
+// as listed would grow a depth-S path. The canonical order ignores how
+// the pairs enumerate; the depth stays within 4·log2 S for every seed
+// tried, on the insert path and the direct construction alike.
+func TestCanonicalDepthOnAscendingBreakpoints(t *testing.T) {
+	const s = 1024
+	params := [][2]float64{{0, 0}}
+	for j := 1; j <= s; j++ {
+		params = append(params, [2]float64{1, -float64(j)}) // crosses f0 at x = j
 	}
 	fs := lines(params...)
-	sorted := build1D(t, fs, -0.5, 0.5, BuildOptions{})
-	shuffled := build1D(t, fs, -0.5, 0.5, BuildOptions{Shuffle: true, Seed: 1})
-	if len(sorted.Subs) != len(shuffled.Subs) {
-		t.Fatalf("subdomain count depends on insertion order: %d vs %d",
-			len(sorted.Subs), len(shuffled.Subs))
+	domain := geometry.MustBox([]float64{0.5}, []float64{s + 0.5})
+	space, err := geometry.NewSpace1D(domain)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Not asserting a specific relationship (Pairs1D order is not sorted
-	// by breakpoint), only that both are valid and depths are sane.
-	if shuffled.Depth() >= len(shuffled.Subs) && len(shuffled.Subs) > 8 {
-		t.Errorf("shuffled depth %d looks degenerate for %d subdomains",
-			shuffled.Depth(), len(shuffled.Subs))
+	inters, err := Pairs1D(fs, domain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k < len(inters); k++ {
+		a, _ := geometry.Breakpoint1D(inters[k-1].H)
+		b, _ := geometry.Breakpoint1D(inters[k].H)
+		if a.Cmp(b) >= 0 {
+			t.Fatalf("enumeration is not ascending at %d: the input is not adversarial", k)
+		}
+	}
+	bound := 4 * int(math.Log2(s))
+	for seed := int64(0); seed < 5; seed++ {
+		arr, err := NewArrangement1D(space, inters, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := BuildCanonical1D(space, arr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(direct.Subs) != s+1 {
+			t.Fatalf("seed %d: %d subdomains, want %d", seed, len(direct.Subs), s+1)
+		}
+		if d := direct.Depth(); d > bound {
+			t.Errorf("seed %d: depth %d over %d breakpoints, want <= %d", seed, d, s, bound)
+		}
+	}
+	if d := build1D(t, fs, 0.5, s+0.5, 0).Depth(); d > bound {
+		t.Errorf("insert path: depth %d over %d breakpoints, want <= %d", d, s, bound)
 	}
 }
 
@@ -208,7 +252,7 @@ func TestBuildND(t *testing.T) {
 	if len(inters) != 3 {
 		t.Fatalf("PairsND = %d intersections, want 3", len(inters))
 	}
-	tree, err := Build(space, inters, BuildOptions{})
+	tree, err := Build(space, inters, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +279,7 @@ func TestBuildNDGrid(t *testing.T) {
 	}
 	domain := geometry.MustBox([]float64{0, 0}, []float64{1, 1})
 	space, _ := geometry.NewSpaceND(domain)
-	tree, err := Build(space, PairsND(fs), BuildOptions{})
+	tree, err := Build(space, PairsND(fs), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,17 +331,5 @@ func TestPairs1DFiltersAndValidates(t *testing.T) {
 	}
 	if _, err := Pairs1D(fs, geometry.MustBox([]float64{0, 0}, []float64{1, 1})); err == nil {
 		t.Error("2-D domain accepted by Pairs1D")
-	}
-}
-
-func TestBoundaries1DRejectsNDTree(t *testing.T) {
-	domain := geometry.MustBox([]float64{0, 0}, []float64{1, 1})
-	space, _ := geometry.NewSpaceND(domain)
-	tree, err := Build(space, nil, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tree.Boundaries1D(); err == nil {
-		t.Error("Boundaries1D accepted an n-D tree")
 	}
 }

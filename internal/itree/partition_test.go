@@ -139,8 +139,8 @@ func TestPairsPartition1DValidation(t *testing.T) {
 
 // TestPairsPartition1DWorkersIdentity is the byte-identity contract of
 // the sharded enumeration: for every worker count the buckets — contents
-// and order within each bucket — must equal the serial scan's exactly,
-// because the seeded-shuffle tree construction consumes them by index.
+// and order within each bucket — must equal the serial scan's exactly:
+// the determinism every stage downstream inherits.
 func TestPairsPartition1DWorkersIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	dom := geometry.MustBox([]float64{-1}, []float64{1})

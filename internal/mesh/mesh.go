@@ -156,15 +156,30 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Mesh, error) {
 		m.recDig[i] = h.Record(r)
 	}
 
+	// The arrangement is the IFMH-tree's own: the same enumeration, the
+	// same exact in-domain filter and breakpoint grouping. Only the
+	// breakpoints and their crossing pairs are read — never the
+	// canonical order, so the seed is immaterial.
 	p.progress(core.StagePairs, tbl.Len())
-	bounds, groups, err := arrangement1D(ctx, fs, p.Domain, p.Workers)
+	inters, err := itree.Pairs1DCtx(ctx, fs, p.Domain, p.Workers)
 	if err != nil {
 		return nil, err
 	}
-	loR := new(big.Rat).SetFloat64(p.Domain.Lo[0])
-	hiR := new(big.Rat).SetFloat64(p.Domain.Hi[0])
-	edgesR := append([]*big.Rat{loR}, bounds...)
-	edgesR = append(edgesR, hiR)
+	space, err := geometry.NewSpace1D(p.Domain)
+	if err != nil {
+		return nil, err
+	}
+	arr, err := itree.NewArrangement1D(space, inters, 0)
+	if err != nil {
+		return nil, err
+	}
+	root := space.Root().(geometry.Interval1D)
+	edgesR := make([]*big.Rat, 0, len(arr.Groups)+2)
+	edgesR = append(edgesR, root.Lo)
+	for _, g := range arr.Groups {
+		edgesR = append(edgesR, g.T)
+	}
+	edgesR = append(edgesR, root.Hi)
 	witnesses := make([]*big.Rat, len(edgesR)-1)
 	for k := range witnesses {
 		mid := new(big.Rat).Add(edgesR[k], edgesR[k+1])
@@ -175,8 +190,8 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Mesh, error) {
 		m.edges[i], _ = e.Float64()
 	}
 
-	p.progress(core.StageSweep, len(bounds))
-	m.plan, err = sweep.ComputeCtx(ctx, fs, witnesses, groups, p.Workers)
+	p.progress(core.StageSweep, len(arr.Groups))
+	m.plan, err = sweep.ComputeCtx(ctx, fs, witnesses, core.CrossingPairs(arr), p.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -187,40 +202,6 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Mesh, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// arrangement1D computes the sorted distinct in-domain breakpoints and
-// the function pairs crossing at each.
-func arrangement1D(ctx context.Context, fs []funcs.Linear, domain geometry.Box, workers int) ([]*big.Rat, [][]sweep.Pair, error) {
-	inters, err := itree.Pairs1DCtx(ctx, fs, domain, workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	loR := new(big.Rat).SetFloat64(domain.Lo[0])
-	hiR := new(big.Rat).SetFloat64(domain.Hi[0])
-	type bp struct {
-		t    *big.Rat
-		pair sweep.Pair
-	}
-	bps := make([]bp, 0, len(inters))
-	for _, in := range inters {
-		t, ok := geometry.Breakpoint1D(in.H)
-		if !ok || t.Cmp(loR) <= 0 || t.Cmp(hiR) >= 0 {
-			continue // margin items from the float prefilter
-		}
-		bps = append(bps, bp{t: t, pair: sweep.Pair{I: in.I, J: in.J}})
-	}
-	sort.Slice(bps, func(a, b int) bool { return bps[a].t.Cmp(bps[b].t) < 0 })
-	var bounds []*big.Rat
-	var groups [][]sweep.Pair
-	for _, b := range bps {
-		if len(bounds) == 0 || bounds[len(bounds)-1].Cmp(b.t) != 0 {
-			bounds = append(bounds, b.t)
-			groups = append(groups, nil)
-		}
-		groups[len(groups)-1] = append(groups[len(groups)-1], b.pair)
-	}
-	return bounds, groups, nil
 }
 
 // NumSubdomains returns the mesh's cell count.

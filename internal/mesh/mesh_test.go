@@ -125,7 +125,6 @@ func TestMeshAgreesWithIFMH(t *testing.T) {
 		Signer:   testSigner,
 		Domain:   geometry.MustBox([]float64{-1}, []float64{1}),
 		Template: funcs.AffineLine(0, 1),
-		Shuffle:  true,
 	})
 	if err != nil {
 		t.Fatal(err)

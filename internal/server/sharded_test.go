@@ -34,7 +34,7 @@ func shardedFixture(t *testing.T, k int) (*Server, *shard.Set, geometry.Box) {
 	}
 	set, err := shard.Build(tbl, core.Params{
 		Mode: core.MultiSignature, Signer: signer, Domain: dom,
-		Template: funcs.AffineLine(0, 1), Shuffle: true, Seed: 1,
+		Template: funcs.AffineLine(0, 1), Seed: 1,
 	}, plan)
 	if err != nil {
 		t.Fatal(err)

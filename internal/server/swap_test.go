@@ -33,7 +33,7 @@ func swapFixture(t *testing.T) (e1, e2 *core.Tree, dom geometry.Box) {
 	}
 	p := core.Params{
 		Mode: core.OneSignature, Signer: signer, Domain: dom,
-		Template: funcs.AffineLine(0, 1), Shuffle: true, Seed: 5,
+		Template: funcs.AffineLine(0, 1), Seed: 5,
 	}
 	if e1, err = core.Build(tbl, p); err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func shardedAtEpoch(t *testing.T, k int, epoch uint64) *shard.Set {
 	}
 	set, err := shard.Build(tbl, core.Params{
 		Mode: core.MultiSignature, Signer: signer, Domain: dom,
-		Template: funcs.AffineLine(0, 1), Shuffle: true, Seed: 1, Epoch: epoch,
+		Template: funcs.AffineLine(0, 1), Seed: 1, Epoch: epoch,
 	}, plan)
 	if err != nil {
 		t.Fatal(err)

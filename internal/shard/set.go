@@ -27,8 +27,8 @@ type Set struct {
 // For univariate templates the O(n²) pairwise-intersection enumeration
 // runs once and is partitioned across shards by the half-open ownership
 // rule of itree.PairsPartition1D, instead of once per shard.
-// Intersection insertion order is shuffled per shard with a seed derived
-// from p.Seed and the shard index, keeping builds reproducible.
+// Each shard's IMH shape is seeded with p.Seed plus the shard index,
+// keeping builds reproducible.
 func Build(tbl record.Table, p core.Params, plan Plan) (*Set, error) {
 	return BuildCtx(context.Background(), tbl, p, plan, nil)
 }

@@ -26,7 +26,7 @@ func buildSets(t *testing.T, mode core.Mode, n, k int) (*Set, *Set, geometry.Box
 	}
 	p := core.Params{
 		Mode: mode, Signer: signer, Domain: dom,
-		Template: funcs.AffineLine(0, 1), Shuffle: true, Seed: 1,
+		Template: funcs.AffineLine(0, 1), Seed: 1,
 	}
 	single, err := Build(tbl, p, mustPlan(t, dom, 0, 1))
 	if err != nil {
@@ -230,7 +230,7 @@ func TestBuildSharded2D(t *testing.T) {
 	}
 	p := core.Params{
 		Mode: core.OneSignature, Signer: signer, Domain: dom,
-		Template: funcs.ScalarProduct(2), Shuffle: true, Seed: 1,
+		Template: funcs.ScalarProduct(2), Seed: 1,
 	}
 	set, err := Build(tbl, p, mustPlan(t, dom, 1, 2))
 	if err != nil {

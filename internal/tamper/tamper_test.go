@@ -65,7 +65,6 @@ func TestEveryIFMHTamperDetected(t *testing.T) {
 				Mode: mode, Signer: testSigner,
 				Domain:   geometry.MustBox([]float64{-1}, []float64{1}),
 				Template: funcs.AffineLine(0, 1),
-				Shuffle:  true,
 			})
 			if err != nil {
 				t.Fatal(err)

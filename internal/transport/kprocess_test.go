@@ -54,7 +54,7 @@ func kProcessFixture(t *testing.T, n, k int, mode core.Mode) (front *httptest.Se
 	}
 	p := core.Params{
 		Mode: mode, Signer: signer, Domain: dom,
-		Template: funcs.AffineLine(0, 1), Shuffle: true, Seed: 1,
+		Template: funcs.AffineLine(0, 1), Seed: 1,
 	}
 	plan, err := shard.NewPlan(dom, 0, k)
 	if err != nil {

@@ -35,7 +35,7 @@ func shardedHandler(t *testing.T, k int) (*Handler, *shard.Set, geometry.Box) {
 	}
 	set, err := shard.Build(tbl, core.Params{
 		Mode: core.OneSignature, Signer: signer, Domain: dom,
-		Template: funcs.AffineLine(0, 1), Shuffle: true, Seed: 1,
+		Template: funcs.AffineLine(0, 1), Seed: 1,
 	}, plan)
 	if err != nil {
 		t.Fatal(err)

@@ -420,7 +420,7 @@ func TestFanoutStreamMidServerDeath(t *testing.T) {
 	}
 	p := core.Params{
 		Mode: core.MultiSignature, Signer: signer, Domain: dom,
-		Template: funcs.AffineLine(0, 1), Shuffle: true, Seed: 4,
+		Template: funcs.AffineLine(0, 1), Seed: 4,
 	}
 	plan, err := shard.NewPlan(dom, 0, 2)
 	if err != nil {

@@ -50,7 +50,6 @@ func ifmhAnswers(t *testing.T, mode core.Mode) []*core.Answer {
 		Signer:   testSigner,
 		Domain:   geometry.MustBox([]float64{-1}, []float64{1}),
 		Template: funcs.AffineLine(0, 1),
-		Shuffle:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
