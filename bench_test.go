@@ -18,6 +18,8 @@ import (
 	"aqverify/internal/bench"
 	"aqverify/internal/metrics"
 	"aqverify/internal/server"
+	"aqverify/internal/sig"
+	"aqverify/internal/wire"
 	"aqverify/internal/workload"
 )
 
@@ -253,21 +255,64 @@ func BenchmarkHandleBatch(b *testing.B) {
 	}
 }
 
-func BenchmarkVerifyTopK(b *testing.B) {
-	tree, dom := buildFixture(b, 1000, aqverify.MultiSignature)
-	pub := tree.Public()
-	x := aqverify.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
-	q := aqverify.NewTopK(x, 10)
-	ans, err := tree.Process(q, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var ctr metrics.Counter
-		if err := aqverify.Verify(pub, q, ans.Records, &ans.VO, &ctr); err != nil {
+// BenchmarkClientPath is the client's half of a verified answer —
+// wire.DecodeIFMH + core.Verify — over 2 048 mixed answers shaped like
+// the end-to-end benchmark's mixed sequence (answer i: kind i mod 3,
+// result size {4, 16, 64}[(i/3) mod 3]; Lines n=2000, multi-signature).
+// One op is one answer (ns/op ÷ 1000 = µs/answer). cold verifies under the owner's raw key; warm
+// under a sig.Memo that has seen every answer once, which is what a
+// dialed session reaches.
+func BenchmarkClientPath(b *testing.B) {
+	const n, count = 2000, 2048
+	tree, dom := buildFixture(b, n, aqverify.MultiSignature)
+	tbl := tree.Table()
+	var err error
+	var cells [3][3][]aqverify.Query
+	for s, size := range [3]int{4, 16, 64} {
+		cfg := func(kind int) workload.QueryConfig {
+			return workload.QueryConfig{Count: (count + 8) / 9, Seed: int64(3*kind + s), ResultSize: size}
+		}
+		cells[0][s] = workload.TopK(dom, cfg(0))
+		if cells[1][s], err = workload.Ranges(tbl, aqverify.AffineLine(0, 1), dom, cfg(1)); err != nil {
 			b.Fatal(err)
 		}
+		if cells[2][s], err = workload.KNN(tbl, aqverify.AffineLine(0, 1), dom, cfg(2)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	frames := make([][]byte, count)
+	for i := range frames {
+		ans, err := tree.Process(cells[i%3][(i/3)%3][i/9], nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		frames[i] = wire.EncodeIFMH(ans)
+	}
+	check := func(pub aqverify.PublicParams, frame []byte, ctr *metrics.Counter) {
+		ans, err := wire.DecodeIFMH(frame)
+		if err == nil {
+			err = aqverify.Verify(pub, ans.Query, ans.Records, &ans.VO, ctr)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	cold, warm := tree.Public(), tree.Public()
+	warm.Verifier = sig.Memo(cold.Verifier)
+	for _, frame := range frames {
+		check(warm, frame, nil)
+	}
+	for _, arm := range []struct {
+		name string
+		pub  aqverify.PublicParams
+	}{{"cold", cold}, {"warm", warm}} {
+		b.Run(arm.name, func(b *testing.B) {
+			var ctr metrics.Counter
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				check(arm.pub, frames[i%count], &ctr)
+			}
+		})
 	}
 }

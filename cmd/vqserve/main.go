@@ -47,7 +47,7 @@
 //
 //	vqgen -n 500 -outsource -artifact ./art && vqserve -load ./art &
 //	# in Go: r, _ := transport.DialRemote("http://localhost:8080", nil)
-//	#        pub, _ := r.Client().Public()
+//	#        pub, _ := r.Client().Public() // verifies through the session's signature memo
 //	#        ans, err := r.Query(ctx, query.NewTopK(geometry.Point{x}, 10), backend.WithVerify(pub))
 package main
 

@@ -5,15 +5,25 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"aqverify/internal/backend"
+	"aqverify/internal/build"
 	"aqverify/internal/core"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
+	"aqverify/internal/server"
+	"aqverify/internal/sig"
 	"aqverify/internal/tamper"
+	"aqverify/internal/transport"
 	"aqverify/internal/wire"
+	"aqverify/internal/workload"
 )
 
 // ask sends qs through one of the three entry points of b; the sweeps
@@ -63,26 +73,33 @@ func sameRecords(a, b []record.Record) bool {
 // server error, never a verification rejection. Every surface takes the
 // battery twice: cold, and again after a verifying caller has been
 // there first — a cache then holds verified records for the honest
-// bytes, and must not lend them to the adversary's.
+// bytes, and a dialed session's memo the honest signatures, and neither
+// may lend them to the adversary's. Both signing modes.
 func TestAdversaryOnEverySurface(t *testing.T) {
-	ss, plan, _ := surfaces(t, 60, 3, core.OneSignature)
-	dom := plan.Domain
-	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
-	q := query.NewTopK(x, 5)
-	other := query.NewTopK(x, 3)
-	qs := []query.Query{q, query.NewRange(x, -2, 2), query.NewKNN(x, 4, 0)}
+	for _, mode := range []core.Mode{core.OneSignature, core.MultiSignature} {
+		ss, plan, _ := surfaces(t, 60, 3, mode)
+		dom := plan.Domain
+		x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
+		q := query.NewTopK(x, 5)
+		other := query.NewTopK(x, 3)
+		qs := []query.Query{q, query.NewRange(x, -2, 2), query.NewKNN(x, 4, 0)}
+		prefix := "" // the one-signature rows keep the names they have always had
+		if mode == core.MultiSignature {
+			prefix = mode.String() + "/"
+		}
 
-	for _, su := range ss {
-		for _, pass := range []string{"", "-warm"} {
-			t.Run(su.name+pass, func(t *testing.T) {
-				if pass == "-warm" {
-					_, errs := su.b.QueryBatch(context.Background(), append(qs[:len(qs):len(qs)], other), su.verify)
-					if err := errors.Join(errs...); err != nil {
-						t.Fatalf("warming with verified queries: %v", err)
+		for _, su := range ss {
+			for _, pass := range []string{"", "-warm"} {
+				t.Run(prefix+su.name+pass, func(t *testing.T) {
+					if pass == "-warm" {
+						_, errs := su.b.QueryBatch(context.Background(), append(qs[:len(qs):len(qs)], other), su.verify)
+						if err := errors.Join(errs...); err != nil {
+							t.Fatalf("warming with verified queries: %v", err)
+						}
 					}
-				}
-				adversaries(t, su, qs, other, dom)
-			})
+					adversaries(t, su, qs, other, dom)
+				})
+			}
 		}
 	}
 }
@@ -196,5 +213,168 @@ func adversaries(t *testing.T, su surface, qs []query.Query, other query.Query, 
 		t.Error("out-of-domain query returned records")
 	} else if errors.Is(err, core.ErrVerification) {
 		t.Errorf("server error misclassified as a verification rejection: %v", err)
+	}
+}
+
+// detour is the network adversary of the replay row: while a target is
+// set, the session's requests are answered by another server.
+type detour struct{ to atomic.Pointer[url.URL] }
+
+func (d *detour) RoundTrip(req *http.Request) (*http.Response, error) {
+	if u := d.to.Load(); u != nil {
+		req = req.Clone(req.Context())
+		req.URL.Host = u.Host
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestDialedSessionPoison aims at the one thing a dialed session keeps
+// between answers, its memo of accepted owner signatures, after a
+// verifying caller has filled it. (i) An honest, memoised signature over
+// a VO whose FMH root differs and (ii) a memoised digest under another
+// memoised signature — another subdomain's, or under one signature the
+// previous epoch's root — form pairs the owner never signed: they miss
+// the memo, reach the public-key check and fail it. (iii) An honest
+// answer of the previous epoch, replayed after apply + swap + refresh,
+// carries a signature that is still valid under the pinned key and is
+// in the warm session's memo; what stops it is the epoch word, so the
+// warm session and a fresh one, whose memo is empty, give one verdict.
+func TestDialedSessionPoison(t *testing.T) {
+	ctx := context.Background()
+	for _, mode := range []core.Mode{core.OneSignature, core.MultiSignature} {
+		t.Run(mode.String(), func(t *testing.T) {
+			tbl, dom, err := workload.Lines(workload.LinesConfig{N: 60, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prev := outsource(t, tbl, dom, build.WithMode(mode), build.WithShuffle(3))
+			live, err := server.New(server.IFMH{Tree: prev.Tree})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := transport.NewIFMHHandler(live, prev.Public)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(h)
+			defer ts.Close()
+			lagging, err := url.Parse(serve(t, server.IFMH{Tree: prev.Tree}, prev.Public))
+			if err != nil {
+				t.Fatal(err)
+			}
+			network := &detour{}
+			dial := func() (*transport.Remote, backend.Option, *sig.Memoized) {
+				r, err := transport.DialRemote(ts.URL, &http.Client{Transport: network})
+				if err != nil {
+					t.Fatal(err)
+				}
+				pub, _ := r.Client().Public()
+				return r, backend.WithVerify(pub), pub.Verifier.(*sig.Memoized)
+			}
+			at := func(f float64) geometry.Point { return geometry.Point{dom.Lo[0] + f*(dom.Hi[0]-dom.Lo[0])} }
+			qs := []query.Query{query.NewTopK(at(0.25), 5), query.NewTopK(at(0.75), 5)}
+
+			warm, verify, memo := dial()
+			signatures := func() [2][]byte {
+				var out [2][]byte
+				answers, errs := warm.QueryBatch(ctx, qs, verify)
+				for i := range qs {
+					if errs[i] != nil {
+						t.Fatalf("warming query %d: %v", i, errs[i])
+					}
+					ans, err := wire.DecodeIFMH(answers[i].Raw)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out[i] = ans.VO.Signature
+				}
+				return out
+			}
+			// poison rewrites the honest answer to qs[0] on every entry
+			// point; the memo must take no part in the rejection.
+			poison := func(row string, edit func(*core.Answer)) {
+				rewrite := func(_ query.Query, raw []byte) []byte {
+					ans, err := wire.DecodeIFMH(raw)
+					if err != nil {
+						t.Fatal(err)
+					}
+					edit(ans)
+					return wire.EncodeIFMH(ans)
+				}
+				for _, ep := range entryPoints {
+					hits := memo.Hits()
+					_, errs := ep.ask(tamper.Channel{Inner: warm, Rewrite: rewrite}, qs[:1], verify)
+					if !errors.Is(errs[0], core.ErrVerification) || !strings.Contains(errs[0].Error(), "signature:") {
+						t.Fatalf("%s via %s: err = %v, want the signature check to reject it", row, ep.name, errs[0])
+					}
+					if memo.Hits() != hits {
+						t.Fatalf("%s via %s: the memo answered for a pair the owner never signed", row, ep.name)
+					}
+				}
+			}
+
+			old := signatures()
+			if want := map[core.Mode]uint64{core.OneSignature: 1, core.MultiSignature: 2}[mode]; memo.Misses() != want {
+				t.Fatalf("warming memoised %d signatures, want %d", memo.Misses(), want)
+			}
+			poison("honest signature over another FMH root", func(a *core.Answer) { a.Records[0].ID ^= 1 })
+			if mode == core.MultiSignature {
+				poison("another subdomain's signature", func(a *core.Answer) { a.VO.Signature = old[1] })
+			}
+
+			// The owner republishes; the session follows.
+			upd := tbl.Records[0]
+			upd.Attrs = append([]float64(nil), upd.Attrs...)
+			upd.Attrs[0] += 0.01
+			next, err := build.Apply(ctx, prev, build.Update(0, upd))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := live.Swap(server.IFMH{Tree: next.Tree}); err != nil {
+				t.Fatal(err)
+			}
+			if e, err := warm.Client().Refresh(ctx); err != nil || e != 2 {
+				t.Fatalf("refresh: epoch %d, err %v", e, err)
+			}
+			signatures() // honest epoch-2 answers verify, through the same memo
+			if mode == core.OneSignature {
+				poison("previous epoch's root signature", func(a *core.Answer) { a.VO.Signature = old[0] })
+			}
+
+			cold, coldVerify, coldMemo := dial()
+			network.to.Store(lagging)
+			defer network.to.Store(nil)
+			for _, ep := range entryPoints {
+				var verdict [2]string
+				for i, s := range []struct {
+					b      backend.Backend
+					verify backend.Option
+				}{{cold, coldVerify}, {warm, verify}} {
+					_, errs := ep.ask(s.b, qs[:1], s.verify)
+					var stale *backend.EpochError
+					switch {
+					case errs[0] == nil:
+						verdict[i] = "accepted"
+					case errors.As(errs[0], &stale) && stale.Want == 2 && stale.Got == 1:
+						verdict[i] = "stale"
+					default:
+						verdict[i] = errs[0].Error()
+					}
+				}
+				// The single exchange carries no epoch word (Remote.Query's
+				// contract), so there the replay is the key's to judge, and
+				// the key signed it: with a memo or without one.
+				want := "stale"
+				if ep.name == "Query" {
+					want = "accepted"
+				}
+				if verdict[0] != want || verdict[1] != want {
+					t.Errorf("epoch-1 replay via %s: cold session %q, warm session %q, want %q", ep.name, verdict[0], verdict[1], want)
+				}
+			}
+			if coldMemo.Hits() != 0 {
+				t.Errorf("fresh session's memo reports %d hits", coldMemo.Hits())
+			}
+		})
 	}
 }

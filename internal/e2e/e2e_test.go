@@ -77,8 +77,9 @@ func serve(t testing.TB, b server.Backend, pub core.PublicParams) string {
 // surfaces outsources one table under one owner key as a single tree, a
 // K-shard set and the mesh baseline, and stands up every surface of the
 // query plane over them: the five backend.Backend implementations
-// (Local, Sharded, Server, Remote, Fanout), the cache decorator, and
-// the mesh server. The plan is the K-shard set's.
+// (Local, Sharded, Server, Remote, Fanout), the cache decorator, the
+// mesh server, and the two HTTP surfaces again under dialed parameters.
+// The plan is the K-shard set's.
 func surfaces(t testing.TB, n, k int, mode core.Mode) ([]surface, shard.Plan, record.Table) {
 	t.Helper()
 	tbl, dom, err := workload.Lines(workload.LinesConfig{N: n, Seed: 3})
@@ -119,6 +120,13 @@ func surfaces(t testing.TB, n, k int, mode core.Mode) ([]surface, shard.Plan, re
 	must(err)
 
 	verify := backend.WithVerify(single.Public) // one bundle: sharding is transparent
+	// What a data user holds is not the owner's struct but what a dial
+	// parsed from /params: the same bundle, verifying through the
+	// session's signature memo.
+	dialedPub, _ := remote.Client().Public()
+	shard0, err := transport.Dial(urls[0], nil)
+	must(err)
+	shardPub, _ := shard0.Public()
 	return []surface{
 		{"local", local, verify},
 		{"sharded", sharded, verify},
@@ -127,6 +135,8 @@ func surfaces(t testing.TB, n, k int, mode core.Mode) ([]surface, shard.Plan, re
 		{"fanout", fanout, verify},
 		{"cached", cached, verify},
 		{"mesh-server", msrv, backend.WithVerifyMesh(msh.MeshPublic)},
+		{"remote-dialed", remote, backend.WithVerify(dialedPub)},
+		{"fanout-dialed", fanout, backend.WithVerify(shardPub)},
 	}, set.Plan, tbl
 }
 

@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"aqverify/internal/linalg"
 )
@@ -39,17 +40,14 @@ func (r Record) Validate() error {
 // is fixed (big-endian ID, attribute count, IEEE-754 bit patterns, payload
 // length, payload) so owner and client always hash identical bytes.
 func (r Record) Encode(dst []byte) []byte {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], r.ID)
-	dst = append(dst, buf[:]...)
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(r.Attrs)))
-	dst = append(dst, buf[:4]...)
+	// One exact reservation: this runs per leaf hash on all three parties.
+	dst = slices.Grow(dst, 16+8*len(r.Attrs)+len(r.Payload))
+	dst = binary.BigEndian.AppendUint64(dst, r.ID)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Attrs)))
 	for _, a := range r.Attrs {
-		binary.BigEndian.PutUint64(buf[:], math.Float64bits(a))
-		dst = append(dst, buf[:]...)
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(a))
 	}
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(r.Payload)))
-	dst = append(dst, buf[:4]...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Payload)))
 	return append(dst, r.Payload...)
 }
 

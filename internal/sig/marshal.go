@@ -18,6 +18,8 @@ import (
 // empty for the measurement-only counting scheme.
 func MarshalVerifier(v Verifier) ([]byte, error) {
 	switch impl := v.(type) {
+	case *Memoized:
+		return MarshalVerifier(impl.inner)
 	case *rsaVerifier:
 		der, err := x509.MarshalPKIXPublicKey(impl.pub)
 		if err != nil {

@@ -66,10 +66,14 @@ func Dial(base string, hc *http.Client) (*HTTPClient, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: verifier encoding: %w", err)
 	}
-	ver, err := sig.UnmarshalVerifier(vb)
+	key, err := sig.UnmarshalVerifier(vb)
 	if err != nil {
 		return nil, err
 	}
+	// One memo for the session, shared by every Public/MeshPublic copy:
+	// Refresh pins the key, and a signature accepted under it is valid at
+	// every epoch — staleness is the epoch word's job.
+	ver := sig.Memo(key)
 	tpl := fromTplJSON(p.Template)
 
 	out := &HTTPClient{base: base, hc: hc, params: p}
@@ -175,7 +179,9 @@ func (c *HTTPClient) Provenance() string { return c.params.Provenance }
 func (c *HTTPClient) Domain() (geometry.Box, bool) { return c.params.Domain.Box() }
 
 // Public returns the IFMH verification parameters derived from the
-// advertised bundle (zero for mesh backends).
+// advertised bundle (zero for mesh backends). Their Verifier is the
+// session's sig.Memo: an owner signature accepted once costs no second
+// public-key operation; every other check still runs per answer.
 func (c *HTTPClient) Public() (core.PublicParams, bool) {
 	if c.pub == nil {
 		return core.PublicParams{}, false

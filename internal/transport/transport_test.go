@@ -115,6 +115,33 @@ func TestHTTPRoundTripIFMH(t *testing.T) {
 	if ctr.SigVerifies == 0 || ctr.Bytes == 0 {
 		t.Errorf("client-side costs not accumulated: %+v", ctr)
 	}
+
+	// The dialed parameters verify through the session's memo — the
+	// counter above still charged one signature check per answer — and a
+	// handler published from them advertises the owner's key, not the
+	// wrapper around it.
+	dialed, _ := r.Client().Public()
+	memo, ok := dialed.Verifier.(*sig.Memoized)
+	if !ok || memo.Hits()+memo.Misses() != uint64(ctr.SigVerifies) {
+		t.Fatalf("dialed verifier is %T; hits+misses != %d checks", dialed.Verifier, ctr.SigVerifies)
+	}
+	again, _ := r.Client().Public()
+	if again.Verifier != dialed.Verifier {
+		t.Error("two Public() calls of one session do not share the memo")
+	}
+	rh, err := NewIFMHHandler(srv, dialed)
+	if err != nil {
+		t.Fatalf("handler from dialed parameters: %v", err)
+	}
+	rts := httptest.NewServer(rh)
+	defer rts.Close()
+	rc, err := Dial(rts.URL, rts.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rc.Params().Verifier != r.Client().Params().Verifier {
+		t.Error("/params served from dialed parameters advertises a different key")
+	}
 }
 
 func TestHTTPRoundTripMesh(t *testing.T) {

@@ -72,7 +72,7 @@ func decodeRecords(r *reader) []record.Record {
 	n := r.count("records", 5)
 	out := make([]record.Record, 0, n)
 	for i := 0; i < n; i++ {
-		b := r.bytes("record")
+		b := r.view("record")
 		if r.err != nil {
 			return nil
 		}
@@ -97,7 +97,7 @@ func decodeBoundary(r *reader) core.Boundary {
 	var b core.Boundary
 	b.Kind = core.BoundaryKind(r.u8("boundary kind"))
 	if b.Kind == core.BoundaryRecord {
-		raw := r.bytes("boundary record")
+		raw := r.view("boundary record")
 		if r.err != nil {
 			return b
 		}
@@ -176,7 +176,7 @@ func DecodeIFMH(b []byte) (*core.Answer, error) {
 	np := r.count("path", 1+hashing.Size)
 	for i := 0; i < np; i++ {
 		var st core.PathStep
-		raw := r.bytes("path hyperplane")
+		raw := r.view("path hyperplane")
 		if r.err == nil {
 			hp, rest, err := geometry.DecodeHyperplane(raw)
 			if err != nil || len(rest) != 0 {
@@ -195,7 +195,7 @@ func DecodeIFMH(b []byte) (*core.Answer, error) {
 		}
 		a.VO.Path = append(a.VO.Path, st)
 	}
-	rawIneqs := r.bytes("ineqs")
+	rawIneqs := r.view("ineqs")
 	if r.err == nil {
 		// The field always carries a halfspace-list encoding (a zero
 		// count for the one-signature mode); rejecting anything shorter

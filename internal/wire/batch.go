@@ -117,7 +117,7 @@ func DecodeQueryBatch(b []byte) ([]query.Query, error) {
 	}
 	out := make([]query.Query, 0, n)
 	for i := 0; i < n; i++ {
-		raw := r.bytes("batch query")
+		raw := r.view("batch query")
 		if r.err != nil {
 			break
 		}

@@ -69,8 +69,17 @@ func FuzzDecodeIFMH(f *testing.F) {
 		}
 		// Accepted input must re-encode to the identical bytes: the
 		// codec admits exactly one encoding per answer.
-		if got := EncodeIFMH(ans); string(got) != string(data) {
+		want := string(data)
+		if got := EncodeIFMH(ans); string(got) != want {
 			t.Fatalf("decode/encode not canonical: %d vs %d bytes", len(got), len(data))
+		}
+		// The decoder parses records, hyperplanes and inequalities out of
+		// sub-slices of the input; nothing the answer keeps may alias it.
+		for i := range data {
+			data[i] ^= 0xFF
+		}
+		if got := EncodeIFMH(ans); string(got) != want {
+			t.Fatal("decoded answer aliases the input buffer")
 		}
 	})
 }

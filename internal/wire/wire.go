@@ -97,7 +97,9 @@ func (r *reader) u64(what string) uint64 {
 
 func (r *reader) f64(what string) float64 { return math.Float64frombits(r.u64(what)) }
 
-func (r *reader) bytes(what string) []byte {
+// view reads a length-prefixed field as a sub-slice of the input, for
+// callers that parse it into values of their own.
+func (r *reader) view(what string) []byte {
 	n := int(r.u32(what))
 	if r.err != nil {
 		return nil
@@ -106,9 +108,15 @@ func (r *reader) bytes(what string) []byte {
 		r.fail(what)
 		return nil
 	}
-	out := append([]byte(nil), r.buf[:n]...)
+	out := r.buf[:n:n]
 	r.buf = r.buf[n:]
 	return out
+}
+
+// bytes is view for a field the decoded value keeps (a signature):
+// copied, so a decoded answer never aliases its input.
+func (r *reader) bytes(what string) []byte {
+	return append([]byte(nil), r.view(what)...)
 }
 
 // count reads a u32 element count and sanity-bounds it against the
