@@ -68,13 +68,14 @@
 //
 // # The cache plane
 //
-// WrapCache decorates any Backend with two memory tiers: a whole-answer
-// LRU keyed by (canonical query, publication epoch) that holds wire
-// bytes and, once some caller has verified them, the verified records —
-// so N callers of one hot query cost one backend walk and one
-// verification (concurrent identical queries collapse into a single
-// flight) — and a permutation LRU that delta-mode trees consult before
-// replaying their sweep cursor. Invalidation is the epoch discipline
+// WrapCache decorates any Backend with a whole-answer LRU keyed by
+// (canonical query, publication epoch) that holds wire bytes and, once
+// some caller has verified them, the verified records — so N callers of
+// one hot query cost one backend walk and one verification (concurrent
+// identical queries collapse into a single flight). A miss is cheap on
+// its own: the server reads the result window off the subdomain's
+// FMH-tree in O(log n + k), so there is no per-subdomain state to cache
+// beneath the answers. Invalidation is the epoch discipline
 // itself: a server swap or client refresh moves the epoch and strands
 // the previous epoch's entries. Hit, miss, collapse and eviction
 // counters surface through CacheStats (served as the "cache" object on
@@ -437,32 +438,28 @@ func NewFanout(plan ShardPlan, kids []Backend) (*Fanout, error) {
 // The cache plane (see internal/cache): a Backend decorator serving
 // repeated queries from memory under the epoch discipline.
 type (
-	// Cache decorates a backend with the answer and permutation cache
-	// tiers; it implements Backend.
+	// Cache decorates a backend with the answer cache; it implements
+	// Backend.
 	Cache = cache.Cache
 	// CacheOption tunes one WrapCache call.
 	CacheOption = cache.Option
-	// CacheStats is the cache plane's counter snapshot: answer-tier
-	// hits (cumulative and per current epoch), misses, single-flight
-	// collapses and evictions, plus the permutation tier's counts.
+	// CacheStats is the cache plane's counter snapshot: hits
+	// (cumulative and per current epoch), misses, single-flight
+	// collapses and evictions.
 	CacheStats = server.CacheStats
 )
 
-// WrapCache decorates b with the cache tiers: a whole-answer LRU keyed
+// WrapCache decorates b with the answer cache: a whole-answer LRU keyed
 // by (canonical query, epoch) with single-flight collapse of concurrent
-// identical queries, and — on backends exposing local trees — a
-// per-tree permutation LRU for delta-mode sweeps. One wrapped backend
-// must front exactly one logical database.
+// identical queries. One wrapped backend must front exactly one logical
+// database.
 func WrapCache(b Backend, opts ...CacheOption) (*Cache, error) { return cache.Wrap(b, opts...) }
 
 // WithAnswerCapacity bounds the whole-answer LRU to n entries.
 func WithAnswerCapacity(n int) CacheOption { return cache.WithAnswerCapacity(n) }
 
-// WithPermCapacity bounds each tree's permutation LRU to n entries.
-func WithPermCapacity(n int) CacheOption { return cache.WithPermCapacity(n) }
-
-// WithoutPermTier skips the permutation tier, isolating the
-// whole-answer tier.
+// WithoutPermTier is a no-op: the permutation tier it switched off no
+// longer exists (see cache.WithoutPermTier for why the name stays).
 func WithoutPermTier() CacheOption { return cache.WithoutPermTier() }
 
 // ZipfConfig configures the skewed query workload of the cache

@@ -218,8 +218,10 @@ func BenchmarkShardedBuild(b *testing.B) {
 
 // BenchmarkHandleBatch measures the batched query plane — Server.
 // QueryBatch, 256 mixed queries per batch against one IFMH server,
-// unverified — sequential versus fanned out across the CPUs. (The name
-// predates the plane; ROADMAP's hot-path numbers cite it.)
+// one-signature, unverified — sequential versus fanned out across the
+// CPUs. Its ranges return a large share of the table, so B/op is mostly
+// answer bytes; BenchmarkServerPath is the per-answer account of the
+// walk. (The name predates the plane.)
 func BenchmarkHandleBatch(b *testing.B) {
 	tree, dom := buildFixture(b, 2000, aqverify.OneSignature)
 	srv, err := server.New(server.IFMH{Tree: tree})
@@ -255,17 +257,11 @@ func BenchmarkHandleBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkClientPath is the client's half of a verified answer —
-// wire.DecodeIFMH + core.Verify — over 2 048 mixed answers shaped like
-// the end-to-end benchmark's mixed sequence (answer i: kind i mod 3,
-// result size {4, 16, 64}[(i/3) mod 3]; Lines n=2000, multi-signature).
-// One op is one answer (ns/op ÷ 1000 = µs/answer). cold verifies under the owner's raw key; warm
-// under a sig.Memo that has seen every answer once, which is what a
-// dialed session reaches.
-func BenchmarkClientPath(b *testing.B) {
-	const n, count = 2000, 2048
-	tree, dom := buildFixture(b, n, aqverify.MultiSignature)
-	tbl := tree.Table()
+// mixedQueries is the end-to-end benchmark's mixed sequence over a Lines
+// table: query i has kind i mod 3 (top-k, range, kNN) and result size
+// {4, 16, 64}[(i/3) mod 3].
+func mixedQueries(b *testing.B, tbl aqverify.Table, dom aqverify.Box, count int) []aqverify.Query {
+	b.Helper()
 	var err error
 	var cells [3][3][]aqverify.Query
 	for s, size := range [3]int{4, 16, 64} {
@@ -280,9 +276,25 @@ func BenchmarkClientPath(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	qs := make([]aqverify.Query, count)
+	for i := range qs {
+		qs[i] = cells[i%3][(i/3)%3][i/9]
+	}
+	return qs
+}
+
+// BenchmarkClientPath is the client's half of a verified answer —
+// wire.DecodeIFMH + core.Verify — over 2 048 mixed answers shaped like
+// the end-to-end benchmark's mixed sequence (mixedQueries; Lines n=2000,
+// multi-signature). One op is one answer (ns/op ÷ 1000 = µs/answer).
+// cold verifies under the owner's raw key; warm under a sig.Memo that
+// has seen every answer once, which is what a dialed session reaches.
+func BenchmarkClientPath(b *testing.B) {
+	const n, count = 2000, 2048
+	tree, dom := buildFixture(b, n, aqverify.MultiSignature)
 	frames := make([][]byte, count)
-	for i := range frames {
-		ans, err := tree.Process(cells[i%3][(i/3)%3][i/9], nil)
+	for i, q := range mixedQueries(b, tree.Table(), dom, count) {
+		ans, err := tree.Process(q, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -314,5 +326,49 @@ func BenchmarkClientPath(b *testing.B) {
 				check(arm.pub, frames[i%count], &ctr)
 			}
 		})
+	}
+}
+
+// serverPathSink keeps the encoded frame alive so the compiler cannot
+// drop the work BenchmarkServerPath measures.
+var serverPathSink []byte
+
+// BenchmarkServerPath is the server's half of an answer beside
+// BenchmarkClientPath — route to the shard, Tree.Process, wire.EncodeIFMH
+// — over the same mixed sequence on the same table, multi-signature,
+// split into 2 shards as the end-to-end benchmark deploys it. One op is
+// one answer; -benchmem reads the per-answer garbage directly.
+func BenchmarkServerPath(b *testing.B) {
+	const n, count = 2000, 2048
+	tbl, dom, err := workload.Lines(workload.LinesConfig{N: n, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	signer, err := aqverify.NewSigner(aqverify.Ed25519, aqverify.SignerOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := aqverify.NewShardPlan(dom, 0, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := aqverify.Outsource(context.Background(), lineSpec(tbl, dom, signer),
+		aqverify.WithMode(aqverify.MultiSignature), aqverify.WithShuffle(0), aqverify.WithPlan(plan))
+	if err != nil {
+		b.Fatal(err)
+	}
+	router, err := aqverify.NewShardRouter(res.Set)
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs := mixedQueries(b, tbl, dom, count)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, ans, err := router.Process(qs[i%count], nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		serverPathSink = wire.EncodeIFMH(ans)
 	}
 }

@@ -25,10 +25,9 @@
 // two different saved sets.
 //
 // -cache fronts the server with the in-memory cache tier (internal/cache):
-// repeated queries are answered from a whole-answer LRU, concurrent
-// identical queries collapse into one walk, and delta-mode subdomain
-// permutations are cached per epoch. /stats gains a "cache" object with
-// hit/miss/collapse/eviction counters. Epoch swaps invalidate by
+// repeated queries are answered from a whole-answer LRU and concurrent
+// identical queries collapse into one walk. /stats gains a "cache" object
+// with hit/miss/collapse/eviction counters. Epoch swaps invalidate by
 // keying — stale entries are never served.
 //
 // Endpoints: POST /query, POST /query/batch and POST /query/stream

@@ -15,6 +15,7 @@ import (
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
+	"aqverify/internal/hashing"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
 	"aqverify/internal/server"
@@ -479,6 +480,42 @@ func TestRefusalMatrix(t *testing.T) {
 	}
 }
 
+// TestLeafRowsAreValidated: format 2 puts the record a leaf commits to in
+// its forest row, and the server indexes its table with it, so the
+// decoder must refuse by name every row that could index out of bounds
+// or put a sentinel where a record is due — and must refuse the previous
+// version, whose leaves name nothing, before parsing any of it.
+func TestLeafRowsAreValidated(t *testing.T) {
+	blob, _ := fuzzSeeds(t)
+	if _, err := decodeTree(blob); err != nil {
+		t.Fatalf("honest blob: %v", err)
+	}
+	h := hashing.New(nil)
+	const n = 4 // fuzzSeeds' table
+	rec0 := firstRecordLeaf(t)
+	for _, tc := range []struct {
+		name string
+		blob []byte
+		want error
+	}{
+		{"version 1", asVersion1(blob), ErrVersion},
+		{"record == n", withLeafRecord(t, blob, rec0, n), ErrCorrupt},
+		{"record far outside", withLeafRecord(t, blob, rec0, 1<<31), ErrCorrupt},
+		{"record leaf naming nothing", withLeafRecord(t, blob, rec0, nilIndex), ErrCorrupt},
+		{"min sentinel naming a record", withLeafRecord(t, blob, h.SentinelMin(n), 0), ErrCorrupt},
+		{"max sentinel naming a record", withLeafRecord(t, blob, h.SentinelMax(n), n-1), ErrCorrupt},
+	} {
+		if _, err := decodeTree(tc.blob); !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	// Naming a different record of the table is structurally fine: the
+	// file's seal and the client's verification are what catch it.
+	if _, err := decodeTree(withLeafRecord(t, blob, rec0, n-1)); err != nil {
+		t.Errorf("in-range record refused: %v", err)
+	}
+}
+
 // TestWorkedExample pins the worked example quoted in docs/ARTIFACT.md
 // byte-for-byte: a deterministic three-record build whose manifest hex,
 // blob content hash and artifact hash must never drift. If this test
@@ -520,9 +557,9 @@ func TestWorkedExample(t *testing.T) {
 	blob := mustRead(t, filepath.Join(dir, treeName))
 	blobHash := sha256.Sum256(blob[:len(blob)-32])
 
-	const wantManifest = "4151414d00000001010000000000000001000000002d04302a300506032b6570032100069d8d6980eaf1bca2e4118bc612a13f23791bf2c60ceef2692b581d27b0a1590000000b616666696e652d6c696e650000000100000000000000013e112e0be826d69500000001bff00000000000003ff00000000000000000000000000000000000010979f1fb3fb5f7164eb7f50ca0e967e34a483f38199fdef36e24b14edeac3de4fbd8dbea173402914b48e3f7d8ce92804663025e9dc6d77391b1221a9bd76317bfb9ce27dfdc3340ac7dfce912f864757ccde03285ad0c2f2c770530a9883b8c"
-	const wantBlobHash = "0979f1fb3fb5f7164eb7f50ca0e967e34a483f38199fdef36e24b14edeac3de4"
-	const wantArtifact = "bfb9ce27dfdc3340ac7dfce912f864757ccde03285ad0c2f2c770530a9883b8c"
+	const wantManifest = "4151414d00000002010000000000000001000000002d04302a300506032b6570032100069d8d6980eaf1bca2e4118bc612a13f23791bf2c60ceef2692b581d27b0a1590000000b616666696e652d6c696e650000000100000000000000013e112e0be826d69500000001bff00000000000003ff0000000000000000000000000000000000001427f84cfce3d9561918868cae0ebcc22231b53fc315172cd33f02882d62e6a69fbd8dbea173402914b48e3f7d8ce92804663025e9dc6d77391b1221a9bd76317bd12201f3cc3bbc7d95759d9d8a06340ba162d3b4a72221fab99dd255844a4db"
+	const wantBlobHash = "427f84cfce3d9561918868cae0ebcc22231b53fc315172cd33f02882d62e6a69"
+	const wantArtifact = "bd12201f3cc3bbc7d95759d9d8a06340ba162d3b4a72221fab99dd255844a4db"
 	if manifestHex != wantManifest {
 		t.Errorf("manifest bytes drifted:\n got %s\nwant %s", manifestHex, wantManifest)
 	}
@@ -531,5 +568,23 @@ func TestWorkedExample(t *testing.T) {
 	}
 	if info.HashHex() != wantArtifact {
 		t.Errorf("artifact hash drifted: got %s want %s", info.HashHex(), wantArtifact)
+	}
+
+	// The forest rows the doc quotes: 26 rows from byte 226, a leaf row
+	// carrying its record index (none for the sentinel) where an internal
+	// row carries its right child.
+	const forestAt, row = 226, 44
+	wantRows := []string{ // left, right, width of rows 0..5
+		"ffffffffffffffff00000001", "ffffffff0000000000000001", "000000000000000100000002",
+		"ffffffff0000000200000001", "ffffffff0000000100000001", "000000030000000400000002",
+	}
+	if len(blob) != 1865 || hex.EncodeToString(blob[forestAt:forestAt+4]) != "0000001a" {
+		t.Fatalf("blob is %d bytes with forest count %x at %d; the doc says 1865 and 26", len(blob), blob[forestAt:forestAt+4], forestAt)
+	}
+	for i, want := range wantRows {
+		at := forestAt + 4 + i*row + 32 // past the row's digest
+		if got := hex.EncodeToString(blob[at : at+12]); got != want {
+			t.Errorf("forest row %d is %s, the doc quotes %s", i, got, want)
+		}
 	}
 }

@@ -20,7 +20,9 @@ import (
 
 // formatVersion is the on-disk format version both file kinds carry.
 // Bump it on any layout change; Open refuses versions it does not know.
-const formatVersion = 1
+// Version 2 put the record index in FMH leaf rows (version 1 leaves named
+// no record, so a version-1 forest cannot serve).
+const formatVersion = 2
 
 // nilIndex marks a nil child pointer / absent shard index in the node
 // tables (indices are u32, so the all-ones value can never be a real
@@ -280,18 +282,19 @@ func encodeTree(s core.Snapshot, shardIdx int) ([]byte, hashing.Digest, error) {
 	for _, si := range s.Subs {
 		walk(si.List.Tree)
 	}
+	// A row is digest, left, right, width. A leaf has no children: its
+	// left slot is nilIndex and its right slot names the record the leaf
+	// commits to — mhtree.NoRecord (-1, a sentinel's) is nilIndex as a u32.
 	w.u32(uint32(len(order)))
 	for _, n := range order {
 		w.digest(n.H)
-		child := func(c *mhtree.Node) {
-			if c == nil {
-				w.u32(nilIndex)
-			} else {
-				w.u32(idx[c])
-			}
+		if n.L != nil {
+			w.u32(idx[n.L])
+			w.u32(idx[n.R])
+		} else {
+			w.u32(nilIndex)
+			w.u32(uint32(n.Rec))
 		}
-		child(n.L)
-		child(n.R)
 		w.u32(uint32(n.W))
 	}
 	w.u32(uint32(len(s.Subs)))
@@ -351,6 +354,39 @@ func encodeTree(s core.Snapshot, shardIdx int) ([]byte, hashing.Digest, error) {
 	return buf, h, nil
 }
 
+// leafSpan classifies the leaves under an FMH node by where the
+// sentinels (leaves naming no record) sit. The server indexes its table
+// with whatever a non-end leaf names, so a list must be exactly
+// sentinel, n records, sentinel — checked bottom-up, one join per row,
+// because the forest shares nodes across lists.
+type leafSpan uint8
+
+const (
+	spanInvalid  leafSpan = iota // a sentinel strictly inside, or none where one is due
+	spanRecords                  // every leaf names a record
+	spanSentinel                 // a single sentinel leaf
+	spanMinEnd                   // a sentinel, then records
+	spanMaxEnd                   // records, then a sentinel
+	spanList                     // a sentinel, records (possibly none), a sentinel
+)
+
+// joinSpans classifies a node from its left and right subtrees.
+func joinSpans(l, r leafSpan) leafSpan {
+	opens := l == spanSentinel || l == spanMinEnd
+	closes := r == spanSentinel || r == spanMaxEnd
+	switch {
+	case l == spanRecords && r == spanRecords:
+		return spanRecords
+	case opens && r == spanRecords:
+		return spanMinEnd
+	case l == spanRecords && closes:
+		return spanMaxEnd
+	case opens && closes:
+		return spanList
+	}
+	return spanInvalid
+}
+
 // decodedTree is a structurally parsed tree blob: everything but the
 // template and verifier (which live in the manifest) of a
 // core.Snapshot, plus the header fields Open cross-checks against the
@@ -370,7 +406,8 @@ type decodedTree struct {
 
 // decodeTree parses a tree blob. The structural pass validates every
 // count, index and cross-reference (children before parents, leaf ids
-// unique and in range, node widths consistent) so that no accepted
+// unique and in range, node widths consistent, every list's leaves
+// naming records of the table between two sentinels) so that no accepted
 // structure can make the serving tree index out of bounds; the sealed
 // trailer is checked last, so a file that parses but was bit-flipped
 // is refused as ErrCorrupt by content hash. Variable-length fields
@@ -466,6 +503,7 @@ func decodeTree(data []byte) (*decodedTree, error) {
 	// FMH forest.
 	nf := r.count("fmh node", 44)
 	forest := make([]mhtree.Node, nf)
+	spans := make([]leafSpan, nf)
 	for i := range forest {
 		forest[i].H = r.digest("fmh node hash")
 		l, rr := r.u32("fmh left child"), r.u32("fmh right child")
@@ -473,29 +511,39 @@ func decodeTree(data []byte) (*decodedTree, error) {
 		if r.err != nil {
 			return nil, r.err
 		}
-		if uint64(wdt) > uint64(n)+2 {
+		if uint64(wdt) > uint64(n)+2 || wdt > math.MaxInt32 {
 			r.corrupt("fmh node %d has width %d for %d records", i, wdt, n)
 			return nil, r.err
 		}
+		forest[i].W, forest[i].Rec = int32(wdt), mhtree.NoRecord
 		switch {
-		case l == nilIndex && rr == nilIndex:
+		case l == nilIndex:
+			// A leaf: the right slot is its record (nilIndex: none).
+			spans[i] = spanSentinel
 			if wdt != 1 {
 				r.corrupt("fmh leaf %d has width %d", i, wdt)
+			} else if rr != nilIndex {
+				if uint64(rr) >= uint64(n) {
+					r.corrupt("fmh leaf %d names record %d outside %d records", i, rr, n)
+				}
+				forest[i].Rec, spans[i] = int32(rr), spanRecords
 			}
-		case l == nilIndex || rr == nilIndex:
+		case rr == nilIndex:
 			r.corrupt("fmh node %d has one child", i)
 		case uint64(l) >= uint64(i) || uint64(rr) >= uint64(i):
 			r.corrupt("fmh node %d references a later node", i)
 		default:
 			forest[i].L, forest[i].R = &forest[l], &forest[rr]
-			if int(wdt) != forest[l].W+forest[rr].W || forest[l].W != mhtree.LeftWidth(int(wdt)) {
+			if int64(wdt) != int64(forest[l].W)+int64(forest[rr].W) || int(forest[l].W) != mhtree.LeftWidth(int(wdt)) {
 				r.corrupt("fmh node %d has inconsistent width %d", i, wdt)
+			}
+			if spans[i] = joinSpans(spans[l], spans[rr]); spans[i] == spanInvalid {
+				r.corrupt("fmh node %d has a sentinel leaf inside its span", i)
 			}
 		}
 		if r.err != nil {
 			return nil, r.err
 		}
-		forest[i].W = int(wdt)
 	}
 	ns := r.count("subdomain", 4)
 	if r.err == nil && ns < 1 {
@@ -511,8 +559,12 @@ func decodeTree(data []byte) (*decodedTree, error) {
 			r.corrupt("subdomain %d fmh root %d outside %d nodes", i, ri, nf)
 			return nil, r.err
 		}
-		if forest[ri].W != n+2 {
+		if int(forest[ri].W) != n+2 {
 			r.corrupt("subdomain %d list covers %d leaves for %d records", i, forest[ri].W, n)
+			return nil, r.err
+		}
+		if spans[ri] != spanList {
+			r.corrupt("subdomain %d list is not n records between two sentinels", i)
 			return nil, r.err
 		}
 		subs[i] = &core.SubInfo{List: &fmh.List{N: n, Tree: &forest[ri]}}

@@ -1,7 +1,9 @@
 package artifact
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -9,11 +11,13 @@ import (
 
 	"aqverify/internal/build"
 	"aqverify/internal/core"
+	"aqverify/internal/fmh"
+	"aqverify/internal/hashing"
 )
 
 // fuzzSeeds builds one small artifact per product shape and returns its
 // file bytes — the honest corpus the mutators start from.
-func fuzzSeeds(f *testing.F) (tree, man []byte) {
+func fuzzSeeds(f testing.TB) (tree, man []byte) {
 	f.Helper()
 	// A tiny build keeps the seed blob small, which keeps the engine's
 	// minimization of derived interesting inputs cheap.
@@ -37,13 +41,51 @@ func fuzzSeeds(f *testing.F) (tree, man []byte) {
 	return tree, man
 }
 
+// reseal recomputes a blob's trailing content hash after an edit, so the
+// edit is judged by the structural pass, not caught by the seal.
+func reseal(blob []byte) []byte {
+	body := blob[:len(blob)-sha256.Size]
+	sum := sha256.Sum256(body)
+	return append(append([]byte(nil), body...), sum[:]...)
+}
+
+// asVersion1 stamps a blob with the previous format version, resealed.
+func asVersion1(blob []byte) []byte {
+	out := append([]byte(nil), blob...)
+	binary.BigEndian.PutUint32(out[len(magicTree):], 1)
+	return reseal(out)
+}
+
+// withLeafRecord rewrites, in the forest row of the leaf with digest d,
+// the slot naming the leaf's record, resealed.
+func withLeafRecord(t testing.TB, blob []byte, d hashing.Digest, rec uint32) []byte {
+	t.Helper()
+	at := bytes.Index(blob, d[:])
+	if at < 0 {
+		t.Fatal("leaf digest not in the blob")
+	}
+	out := append([]byte(nil), blob...)
+	binary.BigEndian.PutUint32(out[at+len(d)+4:], rec) // digest, L, then R
+	return reseal(out)
+}
+
+// firstRecordLeaf is the FMH leaf digest of the seed build's record 0.
+func firstRecordLeaf(f testing.TB) hashing.Digest {
+	h := hashing.New(nil)
+	return fmh.RecordLeafDigest(h, h.Record(testSpec(f, 4, 2).Table.Records[0]))
+}
+
 // FuzzDecodeTree hammers the blob decoder: any input must either decode
 // or be refused with a named error — never panic, never over-allocate.
 // The seed corpus covers the honest blob plus the refusal matrix's
-// shapes: truncations, a flipped content-hash bit, and a wrong magic.
+// shapes: truncations, a flipped content-hash bit, a wrong magic, the
+// previous format version, and a leaf row naming a record outside the
+// table.
 func FuzzDecodeTree(f *testing.F) {
 	blob, _ := fuzzSeeds(f)
 	f.Add(blob)
+	f.Add(asVersion1(blob))
+	f.Add(withLeafRecord(f, blob, firstRecordLeaf(f), 4))
 	f.Add(blob[:len(blob)/2])
 	f.Add(blob[:len(blob)-17])
 	flipped := append([]byte(nil), blob...)

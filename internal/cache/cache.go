@@ -1,14 +1,10 @@
 // Package cache is the query plane's cache tier: a backend.Backend
 // decorator (Wrap) that serves repeated queries from memory instead of
-// re-walking the authenticated structure. It keeps two tiers:
-//
-//   - a whole-answer LRU keyed by (canonical query, epoch) — the
-//     answering shard is a deterministic function of that pair, so it
-//     travels in the entry rather than the key — holding the wire bytes
-//     and, once a caller has verified them, the verified records; and
-//   - a permutation LRU (PermLRU, installed through core.PermCache)
-//     keyed by (subdomain, epoch), which delta-mode queries consult
-//     before replaying the sweep cursor.
+// re-walking the authenticated structure. It keeps one tier: a
+// whole-answer LRU keyed by (canonical query, epoch) — the answering
+// shard is a deterministic function of that pair, so it travels in the
+// entry rather than the key — holding the wire bytes and, once a caller
+// has verified them, the verified records.
 //
 // Concurrent identical queries collapse into one flight: the first
 // caller walks the inner backend (and verifies, when it asked to), the
@@ -35,9 +31,8 @@
 // database. One Cache must therefore front exactly one logical
 // database.
 //
-// Counters — hit, miss, collapse, evict for the answer tier; hit, miss,
-// evict for the permutation tier — surface through a server.Tally the
-// Cache owns, which also tallies every served query, so /stats over a
+// Counters — hit, miss, collapse, evict — surface through a server.Tally
+// the Cache owns, which also tallies every served query, so /stats over a
 // cache-fronted host reports both the traffic and the cache's
 // effectiveness.
 package cache
@@ -49,28 +44,22 @@ import (
 	"sync/atomic"
 
 	"aqverify/internal/backend"
-	"aqverify/internal/core"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
 	"aqverify/internal/server"
-	"aqverify/internal/shard"
 	"aqverify/internal/wire"
 )
 
-// Default tier capacities (entries).
-const (
-	DefaultAnswerCapacity = 4096
-	DefaultPermCapacity   = 1024
-)
+// DefaultAnswerCapacity is the default whole-answer LRU capacity
+// (entries).
+const DefaultAnswerCapacity = 4096
 
 // Option tunes one Wrap call.
 type Option func(*config) error
 
 type config struct {
 	answerCap int
-	permCap   int
-	noPerm    bool
 }
 
 // WithAnswerCapacity bounds the whole-answer LRU to n entries.
@@ -84,25 +73,13 @@ func WithAnswerCapacity(n int) Option {
 	}
 }
 
-// WithPermCapacity bounds each tree's permutation LRU to n entries.
-func WithPermCapacity(n int) Option {
-	return func(c *config) error {
-		if n < 1 {
-			return fmt.Errorf("cache: permutation capacity %d must be positive", n)
-		}
-		c.permCap = n
-		return nil
-	}
-}
-
-// WithoutPermTier skips installing the permutation tier — for isolating
-// the whole-answer tier in measurements, or when the caller manages
-// core.PermCache installation itself.
+// WithoutPermTier does nothing: the permutation tier it used to switch
+// off no longer exists (no query materializes a permutation). It stays
+// only because the end-to-end benchmark's replay calls it and a change
+// that claims a gain may not edit the benchmark; it leaves with the next
+// change that may.
 func WithoutPermTier() Option {
-	return func(c *config) error {
-		c.noPerm = true
-		return nil
-	}
+	return func(*config) error { return nil }
 }
 
 // akey is the whole-answer cache key: the canonical wire encoding of
@@ -123,7 +100,7 @@ type entry struct {
 	epoch uint64
 }
 
-// Cache decorates a backend with the two cache tiers. It implements
+// Cache decorates a backend with the answer cache. It implements
 // backend.Backend and the stats surface the HTTP handler reports
 // (Stats, ErrorCount, ShardStats, Swaps, CacheStats), so a
 // cache-fronted host serves /stats with the cache's tally; what it
@@ -138,19 +115,13 @@ type Cache struct {
 	lastEpoch atomic.Uint64
 }
 
-// Wrap decorates b with the cache tiers. The permutation tier installs
-// on every tree Wrap can reach — a local backend's tree, a sharded
-// backend's set (one PermLRU per shard: shards reuse subdomain ids, so
-// they must not share one), an in-process server's serving backend
-// (re-installed by every Swap, so the caches stay warm across epochs).
-// Remote and fanout backends have no local trees; their permutation
-// tier lives server-side (vqserve -cache) and Wrap contributes the
-// whole-answer tier, which works over any backend.
+// Wrap decorates b with the answer cache, which works over any backend
+// — local, sharded, an in-process server, remote or fanout.
 func Wrap(b backend.Backend, opts ...Option) (*Cache, error) {
 	if b == nil {
 		return nil, fmt.Errorf("cache: a backend to decorate is required")
 	}
-	cfg := config{answerCap: DefaultAnswerCapacity, permCap: DefaultPermCapacity}
+	cfg := config{answerCap: DefaultAnswerCapacity}
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
 			return nil, err
@@ -161,26 +132,7 @@ func Wrap(b backend.Backend, opts ...Option) (*Cache, error) {
 	c.answers = newLRU[akey, entry](cfg.answerCap)
 	c.lastEpoch.Store(epoch)
 	c.tally.ObserveEpoch(epoch, per)
-	if !cfg.noPerm {
-		c.installPermTier(cfg.permCap)
-	}
 	return c, nil
-}
-
-// installPermTier puts permutation LRUs on whatever trees the inner
-// backend exposes; see Wrap.
-func (c *Cache) installPermTier(capacity int) {
-	mk := func() core.PermCache { return NewPermLRU(capacity, c.tally) }
-	switch b := c.inner.(type) {
-	case interface{ SetPermCaches(func() core.PermCache) }: // *server.Server
-		b.SetPermCaches(mk)
-	case interface{ Tree() *core.Tree }: // backend.Local
-		b.Tree().SetPermCache(mk())
-	case interface{ Router() *shard.Router }: // backend.Sharded
-		for _, t := range b.Router().Set().Trees {
-			t.SetPermCache(mk())
-		}
-	}
 }
 
 // Inner returns the decorated backend.
@@ -203,8 +155,7 @@ func (c *Cache) ShardStats() []server.ShardStat { return c.tally.ShardStats() }
 // pin.
 func (c *Cache) Swaps() int { return c.tally.Swaps() }
 
-// CacheStats returns the hit/miss/collapse/evict counters of both
-// tiers.
+// CacheStats returns the hit/miss/collapse/evict counters.
 func (c *Cache) CacheStats() server.CacheStats { return c.tally.CacheStats() }
 
 // Len returns the whole-answer entry count, for tests and sizing.

@@ -58,9 +58,6 @@ func TestWrapValidation(t *testing.T) {
 	if _, err := Wrap(b, WithAnswerCapacity(0)); err == nil {
 		t.Fatal("zero answer capacity accepted")
 	}
-	if _, err := Wrap(b, WithPermCapacity(-1)); err == nil {
-		t.Fatal("negative perm capacity accepted")
-	}
 	c, err := Wrap(b, WithAnswerCapacity(8), WithoutPermTier())
 	if err != nil {
 		t.Fatal(err)

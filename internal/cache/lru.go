@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// lru is the bounded map both cache tiers are: mutex-guarded,
+// lru is the bounded map the answer cache is: mutex-guarded,
 // front-of-list most recent, evicting from the cold end. Invalidation is
 // by key, not by sweep — stranded-epoch entries are never hit again and
 // age out like any other cold entry.
@@ -38,8 +38,8 @@ func (l *lru[K, V]) get(k K) (v V, ok bool) {
 }
 
 // put inserts or replaces k's value and evicts from the cold end while
-// over capacity, reporting how many entries that cost — the tiers tell
-// their tally, so /stats shows pressure.
+// over capacity, reporting how many entries that cost — the cache tells
+// its tally, so /stats shows pressure.
 func (l *lru[K, V]) put(k K, v V) (evicted int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

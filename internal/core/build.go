@@ -144,8 +144,8 @@ func (p Params) progress(stage Stage, units int) {
 // fmhFromPerm builds a fresh FMH-tree for a permutation with the given
 // hasher (a worker-local one inside parallel sections).
 func (t *Tree) fmhFromPerm(h *hashing.Hasher, perm []int) (*fmh.List, error) {
-	return fmh.Build(h, len(perm), func(p int) hashing.Digest {
-		return h.Leaf(t.recDigests[perm[p]])
+	return fmh.Build(h, perm, func(rec int) hashing.Digest {
+		return h.Leaf(t.recDigests[rec])
 	})
 }
 
@@ -248,7 +248,6 @@ func (t *Tree) listsFromPlan(ctx context.Context, plan sweep.Plan, p Params) err
 	subs := t.itree.Subs
 	t.subs = make([]*SubInfo, len(subs))
 	t.plan = plan
-	t.cursor = sweep.NewCursor(plan)
 
 	perm := append([]int(nil), plan.BasePerm...)
 	p.progress(StageLists, len(subs))
@@ -293,32 +292,6 @@ func (t *Tree) listsFromPlan(ctx context.Context, plan sweep.Plan, p Params) err
 		t.subs[k+1] = &SubInfo{Sub: subs[k+1], List: list}
 	}
 	return nil
-}
-
-// permFor returns the sorted permutation of subdomain id: the stored
-// permutation in materialized mode, or a cursor-replayed copy in delta
-// mode — consulting the installed PermCache first, keyed by
-// (subdomain, epoch) so a permutation materialized before a mutation
-// batch can never answer for the epoch the batch produced. Either way
-// the result is safe to read concurrently with other queries.
-func (t *Tree) permFor(id int) ([]int, error) {
-	if id < 0 || id >= len(t.subs) {
-		return nil, fmt.Errorf("core: subdomain %d out of range", id)
-	}
-	if p := t.subs[id].Perm; p != nil {
-		return p, nil
-	}
-	if pc := t.permCache.load(); pc != nil {
-		if p, ok := pc.Get(id, t.epoch); ok {
-			return p, nil
-		}
-		p, err := t.cursor.PermAt(id)
-		if err == nil {
-			pc.Put(id, t.epoch, p)
-		}
-		return p, err
-	}
-	return t.cursor.PermAt(id)
 }
 
 // buildListsND sorts each subdomain independently at an interior witness

@@ -169,8 +169,9 @@ type PublicParams struct {
 type SubInfo struct {
 	Sub  *itree.Subdomain
 	List *fmh.List
-	// Perm is the sorted order (position -> record index); nil in delta
-	// mode, where permutations are replayed through a cursor.
+	// Perm is the sorted order (position -> record index) the list was
+	// built from, kept by the layouts that build every list from scratch;
+	// nil in delta mode. Serving reads the order off List, never here.
 	Perm []int
 	// IneqEnc is the canonical encoding of the subdomain's inequality
 	// set; Ineqs is its decoded form (multi-signature mode only).
@@ -195,10 +196,11 @@ type Tree struct {
 	itree *itree.Tree
 	subs  []*SubInfo
 
-	// Delta-mode sweep data (1-D): the base permutation and per-boundary
-	// swaps, replayed through a cursor when serving queries.
-	plan   sweep.Plan
-	cursor *sweep.Cursor
+	// Delta-mode sweep plan (1-D): the base permutation and per-boundary
+	// swaps the lists were derived by. Serving never reads it (every list
+	// names its own records); the next ApplyCtx replays it, and it is part
+	// of the fingerprint.
+	plan sweep.Plan
 
 	rootDigest hashing.Digest
 	rootSig    []byte // one-signature mode
@@ -213,11 +215,6 @@ type Tree struct {
 	epoch uint64
 	arr   *itree.Arrangement1D
 	bp    Params
-
-	// permCache is the optional delta-mode permutation cache (see
-	// SetPermCache); behind an atomic pointer so installation can race
-	// in-flight queries safely.
-	permCache permCacheHook
 }
 
 // Mode returns the tree's signing scheme.

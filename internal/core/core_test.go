@@ -168,28 +168,6 @@ func TestDeltaAndMaterializedAgree(t *testing.T) {
 	}
 }
 
-func TestCursorRandomAccess(t *testing.T) {
-	tbl := lineTable(t, 30, 7)
-	tree := build1D(t, tbl, OneSignature, false)
-	mat := build1D(t, tbl, OneSignature, true)
-	rng := rand.New(rand.NewSource(8))
-	// Jump the cursor around arbitrarily; permFor must always equal the
-	// materialized permutation.
-	for trial := 0; trial < 200; trial++ {
-		id := rng.Intn(tree.NumSubdomains())
-		got, err := tree.permFor(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := mat.subs[id].Perm
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("subdomain %d perm differs at %d", id, i)
-			}
-		}
-	}
-}
-
 func TestSignatureCounts(t *testing.T) {
 	tbl := lineTable(t, 25, 9)
 	one := build1D(t, tbl, OneSignature, false)

@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 
+	"aqverify/internal/itree"
 	"aqverify/internal/metrics"
+	"aqverify/internal/mhtree"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
 )
@@ -13,6 +15,14 @@ import (
 // the query's function input, locate the result window on the subdomain's
 // sorted function list, and assemble the window's boundary records plus
 // the FMH range proof and the mode's subdomain evidence.
+//
+// The subdomain's FMH-tree is its sorted list (fmh.List names the record
+// under every leaf), so the walk is O(log n + k) for every layout — delta,
+// materialized, multivariate, loaded from an artifact — and reads only
+// immutable tree state: the window selection scores the positions it
+// probes by one descent each, and one in-order pass reads the window and
+// its two neighbors. No permutation is materialized and nothing is
+// locked.
 //
 // The counter observes the traversal costs the paper plots in Fig 6:
 // IMH nodes on the search path, binary-search comparisons, and FMH nodes
@@ -25,66 +35,63 @@ func (t *Tree) Process(q query.Query, ctr *metrics.Counter) (*Answer, error) {
 		return nil, fmt.Errorf("core: function input %v outside the owner-specified domain", q.X)
 	}
 
-	sub, path := t.itree.Search(q.X, ctr)
-	perm, err := t.permFor(sub.ID)
-	if err != nil {
-		return nil, err
+	a := &Answer{Query: q, VO: VO{Mode: t.mode}}
+	vo := &a.VO
+	// Only the one-signature VO carries the IMH path; the multi-signature
+	// search records nothing.
+	var hop func(n *itree.Node, tookAbove bool)
+	if t.mode == OneSignature {
+		hop = func(n *itree.Node, tookAbove bool) {
+			sibling := n.Below
+			if !tookAbove {
+				sibling = n.Above
+			}
+			vo.Path = append(vo.Path, PathStep{Hp: n.Int.H, TookAbove: tookAbove, Sibling: sibling.Hash})
+		}
 	}
-
-	n := len(perm)
-	scores := make([]float64, n)
-	for pos, idx := range perm {
-		scores[pos] = t.fs[idx].Eval(q.X)
-	}
-	w, err := query.SelectWindow(scores, q, ctr)
-	if err != nil {
-		return nil, err
-	}
-
-	vo := VO{Mode: t.mode, ListLen: n, Start: w.Start}
-	if w.Start == 0 {
-		vo.Left = Boundary{Kind: BoundaryMin}
-	} else {
-		vo.Left = Boundary{Kind: BoundaryRecord, Rec: t.table.Records[perm[w.Start-1]]}
-	}
-	if w.End() == n {
-		vo.Right = Boundary{Kind: BoundaryMax}
-	} else {
-		vo.Right = Boundary{Kind: BoundaryRecord, Rec: t.table.Records[perm[w.End()]]}
-	}
-
-	records := make([]record.Record, 0, w.Count)
-	for pos := w.Start; pos < w.End(); pos++ {
-		records = append(records, t.table.Records[perm[pos]])
-	}
-
-	vo.FProof, err = t.subs[sub.ID].List.BoundaryProof(w.Start, w.Count, ctr)
-	if err != nil {
-		return nil, err
-	}
-
+	si := t.subs[t.itree.Search(q.X, ctr, hop).ID]
 	switch t.mode {
 	case OneSignature:
-		vo.Path = make([]PathStep, len(path))
-		for i, step := range path {
-			sibling := step.Node.Below
-			if !step.TookAbove {
-				sibling = step.Node.Above
-			}
-			vo.Path[i] = PathStep{
-				Hp:        step.Node.Int.H,
-				TookAbove: step.TookAbove,
-				Sibling:   sibling.Hash,
-			}
-		}
 		vo.Signature = t.rootSig
 	case MultiSignature:
-		si := t.subs[sub.ID]
 		vo.Ineqs = si.Ineqs
 		vo.Signature = si.Sig
 	default:
 		return nil, fmt.Errorf("core: unknown mode %v", t.mode)
 	}
 
-	return &Answer{Query: q, Records: records, VO: vo}, nil
+	list := si.List
+	w, err := query.SelectWindow(list.N, func(pos int) float64 {
+		return t.fs[list.RecordAt(pos)].Eval(q.X)
+	}, q, ctr)
+	if err != nil {
+		return nil, err
+	}
+	vo.ListLen, vo.Start = list.N, w.Start
+
+	// The window with its two neighbors, as record indices; a neighbor
+	// past either end of the list is a sentinel.
+	recs, err := list.Window(make([]int, 0, w.Count+2), w.Start, w.Count)
+	if err != nil {
+		return nil, err
+	}
+	vo.Left, vo.Right = t.boundary(recs[0], BoundaryMin), t.boundary(recs[len(recs)-1], BoundaryMax)
+	a.Records = make([]record.Record, w.Count)
+	for i, rec := range recs[1 : len(recs)-1] {
+		a.Records[i] = t.table.Records[rec]
+	}
+
+	if vo.FProof, err = list.BoundaryProof(w.Start, w.Count, ctr); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// boundary is the window neighbor at record index rec, or the sentinel
+// of the given kind when the window reaches that end of the list.
+func (t *Tree) boundary(rec int, sentinel BoundaryKind) Boundary {
+	if rec == mhtree.NoRecord {
+		return Boundary{Kind: sentinel}
+	}
+	return Boundary{Kind: BoundaryRecord, Rec: t.table.Records[rec]}
 }

@@ -61,11 +61,10 @@ func (t *Tree) Snapshot() Snapshot {
 
 // FromSnapshot reconstructs a serving tree from a snapshot: it derives
 // the record functions from the template, recomputes the record
-// digests and the root digest, decodes the multi-signature inequality
-// sets, and rebuilds the sweep cursor — everything else (the IMH node
-// hashes, the FMH forest, the signatures) is taken from the snapshot
-// as-is, which is what makes reconstruction O(structure) instead of
-// O(n²) rebuild.
+// digests and the root digest, and decodes the multi-signature
+// inequality sets — everything else (the IMH node hashes, the FMH
+// forest, the signatures) is taken from the snapshot as-is, which is
+// what makes reconstruction O(structure) instead of O(n²) rebuild.
 //
 // The result is serve-only: it answers and authenticates queries
 // exactly like the original (equal Fingerprint), but it retains no
@@ -169,7 +168,6 @@ func FromSnapshot(s Snapshot) (*Tree, error) {
 			return nil, fmt.Errorf("core: delta snapshot has %d boundary swap lists for %d subdomains",
 				len(s.Plan.Swaps), len(s.Subs))
 		}
-		t.cursor = sweep.NewCursor(s.Plan)
 	}
 
 	switch s.Mode {

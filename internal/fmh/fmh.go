@@ -10,12 +10,19 @@
 // leaf digests bind the list length, so a verifier that recomputes the
 // root with a sentinel in range has also authenticated n.
 //
+// The tree is the sorted list, not a digest of one kept elsewhere: every
+// record leaf names the record it commits to, so RecordAt reads one
+// position in O(log n) and Window reads a result window with its two
+// neighbors in one pass. The server answers queries from these and never
+// materializes a subdomain's permutation.
+//
 // Lists are immutable; DeriveSwap produces the next subdomain's list in
 // O(log n) new nodes via the persistent Merkle tree underneath.
 package fmh
 
 import (
 	"fmt"
+	"math"
 
 	"aqverify/internal/hashing"
 	"aqverify/internal/metrics"
@@ -29,21 +36,24 @@ type List struct {
 	Tree *mhtree.Node
 }
 
-// Build constructs the FMH-tree for a sorted function list. leafDigest
-// must return the leaf digest of the record at sorted position p (use
-// RecordLeafDigest for the standard derivation); sentinel digests are
-// added automatically.
-func Build(h *hashing.Hasher, n int, leafDigest func(p int) hashing.Digest) (*List, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("fmh: negative list length %d", n)
+// Build constructs the FMH-tree for a sorted function list: perm[p] is
+// the index of the record at sorted position p, and leafDigest must
+// return that record's leaf digest (use RecordLeafDigest for the standard
+// derivation). Sentinel leaves are added automatically and commit to no
+// record.
+func Build(h *hashing.Hasher, perm []int, leafDigest func(rec int) hashing.Digest) (*List, error) {
+	n := len(perm)
+	if n > math.MaxInt32-2 {
+		return nil, fmt.Errorf("fmh: list length %d overflows the 32-bit leaf index", n)
 	}
 	leaves := make([]hashing.Digest, n+2)
-	leaves[0] = h.SentinelMin(n)
-	for p := 0; p < n; p++ {
-		leaves[p+1] = leafDigest(p)
+	recs := make([]int32, n+2)
+	leaves[0], recs[0] = h.SentinelMin(n), mhtree.NoRecord
+	for p, rec := range perm {
+		leaves[p+1], recs[p+1] = leafDigest(rec), int32(rec)
 	}
-	leaves[n+1] = h.SentinelMax(n)
-	return &List{N: n, Tree: mhtree.Build(h, leaves)}, nil
+	leaves[n+1], recs[n+1] = h.SentinelMax(n), mhtree.NoRecord
+	return &List{N: n, Tree: mhtree.Build(h, leaves, recs)}, nil
 }
 
 // RecordLeafDigest derives a record's FMH leaf digest from its record
@@ -57,6 +67,26 @@ func (l *List) Root() hashing.Digest { return l.Tree.Root() }
 
 // LeafCount returns the total tree leaves, n+2.
 func (l *List) LeafCount() int { return l.N + 2 }
+
+// RecordAt returns the index of the record at sorted position p, by one
+// root-to-leaf descent.
+func (l *List) RecordAt(p int) int {
+	if p < 0 || p >= l.N {
+		panic(fmt.Sprintf("fmh: record position %d out of range [0,%d)", p, l.N))
+	}
+	return l.Tree.RecordAt(p + 1)
+}
+
+// Window appends the record indices at positions [start-1, start+count]
+// — a result window and its two neighbors, exactly the leaves
+// BoundaryProof covers — in one in-order pass. A neighbor that is a
+// sentinel reads mhtree.NoRecord.
+func (l *List) Window(dst []int, start, count int) ([]int, error) {
+	if start < 0 || count < 0 || start+count > l.N {
+		return nil, fmt.Errorf("fmh: window start=%d count=%d out of range for %d records", start, count, l.N)
+	}
+	return l.Tree.Records(dst, start, start+count+1), nil
+}
 
 // DeriveSwap returns a new list with the records at sorted positions p and
 // p+1 exchanged, sharing all untouched tree structure with l. This is the

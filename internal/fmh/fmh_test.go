@@ -2,10 +2,12 @@ package fmh
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"aqverify/internal/hashing"
 	"aqverify/internal/metrics"
+	"aqverify/internal/mhtree"
 	"aqverify/internal/record"
 )
 
@@ -19,11 +21,20 @@ func testList(t *testing.T, h *hashing.Hasher, n int, seed int64) (*List, []hash
 		rec := record.Record{ID: uint64(p + 1), Attrs: []float64{rng.NormFloat64()}}
 		leafD[p] = RecordLeafDigest(h, h.Record(rec))
 	}
-	l, err := Build(h, n, func(p int) hashing.Digest { return leafD[p] })
+	l, err := Build(h, identity(n), func(rec int) hashing.Digest { return leafD[rec] })
 	if err != nil {
 		t.Fatal(err)
 	}
 	return l, leafD
+}
+
+// identity is the sorted order of a list whose record p sits at position p.
+func identity(n int) []int {
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	return perm
 }
 
 func TestBuildShape(t *testing.T) {
@@ -46,15 +57,15 @@ func TestBuildShape(t *testing.T) {
 
 func TestBuildEmptyList(t *testing.T) {
 	h := hashing.New(nil)
-	l, err := Build(h, 0, func(int) hashing.Digest { panic("no records") })
+	l, err := Build(h, nil, func(int) hashing.Digest { panic("no records") })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if l.LeafCount() != 2 {
 		t.Errorf("empty list LeafCount = %d, want 2 sentinels", l.LeafCount())
 	}
-	if _, err := Build(h, -1, nil); err == nil {
-		t.Error("negative length accepted")
+	if got, err := l.Window(nil, 0, 0); err != nil || len(got) != 2 || got[0] != mhtree.NoRecord || got[1] != mhtree.NoRecord {
+		t.Errorf("empty list window = %v, %v; want the two sentinels", got, err)
 	}
 }
 
@@ -63,7 +74,7 @@ func TestRootBindsLength(t *testing.T) {
 	l5, d5 := testList(t, h, 5, 3)
 	// Same record digests, different claimed length -> different root
 	// (sentinels bind n).
-	l5b, err := Build(h, 5, func(p int) hashing.Digest { return d5[p] })
+	l5b, err := Build(h, identity(5), func(rec int) hashing.Digest { return d5[rec] })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,14 +92,17 @@ func TestDeriveSwap(t *testing.T) {
 		if err != nil {
 			t.Fatalf("DeriveSwap(%d): %v", p, err)
 		}
-		want := append([]hashing.Digest(nil), leafD...)
+		want := identity(n)
 		want[p], want[p+1] = want[p+1], want[p]
-		fresh, err := Build(h, n, func(q int) hashing.Digest { return want[q] })
+		fresh, err := Build(h, want, func(rec int) hashing.Digest { return leafD[rec] })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if swapped.Root() != fresh.Root() {
 			t.Fatalf("DeriveSwap(%d) root differs from fresh build", p)
+		}
+		if swapped.RecordAt(p) != p+1 || swapped.RecordAt(p+1) != p {
+			t.Fatalf("DeriveSwap(%d) left the record indices behind", p)
 		}
 		// Sentinels must be untouched.
 		if swapped.Tree.Leaf(0) != h.SentinelMin(n) || swapped.Tree.Leaf(n+1) != h.SentinelMax(n) {
@@ -190,10 +204,7 @@ func TestDeriveSwapChainMatchesFreshBuilds(t *testing.T) {
 	h := hashing.New(nil)
 	n := 20
 	l, leafD := testList(t, h, n, 9)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
+	perm := identity(n)
 	rng := rand.New(rand.NewSource(10))
 	cur := l
 	for step := 0; step < 50; step++ {
@@ -204,12 +215,27 @@ func TestDeriveSwapChainMatchesFreshBuilds(t *testing.T) {
 			t.Fatal(err)
 		}
 		perm[p], perm[p+1] = perm[p+1], perm[p]
-		fresh, err := Build(h, n, func(q int) hashing.Digest { return leafD[perm[q]] })
+		fresh, err := Build(h, perm, func(rec int) hashing.Digest { return leafD[rec] })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if cur.Root() != fresh.Root() {
 			t.Fatalf("step %d: derived root diverged from fresh build", step)
+		}
+		// The derived list is the sorted list: it reads back the order
+		// by position and by window, sentinels naming no record.
+		start := rng.Intn(n + 1)
+		count := rng.Intn(n - start + 1)
+		got, err := cur.Window(nil, start, count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append(append([]int{mhtree.NoRecord}, perm...), mhtree.NoRecord)[start : start+count+2]
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d: Window(%d,%d) = %v, want %v", step, start, count, got, want)
+		}
+		if pos := rng.Intn(n); cur.RecordAt(pos) != perm[pos] {
+			t.Fatalf("step %d: RecordAt(%d) = %d, want %d", step, pos, cur.RecordAt(pos), perm[pos])
 		}
 	}
 }

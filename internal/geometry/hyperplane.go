@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"aqverify/internal/linalg"
 )
@@ -60,16 +61,18 @@ func (h Hyperplane) IsDegenerate() bool {
 // patterns), which makes it safe to feed into the hash functions that bind
 // hyperplane identities into the IMH-tree.
 func (h Hyperplane) Encode(dst []byte) []byte {
-	var buf [8]byte
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(h.C)))
-	dst = append(dst, buf[:4]...)
+	// One exact reservation: every party re-encodes hyperplanes to hash
+	// them, the verifying client once per path step and inequality.
+	dst = slices.Grow(dst, h.EncodedLen())
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(h.C)))
 	for _, c := range h.C {
-		binary.BigEndian.PutUint64(buf[:], math.Float64bits(c))
-		dst = append(dst, buf[:]...)
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(c))
 	}
-	binary.BigEndian.PutUint64(buf[:], math.Float64bits(h.B))
-	return append(dst, buf[:]...)
+	return binary.BigEndian.AppendUint64(dst, math.Float64bits(h.B))
 }
+
+// EncodedLen returns len(h.Encode(nil)).
+func (h Hyperplane) EncodedLen() int { return 4 + 8*(len(h.C)+1) }
 
 // DecodeHyperplane parses a hyperplane previously written by Encode,
 // returning the remaining bytes.
@@ -79,7 +82,9 @@ func DecodeHyperplane(src []byte) (Hyperplane, []byte, error) {
 	}
 	n := int(binary.BigEndian.Uint32(src[:4]))
 	src = src[4:]
-	if n < 0 || len(src) < 8*(n+1) {
+	// Compared without multiplying: 8*(n+1) wraps a 32-bit int for a
+	// forged count, and the make below then asks for gigabytes.
+	if n < 0 || len(src) < 8 || n > (len(src)-8)/8 {
 		return Hyperplane{}, nil, fmt.Errorf("geometry: hyperplane encoding truncated: need %d coefficients", n)
 	}
 	c := make([]float64, n)
@@ -123,6 +128,7 @@ func (hs Halfspace) Negate() Halfspace {
 
 // Encode appends a canonical encoding of hs to dst.
 func (hs Halfspace) Encode(dst []byte) []byte {
+	dst = slices.Grow(dst, hs.EncodedLen())
 	if hs.Strict {
 		dst = append(dst, 1)
 	} else {
@@ -131,30 +137,49 @@ func (hs Halfspace) Encode(dst []byte) []byte {
 	return hs.H.Encode(dst)
 }
 
-// DecodeHalfspace parses a halfspace written by Encode.
+// EncodedLen returns len(hs.Encode(nil)).
+func (hs Halfspace) EncodedLen() int { return 1 + hs.H.EncodedLen() }
+
+// minHalfspaceLen is the shortest halfspace encoding: the strictness
+// byte, a zero coefficient count and the bias.
+const minHalfspaceLen = 1 + 4 + 8
+
+// DecodeHalfspace parses a halfspace written by Encode. The strictness
+// byte is 0 or 1 and nothing else, so that every accepted encoding is the
+// one Encode writes.
 func DecodeHalfspace(src []byte) (Halfspace, []byte, error) {
 	if len(src) < 1 {
 		return Halfspace{}, nil, fmt.Errorf("geometry: halfspace encoding empty")
 	}
-	strict := src[0] == 1
+	if src[0] > 1 {
+		return Halfspace{}, nil, fmt.Errorf("geometry: halfspace strictness byte %#x is neither 0 nor 1", src[0])
+	}
 	h, rest, err := DecodeHyperplane(src[1:])
 	if err != nil {
 		return Halfspace{}, nil, err
 	}
-	return Halfspace{H: h, Strict: strict}, rest, nil
+	return Halfspace{H: h, Strict: src[0] == 1}, rest, nil
 }
 
 // EncodeHalfspaces appends a canonical encoding of a halfspace list: a
 // count followed by each element. The order is preserved (the I-tree path
 // order), so equal subdomains encode equally.
 func EncodeHalfspaces(dst []byte, hss []Halfspace) []byte {
-	var buf [4]byte
-	binary.BigEndian.PutUint32(buf[:], uint32(len(hss)))
-	dst = append(dst, buf[:]...)
+	dst = slices.Grow(dst, HalfspacesEncodedLen(hss))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(hss)))
 	for _, hs := range hss {
 		dst = hs.Encode(dst)
 	}
 	return dst
+}
+
+// HalfspacesEncodedLen returns len(EncodeHalfspaces(nil, hss)).
+func HalfspacesEncodedLen(hss []Halfspace) int {
+	n := 4
+	for _, hs := range hss {
+		n += hs.EncodedLen()
+	}
+	return n
 }
 
 // DecodeHalfspaces parses a list written by EncodeHalfspaces.
@@ -162,11 +187,14 @@ func DecodeHalfspaces(src []byte) ([]Halfspace, []byte, error) {
 	if len(src) < 4 {
 		return nil, nil, fmt.Errorf("geometry: halfspace list truncated")
 	}
-	n := int(binary.BigEndian.Uint32(src[:4]))
+	count := binary.BigEndian.Uint32(src[:4])
 	src = src[4:]
-	if n < 0 || n > 1<<24 {
-		return nil, nil, fmt.Errorf("geometry: implausible halfspace count %d", n)
+	// The count is the sender's: bound it by the bytes that follow before
+	// allocating for it.
+	if uint64(count) > uint64(len(src)/minHalfspaceLen) {
+		return nil, nil, fmt.Errorf("geometry: halfspace count %d exceeds the %d bytes present", count, len(src))
 	}
+	n := int(count)
 	out := make([]Halfspace, 0, n)
 	for i := 0; i < n; i++ {
 		hs, rest, err := DecodeHalfspace(src)

@@ -190,24 +190,21 @@ func (t *Tree) enumerate() {
 	t.Subs = leaves
 }
 
-// PathStep records one hop of a root-to-leaf search: the internal node
-// passed and which child was taken.
-type PathStep struct {
-	Node      *Node
-	TookAbove bool
-}
-
-// Search descends from the root to the subdomain containing x, recording
-// the path. The counter observes every node visited (the IMH part of the
-// server's Fig 6 traversal cost). Search follows the paper's branching
-// rule: go above iff f_i(x) - f_j(x) >= 0.
-func (t *Tree) Search(x geometry.Point, ctr *metrics.Counter) (*Subdomain, []PathStep) {
+// Search descends from the root to the subdomain containing x. hop, when
+// non-nil, observes every internal node passed and which child was taken
+// — the one-signature scheme builds its IMH path from it; callers that
+// only need the subdomain pass nil and record nothing. The counter
+// observes every node visited (the IMH part of the server's Fig 6
+// traversal cost). Search follows the paper's branching rule: go above
+// iff f_i(x) - f_j(x) >= 0.
+func (t *Tree) Search(x geometry.Point, ctr *metrics.Counter, hop func(n *Node, tookAbove bool)) *Subdomain {
 	n := t.Root
-	var path []PathStep
 	for !n.IsLeaf() {
 		ctr.AddNodes(1)
 		took := n.Int.H.Side(x) >= 0
-		path = append(path, PathStep{Node: n, TookAbove: took})
+		if hop != nil {
+			hop(n, took)
+		}
 		if took {
 			n = n.Above
 		} else {
@@ -215,7 +212,7 @@ func (t *Tree) Search(x geometry.Point, ctr *metrics.Counter) (*Subdomain, []Pat
 		}
 	}
 	ctr.AddNodes(1)
-	return n.Leaf, path
+	return n.Leaf
 }
 
 // Depth returns the maximum root-to-leaf depth (nodes on path).

@@ -110,15 +110,14 @@ func TestSearchFindsContainingSubdomain(t *testing.T) {
 	space := tree.Space
 	for trial := 0; trial < 200; trial++ {
 		x := geometry.Point{rng.Float64()*6 - 3}
-		sub, path := tree.Search(x, nil)
-		if !space.Contains(sub.Region, x) {
-			t.Fatalf("Search(%v) returned subdomain not containing x", x)
-		}
 		// The path's branch directions must match the hyperplane sides.
-		for _, step := range path {
-			if (step.Node.Int.H.Side(x) >= 0) != step.TookAbove {
+		sub := tree.Search(x, nil, func(n *Node, tookAbove bool) {
+			if (n.Int.H.Side(x) >= 0) != tookAbove {
 				t.Fatalf("path step direction inconsistent at %v", x)
 			}
+		})
+		if !space.Contains(sub.Region, x) {
+			t.Fatalf("Search(%v) returned subdomain not containing x", x)
 		}
 	}
 }
@@ -127,7 +126,7 @@ func TestSearchCountsNodes(t *testing.T) {
 	fs := lines([2]float64{1, 0}, [2]float64{-1, 2})
 	tree := build1D(t, fs, 0, 10, 0)
 	var ctr metrics.Counter
-	tree.Search(geometry.Point{5}, &ctr)
+	tree.Search(geometry.Point{5}, &ctr, nil)
 	if ctr.NodesVisited < 2 {
 		t.Errorf("NodesVisited = %d, want >= 2", ctr.NodesVisited)
 	}
@@ -263,7 +262,7 @@ func TestBuildND(t *testing.T) {
 	}
 	// Search + order check on both sides.
 	for _, x := range []geometry.Point{{0.8, 0.2}, {0.2, 0.8}} {
-		sub, _ := tree.Search(x, nil)
+		sub := tree.Search(x, nil, nil)
 		if !space.Contains(sub.Region, x) {
 			t.Fatalf("Search(%v) wrong subdomain", x)
 		}

@@ -84,11 +84,7 @@ func (m *Mesh) Process(q query.Query, ctr *metrics.Counter) (*Answer, error) {
 		return nil, err
 	}
 	n := len(perm)
-	scores := make([]float64, n)
-	for pos, idx := range perm {
-		scores[pos] = m.fs[idx].Eval(q.X)
-	}
-	w, err := query.SelectWindow(scores, q, ctr)
+	w, err := query.SelectWindow(n, func(pos int) float64 { return m.fs[perm[pos]].Eval(q.X) }, q, ctr)
 	if err != nil {
 		return nil, err
 	}

@@ -15,6 +15,8 @@ package mhtree
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"aqverify/internal/hashing"
 	"aqverify/internal/metrics"
@@ -23,11 +25,23 @@ import (
 // Node is an immutable Merkle tree node covering W leaves. Leaf nodes have
 // W == 1 and nil children; internal nodes have exactly two children with
 // H = hash(TagNode | L.H | R.H).
+//
+// A leaf also names the record its digest commits to (Rec, NoRecord for a
+// leaf that commits to none), so a tree over a sorted list is that list:
+// RecordAt and Records read it back without any side table. Rec is not
+// hashed — it is the server's index into its own table, and a wrong one
+// only yields an answer that fails verification. W and Rec are 32-bit so
+// the index costs the node no space: forests hold millions of nodes.
 type Node struct {
 	H    hashing.Digest
 	L, R *Node
-	W    int
+	W    int32
+	Rec  int32
 }
+
+// NoRecord is the Rec of a leaf that commits to no record (and of every
+// internal node).
+const NoRecord = -1
 
 // LeftWidth returns the leaf span of the left subtree of a node covering w
 // leaves: the largest power of two strictly less than w. This is exactly
@@ -36,46 +50,50 @@ func LeftWidth(w int) int {
 	if w < 2 {
 		panic(fmt.Sprintf("mhtree: LeftWidth of width %d", w))
 	}
-	p := 1
-	for p*2 < w {
-		p *= 2
-	}
-	return p
+	return 1 << (bits.Len(uint(w-1)) - 1)
 }
 
-// Build constructs a tree over the given leaf digests. It returns nil for
-// an empty slice. The hasher's counter observes one hash per internal node
-// (w-1 total).
-func Build(h *hashing.Hasher, leaves []hashing.Digest) *Node {
+// Build constructs a tree over the given leaf digests; recs[i] is the
+// record leaf i commits to, and a nil recs means no leaf commits to one.
+// It returns nil for an empty slice. The hasher's counter observes one
+// hash per internal node (w-1 total).
+func Build(h *hashing.Hasher, leaves []hashing.Digest, recs []int32) *Node {
 	if len(leaves) == 0 {
 		return nil
 	}
-	return build(h, leaves, 0, len(leaves))
+	if len(leaves) > math.MaxInt32 || (recs != nil && len(recs) != len(leaves)) {
+		panic(fmt.Sprintf("mhtree: %d leaves with %d record indices", len(leaves), len(recs)))
+	}
+	return build(h, leaves, recs, 0, len(leaves))
 }
 
-func build(h *hashing.Hasher, leaves []hashing.Digest, off, w int) *Node {
+func build(h *hashing.Hasher, leaves []hashing.Digest, recs []int32, off, w int) *Node {
 	if w == 1 {
-		return &Node{H: leaves[off], W: 1}
+		n := &Node{H: leaves[off], W: 1, Rec: NoRecord}
+		if recs != nil {
+			n.Rec = recs[off]
+		}
+		return n
 	}
 	lw := LeftWidth(w)
-	l := build(h, leaves, off, lw)
-	r := build(h, leaves, off+lw, w-lw)
-	return &Node{H: h.Node(l.H, r.H), L: l, R: r, W: w}
+	l := build(h, leaves, recs, off, lw)
+	r := build(h, leaves, recs, off+lw, w-lw)
+	return &Node{H: h.Node(l.H, r.H), L: l, R: r, W: int32(w), Rec: NoRecord}
 }
 
 // Root returns the root digest.
 func (n *Node) Root() hashing.Digest { return n.H }
 
 // LeafCount returns the number of leaves under n.
-func (n *Node) LeafCount() int { return n.W }
+func (n *Node) LeafCount() int { return int(n.W) }
 
-// Leaf returns the digest of leaf i (0-based).
-func (n *Node) Leaf(i int) hashing.Digest {
-	if i < 0 || i >= n.W {
+// leaf descends to leaf i (0-based) in O(log n).
+func (n *Node) leaf(i int) *Node {
+	if i < 0 || i >= int(n.W) {
 		panic(fmt.Sprintf("mhtree: leaf %d out of range [0,%d)", i, n.W))
 	}
 	for n.W > 1 {
-		lw := LeftWidth(n.W)
+		lw := LeftWidth(int(n.W))
 		if i < lw {
 			n = n.L
 		} else {
@@ -83,37 +101,69 @@ func (n *Node) Leaf(i int) hashing.Digest {
 			i -= lw
 		}
 	}
-	return n.H
+	return n
 }
 
-// WithLeaf returns a tree equal to n except that leaf i holds d. The
-// returned tree shares all untouched subtrees with n.
-func WithLeaf(h *hashing.Hasher, n *Node, i int, d hashing.Digest) *Node {
-	if i < 0 || i >= n.W {
+// Leaf returns the digest of leaf i (0-based).
+func (n *Node) Leaf(i int) hashing.Digest { return n.leaf(i).H }
+
+// RecordAt returns the record leaf i commits to (NoRecord for none).
+func (n *Node) RecordAt(i int) int { return int(n.leaf(i).Rec) }
+
+// Records appends the records leaves [lo, hi] (inclusive) commit to, in
+// leaf order, by one in-order pass that enters only subtrees overlapping
+// the range: O(log n + hi - lo).
+func (n *Node) Records(dst []int, lo, hi int) []int {
+	if lo < 0 || hi >= int(n.W) || lo > hi {
+		panic(fmt.Sprintf("mhtree: range [%d,%d] out of bounds for %d leaves", lo, hi, n.W))
+	}
+	return n.records(dst, 0, lo, hi)
+}
+
+func (n *Node) records(dst []int, off, lo, hi int) []int {
+	if n.W == 1 {
+		return append(dst, int(n.Rec))
+	}
+	lw := LeftWidth(int(n.W))
+	if lo < off+lw {
+		dst = n.L.records(dst, off, lo, hi)
+	}
+	if hi >= off+lw {
+		dst = n.R.records(dst, off+lw, lo, hi)
+	}
+	return dst
+}
+
+// WithLeaf returns a tree equal to n except that leaf i holds digest d
+// and commits to record rec. The returned tree shares all untouched
+// subtrees with n.
+func WithLeaf(h *hashing.Hasher, n *Node, i int, d hashing.Digest, rec int) *Node {
+	if i < 0 || i >= int(n.W) {
 		panic(fmt.Sprintf("mhtree: leaf %d out of range [0,%d)", i, n.W))
 	}
 	if n.W == 1 {
-		return &Node{H: d, W: 1}
+		return &Node{H: d, W: 1, Rec: int32(rec)}
 	}
-	lw := LeftWidth(n.W)
+	lw := LeftWidth(int(n.W))
 	if i < lw {
-		nl := WithLeaf(h, n.L, i, d)
-		return &Node{H: h.Node(nl.H, n.R.H), L: nl, R: n.R, W: n.W}
+		nl := WithLeaf(h, n.L, i, d, rec)
+		return &Node{H: h.Node(nl.H, n.R.H), L: nl, R: n.R, W: n.W, Rec: NoRecord}
 	}
-	nr := WithLeaf(h, n.R, i-lw, d)
-	return &Node{H: h.Node(n.L.H, nr.H), L: n.L, R: nr, W: n.W}
+	nr := WithLeaf(h, n.R, i-lw, d, rec)
+	return &Node{H: h.Node(n.L.H, nr.H), L: n.L, R: nr, W: n.W, Rec: NoRecord}
 }
 
-// SwapLeaves returns a tree with leaves i and i+1 exchanged, sharing
-// structure with n. This is the adjacent-transposition derivation used
-// when walking from one subdomain's FMH-tree to the next.
+// SwapLeaves returns a tree with leaves i and i+1 exchanged — digest and
+// record index together — sharing structure with n. This is the
+// adjacent-transposition derivation used when walking from one
+// subdomain's FMH-tree to the next.
 func SwapLeaves(h *hashing.Hasher, n *Node, i int) *Node {
-	if i < 0 || i+1 >= n.W {
+	if i < 0 || i+1 >= int(n.W) {
 		panic(fmt.Sprintf("mhtree: swap at %d out of range [0,%d)", i, n.W-1))
 	}
-	a := n.Leaf(i)
-	b := n.Leaf(i + 1)
-	return WithLeaf(h, WithLeaf(h, n, i, b), i+1, a)
+	a := n.leaf(i)
+	b := n.leaf(i + 1)
+	return WithLeaf(h, WithLeaf(h, n, i, b.H, int(b.Rec)), i+1, a.H, int(a.Rec))
 }
 
 // Leaves returns all leaf digests left to right. Intended for tests and
@@ -174,27 +224,25 @@ type Proof struct {
 // observes every node visited during construction, which is the server's
 // VO-construction traversal cost in the paper's Fig 6.
 func (n *Node) RangeProof(lo, hi int, ctr *metrics.Counter) (Proof, error) {
-	if lo < 0 || hi >= n.W || lo > hi {
+	if lo < 0 || hi >= int(n.W) || lo > hi {
 		return Proof{}, fmt.Errorf("mhtree: range [%d,%d] out of bounds for %d leaves", lo, hi, n.W)
 	}
-	var p Proof
-	var walk func(m *Node, off int)
-	walk = func(m *Node, off int) {
-		ctr.AddNodes(1)
-		if off+m.W <= lo || off > hi {
-			// Entirely outside: contribute one digest.
-			p.Hashes = append(p.Hashes, m.H)
-			return
-		}
-		if m.W == 1 {
-			return // inside the range; verifier recomputes it
-		}
-		lw := LeftWidth(m.W)
-		walk(m.L, off)
-		walk(m.R, off+lw)
+	// A range leaves at most two outside subtrees per level.
+	hashes := make([]hashing.Digest, 0, 2*bits.Len(uint(n.W)))
+	return Proof{Hashes: n.rangeProof(hashes, 0, lo, hi, ctr)}, nil
+}
+
+func (n *Node) rangeProof(hashes []hashing.Digest, off, lo, hi int, ctr *metrics.Counter) []hashing.Digest {
+	ctr.AddNodes(1)
+	if off+int(n.W) <= lo || off > hi {
+		// Entirely outside: contribute one digest.
+		return append(hashes, n.H)
 	}
-	walk(n, 0)
-	return p, nil
+	if n.W == 1 {
+		return hashes // inside the range; verifier recomputes it
+	}
+	hashes = n.L.rangeProof(hashes, off, lo, hi, ctr)
+	return n.R.rangeProof(hashes, off+LeftWidth(int(n.W)), lo, hi, ctr)
 }
 
 // ComputeRoot replays a range proof: given the tree's leaf count, the

@@ -2,7 +2,9 @@ package mhtree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"aqverify/internal/hashing"
 	"aqverify/internal/metrics"
@@ -56,7 +58,7 @@ func TestBuildMatchesPaperConstruction(t *testing.T) {
 	h := hashing.New(nil)
 	for n := 1; n <= 70; n++ {
 		leaves := mkLeaves(n, int64(n))
-		tree := Build(h, leaves)
+		tree := Build(h, leaves, nil)
 		if tree.LeafCount() != n {
 			t.Fatalf("n=%d: LeafCount = %d", n, tree.LeafCount())
 		}
@@ -68,7 +70,7 @@ func TestBuildMatchesPaperConstruction(t *testing.T) {
 }
 
 func TestBuildEmpty(t *testing.T) {
-	if Build(hashing.New(nil), nil) != nil {
+	if Build(hashing.New(nil), nil, nil) != nil {
 		t.Error("empty build should be nil")
 	}
 }
@@ -76,7 +78,7 @@ func TestBuildEmpty(t *testing.T) {
 func TestBuildHashCount(t *testing.T) {
 	var ctr metrics.Counter
 	h := hashing.New(&ctr)
-	Build(h, mkLeaves(33, 1))
+	Build(h, mkLeaves(33, 1), nil)
 	if ctr.Hashes != 32 {
 		t.Errorf("building 33 leaves used %d hashes, want 32 (w-1 internal nodes)", ctr.Hashes)
 	}
@@ -85,7 +87,7 @@ func TestBuildHashCount(t *testing.T) {
 func TestLeafAccess(t *testing.T) {
 	h := hashing.New(nil)
 	leaves := mkLeaves(13, 2)
-	tree := Build(h, leaves)
+	tree := Build(h, leaves, nil)
 	for i, want := range leaves {
 		if got := tree.Leaf(i); got != want {
 			t.Fatalf("Leaf(%d) mismatch", i)
@@ -102,14 +104,14 @@ func TestLeafAccess(t *testing.T) {
 func TestWithLeaf(t *testing.T) {
 	h := hashing.New(nil)
 	leaves := mkLeaves(10, 3)
-	tree := Build(h, leaves)
+	tree := Build(h, leaves, nil)
 	var repl hashing.Digest
 	repl[0] = 0xff
 	for i := 0; i < 10; i++ {
-		mod := WithLeaf(h, tree, i, repl)
+		mod := WithLeaf(h, tree, i, repl, NoRecord)
 		want := append([]hashing.Digest(nil), leaves...)
 		want[i] = repl
-		if mod.Root() != Build(h, want).Root() {
+		if mod.Root() != Build(h, want, nil).Root() {
 			t.Fatalf("WithLeaf(%d) root differs from fresh build", i)
 		}
 		// Original is untouched (persistence).
@@ -123,12 +125,12 @@ func TestSwapLeaves(t *testing.T) {
 	h := hashing.New(nil)
 	for _, n := range []int{2, 3, 5, 8, 11, 16} {
 		leaves := mkLeaves(n, int64(n)*7)
-		tree := Build(h, leaves)
+		tree := Build(h, leaves, nil)
 		for i := 0; i+1 < n; i++ {
 			swapped := SwapLeaves(h, tree, i)
 			want := append([]hashing.Digest(nil), leaves...)
 			want[i], want[i+1] = want[i+1], want[i]
-			if swapped.Root() != Build(h, want).Root() {
+			if swapped.Root() != Build(h, want, nil).Root() {
 				t.Fatalf("n=%d SwapLeaves(%d) root differs from fresh build", n, i)
 			}
 		}
@@ -138,7 +140,7 @@ func TestSwapLeaves(t *testing.T) {
 func TestPersistentSharingBoundsMemory(t *testing.T) {
 	h := hashing.New(nil)
 	n := 256
-	base := Build(h, mkLeaves(n, 9))
+	base := Build(h, mkLeaves(n, 9), nil)
 	roots := []*Node{base}
 	cur := base
 	derivations := 200
@@ -159,7 +161,7 @@ func TestRangeProofRoundTrip(t *testing.T) {
 	h := hashing.New(nil)
 	for _, n := range []int{1, 2, 3, 7, 8, 13, 32, 57} {
 		leaves := mkLeaves(n, int64(n)*13)
-		tree := Build(h, leaves)
+		tree := Build(h, leaves, nil)
 		for lo := 0; lo < n; lo++ {
 			for hi := lo; hi < n; hi++ {
 				proof, err := tree.RangeProof(lo, hi, nil)
@@ -180,7 +182,7 @@ func TestRangeProofRoundTrip(t *testing.T) {
 
 func TestRangeProofRejectsBadRange(t *testing.T) {
 	h := hashing.New(nil)
-	tree := Build(h, mkLeaves(5, 1))
+	tree := Build(h, mkLeaves(5, 1), nil)
 	for _, rg := range [][2]int{{-1, 2}, {0, 5}, {3, 2}} {
 		if _, err := tree.RangeProof(rg[0], rg[1], nil); err == nil {
 			t.Errorf("RangeProof(%d,%d) accepted", rg[0], rg[1])
@@ -192,7 +194,7 @@ func TestComputeRootDetectsTampering(t *testing.T) {
 	h := hashing.New(nil)
 	n := 20
 	leaves := mkLeaves(n, 5)
-	tree := Build(h, leaves)
+	tree := Build(h, leaves, nil)
 	lo, hi := 4, 9
 	proof, _ := tree.RangeProof(lo, hi, nil)
 	rng := leaves[lo : hi+1]
@@ -248,7 +250,7 @@ func TestComputeRootRejectsInvalidArgs(t *testing.T) {
 func TestRangeProofSizeLogarithmic(t *testing.T) {
 	h := hashing.New(nil)
 	n := 4096
-	tree := Build(h, mkLeaves(n, 21))
+	tree := Build(h, mkLeaves(n, 21), nil)
 	proof, err := tree.RangeProof(2000, 2002, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +263,7 @@ func TestRangeProofSizeLogarithmic(t *testing.T) {
 
 func TestRangeProofCountsTraversal(t *testing.T) {
 	h := hashing.New(nil)
-	tree := Build(h, mkLeaves(64, 2))
+	tree := Build(h, mkLeaves(64, 2), nil)
 	var ctr metrics.Counter
 	if _, err := tree.RangeProof(10, 12, &ctr); err != nil {
 		t.Fatal(err)
@@ -273,7 +275,7 @@ func TestRangeProofCountsTraversal(t *testing.T) {
 
 func TestNodeCountDedup(t *testing.T) {
 	h := hashing.New(nil)
-	tree := Build(h, mkLeaves(8, 3))
+	tree := Build(h, mkLeaves(8, 3), nil)
 	if got := tree.NodeCount(); got != 15 {
 		t.Errorf("NodeCount = %d, want 15", got)
 	}
@@ -282,5 +284,51 @@ func TestNodeCountDedup(t *testing.T) {
 	// parent, so new nodes are 2 leaves + 3 ancestors = 5.
 	if got := CountForest([]*Node{tree, derived}); got != 20 {
 		t.Errorf("forest count = %d, want 20", got)
+	}
+}
+
+// TestLeavesNameTheirRecords: the record index is part of the leaf — it is
+// read back by position and by range, a swap carries it with the digest,
+// an untagged build names nothing — and it costs the node no space.
+func TestLeavesNameTheirRecords(t *testing.T) {
+	// Digest, two children, and width + record packed into one word's
+	// worth: 56 bytes on 64-bit, what the node was before it named a record.
+	if sz, want := unsafe.Sizeof(Node{}), hashing.Size+2*unsafe.Sizeof(uintptr(0))+8; sz != want {
+		t.Fatalf("Node is %d bytes, want %d", sz, want)
+	}
+	h := hashing.New(nil)
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 2, 3, 7, 16, 33} {
+		leaves := mkLeaves(n, int64(n))
+		want := rng.Perm(n)
+		recs := make([]int32, n)
+		for i, r := range want {
+			recs[i] = int32(r)
+		}
+		tree := Build(h, leaves, recs)
+		for step := 0; step < 3*n; step++ {
+			if n > 1 {
+				i := rng.Intn(n - 1)
+				tree = SwapLeaves(h, tree, i)
+				want[i], want[i+1] = want[i+1], want[i]
+				leaves[i], leaves[i+1] = leaves[i+1], leaves[i]
+			}
+			for i, r := range want {
+				if got := tree.RecordAt(i); got != r {
+					t.Fatalf("n=%d: RecordAt(%d) = %d, want %d", n, i, got, r)
+				}
+			}
+			lo := rng.Intn(n)
+			hi := lo + rng.Intn(n-lo)
+			if got := tree.Records(nil, lo, hi); !slices.Equal(got, want[lo:hi+1]) {
+				t.Fatalf("n=%d: Records(%d,%d) = %v, want %v", n, lo, hi, got, want[lo:hi+1])
+			}
+		}
+		if tree.Root() != Build(h, leaves, nil).Root() {
+			t.Fatalf("n=%d: the record index changed the root digest", n)
+		}
+		if got := Build(h, leaves, nil).RecordAt(n - 1); got != NoRecord {
+			t.Fatalf("n=%d: an untagged leaf names record %d", n, got)
+		}
 	}
 }

@@ -42,18 +42,14 @@ func Exec(tbl record.Table, tpl funcs.Template, q Query) (Result, error) {
 		}
 		return ss[a].idx < ss[b].idx
 	})
-	scores := make([]float64, len(ss))
-	for i, s := range ss {
-		scores[i] = s.score
-	}
-	w, err := SelectWindow(scores, q, nil)
+	w, err := SelectWindow(len(ss), func(pos int) float64 { return ss[pos].score }, q, nil)
 	if err != nil {
 		return Result{}, err
 	}
 	out := Result{Window: w}
-	for pos := w.Start; pos < w.End(); pos++ {
-		out.Records = append(out.Records, tbl.Records[ss[pos].idx])
-		out.Scores = append(out.Scores, scores[pos])
+	for _, s := range ss[w.Start:w.End()] {
+		out.Records = append(out.Records, tbl.Records[s.idx])
+		out.Scores = append(out.Scores, s.score)
 	}
 	return out, nil
 }

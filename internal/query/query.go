@@ -142,13 +142,17 @@ type Window struct {
 // End returns the exclusive end position.
 func (w Window) End() int { return w.Start + w.Count }
 
-// SelectWindow computes the query's result window over scores, which must
-// be sorted ascending (the scores of the subdomain's sorted function list
-// evaluated at q.X). The counter observes the binary-search comparisons.
-// This one function defines the query semantics for the server, the
-// verifying client, and the reference executor.
-func SelectWindow(scores []float64, q Query, ctr *metrics.Counter) (Window, error) {
-	n := len(scores)
+// SelectWindow computes the query's result window over a sorted function
+// list of n records, read through score: score(pos) is the score at q.X
+// of the record at sorted position pos, ascending in pos. The list is
+// never materialized — score is called only for the positions the
+// selection probes: none for top-k and bottom-k, the two binary searches
+// for a range (at most 2⌈log₂(n+1)⌉), one binary search plus one read per
+// expansion step for kNN (at most ⌈log₂(n+1)⌉ + k + 1; only the side of
+// the expansion that moved is read again). The counter observes the
+// binary-search comparisons. This one function defines the query
+// semantics for the server, the mesh baseline and the reference executor.
+func SelectWindow(n int, score func(pos int) float64, q Query, ctr *metrics.Counter) (Window, error) {
 	switch q.Kind {
 	case TopK:
 		k := q.K
@@ -163,8 +167,8 @@ func SelectWindow(scores []float64, q Query, ctr *metrics.Counter) (Window, erro
 		}
 		return Window{Start: 0, Count: k}, nil
 	case Range:
-		lo := lowerBound(scores, q.L, ctr)
-		hi := upperBound(scores, q.U, ctr)
+		lo := lowerBound(n, score, q.L, ctr)
+		hi := upperBound(n, score, q.U, ctr)
 		if hi < lo {
 			hi = lo
 		}
@@ -177,9 +181,13 @@ func SelectWindow(scores []float64, q Query, ctr *metrics.Counter) (Window, erro
 		if k == 0 {
 			return Window{}, fmt.Errorf("query: knn over empty list")
 		}
-		// Greedy expansion with left preference on distance ties.
-		right := lowerBound(scores, q.Y, ctr)
+		// Greedy expansion with left preference on distance ties. dl and
+		// dr are the distances of the two candidates; each is read when
+		// its side first competes and again only after that side moved.
+		right := lowerBound(n, score, q.Y, ctr)
 		left := right - 1
+		var dl, dr float64
+		haveL, haveR := false, false
 		for taken := 0; taken < k; taken++ {
 			takeLeft := false
 			switch {
@@ -188,15 +196,21 @@ func SelectWindow(scores []float64, q Query, ctr *metrics.Counter) (Window, erro
 			case right >= n:
 				takeLeft = true
 			default:
-				dl := math.Abs(scores[left] - q.Y)
-				dr := math.Abs(scores[right] - q.Y)
+				if !haveL {
+					dl, haveL = math.Abs(score(left)-q.Y), true
+				}
+				if !haveR {
+					dr, haveR = math.Abs(score(right)-q.Y), true
+				}
 				ctr.AddComparisons(1)
 				takeLeft = dl <= dr
 			}
 			if takeLeft {
 				left--
+				haveL = false
 			} else {
 				right++
+				haveR = false
 			}
 		}
 		return Window{Start: left + 1, Count: k}, nil
@@ -205,13 +219,13 @@ func SelectWindow(scores []float64, q Query, ctr *metrics.Counter) (Window, erro
 	}
 }
 
-// lowerBound returns the first index with scores[i] >= v.
-func lowerBound(scores []float64, v float64, ctr *metrics.Counter) int {
-	lo, hi := 0, len(scores)
+// lowerBound returns the first position with score(pos) >= v.
+func lowerBound(n int, score func(pos int) float64, v float64, ctr *metrics.Counter) int {
+	lo, hi := 0, n
 	for lo < hi {
 		mid := (lo + hi) / 2
 		ctr.AddComparisons(1)
-		if scores[mid] < v {
+		if score(mid) < v {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -220,13 +234,13 @@ func lowerBound(scores []float64, v float64, ctr *metrics.Counter) int {
 	return lo
 }
 
-// upperBound returns the first index with scores[i] > v.
-func upperBound(scores []float64, v float64, ctr *metrics.Counter) int {
-	lo, hi := 0, len(scores)
+// upperBound returns the first position with score(pos) > v.
+func upperBound(n int, score func(pos int) float64, v float64, ctr *metrics.Counter) int {
+	lo, hi := 0, n
 	for lo < hi {
 		mid := (lo + hi) / 2
 		ctr.AddComparisons(1)
-		if scores[mid] <= v {
+		if score(mid) <= v {
 			lo = mid + 1
 		} else {
 			hi = mid

@@ -2,6 +2,7 @@ package query
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
@@ -44,7 +45,7 @@ func TestValidate(t *testing.T) {
 
 func win(t *testing.T, scores []float64, q Query) Window {
 	t.Helper()
-	w, err := SelectWindow(scores, q, nil)
+	w, err := SelectWindow(len(scores), func(pos int) float64 { return scores[pos] }, q, nil)
 	if err != nil {
 		t.Fatalf("SelectWindow: %v", err)
 	}
@@ -164,11 +165,51 @@ func TestSelectWindowCountsComparisons(t *testing.T) {
 		scores[i] = float64(i)
 	}
 	var ctr metrics.Counter
-	if _, err := SelectWindow(scores, NewRange(geometry.Point{0}, 100, 200), &ctr); err != nil {
+	at := func(pos int) float64 { return scores[pos] }
+	if _, err := SelectWindow(len(scores), at, NewRange(geometry.Point{0}, 100, 200), &ctr); err != nil {
 		t.Fatal(err)
 	}
 	if ctr.Comparisons == 0 || ctr.Comparisons > 64 {
 		t.Errorf("Comparisons = %d, want ~2*log2(1024)", ctr.Comparisons)
+	}
+}
+
+// TestSelectWindowReadsOnlyWhatItProbes pins the laziness the server's
+// O(log n + k) walk rests on: the list is read through an accessor, and
+// the selection calls it for the positions it probes and no others.
+func TestSelectWindowReadsOnlyWhatItProbes(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	x := geometry.Point{0}
+	for _, n := range []int{1, 2, 7, 200, 2000} {
+		scores := make([]float64, n)
+		for i := range scores {
+			scores[i] = math.Round(rng.Float64()*float64(n)) / 4 // ties
+		}
+		sort.Float64s(scores)
+		reads := 0
+		at := func(pos int) float64 { reads++; return scores[pos] }
+		log2 := bits.Len(uint(n)) // ⌈log₂(n+1)⌉: the longest binary search over n positions
+		for trial := 0; trial < 50; trial++ {
+			k := 1 + rng.Intn(n+3)
+			l := rng.Float64()*float64(n)/4 - 1
+			for _, c := range []struct {
+				q     Query
+				bound int
+			}{
+				{NewTopK(x, k), 0},
+				{NewBottomK(x, k), 0},
+				{NewRange(x, l, l+rng.Float64()*float64(n)/8), 2 * log2},
+				{NewKNN(x, k, l), log2 + k + 1},
+			} {
+				reads = 0
+				if _, err := SelectWindow(n, at, c.q, nil); err != nil {
+					t.Fatal(err)
+				}
+				if reads > c.bound {
+					t.Fatalf("n=%d %v k=%d: %d score reads, want <= %d", n, c.q.Kind, k, reads, c.bound)
+				}
+			}
+		}
 	}
 }
 

@@ -41,7 +41,7 @@ func (r Record) Validate() error {
 // length, payload) so owner and client always hash identical bytes.
 func (r Record) Encode(dst []byte) []byte {
 	// One exact reservation: this runs per leaf hash on all three parties.
-	dst = slices.Grow(dst, 16+8*len(r.Attrs)+len(r.Payload))
+	dst = slices.Grow(dst, r.EncodedLen())
 	dst = binary.BigEndian.AppendUint64(dst, r.ID)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Attrs)))
 	for _, a := range r.Attrs {
@@ -50,6 +50,9 @@ func (r Record) Encode(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Payload)))
 	return append(dst, r.Payload...)
 }
+
+// EncodedLen returns len(r.Encode(nil)).
+func (r Record) EncodedLen() int { return 16 + 8*len(r.Attrs) + len(r.Payload) }
 
 // Decode parses a record written by Encode, returning the remaining bytes.
 func Decode(src []byte) (Record, []byte, error) {

@@ -170,14 +170,6 @@ type Server struct {
 	serving atomic.Pointer[serving]
 	swapMu  sync.Mutex // serializes Swap's validate-then-store
 	tally   *Tally
-
-	// Permutation-cache state (see SetPermCaches), guarded by swapMu:
-	// one persistent cache per shard position, re-installed on the new
-	// epoch's trees by every Swap so the caches survive epoch changes —
-	// entries are keyed by epoch inside the cache, so the stale epoch's
-	// permutations strand instead of being served.
-	permMk     func() core.PermCache
-	permCaches []core.PermCache
 }
 
 // New creates a server for the backend.
@@ -226,50 +218,8 @@ func (s *Server) Swap(b Backend) error {
 	if nv.epoch <= cur.epoch {
 		return fmt.Errorf("server: swap epoch %d does not advance the serving epoch %d", nv.epoch, cur.epoch)
 	}
-	s.installPermCaches(nv) // before publication: the new trees go live warm
 	s.serving.Store(nv)
 	s.tally.ObserveSwap(nv.epoch, nv.epochs)
-	return nil
-}
-
-// SetPermCaches installs a delta-mode permutation cache on every tree
-// the server hosts, one cache per shard position (shards have
-// overlapping subdomain ids, so they must not share a cache), created
-// by mk. The caches persist across Swap: every swap re-installs the
-// same per-position caches on the new epoch's trees, keeping them warm
-// — the epoch in the cache key strands the previous epoch's entries.
-// Passing nil mk uninstalls nothing; it only stops future swaps from
-// installing. The mesh baseline has no trees and is left untouched.
-func (s *Server) SetPermCaches(mk func() core.PermCache) {
-	s.swapMu.Lock()
-	defer s.swapMu.Unlock()
-	s.permMk = mk
-	s.installPermCaches(s.serving.Load())
-}
-
-// installPermCaches puts the per-position caches (creating missing
-// ones) on the snapshot's trees. Caller holds swapMu.
-func (s *Server) installPermCaches(sv *serving) {
-	if s.permMk == nil {
-		return
-	}
-	for i, t := range sv.trees() {
-		if i >= len(s.permCaches) {
-			s.permCaches = append(s.permCaches, s.permMk())
-		}
-		t.SetPermCache(s.permCaches[i])
-	}
-}
-
-// trees enumerates the core trees the snapshot hosts: the shard set's,
-// the single IFMH tree, or none for the mesh baseline.
-func (sv *serving) trees() []*core.Tree {
-	if sv.set != nil {
-		return sv.set.Trees
-	}
-	if b, ok := sv.backend.(IFMH); ok {
-		return []*core.Tree{b.Tree}
-	}
 	return nil
 }
 

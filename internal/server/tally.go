@@ -31,9 +31,6 @@ type Tally struct {
 	cacheMisses    atomic.Int64
 	cacheCollapses atomic.Int64
 	cacheEvicts    atomic.Int64
-	permHits       atomic.Int64
-	permMisses     atomic.Int64
-	permEvicts     atomic.Int64
 
 	mu    sync.Mutex
 	total metrics.Counter
@@ -143,18 +140,14 @@ func (t *Tally) Swaps() int { return int(t.swaps.Load()) }
 
 // CacheStats is the cache plane's counter snapshot: the whole-answer
 // tier's hits (cumulative and per current epoch), misses, single-flight
-// collapses and LRU evictions, plus the permutation tier's hit/miss/
-// eviction counts. Served by /stats as the "cache" object on hosts
-// fronted by cache.Wrap.
+// collapses and LRU evictions. Served by /stats as the "cache" object on
+// hosts fronted by cache.Wrap.
 type CacheStats struct {
-	Hits          int64 `json:"hits"`
-	EpochHits     int64 `json:"epochHits"`
-	Misses        int64 `json:"misses"`
-	Collapses     int64 `json:"collapses"`
-	Evictions     int64 `json:"evictions"`
-	PermHits      int64 `json:"permHits"`
-	PermMisses    int64 `json:"permMisses"`
-	PermEvictions int64 `json:"permEvictions"`
+	Hits      int64 `json:"hits"`
+	EpochHits int64 `json:"epochHits"`
+	Misses    int64 `json:"misses"`
+	Collapses int64 `json:"collapses"`
+	Evictions int64 `json:"evictions"`
 }
 
 // CacheHit records one whole-answer cache hit (cumulative and against
@@ -174,26 +167,14 @@ func (t *Tally) CacheCollapse() { t.cacheCollapses.Add(1) }
 // CacheEvict records one whole-answer entry evicted by the LRU.
 func (t *Tally) CacheEvict() { t.cacheEvicts.Add(1) }
 
-// PermHit records one permutation-tier hit.
-func (t *Tally) PermHit() { t.permHits.Add(1) }
-
-// PermMiss records one permutation-tier miss.
-func (t *Tally) PermMiss() { t.permMisses.Add(1) }
-
-// PermEvict records one permutation entry evicted by the LRU.
-func (t *Tally) PermEvict() { t.permEvicts.Add(1) }
-
 // CacheStats returns the cache plane's counter snapshot.
 func (t *Tally) CacheStats() CacheStats {
 	return CacheStats{
-		Hits:          t.cacheHits.Load(),
-		EpochHits:     t.cacheEpochHits.Load(),
-		Misses:        t.cacheMisses.Load(),
-		Collapses:     t.cacheCollapses.Load(),
-		Evictions:     t.cacheEvicts.Load(),
-		PermHits:      t.permHits.Load(),
-		PermMisses:    t.permMisses.Load(),
-		PermEvictions: t.permEvicts.Load(),
+		Hits:      t.cacheHits.Load(),
+		EpochHits: t.cacheEpochHits.Load(),
+		Misses:    t.cacheMisses.Load(),
+		Collapses: t.cacheCollapses.Load(),
+		Evictions: t.cacheEvicts.Load(),
 	}
 }
 

@@ -83,7 +83,4 @@ func writeCacheProm(p *metrics.Prom, cs server.CacheStats) {
 	p.Scalar("aqv_cache_misses_total", "counter", "Whole-answer cache misses.", cs.Misses)
 	p.Scalar("aqv_cache_collapses_total", "counter", "Queries that joined an identical in-flight query.", cs.Collapses)
 	p.Scalar("aqv_cache_evictions_total", "counter", "Whole-answer entries evicted by the LRU.", cs.Evictions)
-	p.Scalar("aqv_cache_perm_hits_total", "counter", "Permutation-tier cache hits.", cs.PermHits)
-	p.Scalar("aqv_cache_perm_misses_total", "counter", "Permutation-tier cache misses.", cs.PermMisses)
-	p.Scalar("aqv_cache_perm_evictions_total", "counter", "Permutation entries evicted by the LRU.", cs.PermEvictions)
 }

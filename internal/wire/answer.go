@@ -34,6 +34,9 @@ func DecodeQuery(b []byte) (query.Query, error) {
 	return q, nil
 }
 
+// sizeQuery is the length encodeQuery writes.
+func sizeQuery(q query.Query) int { return 1 + 4 + 8*len(q.X) + 4 + 3*8 }
+
 func encodeQuery(w *writer, q query.Query) {
 	w.u8(uint8(q.Kind))
 	w.u32(uint32(len(q.X)))
@@ -64,8 +67,18 @@ func decodeQuery(r *reader) query.Query {
 func encodeRecords(w *writer, recs []record.Record) {
 	w.u32(uint32(len(recs)))
 	for _, rec := range recs {
-		w.bytes(rec.Encode(nil))
+		at := w.begin()
+		w.buf = rec.Encode(w.buf)
+		w.end(at)
 	}
+}
+
+func sizeRecords(recs []record.Record) int {
+	n := 4
+	for _, rec := range recs {
+		n += 4 + rec.EncodedLen()
+	}
+	return n
 }
 
 func decodeRecords(r *reader) []record.Record {
@@ -89,8 +102,17 @@ func decodeRecords(r *reader) []record.Record {
 func encodeBoundary(w *writer, b core.Boundary) {
 	w.u8(uint8(b.Kind))
 	if b.Kind == core.BoundaryRecord {
-		w.bytes(b.Rec.Encode(nil))
+		at := w.begin()
+		w.buf = b.Rec.Encode(w.buf)
+		w.end(at)
 	}
+}
+
+func sizeBoundary(b core.Boundary) int {
+	if b.Kind == core.BoundaryRecord {
+		return 1 + 4 + b.Rec.EncodedLen()
+	}
+	return 1
 }
 
 func decodeBoundary(r *reader) core.Boundary {
@@ -135,9 +157,12 @@ func decodeDigests(r *reader) []hashing.Digest {
 }
 
 // EncodeIFMH serializes an IFMH answer. Its length is the communication
-// cost of the one-signature / multi-signature approaches.
+// cost of the one-signature / multi-signature approaches. The frame is
+// allocated once at its exact length (sizeIFMH) and every part — records,
+// boundaries, hyperplanes, inequalities — is appended straight into it,
+// its length prefix filled in afterwards.
 func EncodeIFMH(a *core.Answer) []byte {
-	w := &writer{}
+	w := &writer{buf: make([]byte, 0, sizeIFMH(a))}
 	w.u8(magicIFMH)
 	encodeQuery(w, a.Query)
 	encodeRecords(w, a.Records)
@@ -149,13 +174,31 @@ func EncodeIFMH(a *core.Answer) []byte {
 	encodeDigests(w, a.VO.FProof.Hashes)
 	w.u32(uint32(len(a.VO.Path)))
 	for _, st := range a.VO.Path {
-		w.bytes(st.Hp.Encode(nil))
+		at := w.begin()
+		w.buf = st.Hp.Encode(w.buf)
+		w.end(at)
 		w.bool(st.TookAbove)
 		w.buf = append(w.buf, st.Sibling[:]...)
 	}
-	w.bytes(geometry.EncodeHalfspaces(nil, a.VO.Ineqs))
+	at := w.begin()
+	w.buf = geometry.EncodeHalfspaces(w.buf, a.VO.Ineqs)
+	w.end(at)
 	w.bytes(a.VO.Signature)
 	return w.buf
+}
+
+// sizeIFMH is len(EncodeIFMH(a)), field for field in EncodeIFMH's order
+// (TestEncodeIFMHIsOneExactAllocation holds the two together).
+func sizeIFMH(a *core.Answer) int {
+	n := 1 + sizeQuery(a.Query) + sizeRecords(a.Records)
+	n += 1 + 4 + 4 + sizeBoundary(a.VO.Left) + sizeBoundary(a.VO.Right)
+	n += 4 + hashing.Size*len(a.VO.FProof.Hashes)
+	n += 4
+	for _, st := range a.VO.Path {
+		n += 4 + st.Hp.EncodedLen() + 1 + hashing.Size
+	}
+	n += 4 + geometry.HalfspacesEncodedLen(a.VO.Ineqs)
+	return n + 4 + len(a.VO.Signature)
 }
 
 // DecodeIFMH parses an IFMH answer.
@@ -264,18 +307,10 @@ func DecodeMesh(b []byte) (*mesh.Answer, error) {
 // (excluding the query echo and the result records), which is the
 // paper's Fig 8 metric.
 func VOSizeIFMH(a *core.Answer) int {
-	full := len(EncodeIFMH(a))
-	w := &writer{}
-	encodeQuery(w, a.Query)
-	encodeRecords(w, a.Records)
-	return full - len(w.buf) - 1
+	return sizeIFMH(a) - sizeQuery(a.Query) - sizeRecords(a.Records) - 1
 }
 
 // VOSizeMesh returns the mesh verification object's byte size.
 func VOSizeMesh(a *mesh.Answer) int {
-	full := len(EncodeMesh(a))
-	w := &writer{}
-	encodeQuery(w, a.Query)
-	encodeRecords(w, a.Records)
-	return full - len(w.buf) - 1
+	return len(EncodeMesh(a)) - sizeQuery(a.Query) - sizeRecords(a.Records) - 1
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"testing"
 
@@ -43,9 +44,71 @@ func seedAnswers(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xA1})
 	f.Add([]byte{0xA2, 0, 0, 0})
+	for _, frame := range forgedGeometry(f) {
+		f.Add(frame)
+	}
 }
 
-func lineTableF(f *testing.F, n int, seed int64) record.Table {
+// forgedGeometry returns honest answers whose server-controlled geometry
+// fields were swapped for the three inputs internal/geometry's decoders
+// once mishandled: an inequality set that is only a count of 2^24 (640 MB
+// allocated before the first parse failed), a path hyperplane whose
+// coefficient count wraps 8*(n+1) on a 32-bit int (fatal out-of-memory on
+// GOARCH=386), and a strictness byte of 7 (accepted, re-encoded as 0).
+func forgedGeometry(f testing.TB) [][]byte {
+	build := func(mode core.Mode) *core.Answer {
+		tree, err := core.Build(lineTableF(f, 12, 77), core.Params{
+			Mode:     mode,
+			Signer:   testSigner,
+			Domain:   geometry.MustBox([]float64{-1}, []float64{1}),
+			Template: funcs.AffineLine(0, 1),
+		})
+		if err != nil {
+			f.Fatal(err)
+		}
+		ans, err := tree.Process(query.NewTopK(geometry.Point{0.2}, 3), nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return ans
+	}
+	// swap replaces the length-prefixed field holding old with repl.
+	swap := func(frame, old, repl []byte) []byte {
+		at := bytes.Index(frame, old)
+		if at < 4 || len(old) == 0 {
+			f.Fatal("field not found in the frame")
+		}
+		out := append([]byte(nil), frame[:at-4]...)
+		out = binary.BigEndian.AppendUint32(out, uint32(len(repl)))
+		return append(append(out, repl...), frame[at+len(old):]...)
+	}
+	multi, one := build(core.MultiSignature), build(core.OneSignature)
+	if len(multi.VO.Ineqs) == 0 || len(one.VO.Path) == 0 {
+		f.Fatal("seed answers carry no inequalities / no path")
+	}
+	ineqs := geometry.EncodeHalfspaces(nil, multi.VO.Ineqs)
+	oddStrict := append([]byte(nil), ineqs...)
+	oddStrict[4] = 7
+	wrapCount := append([]byte{0x1F, 0xFF, 0xFF, 0xFF}, make([]byte, 8)...)
+	return [][]byte{
+		swap(EncodeIFMH(multi), ineqs, []byte{1, 0, 0, 0}),
+		swap(EncodeIFMH(one), one.VO.Path[0].Hp.Encode(nil), wrapCount),
+		swap(EncodeIFMH(multi), ineqs, oddStrict),
+	}
+}
+
+// TestForgedGeometryIsRefused runs the forged seeds as a plain test, so
+// the refusals are held on every `go test` (and under GOARCH=386 in CI),
+// not only when the fuzz corpus is replayed.
+func TestForgedGeometryIsRefused(t *testing.T) {
+	for i, frame := range forgedGeometry(t) {
+		if ans, err := DecodeIFMH(frame); err == nil {
+			t.Errorf("forged frame %d accepted: %+v", i, ans.VO)
+		}
+	}
+}
+
+func lineTableF(f testing.TB, n int, seed int64) record.Table {
 	recs := make([]record.Record, n)
 	for i := range recs {
 		recs[i] = record.Record{ID: uint64(i + 1), Attrs: []float64{float64(i%5) - 2, float64(i % 3)}}

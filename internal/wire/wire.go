@@ -41,6 +41,18 @@ func (w *writer) bytes(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
+// begin opens a length-prefixed field whose content the caller appends
+// to buf directly (no temporary to measure and copy); end, given begin's
+// result, fills the prefix in.
+func (w *writer) begin() int {
+	w.u32(0)
+	return len(w.buf)
+}
+
+func (w *writer) end(at int) {
+	binary.BigEndian.PutUint32(w.buf[at-4:], uint32(len(w.buf)-at))
+}
+
 // reader consumes primitives from a byte slice, remembering the first
 // error so call sites stay linear.
 type reader struct {

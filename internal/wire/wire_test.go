@@ -197,6 +197,31 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 	}
 }
 
+// TestEncodeIFMHIsOneExactAllocation holds sizeIFMH and EncodeIFMH
+// together: the frame is allocated once, at exactly its length — every
+// kind, both modes, with and without sentinel boundaries and payloads —
+// and the VO-size metric read off the same arithmetic is the frame minus
+// the magic byte, the query echo and the records.
+func TestEncodeIFMHIsOneExactAllocation(t *testing.T) {
+	for _, mode := range []core.Mode{core.OneSignature, core.MultiSignature} {
+		for i, a := range ifmhAnswers(t, mode) {
+			enc := EncodeIFMH(a)
+			if len(enc) != sizeIFMH(a) || cap(enc) != len(enc) {
+				t.Errorf("%v answer %d: sizeIFMH %d, frame len %d cap %d", mode, i, sizeIFMH(a), len(enc), cap(enc))
+			}
+			if allocs := testing.AllocsPerRun(50, func() { EncodeIFMH(a) }); allocs != 1 {
+				t.Errorf("%v answer %d: %v allocations per encode, want 1", mode, i, allocs)
+			}
+			w := &writer{}
+			encodeQuery(w, a.Query)
+			encodeRecords(w, a.Records)
+			if got, want := VOSizeIFMH(a), len(enc)-1-len(w.buf); got != want {
+				t.Errorf("%v answer %d: VO size %d, frame minus echo and records is %d", mode, i, got, want)
+			}
+		}
+	}
+}
+
 func TestVOSizeExcludesResult(t *testing.T) {
 	answers := ifmhAnswers(t, core.OneSignature)
 	for i, a := range answers {
