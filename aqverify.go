@@ -33,7 +33,9 @@
 // selects the baseline, WithBuildWorkers bounds every stage's worker
 // pool and WithProgress observes the stages. The built bytes are
 // identical for every worker count, and a canceled ctx aborts
-// construction mid-stage.
+// construction mid-stage. No option selects a list layout: a univariate
+// template's sorted lists are always one persistent sweep chain, a
+// multivariate one's always one from-scratch list per subdomain.
 //
 // # The mutation plane
 //
@@ -333,11 +335,10 @@ func NewBottomK(x Point, k int) Query { return query.NewBottomK(x, k) }
 // Outsource builds the product the options select — by default one
 // IFMH-tree over the whole domain — and returns it with the parameter
 // bundle the owner publishes. Options: WithMode, WithShuffle,
-// WithMaterialize, WithBuildWorkers, WithProgress shape the
-// construction; WithShards/WithPlan (+ WithPlanner) select a
-// domain-sharded product; WithMesh the signature-mesh baseline. The
-// result is byte-identical for every worker count, and a done ctx
-// cancels mid-stage.
+// WithBuildWorkers, WithProgress shape the construction;
+// WithShards/WithPlan (+ WithPlanner) select a domain-sharded product;
+// WithMesh the signature-mesh baseline. The result is byte-identical for
+// every worker count, and a done ctx cancels mid-stage.
 func Outsource(ctx context.Context, spec BuildSpec, opts ...BuildOption) (*BuildResult, error) {
 	return build.Outsource(ctx, spec, opts...)
 }
@@ -350,9 +351,6 @@ func WithMode(m Mode) BuildOption { return build.WithMode(m) }
 // depth, shape a pure function of the table; the seed only picks which
 // such tree, and only one-signature verification objects depend on it.
 func WithShuffle(seed int64) BuildOption { return build.WithShuffle(seed) }
-
-// WithMaterialize selects the paper-literal O(S·n) layout.
-func WithMaterialize() BuildOption { return build.WithMaterialize() }
 
 // WithBuildWorkers bounds every construction stage's worker pool (0 =
 // one per CPU, 1 = serial); the product is byte-identical either way.

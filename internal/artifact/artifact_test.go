@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"os"
@@ -78,8 +79,8 @@ func answerBytes(t *testing.T, tr *core.Tree, qs []query.Query) [][]byte {
 	return out
 }
 
-// TestSaveOpenIdentity is the keystone: for both signing modes, both
-// layouts and both product shapes, a tree opened from an artifact must
+// TestSaveOpenIdentity is the keystone: for both signing modes and both
+// product shapes, a tree opened from an artifact must
 // fingerprint identically to the one that was saved and answer every
 // query byte-for-byte the same, with every answer verifying against the
 // loaded bundle.
@@ -94,7 +95,6 @@ func TestSaveOpenIdentity(t *testing.T) {
 	}{
 		{"one/delta", []build.Option{build.WithMode(core.OneSignature), build.WithShuffle(3)}},
 		{"multi/delta", []build.Option{build.WithMode(core.MultiSignature), build.WithShuffle(3)}},
-		{"one/materialized", []build.Option{build.WithMode(core.OneSignature), build.WithShuffle(3), build.WithMaterialize()}},
 		{"one/sharded", []build.Option{build.WithMode(core.OneSignature), build.WithShuffle(3), build.WithShards(3, 0)}},
 		{"multi/sharded", []build.Option{build.WithMode(core.MultiSignature), build.WithShuffle(3), build.WithShards(3, 0)}},
 	}
@@ -516,6 +516,75 @@ func TestLeafRowsAreValidated(t *testing.T) {
 	}
 }
 
+// TestFormat2IsRefused: testdata/format2 holds two multi-signature
+// artifacts the parent commit built and saved in format 2 — "lines" the
+// univariate fuzz-seed build, "points" a bivariate one. Format 2 carried
+// a flags byte after the mode and, for a multivariate tree, a copy of
+// every subdomain's order in a permutation row nothing checked against
+// the leaves. Both are refused by version, file and directory alike, and
+// the same builds now are exactly those bytes shorter and fingerprint as
+// the old manifests pinned them.
+func TestFormat2IsRefused(t *testing.T) {
+	ctx := context.Background()
+	lines := testSpec(t, 4, 2)
+	tbl, dom, err := workload.Points(workload.PointsConfig{N: 5, Dim: 2, Seed: 1, Dist: workload.AntiCorrelated})
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := build.Spec{Table: tbl, Template: funcs.ScalarProduct(2), Domain: dom, Signer: lines.Signer}
+
+	for _, tc := range []struct {
+		name    string
+		spec    build.Spec
+		opts    []build.Option
+		permRow int // bytes of one format-2 permutation row; 0: the blob had none
+	}{
+		{"lines", lines, []build.Option{build.WithMode(core.MultiSignature), build.WithShuffle(2)}, 0},
+		{"points", points, []build.Option{build.WithMode(core.MultiSignature)}, 4 + 4*5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join("testdata", "format2", tc.name)
+			old := mustRead(t, filepath.Join(dir, treeName))
+			if _, err := decodeTree(old); !errors.Is(err, ErrVersion) {
+				t.Fatalf("format-2 blob: got %v, want %v", err, ErrVersion)
+			}
+			if _, err := Open(dir); !errors.Is(err, ErrVersion) {
+				t.Fatalf("format-2 directory: got %v, want %v", err, ErrVersion)
+			}
+
+			res, err := build.Outsource(ctx, tc.spec, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			now := t.TempDir()
+			if _, err := Save(now, res); err != nil {
+				t.Fatal(err)
+			}
+			blob := mustRead(t, filepath.Join(now, treeName))
+			if got, want := len(old)-len(blob), 1+res.Tree.NumSubdomains()*tc.permRow; got != want {
+				t.Errorf("the blob is %d bytes shorter than its format-2 form, want %d", got, want)
+			}
+			// A manifest ends in the blob's hash, the tree's fingerprint
+			// and its own seal.
+			man := mustRead(t, filepath.Join(dir, ManifestName))
+			fp := res.Tree.Fingerprint()
+			if pinned := man[len(man)-64 : len(man)-32]; !bytes.Equal(pinned, fp[:]) {
+				t.Errorf("fingerprint %x, the format-2 manifest pinned %x", fp, pinned)
+			}
+			if tc.permRow == 0 {
+				// With no permutation rows the flags byte (after magic,
+				// version, epoch and mode) is the whole difference.
+				const flagsAt = 4 + 4 + 8 + 1
+				body := append(append([]byte(nil), old[:flagsAt]...), old[flagsAt+1:]...)
+				binary.BigEndian.PutUint32(body[len(magicTree):], formatVersion)
+				if !bytes.Equal(reseal(body), blob) {
+					t.Error("the format-2 blob minus its flags byte is not the blob written now")
+				}
+			}
+		})
+	}
+}
+
 // TestWorkedExample pins the worked example quoted in docs/ARTIFACT.md
 // byte-for-byte: a deterministic three-record build whose manifest hex,
 // blob content hash and artifact hash must never drift. If this test
@@ -557,9 +626,9 @@ func TestWorkedExample(t *testing.T) {
 	blob := mustRead(t, filepath.Join(dir, treeName))
 	blobHash := sha256.Sum256(blob[:len(blob)-32])
 
-	const wantManifest = "4151414d00000002010000000000000001000000002d04302a300506032b6570032100069d8d6980eaf1bca2e4118bc612a13f23791bf2c60ceef2692b581d27b0a1590000000b616666696e652d6c696e650000000100000000000000013e112e0be826d69500000001bff00000000000003ff0000000000000000000000000000000000001427f84cfce3d9561918868cae0ebcc22231b53fc315172cd33f02882d62e6a69fbd8dbea173402914b48e3f7d8ce92804663025e9dc6d77391b1221a9bd76317bd12201f3cc3bbc7d95759d9d8a06340ba162d3b4a72221fab99dd255844a4db"
-	const wantBlobHash = "427f84cfce3d9561918868cae0ebcc22231b53fc315172cd33f02882d62e6a69"
-	const wantArtifact = "bd12201f3cc3bbc7d95759d9d8a06340ba162d3b4a72221fab99dd255844a4db"
+	const wantManifest = "4151414d00000003010000000000000001000000002d04302a300506032b6570032100069d8d6980eaf1bca2e4118bc612a13f23791bf2c60ceef2692b581d27b0a1590000000b616666696e652d6c696e650000000100000000000000013e112e0be826d69500000001bff00000000000003ff000000000000000000000000000000000000169048f1a138682012f128dc3d29df5fc9a587d9e5f1a5082440df336291318e7fbd8dbea173402914b48e3f7d8ce92804663025e9dc6d77391b1221a9bd7631758b822474e3e13928369dcfab01ed66be1fd9b7adf9e87d5b6af7bc2383139f5"
+	const wantBlobHash = "69048f1a138682012f128dc3d29df5fc9a587d9e5f1a5082440df336291318e7"
+	const wantArtifact = "58b822474e3e13928369dcfab01ed66be1fd9b7adf9e87d5b6af7bc2383139f5"
 	if manifestHex != wantManifest {
 		t.Errorf("manifest bytes drifted:\n got %s\nwant %s", manifestHex, wantManifest)
 	}
@@ -570,16 +639,16 @@ func TestWorkedExample(t *testing.T) {
 		t.Errorf("artifact hash drifted: got %s want %s", info.HashHex(), wantArtifact)
 	}
 
-	// The forest rows the doc quotes: 26 rows from byte 226, a leaf row
+	// The forest rows the doc quotes: 26 rows from byte 225, a leaf row
 	// carrying its record index (none for the sentinel) where an internal
 	// row carries its right child.
-	const forestAt, row = 226, 44
+	const forestAt, row = 225, 44
 	wantRows := []string{ // left, right, width of rows 0..5
 		"ffffffffffffffff00000001", "ffffffff0000000000000001", "000000000000000100000002",
 		"ffffffff0000000200000001", "ffffffff0000000100000001", "000000030000000400000002",
 	}
-	if len(blob) != 1865 || hex.EncodeToString(blob[forestAt:forestAt+4]) != "0000001a" {
-		t.Fatalf("blob is %d bytes with forest count %x at %d; the doc says 1865 and 26", len(blob), blob[forestAt:forestAt+4], forestAt)
+	if len(blob) != 1864 || hex.EncodeToString(blob[forestAt:forestAt+4]) != "0000001a" {
+		t.Fatalf("blob is %d bytes with forest count %x at %d; the doc says 1864 and 26", len(blob), blob[forestAt:forestAt+4], forestAt)
 	}
 	for i, want := range wantRows {
 		at := forestAt + 4 + i*row + 32 // past the row's digest

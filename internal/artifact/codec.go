@@ -21,8 +21,10 @@ import (
 // formatVersion is the on-disk format version both file kinds carry.
 // Bump it on any layout change; Open refuses versions it does not know.
 // Version 2 put the record index in FMH leaf rows (version 1 leaves named
-// no record, so a version-1 forest cannot serve).
-const formatVersion = 2
+// no record, so a version-1 forest cannot serve); version 3 dropped the
+// tree blob's flags byte and the per-subdomain permutation rows it
+// announced — the leaves are the only copy of the order.
+const formatVersion = 3
 
 // nilIndex marks a nil child pointer / absent shard index in the node
 // tables (indices are u32, so the all-ones value can never be a real
@@ -207,12 +209,9 @@ func (r *reader) done() error {
 	return nil
 }
 
-// flag bits of the tree blob header.
-const flagMaterialized = 1 << 0
-
 // encodeTree serializes one built tree's serve-state into a sealed blob.
 // The FMH forest is written as a deduplicated node table in
-// children-before-parents order — delta-mode lists share persistent
+// children-before-parents order — univariate lists share persistent
 // structure, and the table preserves exactly that sharing, so the file
 // is O(forest), not O(S·n) — and the IMH tree the same way. shardIdx is
 // the tree's position in a sharded set, or build.ShardNone.
@@ -222,12 +221,6 @@ func encodeTree(s core.Snapshot, shardIdx int) ([]byte, hashing.Digest, error) {
 	w.u32(formatVersion)
 	w.u64(s.Epoch)
 	w.u8(uint8(s.Mode))
-	materialized := len(s.Subs) > 0 && s.Subs[0].Perm != nil
-	var flags uint8
-	if materialized {
-		flags |= flagMaterialized
-	}
-	w.u8(flags)
 	if shardIdx < 0 {
 		w.u32(nilIndex)
 	} else {
@@ -248,8 +241,7 @@ func encodeTree(s core.Snapshot, shardIdx int) ([]byte, hashing.Digest, error) {
 		w.buf = rec.Encode(w.buf)
 	}
 
-	// Delta-mode sweep plan (empty for materialized and multivariate
-	// layouts).
+	// Sweep plan (empty for a multivariate tree).
 	w.u32(uint32(len(s.Plan.BasePerm)))
 	for _, p := range s.Plan.BasePerm {
 		w.u32(uint32(p))
@@ -302,17 +294,10 @@ func encodeTree(s core.Snapshot, shardIdx int) ([]byte, hashing.Digest, error) {
 		w.u32(idx[si.List.Tree])
 	}
 
-	// Per-subdomain extras, with a layout fixed by the header: the
-	// permutation when materialized, the inequality encoding and
-	// signature in multi-signature mode.
-	for _, si := range s.Subs {
-		if materialized {
-			w.u32(uint32(len(si.Perm)))
-			for _, p := range si.Perm {
-				w.u32(uint32(p))
-			}
-		}
-		if s.Mode == core.MultiSignature {
+	// Per-subdomain inequality encoding and signature (multi-signature
+	// mode only).
+	if s.Mode == core.MultiSignature {
+		for _, si := range s.Subs {
 			w.bytes(si.IneqEnc)
 			w.bytes(si.Sig)
 		}
@@ -432,11 +417,6 @@ func decodeTree(data []byte) (*decodedTree, error) {
 		r.corrupt("unknown mode %d", mode)
 	}
 	d.mode = core.Mode(mode)
-	flags := r.u8("flags")
-	if r.err == nil && flags&^uint8(flagMaterialized) != 0 {
-		r.corrupt("unknown flags %#x", flags)
-	}
-	materialized := flags&flagMaterialized != 0
 	d.shard = r.u32("shard index")
 	d.domain = r.box("domain")
 	dim := d.domain.Dim()
@@ -465,23 +445,15 @@ func decodeTree(data []byte) (*decodedTree, error) {
 	d.table = tbl
 
 	// Sweep plan.
-	readPerm := func(what string) []int {
-		m := r.count(what, 4)
-		if r.err != nil {
-			return nil
+	d.plan.BasePerm = make([]int, r.count("base permutation", 4))
+	for i := range d.plan.BasePerm {
+		p := r.u32("base permutation")
+		if r.err == nil && uint64(p) >= uint64(n) {
+			r.corrupt("base permutation entry %d outside %d records", p, n)
+			return nil, r.err
 		}
-		out := make([]int, m)
-		for i := range out {
-			p := r.u32(what)
-			if r.err == nil && uint64(p) >= uint64(n) {
-				r.corrupt("%s entry %d outside %d records", what, p, n)
-				return nil
-			}
-			out[i] = int(p)
-		}
-		return out
+		d.plan.BasePerm[i] = int(p)
 	}
-	d.plan.BasePerm = readPerm("base permutation")
 	nb := r.count("boundary", 4)
 	if nb > 0 {
 		d.plan.Swaps = make([][]int, nb)
@@ -570,20 +542,14 @@ func decodeTree(data []byte) (*decodedTree, error) {
 		subs[i] = &core.SubInfo{List: &fmh.List{N: n, Tree: &forest[ri]}}
 	}
 
-	// Per-subdomain extras.
-	for i, si := range subs {
-		if materialized {
-			si.Perm = readPerm("permutation")
-			if r.err == nil && len(si.Perm) != n {
-				r.corrupt("subdomain %d permutation has %d entries for %d records", i, len(si.Perm), n)
-			}
-		}
-		if d.mode == core.MultiSignature {
+	// Per-subdomain inequality encodings and signatures.
+	if d.mode == core.MultiSignature {
+		for _, si := range subs {
 			si.IneqEnc = r.bytes("inequality encoding")
 			si.Sig = r.bytes("subdomain signature")
-		}
-		if r.err != nil {
-			return nil, r.err
+			if r.err != nil {
+				return nil, r.err
+			}
 		}
 	}
 

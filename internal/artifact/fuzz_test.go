@@ -79,12 +79,20 @@ func firstRecordLeaf(f testing.TB) hashing.Digest {
 // or be refused with a named error — never panic, never over-allocate.
 // The seed corpus covers the honest blob plus the refusal matrix's
 // shapes: truncations, a flipped content-hash bit, a wrong magic, the
-// previous format version, and a leaf row naming a record outside the
+// previous format version (stamped, and as the parent commit wrote it —
+// see TestFormat2IsRefused), and a leaf row naming a record outside the
 // table.
 func FuzzDecodeTree(f *testing.F) {
 	blob, _ := fuzzSeeds(f)
 	f.Add(blob)
 	f.Add(asVersion1(blob))
+	for _, name := range []string{"lines", "points"} {
+		old, err := os.ReadFile(filepath.Join("testdata", "format2", name, treeName))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(old)
+	}
 	f.Add(withLeafRecord(f, blob, firstRecordLeaf(f), 4))
 	f.Add(blob[:len(blob)/2])
 	f.Add(blob[:len(blob)-17])

@@ -197,13 +197,16 @@ func TestAblations(t *testing.T) {
 	h := quickHarness(t)
 	a1 := runFig(t, h, "ablationA1")
 	for r := range a1.Rows {
-		deltaNodes, matNodes := cell(t, a1, r, 3), cell(t, a1, r, 4)
-		if deltaNodes >= matNodes {
-			t.Errorf("A1 row %d: delta FMH nodes (%v) should undercut materialized (%v)", r, deltaNodes, matNodes)
+		n, subs := cell(t, a1, r, 0), cell(t, a1, r, 1)
+		nodes, literal := cell(t, a1, r, 2), cell(t, a1, r, 3)
+		if literal != subs*(2*n+3) {
+			t.Errorf("A1 row %d: literal FMH nodes = %v, want S*(2n+3) = %v", r, literal, subs*(2*n+3))
 		}
-		deltaBytes, matBytes := cell(t, a1, r, 5), cell(t, a1, r, 6)
-		if deltaBytes >= matBytes {
-			t.Errorf("A1 row %d: delta bytes (%v) should undercut materialized (%v)", r, deltaBytes, matBytes)
+		if nodes >= literal {
+			t.Errorf("A1 row %d: persistent FMH nodes (%v) should undercut the literal layout (%v)", r, nodes, literal)
+		}
+		if bytes, literalBytes := cell(t, a1, r, 4), cell(t, a1, r, 5); bytes >= literalBytes {
+			t.Errorf("A1 row %d: bytes (%v) should undercut the literal layout (%v)", r, bytes, literalBytes)
 		}
 	}
 }

@@ -19,8 +19,8 @@ type Config struct {
 	QuerySizes []int
 	// QFixed is the result size for Fig 8b (paper: 100).
 	QFixed int
-	// AblationSizes bounds the delta-vs-materialized ablation, whose
-	// materialized arm costs O(S·n) memory.
+	// AblationSizes is the n sweep of ablation A1 and of the sharding,
+	// planner and mutation figures.
 	AblationSizes []int
 	// Scheme is the signature algorithm used in builds and timed
 	// verifications (the paper's default is RSA).

@@ -77,13 +77,14 @@ func TestVerdictFailsFigure(t *testing.T) {
 }
 
 // TestGoldenCSVs pins the deterministic figures — the paper's counted
-// costs, which depend on the workload seed and not on the host or the
-// signing key — byte for byte at QuickConfig. testdata holds what the
+// costs and ablation A1's closed-form comparison, which depend on the
+// workload seed and not on the host or the signing key — byte for byte
+// at QuickConfig. For the paper figures testdata holds what the
 // hand-rolled runners printed before the engine replaced them;
 // `go test ./internal/bench -run Golden -update` regenerates it.
 func TestGoldenCSVs(t *testing.T) {
 	h := quickHarness(t)
-	for _, id := range []string{"fig5a", "fig5c", "fig6a", "fig6b", "fig6c", "fig6d", "fig7a", "fig8a", "fig8b"} {
+	for _, id := range []string{"fig5a", "fig5c", "fig6a", "fig6b", "fig6c", "fig6d", "fig7a", "fig8a", "fig8b", "ablationA1"} {
 		got := runFig(t, h, id).CSV()
 		path := filepath.Join("testdata", id+".csv")
 		if *update {

@@ -189,11 +189,11 @@ func Figures() []Figure {
 			columns: byArm("n"), sweep: overSizes, fixtures: threeArms,
 			row: paperFig{kind: query.Range, size: qFixed, value: voBytes, format: asBytes}.row},
 
-		{ID: "ablationA1", Title: "Ablation: delta vs materialized lists", heading: fixed("Delta vs materialized subdomain lists (build time / FMH nodes / size)"),
-			columns: []string{"n", "delta-sec", "mat-sec", "delta-fmh-nodes", "mat-fmh-nodes", "delta-bytes", "mat-bytes"},
-			notes:   static("materialized is the paper-literal O(S*n) layout; delta is this implementation's O(n + S log n) one"),
-			sweep:   overAblation, row: deltaRow,
-			fixtures: func(p point) []fixture { return []fixture{{n: p.n}, {n: p.n, materialize: true, once: true}} }},
+		{ID: "ablationA1", Title: "Ablation: persistent vs paper-literal lists", heading: fixed("Persistent vs paper-literal subdomain lists (FMH nodes / size)"),
+			columns: []string{"n", "subdomains", "fmh-nodes", "literal-fmh-nodes", "bytes", "literal-bytes"},
+			notes: static(fmt.Sprintf("literal is the paper's one from-scratch FMH-tree per subdomain, in closed form: literal-fmh-nodes = S*(2(n+2)-1), "+
+				"literal-bytes = bytes + %d per extra node (the per-subdomain permutation copies, S*n*8 bytes, that layout also kept are not counted)", core.BytesPerFMHNode)),
+			sweep: overAblation, fixtures: plain, row: literalRow},
 		{ID: "ablationA3", Title: "Ablation: attribute-distribution sensitivity", heading: fixed("Distribution sensitivity (fixed n, fixed target density)"),
 			columns: []string{"distribution", "subdomains", "swaps", "build-sec", "search-nodes", "vo-bytes"},
 			sweep:   overDistributions, row: distributionRow,

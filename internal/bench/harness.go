@@ -61,23 +61,19 @@ func NewHarness(cfg Config) (*Harness, error) {
 
 // fixture is the small key every figure reduces its set-up to: what
 // distinguishes one build in this package from another. The zero value
-// of each field is the common case — a delta-layout,
-// one-signature tree over the configured Lines distribution.
+// of each field is the common case — a one-signature tree over the
+// configured Lines distribution.
 type fixture struct {
 	n    int
 	dist workload.Distribution // "" = Cfg.Dist
 	// dim 0 is the slope/intercept Lines workload under AffineLine;
 	// d > 0 is A4's d-weight Points workload under ScalarProduct.
-	dim         int
-	mode        core.Mode
-	mesh        bool   // the signature-mesh baseline instead of an IFMH product
-	shards      int    // 0 = one tree (Result.Tree); K >= 1 = a K-shard set (Result.Set)
-	quantile    bool   // cut shards with build.QuantileCuts instead of the default even cuts
-	materialize bool   // the paper-literal per-subdomain lists (A1)
-	epoch       uint64 // pinned publication epoch (mutM1's rebuild); 0 = the build plane's default
-	// once opts out of the memo: A1's materialized arm is O(S·n) memory
-	// nobody should hold for the rest of the run.
-	once bool
+	dim      int
+	mode     core.Mode
+	mesh     bool   // the signature-mesh baseline instead of an IFMH product
+	shards   int    // 0 = one tree (Result.Tree); K >= 1 = a K-shard set (Result.Set)
+	quantile bool   // cut shards with build.QuantileCuts instead of the default even cuts
+	epoch    uint64 // pinned publication epoch (mutM1's rebuild); 0 = the build plane's default
 }
 
 // built is a fixture's product with the inputs it was built from (query
@@ -123,9 +119,7 @@ func (h *Harness) build(ctx context.Context, fx fixture) (*built, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !fx.once {
-		h.fixtures[fx] = b
-	}
+	h.fixtures[fx] = b
 	return b, nil
 }
 
@@ -138,9 +132,6 @@ func (h *Harness) outsource(ctx context.Context, fx fixture, tbl record.Table, t
 		opts = append(opts, build.WithMesh())
 	} else {
 		opts = append(opts, build.WithMode(fx.mode), build.WithShuffle(h.Cfg.Seed))
-	}
-	if fx.materialize {
-		opts = append(opts, build.WithMaterialize())
 	}
 	if fx.shards > 0 {
 		opts = append(opts, build.WithShards(fx.shards, 0))

@@ -89,12 +89,11 @@ type Result struct {
 type Option func(*options)
 
 type options struct {
-	mode        core.Mode
-	seed        int64
-	materialize bool
-	workers     int
-	epoch       uint64
-	progress    func(Progress)
+	mode     core.Mode
+	seed     int64
+	workers  int
+	epoch    uint64
+	progress func(Progress)
 
 	plan      *shard.Plan
 	shards    int
@@ -114,11 +113,6 @@ func WithMode(m core.Mode) Option { return func(o *options) { o.mode = m } }
 // verification objects, which carry the IMH path, depend on it;
 // multi-signature answers do not.
 func WithShuffle(seed int64) Option { return func(o *options) { o.seed = seed } }
-
-// WithMaterialize selects the paper-literal O(S·n) layout storing every
-// subdomain's permutation and FMH-tree; the default is the delta
-// representation.
-func WithMaterialize() Option { return func(o *options) { o.materialize = true } }
 
 // WithWorkers bounds every construction stage's worker pool: record
 // digesting, pair enumeration, the sweep plan, FMH-list building, hash
@@ -201,8 +195,8 @@ func Outsource(ctx context.Context, spec Spec, opts ...Option) (*Result, error) 
 		if o.plan != nil || o.shardsSet {
 			return nil, fmt.Errorf("build: the mesh baseline cannot be domain-sharded")
 		}
-		if o.materialize || o.seed != 0 || o.mode != core.OneSignature || o.epoch != 0 {
-			return nil, fmt.Errorf("build: WithMode/WithShuffle/WithMaterialize/WithEpoch apply to IFMH products only")
+		if o.seed != 0 || o.mode != core.OneSignature || o.epoch != 0 {
+			return nil, fmt.Errorf("build: WithMode/WithShuffle/WithEpoch apply to IFMH products only")
 		}
 		m, err := mesh.BuildCtx(ctx, spec.Table, mesh.Params{
 			Signer:   spec.Signer,
@@ -218,14 +212,13 @@ func Outsource(ctx context.Context, spec Spec, opts ...Option) (*Result, error) 
 	}
 
 	params := core.Params{
-		Mode:        o.mode,
-		Signer:      spec.Signer,
-		Domain:      spec.Domain,
-		Template:    spec.Template,
-		Seed:        o.seed,
-		Materialize: o.materialize,
-		Workers:     o.workers,
-		Epoch:       o.epoch,
+		Mode:     o.mode,
+		Signer:   spec.Signer,
+		Domain:   spec.Domain,
+		Template: spec.Template,
+		Seed:     o.seed,
+		Workers:  o.workers,
+		Epoch:    o.epoch,
 	}
 
 	if o.plan == nil && !o.shardsSet {

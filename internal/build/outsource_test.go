@@ -122,24 +122,19 @@ func TestOutsourceWorkersIdentity(t *testing.T) {
 	ctx := context.Background()
 	spec := testSpec(t, 80, 9, workload.AntiCorrelated)
 	qs := sampleQueries(spec.Domain, 16)
-	for _, mat := range []bool{false, true} {
-		opts := []Option{WithMode(core.MultiSignature), WithShuffle(9)}
-		if mat {
-			opts = append(opts, WithMaterialize())
-		}
-		serial, err := Outsource(ctx, spec, append(opts, WithWorkers(1))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel, err := Outsource(ctx, spec, append(opts, WithWorkers(8))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, b := answersOf(t, serial.Tree, qs), answersOf(t, parallel.Tree, qs)
-		for k := range a {
-			if !bytes.Equal(a[k], b[k]) {
-				t.Fatalf("materialize=%v: answer %d differs between Workers=1 and Workers=8", mat, k)
-			}
+	opts := []Option{WithMode(core.MultiSignature), WithShuffle(9)}
+	serial, err := Outsource(ctx, spec, append(opts, WithWorkers(1))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := Outsource(ctx, spec, append(opts, WithWorkers(8))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := answersOf(t, serial.Tree, qs), answersOf(t, parallel.Tree, qs)
+	for k := range a {
+		if !bytes.Equal(a[k], b[k]) {
+			t.Fatalf("answer %d differs between Workers=1 and Workers=8", k)
 		}
 	}
 }
@@ -159,7 +154,7 @@ func TestOutsourceOptionConflicts(t *testing.T) {
 		{"plan+shards", []Option{WithPlan(plan), WithShards(2, 0)}},
 		{"zero shards", []Option{WithShards(0, 0)}},
 		{"mesh+shards", []Option{WithMesh(), WithShards(2, 0)}},
-		{"mesh+materialize", []Option{WithMesh(), WithMaterialize()}},
+		{"mesh+shuffle", []Option{WithMesh(), WithShuffle(1)}},
 	}
 	for _, c := range cases {
 		if _, err := Outsource(ctx, spec, c.opts...); err == nil {

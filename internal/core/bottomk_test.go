@@ -12,7 +12,7 @@ import (
 func TestBottomKRoundTrip(t *testing.T) {
 	tbl := lineTable(t, 45, 20)
 	for _, mode := range []Mode{OneSignature, MultiSignature} {
-		tree := build1D(t, tbl, mode, false)
+		tree := build1D(t, tbl, mode)
 		pub := tree.Public()
 		rng := rand.New(rand.NewSource(21))
 		for trial := 0; trial < 30; trial++ {
@@ -55,7 +55,7 @@ func TestBottomKDetectsHiddenCheapRecord(t *testing.T) {
 	// boundary must then be a record (not the min sentinel), which the
 	// verifier rejects outright.
 	tbl := lineTable(t, 30, 22)
-	tree := build1D(t, tbl, OneSignature, false)
+	tree := build1D(t, tbl, OneSignature)
 	pub := tree.Public()
 	q := query.NewBottomK(geometry.Point{0.2}, 4)
 
@@ -82,7 +82,7 @@ func TestBottomKDetectsHiddenCheapRecord(t *testing.T) {
 
 func TestBottomKTamperCatalog(t *testing.T) {
 	tbl := lineTable(t, 40, 23)
-	tree := build1D(t, tbl, MultiSignature, false)
+	tree := build1D(t, tbl, MultiSignature)
 	pub := tree.Public()
 	q := query.NewBottomK(geometry.Point{-0.3}, 6)
 	ans, err := tree.Process(q, nil)

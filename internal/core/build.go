@@ -28,8 +28,8 @@ func Build(tbl record.Table, p Params) (*Tree, error) {
 // BuildCtx is the context-aware construction entry point. Every stage
 // with independent units is sharded across Params.Workers goroutines:
 // record digesting, 1-D pairwise-intersection enumeration, the subdomain
-// sweep plan, per-subdomain FMH-list construction (materialized 1-D and
-// multivariate layouts), level-order IMH hash propagation, and
+// sweep plan, per-subdomain FMH-list construction (multivariate
+// templates), level-order IMH hash propagation, and
 // multi-signature signing. The output is byte-identical for every worker
 // count: every digest, swap list and signature input depends only on its
 // own index, and per-worker hash counters are merged after each join.
@@ -225,7 +225,7 @@ func (t *Tree) finish1D(ctx context.Context, p Params, arr *itree.Arrangement1D,
 	return t.seal(ctx, p, m.prev)
 }
 
-// seal runs the two closing stages every layout shares: IMH hash
+// seal runs the two closing stages every tree shares: IMH hash
 // propagation and signing (prev as in sign).
 func (t *Tree) seal(ctx context.Context, p Params, prev *Tree) error {
 	p.progress(StagePropagate, t.itree.NodeCount)
@@ -236,50 +236,24 @@ func (t *Tree) seal(ctx context.Context, p Params, prev *Tree) error {
 }
 
 // listsFromPlan builds every subdomain's FMH list from a computed sweep
-// plan, deriving each FMH-tree persistently from its left neighbor.
-//
-// In materialized mode the plan only replays permutations (cheap swaps);
-// the S independent O(n) FMH-tree constructions — the dominant cost of
-// the paper's literal layout — are then sharded across the worker pool.
-// Delta mode stays serial past the base list: each persistent tree is
-// derived from its left neighbor, an inherently sequential chain that is
-// already O(S log n) in total.
+// plan: the base list from plan.BasePerm, every other list derived
+// persistently from its left neighbor by the boundary's swaps. The chain
+// is inherently sequential and O(n + S log n) in total, against the
+// S·(2(n+2)−1) nodes of one from-scratch tree per subdomain. It is the
+// only univariate construction: a first build and ApplyCtx both end
+// here.
 func (t *Tree) listsFromPlan(ctx context.Context, plan sweep.Plan, p Params) error {
 	subs := t.itree.Subs
 	t.subs = make([]*SubInfo, len(subs))
 	t.plan = plan
-
-	perm := append([]int(nil), plan.BasePerm...)
 	p.progress(StageLists, len(subs))
 
-	boundaries := len(subs) - 1
-	if p.Materialize {
-		perms := make([][]int, len(subs))
-		perms[0] = append([]int(nil), perm...)
-		for k := 0; k < boundaries; k++ {
-			for _, pos := range plan.Swaps[k] {
-				perm[pos], perm[pos+1] = perm[pos+1], perm[pos]
-			}
-			perms[k+1] = append([]int(nil), perm...)
-		}
-		return t.parallelChunks(ctx, p.workers(), len(subs), func(h *hashing.Hasher, lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				list, err := t.fmhFromPerm(h, perms[i])
-				if err != nil {
-					return err
-				}
-				t.subs[i] = &SubInfo{Sub: subs[i], List: list, Perm: perms[i]}
-			}
-			return nil
-		})
-	}
-
-	list, err := t.fmhFromPerm(t.hasher, perm)
+	list, err := t.fmhFromPerm(t.hasher, plan.BasePerm)
 	if err != nil {
 		return err
 	}
 	t.subs[0] = &SubInfo{Sub: subs[0], List: list}
-	for k := 0; k < boundaries; k++ {
+	for k := 0; k < len(subs)-1; k++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -295,9 +269,9 @@ func (t *Tree) listsFromPlan(ctx context.Context, plan sweep.Plan, p Params) err
 }
 
 // buildListsND sorts each subdomain independently at an interior witness
-// point — there is no sweep order to exploit in d >= 2 — and always
-// materializes. The subdomains are independent, so the sort + FMH build
-// shards across the worker pool.
+// point and builds its list from scratch — there is no sweep order to
+// exploit in d >= 2. The subdomains are independent, so the sort + FMH
+// build shards across the worker pool.
 func (t *Tree) buildListsND(ctx context.Context, workers int) error {
 	subs := t.itree.Subs
 	t.subs = make([]*SubInfo, len(subs))
@@ -305,12 +279,11 @@ func (t *Tree) buildListsND(ctx context.Context, workers int) error {
 		for i := lo; i < hi; i++ {
 			sub := subs[i]
 			w := t.space.Witness(sub.Region)
-			perm := funcs.SortAt(t.fs, w)
-			list, err := t.fmhFromPerm(h, perm)
+			list, err := t.fmhFromPerm(h, funcs.SortAt(t.fs, w))
 			if err != nil {
 				return err
 			}
-			t.subs[i] = &SubInfo{Sub: sub, List: list, Perm: perm}
+			t.subs[i] = &SubInfo{Sub: sub, List: list}
 		}
 		return nil
 	})

@@ -15,7 +15,7 @@ import (
 // result. Run with -race to check the synchronization.
 func TestConcurrentQueries(t *testing.T) {
 	tbl := lineTable(t, 60, 41)
-	tree := build1D(t, tbl, MultiSignature, false)
+	tree := build1D(t, tbl, MultiSignature)
 	pub := tree.Public()
 
 	type job struct {

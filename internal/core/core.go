@@ -83,13 +83,6 @@ type Params struct {
 	// tree, a different seed a different one. Only one-signature
 	// verification objects — which carry the IMH path — depend on it.
 	Seed int64
-	// Materialize stores every subdomain's permutation and builds every
-	// FMH-tree from scratch — the paper's literal O(S·n) layout. The
-	// default (false) uses the delta representation: one base
-	// permutation, per-boundary swaps, and persistent FMH-trees sharing
-	// structure, costing O(n + S log n). Multivariate databases always
-	// materialize (there is no sweep order to exploit).
-	Materialize bool
 	// Workers bounds the construction worker pool sharding record
 	// digesting, per-subdomain FMH-list building and multi-signature
 	// signing. Zero (the default) means runtime.GOMAXPROCS(0); 1
@@ -169,10 +162,6 @@ type PublicParams struct {
 type SubInfo struct {
 	Sub  *itree.Subdomain
 	List *fmh.List
-	// Perm is the sorted order (position -> record index) the list was
-	// built from, kept by the layouts that build every list from scratch;
-	// nil in delta mode. Serving reads the order off List, never here.
-	Perm []int
 	// IneqEnc is the canonical encoding of the subdomain's inequality
 	// set; Ineqs is its decoded form (multi-signature mode only).
 	IneqEnc []byte
@@ -189,15 +178,18 @@ type Tree struct {
 	template funcs.Template
 	hasher   *hashing.Hasher
 
-	table      record.Table
-	fs         []funcs.Linear
+	table record.Table
+	fs    []funcs.Linear
+	// recDigests are the record digests the FMH leaves are made from:
+	// an input of list construction only, so nil on a serve-only
+	// (FromSnapshot) tree.
 	recDigests []hashing.Digest
 
 	itree *itree.Tree
 	subs  []*SubInfo
 
-	// Delta-mode sweep plan (1-D): the base permutation and per-boundary
-	// swaps the lists were derived by. Serving never reads it (every list
+	// Sweep plan (1-D): the base permutation and per-boundary swaps the
+	// lists were derived by. Serving never reads it (every list
 	// names its own records); the next ApplyCtx replays it, and it is part
 	// of the fingerprint.
 	plan sweep.Plan

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"aqverify/internal/query"
 	"aqverify/internal/record"
 	"aqverify/internal/sig"
+	"aqverify/internal/sweep"
 )
 
 // testSigner is shared across tests; Ed25519 keygen is cheap but one key
@@ -44,15 +46,14 @@ func lineTable(t testing.TB, n int, seed int64) record.Table {
 	return tbl
 }
 
-func build1D(t testing.TB, tbl record.Table, mode Mode, materialize bool) *Tree {
+func build1D(t testing.TB, tbl record.Table, mode Mode) *Tree {
 	t.Helper()
 	tree, err := Build(tbl, Params{
-		Mode:        mode,
-		Signer:      testSigner,
-		Domain:      geometry.MustBox([]float64{-1}, []float64{1}),
-		Template:    funcs.AffineLine(0, 1),
-		Seed:        42,
-		Materialize: materialize,
+		Mode:     mode,
+		Signer:   testSigner,
+		Domain:   geometry.MustBox([]float64{-1}, []float64{1}),
+		Template: funcs.AffineLine(0, 1),
+		Seed:     42,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +76,7 @@ func TestHonestRoundTripAllModes(t *testing.T) {
 	for _, mode := range []Mode{OneSignature, MultiSignature} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
-			tree := build1D(t, tbl, mode, false)
+			tree := build1D(t, tbl, mode)
 			pub := tree.Public()
 			rng := rand.New(rand.NewSource(2))
 			for trial := 0; trial < 40; trial++ {
@@ -95,7 +96,7 @@ func TestHonestRoundTripAllModes(t *testing.T) {
 
 func TestResultsMatchOracle(t *testing.T) {
 	tbl := lineTable(t, 50, 3)
-	tree := build1D(t, tbl, OneSignature, false)
+	tree := build1D(t, tbl, OneSignature)
 	tpl := funcs.AffineLine(0, 1)
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 60; trial++ {
@@ -128,50 +129,52 @@ func TestResultsMatchOracle(t *testing.T) {
 	}
 }
 
-func TestDeltaAndMaterializedAgree(t *testing.T) {
-	tbl := lineTable(t, 40, 5)
-	delta := build1D(t, tbl, MultiSignature, false)
-	mat := build1D(t, tbl, MultiSignature, true)
-	if delta.NumSubdomains() != mat.NumSubdomains() {
-		t.Fatalf("subdomain counts differ: %d vs %d", delta.NumSubdomains(), mat.NumSubdomains())
+// TestSweepChainMatchesFreshLists is the from-scratch reference for the
+// one univariate construction: every subdomain's list — derived
+// persistently from its left neighbor, one DeriveSwap per crossing — has
+// the root of a list built here from nothing, over that subdomain's
+// permutation as the plan replays it. A wrong or misplaced swap in the
+// chain moves a root.
+func TestSweepChainMatchesFreshLists(t *testing.T) {
+	tables := map[string]record.Table{}
+	for _, n := range []int{1, 2, 7, 60} {
+		tables[fmt.Sprintf("n=%d", n)] = lineTable(t, n, int64(5+n))
 	}
-	// Every subdomain's FMH root must be identical: the persistent
-	// derivation is hash-equivalent to fresh builds.
-	for i := range delta.subs {
-		if delta.subs[i].List.Root() != mat.subs[i].List.Root() {
-			t.Fatalf("subdomain %d FMH root differs between delta and materialized", i)
-		}
+	// A pencil: seven lines through (1/4, 1/2), one shared breakpoint
+	// where the sweep reverses a 7-block, plus one line off it.
+	pencil := [][2]float64{{0.25, 0.125}}
+	for _, slope := range []float64{-2, -1, -0.5, 0.5, 1, 2, 3} {
+		pencil = append(pencil, [2]float64{slope, 0.5 - slope/4})
 	}
-	if delta.rootDigest != mat.rootDigest {
-		t.Fatal("IMH root digests differ between delta and materialized")
-	}
-	// Queries agree too.
-	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 30; trial++ {
-		q := query.NewTopK(geometry.Point{rng.Float64()*2 - 1}, 3)
-		a1, err := delta.Process(q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a2, err := mat.Process(q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a1.Records) != len(a2.Records) {
-			t.Fatal("result lengths differ")
-		}
-		for i := range a1.Records {
-			if a1.Records[i].ID != a2.Records[i].ID {
-				t.Fatal("results differ between delta and materialized")
-			}
+	tables["pencil"] = tinyTable(t, pencil...)
+
+	for name, tbl := range tables {
+		for _, mode := range []Mode{OneSignature, MultiSignature} {
+			t.Run(fmt.Sprintf("%s/%v", name, mode), func(t *testing.T) {
+				tree := build1D(t, tbl, mode)
+				cursor := sweep.NewCursor(tree.plan)
+				for k, si := range tree.subs {
+					perm, err := cursor.PermAt(k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fresh, err := tree.fmhFromPerm(tree.hasher, perm)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if si.List.Root() != fresh.Root() {
+						t.Fatalf("subdomain %d of %d: the derived list's root differs from a fresh list over the same order", k, len(tree.subs))
+					}
+				}
+			})
 		}
 	}
 }
 
 func TestSignatureCounts(t *testing.T) {
 	tbl := lineTable(t, 25, 9)
-	one := build1D(t, tbl, OneSignature, false)
-	multi := build1D(t, tbl, MultiSignature, false)
+	one := build1D(t, tbl, OneSignature)
+	multi := build1D(t, tbl, MultiSignature)
 	if one.SignatureCount() != 1 {
 		t.Errorf("one-signature count = %d", one.SignatureCount())
 	}
@@ -182,7 +185,7 @@ func TestSignatureCounts(t *testing.T) {
 
 func TestProcessRejectsBadQueries(t *testing.T) {
 	tbl := lineTable(t, 10, 10)
-	tree := build1D(t, tbl, OneSignature, false)
+	tree := build1D(t, tbl, OneSignature)
 	if _, err := tree.Process(query.NewTopK(geometry.Point{5}, 1), nil); err == nil {
 		t.Error("query outside the owner domain accepted")
 	}
@@ -224,7 +227,7 @@ func TestBuildValidation(t *testing.T) {
 func TestVerifyRejectsBasicForgeries(t *testing.T) {
 	tbl := lineTable(t, 40, 12)
 	for _, mode := range []Mode{OneSignature, MultiSignature} {
-		tree := build1D(t, tbl, mode, false)
+		tree := build1D(t, tbl, mode)
 		pub := tree.Public()
 		q := query.NewRange(geometry.Point{0.25}, -1, 1)
 		ans, err := tree.Process(q, nil)
@@ -276,7 +279,7 @@ func TestVerifyRejectsWrongQueryEcho(t *testing.T) {
 	// A VO for one query must not verify for a different query: the
 	// client passes its own query into Verify.
 	tbl := lineTable(t, 30, 13)
-	tree := build1D(t, tbl, OneSignature, false)
+	tree := build1D(t, tbl, OneSignature)
 	pub := tree.Public()
 	q := query.NewTopK(geometry.Point{0.5}, 3)
 	ans, err := tree.Process(q, nil)
@@ -296,7 +299,7 @@ func TestVerifyRejectsWrongQueryEcho(t *testing.T) {
 
 func TestCountersObserveWork(t *testing.T) {
 	tbl := lineTable(t, 64, 14)
-	tree := build1D(t, tbl, OneSignature, false)
+	tree := build1D(t, tbl, OneSignature)
 	pub := tree.Public()
 	q := query.NewRange(geometry.Point{0.1}, -1, 1)
 	var srv metrics.Counter
@@ -321,7 +324,7 @@ func TestCountersObserveWork(t *testing.T) {
 
 func TestKNNSmallDatabaseEdges(t *testing.T) {
 	tbl := lineTable(t, 3, 15)
-	tree := build1D(t, tbl, MultiSignature, false)
+	tree := build1D(t, tbl, MultiSignature)
 	pub := tree.Public()
 	// k greater than n: full list with sentinel boundaries.
 	q := query.NewKNN(geometry.Point{0}, 10, 0)
@@ -349,7 +352,7 @@ func TestKNNSmallDatabaseEdges(t *testing.T) {
 func TestEmptyRangeResult(t *testing.T) {
 	tbl := lineTable(t, 20, 16)
 	for _, mode := range []Mode{OneSignature, MultiSignature} {
-		tree := build1D(t, tbl, mode, false)
+		tree := build1D(t, tbl, mode)
 		pub := tree.Public()
 		q := query.NewRange(geometry.Point{0}, 1e6, 2e6)
 		ans, err := tree.Process(q, nil)

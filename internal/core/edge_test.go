@@ -30,7 +30,7 @@ func TestSingleRecordDatabase(t *testing.T) {
 	// returns the whole (one-element) list with sentinel boundaries.
 	tbl := tinyTable(t, [2]float64{1, 0})
 	for _, mode := range []Mode{OneSignature, MultiSignature} {
-		tree := build1D(t, tbl, mode, false)
+		tree := build1D(t, tbl, mode)
 		if tree.NumSubdomains() != 1 {
 			t.Fatalf("%v: subdomains = %d, want 1", mode, tree.NumSubdomains())
 		}
@@ -69,7 +69,7 @@ func TestTwoCrossingRecords(t *testing.T) {
 	// Two lines crossing mid-domain: exactly two subdomains whose orders
 	// are reversed; queries on both sides agree with direct evaluation.
 	tbl := tinyTable(t, [2]float64{1, 0}, [2]float64{-1, 0.5})
-	tree := build1D(t, tbl, OneSignature, false)
+	tree := build1D(t, tbl, OneSignature)
 	if tree.NumSubdomains() != 2 {
 		t.Fatalf("subdomains = %d, want 2", tree.NumSubdomains())
 	}
@@ -97,7 +97,7 @@ func TestIdenticalRecordsContent(t *testing.T) {
 	// Two records with identical attributes (different IDs): they tie at
 	// every x; the canonical order breaks ties by index and never swaps.
 	tbl := tinyTable(t, [2]float64{1, 2}, [2]float64{1, 2}, [2]float64{0, 0})
-	tree := build1D(t, tbl, MultiSignature, false)
+	tree := build1D(t, tbl, MultiSignature)
 	pub := tree.Public()
 	q := query.NewTopK(geometry.Point{0.5}, 2)
 	ans, err := tree.Process(q, nil)
@@ -114,33 +114,24 @@ func TestIdenticalRecordsContent(t *testing.T) {
 
 func TestStatsInvariants(t *testing.T) {
 	tbl := lineTable(t, 40, 31)
-	delta := build1D(t, tbl, MultiSignature, false)
-	mat := build1D(t, tbl, MultiSignature, true)
-
-	ds, ms := delta.Stats(), mat.Stats()
-	if ds.Records != 40 || ms.Records != 40 {
-		t.Error("record counts wrong")
-	}
-	if ds.Subdomains != ms.Subdomains || ds.IMHNodes != ms.IMHNodes {
-		t.Error("structure shapes should not depend on materialization")
+	s := build1D(t, tbl, MultiSignature).Stats()
+	if s.Records != 40 {
+		t.Error("record count wrong")
 	}
 	// IMH is a full binary tree over S leaves: 2S-1 nodes.
-	if ds.IMHNodes != 2*ds.Subdomains-1 {
-		t.Errorf("IMH nodes = %d for %d subdomains, want %d", ds.IMHNodes, ds.Subdomains, 2*ds.Subdomains-1)
+	if s.IMHNodes != 2*s.Subdomains-1 {
+		t.Errorf("IMH nodes = %d for %d subdomains, want %d", s.IMHNodes, s.Subdomains, 2*s.Subdomains-1)
 	}
-	if ds.Signatures != ds.Subdomains {
+	if s.Signatures != s.Subdomains {
 		t.Error("multi-signature count mismatch")
 	}
-	// The delta representation shares FMH structure.
-	if ds.FMHNodes >= ms.FMHNodes {
-		t.Errorf("delta FMH nodes (%d) should undercut materialized (%d)", ds.FMHNodes, ms.FMHNodes)
+	// A forest of fresh lists would have exactly S*(2(n+2)-1) nodes (see
+	// TestParallelBuildIdenticalND); the persistent chain shares
+	// structure and strictly undercuts it.
+	if literal := s.Subdomains * (2*(40+2) - 1); s.FMHNodes >= literal {
+		t.Errorf("persistent forest has %d FMH nodes, should undercut the %d of from-scratch lists", s.FMHNodes, literal)
 	}
-	// Fresh materialized FMH forests have exactly S*(2(n+2)-1) nodes.
-	wantMat := ms.Subdomains * (2*(40+2) - 1)
-	if ms.FMHNodes != wantMat {
-		t.Errorf("materialized FMH nodes = %d, want %d", ms.FMHNodes, wantMat)
-	}
-	if ds.ApproxBytes <= 0 || ds.SignatureBytes <= 0 {
+	if s.ApproxBytes <= 0 || s.SignatureBytes <= 0 {
 		t.Error("byte estimates missing")
 	}
 }

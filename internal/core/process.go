@@ -17,8 +17,8 @@ import (
 // the FMH range proof and the mode's subdomain evidence.
 //
 // The subdomain's FMH-tree is its sorted list (fmh.List names the record
-// under every leaf), so the walk is O(log n + k) for every layout — delta,
-// materialized, multivariate, loaded from an artifact — and reads only
+// under every leaf), so the walk is O(log n + k) for every tree —
+// univariate, multivariate, loaded from an artifact — and reads only
 // immutable tree state: the window selection scores the positions it
 // probes by one descent each, and one in-order pass reads the window and
 // its two neighbors. No permutation is materialized and nothing is

@@ -28,14 +28,13 @@ type Snapshot struct {
 	Domain   geometry.Box
 	Template funcs.Template
 	Table    record.Table
-	// Plan is the delta-mode sweep plan (zero for materialized and
-	// multivariate layouts, whose permutations live on the subs).
+	// Plan is the univariate sweep plan (zero for a multivariate tree).
 	Plan sweep.Plan
 	// ITree is the IMH search tree with every node hash filled.
 	ITree *itree.Tree
-	// Subs carries each subdomain's FMH list, its permutation
-	// (materialized layouts only) and, in multi-signature mode, its
-	// inequality encoding and signature.
+	// Subs carries each subdomain's FMH list — whose leaves are the
+	// sorted order — and, in multi-signature mode, its inequality
+	// encoding and signature.
 	Subs []*SubInfo
 	// RootSig is the owner's root signature (one-signature mode).
 	RootSig  []byte
@@ -60,11 +59,11 @@ func (t *Tree) Snapshot() Snapshot {
 }
 
 // FromSnapshot reconstructs a serving tree from a snapshot: it derives
-// the record functions from the template, recomputes the record
-// digests and the root digest, and decodes the multi-signature
-// inequality sets — everything else (the IMH node hashes, the FMH
-// forest, the signatures) is taken from the snapshot as-is, which is
-// what makes reconstruction O(structure) instead of O(n²) rebuild.
+// the record functions from the template, recomputes the root digest
+// and decodes the multi-signature inequality sets — everything else
+// (the IMH node hashes, the FMH forest, the signatures) is taken from
+// the snapshot as-is, which is what makes reconstruction O(structure)
+// instead of an O(n²) rebuild, with no per-record hashing.
 //
 // The result is serve-only: it answers and authenticates queries
 // exactly like the original (equal Fingerprint), but it retains no
@@ -140,7 +139,6 @@ func FromSnapshot(s Snapshot) (*Tree, error) {
 	}
 
 	n := s.Table.Len()
-	delta := false
 	for i, si := range s.Subs {
 		if si == nil || si.List == nil || si.Sub == nil {
 			return nil, fmt.Errorf("core: snapshot subdomain %d is incomplete", i)
@@ -152,22 +150,16 @@ func FromSnapshot(s Snapshot) (*Tree, error) {
 			return nil, fmt.Errorf("core: subdomain %d list covers %d leaves for %d records",
 				i, si.List.LeafCount(), n)
 		}
-		if si.Perm == nil {
-			delta = true
-		} else if len(si.Perm) != n {
-			return nil, fmt.Errorf("core: subdomain %d permutation has %d entries for %d records",
-				i, len(si.Perm), n)
-		}
 	}
-	if delta {
-		if len(s.Plan.BasePerm) != n {
-			return nil, fmt.Errorf("core: delta snapshot base permutation has %d entries for %d records",
-				len(s.Plan.BasePerm), n)
-		}
-		if len(s.Plan.Swaps) != len(s.Subs)-1 {
-			return nil, fmt.Errorf("core: delta snapshot has %d boundary swap lists for %d subdomains",
-				len(s.Plan.Swaps), len(s.Subs))
-		}
+	// A univariate tree carries the plan its lists were derived by; a
+	// multivariate tree has none.
+	wantPerm, wantSwaps := n, len(s.Subs)-1
+	if s.Template.Dim() != 1 {
+		wantPerm, wantSwaps = 0, 0
+	}
+	if len(s.Plan.BasePerm) != wantPerm || len(s.Plan.Swaps) != wantSwaps {
+		return nil, fmt.Errorf("core: %d-D snapshot plan has %d base entries and %d boundary swap lists for %d records in %d subdomains",
+			s.Template.Dim(), len(s.Plan.BasePerm), len(s.Plan.Swaps), n, len(s.Subs))
 	}
 
 	switch s.Mode {
@@ -197,10 +189,6 @@ func FromSnapshot(s Snapshot) (*Tree, error) {
 		return nil, fmt.Errorf("core: unknown mode %v", s.Mode)
 	}
 
-	t.recDigests = make([]hashing.Digest, n)
-	for i := range s.Table.Records {
-		t.recDigests[i] = h.Record(s.Table.Records[i])
-	}
 	t.rootDigest = h.Root(s.ITree.Root.Hash)
 	return t, nil
 }

@@ -19,8 +19,8 @@ type Stats struct {
 	// Signatures and SignatureBytes cover the owner's signatures.
 	Signatures     int
 	SignatureBytes int
-	// TotalSwaps is the sweep's transposition count (delta mode's extra
-	// bookkeeping; zero for multivariate trees).
+	// TotalSwaps is the sweep's transposition count (zero for
+	// multivariate trees).
 	TotalSwaps int
 	// ApproxBytes estimates the serialized structure size from the
 	// component counts (see the constants below).
@@ -29,11 +29,12 @@ type Stats struct {
 
 // Per-component byte estimates for ApproxBytes. IMH nodes store a digest
 // plus two child references and an intersection reference; FMH nodes a
-// digest, two references and a width; each 1-D intersection costs its two
-// endpoints' worth of hyperplane data.
+// digest, two references and a width (exported for ablation A1, which
+// prices the nodes a from-scratch forest would add); each 1-D
+// intersection costs its two endpoints' worth of hyperplane data.
 const (
 	bytesPerIMHNode = 32 + 8 + 8 + 8
-	bytesPerFMHNode = 32 + 8 + 8 + 8
+	BytesPerFMHNode = 32 + 8 + 8 + 8
 	bytesPerSwap    = 8
 )
 
@@ -64,7 +65,7 @@ func (t *Tree) Stats() Stats {
 		hyperplaneBytes += len(si.IneqEnc)
 	}
 	s.ApproxBytes = s.IMHNodes*bytesPerIMHNode +
-		s.FMHNodes*bytesPerFMHNode +
+		s.FMHNodes*BytesPerFMHNode +
 		s.TotalSwaps*bytesPerSwap +
 		s.SignatureBytes +
 		recordBytes +

@@ -170,10 +170,10 @@ func checkWalk(t *testing.T, tree *core.Tree, tpl funcs.Template, q query.Query)
 
 // TestWalkIsTheBruteForce: the answer is defined by the brute-force
 // computation, and the O(log n + k) walk that reads the window off the
-// FMH-tree returns exactly it — for every layout a list is made by
-// (delta, materialized, loaded from an artifact, multivariate), both
-// signing modes, and the edge cases of every kind. The three univariate
-// layouts must also agree byte for byte on the wire.
+// FMH-tree returns exactly it — for every way a list comes to be (the
+// univariate sweep chain, loaded from an artifact, multivariate), both
+// signing modes, and the edge cases of every kind. The built and the
+// loaded univariate tree must also agree byte for byte on the wire.
 func TestWalkIsTheBruteForce(t *testing.T) {
 	dom1 := geometry.MustBox([]float64{-1}, []float64{1})
 	line := funcs.AffineLine(0, 1)
@@ -182,12 +182,8 @@ func TestWalkIsTheBruteForce(t *testing.T) {
 			t.Run(fmt.Sprintf("1D/%v/n=%d", mode, n), func(t *testing.T) {
 				tbl := quarterTable(t, n, 2, int64(n))
 				spec := build.Spec{Table: tbl, Template: line, Domain: dom1, Signer: walkSigner}
-				delta := outsourceWalk(t, spec, build.WithMode(mode))
-				trees := []*core.Tree{
-					delta.Tree,
-					outsourceWalk(t, spec, build.WithMode(mode), build.WithMaterialize()).Tree,
-					reopen(t, delta),
-				}
+				built := outsourceWalk(t, spec, build.WithMode(mode))
+				trees := []*core.Tree{built.Tree, reopen(t, built)}
 				fs, err := line.InterpretTable(tbl)
 				if err != nil {
 					t.Fatal(err)
@@ -204,7 +200,7 @@ func TestWalkIsTheBruteForce(t *testing.T) {
 							if i == 0 {
 								frame = enc
 							} else if !bytes.Equal(enc, frame) {
-								t.Fatalf("%+v: layout %d answers with different bytes than the delta build", q, i)
+								t.Fatalf("%+v: the loaded tree answers with different bytes than the built one", q)
 							}
 						}
 					}
@@ -342,6 +338,75 @@ func TestLeafIndexIsThePermutation(t *testing.T) {
 				if si.List.RecordAt(p) != want[p] {
 					t.Fatalf("%s: subdomain %d RecordAt(%d) = %d, sweep says %d", name, id, p, si.List.RecordAt(p), want[p])
 				}
+			}
+		}
+	}
+}
+
+// TestNDLeavesAreTheSortedOrder is the multivariate ground truth: the
+// leaves are the only place a bivariate or trivariate subdomain's order
+// lives, so at seeded sample points the full leaf order of the subdomain
+// the I-tree search lands in must be the brute-force sort of the
+// functions there — on the built tree and on the same tree read back
+// from an artifact. Points within 1e-9 of a difference hyperplane are
+// skipped: there the float sort and the exact arrangement may
+// legitimately disagree.
+func TestNDLeavesAreTheSortedOrder(t *testing.T) {
+	const samples = 200
+	for _, dim := range []int{2, 3} {
+		for _, n := range []int{5, 8} {
+			for _, dist := range []workload.Distribution{workload.Uniform, workload.AntiCorrelated} {
+				t.Run(fmt.Sprintf("%dD/n=%d/%s", dim, n, dist), func(t *testing.T) {
+					tbl, dom, err := workload.Points(workload.PointsConfig{N: n, Dim: dim, Seed: int64(10*dim + n), Dist: dist})
+					if err != nil {
+						t.Fatal(err)
+					}
+					tpl := funcs.ScalarProduct(dim)
+					res := outsourceWalk(t, build.Spec{Table: tbl, Template: tpl, Domain: dom, Signer: walkSigner},
+						build.WithMode(core.MultiSignature))
+					fs, err := tpl.InterpretTable(tbl)
+					if err != nil {
+						t.Fatal(err)
+					}
+					nearTie := func(x geometry.Point) bool {
+						for i := range fs {
+							for j := i + 1; j < len(fs); j++ {
+								if math.Abs(fs[i].Eval(x)-fs[j].Eval(x)) < 1e-9 {
+									return true
+								}
+							}
+						}
+						return false
+					}
+					snaps := map[string]core.Snapshot{"built": res.Tree.Snapshot(), "reopened": reopen(t, res).Snapshot()}
+					rng := rand.New(rand.NewSource(int64(n)))
+					visited := map[int]bool{}
+					for checked := 0; checked < samples; {
+						x := make(geometry.Point, dim)
+						for a := range x {
+							x[a] = dom.Lo[a] + rng.Float64()*(dom.Hi[a]-dom.Lo[a])
+						}
+						if nearTie(x) {
+							continue
+						}
+						checked++
+						want := funcs.SortAt(fs, x)
+						for name, snap := range snaps {
+							sub := snap.ITree.Search(x, nil, nil)
+							visited[sub.ID] = true
+							got, err := snap.Subs[sub.ID].List.Window(nil, 0, n)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !slices.Equal(got[1:n+1], want) {
+								t.Fatalf("%s: at %v subdomain %d's leaves read %v, the sort says %v", name, x, sub.ID, got[1:n+1], want)
+							}
+						}
+					}
+					if len(visited) < 2 {
+						t.Fatalf("the samples landed in %d subdomain(s) of %d; the check needs orders to compare", len(visited), len(snaps["built"].Subs))
+					}
+				})
 			}
 		}
 	}

@@ -336,6 +336,10 @@ func TestDialedSessionPoison(t *testing.T) {
 			if e, err := warm.Client().Refresh(ctx); err != nil || e != 2 {
 				t.Fatalf("refresh: epoch %d, err %v", e, err)
 			}
+			if pub, _ := warm.Client().Public(); pub.Epoch != 2 || warm.Client().Params().Epoch != 2 {
+				t.Fatalf("refreshed to epoch 2, but the session publishes Public().Epoch = %d, Params().Epoch = %d",
+					pub.Epoch, warm.Client().Params().Epoch)
+			}
 			signatures() // honest epoch-2 answers verify, through the same memo
 			if mode == core.OneSignature {
 				poison("previous epoch's root signature", func(a *core.Answer) { a.VO.Signature = old[0] })

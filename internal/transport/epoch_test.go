@@ -85,6 +85,15 @@ func TestEpochPinAndRefresh(t *testing.T) {
 	if r.Epoch() != 1 || r.Client().Epoch() != 1 {
 		t.Fatalf("pinned epoch = %d, want 1", r.Epoch())
 	}
+	// The session publishes one epoch, whichever accessor is asked.
+	published := func(want uint64) {
+		t.Helper()
+		pub, ok := r.Client().Public()
+		if got := r.Client().Params().Epoch; !ok || pub.Epoch != want || got != want {
+			t.Fatalf("pinned epoch %d, but Public().Epoch = %d and Params().Epoch = %d", want, pub.Epoch, got)
+		}
+	}
+	published(1)
 
 	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
 	qs := []query.Query{query.NewTopK(x, 3), query.NewRange(x, -1, 1)}
@@ -145,6 +154,7 @@ func TestEpochPinAndRefresh(t *testing.T) {
 	if err != nil || e != 2 {
 		t.Fatalf("refresh: epoch %d, err %v", e, err)
 	}
+	published(2)
 	answers, errs = r.QueryBatch(ctx, qs, backend.WithVerify(res2.Public))
 	for i := range qs {
 		if errs[i] != nil || answers[i].Epoch != 2 || len(answers[i].Records) == 0 {

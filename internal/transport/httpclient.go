@@ -84,11 +84,8 @@ func Dial(base string, hc *http.Client) (*HTTPClient, error) {
 		if p.Backend == "ifmh-multi" {
 			mode = core.MultiSignature
 		}
-		pub := core.PublicParams{
-			Verifier: ver, Template: tpl, Mode: mode, SemTol: p.SemTol,
-			Epoch: p.Epoch,
-		}
-		out.pub = &pub
+		// Epoch is stamped by Public() from the live pin.
+		out.pub = &core.PublicParams{Verifier: ver, Template: tpl, Mode: mode, SemTol: p.SemTol}
 	case "mesh":
 		out.mpub = &mesh.PublicParams{Verifier: ver, Template: tpl, SemTol: p.SemTol}
 	default:
@@ -105,8 +102,13 @@ func (c *HTTPClient) Backend() string { return c.params.Backend }
 func (c *HTTPClient) Shards() int { return c.params.Shards }
 
 // Params returns the server's advertised trust bundle as fetched at
-// dial time. The live epoch is Epoch(), which Refresh re-pins.
-func (c *HTTPClient) Params() Params { return c.params }
+// dial time, stamped with the live epoch pin — the one field Refresh
+// moves.
+func (c *HTTPClient) Params() Params {
+	p := c.params
+	p.Epoch = c.Epoch()
+	return p
+}
 
 // Epoch returns the publication epoch the client has pinned — from the
 // dial-time /params, or the last successful Refresh. 0 means the server
@@ -181,12 +183,16 @@ func (c *HTTPClient) Domain() (geometry.Box, bool) { return c.params.Domain.Box(
 // Public returns the IFMH verification parameters derived from the
 // advertised bundle (zero for mesh backends). Their Verifier is the
 // session's sig.Memo: an owner signature accepted once costs no second
-// public-key operation; every other check still runs per answer.
+// public-key operation; every other check still runs per answer. Their
+// Epoch is the live pin, so a refreshed session publishes the epoch it
+// verifies against.
 func (c *HTTPClient) Public() (core.PublicParams, bool) {
 	if c.pub == nil {
 		return core.PublicParams{}, false
 	}
-	return *c.pub, true
+	pub := *c.pub
+	pub.Epoch = c.Epoch()
+	return pub, true
 }
 
 // MeshPublic returns the signature-mesh verification parameters
