@@ -25,17 +25,17 @@
 //
 // # The build plane
 //
-// Every product a data owner can hand to the cloud — a single IFMH-tree,
-// an evenly or quantile-cut domain-sharded tree set, the signature-mesh
-// baseline — comes out of one context-aware call, Outsource, shaped by
-// functional options: WithShards/WithPlan select sharding, WithPlanner
-// picks the cut placement (QuantileCuts balances skewed data), WithMesh
-// selects the baseline, WithBuildWorkers bounds every stage's worker
-// pool and WithProgress observes the stages. The built bytes are
-// identical for every worker count, and a canceled ctx aborts
-// construction mid-stage. No option selects a list layout: a univariate
-// template's sorted lists are always one persistent sweep chain, a
-// multivariate one's always one from-scratch list per subdomain.
+// Every product a data owner can hand to the cloud — a single IFMH-tree
+// or an evenly or quantile-cut domain-sharded tree set — comes out of
+// one context-aware call, Outsource, shaped by functional options:
+// WithShards/WithPlan select sharding, WithPlanner picks the cut
+// placement (QuantileCuts balances skewed data), WithBuildWorkers bounds
+// every stage's worker pool and WithProgress observes the stages. The
+// built bytes are identical for every worker count, and a canceled ctx
+// aborts construction mid-stage. No option selects a list layout: a
+// univariate template's sorted lists are always one persistent sweep
+// chain, a multivariate one's always one from-scratch list per
+// subdomain.
 //
 // # The mutation plane
 //
@@ -50,9 +50,7 @@
 // PublicParams.Epoch; epoch-aware servers swap the new bundle in
 // atomically, answers carry the epoch they were computed at, and a
 // client pinned to an older epoch surfaces the mismatch as a typed
-// *EpochError instead of a misleading verification failure. The
-// signature-mesh baseline retains no signing state and returns
-// ErrStaticBuild.
+// *EpochError instead of a misleading verification failure.
 //
 // # The query plane
 //
@@ -125,7 +123,6 @@ import (
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
-	"aqverify/internal/mesh"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
@@ -181,10 +178,6 @@ type (
 	TreeStats = core.Stats
 	// BatchItem bundles one (query, result, VO) triple for VerifyBatch.
 	BatchItem = core.BatchItem
-	// SignatureMesh is the baseline structure of Yang, Cai & Hu.
-	SignatureMesh = mesh.Mesh
-	// MeshParams configures the baseline build.
-	MeshParams = mesh.Params
 )
 
 // Domain sharding.
@@ -227,11 +220,6 @@ type (
 	// client pinned at dial; re-read the published parameters and retry.
 	EpochError = backend.EpochError
 )
-
-// ErrStaticBuild marks a product that cannot be mutated in place: the
-// signature-mesh baseline retains no signing state, so a mutated mesh
-// must be re-outsourced from scratch with Outsource.
-var ErrStaticBuild = build.ErrStatic
 
 // ShardNone marks an unsharded build stage (BuildProgress.Shard) or an
 // unattributed answer (BackendAnswer.Shard).
@@ -336,9 +324,9 @@ func NewBottomK(x Point, k int) Query { return query.NewBottomK(x, k) }
 // IFMH-tree over the whole domain — and returns it with the parameter
 // bundle the owner publishes. Options: WithMode, WithShuffle,
 // WithBuildWorkers, WithProgress shape the construction;
-// WithShards/WithPlan (+ WithPlanner) select a domain-sharded product;
-// WithMesh the signature-mesh baseline. The result is byte-identical for
-// every worker count, and a done ctx cancels mid-stage.
+// WithShards/WithPlan (+ WithPlanner) select a domain-sharded product.
+// The result is byte-identical for every worker count, and a done ctx
+// cancels mid-stage.
 func Outsource(ctx context.Context, spec BuildSpec, opts ...BuildOption) (*BuildResult, error) {
 	return build.Outsource(ctx, spec, opts...)
 }
@@ -370,9 +358,6 @@ func WithShards(k, axis int) BuildOption { return build.WithShards(k, axis) }
 
 // WithPlanner selects the cut placement used by WithShards.
 func WithPlanner(p ShardPlanner) BuildOption { return build.WithPlanner(p) }
-
-// WithMesh asks for the signature-mesh baseline product.
-func WithMesh() BuildOption { return build.WithMesh() }
 
 // EvenCuts is the default planner: k equally sized sub-boxes.
 func EvenCuts(ctx context.Context, req PlanRequest) (ShardPlan, error) {
@@ -406,8 +391,7 @@ func Update(i int, rec Record) Mutation { return build.Update(i, rec) }
 // built the product; multivariate products are rebuilt. Either way the
 // result is byte-identical to a full Outsource of the mutated table at
 // the same epoch, at any worker count. Sharded
-// products mutate every shard concurrently onto one common epoch; the
-// mesh baseline returns ErrStaticBuild.
+// products mutate every shard concurrently onto one common epoch.
 func Apply(ctx context.Context, prev *BuildResult, muts ...Mutation) (*BuildResult, error) {
 	return build.Apply(ctx, prev, muts...)
 }

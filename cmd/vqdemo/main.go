@@ -2,14 +2,13 @@
 // owner builds and signs the IFMH-tree, a cloud server answers analytic
 // queries with verification objects, an honest round trip verifies, a
 // battery of attacks by a lying server or network adversary is rejected,
-// and (for the ifmh backend) the owner mutates the live database — the
-// incremental re-outsourcing is swapped in as a new epoch, a pinned
-// client detects the bump as a typed error, refreshes, and resumes
-// verified queries.
+// and the owner mutates the live database — the incremental
+// re-outsourcing is swapped in as a new epoch, a pinned client detects
+// the bump as a typed error, refreshes, and resumes verified queries.
 //
 // Usage:
 //
-//	vqdemo [-n records] [-mode one|multi] [-backend ifmh|mesh] [-seed n]
+//	vqdemo [-n records] [-mode one|multi] [-seed n]
 package main
 
 import (
@@ -38,27 +37,32 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "vqdemo:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("vqdemo", flag.ExitOnError)
 	var (
-		n       = flag.Int("n", 500, "database size")
-		modeStr = flag.String("mode", "one", "IFMH signing mode: one|multi")
-		backend = flag.String("backend", "ifmh", "backend: ifmh|mesh")
-		seed    = flag.Int64("seed", 42, "workload seed (also seeds the IMH-tree shape)")
+		n       = fs.Int("n", 500, "database size")
+		modeStr = fs.String("mode", "one", "IFMH signing mode: one|multi")
+		seed    = fs.Int64("seed", 42, "workload seed (also seeds the IMH-tree shape)")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
-	mode := core.OneSignature
-	if *modeStr == "multi" {
+	var mode core.Mode
+	switch *modeStr {
+	case "one":
+		mode = core.OneSignature
+	case "multi":
 		mode = core.MultiSignature
+	default:
+		return fmt.Errorf("unknown mode %q (want one or multi)", *modeStr)
 	}
 
-	fmt.Printf("== Outsourcing a %d-record database (backend %s) ==\n", *n, *backend)
+	fmt.Printf("== Outsourcing a %d-record database ==\n", *n)
 	tbl, dom, err := workload.Lines(workload.LinesConfig{N: *n, Seed: *seed})
 	if err != nil {
 		return err
@@ -73,44 +77,19 @@ func run() error {
 
 	// The three parties: the owner's build, the server hosting it, and
 	// the user's verification option over the owner's published bundle.
-	var srv *server.Server
-	var verify bkd.Option
-	var attacks []attack
-	var res *build.Result
-	rng := rand.New(rand.NewSource(*seed))
-	switch *backend {
-	case "ifmh":
-		res, err = build.Outsource(ctx, spec, build.WithMode(mode), build.WithShuffle(*seed))
-		if err != nil {
-			return err
-		}
-		st := res.Tree.Stats()
-		fmt.Printf("built IFMH-tree (%v): %d subdomains, %d IMH nodes (depth %d), %d shared FMH nodes, %d signature(s)\n",
-			mode, st.Subdomains, st.IMHNodes, st.IMHDepth, st.FMHNodes, st.Signatures)
-		if srv, err = server.New(server.IFMH{Tree: res.Tree}); err != nil {
-			return err
-		}
-		verify = bkd.WithVerify(res.Public)
-		for _, atk := range tamper.IFMHCatalog() {
-			attacks = append(attacks, attack{atk.Name, tamper.IFMHAttack(atk, rng)})
-		}
-	case "mesh":
-		res, err = build.Outsource(ctx, spec, build.WithMesh())
-		if err != nil {
-			return err
-		}
-		st := res.Mesh.Stats()
-		fmt.Printf("built signature mesh: %d subdomains, %d signed runs\n", st.Subdomains, st.Runs)
-		if srv, err = server.New(server.Mesh{M: res.Mesh}); err != nil {
-			return err
-		}
-		verify = bkd.WithVerifyMesh(res.MeshPublic)
-		for _, atk := range tamper.MeshCatalog() {
-			attacks = append(attacks, attack{atk.Name, tamper.MeshAttack(atk, rng)})
-		}
-	default:
-		return fmt.Errorf("unknown backend %q", *backend)
+	res, err := build.Outsource(ctx, spec, build.WithMode(mode), build.WithShuffle(*seed))
+	if err != nil {
+		return err
 	}
+	st := res.Tree.Stats()
+	fmt.Printf("built IFMH-tree (%v): %d subdomains, %d IMH nodes (depth %d), %d shared FMH nodes, %d signature(s)\n",
+		mode, st.Subdomains, st.IMHNodes, st.IMHDepth, st.FMHNodes, st.Signatures)
+	srv, err := server.New(server.IFMH{Tree: res.Tree})
+	if err != nil {
+		return err
+	}
+	verify := bkd.WithVerify(res.Public)
+	rng := rand.New(rand.NewSource(*seed))
 
 	x := geometry.Point{dom.Lo[0] + (dom.Hi[0]-dom.Lo[0])*0.5}
 	queries := []query.Query{
@@ -144,10 +123,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		for _, atk := range attacks {
+		for _, atk := range tamper.IFMHCatalog() {
+			rewrite := tamper.IFMHAttack(atk, rng)
 			did := false
 			ch := tamper.Channel{Inner: srv, Rewrite: func(q query.Query, raw []byte) []byte {
-				out := atk.rewrite(q, raw)
+				out := rewrite(q, raw)
 				did = !bytes.Equal(out, honest.Raw)
 				return out
 			}}
@@ -159,7 +139,7 @@ func run() error {
 			if errors.Is(err, core.ErrVerification) {
 				detected++
 			} else {
-				fmt.Printf("MISSED: %s on %v (err=%v)\n", atk.name, q.Kind, err)
+				fmt.Printf("MISSED: %s on %v (err=%v)\n", atk.Name, q.Kind, err)
 			}
 		}
 	}
@@ -168,22 +148,14 @@ func run() error {
 		return fmt.Errorf("%d attacks went undetected", applied-detected)
 	}
 
-	if *backend == "ifmh" {
-		if err := liveMutation(ctx, res, srv, dom, *n); err != nil {
-			return err
-		}
+	if err := liveMutation(ctx, res, srv, dom, *n); err != nil {
+		return err
 	}
 
 	stats, count := srv.Stats()
 	fmt.Printf("\nserver handled %d queries; cumulative: %s\n", count, (&stats).String())
 	fmt.Printf("client cumulative: %s\n", client.String())
 	return nil
-}
-
-// attack is one catalogue entry as a channel rewrite.
-type attack struct {
-	name    string
-	rewrite func(query.Query, []byte) []byte
 }
 
 // liveMutation walks the mutation plane end to end over a real HTTP

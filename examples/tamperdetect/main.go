@@ -75,11 +75,11 @@ func main() {
 		}
 	}
 
-	mres, err := aqverify.Outsource(context.Background(), spec, aqverify.WithMesh())
+	m, err := mesh.Build(tbl, mesh.Params{Signer: signer, Domain: dom, Template: tpl})
 	if err != nil {
 		log.Fatal(err)
 	}
-	m, mpub := mres.Mesh, mres.MeshPublic
+	mpub := m.Public()
 	fmt.Fprintf(w, "\n[signature mesh]\tattack\ttop-k\trange\tknn\n")
 	for _, atk := range tamper.MeshCatalog() {
 		row := fmt.Sprintf("\t%s", atk.Name)

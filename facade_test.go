@@ -81,41 +81,6 @@ func TestFacadeQuickstart(t *testing.T) {
 	}
 }
 
-// TestFacadeMesh exercises the baseline through the facade.
-func TestFacadeMesh(t *testing.T) {
-	schema := aqverify.Schema{
-		Name:    "t",
-		Columns: []aqverify.Column{{Name: "slope"}, {Name: "intercept"}},
-	}
-	records := []aqverify.Record{
-		{ID: 1, Attrs: []float64{1, 0}},
-		{ID: 2, Attrs: []float64{-1, 3}},
-		{ID: 3, Attrs: []float64{0, 1}},
-	}
-	table, err := aqverify.NewTable(schema, records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	domain, err := aqverify.NewBox([]float64{-2}, []float64{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	signer, err := aqverify.NewSigner(aqverify.ECDSA, aqverify.SignerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := aqverify.Outsource(context.Background(), aqverify.BuildSpec{
-		Table: table, Template: aqverify.AffineLine(0, 1), Domain: domain, Signer: signer,
-	}, aqverify.WithMesh())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m *aqverify.SignatureMesh = res.Mesh
-	if m.SignatureCount() < table.Len()+1 {
-		t.Errorf("mesh signatures = %d", m.SignatureCount())
-	}
-}
-
 // TestFacadeStats exposes the structure statistics.
 func TestFacadeStats(t *testing.T) {
 	schema := aqverify.Schema{

@@ -136,9 +136,8 @@ type Artifact struct {
 // Save writes the build product as an artifact directory, creating it
 // if needed and overwriting a previous artifact in place (blobs first,
 // manifest last, so a torn overwrite is detectable by name). It refuses
-// the signature-mesh baseline (no artifact form) and a product whose
-// tree count disagrees with its plan (one shard re-opened with OpenShard
-// is not a whole publication).
+// a product whose tree count disagrees with its plan (one shard
+// re-opened with OpenShard is not a whole publication).
 func Save(dir string, res *build.Result) (Info, error) {
 	if res == nil {
 		return Info{}, fmt.Errorf("artifact: nil build result")
@@ -146,8 +145,6 @@ func Save(dir string, res *build.Result) (Info, error) {
 	var kind Kind
 	var trees []*core.Tree
 	switch {
-	case res.Mesh != nil:
-		return Info{}, fmt.Errorf("artifact: the signature-mesh baseline has no artifact form")
 	case res.Set != nil:
 		kind = KindSet
 		trees = res.Set.Trees

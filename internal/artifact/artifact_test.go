@@ -214,20 +214,13 @@ func TestOpenShard(t *testing.T) {
 	}
 }
 
-// TestSaveRefusals: the mesh baseline and one shard re-opened from a
-// set have no artifact form.
+// TestSaveRefusals: no result and one shard re-opened from a set have
+// no artifact form.
 func TestSaveRefusals(t *testing.T) {
 	ctx := context.Background()
 	spec := testSpec(t, 30, 1)
 	if _, err := Save(t.TempDir(), nil); err == nil {
 		t.Fatal("nil result accepted")
-	}
-	mesh, err := build.Outsource(ctx, spec, build.WithMesh())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Save(t.TempDir(), mesh); err == nil {
-		t.Fatal("mesh result accepted")
 	}
 	set, err := build.Outsource(ctx, spec, build.WithShuffle(1), build.WithShards(3, 0))
 	if err != nil {

@@ -16,9 +16,8 @@
 // verification, persistence or re-routing uniformly. Functional options
 // replace positional parameters: WithWorkers bounds batch concurrency,
 // WithCounter accumulates the caller-side cost metrics, and WithVerify
-// (WithVerifyMesh for the signature-mesh baseline) checks every answer
-// against the owner's published parameters before it is returned,
-// filling Answer.Records.
+// checks every answer against the owner's published parameters before
+// it is returned, filling Answer.Records.
 //
 // Batches are index-stable: the slices QueryBatch returns are parallel
 // to the input, and QueryStream yields (index, result) pairs as items
@@ -33,7 +32,6 @@ import (
 	"iter"
 
 	"aqverify/internal/core"
-	"aqverify/internal/mesh"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
@@ -49,18 +47,18 @@ import (
 // reports the routing choice when one was made — the shard that refused
 // — and ShardNone otherwise.
 type Answer struct {
-	// Raw is the wire-encoded answer (wire.EncodeIFMH / EncodeMesh).
+	// Raw is the wire-encoded answer (wire.EncodeIFMH).
 	Raw []byte
 	// Records holds the verified result rows; nil until WithVerify runs.
 	Records []record.Record
 	// Shard is the answering shard (wire.ShardNone when the backend is
 	// unsharded).
 	Shard int
-	// Epoch is the publication epoch of the bundle that answered, 0 when
-	// the backend is pre-epoch (the mesh baseline) or the epoch is
-	// unknown. An answer verifies against exactly one epoch's published
-	// parameters; a mismatch against the pinned epoch surfaces as an
-	// *EpochError before a misleading verification failure can.
+	// Epoch is the publication epoch of the bundle that answered; 0 only
+	// on a query refused before any bundle did. An answer verifies
+	// against exactly one epoch's published parameters; a mismatch
+	// against the pinned epoch surfaces as an *EpochError before a
+	// misleading verification failure can.
 	Epoch uint64
 }
 
@@ -102,7 +100,7 @@ type BatchResult struct {
 // immutable (or internally synchronized) state and are safe for
 // concurrent use.
 type Backend interface {
-	// Name identifies the evaluator ("ifmh-one", "ifmh-multi", "mesh").
+	// Name identifies the evaluator ("ifmh-one", "ifmh-multi").
 	Name() string
 	// Query answers one query.
 	Query(ctx context.Context, q query.Query, opts ...Option) (Answer, error)
@@ -141,8 +139,7 @@ func WithCounter(ctr *metrics.Counter) Option { return func(c *Call) { c.ctr = c
 // parameters before returning it: the raw bytes are decoded, the echoed
 // query cross-checked, and core.Verify must accept. Verified answers
 // carry their records; a failed verification surfaces as the item's
-// error, wrapping core.ErrVerification. For IFMH-backed answers; the
-// signature-mesh baseline verifies under WithVerifyMesh.
+// error, wrapping core.ErrVerification.
 func WithVerify(pub core.PublicParams) Option {
 	verify := func(q query.Query, raw []byte, ctr *metrics.Counter) ([]record.Record, error) {
 		ans, err := wire.DecodeIFMH(raw)
@@ -153,25 +150,6 @@ func WithVerify(pub core.PublicParams) Option {
 			return nil, errEcho
 		}
 		if err := core.Verify(pub, q, ans.Records, &ans.VO, ctr); err != nil {
-			return nil, err
-		}
-		return ans.Records, nil
-	}
-	return func(c *Call) { c.verify = verify }
-}
-
-// WithVerifyMesh is WithVerify for the signature-mesh baseline: answers
-// decode as mesh answers and mesh.Verify must accept them.
-func WithVerifyMesh(pub mesh.PublicParams) Option {
-	verify := func(q query.Query, raw []byte, ctr *metrics.Counter) ([]record.Record, error) {
-		ans, err := wire.DecodeMesh(raw)
-		if err != nil {
-			return nil, rejected(err)
-		}
-		if !query.Equal(q, ans.Query) {
-			return nil, errEcho
-		}
-		if err := mesh.Verify(pub, q, ans.Records, &ans.VO, ctr); err != nil {
 			return nil, err
 		}
 		return ans.Records, nil

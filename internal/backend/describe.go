@@ -6,8 +6,7 @@ package backend
 // /stats, /metrics and the cache's pin ask per request and never hold
 // on to the result.
 
-// Epoch returns b's live publication epoch; 0 means pre-epoch (the mesh
-// baseline) or unknown.
+// Epoch returns b's live publication epoch; 0 means b reports none.
 func Epoch(b any) uint64 {
 	if s, ok := Find[interface{ Epoch() uint64 }](b); ok {
 		return s.Epoch()

@@ -15,12 +15,11 @@ import (
 // bytes — to ctr, and report the answering shard and publication epoch:
 // wire.ShardNone when unsharded or the query never routed, the owning
 // shard otherwise (kept on refusals, so attribution survives errors);
-// epoch 0 when the evaluator is pre-epoch (the mesh baseline) or the
-// query failed before reaching a bundle. The drivers do not account
-// bytes themselves; a Process that already charges them, like the
-// in-process server's encoders, must not be charged twice. The exported
-// Drive* helpers lift a Process into the full Backend surface, so
-// implementing a new backend — in this package or outside it — means
+// epoch 0 when the query failed before reaching a bundle. The drivers
+// do not account bytes themselves; a Process that already charges them,
+// like the in-process server's encoders, must not be charged twice. The
+// exported Drive* helpers lift a Process into the full Backend surface,
+// so implementing a new backend — in this package or outside it — means
 // supplying only the evaluation itself.
 type Process func(q query.Query, ctr *metrics.Counter) (shard int, epoch uint64, raw []byte, err error)
 

@@ -2,9 +2,13 @@ package bench
 
 import (
 	"context"
+	"maps"
 	"strconv"
 	"strings"
 	"testing"
+
+	"aqverify/internal/build"
+	"aqverify/internal/core"
 )
 
 // quickHarness shares one harness across the shape tests; building the
@@ -270,8 +274,11 @@ func TestConfigValidation(t *testing.T) {
 // TestMutationShapes asserts the mutation figure's claims at quick
 // scale: the applied tree answers identically to the full rebuild on
 // every row, and the single-record batch beats the rebuild on every
-// size (the speedup bar EXPERIMENTS.md quotes is checked at paper
-// scale there; here the shape must hold even at toy sizes).
+// size. "Beats" is stated on the cost model the wall-clock speedup is
+// made of — the build.WithProgress units of the stages the two sides do
+// differently: pairs enumerated, boundaries re-sorted exactly,
+// signatures issued — which is deterministic; the timing itself is
+// mutM1's EXPERIMENTS.md row.
 func TestMutationShapes(t *testing.T) {
 	h := quickHarness(t)
 	tbl := runFig(t, h, "mutM1")
@@ -279,12 +286,43 @@ func TestMutationShapes(t *testing.T) {
 		if row[5] != "ok" {
 			t.Errorf("row %d (%s/%s): identity = %q", r, row[0], row[1], row[5])
 		}
-		speed, err := strconv.ParseFloat(strings.TrimSuffix(row[4], "x"), 64)
+	}
+
+	ctx := context.Background()
+	units := map[core.Stage]int{} // one unsharded build at a time: its stages start serially
+	observe := build.WithProgress(func(p build.Progress) { units[p.Stage] += p.Units })
+	for _, n := range h.Cfg.AblationSizes {
+		base, err := h.build(ctx, fixture{n: n}) // mutM1's own fixture, memoised
 		if err != nil {
-			t.Fatalf("row %d: speedup cell %q: %v", r, row[4], err)
+			t.Fatal(err)
 		}
-		if row[1] == "1" && speed < 1.5 {
-			t.Errorf("n=%s single-record apply speedup %.2fx, want comfortably above a rebuild", row[0], speed)
+		spec := build.Spec{Table: base.table, Template: base.template, Domain: base.domain, Signer: h.signer}
+		prev, err := build.Outsource(ctx, spec, build.WithShuffle(h.Cfg.Seed), observe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clear(units)
+		next, err := build.Apply(ctx, prev, mutationBatch(n, 1, h.Cfg.Seed)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		applied := maps.Clone(units)
+		clear(units)
+		spec.Table = next.Tree.Table()
+		if _, err := build.Outsource(ctx, spec, build.WithShuffle(h.Cfg.Seed), build.WithEpoch(next.Tree.Epoch()), observe); err != nil {
+			t.Fatal(err)
+		}
+		// A rebuild's pair stage reports the records it enumerates all
+		// pairs of; an apply's the dirty pairs it found.
+		allPairs := units[core.StagePairs] * (units[core.StagePairs] - 1) / 2
+		if applied[core.StagePairs]*3 > allPairs*2 {
+			t.Errorf("n=%d: apply enumerated %d pairs, a rebuild %d; want comfortably fewer", n, applied[core.StagePairs], allPairs)
+		}
+		if applied[core.StageSweep]*3 > units[core.StageSweep]*2 {
+			t.Errorf("n=%d: apply re-sorted %d boundaries, a rebuild %d; want comfortably fewer", n, applied[core.StageSweep], units[core.StageSweep])
+		}
+		if applied[core.StageSign] > units[core.StageSign] {
+			t.Errorf("n=%d: apply issued %d signatures, a rebuild %d", n, applied[core.StageSign], units[core.StageSign])
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/hashing"
+	"aqverify/internal/mesh"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
 	"aqverify/internal/server"
@@ -70,17 +71,19 @@ type fixture struct {
 	// d > 0 is A4's d-weight Points workload under ScalarProduct.
 	dim      int
 	mode     core.Mode
-	mesh     bool   // the signature-mesh baseline instead of an IFMH product
+	mesh     bool   // the signature-mesh baseline (built.Mesh) instead of an IFMH product
 	shards   int    // 0 = one tree (Result.Tree); K >= 1 = a K-shard set (Result.Set)
 	quantile bool   // cut shards with build.QuantileCuts instead of the default even cuts
 	epoch    uint64 // pinned publication epoch (mutM1's rebuild); 0 = the build plane's default
 }
 
 // built is a fixture's product with the inputs it was built from (query
-// generators need them) and the wall time of the Outsource call alone,
-// which is what every build-time column reports.
+// generators need them) and the wall time of the build call alone,
+// which is what every build-time column reports. A mesh fixture holds
+// Mesh and no Result.
 type built struct {
 	*build.Result
+	Mesh     *mesh.Mesh
 	table    record.Table
 	template funcs.Template
 	domain   geometry.Box
@@ -123,31 +126,33 @@ func (h *Harness) build(ctx context.Context, fx fixture) (*built, error) {
 	return b, nil
 }
 
-// outsource is the package's one build.Outsource call: the fixture's
-// options over the given table, timed. build goes through it; mutM1
-// calls it directly to rebuild a mutated table no key can name.
+// outsource is the package's one build call: the fixture's options over
+// the given table, timed. build goes through it; mutM1 calls it
+// directly to rebuild a mutated table no key can name.
 func (h *Harness) outsource(ctx context.Context, fx fixture, tbl record.Table, tpl funcs.Template, dom geometry.Box) (*built, error) {
-	opts := []build.Option{build.WithWorkers(h.Cfg.Workers)}
-	if fx.mesh {
-		opts = append(opts, build.WithMesh())
-	} else {
-		opts = append(opts, build.WithMode(fx.mode), build.WithShuffle(h.Cfg.Seed))
-	}
-	if fx.shards > 0 {
-		opts = append(opts, build.WithShards(fx.shards, 0))
-	}
-	if fx.quantile {
-		opts = append(opts, build.WithPlanner(build.QuantileCuts))
-	}
-	if fx.epoch != 0 {
-		opts = append(opts, build.WithEpoch(fx.epoch))
-	}
+	b := &built{table: tbl, template: tpl, domain: dom}
+	var err error
 	start := time.Now()
-	res, err := build.Outsource(ctx, build.Spec{Table: tbl, Template: tpl, Domain: dom, Signer: h.signer}, opts...)
+	if fx.mesh {
+		b.Mesh, err = mesh.BuildCtx(ctx, tbl, mesh.Params{Signer: h.signer, Domain: dom, Template: tpl, Workers: h.Cfg.Workers})
+	} else {
+		opts := []build.Option{build.WithWorkers(h.Cfg.Workers), build.WithMode(fx.mode), build.WithShuffle(h.Cfg.Seed)}
+		if fx.shards > 0 {
+			opts = append(opts, build.WithShards(fx.shards, 0))
+		}
+		if fx.quantile {
+			opts = append(opts, build.WithPlanner(build.QuantileCuts))
+		}
+		if fx.epoch != 0 {
+			opts = append(opts, build.WithEpoch(fx.epoch))
+		}
+		b.Result, err = build.Outsource(ctx, build.Spec{Table: tbl, Template: tpl, Domain: dom, Signer: h.signer}, opts...)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("outsource %+v: %w", fx, err)
 	}
-	return &built{Result: res, table: tbl, template: tpl, domain: dom, seconds: time.Since(start).Seconds()}, nil
+	b.seconds = time.Since(start).Seconds()
+	return b, nil
 }
 
 // loopback serves every tree on `replicas` loopback listeners — server.New

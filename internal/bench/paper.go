@@ -42,13 +42,14 @@ type arm struct {
 func newArm(name string, b *built) arm {
 	a := arm{name: name, built: b}
 	if m := b.Mesh; m != nil {
+		pub := m.Public()
 		a.answer = func(q query.Query, ctr *metrics.Counter) (int, func(*metrics.Counter) error, error) {
 			ans, err := m.Process(q, ctr)
 			if err != nil {
 				return 0, nil, err
 			}
 			return wire.VOSizeMesh(ans), func(c *metrics.Counter) error {
-				return mesh.Verify(b.MeshPublic, q, ans.Records, &ans.VO, c)
+				return mesh.Verify(pub, q, ans.Records, &ans.VO, c)
 			}, nil
 		}
 		return a

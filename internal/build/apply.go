@@ -2,7 +2,6 @@ package build
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"aqverify/internal/core"
@@ -10,11 +9,6 @@ import (
 	"aqverify/internal/record"
 	"aqverify/internal/shard"
 )
-
-// ErrStatic marks a product that cannot be mutated in place: the
-// signature-mesh baseline has no epoch and retains no signing state, so
-// a mutated mesh must be re-outsourced from scratch with Outsource.
-var ErrStatic = errors.New("build: product is static; re-outsource to mutate")
 
 // mutKind discriminates the mutation operations.
 type mutKind int
@@ -85,14 +79,10 @@ func (m Mutation) String() string {
 // Sharded products apply the batch to every shard concurrently; each
 // shard keeps its own sub-domain, derived seed and retained
 // arrangement, and all shards land on the same new epoch, so a set
-// never publishes a torn mix of epochs. The mesh baseline is static
-// and returns ErrStatic.
+// never publishes a torn mix of epochs.
 func Apply(ctx context.Context, prev *Result, muts ...Mutation) (*Result, error) {
 	if prev == nil {
 		return nil, fmt.Errorf("build: Apply needs the previous Result")
-	}
-	if prev.Mesh != nil {
-		return nil, fmt.Errorf("%w (signature-mesh baseline)", ErrStatic)
 	}
 	if len(muts) == 0 {
 		return nil, fmt.Errorf("build: empty mutation batch")

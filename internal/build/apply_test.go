@@ -3,7 +3,6 @@ package build
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -193,14 +192,6 @@ func TestApplyValidation(t *testing.T) {
 		if _, err := Apply(ctx, r, muts...); err == nil {
 			t.Errorf("bad batch %d: Apply accepted it", i)
 		}
-	}
-
-	m, err := Outsource(ctx, spec, WithMesh())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Apply(ctx, m, Delete(0)); !errors.Is(err, ErrStatic) {
-		t.Fatalf("mesh apply: got %v, want ErrStatic", err)
 	}
 }
 

@@ -2,8 +2,7 @@
 // context-aware entry point — Outsource — over every product a data
 // owner can hand to the cloud. It mirrors internal/backend on the owner
 // side: every evaluator sits behind one Backend query interface, and
-// every product — single tree, whole shard set, the signature-mesh
-// baseline — comes out of
+// every product — single tree or whole shard set — comes out of
 //
 //	build.Outsource(ctx, Spec, ...Option)
 //
@@ -12,13 +11,12 @@
 // functional options select the product and its shape: WithShards /
 // WithPlan ask for a domain-sharded set (a K-process deployment serves
 // one saved set, each process opening its shard with
-// artifact.OpenShard), WithMesh for the baseline, WithPlanner for
-// density-adaptive cuts (QuantileCuts balances skewed workloads),
-// WithWorkers bounds every stage's worker pool, and WithProgress
-// observes stage starts. The result is byte-identical for every worker
-// count, and a done ctx aborts mid-stage and returns ctx.Err() — every
-// stage runs under pool.RunCtx (see core.BuildCtx, shard.BuildCtx,
-// mesh.BuildCtx).
+// artifact.OpenShard), WithPlanner for density-adaptive cuts
+// (QuantileCuts balances skewed workloads), WithWorkers bounds every
+// stage's worker pool, and WithProgress observes stage starts. The
+// result is byte-identical for every worker count, and a done ctx
+// aborts mid-stage and returns ctx.Err() — every stage runs under
+// pool.RunCtx (see core.BuildCtx, shard.BuildCtx).
 package build
 
 import (
@@ -29,7 +27,6 @@ import (
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/itree"
-	"aqverify/internal/mesh"
 	"aqverify/internal/record"
 	"aqverify/internal/shard"
 	"aqverify/internal/sig"
@@ -46,7 +43,7 @@ type Spec struct {
 }
 
 // ShardNone marks a progress event that is not bound to a shard
-// (single-tree and mesh products, set-level work).
+// (the single-tree product, set-level work).
 const ShardNone = -1
 
 // Progress is one stage-start event of a running construction.
@@ -62,27 +59,22 @@ type Progress struct {
 	Units int
 }
 
-// Result is one product of the build plane. Exactly one of Tree, Set and
-// Mesh is non-nil — which one follows from the options: Tree for the
-// default single-tree product, Set for WithShards / WithPlan, Mesh for
-// WithMesh.
+// Result is one product of the build plane. Exactly one of Tree and Set
+// is non-nil — which one follows from the options: Tree for the default
+// single-tree product, Set for WithShards / WithPlan.
 type Result struct {
 	// Tree is the built IFMH-tree (the single-tree product, or one shard
 	// of a saved set opened with artifact.OpenShard).
 	Tree *core.Tree
 	// Set is the built domain-sharded tree set.
 	Set *shard.Set
-	// Mesh is the built signature-mesh baseline.
-	Mesh *mesh.Mesh
-	// Plan is the shard plan the product was built under; for unsharded
-	// IFMH products it is the trivial single-shard plan over the spec's
-	// domain (Plan.K() == 1). Unset for the mesh product.
+	// Plan is the shard plan the product was built under; for the
+	// single-tree product it is the trivial single-shard plan over the
+	// spec's domain (Plan.K() == 1).
 	Plan shard.Plan
 	// Public is the parameter bundle the owner publishes for verifying
-	// clients (IFMH products; shards share the single-tree bundle).
+	// clients (shards share the single-tree bundle).
 	Public core.PublicParams
-	// MeshPublic is the published bundle of the mesh product.
-	MeshPublic mesh.PublicParams
 }
 
 // Option tunes one Outsource call.
@@ -100,7 +92,6 @@ type options struct {
 	axis      int
 	shardsSet bool
 	planner   Planner
-	mesh      bool
 }
 
 // WithMode selects the IFMH signing scheme (default core.OneSignature).
@@ -122,9 +113,8 @@ func WithShuffle(seed int64) Option { return func(o *options) { o.seed = seed } 
 // effective parallelism is K × workers.
 func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
 
-// WithEpoch stamps the built product's publication epoch (default 1 for
-// IFMH products; the mesh baseline is epoch-less and rejects it). Apply
-// bumps epochs automatically; the explicit stamp exists so a full
+// WithEpoch stamps the built product's publication epoch (default 1).
+// Apply bumps epochs automatically; the explicit stamp exists so a full
 // rebuild can land on the same epoch an incremental apply would — the
 // equivalence tests build both sides at one epoch and demand identical
 // bytes — and so an owner restoring from offline state can resume its
@@ -157,10 +147,6 @@ func WithShards(k, axis int) Option {
 // (default EvenCuts; QuantileCuts balances skewed workloads).
 func WithPlanner(p Planner) Option { return func(o *options) { o.planner = p } }
 
-// WithMesh asks for the signature-mesh baseline instead of an IFMH
-// product. Incompatible with the sharding options.
-func WithMesh() Option { return func(o *options) { o.mesh = true } }
-
 // stageFn adapts the configured progress callback to one product's
 // (stage, units) callback, attributing events to the given shard.
 func (o *options) stageFn(sh int) func(core.Stage, int) {
@@ -191,26 +177,6 @@ func Outsource(ctx context.Context, spec Spec, opts ...Option) (*Result, error) 
 	if o.shardsSet && o.shards < 1 {
 		return nil, fmt.Errorf("build: need at least one shard, got %d", o.shards)
 	}
-	if o.mesh {
-		if o.plan != nil || o.shardsSet {
-			return nil, fmt.Errorf("build: the mesh baseline cannot be domain-sharded")
-		}
-		if o.seed != 0 || o.mode != core.OneSignature || o.epoch != 0 {
-			return nil, fmt.Errorf("build: WithMode/WithShuffle/WithEpoch apply to IFMH products only")
-		}
-		m, err := mesh.BuildCtx(ctx, spec.Table, mesh.Params{
-			Signer:   spec.Signer,
-			Domain:   spec.Domain,
-			Template: spec.Template,
-			Workers:  o.workers,
-			Progress: o.stageFn(ShardNone),
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Mesh: m, MeshPublic: m.Public()}, nil
-	}
-
 	params := core.Params{
 		Mode:     o.mode,
 		Signer:   spec.Signer,

@@ -71,7 +71,7 @@ func TestOutsourceProducts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if single.Tree == nil || single.Set != nil || single.Mesh != nil {
+	if single.Tree == nil || single.Set != nil {
 		t.Fatal("single-tree product: wrong result shape")
 	}
 	if single.Plan.K() != 1 {
@@ -99,17 +99,6 @@ func TestOutsourceProducts(t *testing.T) {
 		if set.Plan.K() != 3 {
 			t.Fatalf("sharded product: plan K=%d, want 3", set.Plan.K())
 		}
-	}
-
-	m, err := Outsource(ctx, spec, WithMesh())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Mesh == nil || m.Tree != nil || m.Set != nil {
-		t.Fatal("mesh product: wrong result shape")
-	}
-	if m.MeshPublic.Verifier == nil {
-		t.Fatal("mesh product: missing published parameters")
 	}
 }
 
@@ -153,8 +142,6 @@ func TestOutsourceOptionConflicts(t *testing.T) {
 	}{
 		{"plan+shards", []Option{WithPlan(plan), WithShards(2, 0)}},
 		{"zero shards", []Option{WithShards(0, 0)}},
-		{"mesh+shards", []Option{WithMesh(), WithShards(2, 0)}},
-		{"mesh+shuffle", []Option{WithMesh(), WithShuffle(1)}},
 	}
 	for _, c := range cases {
 		if _, err := Outsource(ctx, spec, c.opts...); err == nil {
@@ -170,10 +157,6 @@ func TestOutsourceOptionConflicts(t *testing.T) {
 	if _, err := Outsource(ctx, bad); err == nil {
 		t.Error("template wider than the schema: no error")
 	}
-	bad.Template = funcs.ScalarProduct(2)
-	if _, err := Outsource(ctx, bad, WithMesh()); err == nil {
-		t.Error("multivariate mesh: no error")
-	}
 }
 
 // TestOutsourceCanceled mirrors internal/core/cancel_test.go on the
@@ -185,7 +168,6 @@ func TestOutsourceCanceled(t *testing.T) {
 	products := [][]Option{
 		{WithMode(core.MultiSignature), WithShuffle(5), WithWorkers(4)},
 		{WithMode(core.MultiSignature), WithShuffle(5), WithWorkers(4), WithShards(3, 0)},
-		{WithMesh(), WithWorkers(4)},
 	}
 	for i, opts := range products {
 		ctx, cancel := context.WithCancel(context.Background())

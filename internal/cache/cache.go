@@ -280,15 +280,11 @@ func entryOf(ans backend.Answer) entry {
 	return entry{raw: ans.Raw, recs: ans.Records, shard: ans.Shard, epoch: ans.Epoch}
 }
 
-// storeKey keys a fresh answer: under its own epoch when it reports one
-// (a swap may have landed mid-flight, and the entry must never be
-// served against a pin it doesn't match), else under the pin the lookup
-// used — the single-query remote exchange carries no epoch word, and
-// its answers belong to the pinned client session.
+// storeKey keys a fresh answer under its own epoch, not the pin the
+// lookup used: a swap may have landed mid-flight, and the entry must
+// never be served against a pin it doesn't match.
 func storeKey(k akey, ans backend.Answer) akey {
-	if ans.Epoch != 0 {
-		k.epoch = ans.Epoch
-	}
+	k.epoch = ans.Epoch
 	return k
 }
 

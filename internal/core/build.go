@@ -199,21 +199,29 @@ func (t *Tree) finish1D(ctx context.Context, p Params, arr *itree.Arrangement1D,
 		return err
 	}
 
-	p.progress(StageSweep, arr.NumBreakpoints())
 	groups := CrossingPairs(arr)
 	witnessAt := func(k int) *big.Rat { return space.WitnessRat(t.itree.Subs[k].Region) }
 	var plan sweep.Plan
 	if m.prev == nil {
+		p.progress(StageSweep, arr.NumBreakpoints())
 		witnesses := make([]*big.Rat, len(t.itree.Subs))
 		for k := range witnesses {
 			witnesses[k] = witnessAt(k)
 		}
 		plan, err = sweep.ComputeCtx(ctx, t.fs, witnesses, groups, p.workers())
 	} else {
+		// Like the digest and pair stages of ApplyCtx, the sweep reports
+		// what it re-derives exactly — the dirty boundaries; the clean
+		// ones replay the previous plan.
 		bs := make([]sweep.Boundary, len(groups))
+		dirty := 0
 		for k, c := range m.classes {
 			bs[k] = sweep.Boundary{Old: c.Old, Dirty: c.Dirty, Group: groups[k]}
+			if c.Dirty {
+				dirty++
+			}
 		}
+		p.progress(StageSweep, dirty)
 		plan, err = sweep.ApplyCtx(ctx, t.fs, m.prev.plan, m.delta.CleanRemap, m.delta.DirtyNew, bs, witnessAt)
 	}
 	if err != nil {

@@ -150,11 +150,9 @@ type PublicParams struct {
 	SemTol float64
 	// Epoch is the monotonic publication epoch of the bundle the
 	// parameters describe: 1 for a fresh outsourcing, bumped by every
-	// applied mutation batch. Zero marks a pre-epoch (static) bundle —
-	// the signature-mesh baseline and legacy deployments. An answer
-	// verifies against exactly one epoch's bundle; clients compare
-	// epochs to detect a stale or forked server before misreading a
-	// verification failure as tampering.
+	// applied mutation batch. An answer verifies against exactly one
+	// epoch's bundle; clients compare epochs to detect a stale or forked
+	// server before misreading a verification failure as tampering.
 	Epoch uint64
 }
 

@@ -74,12 +74,12 @@ func serve(t testing.TB, b server.Backend, pub core.PublicParams) string {
 	return ts.URL
 }
 
-// surfaces outsources one table under one owner key as a single tree, a
-// K-shard set and the mesh baseline, and stands up every surface of the
-// query plane over them: the five backend.Backend implementations
-// (Local, Sharded, Server, Remote, Fanout), the cache decorator, the
-// mesh server, and the two HTTP surfaces again under dialed parameters.
-// The plan is the K-shard set's.
+// surfaces outsources one table under one owner key as a single tree
+// and a K-shard set, and stands up every surface of the query plane
+// over them: the five backend.Backend implementations (Local, Sharded,
+// Server, Remote, Fanout), the cache decorator, and the two HTTP
+// surfaces again under dialed parameters. The plan is the K-shard
+// set's.
 func surfaces(t testing.TB, n, k int, mode core.Mode) ([]surface, shard.Plan, record.Table) {
 	t.Helper()
 	tbl, dom, err := workload.Lines(workload.LinesConfig{N: n, Seed: 3})
@@ -92,7 +92,6 @@ func surfaces(t testing.TB, n, k int, mode core.Mode) ([]surface, shard.Plan, re
 	}
 	single := outsourceAs(t, signer, tbl, dom, build.WithMode(mode), build.WithShuffle(3))
 	set := outsourceAs(t, signer, tbl, dom, build.WithMode(mode), build.WithShuffle(3), build.WithShards(k, 0))
-	msh := outsourceAs(t, signer, tbl, dom, build.WithMesh())
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -116,8 +115,6 @@ func surfaces(t testing.TB, n, k int, mode core.Mode) ([]surface, shard.Plan, re
 	must(err)
 	cached, err := cache.Wrap(local, cache.WithoutPermTier())
 	must(err)
-	msrv, err := server.New(server.Mesh{M: msh.Mesh})
-	must(err)
 
 	verify := backend.WithVerify(single.Public) // one bundle: sharding is transparent
 	// What a data user holds is not the owner's struct but what a dial
@@ -134,7 +131,6 @@ func surfaces(t testing.TB, n, k int, mode core.Mode) ([]surface, shard.Plan, re
 		{"remote", remote, verify},
 		{"fanout", fanout, verify},
 		{"cached", cached, verify},
-		{"mesh-server", msrv, backend.WithVerifyMesh(msh.MeshPublic)},
 		{"remote-dialed", remote, backend.WithVerify(dialedPub)},
 		{"fanout-dialed", fanout, backend.WithVerify(shardPub)},
 	}, set.Plan, tbl

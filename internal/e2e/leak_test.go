@@ -146,6 +146,9 @@ func TestStreamBreakLeavesNothingBehind(t *testing.T) {
 						if r.Err != nil {
 							t.Fatalf("full stream, query %d: %v", i, r.Err)
 						}
+						if r.Answer.Epoch == 0 {
+							t.Fatalf("full stream, query %d: answer carries no publication epoch", i)
+						}
 					}
 				}
 				drain(context.Background()) // warm connections and the cache before the baseline

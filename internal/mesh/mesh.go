@@ -83,17 +83,6 @@ type Params struct {
 	// enumeration and the sweep-plan computation; zero means one per
 	// CPU, one is serial. The built mesh is identical either way.
 	Workers int
-	// Progress, when non-nil, observes every construction stage as it
-	// starts (the mesh reuses the IFMH stage names; StageITree and
-	// StagePropagate never occur, StageSign covers the run signing).
-	Progress func(stage core.Stage, units int)
-}
-
-// progress reports one stage start to the configured callback, if any.
-func (p Params) progress(stage core.Stage, units int) {
-	if p.Progress != nil {
-		p.Progress(stage, units)
-	}
 }
 
 // PublicParams is what the owner publishes for mesh clients.
@@ -145,7 +134,6 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Mesh, error) {
 		verifier: p.Signer.Verifier(),
 		runs:     make(map[pairKey][]*Run),
 	}
-	p.progress(core.StageDigest, tbl.Len())
 	m.recDig = make([]hashing.Digest, tbl.Len())
 	for i, r := range tbl.Records {
 		if i%1024 == 0 {
@@ -160,7 +148,6 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Mesh, error) {
 	// same exact in-domain filter and breakpoint grouping. Only the
 	// breakpoints and their crossing pairs are read — never the
 	// canonical order, so the seed is immaterial.
-	p.progress(core.StagePairs, tbl.Len())
 	inters, err := itree.Pairs1DCtx(ctx, fs, p.Domain, p.Workers)
 	if err != nil {
 		return nil, err
@@ -190,14 +177,12 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Mesh, error) {
 		m.edges[i], _ = e.Float64()
 	}
 
-	p.progress(core.StageSweep, len(arr.Groups))
 	m.plan, err = sweep.ComputeCtx(ctx, fs, witnesses, core.CrossingPairs(arr), p.Workers)
 	if err != nil {
 		return nil, err
 	}
 	m.cursor = sweep.NewCursor(m.plan)
 
-	p.progress(core.StageSign, m.NumSubdomains())
 	if err := m.buildRuns(ctx, p.Signer); err != nil {
 		return nil, err
 	}

@@ -15,7 +15,7 @@ import (
 // partial traversal cost into the cumulative totals or the answered
 // count — only the error count moves.
 func TestQueryErrorKeepsTotalsClean(t *testing.T) {
-	tree, _, dom := fixtures(t)
+	tree, dom := fixtures(t)
 	s, err := New(IFMH{Tree: tree})
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestQueryErrorKeepsTotalsClean(t *testing.T) {
 // single-query path produces, for any worker count, and account metrics
 // identically.
 func TestQueryBatchMatchesQuery(t *testing.T) {
-	tree, _, dom := fixtures(t)
+	tree, dom := fixtures(t)
 	rng := rand.New(rand.NewSource(7))
 	qs := make([]query.Query, 40)
 	for i := range qs {
@@ -126,7 +126,7 @@ func TestQueryBatchMatchesQuery(t *testing.T) {
 
 // TestQueryBatchEmpty: a zero-length batch is a no-op.
 func TestQueryBatchEmpty(t *testing.T) {
-	tree, _, _ := fixtures(t)
+	tree, _ := fixtures(t)
 	s, err := New(IFMH{Tree: tree})
 	if err != nil {
 		t.Fatal(err)

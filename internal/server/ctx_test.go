@@ -16,7 +16,7 @@ import (
 // the whole batch — on the unsharded path and on the shard-contiguous
 // one — and the same server still answers under a live context.
 func TestQueryBatchCanceled(t *testing.T) {
-	tree, _, dom := fixtures(t)
+	tree, dom := fixtures(t)
 	single, err := New(IFMH{Tree: tree})
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,8 @@
 // Package server models the cloud service provider: it hosts the data
 // owner's authenticated data structure, processes analytic queries, and
 // returns each result with its verification object serialized over the
-// wire. The hosted structure is pluggable (IFMH-tree, domain-sharded
-// tree set, or signature mesh) so the benchmark harness can compare
-// them through one interface. The Server is a backend.Backend — Query,
+// wire. The hosted structure is pluggable (one IFMH-tree or a
+// domain-sharded tree set). The Server is a backend.Backend — Query,
 // QueryBatch, QueryStream — that additionally keeps cumulative and
 // per-shard metrics, consistent under concurrency, and swaps whole
 // publication epochs in atomically.
@@ -17,7 +16,6 @@ import (
 	"aqverify/internal/backend"
 	"aqverify/internal/core"
 	"aqverify/internal/geometry"
-	"aqverify/internal/mesh"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/shard"
@@ -30,7 +28,7 @@ import (
 // byte accounting). backend.Local and backend.Sharded are Backends as
 // they stand.
 type Backend interface {
-	// Name identifies the backend ("ifmh-one", "ifmh-multi", "mesh").
+	// Name identifies the backend ("ifmh-one", "ifmh-multi").
 	Name() string
 	// Process answers q, returning the serialized answer with its shard
 	// and epoch attribution. The counter observes per-query costs.
@@ -78,31 +76,8 @@ func NewShardedIFMH(s *shard.Set) (*backend.Sharded, error) {
 	return backend.NewSharded(r)
 }
 
-// Mesh hosts a mesh.Mesh.
-type Mesh struct {
-	M *mesh.Mesh
-}
-
-// Name implements Backend.
-func (Mesh) Name() string { return "mesh" }
-
-// Domain returns the serving domain.
-func (b Mesh) Domain() geometry.Box { return b.M.Domain() }
-
-// Process implements Backend. The mesh is unsharded and pre-epoch.
-func (b Mesh) Process(q query.Query, ctr *metrics.Counter) (int, uint64, []byte, error) {
-	ans, err := b.M.Process(q, ctr)
-	if err != nil {
-		return wire.ShardNone, 0, nil, err
-	}
-	out := wire.EncodeMesh(ans)
-	ctr.AddBytes(uint64(len(out)))
-	return wire.ShardNone, 0, out, nil
-}
-
 // ShardStat is one shard's serving tally, including its publication
-// epoch and its lag behind the serving epoch (both 0 on pre-epoch
-// backends).
+// epoch and its lag behind the serving epoch.
 type ShardStat struct {
 	Queries int    `json:"queries"`
 	Errors  int    `json:"errors"`
@@ -114,8 +89,8 @@ type ShardStat struct {
 // server swaps whole snapshots atomically: a query loads the pointer
 // once and routes, answers and attributes against that one snapshot, so
 // an in-flight query finishes against the epoch it started on even if a
-// swap lands mid-query. Epoch is 0 for pre-epoch backends (the mesh
-// baseline); set and epochs describe a sharded snapshot, nil otherwise.
+// swap lands mid-query. set and epochs describe a sharded snapshot, nil
+// otherwise.
 type serving struct {
 	backend Backend
 	set     *shard.Set // nil for single-tree backends
@@ -223,8 +198,7 @@ func (s *Server) Swap(b Backend) error {
 	return nil
 }
 
-// Epoch returns the serving publication epoch (0 for pre-epoch
-// backends).
+// Epoch returns the serving publication epoch.
 func (s *Server) Epoch() uint64 { return s.serving.Load().epoch }
 
 // Epochs returns the serving snapshot's per-shard epochs in shard

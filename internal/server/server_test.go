@@ -8,14 +8,13 @@ import (
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
-	"aqverify/internal/mesh"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
 	"aqverify/internal/sig"
 	"aqverify/internal/wire"
 )
 
-func fixtures(t *testing.T) (*core.Tree, *mesh.Mesh, geometry.Box) {
+func fixtures(t *testing.T) (*core.Tree, geometry.Box) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	recs := make([]record.Record, 30)
@@ -39,11 +38,7 @@ func fixtures(t *testing.T) (*core.Tree, *mesh.Mesh, geometry.Box) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := mesh.Build(tbl, mesh.Params{Signer: signer, Domain: dom, Template: tpl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tree, m, dom
+	return tree, dom
 }
 
 func TestNewRequiresBackend(t *testing.T) {
@@ -53,17 +48,14 @@ func TestNewRequiresBackend(t *testing.T) {
 }
 
 func TestBackendNames(t *testing.T) {
-	tree, m, _ := fixtures(t)
+	tree, _ := fixtures(t)
 	if got := (IFMH{Tree: tree}).Name(); got != "ifmh-one" {
-		t.Errorf("name = %q", got)
-	}
-	if got := (Mesh{M: m}).Name(); got != "mesh" {
 		t.Errorf("name = %q", got)
 	}
 }
 
 func TestQueryReturnsDecodableAnswers(t *testing.T) {
-	tree, m, dom := fixtures(t)
+	tree, dom := fixtures(t)
 	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
 	q := query.NewTopK(x, 3)
 
@@ -79,22 +71,10 @@ func TestQueryReturnsDecodableAnswers(t *testing.T) {
 	if _, err := wire.DecodeIFMH(ans.Raw); err != nil {
 		t.Fatalf("IFMH answer not decodable: %v", err)
 	}
-
-	msrv, err := New(Mesh{M: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ans, err = msrv.Query(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wire.DecodeMesh(ans.Raw); err != nil {
-		t.Fatalf("mesh answer not decodable: %v", err)
-	}
 }
 
 func TestStatsAccumulate(t *testing.T) {
-	tree, _, dom := fixtures(t)
+	tree, dom := fixtures(t)
 	srv, err := New(IFMH{Tree: tree})
 	if err != nil {
 		t.Fatal(err)

@@ -157,7 +157,7 @@ func TestShardedBatchGrouping(t *testing.T) {
 // TestUnshardedBatchShards: single-tree backends report every shard as
 // -1 through the attributed batch path.
 func TestUnshardedBatchShards(t *testing.T) {
-	tree, _, dom := fixtures(t)
+	tree, dom := fixtures(t)
 	srv, err := New(IFMH{Tree: tree})
 	if err != nil {
 		t.Fatal(err)

@@ -88,9 +88,21 @@ func TestSwapPublishesNewEpoch(t *testing.T) {
 	if err := srv.Swap(nil); err == nil {
 		t.Error("nil backend swapped in")
 	}
-	_, mesh, _ := fixtures(t)
-	if err := srv.Swap(Mesh{M: mesh}); err == nil || !strings.Contains(err.Error(), "same logical database") {
-		t.Errorf("mesh over ifmh-one: err = %v", err)
+	// The other signing mode at a later epoch: refused for its name, the
+	// epoch never gets a say.
+	signer, err := sig.NewSigner(sig.Ed25519, sig.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi, err := core.Build(e1.Table(), core.Params{
+		Mode: core.MultiSignature, Signer: signer, Domain: e1.Domain(),
+		Template: funcs.AffineLine(0, 1), Seed: 5, Epoch: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Swap(IFMH{Tree: multi}); err == nil || !strings.Contains(err.Error(), "same logical database") {
+		t.Errorf("ifmh-multi over ifmh-one: err = %v", err)
 	}
 	if err := srv.Swap(IFMH{Tree: e1}); err == nil || !strings.Contains(err.Error(), "does not advance") {
 		t.Errorf("same epoch: err = %v", err)
@@ -191,23 +203,6 @@ func TestTornSetLagGauges(t *testing.T) {
 		if st.Epoch != wantEpoch[i] || st.Lag != wantLag[i] {
 			t.Errorf("shard %d: epoch %d lag %d, want %d, %d", i, st.Epoch, st.Lag, wantEpoch[i], wantLag[i])
 		}
-	}
-}
-
-// TestSwapRejectsPreEpochMesh: the mesh baseline is static (epoch 0),
-// so no mesh ever advances a mesh — mutation means re-outsourcing and
-// re-deploying.
-func TestSwapRejectsPreEpochMesh(t *testing.T) {
-	_, m, _ := fixtures(t)
-	srv, err := New(Mesh{M: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srv.Epoch() != 0 {
-		t.Fatalf("mesh epoch = %d, want 0", srv.Epoch())
-	}
-	if err := srv.Swap(Mesh{M: m}); err == nil || !strings.Contains(err.Error(), "does not advance") {
-		t.Errorf("mesh swap: err = %v", err)
 	}
 }
 

@@ -32,25 +32,16 @@ type Channel struct {
 // every IFMH answer it fits; bytes that do not decode, and answers the
 // attack is inapplicable to, pass through unchanged.
 func IFMHAttack(atk IFMH, rng *rand.Rand) func(query.Query, []byte) []byte {
-	return attack(wire.DecodeIFMH, atk.Apply, wire.EncodeIFMH, rng)
-}
-
-// MeshAttack is IFMHAttack for the signature-mesh baseline.
-func MeshAttack(atk Mesh, rng *rand.Rand) func(query.Query, []byte) []byte {
-	return attack(wire.DecodeMesh, atk.Apply, wire.EncodeMesh, rng)
-}
-
-func attack[A interface{ Clone() A }](decode func([]byte) (A, error), apply func(A, *rand.Rand) bool, encode func(A) []byte, rng *rand.Rand) func(query.Query, []byte) []byte {
 	return func(_ query.Query, raw []byte) []byte {
-		ans, err := decode(raw)
+		ans, err := wire.DecodeIFMH(raw)
 		if err != nil {
 			return raw
 		}
 		bad := ans.Clone()
-		if !apply(bad, rng) {
+		if !atk.Apply(bad, rng) {
 			return raw
 		}
-		return encode(bad)
+		return wire.EncodeIFMH(bad)
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 // with the wrong method must be a 405, not a silent 404 — the regression
 // that hid behind the missing go.mod.
 func TestMethodNotAllowed(t *testing.T) {
-	srv, pub, _, _, _ := fixtures(t)
+	srv, pub, _ := fixtures(t)
 	h, err := NewIFMHHandler(srv, pub)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestMethodNotAllowed(t *testing.T) {
 // queries in one frame, per-item verification on the client, and
 // per-item server refusals that do not fail the batch.
 func TestHTTPBatchRoundTrip(t *testing.T) {
-	srv, pub, _, _, dom := fixtures(t)
+	srv, pub, dom := fixtures(t)
 	h, err := NewIFMHHandler(srv, pub)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestHTTPBatchRoundTrip(t *testing.T) {
 // TestHTTPBatchTamperingRejected: a channel flipping bits inside the
 // batch frame must not get any record past verification.
 func TestHTTPBatchTamperingRejected(t *testing.T) {
-	srv, pub, _, _, dom := fixtures(t)
+	srv, pub, dom := fixtures(t)
 	h, err := NewIFMHHandler(srv, pub)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestHTTPBatchTamperingRejected(t *testing.T) {
 
 // TestHTTPBatchBadFrame: junk bytes to the batch endpoint are a 400.
 func TestHTTPBatchBadFrame(t *testing.T) {
-	srv, pub, _, _, _ := fixtures(t)
+	srv, pub, _ := fixtures(t)
 	h, err := NewIFMHHandler(srv, pub)
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,6 @@ import (
 
 	"aqverify/internal/core"
 	"aqverify/internal/geometry"
-	"aqverify/internal/mesh"
 	"aqverify/internal/query"
 	"aqverify/internal/sig"
 	"aqverify/internal/wire"
@@ -32,19 +31,17 @@ const maxBatchAnswerBytes = 512 << 20
 // it), the pinned publication epoch, and the raw wire exchanges. It
 // returns bytes, never records — the HTTP connection is untrusted by
 // construction, and Remote, the backend.Backend over this client, is
-// where answers are verified (backend.WithVerify / WithVerifyMesh).
+// where answers are verified (backend.WithVerify).
 type HTTPClient struct {
 	base   string
 	hc     *http.Client
 	params Params
-	pub    *core.PublicParams // nil for mesh backends
-	mpub   *mesh.PublicParams // nil for IFMH backends
+	pub    core.PublicParams // Epoch is stamped by Public() from the live pin
 	// epoch pins the publication epoch the client verified /params
 	// against, compared to the epoch word of every batched or streamed
 	// answer: a mismatch is a typed staleness signal (the server swapped
 	// a mutated bundle in, or a replica lags), not a verification
-	// failure. Refresh re-pins it; 0 disables the check (pre-epoch
-	// servers).
+	// failure. Refresh re-pins it; it is never 0.
 	epoch atomic.Uint64
 }
 
@@ -62,6 +59,15 @@ func Dial(base string, hc *http.Client) (*HTTPClient, error) {
 	if err != nil {
 		return nil, err
 	}
+	var mode core.Mode
+	switch p.Backend {
+	case "ifmh-one":
+		mode = core.OneSignature
+	case "ifmh-multi":
+		mode = core.MultiSignature
+	default:
+		return nil, fmt.Errorf("transport: unknown backend %q", p.Backend)
+	}
 	vb, err := base64.StdEncoding.DecodeString(p.Verifier)
 	if err != nil {
 		return nil, fmt.Errorf("transport: verifier encoding: %w", err)
@@ -70,27 +76,13 @@ func Dial(base string, hc *http.Client) (*HTTPClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One memo for the session, shared by every Public/MeshPublic copy:
-	// Refresh pins the key, and a signature accepted under it is valid at
-	// every epoch — staleness is the epoch word's job.
-	ver := sig.Memo(key)
-	tpl := fromTplJSON(p.Template)
-
-	out := &HTTPClient{base: base, hc: hc, params: p}
+	// One memo for the session, shared by every Public copy: Refresh
+	// pins the key, and a signature accepted under it is valid at every
+	// epoch — staleness is the epoch word's job.
+	out := &HTTPClient{base: base, hc: hc, params: p, pub: core.PublicParams{
+		Verifier: sig.Memo(key), Template: fromTplJSON(p.Template), Mode: mode, SemTol: p.SemTol,
+	}}
 	out.epoch.Store(p.Epoch)
-	switch p.Backend {
-	case "ifmh-one", "ifmh-multi":
-		mode := core.OneSignature
-		if p.Backend == "ifmh-multi" {
-			mode = core.MultiSignature
-		}
-		// Epoch is stamped by Public() from the live pin.
-		out.pub = &core.PublicParams{Verifier: ver, Template: tpl, Mode: mode, SemTol: p.SemTol}
-	case "mesh":
-		out.mpub = &mesh.PublicParams{Verifier: ver, Template: tpl, SemTol: p.SemTol}
-	default:
-		return nil, fmt.Errorf("transport: unknown backend %q", p.Backend)
-	}
 	return out, nil
 }
 
@@ -111,8 +103,7 @@ func (c *HTTPClient) Params() Params {
 }
 
 // Epoch returns the publication epoch the client has pinned — from the
-// dial-time /params, or the last successful Refresh. 0 means the server
-// is pre-epoch and staleness checking is off.
+// dial-time /params, or the last successful Refresh.
 func (c *HTTPClient) Epoch() uint64 { return c.epoch.Load() }
 
 // observeEpoch advances the pin to e if e is newer — the relay path
@@ -127,7 +118,9 @@ func (c *HTTPClient) observeEpoch(e uint64) {
 	}
 }
 
-// fetchParams runs one GET /params exchange and parses the bundle.
+// fetchParams runs one GET /params exchange and parses the bundle. Every
+// bundle a server of this module publishes carries an epoch >= 1; one
+// without is refused by name rather than pinned as "no check".
 func fetchParams(hc *http.Client, req *http.Request) (Params, error) {
 	resp, err := hc.Do(req)
 	if err != nil {
@@ -140,6 +133,9 @@ func fetchParams(hc *http.Client, req *http.Request) (Params, error) {
 	var p Params
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&p); err != nil {
 		return Params{}, fmt.Errorf("transport: parse params: %w", err)
+	}
+	if p.Epoch == 0 {
+		return Params{}, fmt.Errorf("transport: params carry no publication epoch; every served bundle has epoch >= 1")
 	}
 	return p, nil
 }
@@ -180,28 +176,17 @@ func (c *HTTPClient) Provenance() string { return c.params.Provenance }
 // advertises its sub-box.
 func (c *HTTPClient) Domain() (geometry.Box, bool) { return c.params.Domain.Box() }
 
-// Public returns the IFMH verification parameters derived from the
-// advertised bundle (zero for mesh backends). Their Verifier is the
-// session's sig.Memo: an owner signature accepted once costs no second
-// public-key operation; every other check still runs per answer. Their
-// Epoch is the live pin, so a refreshed session publishes the epoch it
-// verifies against.
+// Public returns the verification parameters derived from the
+// advertised bundle. Their Verifier is the session's sig.Memo: an owner
+// signature accepted once costs no second public-key operation; every
+// other check still runs per answer. Their Epoch is the live pin, so a
+// refreshed session publishes the epoch it verifies against. The bool
+// is always true — every dialed session is IFMH — and survives only
+// because benchmark/system.go, which this PR may not edit, reads it.
 func (c *HTTPClient) Public() (core.PublicParams, bool) {
-	if c.pub == nil {
-		return core.PublicParams{}, false
-	}
-	pub := *c.pub
+	pub := c.pub
 	pub.Epoch = c.Epoch()
 	return pub, true
-}
-
-// MeshPublic returns the signature-mesh verification parameters
-// derived from the advertised bundle (zero for IFMH backends).
-func (c *HTTPClient) MeshPublic() (mesh.PublicParams, bool) {
-	if c.mpub == nil {
-		return mesh.PublicParams{}, false
-	}
-	return *c.mpub, true
 }
 
 // rawQuery posts one query and returns the serialized answer bytes,

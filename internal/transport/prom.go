@@ -39,11 +39,10 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p.Scalar("aqv_query_errors_total", "counter", "Queries refused or failed.", int64(h.stats.ErrorCount()))
 	p.Scalar("aqv_answer_bytes_total", "counter", "Wire bytes of served answers (VO sizes).", int64(stats.Bytes))
 	p.Scalar("aqv_nodes_visited_total", "counter", "IFMH tree nodes traversed answering queries.", int64(stats.NodesVisited))
-	p.Scalar("aqv_cells_visited_total", "counter", "Mesh cells scanned answering queries.", int64(stats.CellsVisited))
 	p.Scalar("aqv_hashes_total", "counter", "Hash invocations spent answering queries.", int64(stats.Hashes))
 	p.Scalar("aqv_sig_verifies_total", "counter", "Signature verifications spent answering queries.", int64(stats.SigVerifies))
 
-	p.Scalar("aqv_epoch", "gauge", "Serving publication epoch.", int64(h.epoch()))
+	p.Scalar("aqv_epoch", "gauge", "Serving publication epoch.", int64(backend.Epoch(h.b)))
 	p.Scalar("aqv_swaps_total", "counter", "Epoch swaps observed.", int64(h.stats.Swaps()))
 
 	if ss := h.stats.ShardStats(); ss != nil {

@@ -90,17 +90,17 @@ func (r *Remote) wrapErr(err error) error {
 func (r *Remote) Name() string { return r.c.Backend() }
 
 // Epoch returns the publication epoch the client pinned at dial (or
-// last Refresh); 0 for pre-epoch servers.
+// last Refresh).
 func (r *Remote) Epoch() uint64 { return r.c.Epoch() }
 
-// epochErr checks one wire item against the pinned epoch: a nonzero
-// item epoch that disagrees with a nonzero pin is the typed staleness
-// signal — the server swapped a mutated bundle in since the pin, or a
-// lagging replica answered. The caller surfaces it instead of the
-// answer; HTTPClient.Refresh re-pins and the query can be retried.
+// epochErr checks one answered wire item against the pinned epoch: any
+// disagreement is the typed staleness signal — the server swapped a
+// mutated bundle in since the pin, or a lagging replica answered. The
+// caller surfaces it instead of the answer; HTTPClient.Refresh re-pins
+// and the query can be retried.
 func (r *Remote) epochErr(it wire.BatchAnswer) error {
 	pin := r.c.Epoch()
-	if it.Epoch == 0 || pin == 0 || it.Epoch == pin {
+	if it.Epoch == pin {
 		return nil
 	}
 	if r.relay {

@@ -123,7 +123,7 @@ func TestHTTPShardedBatch(t *testing.T) {
 // TestHTTPUnshardedShardIsNone: against a single-tree server, batch
 // results carry no shard attribution.
 func TestHTTPUnshardedShardIsNone(t *testing.T) {
-	srv, pub, _, _, dom := fixtures(t)
+	srv, pub, dom := fixtures(t)
 	h, err := NewIFMHHandler(srv, pub)
 	if err != nil {
 		t.Fatal(err)

@@ -105,7 +105,7 @@ func collectStream(t *testing.T, n int, seq iter.Seq2[int, backend.BatchResult])
 // refusals — only the arrival order and the transport differ — and the
 // caller-side byte accounting matches.
 func TestRemoteStreamIdentity(t *testing.T) {
-	srv, pub, _, _, dom := fixtures(t)
+	srv, pub, dom := fixtures(t)
 	h, err := NewIFMHHandler(srv, pub)
 	if err != nil {
 		t.Fatal(err)
@@ -210,10 +210,14 @@ func (g *gateBackend) process(q query.Query, ctr *metrics.Counter) (int, uint64,
 	if q.K != 1 {
 		<-g.gate
 	}
-	return wire.ShardNone, 0, []byte{0xA1, byte(q.K)}, nil
+	return wire.ShardNone, g.Epoch(), []byte{0xA1, byte(q.K)}, nil
 }
 
 func (g *gateBackend) Name() string { return "ifmh-multi" }
+
+// Epoch is what the handler publishes on /params and every answer is
+// stamped with: a bundle without one does not dial.
+func (g *gateBackend) Epoch() uint64 { return 1 }
 
 func (g *gateBackend) Query(ctx context.Context, q query.Query, opts ...backend.Option) (backend.Answer, error) {
 	return backend.DriveQuery(ctx, g.process, q, opts...)
@@ -252,7 +256,7 @@ func gateParams(t *testing.T, pub core.PublicParams) Params {
 // test — the first yield would wait for the whole frame, which waits
 // for the gate, which only opens after the first yield.
 func TestStreamFirstItemBeforeLast(t *testing.T) {
-	_, pub, _, _, _ := fixtures(t)
+	_, pub, _ := fixtures(t)
 	g := newGateBackend()
 	h, err := NewBackendHandler(g, gateParams(t, pub))
 	if err != nil {
@@ -297,7 +301,7 @@ func TestStreamFirstItemBeforeLast(t *testing.T) {
 // context cancels, the worker pool stops claiming queries, and the
 // server tally records only what was delivered — not the full batch.
 func TestStreamEarlyBreakCancelsServer(t *testing.T) {
-	_, pub, _, _, _ := fixtures(t)
+	_, pub, _ := fixtures(t)
 	g := newGateBackend()
 	h, err := NewBackendHandler(g, gateParams(t, pub))
 	if err != nil {
@@ -526,7 +530,7 @@ func TestFanoutStreamMidServerDeath(t *testing.T) {
 // server, nothing is silently re-routed through POST /query/batch, and
 // each later stream asks the route again (no latch).
 func TestStreamRouteMissingFailsItems(t *testing.T) {
-	srv, pub, _, _, dom := fixtures(t)
+	srv, pub, dom := fixtures(t)
 	h, err := NewIFMHHandler(srv, pub)
 	if err != nil {
 		t.Fatal(err)
@@ -568,7 +572,7 @@ func TestStreamRouteMissingFailsItems(t *testing.T) {
 // misreported as a 400 bad query; it is a 413 now, like the batch
 // routes.
 func TestQueryOversizeRequest(t *testing.T) {
-	srv, pub, _, _, dom := fixtures(t)
+	srv, pub, dom := fixtures(t)
 	h, err := NewIFMHHandler(srv, pub)
 	if err != nil {
 		t.Fatal(err)
@@ -611,7 +615,7 @@ func TestQueryOversizeRequest(t *testing.T) {
 // item — no unverified frame ever reaches the verification fan-out —
 // and the same remote still answers under a live context.
 func TestRemoteCanceledContext(t *testing.T) {
-	srv, pub, _, _, dom := fixtures(t)
+	srv, pub, dom := fixtures(t)
 	h, err := NewIFMHHandler(srv, pub)
 	if err != nil {
 		t.Fatal(err)

@@ -46,7 +46,6 @@ import (
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
-	"aqverify/internal/mesh"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/server"
@@ -60,11 +59,10 @@ const maxQueryBytes = 1 << 16
 // maxBatchBytes bounds a batched request body (many queries per frame).
 const maxBatchBytes = 1 << 22
 
-// Params is the JSON trust bundle the data owner publishes. Exactly one
-// of IFMHMode ("one"/"multi") and MeshBaseline is meaningful, matching
-// the backend.
+// Params is the JSON trust bundle the data owner publishes. Backend
+// names the signing mode the answers verify under.
 type Params struct {
-	Backend  string  `json:"backend"`  // "ifmh-one", "ifmh-multi", "mesh"
+	Backend  string  `json:"backend"`  // "ifmh-one" or "ifmh-multi"
 	Verifier string  `json:"verifier"` // base64 of sig.MarshalVerifier
 	Template TplJSON `json:"template"`
 	SemTol   float64 `json:"semTol,omitempty"`
@@ -83,11 +81,11 @@ type Params struct {
 	Stream bool `json:"stream,omitempty"`
 	// Epoch advertises the serving publication epoch: 1 for a fresh
 	// outsourcing, bumped by every mutation batch the owner applies and
-	// the server swaps in. Absent (0) on pre-epoch backends — the mesh
-	// baseline — and servers that predate the mutation plane. Clients
-	// pin it at dial and compare it against the epoch word in every
-	// batched or streamed answer, surfacing a mismatch as a typed
-	// staleness error rather than a verification failure.
+	// the server swaps in. Always >= 1: Dial and Refresh refuse a bundle
+	// without one. Clients pin it at dial and compare it against the
+	// epoch word in every batched or streamed answer, surfacing a
+	// mismatch as a typed staleness error rather than a verification
+	// failure.
 	Epoch uint64 `json:"epoch,omitempty"`
 	// Artifact advertises the hex content hash of the on-disk artifact
 	// this server serves from — the manifest's sealed self-hash, one
@@ -201,33 +199,19 @@ func NewIFMHHandler(srv *server.Server, pub core.PublicParams) (*Handler, error)
 // — the building block behind NewIFMHHandler for deployments that add
 // fields or decorate the backend before constructing the handler
 // (vqserve stamps the artifact content hash and provenance on it, and
-// with -cache serves cache.Wrap(srv) under srv's bundle).
-func IFMHParams(srv *server.Server, pub core.PublicParams) (Params, error) {
-	return bundleOf(srv, pub.Verifier, pub.Template, pub.SemTol)
-}
-
-// NewMeshHandler wraps a mesh-backed server.
-func NewMeshHandler(srv *server.Server, pub mesh.PublicParams) (*Handler, error) {
-	p, err := bundleOf(srv, pub.Verifier, pub.Template, pub.SemTol)
-	if err != nil {
-		return nil, err
-	}
-	return NewBackendHandler(srv, p)
-}
-
-// bundleOf assembles the published bundle for a server: the owner's
+// with -cache serves cache.Wrap(srv) under srv's bundle): the owner's
 // verification anchors plus what the server itself advertises (name,
 // shard count, serving domain).
-func bundleOf(srv *server.Server, ver sig.Verifier, tpl funcs.Template, semTol float64) (Params, error) {
-	vb, err := sig.MarshalVerifier(ver)
+func IFMHParams(srv *server.Server, pub core.PublicParams) (Params, error) {
+	vb, err := sig.MarshalVerifier(pub.Verifier)
 	if err != nil {
 		return Params{}, err
 	}
 	p := Params{
 		Backend:  srv.Name(),
 		Verifier: base64.StdEncoding.EncodeToString(vb),
-		Template: toTplJSON(tpl),
-		SemTol:   semTol,
+		Template: toTplJSON(pub.Template),
+		SemTol:   pub.SemTol,
 		Shards:   srv.NumShards(),
 	}
 	if dom, ok := srv.Domain(); ok {
@@ -270,17 +254,6 @@ func NewBackendHandler(b backend.Backend, p Params) (*Handler, error) {
 	h.mux.HandleFunc("GET /stats", h.handleStats)
 	h.mux.HandleFunc("GET /metrics", h.handleMetrics)
 	return h, nil
-}
-
-// epoch reads the live serving epoch off the backend, so a client
-// re-reading /params after an epoch-mismatch error always sees the
-// current one; a backend that reports none serves under the epoch its
-// bundle was constructed with.
-func (h *Handler) epoch() uint64 {
-	if e := backend.Epoch(h.b); e != 0 {
-		return e
-	}
-	return h.params.Epoch
 }
 
 // admitted puts the backend's admission gate, when it has one, in front
@@ -461,10 +434,11 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 // handleParams serves the trust bundle with the *live* serving epoch:
 // the bundle fields are fixed at construction (verifier, template,
 // domain never change across epochs of one database); only the epoch is
-// read per request.
+// read per request, so a client re-reading /params after an
+// epoch-mismatch error always sees the current one.
 func (h *Handler) handleParams(w http.ResponseWriter, _ *http.Request) {
 	p := h.params
-	p.Epoch = h.epoch()
+	p.Epoch = backend.Epoch(h.b)
 	writeJSON(w, p)
 }
 
@@ -476,9 +450,8 @@ func (h *Handler) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"queries":      n,
 		"errors":       h.stats.ErrorCount(),
 		"nodesVisited": stats.NodesVisited,
-		"cellsVisited": stats.CellsVisited,
 		"bytes":        stats.Bytes,
-		"epoch":        h.epoch(),
+		"epoch":        backend.Epoch(h.b),
 		"swaps":        h.stats.Swaps(),
 	}
 	if ss := h.stats.ShardStats(); ss != nil {

@@ -14,7 +14,6 @@ import (
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
-	"aqverify/internal/mesh"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
@@ -22,7 +21,7 @@ import (
 	"aqverify/internal/sig"
 )
 
-func fixtures(t *testing.T) (*server.Server, core.PublicParams, *server.Server, mesh.PublicParams, geometry.Box) {
+func fixtures(t *testing.T) (*server.Server, core.PublicParams, geometry.Box) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(3))
 	recs := make([]record.Record, 30)
@@ -46,42 +45,28 @@ func fixtures(t *testing.T) (*server.Server, core.PublicParams, *server.Server, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := mesh.Build(tbl, mesh.Params{Signer: signer, Domain: dom, Template: tpl})
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv, err := server.New(server.IFMH{Tree: tree})
 	if err != nil {
 		t.Fatal(err)
 	}
-	msrv, err := server.New(server.Mesh{M: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return srv, tree.Public(), msrv, m.Public(), dom
+	return srv, tree.Public(), dom
 }
 
 // dialVerifying dials url the way a data user does — with nothing but
 // the URL — and derives the verification option from the advertised
-// bundle: WithVerify for an IFMH server, WithVerifyMesh for the mesh.
+// bundle.
 func dialVerifying(t *testing.T, url string, hc *http.Client) (*Remote, backend.Option) {
 	t.Helper()
 	r, err := DialRemote(url, hc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pub, ok := r.Client().Public(); ok {
-		return r, backend.WithVerify(pub)
-	}
-	mpub, ok := r.Client().MeshPublic()
-	if !ok {
-		t.Fatalf("%s advertises neither IFMH nor mesh parameters", url)
-	}
-	return r, backend.WithVerifyMesh(mpub)
+	pub, _ := r.Client().Public()
+	return r, backend.WithVerify(pub)
 }
 
 func TestHTTPRoundTripIFMH(t *testing.T) {
-	srv, pub, _, _, dom := fixtures(t)
+	srv, pub, dom := fixtures(t)
 	h, err := NewIFMHHandler(srv, pub)
 	if err != nil {
 		t.Fatal(err)
@@ -92,9 +77,6 @@ func TestHTTPRoundTripIFMH(t *testing.T) {
 	r, verify := dialVerifying(t, ts.URL, ts.Client())
 	if r.Name() != "ifmh-multi" {
 		t.Errorf("backend = %q", r.Name())
-	}
-	if _, ok := r.Client().MeshPublic(); ok {
-		t.Error("IFMH server advertises mesh parameters")
 	}
 	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
 	var ctr metrics.Counter
@@ -144,40 +126,28 @@ func TestHTTPRoundTripIFMH(t *testing.T) {
 	}
 }
 
-func TestHTTPRoundTripMesh(t *testing.T) {
-	_, _, msrv, mpub, dom := fixtures(t)
-	h, err := NewMeshHandler(msrv, mpub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-	r, verify := dialVerifying(t, ts.URL, ts.Client())
-	if _, ok := r.Client().Public(); ok {
-		t.Error("mesh server advertises IFMH parameters")
-	}
-	ctx := context.Background()
-	q := query.NewTopK(geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}, 4)
-	ans, err := r.Query(ctx, q, verify)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ans.Records) != 4 {
-		t.Fatalf("got %d records", len(ans.Records))
-	}
-	// The batch and stream exchanges verify mesh answers the same way.
-	answers, errs := r.QueryBatch(ctx, []query.Query{q}, verify)
-	if errs[0] != nil || len(answers[0].Records) != 4 {
-		t.Fatalf("batch: %d records, err=%v", len(answers[0].Records), errs[0])
-	}
-	for _, res := range r.QueryStream(ctx, []query.Query{q}, verify) {
-		if res.Err != nil || len(res.Answer.Records) != 4 {
-			t.Fatalf("stream: %d records, err=%v", len(res.Answer.Records), res.Err)
+// TestDialRefusesWhatNoServerPublishes: a /params naming a backend this
+// module has no verifier for, or carrying no publication epoch, fails
+// the dial by name — neither is pinned as a session that checks less.
+func TestDialRefusesWhatNoServerPublishes(t *testing.T) {
+	_, pub, _ := fixtures(t)
+	for _, c := range []struct {
+		name   string
+		mutate func(*Params)
+		want   string
+	}{
+		{"mesh backend", func(p *Params) { p.Backend = "mesh" }, `unknown backend "mesh"`},
+		{"no epoch", func(p *Params) { p.Epoch = 0 }, "no publication epoch"},
+	} {
+		p := gateParams(t, pub)
+		p.Epoch = 1
+		c.mutate(&p)
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, p) }))
+		_, err := Dial(ts.URL, ts.Client())
+		ts.Close()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
 		}
-	}
-	// IFMH parameters do not verify mesh bytes: a rejection, not a panic.
-	if _, err := r.Query(ctx, q, backend.WithVerify(core.PublicParams{Verifier: mpub.Verifier, Template: mpub.Template})); !errors.Is(err, core.ErrVerification) {
-		t.Fatalf("mesh answer under IFMH parameters: err=%v, want ErrVerification", err)
 	}
 }
 
@@ -221,7 +191,7 @@ func (p *tamperingProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 func TestHTTPTamperingChannelRejected(t *testing.T) {
-	srv, pub, _, _, dom := fixtures(t)
+	srv, pub, dom := fixtures(t)
 	h, err := NewIFMHHandler(srv, pub)
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +215,7 @@ func TestHTTPTamperingChannelRejected(t *testing.T) {
 }
 
 func TestHTTPErrorPaths(t *testing.T) {
-	srv, pub, _, _, _ := fixtures(t)
+	srv, pub, _ := fixtures(t)
 	h, err := NewIFMHHandler(srv, pub)
 	if err != nil {
 		t.Fatal(err)

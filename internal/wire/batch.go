@@ -51,8 +51,9 @@ const (
 // status always matches the payload. Shard records which shard of a
 // domain-sharded deployment answered (ShardNone when unsharded or
 // refused before routing); Epoch the publication epoch of the bundle
-// that answered (0 = pre-epoch or unknown — the mesh baseline, or a
-// refusal before routing). Epochs travel per item, not per frame,
+// that answered. Every bundle has an epoch >= 1, so 0 has exactly one
+// meaning on the wire: refused before any bundle answered (a routing
+// failure, a cancelled item). Epochs travel per item, not per frame,
 // because a front-end merging per-shard streams can legitimately relay
 // items from shards mid-swap at different epochs; the client, not the
 // frame, decides what a torn mix means. Verification never depends on
@@ -136,7 +137,7 @@ func DecodeQueryBatch(b []byte) ([]query.Query, error) {
 // EncodeAnswerBatch frames many per-query outcomes into one response
 // body. Each item is its explicit status byte (StatusAnswer /
 // StatusRefused), a u32 shard id biased by one (0 = ShardNone, k =
-// shard k-1), a u64 publication epoch (0 = pre-epoch), and the
+// shard k-1), a u64 publication epoch (0 only on a refusal), and the
 // length-prefixed payload. An item whose status is neither constant is
 // a programming error and fails the encode — a frame must never be
 // emitted that the decoder would reject. See docs/WIRE.md for worked
