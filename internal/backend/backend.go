@@ -47,7 +47,10 @@ import (
 // reports the routing choice when one was made — the shard that refused
 // — and ShardNone otherwise.
 type Answer struct {
-	// Raw is the wire-encoded answer (wire.EncodeIFMH).
+	// Raw is the wire-encoded answer (wire.EncodeIFMH). It is read-only
+	// and may share its backing array with the other answers of the same
+	// exchange (a decoded batch frame is viewed, not copied): whoever
+	// keeps an answer beyond the call that returned it keeps a copy.
 	Raw []byte
 	// Records holds the verified result rows; nil until WithVerify runs.
 	Records []record.Record

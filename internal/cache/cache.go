@@ -228,7 +228,10 @@ func (c *Cache) queryOne(ctx context.Context, call backend.Call, q query.Query, 
 // errors are never cached.
 func (c *Cache) land(k akey, fl *flight, r backend.BatchResult) {
 	if r.Err == nil {
-		for n := c.answers.put(storeKey(k, r.Answer), entryOf(r.Answer)); n > 0; n-- {
+		// A stored backend.Answer.Raw view would pin the frame it came in.
+		e := entryOf(r.Answer)
+		e.raw = append(make([]byte, 0, len(e.raw)), e.raw...)
+		for n := c.answers.put(storeKey(k, r.Answer), e); n > 0; n-- {
 			c.tally.CacheEvict()
 		}
 	}

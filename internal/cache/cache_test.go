@@ -2,7 +2,9 @@ package cache
 
 import (
 	"context"
+	"net/http/httptest"
 	"testing"
+	"unsafe"
 
 	"aqverify/internal/backend"
 	"aqverify/internal/build"
@@ -11,7 +13,9 @@ import (
 	"aqverify/internal/geometry"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
+	"aqverify/internal/server"
 	"aqverify/internal/sig"
+	"aqverify/internal/transport"
 	"aqverify/internal/workload"
 )
 
@@ -165,4 +169,69 @@ func TestVerifyUpgrade(t *testing.T) {
 	if len(v1.Records) != len(v2.Records) {
 		t.Fatal("upgraded entry served different records")
 	}
+}
+
+// TestCacheEntriesOwnTheirBytes holds the cache to the backend.Answer.Raw
+// contract: a remote batch's answers are views of one response body, and
+// an entry outlives the exchange, so each stored entry must own exactly
+// its bytes — cap == len, no backing array shared with a neighbour — or a
+// 32-answer sub-batch would pin its whole body for the LRU's lifetime.
+func TestCacheEntriesOwnTheirBytes(t *testing.T) {
+	res := outsrc(t, 120, core.MultiSignature)
+	srv, err := server.New(server.IFMH{Tree: res.Tree})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := transport.NewIFMHHandler(srv, res.Public)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	remote, err := transport.DialRemote(ts.URL, ts.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Wrap(remote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := spreadQueries(res.Tree.Domain(), 32)
+	answers, errs := c.QueryBatch(context.Background(), qs)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+	if c.Len() != len(qs) {
+		t.Fatalf("%d entries stored for %d distinct queries", c.Len(), len(qs))
+	}
+	// The premise: what the remote handed back are views of one body,
+	// 17 bytes of item head apart.
+	for i := 1; i < len(answers); i++ {
+		if gap := span(answers[i].Raw)[0] - span(answers[i-1].Raw)[1]; gap != 17 {
+			t.Fatalf("answers %d and %d lie %d bytes apart, want the 17 of one frame's item head", i-1, i, gap)
+		}
+	}
+	var spans [][2]uintptr
+	for el := c.answers.ll.Front(); el != nil; el = el.Next() {
+		raw := el.Value.(*lruEntry[akey, entry]).v.raw
+		if cap(raw) != len(raw) {
+			t.Errorf("stored entry holds len %d cap %d: it pins more than its answer", len(raw), cap(raw))
+		}
+		spans = append(spans, span(raw))
+	}
+	for i, a := range spans {
+		for _, ans := range answers {
+			if b := span(ans.Raw); a[0] < b[1] && b[0] < a[1] {
+				t.Fatalf("stored entry %d aliases the exchange's response body", i)
+			}
+		}
+	}
+}
+
+// span is the address range of b's backing array from its first byte.
+func span(b []byte) [2]uintptr {
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return [2]uintptr{p, p + uintptr(cap(b))}
 }

@@ -52,10 +52,6 @@ func Verify(pub PublicParams, q query.Query, recs []record.Record, vo *VO, ctr *
 	if err := q.Validate(pub.Template.Dim()); err != nil {
 		return vErrf("invalid query: %v", err)
 	}
-	semTol := pub.SemTol
-	if semTol == 0 {
-		semTol = DefaultSemTol
-	}
 	h := hashing.New(ctr)
 
 	// --- Structural consistency of the window layout. ---
@@ -98,6 +94,7 @@ func Verify(pub PublicParams, q query.Query, recs []record.Record, vo *VO, ctr *
 	switch vo.Mode {
 	case OneSignature:
 		cur := h.Subdomain(fmhRoot)
+		var enc []byte // one hyperplane-encoding buffer for the whole path
 		for i := len(vo.Path) - 1; i >= 0; i-- {
 			step := vo.Path[i]
 			if len(step.Hp.C) != pub.Template.Dim() {
@@ -108,7 +105,7 @@ func Verify(pub PublicParams, q query.Query, recs []record.Record, vo *VO, ctr *
 			if (step.Hp.Side(q.X) >= 0) != step.TookAbove {
 				return vErrf("IMH path step %d inconsistent with function input", i)
 			}
-			enc := step.Hp.Encode(nil)
+			enc = step.Hp.Encode(enc[:0])
 			if step.TookAbove {
 				cur = h.Intersection(enc, cur, step.Sibling)
 			} else {
@@ -143,7 +140,7 @@ func Verify(pub PublicParams, q query.Query, recs []record.Record, vo *VO, ctr *
 	}
 
 	// --- Step 2: semantic re-check of the query over the window. ---
-	return CheckWindowSemantics(pub.Template, q, recs, vo.Left, vo.Right, vo.ListLen, semTol)
+	return CheckWindowSemantics(pub.Template, q, recs, vo.Left, vo.Right, vo.ListLen, pub.SemTol)
 }
 
 // BatchItem bundles one (query, result, verification object) triple for
@@ -218,7 +215,7 @@ func CheckWindowSemantics(tpl funcs.Template, q query.Query, recs []record.Recor
 		if len(r.Attrs) <= maxAttr(tpl) {
 			return vErrf("result record %d lacks the template's attributes", i)
 		}
-		scores[i] = tpl.Interpret(0, r).Eval(q.X)
+		scores[i] = tpl.Score(r, q.X)
 	}
 	// Ascending order up to the construction-vs-evaluation tolerance.
 	for i := 1; i < m; i++ {
@@ -232,14 +229,14 @@ func CheckWindowSemantics(tpl funcs.Template, q query.Query, recs []record.Recor
 		if len(left.Rec.Attrs) <= maxAttr(tpl) {
 			return vErrf("left boundary record lacks the template's attributes")
 		}
-		leftScore = tpl.Interpret(0, left.Rec).Eval(q.X)
+		leftScore = tpl.Score(left.Rec, q.X)
 	}
 	rightScore := math.Inf(1)
 	if right.Kind == BoundaryRecord {
 		if len(right.Rec.Attrs) <= maxAttr(tpl) {
 			return vErrf("right boundary record lacks the template's attributes")
 		}
-		rightScore = tpl.Interpret(0, right.Rec).Eval(q.X)
+		rightScore = tpl.Score(right.Rec, q.X)
 	}
 
 	switch q.Kind {

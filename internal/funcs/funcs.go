@@ -123,6 +123,20 @@ func (t Template) Interpret(index int, r record.Record) Linear {
 	return Linear{Index: index, RecordID: r.ID, Coef: coef, Bias: bias}
 }
 
+// Score is Interpret(0, r).Eval(x) without the Linear: the same float64
+// operations in the same order, so the two agree bit for bit
+// (TestScoreIsInterpretEval) — for a verifier, which scores a record once.
+func (t Template) Score(r record.Record, x geometry.Point) float64 {
+	var s, bias float64
+	for v, a := range t.CoefAttrs {
+		s += r.Attrs[a] * x[v]
+	}
+	if t.BiasAttr >= 0 {
+		bias = r.Attrs[t.BiasAttr]
+	}
+	return s + bias
+}
+
 // InterpretTable converts every record of a table, in table order.
 func (t Template) InterpretTable(tbl record.Table) ([]Linear, error) {
 	if err := t.Validate(tbl.Schema.Arity()); err != nil {

@@ -56,6 +56,45 @@ func TestTemplateInterpret(t *testing.T) {
 	}
 }
 
+// TestScoreIsInterpretEval is what lets the verifier score through Score:
+// over random templates (1 to 4 variables, shuffled attributes, with and
+// without a bias), records (wide-ranging magnitudes, signed zeros) and
+// inputs, it returns the very bits Interpret(0, r).Eval(x) does, so no
+// verdict — every one is a comparison of such scores — can move.
+func TestScoreIsInterpretEval(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	draw := func() float64 {
+		switch rng.Intn(8) {
+		case 0:
+			return math.Copysign(0, float64(rng.Intn(2))-0.5)
+		case 1:
+			return rng.NormFloat64() * 1e-300
+		default:
+			return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))
+		}
+	}
+	for trial := 0; trial < 20000; trial++ {
+		arity := 1 + rng.Intn(6)
+		tpl := Template{Name: "quick", CoefAttrs: make([]int, 1+rng.Intn(4)), BiasAttr: rng.Intn(arity+1) - 1}
+		for v := range tpl.CoefAttrs {
+			tpl.CoefAttrs[v] = rng.Intn(arity)
+		}
+		r := record.Record{ID: uint64(trial), Attrs: make([]float64, arity)}
+		for i := range r.Attrs {
+			r.Attrs[i] = draw()
+		}
+		x := make(geometry.Point, tpl.Dim())
+		for i := range x {
+			x[i] = draw()
+		}
+		got, want := tpl.Score(r, x), tpl.Interpret(0, r).Eval(x)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("template %+v record %v at %v: Score %v (%#x), Interpret.Eval %v (%#x)",
+				tpl, r.Attrs, x, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
 func TestAffineLineTemplate(t *testing.T) {
 	tpl := AffineLine(0, 1)
 	r := record.Record{ID: 1, Attrs: []float64{2, 7}} // f(x) = 2x + 7

@@ -56,10 +56,11 @@ const (
 
 // Hasher computes tagged SHA-256 digests and counts operations. The zero
 // value is usable; the counter may be nil. Hasher is not safe for
-// concurrent use; create one per goroutine (they are stateless apart from
-// the counter).
+// concurrent use; create one per goroutine (their only state is the
+// counter and a scratch buffer).
 type Hasher struct {
 	ctr *metrics.Counter
+	enc []byte // Record's encoding scratch: one buffer per window, not one per leaf
 }
 
 // New returns a Hasher that records operation counts into ctr (which may
@@ -90,7 +91,8 @@ func (h *Hasher) sum(tag byte, parts ...[]byte) Digest {
 
 // Record returns the digest H(TagRecord | canonical-encoding(r)).
 func (h *Hasher) Record(r record.Record) Digest {
-	return h.sum(TagRecord, r.Encode(nil))
+	h.enc = r.Encode(h.enc[:0])
+	return h.sum(TagRecord, h.enc)
 }
 
 // Leaf returns the FMH leaf digest over a record digest.

@@ -56,18 +56,32 @@ func (r Record) EncodedLen() int { return 16 + 8*len(r.Attrs) + len(r.Payload) }
 
 // Decode parses a record written by Encode, returning the remaining bytes.
 func Decode(src []byte) (Record, []byte, error) {
+	return DecodeInto(make([]float64, AttrCount(src)), src)
+}
+
+// AttrCount is the attribute count of the record encoded at the front of
+// src, 0 unless src can hold that many: what a DecodeInto needs room for.
+func AttrCount(src []byte) int {
+	if len(src) < 12 || uint64(len(src)-12) < 8*uint64(binary.BigEndian.Uint32(src[8:12]))+4 {
+		return 0
+	}
+	return int(binary.BigEndian.Uint32(src[8:12]))
+}
+
+// DecodeInto is Decode with Attrs stored at the front of attrs, cap-limited
+// so an append cannot reach what follows. Nothing decoded aliases src.
+func DecodeInto(attrs []float64, src []byte) (Record, []byte, error) {
 	if len(src) < 12 {
 		return Record{}, nil, fmt.Errorf("record: encoding truncated (len %d)", len(src))
 	}
-	var r Record
-	r.ID = binary.BigEndian.Uint64(src[:8])
+	id := binary.BigEndian.Uint64(src[:8])
 	na := int(binary.BigEndian.Uint32(src[8:12]))
-	src = src[12:]
-	if na < 0 || na > 1<<20 || len(src) < 8*na+4 {
-		return Record{}, nil, fmt.Errorf("record %d: truncated attributes (want %d)", r.ID, na)
+	if na < 0 || na > 1<<20 || len(src)-12 < 8*na+4 || len(attrs) < na {
+		return Record{}, nil, fmt.Errorf("record %d: truncated attributes (want %d, room for %d)", id, na, len(attrs))
 	}
-	r.Attrs = make([]float64, na)
-	for i := 0; i < na; i++ {
+	r := Record{ID: id, Attrs: attrs[:na:na]}
+	src = src[12:]
+	for i := range r.Attrs {
 		r.Attrs[i] = math.Float64frombits(binary.BigEndian.Uint64(src[:8]))
 		src = src[8:]
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -242,12 +243,12 @@ func (c *HTTPClient) post(ctx context.Context, path string, reqBody []byte, limi
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	body, err := readBody(resp.Body, resp.ContentLength, limit)
+	if errors.Is(err, errBodyTooBig) {
+		return nil, fmt.Errorf("transport: answer exceeds %d bytes", limit)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("transport: read answer: %w", err)
-	}
-	if int64(len(body)) > limit {
-		return nil, fmt.Errorf("transport: answer exceeds %d bytes", limit)
 	}
 	return body, nil
 }

@@ -38,9 +38,11 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"io"
 	"log"
 	"net/http"
+	"strconv"
 
 	"aqverify/internal/backend"
 	"aqverify/internal/core"
@@ -302,24 +304,42 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(ans.Raw)))
 	w.Write(ans.Raw)
 }
 
+// maxBodyReserve caps what a declared length, a hint the peer controls, reserves.
+const maxBodyReserve = 1 << 20
+
+var errBodyTooBig = errors.New("body exceeds the size limit")
+
+// readBody buffers a request or response body of at most limit bytes into
+// a buffer reserved from the declared length (negative = undeclared), so
+// a body that keeps its word is allocated once; the MinRead of slack is
+// where ReadFrom meets the EOF. A declared length past the limit is
+// refused unread, an actual one by reading one byte past it.
+func readBody(body io.Reader, declared, limit int64) ([]byte, error) {
+	if declared > limit {
+		return nil, errBodyTooBig
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(declared, 0), maxBodyReserve)+bytes.MinRead))
+	_, err := buf.ReadFrom(io.LimitReader(body, limit+1))
+	if err == nil && int64(buf.Len()) > limit {
+		err = errBodyTooBig
+	}
+	return buf.Bytes(), err
+}
+
 // readRequest reads a request body of at most limit bytes, writing the
-// error response itself. It reads one byte past the limit so an
-// oversize request is a 413 saying tooBig, not a silent truncation
-// misreported as a 400 bad frame.
+// error response itself: a 413 saying tooBig, or a 400.
 func readRequest(w http.ResponseWriter, r *http.Request, limit int64, tooBig string) ([]byte, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
-	if err != nil {
-		http.Error(w, "read: "+err.Error(), http.StatusBadRequest)
-		return nil, false
-	}
-	if int64(len(body)) > limit {
+	body, err := readBody(r.Body, r.ContentLength, limit)
+	if errors.Is(err, errBodyTooBig) {
 		http.Error(w, tooBig, http.StatusRequestEntityTooLarge)
-		return nil, false
+	} else if err != nil {
+		http.Error(w, "read: "+err.Error(), http.StatusBadRequest)
 	}
-	return body, true
+	return body, err == nil
 }
 
 // readBatchRequest reads and decodes the query-batch frame both batch
@@ -364,6 +384,7 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
 	w.Write(frame)
 }
 
@@ -391,12 +412,7 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	flush := http.NewResponseController(w).Flush // a no-op error where w cannot flush
 	w.Header().Set("Content-Type", "application/octet-stream")
 	if _, err := w.Write(wire.EncodeStreamHeader(len(qs))); err != nil {
 		return

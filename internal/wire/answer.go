@@ -81,19 +81,27 @@ func sizeRecords(recs []record.Record) int {
 	return n
 }
 
+// decodeRecords gives every record's Attrs one array, sized by a first pass
+// over the attribute counts (each bounded by the field it was read from).
 func decodeRecords(r *reader) []record.Record {
 	n := r.count("records", 5)
+	total := 0
+	for i, scan := 0, (reader{buf: r.buf}); i < n; i++ {
+		total += record.AttrCount(scan.view("record"))
+	}
+	attrs := make([]float64, total)
 	out := make([]record.Record, 0, n)
 	for i := 0; i < n; i++ {
 		b := r.view("record")
 		if r.err != nil {
 			return nil
 		}
-		rec, rest, err := record.Decode(b)
+		rec, rest, err := record.DecodeInto(attrs, b)
 		if err != nil || len(rest) != 0 {
 			r.err = fmt.Errorf("wire: record %d: malformed", i)
 			return nil
 		}
+		attrs = attrs[len(rec.Attrs):]
 		out = append(out, rec)
 	}
 	return out
@@ -141,17 +149,12 @@ func encodeDigests(w *writer, ds []hashing.Digest) {
 }
 
 func decodeDigests(r *reader) []hashing.Digest {
-	n := r.count("digests", hashing.Size)
-	out := make([]hashing.Digest, 0, n)
-	for i := 0; i < n; i++ {
-		if len(r.buf) < hashing.Size {
-			r.fail("digest")
-			return nil
-		}
-		var d hashing.Digest
-		copy(d[:], r.buf[:hashing.Size])
-		r.buf = r.buf[hashing.Size:]
-		out = append(out, d)
+	out := make([]hashing.Digest, r.count("digests", hashing.Size))
+	for i := range out {
+		copy(out[i][:], r.take(hashing.Size, "digest"))
+	}
+	if r.err != nil {
+		return nil
 	}
 	return out
 }
@@ -228,14 +231,7 @@ func DecodeIFMH(b []byte) (*core.Answer, error) {
 			st.Hp = hp
 		}
 		st.TookAbove = r.bool("path dir")
-		if r.err == nil {
-			if len(r.buf) < hashing.Size {
-				r.fail("path sibling")
-			} else {
-				copy(st.Sibling[:], r.buf[:hashing.Size])
-				r.buf = r.buf[hashing.Size:]
-			}
-		}
+		copy(st.Sibling[:], r.take(hashing.Size, "path sibling"))
 		a.VO.Path = append(a.VO.Path, st)
 	}
 	rawIneqs := r.view("ineqs")
@@ -252,7 +248,7 @@ func DecodeIFMH(b []byte) (*core.Answer, error) {
 			a.VO.Ineqs = hss
 		}
 	}
-	a.VO.Signature = r.bytes("signature")
+	a.VO.Signature = append([]byte(nil), r.view("signature")...) // a copy: an answer never aliases its input
 	if err := r.done(); err != nil {
 		return nil, err
 	}
@@ -294,7 +290,7 @@ func DecodeMesh(b []byte) (*mesh.Answer, error) {
 		var p mesh.PairProof
 		p.Lo = r.f64("pair lo")
 		p.Hi = r.f64("pair hi")
-		p.Sig = r.bytes("pair sig")
+		p.Sig = append([]byte(nil), r.view("pair sig")...)
 		a.VO.Pairs = append(a.VO.Pairs, p)
 	}
 	if err := r.done(); err != nil {

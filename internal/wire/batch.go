@@ -95,13 +95,19 @@ func decodeShard(v uint32) (int, error) {
 	return int(v) - 1, nil
 }
 
-// EncodeQueryBatch frames many queries into one request body.
+// EncodeQueryBatch frames many queries into one request body, sized once.
 func EncodeQueryBatch(qs []query.Query) []byte {
-	w := &writer{}
+	n := 5
+	for _, q := range qs {
+		n += 4 + sizeQuery(q)
+	}
+	w := &writer{buf: make([]byte, 0, n)}
 	w.u8(magicQueryBatch)
 	w.u32(uint32(len(qs)))
 	for _, q := range qs {
-		w.bytes(EncodeQuery(q))
+		at := w.begin()
+		encodeQuery(w, q)
+		w.end(at)
 	}
 	return w.buf
 }
@@ -140,10 +146,14 @@ func DecodeQueryBatch(b []byte) ([]query.Query, error) {
 // shard k-1), a u64 publication epoch (0 only on a refusal), and the
 // length-prefixed payload. An item whose status is neither constant is
 // a programming error and fails the encode — a frame must never be
-// emitted that the decoder would reject. See docs/WIRE.md for worked
-// byte layouts.
+// emitted that the decoder would reject. The frame is allocated once, at
+// its length. See docs/WIRE.md for worked byte layouts.
 func EncodeAnswerBatch(items []BatchAnswer) ([]byte, error) {
-	w := &writer{}
+	n := 5
+	for _, it := range items {
+		n += 17 + len(it.Answer) + len(it.Err) // an item carries one of the two
+	}
+	w := &writer{buf: make([]byte, 0, n)}
 	w.u8(magicAnswerBatch)
 	w.u32(uint32(len(items)))
 	for i, it := range items {
@@ -169,7 +179,8 @@ func (w *writer) answerItem(it BatchAnswer) error {
 	}
 	w.u64(it.Epoch)
 	if it.Status == StatusRefused {
-		w.bytes([]byte(it.Err))
+		w.u32(uint32(len(it.Err)))
+		w.buf = append(w.buf, it.Err...)
 	} else {
 		w.bytes(it.Answer)
 	}
@@ -177,6 +188,8 @@ func (w *writer) answerItem(it BatchAnswer) error {
 }
 
 // DecodeAnswerBatch parses a response body framed by EncodeAnswerBatch.
+// Answer payloads are cap-limited views of b, not copies: b lives as
+// long as an item does, and an append to one cannot reach the next.
 func DecodeAnswerBatch(b []byte) ([]BatchAnswer, error) {
 	r := &reader{buf: b}
 	switch magic := r.u8("magic"); magic {
@@ -195,7 +208,7 @@ func DecodeAnswerBatch(b []byte) ([]BatchAnswer, error) {
 		status := r.u8("batch status")
 		shardWord := r.u32("batch shard")
 		epoch := r.u64("batch epoch")
-		payload := r.bytes("batch payload")
+		payload := r.view("batch payload")
 		if r.err != nil {
 			break
 		}

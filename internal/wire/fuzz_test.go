@@ -280,6 +280,13 @@ func FuzzDecodeAnswerBatch(f *testing.F) {
 		if !bytes.Equal(enc, data) {
 			t.Fatalf("decode/encode not canonical: %d vs %d bytes", len(enc), len(data))
 		}
+		// Payloads are views of the input: each must be cap-limited, so
+		// an append reallocates instead of writing into its neighbour.
+		for i, it := range items {
+			if cap(it.Answer) != len(it.Answer) {
+				t.Fatalf("item %d: payload view len %d cap %d", i, len(it.Answer), cap(it.Answer))
+			}
+		}
 	})
 }
 

@@ -66,57 +66,13 @@ func (r *reader) fail(what string) {
 	}
 }
 
-func (r *reader) u8(what string) uint8 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf) < 1 {
-		r.fail(what)
-		return 0
-	}
-	v := r.buf[0]
-	r.buf = r.buf[1:]
-	return v
-}
-
-func (r *reader) bool(what string) bool { return r.u8(what) == 1 }
-
-func (r *reader) u32(what string) uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf) < 4 {
-		r.fail(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.buf)
-	r.buf = r.buf[4:]
-	return v
-}
-
-func (r *reader) u64(what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf) < 8 {
-		r.fail(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.buf)
-	r.buf = r.buf[8:]
-	return v
-}
-
-func (r *reader) f64(what string) float64 { return math.Float64frombits(r.u64(what)) }
-
-// view reads a length-prefixed field as a sub-slice of the input, for
-// callers that parse it into values of their own.
-func (r *reader) view(what string) []byte {
-	n := int(r.u32(what))
+// take consumes n bytes as a cap-limited sub-slice of the input; nil, and
+// the failure remembered, when fewer remain.
+func (r *reader) take(n uint32, what string) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if n < 0 || len(r.buf) < n {
+	if uint(len(r.buf)) < uint(n) {
 		r.fail(what)
 		return nil
 	}
@@ -125,11 +81,34 @@ func (r *reader) view(what string) []byte {
 	return out
 }
 
-// bytes is view for a field the decoded value keeps (a signature):
-// copied, so a decoded answer never aliases its input.
-func (r *reader) bytes(what string) []byte {
-	return append([]byte(nil), r.view(what)...)
+func (r *reader) u8(what string) uint8 {
+	if b := r.take(1, what); b != nil {
+		return b[0]
+	}
+	return 0
 }
+
+func (r *reader) bool(what string) bool { return r.u8(what) == 1 }
+
+func (r *reader) u32(what string) uint32 {
+	if b := r.take(4, what); b != nil {
+		return binary.BigEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (r *reader) u64(what string) uint64 {
+	if b := r.take(8, what); b != nil {
+		return binary.BigEndian.Uint64(b)
+	}
+	return 0
+}
+
+func (r *reader) f64(what string) float64 { return math.Float64frombits(r.u64(what)) }
+
+// view reads a length-prefixed field as a sub-slice of the input, for
+// callers that parse it into values of their own.
+func (r *reader) view(what string) []byte { return r.take(r.u32(what), what) }
 
 // count reads a u32 element count and sanity-bounds it against the
 // remaining buffer (each element needs at least min bytes) so a forged

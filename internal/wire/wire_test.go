@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -217,6 +218,113 @@ func TestEncodeIFMHIsOneExactAllocation(t *testing.T) {
 			encodeRecords(w, a.Records)
 			if got, want := VOSizeIFMH(a), len(enc)-1-len(w.buf); got != want {
 				t.Errorf("%v answer %d: VO size %d, frame minus echo and records is %d", mode, i, got, want)
+			}
+		}
+	}
+}
+
+// TestAnswerBatchIsOneExactAllocation pins the batch codec's half of
+// "allocated once per hop": the frame is sized before it is written (one
+// allocation, len == cap — 0, 1 and 64 items, refusals with empty and
+// non-empty messages), and a decoded batch views its frame instead of
+// copying it — one allocation for the items plus one string per refusal,
+// every payload cap-limited so an append to item i cannot reach item
+// i+1, and the views re-encode to the identical bytes.
+func TestAnswerBatchIsOneExactAllocation(t *testing.T) {
+	mixed := make([]BatchAnswer, 64)
+	refusals := 0
+	for i := range mixed {
+		switch i % 8 {
+		case 3:
+			mixed[i] = NewRefusal("", i%2)
+		case 5:
+			mixed[i] = NewRefusal("core: function input outside the owner-specified domain", ShardNone)
+			refusals++
+		default:
+			mixed[i] = NewAnswer(bytes.Repeat([]byte{byte(i)}, 900+37*i), i%2).AtEpoch(3)
+		}
+	}
+	for _, items := range [][]BatchAnswer{nil, mixed[:1], mixed} {
+		enc, err := EncodeAnswerBatch(items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(enc) != len(enc) {
+			t.Errorf("%d items: frame len %d cap %d", len(items), len(enc), cap(enc))
+		}
+		if allocs := testing.AllocsPerRun(20, func() { EncodeAnswerBatch(items) }); allocs != 1 {
+			t.Errorf("%d items: %v allocations per encode, want 1", len(items), allocs)
+		}
+		want := 1
+		if len(items) == len(mixed) {
+			want += refusals // the empty-message ones cost nothing
+		}
+		if allocs := testing.AllocsPerRun(20, func() { DecodeAnswerBatch(enc) }); allocs > float64(want) {
+			t.Errorf("%d items: %v allocations per decode, want <= %d", len(items), allocs, want)
+		}
+		got, err := DecodeAnswerBatch(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if got[i].Status == StatusAnswer && cap(got[i].Answer) != len(got[i].Answer) {
+				t.Fatalf("item %d: payload view len %d cap %d", i, len(got[i].Answer), cap(got[i].Answer))
+			}
+			_ = append(got[i].Answer, 0xEE) // must reallocate, not write into the frame
+		}
+		if re, err := EncodeAnswerBatch(got); err != nil || !bytes.Equal(re, enc) {
+			t.Errorf("%d items: appending to the decoded payloads changed the frame (err %v)", len(items), err)
+		}
+	}
+	qs := make([]query.Query, 64)
+	for i := range qs {
+		qs[i] = query.NewRange(geometry.Point{0.01 * float64(i)}, -1, 1)
+	}
+	if enc := EncodeQueryBatch(qs); cap(enc) != len(enc) {
+		t.Errorf("query batch frame len %d cap %d", len(enc), cap(enc))
+	}
+	if allocs := testing.AllocsPerRun(20, func() { EncodeQueryBatch(qs) }); allocs != 1 {
+		t.Errorf("%v allocations per query-batch encode, want 1", allocs)
+	}
+}
+
+// TestDecodeIFMHAllocationsAreFlatInTheWindow pins the client's decode
+// bill: every record's Attrs comes out of one array per answer, so a
+// 16-times wider window costs no more allocations, the attribute slices
+// are cap-limited, and (FuzzDecodeIFMH's promise) none aliases the input.
+func TestDecodeIFMHAllocationsAreFlatInTheWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	recs := make([]record.Record, 80)
+	for i := range recs {
+		recs[i] = record.Record{ID: uint64(i + 1), Attrs: []float64{rng.NormFloat64(), rng.NormFloat64()}}
+	}
+	tbl, err := record.NewTable(record.Schema{Name: "lines", Columns: []record.Column{{Name: "slope"}, {Name: "intercept"}}}, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := core.Build(tbl, core.Params{
+		Mode: core.MultiSignature, Signer: testSigner,
+		Domain: geometry.MustBox([]float64{-1}, []float64{1}), Template: funcs.AffineLine(0, 1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{4, 64} {
+		a, err := tree.Process(query.NewKNN(geometry.Point{0.3}, k, 0), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := EncodeIFMH(a)
+		if allocs := testing.AllocsPerRun(20, func() { DecodeIFMH(enc) }); allocs > 14 {
+			t.Errorf("k=%d: %v allocations per decode, want <= 14", k, allocs)
+		}
+		got, err := DecodeIFMH(enc)
+		if err != nil || len(got.Records) != k {
+			t.Fatalf("k=%d: decoded %d records, err %v", k, len(got.Records), err)
+		}
+		for i, r := range got.Records {
+			if cap(r.Attrs) != len(r.Attrs) {
+				t.Fatalf("k=%d record %d: Attrs len %d cap %d", k, i, len(r.Attrs), cap(r.Attrs))
 			}
 		}
 	}
