@@ -63,7 +63,7 @@
 // collects cost metrics, WithVerify checks every answer against the
 // owner's published parameters before it is returned. Contexts cancel
 // cooperatively: a done context stops new work promptly. The lower-level
-// primitives (Tree.Process server-side, Verify/VerifyBatch client-side)
+// primitives (Tree.Process server-side, Verify client-side)
 // remain for code that handles wire bytes itself.
 //
 // # The cache plane
@@ -86,8 +86,9 @@
 // Construction shards its embarrassingly parallel steps — record
 // digesting, per-subdomain FMH-list building, multi-signature signing —
 // across Params.Workers goroutines (0 = one per CPU, 1 = serial); the
-// built tree is byte-identical for every worker count. VerifyBatch
-// checks many answers concurrently on the client side. Over HTTP,
+// built tree is byte-identical for every worker count. WithVerify
+// on a QueryBatch checks the answers concurrently on the client side
+// across the WithWorkers pool. Over HTTP,
 // cmd/vqserve exposes POST /query/batch, which carries many queries in
 // one length-prefixed frame and answers them concurrently on the
 // server, and POST /query/stream, which pipelines the batch's answers
@@ -126,7 +127,6 @@ import (
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
-	"aqverify/internal/server"
 	"aqverify/internal/shard"
 	"aqverify/internal/sig"
 	"aqverify/internal/workload"
@@ -176,8 +176,6 @@ type (
 	Answer = core.Answer
 	// TreeStats describes a built tree's footprint.
 	TreeStats = core.Stats
-	// BatchItem bundles one (query, result, VO) triple for VerifyBatch.
-	BatchItem = core.BatchItem
 )
 
 // Domain sharding.
@@ -428,7 +426,7 @@ type (
 	// CacheStats is the cache plane's counter snapshot: hits
 	// (cumulative and per current epoch), misses, single-flight
 	// collapses and evictions.
-	CacheStats = server.CacheStats
+	CacheStats = cache.Stats
 )
 
 // WrapCache decorates b with the answer cache: a whole-answer LRU keyed
@@ -469,19 +467,6 @@ func WithVerify(pub PublicParams) BackendOption { return backend.WithVerify(pub)
 // nil return means the result is sound and complete.
 func Verify(pub PublicParams, q Query, recs []Record, vo *VO, ctr *Counter) error {
 	return core.Verify(pub, q, recs, vo, ctr)
-}
-
-// VerifyBatch verifies many answers concurrently (workers <= 0 means one
-// per CPU); the returned slice is parallel to items.
-func VerifyBatch(pub PublicParams, items []BatchItem, workers int, ctr *Counter) []error {
-	return core.VerifyBatch(pub, items, workers, ctr)
-}
-
-// VerifyBatchCtx is VerifyBatch with cooperative cancellation: once ctx
-// is done the worker pool stops claiming items, and the items it never
-// reached report ctx's error instead of a verdict.
-func VerifyBatchCtx(ctx context.Context, pub PublicParams, items []BatchItem, workers int, ctr *Counter) []error {
-	return core.VerifyBatchCtx(ctx, pub, items, workers, ctr)
 }
 
 // Exec runs a query directly over a local table — the trusted reference

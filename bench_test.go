@@ -227,7 +227,11 @@ func BenchmarkShardedBuild(b *testing.B) {
 // walk. (The name predates the plane.)
 func BenchmarkHandleBatch(b *testing.B) {
 	tree, dom := buildFixture(b, 2000, aqverify.OneSignature)
-	srv, err := server.New(server.IFMH{Tree: tree})
+	local, err := backend.NewLocal(tree)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := server.New(local)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,7 +8,7 @@
 //	vqbench [flags]
 //
 //	-figure id     run one figure (fig5a..fig8b, ablationA1..A4, shardS1,
-//	               planQ1, streamT1, mutM1, frontR1); default runs all
+//	               planQ1, streamT1, mutM1); default runs all
 //	-quick         scaled-down sweep (seconds instead of minutes)
 //	-sizes list    comma-separated database sizes (default paper scale)
 //	-qsizes list   comma-separated result sizes for Figs 6d/7/8a

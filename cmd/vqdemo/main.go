@@ -84,7 +84,11 @@ func run(args []string) error {
 	st := res.Tree.Stats()
 	fmt.Printf("built IFMH-tree (%v): %d subdomains, %d IMH nodes (depth %d), %d shared FMH nodes, %d signature(s)\n",
 		mode, st.Subdomains, st.IMHNodes, st.IMHDepth, st.FMHNodes, st.Signatures)
-	srv, err := server.New(server.IFMH{Tree: res.Tree})
+	local, err := bkd.NewLocal(res.Tree)
+	if err != nil {
+		return err
+	}
+	srv, err := server.New(local)
 	if err != nil {
 		return err
 	}
@@ -97,7 +101,7 @@ func run(args []string) error {
 		query.NewRange(x, -1, 1),
 		query.NewKNN(x, 5, 0),
 	}
-	var client metrics.Counter // the user's cumulative verification cost
+	var client metrics.Counter // the verified calls' cumulative cost: the server's walk plus the user's verification
 
 	fmt.Println("\n== Honest round trips ==")
 	for _, q := range queries {
@@ -152,9 +156,7 @@ func run(args []string) error {
 		return err
 	}
 
-	stats, count := srv.Stats()
-	fmt.Printf("\nserver handled %d queries; cumulative: %s\n", count, (&stats).String())
-	fmt.Printf("client cumulative: %s\n", client.String())
+	fmt.Printf("\nverified calls, cumulative (server walk + client verification): %s\n", client.String())
 	return nil
 }
 
@@ -203,7 +205,11 @@ func liveMutation(ctx context.Context, res *build.Result, srv *server.Server, do
 		return err
 	}
 	fmt.Printf("owner applied %v -> epoch %d\n", muts, res2.Tree.Epoch())
-	if err := srv.Swap(server.IFMH{Tree: res2.Tree}); err != nil {
+	local2, err := bkd.NewLocal(res2.Tree)
+	if err != nil {
+		return err
+	}
+	if err := srv.Swap(local2); err != nil {
 		return err
 	}
 	fmt.Printf("server swapped to epoch %d (swaps so far: %d)\n", srv.Epoch(), srv.Swaps())

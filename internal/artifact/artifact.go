@@ -31,6 +31,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"aqverify/internal/backend"
 	"aqverify/internal/build"
 	"aqverify/internal/core"
 	"aqverify/internal/hashing"
@@ -378,18 +379,23 @@ func (a *Artifact) openTree(dir string, m *manifest, v sig.Verifier, i int) (*co
 	return t, nil
 }
 
-// Backend wraps the opened product as a server backend: IFMH for a
-// tree (or single shard), NewShardedIFMH for a set — exactly what a
-// freshly built result would wrap to, so server.Swap rolls a loaded
-// artifact out blue-green under the same epoch discipline.
+// Backend wraps the opened product as a server backend: a
+// backend.Local for a tree (or single shard), a backend.Sharded for a
+// set — exactly what a freshly built result would wrap to, so
+// server.Swap rolls a loaded artifact out blue-green under the same
+// epoch discipline.
 func (a *Artifact) Backend() (server.Backend, error) {
 	switch {
 	case a.Result == nil:
 		return nil, fmt.Errorf("artifact: not opened")
 	case a.Result.Set != nil:
-		return server.NewShardedIFMH(a.Result.Set)
+		r, err := shard.NewRouter(a.Result.Set)
+		if err != nil {
+			return nil, err
+		}
+		return backend.NewSharded(r)
 	default:
-		return server.IFMH{Tree: a.Result.Tree}, nil
+		return backend.NewLocal(a.Result.Tree)
 	}
 }
 

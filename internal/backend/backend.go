@@ -6,7 +6,8 @@
 //
 //   - Local — one in-process IFMH-tree (*core.Tree),
 //   - Sharded — a domain-sharded tree set behind a *shard.Router,
-//   - *server.Server — the metrics-keeping in-process cloud server,
+//   - *server.Server — the in-process cloud server, the epoch pointer
+//     Swap publishes through,
 //   - transport.Remote — a vqserve process reached over HTTP, and
 //   - Fanout — a front-end composing K single-shard backends (typically
 //     Remotes, one vqserve per shard) into one logical database.

@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"aqverify/internal/core"
+	"aqverify/internal/geometry"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/shard"
@@ -51,6 +52,10 @@ func (b *Local) QueryStream(ctx context.Context, qs []query.Query, opts ...Optio
 
 // Epoch returns the served tree's publication epoch.
 func (b *Local) Epoch() uint64 { return b.tree.Epoch() }
+
+// Domain returns the serving domain (the tree's sub-box when it is one
+// shard of a multi-process deployment).
+func (b *Local) Domain() geometry.Box { return b.tree.Domain() }
 
 // Process is the Local's evaluation primitive (see the Process type):
 // walk the tree, serialize the answer, charge its bytes. The in-process

@@ -46,8 +46,8 @@ func TestEveryFigure(t *testing.T) {
 			}
 		}
 	}
-	if len(Figures()) != 21 || verdicts != 5 {
-		t.Errorf("%d figures, %d with an identity column; want 21 and 5", len(Figures()), verdicts)
+	if len(Figures()) != 20 || verdicts != 4 {
+		t.Errorf("%d figures, %d with an identity column; want 20 and 4", len(Figures()), verdicts)
 	}
 }
 

@@ -5,10 +5,9 @@
 // choices the paper leaves open (A1-A4); and one figure per plane built
 // on top of the IFMH-tree that the process-level benchmark (benchmark/)
 // does not already measure — sharding and its planners (shardS1,
-// planQ1), the streaming transport (streamT1), mutation (mutM1) and
-// front (frontR1).
+// planQ1), the streaming transport (streamT1) and mutation (mutM1).
 //
-// A figure is a row of data, not a runner: Figures lists 21 Figure
+// A figure is a row of data, not a runner: Figures lists 20 Figure
 // values — id, titles, columns, notes, a sweep, the fixtures a sweep
 // point needs, a function measuring the point on them, and the column
 // (if any) holding an identity verdict — and Figure.Run is the one
@@ -144,7 +143,6 @@ func Figures() []Figure {
 		return func(c *Config) string { return fmt.Sprintf(format, c.maxSize()) }
 	}
 	plain := func(p point) []fixture { return []fixture{{n: p.n}} }
-	sharded := func(p point) []fixture { return []fixture{shardSet(p.n, p.k)} }
 	return []Figure{
 		{ID: "fig5a", Title: "Data owner: signatures needed", heading: fixed("Signatures needed to create the structure"),
 			columns: byArm("n"), sweep: overSizes, fixtures: threeArms, row: paperFig{value: signatures, format: asInt}.row},
@@ -247,15 +245,6 @@ func Figures() []Figure {
 			identity: "identity", fixtures: plain, row: mutationRow,
 			sweep: func(c *Config) []point { // a batch must leave records to mutate
 				return slices.DeleteFunc(grid(c.AblationSizes, mutationBatchSizes), func(p point) bool { return p.k >= p.n })
-			}},
-		{ID: "frontR1", Title: "Front plane: tail latency under one slow replica, hedged vs unhedged",
-			columns: []string{"n", "KxR", "queries", "slow", "p99-unhedged", "p99-hedged", "p99 ratio", "qps-unhedged", "qps-hedged", "hedges", "wins", "verified"},
-			notes: static(fmt.Sprintf("%d shard groups x %d replicas on loopback HTTP; one replica of shard 0 delayed by 'slow' (10x the calibrated healthy p99, floor 25ms) on every query route", frontShards, frontReplicas),
-				fmt.Sprintf("workload: mixed top-k/bottom-k/range/kNN single queries, %d concurrent clients, every answer verified client-side", frontClients),
-				"hedged arm: HedgeFraction 1.0, 2ms deadline floor; both arms drive the identical query sequence"),
-			identity: "verified", fixtures: sharded, row: frontRow,
-			sweep: func(c *Config) []point {
-				return grid(c.AblationSizes[len(c.AblationSizes)-1:], []int{frontShards})
 			}},
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net/http"
 	"net/http/httptest"
 	"slices"
 	"time"
@@ -20,6 +19,7 @@ import (
 	"aqverify/internal/query"
 	"aqverify/internal/record"
 	"aqverify/internal/server"
+	"aqverify/internal/shard"
 	"aqverify/internal/sig"
 	"aqverify/internal/transport"
 	"aqverify/internal/wire"
@@ -93,7 +93,7 @@ type built struct {
 // build returns the fixture's product, generating its table and
 // outsourcing it on first use. Fixtures are memoised for the harness's
 // lifetime, so figures that share a structure (the thirteen paper
-// figures; shardS1 and frontR1; the one-signature planes)
+// figures; the one-signature planes)
 // share one build and report one build time.
 func (h *Harness) build(ctx context.Context, fx fixture) (*built, error) {
 	if fx.dist == "" {
@@ -155,42 +155,25 @@ func (h *Harness) outsource(ctx context.Context, fx fixture, tbl record.Table, t
 	return b, nil
 }
 
-// loopback serves every tree on `replicas` loopback listeners — server.New
-// → transport.NewIFMHHandler → an httptest server, the vqserve stack
-// minus the process boundary — and returns the URLs grouped per tree
-// (the shape DialGroups and DialFront take) with the one closer for all
-// of them. wrap, when non-nil, decorates the handler of (tree, replica);
-// frontR1 slows one replica through it.
-func loopback(trees []*core.Tree, replicas int, wrap func(tree, replica int, h http.Handler) http.Handler) ([][]string, func(), error) {
-	var servers []*httptest.Server
-	stop := func() {
-		for _, ts := range servers {
-			ts.Close()
-		}
+// loopback serves the tree on a loopback listener — backend.NewLocal →
+// server.New → transport.NewIFMHHandler → an httptest server, the
+// vqserve stack minus the process boundary — and returns its URL and
+// closer.
+func loopback(tree *core.Tree) (string, func(), error) {
+	local, err := backend.NewLocal(tree)
+	if err != nil {
+		return "", nil, err
 	}
-	groups := make([][]string, len(trees))
-	for i, tree := range trees {
-		srv, err := server.New(server.IFMH{Tree: tree})
-		if err != nil {
-			stop()
-			return nil, nil, err
-		}
-		hd, err := transport.NewIFMHHandler(srv, tree.Public())
-		if err != nil {
-			stop()
-			return nil, nil, err
-		}
-		for r := 0; r < replicas; r++ {
-			var handler http.Handler = hd
-			if wrap != nil {
-				handler = wrap(i, r, hd)
-			}
-			ts := httptest.NewServer(handler)
-			servers = append(servers, ts)
-			groups[i] = append(groups[i], ts.URL)
-		}
+	srv, err := server.New(local)
+	if err != nil {
+		return "", nil, err
 	}
-	return groups, stop, nil
+	hd, err := transport.NewIFMHHandler(srv, tree.Public())
+	if err != nil {
+		return "", nil, err
+	}
+	ts := httptest.NewServer(hd)
+	return ts.URL, ts.Close, nil
 }
 
 // mixedQueries spreads every query kind uniformly across the domain,
@@ -266,7 +249,11 @@ func (h *Harness) identity(ctx context.Context, a, b *build.Result) (string, err
 // inProcess is the bare in-process backend over a tree or a shard set.
 func inProcess(res *build.Result) (backend.Backend, error) {
 	if res.Set != nil {
-		return server.NewShardedIFMH(res.Set)
+		r, err := shard.NewRouter(res.Set)
+		if err != nil {
+			return nil, err
+		}
+		return backend.NewSharded(r)
 	}
 	return backend.NewLocal(res.Tree)
 }

@@ -7,7 +7,7 @@ import (
 	"aqverify/internal/core"
 )
 
-// shardSet is the fixture both sharding figures and frontR1 build: a
+// shardSet is the fixture both sharding figures build: a
 // K-shard multi-signature set over the configured workload.
 func shardSet(n, k int) fixture {
 	return fixture{n: n, mode: core.MultiSignature, shards: k}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"aqverify/internal/backend"
-	"aqverify/internal/core"
 	"aqverify/internal/transport"
 )
 
@@ -23,12 +22,12 @@ import (
 // and are cross-checked record for record.
 func streamRow(ctx context.Context, h *Harness, p point, bs []*built) ([]string, error) {
 	b := bs[0]
-	groups, stop, err := loopback([]*core.Tree{b.Tree}, 1, nil)
+	url, stop, err := loopback(b.Tree)
 	if err != nil {
 		return nil, err
 	}
 	defer stop()
-	remote, err := transport.DialRemote(groups[0][0], nil)
+	remote, err := transport.DialRemote(url, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -53,18 +53,18 @@ func (c *Cache) classify(qs []query.Query) classified {
 			continue
 		}
 		if e, ok := c.answers.get(k); ok {
-			c.tally.CacheHit()
+			c.hit()
 			cl.hits = append(cl.hits, hit{i, e})
 			continue
 		}
 		fl, leader := c.flights.join(k)
 		if leader {
-			c.tally.CacheMiss()
+			c.misses.Add(1)
 			lf := &ledFlight{k: k, fl: fl, idxs: []int{i}}
 			byKey[k] = lf
 			cl.led = append(cl.led, lf)
 		} else {
-			c.tally.CacheCollapse()
+			c.collapses.Add(1)
 			cl.wait = append(cl.wait, waiter{i, fl})
 		}
 	}
@@ -89,9 +89,8 @@ func (c *Cache) QueryStream(ctx context.Context, qs []query.Query, opts ...backe
 // inner backend as one sub-batch through exchange — its QueryStream, or
 // its QueryBatch through backend.Buffered — at once, and are yielded as
 // they land; collapsed items are yielded as their foreign flights
-// resolve. Per-item outcomes land in the tally as they are yielded; the
-// call's cost folds into the caller's counter and the tally once, at
-// the end. Breaking out of the iteration cancels the inner exchange and
+// resolve. The call's cost folds into the caller's counter once, at the
+// end. Breaking out of the iteration cancels the inner exchange and
 // completes this call's unfinished flights with the cancellation
 // (waiters elsewhere retry them).
 func (c *Cache) stream(ctx context.Context, qs []query.Query, opts []backend.Option,
@@ -115,11 +114,6 @@ func (c *Cache) stream(ctx context.Context, qs []query.Query, opts []backend.Opt
 				cost.Add(costs[i])
 			}
 			call.Charge(cost)
-			c.tally.AddCost(cost)
-		}
-		deliver := func(i int, r backend.BatchResult) bool {
-			c.tally.Count(r.Answer.Shard, r.Err)
-			return yield(i, r)
 		}
 		hits := func(_ context.Context, emit func(int, backend.BatchResult) bool) {
 			for _, h := range cl.hits {
@@ -132,7 +126,7 @@ func (c *Cache) stream(ctx context.Context, qs []query.Query, opts []backend.Opt
 		}
 		if len(cl.led)+len(cl.wait) == 0 {
 			// All hits, nothing to overlap them with: serve them here.
-			hits(ctx, deliver)
+			hits(ctx, yield)
 			fold(nil)
 			return
 		}
@@ -173,7 +167,7 @@ func (c *Cache) stream(ctx context.Context, qs []query.Query, opts []backend.Opt
 				emit(w.i, r)
 			})
 		}
-		backend.Merge(ctx, deliver, fold, producers...)
+		backend.Merge(ctx, yield, fold, producers...)
 	}
 }
 

@@ -31,10 +31,9 @@
 // database. One Cache must therefore front exactly one logical
 // database.
 //
-// Counters — hit, miss, collapse, evict — surface through a server.Tally
-// the Cache owns, which also tallies every served query, so /stats over a
-// cache-fronted host reports both the traffic and the cache's
-// effectiveness.
+// The Cache counts only what it alone knows — hit, epoch-hit, miss,
+// collapse, evict (CacheStats) — which /stats over a cache-fronted host
+// reports beside the handler's tally of the traffic itself.
 package cache
 
 import (
@@ -47,7 +46,6 @@ import (
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
-	"aqverify/internal/server"
 	"aqverify/internal/wire"
 )
 
@@ -101,18 +99,33 @@ type entry struct {
 }
 
 // Cache decorates a backend with the answer cache. It implements
-// backend.Backend and the stats surface the HTTP handler reports
-// (Stats, ErrorCount, ShardStats, Swaps, CacheStats), so a
-// cache-fronted host serves /stats with the cache's tally; what it
-// wraps — epochs, admission gate, gauges — stays reachable through
-// Inner (backend.Epoch, backend.Epochs, backend.Find).
+// backend.Backend and the cache-counter surface the HTTP handler
+// reports (CacheStats); what it wraps — epochs, admission gate, gauges
+// — stays reachable through Inner (backend.Epoch, backend.Epochs,
+// backend.Find).
 type Cache struct {
 	inner   backend.Backend
-	tally   *server.Tally
 	answers *lru[akey, entry]
 	flights flightMap
 
 	lastEpoch atomic.Uint64
+
+	// epochHits is the per-epoch hit gauge: it resets when the pin
+	// moves, so operators see a cache refilling after an epoch change
+	// instead of a cumulative total that hides the invalidation.
+	hits, epochHits, misses, collapses, evictions atomic.Int64
+}
+
+// Stats is the cache's counter snapshot: the whole-answer tier's hits
+// (cumulative and per current epoch), misses, single-flight collapses
+// and LRU evictions. Served by /stats as the "cache" object on hosts
+// fronted by Wrap.
+type Stats struct {
+	Hits      int64 `json:"hits"`
+	EpochHits int64 `json:"epochHits"`
+	Misses    int64 `json:"misses"`
+	Collapses int64 `json:"collapses"`
+	Evictions int64 `json:"evictions"`
 }
 
 // Wrap decorates b with the answer cache, which works over any backend
@@ -127,11 +140,8 @@ func Wrap(b backend.Backend, opts ...Option) (*Cache, error) {
 			return nil, err
 		}
 	}
-	epoch, per := backend.Epoch(b), backend.Epochs(b)
-	c := &Cache{inner: b, tally: server.NewTally(len(per))}
-	c.answers = newLRU[akey, entry](cfg.answerCap)
-	c.lastEpoch.Store(epoch)
-	c.tally.ObserveEpoch(epoch, per)
+	c := &Cache{inner: b, answers: newLRU[akey, entry](cfg.answerCap)}
+	c.lastEpoch.Store(backend.Epoch(b))
 	return c, nil
 }
 
@@ -141,31 +151,25 @@ func (c *Cache) Inner() backend.Backend { return c.inner }
 // Name implements Backend.
 func (c *Cache) Name() string { return c.inner.Name() }
 
-// Stats returns the cumulative served metrics and answered-query count
-// (hits included — the cache's tally covers everything it serves).
-func (c *Cache) Stats() (metrics.Counter, int) { return c.tally.Stats() }
-
-// ErrorCount returns how many served queries failed.
-func (c *Cache) ErrorCount() int { return c.tally.ErrorCount() }
-
-// ShardStats returns per-shard serving tallies, nil when unsharded.
-func (c *Cache) ShardStats() []server.ShardStat { return c.tally.ShardStats() }
-
-// Swaps returns how many epoch changes the cache has observed on its
-// pin.
-func (c *Cache) Swaps() int { return c.tally.Swaps() }
-
 // CacheStats returns the hit/miss/collapse/evict counters.
-func (c *Cache) CacheStats() server.CacheStats { return c.tally.CacheStats() }
+func (c *Cache) CacheStats() Stats {
+	return Stats{
+		Hits:      c.hits.Load(),
+		EpochHits: c.epochHits.Load(),
+		Misses:    c.misses.Load(),
+		Collapses: c.collapses.Load(),
+		Evictions: c.evictions.Load(),
+	}
+}
 
 // Len returns the whole-answer entry count, for tests and sizing.
 func (c *Cache) Len() int { return c.answers.len() }
 
 // pin reads the inner backend's current epoch — the one every lookup is
-// keyed on, so nothing but the epoch is read here — updating the
-// tally's gauges (and resetting the per-epoch hit gauge) when it moved
-// since the last observation. Exactly one observer records each change,
-// and only it pays for the per-shard epochs.
+// keyed on, so nothing but the epoch is read here — resetting the
+// per-epoch hit gauge when it moved since the last observation: the
+// previous epoch's entries are stranded, so hits start over from zero.
+// Exactly one observer resets for each change.
 func (c *Cache) pin() uint64 {
 	e := backend.Epoch(c.inner)
 	for {
@@ -174,10 +178,17 @@ func (c *Cache) pin() uint64 {
 			return e
 		}
 		if c.lastEpoch.CompareAndSwap(last, e) {
-			c.tally.ObserveSwap(e, backend.Epochs(c.inner))
+			c.epochHits.Store(0)
 			return e
 		}
 	}
+}
+
+// hit records one whole-answer cache hit, cumulative and against the
+// current epoch's gauge.
+func (c *Cache) hit() {
+	c.hits.Add(1)
+	c.epochHits.Add(1)
 }
 
 // Query implements Backend.
@@ -189,7 +200,6 @@ func (c *Cache) Query(ctx context.Context, q query.Query, opts ...backend.Option
 	var cost metrics.Counter
 	ans, err := c.queryOne(ctx, call, q, opts, &cost)
 	call.Charge(cost)
-	c.tally.Record(cost, ans.Shard, err)
 	return ans, err
 }
 
@@ -204,19 +214,19 @@ func (c *Cache) queryOne(ctx context.Context, call backend.Call, q query.Query, 
 		pin := c.pin()
 		k := akey{epoch: pin, q: qenc}
 		if e, ok := c.answers.get(k); ok {
-			c.tally.CacheHit()
+			c.hit()
 			return c.serve(call, q, k, e, cost)
 		}
 		fl, leader := c.flights.join(k)
 		if leader {
-			c.tally.CacheMiss()
+			c.misses.Add(1)
 			var sub metrics.Counter
 			ans, err := c.inner.Query(ctx, q, backend.ReplaceCounter(opts, &sub)...)
 			cost.Add(sub)
 			c.land(k, fl, backend.BatchResult{Answer: ans, Err: err})
 			return ans, err
 		}
-		c.tally.CacheCollapse()
+		c.collapses.Add(1)
 		if r, retry := c.await(ctx, call, q, k, fl, cost); !retry {
 			return r.Answer, r.Err
 		}
@@ -231,9 +241,7 @@ func (c *Cache) land(k akey, fl *flight, r backend.BatchResult) {
 		// A stored backend.Answer.Raw view would pin the frame it came in.
 		e := entryOf(r.Answer)
 		e.raw = append(make([]byte, 0, len(e.raw)), e.raw...)
-		for n := c.answers.put(storeKey(k, r.Answer), e); n > 0; n-- {
-			c.tally.CacheEvict()
-		}
+		c.evictions.Add(int64(c.answers.put(storeKey(k, r.Answer), e)))
 	}
 	c.flights.complete(k, fl, r.Answer, r.Err)
 }

@@ -1,13 +1,15 @@
-package cache
+package cache_test
 
 import (
 	"context"
+	"errors"
 	"net/http/httptest"
 	"testing"
 	"unsafe"
 
 	"aqverify/internal/backend"
 	"aqverify/internal/build"
+	"aqverify/internal/cache"
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
@@ -40,6 +42,26 @@ func outsrc(t *testing.T, n int, mode core.Mode, opts ...build.Option) *build.Re
 	return res
 }
 
+// local and serve host a tree the way vqserve does — a backend.Local
+// behind a server.Server — for tests that swap it or put it on HTTP.
+func local(t *testing.T, tree *core.Tree) *backend.Local {
+	t.Helper()
+	b, err := backend.NewLocal(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func serve(t *testing.T, b server.Backend) *server.Server {
+	t.Helper()
+	srv, err := server.New(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
 // spreadQueries covers the domain with mixed-k top-k queries.
 func spreadQueries(dom geometry.Box, n int) []query.Query {
 	qs := make([]query.Query, 0, n)
@@ -51,7 +73,7 @@ func spreadQueries(dom geometry.Box, n int) []query.Query {
 }
 
 func TestWrapValidation(t *testing.T) {
-	if _, err := Wrap(nil); err == nil {
+	if _, err := cache.Wrap(nil); err == nil {
 		t.Fatal("Wrap(nil) accepted")
 	}
 	res := outsrc(t, 40, core.OneSignature)
@@ -59,10 +81,10 @@ func TestWrapValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Wrap(b, WithAnswerCapacity(0)); err == nil {
+	if _, err := cache.Wrap(b, cache.WithAnswerCapacity(0)); err == nil {
 		t.Fatal("zero answer capacity accepted")
 	}
-	c, err := Wrap(b, WithAnswerCapacity(8), WithoutPermTier())
+	c, err := cache.Wrap(b, cache.WithAnswerCapacity(8), cache.WithoutPermTier())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +105,7 @@ func TestHitMissEvict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Wrap(b, WithAnswerCapacity(2), WithoutPermTier())
+	c, err := cache.Wrap(b, cache.WithAnswerCapacity(2), cache.WithoutPermTier())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +158,7 @@ func TestVerifyUpgrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Wrap(b, WithoutPermTier())
+	c, err := cache.Wrap(b, cache.WithoutPermTier())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +200,7 @@ func TestVerifyUpgrade(t *testing.T) {
 // 32-answer sub-batch would pin its whole body for the LRU's lifetime.
 func TestCacheEntriesOwnTheirBytes(t *testing.T) {
 	res := outsrc(t, 120, core.MultiSignature)
-	srv, err := server.New(server.IFMH{Tree: res.Tree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := transport.NewIFMHHandler(srv, res.Public)
+	h, err := transport.NewIFMHHandler(serve(t, local(t, res.Tree)), res.Public)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +210,7 @@ func TestCacheEntriesOwnTheirBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Wrap(remote)
+	c, err := cache.Wrap(remote)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,9 +231,14 @@ func TestCacheEntriesOwnTheirBytes(t *testing.T) {
 			t.Fatalf("answers %d and %d lie %d bytes apart, want the 17 of one frame's item head", i-1, i, gap)
 		}
 	}
+	// A hit hands out the stored entry's own slice.
+	stored, errs := c.QueryBatch(context.Background(), qs)
+	if st := c.CacheStats(); st.Hits != int64(len(qs)) || errors.Join(errs...) != nil {
+		t.Fatalf("second pass: %+v, errs %v; want every query a hit", st, errors.Join(errs...))
+	}
 	var spans [][2]uintptr
-	for el := c.answers.ll.Front(); el != nil; el = el.Next() {
-		raw := el.Value.(*lruEntry[akey, entry]).v.raw
+	for _, ans := range stored {
+		raw := ans.Raw
 		if cap(raw) != len(raw) {
 			t.Errorf("stored entry holds len %d cap %d: it pins more than its answer", len(raw), cap(raw))
 		}

@@ -1,4 +1,4 @@
-package cache
+package cache_test
 
 import (
 	"bytes"
@@ -9,10 +9,10 @@ import (
 
 	"aqverify/internal/backend"
 	"aqverify/internal/build"
+	"aqverify/internal/cache"
 	"aqverify/internal/core"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
-	"aqverify/internal/server"
 	"aqverify/internal/shard"
 	"aqverify/internal/transport"
 )
@@ -36,7 +36,7 @@ func identityQueries(dom geometry.Box, plan *shard.Plan) []query.Query {
 // the uncached backend byte for byte — outcome, wire bytes, shard
 // attribution, epoch, verified records — and the batch and stream
 // entry points agree with the uncached batch.
-func checkIdentity(t *testing.T, surface string, uncached backend.Backend, cached *Cache, pub core.PublicParams, qs []query.Query) {
+func checkIdentity(t *testing.T, surface string, uncached backend.Backend, cached *cache.Cache, pub core.PublicParams, qs []query.Query) {
 	t.Helper()
 	ctx := context.Background()
 	verify := backend.WithVerify(pub)
@@ -126,15 +126,12 @@ func TestCachedEqualsUncached(t *testing.T) {
 		dom := single.Tree.Domain()
 
 		// Local tree.
-		local, err := backend.NewLocal(single.Tree)
+		lb := local(t, single.Tree)
+		c, err := cache.Wrap(lb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := Wrap(local)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkIdentity(t, "local/"+local.Name(), local, c, single.Public, identityQueries(dom, nil))
+		checkIdentity(t, "local/"+lb.Name(), lb, c, single.Public, identityQueries(dom, nil))
 
 		// Shard router.
 		router, err := shard.NewRouter(shardedRes.Set)
@@ -145,31 +142,20 @@ func TestCachedEqualsUncached(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c, err = Wrap(sharded); err != nil {
+		if c, err = cache.Wrap(sharded); err != nil {
 			t.Fatal(err)
 		}
 		checkIdentity(t, "sharded/"+sharded.Name(), sharded, c, shardedRes.Public, identityQueries(dom, &shardedRes.Plan))
 
 		// In-process server (hosting the sharded set, the richer case).
-		sb, err := server.NewShardedIFMH(shardedRes.Set)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := server.New(sb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c, err = Wrap(srv); err != nil {
+		srv := serve(t, sharded)
+		if c, err = cache.Wrap(srv); err != nil {
 			t.Fatal(err)
 		}
 		checkIdentity(t, "server/"+srv.Name(), srv, c, shardedRes.Public, identityQueries(dom, &shardedRes.Plan))
 
 		// HTTP remote.
-		rsrv, err := server.New(server.IFMH{Tree: single.Tree})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hd, err := transport.NewIFMHHandler(rsrv, single.Public)
+		hd, err := transport.NewIFMHHandler(serve(t, lb), single.Public)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +168,7 @@ func TestCachedEqualsUncached(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c, err = Wrap(remoteC); err != nil {
+		if c, err = cache.Wrap(remoteC); err != nil {
 			t.Fatal(err)
 		}
 		checkIdentity(t, "remote/"+remoteU.Name(), remoteU, c, single.Public, identityQueries(dom, nil))
@@ -192,11 +178,7 @@ func TestCachedEqualsUncached(t *testing.T) {
 		urls := make([]string, shardedRes.Set.NumShards())
 		var shardServers []*httptest.Server
 		for i, tree := range shardedRes.Set.Trees {
-			ssrv, err := server.New(server.IFMH{Tree: tree})
-			if err != nil {
-				t.Fatal(err)
-			}
-			shd, err := transport.NewIFMHHandler(ssrv, tree.Public())
+			shd, err := transport.NewIFMHHandler(serve(t, local(t, tree)), tree.Public())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,7 +194,7 @@ func TestCachedEqualsUncached(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c, err = Wrap(fanC); err != nil {
+		if c, err = cache.Wrap(fanC); err != nil {
 			t.Fatal(err)
 		}
 		checkIdentity(t, "fanout/"+fanU.Name(), fanU, c, shardedRes.Public, identityQueries(dom, &shardedRes.Plan))

@@ -38,8 +38,8 @@ func (l *lru[K, V]) get(k K) (v V, ok bool) {
 }
 
 // put inserts or replaces k's value and evicts from the cold end while
-// over capacity, reporting how many entries that cost — the cache tells
-// its tally, so /stats shows pressure.
+// over capacity, reporting how many entries that cost — the cache counts
+// them, so /stats shows pressure.
 func (l *lru[K, V]) put(k K, v V) (evicted int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

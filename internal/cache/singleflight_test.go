@@ -1,4 +1,4 @@
-package cache
+package cache_test
 
 import (
 	"context"
@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"aqverify/internal/backend"
+	"aqverify/internal/cache"
 	"aqverify/internal/core"
 	"aqverify/internal/query"
 )
@@ -90,7 +91,7 @@ func TestSingleFlightCollapse(t *testing.T) {
 		t.Fatal(err)
 	}
 	gated := newGated(local)
-	c, err := Wrap(gated, WithoutPermTier())
+	c, err := cache.Wrap(gated, cache.WithoutPermTier())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestCanceledLeaderDoesNotPoison(t *testing.T) {
 		t.Fatal(err)
 	}
 	gated := newGated(local)
-	c, err := Wrap(gated, WithoutPermTier())
+	c, err := cache.Wrap(gated, cache.WithoutPermTier())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestStreamBreakReleasesLedFlights(t *testing.T) {
 		t.Fatal(err)
 	}
 	gated := newGated(local)
-	c, err := Wrap(gated, WithoutPermTier())
+	c, err := cache.Wrap(gated, cache.WithoutPermTier())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"aqverify/internal/hashing"
 	"aqverify/internal/itree"
 	"aqverify/internal/metrics"
-	"aqverify/internal/query"
 	"aqverify/internal/record"
 )
 
@@ -155,72 +154,6 @@ func TestParallelBuildServes(t *testing.T) {
 	}
 }
 
-// TestVerifyBatch checks the parallel verifier: every genuine answer
-// passes, a tampered item fails without affecting its neighbors, and
-// the merged counter matches the sum of serial verifications.
-func TestVerifyBatch(t *testing.T) {
-	tbl := lineTable(t, 60, 13)
-	tree := build1D(t, tbl, MultiSignature)
-	pub := tree.Public()
-
-	rng := rand.New(rand.NewSource(17))
-	var items []BatchItem
-	for i := 0; i < 12; i++ {
-		x := geometry.Point{rng.Float64()*2 - 1}
-		q := query.NewTopK(x, 1+rng.Intn(6))
-		ans, err := tree.Process(q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		items = append(items, BatchItem{Query: q, Records: ans.Records, VO: &ans.VO})
-	}
-
-	var serialCtr metrics.Counter
-	for _, it := range items {
-		if err := Verify(pub, it.Query, it.Records, it.VO, &serialCtr); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var batchCtr metrics.Counter
-	for _, workers := range []int{0, 1, 4} {
-		for i, err := range VerifyBatch(pub, items, workers, &batchCtr) {
-			if err != nil {
-				t.Fatalf("workers=%d: item %d: %v", workers, i, err)
-			}
-		}
-	}
-	// Three passes, each costing exactly the serial total.
-	want := metrics.Counter{}
-	for i := 0; i < 3; i++ {
-		want.Add(serialCtr)
-	}
-	if batchCtr != want {
-		t.Errorf("batch counter %v, want 3x serial %v", &batchCtr, &want)
-	}
-
-	// Tamper with one item: only it may fail.
-	bad := make([]BatchItem, len(items))
-	copy(bad, items)
-	tampered := append([]record.Record(nil), bad[5].Records...)
-	tampered[0].Attrs = append([]float64(nil), tampered[0].Attrs...)
-	tampered[0].Attrs[1] += 1e6
-	bad[5] = BatchItem{Query: bad[5].Query, Records: tampered, VO: bad[5].VO}
-	errs := VerifyBatch(pub, bad, 4, nil)
-	for i, err := range errs {
-		if i == 5 && err == nil {
-			t.Error("tampered item verified")
-		}
-		if i != 5 && err != nil {
-			t.Errorf("item %d rejected: %v", i, err)
-		}
-	}
-
-	if got := VerifyBatch(pub, nil, 4, nil); len(got) != 0 {
-		t.Errorf("empty batch returned %d errors", len(got))
-	}
-}
-
 // TestPropagateHashesWorkersIdentity walks the serial and parallel
 // builds' IMH-trees in lockstep and compares every node hash — the
 // node-level contract behind the root-digest identity: level-parallel
@@ -257,7 +190,7 @@ func TestPropagateHashesWorkersIdentity(t *testing.T) {
 
 // TestBuildCtxCanceled: a context canceled mid-construction aborts
 // promptly and surfaces context.Canceled (the build-plane mirror of
-// VerifyBatchCtx's contract).
+// backend.Call.FinishBatch's contract).
 func TestBuildCtxCanceled(t *testing.T) {
 	tbl := lineTable(t, 120, 23)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -11,7 +10,6 @@ import (
 	"aqverify/internal/geometry"
 	"aqverify/internal/hashing"
 	"aqverify/internal/metrics"
-	"aqverify/internal/pool"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
 )
@@ -141,61 +139,6 @@ func Verify(pub PublicParams, q query.Query, recs []record.Record, vo *VO, ctr *
 
 	// --- Step 2: semantic re-check of the query over the window. ---
 	return CheckWindowSemantics(pub.Template, q, recs, vo.Left, vo.Right, vo.ListLen, pub.SemTol)
-}
-
-// BatchItem bundles one (query, result, verification object) triple for
-// VerifyBatch.
-type BatchItem struct {
-	Query   query.Query
-	Records []record.Record
-	VO      *VO
-}
-
-// VerifyBatch verifies many answers against one set of public parameters
-// concurrently, sharding the items across min(workers, len(items))
-// goroutines; workers <= 0 means runtime.GOMAXPROCS(0). The result slice
-// is parallel to items: errs[i] is nil iff items[i] is sound and
-// complete, and each failure reports exactly what Verify would. The
-// counter, if non-nil, accumulates every item's verification cost; items
-// are claimed off a shared index so unevenly sized proofs still load-
-// balance.
-func VerifyBatch(pub PublicParams, items []BatchItem, workers int, ctr *metrics.Counter) []error {
-	return VerifyBatchCtx(context.Background(), pub, items, workers, ctr)
-}
-
-// errNotVerified marks items the worker pool never reached; it is always
-// replaced before VerifyBatchCtx returns.
-var errNotVerified = errors.New("core: item not verified")
-
-// VerifyBatchCtx is VerifyBatch with cooperative cancellation: once ctx
-// is done the pool stops claiming new items, so a canceled client stops
-// burning CPU mid-batch. Items the pool never reached report ctx's error
-// (e.g. context.Canceled) instead of a verification verdict — callers
-// must not treat those as rejections. In-flight items finish and report
-// their real verdict.
-func VerifyBatchCtx(ctx context.Context, pub PublicParams, items []BatchItem, workers int, ctr *metrics.Counter) []error {
-	errs := make([]error, len(items))
-	if len(items) == 0 {
-		return errs
-	}
-	for i := range errs {
-		errs[i] = errNotVerified
-	}
-	workers = pool.Workers(workers, len(items))
-	ctrs := make([]metrics.Counter, workers)
-	err := pool.RunCtx(ctx, len(items), workers, func(w, i int) {
-		it := items[i]
-		errs[i] = Verify(pub, it.Query, it.Records, it.VO, &ctrs[w])
-	})
-	for i := range errs {
-		if errors.Is(errs[i], errNotVerified) {
-			errs[i] = err
-		}
-	}
-	for i := range ctrs {
-		ctr.Add(ctrs[i])
-	}
-	return errs
 }
 
 // CheckWindowSemantics mimics the server's query processing over an

@@ -18,7 +18,6 @@ import (
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
-	"aqverify/internal/server"
 	"aqverify/internal/sig"
 	"aqverify/internal/tamper"
 	"aqverify/internal/transport"
@@ -242,17 +241,14 @@ func TestDialedSessionPoison(t *testing.T) {
 				t.Fatal(err)
 			}
 			prev := outsource(t, tbl, dom, build.WithMode(mode), build.WithShuffle(3))
-			live, err := server.New(server.IFMH{Tree: prev.Tree})
-			if err != nil {
-				t.Fatal(err)
-			}
+			live := newServer(t, local(t, prev.Tree))
 			h, err := transport.NewIFMHHandler(live, prev.Public)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ts := httptest.NewServer(h)
 			defer ts.Close()
-			lagging, err := url.Parse(serve(t, server.IFMH{Tree: prev.Tree}, prev.Public))
+			lagging, err := url.Parse(serve(t, local(t, prev.Tree), prev.Public))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -324,7 +320,7 @@ func TestDialedSessionPoison(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := live.Swap(server.IFMH{Tree: next.Tree}); err != nil {
+			if err := live.Swap(local(t, next.Tree)); err != nil {
 				t.Fatal(err)
 			}
 			if e, err := warm.Client().Refresh(ctx); err != nil || e != 2 {

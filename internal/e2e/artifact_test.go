@@ -212,10 +212,7 @@ func TestArtifactFanoutMismatch(t *testing.T) {
 	}
 
 	// Mixed built + loaded composes: the fresh shard advertises no hash.
-	srvB, err := server.New(server.IFMH{Tree: resA.Set.Trees[1]})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srvB := newServer(t, local(t, resA.Set.Trees[1]))
 	hB, err := transport.NewIFMHHandler(srvB, resA.Public)
 	if err != nil {
 		t.Fatal(err)

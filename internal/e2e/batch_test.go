@@ -11,7 +11,6 @@ import (
 	"aqverify/internal/core"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
-	"aqverify/internal/server"
 	"aqverify/internal/tamper"
 	"aqverify/internal/workload"
 )
@@ -29,10 +28,7 @@ func TestBatchedRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	for _, mode := range []core.Mode{core.OneSignature, core.MultiSignature} {
 		res := outsource(t, tbl, dom, build.WithMode(mode), build.WithShuffle(0), build.WithWorkers(4))
-		srv, err := server.New(server.IFMH{Tree: res.Tree})
-		if err != nil {
-			t.Fatal(err)
-		}
+		srv := newServer(t, local(t, res.Tree))
 		opts := []backend.Option{backend.WithVerify(res.Public), backend.WithWorkers(4)}
 
 		rng := rand.New(rand.NewSource(8))

@@ -58,14 +58,30 @@ type surface struct {
 	verify backend.Option
 }
 
-// serve puts a server on a loopback listener for the test's lifetime.
-func serve(t testing.TB, b server.Backend, pub core.PublicParams) string {
+// local and newServer host a tree the way vqserve does: a backend.Local
+// behind a server.Server.
+func local(t testing.TB, tree *core.Tree) *backend.Local {
+	t.Helper()
+	b, err := backend.NewLocal(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func newServer(t testing.TB, b server.Backend) *server.Server {
 	t.Helper()
 	srv, err := server.New(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := transport.NewIFMHHandler(srv, pub)
+	return srv
+}
+
+// serve puts a server on a loopback listener for the test's lifetime.
+func serve(t testing.TB, b server.Backend, pub core.PublicParams) string {
+	t.Helper()
+	h, err := transport.NewIFMHHandler(newServer(t, b), pub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,21 +115,21 @@ func surfaces(t testing.TB, n, k int, mode core.Mode) ([]surface, shard.Plan, re
 		}
 	}
 
-	local, err := backend.NewLocal(single.Tree)
+	lb := local(t, single.Tree)
+	router, err := shard.NewRouter(set.Set)
 	must(err)
-	sharded, err := server.NewShardedIFMH(set.Set)
+	sharded, err := backend.NewSharded(router)
 	must(err)
-	srv, err := server.New(sharded)
-	must(err)
-	remote, err := transport.DialRemote(serve(t, server.IFMH{Tree: single.Tree}, single.Public), nil)
+	srv := newServer(t, sharded)
+	remote, err := transport.DialRemote(serve(t, lb, single.Public), nil)
 	must(err)
 	urls := make([]string, k)
 	for i, tree := range set.Set.Trees {
-		urls[i] = serve(t, server.IFMH{Tree: tree}, set.Public)
+		urls[i] = serve(t, local(t, tree), set.Public)
 	}
 	fanout, _, err := transport.DialFanout(urls, nil)
 	must(err)
-	cached, err := cache.Wrap(local, cache.WithoutPermTier())
+	cached, err := cache.Wrap(lb, cache.WithoutPermTier())
 	must(err)
 
 	verify := backend.WithVerify(single.Public) // one bundle: sharding is transparent
@@ -125,7 +141,7 @@ func surfaces(t testing.TB, n, k int, mode core.Mode) ([]surface, shard.Plan, re
 	must(err)
 	shardPub, _ := shard0.Public()
 	return []surface{
-		{"local", local, verify},
+		{"local", lb, verify},
 		{"sharded", sharded, verify},
 		{"server", srv, verify},
 		{"remote", remote, verify},
@@ -181,11 +197,6 @@ func TestFullRoundTripAllSurfaces(t *testing.T) {
 				}
 				if ctr.Bytes == 0 || ctr.SigVerifies == 0 {
 					t.Errorf("caller-side costs not accumulated: %+v", ctr)
-				}
-				if s, ok := su.b.(*server.Server); ok {
-					if stats, n := s.Stats(); n == 0 || stats.Traversed() == 0 {
-						t.Error("server metrics not accumulated")
-					}
 				}
 			})
 		}

@@ -16,7 +16,6 @@ import (
 	"aqverify/internal/geometry"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
-	"aqverify/internal/server"
 	"aqverify/internal/transport"
 	"aqverify/internal/workload"
 )
@@ -35,7 +34,7 @@ func frontStack(t testing.TB, n, k int) (*front.Frontend, surface) {
 	set := outsource(t, tbl, dom, build.WithShuffle(3), build.WithShards(k, 0))
 	groups := make([][]string, k)
 	for i, tree := range set.Set.Trees {
-		groups[i] = []string{serve(t, server.IFMH{Tree: tree}, set.Public)}
+		groups[i] = []string{serve(t, local(t, tree), set.Public)}
 	}
 	f, params, err := front.DialFront(groups, nil, front.Options{MaxInFlight: 4, ProbeEvery: -1})
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 
 	"aqverify/internal/backend"
 	"aqverify/internal/build"
+	"aqverify/internal/core"
 	"aqverify/internal/front"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
@@ -58,10 +59,7 @@ func newFleet(t *testing.T, shards, replicas int, wrap func(si, ri int, h http.H
 		var ss []*server.Server
 		var urls []string
 		for ri := 0; ri < replicas; ri++ {
-			srv, err := server.New(server.IFMH{Tree: tree})
-			if err != nil {
-				t.Fatal(err)
-			}
+			srv := newServer(t, local(t, tree))
 			hd, err := transport.NewIFMHHandler(srv, tree.Public())
 			if err != nil {
 				t.Fatal(err)
@@ -79,6 +77,26 @@ func newFleet(t *testing.T, shards, replicas int, wrap func(si, ri int, h http.H
 		fl.groups = append(fl.groups, urls)
 	}
 	return fl
+}
+
+// local and newServer host a tree the way vqserve does: a backend.Local
+// behind a server.Server.
+func local(t *testing.T, tree *core.Tree) *backend.Local {
+	t.Helper()
+	b, err := backend.NewLocal(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func newServer(t *testing.T, b server.Backend) *server.Server {
+	t.Helper()
+	srv, err := server.New(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
 }
 
 // fleetQueries sweeps top-k queries across the domain so both shards

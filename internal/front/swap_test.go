@@ -2,16 +2,19 @@ package front_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"aqverify/internal/backend"
 	"aqverify/internal/build"
+	"aqverify/internal/cache"
 	"aqverify/internal/front"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
-	"aqverify/internal/server"
 	"aqverify/internal/transport"
 )
 
@@ -72,7 +75,7 @@ func TestRollingSwapUnderReplicas(t *testing.T) {
 	// Roll the first replica of shard 0 to epoch 2; its sibling and all
 	// of shard 1 stay at epoch 1.
 	res2 := mutated(t, fl.res, 3)
-	if err := fl.srvs[0][0].Swap(server.IFMH{Tree: res2.Set.Trees[0]}); err != nil {
+	if err := fl.srvs[0][0].Swap(local(t, res2.Set.Trees[0])); err != nil {
 		t.Fatal(err)
 	}
 
@@ -123,11 +126,11 @@ func TestRollingSwapUnderReplicas(t *testing.T) {
 
 	// Converge: swap the rest of the fleet, re-pin the client, and both
 	// the answers and the lag gauges settle at epoch 2.
-	if err := fl.srvs[0][1].Swap(server.IFMH{Tree: res2.Set.Trees[0]}); err != nil {
+	if err := fl.srvs[0][1].Swap(local(t, res2.Set.Trees[0])); err != nil {
 		t.Fatal(err)
 	}
 	for _, srv := range fl.srvs[1] {
-		if err := srv.Swap(server.IFMH{Tree: res2.Set.Trees[1]}); err != nil {
+		if err := srv.Swap(local(t, res2.Set.Trees[1])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,5 +157,81 @@ func TestRollingSwapUnderReplicas(t *testing.T) {
 	}
 	if !converged {
 		t.Errorf("epoch-lag gauges never settled to zero after the full rollout: %+v", f.Snapshot().Shards)
+	}
+}
+
+// TestSwapsCountedOnEveryHost: a fleet rolled to the next epoch shows
+// on the front's /stats as epoch 2 and one swap, whether or not the
+// front serves through the cache tier — swaps is the handler's count of
+// serving-epoch advances it has observed, not a property of whichever
+// backend happens to be outermost.
+func TestSwapsCountedOnEveryHost(t *testing.T) {
+	fl := newFleet(t, 2, 1, nil)
+	var urls []string
+	for _, cached := range []bool{false, true} {
+		f, params, err := front.DialFront(fl.groups, nil, front.Options{ProbeEvery: 5 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		var b backend.Backend = f
+		if cached {
+			if b, err = cache.Wrap(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h, err := transport.NewBackendHandler(b, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	type stats struct {
+		Epoch uint64 `json:"epoch"`
+		Swaps int    `json:"swaps"`
+	}
+	read := func(url string) (st stats) {
+		t.Helper()
+		resp, err := http.Get(url + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	for _, url := range urls {
+		if st := read(url); st != (stats{Epoch: 1}) {
+			t.Fatalf("before the rollout: %+v, want epoch 1 and no swaps", st)
+		}
+	}
+
+	res2 := mutated(t, fl.res, 3)
+	for si, reps := range fl.srvs {
+		if err := reps[0].Swap(local(t, res2.Set.Trees[si])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, url := range urls {
+		st := read(url)
+		for deadline := time.Now().Add(5 * time.Second); st.Epoch != 2 && time.Now().Before(deadline); st = read(url) {
+			time.Sleep(5 * time.Millisecond) // the prober re-reads /params every 5ms
+		}
+		// Traffic at the new epoch moves the cache's pin; the advance is
+		// still one swap, counted once.
+		r, err := transport.DialRemote(url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Query(context.Background(), fleetQueries(fl.dom, 1)[0], backend.WithVerify(res2.Public)); err != nil {
+			t.Fatal(err)
+		}
+		if st = read(url); st != (stats{Epoch: 2, Swaps: 1}) {
+			t.Errorf("host %d (cached=%v) after the rollout: %+v, want epoch 2 and one swap", i, i == 1, st)
+		}
 	}
 }

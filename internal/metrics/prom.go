@@ -122,8 +122,8 @@ type PromFamily struct {
 }
 
 // ParseProm parses a 0.0.4 text exposition back into its families,
-// keyed by family name — the consistency check the /metrics tests (and
-// the frontR1 acceptance) run. It is strict about the line shapes this
+// keyed by family name — the consistency check the /metrics tests run.
+// It is strict about the line shapes this
 // package writes: every sample must belong to a declared family (a
 // histogram's _bucket/_sum/_count series belong to the base family),
 // and a malformed line is an error, not a skip.

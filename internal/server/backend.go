@@ -12,13 +12,10 @@ import (
 
 // The Server is itself a backend.Backend: the hosted structure's
 // evaluation lifted into the unified query plane by the backend.Drive*
-// helpers, with every outcome folded into the server's tally.
+// helpers.
 var _ backend.Backend = (*Server)(nil)
 
-// Query implements backend.Backend. A failed query counts toward
-// ErrorCount only; its partial traversal cost is kept out of the
-// cumulative totals so per-query averages stay averages over answered
-// queries.
+// Query implements backend.Backend.
 func (s *Server) Query(ctx context.Context, q query.Query, opts ...backend.Option) (backend.Answer, error) {
 	return backend.DriveQuery(ctx, s.process, q, opts...)
 }
@@ -48,7 +45,6 @@ func (s *Server) QueryBatch(ctx context.Context, qs []query.Query, opts ...backe
 		if err != nil {
 			errs[i] = err
 			answers[i] = backend.Answer{Shard: wire.ShardNone}
-			s.tally.Record(metrics.Counter{}, wire.ShardNone, err)
 		}
 	}
 	return answers, errs
@@ -59,15 +55,9 @@ func (s *Server) QueryStream(ctx context.Context, qs []query.Query, opts ...back
 	return backend.DriveStream(ctx, s.process, qs, opts...)
 }
 
-// process answers one query through the hosted backend and records it.
-// The serving snapshot is loaded exactly once, so a query that races a
-// Swap is routed, answered and attributed against one consistent epoch.
-// The driver's counter may span many queries, so the query's own cost
-// is measured locally, tallied, and merged.
+// process answers one query through the hosted backend. The serving
+// snapshot is loaded exactly once, so a query that races a Swap is
+// routed, answered and attributed against one consistent epoch.
 func (s *Server) process(q query.Query, ctr *metrics.Counter) (int, uint64, []byte, error) {
-	var local metrics.Counter
-	sh, epoch, out, err := s.serving.Load().backend.Process(q, &local)
-	s.tally.Record(local, sh, err)
-	ctr.Add(local)
-	return sh, epoch, out, err
+	return s.serving.Load().backend.Process(q, ctr)
 }

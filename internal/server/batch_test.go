@@ -1,4 +1,4 @@
-package server
+package server_test
 
 import (
 	"bytes"
@@ -8,45 +8,43 @@ import (
 
 	"aqverify/internal/backend"
 	"aqverify/internal/geometry"
+	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 )
 
-// TestQueryErrorKeepsTotalsClean: a failed query must not leak its
-// partial traversal cost into the cumulative totals or the answered
-// count — only the error count moves.
+// TestQueryErrorKeepsTotalsClean: a refused query moves the fronting
+// handler's error count only — not the answered count and, since a
+// refusal precedes the walk, not the cumulative totals.
 func TestQueryErrorKeepsTotalsClean(t *testing.T) {
 	tree, dom := fixtures(t)
-	s, err := New(IFMH{Tree: tree})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := host(t, newServer(t, local(t, tree)), tree.Public())
 	ctx := context.Background()
 	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
-	if _, err := s.Query(ctx, query.NewTopK(x, 3)); err != nil {
+	if _, err := h.Query(ctx, query.NewTopK(x, 3)); err != nil {
 		t.Fatal(err)
 	}
-	okTotal, okCount := s.Stats()
+	ok := h.stats(t)
 
 	// Outside the owner's domain: the backend refuses.
-	if _, err := s.Query(ctx, query.NewTopK(geometry.Point{dom.Hi[0] + 10}, 3)); err == nil {
+	if _, err := h.Query(ctx, query.NewTopK(geometry.Point{dom.Hi[0] + 10}, 3)); err == nil {
 		t.Fatal("out-of-domain query succeeded")
 	}
-	total, count := s.Stats()
-	if count != okCount {
-		t.Errorf("answered count moved on error: %d -> %d", okCount, count)
+	st := h.stats(t)
+	if st.Queries != ok.Queries {
+		t.Errorf("answered count moved on error: %d -> %d", ok.Queries, st.Queries)
 	}
-	if total != okTotal {
-		t.Errorf("failed query leaked cost into totals:\nbefore: %v\nafter:  %v", &okTotal, &total)
+	if st.NodesVisited != ok.NodesVisited || st.Bytes != ok.Bytes {
+		t.Errorf("refused query moved the totals:\nbefore: %+v\nafter:  %+v", ok, st)
 	}
-	if got := s.ErrorCount(); got != 1 {
-		t.Errorf("ErrorCount = %d, want 1", got)
+	if st.Errors != 1 {
+		t.Errorf("errors = %d, want 1", st.Errors)
 	}
 }
 
 // TestQueryBatchMatchesQuery: the batched and streamed paths must
 // produce, for every query, exactly the bytes and errors the
-// single-query path produces, for any worker count, and account metrics
-// identically.
+// single-query path produces, for any worker count, and charge the
+// caller's counter identically.
 func TestQueryBatchMatchesQuery(t *testing.T) {
 	tree, dom := fixtures(t)
 	rng := rand.New(rand.NewSource(7))
@@ -67,19 +65,16 @@ func TestQueryBatchMatchesQuery(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	ref, err := New(IFMH{Tree: tree})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newServer(t, local(t, tree))
 	wantOut := make([][]byte, len(qs))
 	wantErr := make([]bool, len(qs))
+	var want metrics.Counter
 	for i, q := range qs {
-		ans, err := ref.Query(ctx, q)
+		ans, err := s.Query(ctx, q, backend.WithCounter(&want))
 		wantOut[i], wantErr[i] = ans.Raw, err != nil
 	}
-	refTotal, refCount := ref.Stats()
 
-	check := func(name string, s *Server, outs [][]byte, errs []error) {
+	check := func(name string, got metrics.Counter, outs [][]byte, errs []error) {
 		t.Helper()
 		for i := range qs {
 			if (errs[i] != nil) != wantErr[i] {
@@ -89,20 +84,13 @@ func TestQueryBatchMatchesQuery(t *testing.T) {
 				t.Fatalf("%s: query %d bytes differ from single-query Query", name, i)
 			}
 		}
-		total, count := s.Stats()
-		if count != refCount || total != refTotal {
-			t.Errorf("%s: stats (%v, %d) differ from sequential (%v, %d)", name, &total, count, &refTotal, refCount)
-		}
-		if got, want := s.ErrorCount(), ref.ErrorCount(); got != want {
-			t.Errorf("%s: ErrorCount = %d, want %d", name, got, want)
+		if got != want {
+			t.Errorf("%s: charged %v, sequential charged %v", name, &got, &want)
 		}
 	}
 	for _, workers := range []int{0, 1, 3, 16} {
-		s, err := New(IFMH{Tree: tree})
-		if err != nil {
-			t.Fatal(err)
-		}
-		answers, errs := s.QueryBatch(ctx, qs, backend.WithWorkers(workers))
+		var got metrics.Counter
+		answers, errs := s.QueryBatch(ctx, qs, backend.WithWorkers(workers), backend.WithCounter(&got))
 		if len(answers) != len(qs) || len(errs) != len(qs) {
 			t.Fatalf("workers=%d: result lengths %d/%d", workers, len(answers), len(errs))
 		}
@@ -110,27 +98,21 @@ func TestQueryBatchMatchesQuery(t *testing.T) {
 		for i := range answers {
 			outs[i] = answers[i].Raw
 		}
-		check("batch", s, outs, errs)
+		check("batch", got, outs, errs)
 
-		s, err = New(IFMH{Tree: tree})
-		if err != nil {
-			t.Fatal(err)
-		}
+		got = metrics.Counter{}
 		outs, errs = make([][]byte, len(qs)), make([]error, len(qs))
-		for i, r := range s.QueryStream(ctx, qs, backend.WithWorkers(workers)) {
+		for i, r := range s.QueryStream(ctx, qs, backend.WithWorkers(workers), backend.WithCounter(&got)) {
 			outs[i], errs[i] = r.Answer.Raw, r.Err
 		}
-		check("stream", s, outs, errs)
+		check("stream", got, outs, errs)
 	}
 }
 
 // TestQueryBatchEmpty: a zero-length batch is a no-op.
 func TestQueryBatchEmpty(t *testing.T) {
 	tree, _ := fixtures(t)
-	s, err := New(IFMH{Tree: tree})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newServer(t, local(t, tree))
 	answers, errs := s.QueryBatch(context.Background(), nil, backend.WithWorkers(4))
 	if len(answers) != 0 || len(errs) != 0 {
 		t.Errorf("empty batch returned %d/%d items", len(answers), len(errs))

@@ -1,4 +1,4 @@
-package server
+package server_test
 
 import (
 	"context"
@@ -8,6 +8,7 @@ import (
 	"aqverify/internal/backend"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
+	"aqverify/internal/server"
 	"aqverify/internal/wire"
 )
 
@@ -17,14 +18,11 @@ import (
 // one — and the same server still answers under a live context.
 func TestQueryBatchCanceled(t *testing.T) {
 	tree, dom := fixtures(t)
-	single, err := New(IFMH{Tree: tree})
-	if err != nil {
-		t.Fatal(err)
-	}
+	single := newServer(t, local(t, tree))
 	sharded, _, sdom := shardedFixture(t, 3)
 	for _, tc := range []struct {
 		name string
-		s    *Server
+		s    *server.Server
 		x    float64
 	}{
 		{"single", single, (dom.Lo[0] + dom.Hi[0]) / 2},

@@ -1,26 +1,28 @@
-package server
+package server_test
 
 import (
 	"context"
 	"math/rand"
+	"net/http"
 	"sync"
 	"testing"
 
-	"aqverify/internal/backend"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
 )
 
 // TestStatsRaceUnderBatch is the regression test for the serving-tally
-// audit: per-query stats and error counters are updated from every
-// concurrent batch worker, so interleaving QueryBatch with the /stats
-// readers (Stats, ErrorCount, ShardStats), single-query Query calls and
-// a QueryStream must be clean under -race. The audit moved the plain counts — answered,
-// refused, per-shard — to atomics and left only the multi-field metrics
-// counter under the mutex; this test pins both the absence of races and
-// the final tallies.
+// audit, on the handler that now owns the tally: outcome counts are
+// bumped by every concurrent exchange, so interleaving the batch,
+// single-query and stream routes with /stats and /metrics readers — and
+// a Swap landing mid-traffic, which both readers observe — must be clean
+// under -race. The plain counts — answered, refused, per-shard — are
+// atomics and only the multi-field metrics counter sits under the mutex;
+// this test pins both the absence of races and the final tallies.
 func TestStatsRaceUnderBatch(t *testing.T) {
 	srv, set, dom := shardedFixture(t, 4)
+	h := host(t, srv, set.Public())
+	epoch2 := sharded(t, shardedAtEpoch(t, 4, 2))
 	rng := rand.New(rand.NewSource(7))
 	qs := make([]query.Query, 0, 24)
 	for i := 0; i < 20; i++ {
@@ -43,7 +45,7 @@ func TestStatsRaceUnderBatch(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for r := 0; r < rounds; r++ {
-				srv.QueryBatch(context.Background(), qs, backend.WithWorkers(4))
+				h.QueryBatch(context.Background(), qs)
 			}
 		}()
 	}
@@ -53,7 +55,7 @@ func TestStatsRaceUnderBatch(t *testing.T) {
 		<-start
 		for r := 0; r < rounds; r++ {
 			for _, q := range qs {
-				srv.Query(context.Background(), q) //nolint:errcheck // outcome tallied below
+				h.Query(context.Background(), q) //nolint:errcheck // outcome tallied below
 			}
 		}
 	}()
@@ -61,10 +63,16 @@ func TestStatsRaceUnderBatch(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		<-start
-		for r := 0; r < rounds*len(qs); r++ {
-			srv.Stats()
-			srv.ErrorCount()
-			srv.ShardStats()
+		for r := 0; r < rounds; r++ {
+			h.stats(t)
+			if resp, err := http.Get(h.url + "/metrics"); err == nil {
+				resp.Body.Close()
+			}
+			if r == rounds/2 {
+				if err := srv.Swap(epoch2); err != nil {
+					t.Error(err)
+				}
+			}
 		}
 	}()
 	wg.Add(1)
@@ -72,7 +80,7 @@ func TestStatsRaceUnderBatch(t *testing.T) {
 		defer wg.Done()
 		<-start
 		for r := 0; r < rounds; r++ {
-			for range srv.QueryStream(context.Background(), qs) {
+			for range h.QueryStream(context.Background(), qs) {
 			}
 		}
 	}()
@@ -81,15 +89,21 @@ func TestStatsRaceUnderBatch(t *testing.T) {
 
 	routable := len(qs) - 1
 	writers := 3 + 1 + 1 // batch goroutines + Query loop + QueryStream loop
-	_, answered := srv.Stats()
-	if want := writers * rounds * routable; answered != want {
-		t.Errorf("answered = %d, want %d", answered, want)
+	st := h.stats(t)
+	if want := writers * rounds * routable; st.Queries != want {
+		t.Errorf("answered = %d, want %d", st.Queries, want)
 	}
-	if want := writers * rounds; srv.ErrorCount() != want {
-		t.Errorf("ErrorCount = %d, want %d", srv.ErrorCount(), want)
+	if want := writers * rounds; st.Errors != want {
+		t.Errorf("errors = %d, want %d", st.Errors, want)
+	}
+	if st.Epoch != 2 || st.Swaps != 1 {
+		t.Errorf("epoch %d swaps %d after the mid-traffic swap, want 2, 1", st.Epoch, st.Swaps)
 	}
 	sum := 0
-	for _, s := range srv.ShardStats() {
+	for _, s := range st.PerShard {
+		if s.Epoch != 2 || s.Lag != 0 {
+			t.Errorf("shard at epoch %d lag %d after the swap, want 2, 0", s.Epoch, s.Lag)
+		}
 		sum += s.Queries
 	}
 	if want := writers * rounds * routable; sum != want {

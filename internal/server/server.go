@@ -1,11 +1,12 @@
 // Package server models the cloud service provider: it hosts the data
-// owner's authenticated data structure, processes analytic queries, and
-// returns each result with its verification object serialized over the
-// wire. The hosted structure is pluggable (one IFMH-tree or a
-// domain-sharded tree set). The Server is a backend.Backend — Query,
-// QueryBatch, QueryStream — that additionally keeps cumulative and
-// per-shard metrics, consistent under concurrency, and swaps whole
-// publication epochs in atomically.
+// owner's authenticated data structure — a backend.Local over one
+// IFMH-tree or a backend.Sharded over a domain-sharded tree set, as they
+// stand — and answers through whichever epoch of it is serving. The
+// Server is a backend.Backend — Query, QueryBatch, QueryStream — that is
+// the epoch pointer: an atomic serving snapshot, Swap's refusals of
+// anything but a later epoch of the same database, and the
+// shard-contiguous batch order. It counts nothing it serves; the HTTP
+// handler that fronts it does (transport.Handler's tally).
 package server
 
 import (
@@ -14,12 +15,10 @@ import (
 	"sync/atomic"
 
 	"aqverify/internal/backend"
-	"aqverify/internal/core"
 	"aqverify/internal/geometry"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/shard"
-	"aqverify/internal/wire"
 )
 
 // Backend is an authenticated data structure the server can host: a
@@ -33,56 +32,6 @@ type Backend interface {
 	// Process answers q, returning the serialized answer with its shard
 	// and epoch attribution. The counter observes per-query costs.
 	Process(q query.Query, ctr *metrics.Counter) (shard int, epoch uint64, raw []byte, err error)
-}
-
-// IFMH hosts a core.Tree: a backend.Local under the literal the
-// constructors and tests spell it with, plus the serving domain.
-type IFMH struct {
-	Tree *core.Tree
-}
-
-// Name implements Backend. NewLocal only refuses a nil tree, which
-// has no mode to name; that fails here as it always has.
-func (b IFMH) Name() string {
-	l, _ := backend.NewLocal(b.Tree)
-	return l.Name()
-}
-
-// Domain returns the serving domain (the tree's sub-box when this
-// server hosts one shard of a multi-process deployment).
-func (b IFMH) Domain() geometry.Box { return b.Tree.Domain() }
-
-// Epoch returns the hosted tree's publication epoch.
-func (b IFMH) Epoch() uint64 { return b.Tree.Epoch() }
-
-// Process implements Backend.
-func (b IFMH) Process(q query.Query, ctr *metrics.Counter) (int, uint64, []byte, error) {
-	l, err := backend.NewLocal(b.Tree)
-	if err != nil {
-		return wire.ShardNone, 0, nil, err
-	}
-	return l.Process(q, ctr)
-}
-
-// NewShardedIFMH wraps a built shard set for hosting: a backend.Sharded
-// over the set's router. It advertises the same backend name as the
-// equivalent single tree — sharding is invisible to verifying clients,
-// which check every answer against the owner's one published bundle.
-func NewShardedIFMH(s *shard.Set) (*backend.Sharded, error) {
-	r, err := shard.NewRouter(s)
-	if err != nil {
-		return nil, err
-	}
-	return backend.NewSharded(r)
-}
-
-// ShardStat is one shard's serving tally, including its publication
-// epoch and its lag behind the serving epoch.
-type ShardStat struct {
-	Queries int    `json:"queries"`
-	Errors  int    `json:"errors"`
-	Epoch   uint64 `json:"epoch"`
-	Lag     uint64 `json:"lag"`
 }
 
 // serving is one immutable epoch's snapshot of the hosted backend. The
@@ -100,7 +49,7 @@ type serving struct {
 
 // sharded is what a hosted backend exposes when it serves a shard set
 // (backend.Sharded does): the server groups batches by the set's plan
-// and keeps per-shard tallies.
+// and reports the per-shard epochs.
 type sharded interface {
 	Router() *shard.Router
 	Epochs() []uint64
@@ -124,27 +73,20 @@ func (sv *serving) numShards() int {
 	return sv.set.NumShards()
 }
 
-// Server wraps a backend with cumulative metrics. All methods are safe
-// for concurrent use; the pluggable backends answer queries from
-// immutable (or internally synchronized) state, so many queries may be
-// in flight at once. When the backend serves a shard set the server
-// additionally dispatches batches shard-by-shard and keeps per-shard
-// tallies.
+// Server hosts a backend behind an atomic snapshot pointer. All methods
+// are safe for concurrent use; the pluggable backends answer queries
+// from immutable (or internally synchronized) state, so many queries
+// may be in flight at once. When the backend serves a shard set the
+// server additionally dispatches batches shard-by-shard.
 //
-// The hosted backend lives behind an atomic snapshot pointer so Swap
-// can publish a mutated epoch without a lock on the query path: queries
-// in flight keep answering from the snapshot they loaded, new queries
-// see the new epoch, and nothing ever observes a half-swapped mix.
-//
-// The tallies are written by every batch worker, so the plain counts —
-// answered, refused, per-shard — are atomics (see Tally); only the
-// multi-field metrics.Counter needs the mutex. Stats() still returns
-// (total, count) as a consistent pair: the answered-query count is
-// incremented under the same lock that folds the query's cost in.
+// Swap publishes a mutated epoch without a lock on the query path:
+// queries in flight keep answering from the snapshot they loaded, new
+// queries see the new epoch, and nothing ever observes a half-swapped
+// mix.
 type Server struct {
 	serving atomic.Pointer[serving]
 	swapMu  sync.Mutex // serializes Swap's validate-then-store
-	tally   *Tally
+	swaps   atomic.Int64
 }
 
 // New creates a server for the backend.
@@ -152,11 +94,8 @@ func New(b Backend) (*Server, error) {
 	if b == nil {
 		return nil, fmt.Errorf("server: backend is required")
 	}
-	sv := newServing(b)
 	s := &Server{}
-	s.serving.Store(sv)
-	s.tally = NewTally(sv.numShards())
-	s.tally.ObserveEpoch(sv.epoch, sv.epochs)
+	s.serving.Store(newServing(b))
 	return s, nil
 }
 
@@ -194,7 +133,7 @@ func (s *Server) Swap(b Backend) error {
 		return fmt.Errorf("server: swap epoch %d does not advance the serving epoch %d", nv.epoch, cur.epoch)
 	}
 	s.serving.Store(nv)
-	s.tally.ObserveSwap(nv.epoch, nv.epochs)
+	s.swaps.Add(1)
 	return nil
 }
 
@@ -206,7 +145,7 @@ func (s *Server) Epoch() uint64 { return s.serving.Load().epoch }
 func (s *Server) Epochs() []uint64 { return s.serving.Load().epochs }
 
 // Swaps returns how many epoch swaps this server has completed.
-func (s *Server) Swaps() int { return s.tally.Swaps() }
+func (s *Server) Swaps() int { return int(s.swaps.Load()) }
 
 // Backend returns the currently serving backend.
 func (s *Server) Backend() Backend { return s.serving.Load().backend }
@@ -231,14 +170,3 @@ func (s *Server) Domain() (geometry.Box, bool) {
 // NumShards returns the backend's shard count, or 0 for a single-tree
 // backend.
 func (s *Server) NumShards() int { return s.serving.Load().numShards() }
-
-// Stats returns the cumulative metrics and the answered-query count, as
-// a consistent pair.
-func (s *Server) Stats() (metrics.Counter, int) { return s.tally.Stats() }
-
-// ShardStats returns per-shard serving tallies, or nil for a
-// single-tree backend. Unroutable queries appear in ErrorCount only.
-func (s *Server) ShardStats() []ShardStat { return s.tally.ShardStats() }
-
-// ErrorCount returns how many queries the backend refused.
-func (s *Server) ErrorCount() int { return s.tally.ErrorCount() }

@@ -1,18 +1,103 @@
-package server
+package server_test
 
 import (
 	"context"
+	"encoding/json"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
+	"aqverify/internal/backend"
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
+	"aqverify/internal/server"
+	"aqverify/internal/shard"
 	"aqverify/internal/sig"
+	"aqverify/internal/transport"
 	"aqverify/internal/wire"
 )
+
+// local and sharded are the two backends a Server hosts, as they stand.
+func local(t *testing.T, tree *core.Tree) *backend.Local {
+	t.Helper()
+	b, err := backend.NewLocal(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func sharded(t *testing.T, set *shard.Set) *backend.Sharded {
+	t.Helper()
+	r, err := shard.NewRouter(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := backend.NewSharded(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func newServer(t *testing.T, b server.Backend) *server.Server {
+	t.Helper()
+	s, err := server.New(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// hosted is a Server behind the HTTP handler — the one thing that
+// tallies served traffic — as a dialed session plus its /stats.
+type hosted struct {
+	*transport.Remote
+	url string
+}
+
+func host(t *testing.T, srv *server.Server, pub core.PublicParams) hosted {
+	t.Helper()
+	h, err := transport.NewIFMHHandler(srv, pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	r, err := transport.DialRemote(ts.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hosted{r, ts.URL}
+}
+
+// served is the /stats body.
+type served struct {
+	Queries      int                   `json:"queries"`
+	Errors       int                   `json:"errors"`
+	NodesVisited uint64                `json:"nodesVisited"`
+	Bytes        uint64                `json:"bytes"`
+	Epoch        uint64                `json:"epoch"`
+	Swaps        int                   `json:"swaps"`
+	PerShard     []transport.ShardStat `json:"perShard"`
+}
+
+func (h hosted) stats(t *testing.T) (st served) {
+	t.Helper()
+	resp, err := http.Get(h.url + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
 
 func fixtures(t *testing.T) (*core.Tree, geometry.Box) {
 	t.Helper()
@@ -42,14 +127,14 @@ func fixtures(t *testing.T) (*core.Tree, geometry.Box) {
 }
 
 func TestNewRequiresBackend(t *testing.T) {
-	if _, err := New(nil); err == nil {
+	if _, err := server.New(nil); err == nil {
 		t.Error("nil backend accepted")
 	}
 }
 
 func TestBackendNames(t *testing.T) {
 	tree, _ := fixtures(t)
-	if got := (IFMH{Tree: tree}).Name(); got != "ifmh-one" {
+	if got := newServer(t, local(t, tree)).Name(); got != "ifmh-one" {
 		t.Errorf("name = %q", got)
 	}
 }
@@ -59,10 +144,7 @@ func TestQueryReturnsDecodableAnswers(t *testing.T) {
 	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
 	q := query.NewTopK(x, 3)
 
-	srv, err := New(IFMH{Tree: tree})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer(t, local(t, tree))
 	ctx := context.Background()
 	ans, err := srv.Query(ctx, q)
 	if err != nil {
@@ -73,31 +155,29 @@ func TestQueryReturnsDecodableAnswers(t *testing.T) {
 	}
 }
 
+// TestStatsAccumulate: answered queries and their cost accumulate on the
+// fronting handler's /stats; refused ones do not count as answered.
 func TestStatsAccumulate(t *testing.T) {
 	tree, dom := fixtures(t)
-	srv, err := New(IFMH{Tree: tree})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := host(t, newServer(t, local(t, tree)), tree.Public())
 	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
 	for i := 0; i < 5; i++ {
-		if _, err := srv.Query(context.Background(), query.NewTopK(x, 2)); err != nil {
+		if _, err := h.Query(context.Background(), query.NewTopK(x, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	stats, n := srv.Stats()
-	if n != 5 {
-		t.Errorf("query count = %d", n)
+	st := h.stats(t)
+	if st.Queries != 5 {
+		t.Errorf("query count = %d", st.Queries)
 	}
-	if stats.NodesVisited == 0 || stats.Bytes == 0 {
-		t.Errorf("stats not accumulated: %+v", stats)
+	if st.NodesVisited == 0 || st.Bytes == 0 {
+		t.Errorf("stats not accumulated: %+v", st)
 	}
 	// Failed queries do not count.
-	if _, err := srv.Query(context.Background(), query.NewTopK(geometry.Point{99}, 1)); err == nil {
+	if _, err := h.Query(context.Background(), query.NewTopK(geometry.Point{99}, 1)); err == nil {
 		t.Fatal("out-of-domain query accepted")
 	}
-	_, n = srv.Stats()
-	if n != 5 {
-		t.Errorf("failed query was counted: %d", n)
+	if st = h.stats(t); st.Queries != 5 || st.Errors != 1 {
+		t.Errorf("after a refusal: queries %d errors %d, want 5, 1", st.Queries, st.Errors)
 	}
 }

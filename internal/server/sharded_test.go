@@ -1,4 +1,4 @@
-package server
+package server_test
 
 import (
 	"bytes"
@@ -6,19 +6,19 @@ import (
 	"math/rand"
 	"testing"
 
-	"aqverify/internal/backend"
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
+	"aqverify/internal/server"
 	"aqverify/internal/shard"
 	"aqverify/internal/sig"
 	"aqverify/internal/wire"
 	"aqverify/internal/workload"
 )
 
-func shardedFixture(t *testing.T, k int) (*Server, *shard.Set, geometry.Box) {
+func shardedFixture(t *testing.T, k int) (*server.Server, *shard.Set, geometry.Box) {
 	t.Helper()
 	tbl, dom, err := workload.Lines(workload.LinesConfig{N: 120, Seed: 1})
 	if err != nil {
@@ -39,15 +39,7 @@ func shardedFixture(t *testing.T, k int) (*Server, *shard.Set, geometry.Box) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := NewShardedIFMH(set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return srv, set, dom
+	return newServer(t, sharded(t, set)), set, dom
 }
 
 func TestShardedServerBasics(t *testing.T) {
@@ -58,9 +50,10 @@ func TestShardedServerBasics(t *testing.T) {
 	if got := srv.NumShards(); got != 4 {
 		t.Errorf("NumShards = %d, want 4", got)
 	}
+	h := host(t, srv, set.Public())
 	q := query.NewTopK(geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}, 3)
 	ctx := context.Background()
-	out, err := srv.Query(ctx, q)
+	out, err := h.Query(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,18 +65,18 @@ func TestShardedServerBasics(t *testing.T) {
 		t.Fatalf("sharded answer rejected: %v", err)
 	}
 	// Out-of-domain input: refused before routing, tallied as an error.
-	if _, err := srv.Query(ctx, query.NewTopK(geometry.Point{dom.Hi[0] + 1}, 1)); err == nil {
+	if _, err := h.Query(ctx, query.NewTopK(geometry.Point{dom.Hi[0] + 1}, 1)); err == nil {
 		t.Fatal("out-of-domain query answered")
 	}
-	if got := srv.ErrorCount(); got != 1 {
-		t.Errorf("ErrorCount = %d, want 1", got)
+	st := h.stats(t)
+	if st.Errors != 1 {
+		t.Errorf("errors = %d, want 1", st.Errors)
 	}
-	ss := srv.ShardStats()
-	if len(ss) != 4 {
-		t.Fatalf("ShardStats has %d entries, want 4", len(ss))
+	if len(st.PerShard) != 4 {
+		t.Fatalf("perShard has %d entries, want 4", len(st.PerShard))
 	}
 	total := 0
-	for _, s := range ss {
+	for _, s := range st.PerShard {
 		total += s.Queries + s.Errors
 	}
 	if total != 1 {
@@ -108,8 +101,9 @@ func TestShardedBatchGrouping(t *testing.T) {
 	}
 	qs = append(qs, query.NewTopK(geometry.Point{dom.Hi[0] + 5}, 1)) // unroutable
 
+	h := host(t, srv, set.Public())
 	ctx := context.Background()
-	answers, errs := srv.QueryBatch(ctx, qs, backend.WithWorkers(3))
+	answers, errs := h.QueryBatch(ctx, qs)
 	seenShards := make(map[int]bool)
 	for i, q := range qs {
 		want, werr := set.Plan.Route(q.X)
@@ -126,11 +120,11 @@ func TestShardedBatchGrouping(t *testing.T) {
 			t.Fatalf("item %d attributed to shard %d, routing says %d", i, answers[i].Shard, want)
 		}
 		seenShards[want] = true
-		single, err := srv.Query(ctx, q)
+		single, err := h.Query(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if single.Shard != want || !bytes.Equal(single.Raw, answers[i].Raw) {
+		if !bytes.Equal(single.Raw, answers[i].Raw) {
 			t.Fatalf("item %d: batched answer differs from the single-query path", i)
 		}
 	}
@@ -139,9 +133,9 @@ func TestShardedBatchGrouping(t *testing.T) {
 	}
 
 	routable := len(qs) - 1
-	ss := srv.ShardStats()
+	st := h.stats(t)
 	got := 0
-	for _, s := range ss {
+	for _, s := range st.PerShard {
 		got += s.Queries
 	}
 	// Each routable query was answered twice: once batched, once via the
@@ -149,8 +143,8 @@ func TestShardedBatchGrouping(t *testing.T) {
 	if got != 2*routable {
 		t.Errorf("per-shard query tallies sum to %d, want %d", got, 2*routable)
 	}
-	if srv.ErrorCount() != 1 {
-		t.Errorf("ErrorCount = %d, want 1", srv.ErrorCount())
+	if st.Errors != 1 {
+		t.Errorf("errors = %d, want 1", st.Errors)
 	}
 }
 
@@ -158,14 +152,11 @@ func TestShardedBatchGrouping(t *testing.T) {
 // -1 through the attributed batch path.
 func TestUnshardedBatchShards(t *testing.T) {
 	tree, dom := fixtures(t)
-	srv, err := New(IFMH{Tree: tree})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer(t, local(t, tree))
 	if srv.NumShards() != 0 {
 		t.Errorf("NumShards = %d, want 0", srv.NumShards())
 	}
-	if srv.ShardStats() != nil {
+	if host(t, srv, tree.Public()).stats(t).PerShard != nil {
 		t.Error("single-tree server reports shard stats")
 	}
 	qs := []query.Query{query.NewTopK(geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}, 2)}

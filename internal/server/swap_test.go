@@ -1,4 +1,4 @@
-package server
+package server_test
 
 import (
 	"context"
@@ -13,6 +13,7 @@ import (
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
+	"aqverify/internal/server"
 	"aqverify/internal/shard"
 	"aqverify/internal/sig"
 	"aqverify/internal/wire"
@@ -77,10 +78,7 @@ func shardedAtEpoch(t *testing.T, k int, epoch uint64) *shard.Set {
 // strictly advance are refused without disturbing the serving snapshot.
 func TestSwapPublishesNewEpoch(t *testing.T) {
 	e1, e2, _ := swapFixture(t)
-	srv, err := New(IFMH{Tree: e1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer(t, local(t, e1))
 	if srv.Epoch() != 1 || srv.Swaps() != 0 {
 		t.Fatalf("fresh server: epoch %d swaps %d, want 1, 0", srv.Epoch(), srv.Swaps())
 	}
@@ -101,77 +99,65 @@ func TestSwapPublishesNewEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Swap(IFMH{Tree: multi}); err == nil || !strings.Contains(err.Error(), "same logical database") {
+	if err := srv.Swap(local(t, multi)); err == nil || !strings.Contains(err.Error(), "same logical database") {
 		t.Errorf("ifmh-multi over ifmh-one: err = %v", err)
 	}
-	if err := srv.Swap(IFMH{Tree: e1}); err == nil || !strings.Contains(err.Error(), "does not advance") {
+	if err := srv.Swap(local(t, e1)); err == nil || !strings.Contains(err.Error(), "does not advance") {
 		t.Errorf("same epoch: err = %v", err)
 	}
 
-	if err := srv.Swap(IFMH{Tree: e2}); err != nil {
+	if err := srv.Swap(local(t, e2)); err != nil {
 		t.Fatalf("honest swap refused: %v", err)
 	}
 	if srv.Epoch() != 2 || srv.Swaps() != 1 {
 		t.Errorf("after swap: epoch %d swaps %d, want 2, 1", srv.Epoch(), srv.Swaps())
 	}
-	if got := srv.Backend().(IFMH).Tree; got != e2 {
+	if got := srv.Backend().(*backend.Local).Tree(); got != e2 {
 		t.Error("Backend() does not return the swapped-in tree")
 	}
 	// Rolling back is refused too: the serving epoch only advances.
-	if err := srv.Swap(IFMH{Tree: e1}); err == nil {
+	if err := srv.Swap(local(t, e1)); err == nil {
 		t.Error("rollback to epoch 1 accepted")
 	}
 }
 
 // TestSwapShardedRules pins the sharded half of the matrix: a complete
-// later-epoch set swaps in (per-shard epochs land on the /stats
-// gauges), while torn sets, shard-count changes, and sharded-to-
+// later-epoch set swaps in (per-shard epochs land on the fronting
+// handler's /stats gauges, and the swap it saw is counted), while torn sets, shard-count changes, and sharded-to-
 // unsharded swaps are refused.
 func TestSwapShardedRules(t *testing.T) {
 	s1 := shardedAtEpoch(t, 3, 1)
 	s2 := shardedAtEpoch(t, 3, 2)
-	b1, err := NewShardedIFMH(s1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(b1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer(t, sharded(t, s1))
+	h := host(t, srv, s1.Public())
 
 	torn := &shard.Set{Plan: s1.Plan, Trees: []*core.Tree{s2.Trees[0], s1.Trees[1], s1.Trees[2]}}
-	tb, err := NewShardedIFMH(torn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Swap(tb); err == nil || !strings.Contains(err.Error(), "torn") {
+	if err := srv.Swap(sharded(t, torn)); err == nil || !strings.Contains(err.Error(), "torn") {
 		t.Errorf("torn set: err = %v", err)
 	}
 
-	narrow := shardedAtEpoch(t, 2, 2)
-	nb, err := NewShardedIFMH(narrow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Swap(nb); err == nil || !strings.Contains(err.Error(), "shard count") {
+	if err := srv.Swap(sharded(t, shardedAtEpoch(t, 2, 2))); err == nil || !strings.Contains(err.Error(), "shard count") {
 		t.Errorf("shard count change: err = %v", err)
 	}
 
-	if err := srv.Swap(IFMH{Tree: s2.Trees[0]}); err == nil || !strings.Contains(err.Error(), "sharded and unsharded") {
+	if err := srv.Swap(local(t, s2.Trees[0])); err == nil || !strings.Contains(err.Error(), "sharded and unsharded") {
 		t.Errorf("unsharded over sharded: err = %v", err)
 	}
 
-	b2, err := NewShardedIFMH(s2)
-	if err != nil {
-		t.Fatal(err)
+	if st := h.stats(t); st.Epoch != 1 || st.Swaps != 0 {
+		t.Errorf("after four refusals: /stats epoch %d swaps %d, want 1, 0", st.Epoch, st.Swaps)
 	}
-	if err := srv.Swap(b2); err != nil {
+	if err := srv.Swap(sharded(t, s2)); err != nil {
 		t.Fatalf("honest sharded swap refused: %v", err)
 	}
 	if srv.Epoch() != 2 {
 		t.Errorf("serving epoch = %d, want 2", srv.Epoch())
 	}
-	for i, st := range srv.ShardStats() {
+	st := h.stats(t)
+	if st.Epoch != 2 || st.Swaps != 1 {
+		t.Errorf("/stats epoch %d swaps %d, want 2, 1", st.Epoch, st.Swaps)
+	}
+	for i, st := range st.PerShard {
 		if st.Epoch != 2 || st.Lag != 0 {
 			t.Errorf("shard %d: epoch %d lag %d, want 2, 0", i, st.Epoch, st.Lag)
 		}
@@ -180,26 +166,19 @@ func TestSwapShardedRules(t *testing.T) {
 
 // TestTornSetLagGauges: Swap refuses torn sets, but a server may be
 // constructed over one (e.g. observing a mid-rollout deployment); the
-// per-shard stats then expose each shard's lag behind the serving
-// epoch.
+// fronting handler's per-shard stats then expose each shard's lag behind
+// the serving epoch.
 func TestTornSetLagGauges(t *testing.T) {
 	s1 := shardedAtEpoch(t, 3, 1)
 	s2 := shardedAtEpoch(t, 3, 2)
 	torn := &shard.Set{Plan: s1.Plan, Trees: []*core.Tree{s2.Trees[0], s1.Trees[1], s1.Trees[2]}}
-	tb, err := NewShardedIFMH(torn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(tb)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer(t, sharded(t, torn))
 	if srv.Epoch() != 2 {
 		t.Fatalf("serving epoch = %d, want the newest shard's 2", srv.Epoch())
 	}
 	wantEpoch := []uint64{2, 1, 1}
 	wantLag := []uint64{0, 1, 1}
-	for i, st := range srv.ShardStats() {
+	for i, st := range host(t, srv, s1.Public()).stats(t).PerShard {
 		if st.Epoch != wantEpoch[i] || st.Lag != wantLag[i] {
 			t.Errorf("shard %d: epoch %d lag %d, want %d, %d", i, st.Epoch, st.Lag, wantEpoch[i], wantLag[i])
 		}
@@ -217,17 +196,23 @@ func TestQueryDuringSwapRace(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts []build.Option
-		host func(*build.Result) (Backend, error)
+		host func(*build.Result) (server.Backend, error)
 	}{
 		{
 			name: "local",
 			opts: nil,
-			host: func(r *build.Result) (Backend, error) { return IFMH{Tree: r.Tree}, nil },
+			host: func(r *build.Result) (server.Backend, error) { return backend.NewLocal(r.Tree) },
 		},
 		{
 			name: "sharded",
 			opts: []build.Option{build.WithShards(3, 0)},
-			host: func(r *build.Result) (Backend, error) { return NewShardedIFMH(r.Set) },
+			host: func(r *build.Result) (server.Backend, error) {
+				rt, err := shard.NewRouter(r.Set)
+				if err != nil {
+					return nil, err
+				}
+				return backend.NewSharded(rt)
+			},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -249,10 +234,7 @@ func TestQueryDuringSwapRace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv, err := New(hosted)
-			if err != nil {
-				t.Fatal(err)
-			}
+			srv := newServer(t, hosted)
 
 			var pubs sync.Map // epoch -> core.PublicParams, stored before the swap
 			pubs.Store(uint64(1), res.Public)

@@ -41,10 +41,7 @@ func epochFixture(t *testing.T) (*build.Result, *server.Server, *httptest.Server
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(server.IFMH{Tree: res.Tree})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer(t, local(t, res.Tree))
 	h, err := NewIFMHHandler(srv, res.Public)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +111,7 @@ func TestEpochPinAndRefresh(t *testing.T) {
 
 	// The owner mutates and the server swaps the new bundle in.
 	res2 := mutated(t, res, 0)
-	if err := srv.Swap(server.IFMH{Tree: res2.Tree}); err != nil {
+	if err := srv.Swap(local(t, res2.Tree)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -180,7 +177,7 @@ func TestStaleAnswerIsEpochErrorOnEveryEntryPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Swap(server.IFMH{Tree: mutated(t, res, 0).Tree}); err != nil {
+	if err := srv.Swap(local(t, mutated(t, res, 0).Tree)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -264,10 +261,7 @@ func TestKProcessEpochRaceUnderSwap(t *testing.T) {
 	srvs := make([]*server.Server, k)
 	urls := make([]string, k)
 	for i := 0; i < k; i++ {
-		srv, err := server.New(server.IFMH{Tree: res.Set.Trees[i]})
-		if err != nil {
-			t.Fatal(err)
-		}
+		srv := newServer(t, local(t, res.Set.Trees[i]))
 		h, err := NewIFMHHandler(srv, res.Set.Trees[i].Public())
 		if err != nil {
 			t.Fatal(err)
@@ -326,7 +320,7 @@ func TestKProcessEpochRaceUnderSwap(t *testing.T) {
 			}
 			pubs.Store(e, next.Public)
 			for sh := 0; sh < k; sh++ { // rolling, shard by shard
-				if err := srvs[sh].Swap(server.IFMH{Tree: next.Set.Trees[sh]}); err != nil {
+				if err := srvs[sh].Swap(local(t, next.Set.Trees[sh])); err != nil {
 					t.Errorf("swap shard %d to epoch %d: %v", sh, e, err)
 					return
 				}

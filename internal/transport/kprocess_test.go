@@ -2,8 +2,6 @@ package transport
 
 import (
 	"context"
-	"encoding/json"
-	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -13,7 +11,6 @@ import (
 	"aqverify/internal/geometry"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
-	"aqverify/internal/server"
 	"aqverify/internal/shard"
 	"aqverify/internal/sig"
 	"aqverify/internal/wire"
@@ -25,10 +22,7 @@ import (
 // standing in for one OS process of the multi-process deployment.
 func startShardProcess(t *testing.T, tree *core.Tree) *httptest.Server {
 	t.Helper()
-	srv, err := server.New(server.IFMH{Tree: tree})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer(t, local(t, tree))
 	h, err := NewIFMHHandler(srv, tree.Public())
 	if err != nil {
 		t.Fatal(err)
@@ -243,21 +237,7 @@ func TestKProcessSingleQueryAndStats(t *testing.T) {
 		t.Fatal("out-of-domain query answered")
 	}
 
-	resp, err := http.Get(front.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var stats struct {
-		Backend  string             `json:"backend"`
-		Queries  int                `json:"queries"`
-		Errors   int                `json:"errors"`
-		Shards   int                `json:"shards"`
-		PerShard []server.ShardStat `json:"perShard"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
+	stats := getStats(t, front.URL)
 	if stats.Backend != "ifmh-multi" {
 		t.Errorf("stats backend = %q", stats.Backend)
 	}

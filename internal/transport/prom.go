@@ -6,9 +6,8 @@ import (
 	"log"
 	"net/http"
 
-	"aqverify/internal/backend"
+	"aqverify/internal/cache"
 	"aqverify/internal/metrics"
-	"aqverify/internal/server"
 )
 
 // This file is the GET /metrics route: the serving tally, cache-plane
@@ -18,34 +17,23 @@ import (
 // golden file in internal/front's tests, so renames are deliberate
 // wire-format changes, not refactors.
 
-// refreshEpochGauges re-observes the backend's live epochs into the
-// handler's own tally before a stats read. The tally's epoch gauges are
-// seeded once at construction; a front's children swap epochs at their
-// own pace, so /stats and /metrics re-read them at request time or the
-// epoch-lag gauges would freeze at boot values.
-func (h *Handler) refreshEpochGauges() {
-	if h.tally != nil {
-		h.tally.ObserveEpoch(backend.Epoch(h.b), backend.Epochs(h.b))
-	}
-}
-
 func (h *Handler) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	h.refreshEpochGauges()
+	epoch := h.liveEpoch()
 	var buf bytes.Buffer
 	p := metrics.NewProm(&buf)
 
-	stats, n := h.stats.Stats()
-	p.Scalar("aqv_queries_total", "counter", "Queries answered successfully.", int64(n))
-	p.Scalar("aqv_query_errors_total", "counter", "Queries refused or failed.", int64(h.stats.ErrorCount()))
+	stats := h.tally.cost()
+	p.Scalar("aqv_queries_total", "counter", "Queries answered successfully.", h.tally.queries.Load())
+	p.Scalar("aqv_query_errors_total", "counter", "Queries refused or failed.", h.tally.errors.Load())
 	p.Scalar("aqv_answer_bytes_total", "counter", "Wire bytes of served answers (VO sizes).", int64(stats.Bytes))
 	p.Scalar("aqv_nodes_visited_total", "counter", "IFMH tree nodes traversed answering queries.", int64(stats.NodesVisited))
 	p.Scalar("aqv_hashes_total", "counter", "Hash invocations spent answering queries.", int64(stats.Hashes))
 	p.Scalar("aqv_sig_verifies_total", "counter", "Signature verifications spent answering queries.", int64(stats.SigVerifies))
 
-	p.Scalar("aqv_epoch", "gauge", "Serving publication epoch.", int64(backend.Epoch(h.b)))
-	p.Scalar("aqv_swaps_total", "counter", "Epoch swaps observed.", int64(h.stats.Swaps()))
+	p.Scalar("aqv_epoch", "gauge", "Serving publication epoch.", int64(epoch))
+	p.Scalar("aqv_swaps_total", "counter", "Epoch swaps observed.", h.tally.swaps.Load())
 
-	if ss := h.stats.ShardStats(); ss != nil {
+	if ss := h.tally.shardStats(); ss != nil {
 		p.Family("aqv_shard_queries_total", "counter", "Queries answered, by shard.")
 		p.Family("aqv_shard_errors_total", "counter", "Queries refused or failed, by shard.")
 		p.Family("aqv_shard_epoch", "gauge", "Publication epoch served, by shard.")
@@ -76,7 +64,7 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-func writeCacheProm(p *metrics.Prom, cs server.CacheStats) {
+func writeCacheProm(p *metrics.Prom, cs cache.Stats) {
 	p.Scalar("aqv_cache_hits_total", "counter", "Whole-answer cache hits.", cs.Hits)
 	p.Scalar("aqv_cache_epoch_hits", "gauge", "Whole-answer cache hits against the current epoch (resets on swap).", cs.EpochHits)
 	p.Scalar("aqv_cache_misses_total", "counter", "Whole-answer cache misses.", cs.Misses)

@@ -2,17 +2,15 @@ package transport
 
 import (
 	"context"
-	"encoding/json"
-	"io"
 	"math/rand"
 	"net/http/httptest"
 	"testing"
 
+	"aqverify/internal/backend"
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
-	"aqverify/internal/server"
 	"aqverify/internal/shard"
 	"aqverify/internal/sig"
 	"aqverify/internal/wire"
@@ -40,15 +38,15 @@ func shardedHandler(t *testing.T, k int) (*Handler, *shard.Set, geometry.Box) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := server.NewShardedIFMH(set)
+	router, err := shard.NewRouter(set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(sb)
+	sb, err := backend.NewSharded(router)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := NewIFMHHandler(srv, set.Public())
+	h, err := NewIFMHHandler(newServer(t, sb), set.Public())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,22 +90,7 @@ func TestHTTPShardedBatch(t *testing.T) {
 	}
 
 	// /stats exposes the per-shard tallies and they cover the batch.
-	resp, err := ts.Client().Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats struct {
-		Shards   int                `json:"shards"`
-		PerShard []server.ShardStat `json:"perShard"`
-	}
-	if err := json.Unmarshal(body, &stats); err != nil {
-		t.Fatal(err)
-	}
+	stats := getStats(t, ts.URL)
 	if stats.Shards != 4 || len(stats.PerShard) != 4 {
 		t.Fatalf("stats advertise %d shards with %d entries, want 4/4", stats.Shards, len(stats.PerShard))
 	}

@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"io"
 	"iter"
@@ -23,7 +22,6 @@ import (
 	"aqverify/internal/geometry"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
-	"aqverify/internal/server"
 	"aqverify/internal/shard"
 	"aqverify/internal/sig"
 	"aqverify/internal/wire"
@@ -192,8 +190,7 @@ func TestRemoteStreamIdentity(t *testing.T) {
 }
 
 // gateBackend is a controllable backend: queries with K == 1 answer
-// immediately, every other query blocks on the gate. It keeps no stats
-// of its own, so the HTTP handler tallies for it, and it hands the
+// immediately, every other query blocks on the gate. It hands the
 // stream context out so tests can observe server-side cancellation.
 type gateBackend struct {
 	gate    chan struct{}
@@ -368,18 +365,7 @@ func TestStreamEarlyBreakCancelsServer(t *testing.T) {
 	}
 
 	// The server tally saw only delivered items.
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var stats struct {
-		Queries int `json:"queries"`
-		Errors  int `json:"errors"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
+	stats := getStats(t, ts.URL)
 	if total := stats.Queries + stats.Errors; total >= n {
 		t.Fatalf("server tallied %d served queries for a broken stream of %d", total, n)
 	}
@@ -436,10 +422,7 @@ func TestFanoutStreamMidServerDeath(t *testing.T) {
 	}
 	urls := make([]string, 2)
 	for i, tree := range set.Trees {
-		srv, err := server.New(server.IFMH{Tree: tree})
-		if err != nil {
-			t.Fatal(err)
-		}
+		srv := newServer(t, local(t, tree))
 		h, err := NewIFMHHandler(srv, tree.Public())
 		if err != nil {
 			t.Fatal(err)

@@ -12,10 +12,15 @@
 //	POST /query/stream  body: wire-encoded query batch  -> pipelined answer stream
 //	GET  /params        -> JSON trust bundle (scheme, verifier key, template, mode, domain)
 //	GET  /stats         -> JSON cumulative server metrics
+//	GET  /metrics       -> the same counters as a Prometheus text exposition
 //
-// The handler serves any backend.Backend — the metrics-keeping
-// in-process server, one shard's tree of a multi-process deployment, or
-// a backend.Fanout composing K remote shard servers (cmd/vqfront). The
+// The handler serves any backend.Backend — the in-process server, one
+// shard's tree of a multi-process deployment, a backend.Fanout composing
+// K remote shard servers (cmd/vqfront), any of them behind the cache
+// tier — and is the one place served traffic is counted: every query
+// route records each item's outcome and the exchange's cost into the
+// handler's tally (tally.go states the rules), so /stats and /metrics
+// read the same on every host and no backend keeps a serving count. The
 // batch endpoint carries many queries in one length-prefixed frame
 // (see wire.EncodeQueryBatch) and answers them concurrently on the
 // server; each item of the response is either that query's answer bytes
@@ -45,6 +50,7 @@ import (
 	"strconv"
 
 	"aqverify/internal/backend"
+	"aqverify/internal/cache"
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
@@ -141,17 +147,6 @@ func (b *BoxJSON) Box() (geometry.Box, bool) {
 	return box, true
 }
 
-// statser is the stats surface /stats reports: either the served
-// backend's own (the in-process server keeps one) or, for backends
-// that keep no stats of their own (a Fanout front-end), a server.Tally
-// the handler records into itself.
-type statser interface {
-	Stats() (metrics.Counter, int)
-	ErrorCount() int
-	ShardStats() []server.ShardStat
-	Swaps() int
-}
-
 // admitter is the admission surface a served backend may expose — the
 // front plane's bounded in-flight gate. The handler admits at the HTTP
 // boundary, before any request frame is decoded, so an overloaded host
@@ -173,17 +168,18 @@ type promSource interface {
 // cacheSource is the cache tier's counter surface; /stats and /metrics
 // report it when the serving stack has one.
 type cacheSource interface {
-	CacheStats() server.CacheStats
+	CacheStats() cache.Stats
 }
 
-// Handler serves one query backend over HTTP.
+// Handler serves one query backend over HTTP and keeps the one tally of
+// what it served: every query route records each item's outcome and the
+// exchange's cost, whatever the backend is.
 type Handler struct {
 	b       backend.Backend
-	stats   statser       // the backend's own stats, or h.tally
-	tally   *server.Tally // non-nil when the handler tallies itself
-	admit   admitter      // non-nil when the backend gates admission
-	promSrc promSource    // non-nil when the backend adds /metrics families
-	cache   cacheSource   // non-nil when the serving stack has a cache tier
+	tally   *tally
+	admit   admitter    // non-nil when the backend gates admission
+	promSrc promSource  // non-nil when the backend adds /metrics families
+	cache   cacheSource // non-nil when the serving stack has a cache tier
 	params  Params
 	mux     *http.ServeMux
 }
@@ -224,24 +220,15 @@ func IFMHParams(srv *server.Server, pub core.PublicParams) (Params, error) {
 
 // NewBackendHandler serves any backend.Backend under the published
 // parameter bundle — the generic constructor behind NewIFMHHandler and
-// the vqfront front-end. When the backend keeps its own stats (the
-// in-process server does), /stats reports them; otherwise the handler
-// tallies served queries itself, attributing each answer to its
-// reported shard.
+// the vqfront front-end. The handler tallies what it serves itself,
+// attributing each answer to its reported shard.
 func NewBackendHandler(b backend.Backend, p Params) (*Handler, error) {
 	if p.Backend == "" {
 		p.Backend = b.Name()
 	}
 	p.Stream = true // the handler always serves the pipelined route
 	h := &Handler{b: b, params: p, mux: http.NewServeMux()}
-	if st, ok := b.(statser); ok {
-		h.stats = st
-	} else {
-		per := backend.Epochs(b)
-		h.tally = server.NewTally(len(per))
-		h.stats = h.tally
-		h.tally.ObserveEpoch(backend.Epoch(b), per)
-	}
+	h.tally = newTally(backend.Epoch(b), backend.Epochs(b))
 	// Optional surfaces may sit behind decorators (vqfront -cache wraps
 	// the front plane in the cache tier), so walk the Inner chain: the
 	// admission gate and the front gauges must keep working however the
@@ -296,9 +283,8 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	var ctr metrics.Counter
 	ans, err := h.b.Query(r.Context(), q, backend.WithCounter(&ctr))
-	if h.tally != nil {
-		h.tally.Record(ctr, ans.Shard, err)
-	}
+	h.tally.count(ans.Shard, err)
+	h.tally.addCost(ctr)
 	if err != nil {
 		http.Error(w, "query failed: "+err.Error(), http.StatusUnprocessableEntity)
 		return
@@ -371,13 +357,9 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 	items := make([]wire.BatchAnswer, len(qs))
 	for i := range qs {
 		items[i] = batchItem(answers[i], errs[i])
-		if h.tally != nil {
-			h.tally.Count(answers[i].Shard, errs[i])
-		}
+		h.tally.count(answers[i].Shard, errs[i])
 	}
-	if h.tally != nil {
-		h.tally.AddCost(ctr)
-	}
+	h.tally.addCost(ctr)
 	frame, err := wire.EncodeAnswerBatch(items)
 	if err != nil {
 		http.Error(w, "encode: "+err.Error(), http.StatusInternalServerError)
@@ -434,17 +416,13 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 		flush()
 		// Tally what was actually delivered: items the disconnect
 		// prevented never reach the stream and never count.
-		if h.tally != nil {
-			h.tally.Count(res.Answer.Shard, res.Err)
-		}
+		h.tally.count(res.Answer.Shard, res.Err)
 		sent++
 	}
 	if sent == len(qs) {
 		w.Write(wire.EncodeStreamTrailer(sent))
 	}
-	if h.tally != nil {
-		h.tally.AddCost(ctr)
-	}
+	h.tally.addCost(ctr)
 }
 
 // handleParams serves the trust bundle with the *live* serving epoch:
@@ -454,23 +432,33 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 // epoch-mismatch error always sees the current one.
 func (h *Handler) handleParams(w http.ResponseWriter, _ *http.Request) {
 	p := h.params
-	p.Epoch = backend.Epoch(h.b)
+	p.Epoch = h.liveEpoch()
 	writeJSON(w, p)
 }
 
+// liveEpoch reads the backend's live epochs into the tally's gauges —
+// a server swaps, a front's children swap at their own pace, and the
+// gauges would otherwise freeze at boot values — and returns the
+// serving epoch. An advance since the last read counts as a swap.
+func (h *Handler) liveEpoch() uint64 {
+	epoch := backend.Epoch(h.b)
+	h.tally.observe(epoch, backend.Epochs(h.b))
+	return epoch
+}
+
 func (h *Handler) handleStats(w http.ResponseWriter, _ *http.Request) {
-	h.refreshEpochGauges()
-	stats, n := h.stats.Stats()
+	epoch := h.liveEpoch()
+	cost := h.tally.cost()
 	body := map[string]any{
 		"backend":      h.b.Name(),
-		"queries":      n,
-		"errors":       h.stats.ErrorCount(),
-		"nodesVisited": stats.NodesVisited,
-		"bytes":        stats.Bytes,
-		"epoch":        backend.Epoch(h.b),
-		"swaps":        h.stats.Swaps(),
+		"queries":      h.tally.queries.Load(),
+		"errors":       h.tally.errors.Load(),
+		"nodesVisited": cost.NodesVisited,
+		"bytes":        cost.Bytes,
+		"epoch":        epoch,
+		"swaps":        h.tally.swaps.Load(),
 	}
-	if ss := h.stats.ShardStats(); ss != nil {
+	if ss := h.tally.shardStats(); ss != nil {
 		body["shards"] = len(ss)
 		body["perShard"] = ss
 	}

@@ -45,11 +45,28 @@ func fixtures(t *testing.T) (*server.Server, core.PublicParams, geometry.Box) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(server.IFMH{Tree: tree})
+	srv := newServer(t, local(t, tree))
+	return srv, tree.Public(), dom
+}
+
+// local and newServer host a tree the way vqserve does: a backend.Local
+// behind a server.Server.
+func local(t *testing.T, tree *core.Tree) *backend.Local {
+	t.Helper()
+	b, err := backend.NewLocal(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return srv, tree.Public(), dom
+	return b
+}
+
+func newServer(t *testing.T, b server.Backend) *server.Server {
+	t.Helper()
+	srv, err := server.New(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
 }
 
 // dialVerifying dials url the way a data user does — with nothing but
