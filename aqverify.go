@@ -105,7 +105,9 @@
 // deterministically to the shard that owns its function input (points
 // exactly on a cut go right). The published parameters — and therefore
 // client-side verification — are identical to the single-tree
-// deployment; see ARCHITECTURE.md. To
+// deployment; see ARCHITECTURE.md. NewShardedBackend serves a built
+// ShardSet in process (routing and shard-contiguous batch dispatch are
+// its own; there is no separate router). To
 // spread the shards across processes, run one vqserve per shard and
 // compose them with cmd/vqfront (a Fanout over K remote backends) — or
 // build the same topology in Go with NewFanout.
@@ -185,8 +187,6 @@ type (
 	// ShardSet is a domain-sharded deployment: one signed tree per
 	// sub-box.
 	ShardSet = shard.Set
-	// ShardRouter maps queries to their owning shard.
-	ShardRouter = shard.Router
 )
 
 // The unified build plane (see internal/build): one context-aware entry
@@ -400,14 +400,13 @@ func NewShardPlan(domain Box, axis, k int) (ShardPlan, error) {
 	return shard.NewPlan(domain, axis, k)
 }
 
-// NewShardRouter wraps a built shard set for query routing.
-func NewShardRouter(s *ShardSet) (*ShardRouter, error) { return shard.NewRouter(s) }
-
 // NewLocalBackend lifts a built tree into the unified query plane.
 func NewLocalBackend(t *Tree) (Backend, error) { return backend.NewLocal(t) }
 
-// NewShardedBackend lifts a shard router into the unified query plane.
-func NewShardedBackend(r *ShardRouter) (Backend, error) { return backend.NewSharded(r) }
+// NewShardedBackend lifts a built shard set into the unified query
+// plane: queries route to their owning shard, batches dispatch
+// shard-contiguously.
+func NewShardedBackend(s *ShardSet) (Backend, error) { return backend.NewSharded(s) }
 
 // NewFanout composes one backend per sub-box of the plan — typically K
 // remote shard servers — into one logical database.

@@ -220,18 +220,20 @@ func BenchmarkShardedBuild(b *testing.B) {
 }
 
 // BenchmarkHandleBatch measures the batched query plane — Server.
-// QueryBatch, 256 mixed queries per batch against one IFMH server,
-// one-signature, unverified — sequential versus fanned out across the
-// CPUs. Its ranges return a large share of the table, so B/op is mostly
-// answer bytes; BenchmarkServerPath is the per-answer account of the
-// walk. (The name predates the plane.)
+// QueryBatch, 256 mixed queries per batch, one-signature, unverified —
+// sequential versus fanned out across the CPUs, against one IFMH-tree
+// (workers=…) and against the same table split into 4 shards
+// (sharded/K=4/workers=…), which is where backend.Sharded's
+// shard-contiguous dispatch gets a number. Its ranges return a large
+// share of the table, so B/op is mostly answer bytes;
+// BenchmarkServerPath is the per-answer account of the walk. (The name
+// predates the plane.)
 func BenchmarkHandleBatch(b *testing.B) {
-	tree, dom := buildFixture(b, 2000, aqverify.OneSignature)
-	local, err := backend.NewLocal(tree)
+	tbl, dom, err := workload.Lines(workload.LinesConfig{N: 2000, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := server.New(local)
+	signer, err := aqverify.NewSigner(aqverify.Ed25519, aqverify.SignerOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -249,18 +251,41 @@ func BenchmarkHandleBatch(b *testing.B) {
 		}
 	}
 	ctx := context.Background()
-	for _, workers := range workerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, errs := srv.QueryBatch(ctx, qs, backend.WithWorkers(workers))
-				for j, err := range errs {
-					if err != nil {
-						b.Fatalf("query %d: %v", j, err)
+	for _, arm := range []struct {
+		prefix string
+		opts   []aqverify.BuildOption
+	}{{"", nil}, {"sharded/K=4/", []aqverify.BuildOption{aqverify.WithShards(4, 0)}}} {
+		res, err := aqverify.Outsource(ctx, lineSpec(tbl, dom, signer),
+			append(arm.opts, aqverify.WithMode(aqverify.OneSignature), aqverify.WithShuffle(0))...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var hosted aqverify.Backend
+		if res.Set != nil {
+			hosted, err = aqverify.NewShardedBackend(res.Set)
+		} else {
+			hosted, err = aqverify.NewLocalBackend(res.Tree)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv, err := server.New(hosted)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, workers := range workerCounts() {
+			b.Run(fmt.Sprintf("%sworkers=%d", arm.prefix, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					_, errs := srv.QueryBatch(ctx, qs, backend.WithWorkers(workers))
+					for j, err := range errs {
+						if err != nil {
+							b.Fatalf("query %d: %v", j, err)
+						}
 					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -364,15 +389,16 @@ func BenchmarkServerPath(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	router, err := aqverify.NewShardRouter(res.Set)
-	if err != nil {
-		b.Fatal(err)
-	}
 	qs := mixedQueries(b, tbl, dom, count)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, ans, err := router.Process(qs[i%count], nil)
+		q := qs[i%count]
+		id, err := res.Set.Plan.RouteQuery(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ans, err := res.Set.Trees[id].Process(q, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -61,6 +61,7 @@ import (
 	"aqverify/internal/artifact"
 	"aqverify/internal/backend"
 	"aqverify/internal/cache"
+	"aqverify/internal/geometry"
 	"aqverify/internal/server"
 	"aqverify/internal/transport"
 )
@@ -111,10 +112,11 @@ func run(args []string) error {
 	// supervisor (or a test) can grep how this process came up and how
 	// long it took.
 	n, shards := 0, 1 // an unsharded server is one tree, not zero
+	var dom geometry.Box
 	if set := a.Result.Set; set != nil {
-		n, shards = set.NumRecords(), set.NumShards()
+		n, shards, dom = set.NumRecords(), set.NumShards(), set.Plan.Domain
 	} else {
-		n = a.Result.Tree.NumRecords()
+		n, dom = a.Result.Tree.NumRecords(), a.Result.Tree.Domain()
 	}
 	fmt.Fprintf(os.Stderr, "vqserve: loaded n=%d shards=%d epoch=%d in %v artifact=%.12s\n",
 		n, shards, srv.Epoch(), time.Since(start).Round(100*time.Microsecond), a.HashHex())
@@ -122,9 +124,8 @@ func run(args []string) error {
 		fmt.Printf("loaded shard %d of artifact %.12s (%s) from %s\n", cfg.shard, a.HashHex(), srv.Name(), cfg.loadDir)
 	} else {
 		fmt.Printf("loaded artifact %.12s (%s, %d shard(s), epoch %d) from %s\n",
-			a.HashHex(), srv.Name(), srv.NumShards(), srv.Epoch(), cfg.loadDir)
+			a.HashHex(), srv.Name(), len(srv.Epochs()), srv.Epoch(), cfg.loadDir)
 	}
-	dom, _ := srv.Domain()
 	fmt.Printf("serving on %s (domain [%g, %g]); endpoints: POST /query, POST /query/batch, POST /query/stream, GET /params, GET /stats, GET /metrics\n",
 		cfg.addr, dom.Lo[0], dom.Hi[0])
 	httpSrv := &http.Server{

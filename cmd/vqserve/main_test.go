@@ -71,7 +71,7 @@ func TestLoadServesVerifiedAnswers(t *testing.T) {
 		{loadDir: dir, shard: -1, cache: true},
 		{loadDir: dir, shard: 1},
 	} {
-		a, srv, h, err := load(cfg)
+		a, _, h, err := load(cfg)
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
@@ -90,7 +90,7 @@ func TestLoadServesVerifiedAnswers(t *testing.T) {
 		}
 		// The serving domain is the whole one or, with -shard, the
 		// shard's sub-box; query its midpoint.
-		sd, _ := srv.Domain()
+		sd, _ := cli.Domain()
 		x := geometry.Point{(sd.Lo[0] + sd.Hi[0]) / 2}
 		ans, err := r.Query(context.Background(), query.NewTopK(x, 5), backend.WithVerify(pub))
 		if err != nil || len(ans.Records) != 5 {

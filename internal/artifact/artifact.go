@@ -35,7 +35,6 @@ import (
 	"aqverify/internal/build"
 	"aqverify/internal/core"
 	"aqverify/internal/hashing"
-	"aqverify/internal/server"
 	"aqverify/internal/shard"
 	"aqverify/internal/sig"
 )
@@ -384,23 +383,22 @@ func (a *Artifact) openTree(dir string, m *manifest, v sig.Verifier, i int) (*co
 // set — exactly what a freshly built result would wrap to, so
 // server.Swap rolls a loaded artifact out blue-green under the same
 // epoch discipline.
-func (a *Artifact) Backend() (server.Backend, error) {
+func (a *Artifact) Backend() (backend.Backend, error) {
 	switch {
 	case a.Result == nil:
 		return nil, fmt.Errorf("artifact: not opened")
 	case a.Result.Set != nil:
-		r, err := shard.NewRouter(a.Result.Set)
-		if err != nil {
-			return nil, err
-		}
-		return backend.NewSharded(r)
+		return backend.NewSharded(a.Result.Set)
 	default:
 		return backend.NewLocal(a.Result.Tree)
 	}
 }
 
 // Close unmaps the blob files. The reconstructed trees alias the maps
-// and must not be used afterwards.
+// and must not be used afterwards: behind a server.Server, close the
+// previous epoch's artifact only once every exchange that began before
+// the Swap has finished — the server pins a snapshot per exchange, so a
+// stream still being consumed reads the old mapping until its last item.
 func (a *Artifact) Close() error {
 	var first error
 	for _, mp := range a.maps {

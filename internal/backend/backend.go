@@ -5,9 +5,11 @@
 // Backend interface implemented by
 //
 //   - Local — one in-process IFMH-tree (*core.Tree),
-//   - Sharded — a domain-sharded tree set behind a *shard.Router,
+//   - Sharded — a domain-sharded tree set (*shard.Set): routed by the
+//     set's plan, batches dispatched shard-contiguously,
 //   - *server.Server — the in-process cloud server, the epoch pointer
-//     Swap publishes through,
+//     Swap publishes through; it hands each exchange whole to the one
+//     snapshot it loads,
 //   - transport.Remote — a vqserve process reached over HTTP, and
 //   - Fanout — a front-end composing K single-shard backends (typically
 //     Remotes, one vqserve per shard) into one logical database.

@@ -163,7 +163,7 @@ type tamper struct {
 func (m tamper) Name() string { return m.inner.Name() }
 
 func (m tamper) process(q query.Query, ctr *metrics.Counter) (int, uint64, []byte, error) {
-	sh, epoch, raw, err := m.inner.Process(q, ctr)
+	sh, epoch, raw, err := m.inner.process(q, ctr)
 	if err == nil && len(raw) > 40 {
 		raw = append([]byte(nil), raw...)
 		raw[40] ^= 0xFF
@@ -179,8 +179,8 @@ func (m tamper) QueryBatch(ctx context.Context, qs []query.Query, opts ...Option
 	return DriveBatch(ctx, m.process, qs, opts...)
 }
 
-// TestShardedMatchesRouter: the Sharded backend answers exactly as the
-// router and attributes each answer to the owning shard.
+// TestShardedMatchesRouter: the Sharded backend answers every query on
+// the shard the plan routes it to and attributes the answer to it.
 func TestShardedMatchesRouter(t *testing.T) {
 	tbl, _, dom, p := fixture(t, 80)
 	plan, err := shard.NewPlan(dom, 0, 4)
@@ -191,11 +191,7 @@ func TestShardedMatchesRouter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := shard.NewRouter(set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewSharded(r)
+	b, err := NewSharded(set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +202,7 @@ func TestShardedMatchesRouter(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("item %d: %v", i, errs[i])
 		}
-		want, err := r.Route(q)
+		want, err := set.Plan.RouteQuery(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,6 +225,16 @@ func TestShardedMatchesRouter(t *testing.T) {
 	for i := 0; i < len(qs); i++ {
 		if errs[i] != nil {
 			t.Fatalf("item %d failed alongside the bad query: %v", i, errs[i])
+		}
+	}
+}
+
+// TestNewShardedRefusesEmptySet: a nil set and a set without trees are
+// refused at construction, not at the first query.
+func TestNewShardedRefusesEmptySet(t *testing.T) {
+	for name, set := range map[string]*shard.Set{"nil": nil, "no trees": {}} {
+		if _, err := NewSharded(set); err == nil {
+			t.Errorf("%s set accepted", name)
 		}
 	}
 }

@@ -40,16 +40,16 @@ func DriveQuery(ctx context.Context, p Process, q query.Query, opts ...Option) (
 // ctx.Err(). Per-worker counters merge into the caller's counter after
 // the join, so WithCounter stays single-goroutine.
 func DriveBatch(ctx context.Context, p Process, qs []query.Query, opts ...Option) ([]Answer, []error) {
-	return DriveBatchOrdered(ctx, p, qs, nil, opts...)
+	return driveBatchOrdered(ctx, p, qs, nil, opts...)
 }
 
-// DriveBatchOrdered is DriveBatch with an explicit dispatch order: the
-// pool claims order's entries left to right, so a sharded dispatcher can
-// keep one shard's queries contiguous (one tree's working set stays hot
-// instead of interleaving all shards). A nil order means every index in
-// input order. Indexes absent from order are left untouched — zero
-// Answer, nil error — for the caller to fill (e.g. with routing errors).
-func DriveBatchOrdered(ctx context.Context, p Process, qs []query.Query, order []int, opts ...Option) ([]Answer, []error) {
+// driveBatchOrdered is DriveBatch with an explicit dispatch order: the
+// pool claims order's entries left to right, so Sharded keeps one
+// shard's queries contiguous (one tree's working set stays hot instead
+// of interleaving all shards). A nil order means every index in input
+// order. Indexes absent from order are left untouched — zero Answer,
+// nil error — for the caller to fill (with routing errors).
+func driveBatchOrdered(ctx context.Context, p Process, qs []query.Query, order []int, opts ...Option) ([]Answer, []error) {
 	c := Resolve(opts)
 	answers := make([]Answer, len(qs))
 	errs := make([]error, len(qs))

@@ -16,7 +16,7 @@ import (
 // composes the shard trees — each wrapped as an independent Local
 // backend, exactly the topology a vqserve-per-shard deployment has —
 // into a Fanout.
-func fanoutFixture(t *testing.T, n, k int) (*Local, *Fanout, *shard.Router, geometry.Box, core.PublicParams) {
+func fanoutFixture(t *testing.T, n, k int) (*Local, *Fanout, geometry.Box, core.PublicParams) {
 	t.Helper()
 	tbl, tree, dom, p := fixture(t, n)
 	plan, err := shard.NewPlan(dom, 0, k)
@@ -24,10 +24,6 @@ func fanoutFixture(t *testing.T, n, k int) (*Local, *Fanout, *shard.Router, geom
 		t.Fatal(err)
 	}
 	set, err := shard.Build(tbl, p, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	router, err := shard.NewRouter(set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +41,7 @@ func fanoutFixture(t *testing.T, n, k int) (*Local, *Fanout, *shard.Router, geom
 	if err != nil {
 		t.Fatal(err)
 	}
-	return single, f, router, dom, set.Public()
+	return single, f, dom, set.Public()
 }
 
 // fanoutQueries mixes random queries of every kind with queries pinned
@@ -78,7 +74,7 @@ func fanoutQueries(dom geometry.Box, cuts []float64, reps int, seed int64) []que
 // result windows as the single tree, for every query kind, including
 // on-cut and corner queries.
 func TestFanoutIdentity(t *testing.T) {
-	single, f, _, dom, pub := fanoutFixture(t, 150, 4)
+	single, f, dom, pub := fanoutFixture(t, 150, 4)
 	ctx := context.Background()
 	qs := fanoutQueries(dom, f.Plan().Cuts, 25, 2)
 
@@ -116,14 +112,14 @@ func TestFanoutIdentity(t *testing.T) {
 	}
 }
 
-// TestFanoutOnCutRouting pins the front-end's routing to the router's:
+// TestFanoutOnCutRouting pins the front-end's routing to the plan's:
 // queries exactly on a shard cut and at the domain corners land on the
-// same shard through the Fanout as through shard.Router, and the batch
+// shard shard.Plan.RouteQuery names, and the batch
 // attribution agrees. This mirrors TestRouteBoundaryDeterministic's
 // exact-rational cases (a 0..8 domain split in 4 has representable cuts
 // 2, 4, 6).
 func TestFanoutOnCutRouting(t *testing.T) {
-	_, f, router, dom, _ := fanoutFixture(t, 100, 4)
+	_, f, dom, _ := fanoutFixture(t, 100, 4)
 	ctx := context.Background()
 
 	probe := make([]query.Query, 0, 16)
@@ -135,7 +131,7 @@ func TestFanoutOnCutRouting(t *testing.T) {
 		query.NewTopK(geometry.Point{dom.Hi[0]}, 2),
 	)
 	for i, q := range probe {
-		want, err := router.Route(q)
+		want, err := f.Plan().RouteQuery(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +148,7 @@ func TestFanoutOnCutRouting(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("probe %d: %v", i, errs[i])
 		}
-		want, _ := router.Route(probe[i])
+		want, _ := f.Plan().RouteQuery(probe[i])
 		if answers[i].Shard != want {
 			t.Fatalf("probe %d: batch attributed shard %d, want %d", i, answers[i].Shard, want)
 		}
@@ -184,7 +180,7 @@ func TestFanoutOnCutRouting(t *testing.T) {
 // TestFanoutStream: the merged stream yields every routable index
 // exactly once with the owning shard's attribution.
 func TestFanoutStream(t *testing.T) {
-	_, f, router, dom, pub := fanoutFixture(t, 100, 4)
+	_, f, dom, pub := fanoutFixture(t, 100, 4)
 	qs := fanoutQueries(dom, f.Plan().Cuts, 10, 3)
 	qs = append(qs, query.NewTopK(geometry.Point{dom.Hi[0] + 1}, 1)) // unroutable
 	seen := make([]bool, len(qs))
@@ -205,7 +201,7 @@ func TestFanoutStream(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("item %d: %v", i, r.Err)
 		}
-		want, _ := router.Route(qs[i])
+		want, _ := f.Plan().RouteQuery(qs[i])
 		if r.Answer.Shard != want {
 			t.Fatalf("item %d attributed to shard %d, want %d", i, r.Answer.Shard, want)
 		}
@@ -219,7 +215,7 @@ func TestFanoutStream(t *testing.T) {
 
 // TestNewFanoutValidation covers the constructor's error paths.
 func TestNewFanoutValidation(t *testing.T) {
-	_, f, _, _, _ := fanoutFixture(t, 60, 2)
+	_, f, _, _ := fanoutFixture(t, 60, 2)
 	kids := f.kids
 	if _, err := NewFanout(shard.Plan{}, kids); err == nil {
 		t.Error("empty plan accepted")

@@ -37,17 +37,17 @@ func (b *Local) Name() string { return ifmhName(b.tree.Mode()) }
 
 // Query implements Backend.
 func (b *Local) Query(ctx context.Context, q query.Query, opts ...Option) (Answer, error) {
-	return DriveQuery(ctx, b.Process, q, opts...)
+	return DriveQuery(ctx, b.process, q, opts...)
 }
 
 // QueryBatch implements Backend.
 func (b *Local) QueryBatch(ctx context.Context, qs []query.Query, opts ...Option) ([]Answer, []error) {
-	return DriveBatch(ctx, b.Process, qs, opts...)
+	return DriveBatch(ctx, b.process, qs, opts...)
 }
 
 // QueryStream implements Backend.
 func (b *Local) QueryStream(ctx context.Context, qs []query.Query, opts ...Option) iter.Seq2[int, BatchResult] {
-	return DriveStream(ctx, b.Process, qs, opts...)
+	return DriveStream(ctx, b.process, qs, opts...)
 }
 
 // Epoch returns the served tree's publication epoch.
@@ -57,10 +57,9 @@ func (b *Local) Epoch() uint64 { return b.tree.Epoch() }
 // shard of a multi-process deployment).
 func (b *Local) Domain() geometry.Box { return b.tree.Domain() }
 
-// Process is the Local's evaluation primitive (see the Process type):
-// walk the tree, serialize the answer, charge its bytes. The in-process
-// server hosts a tree through it.
-func (b *Local) Process(q query.Query, ctr *metrics.Counter) (int, uint64, []byte, error) {
+// process is the Local's evaluation primitive (see the Process type):
+// walk the tree, serialize the answer, charge its bytes.
+func (b *Local) process(q query.Query, ctr *metrics.Counter) (int, uint64, []byte, error) {
 	ans, err := b.tree.Process(q, ctr)
 	if err != nil {
 		return wire.ShardNone, b.tree.Epoch(), nil, err
@@ -76,40 +75,58 @@ func encoded(ans *core.Answer, ctr *metrics.Counter) []byte {
 	return out
 }
 
-// Sharded serves a domain-sharded tree set behind a router: every query
-// is answered by the one shard whose sub-box owns its function input,
-// and the answering shard travels in Answer.Shard.
+// Sharded serves a domain-sharded tree set: every query is answered by
+// the one shard whose sub-box owns its function input (shard.Plan's
+// routing), and the answering shard travels in Answer.Shard. The answer
+// window — records, boundaries, list length — is identical to what the
+// single-tree build over the full domain would return; only the proof
+// material (IMH path or subdomain inequality set) is shard-local.
 type Sharded struct {
-	router *shard.Router
+	set *shard.Set
 }
 
-// NewSharded wraps a query router over a built shard set.
-func NewSharded(r *shard.Router) (*Sharded, error) {
-	if r == nil {
-		return nil, fmt.Errorf("backend: sharded backend needs a router")
+// NewSharded wraps a built shard set.
+func NewSharded(s *shard.Set) (*Sharded, error) {
+	if s == nil || len(s.Trees) == 0 {
+		return nil, fmt.Errorf("backend: sharded backend needs a built set")
 	}
-	return &Sharded{router: r}, nil
+	return &Sharded{set: s}, nil
 }
 
-// Router returns the underlying router.
-func (b *Sharded) Router() *shard.Router { return b.router }
+// Set returns the underlying shard set.
+func (b *Sharded) Set() *shard.Set { return b.set }
 
 // Name implements Backend.
-func (b *Sharded) Name() string { return ifmhName(b.router.Set().Mode()) }
+func (b *Sharded) Name() string { return ifmhName(b.set.Mode()) }
 
 // Query implements Backend.
 func (b *Sharded) Query(ctx context.Context, q query.Query, opts ...Option) (Answer, error) {
-	return DriveQuery(ctx, b.Process, q, opts...)
+	return DriveQuery(ctx, b.process, q, opts...)
 }
 
-// QueryBatch implements Backend.
+// QueryBatch implements Backend. The batch is grouped up front and
+// dispatched in shard-contiguous order: unroutable queries fail without
+// occupying a worker, and consecutive workers hit the same tree instead
+// of interleaving all K. The answers are byte-identical to per-query
+// Query calls — the trees answer from immutable state.
 func (b *Sharded) QueryBatch(ctx context.Context, qs []query.Query, opts ...Option) ([]Answer, []error) {
-	return DriveBatch(ctx, b.Process, qs, opts...)
+	groups, rerrs := b.set.Plan.Group(qs)
+	order := make([]int, 0, len(qs))
+	for _, g := range groups {
+		order = append(order, g...)
+	}
+	answers, errs := driveBatchOrdered(ctx, b.process, qs, order, opts...)
+	for i, err := range rerrs {
+		if err != nil {
+			answers[i], errs[i] = Answer{Shard: wire.ShardNone}, err
+		}
+	}
+	return answers, errs
 }
 
 // QueryStream implements Backend.
 func (b *Sharded) QueryStream(ctx context.Context, qs []query.Query, opts ...Option) iter.Seq2[int, BatchResult] {
-	return DriveStream(ctx, b.Process, qs, opts...)
+	return DriveStream(ctx, b.process, qs, opts...)
 }
 
 // Epoch returns the served set's publication epoch — the maximum across
@@ -119,27 +136,30 @@ func (b *Sharded) Epoch() uint64 { return slices.Max(b.Epochs()) }
 
 // Epochs returns every shard's publication epoch, in shard order.
 func (b *Sharded) Epochs() []uint64 {
-	trees := b.router.Set().Trees
-	out := make([]uint64, len(trees))
-	for i, t := range trees {
+	out := make([]uint64, len(b.set.Trees))
+	for i, t := range b.set.Trees {
 		out[i] = t.Epoch()
 	}
 	return out
 }
 
-// Process is the Sharded's evaluation primitive (see the Process type):
+// Domain returns the full domain the set partitions.
+func (b *Sharded) Domain() geometry.Box { return b.set.Plan.Domain }
+
+// process is the Sharded's evaluation primitive (see the Process type):
 // route, answer on the owning tree, serialize. A refusal keeps the
 // owning shard's attribution; an unroutable query has none.
-func (b *Sharded) Process(q query.Query, ctr *metrics.Counter) (int, uint64, []byte, error) {
-	sh, ans, err := b.router.Process(q, ctr)
-	if sh < 0 {
+func (b *Sharded) process(q query.Query, ctr *metrics.Counter) (int, uint64, []byte, error) {
+	sh, err := b.set.Plan.RouteQuery(q)
+	if err != nil {
 		return wire.ShardNone, 0, nil, err
 	}
-	epoch := b.router.Set().Trees[sh].Epoch()
+	t := b.set.Trees[sh]
+	ans, err := t.Process(q, ctr)
 	if err != nil {
-		return sh, epoch, nil, err
+		return sh, t.Epoch(), nil, err
 	}
-	return sh, epoch, encoded(ans, ctr), nil
+	return sh, t.Epoch(), encoded(ans, ctr), nil
 }
 
 // ifmhName reports the backend name for a signing mode, matching the

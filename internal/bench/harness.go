@@ -19,7 +19,6 @@ import (
 	"aqverify/internal/query"
 	"aqverify/internal/record"
 	"aqverify/internal/server"
-	"aqverify/internal/shard"
 	"aqverify/internal/sig"
 	"aqverify/internal/transport"
 	"aqverify/internal/wire"
@@ -249,11 +248,7 @@ func (h *Harness) identity(ctx context.Context, a, b *build.Result) (string, err
 // inProcess is the bare in-process backend over a tree or a shard set.
 func inProcess(res *build.Result) (backend.Backend, error) {
 	if res.Set != nil {
-		r, err := shard.NewRouter(res.Set)
-		if err != nil {
-			return nil, err
-		}
-		return backend.NewSharded(r)
+		return backend.NewSharded(res.Set)
 	}
 	return backend.NewLocal(res.Tree)
 }

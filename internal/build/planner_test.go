@@ -72,10 +72,6 @@ func TestQuantileCutsIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	router, err := shard.NewRouter(quant.Set)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pub := single.Public
 	for _, q := range sampleQueries(spec.Domain, 24) {
 		a1, err := single.Tree.Process(q, nil)
@@ -83,7 +79,11 @@ func TestQuantileCutsIdentity(t *testing.T) {
 			t.Fatalf("%v: single tree: %v", q.X, err)
 		}
 		var ctr metrics.Counter
-		_, a2, err := router.Process(q, &ctr)
+		id, err := quant.Set.Plan.RouteQuery(q)
+		if err != nil {
+			t.Fatalf("%v: quantile plan: %v", q.X, err)
+		}
+		a2, err := quant.Set.Trees[id].Process(q, &ctr)
 		if err != nil {
 			t.Fatalf("%v: quantile set: %v", q.X, err)
 		}

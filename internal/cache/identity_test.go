@@ -133,12 +133,8 @@ func TestCachedEqualsUncached(t *testing.T) {
 		}
 		checkIdentity(t, "local/"+lb.Name(), lb, c, single.Public, identityQueries(dom, nil))
 
-		// Shard router.
-		router, err := shard.NewRouter(shardedRes.Set)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sharded, err := backend.NewSharded(router)
+		// Shard set.
+		sharded, err := backend.NewSharded(shardedRes.Set)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,7 +14,6 @@ import (
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
 	"aqverify/internal/server"
-	"aqverify/internal/shard"
 	"aqverify/internal/transport"
 
 	"net/http/httptest"
@@ -103,11 +102,7 @@ func TestSwapInvalidationInProcess(t *testing.T) {
 
 			mkBackend := func(r *build.Result) server.Backend {
 				if tc.sharded {
-					router, err := shard.NewRouter(r.Set)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sb, err := backend.NewSharded(router)
+					sb, err := backend.NewSharded(r.Set)
 					if err != nil {
 						t.Fatal(err)
 					}

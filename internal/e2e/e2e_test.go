@@ -116,9 +116,7 @@ func surfaces(t testing.TB, n, k int, mode core.Mode) ([]surface, shard.Plan, re
 	}
 
 	lb := local(t, single.Tree)
-	router, err := shard.NewRouter(set.Set)
-	must(err)
-	sharded, err := backend.NewSharded(router)
+	sharded, err := backend.NewSharded(set.Set)
 	must(err)
 	srv := newServer(t, sharded)
 	remote, err := transport.DialRemote(serve(t, lb, single.Public), nil)

@@ -9,7 +9,6 @@ import (
 	"aqverify/internal/core"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
-	"aqverify/internal/shard"
 	"aqverify/internal/wire"
 )
 
@@ -17,19 +16,16 @@ import (
 // (shard.Plan.RouteQuery / Group): on-cut, corner, wrong-dimension and
 // out-of-domain queries, and the empty batch, partition identically
 // whether the batch is grouped by the plan itself, routed query by
-// query through a shard.Router, or dispatched through
-// Server.QueryBatch and Fanout.QueryBatch (observed as each answer's
-// shard attribution and error).
+// query, or dispatched through Sharded.QueryBatch (bare and behind a
+// Server) and Fanout.QueryBatch (observed as each answer's shard
+// attribution and error).
 func TestOneGroupingRoutine(t *testing.T) {
 	ss, plan, _ := surfaces(t, 60, 3, core.MultiSignature)
 	dom := plan.Domain
-	var router *shard.Router
 	dispatchers := map[string]backend.Backend{}
 	for _, su := range ss {
 		switch su.name {
-		case "sharded":
-			router = su.b.(*backend.Sharded).Router()
-		case "server", "fanout":
+		case "sharded", "server", "fanout":
 			dispatchers[su.name] = su.b
 		}
 	}
@@ -98,14 +94,14 @@ func TestOneGroupingRoutine(t *testing.T) {
 
 			shards, failed := make([]int, len(tc.qs)), make([]bool, len(tc.qs))
 			for i, q := range tc.qs {
-				sh, err := router.Route(q)
+				sh, err := plan.RouteQuery(q)
 				shards[i], failed[i] = sh, err != nil
 				if err != nil {
 					shards[i] = wire.ShardNone
 				}
 			}
 			if g, bad := fromShards(shards, failed); !reflect.DeepEqual(g, groups) || !reflect.DeepEqual(bad, wantBad) {
-				t.Fatalf("Router: groups %v unroutable %v, plan says %v %v", g, bad, groups, wantBad)
+				t.Fatalf("RouteQuery: groups %v unroutable %v, plan says %v %v", g, bad, groups, wantBad)
 			}
 			for name, b := range dispatchers {
 				answers, derrs := b.QueryBatch(context.Background(), tc.qs)

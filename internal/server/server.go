@@ -2,92 +2,63 @@
 // owner's authenticated data structure — a backend.Local over one
 // IFMH-tree or a backend.Sharded over a domain-sharded tree set, as they
 // stand — and answers through whichever epoch of it is serving. The
-// Server is a backend.Backend — Query, QueryBatch, QueryStream — that is
-// the epoch pointer: an atomic serving snapshot, Swap's refusals of
-// anything but a later epoch of the same database, and the
-// shard-contiguous batch order. It counts nothing it serves; the HTTP
-// handler that fronts it does (transport.Handler's tally).
+// Server is a decorator in the backend plane that only points: an
+// atomic pointer to one epoch's snapshot, which every exchange loads
+// once and hands the whole exchange to, and Swap's refusals of anything
+// but a later epoch of the same database. How a query is routed or a
+// batch dispatched is the hosted backend's business; what is served is
+// counted by the HTTP handler that fronts it (transport.Handler's
+// tally).
 package server
 
 import (
+	"context"
 	"fmt"
+	"iter"
 	"sync"
 	"sync/atomic"
 
 	"aqverify/internal/backend"
-	"aqverify/internal/geometry"
-	"aqverify/internal/metrics"
 	"aqverify/internal/query"
-	"aqverify/internal/shard"
 )
 
-// Backend is an authenticated data structure the server can host: a
-// name plus the evaluation primitive of the query plane in method form
-// (see backend.Process for the contract — shard and epoch attribution,
-// byte accounting). backend.Local and backend.Sharded are Backends as
-// they stand.
-type Backend interface {
-	// Name identifies the backend ("ifmh-one", "ifmh-multi").
-	Name() string
-	// Process answers q, returning the serialized answer with its shard
-	// and epoch attribution. The counter observes per-query costs.
-	Process(q query.Query, ctr *metrics.Counter) (shard int, epoch uint64, raw []byte, err error)
-}
+// Backend is what the server hosts: any backend of the query plane.
+// backend.Local and backend.Sharded are what the owner's build wraps to.
+type Backend = backend.Backend
 
-// serving is one immutable epoch's snapshot of the hosted backend. The
-// server swaps whole snapshots atomically: a query loads the pointer
-// once and routes, answers and attributes against that one snapshot, so
-// an in-flight query finishes against the epoch it started on even if a
-// swap lands mid-query. set and epochs describe a sharded snapshot, nil
-// otherwise.
+// serving is one immutable epoch's snapshot of the hosted backend, with
+// the epochs it reported when it was published. The server swaps whole
+// snapshots atomically and an exchange — a query, a batch, a stream —
+// loads the pointer once, so every item of it is routed, answered and
+// attributed by the one epoch it started on even if a swap lands
+// mid-exchange. epochs is per shard, nil for an unsharded backend.
 type serving struct {
-	backend Backend
-	set     *shard.Set // nil for single-tree backends
+	backend backend.Backend
 	epoch   uint64
 	epochs  []uint64
 }
 
-// sharded is what a hosted backend exposes when it serves a shard set
-// (backend.Sharded does): the server groups batches by the set's plan
-// and reports the per-shard epochs.
-type sharded interface {
-	Router() *shard.Router
-	Epochs() []uint64
-}
-
-// newServing snapshots a backend and its epochs.
+// newServing snapshots a backend and the epochs it reports.
 func newServing(b Backend) *serving {
-	sv := &serving{backend: b, epoch: backend.Epoch(b)}
-	if sb, ok := b.(sharded); ok {
-		sv.set = sb.Router().Set()
-		sv.epochs = sb.Epochs()
-	}
-	return sv
-}
-
-// numShards returns the snapshot's shard count, 0 when unsharded.
-func (sv *serving) numShards() int {
-	if sv.set == nil {
-		return 0
-	}
-	return sv.set.NumShards()
+	return &serving{backend: b, epoch: backend.Epoch(b), epochs: backend.Epochs(b)}
 }
 
 // Server hosts a backend behind an atomic snapshot pointer. All methods
-// are safe for concurrent use; the pluggable backends answer queries
-// from immutable (or internally synchronized) state, so many queries
-// may be in flight at once. When the backend serves a shard set the
-// server additionally dispatches batches shard-by-shard.
+// are safe for concurrent use; the hosted backends answer from immutable
+// (or internally synchronized) state, so many exchanges may be in
+// flight at once.
 //
 // Swap publishes a mutated epoch without a lock on the query path:
-// queries in flight keep answering from the snapshot they loaded, new
-// queries see the new epoch, and nothing ever observes a half-swapped
+// exchanges in flight keep answering from the snapshot they loaded, new
+// exchanges see the new epoch, and nothing ever observes a half-swapped
 // mix.
 type Server struct {
 	serving atomic.Pointer[serving]
 	swapMu  sync.Mutex // serializes Swap's validate-then-store
 	swaps   atomic.Int64
 }
+
+var _ backend.Backend = (*Server)(nil)
 
 // New creates a server for the backend.
 func New(b Backend) (*Server, error) {
@@ -106,7 +77,10 @@ func New(b Backend) (*Server, error) {
 // different backend name, a changed sharding arity or shard count, an
 // epoch that does not strictly advance, and a sharded set whose shards
 // disagree on their epoch (a torn set must never be published).
-// In-flight queries finish against the snapshot they started on.
+// In-flight exchanges finish against the snapshot they started on: what
+// must be waited out before the previous epoch's resources are released
+// (an artifact.Artifact closed) is every exchange that began before the
+// swap, a long stream included — not merely the queries then running.
 func (s *Server) Swap(b Backend) error {
 	if b == nil {
 		return fmt.Errorf("server: swap needs a backend")
@@ -118,11 +92,11 @@ func (s *Server) Swap(b Backend) error {
 		return fmt.Errorf("server: cannot swap %q in over %q; same logical database required", b.Name(), cur.backend.Name())
 	}
 	nv := newServing(b)
-	if (nv.set == nil) != (cur.set == nil) {
+	if (nv.epochs == nil) != (cur.epochs == nil) {
 		return fmt.Errorf("server: cannot swap between sharded and unsharded backends")
 	}
-	if nv.numShards() != cur.numShards() {
-		return fmt.Errorf("server: swap changes the shard count from %d to %d; re-deploy instead", cur.numShards(), nv.numShards())
+	if len(nv.epochs) != len(cur.epochs) {
+		return fmt.Errorf("server: swap changes the shard count from %d to %d; re-deploy instead", len(cur.epochs), len(nv.epochs))
 	}
 	for i, e := range nv.epochs {
 		if e != nv.epoch {
@@ -137,36 +111,36 @@ func (s *Server) Swap(b Backend) error {
 	return nil
 }
 
-// Epoch returns the serving publication epoch.
+// Name implements backend.Backend.
+func (s *Server) Name() string { return s.serving.Load().backend.Name() }
+
+// Query implements backend.Backend.
+func (s *Server) Query(ctx context.Context, q query.Query, opts ...backend.Option) (backend.Answer, error) {
+	return s.serving.Load().backend.Query(ctx, q, opts...)
+}
+
+// QueryBatch implements backend.Backend: the whole batch is the serving
+// snapshot's, so it answers from one epoch.
+func (s *Server) QueryBatch(ctx context.Context, qs []query.Query, opts ...backend.Option) ([]backend.Answer, []error) {
+	return s.serving.Load().backend.QueryBatch(ctx, qs, opts...)
+}
+
+// QueryStream implements backend.Backend: the snapshot is the one
+// serving when the stream is requested, however long it is consumed.
+func (s *Server) QueryStream(ctx context.Context, qs []query.Query, opts ...backend.Option) iter.Seq2[int, backend.BatchResult] {
+	return s.serving.Load().backend.QueryStream(ctx, qs, opts...)
+}
+
+// Inner returns the currently serving backend (see backend.Find).
+func (s *Server) Inner() backend.Backend { return s.serving.Load().backend }
+
+// Epoch returns the serving publication epoch — a read of the stored
+// snapshot, so backend.Epoch of a stack over a Server walks no tree.
 func (s *Server) Epoch() uint64 { return s.serving.Load().epoch }
 
 // Epochs returns the serving snapshot's per-shard epochs in shard
-// order, nil for a single-tree backend.
+// order, nil for an unsharded backend.
 func (s *Server) Epochs() []uint64 { return s.serving.Load().epochs }
 
 // Swaps returns how many epoch swaps this server has completed.
 func (s *Server) Swaps() int { return int(s.swaps.Load()) }
-
-// Backend returns the currently serving backend.
-func (s *Server) Backend() Backend { return s.serving.Load().backend }
-
-// Name returns the backend name.
-func (s *Server) Name() string { return s.serving.Load().backend.Name() }
-
-// Domain returns the hosted backend's serving domain — the full domain
-// a shard set partitions, or whatever a single backend reports (every
-// built-in one does).
-func (s *Server) Domain() (geometry.Box, bool) {
-	sv := s.serving.Load()
-	if sv.set != nil {
-		return sv.set.Plan.Domain, true
-	}
-	if d, ok := backend.Find[interface{ Domain() geometry.Box }](sv.backend); ok {
-		return d.Domain(), true
-	}
-	return geometry.Box{}, false
-}
-
-// NumShards returns the backend's shard count, or 0 for a single-tree
-// backend.
-func (s *Server) NumShards() int { return s.serving.Load().numShards() }

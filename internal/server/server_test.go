@@ -33,11 +33,7 @@ func local(t *testing.T, tree *core.Tree) *backend.Local {
 
 func sharded(t *testing.T, set *shard.Set) *backend.Sharded {
 	t.Helper()
-	r, err := shard.NewRouter(set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := backend.NewSharded(r)
+	b, err := backend.NewSharded(set)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,8 +47,8 @@ func TestShardedServerBasics(t *testing.T) {
 	if got := srv.Name(); got != "ifmh-multi" {
 		t.Errorf("sharded backend advertises %q, want the underlying mode name", got)
 	}
-	if got := srv.NumShards(); got != 4 {
-		t.Errorf("NumShards = %d, want 4", got)
+	if got := len(srv.Epochs()); got != 4 {
+		t.Errorf("%d per-shard epochs, want 4", got)
 	}
 	h := host(t, srv, set.Public())
 	q := query.NewTopK(geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}, 3)
@@ -153,8 +153,8 @@ func TestShardedBatchGrouping(t *testing.T) {
 func TestUnshardedBatchShards(t *testing.T) {
 	tree, dom := fixtures(t)
 	srv := newServer(t, local(t, tree))
-	if srv.NumShards() != 0 {
-		t.Errorf("NumShards = %d, want 0", srv.NumShards())
+	if srv.Epochs() != nil {
+		t.Errorf("per-shard epochs = %v, want none", srv.Epochs())
 	}
 	if host(t, srv, tree.Public()).stats(t).PerShard != nil {
 		t.Error("single-tree server reports shard stats")

@@ -112,8 +112,8 @@ func TestSwapPublishesNewEpoch(t *testing.T) {
 	if srv.Epoch() != 2 || srv.Swaps() != 1 {
 		t.Errorf("after swap: epoch %d swaps %d, want 2, 1", srv.Epoch(), srv.Swaps())
 	}
-	if got := srv.Backend().(*backend.Local).Tree(); got != e2 {
-		t.Error("Backend() does not return the swapped-in tree")
+	if got := srv.Inner().(*backend.Local).Tree(); got != e2 {
+		t.Error("Inner() does not return the swapped-in tree")
 	}
 	// Rolling back is refused too: the serving epoch only advances.
 	if err := srv.Swap(local(t, e1)); err == nil {
@@ -206,13 +206,7 @@ func TestQueryDuringSwapRace(t *testing.T) {
 		{
 			name: "sharded",
 			opts: []build.Option{build.WithShards(3, 0)},
-			host: func(r *build.Result) (server.Backend, error) {
-				rt, err := shard.NewRouter(r.Set)
-				if err != nil {
-					return nil, err
-				}
-				return backend.NewSharded(rt)
-			},
+			host: func(r *build.Result) (server.Backend, error) { return backend.NewSharded(r.Set) },
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

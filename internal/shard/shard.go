@@ -2,8 +2,11 @@
 // independently built and signed IFMH-trees, partitioned by domain: a
 // Plan cuts the owner-specified domain into K contiguous sub-boxes along
 // one axis, Build constructs one core.Tree per sub-box in parallel (each
-// reusing core.Params.Workers internally), and a Router maps every
-// query's function input to the one shard whose sub-box owns it.
+// reusing core.Params.Workers internally), and Plan.RouteQuery maps
+// every query's function input to the one shard whose sub-box owns it
+// (Plan.Group does a batch's worth). The package answers nothing:
+// backend.Sharded serves a Set, backend.Fanout K remote shards, both by
+// these two routines.
 //
 // Sharding is transparent to verification. Every shard holds the full
 // record table — the split is over the query domain, not the rows — so a
@@ -203,8 +206,8 @@ func (p Plan) RouteQuery(q query.Query) (int, error) {
 // Group partitions a batch by owning shard: groups[k] lists the batch
 // indexes shard k owns, in arrival order, and errs[i] is set for every
 // unroutable qs[i] (which appears in no group). It is the one routine
-// every batch dispatcher — the in-process server, the fanout front-end
-// — splits a batch with, so one shard's queries stay contiguous and all
+// every batch dispatcher — backend.Sharded, the fanout front-end —
+// splits a batch with, so one shard's queries stay contiguous and all
 // surfaces agree on ownership.
 func (p Plan) Group(qs []query.Query) (groups [][]int, errs []error) {
 	groups = make([][]int, p.K())

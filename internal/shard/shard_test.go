@@ -39,6 +39,17 @@ func buildSets(t *testing.T, mode core.Mode, n, k int) (*Set, *Set, geometry.Box
 	return single, sharded, dom
 }
 
+// process routes q to its owning shard and answers it there — what
+// every sharded dispatcher does — returning the shard index alongside.
+func process(s *Set, q query.Query) (int, *core.Answer, error) {
+	id, err := s.Plan.RouteQuery(q)
+	if err != nil {
+		return -1, nil, err
+	}
+	ans, err := s.Trees[id].Process(q, &metrics.Counter{})
+	return id, ans, err
+}
+
 func mustPlan(t *testing.T, dom geometry.Box, axis, k int) Plan {
 	t.Helper()
 	plan, err := NewPlan(dom, axis, k)
@@ -84,17 +95,9 @@ func TestShardIdentity(t *testing.T) {
 		if got := sharded.Public(); got.Mode != pub.Mode {
 			t.Fatalf("%v: sharded mode %v != single %v", mode, got.Mode, pub.Mode)
 		}
-		r1, err := NewRouter(single)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r4, err := NewRouter(sharded)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for i, q := range identityQueries(dom, sharded.Plan.Cuts, 40, 2) {
-			_, a1, err1 := r1.Process(q, &metrics.Counter{})
-			_, a4, err4 := r4.Process(q, &metrics.Counter{})
+			_, a1, err1 := process(single, q)
+			_, a4, err4 := process(sharded, q)
 			if (err1 == nil) != (err4 == nil) {
 				t.Fatalf("%v query %d: K=1 err=%v, K=4 err=%v", mode, i, err1, err4)
 			}
@@ -133,13 +136,9 @@ func TestShardIdentity(t *testing.T) {
 func TestShardIdentityTamper(t *testing.T) {
 	_, sharded, dom := buildSets(t, core.MultiSignature, 120, 4)
 	pub := sharded.Public()
-	r, err := NewRouter(sharded)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i, c := range append([]float64{(dom.Lo[0] + dom.Hi[0]) / 2}, sharded.Plan.Cuts...) {
 		q := query.NewTopK(geometry.Point{c}, 3)
-		_, ans, err := r.Process(q, &metrics.Counter{})
+		_, ans, err := process(sharded, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,10 +235,6 @@ func TestBuildSharded2D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRouter(set)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pub := set.Public()
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 10; i++ {
@@ -248,7 +243,7 @@ func TestBuildSharded2D(t *testing.T) {
 			dom.Lo[1] + rng.Float64()*(dom.Hi[1]-dom.Lo[1]),
 		}
 		q := query.NewTopK(x, 3)
-		id, ans, err := r.Process(q, &metrics.Counter{})
+		id, ans, err := process(set, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,11 +38,7 @@ func shardedHandler(t *testing.T, k int) (*Handler, *shard.Set, geometry.Box) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	router, err := shard.NewRouter(set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := backend.NewSharded(router)
+	sb, err := backend.NewSharded(set)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,11 +135,7 @@ func TestStatsIdentity(t *testing.T) {
 	const refused = 2
 	answered := len(qs) - refused
 
-	router, err := shard.NewRouter(set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := backend.NewSharded(router)
+	sharded, err := backend.NewSharded(set)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,6 @@ import (
 	"aqverify/internal/geometry"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
-	"aqverify/internal/server"
 	"aqverify/internal/sig"
 	"aqverify/internal/wire"
 )
@@ -184,13 +183,14 @@ type Handler struct {
 	mux     *http.ServeMux
 }
 
-// NewIFMHHandler wraps an IFMH-backed server.
-func NewIFMHHandler(srv *server.Server, pub core.PublicParams) (*Handler, error) {
-	p, err := IFMHParams(srv, pub)
+// NewIFMHHandler serves an IFMH-backed backend — typically the
+// server.Server hosting one — under the bundle IFMHParams assembles.
+func NewIFMHHandler(b backend.Backend, pub core.PublicParams) (*Handler, error) {
+	p, err := IFMHParams(b, pub)
 	if err != nil {
 		return nil, err
 	}
-	return NewBackendHandler(srv, p)
+	return NewBackendHandler(b, p)
 }
 
 // IFMHParams assembles the trust bundle an IFMH-backed server publishes
@@ -198,22 +198,22 @@ func NewIFMHHandler(srv *server.Server, pub core.PublicParams) (*Handler, error)
 // fields or decorate the backend before constructing the handler
 // (vqserve stamps the artifact content hash and provenance on it, and
 // with -cache serves cache.Wrap(srv) under srv's bundle): the owner's
-// verification anchors plus what the server itself advertises (name,
-// shard count, serving domain).
-func IFMHParams(srv *server.Server, pub core.PublicParams) (Params, error) {
+// verification anchors plus what the backend itself advertises, read
+// down its Inner chain (name, shard count, serving domain).
+func IFMHParams(b backend.Backend, pub core.PublicParams) (Params, error) {
 	vb, err := sig.MarshalVerifier(pub.Verifier)
 	if err != nil {
 		return Params{}, err
 	}
 	p := Params{
-		Backend:  srv.Name(),
+		Backend:  b.Name(),
 		Verifier: base64.StdEncoding.EncodeToString(vb),
 		Template: toTplJSON(pub.Template),
 		SemTol:   pub.SemTol,
-		Shards:   srv.NumShards(),
+		Shards:   len(backend.Epochs(b)),
 	}
-	if dom, ok := srv.Domain(); ok {
-		p.Domain = ToBoxJSON(dom)
+	if d, ok := backend.Find[interface{ Domain() geometry.Box }](b); ok {
+		p.Domain = ToBoxJSON(d.Domain())
 	}
 	return p, nil
 }
