@@ -14,9 +14,11 @@
 //   - Fanout — a front-end composing K single-shard backends (typically
 //     Remotes, one vqserve per shard) into one logical database.
 //
-// Every answer carries the serialized wire bytes — exactly what POST
-// /query returns — plus the answering shard, so callers can layer
-// verification, persistence or re-routing uniformly. Functional options
+// Every answer carries the serialized wire bytes — the wire.EncodeIFMH
+// payload of a batch or stream item — plus the answering shard and
+// epoch, so callers can layer verification, persistence or re-routing
+// uniformly. A backend implements two exchanges, QueryBatch and
+// QueryStream; its Query is One, a batch of one. Functional options
 // replace positional parameters: WithWorkers bounds batch concurrency,
 // WithCounter accumulates the caller-side cost metrics, and WithVerify
 // checks every answer against the owner's published parameters before
@@ -42,8 +44,8 @@ import (
 )
 
 // Answer is one query's outcome on any backend: the serialized answer
-// bytes (the same bytes POST /query would return) plus the answering
-// shard and the publication epoch it answered under. Records is
+// bytes (the wire.EncodeIFMH payload of a batch or stream item) plus the
+// answering shard and the publication epoch it answered under. Records is
 // populated only when the answer was verified (the WithVerify option)
 // or decoded by the backend itself; callers that skip verification work
 // from Raw. On a failed query Raw and Records are nil and Shard still
@@ -108,7 +110,8 @@ type BatchResult struct {
 type Backend interface {
 	// Name identifies the evaluator ("ifmh-one", "ifmh-multi").
 	Name() string
-	// Query answers one query.
+	// Query answers one query: One(ctx, b, q, opts...), a batch of one,
+	// in every backend of this module.
 	Query(ctx context.Context, q query.Query, opts ...Option) (Answer, error)
 	// QueryBatch answers many queries; both returned slices are parallel
 	// to qs. A per-item error never aborts the rest of the batch;

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"iter"
 	"testing"
 	"time"
 
@@ -172,11 +173,15 @@ func (m tamper) process(q query.Query, ctr *metrics.Counter) (int, uint64, []byt
 }
 
 func (m tamper) Query(ctx context.Context, q query.Query, opts ...Option) (Answer, error) {
-	return DriveQuery(ctx, m.process, q, opts...)
+	return One(ctx, m, q, opts...)
 }
 
 func (m tamper) QueryBatch(ctx context.Context, qs []query.Query, opts ...Option) ([]Answer, []error) {
 	return DriveBatch(ctx, m.process, qs, opts...)
+}
+
+func (m tamper) QueryStream(ctx context.Context, qs []query.Query, opts ...Option) iter.Seq2[int, BatchResult] {
+	return DriveStream(ctx, m.process, qs, opts...)
 }
 
 // TestShardedMatchesRouter: the Sharded backend answers every query on

@@ -17,7 +17,7 @@ import (
 // counter, so only they inherit its contract — the calling goroutine,
 // or after a fan-out has joined; Finish writes the scratch counter it
 // is handed and may run anywhere. The rest of the kit is in compose.go
-// (Merge, Fail, Collect, Buffered) and describe.go (Epoch, Epochs,
+// (Merge, Fail, Collect, One, Buffered) and describe.go (Epoch, Epochs,
 // Find).
 type Call struct {
 	workers int
@@ -38,9 +38,8 @@ func Resolve(opts []Option) Call {
 // (see Finish for what it leaves in ans). Byte accounting is not its
 // job: the Process contract charges the encoded answer for the
 // in-process drivers and Finish charges it for answers produced
-// elsewhere; adding it here too would double-count. check runs on the
-// calling goroutine for Query and inside the pool workers for batches
-// (with per-worker counters merged at the join).
+// elsewhere; adding it here too would double-count. check runs inside
+// the pool workers (with per-worker counters merged at the join).
 func (c Call) check(q query.Query, ans *Answer, ctr *metrics.Counter) error {
 	if c.verify == nil {
 		return nil

@@ -100,6 +100,14 @@ func Collect(n int, seq iter.Seq2[int, BatchResult]) ([]Answer, []error) {
 	return answers, errs
 }
 
+// One answers q as a batch of one through b's buffered exchange — every
+// backend's Query, so a single answer travels, is attributed and is
+// finished exactly as a batch item is, with its real shard and epoch.
+func One(ctx context.Context, b Backend, q query.Query, opts ...Option) (Answer, error) {
+	answers, errs := b.QueryBatch(ctx, []query.Query{q}, opts...)
+	return answers[0], errs[0]
+}
+
 // Buffered is b's buffered exchange in stream shape: one QueryBatch
 // call — made now, not at first iteration — replayed in index order.
 // Its signature is that of the method expression Backend.QueryStream,

@@ -17,23 +17,12 @@ import (
 // shard otherwise (kept on refusals, so attribution survives errors);
 // epoch 0 when the query failed before reaching a bundle. The drivers
 // do not account bytes themselves; a Process that already charges them,
-// like the in-process server's encoders, must not be charged twice. The
-// exported Drive* helpers lift a Process into the full Backend surface,
-// so implementing a new backend — in this package or outside it — means
-// supplying only the evaluation itself.
+// like the in-process server's encoders, must not be charged twice.
+// DriveBatch and DriveStream lift a Process into the two exchanges, and
+// One makes Query a batch of one, so implementing a new backend — in
+// this package or outside it — means supplying only the evaluation
+// itself.
 type Process func(q query.Query, ctr *metrics.Counter) (shard int, epoch uint64, raw []byte, err error)
-
-// DriveQuery answers one query through p under the call options.
-func DriveQuery(ctx context.Context, p Process, q query.Query, opts ...Option) (Answer, error) {
-	if err := ctx.Err(); err != nil {
-		return Answer{Shard: wire.ShardNone}, err
-	}
-	c := Resolve(opts)
-	var ctr metrics.Counter
-	ans, err := driveOne(c, p, q, &ctr)
-	c.Charge(ctr)
-	return ans, err
-}
 
 // DriveBatch answers a batch through p across a bounded worker pool,
 // honoring cancellation: indexes the done context prevented report

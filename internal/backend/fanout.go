@@ -83,18 +83,9 @@ func (f *Fanout) Epochs() []uint64 {
 	return out
 }
 
-// Query implements Backend: route, then answer on the owning child.
+// Query implements Backend.
 func (f *Fanout) Query(ctx context.Context, q query.Query, opts ...Option) (Answer, error) {
-	sh, err := f.plan.RouteQuery(q)
-	if err != nil {
-		return Answer{Shard: wire.ShardNone}, err
-	}
-	ans, err := f.kids[sh].Query(ctx, q, opts...)
-	if err != nil {
-		return Answer{Shard: sh}, err // the routing choice, refused or not
-	}
-	ans.Shard = sh
-	return ans, nil
+	return One(ctx, f, q, opts...)
 }
 
 // QueryBatch implements Backend: the batch is split per owning shard,
@@ -145,11 +136,16 @@ func (f *Fanout) scatter(ctx context.Context, qs []query.Query, opts []Option,
 				}
 			})
 		}
+		// A batch that one shard owns — every single query — has nothing
+		// to merge: its child emits from one goroutine, so it runs here.
+		if len(kids) == 1 {
+			kids[0](ctx, yield)
+		} else {
+			Merge(ctx, yield, func(func(int, BatchResult) bool) {}, kids...)
+		}
 		// The caller's counter is only ever touched from the calling
 		// goroutine: children wrote private ones, charged after the join.
-		Merge(ctx, yield, func(func(int, BatchResult) bool) {
-			Resolve(opts).Charge(ctrs...)
-		}, kids...)
+		Resolve(opts).Charge(ctrs...)
 	}
 }
 

@@ -37,7 +37,7 @@ func (b *Local) Name() string { return ifmhName(b.tree.Mode()) }
 
 // Query implements Backend.
 func (b *Local) Query(ctx context.Context, q query.Query, opts ...Option) (Answer, error) {
-	return DriveQuery(ctx, b.process, q, opts...)
+	return One(ctx, b, q, opts...)
 }
 
 // QueryBatch implements Backend.
@@ -101,7 +101,7 @@ func (b *Sharded) Name() string { return ifmhName(b.set.Mode()) }
 
 // Query implements Backend.
 func (b *Sharded) Query(ctx context.Context, q query.Query, opts ...Option) (Answer, error) {
-	return DriveQuery(ctx, b.process, q, opts...)
+	return One(ctx, b, q, opts...)
 }
 
 // QueryBatch implements Backend. The batch is grouped up front and

@@ -11,20 +11,20 @@ import (
 	"aqverify/internal/wire"
 )
 
-// classified is one batch's split against the cache: per-item keys,
-// the indexes found cached, the flights this batch leads (with every
-// duplicate index that shares the key), and the indexes waiting on
-// foreign flights.
+// classified is one batch's split against the cache: one slot per item
+// — its key and, when it was found cached, the entry — the flights this
+// batch leads (with every duplicate index that shares the key), and the
+// indexes waiting on foreign flights.
 type classified struct {
-	keys []akey
-	hits []hit
-	led  []*ledFlight
-	wait []waiter
+	slots []slot
+	led   []*ledFlight
+	wait  []waiter
 }
 
-type hit struct {
-	i int
-	e entry
+type slot struct {
+	k   akey
+	e   entry
+	hit bool
 }
 
 type waiter struct {
@@ -42,25 +42,28 @@ type ledFlight struct {
 // attach to its flight, cached items are hits, the rest either lead a
 // new flight or wait on a foreign one.
 func (c *Cache) classify(qs []query.Query) classified {
-	cl := classified{keys: make([]akey, len(qs))}
+	cl := classified{slots: make([]slot, len(qs))}
 	pin := c.pin()
-	byKey := make(map[akey]*ledFlight)
+	var byKey map[akey]*ledFlight // made by the first led flight: a batch of hits needs none
 	for i, q := range qs {
 		k := akey{epoch: pin, q: string(wire.EncodeQuery(q))}
-		cl.keys[i] = k
+		cl.slots[i].k = k
 		if lf, ok := byKey[k]; ok {
 			lf.idxs = append(lf.idxs, i)
 			continue
 		}
 		if e, ok := c.answers.get(k); ok {
 			c.hit()
-			cl.hits = append(cl.hits, hit{i, e})
+			cl.slots[i].e, cl.slots[i].hit = e, true
 			continue
 		}
 		fl, leader := c.flights.join(k)
 		if leader {
 			c.misses.Add(1)
 			lf := &ledFlight{k: k, fl: fl, idxs: []int{i}}
+			if byKey == nil {
+				byKey = make(map[akey]*ledFlight)
+			}
 			byKey[k] = lf
 			cl.led = append(cl.led, lf)
 		} else {
@@ -84,13 +87,9 @@ func (c *Cache) QueryStream(ctx context.Context, qs []query.Query, opts ...backe
 	return c.stream(ctx, qs, opts, backend.Backend.QueryStream)
 }
 
-// stream is both exchanges' body. Cached items are yielded without
-// waiting on any walk, and no walk waits on them: led misses go to the
-// inner backend as one sub-batch through exchange — its QueryStream, or
-// its QueryBatch through backend.Buffered — at once, and are yielded as
-// they land; collapsed items are yielded as their foreign flights
-// resolve. The call's cost folds into the caller's counter once, at the
-// end. Breaking out of the iteration cancels the inner exchange and
+// stream is both exchanges' body. A batch that is all hits is served
+// on the calling goroutine, with nothing to overlap; any other goes to
+// overlap. Breaking out of the iteration cancels the inner exchange and
 // completes this call's unfinished flights with the cancellation
 // (waiters elsewhere retry them).
 func (c *Cache) stream(ctx context.Context, qs []query.Query, opts []backend.Option,
@@ -105,70 +104,87 @@ func (c *Cache) stream(ctx context.Context, qs []query.Query, opts []backend.Opt
 		}
 		call := backend.Resolve(opts)
 		cl := c.classify(qs)
-		// Producers write private counters, folded once they are done:
-		// the hits', the inner exchange's, one per foreign flight.
-		costs := make([]metrics.Counter, 2+len(cl.wait))
-		fold := func(func(int, backend.BatchResult) bool) {
-			var cost metrics.Counter
-			for i := range costs {
-				cost.Add(costs[i])
-			}
-			call.Charge(cost)
-		}
-		hits := func(_ context.Context, emit func(int, backend.BatchResult) bool) {
-			for _, h := range cl.hits {
-				var r backend.BatchResult
-				r.Answer, r.Err = c.serve(call, qs[h.i], cl.keys[h.i], h.e, &costs[0])
-				if !emit(h.i, r) {
-					return
-				}
-			}
-		}
-		if len(cl.led)+len(cl.wait) == 0 {
-			// All hits, nothing to overlap them with: serve them here.
-			hits(ctx, yield)
-			fold(nil)
+		if len(cl.led)+len(cl.wait) > 0 {
+			c.overlap(ctx, call, qs, opts, cl, exchange, yield)
 			return
 		}
-
-		producers := []func(context.Context, func(int, backend.BatchResult) bool){hits}
-		if len(cl.led) > 0 {
-			producers = append(producers, func(ctx context.Context, emit func(int, backend.BatchResult) bool) {
-				subqs := make([]query.Query, len(cl.led))
-				for j, lf := range cl.led {
-					subqs[j] = qs[lf.idxs[0]]
-				}
-				landed := make([]bool, len(cl.led))
-				for j, r := range exchange(c.inner, ctx, subqs, backend.ReplaceCounter(opts, &costs[1])...) {
-					landed[j] = true
-					if !c.settle(cl.led[j], r, &costs[1], emit) {
-						break // which cancels the inner exchange
-					}
-				}
-				// An inner exchange normally answers every index; if it
-				// ended early (our cancel, or a dying transport), the
-				// leftover flights must still complete or foreign waiters
-				// hang.
-				err := ctx.Err()
-				if err == nil {
-					err = fmt.Errorf("cache: inner stream ended without answering")
-				}
-				for j, r := range backend.Fail(landed, err) {
-					c.settle(cl.led[j], r, &costs[1], emit)
-				}
-			})
-		}
-		for wi, w := range cl.wait {
-			producers = append(producers, func(ctx context.Context, emit func(int, backend.BatchResult) bool) {
-				r, retry := c.await(ctx, call, qs[w.i], cl.keys[w.i], w.fl, &costs[2+wi])
-				if retry {
-					r.Answer, r.Err = c.queryOne(ctx, call, qs[w.i], opts, &costs[2+wi])
-				}
-				emit(w.i, r)
-			})
-		}
-		backend.Merge(ctx, yield, fold, producers...)
+		var cost metrics.Counter
+		c.serveHits(call, qs, cl.slots, &cost, yield)
+		call.Charge(cost)
 	}
+}
+
+// serveHits yields the batch's cached items, charging cost, until the
+// consumer stops listening.
+func (c *Cache) serveHits(call backend.Call, qs []query.Query, slots []slot, cost *metrics.Counter, emit func(int, backend.BatchResult) bool) {
+	for i, s := range slots {
+		if !s.hit {
+			continue
+		}
+		var r backend.BatchResult
+		r.Answer, r.Err = c.serve(call, qs[i], s.k, s.e, cost)
+		if !emit(i, r) {
+			return
+		}
+	}
+}
+
+// overlap serves a batch with misses. Cached items are yielded without
+// waiting on any walk, and no walk waits on them: led misses go to the
+// inner backend as one sub-batch through exchange — its QueryStream, or
+// its QueryBatch through backend.Buffered — at once, and are yielded as
+// they land; collapsed items are yielded as their foreign flights
+// resolve. The call's cost folds into the caller's counter once, at the
+// end.
+func (c *Cache) overlap(ctx context.Context, call backend.Call, qs []query.Query, opts []backend.Option, cl classified,
+	exchange func(backend.Backend, context.Context, []query.Query, ...backend.Option) iter.Seq2[int, backend.BatchResult],
+	yield func(int, backend.BatchResult) bool) {
+	// Producers write private counters, folded once they are done: the
+	// hits', the inner exchange's, one per foreign flight.
+	costs := make([]metrics.Counter, 2+len(cl.wait))
+	producers := []func(context.Context, func(int, backend.BatchResult) bool){
+		func(_ context.Context, emit func(int, backend.BatchResult) bool) {
+			c.serveHits(call, qs, cl.slots, &costs[0], emit)
+		},
+	}
+	if len(cl.led) > 0 {
+		producers = append(producers, func(ctx context.Context, emit func(int, backend.BatchResult) bool) {
+			subqs := make([]query.Query, len(cl.led))
+			for j, lf := range cl.led {
+				subqs[j] = qs[lf.idxs[0]]
+			}
+			landed := make([]bool, len(cl.led))
+			for j, r := range exchange(c.inner, ctx, subqs, backend.ReplaceCounter(opts, &costs[1])...) {
+				landed[j] = true
+				if !c.settle(cl.led[j], r, &costs[1], emit) {
+					break // which cancels the inner exchange
+				}
+			}
+			// An inner exchange normally answers every index; if it
+			// ended early (our cancel, or a dying transport), the
+			// leftover flights must still complete or foreign waiters
+			// hang.
+			err := ctx.Err()
+			if err == nil {
+				err = fmt.Errorf("cache: inner stream ended without answering")
+			}
+			for j, r := range backend.Fail(landed, err) {
+				c.settle(cl.led[j], r, &costs[1], emit)
+			}
+		})
+	}
+	for wi, w := range cl.wait {
+		producers = append(producers, func(ctx context.Context, emit func(int, backend.BatchResult) bool) {
+			r, retry := c.await(ctx, call, qs[w.i], cl.slots[w.i].k, w.fl, &costs[2+wi])
+			if retry {
+				r.Answer, r.Err = c.Query(ctx, qs[w.i], backend.ReplaceCounter(opts, &costs[2+wi])...)
+			}
+			emit(w.i, r)
+		})
+	}
+	backend.Merge(ctx, yield, func(func(int, backend.BatchResult) bool) {
+		call.Charge(costs...)
+	}, producers...)
 }
 
 // settle publishes one led flight's result and fans it out to every

@@ -193,44 +193,7 @@ func (c *Cache) hit() {
 
 // Query implements Backend.
 func (c *Cache) Query(ctx context.Context, q query.Query, opts ...backend.Option) (backend.Answer, error) {
-	if err := ctx.Err(); err != nil {
-		return backend.Answer{Shard: wire.ShardNone}, err
-	}
-	call := backend.Resolve(opts)
-	var cost metrics.Counter
-	ans, err := c.queryOne(ctx, call, q, opts, &cost)
-	call.Charge(cost)
-	return ans, err
-}
-
-// queryOne is the single-query cache path: LRU hit, lead a new flight
-// through the inner backend, or wait on an identical in-flight query.
-// Caller-side costs accumulate into cost (never into the call's
-// WithCounter directly, so batch paths can run it off-goroutine and
-// merge after the join).
-func (c *Cache) queryOne(ctx context.Context, call backend.Call, q query.Query, opts []backend.Option, cost *metrics.Counter) (backend.Answer, error) {
-	qenc := string(wire.EncodeQuery(q))
-	for {
-		pin := c.pin()
-		k := akey{epoch: pin, q: qenc}
-		if e, ok := c.answers.get(k); ok {
-			c.hit()
-			return c.serve(call, q, k, e, cost)
-		}
-		fl, leader := c.flights.join(k)
-		if leader {
-			c.misses.Add(1)
-			var sub metrics.Counter
-			ans, err := c.inner.Query(ctx, q, backend.ReplaceCounter(opts, &sub)...)
-			cost.Add(sub)
-			c.land(k, fl, backend.BatchResult{Answer: ans, Err: err})
-			return ans, err
-		}
-		c.collapses.Add(1)
-		if r, retry := c.await(ctx, call, q, k, fl, cost); !retry {
-			return r.Answer, r.Err
-		}
-	}
+	return backend.One(ctx, c, q, opts...)
 }
 
 // land publishes a led flight's outcome: a success is stored before

@@ -230,8 +230,9 @@ func (d *detour) RoundTrip(req *http.Request) (*http.Response, error) {
 // the memo, reach the public-key check and fail it. (iii) An honest
 // answer of the previous epoch, replayed after apply + swap + refresh,
 // carries a signature that is still valid under the pinned key and is
-// in the warm session's memo; what stops it is the epoch word, so the
-// warm session and a fresh one, whose memo is empty, give one verdict.
+// in the warm session's memo; what stops it is the epoch word, which
+// every answer carries on every entry point, so the warm session and a
+// fresh one, whose memo is empty, give one verdict: stale.
 func TestDialedSessionPoison(t *testing.T) {
 	ctx := context.Background()
 	for _, mode := range []core.Mode{core.OneSignature, core.MultiSignature} {
@@ -355,15 +356,8 @@ func TestDialedSessionPoison(t *testing.T) {
 						verdict[i] = errs[0].Error()
 					}
 				}
-				// The single exchange carries no epoch word (Remote.Query's
-				// contract), so there the replay is the key's to judge, and
-				// the key signed it: with a memo or without one.
-				want := "stale"
-				if ep.name == "Query" {
-					want = "accepted"
-				}
-				if verdict[0] != want || verdict[1] != want {
-					t.Errorf("epoch-1 replay via %s: cold session %q, warm session %q, want %q", ep.name, verdict[0], verdict[1], want)
+				if verdict[0] != "stale" || verdict[1] != "stale" {
+					t.Errorf("epoch-1 replay via %s: cold session %q, warm session %q, want \"stale\"", ep.name, verdict[0], verdict[1])
 				}
 			}
 			if coldMemo.Hits() != 0 {

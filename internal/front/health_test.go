@@ -166,7 +166,7 @@ func TestAdmissionBurst(t *testing.T) {
 		t.Errorf("in-flight gauge still %d after the burst drained", snap.InFlight)
 	}
 
-	// The raw statuses, pinned: with the gate held full, both the single
+	// The raw statuses, pinned: with the gate held full, both the batch
 	// and the stream route answer 429 before committing to a response
 	// body — a shed stream never starts.
 	release1, err := f.Admit()
@@ -177,12 +177,8 @@ func TestAdmissionBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, route := range []string{"/query", "/query/stream"} {
-		body := wire.EncodeQuery(qs[0])
-		if route == "/query/stream" {
-			body = wire.EncodeQueryBatch(qs[:2])
-		}
-		resp, err := http.Post(ts.URL+route, "application/octet-stream", bytes.NewReader(body))
+	for _, route := range []string{"/query/batch", "/query/stream"} {
+		resp, err := http.Post(ts.URL+route, "application/octet-stream", bytes.NewReader(wire.EncodeQueryBatch(qs[:1])))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -221,12 +221,9 @@ func (s *ReplicaSet) launch(ctx context.Context, r *replica, hedged bool, qs []q
 }
 
 // Query implements backend.Backend as a batch of one, so single queries
-// get the same routing, hedging and failover as batches — and travel
-// the batch wire exchange, whose frames carry real shard and epoch
-// attribution.
+// get the same routing, hedging and failover as batches.
 func (s *ReplicaSet) Query(ctx context.Context, q query.Query, opts ...backend.Option) (backend.Answer, error) {
-	answers, errs := s.QueryBatch(ctx, []query.Query{q}, opts...)
-	return answers[0], errs[0]
+	return backend.One(ctx, s, q, opts...)
 }
 
 // QueryBatch implements backend.Backend: route by P2C, hedge onto a

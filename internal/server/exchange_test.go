@@ -35,7 +35,7 @@ func (p *parked) process(query.Query, *metrics.Counter) (int, uint64, []byte, er
 }
 
 func (p *parked) Query(ctx context.Context, q query.Query, opts ...backend.Option) (backend.Answer, error) {
-	return backend.DriveQuery(ctx, p.process, q, opts...)
+	return backend.One(ctx, p, q, opts...)
 }
 
 func (p *parked) QueryBatch(ctx context.Context, qs []query.Query, opts ...backend.Option) ([]backend.Answer, []error) {

@@ -13,8 +13,8 @@ import (
 
 // TestStatsRaceUnderBatch is the regression test for the serving-tally
 // audit, on the handler that now owns the tally: outcome counts are
-// bumped by every concurrent exchange, so interleaving the batch,
-// single-query and stream routes with /stats and /metrics readers — and
+// bumped by every concurrent exchange, so interleaving batches, single
+// queries (batches of one) and streams with /stats and /metrics readers — and
 // a Swap landing mid-traffic, which both readers observe — must be clean
 // under -race. The plain counts — answered, refused, per-shard — are
 // atomics and only the multi-field metrics counter sits under the mutex;

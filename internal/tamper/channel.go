@@ -50,15 +50,7 @@ func (c Channel) Name() string { return c.Inner.Name() }
 
 // Query implements backend.Backend.
 func (c Channel) Query(ctx context.Context, q query.Query, opts ...backend.Option) (backend.Answer, error) {
-	ans, err := c.Inner.Query(ctx, q)
-	if err != nil {
-		return ans, err
-	}
-	call := backend.Resolve(opts)
-	var cost metrics.Counter
-	err = c.deliver(call, q, &ans, &cost)
-	call.Charge(cost)
-	return ans, err
+	return backend.One(ctx, c, q, opts...)
 }
 
 // QueryBatch implements backend.Backend over the inner backend's
@@ -74,8 +66,11 @@ func (c Channel) QueryStream(ctx context.Context, qs []query.Query, opts ...back
 }
 
 // stream is both exchanges' body: every honest answer of the inner
-// exchange is delivered through the adversary, on the consuming
-// goroutine.
+// exchange is rewritten and finished under the caller's options, on the
+// consuming goroutine; a rejected answer keeps only its attribution.
+// Only bytes cross the channel: records the inner backend attached (a
+// warm cache does, even unasked) vouch for the honest bytes, not the
+// rewritten ones, and are dropped.
 func (c Channel) stream(ctx context.Context, qs []query.Query, opts []backend.Option,
 	exchange func(backend.Backend, context.Context, []query.Query, ...backend.Option) iter.Seq2[int, backend.BatchResult]) iter.Seq2[int, backend.BatchResult] {
 	return func(yield func(int, backend.BatchResult) bool) {
@@ -84,21 +79,12 @@ func (c Channel) stream(ctx context.Context, qs []query.Query, opts []backend.Op
 		defer func() { call.Charge(cost) }()
 		for i, r := range exchange(c.Inner, ctx, qs) {
 			if r.Err == nil {
-				r.Err = c.deliver(call, qs[i], &r.Answer, &cost)
+				r.Answer.Raw, r.Answer.Records = c.Rewrite(qs[i], r.Answer.Raw), nil
+				r.Err = call.Finish(qs[i], &r.Answer, &cost)
 			}
 			if !yield(i, r) {
 				return
 			}
 		}
 	}
-}
-
-// deliver rewrites one honest answer and finishes it under the caller's
-// options; a rejected answer keeps only its attribution. Only bytes
-// cross the channel: records the inner backend attached (a warm cache
-// does, even unasked) vouch for the honest bytes, not the rewritten
-// ones, and are dropped.
-func (c Channel) deliver(call backend.Call, q query.Query, ans *backend.Answer, cost *metrics.Counter) error {
-	ans.Raw, ans.Records = c.Rewrite(q, ans.Raw), nil
-	return call.Finish(q, ans, cost)
 }

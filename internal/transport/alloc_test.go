@@ -33,7 +33,7 @@ func (c cannedBackend) process(query.Query, *metrics.Counter) (int, uint64, []by
 func (c cannedBackend) Name() string  { return "ifmh-multi" }
 func (c cannedBackend) Epoch() uint64 { return 1 }
 func (c cannedBackend) Query(ctx context.Context, q query.Query, opts ...backend.Option) (backend.Answer, error) {
-	return backend.DriveQuery(ctx, c.process, q, opts...)
+	return backend.One(ctx, c, q, opts...)
 }
 func (c cannedBackend) QueryBatch(ctx context.Context, qs []query.Query, opts ...backend.Option) ([]backend.Answer, []error) {
 	return backend.DriveBatch(ctx, c.process, qs, opts...)
@@ -129,9 +129,10 @@ func TestBatchExchangeAllocBudget(t *testing.T) {
 	}
 }
 
-// TestBufferedResponsesDeclareTheirLength: the two buffered routes send
-// their frame with a Content-Length (so the receiver reserves it once),
-// the stream route cannot and stays chunked.
+// TestBufferedResponsesDeclareTheirLength: the buffered route sends its
+// frame with a Content-Length (so the receiver reserves it once) — a
+// batch of one, which is every single query, as much as a batch of
+// many — and the stream route cannot and stays chunked.
 func TestBufferedResponsesDeclareTheirLength(t *testing.T) {
 	// Past the 2 KB under which net/http would declare a length by itself.
 	_, ts := serveCanned(t, cannedBackend{raw: bytes.Repeat([]byte{0xA1}, 3000)})
@@ -141,7 +142,7 @@ func TestBufferedResponsesDeclareTheirLength(t *testing.T) {
 		body     []byte
 		declared bool
 	}{
-		{"/query", wire.EncodeQuery(q), true},
+		{"/query/batch", wire.EncodeQueryBatch([]query.Query{q}), true},
 		{"/query/batch", wire.EncodeQueryBatch([]query.Query{q, q}), true},
 		{"/query/stream", wire.EncodeQueryBatch([]query.Query{q, q}), false},
 	} {
@@ -263,10 +264,10 @@ func TestBodyLimitsAreCheckedBeforeMemoryIsSpent(t *testing.T) {
 			says    string
 			lie     bool
 		}{
-			{"declared within the reserve", "Content-Length: 1000\r\n", big[:1000], maxAnswerBytes, big[:1000], "", false},
-			{"declared past the reserve, within the limit", fmt.Sprintf("Content-Length: %d\r\n", len(big)), big, maxAnswerBytes, big, "", false},
+			{"declared within the reserve", "Content-Length: 1000\r\n", big[:1000], maxBatchAnswerBytes, big[:1000], "", false},
+			{"declared past the reserve, within the limit", fmt.Sprintf("Content-Length: %d\r\n", len(big)), big, maxBatchAnswerBytes, big, "", false},
 			{"declared past the limit", fmt.Sprintf("Content-Length: %d\r\n", maxBatchAnswerBytes+1), big[:1000], maxBatchAnswerBytes, nil, fmt.Sprintf("answer exceeds %d bytes", maxBatchAnswerBytes), true},
-			{"undeclared, chunked", "Transfer-Encoding: chunked\r\n", []byte("3e8\r\n" + string(big[:1000]) + "\r\n0\r\n\r\n"), maxAnswerBytes, big[:1000], "", false},
+			{"undeclared, chunked", "Transfer-Encoding: chunked\r\n", []byte("3e8\r\n" + string(big[:1000]) + "\r\n0\r\n\r\n"), maxBatchAnswerBytes, big[:1000], "", false},
 			{"undeclared, to the close, past the limit", "", big, 1 << 20, nil, "answer exceeds 1048576 bytes", false},
 			{"declared at the limit, truncated", fmt.Sprintf("Content-Length: %d\r\n", maxBatchAnswerBytes), big[:1000], maxBatchAnswerBytes, nil, "read answer: unexpected EOF", true},
 		} {

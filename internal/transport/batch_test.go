@@ -28,11 +28,11 @@ func TestMethodNotAllowed(t *testing.T) {
 	defer ts.Close()
 
 	for _, tc := range []struct{ method, path string }{
-		{http.MethodGet, "/query"},
+		{http.MethodGet, "/query/stream"},
 		{http.MethodGet, "/query/batch"},
 		{http.MethodPost, "/params"},
 		{http.MethodPost, "/stats"},
-		{http.MethodDelete, "/query"},
+		{http.MethodDelete, "/query/batch"},
 	} {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(""))
 		if err != nil {
@@ -93,7 +93,7 @@ func TestHTTPBatchRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The batched answers must match the sequential endpoint's.
+	// The batched answers must match the one-at-a-time ones.
 	for i, q := range qs {
 		if i == 2 {
 			continue
@@ -103,7 +103,7 @@ func TestHTTPBatchRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(single.Raw, answers[i].Raw) {
-			t.Errorf("query %d: batched bytes differ from the single-query exchange", i)
+			t.Errorf("query %d: batched bytes differ from a batch of one", i)
 		}
 		if len(single.Records) != len(answers[i].Records) {
 			t.Errorf("query %d: batch returned %d records, sequential %d", i, len(answers[i].Records), len(single.Records))

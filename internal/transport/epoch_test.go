@@ -166,10 +166,12 @@ func TestEpochPinAndRefresh(t *testing.T) {
 // HTTPClient.QueryBatchCtx skipped the pin check, so after a swap a
 // pinned client saw an opaque verification failure (the epoch-2 answer
 // checked against epoch-1 parameters) instead of the typed staleness
-// signal. Every batch-shaped client entry point that remains — buffered
-// batch and pipelined stream (inline and pooled verification), raw or
+// signal. Every client entry point — a single query, the buffered batch
+// and the pipelined stream (inline and pooled verification), raw or
 // verifying against the now-stale bundle — must report
-// *backend.EpochError and never ErrVerification.
+// *backend.EpochError and never ErrVerification. A single query used to
+// travel a route with no epoch word and was stamped with the pin, so it
+// was accepted against the stale bundle.
 func TestStaleAnswerIsEpochErrorOnEveryEntryPoint(t *testing.T) {
 	ctx := context.Background()
 	res, srv, ts, dom := epochFixture(t)
@@ -184,6 +186,13 @@ func TestStaleAnswerIsEpochErrorOnEveryEntryPoint(t *testing.T) {
 	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
 	qs := []query.Query{query.NewTopK(x, 3), query.NewRange(x, -1, 1), query.NewKNN(x, 2, 0)}
 	stale := backend.WithVerify(res.Public)
+	single := func(r *Remote, opts ...backend.Option) []error {
+		errs := make([]error, len(qs))
+		for i, q := range qs {
+			_, errs[i] = r.Query(ctx, q, opts...)
+		}
+		return errs
+	}
 	batch := func(r *Remote, opts ...backend.Option) []error {
 		_, errs := r.QueryBatch(ctx, qs, opts...)
 		return errs
@@ -199,6 +208,8 @@ func TestStaleAnswerIsEpochErrorOnEveryEntryPoint(t *testing.T) {
 		name string
 		errs []error
 	}{
+		{"query raw", single(r)},
+		{"query verify", single(r, stale)},
 		{"batch raw", batch(r)},
 		{"batch verify", batch(r, stale)},
 		{"stream raw", stream(r)},

@@ -19,12 +19,10 @@ import (
 	"aqverify/internal/wire"
 )
 
-// maxAnswerBytes bounds response bodies the client will buffer.
-const maxAnswerBytes = 64 << 20
-
-// maxBatchAnswerBytes bounds a batched response body: a frame of many
-// answers legitimately outgrows a single answer, and a silent
-// truncation would fail the whole batch with an opaque parse error.
+// maxBatchAnswerBytes bounds a batched response body — the only body the
+// client buffers: a frame of many answers is large by design, and a
+// silent truncation would fail the whole batch with an opaque parse
+// error.
 const maxBatchAnswerBytes = 512 << 20
 
 // HTTPClient is one dialed vqserve session: the owner's trust bundle as
@@ -188,12 +186,6 @@ func (c *HTTPClient) Public() (core.PublicParams, bool) {
 	pub := c.pub
 	pub.Epoch = c.Epoch()
 	return pub, true
-}
-
-// rawQuery posts one query and returns the serialized answer bytes,
-// unverified. Transport failures and non-200 statuses are errors.
-func (c *HTTPClient) rawQuery(ctx context.Context, q query.Query) ([]byte, error) {
-	return c.post(ctx, "/query", wire.EncodeQuery(q), maxAnswerBytes)
 }
 
 // rawBatch posts a query batch in one exchange and returns the decoded

@@ -118,7 +118,8 @@ func kProcessQueries(dom geometry.Box, cuts []float64) []query.Query {
 // shard cuts and at domain corners — verdicts and result windows
 // identical to the single tree built over the full domain, under both
 // signing modes. The client dials the front-end exactly as it would dial
-// a single vqserve and verifies every answer.
+// a single vqserve and verifies every answer, asked as one batch, one
+// stream and one query at a time — the last names its routed shard too.
 func TestKProcessIdentity(t *testing.T) {
 	for _, mode := range []core.Mode{core.OneSignature, core.MultiSignature} {
 		front, f, single, dom := kProcessFixture(t, 120, 3, mode)
@@ -173,6 +174,18 @@ func TestKProcessIdentity(t *testing.T) {
 				t.Fatalf("%v query %d: window (%d,%d) vs single (%d,%d)", mode, i,
 					got.VO.Start, got.VO.ListLen, want.VO.Start, want.VO.ListLen)
 			}
+			// Asked alone, the query is a batch of one: the same bytes and
+			// the same routed shard, not an unattributed answer.
+			one, err := cli.Query(context.Background(), q, verify)
+			if err != nil {
+				t.Fatalf("%v query %d asked alone: %v", mode, i, err)
+			}
+			if string(one.Raw) != string(answers[i].Raw) {
+				t.Fatalf("%v query %d asked alone: bytes differ from the buffered exchange", mode, i)
+			}
+			if one.Shard != wantShard {
+				t.Fatalf("%v query %d asked alone: answered by shard %d, routing says %d", mode, i, one.Shard, wantShard)
+			}
 		}
 
 		// The pipelined wire transport must reproduce the buffered
@@ -208,8 +221,8 @@ func TestKProcessIdentity(t *testing.T) {
 	}
 }
 
-// TestKProcessSingleQueryAndStats drives the non-batch endpoint through
-// the front-end and checks the front-end's own /stats tally.
+// TestKProcessSingleQueryAndStats drives single queries (batches of one)
+// through the front-end and checks the front-end's own /stats tally.
 func TestKProcessSingleQueryAndStats(t *testing.T) {
 	front, f, single, dom := kProcessFixture(t, 80, 2, core.MultiSignature)
 	cli, verify := dialVerifying(t, front.URL, nil)

@@ -110,18 +110,11 @@ func (r *Remote) epochErr(it wire.BatchAnswer) error {
 	return &backend.EpochError{Want: pin, Got: it.Epoch, Shard: it.Shard}
 }
 
-// Query implements backend.Backend. The single-query exchange carries
-// no epoch word (the answer body is the bare wire answer), so the
-// answer is stamped with the session's pinned epoch — a pinned client's
-// single answers belong to that session by contract. Staleness
-// detection applies to the batch and stream exchanges, whose frames
-// carry the server's actual epoch.
+// Query implements backend.Backend as a batch of one: it travels POST
+// /query/batch, so a single answer is held to the pin and attributed to
+// its shard exactly as a batch item is.
 func (r *Remote) Query(ctx context.Context, q query.Query, opts ...backend.Option) (backend.Answer, error) {
-	return backend.DriveQuery(ctx, func(q query.Query, ctr *metrics.Counter) (int, uint64, []byte, error) {
-		raw, err := r.c.rawQuery(ctx, q)
-		ctr.AddBytes(uint64(len(raw)))
-		return wire.ShardNone, r.c.Epoch(), raw, r.wrapErr(err)
-	}, q, opts...)
+	return backend.One(ctx, r, q, opts...)
 }
 
 // QueryBatch implements backend.Backend: the whole batch travels in one

@@ -62,14 +62,15 @@ func wrapped(t *testing.T, b backend.Backend) *cache.Cache {
 	return c
 }
 
-// routes drive one batch over each of the handler's three query routes
-// through a dialed session, discarding the outcomes: the battery reads
-// them off /stats.
+// routes drive one batch through each of a dialed session's three entry
+// points — one query at a time (a batch of one each), the buffered batch
+// and the stream — discarding the outcomes: the battery reads them off
+// /stats.
 var routes = []struct {
 	name  string
 	drive func(r *Remote, qs []query.Query)
 }{
-	{"/query", func(r *Remote, qs []query.Query) {
+	{"Query", func(r *Remote, qs []query.Query) {
 		for _, q := range qs {
 			r.Query(context.Background(), q) //nolint:errcheck // tallied server-side
 		}
@@ -83,7 +84,7 @@ var routes = []struct {
 
 // TestStatsIdentity is the one-tally battery: the same mixed batch —
 // all four query kinds, one on a shard cut, one no shard owns, one
-// refused — driven over /query, /query/batch and /query/stream through
+// refused — driven one query at a time, as a batch and as a stream through
 // every host shape must read the same on /stats, because exactly one
 // thing counts served traffic (the handler) and it counts from what
 // every backend hands back. queries and errors agree across all five
@@ -245,7 +246,7 @@ func TestStatsIdentity(t *testing.T) {
 				t.Errorf("%s %s: walked %d nodes, Server{Sharded} %d", route.name, h.name, walked[ri][hi], ref.NodesVisited)
 			}
 		}
-		// One tree, three routes: the same walk each pass.
+		// One tree, three entry points: the same walk each pass.
 		if st := got[ri][0]; st.NodesVisited != uint64(pass)*got[0][0].NodesVisited || st.Bytes != uint64(pass)*got[0][0].Bytes {
 			t.Errorf("%s Server{Local}: nodes %d bytes %d after pass %d, pass one walked %d and served %d",
 				route.name, st.NodesVisited, st.Bytes, pass, got[0][0].NodesVisited, got[0][0].Bytes)
@@ -278,7 +279,7 @@ func (walkThenRefuse) Epoch() uint64    { return 1 }
 func (walkThenRefuse) Epochs() []uint64 { return []uint64{1, 1} }
 
 func (b walkThenRefuse) Query(ctx context.Context, q query.Query, opts ...backend.Option) (backend.Answer, error) {
-	return backend.DriveQuery(ctx, b.process, q, opts...)
+	return backend.One(ctx, b, q, opts...)
 }
 
 func (b walkThenRefuse) QueryBatch(ctx context.Context, qs []query.Query, opts ...backend.Option) ([]backend.Answer, []error) {
@@ -290,7 +291,7 @@ func (b walkThenRefuse) QueryStream(ctx context.Context, qs []query.Query, opts 
 }
 
 // TestRefusedCostRule pins the tally's one rule for a failed query's
-// cost on all three routes: the totals are the exchange's counter,
+// cost on all three entry points: the totals are the exchange's counter,
 // whole — the refused item's partial walk is in, the unroutable one had
 // none — while queries counts the answered item only, and the refusal
 // keeps its shard attribution.

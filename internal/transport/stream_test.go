@@ -217,7 +217,7 @@ func (g *gateBackend) Name() string { return "ifmh-multi" }
 func (g *gateBackend) Epoch() uint64 { return 1 }
 
 func (g *gateBackend) Query(ctx context.Context, q query.Query, opts ...backend.Option) (backend.Answer, error) {
-	return backend.DriveQuery(ctx, g.process, q, opts...)
+	return backend.One(ctx, g, q, opts...)
 }
 
 func (g *gateBackend) QueryBatch(ctx context.Context, qs []query.Query, opts ...backend.Option) ([]backend.Answer, []error) {
@@ -551,9 +551,9 @@ func TestStreamRouteMissingFailsItems(t *testing.T) {
 }
 
 // TestQueryOversizeRequest is the regression for the silent-truncation
-// bug: an over-limit POST /query body used to be cut at the limit and
-// misreported as a 400 bad query; it is a 413 now, like the batch
-// routes.
+// bug: an over-limit request body used to be cut at the limit and
+// misreported as a 400 bad query; it is a 413 on both query routes,
+// whose limit is the 4 MiB of a query batch.
 func TestQueryOversizeRequest(t *testing.T) {
 	srv, pub, dom := fixtures(t)
 	h, err := NewIFMHHandler(srv, pub)
@@ -576,20 +576,16 @@ func TestQueryOversizeRequest(t *testing.T) {
 
 	// Oversize: one byte past the limit must be a 413, not a truncated
 	// parse failure.
-	big := make([]byte, 1<<16+1)
-	copy(big, wire.EncodeQuery(query.NewTopK(geometry.Point{dom.Lo[0]}, 1)))
-	if got := post("/query", big); got != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversize /query = %d, want 413", got)
-	}
-	if got := post("/query/stream", make([]byte, 1<<22+1)); got != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversize /query/stream = %d, want 413", got)
-	}
-	// In-limit garbage is still a 400.
-	if got := post("/query", []byte{0xFF, 1, 2}); got != http.StatusBadRequest {
-		t.Errorf("bad /query = %d, want 400", got)
-	}
-	if got := post("/query/stream", []byte{0xFF, 1, 2}); got != http.StatusBadRequest {
-		t.Errorf("bad /query/stream = %d, want 400", got)
+	big := make([]byte, maxBatchBytes+1)
+	copy(big, wire.EncodeQueryBatch([]query.Query{query.NewTopK(geometry.Point{dom.Lo[0]}, 1)}))
+	for _, path := range []string{"/query/batch", "/query/stream"} {
+		if got := post(path, big); got != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversize %s = %d, want 413", path, got)
+		}
+		// In-limit garbage is still a 400.
+		if got := post(path, []byte{0xFF, 1, 2}); got != http.StatusBadRequest {
+			t.Errorf("bad %s = %d, want 400", path, got)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@
 //
 // Endpoints:
 //
-//	POST /query         body: wire-encoded query        -> wire-encoded answer
 //	POST /query/batch   body: wire-encoded query batch  -> wire-encoded answer batch
 //	POST /query/stream  body: wire-encoded query batch  -> pipelined answer stream
 //	GET  /params        -> JSON trust bundle (scheme, verifier key, template, mode, domain)
@@ -20,10 +19,12 @@
 // tier — and is the one place served traffic is counted: every query
 // route records each item's outcome and the exchange's cost into the
 // handler's tally (tally.go states the rules), so /stats and /metrics
-// read the same on every host and no backend keeps a serving count. The
-// batch endpoint carries many queries in one length-prefixed frame
-// (see wire.EncodeQueryBatch) and answers them concurrently on the
-// server; each item of the response is either that query's answer bytes
+// read the same on every host and no backend keeps a serving count.
+// There is no single-query route: a single query is a batch of one
+// (backend.One), so every answer travels with its shard and epoch, and
+// POST /query, retired, is a 404. The batch endpoint carries many
+// queries in one length-prefixed frame (see wire.EncodeQueryBatch) and
+// answers them concurrently on the server; each item of the response is either that query's answer bytes
 // or its error string, so one bad query never fails the batch. The
 // stream endpoint takes the same request frame but pipelines the
 // response: item frames are written and flushed in completion order as
@@ -60,9 +61,6 @@ import (
 	"aqverify/internal/wire"
 )
 
-// maxQueryBytes bounds the request body; queries are tiny.
-const maxQueryBytes = 1 << 16
-
 // maxBatchBytes bounds a batched request body (many queries per frame).
 const maxBatchBytes = 1 << 22
 
@@ -90,9 +88,9 @@ type Params struct {
 	// outsourcing, bumped by every mutation batch the owner applies and
 	// the server swaps in. Always >= 1: Dial and Refresh refuse a bundle
 	// without one. Clients pin it at dial and compare it against the
-	// epoch word in every batched or streamed answer, surfacing a
-	// mismatch as a typed staleness error rather than a verification
-	// failure.
+	// epoch word every answer carries in its batch or stream item,
+	// surfacing a mismatch as a typed staleness error rather than a
+	// verification failure.
 	Epoch uint64 `json:"epoch,omitempty"`
 	// Artifact advertises the hex content hash of the on-disk artifact
 	// this server serves from — the manifest's sealed self-hash, one
@@ -236,7 +234,6 @@ func NewBackendHandler(b backend.Backend, p Params) (*Handler, error) {
 	h.admit, _ = backend.Find[admitter](b)
 	h.promSrc, _ = backend.Find[promSource](b)
 	h.cache, _ = backend.Find[cacheSource](b)
-	h.mux.HandleFunc("POST /query", h.admitted(h.handleQuery))
 	h.mux.HandleFunc("POST /query/batch", h.admitted(h.handleBatch))
 	h.mux.HandleFunc("POST /query/stream", h.admitted(h.handleStream))
 	h.mux.HandleFunc("GET /params", h.handleParams)
@@ -271,29 +268,6 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mux.ServeHTTP(w, r)
 }
 
-func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
-	body, ok := readRequest(w, r, maxQueryBytes, "query request exceeds the size limit")
-	if !ok {
-		return
-	}
-	q, err := wire.DecodeQuery(body)
-	if err != nil {
-		http.Error(w, "bad query: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	var ctr metrics.Counter
-	ans, err := h.b.Query(r.Context(), q, backend.WithCounter(&ctr))
-	h.tally.count(ans.Shard, err)
-	h.tally.addCost(ctr)
-	if err != nil {
-		http.Error(w, "query failed: "+err.Error(), http.StatusUnprocessableEntity)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(ans.Raw)))
-	w.Write(ans.Raw)
-}
-
 // maxBodyReserve caps what a declared length, a hint the peer controls, reserves.
 const maxBodyReserve = 1 << 20
 
@@ -316,23 +290,17 @@ func readBody(body io.Reader, declared, limit int64) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// readRequest reads a request body of at most limit bytes, writing the
-// error response itself: a 413 saying tooBig, or a 400.
-func readRequest(w http.ResponseWriter, r *http.Request, limit int64, tooBig string) ([]byte, bool) {
-	body, err := readBody(r.Body, r.ContentLength, limit)
-	if errors.Is(err, errBodyTooBig) {
-		http.Error(w, tooBig, http.StatusRequestEntityTooLarge)
-	} else if err != nil {
-		http.Error(w, "read: "+err.Error(), http.StatusBadRequest)
-	}
-	return body, err == nil
-}
-
-// readBatchRequest reads and decodes the query-batch frame both batch
-// routes take, writing the error response itself.
+// readBatchRequest reads and decodes the query-batch frame both query
+// routes take, writing the error response itself: a 413 past
+// maxBatchBytes, a 400 for a body that does not arrive or decode.
 func readBatchRequest(w http.ResponseWriter, r *http.Request) ([]query.Query, bool) {
-	body, ok := readRequest(w, r, maxBatchBytes, "batch request exceeds the size limit; split it")
-	if !ok {
+	body, err := readBody(r.Body, r.ContentLength, maxBatchBytes)
+	if errors.Is(err, errBodyTooBig) {
+		http.Error(w, "batch request exceeds the size limit; split it", http.StatusRequestEntityTooLarge)
+		return nil, false
+	}
+	if err != nil {
+		http.Error(w, "read: "+err.Error(), http.StatusBadRequest)
 		return nil, false
 	}
 	qs, err := wire.DecodeQueryBatch(body)

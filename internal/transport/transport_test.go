@@ -168,8 +168,8 @@ func TestDialRefusesWhatNoServerPublishes(t *testing.T) {
 	}
 }
 
-// tamperingProxy forwards to target but flips one bit in every /query
-// and /query/batch response body.
+// tamperingProxy forwards to target but flips one bit in every query
+// route's response body.
 type tamperingProxy struct {
 	target *url.URL
 	hc     *http.Client
@@ -240,14 +240,23 @@ func TestHTTPErrorPaths(t *testing.T) {
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
-	// Malformed query bytes.
-	resp, err := ts.Client().Post(ts.URL+"/query", "application/octet-stream", strings.NewReader("junk"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("junk query: status %d", resp.StatusCode)
+	// Malformed query bytes, and the retired single-query route: a client
+	// of an older build fails loudly there instead of misparsing.
+	for _, tc := range []struct {
+		path   string
+		status int
+	}{
+		{"/query/batch", http.StatusBadRequest},
+		{"/query", http.StatusNotFound},
+	} {
+		resp, err := ts.Client().Post(ts.URL+tc.path, "application/octet-stream", strings.NewReader("junk"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("junk to POST %s: status %d, want %d", tc.path, resp.StatusCode, tc.status)
+		}
 	}
 	// Out-of-domain query reaches the server and fails there.
 	r, verify := dialVerifying(t, ts.URL, ts.Client())
@@ -257,7 +266,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 		t.Errorf("server refusal misclassified as a verification rejection: %v", err)
 	}
 	// Stats endpoint responds.
-	resp, err = ts.Client().Get(ts.URL + "/stats")
+	resp, err := ts.Client().Get(ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

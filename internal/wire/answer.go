@@ -17,9 +17,10 @@ const (
 	magicMesh = 0xA2
 )
 
-// EncodeQuery serializes one query for network transports.
+// EncodeQuery serializes one query — a query-batch item's payload and
+// the cache's key — allocated once, at its length.
 func EncodeQuery(q query.Query) []byte {
-	w := &writer{}
+	w := &writer{buf: make([]byte, 0, sizeQuery(q))}
 	encodeQuery(w, q)
 	return w.buf
 }

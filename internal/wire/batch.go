@@ -40,13 +40,13 @@ const (
 	// message (possibly empty).
 	StatusRefused uint8 = 0
 	// StatusAnswer marks an item whose payload is the query's answer
-	// bytes, exactly what POST /query would have returned.
+	// bytes, as EncodeIFMH wrote them.
 	StatusAnswer uint8 = 1
 )
 
 // BatchAnswer is one entry of a batched or streamed response: either
-// the serialized answer bytes (the same bytes POST /query would have
-// returned) or the server's refusal, selected by the explicit Status
+// the serialized answer bytes (the EncodeIFMH payload of a batch or
+// stream item) or the server's refusal, selected by the explicit Status
 // byte — use NewAnswer/NewRefusal rather than struct literals so the
 // status always matches the payload. Shard records which shard of a
 // domain-sharded deployment answered (ShardNone when unsharded or

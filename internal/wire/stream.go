@@ -29,8 +29,8 @@ const (
 )
 
 // maxStreamPayload bounds one streamed item's payload so a forged
-// length prefix cannot drive a huge allocation; it matches the largest
-// single answer the HTTP client will buffer.
+// length prefix cannot drive a huge allocation: 64 MiB per item, far
+// past any answer a tree of this module serializes.
 const maxStreamPayload = 64 << 20
 
 // StreamItem is one decoded item frame: the outcome plus the index it

@@ -286,6 +286,13 @@ func TestAnswerBatchIsOneExactAllocation(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, func() { EncodeQueryBatch(qs) }); allocs != 1 {
 		t.Errorf("%v allocations per query-batch encode, want 1", allocs)
 	}
+	// One query is the cache's key on every lookup, hit or miss.
+	if enc := EncodeQuery(qs[0]); cap(enc) != len(enc) {
+		t.Errorf("query len %d cap %d", len(enc), cap(enc))
+	}
+	if allocs := testing.AllocsPerRun(20, func() { EncodeQuery(qs[0]) }); allocs != 1 {
+		t.Errorf("%v allocations per query encode, want 1", allocs)
+	}
 }
 
 // TestDecodeIFMHAllocationsAreFlatInTheWindow pins the client's decode
