@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"aqverify"
+	"aqverify/internal/artifact"
 	"aqverify/internal/backend"
 	"aqverify/internal/bench"
 	"aqverify/internal/metrics"
@@ -404,4 +405,66 @@ func BenchmarkServerPath(b *testing.B) {
 		}
 		serverPathSink = wire.EncodeIFMH(ans)
 	}
+}
+
+// BenchmarkRepublishCycle splits the owner's republish cycle into its
+// three calls — build.Apply of one update, one insert and one delete,
+// artifact.Save of the new epoch, artifact.Open of the saved directory —
+// over the republish workload's table shape: 2000 lines, one-signature,
+// the canonical-order build. Each op of apply advances a chain of
+// epochs; save and open repeat on one epoch.
+//
+//	go test -run '^$' -bench RepublishCycle -benchtime 3x .
+func BenchmarkRepublishCycle(b *testing.B) {
+	const n = 2000
+	tbl, dom, err := workload.Lines(workload.LinesConfig{N: n, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	signer, err := aqverify.NewSigner(aqverify.Ed25519, aqverify.SignerOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	cur, err := aqverify.Outsource(ctx, lineSpec(tbl, dom, signer),
+		aqverify.WithMode(aqverify.OneSignature), aqverify.WithShuffle(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	line := func(id int) aqverify.Record {
+		return aqverify.Record{ID: uint64(id), Attrs: []float64{rng.NormFloat64(), rng.NormFloat64() * 3}}
+	}
+	next := 10 * n
+	b.Run("apply", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			upd := rng.Intn(n)
+			del := (upd + 1 + rng.Intn(n-1)) % n
+			next += 2
+			if cur, err = aqverify.Apply(ctx, cur, aqverify.Update(upd, line(next)),
+				aqverify.Insert(line(next+1)), aqverify.Delete(del)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	dir := b.TempDir()
+	b.Run("save", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := artifact.Save(dir, cur); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("open", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			a, err := artifact.Open(dir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			a.Close()
+		}
+	})
 }

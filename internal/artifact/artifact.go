@@ -134,10 +134,14 @@ type Artifact struct {
 }
 
 // Save writes the build product as an artifact directory, creating it
-// if needed and overwriting a previous artifact in place (blobs first,
-// manifest last, so a torn overwrite is detectable by name). It refuses
-// a product whose tree count disagrees with its plan (one shard
-// re-opened with OpenShard is not a whole publication).
+// if needed and replacing a previous artifact there. Every file is
+// written under a temporary name in dir and renamed into place, blobs
+// first and the manifest last: an artifact opened from dir keeps its
+// own files (their inodes outlive the rename for as long as they are
+// mapped), and a concurrent Open sees the old epoch, the new one, or
+// ErrTorn — never a blob rewritten under its map. It refuses a product
+// whose tree count disagrees with its plan (one shard re-opened with
+// OpenShard is not a whole publication).
 func Save(dir string, res *build.Result) (Info, error) {
 	if res == nil {
 		return Info{}, fmt.Errorf("artifact: nil build result")
@@ -185,6 +189,12 @@ func Save(dir string, res *build.Result) (Info, error) {
 		fileHashes:    make([]hashing.Digest, len(trees)),
 		fingerprints:  make([]hashing.Digest, len(trees)),
 	}
+	names := make([]string, 0, len(trees)+1)
+	defer func() {
+		for _, name := range names {
+			os.Remove(tempName(dir, name)) // a no-op once renamed
+		}
+	}()
 	for i, t := range trees {
 		shardIdx := build.ShardNone
 		name := treeName
@@ -196,18 +206,28 @@ func Save(dir string, res *build.Result) (Info, error) {
 		if err != nil {
 			return Info{}, err
 		}
-		if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {
+		names = append(names, name)
+		if err := os.WriteFile(tempName(dir, name), blob, 0o644); err != nil {
 			return Info{}, err
 		}
 		m.fileHashes[i] = h
 		m.fingerprints[i] = t.Fingerprint()
 	}
 	mb, _ := encodeManifest(m)
-	if err := os.WriteFile(filepath.Join(dir, ManifestName), mb, 0o644); err != nil {
+	names = append(names, ManifestName)
+	if err := os.WriteFile(tempName(dir, ManifestName), mb, 0o644); err != nil {
 		return Info{}, err
+	}
+	for _, name := range names {
+		if err := os.Rename(tempName(dir, name), filepath.Join(dir, name)); err != nil {
+			return Info{}, err
+		}
 	}
 	return infoOf(m, res.Public.Verifier), nil
 }
+
+// tempName is where Save writes name before renaming it into place.
+func tempName(dir, name string) string { return filepath.Join(dir, "."+name+".tmp") }
 
 // infoOf assembles the public Info view of a decoded (or just-encoded)
 // manifest.

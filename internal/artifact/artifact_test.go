@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"aqverify/internal/backend"
 	"aqverify/internal/build"
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
@@ -341,6 +342,112 @@ func TestSwapBlueGreen(t *testing.T) {
 	}
 	if err := srv.Swap(b1); err == nil {
 		t.Fatal("stale artifact swapped back in")
+	}
+}
+
+// TestEncodeTreeIsOneExactAllocation: a blob is allocated once, at the
+// length sizeTree computes, for both signing modes, a 2-D tree and every
+// shard of a set — and a sweep's forest fits the table forestBound sized.
+func TestEncodeTreeIsOneExactAllocation(t *testing.T) {
+	ctx := context.Background()
+	lines := testSpec(t, 60, 4)
+	tbl, dom, err := workload.Points(workload.PointsConfig{N: 8, Dim: 2, Seed: 1, Dist: workload.AntiCorrelated})
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := build.Spec{Table: tbl, Template: funcs.ScalarProduct(2), Domain: dom, Signer: lines.Signer}
+	for _, tc := range []struct {
+		name string
+		spec build.Spec
+		opts []build.Option
+	}{
+		{"one", lines, []build.Option{build.WithMode(core.OneSignature), build.WithShuffle(4)}},
+		{"multi", lines, []build.Option{build.WithMode(core.MultiSignature), build.WithShuffle(4)}},
+		{"2d", points, []build.Option{build.WithMode(core.MultiSignature)}},
+		{"set", lines, []build.Option{build.WithMode(core.OneSignature), build.WithShuffle(4), build.WithShards(2, 0)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := build.Outsource(ctx, tc.spec, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, tr := range treesOf(t, res) {
+				s := tr.Snapshot()
+				blob, _, err := encodeTree(s, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cap(blob) != len(blob) {
+					t.Errorf("tree %d: a %d-byte blob in a %d-byte allocation", i, len(blob), cap(blob))
+				}
+				if rows := tr.Stats().FMHNodes; forestBound(s) < rows {
+					t.Errorf("tree %d: forestBound %d under the forest's %d rows", i, forestBound(s), rows)
+				}
+			}
+		})
+	}
+}
+
+// TestSaveOverAnOpenArtifact: saving a new epoch into the directory an
+// open artifact was mapped from leaves that artifact answering — Save
+// renames fresh files into place instead of truncating the mapped ones
+// (which killed the process with SIGBUS on the next answer) — and a
+// fresh Open serves the new epoch.
+func TestSaveOverAnOpenArtifact(t *testing.T) {
+	ctx := context.Background()
+	spec := testSpec(t, 200, 13)
+	qs := sampleQueries(spec.Domain, 6)
+	e1, err := build.Outsource(ctx, spec, build.WithMode(core.OneSignature), build.WithShuffle(13))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := Save(dir, e1); err != nil {
+		t.Fatal(err)
+	}
+	a1, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a1.Close()
+	b1, err := a1.Backend()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dels := make([]build.Mutation, 150)
+	for i := range dels {
+		dels[i] = build.Delete(i)
+	}
+	e2, err := build.Apply(ctx, e1, dels...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Save(dir, e2); err != nil {
+		t.Fatal(err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, ".*.tmp")); len(left) != 0 {
+		t.Errorf("Save left %v behind", left)
+	}
+	a2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a2.Close()
+	if a2.Epoch != 2 {
+		t.Fatalf("a fresh Open serves epoch %d, want 2", a2.Epoch)
+	}
+	b2, err := a2.Backend()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range qs {
+		if _, err := backend.One(ctx, b1, q, backend.WithVerify(a1.Result.Public)); err != nil {
+			t.Fatalf("epoch 1 after the save: %v", err)
+		}
+		if _, err := backend.One(ctx, b2, q, backend.WithVerify(a2.Result.Public)); err != nil {
+			t.Fatalf("epoch 2: %v", err)
+		}
 	}
 }
 

@@ -215,8 +215,49 @@ func (r *reader) done() error {
 // structure, and the table preserves exactly that sharing, so the file
 // is O(forest), not O(S·n) — and the IMH tree the same way. shardIdx is
 // the tree's position in a sharded set, or build.ShardNone.
+//
+// Both node tables are walked first, so the blob's exact length is known
+// before its one allocation (TestEncodeTreeIsOneExactAllocation).
 func encodeTree(s core.Snapshot, shardIdx int) ([]byte, hashing.Digest, error) {
-	w := &writer{buf: make([]byte, 0, 1<<16)}
+	// FMH forest: deduplicated DAG, children strictly before parents.
+	nf := forestBound(s)
+	idx := make(map[*mhtree.Node]uint32, nf)
+	order := make([]*mhtree.Node, 0, nf)
+	var walk func(n *mhtree.Node)
+	walk = func(n *mhtree.Node) {
+		if _, ok := idx[n]; ok {
+			return
+		}
+		if n.L != nil {
+			walk(n.L)
+		}
+		if n.R != nil {
+			walk(n.R)
+		}
+		idx[n] = uint32(len(order))
+		order = append(order, n)
+	}
+	for _, si := range s.Subs {
+		walk(si.List.Tree)
+	}
+
+	// IMH tree: post-order node table (children strictly before
+	// parents; the root is the last entry), every node carrying its
+	// propagated hash so loading never re-propagates.
+	nidx := make(map[*itree.Node]uint32, s.ITree.NodeCount)
+	inodes := make([]*itree.Node, 0, s.ITree.NodeCount)
+	var iwalk func(n *itree.Node)
+	iwalk = func(n *itree.Node) {
+		if !n.IsLeaf() {
+			iwalk(n.Above)
+			iwalk(n.Below)
+		}
+		nidx[n] = uint32(len(inodes))
+		inodes = append(inodes, n)
+	}
+	iwalk(s.ITree.Root)
+
+	w := &writer{buf: make([]byte, 0, sizeTree(s, len(order), inodes))}
 	w.buf = append(w.buf, magicTree[:]...)
 	w.u32(formatVersion)
 	w.u64(s.Epoch)
@@ -254,26 +295,6 @@ func encodeTree(s core.Snapshot, shardIdx int) ([]byte, hashing.Digest, error) {
 		}
 	}
 
-	// FMH forest: deduplicated DAG, children strictly before parents.
-	idx := make(map[*mhtree.Node]uint32)
-	var order []*mhtree.Node
-	var walk func(n *mhtree.Node)
-	walk = func(n *mhtree.Node) {
-		if _, ok := idx[n]; ok {
-			return
-		}
-		if n.L != nil {
-			walk(n.L)
-		}
-		if n.R != nil {
-			walk(n.R)
-		}
-		idx[n] = uint32(len(order))
-		order = append(order, n)
-	}
-	for _, si := range s.Subs {
-		walk(si.List.Tree)
-	}
 	// A row is digest, left, right, width. A leaf has no children: its
 	// left slot is nilIndex and its right slot names the record the leaf
 	// commits to — mhtree.NoRecord (-1, a sentinel's) is nilIndex as a u32.
@@ -303,21 +324,6 @@ func encodeTree(s core.Snapshot, shardIdx int) ([]byte, hashing.Digest, error) {
 		}
 	}
 
-	// IMH tree: post-order node table (children strictly before
-	// parents; the root is the last entry), every node carrying its
-	// propagated hash so loading never re-propagates.
-	nidx := make(map[*itree.Node]uint32, s.ITree.NodeCount)
-	var inodes []*itree.Node
-	var iwalk func(n *itree.Node)
-	iwalk = func(n *itree.Node) {
-		if !n.IsLeaf() {
-			iwalk(n.Above)
-			iwalk(n.Below)
-		}
-		nidx[n] = uint32(len(inodes))
-		inodes = append(inodes, n)
-	}
-	iwalk(s.ITree.Root)
 	w.u32(uint32(len(inodes)))
 	for _, n := range inodes {
 		if n.IsLeaf() {
@@ -327,7 +333,8 @@ func encodeTree(s core.Snapshot, shardIdx int) ([]byte, hashing.Digest, error) {
 			w.u8(1)
 			w.u32(uint32(n.Int.I))
 			w.u32(uint32(n.Int.J))
-			w.bytes(n.Int.H.Encode(nil))
+			w.u32(uint32(n.Int.H.EncodedLen()))
+			w.buf = n.Int.H.Encode(w.buf)
 			w.u32(nidx[n.Above])
 			w.u32(nidx[n.Below])
 		}
@@ -338,6 +345,64 @@ func encodeTree(s core.Snapshot, shardIdx int) ([]byte, hashing.Digest, error) {
 	buf, h := w.seal()
 	return buf, h, nil
 }
+
+// forestBound bounds the distinct FMH nodes of a snapshot's lists from
+// their shape alone: one whole tree per list, except that a sweep's
+// lists after the first add only the nodes of their swaps — exact
+// unless one boundary swaps a path twice.
+func forestBound(s core.Snapshot) int {
+	if len(s.Subs) == 0 {
+		return 0
+	}
+	w := s.Subs[0].List.Tree.LeafCount()
+	if len(s.Plan.Swaps) == 0 {
+		return len(s.Subs) * (2*w - 1)
+	}
+	n := 2*w - 1
+	for _, sw := range s.Plan.Swaps {
+		for _, pos := range sw {
+			n += mhtree.SwapNodes(w, pos+1) // a list's leaf p+1 is its record p
+		}
+	}
+	return n
+}
+
+// sizeTree is len(encodeTree(s, …)) for a forest of nf rows and the IMH
+// table inodes, field for field in encodeTree's order.
+func sizeTree(s core.Snapshot, nf int, inodes []*itree.Node) int {
+	n := len(magicTree) + 4 + 8 + 1 + 4 + 4 + 16*s.Domain.Dim()
+	n += 4 + len(s.Table.Schema.Name) + 4
+	for _, c := range s.Table.Schema.Columns {
+		n += 4 + len(c.Name) + 4 + len(c.Description)
+	}
+	n += 4
+	for _, rec := range s.Table.Records {
+		n += rec.EncodedLen()
+	}
+	n += 4 + 4*len(s.Plan.BasePerm) + 4
+	for _, sw := range s.Plan.Swaps {
+		n += 4 + 4*len(sw)
+	}
+	n += 4 + forestRow*nf + 4 + 4*len(s.Subs)
+	if s.Mode == core.MultiSignature {
+		for _, si := range s.Subs {
+			n += 4 + len(si.IneqEnc) + 4 + len(si.Sig)
+		}
+	}
+	n += 4
+	for _, in := range inodes {
+		if in.IsLeaf() {
+			n += 1 + 4
+		} else {
+			n += 1 + 4 + 4 + 4 + in.Int.H.EncodedLen() + 4 + 4
+		}
+		n += hashing.Size
+	}
+	return n + 4 + len(s.RootSig) + hashing.Size
+}
+
+// forestRow is one FMH node row: digest, left, right, width.
+const forestRow = hashing.Size + 4 + 4 + 4
 
 // leafSpan classifies the leaves under an FMH node by where the
 // sentinels (leaves naming no record) sit. The server indexes its table
@@ -473,7 +538,7 @@ func decodeTree(data []byte) (*decodedTree, error) {
 	}
 
 	// FMH forest.
-	nf := r.count("fmh node", 44)
+	nf := r.count("fmh node", forestRow)
 	forest := make([]mhtree.Node, nf)
 	spans := make([]leafSpan, nf)
 	for i := range forest {

@@ -76,9 +76,12 @@ func build(h *hashing.Hasher, leaves []hashing.Digest, recs []int32, off, w int)
 		return n
 	}
 	lw := LeftWidth(w)
-	l := build(h, leaves, recs, off, lw)
-	r := build(h, leaves, recs, off+lw, w-lw)
-	return &Node{H: h.Node(l.H, r.H), L: l, R: r, W: int32(w), Rec: NoRecord}
+	return join(h, build(h, leaves, recs, off, lw), build(h, leaves, recs, off+lw, w-lw))
+}
+
+// join hashes a new internal node over l and r.
+func join(h *hashing.Hasher, l, r *Node) *Node {
+	return &Node{H: h.Node(l.H, r.H), L: l, R: r, W: l.W + r.W, Rec: NoRecord}
 }
 
 // Root returns the root digest.
@@ -146,24 +149,60 @@ func WithLeaf(h *hashing.Hasher, n *Node, i int, d hashing.Digest, rec int) *Nod
 	}
 	lw := LeftWidth(int(n.W))
 	if i < lw {
-		nl := WithLeaf(h, n.L, i, d, rec)
-		return &Node{H: h.Node(nl.H, n.R.H), L: nl, R: n.R, W: n.W, Rec: NoRecord}
+		return join(h, WithLeaf(h, n.L, i, d, rec), n.R)
 	}
-	nr := WithLeaf(h, n.R, i-lw, d, rec)
-	return &Node{H: h.Node(n.L.H, nr.H), L: n.L, R: nr, W: n.W, Rec: NoRecord}
+	return join(h, n.L, WithLeaf(h, n.R, i-lw, d, rec))
 }
 
 // SwapLeaves returns a tree with leaves i and i+1 exchanged — digest and
 // record index together — sharing structure with n. This is the
 // adjacent-transposition derivation used when walking from one
 // subdomain's FMH-tree to the next.
+//
+// One descent: the shared path down to the two leaves' lowest common
+// ancestor, then one WithLeaf on each side of it, so every new node —
+// the union of the two root paths, SwapNodes(w, i) of them — is built
+// and hashed exactly once.
 func SwapLeaves(h *hashing.Hasher, n *Node, i int) *Node {
 	if i < 0 || i+1 >= int(n.W) {
 		panic(fmt.Sprintf("mhtree: swap at %d out of range [0,%d)", i, n.W-1))
 	}
-	a := n.leaf(i)
-	b := n.leaf(i + 1)
-	return WithLeaf(h, WithLeaf(h, n, i, b.H, int(b.Rec)), i+1, a.H, int(a.Rec))
+	lw := LeftWidth(int(n.W))
+	switch {
+	case i+1 < lw:
+		return join(h, SwapLeaves(h, n.L, i), n.R)
+	case i >= lw:
+		return join(h, n.L, SwapLeaves(h, n.R, i-lw))
+	}
+	// n is the lowest common ancestor: leaf i is the left subtree's
+	// last, leaf i+1 the right subtree's first.
+	a, b := n.L.leaf(i), n.R.leaf(0)
+	return join(h, WithLeaf(h, n.L, i, b.H, int(b.Rec)), WithLeaf(h, n.R, 0, a.H, int(a.Rec)))
+}
+
+// SwapNodes returns the number of nodes SwapLeaves creates on a tree of
+// w leaves when it swaps leaves i and i+1: the two new leaves plus one
+// hashed node per node on the union of their root paths. It reads the
+// shape alone, so a caller can size a table for a swap chain's forest
+// without walking it.
+func SwapNodes(w, i int) int {
+	if i < 0 || i+1 >= w {
+		panic(fmt.Sprintf("mhtree: swap at %d out of range [0,%d)", i, w-1))
+	}
+	for n := 1; ; n++ {
+		lw := LeftWidth(w)
+		switch {
+		case i+1 < lw:
+			w = lw
+		case i >= lw:
+			w, i = w-lw, i-lw
+		default:
+			// Below the common ancestor: the left subtree's last leaf and
+			// the right subtree's first both sit at their subtree's full
+			// height, bits.Len(width-1), plus the leaf itself.
+			return n + bits.Len(uint(lw-1)) + bits.Len(uint(w-lw-1)) + 2
+		}
+	}
 }
 
 // Leaves returns all leaf digests left to right. Intended for tests and

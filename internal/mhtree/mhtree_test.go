@@ -137,6 +137,93 @@ func TestSwapLeaves(t *testing.T) {
 	}
 }
 
+// twoWithLeaf is SwapLeaves as two root-path rewrites, the first of
+// which the second partly discards: the reference the one-descent swap
+// must reproduce node for node.
+func twoWithLeaf(h *hashing.Hasher, n *Node, i int) *Node {
+	a, b := n.leaf(i), n.leaf(i+1)
+	return WithLeaf(h, WithLeaf(h, n, i, b.H, int(b.Rec)), i+1, a.H, int(a.Rec))
+}
+
+// sameTree reports whether a and b are the same tree node for node: a
+// node of old must be shared by both (the same pointer), and a new one
+// must agree in digest, width and record with new children alike.
+func sameTree(a, b *Node, old map[*Node]bool) bool {
+	if old[a] || old[b] {
+		return a == b
+	}
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.H == b.H && a.W == b.W && a.Rec == b.Rec && sameTree(a.L, b.L, old) && sameTree(a.R, b.R, old)
+}
+
+// newNodes counts the nodes of n that old does not hold.
+func newNodes(n *Node, old map[*Node]bool) int {
+	if n == nil || old[n] {
+		return 0
+	}
+	return 1 + newNodes(n.L, old) + newNodes(n.R, old)
+}
+
+// TestSwapLeavesIsTwoWithLeaf holds the one-descent swap to the
+// two-WithLeaf composition at every width and position — same digests,
+// records and shared subtrees — and to its cost: one hash per node on
+// the union of the two leaves' root paths, SwapNodes(w, i) - 2 of them.
+func TestSwapLeavesIsTwoWithLeaf(t *testing.T) {
+	var ctr metrics.Counter
+	h, ref := hashing.New(&ctr), hashing.New(nil)
+	rng := rand.New(rand.NewSource(26))
+	for w := 2; w <= 300; w++ {
+		recs := make([]int32, w)
+		for i, r := range rng.Perm(w) {
+			recs[i] = int32(r)
+		}
+		tree := Build(ref, mkLeaves(w, int64(w)), recs)
+		old := make(map[*Node]bool, 2*w)
+		var mark func(*Node)
+		mark = func(n *Node) {
+			if n != nil && !old[n] {
+				old[n] = true
+				mark(n.L)
+				mark(n.R)
+			}
+		}
+		mark(tree)
+		for i := 0; i+1 < w; i++ {
+			ctr = metrics.Counter{}
+			got, want := SwapLeaves(h, tree, i), twoWithLeaf(ref, tree, i)
+			if !sameTree(got, want, old) {
+				t.Fatalf("w=%d i=%d: the swapped tree is not the two-WithLeaf tree node for node", w, i)
+			}
+			if got.Root() != want.Root() || !slices.Equal(got.Leaves(), want.Leaves()) ||
+				!slices.Equal(got.Records(nil, 0, w-1), want.Records(nil, 0, w-1)) {
+				t.Fatalf("w=%d i=%d: root, leaves or records differ", w, i)
+			}
+			made := newNodes(got, old)
+			if made != SwapNodes(w, i) || made != newNodes(want, old) {
+				t.Fatalf("w=%d i=%d: %d new nodes, SwapNodes says %d, the reference keeps %d", w, i, made, SwapNodes(w, i), newNodes(want, old))
+			}
+			if int(ctr.Hashes) != made-2 {
+				t.Fatalf("w=%d i=%d: %d hashes for %d new internal nodes", w, i, ctr.Hashes, made-2)
+			}
+		}
+		// A 50-swap chain shares exactly what the reference's shares.
+		got, want := []*Node{tree}, []*Node{tree}
+		for k := 0; k < 50; k++ {
+			i := rng.Intn(w - 1)
+			got = append(got, SwapLeaves(h, got[k], i))
+			want = append(want, twoWithLeaf(ref, want[k], i))
+			if got[k+1].Root() != want[k+1].Root() || got[k+1].RecordAt(i) != want[k+1].RecordAt(i) {
+				t.Fatalf("w=%d: chain step %d differs", w, k)
+			}
+		}
+		if g, r := CountForest(got), CountForest(want); g != r {
+			t.Fatalf("w=%d: the chain's forest has %d nodes, the reference's %d", w, g, r)
+		}
+	}
+}
+
 func TestPersistentSharingBoundsMemory(t *testing.T) {
 	h := hashing.New(nil)
 	n := 256
