@@ -383,7 +383,6 @@ func (a *Artifact) openTree(dir string, m *manifest, v sig.Verifier, i int) (*co
 		Domain:   d.domain,
 		Template: m.template,
 		Table:    d.table,
-		Plan:     d.plan,
 		ITree:    d.itree,
 		Subs:     d.subs,
 		RootSig:  d.rootSig,

@@ -346,8 +346,11 @@ func TestSwapBlueGreen(t *testing.T) {
 }
 
 // TestEncodeTreeIsOneExactAllocation: a blob is allocated once, at the
-// length sizeTree computes, for both signing modes, a 2-D tree and every
-// shard of a set — and a sweep's forest fits the table forestBound sized.
+// length sizeTree computes, for both signing modes, a 2-D tree, every
+// shard of a set, a pencil (seven lines through one point, whose sweep
+// reverses a 7-block at one boundary) and a tree read back from an
+// artifact — and forestBound sizes the node table at exactly the
+// forest's rows.
 func TestEncodeTreeIsOneExactAllocation(t *testing.T) {
 	ctx := context.Background()
 	lines := testSpec(t, 60, 4)
@@ -356,20 +359,45 @@ func TestEncodeTreeIsOneExactAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	points := build.Spec{Table: tbl, Template: funcs.ScalarProduct(2), Domain: dom, Signer: lines.Signer}
+	// Seven lines through (1/4, 1/2) plus one off it.
+	pencilRecs := []record.Record{{ID: 1, Attrs: []float64{0.25, 0.125}}}
+	for _, slope := range []float64{-2, -1, -0.5, 0.5, 1, 2, 3} {
+		pencilRecs = append(pencilRecs, record.Record{ID: uint64(len(pencilRecs) + 1), Attrs: []float64{slope, 0.5 - slope/4}})
+	}
+	pencilTbl, err := record.NewTable(lines.Table.Schema, pencilRecs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pencil := build.Spec{Table: pencilTbl, Template: lines.Template, Domain: geometry.MustBox([]float64{-1}, []float64{1}), Signer: lines.Signer}
 	for _, tc := range []struct {
-		name string
-		spec build.Spec
-		opts []build.Option
+		name   string
+		spec   build.Spec
+		opts   []build.Option
+		reopen bool
 	}{
-		{"one", lines, []build.Option{build.WithMode(core.OneSignature), build.WithShuffle(4)}},
-		{"multi", lines, []build.Option{build.WithMode(core.MultiSignature), build.WithShuffle(4)}},
-		{"2d", points, []build.Option{build.WithMode(core.MultiSignature)}},
-		{"set", lines, []build.Option{build.WithMode(core.OneSignature), build.WithShuffle(4), build.WithShards(2, 0)}},
+		{"one", lines, []build.Option{build.WithMode(core.OneSignature), build.WithShuffle(4)}, false},
+		{"multi", lines, []build.Option{build.WithMode(core.MultiSignature), build.WithShuffle(4)}, false},
+		{"2d", points, []build.Option{build.WithMode(core.MultiSignature)}, false},
+		{"set", lines, []build.Option{build.WithMode(core.OneSignature), build.WithShuffle(4), build.WithShards(2, 0)}, false},
+		{"pencil", pencil, []build.Option{build.WithMode(core.OneSignature)}, false},
+		{"reopened", lines, []build.Option{build.WithMode(core.MultiSignature), build.WithShuffle(4)}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := build.Outsource(ctx, tc.spec, tc.opts...)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.reopen {
+				dir := t.TempDir()
+				if _, err := Save(dir, res); err != nil {
+					t.Fatal(err)
+				}
+				a, err := Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer a.Close()
+				res = a.Result
 			}
 			for i, tr := range treesOf(t, res) {
 				s := tr.Snapshot()
@@ -380,8 +408,8 @@ func TestEncodeTreeIsOneExactAllocation(t *testing.T) {
 				if cap(blob) != len(blob) {
 					t.Errorf("tree %d: a %d-byte blob in a %d-byte allocation", i, len(blob), cap(blob))
 				}
-				if rows := tr.Stats().FMHNodes; forestBound(s) < rows {
-					t.Errorf("tree %d: forestBound %d under the forest's %d rows", i, forestBound(s), rows)
+				if rows := tr.Stats().FMHNodes; forestBound(s) != rows {
+					t.Errorf("tree %d: forestBound %d for the forest's %d rows", i, forestBound(s), rows)
 				}
 			}
 		})
@@ -616,70 +644,106 @@ func TestLeafRowsAreValidated(t *testing.T) {
 	}
 }
 
-// TestFormat2IsRefused: testdata/format2 holds two multi-signature
-// artifacts the parent commit built and saved in format 2 — "lines" the
-// univariate fuzz-seed build, "points" a bivariate one. Format 2 carried
-// a flags byte after the mode and, for a multivariate tree, a copy of
-// every subdomain's order in a permutation row nothing checked against
-// the leaves. Both are refused by version, file and directory alike, and
-// the same builds now are exactly those bytes shorter and fingerprint as
-// the old manifests pinned them.
-func TestFormat2IsRefused(t *testing.T) {
-	ctx := context.Background()
-	lines := testSpec(t, 4, 2)
-	tbl, dom, err := workload.Points(workload.PointsConfig{N: 5, Dim: 2, Seed: 1, Dist: workload.AntiCorrelated})
+// oldFormatNames are the artifacts testdata/format<v> holds, each built
+// and saved by the parent commit of the bump that retired format v:
+// "lines" the univariate fuzz-seed build, "points" a bivariate one, both
+// multi-signature (see oldFormatBuild).
+var oldFormatNames = []string{"lines", "points"}
+
+// oldFormatBuild rebuilds the named fixture's product now.
+func oldFormatBuild(t *testing.T, name string) *build.Result {
+	t.Helper()
+	spec, opts := testSpec(t, 4, 2), []build.Option{build.WithMode(core.MultiSignature), build.WithShuffle(2)}
+	if name == "points" {
+		tbl, dom, err := workload.Points(workload.PointsConfig{N: 5, Dim: 2, Seed: 1, Dist: workload.AntiCorrelated})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec = build.Spec{Table: tbl, Template: funcs.ScalarProduct(2), Domain: dom, Signer: spec.Signer}
+		opts = []build.Option{build.WithMode(core.MultiSignature)}
+	}
+	res, err := build.Outsource(context.Background(), spec, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	points := build.Spec{Table: tbl, Template: funcs.ScalarProduct(2), Domain: dom, Signer: lines.Signer}
+	return res
+}
 
-	for _, tc := range []struct {
-		name    string
-		spec    build.Spec
-		opts    []build.Option
-		permRow int // bytes of one format-2 permutation row; 0: the blob had none
-	}{
-		{"lines", lines, []build.Option{build.WithMode(core.MultiSignature), build.WithShuffle(2)}, 0},
-		{"points", points, []build.Option{build.WithMode(core.MultiSignature)}, 4 + 4*5},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := filepath.Join("testdata", "format2", tc.name)
-			old := mustRead(t, filepath.Join(dir, treeName))
-			if _, err := decodeTree(old); !errors.Is(err, ErrVersion) {
-				t.Fatalf("format-2 blob: got %v, want %v", err, ErrVersion)
-			}
-			if _, err := Open(dir); !errors.Is(err, ErrVersion) {
-				t.Fatalf("format-2 directory: got %v, want %v", err, ErrVersion)
-			}
+// refusedByVersion checks that an old-format directory is refused with
+// ErrVersion, its tree blob alone and the whole directory alike, and
+// returns the blob.
+func refusedByVersion(t *testing.T, dir string) []byte {
+	t.Helper()
+	old := mustRead(t, filepath.Join(dir, treeName))
+	if _, err := decodeTree(old); !errors.Is(err, ErrVersion) {
+		t.Fatalf("%s blob: got %v, want %v", dir, err, ErrVersion)
+	}
+	if _, err := Open(dir); !errors.Is(err, ErrVersion) {
+		t.Fatalf("%s directory: got %v, want %v", dir, err, ErrVersion)
+	}
+	return old
+}
 
-			res, err := build.Outsource(ctx, tc.spec, tc.opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
+// TestFormat2IsRefused: format 2 carried a flags byte after the mode and,
+// for a multivariate tree, a copy of every subdomain's order in a
+// permutation row nothing checked against the leaves. Both fixtures are
+// refused by version.
+func TestFormat2IsRefused(t *testing.T) {
+	for _, name := range oldFormatNames {
+		t.Run(name, func(t *testing.T) { refusedByVersion(t, filepath.Join("testdata", "format2", name)) })
+	}
+}
+
+// TestFormat3IsRefused: format 3 carried the sweep plan — owner state no
+// server reads — between the records and the FMH forest. Both fixtures
+// are refused by version, and the blob the same build writes now is the
+// format-3 blob minus exactly that section, restamped and resealed, byte
+// for byte: no served byte moved.
+func TestFormat3IsRefused(t *testing.T) {
+	for _, name := range oldFormatNames {
+		t.Run(name, func(t *testing.T) {
+			old := refusedByVersion(t, filepath.Join("testdata", "format3", name))
+			res := oldFormatBuild(t, name)
 			now := t.TempDir()
 			if _, err := Save(now, res); err != nil {
 				t.Fatal(err)
 			}
 			blob := mustRead(t, filepath.Join(now, treeName))
-			if got, want := len(old)-len(blob), 1+res.Tree.NumSubdomains()*tc.permRow; got != want {
-				t.Errorf("the blob is %d bytes shorter than its format-2 form, want %d", got, want)
+
+			s := res.Tree.Snapshot()
+			n, boundaries := s.Table.Len(), len(s.Subs)-1
+			if s.Template.Dim() != 1 {
+				n, boundaries = 0, 0 // a multivariate tree had an empty plan
 			}
-			// A manifest ends in the blob's hash, the tree's fingerprint
-			// and its own seal.
-			man := mustRead(t, filepath.Join(dir, ManifestName))
-			fp := res.Tree.Fingerprint()
-			if pinned := man[len(man)-64 : len(man)-32]; !bytes.Equal(pinned, fp[:]) {
-				t.Errorf("fingerprint %x, the format-2 manifest pinned %x", fp, pinned)
+			// The plan followed magic, version, epoch, mode, shard index,
+			// domain, schema and records: a u32-counted base permutation,
+			// then a u32-counted list of boundaries, each a u32-counted
+			// list of swap positions.
+			at := len(magicTree) + 4 + 8 + 1 + 4 + 4 + 16*s.Domain.Dim() + 4 + len(s.Table.Schema.Name) + 4
+			for _, c := range s.Table.Schema.Columns {
+				at += 4 + len(c.Name) + 4 + len(c.Description)
 			}
-			if tc.permRow == 0 {
-				// With no permutation rows the flags byte (after magic,
-				// version, epoch and mode) is the whole difference.
-				const flagsAt = 4 + 4 + 8 + 1
-				body := append(append([]byte(nil), old[:flagsAt]...), old[flagsAt+1:]...)
-				binary.BigEndian.PutUint32(body[len(magicTree):], formatVersion)
-				if !bytes.Equal(reseal(body), blob) {
-					t.Error("the format-2 blob minus its flags byte is not the blob written now")
-				}
+			at += 4
+			for _, rec := range s.Table.Records {
+				at += rec.EncodedLen()
+			}
+			end := at
+			u32 := func() int { v := int(binary.BigEndian.Uint32(old[end:])); end += 4; return v }
+			if got := u32(); got != n {
+				t.Fatalf("the format-3 plan has %d base entries, want %d", got, n)
+			}
+			end += 4 * n
+			if got := u32(); got != boundaries {
+				t.Fatalf("the format-3 plan has %d boundaries, want %d", got, boundaries)
+			}
+			for b := 0; b < boundaries; b++ {
+				end += 4 * u32()
+			}
+
+			body := append(append([]byte(nil), old[:at]...), old[end:]...)
+			binary.BigEndian.PutUint32(body[len(magicTree):], formatVersion)
+			if !bytes.Equal(reseal(body), blob) {
+				t.Errorf("the format-3 blob minus its %d-byte plan is not the %d-byte blob written now", end-at, len(blob))
 			}
 		})
 	}
@@ -726,9 +790,9 @@ func TestWorkedExample(t *testing.T) {
 	blob := mustRead(t, filepath.Join(dir, treeName))
 	blobHash := sha256.Sum256(blob[:len(blob)-32])
 
-	const wantManifest = "4151414d00000003010000000000000001000000002d04302a300506032b6570032100069d8d6980eaf1bca2e4118bc612a13f23791bf2c60ceef2692b581d27b0a1590000000b616666696e652d6c696e650000000100000000000000013e112e0be826d69500000001bff00000000000003ff000000000000000000000000000000000000169048f1a138682012f128dc3d29df5fc9a587d9e5f1a5082440df336291318e7fbd8dbea173402914b48e3f7d8ce92804663025e9dc6d77391b1221a9bd7631758b822474e3e13928369dcfab01ed66be1fd9b7adf9e87d5b6af7bc2383139f5"
-	const wantBlobHash = "69048f1a138682012f128dc3d29df5fc9a587d9e5f1a5082440df336291318e7"
-	const wantArtifact = "58b822474e3e13928369dcfab01ed66be1fd9b7adf9e87d5b6af7bc2383139f5"
+	const wantManifest = "4151414d00000004010000000000000001000000002d04302a300506032b6570032100069d8d6980eaf1bca2e4118bc612a13f23791bf2c60ceef2692b581d27b0a1590000000b616666696e652d6c696e650000000100000000000000013e112e0be826d69500000001bff00000000000003ff000000000000000000000000000000000000112e8410829acaf9a8a4f06973e7e1b5c8a1af3d00c76e29bc6ca9d367eb9a76c052c359d85e930a416f2a65aea0caa8e6bc4451780feadcdb8072adef1f0791be5a8b9882cfd2d4b5e456cbc82d808239c22a6c472124abed3d0e08fff9e6c3d"
+	const wantBlobHash = "12e8410829acaf9a8a4f06973e7e1b5c8a1af3d00c76e29bc6ca9d367eb9a76c"
+	const wantArtifact = "e5a8b9882cfd2d4b5e456cbc82d808239c22a6c472124abed3d0e08fff9e6c3d"
 	if manifestHex != wantManifest {
 		t.Errorf("manifest bytes drifted:\n got %s\nwant %s", manifestHex, wantManifest)
 	}
@@ -739,16 +803,16 @@ func TestWorkedExample(t *testing.T) {
 		t.Errorf("artifact hash drifted: got %s want %s", info.HashHex(), wantArtifact)
 	}
 
-	// The forest rows the doc quotes: 26 rows from byte 225, a leaf row
+	// The forest rows the doc quotes: 26 rows from byte 181, a leaf row
 	// carrying its record index (none for the sentinel) where an internal
 	// row carries its right child.
-	const forestAt, row = 225, 44
+	const forestAt, row = 181, 44
 	wantRows := []string{ // left, right, width of rows 0..5
 		"ffffffffffffffff00000001", "ffffffff0000000000000001", "000000000000000100000002",
 		"ffffffff0000000200000001", "ffffffff0000000100000001", "000000030000000400000002",
 	}
-	if len(blob) != 1864 || hex.EncodeToString(blob[forestAt:forestAt+4]) != "0000001a" {
-		t.Fatalf("blob is %d bytes with forest count %x at %d; the doc says 1864 and 26", len(blob), blob[forestAt:forestAt+4], forestAt)
+	if len(blob) != 1820 || hex.EncodeToString(blob[forestAt:forestAt+4]) != "0000001a" {
+		t.Fatalf("blob is %d bytes with forest count %x at %d; the doc says 1820 and 26", len(blob), blob[forestAt:forestAt+4], forestAt)
 	}
 	for i, want := range wantRows {
 		at := forestAt + 4 + i*row + 32 // past the row's digest

@@ -15,7 +15,6 @@ import (
 	"aqverify/internal/mhtree"
 	"aqverify/internal/record"
 	"aqverify/internal/shard"
-	"aqverify/internal/sweep"
 )
 
 // formatVersion is the on-disk format version both file kinds carry.
@@ -23,8 +22,9 @@ import (
 // Version 2 put the record index in FMH leaf rows (version 1 leaves named
 // no record, so a version-1 forest cannot serve); version 3 dropped the
 // tree blob's flags byte and the per-subdomain permutation rows it
-// announced — the leaves are the only copy of the order.
-const formatVersion = 3
+// announced — the leaves are the only copy of the order; version 4
+// dropped the sweep plan, owner state no server reads.
+const formatVersion = 4
 
 // nilIndex marks a nil child pointer / absent shard index in the node
 // tables (indices are u32, so the all-ones value can never be a real
@@ -282,19 +282,6 @@ func encodeTree(s core.Snapshot, shardIdx int) ([]byte, hashing.Digest, error) {
 		w.buf = rec.Encode(w.buf)
 	}
 
-	// Sweep plan (empty for a multivariate tree).
-	w.u32(uint32(len(s.Plan.BasePerm)))
-	for _, p := range s.Plan.BasePerm {
-		w.u32(uint32(p))
-	}
-	w.u32(uint32(len(s.Plan.Swaps)))
-	for _, sw := range s.Plan.Swaps {
-		w.u32(uint32(len(sw)))
-		for _, pos := range sw {
-			w.u32(uint32(pos))
-		}
-	}
-
 	// A row is digest, left, right, width. A leaf has no children: its
 	// left slot is nilIndex and its right slot names the record the leaf
 	// commits to — mhtree.NoRecord (-1, a sentinel's) is nilIndex as a u32.
@@ -346,23 +333,19 @@ func encodeTree(s core.Snapshot, shardIdx int) ([]byte, hashing.Digest, error) {
 	return buf, h, nil
 }
 
-// forestBound bounds the distinct FMH nodes of a snapshot's lists from
-// their shape alone: one whole tree per list, except that a sweep's
-// lists after the first add only the nodes of their swaps — exact
-// unless one boundary swaps a path twice.
+// forestBound counts the distinct FMH nodes of a snapshot's lists from
+// the lists themselves: the first whole, then each list's nodes that its
+// left neighbor does not hold at the same position — exact for a sweep
+// chain, built or loaded, and for lists built from scratch. Every node
+// is counted where it first appears, so it never undercounts; a forest
+// sharing nodes across positions only oversizes the node table.
 func forestBound(s core.Snapshot) int {
 	if len(s.Subs) == 0 {
 		return 0
 	}
-	w := s.Subs[0].List.Tree.LeafCount()
-	if len(s.Plan.Swaps) == 0 {
-		return len(s.Subs) * (2*w - 1)
-	}
-	n := 2*w - 1
-	for _, sw := range s.Plan.Swaps {
-		for _, pos := range sw {
-			n += mhtree.SwapNodes(w, pos+1) // a list's leaf p+1 is its record p
-		}
+	n := 2*s.Subs[0].List.Tree.LeafCount() - 1
+	for k := 1; k < len(s.Subs); k++ {
+		n += mhtree.ChangedNodes(s.Subs[k-1].List.Tree, s.Subs[k].List.Tree)
 	}
 	return n
 }
@@ -378,10 +361,6 @@ func sizeTree(s core.Snapshot, nf int, inodes []*itree.Node) int {
 	n += 4
 	for _, rec := range s.Table.Records {
 		n += rec.EncodedLen()
-	}
-	n += 4 + 4*len(s.Plan.BasePerm) + 4
-	for _, sw := range s.Plan.Swaps {
-		n += 4 + 4*len(sw)
 	}
 	n += 4 + forestRow*nf + 4 + 4*len(s.Subs)
 	if s.Mode == core.MultiSignature {
@@ -447,7 +426,6 @@ type decodedTree struct {
 	shard   uint32 // nilIndex when the blob belongs to no shard
 	domain  geometry.Box
 	table   record.Table
-	plan    sweep.Plan
 	itree   *itree.Tree
 	subs    []*core.SubInfo
 	rootSig []byte
@@ -508,34 +486,6 @@ func decodeTree(data []byte) (*decodedTree, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	d.table = tbl
-
-	// Sweep plan.
-	d.plan.BasePerm = make([]int, r.count("base permutation", 4))
-	for i := range d.plan.BasePerm {
-		p := r.u32("base permutation")
-		if r.err == nil && uint64(p) >= uint64(n) {
-			r.corrupt("base permutation entry %d outside %d records", p, n)
-			return nil, r.err
-		}
-		d.plan.BasePerm[i] = int(p)
-	}
-	nb := r.count("boundary", 4)
-	if nb > 0 {
-		d.plan.Swaps = make([][]int, nb)
-		for b := range d.plan.Swaps {
-			cnt := r.count("boundary swap", 4)
-			sw := make([]int, cnt)
-			for i := range sw {
-				pos := r.u32("swap position")
-				if r.err == nil && (n < 1 || uint64(pos) >= uint64(n-1)) {
-					r.corrupt("swap position %d outside %d records", pos, n)
-					return nil, r.err
-				}
-				sw[i] = int(pos)
-			}
-			d.plan.Swaps[b] = sw
-		}
-	}
 
 	// FMH forest.
 	nf := r.count("fmh node", forestRow)

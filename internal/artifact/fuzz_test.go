@@ -78,20 +78,22 @@ func firstRecordLeaf(f testing.TB) hashing.Digest {
 // FuzzDecodeTree hammers the blob decoder: any input must either decode
 // or be refused with a named error — never panic, never over-allocate.
 // The seed corpus covers the honest blob plus the refusal matrix's
-// shapes: truncations, a flipped content-hash bit, a wrong magic, the
-// previous format version (stamped, and as the parent commit wrote it —
-// see TestFormat2IsRefused), and a leaf row naming a record outside the
-// table.
+// shapes: truncations, a flipped content-hash bit, a wrong magic, older
+// format versions (stamped, and as the parent commits of the bumps wrote
+// them — see TestFormat2IsRefused and TestFormat3IsRefused), and a leaf
+// row naming a record outside the table.
 func FuzzDecodeTree(f *testing.F) {
 	blob, _ := fuzzSeeds(f)
 	f.Add(blob)
 	f.Add(asVersion1(blob))
-	for _, name := range []string{"lines", "points"} {
-		old, err := os.ReadFile(filepath.Join("testdata", "format2", name, treeName))
-		if err != nil {
-			f.Fatal(err)
+	for _, format := range []string{"format2", "format3"} {
+		for _, name := range oldFormatNames {
+			old, err := os.ReadFile(filepath.Join("testdata", format, name, treeName))
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(old)
 		}
-		f.Add(old)
 	}
 	f.Add(withLeafRecord(f, blob, firstRecordLeaf(f), 4))
 	f.Add(blob[:len(blob)/2])

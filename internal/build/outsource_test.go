@@ -245,11 +245,13 @@ func TestOutsourceProgress(t *testing.T) {
 	}
 }
 
-// TestPinnedFingerprints holds four fixed builds to the fingerprints the
-// insert-path construction produced for them (recorded at the commit
-// before univariate trees were read straight off the arrangement):
-// treap uniqueness checked end to end, through every hash and signature,
-// and the proof that no WithShuffle caller saw a byte move.
+// TestPinnedFingerprints holds four fixed builds to pinned fingerprints:
+// first recorded from the insert-path construction (at the commit before
+// univariate trees were read straight off the arrangement) — treap
+// uniqueness checked end to end, through every hash and signature, and
+// the proof that no WithShuffle caller saw a byte move — and re-pinned
+// once, unchanged builds, when the fingerprint stopped hashing the sweep
+// plan (format 4).
 func TestPinnedFingerprints(t *testing.T) {
 	ctx := context.Background()
 	spec := testSpec(t, 60, 3, workload.Gaussian)
@@ -259,17 +261,17 @@ func TestPinnedFingerprints(t *testing.T) {
 		want   []string
 	}{
 		{core.OneSignature, 0, []string{
-			"7f99a97cc03e7bf2784301192f5d5a7b1db0cafafa41051b06a53f43466350f2"}},
+			"a7e3a5dd91006282a2aed08a05a8559e6ab5b67fcec055cfb034e7cada196331"}},
 		{core.OneSignature, 3, []string{
-			"21e9b4c8baf0aee573ecf6bbfa7bc7b7b786c131b69f4b4459ff0fb7964dcee1",
-			"8fbd0d3720be8b5c6d3f4500f0b0ffe97aa55a8b496742f3e3744612397e4768",
-			"0006480133a9cfcf2de830624955baac59a1b20d97cba3272d7e3d0fa99d5157"}},
+			"245e52b5c6d0c3d3b3e3eb7043df133684d7a01b9a56bb0fd7681f648559204c",
+			"d70eea212333bd45ed910264be06735064c97cf03bb6494f0502162cdbb01a3d",
+			"1fbbd344484143e1dcef3275d383168f7328faec656d3da5b42999053d26a8c1"}},
 		{core.MultiSignature, 0, []string{
-			"472f1dced78631413f72fa3d1f62db132462b38c12224228ff443120c90ca79c"}},
+			"1499b535811f73a67f2fed425ff93df994821f76af44ff1b8508bbd0ffb6a513"}},
 		{core.MultiSignature, 3, []string{
-			"d299df47e1048653eac36def6f6c9fb7f5fdc0719759daa4de9c9e780eaf05ba",
-			"9670374ff863204d3f140d0b1317e8b67608eac8c3fca3b56159927f094836eb",
-			"40b410886652a305e102d5414d9ac196adc74f7bf68abf443d237813f6af3aaa"}},
+			"b73a8ae3252fdcc111244c68b095a50dfebe8d0c498d7e20b4fa2367a3a76cff",
+			"631e88d6f00480600187303028cee10f401a67a4ce26a8a6cfedd792609f6ae9",
+			"03ba0b69bb5f1bdec648ea68a9b4325a39cebdbd9e68bd422f1339ee266e791b"}},
 	} {
 		opts := []Option{WithMode(c.mode), WithShuffle(5)}
 		if c.shards > 0 {

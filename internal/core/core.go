@@ -186,24 +186,22 @@ type Tree struct {
 	itree *itree.Tree
 	subs  []*SubInfo
 
-	// Sweep plan (1-D): the base permutation and per-boundary swaps the
-	// lists were derived by. Serving never reads it (every list
-	// names its own records); the next ApplyCtx replays it, and it is part
-	// of the fingerprint.
-	plan sweep.Plan
-
 	rootDigest hashing.Digest
 	rootSig    []byte // one-signature mode
 	verifier   sig.Verifier
 	sigCount   int
 
 	// Mutation-plane state: the publication epoch, the arrangement the
-	// tree was read off (every univariate tree built or applied by this
-	// process; nil for multivariate and FromSnapshot trees), and the
-	// build parameters, retained so ApplyCtx runs the stages the way the
-	// original construction did.
+	// tree was read off and the sweep plan its lists were derived by (the
+	// base permutation and per-boundary swaps; both held by every
+	// univariate tree built or applied by this process, nil and zero for
+	// multivariate and FromSnapshot trees), and the build parameters,
+	// retained so ApplyCtx runs the stages the way the original
+	// construction did. The arrangement and the plan are owner state:
+	// serving never reads them, and no Snapshot carries them.
 	epoch uint64
 	arr   *itree.Arrangement1D
+	plan  sweep.Plan
 	bp    Params
 }
 

@@ -9,12 +9,11 @@ import (
 	"aqverify/internal/itree"
 	"aqverify/internal/record"
 	"aqverify/internal/sig"
-	"aqverify/internal/sweep"
 )
 
 // Snapshot is the complete serve-state of a built tree: every field a
-// server needs to answer and authenticate queries, and nothing the
-// owner keeps private (the signer, the canonical arrangement). The
+// server needs to answer and authenticate queries, and nothing private
+// to the owner (the signer, the arrangement, the sweep plan). The
 // artifact plane (internal/artifact) persists snapshots to disk and
 // reconstructs serving trees from them through FromSnapshot; the two
 // directions meet at Fingerprint — a reconstructed tree fingerprints
@@ -28,8 +27,6 @@ type Snapshot struct {
 	Domain   geometry.Box
 	Template funcs.Template
 	Table    record.Table
-	// Plan is the univariate sweep plan (zero for a multivariate tree).
-	Plan sweep.Plan
 	// ITree is the IMH search tree with every node hash filled.
 	ITree *itree.Tree
 	// Subs carries each subdomain's FMH list — whose leaves are the
@@ -50,7 +47,6 @@ func (t *Tree) Snapshot() Snapshot {
 		Domain:   t.domain,
 		Template: t.template,
 		Table:    t.table,
-		Plan:     t.plan,
 		ITree:    t.itree,
 		Subs:     t.subs,
 		RootSig:  t.rootSig,
@@ -67,8 +63,8 @@ func (t *Tree) Snapshot() Snapshot {
 //
 // The result is serve-only: it answers and authenticates queries
 // exactly like the original (equal Fingerprint), but it retains no
-// signer and no canonical arrangement, so ApplyCtx refuses it — the
-// owner mutates its own build and publishes a new artifact.
+// signer, arrangement or sweep plan, so ApplyCtx refuses it — the owner
+// mutates its own build and publishes a new artifact.
 //
 // FromSnapshot validates structural consistency (counts, index ranges,
 // mode-required fields), not cryptographic integrity: a caller that
@@ -129,7 +125,6 @@ func FromSnapshot(s Snapshot) (*Tree, error) {
 		fs:       fs,
 		itree:    s.ITree,
 		subs:     s.Subs,
-		plan:     s.Plan,
 		rootSig:  s.RootSig,
 		verifier: s.Verifier,
 		epoch:    s.Epoch,
@@ -150,16 +145,6 @@ func FromSnapshot(s Snapshot) (*Tree, error) {
 			return nil, fmt.Errorf("core: subdomain %d list covers %d leaves for %d records",
 				i, si.List.LeafCount(), n)
 		}
-	}
-	// A univariate tree carries the plan its lists were derived by; a
-	// multivariate tree has none.
-	wantPerm, wantSwaps := n, len(s.Subs)-1
-	if s.Template.Dim() != 1 {
-		wantPerm, wantSwaps = 0, 0
-	}
-	if len(s.Plan.BasePerm) != wantPerm || len(s.Plan.Swaps) != wantSwaps {
-		return nil, fmt.Errorf("core: %d-D snapshot plan has %d base entries and %d boundary swap lists for %d records in %d subdomains",
-			s.Template.Dim(), len(s.Plan.BasePerm), len(s.Plan.Swaps), n, len(s.Subs))
 	}
 
 	switch s.Mode {

@@ -20,7 +20,7 @@ type Stats struct {
 	Signatures     int
 	SignatureBytes int
 	// TotalSwaps is the sweep's transposition count (zero for
-	// multivariate trees).
+	// multivariate and serve-only trees).
 	TotalSwaps int
 	// ApproxBytes estimates the serialized structure size from the
 	// component counts (see the constants below).

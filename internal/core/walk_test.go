@@ -19,7 +19,6 @@ import (
 	"aqverify/internal/query"
 	"aqverify/internal/record"
 	"aqverify/internal/sig"
-	"aqverify/internal/sweep"
 	"aqverify/internal/wire"
 	"aqverify/internal/workload"
 )
@@ -289,8 +288,10 @@ func TestProcessCostIsFlatInN(t *testing.T) {
 // TestLeafIndexIsThePermutation: wherever a list is made — the delta
 // chain of a first build, the lists build.Apply re-derives, the forest
 // artifact.Open reads back — position p of subdomain id's list names the
-// record the sweep puts there, for every subdomain, with the sweep
-// cursor as the reference; and the two sentinels name no record.
+// record at position p of the exact sort of the functions at the
+// subdomain's witness, for every subdomain; and the two sentinels name
+// no record. A reopened tree keeps no regions, so it is held to the
+// witnesses of the tree it was saved from.
 func TestLeafIndexIsThePermutation(t *testing.T) {
 	tbl := quarterTable(t, 30, 2, 7)
 	spec := build.Spec{Table: tbl, Template: funcs.AffineLine(0, 1),
@@ -307,23 +308,38 @@ func TestLeafIndexIsThePermutation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for name, tree := range map[string]*core.Tree{
-		"built":             first.Tree,
-		"applied":           applied.Tree,
-		"built, reopened":   reopen(t, first),
-		"applied, reopened": reopen(t, applied),
+	// sorted is the reference: subdomain id's exact order at its witness.
+	sorted := func(res *build.Result) [][]int {
+		snap := res.Tree.Snapshot()
+		fs, err := snap.Template.InterpretTable(snap.Table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		space := snap.ITree.Space.(*geometry.Space1D)
+		out := make([][]int, len(snap.ITree.Subs))
+		for id, sub := range snap.ITree.Subs {
+			out[id] = funcs.SortAtRat(fs, space.WitnessRat(sub.Region))
+		}
+		return out
+	}
+	firstOrders, appliedOrders := sorted(first), sorted(applied)
+	for _, tc := range []struct {
+		name   string
+		tree   *core.Tree
+		orders [][]int
+	}{
+		{"built", first.Tree, firstOrders},
+		{"applied", applied.Tree, appliedOrders},
+		{"built, reopened", reopen(t, first), firstOrders},
+		{"applied, reopened", reopen(t, applied), appliedOrders},
 	} {
-		snap := tree.Snapshot()
+		name, snap := tc.name, tc.tree.Snapshot()
 		n := snap.Table.Len()
-		cursor := sweep.NewCursor(snap.Plan)
-		if len(snap.Subs) < 2 {
-			t.Fatalf("%s: %d subdomains, want a sweep to follow", name, len(snap.Subs))
+		if len(snap.Subs) < 2 || len(snap.Subs) != len(tc.orders) {
+			t.Fatalf("%s: %d subdomains for %d witnesses, want a sweep to follow", name, len(snap.Subs), len(tc.orders))
 		}
 		for id, si := range snap.Subs {
-			want, err := cursor.PermAt(id)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := tc.orders[id]
 			got, err := si.List.Window(nil, 0, n)
 			if err != nil {
 				t.Fatal(err)
@@ -332,11 +348,11 @@ func TestLeafIndexIsThePermutation(t *testing.T) {
 				t.Fatalf("%s: subdomain %d sentinels name records %d, %d", name, id, got[0], got[n+1])
 			}
 			if !slices.Equal(got[1:n+1], want) {
-				t.Fatalf("%s: subdomain %d list reads %v, sweep says %v", name, id, got[1:n+1], want)
+				t.Fatalf("%s: subdomain %d list reads %v, the sort says %v", name, id, got[1:n+1], want)
 			}
 			for _, p := range []int{0, n / 2, n - 1} {
 				if si.List.RecordAt(p) != want[p] {
-					t.Fatalf("%s: subdomain %d RecordAt(%d) = %d, sweep says %d", name, id, p, si.List.RecordAt(p), want[p])
+					t.Fatalf("%s: subdomain %d RecordAt(%d) = %d, the sort says %d", name, id, p, si.List.RecordAt(p), want[p])
 				}
 			}
 		}

@@ -161,8 +161,8 @@ func WithLeaf(h *hashing.Hasher, n *Node, i int, d hashing.Digest, rec int) *Nod
 //
 // One descent: the shared path down to the two leaves' lowest common
 // ancestor, then one WithLeaf on each side of it, so every new node —
-// the union of the two root paths, SwapNodes(w, i) of them — is built
-// and hashed exactly once.
+// the two leaves and the union of their root paths — is built and
+// hashed exactly once.
 func SwapLeaves(h *hashing.Hasher, n *Node, i int) *Node {
 	if i < 0 || i+1 >= int(n.W) {
 		panic(fmt.Sprintf("mhtree: swap at %d out of range [0,%d)", i, n.W-1))
@@ -180,29 +180,19 @@ func SwapLeaves(h *hashing.Hasher, n *Node, i int) *Node {
 	return join(h, WithLeaf(h, n.L, i, b.H, int(b.Rec)), WithLeaf(h, n.R, 0, a.H, int(a.Rec)))
 }
 
-// SwapNodes returns the number of nodes SwapLeaves creates on a tree of
-// w leaves when it swaps leaves i and i+1: the two new leaves plus one
-// hashed node per node on the union of their root paths. It reads the
-// shape alone, so a caller can size a table for a swap chain's forest
-// without walking it.
-func SwapNodes(w, i int) int {
-	if i < 0 || i+1 >= w {
-		panic(fmt.Sprintf("mhtree: swap at %d out of range [0,%d)", i, w-1))
+// ChangedNodes returns the number of nodes of next that are not the node
+// at the same position in prev, for two trees of equal width — when next
+// was derived from prev (SwapLeaves, WithLeaf), the nodes the derivation
+// created. It descends only where the two differ, so a caller can size a
+// table for a chain of lists' forest from the lists alone.
+func ChangedNodes(prev, next *Node) int {
+	if next == prev {
+		return 0
 	}
-	for n := 1; ; n++ {
-		lw := LeftWidth(w)
-		switch {
-		case i+1 < lw:
-			w = lw
-		case i >= lw:
-			w, i = w-lw, i-lw
-		default:
-			// Below the common ancestor: the left subtree's last leaf and
-			// the right subtree's first both sit at their subtree's full
-			// height, bits.Len(width-1), plus the leaf itself.
-			return n + bits.Len(uint(lw-1)) + bits.Len(uint(w-lw-1)) + 2
-		}
+	if next.W == 1 {
+		return 1
 	}
+	return 1 + ChangedNodes(prev.L, next.L) + ChangedNodes(prev.R, next.R)
 }
 
 // Leaves returns all leaf digests left to right. Intended for tests and

@@ -168,8 +168,9 @@ func newNodes(n *Node, old map[*Node]bool) int {
 
 // TestSwapLeavesIsTwoWithLeaf holds the one-descent swap to the
 // two-WithLeaf composition at every width and position — same digests,
-// records and shared subtrees — and to its cost: one hash per node on
-// the union of the two leaves' root paths, SwapNodes(w, i) - 2 of them.
+// records and shared subtrees — and to its cost: the two new leaves plus
+// one hashed node per node on the union of their root paths, the count
+// ChangedNodes reads off the two trees.
 func TestSwapLeavesIsTwoWithLeaf(t *testing.T) {
 	var ctr metrics.Counter
 	h, ref := hashing.New(&ctr), hashing.New(nil)
@@ -201,15 +202,17 @@ func TestSwapLeavesIsTwoWithLeaf(t *testing.T) {
 				t.Fatalf("w=%d i=%d: root, leaves or records differ", w, i)
 			}
 			made := newNodes(got, old)
-			if made != SwapNodes(w, i) || made != newNodes(want, old) {
-				t.Fatalf("w=%d i=%d: %d new nodes, SwapNodes says %d, the reference keeps %d", w, i, made, SwapNodes(w, i), newNodes(want, old))
+			if made != ChangedNodes(tree, got) || made != newNodes(want, old) {
+				t.Fatalf("w=%d i=%d: %d new nodes, ChangedNodes says %d, the reference keeps %d", w, i, made, ChangedNodes(tree, got), newNodes(want, old))
 			}
 			if int(ctr.Hashes) != made-2 {
 				t.Fatalf("w=%d i=%d: %d hashes for %d new internal nodes", w, i, ctr.Hashes, made-2)
 			}
 		}
-		// A 50-swap chain shares exactly what the reference's shares.
+		// A 50-swap chain shares exactly what the reference's shares, and
+		// its adjacent differences count its forest.
 		got, want := []*Node{tree}, []*Node{tree}
+		counted := 2*w - 1
 		for k := 0; k < 50; k++ {
 			i := rng.Intn(w - 1)
 			got = append(got, SwapLeaves(h, got[k], i))
@@ -217,9 +220,10 @@ func TestSwapLeavesIsTwoWithLeaf(t *testing.T) {
 			if got[k+1].Root() != want[k+1].Root() || got[k+1].RecordAt(i) != want[k+1].RecordAt(i) {
 				t.Fatalf("w=%d: chain step %d differs", w, k)
 			}
+			counted += ChangedNodes(got[k], got[k+1])
 		}
-		if g, r := CountForest(got), CountForest(want); g != r {
-			t.Fatalf("w=%d: the chain's forest has %d nodes, the reference's %d", w, g, r)
+		if g, r := CountForest(got), CountForest(want); g != r || g != counted {
+			t.Fatalf("w=%d: the chain's forest has %d nodes, the reference's %d, ChangedNodes sums to %d", w, g, r, counted)
 		}
 	}
 }
