@@ -437,10 +437,6 @@ func WrapCache(b Backend, opts ...CacheOption) (*Cache, error) { return cache.Wr
 // WithAnswerCapacity bounds the whole-answer LRU to n entries.
 func WithAnswerCapacity(n int) CacheOption { return cache.WithAnswerCapacity(n) }
 
-// WithoutPermTier is a no-op: the permutation tier it switched off no
-// longer exists (see cache.WithoutPermTier for why the name stays).
-func WithoutPermTier() CacheOption { return cache.WithoutPermTier() }
-
 // ZipfConfig configures the skewed query workload of the cache
 // experiments.
 type ZipfConfig = workload.ZipfConfig

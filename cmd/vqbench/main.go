@@ -7,8 +7,8 @@
 //
 //	vqbench [flags]
 //
-//	-figure id     run one figure (fig5a..fig8b, ablationA1..A4, shardS1,
-//	               planQ1, streamT1, mutM1); default runs all
+//	-figure id     run one figure (fig5a..fig8b, ablationA1, ablationA3,
+//	               ablationA4, shardS1, planQ1, mutM1); default runs all
 //	-quick         scaled-down sweep (seconds instead of minutes)
 //	-sizes list    comma-separated database sizes (default paper scale)
 //	-qsizes list   comma-separated result sizes for Figs 6d/7/8a
@@ -19,7 +19,8 @@
 //	-reps n        queries averaged per data point
 //	-seed n        workload seed
 //	-workers n     construction worker pool per build (0 = one per CPU;
-//	               default 1 keeps the paper's single-threaded timings)
+//	               default 1 keeps Fig 5b's timings single-threaded, as
+//	               the paper's are; no other figure reads a clock)
 //	-shards list   comma-separated domain-shard counts for the shardS1
 //	               and planQ1 figures (default 1,2,4,8)
 //	-csv dir       also write one CSV per figure into dir
@@ -59,7 +60,7 @@ func run() error {
 		dist     = flag.String("dist", "", "attribute distribution")
 		reps     = flag.Int("reps", 0, "queries per data point")
 		seed     = flag.Int64("seed", 0, "workload seed")
-		workers  = flag.Int("workers", 1, "construction worker pool per build (0 = one per CPU, 1 = the paper's serial timings)")
+		workers  = flag.Int("workers", 1, "construction worker pool per build (0 = one per CPU, 1 = the paper's serial Fig 5b timings)")
 		shards   = flag.String("shards", "", "comma-separated shard counts for the sharding figures")
 		csvDir   = flag.String("csv", "", "write CSVs into this directory")
 	)

@@ -46,14 +46,15 @@ func literalRow(_ context.Context, _ *Harness, p point, b []*built) ([]string, e
 
 // variantRow is the body A3 and A4 share: one built variant, probed with
 // top-3 queries, reported as subdomains, one structural count of the
-// figure's choosing, build time, search cost and VO size.
+// figure's choosing, search cost and VO size. Their build clock is
+// BenchmarkBuildParallel.
 func variantRow(lead string, b *built, structural int, qs []query.Query) ([]string, error) {
 	nodes, vo, err := probe(b.Tree, qs)
 	if err != nil {
 		return nil, err
 	}
-	return []string{lead, fmtInt(b.Tree.Stats().Subdomains), fmtInt(structural),
-		fmtF(b.seconds), fmtF(nodes), fmtBytes(int(vo))}, nil
+	return []string{lead, fmtInt(b.Tree.NumSubdomains()), fmtInt(structural),
+		fmtF(nodes), fmtBytes(int(vo))}, nil
 }
 
 // distributionRow is A3 — attribute-distribution sensitivity. The paper
@@ -95,5 +96,5 @@ func dimensionRow(_ context.Context, h *Harness, p point, b []*built) ([]string,
 		}
 		qs[i] = query.NewTopK(x, 3)
 	}
-	return variantRow(fmtInt(d), b[0], b[0].Tree.Stats().IMHDepth, qs)
+	return variantRow(fmtInt(d), b[0], b[0].Tree.Depth(), qs)
 }

@@ -22,8 +22,8 @@ type Config struct {
 	// AblationSizes is the n sweep of ablation A1 and of the sharding,
 	// planner and mutation figures.
 	AblationSizes []int
-	// Scheme is the signature algorithm used in builds and timed
-	// verifications (the paper's default is RSA).
+	// Scheme is the signature algorithm used in builds and priced by Fig
+	// 7d's total verification time (the paper's default is RSA).
 	Scheme sig.Scheme
 	// RSABits sizes RSA keys (0 = 2048). The paper reports 640-byte RSA
 	// signatures; we use real moduli and report actual sizes.
@@ -37,9 +37,10 @@ type Config struct {
 	Seed int64
 	// Reps is the number of queries averaged per data point.
 	Reps int
-	// Workers sizes the construction worker pool for every measured
-	// build (see core.Params.Workers). Zero means one per CPU; 1 — the
-	// DefaultConfig/QuickConfig value — times the serial paths, which
+	// Workers sizes the construction worker pool for every build (see
+	// core.Params.Workers). Products are byte-identical at every count,
+	// so only Fig 5b's build timer reads it. Zero means one per CPU; 1 —
+	// the DefaultConfig/QuickConfig value — times the serial paths, which
 	// is what the paper's single-threaded Fig 5b numbers correspond to.
 	Workers int
 	// ShardCounts is the domain-shard sweep of the sharding figures

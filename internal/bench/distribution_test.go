@@ -12,7 +12,7 @@ func TestAblationDistributions(t *testing.T) {
 		if cell(t, tbl, r, 1) < 2 {
 			t.Errorf("row %d: implausible subdomain count", r)
 		}
-		if cell(t, tbl, r, 4) <= 0 {
+		if cell(t, tbl, r, 3) <= 0 {
 			t.Errorf("row %d: no search nodes recorded", r)
 		}
 	}
@@ -31,7 +31,7 @@ func TestAblationDimensions(t *testing.T) {
 	if subs3 <= subs2*2 {
 		t.Errorf("subdomains should grow sharply with d: d=2 %v, d=3 %v", subs2, subs3)
 	}
-	nodes1, nodes3 := cell(t, tbl, 0, 4), cell(t, tbl, 2, 4)
+	nodes1, nodes3 := cell(t, tbl, 0, 3), cell(t, tbl, 2, 3)
 	if nodes3 > nodes1*4 {
 		t.Errorf("search traversal should stay modest across d: %v vs %v", nodes1, nodes3)
 	}

@@ -1,21 +1,27 @@
 // Package bench regenerates every table of the paper's evaluation (§4.3)
 // and of this implementation's own planes: data-owner overheads (Fig
 // 5a-c), server overheads (Fig 6a-d), user verification overheads (Fig
-// 7a-d), communication overheads (Fig 8a-b); four ablations over design
-// choices the paper leaves open (A1-A4); and one figure per plane built
-// on top of the IFMH-tree that the process-level benchmark (benchmark/)
-// does not already measure — sharding and its planners (shardS1,
-// planQ1), the streaming transport (streamT1) and mutation (mutM1).
+// 7a-d), communication overheads (Fig 8a-b); three ablations over design
+// choices the paper leaves open (A1, A3, A4); and one figure per plane
+// built on top of the IFMH-tree — sharding and its planners (shardS1,
+// planQ1) and mutation (mutM1).
 //
-// A figure is a row of data, not a runner: Figures lists 20 Figure
+// The figures are counts: hashes, signature checks, nodes, bytes,
+// subdomains and build-stage units, so every table but Fig 5b is a
+// deterministic function of the Config and its seed. Fig 5b reads the
+// package's one stopwatch (the build timer in Harness.outsource); Figs
+// 7b-7d multiply counts by the harness's price list (PerHashSeconds,
+// PerVerifySeconds). Every other clock lives in benchmark/.
+//
+// A figure is a row of data, not a runner: Figures lists 19 Figure
 // values — id, titles, columns, notes, a sweep, the fixtures a sweep
 // point needs, a function measuring the point on them, and the column
 // (if any) holding an identity verdict — and Figure.Run is the one
 // engine that turns a row into a Table: header, scheme note, sweep
 // loop, fixture builds, error labelling, and failing the figure when a
 // verdict is not "ok". Everything the rows measure on comes from one
-// place, the Harness: fixtures by key (build), the loopback HTTP stack
-// (loopback) and the identity verdict (identical).
+// place, the Harness: fixtures by key (build) and the identity verdict
+// (identical).
 package bench
 
 import (
@@ -37,7 +43,7 @@ type Figure struct {
 	Title   string
 	heading func(c *Config) string
 	columns []string
-	// notes follow the scheme note; they may calibrate (Figs 7b, 7c).
+	// notes follow the scheme note; they may calibrate (Figs 7b-7d).
 	notes func(h *Harness) ([]string, error)
 	// identity names the column whose cells are verdicts: any cell other
 	// than "ok" fails the figure.
@@ -136,7 +142,7 @@ func static(notes ...string) func(*Harness) ([]string, error) {
 }
 
 // Figures lists every figure — the paper's thirteen in paper order, the
-// four ablations, then one per plane.
+// three ablations, then one per plane.
 func Figures() []Figure {
 	byArm := func(lead string) []string { return append([]string{lead}, approaches...) }
 	atMaxSize := func(format string) func(*Config) string {
@@ -174,9 +180,7 @@ func Figures() []Figure {
 			sweep:   overQuerySizes, fixtures: threeArms, notes: decryptNote,
 			row: paperFig{kind: query.Range, size: swept, verify: true, value: sigVerifies, scale: decryptMS, format: fmtF}.row},
 		{ID: "fig7d", Title: "User: total verification time", heading: fixed("Total verification time (ms), by result length"),
-			columns: byArm("|q|"), sweep: overQuerySizes, fixtures: threeArms,
-			notes: static("measured wall time of the full client-side verification"),
-			row:   paperFig{kind: query.Range, size: swept, verify: true, value: verifyMS, format: fmtF}.row},
+			columns: byArm("|q|"), sweep: overQuerySizes, fixtures: threeArms, notes: totalNote, row: totalRow},
 		{ID: "fig8a", Title: "Communication: VO size by result length", heading: atMaxSize("Verification object size by result length (n = %d)"),
 			columns: byArm("|q|"), sweep: overQuerySizes, fixtures: threeArms,
 			row: paperFig{kind: query.Range, size: swept, value: voBytes, format: asBytes}.row},
@@ -193,26 +197,26 @@ func Figures() []Figure {
 				"literal-bytes = bytes + %d per extra node (the per-subdomain permutation copies, S*n*8 bytes, that layout also kept are not counted)", core.BytesPerFMHNode)),
 			sweep: overAblation, fixtures: plain, row: literalRow},
 		{ID: "ablationA3", Title: "Ablation: attribute-distribution sensitivity", heading: fixed("Distribution sensitivity (fixed n, fixed target density)"),
-			columns: []string{"distribution", "subdomains", "swaps", "build-sec", "search-nodes", "vo-bytes"},
+			columns: []string{"distribution", "subdomains", "swaps", "search-nodes", "vo-bytes"},
 			sweep:   overDistributions, row: distributionRow,
 			fixtures: func(p point) []fixture {
 				return []fixture{{n: p.n, dist: workload.Distribution(p.arm), mode: core.MultiSignature}}
 			}},
 		{ID: "ablationA4", Title: "Ablation: dimension sweep (LP-backed space)",
 			heading: fixed(fmt.Sprintf("Dimension sweep (n = %d anti-correlated scalar-product records)", dimensionN)),
-			columns: []string{"d", "subdomains", "imh-depth", "build-sec", "search-nodes", "vo-bytes"},
+			columns: []string{"d", "subdomains", "imh-depth", "search-nodes", "vo-bytes"},
 			notes:   static("subdomain counts follow the arrangement of O(n^2) difference hyperplanes, the paper's O(n^{2d}) regime"),
 			sweep:   func(*Config) []point { return grid([]int{dimensionN}, []int{1, 2, 3}) }, row: dimensionRow,
 			fixtures: func(p point) []fixture { return []fixture{{n: p.n, dim: p.k, dist: workload.AntiCorrelated}} }},
 
-		{ID: "shardS1", Title: "Sharding: build cost and subdomain split by shard count",
-			columns:  []string{"n", "K", "build-sec", "subdomains-total", "subdomains-max-shard", "signatures", "identity"},
+		{ID: "shardS1", Title: "Sharding: subdomain split by shard count",
+			columns:  []string{"n", "K", "subdomains-total", "subdomains-max-shard", "signatures", "identity"},
 			notes:    static("identity: sampled routed queries answered by the K-shard set match the K=1 build record-for-record"),
 			identity: "identity", sweep: overShards, row: shardRow,
 			// The identity baseline is always a true K=1 build, whatever
 			// shard counts the sweep was configured with; a K=1 sweep row
-			// names the same fixture twice, so it reuses the baseline (and
-			// its timing) instead of rebuilding.
+			// names the same fixture twice, so it reuses the baseline
+			// instead of rebuilding.
 			fixtures: func(p point) []fixture { return []fixture{shardSet(p.n, 1), shardSet(p.n, p.k)} }},
 		{ID: "planQ1", Title: "Shard planners: even vs quantile cuts on a clustered workload",
 			columns: []string{"n", "K", "planner", "subdomains-min-shard", "subdomains-max-shard", "max/min", "identity"},
@@ -230,16 +234,11 @@ func Figures() []Figure {
 				planned.shards, planned.quantile = p.k, p.arm == "quantile"
 				return []fixture{base, planned}
 			}},
-		{ID: "streamT1", Title: "Streaming transport: time-to-first-verified-result vs the buffered batch exchange",
-			columns: []string{"n", "batch", "batch-full-ms", "stream-first-ms", "stream-full-ms", "first/batch-full", "identity"},
-			notes: static("batch-full = buffered POST /query/batch wall time (also its time-to-first: nothing yields before the frame closes)",
-				"stream-first = time until the first verified item of POST /query/stream; stream-full = until its last",
-				"identity: both transports return the same answers record-for-record"),
-			identity: "identity", sweep: overAblation, row: streamRow,
-			fixtures: func(p point) []fixture { return []fixture{{n: p.n, mode: core.MultiSignature}} }},
 		{ID: "mutM1", Title: "Mutation plane: incremental apply vs full rebuild by batch size",
-			columns: []string{"n", "batch", "apply-sec", "rebuild-sec", "speedup", "identity"},
-			notes: static("apply-sec: build.Apply of the batch onto the epoch-1 tree; rebuild-sec: full Outsource of the mutated table",
+			columns: []string{"n", "batch", "apply-pairs", "rebuild-pairs", "apply-boundaries", "rebuild-boundaries",
+				"apply-signatures", "rebuild-signatures", "identity"},
+			notes: static("apply: build.Apply of the batch onto the epoch-1 tree; rebuild: full Outsource of the mutated table "+
+				"(pairs examined, boundaries re-sorted exactly, signatures issued; a rebuild examines all n(n-1)/2 pairs)",
 				"batches mix insert/update/delete round-robin; mode=one (single root signature)",
 				"identity: sampled queries answered by the applied tree match the rebuilt tree record-for-record"),
 			identity: "identity", fixtures: plain, row: mutationRow,

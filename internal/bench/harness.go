@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net/http/httptest"
 	"slices"
 	"time"
 
@@ -18,24 +17,26 @@ import (
 	"aqverify/internal/mesh"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
-	"aqverify/internal/server"
 	"aqverify/internal/sig"
-	"aqverify/internal/transport"
 	"aqverify/internal/wire"
 	"aqverify/internal/workload"
 )
 
-// Harness owns the signer, the memoised fixtures and the timing
-// calibrations shared by every figure.
+// Harness owns the signer, the memoised fixtures and the price list
+// (per-operation costs) shared by every figure.
 type Harness struct {
 	Cfg    Config
 	signer sig.Signer
 
 	fixtures map[fixture]*built
-	// verified memoises the client-side measurement per sweep point:
-	// Figs 7a-7d are four views of one timed run, so their cells stay
-	// mutually consistent (and the run is paid once).
-	verified     map[point][]sample
+	// verified memoises the client-side counts per sweep point: Figs
+	// 7a-7d are four views of one verification pass, paid once.
+	verified map[point][]sample
+	// units tallies the build.WithProgress units every unsharded build
+	// reports — including each Apply on it, since a product keeps its
+	// callback. Such builds report their stages serially; mutM1 clears
+	// and reads it around each side it counts.
+	units        map[core.Stage]int
 	perHashSec   float64
 	perVerifySec map[sig.Scheme]float64
 }
@@ -55,6 +56,7 @@ func NewHarness(cfg Config) (*Harness, error) {
 		signer:       signer,
 		fixtures:     make(map[fixture]*built),
 		verified:     make(map[point][]sample),
+		units:        make(map[core.Stage]int),
 		perVerifySec: make(map[sig.Scheme]float64),
 	}, nil
 }
@@ -78,8 +80,7 @@ type fixture struct {
 
 // built is a fixture's product with the inputs it was built from (query
 // generators need them) and the wall time of the build call alone,
-// which is what every build-time column reports. A mesh fixture holds
-// Mesh and no Result.
+// which is what Fig 5b reports. A mesh fixture holds Mesh and no Result.
 type built struct {
 	*build.Result
 	Mesh     *mesh.Mesh
@@ -126,8 +127,9 @@ func (h *Harness) build(ctx context.Context, fx fixture) (*built, error) {
 }
 
 // outsource is the package's one build call: the fixture's options over
-// the given table, timed. build goes through it; mutM1 calls it
-// directly to rebuild a mutated table no key can name.
+// the given table, timed — the package's one stopwatch, read by Fig 5b
+// alone. build goes through it; mutM1 calls it directly to rebuild a
+// mutated table no key can name.
 func (h *Harness) outsource(ctx context.Context, fx fixture, tbl record.Table, tpl funcs.Template, dom geometry.Box) (*built, error) {
 	b := &built{table: tbl, template: tpl, domain: dom}
 	var err error
@@ -138,6 +140,8 @@ func (h *Harness) outsource(ctx context.Context, fx fixture, tbl record.Table, t
 		opts := []build.Option{build.WithWorkers(h.Cfg.Workers), build.WithMode(fx.mode), build.WithShuffle(h.Cfg.Seed)}
 		if fx.shards > 0 {
 			opts = append(opts, build.WithShards(fx.shards, 0))
+		} else {
+			opts = append(opts, build.WithProgress(func(p build.Progress) { h.units[p.Stage] += p.Units }))
 		}
 		if fx.quantile {
 			opts = append(opts, build.WithPlanner(build.QuantileCuts))
@@ -154,30 +158,9 @@ func (h *Harness) outsource(ctx context.Context, fx fixture, tbl record.Table, t
 	return b, nil
 }
 
-// loopback serves the tree on a loopback listener — backend.NewLocal →
-// server.New → transport.NewIFMHHandler → an httptest server, the
-// vqserve stack minus the process boundary — and returns its URL and
-// closer.
-func loopback(tree *core.Tree) (string, func(), error) {
-	local, err := backend.NewLocal(tree)
-	if err != nil {
-		return "", nil, err
-	}
-	srv, err := server.New(local)
-	if err != nil {
-		return "", nil, err
-	}
-	hd, err := transport.NewIFMHHandler(srv, tree.Public())
-	if err != nil {
-		return "", nil, err
-	}
-	ts := httptest.NewServer(hd)
-	return ts.URL, ts.Close, nil
-}
-
 // mixedQueries spreads every query kind uniformly across the domain,
-// shard cuts included implicitly by the uniform sweep. It is the batch
-// the serving figures time and the sample every identity column checks.
+// shard cuts included implicitly by the uniform sweep. It is the sample
+// every identity column checks.
 func mixedQueries(dom geometry.Box, n int, seed int64) []query.Query {
 	rng := rand.New(rand.NewSource(seed))
 	qs := make([]query.Query, 0, n)
@@ -254,7 +237,9 @@ func inProcess(res *build.Result) (backend.Backend, error) {
 }
 
 // PerHashSeconds measures (once) the cost of one tagged SHA-256 over
-// typical node-sized input.
+// typical node-sized input. It and PerVerifySeconds are the package's
+// price list: the figures that report time (7b-7d) multiply counts by
+// them.
 func (h *Harness) PerHashSeconds() float64 {
 	if h.perHashSec > 0 {
 		return h.perHashSec

@@ -3,10 +3,11 @@ package bench
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
-	"time"
 
 	"aqverify/internal/build"
+	"aqverify/internal/core"
 	"aqverify/internal/record"
 )
 
@@ -19,24 +20,25 @@ var mutationBatchSizes = []int{1, 4, 16, 64}
 // record-level mutation batch incrementally (build.Apply — dirty pair
 // buckets, patched sweep boundaries, re-hashed spine, reused clean
 // signatures) against re-outsourcing the mutated table from scratch,
-// at the same epoch. It reports both wall-clock times and the speedup,
-// and cross-checks sampled queries answered by the applied tree against
-// the full rebuild — verdicts and result windows must be identical (the
+// at the same epoch. It reports, for each side, the build.WithProgress
+// units of the stages the two do differently — pairs examined,
+// boundaries re-sorted exactly, signatures issued — and cross-checks
+// sampled queries answered by the applied tree against the full
+// rebuild — verdicts and result windows must be identical (the
 // byte-for-byte identity is pinned by the build-plane tests; here it is
 // re-sampled as a figure-level sanity column). Batches mix inserts,
 // updates and deletes round-robin. OneSignature mode is the mutation
 // plane's sweet spot — a single-record change re-signs one root instead
-// of every subdomain — and the mode the protocol's headline ratio is
-// quoted in (see EXPERIMENTS.md).
+// of every subdomain. The cycle's clock is benchmark/'s republish.
 func mutationRow(ctx context.Context, h *Harness, p point, b []*built) ([]string, error) {
 	base := b[0]
-	muts := mutationBatch(p.n, p.k, h.Cfg.Seed)
-	start := time.Now()
-	applied, err := build.Apply(ctx, base.Result, muts...)
+	clear(h.units)
+	applied, err := build.Apply(ctx, base.Result, mutationBatch(p.n, p.k, h.Cfg.Seed)...)
 	if err != nil {
 		return nil, fmt.Errorf("apply: %w", err)
 	}
-	applySecs := time.Since(start).Seconds()
+	apply := maps.Clone(h.units)
+	clear(h.units)
 
 	// The honest competitor: outsource the mutated table from scratch,
 	// stamped at the same epoch.
@@ -45,13 +47,18 @@ func mutationRow(ctx context.Context, h *Harness, p point, b []*built) ([]string
 	if err != nil {
 		return nil, fmt.Errorf("rebuild: %w", err)
 	}
+	rebuild := h.units
 	verdict, err := h.identity(ctx, rebuilt.Result, applied)
 	if err != nil {
 		return nil, err
 	}
+	// A rebuild's pair stage reports the records it enumerates all pairs
+	// of; an apply's the dirty pairs it found.
+	records := rebuild[core.StagePairs]
 	return []string{fmtInt(p.n), fmtInt(p.k),
-		fmt.Sprintf("%.4f", applySecs), fmt.Sprintf("%.4f", rebuilt.seconds),
-		fmt.Sprintf("%.1fx", rebuilt.seconds/applySecs), verdict}, nil
+		fmtInt(apply[core.StagePairs]), fmtInt(records * (records - 1) / 2),
+		fmtInt(apply[core.StageSweep]), fmtInt(rebuild[core.StageSweep]),
+		fmtInt(apply[core.StageSign]), fmtInt(rebuild[core.StageSign]), verdict}, nil
 }
 
 // mutationBatch builds a deterministic batch of `size` mutations over

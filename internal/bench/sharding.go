@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"aqverify/internal/core"
+	"aqverify/internal/shard"
 )
 
 // shardSet is the fixture both sharding figures build: a
@@ -15,30 +16,30 @@ func shardSet(n, k int) fixture {
 
 // subdomainSpread returns the total, smallest and largest per-shard
 // subdomain counts of a set.
-func subdomainSpread(stats []core.Stats) (total, lo, hi int) {
-	lo = stats[0].Subdomains // a set has at least one shard
-	for _, st := range stats {
-		total += st.Subdomains
-		lo, hi = min(lo, st.Subdomains), max(hi, st.Subdomains)
+func subdomainSpread(set *shard.Set) (total, lo, hi int) {
+	lo = set.Trees[0].NumSubdomains() // a set has at least one shard
+	for _, t := range set.Trees {
+		n := t.NumSubdomains()
+		total += n
+		lo, hi = min(lo, n), max(hi, n)
 	}
 	return total, lo, hi
 }
 
 // shardRow measures the domain-sharded builder against the single tree:
-// the K-shard set's wall-clock build time, its per-shard and total
-// subdomain counts and its signature count, then a sample of routed
-// queries cross-checked against the K=1 answers — every verdict and
-// every result window must be identical, the identity the shard
-// subsystem promises. On this 2-CPU host the build-time column is a
-// sanity point, not a speedup curve (see EXPERIMENTS.md).
+// the K-shard set's per-shard and total subdomain counts and its
+// signature count, then a sample of routed queries cross-checked
+// against the K=1 answers — every verdict and every result window must
+// be identical, the identity the shard subsystem promises. The sharded
+// build's clock is BenchmarkShardedBuild (see EXPERIMENTS.md).
 func shardRow(ctx context.Context, h *Harness, p point, b []*built) ([]string, error) {
 	base, set := b[0], b[1]
-	total, _, hi := subdomainSpread(set.Set.Stats())
+	total, _, hi := subdomainSpread(set.Set)
 	verdict, err := h.identity(ctx, base.Result, set.Result)
 	if err != nil {
 		return nil, err
 	}
-	return []string{fmtInt(p.n), fmtInt(p.k), fmt.Sprintf("%.3f", set.seconds),
+	return []string{fmtInt(p.n), fmtInt(p.k),
 		fmtInt(total), fmtInt(hi), fmtInt(set.Set.SignatureCount()), verdict}, nil
 }
 
@@ -51,7 +52,7 @@ func shardRow(ctx context.Context, h *Harness, p point, b []*built) ([]string, e
 // never change a verdict or a result window.
 func planRow(ctx context.Context, h *Harness, p point, b []*built) ([]string, error) {
 	base, set := b[0], b[1]
-	_, lo, hi := subdomainSpread(set.Set.Stats())
+	_, lo, hi := subdomainSpread(set.Set)
 	verdict, err := h.identity(ctx, base.Result, set.Result)
 	if err != nil {
 		return nil, err

@@ -84,7 +84,7 @@ func TestWrapValidation(t *testing.T) {
 	if _, err := cache.Wrap(b, cache.WithAnswerCapacity(0)); err == nil {
 		t.Fatal("zero answer capacity accepted")
 	}
-	c, err := cache.Wrap(b, cache.WithAnswerCapacity(8), cache.WithoutPermTier())
+	c, err := cache.Wrap(b, cache.WithAnswerCapacity(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestHitMissEvict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := cache.Wrap(b, cache.WithAnswerCapacity(2), cache.WithoutPermTier())
+	c, err := cache.Wrap(b, cache.WithAnswerCapacity(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestVerifyUpgrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := cache.Wrap(b, cache.WithoutPermTier())
+	c, err := cache.Wrap(b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func TestSingleFlightCollapse(t *testing.T) {
 		t.Fatal(err)
 	}
 	gated := newGated(local)
-	c, err := cache.Wrap(gated, cache.WithoutPermTier())
+	c, err := cache.Wrap(gated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestCanceledLeaderDoesNotPoison(t *testing.T) {
 		t.Fatal(err)
 	}
 	gated := newGated(local)
-	c, err := cache.Wrap(gated, cache.WithoutPermTier())
+	c, err := cache.Wrap(gated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestStreamBreakReleasesLedFlights(t *testing.T) {
 		t.Fatal(err)
 	}
 	gated := newGated(local)
-	c, err := cache.Wrap(gated, cache.WithoutPermTier())
+	c, err := cache.Wrap(gated)
 	if err != nil {
 		t.Fatal(err)
 	}

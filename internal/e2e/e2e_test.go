@@ -127,7 +127,7 @@ func surfaces(t testing.TB, n, k int, mode core.Mode) ([]surface, shard.Plan, re
 	}
 	fanout, _, err := transport.DialFanout(urls, nil)
 	must(err)
-	cached, err := cache.Wrap(lb, cache.WithoutPermTier())
+	cached, err := cache.Wrap(lb)
 	must(err)
 
 	verify := backend.WithVerify(single.Public) // one bundle: sharding is transparent
