@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"aqverify/internal/backend"
 	"aqverify/internal/build"
 	"aqverify/internal/core"
+	"aqverify/internal/fmh"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/hashing"
@@ -414,6 +416,58 @@ func TestEncodeTreeIsOneExactAllocation(t *testing.T) {
 			}
 		})
 	}
+
+	// A crafted forest no build makes and the decoder accepts: the first
+	// list holds one node at two positions. Over six records a list has
+	// eight leaves, so its root's left child's right child and right
+	// child's left child each span two records; the crafted list puts the
+	// former in both places. The encoder writes a row per position — one
+	// exact allocation still — and the blob decodes to the same lists.
+	t.Run("shared", func(t *testing.T) {
+		res, err := build.Outsource(ctx, testSpec(t, 6, 2), build.WithMode(core.MultiSignature), build.WithShuffle(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := res.Tree.Snapshot()
+		l0 := s.Subs[0].List.Tree
+		right, root := *l0.R, *l0
+		right.L, root.R = l0.L.R, &right
+		first := *s.Subs[0]
+		first.List = &fmh.List{N: first.List.N, Tree: &root}
+		s.Subs = append([]*core.SubInfo{&first}, s.Subs[1:]...)
+
+		blob, _, err := encodeTree(s, build.ShardNone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(blob) != len(blob) {
+			t.Errorf("a %d-byte blob in a %d-byte allocation", len(blob), cap(blob))
+		}
+		d, err := decodeTree(blob)
+		if err != nil {
+			t.Fatalf("the crafted forest's blob: %v", err)
+		}
+		for i, rec := range s.Table.Records {
+			if !bytes.Equal(d.table.Records[i].Encode(nil), rec.Encode(nil)) {
+				t.Fatalf("record %d decodes differently", i)
+			}
+		}
+		if len(d.subs) != len(s.Subs) {
+			t.Fatalf("%d lists decode from %d", len(d.subs), len(s.Subs))
+		}
+		for k, si := range s.Subs {
+			want, got := si.List.Tree, d.subs[k].List.Tree
+			if got.H != want.H || got.W != want.W {
+				t.Fatalf("list %d: root %x/%d decodes as %x/%d", k, want.H, want.W, got.H, got.W)
+			}
+			if w, g := fmt.Sprint(want.Records(nil, 0, int(want.W)-1)), fmt.Sprint(got.Records(nil, 0, int(got.W)-1)); g != w {
+				t.Fatalf("list %d: records %s decode as %s", k, w, g)
+			}
+		}
+		if got, want := d.subs[0].List.Tree.RecordAt(2), d.subs[0].List.Tree.RecordAt(4); got != want {
+			t.Fatalf("the crafted list does not repeat its shared records: leaf 2 names %d, leaf 4 %d", got, want)
+		}
+	})
 }
 
 // TestSaveOverAnOpenArtifact: saving a new epoch into the directory an

@@ -210,54 +210,17 @@ func (r *reader) done() error {
 }
 
 // encodeTree serializes one built tree's serve-state into a sealed blob.
-// The FMH forest is written as a deduplicated node table in
-// children-before-parents order — univariate lists share persistent
-// structure, and the table preserves exactly that sharing, so the file
-// is O(forest), not O(S·n) — and the IMH tree the same way. shardIdx is
-// the tree's position in a sharded set, or build.ShardNone.
-//
-// Both node tables are walked first, so the blob's exact length is known
-// before its one allocation (TestEncodeTreeIsOneExactAllocation).
+// The FMH forest is a children-before-parents node table indexed by
+// position: a list reuses its left neighbor's row wherever it holds the
+// same node at the same position, which is all the sharing a sweep chain
+// has, so the file is O(forest), not O(S·n). The IMH tree is a
+// post-order table. shardIdx is the tree's position in a sharded set, or
+// build.ShardNone. The blob is one allocation of its exact length
+// (TestEncodeTreeIsOneExactAllocation).
 func encodeTree(s core.Snapshot, shardIdx int) ([]byte, hashing.Digest, error) {
-	// FMH forest: deduplicated DAG, children strictly before parents.
 	nf := forestBound(s)
-	idx := make(map[*mhtree.Node]uint32, nf)
-	order := make([]*mhtree.Node, 0, nf)
-	var walk func(n *mhtree.Node)
-	walk = func(n *mhtree.Node) {
-		if _, ok := idx[n]; ok {
-			return
-		}
-		if n.L != nil {
-			walk(n.L)
-		}
-		if n.R != nil {
-			walk(n.R)
-		}
-		idx[n] = uint32(len(order))
-		order = append(order, n)
-	}
-	for _, si := range s.Subs {
-		walk(si.List.Tree)
-	}
-
-	// IMH tree: post-order node table (children strictly before
-	// parents; the root is the last entry), every node carrying its
-	// propagated hash so loading never re-propagates.
-	nidx := make(map[*itree.Node]uint32, s.ITree.NodeCount)
-	inodes := make([]*itree.Node, 0, s.ITree.NodeCount)
-	var iwalk func(n *itree.Node)
-	iwalk = func(n *itree.Node) {
-		if !n.IsLeaf() {
-			iwalk(n.Above)
-			iwalk(n.Below)
-		}
-		nidx[n] = uint32(len(inodes))
-		inodes = append(inodes, n)
-	}
-	iwalk(s.ITree.Root)
-
-	w := &writer{buf: make([]byte, 0, sizeTree(s, len(order), inodes))}
+	ni, isize := imhSize(s.ITree.Root)
+	w := &writer{buf: make([]byte, 0, sizeTree(s, nf, isize))}
 	w.buf = append(w.buf, magicTree[:]...)
 	w.u32(formatVersion)
 	w.u64(s.Epoch)
@@ -285,21 +248,43 @@ func encodeTree(s core.Snapshot, shardIdx int) ([]byte, hashing.Digest, error) {
 	// A row is digest, left, right, width. A leaf has no children: its
 	// left slot is nilIndex and its right slot names the record the leaf
 	// commits to — mhtree.NoRecord (-1, a sentinel's) is nilIndex as a u32.
-	w.u32(uint32(len(order)))
-	for _, n := range order {
-		w.digest(n.H)
-		if n.L != nil {
-			w.u32(idx[n.L])
-			w.u32(idx[n.R])
-		} else {
-			w.u32(nilIndex)
-			w.u32(uint32(n.Rec))
+	// slot[p] is the row of the last list's node at post-order position
+	// p of the (n+2)-leaf shape; a width-wd subtree from position at has
+	// its root at at+2wd-2. forestBound counts the rows this writes.
+	w.u32(uint32(nf))
+	slot := make([]uint32, 2*s.Subs[0].List.Tree.W-1)
+	rows := uint32(0)
+	var row func(n, prev *mhtree.Node, at int) uint32
+	row = func(n, prev *mhtree.Node, at int) uint32 {
+		p := at + 2*int(n.W) - 2
+		if n == prev {
+			return slot[p]
 		}
+		l, r := nilIndex, uint32(n.Rec)
+		if n.L != nil {
+			var pl, pr *mhtree.Node
+			if prev != nil {
+				pl, pr = prev.L, prev.R
+			}
+			l = row(n.L, pl, at)
+			r = row(n.R, pr, at+2*int(n.L.W)-1)
+		}
+		w.digest(n.H)
+		w.u32(l)
+		w.u32(r)
 		w.u32(uint32(n.W))
+		slot[p], rows = rows, rows+1
+		return slot[p]
 	}
-	w.u32(uint32(len(s.Subs)))
-	for _, si := range s.Subs {
-		w.u32(idx[si.List.Tree])
+	roots := make([]uint32, len(s.Subs))
+	var prev *mhtree.Node
+	for k, si := range s.Subs {
+		roots[k] = row(si.List.Tree, prev, 0)
+		prev = si.List.Tree
+	}
+	w.u32(uint32(len(roots)))
+	for _, ri := range roots {
+		w.u32(ri)
 	}
 
 	// Per-subdomain inequality encoding and signature (multi-signature
@@ -311,38 +296,44 @@ func encodeTree(s core.Snapshot, shardIdx int) ([]byte, hashing.Digest, error) {
 		}
 	}
 
-	w.u32(uint32(len(inodes)))
-	for _, n := range inodes {
+	// IMH tree: post-order (children strictly before parents; the root
+	// is the last row), every node carrying its propagated hash so
+	// loading never re-propagates.
+	w.u32(uint32(ni))
+	irows := uint32(0)
+	var irow func(n *itree.Node) uint32
+	irow = func(n *itree.Node) uint32 {
 		if n.IsLeaf() {
 			w.u8(0)
 			w.u32(uint32(n.Leaf.ID))
 		} else {
+			above, below := irow(n.Above), irow(n.Below)
 			w.u8(1)
 			w.u32(uint32(n.Int.I))
 			w.u32(uint32(n.Int.J))
 			w.u32(uint32(n.Int.H.EncodedLen()))
 			w.buf = n.Int.H.Encode(w.buf)
-			w.u32(nidx[n.Above])
-			w.u32(nidx[n.Below])
+			w.u32(above)
+			w.u32(below)
 		}
 		w.digest(n.Hash)
+		irows++
+		return irows - 1
 	}
+	irow(s.ITree.Root)
 
 	w.bytes(s.RootSig)
 	buf, h := w.seal()
 	return buf, h, nil
 }
 
-// forestBound counts the distinct FMH nodes of a snapshot's lists from
-// the lists themselves: the first whole, then each list's nodes that its
-// left neighbor does not hold at the same position — exact for a sweep
-// chain, built or loaded, and for lists built from scratch. Every node
-// is counted where it first appears, so it never undercounts; a forest
-// sharing nodes across positions only oversizes the node table.
+// forestBound counts the FMH rows encodeTree writes, from the lists
+// themselves: the first whole, then each list's nodes that its left
+// neighbor does not hold at the same position. For a sweep chain, built
+// or loaded, and for lists built from scratch that is the forest's
+// distinct nodes; a forest sharing a node across positions gets a row
+// per position.
 func forestBound(s core.Snapshot) int {
-	if len(s.Subs) == 0 {
-		return 0
-	}
 	n := 2*s.Subs[0].List.Tree.LeafCount() - 1
 	for k := 1; k < len(s.Subs); k++ {
 		n += mhtree.ChangedNodes(s.Subs[k-1].List.Tree, s.Subs[k].List.Tree)
@@ -350,9 +341,19 @@ func forestBound(s core.Snapshot) int {
 	return n
 }
 
-// sizeTree is len(encodeTree(s, …)) for a forest of nf rows and the IMH
-// table inodes, field for field in encodeTree's order.
-func sizeTree(s core.Snapshot, nf int, inodes []*itree.Node) int {
+// imhSize counts the rows and bytes of the IMH table under n.
+func imhSize(n *itree.Node) (rows, size int) {
+	if n.IsLeaf() {
+		return 1, 1 + 4 + hashing.Size
+	}
+	ra, sa := imhSize(n.Above)
+	rb, sb := imhSize(n.Below)
+	return ra + rb + 1, sa + sb + 1 + 4 + 4 + 4 + n.Int.H.EncodedLen() + 4 + 4 + hashing.Size
+}
+
+// sizeTree is len(encodeTree(s, …)) for a forest of nf rows and an IMH
+// table of isize bytes, field for field in encodeTree's order.
+func sizeTree(s core.Snapshot, nf, isize int) int {
 	n := len(magicTree) + 4 + 8 + 1 + 4 + 4 + 16*s.Domain.Dim()
 	n += 4 + len(s.Table.Schema.Name) + 4
 	for _, c := range s.Table.Schema.Columns {
@@ -368,16 +369,7 @@ func sizeTree(s core.Snapshot, nf int, inodes []*itree.Node) int {
 			n += 4 + len(si.IneqEnc) + 4 + len(si.Sig)
 		}
 	}
-	n += 4
-	for _, in := range inodes {
-		if in.IsLeaf() {
-			n += 1 + 4
-		} else {
-			n += 1 + 4 + 4 + 4 + in.Int.H.EncodedLen() + 4 + 4
-		}
-		n += hashing.Size
-	}
-	return n + 4 + len(s.RootSig) + hashing.Size
+	return n + 4 + isize + 4 + len(s.RootSig) + hashing.Size
 }
 
 // forestRow is one FMH node row: digest, left, right, width.

@@ -190,18 +190,50 @@ func NewArrangement1D(space *geometry.Space1D, inters []Intersection, seed int64
 // priority), with the subdomain leaves attached into the gaps. By treap
 // uniqueness it returns the same tree Build produces by inserting the
 // arrangement's intersections in canonical order, without any of
-// Build's O(S log S) exact-rational descent work. Every univariate
-// tree — first build or applied mutation — is constructed here.
+// Build's O(S log S) exact-rational descent work — and without its leaf
+// sort: the leaf of gap g is already the g-th from the left, so it is
+// created as Subs[g] with ID g. Every univariate tree — first build or
+// applied mutation — is constructed here.
 func BuildCanonical1D(space *geometry.Space1D, arr *Arrangement1D) (*Tree, error) {
 	root, ok := space.Root().(geometry.Interval1D)
 	if !ok {
 		return nil, fmt.Errorf("itree: 1-D space has a non-interval root region")
 	}
-	t := &Tree{Space: space}
-	if len(arr.Groups) == 0 {
-		t.Root = &Node{Leaf: &Subdomain{Region: root}}
-		t.NodeCount = 1
-		t.enumerate()
+	nb := len(arr.Groups)
+	t := &Tree{Space: space, Subs: make([]*Subdomain, nb+1), NodeCount: 2*nb + 1, Inserted: nb}
+	// One slab for the nodes — group g's internal node at g, gap g's
+	// leaf at nb+g — and one for the subdomains.
+	nodes := make([]Node, 2*nb+1)
+	subs := make([]Subdomain, nb+1)
+
+	// Attach leaves: gap g spans (boundary g-1, boundary g) with the
+	// domain edges closing the ends. The strictness at each breakpoint
+	// follows the representative hyperplane's sign exactly as the
+	// insert-path Partition assigns it: the side where c·x + b >= 0
+	// keeps the closed endpoint at t.
+	leafFor := func(g int) *Node {
+		iv := geometry.Interval1D{}
+		if g == 0 {
+			iv.Lo, iv.LoStrict = root.Lo, root.LoStrict
+		} else {
+			rep := arr.Groups[g-1].Rep()
+			iv.Lo = arr.Groups[g-1].T
+			iv.LoStrict = rep.H.C[0] <= 0 // c > 0: right side closed at t
+		}
+		if g == nb {
+			iv.Hi, iv.HiStrict = root.Hi, root.HiStrict
+		} else {
+			rep := arr.Groups[g].Rep()
+			iv.Hi = arr.Groups[g].T
+			iv.HiStrict = rep.H.C[0] > 0 // c > 0: left side open at t
+		}
+		subs[g] = Subdomain{ID: g, Region: iv}
+		t.Subs[g] = &subs[g]
+		nodes[nb+g].Leaf = t.Subs[g]
+		return &nodes[nb+g]
+	}
+	if nb == 0 {
+		t.Root = leafFor(0)
 		return t, nil
 	}
 
@@ -213,8 +245,8 @@ func BuildCanonical1D(space *geometry.Space1D, arr *Arrangement1D) (*Tree, error
 		return canonLess(ga.prios[0], ga.Members[0], gb.prios[0], gb.Members[0])
 	}
 	// left[i] / right[i] are the child *groups* of group i, -1 for none.
-	left := make([]int, len(arr.Groups))
-	right := make([]int, len(arr.Groups))
+	left := make([]int, nb)
+	right := make([]int, nb)
 	for i := range left {
 		left[i], right[i] = -1, -1
 	}
@@ -233,35 +265,13 @@ func BuildCanonical1D(space *geometry.Space1D, arr *Arrangement1D) (*Tree, error
 	}
 	rootGroup := stack[0]
 
-	// Attach leaves: gap g spans (boundary g-1, boundary g) with the
-	// domain edges closing the ends. The strictness at each breakpoint
-	// follows the representative hyperplane's sign exactly as the
-	// insert-path Partition assigns it: the side where c·x + b >= 0
-	// keeps the closed endpoint at t.
-	leafFor := func(g int) *Node {
-		iv := geometry.Interval1D{}
-		if g == 0 {
-			iv.Lo, iv.LoStrict = root.Lo, root.LoStrict
-		} else {
-			rep := arr.Groups[g-1].Rep()
-			iv.Lo = arr.Groups[g-1].T
-			iv.LoStrict = rep.H.C[0] <= 0 // c > 0: right side closed at t
-		}
-		if g == len(arr.Groups) {
-			iv.Hi, iv.HiStrict = root.Hi, root.HiStrict
-		} else {
-			rep := arr.Groups[g].Rep()
-			iv.Hi = arr.Groups[g].T
-			iv.HiStrict = rep.H.C[0] > 0 // c > 0: left side open at t
-		}
-		return &Node{Leaf: &Subdomain{Region: iv}}
-	}
 	// build assembles the subtree rooted at group g by recursing on the
 	// skeleton; a missing child means the adjacent gap leaf (gap g lies
 	// immediately left of boundary g, gap g+1 immediately right).
 	var build func(g int) *Node
 	build = func(g int) *Node {
-		n := &Node{Int: &arr.Groups[g].Members[0]}
+		n := &nodes[g]
+		n.Int = &arr.Groups[g].Members[0]
 		var l, r *Node
 		if left[g] >= 0 {
 			l = build(left[g])
@@ -283,8 +293,5 @@ func BuildCanonical1D(space *geometry.Space1D, arr *Arrangement1D) (*Tree, error
 		return n
 	}
 	t.Root = build(rootGroup)
-	t.NodeCount = 2*len(arr.Groups) + 1
-	t.Inserted = len(arr.Groups)
-	t.enumerate()
 	return t, nil
 }

@@ -6,12 +6,14 @@ import (
 
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
+	"aqverify/internal/workload"
 )
 
 // sameTree asserts two trees are structurally identical: same node
 // shape, same representative intersections (indexes and hyperplane
 // bytes), same leaf intervals including strictness flags, and same
-// subdomain IDs.
+// subdomain IDs — and that each numbers its subdomains left to right:
+// Subs[i] has ID i, and Subs ascends strictly by interval start.
 func sameTree(t *testing.T, a, b *Tree) {
 	t.Helper()
 	if a.NodeCount != b.NodeCount {
@@ -22,6 +24,16 @@ func sameTree(t *testing.T, a, b *Tree) {
 	}
 	if len(a.Subs) != len(b.Subs) {
 		t.Fatalf("subdomain count %d vs %d", len(a.Subs), len(b.Subs))
+	}
+	for _, tr := range []*Tree{a, b} {
+		for i, s := range tr.Subs {
+			if s.ID != i {
+				t.Fatalf("Subs[%d] has ID %d", i, s.ID)
+			}
+			if i > 0 && tr.Subs[i-1].Region.(geometry.Interval1D).Lo.Cmp(s.Region.(geometry.Interval1D).Lo) >= 0 {
+				t.Fatalf("Subs[%d] does not start right of Subs[%d]", i, i-1)
+			}
+		}
 	}
 	var walk func(path string, x, y *Node)
 	walk = func(path string, x, y *Node) {
@@ -284,5 +296,41 @@ func TestMergeArrangementEqualsRescan(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameTree(t, mt, wt)
+	}
+}
+
+// TestBuildCanonical1DAllocs: the direct construction numbers each leaf
+// by its gap and sorts nothing, so its allocations stay a small constant
+// per breakpoint — a sort of the leaves by exact interval start would
+// add dozens, through big.Rat comparisons. The arrangement is the
+// republish benchmark's table shape: 2 000 lines.
+func TestBuildCanonical1DAllocs(t *testing.T) {
+	tbl, dom, err := workload.Lines(workload.LinesConfig{N: 2000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := funcs.AffineLine(0, 1).InterpretTable(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space, err := geometry.NewSpace1D(dom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inters, err := Pairs1D(fs, dom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr, err := NewArrangement1D(space, inters, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := BuildCanonical1D(space, arr); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if per := allocs / float64(arr.NumBreakpoints()); per > 4 {
+		t.Errorf("%.0f allocations for %d breakpoints: %.1f per breakpoint, want at most 4", allocs, arr.NumBreakpoints(), per)
 	}
 }

@@ -13,8 +13,10 @@
 // geometry.Space — the only construction for the LP-backed n-dimensional
 // space — while a univariate build sorts the breakpoints once into an
 // Arrangement1D and reads the same tree straight off it
-// (BuildCanonical1D), which is also what the sweep, the mutation plane
-// and the signature-mesh baseline take their boundaries from.
+// (BuildCanonical1D), numbering each subdomain by its gap; the sweep,
+// the mutation plane and the signature-mesh baseline take their
+// boundaries from it too. Only Build, the tests' 1-D reference, sorts
+// its leaves to number them.
 package itree
 
 import (
@@ -48,10 +50,9 @@ type Node struct {
 func (n *Node) IsLeaf() bool { return n.Leaf != nil }
 
 // Subdomain is a leaf's payload: a region of the domain within which the
-// record functions are strictly sortable. ID is assigned after
-// construction — in left-to-right spatial order for 1-D spaces, creation
-// order otherwise — and indexes the per-subdomain data kept by higher
-// layers.
+// record functions are strictly sortable. ID is left-to-right spatial
+// order for 1-D spaces, discovery order otherwise, and indexes the
+// per-subdomain data kept by higher layers.
 type Subdomain struct {
 	ID     int
 	Region geometry.Region
@@ -161,10 +162,10 @@ func (t *Tree) insert(n *Node, region geometry.Region, in *Intersection) {
 	}
 }
 
-// enumerate assigns subdomain IDs and fills Subs. For a 1-D space the
-// leaves are sorted left to right by interval start so that consecutive
-// IDs are spatially adjacent (the property the subdomain sweep relies
-// on); other spaces keep discovery order.
+// enumerate assigns Build's subdomain IDs and fills Subs. For a 1-D
+// space it sorts the leaves by interval start, so IDs run left to right
+// as BuildCanonical1D's gap numbers do; other spaces keep discovery
+// order.
 func (t *Tree) enumerate() {
 	var leaves []*Subdomain
 	var walk func(n *Node)
