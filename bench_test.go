@@ -321,7 +321,8 @@ func mixedQueries(b *testing.B, tbl aqverify.Table, dom aqverify.Box, count int)
 // the end-to-end benchmark's mixed sequence (mixedQueries; Lines n=2000,
 // multi-signature). One op is one answer (ns/op ÷ 1000 = µs/answer).
 // cold verifies under the owner's raw key; warm under a sig.Memo that
-// has seen every answer once, which is what a dialed session reaches.
+// has seen every answer once, which is what a dialed session reaches;
+// decode is wire.DecodeIFMH alone.
 func BenchmarkClientPath(b *testing.B) {
 	const n, count = 2000, 2048
 	tree, dom := buildFixture(b, n, aqverify.MultiSignature)
@@ -360,6 +361,14 @@ func BenchmarkClientPath(b *testing.B) {
 			}
 		})
 	}
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := wire.DecodeIFMH(frames[i%count]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // serverPathSink keeps the encoded frame alive so the compiler cannot

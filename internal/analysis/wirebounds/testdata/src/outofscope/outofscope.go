@@ -1,5 +1,5 @@
 // Package outofscope proves wirebounds' package scoping: conversions
-// of unsigned words outside the wire/artifact decoders — values the
+// of unsigned words outside the decoder packages — values the
 // process produced itself, not attacker-controlled bytes — are legal,
 // so this fixture's golden is empty.
 package outofscope

@@ -1,6 +1,7 @@
 // Package wirebounds flags int(...) conversions of unsigned words
-// decoded from untrusted bytes (the wire and artifact codecs) that
-// lack a bounds guard. On a 32-bit platform int(u32max) wraps
+// decoded from untrusted bytes (internal/codec, the wire, artifact and
+// geometry decoders that read through it, and record's hand-written
+// decoder) that lack a bounds guard. On a 32-bit platform int(u32max) wraps
 // negative, so an unguarded conversion lets a forged count, index or
 // shard word slip past a later `>= limit` check — the overflow class
 // PR 5 and PR 8 fixed by hand and pinned under GOARCH=386.
@@ -25,10 +26,14 @@ import (
 	"aqverify/internal/analysis"
 )
 
-// scope: the two packages that decode attacker-controlled bytes.
+// scope: the packages that decode attacker-controlled bytes — the
+// shared reader, its three users, and record's hand-written decoder.
 var scope = map[string]bool{
+	"codec":    true,
 	"wire":     true,
 	"artifact": true,
+	"geometry": true,
+	"record":   true,
 }
 
 // Analyzer flags unguarded int conversions of decoded unsigned words.

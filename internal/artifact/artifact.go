@@ -33,6 +33,7 @@ import (
 
 	"aqverify/internal/backend"
 	"aqverify/internal/build"
+	"aqverify/internal/codec"
 	"aqverify/internal/core"
 	"aqverify/internal/hashing"
 	"aqverify/internal/shard"
@@ -47,11 +48,12 @@ var (
 	ErrBadMagic = errors.New("artifact: bad magic")
 	// ErrVersion marks a format version this build does not speak.
 	ErrVersion = errors.New("artifact: unsupported format version")
-	// ErrTruncated marks a file that ends in the middle of a structure.
-	ErrTruncated = errors.New("artifact: truncated")
+	// ErrTruncated marks a file that ends in the middle of a structure:
+	// codec's sentinel, which every reader of untrusted bytes shares.
+	ErrTruncated = codec.ErrTruncated
 	// ErrCorrupt marks a failed content hash, fingerprint or structural
-	// invariant.
-	ErrCorrupt = errors.New("artifact: corrupt")
+	// invariant: codec's sentinel too.
+	ErrCorrupt = codec.ErrCorrupt
 	// ErrTorn marks a blob whose epoch disagrees with the manifest: the
 	// directory mixes files from two different publications.
 	ErrTorn = errors.New("artifact: torn (mixed epochs)")

@@ -2,10 +2,10 @@ package artifact
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"math"
 
+	"aqverify/internal/codec"
 	"aqverify/internal/core"
 	"aqverify/internal/fmh"
 	"aqverify/internal/funcs"
@@ -39,174 +39,57 @@ var (
 	magicManifest = [4]byte{'A', 'Q', 'A', 'M'} // manifest
 )
 
-// writer appends primitives to a byte slice, mirroring the internal/wire
-// codec discipline: big-endian fixed-width integers, u32-length-prefixed
-// variable parts, raw 32-byte digests.
-type writer struct {
-	buf []byte
-}
-
-func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *writer) u32(v uint32) { w.buf = binary.BigEndian.AppendUint32(w.buf, v) }
-func (w *writer) u64(v uint64) { w.buf = binary.BigEndian.AppendUint64(w.buf, v) }
-func (w *writer) f64(v float64) {
-	w.u64(math.Float64bits(v))
-}
-func (w *writer) i32(v int) { w.u32(uint32(int32(v))) }
-func (w *writer) bytes(b []byte) {
-	w.u32(uint32(len(b)))
-	w.buf = append(w.buf, b...)
-}
-func (w *writer) str(s string)            { w.bytes([]byte(s)) }
-func (w *writer) digest(d hashing.Digest) { w.buf = append(w.buf, d[:]...) }
-func (w *writer) box(b geometry.Box)      { w.u32(uint32(b.Dim())); w.f64s(b.Lo); w.f64s(b.Hi) }
-func (w *writer) f64s(vs []float64) {
-	for _, v := range vs {
-		w.f64(v)
-	}
-}
-
 // seal appends the SHA-256 of everything written so far — the file's
 // trailing content hash — and returns the finished bytes and that hash.
-func (w *writer) seal() ([]byte, hashing.Digest) {
-	h := hashing.Digest(sha256.Sum256(w.buf))
-	w.digest(h)
-	return w.buf, h
+func seal(w *codec.Writer) ([]byte, hashing.Digest) {
+	h := hashing.Digest(sha256.Sum256(w.Buf))
+	w.Buf = append(w.Buf, h[:]...)
+	return w.Buf, h
 }
 
-// reader consumes primitives from a byte slice, remembering the first
-// error so call sites stay linear. Variable-length reads return
-// subslices of the input without copying — on a memory-mapped file the
-// decoded signatures, inequality encodings and record payloads alias
-// the map directly.
-type reader struct {
-	buf []byte
-	err error
+func writeBox(w *codec.Writer, b geometry.Box) {
+	w.U32(uint32(b.Dim()))
+	writeF64s(w, b.Lo)
+	writeF64s(w, b.Hi)
 }
 
-func (r *reader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s", ErrTruncated, what)
+func writeF64s(w *codec.Writer, vs []float64) {
+	for _, v := range vs {
+		w.F64(v)
 	}
 }
 
-// corrupt records a structural-consistency failure (a value that cannot
-// belong to any honestly written file).
-func (r *reader) corrupt(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
-	}
-}
-
-func (r *reader) raw(n int, what string) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || len(r.buf) < n {
-		r.fail(what)
-		return nil
-	}
-	out := r.buf[:n:n]
-	r.buf = r.buf[n:]
-	return out
-}
-
-func (r *reader) u8(what string) uint8 {
-	b := r.raw(1, what)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *reader) u32(what string) uint32 {
-	b := r.raw(4, what)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (r *reader) u64(what string) uint64 {
-	b := r.raw(8, what)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (r *reader) f64(what string) float64 { return math.Float64frombits(r.u64(what)) }
-
-func (r *reader) i32(what string) int { return int(int32(r.u32(what))) }
-
-func (r *reader) bytes(what string) []byte {
-	n := r.u32(what)
-	if uint64(n) > uint64(len(r.buf)) {
-		r.fail(what)
-		return nil
-	}
-	return r.raw(int(n), what)
-}
-
-func (r *reader) str(what string) string { return string(r.bytes(what)) }
-
-func (r *reader) digest(what string) (d hashing.Digest) {
-	b := r.raw(len(d), what)
-	if b != nil {
-		copy(d[:], b)
-	}
+// readDigest reads a raw 32-byte digest.
+func readDigest(r *codec.Reader, what string) (d hashing.Digest) {
+	copy(d[:], r.Take(len(d), what))
 	return d
 }
 
-// count reads a u32 element count and sanity-bounds it against the
-// remaining buffer (each element needs at least min bytes) so a forged
-// count cannot drive huge allocations.
-func (r *reader) count(what string, min int) int {
-	n := int(r.u32(what))
-	if r.err != nil {
-		return 0
-	}
-	if n < 0 || (min > 0 && n > len(r.buf)/min+1) {
-		r.corrupt("implausible %s count %d", what, n)
-		return 0
-	}
-	return n
-}
-
-func (r *reader) f64s(n int, what string) []float64 {
-	if r.err != nil || n > len(r.buf)/8+1 {
-		r.corrupt("implausible %s count %d", what, n)
+// readF64s reads n floats, n bounded by the bytes left.
+func readF64s(r *codec.Reader, n int, what string) []float64 {
+	if r.Err() != nil || n > len(r.Buf)/8+1 {
+		r.Corrupt("implausible %s count %d", what, n)
 		return nil
 	}
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = r.f64(what)
+		out[i] = r.F64(what)
 	}
 	return out
 }
 
-func (r *reader) box(what string) geometry.Box {
-	dim := r.count(what+" dimension", 16)
-	lo := r.f64s(dim, what+" lower corner")
-	hi := r.f64s(dim, what+" upper corner")
-	if r.err != nil {
+func readBox(r *codec.Reader, what string) geometry.Box {
+	dim := r.Count(what+" dimension", 16)
+	lo := readF64s(r, dim, what+" lower corner")
+	hi := readF64s(r, dim, what+" upper corner")
+	if r.Err() != nil {
 		return geometry.Box{}
 	}
 	b, err := geometry.NewBox(lo, hi)
 	if err != nil {
-		r.corrupt("%s: %v", what, err)
+		r.Corrupt("%s: %v", what, err)
 	}
 	return b
-}
-
-func (r *reader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.buf) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.buf))
-	}
-	return nil
 }
 
 // encodeTree serializes one built tree's serve-state into a sealed blob.
@@ -220,29 +103,29 @@ func (r *reader) done() error {
 func encodeTree(s core.Snapshot, shardIdx int) ([]byte, hashing.Digest, error) {
 	nf := forestBound(s)
 	ni, isize := imhSize(s.ITree.Root)
-	w := &writer{buf: make([]byte, 0, sizeTree(s, nf, isize))}
-	w.buf = append(w.buf, magicTree[:]...)
-	w.u32(formatVersion)
-	w.u64(s.Epoch)
-	w.u8(uint8(s.Mode))
+	w := &codec.Writer{Buf: make([]byte, 0, sizeTree(s, nf, isize))}
+	w.Buf = append(w.Buf, magicTree[:]...)
+	w.U32(formatVersion)
+	w.U64(s.Epoch)
+	w.U8(uint8(s.Mode))
 	if shardIdx < 0 {
-		w.u32(nilIndex)
+		w.U32(nilIndex)
 	} else {
-		w.u32(uint32(shardIdx))
+		w.U32(uint32(shardIdx))
 	}
-	w.box(s.Domain)
+	writeBox(w, s.Domain)
 
 	// Records: the canonical record codec, prefixed by the schema the
 	// table validates against.
-	w.str(s.Table.Schema.Name)
-	w.u32(uint32(len(s.Table.Schema.Columns)))
+	w.Bytes([]byte(s.Table.Schema.Name))
+	w.U32(uint32(len(s.Table.Schema.Columns)))
 	for _, c := range s.Table.Schema.Columns {
-		w.str(c.Name)
-		w.str(c.Description)
+		w.Bytes([]byte(c.Name))
+		w.Bytes([]byte(c.Description))
 	}
-	w.u32(uint32(s.Table.Len()))
+	w.U32(uint32(s.Table.Len()))
 	for _, rec := range s.Table.Records {
-		w.buf = rec.Encode(w.buf)
+		w.Buf = rec.Encode(w.Buf)
 	}
 
 	// A row is digest, left, right, width. A leaf has no children: its
@@ -251,7 +134,7 @@ func encodeTree(s core.Snapshot, shardIdx int) ([]byte, hashing.Digest, error) {
 	// slot[p] is the row of the last list's node at post-order position
 	// p of the (n+2)-leaf shape; a width-wd subtree from position at has
 	// its root at at+2wd-2. forestBound counts the rows this writes.
-	w.u32(uint32(nf))
+	w.U32(uint32(nf))
 	slot := make([]uint32, 2*s.Subs[0].List.Tree.W-1)
 	rows := uint32(0)
 	var row func(n, prev *mhtree.Node, at int) uint32
@@ -269,10 +152,10 @@ func encodeTree(s core.Snapshot, shardIdx int) ([]byte, hashing.Digest, error) {
 			l = row(n.L, pl, at)
 			r = row(n.R, pr, at+2*int(n.L.W)-1)
 		}
-		w.digest(n.H)
-		w.u32(l)
-		w.u32(r)
-		w.u32(uint32(n.W))
+		w.Buf = append(w.Buf, n.H[:]...)
+		w.U32(l)
+		w.U32(r)
+		w.U32(uint32(n.W))
 		slot[p], rows = rows, rows+1
 		return slot[p]
 	}
@@ -282,48 +165,48 @@ func encodeTree(s core.Snapshot, shardIdx int) ([]byte, hashing.Digest, error) {
 		roots[k] = row(si.List.Tree, prev, 0)
 		prev = si.List.Tree
 	}
-	w.u32(uint32(len(roots)))
+	w.U32(uint32(len(roots)))
 	for _, ri := range roots {
-		w.u32(ri)
+		w.U32(ri)
 	}
 
 	// Per-subdomain inequality encoding and signature (multi-signature
 	// mode only).
 	if s.Mode == core.MultiSignature {
 		for _, si := range s.Subs {
-			w.bytes(si.IneqEnc)
-			w.bytes(si.Sig)
+			w.Bytes(si.IneqEnc)
+			w.Bytes(si.Sig)
 		}
 	}
 
 	// IMH tree: post-order (children strictly before parents; the root
 	// is the last row), every node carrying its propagated hash so
 	// loading never re-propagates.
-	w.u32(uint32(ni))
+	w.U32(uint32(ni))
 	irows := uint32(0)
 	var irow func(n *itree.Node) uint32
 	irow = func(n *itree.Node) uint32 {
 		if n.IsLeaf() {
-			w.u8(0)
-			w.u32(uint32(n.Leaf.ID))
+			w.U8(0)
+			w.U32(uint32(n.Leaf.ID))
 		} else {
 			above, below := irow(n.Above), irow(n.Below)
-			w.u8(1)
-			w.u32(uint32(n.Int.I))
-			w.u32(uint32(n.Int.J))
-			w.u32(uint32(n.Int.H.EncodedLen()))
-			w.buf = n.Int.H.Encode(w.buf)
-			w.u32(above)
-			w.u32(below)
+			w.U8(1)
+			w.U32(uint32(n.Int.I))
+			w.U32(uint32(n.Int.J))
+			w.U32(uint32(n.Int.H.EncodedLen()))
+			w.Buf = n.Int.H.Encode(w.Buf)
+			w.U32(above)
+			w.U32(below)
 		}
-		w.digest(n.Hash)
+		w.Buf = append(w.Buf, n.Hash[:]...)
 		irows++
 		return irows - 1
 	}
 	irow(s.ITree.Root)
 
-	w.bytes(s.RootSig)
-	buf, h := w.seal()
+	w.Bytes(s.RootSig)
+	buf, h := seal(w)
 	return buf, h, nil
 }
 
@@ -440,38 +323,38 @@ func decodeTree(data []byte) (*decodedTree, error) {
 	if [4]byte(data[:4]) != magicTree {
 		return nil, fmt.Errorf("%w: %q is not a tree blob", ErrBadMagic, data[:4])
 	}
-	r := &reader{buf: data[4:]}
-	if v := r.u32("version"); r.err == nil && v != formatVersion {
+	r := &codec.Reader{Buf: data[4:]}
+	if v := r.U32("version"); r.Err() == nil && v != formatVersion {
 		return nil, fmt.Errorf("%w: tree blob version %d (want %d)", ErrVersion, v, formatVersion)
 	}
 
 	d := &decodedTree{}
-	d.epoch = r.u64("epoch")
-	mode := r.u8("mode")
-	if r.err == nil && mode > uint8(core.MultiSignature) {
-		r.corrupt("unknown mode %d", mode)
+	d.epoch = r.U64("epoch")
+	mode := r.U8("mode")
+	if mode > uint8(core.MultiSignature) {
+		r.Corrupt("unknown mode %d", mode)
 	}
 	d.mode = core.Mode(mode)
-	d.shard = r.u32("shard index")
-	d.domain = r.box("domain")
+	d.shard = r.U32("shard index")
+	d.domain = readBox(r, "domain")
 	dim := d.domain.Dim()
 
 	// Records.
-	schema := record.Schema{Name: r.str("schema name")}
-	ncols := r.count("schema column", 8)
+	schema := record.Schema{Name: string(r.Bytes("schema name"))}
+	ncols := r.Count("schema column", 8)
 	schema.Columns = make([]record.Column, ncols)
 	for i := range schema.Columns {
-		schema.Columns[i] = record.Column{Name: r.str("column name"), Description: r.str("column description")}
+		schema.Columns[i] = record.Column{Name: string(r.Bytes("column name")), Description: string(r.Bytes("column description"))}
 	}
-	n := r.count("record", 16)
+	n := r.Count("record", 16)
 	recs := make([]record.Record, n)
 	for i := range recs {
-		recs[i].ID = r.u64("record id")
-		recs[i].Attrs = r.f64s(r.count("attribute", 8), "attributes")
-		recs[i].Payload = r.bytes("record payload")
+		recs[i].ID = r.U64("record id")
+		recs[i].Attrs = readF64s(r, r.Count("attribute", 8), "attributes")
+		recs[i].Payload = r.Bytes("record payload")
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	tbl, err := record.NewTable(schema, recs)
 	if err != nil {
@@ -480,19 +363,19 @@ func decodeTree(data []byte) (*decodedTree, error) {
 	d.table = tbl
 
 	// FMH forest.
-	nf := r.count("fmh node", forestRow)
+	nf := r.Count("fmh node", forestRow)
 	forest := make([]mhtree.Node, nf)
 	spans := make([]leafSpan, nf)
 	for i := range forest {
-		forest[i].H = r.digest("fmh node hash")
-		l, rr := r.u32("fmh left child"), r.u32("fmh right child")
-		wdt := r.u32("fmh node width")
-		if r.err != nil {
-			return nil, r.err
+		forest[i].H = readDigest(r, "fmh node hash")
+		l, rr := r.U32("fmh left child"), r.U32("fmh right child")
+		wdt := r.U32("fmh node width")
+		if r.Err() != nil {
+			return nil, r.Err()
 		}
 		if uint64(wdt) > uint64(n)+2 || wdt > math.MaxInt32 {
-			r.corrupt("fmh node %d has width %d for %d records", i, wdt, n)
-			return nil, r.err
+			r.Corrupt("fmh node %d has width %d for %d records", i, wdt, n)
+			return nil, r.Err()
 		}
 		forest[i].W, forest[i].Rec = int32(wdt), mhtree.NoRecord
 		switch {
@@ -500,51 +383,51 @@ func decodeTree(data []byte) (*decodedTree, error) {
 			// A leaf: the right slot is its record (nilIndex: none).
 			spans[i] = spanSentinel
 			if wdt != 1 {
-				r.corrupt("fmh leaf %d has width %d", i, wdt)
+				r.Corrupt("fmh leaf %d has width %d", i, wdt)
 			} else if rr != nilIndex {
 				if uint64(rr) >= uint64(n) {
-					r.corrupt("fmh leaf %d names record %d outside %d records", i, rr, n)
+					r.Corrupt("fmh leaf %d names record %d outside %d records", i, rr, n)
 				}
 				forest[i].Rec, spans[i] = int32(rr), spanRecords
 			}
 		case rr == nilIndex:
-			r.corrupt("fmh node %d has one child", i)
+			r.Corrupt("fmh node %d has one child", i)
 		case uint64(l) >= uint64(i) || uint64(rr) >= uint64(i):
-			r.corrupt("fmh node %d references a later node", i)
+			r.Corrupt("fmh node %d references a later node", i)
 		default:
 			forest[i].L, forest[i].R = &forest[l], &forest[rr]
 			if int64(wdt) != int64(forest[l].W)+int64(forest[rr].W) || int(forest[l].W) != mhtree.LeftWidth(int(wdt)) {
-				r.corrupt("fmh node %d has inconsistent width %d", i, wdt)
+				r.Corrupt("fmh node %d has inconsistent width %d", i, wdt)
 			}
 			if spans[i] = joinSpans(spans[l], spans[rr]); spans[i] == spanInvalid {
-				r.corrupt("fmh node %d has a sentinel leaf inside its span", i)
+				r.Corrupt("fmh node %d has a sentinel leaf inside its span", i)
 			}
 		}
-		if r.err != nil {
-			return nil, r.err
+		if r.Err() != nil {
+			return nil, r.Err()
 		}
 	}
-	ns := r.count("subdomain", 4)
-	if r.err == nil && ns < 1 {
-		r.corrupt("no subdomains")
+	ns := r.Count("subdomain", 4)
+	if ns < 1 {
+		r.Corrupt("no subdomains")
 	}
 	subs := make([]*core.SubInfo, ns)
 	for i := range subs {
-		ri := r.u32("fmh root index")
-		if r.err != nil {
-			return nil, r.err
+		ri := r.U32("fmh root index")
+		if r.Err() != nil {
+			return nil, r.Err()
 		}
 		if uint64(ri) >= uint64(nf) {
-			r.corrupt("subdomain %d fmh root %d outside %d nodes", i, ri, nf)
-			return nil, r.err
+			r.Corrupt("subdomain %d fmh root %d outside %d nodes", i, ri, nf)
+			return nil, r.Err()
 		}
 		if int(forest[ri].W) != n+2 {
-			r.corrupt("subdomain %d list covers %d leaves for %d records", i, forest[ri].W, n)
-			return nil, r.err
+			r.Corrupt("subdomain %d list covers %d leaves for %d records", i, forest[ri].W, n)
+			return nil, r.Err()
 		}
 		if spans[ri] != spanList {
-			r.corrupt("subdomain %d list is not n records between two sentinels", i)
-			return nil, r.err
+			r.Corrupt("subdomain %d list is not n records between two sentinels", i)
+			return nil, r.Err()
 		}
 		subs[i] = &core.SubInfo{List: &fmh.List{N: n, Tree: &forest[ri]}}
 	}
@@ -552,36 +435,36 @@ func decodeTree(data []byte) (*decodedTree, error) {
 	// Per-subdomain inequality encodings and signatures.
 	if d.mode == core.MultiSignature {
 		for _, si := range subs {
-			si.IneqEnc = r.bytes("inequality encoding")
-			si.Sig = r.bytes("subdomain signature")
-			if r.err != nil {
-				return nil, r.err
+			si.IneqEnc = r.Bytes("inequality encoding")
+			si.Sig = r.Bytes("subdomain signature")
+			if r.Err() != nil {
+				return nil, r.Err()
 			}
 		}
 	}
 
 	// IMH tree.
-	nt := r.count("imh node", 37)
-	if r.err == nil && nt < 1 {
-		r.corrupt("empty imh tree")
+	nt := r.Count("imh node", 37)
+	if nt < 1 {
+		r.Corrupt("empty imh tree")
 	}
 	inodes := make([]itree.Node, nt)
 	leaves := make([]itree.Subdomain, ns)
 	subPtrs := make([]*itree.Subdomain, ns)
 	seen := 0
 	for i := range inodes {
-		switch kind := r.u8("imh node kind"); {
-		case r.err != nil:
-			return nil, r.err
+		switch kind := r.U8("imh node kind"); {
+		case r.Err() != nil:
+			return nil, r.Err()
 		case kind == 0:
-			sid := r.u32("imh leaf subdomain")
-			if r.err != nil {
-				return nil, r.err
+			sid := r.U32("imh leaf subdomain")
+			if r.Err() != nil {
+				return nil, r.Err()
 			}
 			if uint64(sid) >= uint64(ns) {
-				r.corrupt("imh leaf subdomain %d outside %d", sid, ns)
+				r.Corrupt("imh leaf subdomain %d outside %d", sid, ns)
 			} else if subPtrs[sid] != nil {
-				r.corrupt("duplicate imh leaf for subdomain %d", sid)
+				r.Corrupt("duplicate imh leaf for subdomain %d", sid)
 			} else {
 				leaves[sid] = itree.Subdomain{ID: int(sid)}
 				subPtrs[sid] = &leaves[sid]
@@ -589,44 +472,41 @@ func decodeTree(data []byte) (*decodedTree, error) {
 				seen++
 			}
 		case kind == 1:
-			ii, jj := r.u32("intersection i"), r.u32("intersection j")
-			enc := r.bytes("hyperplane")
-			ai, bi := r.u32("above child"), r.u32("below child")
-			if r.err != nil {
-				return nil, r.err
+			ii, jj := r.U32("intersection i"), r.U32("intersection j")
+			enc := r.Bytes("hyperplane")
+			ai, bi := r.U32("above child"), r.U32("below child")
+			if r.Err() != nil {
+				return nil, r.Err()
 			}
 			if uint64(ii) >= uint64(jj) || uint64(jj) >= uint64(n) {
-				r.corrupt("imh node %d intersection (%d,%d) outside %d functions", i, ii, jj, n)
+				r.Corrupt("imh node %d intersection (%d,%d) outside %d functions", i, ii, jj, n)
 				break
 			}
 			if uint64(ai) >= uint64(i) || uint64(bi) >= uint64(i) {
-				r.corrupt("imh node %d references a later child", i)
+				r.Corrupt("imh node %d references a later child", i)
 				break
 			}
-			hp, rest, err := geometry.DecodeHyperplane(enc)
-			if err != nil || len(rest) != 0 || len(hp.C) != dim {
-				r.corrupt("imh node %d hyperplane encoding", i)
+			hp, err := geometry.DecodeHyperplane(enc)
+			if err != nil || len(hp.C) != dim {
+				r.Corrupt("imh node %d hyperplane encoding", i)
 				break
 			}
 			inodes[i].Int = &itree.Intersection{I: int(ii), J: int(jj), H: hp}
 			inodes[i].Above, inodes[i].Below = &inodes[ai], &inodes[bi]
 		default:
-			r.corrupt("unknown imh node kind %d", kind)
+			r.Corrupt("unknown imh node kind %d", kind)
 		}
-		inodes[i].Hash = r.digest("imh node hash")
-		if r.err != nil {
-			return nil, r.err
+		inodes[i].Hash = readDigest(r, "imh node hash")
+		if r.Err() != nil {
+			return nil, r.Err()
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if nt < 1 {
-		return nil, fmt.Errorf("%w: empty imh tree", ErrCorrupt)
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	if seen != ns {
-		r.corrupt("imh tree has %d leaves for %d subdomains", seen, ns)
-		return nil, r.err
+		r.Corrupt("imh tree has %d leaves for %d subdomains", seen, ns)
+		return nil, r.Err()
 	}
 	for i, si := range subs {
 		si.Sub = subPtrs[i]
@@ -634,11 +514,11 @@ func decodeTree(data []byte) (*decodedTree, error) {
 	d.itree = &itree.Tree{Root: &inodes[nt-1], Subs: subPtrs, NodeCount: nt}
 	d.subs = subs
 
-	d.rootSig = r.bytes("root signature")
+	d.rootSig = r.Bytes("root signature")
 
 	// Sealed trailer: the content hash over everything before it.
-	want := r.digest("content hash")
-	if err := r.done(); err != nil {
+	want := readDigest(r, "content hash")
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	d.hash = hashing.Digest(sha256.Sum256(data[:len(data)-len(want)]))
@@ -669,30 +549,30 @@ type manifest struct {
 // encodeManifest serializes and seals a manifest, returning the bytes
 // and the artifact content hash.
 func encodeManifest(m *manifest) ([]byte, hashing.Digest) {
-	w := &writer{buf: make([]byte, 0, 1<<10)}
-	w.buf = append(w.buf, magicManifest[:]...)
-	w.u32(formatVersion)
-	w.u8(uint8(m.kind))
-	w.u64(m.epoch)
-	w.u8(uint8(m.mode))
-	w.bytes(m.verifierBytes)
-	w.str(m.template.Name)
-	w.u32(uint32(len(m.template.CoefAttrs)))
+	w := &codec.Writer{Buf: make([]byte, 0, 1<<10)}
+	w.Buf = append(w.Buf, magicManifest[:]...)
+	w.U32(formatVersion)
+	w.U8(uint8(m.kind))
+	w.U64(m.epoch)
+	w.U8(uint8(m.mode))
+	w.Bytes(m.verifierBytes)
+	w.Bytes([]byte(m.template.Name))
+	w.U32(uint32(len(m.template.CoefAttrs)))
 	for _, a := range m.template.CoefAttrs {
-		w.i32(a)
+		w.I32(a)
 	}
-	w.i32(m.template.BiasAttr)
-	w.f64(m.semTol)
-	w.box(m.plan.Domain)
-	w.u32(uint32(m.plan.Axis))
-	w.u32(uint32(len(m.plan.Cuts)))
-	w.f64s(m.plan.Cuts)
-	w.u32(uint32(len(m.fileHashes)))
+	w.I32(m.template.BiasAttr)
+	w.F64(m.semTol)
+	writeBox(w, m.plan.Domain)
+	w.U32(uint32(m.plan.Axis))
+	w.U32(uint32(len(m.plan.Cuts)))
+	writeF64s(w, m.plan.Cuts)
+	w.U32(uint32(len(m.fileHashes)))
 	for i := range m.fileHashes {
-		w.digest(m.fileHashes[i])
-		w.digest(m.fingerprints[i])
+		w.Buf = append(w.Buf, m.fileHashes[i][:]...)
+		w.Buf = append(w.Buf, m.fingerprints[i][:]...)
 	}
-	buf, h := w.seal()
+	buf, h := seal(w)
 	m.hash = h
 	return buf, h
 }
@@ -705,57 +585,57 @@ func decodeManifest(data []byte) (*manifest, error) {
 	if [4]byte(data[:4]) != magicManifest {
 		return nil, fmt.Errorf("%w: %q is not an artifact manifest", ErrBadMagic, data[:4])
 	}
-	r := &reader{buf: data[4:]}
-	if v := r.u32("version"); r.err == nil && v != formatVersion {
+	r := &codec.Reader{Buf: data[4:]}
+	if v := r.U32("version"); r.Err() == nil && v != formatVersion {
 		return nil, fmt.Errorf("%w: manifest version %d (want %d)", ErrVersion, v, formatVersion)
 	}
 	m := &manifest{}
-	kind := r.u8("kind")
-	if r.err == nil && kind != uint8(KindTree) && kind != uint8(KindSet) {
-		r.corrupt("unknown artifact kind %d", kind)
+	kind := r.U8("kind")
+	if kind != uint8(KindTree) && kind != uint8(KindSet) {
+		r.Corrupt("unknown artifact kind %d", kind)
 	}
 	m.kind = Kind(kind)
-	m.epoch = r.u64("epoch")
-	mode := r.u8("mode")
-	if r.err == nil && mode > uint8(core.MultiSignature) {
-		r.corrupt("unknown mode %d", mode)
+	m.epoch = r.U64("epoch")
+	mode := r.U8("mode")
+	if mode > uint8(core.MultiSignature) {
+		r.Corrupt("unknown mode %d", mode)
 	}
 	m.mode = core.Mode(mode)
-	m.verifierBytes = r.bytes("verifier")
-	m.template.Name = r.str("template name")
-	nc := r.count("template variable", 4)
+	m.verifierBytes = r.Bytes("verifier")
+	m.template.Name = string(r.Bytes("template name"))
+	nc := r.Count("template variable", 4)
 	m.template.CoefAttrs = make([]int, nc)
 	for i := range m.template.CoefAttrs {
-		m.template.CoefAttrs[i] = r.i32("template attribute")
+		m.template.CoefAttrs[i] = r.I32("template attribute")
 	}
-	m.template.BiasAttr = r.i32("template bias")
-	m.semTol = r.f64("semantic tolerance")
-	domain := r.box("plan domain")
-	axis := r.u32("plan axis")
-	if r.err == nil && axis >= uint32(domain.Dim()) {
-		r.corrupt("plan axis %d outside %d dimensions", axis, domain.Dim())
+	m.template.BiasAttr = r.I32("template bias")
+	m.semTol = r.F64("semantic tolerance")
+	domain := readBox(r, "plan domain")
+	axis := r.U32("plan axis")
+	if axis >= uint32(domain.Dim()) {
+		r.Corrupt("plan axis %d outside %d dimensions", axis, domain.Dim())
 	}
-	cuts := r.f64s(r.count("plan cut", 8), "plan cuts")
-	if r.err != nil {
-		return nil, r.err
+	cuts := readF64s(r, r.Count("plan cut", 8), "plan cuts")
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	plan, err := shard.NewPlanCuts(domain, int(axis), cuts)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	m.plan = plan
-	k := r.count("shard hash", 64)
-	if r.err == nil && (k < 1 || (m.kind == KindTree && k != 1) || (m.kind == KindSet && k != plan.K())) {
-		r.corrupt("%d blob hashes for a %s artifact with a %d-shard plan", k, m.kind, plan.K())
+	k := r.Count("shard hash", 64)
+	if k < 1 || (m.kind == KindTree && k != 1) || (m.kind == KindSet && k != plan.K()) {
+		r.Corrupt("%d blob hashes for a %s artifact with a %d-shard plan", k, m.kind, plan.K())
 	}
 	m.fileHashes = make([]hashing.Digest, k)
 	m.fingerprints = make([]hashing.Digest, k)
 	for i := 0; i < k; i++ {
-		m.fileHashes[i] = r.digest("blob hash")
-		m.fingerprints[i] = r.digest("fingerprint")
+		m.fileHashes[i] = readDigest(r, "blob hash")
+		m.fingerprints[i] = readDigest(r, "fingerprint")
 	}
-	want := r.digest("content hash")
-	if err := r.done(); err != nil {
+	want := readDigest(r, "content hash")
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	m.hash = hashing.Digest(sha256.Sum256(data[:len(data)-len(want)]))

@@ -159,12 +159,9 @@ func FromSnapshot(s Snapshot) (*Tree, error) {
 				return nil, fmt.Errorf("core: multi-signature snapshot subdomain %d carries no signature", i)
 			}
 			if si.Ineqs == nil {
-				ineqs, rest, err := geometry.DecodeHalfspaces(si.IneqEnc)
+				ineqs, err := geometry.DecodeHalfspaces(si.IneqEnc)
 				if err != nil {
 					return nil, fmt.Errorf("core: subdomain %d inequality encoding: %w", i, err)
-				}
-				if len(rest) != 0 {
-					return nil, fmt.Errorf("core: subdomain %d inequality encoding has %d trailing bytes", i, len(rest))
 				}
 				si.Ineqs = ineqs
 			}

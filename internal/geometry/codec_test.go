@@ -16,7 +16,7 @@ import (
 func TestDecodeHalfspacesBoundsCountByBytes(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, err := DecodeHalfspaces([]byte{1, 0, 0, 0})
+	_, err := DecodeHalfspaces([]byte{1, 0, 0, 0})
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("a count with no halfspaces behind it was accepted")
@@ -27,11 +27,11 @@ func TestDecodeHalfspacesBoundsCountByBytes(t *testing.T) {
 	// One byte short of the second halfspace: still refused before
 	// allocating for two; exactly two: accepted.
 	two := EncodeHalfspaces(nil, []Halfspace{{H: Hyperplane{B: 1}}, {H: Hyperplane{B: 2}, Strict: true}})
-	if _, _, err := DecodeHalfspaces(two[:len(two)-1]); err == nil {
+	if _, err := DecodeHalfspaces(two[:len(two)-1]); err == nil {
 		t.Fatal("truncated list accepted")
 	}
-	if hss, rest, err := DecodeHalfspaces(two); err != nil || len(hss) != 2 || len(rest) != 0 {
-		t.Fatalf("shortest honest list: %v, %d halfspaces, %d bytes left", err, len(hss), len(rest))
+	if hss, err := DecodeHalfspaces(two); err != nil || len(hss) != 2 {
+		t.Fatalf("shortest honest list: %v, %d halfspaces", err, len(hss))
 	}
 }
 
@@ -43,10 +43,10 @@ func TestDecodeHalfspacesBoundsCountByBytes(t *testing.T) {
 func TestDecodeHyperplaneCountDoesNotWrap(t *testing.T) {
 	for _, count := range [][]byte{{0x1F, 0xFF, 0xFF, 0xFF}, {0x3F, 0xFF, 0xFF, 0xFF}, {0xFF, 0xFF, 0xFF, 0xFF}} {
 		src := append(append([]byte(nil), count...), make([]byte, 8)...)
-		if _, _, err := DecodeHyperplane(src); err == nil {
+		if _, err := DecodeHyperplane(src); err == nil {
 			t.Fatalf("count % x over 8 bytes accepted", count)
 		}
-		if _, _, err := DecodeHalfspace(append([]byte{0}, src...)); err == nil {
+		if _, err := decodeHalfspace(append([]byte{0}, src...)); err == nil {
 			t.Fatalf("halfspace with count % x accepted", count)
 		}
 	}
@@ -59,14 +59,14 @@ func TestDecodeHyperplaneCountDoesNotWrap(t *testing.T) {
 func TestDecodeHalfspaceStrictByteIsCanonical(t *testing.T) {
 	for _, strict := range []bool{false, true} {
 		enc := Halfspace{H: Hyperplane{C: []float64{1.5}, B: -2}, Strict: strict}.Encode(nil)
-		hs, rest, err := DecodeHalfspace(enc)
-		if err != nil || len(rest) != 0 || hs.Strict != strict {
-			t.Fatalf("strict=%v round trip: %+v, %d left, %v", strict, hs, len(rest), err)
+		hs, err := decodeHalfspace(enc)
+		if err != nil || hs.Strict != strict {
+			t.Fatalf("strict=%v round trip: %+v, %v", strict, hs, err)
 		}
 		for _, b := range []byte{2, 7, 0x80, 0xFF} {
 			forged := append([]byte(nil), enc...)
 			forged[0] = b
-			if hs, _, err := DecodeHalfspace(forged); err == nil && !bytes.Equal(hs.Encode(nil), forged) {
+			if hs, err := decodeHalfspace(forged); err == nil && !bytes.Equal(hs.Encode(nil), forged) {
 				t.Fatalf("strictness byte %#x decodes to %+v, which encodes differently", b, hs)
 			} else if err == nil {
 				t.Fatalf("strictness byte %#x accepted", b)

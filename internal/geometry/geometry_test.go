@@ -42,8 +42,8 @@ func TestHyperplaneEncodeRoundTrip(t *testing.T) {
 	f := func(c []float64, b float64) bool {
 		h := Hyperplane{C: c, B: b}
 		enc := h.Encode(nil)
-		got, rest, err := DecodeHyperplane(enc)
-		if err != nil || len(rest) != 0 {
+		got, err := DecodeHyperplane(enc)
+		if err != nil {
 			return false
 		}
 		if len(got.C) != len(c) {
@@ -65,7 +65,7 @@ func TestDecodeHyperplaneTruncated(t *testing.T) {
 	h := Hyperplane{C: []float64{1, 2, 3}, B: 4}
 	enc := h.Encode(nil)
 	for cut := 0; cut < len(enc); cut++ {
-		if _, _, err := DecodeHyperplane(enc[:cut]); err == nil {
+		if _, err := DecodeHyperplane(enc[:cut]); err == nil {
 			t.Fatalf("DecodeHyperplane accepted truncation at %d", cut)
 		}
 	}
@@ -97,9 +97,9 @@ func TestHalfspacesEncodeRoundTrip(t *testing.T) {
 		{H: Hyperplane{C: []float64{-1, 0.5}, B: -7}, Strict: true},
 	}
 	enc := EncodeHalfspaces(nil, hss)
-	got, rest, err := DecodeHalfspaces(enc)
-	if err != nil || len(rest) != 0 {
-		t.Fatalf("decode: %v (rest %d)", err, len(rest))
+	got, err := DecodeHalfspaces(enc)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
 	}
 	if len(got) != len(hss) {
 		t.Fatalf("got %d halfspaces, want %d", len(got), len(hss))

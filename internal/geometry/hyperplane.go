@@ -7,9 +7,9 @@ package geometry
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 
+	"aqverify/internal/codec"
 	"aqverify/internal/linalg"
 )
 
@@ -84,26 +84,25 @@ func reserve(dst []byte, n int) []byte {
 // EncodedLen returns len(h.Encode(nil)).
 func (h Hyperplane) EncodedLen() int { return 4 + 8*(len(h.C)+1) }
 
-// DecodeHyperplane parses a hyperplane previously written by Encode,
-// returning the remaining bytes.
-func DecodeHyperplane(src []byte) (Hyperplane, []byte, error) {
-	if len(src) < 4 {
-		return Hyperplane{}, nil, fmt.Errorf("geometry: hyperplane encoding truncated (len %d)", len(src))
+// DecodeHyperplane parses exactly one hyperplane written by Encode: the
+// bytes are the server's, so the coefficient count is bounded by the
+// bytes present before anything is allocated for it, and a byte left
+// over is refused.
+func DecodeHyperplane(src []byte) (Hyperplane, error) {
+	r := codec.Reader{Buf: src}
+	h := readHyperplane(&r)
+	if err := r.Done(); err != nil {
+		return Hyperplane{}, err
 	}
-	n := int(binary.BigEndian.Uint32(src[:4]))
-	src = src[4:]
-	// Compared without multiplying: 8*(n+1) wraps a 32-bit int for a
-	// forged count, and the make below then asks for gigabytes.
-	if n < 0 || len(src) < 8 || n > (len(src)-8)/8 {
-		return Hyperplane{}, nil, fmt.Errorf("geometry: hyperplane encoding truncated: need %d coefficients", n)
+	return h, nil
+}
+
+func readHyperplane(r *codec.Reader) Hyperplane {
+	c := make([]float64, r.Count("hyperplane coefficient", 8))
+	for i := range c {
+		c[i] = r.F64("hyperplane coefficient")
 	}
-	c := make([]float64, n)
-	for i := 0; i < n; i++ {
-		c[i] = math.Float64frombits(binary.BigEndian.Uint64(src[:8]))
-		src = src[8:]
-	}
-	b := math.Float64frombits(binary.BigEndian.Uint64(src[:8]))
-	return Hyperplane{C: c, B: b}, src[8:], nil
+	return Hyperplane{C: c, B: r.F64("hyperplane bias")}
 }
 
 // Halfspace is one closed or open side of a hyperplane:
@@ -154,21 +153,21 @@ func (hs Halfspace) EncodedLen() int { return 1 + hs.H.EncodedLen() }
 // byte, a zero coefficient count and the bias.
 const minHalfspaceLen = 1 + 4 + 8
 
-// DecodeHalfspace parses a halfspace written by Encode. The strictness
-// byte is 0 or 1 and nothing else, so that every accepted encoding is the
-// one Encode writes.
-func DecodeHalfspace(src []byte) (Halfspace, []byte, error) {
-	if len(src) < 1 {
-		return Halfspace{}, nil, fmt.Errorf("geometry: halfspace encoding empty")
+// decodeHalfspace parses exactly one halfspace written by Encode.
+func decodeHalfspace(src []byte) (Halfspace, error) {
+	r := codec.Reader{Buf: src}
+	hs := readHalfspace(&r)
+	if err := r.Done(); err != nil {
+		return Halfspace{}, err
 	}
-	if src[0] > 1 {
-		return Halfspace{}, nil, fmt.Errorf("geometry: halfspace strictness byte %#x is neither 0 nor 1", src[0])
-	}
-	h, rest, err := DecodeHyperplane(src[1:])
-	if err != nil {
-		return Halfspace{}, nil, err
-	}
-	return Halfspace{H: h, Strict: src[0] == 1}, rest, nil
+	return hs, nil
+}
+
+// readHalfspace reads the strictness byte as 0 or 1 and nothing else,
+// so that every accepted encoding is the one Encode writes.
+func readHalfspace(r *codec.Reader) Halfspace {
+	strict := r.Bool("halfspace strictness")
+	return Halfspace{H: readHyperplane(r), Strict: strict}
 }
 
 // EncodeHalfspaces appends a canonical encoding of a halfspace list: a
@@ -192,27 +191,16 @@ func HalfspacesEncodedLen(hss []Halfspace) int {
 	return n
 }
 
-// DecodeHalfspaces parses a list written by EncodeHalfspaces.
-func DecodeHalfspaces(src []byte) ([]Halfspace, []byte, error) {
-	if len(src) < 4 {
-		return nil, nil, fmt.Errorf("geometry: halfspace list truncated")
+// DecodeHalfspaces parses exactly one list written by EncodeHalfspaces,
+// its count bounded by the bytes that follow before it is allocated for.
+func DecodeHalfspaces(src []byte) ([]Halfspace, error) {
+	r := codec.Reader{Buf: src}
+	out := make([]Halfspace, r.Count("halfspace", minHalfspaceLen))
+	for i := range out {
+		out[i] = readHalfspace(&r)
 	}
-	count := binary.BigEndian.Uint32(src[:4])
-	src = src[4:]
-	// The count is the sender's: bound it by the bytes that follow before
-	// allocating for it.
-	if uint64(count) > uint64(len(src)/minHalfspaceLen) {
-		return nil, nil, fmt.Errorf("geometry: halfspace count %d exceeds the %d bytes present", count, len(src))
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
-	n := int(count)
-	out := make([]Halfspace, 0, n)
-	for i := 0; i < n; i++ {
-		hs, rest, err := DecodeHalfspace(src)
-		if err != nil {
-			return nil, nil, fmt.Errorf("geometry: halfspace %d: %w", i, err)
-		}
-		out = append(out, hs)
-		src = rest
-	}
-	return out, src, nil
+	return out, nil
 }

@@ -344,17 +344,3 @@ func Minimize(c []float64, a [][]float64, b []float64) (Result, error) {
 	res.Objective = -res.Objective
 	return res, nil
 }
-
-// Feasible reports whether {x : A x <= b} is nonempty, by solving a
-// zero-objective LP.
-func Feasible(a [][]float64, b []float64) (bool, error) {
-	nv := 0
-	if len(a) > 0 {
-		nv = len(a[0])
-	}
-	res, err := Solve(Problem{C: make([]float64, nv), A: a, B: b})
-	if err != nil {
-		return false, err
-	}
-	return res.Status == Optimal, nil
-}

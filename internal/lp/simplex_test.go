@@ -158,17 +158,6 @@ func TestMinimize(t *testing.T) {
 	}
 }
 
-func TestFeasible(t *testing.T) {
-	ok, err := Feasible([][]float64{{1}, {-1}}, []float64{5, 5})
-	if err != nil || !ok {
-		t.Fatalf("Feasible(-5<=x<=5) = %v, %v; want true", ok, err)
-	}
-	ok, err = Feasible([][]float64{{1}, {-1}}, []float64{1, -2})
-	if err != nil || ok {
-		t.Fatalf("Feasible(x<=1, x>=2) = %v, %v; want false", ok, err)
-	}
-}
-
 func TestSolveMalformed(t *testing.T) {
 	if _, err := Solve(Problem{C: []float64{1}, A: [][]float64{{1, 2}}, B: []float64{1}}); err == nil {
 		t.Fatal("want error for ragged constraint row")

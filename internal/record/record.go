@@ -62,10 +62,14 @@ func Decode(src []byte) (Record, []byte, error) {
 // AttrCount is the attribute count of the record encoded at the front of
 // src, 0 unless src can hold that many: what a DecodeInto needs room for.
 func AttrCount(src []byte) int {
-	if len(src) < 12 || uint64(len(src)-12) < 8*uint64(binary.BigEndian.Uint32(src[8:12]))+4 {
+	if len(src) < 16 {
 		return 0
 	}
-	return int(binary.BigEndian.Uint32(src[8:12]))
+	n := binary.BigEndian.Uint32(src[8:12])
+	if uint64(n) > uint64(len(src)-16)/8 {
+		return 0
+	}
+	return int(n)
 }
 
 // DecodeInto is Decode with Attrs stored at the front of attrs, cap-limited

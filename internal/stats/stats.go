@@ -19,49 +19,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the sample standard deviation of xs (n-1 denominator),
-// or 0 when fewer than two samples are present.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
-}
-
-// Min returns the minimum of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs, or 0 for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using
 // nearest-rank on a sorted copy. It returns 0 for an empty slice.
 func Percentile(xs []float64, p float64) float64 {
@@ -86,25 +43,3 @@ func Percentile(xs []float64, p float64) float64 {
 
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
-// Summary bundles the statistics reported per benchmark data point.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-	Median float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-		Median: Median(xs),
-	}
-}

@@ -3,6 +3,7 @@ package wire
 import (
 	"fmt"
 
+	"aqverify/internal/codec"
 	"aqverify/internal/core"
 	"aqverify/internal/geometry"
 	"aqverify/internal/hashing"
@@ -20,16 +21,16 @@ const (
 // EncodeQuery serializes one query — a query-batch item's payload and
 // the cache's key — allocated once, at its length.
 func EncodeQuery(q query.Query) []byte {
-	w := &writer{buf: make([]byte, 0, sizeQuery(q))}
+	w := &codec.Writer{Buf: make([]byte, 0, sizeQuery(q))}
 	encodeQuery(w, q)
-	return w.buf
+	return w.Buf
 }
 
 // DecodeQuery parses a query serialized by EncodeQuery.
 func DecodeQuery(b []byte) (query.Query, error) {
-	r := &reader{buf: b}
+	r := &codec.Reader{Buf: b}
 	q := decodeQuery(r)
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return query.Query{}, err
 	}
 	return q, nil
@@ -38,39 +39,39 @@ func DecodeQuery(b []byte) (query.Query, error) {
 // sizeQuery is the length encodeQuery writes.
 func sizeQuery(q query.Query) int { return 1 + 4 + 8*len(q.X) + 4 + 3*8 }
 
-func encodeQuery(w *writer, q query.Query) {
-	w.u8(uint8(q.Kind))
-	w.u32(uint32(len(q.X)))
+func encodeQuery(w *codec.Writer, q query.Query) {
+	w.U8(uint8(q.Kind))
+	w.U32(uint32(len(q.X)))
 	for _, v := range q.X {
-		w.f64(v)
+		w.F64(v)
 	}
-	w.u32(uint32(q.K))
-	w.f64(q.L)
-	w.f64(q.U)
-	w.f64(q.Y)
+	w.U32(uint32(q.K))
+	w.F64(q.L)
+	w.F64(q.U)
+	w.F64(q.Y)
 }
 
-func decodeQuery(r *reader) query.Query {
+func decodeQuery(r *codec.Reader) query.Query {
 	var q query.Query
-	q.Kind = query.Kind(r.u8("query kind"))
-	n := r.count("query vars", 8)
+	q.Kind = query.Kind(r.U8("query kind"))
+	n := r.Count("query vars", 8)
 	q.X = make(geometry.Point, n)
 	for i := range q.X {
-		q.X[i] = r.f64("query var")
+		q.X[i] = r.F64("query var")
 	}
-	q.K = r.nonneg("query k")
-	q.L = r.f64("query l")
-	q.U = r.f64("query u")
-	q.Y = r.f64("query y")
+	q.K = r.Nonneg("query k")
+	q.L = r.F64("query l")
+	q.U = r.F64("query u")
+	q.Y = r.F64("query y")
 	return q
 }
 
-func encodeRecords(w *writer, recs []record.Record) {
-	w.u32(uint32(len(recs)))
+func encodeRecords(w *codec.Writer, recs []record.Record) {
+	w.U32(uint32(len(recs)))
 	for _, rec := range recs {
-		at := w.begin()
-		w.buf = rec.Encode(w.buf)
-		w.end(at)
+		at := w.Begin()
+		w.Buf = rec.Encode(w.Buf)
+		w.End(at)
 	}
 }
 
@@ -84,22 +85,22 @@ func sizeRecords(recs []record.Record) int {
 
 // decodeRecords gives every record's Attrs one array, sized by a first pass
 // over the attribute counts (each bounded by the field it was read from).
-func decodeRecords(r *reader) []record.Record {
-	n := r.count("records", 5)
+func decodeRecords(r *codec.Reader) []record.Record {
+	n := r.Count("records", 5)
 	total := 0
-	for i, scan := 0, (reader{buf: r.buf}); i < n; i++ {
-		total += record.AttrCount(scan.view("record"))
+	for i, scan := 0, *r; i < n; i++ {
+		total += record.AttrCount(scan.Bytes("record"))
 	}
 	attrs := make([]float64, total)
 	out := make([]record.Record, 0, n)
 	for i := 0; i < n; i++ {
-		b := r.view("record")
-		if r.err != nil {
+		b := r.Bytes("record")
+		if r.Err() != nil {
 			return nil
 		}
 		rec, rest, err := record.DecodeInto(attrs, b)
 		if err != nil || len(rest) != 0 {
-			r.err = fmt.Errorf("wire: record %d: malformed", i)
+			r.Corrupt("record %d malformed", i)
 			return nil
 		}
 		attrs = attrs[len(rec.Attrs):]
@@ -108,12 +109,12 @@ func decodeRecords(r *reader) []record.Record {
 	return out
 }
 
-func encodeBoundary(w *writer, b core.Boundary) {
-	w.u8(uint8(b.Kind))
+func encodeBoundary(w *codec.Writer, b core.Boundary) {
+	w.U8(uint8(b.Kind))
 	if b.Kind == core.BoundaryRecord {
-		at := w.begin()
-		w.buf = b.Rec.Encode(w.buf)
-		w.end(at)
+		at := w.Begin()
+		w.Buf = b.Rec.Encode(w.Buf)
+		w.End(at)
 	}
 }
 
@@ -124,17 +125,17 @@ func sizeBoundary(b core.Boundary) int {
 	return 1
 }
 
-func decodeBoundary(r *reader) core.Boundary {
+func decodeBoundary(r *codec.Reader) core.Boundary {
 	var b core.Boundary
-	b.Kind = core.BoundaryKind(r.u8("boundary kind"))
+	b.Kind = core.BoundaryKind(r.U8("boundary kind"))
 	if b.Kind == core.BoundaryRecord {
-		raw := r.view("boundary record")
-		if r.err != nil {
+		raw := r.Bytes("boundary record")
+		if r.Err() != nil {
 			return b
 		}
 		rec, rest, err := record.Decode(raw)
 		if err != nil || len(rest) != 0 {
-			r.err = fmt.Errorf("wire: boundary record malformed")
+			r.Corrupt("boundary record malformed")
 			return b
 		}
 		b.Rec = rec
@@ -142,19 +143,19 @@ func decodeBoundary(r *reader) core.Boundary {
 	return b
 }
 
-func encodeDigests(w *writer, ds []hashing.Digest) {
-	w.u32(uint32(len(ds)))
+func encodeDigests(w *codec.Writer, ds []hashing.Digest) {
+	w.U32(uint32(len(ds)))
 	for _, d := range ds {
-		w.buf = append(w.buf, d[:]...)
+		w.Buf = append(w.Buf, d[:]...)
 	}
 }
 
-func decodeDigests(r *reader) []hashing.Digest {
-	out := make([]hashing.Digest, r.count("digests", hashing.Size))
+func decodeDigests(r *codec.Reader) []hashing.Digest {
+	out := make([]hashing.Digest, r.Count("digests", hashing.Size))
 	for i := range out {
-		copy(out[i][:], r.take(hashing.Size, "digest"))
+		copy(out[i][:], r.Take(hashing.Size, "digest"))
 	}
-	if r.err != nil {
+	if r.Err() != nil {
 		return nil
 	}
 	return out
@@ -166,29 +167,29 @@ func decodeDigests(r *reader) []hashing.Digest {
 // boundaries, hyperplanes, inequalities — is appended straight into it,
 // its length prefix filled in afterwards.
 func EncodeIFMH(a *core.Answer) []byte {
-	w := &writer{buf: make([]byte, 0, sizeIFMH(a))}
-	w.u8(magicIFMH)
+	w := &codec.Writer{Buf: make([]byte, 0, sizeIFMH(a))}
+	w.U8(magicIFMH)
 	encodeQuery(w, a.Query)
 	encodeRecords(w, a.Records)
-	w.u8(uint8(a.VO.Mode))
-	w.u32(uint32(a.VO.ListLen))
-	w.u32(uint32(a.VO.Start))
+	w.U8(uint8(a.VO.Mode))
+	w.U32(uint32(a.VO.ListLen))
+	w.U32(uint32(a.VO.Start))
 	encodeBoundary(w, a.VO.Left)
 	encodeBoundary(w, a.VO.Right)
 	encodeDigests(w, a.VO.FProof.Hashes)
-	w.u32(uint32(len(a.VO.Path)))
+	w.U32(uint32(len(a.VO.Path)))
 	for _, st := range a.VO.Path {
-		at := w.begin()
-		w.buf = st.Hp.Encode(w.buf)
-		w.end(at)
-		w.bool(st.TookAbove)
-		w.buf = append(w.buf, st.Sibling[:]...)
+		at := w.Begin()
+		w.Buf = st.Hp.Encode(w.Buf)
+		w.End(at)
+		w.Bool(st.TookAbove)
+		w.Buf = append(w.Buf, st.Sibling[:]...)
 	}
-	at := w.begin()
-	w.buf = geometry.EncodeHalfspaces(w.buf, a.VO.Ineqs)
-	w.end(at)
-	w.bytes(a.VO.Signature)
-	return w.buf
+	at := w.Begin()
+	w.Buf = geometry.EncodeHalfspaces(w.Buf, a.VO.Ineqs)
+	w.End(at)
+	w.Bytes(a.VO.Signature)
+	return w.Buf
 }
 
 // sizeIFMH is len(EncodeIFMH(a)), field for field in EncodeIFMH's order
@@ -207,50 +208,44 @@ func sizeIFMH(a *core.Answer) int {
 
 // DecodeIFMH parses an IFMH answer.
 func DecodeIFMH(b []byte) (*core.Answer, error) {
-	r := &reader{buf: b}
-	if r.u8("magic") != magicIFMH {
+	r := &codec.Reader{Buf: b}
+	if r.U8("magic") != magicIFMH {
 		return nil, fmt.Errorf("wire: not an IFMH answer")
 	}
 	a := &core.Answer{}
 	a.Query = decodeQuery(r)
 	a.Records = decodeRecords(r)
-	a.VO.Mode = core.Mode(r.u8("mode"))
-	a.VO.ListLen = r.nonneg("list len")
-	a.VO.Start = r.nonneg("start")
+	a.VO.Mode = core.Mode(r.U8("mode"))
+	a.VO.ListLen = r.Nonneg("list len")
+	a.VO.Start = r.Nonneg("start")
 	a.VO.Left = decodeBoundary(r)
 	a.VO.Right = decodeBoundary(r)
 	a.VO.FProof.Hashes = decodeDigests(r)
-	np := r.count("path", 1+hashing.Size)
+	np := r.Count("path", 1+hashing.Size)
 	for i := 0; i < np; i++ {
 		var st core.PathStep
-		raw := r.view("path hyperplane")
-		if r.err == nil {
-			hp, rest, err := geometry.DecodeHyperplane(raw)
-			if err != nil || len(rest) != 0 {
-				r.err = fmt.Errorf("wire: path step %d hyperplane malformed", i)
-			}
-			st.Hp = hp
+		hp, err := geometry.DecodeHyperplane(r.Bytes("path hyperplane"))
+		if err != nil {
+			r.Corrupt("path step %d hyperplane: %v", i, err)
 		}
-		st.TookAbove = r.bool("path dir")
-		copy(st.Sibling[:], r.take(hashing.Size, "path sibling"))
+		st.Hp = hp
+		st.TookAbove = r.Bool("path dir")
+		copy(st.Sibling[:], r.Take(hashing.Size, "path sibling"))
 		a.VO.Path = append(a.VO.Path, st)
 	}
-	rawIneqs := r.view("ineqs")
-	if r.err == nil {
-		// The field always carries a halfspace-list encoding (a zero
-		// count for the one-signature mode); rejecting anything shorter
-		// keeps the codec canonical — every accepted answer re-encodes
-		// to identical bytes.
-		hss, rest, err := geometry.DecodeHalfspaces(rawIneqs)
-		if err != nil || len(rest) != 0 {
-			r.err = fmt.Errorf("wire: inequality set malformed")
-		}
-		if len(hss) > 0 {
-			a.VO.Ineqs = hss
-		}
+	// The field always carries a halfspace-list encoding (a zero count
+	// for the one-signature mode); rejecting anything shorter keeps the
+	// codec canonical — every accepted answer re-encodes to identical
+	// bytes.
+	hss, err := geometry.DecodeHalfspaces(r.Bytes("ineqs"))
+	if err != nil {
+		r.Corrupt("inequality set: %v", err)
 	}
-	a.VO.Signature = append([]byte(nil), r.view("signature")...) // a copy: an answer never aliases its input
-	if err := r.done(); err != nil {
+	if len(hss) > 0 {
+		a.VO.Ineqs = hss
+	}
+	a.VO.Signature = append([]byte(nil), r.Bytes("signature")...) // a copy: an answer never aliases its input
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return a, nil
@@ -258,43 +253,43 @@ func DecodeIFMH(b []byte) (*core.Answer, error) {
 
 // EncodeMesh serializes a signature-mesh answer.
 func EncodeMesh(a *mesh.Answer) []byte {
-	w := &writer{}
-	w.u8(magicMesh)
+	w := &codec.Writer{}
+	w.U8(magicMesh)
 	encodeQuery(w, a.Query)
 	encodeRecords(w, a.Records)
-	w.u32(uint32(a.VO.ListLen))
+	w.U32(uint32(a.VO.ListLen))
 	encodeBoundary(w, a.VO.Left)
 	encodeBoundary(w, a.VO.Right)
-	w.u32(uint32(len(a.VO.Pairs)))
+	w.U32(uint32(len(a.VO.Pairs)))
 	for _, p := range a.VO.Pairs {
-		w.f64(p.Lo)
-		w.f64(p.Hi)
-		w.bytes(p.Sig)
+		w.F64(p.Lo)
+		w.F64(p.Hi)
+		w.Bytes(p.Sig)
 	}
-	return w.buf
+	return w.Buf
 }
 
 // DecodeMesh parses a signature-mesh answer.
 func DecodeMesh(b []byte) (*mesh.Answer, error) {
-	r := &reader{buf: b}
-	if r.u8("magic") != magicMesh {
+	r := &codec.Reader{Buf: b}
+	if r.U8("magic") != magicMesh {
 		return nil, fmt.Errorf("wire: not a mesh answer")
 	}
 	a := &mesh.Answer{}
 	a.Query = decodeQuery(r)
 	a.Records = decodeRecords(r)
-	a.VO.ListLen = r.nonneg("list len")
+	a.VO.ListLen = r.Nonneg("list len")
 	a.VO.Left = decodeBoundary(r)
 	a.VO.Right = decodeBoundary(r)
-	np := r.count("pairs", 20)
+	np := r.Count("pairs", 20)
 	for i := 0; i < np; i++ {
 		var p mesh.PairProof
-		p.Lo = r.f64("pair lo")
-		p.Hi = r.f64("pair hi")
-		p.Sig = append([]byte(nil), r.view("pair sig")...)
+		p.Lo = r.F64("pair lo")
+		p.Hi = r.F64("pair hi")
+		p.Sig = append([]byte(nil), r.Bytes("pair sig")...)
 		a.VO.Pairs = append(a.VO.Pairs, p)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return a, nil

@@ -3,6 +3,7 @@ package wire
 import (
 	"fmt"
 
+	"aqverify/internal/codec"
 	"aqverify/internal/query"
 )
 
@@ -85,47 +86,37 @@ func (a BatchAnswer) AtEpoch(e uint64) BatchAnswer {
 	return a
 }
 
-// decodeShard validates and unbiases one wire shard word (0 = ShardNone,
-// k = shard k-1). The u32 is bounded before the int conversion so a
-// forged word cannot wrap negative on a 32-bit platform.
-func decodeShard(v uint32) (int, error) {
-	if v > maxBatchItems {
-		return 0, fmt.Errorf("wire: shard id %d exceeds the limit", v)
-	}
-	return int(v) - 1, nil
-}
-
 // EncodeQueryBatch frames many queries into one request body, sized once.
 func EncodeQueryBatch(qs []query.Query) []byte {
 	n := 5
 	for _, q := range qs {
 		n += 4 + sizeQuery(q)
 	}
-	w := &writer{buf: make([]byte, 0, n)}
-	w.u8(magicQueryBatch)
-	w.u32(uint32(len(qs)))
+	w := &codec.Writer{Buf: make([]byte, 0, n)}
+	w.U8(magicQueryBatch)
+	w.U32(uint32(len(qs)))
 	for _, q := range qs {
-		at := w.begin()
+		at := w.Begin()
 		encodeQuery(w, q)
-		w.end(at)
+		w.End(at)
 	}
-	return w.buf
+	return w.Buf
 }
 
 // DecodeQueryBatch parses a request body framed by EncodeQueryBatch.
 func DecodeQueryBatch(b []byte) ([]query.Query, error) {
-	r := &reader{buf: b}
-	if r.u8("magic") != magicQueryBatch {
+	r := &codec.Reader{Buf: b}
+	if r.U8("magic") != magicQueryBatch {
 		return nil, fmt.Errorf("wire: not a query batch")
 	}
-	n := r.count("batch queries", 4)
+	n := r.Count("batch queries", 4)
 	if n > maxBatchItems {
 		return nil, fmt.Errorf("wire: batch of %d queries exceeds the limit", n)
 	}
 	out := make([]query.Query, 0, n)
 	for i := 0; i < n; i++ {
-		raw := r.view("batch query")
-		if r.err != nil {
+		raw := r.Bytes("batch query")
+		if r.Err() != nil {
 			break
 		}
 		q, err := DecodeQuery(raw)
@@ -134,7 +125,7 @@ func DecodeQueryBatch(b []byte) ([]query.Query, error) {
 		}
 		out = append(out, q)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -153,36 +144,36 @@ func EncodeAnswerBatch(items []BatchAnswer) ([]byte, error) {
 	for _, it := range items {
 		n += 17 + len(it.Answer) + len(it.Err) // an item carries one of the two
 	}
-	w := &writer{buf: make([]byte, 0, n)}
-	w.u8(magicAnswerBatch)
-	w.u32(uint32(len(items)))
+	w := &codec.Writer{Buf: make([]byte, 0, n)}
+	w.U8(magicAnswerBatch)
+	w.U32(uint32(len(items)))
 	for i, it := range items {
-		if err := w.answerItem(it); err != nil {
+		if err := writeAnswerItem(w, it); err != nil {
 			return nil, fmt.Errorf("wire: batch item %d: %w", i, err)
 		}
 	}
-	return w.buf, nil
+	return w.Buf, nil
 }
 
-// answerItem appends one outcome's status byte, 1-biased shard id,
+// writeAnswerItem appends one outcome's status byte, 1-biased shard id,
 // epoch word and length-prefixed payload — the item layout the answer
 // batch and the answer stream share.
-func (w *writer) answerItem(it BatchAnswer) error {
+func writeAnswerItem(w *codec.Writer, it BatchAnswer) error {
 	if it.Status != StatusAnswer && it.Status != StatusRefused {
 		return fmt.Errorf("unknown status %d", it.Status)
 	}
-	w.u8(it.Status)
+	w.U8(it.Status)
 	if it.Shard < 0 {
-		w.u32(0)
+		w.U32(0)
 	} else {
-		w.u32(uint32(it.Shard) + 1)
+		w.U32(uint32(it.Shard) + 1)
 	}
-	w.u64(it.Epoch)
+	w.U64(it.Epoch)
 	if it.Status == StatusRefused {
-		w.u32(uint32(len(it.Err)))
-		w.buf = append(w.buf, it.Err...)
+		w.U32(uint32(len(it.Err)))
+		w.Buf = append(w.Buf, it.Err...)
 	} else {
-		w.bytes(it.Answer)
+		w.Bytes(it.Answer)
 	}
 	return nil
 }
@@ -191,42 +182,50 @@ func (w *writer) answerItem(it BatchAnswer) error {
 // Answer payloads are cap-limited views of b, not copies: b lives as
 // long as an item does, and an append to one cannot reach the next.
 func DecodeAnswerBatch(b []byte) ([]BatchAnswer, error) {
-	r := &reader{buf: b}
-	switch magic := r.u8("magic"); magic {
+	r := &codec.Reader{Buf: b}
+	switch magic := r.U8("magic"); magic {
 	case magicAnswerBatch:
 	case magicAnswerBatchV1:
 		return nil, fmt.Errorf("wire: answer batch uses the retired pre-epoch layout (0xB3); upgrade the server")
 	default:
 		return nil, fmt.Errorf("wire: not an answer batch")
 	}
-	n := r.count("batch answers", 17)
+	n := r.Count("batch answers", 17)
 	if n > maxBatchItems {
 		return nil, fmt.Errorf("wire: batch of %d answers exceeds the limit", n)
 	}
 	out := make([]BatchAnswer, 0, n)
 	for i := 0; i < n; i++ {
-		status := r.u8("batch status")
-		shardWord := r.u32("batch shard")
-		epoch := r.u64("batch epoch")
-		payload := r.view("batch payload")
-		if r.err != nil {
-			break
-		}
-		shard, err := decodeShard(shardWord)
-		if err != nil {
+		it := readAnswerItem(r)
+		if err := r.Err(); err != nil {
 			return nil, fmt.Errorf("wire: batch item %d: %w", i, err)
 		}
-		switch status {
-		case StatusRefused:
-			out = append(out, NewRefusal(string(payload), shard).AtEpoch(epoch))
-		case StatusAnswer:
-			out = append(out, NewAnswer(payload, shard).AtEpoch(epoch))
-		default:
-			return nil, fmt.Errorf("wire: batch item %d has unknown status %d", i, status)
-		}
+		out = append(out, it)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// readAnswerItem reads one outcome in the layout writeAnswerItem writes,
+// its payload a view of the input: both the answer batch and the answer
+// stream decode their items here.
+func readAnswerItem(r *codec.Reader) BatchAnswer {
+	status := r.U8("item status")
+	if status != StatusAnswer && status != StatusRefused {
+		r.Corrupt("unknown status %d", status)
+	}
+	// The 1-biased shard word is bounded before the int conversion, so a
+	// forged word cannot wrap negative on a 32-bit platform.
+	word := r.U32("item shard")
+	if word > maxBatchItems {
+		r.Corrupt("shard id %d exceeds the limit", word)
+	}
+	epoch := r.U64("item epoch")
+	payload := r.Bytes("item payload")
+	if status == StatusRefused {
+		return NewRefusal(string(payload), int(word)-1).AtEpoch(epoch)
+	}
+	return NewAnswer(payload, int(word)-1).AtEpoch(epoch)
 }

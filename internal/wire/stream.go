@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"aqverify/internal/codec"
 )
 
 // Streaming answer frames: the response body of POST /query/stream.
@@ -17,7 +19,7 @@ import (
 // checks). Each item carries the original batch index because arrival
 // order is completion order, not request order. The item's status,
 // shard, epoch and payload encoding is shared with the answer batch
-// (writer.answerItem); 0xB4 was the stream layout without the per-item
+// (writeAnswerItem, readAnswerItem); 0xB4 was the stream layout without the per-item
 // epoch word and is retired — refused by name, never misparsed. See
 // docs/WIRE.md for the byte layouts.
 const magicAnswerStream = 0xB6
@@ -43,10 +45,10 @@ type StreamItem struct {
 // EncodeStreamHeader frames the stream opening: magic and the item
 // count the stream promises to deliver.
 func EncodeStreamHeader(count int) []byte {
-	w := &writer{}
-	w.u8(magicAnswerStream)
-	w.u32(uint32(count))
-	return w.buf
+	w := &codec.Writer{}
+	w.U8(magicAnswerStream)
+	w.U32(uint32(count))
+	return w.Buf
 }
 
 // EncodeStreamItem frames one outcome as it completes. The index is the
@@ -57,23 +59,23 @@ func EncodeStreamItem(index int, it BatchAnswer) ([]byte, error) {
 	if index < 0 {
 		return nil, fmt.Errorf("wire: stream item index %d is negative", index)
 	}
-	w := &writer{}
-	w.u8(frameStreamItem)
-	w.u32(uint32(index))
-	if err := w.answerItem(it); err != nil {
+	w := &codec.Writer{}
+	w.U8(frameStreamItem)
+	w.U32(uint32(index))
+	if err := writeAnswerItem(w, it); err != nil {
 		return nil, fmt.Errorf("wire: stream item %d: %w", index, err)
 	}
-	return w.buf, nil
+	return w.Buf, nil
 }
 
 // EncodeStreamTrailer closes the stream: the tally must equal the
 // number of item frames written, which a complete stream makes equal to
 // the header count.
 func EncodeStreamTrailer(tally int) []byte {
-	w := &writer{}
-	w.u8(frameStreamTrailer)
-	w.u32(uint32(tally))
-	return w.buf
+	w := &codec.Writer{}
+	w.U8(frameStreamTrailer)
+	w.U32(uint32(tally))
+	return w.Buf
 }
 
 // StreamReader decodes an answer stream incrementally off an io.Reader
@@ -91,14 +93,19 @@ type StreamReader struct {
 	received int
 	done     bool
 	err      error
+	head     [itemHead]byte // every fixed-width field lands here, not on the heap
 }
+
+// itemHead is an item's fixed-width prefix: status byte, shard word,
+// epoch word and payload length.
+const itemHead = 1 + 4 + 8 + 4
 
 // NewStreamReader consumes and validates the header frame, leaving the
 // reader positioned at the first item.
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	sr := &StreamReader{r: r}
-	var hdr [5]byte
-	if err := sr.readFull(hdr[:], "stream header"); err != nil {
+	hdr := sr.head[:5]
+	if err := sr.readFull(hdr, "stream header"); err != nil {
 		return nil, err
 	}
 	switch hdr[0] {
@@ -142,8 +149,8 @@ func (sr *StreamReader) Next() (StreamItem, error) {
 }
 
 func (sr *StreamReader) next() (StreamItem, error) {
-	var kind [1]byte
-	if err := sr.readFull(kind[:], "stream frame"); err != nil {
+	kind := sr.head[:1]
+	if err := sr.readFull(kind, "stream frame"); err != nil {
 		return StreamItem{}, err
 	}
 	switch kind[0] {
@@ -161,8 +168,7 @@ func (sr *StreamReader) next() (StreamItem, error) {
 			return StreamItem{}, fmt.Errorf("wire: stream closed after %d of %d items", sr.received, sr.count)
 		}
 		// Canonical: the trailer is the last byte of the stream.
-		var b [1]byte
-		if _, err := io.ReadFull(sr.r, b[:]); err == nil {
+		if _, err := io.ReadFull(sr.r, sr.head[:1]); err == nil {
 			return StreamItem{}, fmt.Errorf("wire: bytes after the stream trailer")
 		} else if !errors.Is(err, io.EOF) {
 			return StreamItem{}, fmt.Errorf("wire: reading past the stream trailer: %w", err)
@@ -189,39 +195,28 @@ func (sr *StreamReader) readItem() (StreamItem, error) {
 	if sr.seen[idx] {
 		return StreamItem{}, fmt.Errorf("wire: stream item %d delivered twice", idx)
 	}
-	var head [13]byte // status byte + shard word + epoch word
-	if err := sr.readFull(head[:], "stream item"); err != nil {
+	// The fixed fields and the payload are read into one buffer and
+	// decoded as the answer batch decodes an item.
+	if err := sr.readFull(sr.head[:], "stream item"); err != nil {
 		return StreamItem{}, err
 	}
-	status := head[0]
-	if status != StatusAnswer && status != StatusRefused {
-		return StreamItem{}, fmt.Errorf("wire: stream item %d has unknown status %d", idx, status)
-	}
-	shard, err := decodeShard(binary.BigEndian.Uint32(head[1:5]))
-	if err != nil {
-		return StreamItem{}, fmt.Errorf("wire: stream item %d: %w", idx, err)
-	}
-	epoch := binary.BigEndian.Uint64(head[5:])
-	plen, err := sr.readU32("stream payload length")
-	if err != nil {
-		return StreamItem{}, err
-	}
+	plen := binary.BigEndian.Uint32(sr.head[itemHead-4:])
 	if plen > maxStreamPayload {
 		return StreamItem{}, fmt.Errorf("wire: stream payload of %d bytes exceeds the limit", plen)
 	}
-	payload := make([]byte, plen)
-	if err := sr.readFull(payload, "stream payload"); err != nil {
+	item := make([]byte, itemHead+int(plen))
+	copy(item, sr.head[:])
+	if err := sr.readFull(item[itemHead:], "stream payload"); err != nil {
 		return StreamItem{}, err
+	}
+	r := codec.Reader{Buf: item}
+	ans := readAnswerItem(&r)
+	if err := r.Done(); err != nil {
+		return StreamItem{}, fmt.Errorf("wire: stream item %d: %w", idx, err)
 	}
 	sr.seen[idx] = true
 	sr.received++
-	it := StreamItem{Index: int(idx)}
-	if status == StatusRefused {
-		it.Ans = NewRefusal(string(payload), shard).AtEpoch(epoch)
-	} else {
-		it.Ans = NewAnswer(payload, shard).AtEpoch(epoch)
-	}
-	return it, nil
+	return StreamItem{Index: int(idx), Ans: ans}, nil
 }
 
 // readFull fills buf or reports a truncation: any EOF mid-frame (bare
@@ -237,9 +232,9 @@ func (sr *StreamReader) readFull(buf []byte, what string) error {
 }
 
 func (sr *StreamReader) readU32(what string) (uint32, error) {
-	var b [4]byte
-	if err := sr.readFull(b[:], what); err != nil {
+	b := sr.head[:4]
+	if err := sr.readFull(b, what); err != nil {
 		return 0, err
 	}
-	return binary.BigEndian.Uint32(b[:]), nil
+	return binary.BigEndian.Uint32(b), nil
 }

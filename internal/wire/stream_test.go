@@ -250,3 +250,26 @@ func TestStreamWorkedExample(t *testing.T) {
 		t.Fatalf("worked example does not decode: %v", err)
 	}
 }
+
+// TestStreamItemIsOneAllocation pins the stream decoder's bill: an
+// answered item costs one allocation, the buffer its fixed fields and
+// payload are read into; every fixed-width field lands in an array the
+// reader owns.
+func TestStreamItemIsOneAllocation(t *testing.T) {
+	drain := func(n int) float64 {
+		items := make([]StreamItem, n)
+		for i := range items {
+			items[i] = StreamItem{Index: i, Ans: NewAnswer(bytes.Repeat([]byte{0xA1}, 300), 1).AtEpoch(2)}
+		}
+		enc := encodeStream(t, n, items)
+		return testing.AllocsPerRun(20, func() {
+			sr, err := NewStreamReader(bytes.NewReader(enc))
+			for err == nil {
+				_, err = sr.Next()
+			}
+		})
+	}
+	if per := (drain(64) - drain(32)) / 32; per != 1 {
+		t.Errorf("%v allocations per streamed item, want 1", per)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"aqverify/internal/codec"
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
@@ -198,6 +199,26 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 	}
 }
 
+// TestPathDirectionIsCanonical: a path step's direction is a bool byte.
+// A decoder that read it as "== 1" accepted 2 as "below" and re-encoded
+// it as 0 — two encodings of one answer, which the codec forbids.
+func TestPathDirectionIsCanonical(t *testing.T) {
+	a := ifmhAnswers(t, core.OneSignature)[0]
+	if len(a.VO.Path) == 0 {
+		t.Fatal("seed answer carries no path")
+	}
+	enc := EncodeIFMH(a)
+	hp := a.VO.Path[0].Hp.Encode(nil)
+	at := bytes.Index(enc, hp) + len(hp) // the direction byte follows the hyperplane
+	for _, b := range []byte{2, 0x80, 0xFF} {
+		forged := append([]byte(nil), enc...)
+		forged[at] = b
+		if _, err := DecodeIFMH(forged); err == nil {
+			t.Errorf("path direction byte %#x accepted", b)
+		}
+	}
+}
+
 // TestEncodeIFMHIsOneExactAllocation holds sizeIFMH and EncodeIFMH
 // together: the frame is allocated once, at exactly its length — every
 // kind, both modes, with and without sentinel boundaries and payloads —
@@ -213,10 +234,10 @@ func TestEncodeIFMHIsOneExactAllocation(t *testing.T) {
 			if allocs := testing.AllocsPerRun(50, func() { EncodeIFMH(a) }); allocs != 1 {
 				t.Errorf("%v answer %d: %v allocations per encode, want 1", mode, i, allocs)
 			}
-			w := &writer{}
+			w := &codec.Writer{}
 			encodeQuery(w, a.Query)
 			encodeRecords(w, a.Records)
-			if got, want := VOSizeIFMH(a), len(enc)-1-len(w.buf); got != want {
+			if got, want := VOSizeIFMH(a), len(enc)-1-len(w.Buf); got != want {
 				t.Errorf("%v answer %d: VO size %d, frame minus echo and records is %d", mode, i, got, want)
 			}
 		}
