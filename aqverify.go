@@ -131,6 +131,7 @@ import (
 	"aqverify/internal/record"
 	"aqverify/internal/shard"
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 	"aqverify/internal/workload"
 )
 
@@ -169,13 +170,13 @@ type (
 	// (Outsource assembles it from a BuildSpec and options).
 	Params = core.Params
 	// PublicParams is what the owner publishes to its users.
-	PublicParams = core.PublicParams
+	PublicParams = verify.PublicParams
 	// Mode selects one-signature or multi-signature.
-	Mode = core.Mode
+	Mode = verify.Mode
 	// VO is a verification object.
-	VO = core.VO
+	VO = verify.VO
 	// Answer is a query result plus its verification object.
-	Answer = core.Answer
+	Answer = verify.Answer
 	// TreeStats describes a built tree's footprint.
 	TreeStats = core.Stats
 )
@@ -258,8 +259,8 @@ type (
 
 // Signing modes.
 const (
-	OneSignature   = core.OneSignature
-	MultiSignature = core.MultiSignature
+	OneSignature   = verify.OneSignature
+	MultiSignature = verify.MultiSignature
 )
 
 // Signature schemes.
@@ -279,7 +280,7 @@ const (
 )
 
 // ErrVerification wraps every verification failure.
-var ErrVerification = core.ErrVerification
+var ErrVerification = verify.ErrVerification
 
 // NewTable validates records against a schema.
 func NewTable(schema Schema, records []Record) (Table, error) {
@@ -461,7 +462,7 @@ func WithVerify(pub PublicParams) BackendOption { return backend.WithVerify(pub)
 // Verify checks a query answer against the owner's public parameters; a
 // nil return means the result is sound and complete.
 func Verify(pub PublicParams, q Query, recs []Record, vo *VO, ctr *Counter) error {
-	return core.Verify(pub, q, recs, vo, ctr)
+	return verify.Verify(pub, q, recs, vo, ctr)
 }
 
 // Exec runs a query directly over a local table — the trusted reference

@@ -317,7 +317,7 @@ func mixedQueries(b *testing.B, tbl aqverify.Table, dom aqverify.Box, count int)
 }
 
 // BenchmarkClientPath is the client's half of a verified answer —
-// wire.DecodeIFMH + core.Verify — over 2 048 mixed answers shaped like
+// wire.DecodeIFMH + verify.Verify — over 2 048 mixed answers shaped like
 // the end-to-end benchmark's mixed sequence (mixedQueries; Lines n=2000,
 // multi-signature). One op is one answer (ns/op ÷ 1000 = µs/answer).
 // cold verifies under the owner's raw key; warm under a sig.Memo that

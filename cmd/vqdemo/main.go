@@ -23,7 +23,6 @@ import (
 
 	bkd "aqverify/internal/backend"
 	"aqverify/internal/build"
-	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/metrics"
@@ -33,6 +32,7 @@ import (
 	"aqverify/internal/sig"
 	"aqverify/internal/tamper"
 	"aqverify/internal/transport"
+	"aqverify/internal/verify"
 	"aqverify/internal/workload"
 )
 
@@ -52,12 +52,12 @@ func run(args []string) error {
 	)
 	fs.Parse(args)
 
-	var mode core.Mode
+	var mode verify.Mode
 	switch *modeStr {
 	case "one":
-		mode = core.OneSignature
+		mode = verify.OneSignature
 	case "multi":
-		mode = core.MultiSignature
+		mode = verify.MultiSignature
 	default:
 		return fmt.Errorf("unknown mode %q (want one or multi)", *modeStr)
 	}
@@ -92,7 +92,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	verify := bkd.WithVerify(res.Public)
+	withVerify := bkd.WithVerify(res.Public)
 	rng := rand.New(rand.NewSource(*seed))
 
 	x := geometry.Point{dom.Lo[0] + (dom.Hi[0]-dom.Lo[0])*0.5}
@@ -105,7 +105,7 @@ func run(args []string) error {
 
 	fmt.Println("\n== Honest round trips ==")
 	for _, q := range queries {
-		ans, err := srv.Query(ctx, q, verify, bkd.WithCounter(&client))
+		ans, err := srv.Query(ctx, q, withVerify, bkd.WithCounter(&client))
 		if err != nil {
 			return fmt.Errorf("%v: %w", q.Kind, err)
 		}
@@ -135,12 +135,12 @@ func run(args []string) error {
 				did = !bytes.Equal(out, honest.Raw)
 				return out
 			}}
-			_, err := ch.Query(ctx, q, verify, bkd.WithCounter(&client))
+			_, err := ch.Query(ctx, q, withVerify, bkd.WithCounter(&client))
 			if !did {
 				continue
 			}
 			applied++
-			if errors.Is(err, core.ErrVerification) {
+			if errors.Is(err, verify.ErrVerification) {
 				detected++
 			} else {
 				fmt.Printf("MISSED: %s on %v (err=%v)\n", atk.Name, q.Kind, err)

@@ -49,11 +49,11 @@ import (
 
 	"aqverify/internal/artifact"
 	"aqverify/internal/build"
-	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/record"
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 	"aqverify/internal/workload"
 )
 
@@ -100,12 +100,12 @@ func run(args []string) error {
 	if *artDir != "" && !*outsource {
 		return fmt.Errorf("-artifact only applies with -outsource")
 	}
-	var mode core.Mode
+	var mode verify.Mode
 	switch *modeStr {
 	case "one":
-		mode = core.OneSignature
+		mode = verify.OneSignature
 	case "multi":
-		mode = core.MultiSignature
+		mode = verify.MultiSignature
 	default:
 		return fmt.Errorf("unknown mode %q (want one or multi)", *modeStr)
 	}

@@ -11,12 +11,12 @@ import (
 	"aqverify/internal/artifact"
 	"aqverify/internal/backend"
 	"aqverify/internal/build"
-	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
 	"aqverify/internal/sig"
 	"aqverify/internal/transport"
+	"aqverify/internal/verify"
 	"aqverify/internal/workload"
 )
 
@@ -56,7 +56,7 @@ func TestLoadServesVerifiedAnswers(t *testing.T) {
 	}
 	res, err := build.Outsource(context.Background(),
 		build.Spec{Table: tbl, Template: funcs.AffineLine(0, 1), Domain: dom, Signer: signer},
-		build.WithMode(core.MultiSignature), build.WithShards(2, 0))
+		build.WithMode(verify.MultiSignature), build.WithShards(2, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,9 +16,9 @@ import (
 	"text/tabwriter"
 
 	"aqverify"
-	"aqverify/internal/core"
 	"aqverify/internal/mesh"
 	"aqverify/internal/tamper"
+	"aqverify/internal/verify"
 	"aqverify/internal/workload"
 )
 
@@ -64,7 +64,7 @@ func main() {
 					continue
 				}
 				total++
-				if err := core.Verify(pub, q, bad.Records, &bad.VO, nil); err != nil {
+				if err := verify.Verify(pub, q, bad.Records, &bad.VO, nil); err != nil {
 					caught++
 					row += "\tcaught"
 				} else {

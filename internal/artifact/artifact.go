@@ -38,6 +38,7 @@ import (
 	"aqverify/internal/hashing"
 	"aqverify/internal/shard"
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 )
 
 // Named refusals. Every error Open returns wraps exactly one of these,
@@ -103,7 +104,7 @@ type Info struct {
 	// Epoch is the publication epoch every blob was saved at.
 	Epoch uint64
 	// Mode is the signing mode.
-	Mode core.Mode
+	Mode verify.Mode
 	// Shards is the blob count: 1 for a tree artifact, K for a set.
 	Shards int
 	// Plan is the shard plan (the trivial single-shard plan for a tree
@@ -111,7 +112,7 @@ type Info struct {
 	Plan shard.Plan
 	// Public is the published parameter bundle reconstructed from the
 	// manifest.
-	Public core.PublicParams
+	Public verify.PublicParams
 	// Fingerprints holds each tree's core fingerprint, in shard order.
 	Fingerprints []hashing.Digest
 }
@@ -186,7 +187,6 @@ func Save(dir string, res *build.Result) (Info, error) {
 		mode:          mode,
 		verifierBytes: vb,
 		template:      res.Public.Template,
-		semTol:        res.Public.SemTol,
 		plan:          res.Plan,
 		fileHashes:    make([]hashing.Digest, len(trees)),
 		fingerprints:  make([]hashing.Digest, len(trees)),
@@ -241,11 +241,10 @@ func infoOf(m *manifest, v sig.Verifier) Info {
 		Mode:   m.mode,
 		Shards: len(m.fileHashes),
 		Plan:   m.plan,
-		Public: core.PublicParams{
+		Public: verify.PublicParams{
 			Verifier: v,
 			Template: m.template,
 			Mode:     m.mode,
-			SemTol:   m.semTol,
 			Epoch:    m.epoch,
 		},
 		Fingerprints: m.fingerprints,

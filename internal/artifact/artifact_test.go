@@ -8,6 +8,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,6 +25,7 @@ import (
 	"aqverify/internal/record"
 	"aqverify/internal/server"
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 	"aqverify/internal/wire"
 	"aqverify/internal/workload"
 )
@@ -96,10 +98,10 @@ func TestSaveOpenIdentity(t *testing.T) {
 		name string
 		opts []build.Option
 	}{
-		{"one/delta", []build.Option{build.WithMode(core.OneSignature), build.WithShuffle(3)}},
-		{"multi/delta", []build.Option{build.WithMode(core.MultiSignature), build.WithShuffle(3)}},
-		{"one/sharded", []build.Option{build.WithMode(core.OneSignature), build.WithShuffle(3), build.WithShards(3, 0)}},
-		{"multi/sharded", []build.Option{build.WithMode(core.MultiSignature), build.WithShuffle(3), build.WithShards(3, 0)}},
+		{"one/delta", []build.Option{build.WithMode(verify.OneSignature), build.WithShuffle(3)}},
+		{"multi/delta", []build.Option{build.WithMode(verify.MultiSignature), build.WithShuffle(3)}},
+		{"one/sharded", []build.Option{build.WithMode(verify.OneSignature), build.WithShuffle(3), build.WithShards(3, 0)}},
+		{"multi/sharded", []build.Option{build.WithMode(verify.MultiSignature), build.WithShuffle(3), build.WithShards(3, 0)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -146,7 +148,7 @@ func TestSaveOpenIdentity(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := core.Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
+					if err := verify.Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
 						t.Fatalf("tree %d: loaded answer fails verification: %v", i, err)
 					}
 				}
@@ -175,7 +177,7 @@ func TestSaveOpenIdentity(t *testing.T) {
 func TestOpenShard(t *testing.T) {
 	ctx := context.Background()
 	spec := testSpec(t, 60, 5)
-	res, err := build.Outsource(ctx, spec, build.WithMode(core.OneSignature), build.WithShuffle(5), build.WithShards(3, 0))
+	res, err := build.Outsource(ctx, spec, build.WithMode(verify.OneSignature), build.WithShuffle(5), build.WithShards(3, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +251,7 @@ func TestSaveRefusals(t *testing.T) {
 func TestApplyLineage(t *testing.T) {
 	ctx := context.Background()
 	spec := testSpec(t, 40, 9)
-	res, err := build.Outsource(ctx, spec, build.WithMode(core.MultiSignature), build.WithShuffle(9))
+	res, err := build.Outsource(ctx, spec, build.WithMode(verify.MultiSignature), build.WithShuffle(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,12 +379,12 @@ func TestEncodeTreeIsOneExactAllocation(t *testing.T) {
 		opts   []build.Option
 		reopen bool
 	}{
-		{"one", lines, []build.Option{build.WithMode(core.OneSignature), build.WithShuffle(4)}, false},
-		{"multi", lines, []build.Option{build.WithMode(core.MultiSignature), build.WithShuffle(4)}, false},
-		{"2d", points, []build.Option{build.WithMode(core.MultiSignature)}, false},
-		{"set", lines, []build.Option{build.WithMode(core.OneSignature), build.WithShuffle(4), build.WithShards(2, 0)}, false},
-		{"pencil", pencil, []build.Option{build.WithMode(core.OneSignature)}, false},
-		{"reopened", lines, []build.Option{build.WithMode(core.MultiSignature), build.WithShuffle(4)}, true},
+		{"one", lines, []build.Option{build.WithMode(verify.OneSignature), build.WithShuffle(4)}, false},
+		{"multi", lines, []build.Option{build.WithMode(verify.MultiSignature), build.WithShuffle(4)}, false},
+		{"2d", points, []build.Option{build.WithMode(verify.MultiSignature)}, false},
+		{"set", lines, []build.Option{build.WithMode(verify.OneSignature), build.WithShuffle(4), build.WithShards(2, 0)}, false},
+		{"pencil", pencil, []build.Option{build.WithMode(verify.OneSignature)}, false},
+		{"reopened", lines, []build.Option{build.WithMode(verify.MultiSignature), build.WithShuffle(4)}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := build.Outsource(ctx, tc.spec, tc.opts...)
@@ -424,7 +426,7 @@ func TestEncodeTreeIsOneExactAllocation(t *testing.T) {
 	// former in both places. The encoder writes a row per position — one
 	// exact allocation still — and the blob decodes to the same lists.
 	t.Run("shared", func(t *testing.T) {
-		res, err := build.Outsource(ctx, testSpec(t, 6, 2), build.WithMode(core.MultiSignature), build.WithShuffle(2))
+		res, err := build.Outsource(ctx, testSpec(t, 6, 2), build.WithMode(verify.MultiSignature), build.WithShuffle(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -479,7 +481,7 @@ func TestSaveOverAnOpenArtifact(t *testing.T) {
 	ctx := context.Background()
 	spec := testSpec(t, 200, 13)
 	qs := sampleQueries(spec.Domain, 6)
-	e1, err := build.Outsource(ctx, spec, build.WithMode(core.OneSignature), build.WithShuffle(13))
+	e1, err := build.Outsource(ctx, spec, build.WithMode(verify.OneSignature), build.WithShuffle(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,6 +621,18 @@ func TestRefusalMatrix(t *testing.T) {
 			b[len(b)/2] ^= 0x01
 			mustWrite(t, p, b)
 		}, ErrCorrupt},
+		{"manifest-semtol", func(t *testing.T, dir string) {
+			// The tolerance word is always verify.SemTol; another value,
+			// resealed so the seal cannot catch it, is refused by the parse.
+			p := filepath.Join(dir, ManifestName)
+			b := mustRead(t, p)
+			at := bytes.Index(b, binary.BigEndian.AppendUint64(nil, math.Float64bits(verify.SemTol)))
+			if at < 0 {
+				t.Fatal("no semantic tolerance word in the manifest")
+			}
+			binary.BigEndian.PutUint64(b[at:], math.Float64bits(2*verify.SemTol))
+			mustWrite(t, p, reseal(b))
+		}, ErrCorrupt},
 		{"torn-mixed-epoch", func(t *testing.T, dir string) {
 			// A self-consistent blob from the epoch-2 artifact lands in
 			// the epoch-1 directory: internally valid, wrong publication.
@@ -707,14 +721,14 @@ var oldFormatNames = []string{"lines", "points"}
 // oldFormatBuild rebuilds the named fixture's product now.
 func oldFormatBuild(t *testing.T, name string) *build.Result {
 	t.Helper()
-	spec, opts := testSpec(t, 4, 2), []build.Option{build.WithMode(core.MultiSignature), build.WithShuffle(2)}
+	spec, opts := testSpec(t, 4, 2), []build.Option{build.WithMode(verify.MultiSignature), build.WithShuffle(2)}
 	if name == "points" {
 		tbl, dom, err := workload.Points(workload.PointsConfig{N: 5, Dim: 2, Seed: 1, Dist: workload.AntiCorrelated})
 		if err != nil {
 			t.Fatal(err)
 		}
 		spec = build.Spec{Table: tbl, Template: funcs.ScalarProduct(2), Domain: dom, Signer: spec.Signer}
-		opts = []build.Option{build.WithMode(core.MultiSignature)}
+		opts = []build.Option{build.WithMode(verify.MultiSignature)}
 	}
 	res, err := build.Outsource(context.Background(), spec, opts...)
 	if err != nil {

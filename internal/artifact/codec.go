@@ -15,6 +15,7 @@ import (
 	"aqverify/internal/mhtree"
 	"aqverify/internal/record"
 	"aqverify/internal/shard"
+	"aqverify/internal/verify"
 )
 
 // formatVersion is the on-disk format version both file kinds carry.
@@ -172,7 +173,7 @@ func encodeTree(s core.Snapshot, shardIdx int) ([]byte, hashing.Digest, error) {
 
 	// Per-subdomain inequality encoding and signature (multi-signature
 	// mode only).
-	if s.Mode == core.MultiSignature {
+	if s.Mode == verify.MultiSignature {
 		for _, si := range s.Subs {
 			w.Bytes(si.IneqEnc)
 			w.Bytes(si.Sig)
@@ -247,7 +248,7 @@ func sizeTree(s core.Snapshot, nf, isize int) int {
 		n += rec.EncodedLen()
 	}
 	n += 4 + forestRow*nf + 4 + 4*len(s.Subs)
-	if s.Mode == core.MultiSignature {
+	if s.Mode == verify.MultiSignature {
 		for _, si := range s.Subs {
 			n += 4 + len(si.IneqEnc) + 4 + len(si.Sig)
 		}
@@ -297,7 +298,7 @@ func joinSpans(l, r leafSpan) leafSpan {
 // manifest.
 type decodedTree struct {
 	epoch   uint64
-	mode    core.Mode
+	mode    verify.Mode
 	shard   uint32 // nilIndex when the blob belongs to no shard
 	domain  geometry.Box
 	table   record.Table
@@ -331,10 +332,10 @@ func decodeTree(data []byte) (*decodedTree, error) {
 	d := &decodedTree{}
 	d.epoch = r.U64("epoch")
 	mode := r.U8("mode")
-	if mode > uint8(core.MultiSignature) {
+	if mode > uint8(verify.MultiSignature) {
 		r.Corrupt("unknown mode %d", mode)
 	}
-	d.mode = core.Mode(mode)
+	d.mode = verify.Mode(mode)
 	d.shard = r.U32("shard index")
 	d.domain = readBox(r, "domain")
 	dim := d.domain.Dim()
@@ -433,7 +434,7 @@ func decodeTree(data []byte) (*decodedTree, error) {
 	}
 
 	// Per-subdomain inequality encodings and signatures.
-	if d.mode == core.MultiSignature {
+	if d.mode == verify.MultiSignature {
 		for _, si := range subs {
 			si.IneqEnc = r.Bytes("inequality encoding")
 			si.Sig = r.Bytes("subdomain signature")
@@ -536,10 +537,9 @@ func decodeTree(data []byte) (*decodedTree, error) {
 type manifest struct {
 	kind          Kind
 	epoch         uint64
-	mode          core.Mode
+	mode          verify.Mode
 	verifierBytes []byte
 	template      funcs.Template
-	semTol        float64
 	plan          shard.Plan
 	fileHashes    []hashing.Digest
 	fingerprints  []hashing.Digest
@@ -562,7 +562,7 @@ func encodeManifest(m *manifest) ([]byte, hashing.Digest) {
 		w.I32(a)
 	}
 	w.I32(m.template.BiasAttr)
-	w.F64(m.semTol)
+	w.F64(verify.SemTol)
 	writeBox(w, m.plan.Domain)
 	w.U32(uint32(m.plan.Axis))
 	w.U32(uint32(len(m.plan.Cuts)))
@@ -597,10 +597,10 @@ func decodeManifest(data []byte) (*manifest, error) {
 	m.kind = Kind(kind)
 	m.epoch = r.U64("epoch")
 	mode := r.U8("mode")
-	if mode > uint8(core.MultiSignature) {
+	if mode > uint8(verify.MultiSignature) {
 		r.Corrupt("unknown mode %d", mode)
 	}
-	m.mode = core.Mode(mode)
+	m.mode = verify.Mode(mode)
 	m.verifierBytes = r.Bytes("verifier")
 	m.template.Name = string(r.Bytes("template name"))
 	nc := r.Count("template variable", 4)
@@ -609,7 +609,9 @@ func decodeManifest(data []byte) (*manifest, error) {
 		m.template.CoefAttrs[i] = r.I32("template attribute")
 	}
 	m.template.BiasAttr = r.I32("template bias")
-	m.semTol = r.F64("semantic tolerance")
+	if tol := r.F64("semantic tolerance"); r.Err() == nil && tol != verify.SemTol {
+		r.Corrupt("semantic tolerance %v (always %v)", tol, verify.SemTol)
+	}
 	domain := readBox(r, "plan domain")
 	axis := r.U32("plan axis")
 	if axis >= uint32(domain.Dim()) {

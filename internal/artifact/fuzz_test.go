@@ -10,9 +10,8 @@ import (
 	"testing"
 
 	"aqverify/internal/build"
-	"aqverify/internal/core"
-	"aqverify/internal/fmh"
 	"aqverify/internal/hashing"
+	"aqverify/internal/verify"
 )
 
 // fuzzSeeds builds one small artifact per product shape and returns its
@@ -22,7 +21,7 @@ func fuzzSeeds(f testing.TB) (tree, man []byte) {
 	// A tiny build keeps the seed blob small, which keeps the engine's
 	// minimization of derived interesting inputs cheap.
 	spec := testSpec(f, 4, 2)
-	res, err := build.Outsource(context.Background(), spec, build.WithMode(core.MultiSignature), build.WithShuffle(2))
+	res, err := build.Outsource(context.Background(), spec, build.WithMode(verify.MultiSignature), build.WithShuffle(2))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -72,7 +71,7 @@ func withLeafRecord(t testing.TB, blob []byte, d hashing.Digest, rec uint32) []b
 // firstRecordLeaf is the FMH leaf digest of the seed build's record 0.
 func firstRecordLeaf(f testing.TB) hashing.Digest {
 	h := hashing.New(nil)
-	return fmh.RecordLeafDigest(h, h.Record(testSpec(f, 4, 2).Table.Records[0]))
+	return h.Leaf(h.Record(testSpec(f, 4, 2).Table.Records[0]))
 }
 
 // FuzzDecodeTree hammers the blob decoder: any input must either decode

@@ -36,10 +36,10 @@ import (
 	"fmt"
 	"iter"
 
-	"aqverify/internal/core"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
+	"aqverify/internal/verify"
 	"aqverify/internal/wire"
 )
 
@@ -128,7 +128,7 @@ type Option func(*Call)
 
 // verifyFunc decodes one serialized answer, checks it echoes q and
 // verifies it against the owner's published parameters, charging the
-// verification cost to ctr. Every failure wraps core.ErrVerification —
+// verification cost to ctr. Every failure wraps verify.ErrVerification —
 // the bytes are untrusted, so bytes that do not parse are a rejection
 // like any other.
 type verifyFunc func(q query.Query, raw []byte, ctr *metrics.Counter) ([]record.Record, error)
@@ -146,11 +146,11 @@ func WithCounter(ctr *metrics.Counter) Option { return func(c *Call) { c.ctr = c
 
 // WithVerify checks every answer against the owner's published
 // parameters before returning it: the raw bytes are decoded, the echoed
-// query cross-checked, and core.Verify must accept. Verified answers
+// query cross-checked, and verify.Verify must accept. Verified answers
 // carry their records; a failed verification surfaces as the item's
-// error, wrapping core.ErrVerification.
-func WithVerify(pub core.PublicParams) Option {
-	verify := func(q query.Query, raw []byte, ctr *metrics.Counter) ([]record.Record, error) {
+// error, wrapping verify.ErrVerification.
+func WithVerify(pub verify.PublicParams) Option {
+	check := func(q query.Query, raw []byte, ctr *metrics.Counter) ([]record.Record, error) {
 		ans, err := wire.DecodeIFMH(raw)
 		if err != nil {
 			return nil, rejected(err)
@@ -158,20 +158,20 @@ func WithVerify(pub core.PublicParams) Option {
 		if !query.Equal(q, ans.Query) {
 			return nil, errEcho
 		}
-		if err := core.Verify(pub, q, ans.Records, &ans.VO, ctr); err != nil {
+		if err := verify.Verify(pub, q, ans.Records, &ans.VO, ctr); err != nil {
 			return nil, err
 		}
 		return ans.Records, nil
 	}
-	return func(c *Call) { c.verify = verify }
+	return func(c *Call) { c.verify = check }
 }
 
 // errEcho rejects an answer to a different query than the one asked.
 // Verification runs on the caller's own q, so the echo check guards
 // against confused servers, not forgery.
-var errEcho = fmt.Errorf("backend: %w: server answered a different query", core.ErrVerification)
+var errEcho = fmt.Errorf("backend: %w: server answered a different query", verify.ErrVerification)
 
 // rejected classes undecodable answer bytes as a verification failure.
 func rejected(err error) error {
-	return fmt.Errorf("backend: %w: %v", core.ErrVerification, err)
+	return fmt.Errorf("backend: %w: %v", verify.ErrVerification, err)
 }

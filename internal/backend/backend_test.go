@@ -16,6 +16,7 @@ import (
 	"aqverify/internal/record"
 	"aqverify/internal/shard"
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 	"aqverify/internal/wire"
 	"aqverify/internal/workload"
 )
@@ -31,7 +32,7 @@ func fixture(t *testing.T, n int) (record.Table, *core.Tree, geometry.Box, core.
 		t.Fatal(err)
 	}
 	p := core.Params{
-		Mode: core.MultiSignature, Signer: signer, Domain: dom,
+		Mode: verify.MultiSignature, Signer: signer, Domain: dom,
 		Template: funcs.AffineLine(0, 1), Seed: 1,
 	}
 	tree, err := core.Build(tbl, p)
@@ -142,11 +143,11 @@ func TestWithVerify(t *testing.T) {
 
 	// A lying evaluator: flip a byte in every answer.
 	liar := tamper{inner: b}
-	if _, err := liar.Query(ctx, q, WithVerify(pub)); !errors.Is(err, core.ErrVerification) {
+	if _, err := liar.Query(ctx, q, WithVerify(pub)); !errors.Is(err, verify.ErrVerification) {
 		t.Fatalf("tampered answer accepted (err=%v)", err)
 	}
 	_, errs := liar.QueryBatch(ctx, []query.Query{q}, WithVerify(pub))
-	if !errors.Is(errs[0], core.ErrVerification) {
+	if !errors.Is(errs[0], verify.ErrVerification) {
 		t.Fatalf("tampered batch answer accepted (err=%v)", errs[0])
 	}
 	// Without WithVerify the tampered bytes pass through raw — and no

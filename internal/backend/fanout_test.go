@@ -5,10 +5,10 @@ import (
 	"math/rand"
 	"testing"
 
-	"aqverify/internal/core"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
 	"aqverify/internal/shard"
+	"aqverify/internal/verify"
 	"aqverify/internal/wire"
 )
 
@@ -16,7 +16,7 @@ import (
 // composes the shard trees — each wrapped as an independent Local
 // backend, exactly the topology a vqserve-per-shard deployment has —
 // into a Fanout.
-func fanoutFixture(t *testing.T, n, k int) (*Local, *Fanout, geometry.Box, core.PublicParams) {
+func fanoutFixture(t *testing.T, n, k int) (*Local, *Fanout, geometry.Box, verify.PublicParams) {
 	t.Helper()
 	tbl, tree, dom, p := fixture(t, n)
 	plan, err := shard.NewPlan(dom, 0, k)

@@ -7,15 +7,15 @@ import (
 	"testing"
 	"time"
 
-	"aqverify/internal/core"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
+	"aqverify/internal/verify"
 )
 
 // exchanged is what a buffered exchange hands FinishBatch: n honest
 // unverified answers, attributed to shard 3 of epoch 1, beside the
 // bundle they verify under.
-func exchanged(t *testing.T, n int) (core.PublicParams, []query.Query, []Answer) {
+func exchanged(t *testing.T, n int) (verify.PublicParams, []query.Query, []Answer) {
 	t.Helper()
 	_, tree, dom, _ := fixture(t, 60)
 	b, err := NewLocal(tree)
@@ -76,7 +76,7 @@ func TestFinishBatch(t *testing.T) {
 	for i := range qs {
 		switch {
 		case i == 5:
-			if !errors.Is(errs[i], core.ErrVerification) || answers[i].Raw != nil || answers[i].Records != nil {
+			if !errors.Is(errs[i], verify.ErrVerification) || answers[i].Raw != nil || answers[i].Records != nil {
 				t.Errorf("tampered item: err %v, %d bytes, %d records", errs[i], len(answers[i].Raw), len(answers[i].Records))
 			}
 			if answers[i].Shard != 3 || answers[i].Epoch != 1 {

@@ -11,6 +11,7 @@ import (
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/shard"
+	"aqverify/internal/verify"
 	"aqverify/internal/wire"
 )
 
@@ -69,7 +70,7 @@ func (b *Local) process(q query.Query, ctr *metrics.Counter) (int, uint64, []byt
 
 // encoded serializes a walked answer and charges its bytes — the one
 // place an in-process IFMH answer becomes wire bytes.
-func encoded(ans *core.Answer, ctr *metrics.Counter) []byte {
+func encoded(ans *verify.Answer, ctr *metrics.Counter) []byte {
 	out := wire.EncodeIFMH(ans)
 	ctr.AddBytes(uint64(len(out)))
 	return out
@@ -164,8 +165,8 @@ func (b *Sharded) process(q query.Query, ctr *metrics.Counter) (int, uint64, []b
 
 // ifmhName reports the backend name for a signing mode, matching the
 // names the server and /params advertise.
-func ifmhName(m core.Mode) string {
-	if m == core.OneSignature {
+func ifmhName(m verify.Mode) string {
+	if m == verify.OneSignature {
 		return "ifmh-one"
 	}
 	return "ifmh-multi"

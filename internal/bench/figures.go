@@ -32,6 +32,7 @@ import (
 
 	"aqverify/internal/core"
 	"aqverify/internal/query"
+	"aqverify/internal/verify"
 	"aqverify/internal/workload"
 )
 
@@ -200,7 +201,7 @@ func Figures() []Figure {
 			columns: []string{"distribution", "subdomains", "swaps", "search-nodes", "vo-bytes"},
 			sweep:   overDistributions, row: distributionRow,
 			fixtures: func(p point) []fixture {
-				return []fixture{{n: p.n, dist: workload.Distribution(p.arm), mode: core.MultiSignature}}
+				return []fixture{{n: p.n, dist: workload.Distribution(p.arm), mode: verify.MultiSignature}}
 			}},
 		{ID: "ablationA4", Title: "Ablation: dimension sweep (LP-backed space)",
 			heading: fixed(fmt.Sprintf("Dimension sweep (n = %d anti-correlated scalar-product records)", dimensionN)),

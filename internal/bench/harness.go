@@ -18,6 +18,7 @@ import (
 	"aqverify/internal/query"
 	"aqverify/internal/record"
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 	"aqverify/internal/wire"
 	"aqverify/internal/workload"
 )
@@ -71,7 +72,7 @@ type fixture struct {
 	// dim 0 is the slope/intercept Lines workload under AffineLine;
 	// d > 0 is A4's d-weight Points workload under ScalarProduct.
 	dim      int
-	mode     core.Mode
+	mode     verify.Mode
 	mesh     bool   // the signature-mesh baseline (built.Mesh) instead of an IFMH product
 	shards   int    // 0 = one tree (Result.Tree); K >= 1 = a K-shard set (Result.Set)
 	quantile bool   // cut shards with build.QuantileCuts instead of the default even cuts
@@ -189,7 +190,7 @@ func mixedQueries(dom geometry.Box, n int, seed int64) []query.Query {
 func identical(a []backend.Answer, aerrs []error, b []backend.Answer, berrs []error) string {
 	same := func(i int) bool {
 		ea, eb := aerrs[i], berrs[i]
-		if errors.Is(ea, core.ErrVerification) || errors.Is(eb, core.ErrVerification) || (ea == nil) != (eb == nil) {
+		if errors.Is(ea, verify.ErrVerification) || errors.Is(eb, verify.ErrVerification) || (ea == nil) != (eb == nil) {
 			return false
 		}
 		if ea != nil {

@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 
-	"aqverify/internal/core"
 	"aqverify/internal/mesh"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 	"aqverify/internal/wire"
 	"aqverify/internal/workload"
 )
@@ -24,7 +24,7 @@ import (
 var approaches = []string{"mesh", "one-sig", "multi-sig"}
 
 func threeArms(p point) []fixture {
-	return []fixture{{n: p.n, mesh: true}, {n: p.n, mode: core.OneSignature}, {n: p.n, mode: core.MultiSignature}}
+	return []fixture{{n: p.n, mesh: true}, {n: p.n, mode: verify.OneSignature}, {n: p.n, mode: verify.MultiSignature}}
 }
 
 // arm is one approach: its build (Fig 5 reads the construction costs
@@ -47,7 +47,7 @@ func newArm(name string, b *built) arm {
 			if err != nil {
 				return 0, nil, err
 			}
-			return wire.VOSizeMesh(ans), func(c *metrics.Counter) error {
+			return ans.VO.Size(), func(c *metrics.Counter) error {
 				return mesh.Verify(pub, q, ans.Records, &ans.VO, c)
 			}, nil
 		}
@@ -60,7 +60,7 @@ func newArm(name string, b *built) arm {
 			return 0, nil, err
 		}
 		return wire.VOSizeIFMH(ans), func(c *metrics.Counter) error {
-			return core.Verify(b.Public, q, ans.Records, &ans.VO, c)
+			return verify.Verify(b.Public, q, ans.Records, &ans.VO, c)
 		}, nil
 	}
 	return a

@@ -4,14 +4,14 @@ import (
 	"context"
 	"fmt"
 
-	"aqverify/internal/core"
 	"aqverify/internal/shard"
+	"aqverify/internal/verify"
 )
 
 // shardSet is the fixture both sharding figures build: a
 // K-shard multi-signature set over the configured workload.
 func shardSet(n, k int) fixture {
-	return fixture{n: n, mode: core.MultiSignature, shards: k}
+	return fixture{n: n, mode: verify.MultiSignature, shards: k}
 }
 
 // subdomainSpread returns the total, smallest and largest per-shard

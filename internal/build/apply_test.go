@@ -12,6 +12,7 @@ import (
 	"aqverify/internal/itree"
 	"aqverify/internal/record"
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 	"aqverify/internal/workload"
 )
 
@@ -66,7 +67,7 @@ func TestApplyEquivalence(t *testing.T) {
 		}
 	}
 
-	for _, mode := range []core.Mode{core.OneSignature, core.MultiSignature} {
+	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
 		for _, shards := range []int{0, 3} {
 			for _, workers := range []int{1, 8} {
 				// "mat=false" is inert: it keeps the subtest names this
@@ -134,7 +135,7 @@ func TestApplyEquivalence(t *testing.T) {
 func TestApplyChain(t *testing.T) {
 	ctx := context.Background()
 	spec := testSpec(t, 50, 9, workload.Uniform)
-	opts := []Option{WithMode(core.OneSignature), WithShuffle(9)}
+	opts := []Option{WithMode(verify.OneSignature), WithShuffle(9)}
 	r, err := Outsource(ctx, spec, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +261,7 @@ func TestUnivariateBuildAlwaysAppliesIncrementally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []core.Mode{core.OneSignature, core.MultiSignature} {
+	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
 		for _, shards := range []int{0, 3} {
 			t.Run(fmt.Sprintf("%v/shards=%d", mode, shards), func(t *testing.T) {
 				opts := []Option{WithMode(mode)}

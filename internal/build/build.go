@@ -30,6 +30,7 @@ import (
 	"aqverify/internal/record"
 	"aqverify/internal/shard"
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 )
 
 // Spec carries the construction inputs shared by every product: the raw
@@ -74,14 +75,14 @@ type Result struct {
 	Plan shard.Plan
 	// Public is the parameter bundle the owner publishes for verifying
 	// clients (shards share the single-tree bundle).
-	Public core.PublicParams
+	Public verify.PublicParams
 }
 
 // Option tunes one Outsource call.
 type Option func(*options)
 
 type options struct {
-	mode     core.Mode
+	mode     verify.Mode
 	seed     int64
 	workers  int
 	epoch    uint64
@@ -94,8 +95,8 @@ type options struct {
 	planner   Planner
 }
 
-// WithMode selects the IFMH signing scheme (default core.OneSignature).
-func WithMode(m core.Mode) Option { return func(o *options) { o.mode = m } }
+// WithMode selects the IFMH signing scheme (default verify.OneSignature).
+func WithMode(m verify.Mode) Option { return func(o *options) { o.mode = m } }
 
 // WithShuffle seeds the canonical priorities that shape the IMH-tree
 // (default 0; shard i of a set uses seed+i). Every build is in canonical

@@ -13,6 +13,7 @@ import (
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 	"aqverify/internal/wire"
 	"aqverify/internal/workload"
 )
@@ -67,7 +68,7 @@ func TestOutsourceProducts(t *testing.T) {
 	ctx := context.Background()
 	spec := testSpec(t, 60, 3, workload.Gaussian)
 
-	single, err := Outsource(ctx, spec, WithMode(core.MultiSignature), WithShuffle(3))
+	single, err := Outsource(ctx, spec, WithMode(verify.MultiSignature), WithShuffle(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestOutsourceProducts(t *testing.T) {
 	if single.Plan.K() != 1 {
 		t.Fatalf("single-tree product: plan K=%d", single.Plan.K())
 	}
-	if single.Public.Verifier == nil || single.Public.Mode != core.MultiSignature {
+	if single.Public.Verifier == nil || single.Public.Mode != verify.MultiSignature {
 		t.Fatalf("single-tree product: published parameters incomplete: %+v", single.Public)
 	}
 	if single.Tree.SignatureCount() != single.Tree.NumSubdomains() {
@@ -85,7 +86,7 @@ func TestOutsourceProducts(t *testing.T) {
 	}
 
 	for _, planner := range []Planner{nil, QuantileCuts} {
-		opts := []Option{WithMode(core.MultiSignature), WithShuffle(3), WithShards(3, 0)}
+		opts := []Option{WithMode(verify.MultiSignature), WithShuffle(3), WithShards(3, 0)}
 		if planner != nil {
 			opts = append(opts, WithPlanner(planner))
 		}
@@ -111,7 +112,7 @@ func TestOutsourceWorkersIdentity(t *testing.T) {
 	ctx := context.Background()
 	spec := testSpec(t, 80, 9, workload.AntiCorrelated)
 	qs := sampleQueries(spec.Domain, 16)
-	opts := []Option{WithMode(core.MultiSignature), WithShuffle(9)}
+	opts := []Option{WithMode(verify.MultiSignature), WithShuffle(9)}
 	serial, err := Outsource(ctx, spec, append(opts, WithWorkers(1))...)
 	if err != nil {
 		t.Fatal(err)
@@ -166,8 +167,8 @@ func TestOutsourceOptionConflicts(t *testing.T) {
 func TestOutsourceCanceled(t *testing.T) {
 	spec := testSpec(t, 150, 5, workload.Gaussian)
 	products := [][]Option{
-		{WithMode(core.MultiSignature), WithShuffle(5), WithWorkers(4)},
-		{WithMode(core.MultiSignature), WithShuffle(5), WithWorkers(4), WithShards(3, 0)},
+		{WithMode(verify.MultiSignature), WithShuffle(5), WithWorkers(4)},
+		{WithMode(verify.MultiSignature), WithShuffle(5), WithWorkers(4), WithShards(3, 0)},
 	}
 	for i, opts := range products {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -192,7 +193,7 @@ func TestOutsourceCanceled(t *testing.T) {
 		cancel()
 	}()
 	if _, err := Outsource(ctx, testSpec(t, 400, 5, workload.Gaussian),
-		WithMode(core.MultiSignature), WithShuffle(5), WithWorkers(2)); err != nil && !errors.Is(err, context.Canceled) {
+		WithMode(verify.MultiSignature), WithShuffle(5), WithWorkers(2)); err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-build cancel: err = %v, want context.Canceled or completion", err)
 	}
 }
@@ -256,19 +257,19 @@ func TestPinnedFingerprints(t *testing.T) {
 	ctx := context.Background()
 	spec := testSpec(t, 60, 3, workload.Gaussian)
 	for _, c := range []struct {
-		mode   core.Mode
+		mode   verify.Mode
 		shards int
 		want   []string
 	}{
-		{core.OneSignature, 0, []string{
+		{verify.OneSignature, 0, []string{
 			"a7e3a5dd91006282a2aed08a05a8559e6ab5b67fcec055cfb034e7cada196331"}},
-		{core.OneSignature, 3, []string{
+		{verify.OneSignature, 3, []string{
 			"245e52b5c6d0c3d3b3e3eb7043df133684d7a01b9a56bb0fd7681f648559204c",
 			"d70eea212333bd45ed910264be06735064c97cf03bb6494f0502162cdbb01a3d",
 			"1fbbd344484143e1dcef3275d383168f7328faec656d3da5b42999053d26a8c1"}},
-		{core.MultiSignature, 0, []string{
+		{verify.MultiSignature, 0, []string{
 			"1499b535811f73a67f2fed425ff93df994821f76af44ff1b8508bbd0ffb6a513"}},
-		{core.MultiSignature, 3, []string{
+		{verify.MultiSignature, 3, []string{
 			"b73a8ae3252fdcc111244c68b095a50dfebe8d0c498d7e20b4fa2367a3a76cff",
 			"631e88d6f00480600187303028cee10f401a67a4ce26a8a6cfedd792609f6ae9",
 			"03ba0b69bb5f1bdec648ea68a9b4325a39cebdbd9e68bd422f1339ee266e791b"}},

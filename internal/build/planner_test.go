@@ -4,11 +4,11 @@ import (
 	"context"
 	"testing"
 
-	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/metrics"
 	"aqverify/internal/shard"
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 	"aqverify/internal/workload"
 )
 
@@ -35,7 +35,7 @@ func spread(set *shard.Set) (min, max int) {
 func TestQuantileCutsBalanceSkew(t *testing.T) {
 	ctx := context.Background()
 	spec := testSpec(t, 300, 5, workload.Clustered)
-	opts := []Option{WithMode(core.MultiSignature), WithShuffle(5), WithShards(4, 0)}
+	opts := []Option{WithMode(verify.MultiSignature), WithShuffle(5), WithShards(4, 0)}
 
 	even, err := Outsource(ctx, spec, opts...)
 	if err != nil {
@@ -62,7 +62,7 @@ func TestQuantileCutsBalanceSkew(t *testing.T) {
 func TestQuantileCutsIdentity(t *testing.T) {
 	ctx := context.Background()
 	spec := testSpec(t, 300, 5, workload.Clustered)
-	opts := []Option{WithMode(core.MultiSignature), WithShuffle(5)}
+	opts := []Option{WithMode(verify.MultiSignature), WithShuffle(5)}
 
 	single, err := Outsource(ctx, spec, opts...)
 	if err != nil {
@@ -87,7 +87,7 @@ func TestQuantileCutsIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: quantile set: %v", q.X, err)
 		}
-		if err := core.Verify(pub, q, a2.Records, &a2.VO, nil); err != nil {
+		if err := verify.Verify(pub, q, a2.Records, &a2.VO, nil); err != nil {
 			t.Fatalf("%v: shard answer rejected under the single-tree bundle: %v", q.X, err)
 		}
 		if len(a1.Records) != len(a2.Records) {

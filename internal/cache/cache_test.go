@@ -18,12 +18,13 @@ import (
 	"aqverify/internal/server"
 	"aqverify/internal/sig"
 	"aqverify/internal/transport"
+	"aqverify/internal/verify"
 	"aqverify/internal/workload"
 )
 
 // outsrc builds an n-record database through the outsourcing plane so
 // tests get epoch-stamped trees plus the published bundle.
-func outsrc(t *testing.T, n int, mode core.Mode, opts ...build.Option) *build.Result {
+func outsrc(t *testing.T, n int, mode verify.Mode, opts ...build.Option) *build.Result {
 	t.Helper()
 	tbl, dom, err := workload.Lines(workload.LinesConfig{N: n, Seed: 1})
 	if err != nil {
@@ -76,7 +77,7 @@ func TestWrapValidation(t *testing.T) {
 	if _, err := cache.Wrap(nil); err == nil {
 		t.Fatal("Wrap(nil) accepted")
 	}
-	res := outsrc(t, 40, core.OneSignature)
+	res := outsrc(t, 40, verify.OneSignature)
 	b, err := backend.NewLocal(res.Tree)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +101,7 @@ func TestWrapValidation(t *testing.T) {
 // sight is a miss, repeats hit, capacity overflow evicts, and the
 // counter sees a hit's answer bytes.
 func TestHitMissEvict(t *testing.T) {
-	res := outsrc(t, 60, core.OneSignature)
+	res := outsrc(t, 60, verify.OneSignature)
 	b, err := backend.NewLocal(res.Tree)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +154,7 @@ func TestHitMissEvict(t *testing.T) {
 // (observable through the hashing cost: a reused verification hashes
 // nothing).
 func TestVerifyUpgrade(t *testing.T) {
-	res := outsrc(t, 60, core.OneSignature)
+	res := outsrc(t, 60, verify.OneSignature)
 	b, err := backend.NewLocal(res.Tree)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +200,7 @@ func TestVerifyUpgrade(t *testing.T) {
 // its bytes — cap == len, no backing array shared with a neighbour — or a
 // 32-answer sub-batch would pin its whole body for the LRU's lifetime.
 func TestCacheEntriesOwnTheirBytes(t *testing.T) {
-	res := outsrc(t, 120, core.MultiSignature)
+	res := outsrc(t, 120, verify.MultiSignature)
 	h, err := transport.NewIFMHHandler(serve(t, local(t, res.Tree)), res.Public)
 	if err != nil {
 		t.Fatal(err)

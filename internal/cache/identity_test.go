@@ -10,11 +10,11 @@ import (
 	"aqverify/internal/backend"
 	"aqverify/internal/build"
 	"aqverify/internal/cache"
-	"aqverify/internal/core"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
 	"aqverify/internal/shard"
 	"aqverify/internal/transport"
+	"aqverify/internal/verify"
 )
 
 // identityQueries builds the probe set: routable queries spread across
@@ -36,15 +36,15 @@ func identityQueries(dom geometry.Box, plan *shard.Plan) []query.Query {
 // the uncached backend byte for byte — outcome, wire bytes, shard
 // attribution, epoch, verified records — and the batch and stream
 // entry points agree with the uncached batch.
-func checkIdentity(t *testing.T, surface string, uncached backend.Backend, cached *cache.Cache, pub core.PublicParams, qs []query.Query) {
+func checkIdentity(t *testing.T, surface string, uncached backend.Backend, cached *cache.Cache, pub verify.PublicParams, qs []query.Query) {
 	t.Helper()
 	ctx := context.Background()
-	verify := backend.WithVerify(pub)
+	withVerify := backend.WithVerify(pub)
 
 	want := make([]backend.Answer, len(qs))
 	wantErr := make([]error, len(qs))
 	for i, q := range qs {
-		want[i], wantErr[i] = uncached.Query(ctx, q, verify)
+		want[i], wantErr[i] = uncached.Query(ctx, q, withVerify)
 	}
 
 	// errText canonicalizes positional indexes in error messages: the
@@ -87,7 +87,7 @@ func checkIdentity(t *testing.T, surface string, uncached backend.Backend, cache
 
 	for _, name := range []string{"miss", "hit"} {
 		for i, q := range qs {
-			ans, err := cached.Query(ctx, q, verify)
+			ans, err := cached.Query(ctx, q, withVerify)
 			match(want, wantErr, name, i, ans, err)
 		}
 	}
@@ -95,13 +95,13 @@ func checkIdentity(t *testing.T, surface string, uncached backend.Backend, cache
 	// The batch and stream entry points compare against the uncached
 	// batch, so each entry point is held to its own surface's exact
 	// wire behavior.
-	wantB, wantBErr := uncached.QueryBatch(ctx, qs, verify)
-	answers, errs := cached.QueryBatch(ctx, qs, verify, backend.WithWorkers(3))
+	wantB, wantBErr := uncached.QueryBatch(ctx, qs, withVerify)
+	answers, errs := cached.QueryBatch(ctx, qs, withVerify, backend.WithWorkers(3))
 	for i := range qs {
 		match(wantB, wantBErr, "batch", i, answers[i], errs[i])
 	}
 	seen := make([]bool, len(qs))
-	for i, r := range cached.QueryStream(ctx, qs, verify, backend.WithWorkers(2)) {
+	for i, r := range cached.QueryStream(ctx, qs, withVerify, backend.WithWorkers(2)) {
 		if seen[i] {
 			t.Fatalf("%s stream yielded %d twice", surface, i)
 		}
@@ -120,7 +120,7 @@ func checkIdentity(t *testing.T, surface string, uncached backend.Backend, cache
 // queries included — they must pass through uncached with shard
 // attribution intact — plus the on-cut shard query.
 func TestCachedEqualsUncached(t *testing.T) {
-	for _, mode := range []core.Mode{core.OneSignature, core.MultiSignature} {
+	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
 		single := outsrc(t, 80, mode)
 		shardedRes := outsrc(t, 80, mode, build.WithShards(3, 0))
 		dom := single.Tree.Domain()

@@ -10,11 +10,11 @@ import (
 	"aqverify/internal/backend"
 	"aqverify/internal/build"
 	"aqverify/internal/cache"
-	"aqverify/internal/core"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
 	"aqverify/internal/server"
 	"aqverify/internal/transport"
+	"aqverify/internal/verify"
 
 	"net/http/httptest"
 )
@@ -97,7 +97,7 @@ func TestSwapInvalidationInProcess(t *testing.T) {
 			if tc.sharded {
 				opts = append(opts, build.WithShards(3, 0))
 			}
-			res1 := outsrc(t, 80, core.OneSignature, opts...)
+			res1 := outsrc(t, 80, verify.OneSignature, opts...)
 			res2 := nextEpoch(t, res1)
 
 			mkBackend := func(r *build.Result) server.Backend {
@@ -231,7 +231,7 @@ func TestSwapInvalidationInProcess(t *testing.T) {
 func TestSwapInvalidationFanout(t *testing.T) {
 	ctx := context.Background()
 	const k = 3
-	res1 := outsrc(t, 90, core.OneSignature, build.WithShards(k, 0))
+	res1 := outsrc(t, 90, verify.OneSignature, build.WithShards(k, 0))
 	res2 := nextEpoch(t, res1)
 	dom := res1.Plan.Domain
 

@@ -10,8 +10,8 @@ import (
 
 	"aqverify/internal/backend"
 	"aqverify/internal/cache"
-	"aqverify/internal/core"
 	"aqverify/internal/query"
+	"aqverify/internal/verify"
 )
 
 // gatedBackend counts inner walks and holds each one at the gate until
@@ -85,7 +85,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // answers, and a waiter canceled mid-flight gets its own ctx error
 // without poisoning the flight for the others.
 func TestSingleFlightCollapse(t *testing.T) {
-	res := outsrc(t, 80, core.OneSignature)
+	res := outsrc(t, 80, verify.OneSignature)
 	local, err := backend.NewLocal(res.Tree)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestSingleFlightCollapse(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := spreadQueries(res.Tree.Domain(), 1)[0]
-	verify := backend.WithVerify(res.Public)
+	withVerify := backend.WithVerify(res.Public)
 	ctx := context.Background()
 
 	const K = 8 // waiters joining the leader's flight
@@ -107,7 +107,7 @@ func TestSingleFlightCollapse(t *testing.T) {
 	}
 	leaderDone := make(chan result, 1)
 	go func() {
-		ans, err := c.Query(ctx, q, verify)
+		ans, err := c.Query(ctx, q, withVerify)
 		leaderDone <- result{ans, err}
 	}()
 	waitFor(t, "the leader's walk to start", func() bool { return gated.walks.Load() == 1 })
@@ -121,7 +121,7 @@ func TestSingleFlightCollapse(t *testing.T) {
 			wctx = cancelCtx
 		}
 		go func() {
-			ans, err := c.Query(wctx, q, verify)
+			ans, err := c.Query(wctx, q, withVerify)
 			results <- result{ans, err}
 		}()
 	}
@@ -167,7 +167,7 @@ func TestSingleFlightCollapse(t *testing.T) {
 	}
 
 	// The settled flight is now a plain cache hit.
-	if _, err := c.Query(ctx, q, verify); err != nil {
+	if _, err := c.Query(ctx, q, withVerify); err != nil {
 		t.Fatal(err)
 	}
 	if st = c.CacheStats(); st.Hits != 1 {
@@ -183,7 +183,7 @@ func TestSingleFlightCollapse(t *testing.T) {
 // whose context is live retries — becoming the new leader — instead of
 // inheriting the foreign cancellation.
 func TestCanceledLeaderDoesNotPoison(t *testing.T) {
-	res := outsrc(t, 80, core.OneSignature)
+	res := outsrc(t, 80, verify.OneSignature)
 	local, err := backend.NewLocal(res.Tree)
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +231,7 @@ func TestCanceledLeaderDoesNotPoison(t *testing.T) {
 // canceled, the flight the stream led completes with the cancellation,
 // and a foreign waiter collapsed onto it retries and is answered.
 func TestStreamBreakReleasesLedFlights(t *testing.T) {
-	res := outsrc(t, 80, core.OneSignature)
+	res := outsrc(t, 80, verify.OneSignature)
 	local, err := backend.NewLocal(res.Tree)
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
+	"aqverify/internal/verify"
 )
 
 // TestVerifyAllocationsAreFlatInTheWindow pins the client's verify bill:
@@ -13,7 +14,7 @@ import (
 // verifying 4 does — a handful of per-answer slices, nothing per record.
 func TestVerifyAllocationsAreFlatInTheWindow(t *testing.T) {
 	tbl := lineTable(t, 80, 9)
-	for _, mode := range []Mode{OneSignature, MultiSignature} {
+	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
 		tree := build1D(t, tbl, mode)
 		pub := tree.Public()
 		for _, k := range []int{4, 64} {
@@ -23,7 +24,7 @@ func TestVerifyAllocationsAreFlatInTheWindow(t *testing.T) {
 				t.Fatal(err)
 			}
 			allocs := testing.AllocsPerRun(20, func() {
-				if err := Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
+				if err := verify.Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
 					t.Fatal(err)
 				}
 			})

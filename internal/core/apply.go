@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 
-	"aqverify/internal/geometry"
 	"aqverify/internal/hashing"
 	"aqverify/internal/itree"
 	"aqverify/internal/record"
@@ -159,7 +158,7 @@ func (t *Tree) ApplyCtx(ctx context.Context, d Delta, epoch uint64) (*Tree, erro
 		return nil, err
 	}
 	p.progress(StagePairs, len(dirtyInters))
-	merged, classes, err := itree.MergeArrangement1D(t.space.(*geometry.Space1D), t.arr, d.CleanRemap, dirtyInters)
+	merged, classes, err := itree.MergeArrangement1D(t.space.(*itree.Space1D), t.arr, d.CleanRemap, dirtyInters)
 	if err != nil {
 		return nil, err
 	}

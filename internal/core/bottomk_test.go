@@ -7,11 +7,12 @@ import (
 
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
+	"aqverify/internal/verify"
 )
 
 func TestBottomKRoundTrip(t *testing.T) {
 	tbl := lineTable(t, 45, 20)
-	for _, mode := range []Mode{OneSignature, MultiSignature} {
+	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
 		tree := build1D(t, tbl, mode)
 		pub := tree.Public()
 		rng := rand.New(rand.NewSource(21))
@@ -26,10 +27,10 @@ func TestBottomKRoundTrip(t *testing.T) {
 			if len(ans.Records) != k {
 				t.Fatalf("got %d records, want %d", len(ans.Records), k)
 			}
-			if ans.VO.Left.Kind != BoundaryMin {
+			if ans.VO.Left.Kind != verify.BoundaryMin {
 				t.Fatal("bottom-k window must start at the list head")
 			}
-			if err := Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
+			if err := verify.Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
 				t.Fatalf("%v: honest bottom-k rejected: %v", mode, err)
 			}
 			// Oracle agreement.
@@ -55,7 +56,7 @@ func TestBottomKDetectsHiddenCheapRecord(t *testing.T) {
 	// boundary must then be a record (not the min sentinel), which the
 	// verifier rejects outright.
 	tbl := lineTable(t, 30, 22)
-	tree := build1D(t, tbl, OneSignature)
+	tree := build1D(t, tbl, verify.OneSignature)
 	pub := tree.Public()
 	q := query.NewBottomK(geometry.Point{0.2}, 4)
 
@@ -67,22 +68,22 @@ func TestBottomKDetectsHiddenCheapRecord(t *testing.T) {
 	}
 	bad := ans.Clone()
 	bad.Records = bad.Records[1:] // drop the cheapest
-	if err := Verify(pub, q, bad.Records, &bad.VO, nil); !errors.Is(err, ErrVerification) {
+	if err := verify.Verify(pub, q, bad.Records, &bad.VO, nil); !errors.Is(err, verify.ErrVerification) {
 		t.Fatalf("hidden cheapest record accepted: %v", err)
 	}
 	// Also with a "fixed up" start (claims window starts at 1).
 	bad2 := ans.Clone()
 	bad2.Records = bad2.Records[1:]
 	bad2.VO.Start = 1
-	bad2.VO.Left = Boundary{Kind: BoundaryRecord, Rec: ans.Records[0]}
-	if err := Verify(pub, q, bad2.Records, &bad2.VO, nil); !errors.Is(err, ErrVerification) {
+	bad2.VO.Left = verify.Boundary{Kind: verify.BoundaryRecord, Rec: ans.Records[0]}
+	if err := verify.Verify(pub, q, bad2.Records, &bad2.VO, nil); !errors.Is(err, verify.ErrVerification) {
 		t.Fatalf("shifted bottom-k window accepted: %v", err)
 	}
 }
 
 func TestBottomKTamperCatalog(t *testing.T) {
 	tbl := lineTable(t, 40, 23)
-	tree := build1D(t, tbl, MultiSignature)
+	tree := build1D(t, tbl, verify.MultiSignature)
 	pub := tree.Public()
 	q := query.NewBottomK(geometry.Point{-0.3}, 6)
 	ans, err := tree.Process(q, nil)
@@ -93,12 +94,12 @@ func TestBottomKTamperCatalog(t *testing.T) {
 	// tamper package).
 	bad := ans.Clone()
 	bad.Records[2].Attrs[0] += 1
-	if err := Verify(pub, q, bad.Records, &bad.VO, nil); !errors.Is(err, ErrVerification) {
+	if err := verify.Verify(pub, q, bad.Records, &bad.VO, nil); !errors.Is(err, verify.ErrVerification) {
 		t.Error("forged record accepted")
 	}
 	bad = ans.Clone()
 	bad.VO.ListLen++
-	if err := Verify(pub, q, bad.Records, &bad.VO, nil); !errors.Is(err, ErrVerification) {
+	if err := verify.Verify(pub, q, bad.Records, &bad.VO, nil); !errors.Is(err, verify.ErrVerification) {
 		t.Error("inflated list length accepted (min sentinel should bind n)")
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"aqverify/internal/itree"
 	"aqverify/internal/record"
 	"aqverify/internal/sweep"
+	"aqverify/internal/verify"
 )
 
 // Build constructs the IFMH-tree for a table under the given parameters,
@@ -90,7 +91,7 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Tree, error) {
 	}
 
 	if p.Template.Dim() == 1 {
-		space, err := geometry.NewSpace1D(p.Domain)
+		space, err := itree.NewSpace1D(p.Domain)
 		if err != nil {
 			return nil, err
 		}
@@ -112,7 +113,7 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Tree, error) {
 		return t, nil
 	}
 
-	space, err := geometry.NewSpaceND(p.Domain)
+	space, err := itree.NewSpaceND(p.Domain)
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +189,7 @@ type mutation struct {
 // epoch's unchanged signatures. Both meet at the same bytes because
 // they differ in nothing else.
 func (t *Tree) finish1D(ctx context.Context, p Params, arr *itree.Arrangement1D, m mutation) error {
-	space := t.space.(*geometry.Space1D)
+	space := t.space.(*itree.Space1D)
 	p.progress(StageITree, arr.NumBreakpoints())
 	if err := ctx.Err(); err != nil {
 		return err
@@ -354,8 +355,8 @@ func (t *Tree) propagateHashes(ctx context.Context, workers int) error {
 // randomized schemes from churning bytes that did not change.
 func (t *Tree) sign(ctx context.Context, p Params, prev *Tree) error {
 	switch p.Mode {
-	case OneSignature:
-		if prev != nil && prev.mode == OneSignature && prev.rootDigest == t.rootDigest && prev.rootSig != nil {
+	case verify.OneSignature:
+		if prev != nil && prev.mode == verify.OneSignature && prev.rootDigest == t.rootDigest && prev.rootSig != nil {
 			p.progress(StageSign, 0)
 			t.rootSig = prev.rootSig
 			t.sigCount = 1
@@ -372,7 +373,7 @@ func (t *Tree) sign(ctx context.Context, p Params, prev *Tree) error {
 		t.hasher.Counter().AddSign(1)
 		t.rootSig = s
 		t.sigCount = 1
-	case MultiSignature:
+	case verify.MultiSignature:
 		// Index the previous subdomain signatures by signed digest,
 		// with an uncounted hasher: the lookups are bookkeeping, not
 		// construction cost.

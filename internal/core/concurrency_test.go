@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
+	"aqverify/internal/verify"
 )
 
 // TestConcurrentQueries hammers one tree from many goroutines: the delta
@@ -15,7 +17,7 @@ import (
 // result. Run with -race to check the synchronization.
 func TestConcurrentQueries(t *testing.T) {
 	tbl := lineTable(t, 60, 41)
-	tree := build1D(t, tbl, MultiSignature)
+	tree := build1D(t, tbl, verify.MultiSignature)
 	pub := tree.Public()
 
 	type job struct {
@@ -51,7 +53,7 @@ func TestConcurrentQueries(t *testing.T) {
 					errs <- err
 					return
 				}
-				if err := Verify(pub, j.q, ans.Records, &ans.VO, nil); err != nil {
+				if err := verify.Verify(pub, j.q, ans.Records, &ans.VO, nil); err != nil {
 					errs <- err
 					return
 				}
@@ -71,4 +73,4 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 }
 
-var errMismatch = vErrf("concurrent result differs from single-threaded result")
+var errMismatch = errors.New("concurrent result differs from single-threaded result")

@@ -15,12 +15,11 @@
 // verification objects carry the subdomain's inequality set instead of
 // the path.
 //
-// The server-side entry point is Build + Tree.Process; the client-side
-// one is Verify with the owner's PublicParams.
+// The entry points are Build and Tree.Process; the answers they produce
+// are checked by package verify.
 package core
 
 import (
-	"fmt"
 	"runtime"
 
 	"aqverify/internal/fmh"
@@ -31,43 +30,30 @@ import (
 	"aqverify/internal/record"
 	"aqverify/internal/sig"
 	"aqverify/internal/sweep"
+	"aqverify/internal/verify"
 )
 
-// Mode selects the signing scheme.
-type Mode int
+// The verifier's names, kept for the benchmark module's callers only:
+// every in-repo caller names package verify directly.
+type (
+	Answer       = verify.Answer
+	PublicParams = verify.PublicParams
+)
 
 const (
-	// OneSignature signs only the IMH-tree root (paper §3.1 step 4,
-	// first approach).
-	OneSignature Mode = iota
-	// MultiSignature signs every subdomain's inequality-set + FMH-root
-	// digest (second approach).
-	MultiSignature
+	OneSignature   = verify.OneSignature
+	MultiSignature = verify.MultiSignature
 )
 
-// String returns the mode name.
-func (m Mode) String() string {
-	switch m {
-	case OneSignature:
-		return "one-signature"
-	case MultiSignature:
-		return "multi-signature"
-	default:
-		return fmt.Sprintf("core.Mode(%d)", int(m))
-	}
-}
-
-// DefaultSemTol is the default semantic-check tolerance used by verifying
-// clients for the score-monotonicity check. Scores themselves are computed
-// bit-identically by server and client; the tolerance only absorbs the gap
-// between the owner's exact-rational construction order and float
-// evaluation of near-tied scores.
-const DefaultSemTol = 1e-9
+var (
+	ErrVerification = verify.ErrVerification
+	Verify          = verify.Verify
+)
 
 // Params configures Build.
 type Params struct {
 	// Mode selects one-signature or multi-signature.
-	Mode Mode
+	Mode verify.Mode
 	// Signer is the data owner's signing key.
 	Signer sig.Signer
 	// Domain is the owner-specified bounded domain of the function
@@ -140,22 +126,6 @@ func (p Params) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// PublicParams is what the data owner publishes out of band: everything a
-// client needs to verify query results.
-type PublicParams struct {
-	Verifier sig.Verifier
-	Template funcs.Template
-	Mode     Mode
-	// SemTol is the semantic-check tolerance; zero means DefaultSemTol.
-	SemTol float64
-	// Epoch is the monotonic publication epoch of the bundle the
-	// parameters describe: 1 for a fresh outsourcing, bumped by every
-	// applied mutation batch. An answer verifies against exactly one
-	// epoch's bundle; clients compare epochs to detect a stale or forked
-	// server before misreading a verification failure as tampering.
-	Epoch uint64
-}
-
 // SubInfo is the per-subdomain state of a built tree.
 type SubInfo struct {
 	Sub  *itree.Subdomain
@@ -170,8 +140,8 @@ type SubInfo struct {
 
 // Tree is a built IFMH-tree, the server-side authenticated data structure.
 type Tree struct {
-	mode     Mode
-	space    geometry.Space
+	mode     verify.Mode
+	space    itree.Space
 	domain   geometry.Box
 	template funcs.Template
 	hasher   *hashing.Hasher
@@ -206,17 +176,11 @@ type Tree struct {
 }
 
 // Mode returns the tree's signing scheme.
-func (t *Tree) Mode() Mode { return t.mode }
+func (t *Tree) Mode() verify.Mode { return t.mode }
 
 // Public returns the parameters the owner publishes for clients.
-func (t *Tree) Public() PublicParams {
-	return PublicParams{
-		Verifier: t.verifier,
-		Template: t.template,
-		Mode:     t.mode,
-		SemTol:   DefaultSemTol,
-		Epoch:    t.epoch,
-	}
+func (t *Tree) Public() verify.PublicParams {
+	return verify.PublicParams{Verifier: t.verifier, Template: t.template, Mode: t.mode, Epoch: t.epoch}
 }
 
 // Epoch returns the tree's publication epoch (1 for a fresh build,

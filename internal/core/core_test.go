@@ -13,6 +13,7 @@ import (
 	"aqverify/internal/record"
 	"aqverify/internal/sig"
 	"aqverify/internal/sweep"
+	"aqverify/internal/verify"
 )
 
 // testSigner is shared across tests; Ed25519 keygen is cheap but one key
@@ -46,7 +47,7 @@ func lineTable(t testing.TB, n int, seed int64) record.Table {
 	return tbl
 }
 
-func build1D(t testing.TB, tbl record.Table, mode Mode) *Tree {
+func build1D(t testing.TB, tbl record.Table, mode verify.Mode) *Tree {
 	t.Helper()
 	tree, err := Build(tbl, Params{
 		Mode:     mode,
@@ -73,7 +74,7 @@ func queriesFor(rng *rand.Rand, k int) []query.Query {
 
 func TestHonestRoundTripAllModes(t *testing.T) {
 	tbl := lineTable(t, 60, 1)
-	for _, mode := range []Mode{OneSignature, MultiSignature} {
+	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			tree := build1D(t, tbl, mode)
@@ -85,7 +86,7 @@ func TestHonestRoundTripAllModes(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%v: Process: %v", q.Kind, err)
 					}
-					if err := Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
+					if err := verify.Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
 						t.Fatalf("%v: honest answer rejected: %v", q.Kind, err)
 					}
 				}
@@ -96,7 +97,7 @@ func TestHonestRoundTripAllModes(t *testing.T) {
 
 func TestResultsMatchOracle(t *testing.T) {
 	tbl := lineTable(t, 50, 3)
-	tree := build1D(t, tbl, OneSignature)
+	tree := build1D(t, tbl, verify.OneSignature)
 	tpl := funcs.AffineLine(0, 1)
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 60; trial++ {
@@ -149,7 +150,7 @@ func TestSweepChainMatchesFreshLists(t *testing.T) {
 	tables["pencil"] = tinyTable(t, pencil...)
 
 	for name, tbl := range tables {
-		for _, mode := range []Mode{OneSignature, MultiSignature} {
+		for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
 			t.Run(fmt.Sprintf("%s/%v", name, mode), func(t *testing.T) {
 				tree := build1D(t, tbl, mode)
 				cursor := sweep.NewCursor(tree.plan)
@@ -173,8 +174,8 @@ func TestSweepChainMatchesFreshLists(t *testing.T) {
 
 func TestSignatureCounts(t *testing.T) {
 	tbl := lineTable(t, 25, 9)
-	one := build1D(t, tbl, OneSignature)
-	multi := build1D(t, tbl, MultiSignature)
+	one := build1D(t, tbl, verify.OneSignature)
+	multi := build1D(t, tbl, verify.MultiSignature)
 	if one.SignatureCount() != 1 {
 		t.Errorf("one-signature count = %d", one.SignatureCount())
 	}
@@ -185,7 +186,7 @@ func TestSignatureCounts(t *testing.T) {
 
 func TestProcessRejectsBadQueries(t *testing.T) {
 	tbl := lineTable(t, 10, 10)
-	tree := build1D(t, tbl, OneSignature)
+	tree := build1D(t, tbl, verify.OneSignature)
 	if _, err := tree.Process(query.NewTopK(geometry.Point{5}, 1), nil); err == nil {
 		t.Error("query outside the owner domain accepted")
 	}
@@ -226,7 +227,7 @@ func TestBuildValidation(t *testing.T) {
 
 func TestVerifyRejectsBasicForgeries(t *testing.T) {
 	tbl := lineTable(t, 40, 12)
-	for _, mode := range []Mode{OneSignature, MultiSignature} {
+	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
 		tree := build1D(t, tbl, mode)
 		pub := tree.Public()
 		q := query.NewRange(geometry.Point{0.25}, -1, 1)
@@ -241,35 +242,35 @@ func TestVerifyRejectsBasicForgeries(t *testing.T) {
 		// Forged record attribute.
 		bad := ans.Clone()
 		bad.Records[1].Attrs[1] += 1
-		if err := Verify(pub, q, bad.Records, &bad.VO, nil); !errors.Is(err, ErrVerification) {
+		if err := verify.Verify(pub, q, bad.Records, &bad.VO, nil); !errors.Is(err, verify.ErrVerification) {
 			t.Errorf("%v: forged attribute accepted (%v)", mode, err)
 		}
 
 		// Dropped middle record.
 		bad = ans.Clone()
 		bad.Records = append(bad.Records[:1], bad.Records[2:]...)
-		if err := Verify(pub, q, bad.Records, &bad.VO, nil); !errors.Is(err, ErrVerification) {
+		if err := verify.Verify(pub, q, bad.Records, &bad.VO, nil); !errors.Is(err, verify.ErrVerification) {
 			t.Errorf("%v: dropped record accepted (%v)", mode, err)
 		}
 
 		// Shifted window start.
 		bad = ans.Clone()
 		bad.VO.Start++
-		if err := Verify(pub, q, bad.Records, &bad.VO, nil); !errors.Is(err, ErrVerification) {
+		if err := verify.Verify(pub, q, bad.Records, &bad.VO, nil); !errors.Is(err, verify.ErrVerification) {
 			t.Errorf("%v: shifted start accepted (%v)", mode, err)
 		}
 
 		// Flipped signature bit.
 		bad = ans.Clone()
 		bad.VO.Signature[0] ^= 1
-		if err := Verify(pub, q, bad.Records, &bad.VO, nil); !errors.Is(err, ErrVerification) {
+		if err := verify.Verify(pub, q, bad.Records, &bad.VO, nil); !errors.Is(err, verify.ErrVerification) {
 			t.Errorf("%v: corrupt signature accepted (%v)", mode, err)
 		}
 
 		// Mode confusion.
 		bad = ans.Clone()
 		bad.VO.Mode = 1 - bad.VO.Mode
-		if err := Verify(pub, q, bad.Records, &bad.VO, nil); !errors.Is(err, ErrVerification) {
+		if err := verify.Verify(pub, q, bad.Records, &bad.VO, nil); !errors.Is(err, verify.ErrVerification) {
 			t.Errorf("%v: mode mismatch accepted (%v)", mode, err)
 		}
 	}
@@ -279,7 +280,7 @@ func TestVerifyRejectsWrongQueryEcho(t *testing.T) {
 	// A VO for one query must not verify for a different query: the
 	// client passes its own query into Verify.
 	tbl := lineTable(t, 30, 13)
-	tree := build1D(t, tbl, OneSignature)
+	tree := build1D(t, tbl, verify.OneSignature)
 	pub := tree.Public()
 	q := query.NewTopK(geometry.Point{0.5}, 3)
 	ans, err := tree.Process(q, nil)
@@ -287,19 +288,19 @@ func TestVerifyRejectsWrongQueryEcho(t *testing.T) {
 		t.Fatal(err)
 	}
 	q2 := query.NewTopK(geometry.Point{0.5}, 4)
-	if err := Verify(pub, q2, ans.Records, &ans.VO, nil); !errors.Is(err, ErrVerification) {
+	if err := verify.Verify(pub, q2, ans.Records, &ans.VO, nil); !errors.Is(err, verify.ErrVerification) {
 		t.Errorf("answer for k=3 verified for k=4 (%v)", err)
 	}
 	// Different function input: the IMH path (or ineqs) no longer match.
 	q3 := query.NewTopK(geometry.Point{-0.9}, 3)
-	if err := Verify(pub, q3, ans.Records, &ans.VO, nil); !errors.Is(err, ErrVerification) {
+	if err := verify.Verify(pub, q3, ans.Records, &ans.VO, nil); !errors.Is(err, verify.ErrVerification) {
 		t.Errorf("answer for X=0.5 verified for X=-0.9 (%v)", err)
 	}
 }
 
 func TestCountersObserveWork(t *testing.T) {
 	tbl := lineTable(t, 64, 14)
-	tree := build1D(t, tbl, OneSignature)
+	tree := build1D(t, tbl, verify.OneSignature)
 	pub := tree.Public()
 	q := query.NewRange(geometry.Point{0.1}, -1, 1)
 	var srv metrics.Counter
@@ -311,7 +312,7 @@ func TestCountersObserveWork(t *testing.T) {
 		t.Error("server traversal not counted")
 	}
 	var cli metrics.Counter
-	if err := Verify(pub, q, ans.Records, &ans.VO, &cli); err != nil {
+	if err := verify.Verify(pub, q, ans.Records, &ans.VO, &cli); err != nil {
 		t.Fatal(err)
 	}
 	if cli.Hashes == 0 {
@@ -324,7 +325,7 @@ func TestCountersObserveWork(t *testing.T) {
 
 func TestKNNSmallDatabaseEdges(t *testing.T) {
 	tbl := lineTable(t, 3, 15)
-	tree := build1D(t, tbl, MultiSignature)
+	tree := build1D(t, tbl, verify.MultiSignature)
 	pub := tree.Public()
 	// k greater than n: full list with sentinel boundaries.
 	q := query.NewKNN(geometry.Point{0}, 10, 0)
@@ -335,7 +336,7 @@ func TestKNNSmallDatabaseEdges(t *testing.T) {
 	if len(ans.Records) != 3 {
 		t.Fatalf("got %d records, want all 3", len(ans.Records))
 	}
-	if err := Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
+	if err := verify.Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
 		t.Fatalf("full-list knn rejected: %v", err)
 	}
 	// Top-k covering everything.
@@ -344,14 +345,14 @@ func TestKNNSmallDatabaseEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
+	if err := verify.Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
 		t.Fatalf("full-list top-k rejected: %v", err)
 	}
 }
 
 func TestEmptyRangeResult(t *testing.T) {
 	tbl := lineTable(t, 20, 16)
-	for _, mode := range []Mode{OneSignature, MultiSignature} {
+	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
 		tree := build1D(t, tbl, mode)
 		pub := tree.Public()
 		q := query.NewRange(geometry.Point{0}, 1e6, 2e6)
@@ -362,7 +363,7 @@ func TestEmptyRangeResult(t *testing.T) {
 		if len(ans.Records) != 0 {
 			t.Fatalf("expected empty result, got %d", len(ans.Records))
 		}
-		if err := Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
+		if err := verify.Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
 			t.Fatalf("%v: empty result rejected: %v", mode, err)
 		}
 	}
@@ -387,7 +388,7 @@ func TestBuildND2D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []Mode{OneSignature, MultiSignature} {
+	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
 		tree, err := Build(tbl, Params{
 			Mode:     mode,
 			Signer:   testSigner,
@@ -413,7 +414,7 @@ func TestBuildND2D(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v %v: Process: %v", mode, q.Kind, err)
 				}
-				if err := Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
+				if err := verify.Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
 					t.Fatalf("%v %v: honest 2-D answer rejected: %v", mode, q.Kind, err)
 				}
 				want, err := query.Exec(tbl, funcs.ScalarProduct(2), q)
@@ -445,7 +446,7 @@ func TestDuplicateBreakpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree, err := Build(tbl, Params{
-		Mode:     OneSignature,
+		Mode:     verify.OneSignature,
 		Signer:   testSigner,
 		Domain:   geometry.MustBox([]float64{-2}, []float64{2}),
 		Template: funcs.AffineLine(0, 1),
@@ -460,7 +461,7 @@ func TestDuplicateBreakpoints(t *testing.T) {
 		if err != nil {
 			t.Fatalf("x=%v: %v", xv, err)
 		}
-		if err := Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
+		if err := verify.Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
 			t.Fatalf("x=%v: %v", xv, err)
 		}
 		want, err := query.Exec(tbl, funcs.AffineLine(0, 1), q)

@@ -7,6 +7,7 @@ import (
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
+	"aqverify/internal/verify"
 )
 
 func tinyTable(t *testing.T, rows ...[2]float64) record.Table {
@@ -29,7 +30,7 @@ func TestSingleRecordDatabase(t *testing.T) {
 	// One record: no intersections, a single subdomain, and every query
 	// returns the whole (one-element) list with sentinel boundaries.
 	tbl := tinyTable(t, [2]float64{1, 0})
-	for _, mode := range []Mode{OneSignature, MultiSignature} {
+	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
 		tree := build1D(t, tbl, mode)
 		if tree.NumSubdomains() != 1 {
 			t.Fatalf("%v: subdomains = %d, want 1", mode, tree.NumSubdomains())
@@ -47,13 +48,13 @@ func TestSingleRecordDatabase(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v %v: %v", mode, q.Kind, err)
 			}
-			if err := Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
+			if err := verify.Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
 				t.Fatalf("%v %v: %v", mode, q.Kind, err)
 			}
 		}
 		// One-signature path on a single-leaf tree is empty: the leaf IS
 		// the root.
-		if mode == OneSignature {
+		if mode == verify.OneSignature {
 			ans, err := tree.Process(query.NewTopK(geometry.Point{0.5}, 1), nil)
 			if err != nil {
 				t.Fatal(err)
@@ -69,7 +70,7 @@ func TestTwoCrossingRecords(t *testing.T) {
 	// Two lines crossing mid-domain: exactly two subdomains whose orders
 	// are reversed; queries on both sides agree with direct evaluation.
 	tbl := tinyTable(t, [2]float64{1, 0}, [2]float64{-1, 0.5})
-	tree := build1D(t, tbl, OneSignature)
+	tree := build1D(t, tbl, verify.OneSignature)
 	if tree.NumSubdomains() != 2 {
 		t.Fatalf("subdomains = %d, want 2", tree.NumSubdomains())
 	}
@@ -80,7 +81,7 @@ func TestTwoCrossingRecords(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
+		if err := verify.Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
 			t.Fatalf("x=%v: %v", xv, err)
 		}
 		want, err := query.Exec(tbl, funcs.AffineLine(0, 1), q)
@@ -97,14 +98,14 @@ func TestIdenticalRecordsContent(t *testing.T) {
 	// Two records with identical attributes (different IDs): they tie at
 	// every x; the canonical order breaks ties by index and never swaps.
 	tbl := tinyTable(t, [2]float64{1, 2}, [2]float64{1, 2}, [2]float64{0, 0})
-	tree := build1D(t, tbl, MultiSignature)
+	tree := build1D(t, tbl, verify.MultiSignature)
 	pub := tree.Public()
 	q := query.NewTopK(geometry.Point{0.5}, 2)
 	ans, err := tree.Process(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
+	if err := verify.Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(ans.Records) != 2 {
@@ -114,7 +115,7 @@ func TestIdenticalRecordsContent(t *testing.T) {
 
 func TestStatsInvariants(t *testing.T) {
 	tbl := lineTable(t, 40, 31)
-	s := build1D(t, tbl, MultiSignature).Stats()
+	s := build1D(t, tbl, verify.MultiSignature).Stats()
 	if s.Records != 40 {
 		t.Error("record count wrong")
 	}

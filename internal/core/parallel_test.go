@@ -14,11 +14,12 @@ import (
 	"aqverify/internal/itree"
 	"aqverify/internal/metrics"
 	"aqverify/internal/record"
+	"aqverify/internal/verify"
 )
 
 // buildWorkers builds a 1-D tree with an explicit worker count and its
 // own counter, so tests can compare both outputs and instrumentation.
-func buildWorkers(t testing.TB, tbl record.Table, mode Mode, workers int, ctr *metrics.Counter) *Tree {
+func buildWorkers(t testing.TB, tbl record.Table, mode verify.Mode, workers int, ctr *metrics.Counter) *Tree {
 	t.Helper()
 	tree, err := Build(tbl, Params{
 		Mode:     mode,
@@ -38,7 +39,7 @@ func buildWorkers(t testing.TB, tbl record.Table, mode Mode, workers int, ctr *m
 // sigsOf collects every signature a tree holds (one root signature or S
 // subdomain signatures).
 func sigsOf(tr *Tree) [][]byte {
-	if tr.mode == OneSignature {
+	if tr.mode == verify.OneSignature {
 		return [][]byte{tr.rootSig}
 	}
 	out := make([][]byte, len(tr.subs))
@@ -56,7 +57,7 @@ func sigsOf(tr *Tree) [][]byte {
 // names they have always had.)
 func TestParallelBuildIdentical(t *testing.T) {
 	tbl := lineTable(t, 80, 7)
-	for _, mode := range []Mode{OneSignature, MultiSignature} {
+	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
 		t.Run(fmt.Sprintf("%v/materialize=false", mode), func(t *testing.T) {
 			var serialCtr, parCtr metrics.Counter
 			serial := buildWorkers(t, tbl, mode, 1, &serialCtr)
@@ -104,7 +105,7 @@ func TestParallelBuildIdenticalND(t *testing.T) {
 	}
 	build := func(workers int) *Tree {
 		tree, err := Build(tbl, Params{
-			Mode:     MultiSignature,
+			Mode:     verify.MultiSignature,
 			Signer:   testSigner,
 			Domain:   geometry.MustBox([]float64{0.1, 0.1}, []float64{1, 1}),
 			Template: funcs.ScalarProduct(2),
@@ -138,7 +139,7 @@ func TestParallelBuildIdenticalND(t *testing.T) {
 // serves verifiable answers end to end.
 func TestParallelBuildServes(t *testing.T) {
 	tbl := lineTable(t, 60, 11)
-	tree := buildWorkers(t, tbl, MultiSignature, 8, nil)
+	tree := buildWorkers(t, tbl, verify.MultiSignature, 8, nil)
 	pub := tree.Public()
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 20; trial++ {
@@ -147,7 +148,7 @@ func TestParallelBuildServes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v: %v", q.Kind, err)
 			}
-			if err := Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
+			if err := verify.Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
 				t.Fatalf("%v: %v", q.Kind, err)
 			}
 		}
@@ -161,8 +162,8 @@ func TestParallelBuildServes(t *testing.T) {
 // root.
 func TestPropagateHashesWorkersIdentity(t *testing.T) {
 	tbl := lineTable(t, 80, 19)
-	serial := buildWorkers(t, tbl, OneSignature, 1, nil)
-	parallel := buildWorkers(t, tbl, OneSignature, 8, nil)
+	serial := buildWorkers(t, tbl, verify.OneSignature, 1, nil)
+	parallel := buildWorkers(t, tbl, verify.OneSignature, 8, nil)
 	nodes := 0
 	var walk func(a, b *itree.Node)
 	walk = func(a, b *itree.Node) {
@@ -196,7 +197,7 @@ func TestBuildCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := BuildCtx(ctx, tbl, Params{
-		Mode:     MultiSignature,
+		Mode:     verify.MultiSignature,
 		Signer:   testSigner,
 		Domain:   geometry.MustBox([]float64{-1}, []float64{1}),
 		Template: funcs.AffineLine(0, 1),
@@ -214,7 +215,7 @@ func TestBuildProgressStages(t *testing.T) {
 	tbl := lineTable(t, 40, 29)
 	var stages []Stage
 	_, err := Build(tbl, Params{
-		Mode:     MultiSignature,
+		Mode:     verify.MultiSignature,
 		Signer:   testSigner,
 		Domain:   geometry.MustBox([]float64{-1}, []float64{1}),
 		Template: funcs.AffineLine(0, 1),

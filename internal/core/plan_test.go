@@ -9,6 +9,7 @@ import (
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/record"
+	"aqverify/internal/verify"
 )
 
 // deltaOf applies a batch to tbl under the canonical rule build.Apply
@@ -75,7 +76,7 @@ func TestApplyPlanIsTheRebuildPlan(t *testing.T) {
 	}
 	for _, workers := range []int{1, 8} {
 		p := Params{
-			Mode:     OneSignature,
+			Mode:     verify.OneSignature,
 			Signer:   testSigner,
 			Domain:   geometry.MustBox([]float64{-1}, []float64{1}),
 			Template: funcs.AffineLine(0, 1),

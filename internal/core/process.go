@@ -8,6 +8,7 @@ import (
 	"aqverify/internal/mhtree"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
+	"aqverify/internal/verify"
 )
 
 // Process executes an analytic query and constructs its verification
@@ -27,7 +28,7 @@ import (
 // The counter observes the traversal costs the paper plots in Fig 6:
 // IMH nodes on the search path, binary-search comparisons, and FMH nodes
 // visited while building the proof.
-func (t *Tree) Process(q query.Query, ctr *metrics.Counter) (*Answer, error) {
+func (t *Tree) Process(q query.Query, ctr *metrics.Counter) (*verify.Answer, error) {
 	if err := q.Validate(t.template.Dim()); err != nil {
 		return nil, err
 	}
@@ -35,25 +36,25 @@ func (t *Tree) Process(q query.Query, ctr *metrics.Counter) (*Answer, error) {
 		return nil, fmt.Errorf("core: function input %v outside the owner-specified domain", q.X)
 	}
 
-	a := &Answer{Query: q, VO: VO{Mode: t.mode}}
+	a := &verify.Answer{Query: q, VO: verify.VO{Mode: t.mode}}
 	vo := &a.VO
 	// Only the one-signature VO carries the IMH path; the multi-signature
 	// search records nothing.
 	var hop func(n *itree.Node, tookAbove bool)
-	if t.mode == OneSignature {
+	if t.mode == verify.OneSignature {
 		hop = func(n *itree.Node, tookAbove bool) {
 			sibling := n.Below
 			if !tookAbove {
 				sibling = n.Above
 			}
-			vo.Path = append(vo.Path, PathStep{Hp: n.Int.H, TookAbove: tookAbove, Sibling: sibling.Hash})
+			vo.Path = append(vo.Path, verify.PathStep{Hp: n.Int.H, TookAbove: tookAbove, Sibling: sibling.Hash})
 		}
 	}
 	si := t.subs[t.itree.Search(q.X, ctr, hop).ID]
 	switch t.mode {
-	case OneSignature:
+	case verify.OneSignature:
 		vo.Signature = t.rootSig
-	case MultiSignature:
+	case verify.MultiSignature:
 		vo.Ineqs = si.Ineqs
 		vo.Signature = si.Sig
 	default:
@@ -75,7 +76,7 @@ func (t *Tree) Process(q query.Query, ctr *metrics.Counter) (*Answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	vo.Left, vo.Right = t.boundary(recs[0], BoundaryMin), t.boundary(recs[len(recs)-1], BoundaryMax)
+	vo.Left, vo.Right = t.boundary(recs[0], verify.BoundaryMin), t.boundary(recs[len(recs)-1], verify.BoundaryMax)
 	a.Records = make([]record.Record, w.Count)
 	for i, rec := range recs[1 : len(recs)-1] {
 		a.Records[i] = t.table.Records[rec]
@@ -89,9 +90,9 @@ func (t *Tree) Process(q query.Query, ctr *metrics.Counter) (*Answer, error) {
 
 // boundary is the window neighbor at record index rec, or the sentinel
 // of the given kind when the window reaches that end of the list.
-func (t *Tree) boundary(rec int, sentinel BoundaryKind) Boundary {
+func (t *Tree) boundary(rec int, sentinel verify.BoundaryKind) verify.Boundary {
 	if rec == mhtree.NoRecord {
-		return Boundary{Kind: sentinel}
+		return verify.Boundary{Kind: sentinel}
 	}
-	return Boundary{Kind: BoundaryRecord, Rec: t.table.Records[rec]}
+	return verify.Boundary{Kind: verify.BoundaryRecord, Rec: t.table.Records[rec]}
 }

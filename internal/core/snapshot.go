@@ -9,6 +9,7 @@ import (
 	"aqverify/internal/itree"
 	"aqverify/internal/record"
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 )
 
 // Snapshot is the complete serve-state of a built tree: every field a
@@ -22,7 +23,7 @@ import (
 // A snapshot aliases the tree's internal state. It is a read view:
 // callers must not mutate the referenced nodes, lists or slices.
 type Snapshot struct {
-	Mode     Mode
+	Mode     verify.Mode
 	Epoch    uint64
 	Domain   geometry.Box
 	Template funcs.Template
@@ -100,13 +101,13 @@ func FromSnapshot(s Snapshot) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	var space geometry.Space
+	var space itree.Space
 	if s.Template.Dim() == 1 {
-		if space, err = geometry.NewSpace1D(s.Domain); err != nil {
+		if space, err = itree.NewSpace1D(s.Domain); err != nil {
 			return nil, err
 		}
 	} else {
-		if space, err = geometry.NewSpaceND(s.Domain); err != nil {
+		if space, err = itree.NewSpaceND(s.Domain); err != nil {
 			return nil, err
 		}
 	}
@@ -148,12 +149,12 @@ func FromSnapshot(s Snapshot) (*Tree, error) {
 	}
 
 	switch s.Mode {
-	case OneSignature:
+	case verify.OneSignature:
 		if len(s.RootSig) == 0 {
 			return nil, fmt.Errorf("core: one-signature snapshot carries no root signature")
 		}
 		t.sigCount = 1
-	case MultiSignature:
+	case verify.MultiSignature:
 		for i, si := range s.Subs {
 			if len(si.Sig) == 0 || len(si.IneqEnc) == 0 {
 				return nil, fmt.Errorf("core: multi-signature snapshot subdomain %d carries no signature", i)

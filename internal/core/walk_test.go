@@ -15,10 +15,12 @@ import (
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
+	"aqverify/internal/itree"
 	"aqverify/internal/mhtree"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 	"aqverify/internal/wire"
 	"aqverify/internal/workload"
 )
@@ -141,7 +143,7 @@ func walkQueries(x geometry.Point, scores []float64) []query.Query {
 // query.Exec selects on the raw table, position for position (records
 // tying exactly may swap within their tie, so those are compared by
 // score), and the answer verifies.
-func checkWalk(t *testing.T, tree *core.Tree, tpl funcs.Template, q query.Query) *core.Answer {
+func checkWalk(t *testing.T, tree *core.Tree, tpl funcs.Template, q query.Query) *verify.Answer {
 	t.Helper()
 	ans, err := tree.Process(q, nil)
 	if err != nil {
@@ -161,7 +163,7 @@ func checkWalk(t *testing.T, tree *core.Tree, tpl funcs.Template, q query.Query)
 				q, i, got, rec.ID, want.Scores[i], want.Records[i].ID)
 		}
 	}
-	if err := core.Verify(tree.Public(), q, ans.Records, &ans.VO, nil); err != nil {
+	if err := verify.Verify(tree.Public(), q, ans.Records, &ans.VO, nil); err != nil {
 		t.Fatalf("%+v: honest answer rejected: %v", q, err)
 	}
 	return ans
@@ -176,7 +178,7 @@ func checkWalk(t *testing.T, tree *core.Tree, tpl funcs.Template, q query.Query)
 func TestWalkIsTheBruteForce(t *testing.T) {
 	dom1 := geometry.MustBox([]float64{-1}, []float64{1})
 	line := funcs.AffineLine(0, 1)
-	for _, mode := range []core.Mode{core.OneSignature, core.MultiSignature} {
+	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
 		for _, n := range []int{1, 2, 7, 200} {
 			t.Run(fmt.Sprintf("1D/%v/n=%d", mode, n), func(t *testing.T) {
 				tbl := quarterTable(t, n, 2, int64(n))
@@ -243,7 +245,7 @@ func TestProcessCostIsFlatInN(t *testing.T) {
 		}
 		tpl := funcs.AffineLine(0, 1)
 		tree := outsourceWalk(t, build.Spec{Table: tbl, Template: tpl, Domain: dom, Signer: walkSigner},
-			build.WithMode(core.MultiSignature)).Tree
+			build.WithMode(verify.MultiSignature)).Tree
 		// 64 records of every kind, wherever they sit in the list.
 		x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
 		ref, err := query.Exec(tbl, tpl, query.NewBottomK(x, n))
@@ -296,7 +298,7 @@ func TestLeafIndexIsThePermutation(t *testing.T) {
 	tbl := quarterTable(t, 30, 2, 7)
 	spec := build.Spec{Table: tbl, Template: funcs.AffineLine(0, 1),
 		Domain: geometry.MustBox([]float64{-1}, []float64{1}), Signer: walkSigner}
-	first := outsourceWalk(t, spec, build.WithMode(core.OneSignature))
+	first := outsourceWalk(t, spec, build.WithMode(verify.OneSignature))
 
 	upd := tbl.Records[3]
 	upd.Attrs = []float64{upd.Attrs[0] + 0.5, upd.Attrs[1] - 0.25}
@@ -315,7 +317,7 @@ func TestLeafIndexIsThePermutation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		space := snap.ITree.Space.(*geometry.Space1D)
+		space := snap.ITree.Space.(*itree.Space1D)
 		out := make([][]int, len(snap.ITree.Subs))
 		for id, sub := range snap.ITree.Subs {
 			out[id] = funcs.SortAtRat(fs, space.WitnessRat(sub.Region))
@@ -379,7 +381,7 @@ func TestNDLeavesAreTheSortedOrder(t *testing.T) {
 					}
 					tpl := funcs.ScalarProduct(dim)
 					res := outsourceWalk(t, build.Spec{Table: tbl, Template: tpl, Domain: dom, Signer: walkSigner},
-						build.WithMode(core.MultiSignature))
+						build.WithMode(verify.MultiSignature))
 					fs, err := tpl.InterpretTable(tbl)
 					if err != nil {
 						t.Fatal(err)

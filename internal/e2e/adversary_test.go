@@ -14,13 +14,13 @@ import (
 
 	"aqverify/internal/backend"
 	"aqverify/internal/build"
-	"aqverify/internal/core"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
 	"aqverify/internal/sig"
 	"aqverify/internal/tamper"
 	"aqverify/internal/transport"
+	"aqverify/internal/verify"
 	"aqverify/internal/wire"
 	"aqverify/internal/workload"
 )
@@ -67,7 +67,7 @@ func sameRecords(a, b []record.Record) bool {
 // and the verifying user, and every adversary — random bit flips, the
 // attack catalogue (the lying server: same bytes it could have produced
 // itself), garbage and empty bytes, a replayed honest answer to a
-// different query — must be rejected with core.ErrVerification, through
+// different query — must be rejected with verify.ErrVerification, through
 // Query, QueryBatch and QueryStream alike. A refused query stays a
 // server error, never a verification rejection. Every surface takes the
 // battery twice: cold, and again after a verifying caller has been
@@ -75,7 +75,7 @@ func sameRecords(a, b []record.Record) bool {
 // bytes, and a dialed session's memo the honest signatures, and neither
 // may lend them to the adversary's. Both signing modes.
 func TestAdversaryOnEverySurface(t *testing.T) {
-	for _, mode := range []core.Mode{core.OneSignature, core.MultiSignature} {
+	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
 		ss, plan, _ := surfaces(t, 60, 3, mode)
 		dom := plan.Domain
 		x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
@@ -83,7 +83,7 @@ func TestAdversaryOnEverySurface(t *testing.T) {
 		other := query.NewTopK(x, 3)
 		qs := []query.Query{q, query.NewRange(x, -2, 2), query.NewKNN(x, 4, 0)}
 		prefix := "" // the one-signature rows keep the names they have always had
-		if mode == core.MultiSignature {
+		if mode == verify.MultiSignature {
 			prefix = mode.String() + "/"
 		}
 
@@ -141,7 +141,7 @@ func adversaries(t *testing.T, su surface, qs []query.Query, other query.Query, 
 				if !sameRecords(answers[0].Records, honest[0].Records) {
 					t.Fatalf("%s: bit-flipped answer accepted with different records", ep.name)
 				}
-			case !errors.Is(errs[0], core.ErrVerification):
+			case !errors.Is(errs[0], verify.ErrVerification):
 				t.Fatalf("%s: bit flip surfaced as %v, want ErrVerification", ep.name, errs[0])
 			default:
 				rejected++
@@ -166,7 +166,7 @@ func adversaries(t *testing.T, su surface, qs []query.Query, other query.Query, 
 			"replay":  func(query.Query, []byte) []byte { return replay.Raw },
 		} {
 			_, errs := ep.ask(channel(rewrite), qs[:1], su.verify)
-			if !errors.Is(errs[0], core.ErrVerification) {
+			if !errors.Is(errs[0], verify.ErrVerification) {
 				t.Fatalf("%s: %s accepted or misclassified: %v", ep.name, name, errs[0])
 			}
 		}
@@ -188,7 +188,7 @@ func adversaries(t *testing.T, su surface, qs []query.Query, other query.Query, 
 			switch {
 			case hit[string(wire.EncodeQuery(q))]:
 				applied++
-				if !errors.Is(errs[i], core.ErrVerification) {
+				if !errors.Is(errs[i], verify.ErrVerification) {
 					t.Fatalf("attack on query %d accepted or misclassified: %v", i, errs[i])
 				}
 			case errs[i] != nil:
@@ -204,7 +204,7 @@ func adversaries(t *testing.T, su surface, qs []query.Query, other query.Query, 
 	oob := query.NewTopK(geometry.Point{dom.Hi[0] + 5}, 1)
 	if _, err := channel(identity).Query(context.Background(), oob, su.verify); err == nil {
 		t.Error("out-of-domain query returned records")
-	} else if errors.Is(err, core.ErrVerification) {
+	} else if errors.Is(err, verify.ErrVerification) {
 		t.Errorf("server error misclassified as a verification rejection: %v", err)
 	}
 }
@@ -235,7 +235,7 @@ func (d *detour) RoundTrip(req *http.Request) (*http.Response, error) {
 // fresh one, whose memo is empty, give one verdict: stale.
 func TestDialedSessionPoison(t *testing.T) {
 	ctx := context.Background()
-	for _, mode := range []core.Mode{core.OneSignature, core.MultiSignature} {
+	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
 		t.Run(mode.String(), func(t *testing.T) {
 			tbl, dom, err := workload.Lines(workload.LinesConfig{N: 60, Seed: 3})
 			if err != nil {
@@ -265,10 +265,10 @@ func TestDialedSessionPoison(t *testing.T) {
 			at := func(f float64) geometry.Point { return geometry.Point{dom.Lo[0] + f*(dom.Hi[0]-dom.Lo[0])} }
 			qs := []query.Query{query.NewTopK(at(0.25), 5), query.NewTopK(at(0.75), 5)}
 
-			warm, verify, memo := dial()
+			warm, withVerify, memo := dial()
 			signatures := func() [2][]byte {
 				var out [2][]byte
-				answers, errs := warm.QueryBatch(ctx, qs, verify)
+				answers, errs := warm.QueryBatch(ctx, qs, withVerify)
 				for i := range qs {
 					if errs[i] != nil {
 						t.Fatalf("warming query %d: %v", i, errs[i])
@@ -283,7 +283,7 @@ func TestDialedSessionPoison(t *testing.T) {
 			}
 			// poison rewrites the honest answer to qs[0] on every entry
 			// point; the memo must take no part in the rejection.
-			poison := func(row string, edit func(*core.Answer)) {
+			poison := func(row string, edit func(*verify.Answer)) {
 				rewrite := func(_ query.Query, raw []byte) []byte {
 					ans, err := wire.DecodeIFMH(raw)
 					if err != nil {
@@ -294,8 +294,8 @@ func TestDialedSessionPoison(t *testing.T) {
 				}
 				for _, ep := range entryPoints {
 					hits := memo.Hits()
-					_, errs := ep.ask(tamper.Channel{Inner: warm, Rewrite: rewrite}, qs[:1], verify)
-					if !errors.Is(errs[0], core.ErrVerification) || !strings.Contains(errs[0].Error(), "signature:") {
+					_, errs := ep.ask(tamper.Channel{Inner: warm, Rewrite: rewrite}, qs[:1], withVerify)
+					if !errors.Is(errs[0], verify.ErrVerification) || !strings.Contains(errs[0].Error(), "signature:") {
 						t.Fatalf("%s via %s: err = %v, want the signature check to reject it", row, ep.name, errs[0])
 					}
 					if memo.Hits() != hits {
@@ -305,12 +305,12 @@ func TestDialedSessionPoison(t *testing.T) {
 			}
 
 			old := signatures()
-			if want := map[core.Mode]uint64{core.OneSignature: 1, core.MultiSignature: 2}[mode]; memo.Misses() != want {
+			if want := map[verify.Mode]uint64{verify.OneSignature: 1, verify.MultiSignature: 2}[mode]; memo.Misses() != want {
 				t.Fatalf("warming memoised %d signatures, want %d", memo.Misses(), want)
 			}
-			poison("honest signature over another FMH root", func(a *core.Answer) { a.Records[0].ID ^= 1 })
-			if mode == core.MultiSignature {
-				poison("another subdomain's signature", func(a *core.Answer) { a.VO.Signature = old[1] })
+			poison("honest signature over another FMH root", func(a *verify.Answer) { a.Records[0].ID ^= 1 })
+			if mode == verify.MultiSignature {
+				poison("another subdomain's signature", func(a *verify.Answer) { a.VO.Signature = old[1] })
 			}
 
 			// The owner republishes; the session follows.
@@ -332,8 +332,8 @@ func TestDialedSessionPoison(t *testing.T) {
 					pub.Epoch, warm.Client().Params().Epoch)
 			}
 			signatures() // honest epoch-2 answers verify, through the same memo
-			if mode == core.OneSignature {
-				poison("previous epoch's root signature", func(a *core.Answer) { a.VO.Signature = old[0] })
+			if mode == verify.OneSignature {
+				poison("previous epoch's root signature", func(a *verify.Answer) { a.VO.Signature = old[0] })
 			}
 
 			cold, coldVerify, coldMemo := dial()
@@ -344,7 +344,7 @@ func TestDialedSessionPoison(t *testing.T) {
 				for i, s := range []struct {
 					b      backend.Backend
 					verify backend.Option
-				}{{cold, coldVerify}, {warm, verify}} {
+				}{{cold, coldVerify}, {warm, withVerify}} {
 					_, errs := ep.ask(s.b, qs[:1], s.verify)
 					var stale *backend.EpochError
 					switch {

@@ -10,7 +10,6 @@ import (
 	"aqverify/internal/artifact"
 	"aqverify/internal/backend"
 	"aqverify/internal/build"
-	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
@@ -18,6 +17,7 @@ import (
 	"aqverify/internal/server"
 	"aqverify/internal/sig"
 	"aqverify/internal/transport"
+	"aqverify/internal/verify"
 	"aqverify/internal/workload"
 )
 
@@ -34,7 +34,7 @@ func buildForArtifact(t *testing.T, n int, shuffle int64, opts ...build.Option) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts = append([]build.Option{build.WithMode(core.MultiSignature), build.WithShuffle(shuffle)}, opts...)
+	opts = append([]build.Option{build.WithMode(verify.MultiSignature), build.WithShuffle(shuffle)}, opts...)
 	res, err := build.Outsource(context.Background(),
 		build.Spec{Table: tbl, Template: funcs.AffineLine(0, 1), Domain: dom, Signer: signer}, opts...)
 	if err != nil {
@@ -109,13 +109,13 @@ func TestArtifactServeHTTP(t *testing.T) {
 	}
 	ts := serveArtifact(t, dir, -1)
 
-	r, verify := dialVerifying(t, ts.URL)
+	r, withVerify := dialVerifying(t, ts.URL)
 	if cli := r.Client(); cli.Artifact() != info.HashHex() {
 		t.Fatalf("client pinned artifact %q, saved %q", cli.Artifact(), info.HashHex())
 	} else if cli.Provenance() != "loaded" {
 		t.Fatalf("provenance %q, want loaded", cli.Provenance())
 	}
-	verifyAgainstOracle(t, r, verify, res.Tree.Table(), artifactQueries(res.Tree.Domain()))
+	verifyAgainstOracle(t, r, withVerify, res.Tree.Table(), artifactQueries(res.Tree.Domain()))
 }
 
 // dialVerifying dials url as a data user does and derives the
@@ -135,10 +135,10 @@ func dialVerifying(t *testing.T, url string) (*transport.Remote, backend.Option)
 
 // verifyAgainstOracle answers every query through b, verified, and
 // compares the accepted window with the trusted local execution.
-func verifyAgainstOracle(t *testing.T, b backend.Backend, verify backend.Option, tbl record.Table, qs []query.Query) {
+func verifyAgainstOracle(t *testing.T, b backend.Backend, withVerify backend.Option, tbl record.Table, qs []query.Query) {
 	t.Helper()
 	for _, q := range qs {
-		ans, err := b.Query(context.Background(), q, verify)
+		ans, err := b.Query(context.Background(), q, withVerify)
 		if err != nil {
 			t.Fatalf("%v: %v", q.Kind, err)
 		}
@@ -182,8 +182,8 @@ func TestArtifactFanout(t *testing.T) {
 	}
 	front := httptest.NewServer(h)
 	defer front.Close()
-	r, verify := dialVerifying(t, front.URL)
-	verifyAgainstOracle(t, r, verify, res.Set.Trees[0].Table(), artifactQueries(res.Plan.Domain))
+	r, withVerify := dialVerifying(t, front.URL)
+	verifyAgainstOracle(t, r, withVerify, res.Set.Trees[0].Table(), artifactQueries(res.Plan.Domain))
 }
 
 // TestArtifactFanoutMismatch composes shard servers loaded from two

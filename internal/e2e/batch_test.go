@@ -8,10 +8,10 @@ import (
 
 	"aqverify/internal/backend"
 	"aqverify/internal/build"
-	"aqverify/internal/core"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
 	"aqverify/internal/tamper"
+	"aqverify/internal/verify"
 	"aqverify/internal/workload"
 )
 
@@ -26,7 +26,7 @@ func TestBatchedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, mode := range []core.Mode{core.OneSignature, core.MultiSignature} {
+	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
 		res := outsource(t, tbl, dom, build.WithMode(mode), build.WithShuffle(0), build.WithWorkers(4))
 		srv := newServer(t, local(t, res.Tree))
 		opts := []backend.Option{backend.WithVerify(res.Public), backend.WithWorkers(4)}
@@ -82,7 +82,7 @@ func TestBatchedRoundTrip(t *testing.T) {
 		_, errs = ch.QueryBatch(ctx, qs, opts...)
 		for i, err := range errs {
 			tampered := (i+1)%3 == 0
-			if tampered && !errors.Is(err, core.ErrVerification) {
+			if tampered && !errors.Is(err, verify.ErrVerification) {
 				t.Fatalf("%v: tampered query %d: err=%v, want ErrVerification", mode, i, err)
 			}
 			if !tampered && err != nil {

@@ -24,6 +24,7 @@ import (
 	"aqverify/internal/shard"
 	"aqverify/internal/sig"
 	"aqverify/internal/transport"
+	"aqverify/internal/verify"
 	"aqverify/internal/workload"
 )
 
@@ -79,7 +80,7 @@ func newServer(t testing.TB, b server.Backend) *server.Server {
 }
 
 // serve puts a server on a loopback listener for the test's lifetime.
-func serve(t testing.TB, b server.Backend, pub core.PublicParams) string {
+func serve(t testing.TB, b server.Backend, pub verify.PublicParams) string {
 	t.Helper()
 	h, err := transport.NewIFMHHandler(newServer(t, b), pub)
 	if err != nil {
@@ -96,7 +97,7 @@ func serve(t testing.TB, b server.Backend, pub core.PublicParams) string {
 // Server, Remote, Fanout), the cache decorator, and the two HTTP
 // surfaces again under dialed parameters. The plan is the K-shard
 // set's.
-func surfaces(t testing.TB, n, k int, mode core.Mode) ([]surface, shard.Plan, record.Table) {
+func surfaces(t testing.TB, n, k int, mode verify.Mode) ([]surface, shard.Plan, record.Table) {
 	t.Helper()
 	tbl, dom, err := workload.Lines(workload.LinesConfig{N: n, Seed: 3})
 	if err != nil {
@@ -130,7 +131,7 @@ func surfaces(t testing.TB, n, k int, mode core.Mode) ([]surface, shard.Plan, re
 	cached, err := cache.Wrap(lb)
 	must(err)
 
-	verify := backend.WithVerify(single.Public) // one bundle: sharding is transparent
+	withVerify := backend.WithVerify(single.Public) // one bundle: sharding is transparent
 	// What a data user holds is not the owner's struct but what a dial
 	// parsed from /params: the same bundle, verifying through the
 	// session's signature memo.
@@ -139,12 +140,12 @@ func surfaces(t testing.TB, n, k int, mode core.Mode) ([]surface, shard.Plan, re
 	must(err)
 	shardPub, _ := shard0.Public()
 	return []surface{
-		{"local", lb, verify},
-		{"sharded", sharded, verify},
-		{"server", srv, verify},
-		{"remote", remote, verify},
-		{"fanout", fanout, verify},
-		{"cached", cached, verify},
+		{"local", lb, withVerify},
+		{"sharded", sharded, withVerify},
+		{"server", srv, withVerify},
+		{"remote", remote, withVerify},
+		{"fanout", fanout, withVerify},
+		{"cached", cached, withVerify},
 		{"remote-dialed", remote, backend.WithVerify(dialedPub)},
 		{"fanout-dialed", fanout, backend.WithVerify(shardPub)},
 	}, set.Plan, tbl
@@ -154,7 +155,7 @@ func surfaces(t testing.TB, n, k int, mode core.Mode) ([]surface, shard.Plan, re
 // under both signing modes, and agree with the trusted local execution
 // record for record; the caller-side counter observes the bytes.
 func TestFullRoundTripAllSurfaces(t *testing.T) {
-	for _, mode := range []core.Mode{core.OneSignature, core.MultiSignature} {
+	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
 		ss, plan, tbl := surfaces(t, 120, 3, mode)
 		dom := plan.Domain
 		rng := rand.New(rand.NewSource(2))

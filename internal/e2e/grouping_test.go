@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"aqverify/internal/backend"
-	"aqverify/internal/core"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
+	"aqverify/internal/verify"
 	"aqverify/internal/wire"
 )
 
@@ -20,7 +20,7 @@ import (
 // Server) and Fanout.QueryBatch (observed as each answer's shard
 // attribution and error).
 func TestOneGroupingRoutine(t *testing.T) {
-	ss, plan, _ := surfaces(t, 60, 3, core.MultiSignature)
+	ss, plan, _ := surfaces(t, 60, 3, verify.MultiSignature)
 	dom := plan.Domain
 	dispatchers := map[string]backend.Backend{}
 	for _, su := range ss {

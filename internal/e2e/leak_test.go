@@ -11,12 +11,12 @@ import (
 	"aqverify/internal/backend"
 	"aqverify/internal/build"
 	"aqverify/internal/cache"
-	"aqverify/internal/core"
 	"aqverify/internal/front"
 	"aqverify/internal/geometry"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/transport"
+	"aqverify/internal/verify"
 	"aqverify/internal/workload"
 )
 
@@ -82,7 +82,7 @@ func settled(ok func() bool) bool {
 // children, a pool's other workers — an answer a sibling finished just
 // before the break is charged and then dropped.
 func TestStreamBreakLeavesNothingBehind(t *testing.T) {
-	ss, plan, _ := surfaces(t, 80, 3, core.OneSignature)
+	ss, plan, _ := surfaces(t, 80, 3, verify.OneSignature)
 	f, stack := frontStack(t, 80, 3)
 	ss = append(ss, stack)
 	spread := func(box geometry.Box) []query.Query {

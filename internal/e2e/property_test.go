@@ -13,6 +13,7 @@ import (
 	"aqverify/internal/query"
 	"aqverify/internal/record"
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 	"aqverify/internal/wire"
 )
 
@@ -45,7 +46,7 @@ func propTable(t *testing.T, n int, seed int64) record.Table {
 }
 
 // propBuild outsources tbl over [-1, 1] with the given IMH-shape seed.
-func propBuild(t *testing.T, tbl record.Table, shapeSeed int64, mode core.Mode) *core.Tree {
+func propBuild(t *testing.T, tbl record.Table, shapeSeed int64, mode verify.Mode) *core.Tree {
 	t.Helper()
 	tree, err := core.Build(tbl, core.Params{
 		Mode: mode, Signer: propSigner,
@@ -59,7 +60,7 @@ func propBuild(t *testing.T, tbl record.Table, shapeSeed int64, mode core.Mode) 
 	return tree
 }
 
-func propTree(t *testing.T, n int, seed int64, mode core.Mode) *core.Tree {
+func propTree(t *testing.T, n int, seed int64, mode verify.Mode) *core.Tree {
 	t.Helper()
 	return propBuild(t, propTable(t, n, seed), seed, mode)
 }
@@ -80,7 +81,7 @@ func TestMultiSignatureBytesIgnoreTreeShape(t *testing.T) {
 		x := geometry.Point{-0.9 + 0.15*float64(i)}
 		qs = append(qs, query.NewTopK(x, 1+i%5), query.NewRange(x, -1, 2), query.NewKNN(x, 1+i%4, 0.5))
 	}
-	for _, mode := range []core.Mode{core.MultiSignature, core.OneSignature} {
+	for _, mode := range []verify.Mode{verify.MultiSignature, verify.OneSignature} {
 		a, b := propBuild(t, tbl, 1, mode), propBuild(t, tbl, 2, mode)
 		if a.Fingerprint() == b.Fingerprint() {
 			t.Fatalf("%v: the two seeds built the same tree; the test shows nothing", mode)
@@ -98,25 +99,25 @@ func TestMultiSignatureBytesIgnoreTreeShape(t *testing.T) {
 			if bytes.Equal(wire.EncodeIFMH(aa), wire.EncodeIFMH(ab)) {
 				same++
 			}
-			for _, pub := range []core.PublicParams{a.Public(), b.Public()} {
-				for _, ans := range []*core.Answer{aa, ab} {
-					if err := core.Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
+			for _, pub := range []verify.PublicParams{a.Public(), b.Public()} {
+				for _, ans := range []*verify.Answer{aa, ab} {
+					if err := verify.Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
 						t.Fatalf("%v %v: honest answer rejected: %v", mode, q, err)
 					}
 				}
 			}
-			if mode == core.OneSignature {
+			if mode == verify.OneSignature {
 				spliced := aa.Clone()
 				spliced.VO.Signature = ab.VO.Signature
-				if err := core.Verify(a.Public(), q, spliced.Records, &spliced.VO, nil); !errors.Is(err, core.ErrVerification) {
+				if err := verify.Verify(a.Public(), q, spliced.Records, &spliced.VO, nil); !errors.Is(err, verify.ErrVerification) {
 					t.Fatalf("%v: one tree's path under the other's signed root: got %v, want ErrVerification", q, err)
 				}
 			}
 		}
-		if mode == core.MultiSignature && same != len(qs) {
+		if mode == verify.MultiSignature && same != len(qs) {
 			t.Errorf("multi-signature: %d of %d answers byte-identical across shape seeds, want all", same, len(qs))
 		}
-		if mode == core.OneSignature && same != 0 {
+		if mode == verify.OneSignature && same != 0 {
 			t.Errorf("one-signature: %d of %d answers byte-identical across shape seeds, want none", same, len(qs))
 		}
 	}
@@ -129,9 +130,9 @@ func TestQuickHonestAlwaysVerifies(t *testing.T) {
 	f := func(dbSeed, qrySeed int64) bool {
 		rng := rand.New(rand.NewSource(dbSeed))
 		n := 5 + rng.Intn(40)
-		mode := core.OneSignature
+		mode := verify.OneSignature
 		if rng.Intn(2) == 1 {
-			mode = core.MultiSignature
+			mode = verify.MultiSignature
 		}
 		tree := propTree(t, n, dbSeed, mode)
 		pub := tree.Public()
@@ -156,7 +157,7 @@ func TestQuickHonestAlwaysVerifies(t *testing.T) {
 			t.Logf("process: %v", err)
 			return false
 		}
-		if err := core.Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
+		if err := verify.Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
 			t.Logf("verify: %v", err)
 			return false
 		}
@@ -165,7 +166,7 @@ func TestQuickHonestAlwaysVerifies(t *testing.T) {
 			t.Logf("wire: %v", err)
 			return false
 		}
-		if err := core.Verify(pub, q, dec.Records, &dec.VO, nil); err != nil {
+		if err := verify.Verify(pub, q, dec.Records, &dec.VO, nil); err != nil {
 			t.Logf("verify decoded: %v", err)
 			return false
 		}
@@ -188,7 +189,7 @@ func TestQuickHonestAlwaysVerifies(t *testing.T) {
 // protocol does promise is that no flip can change the records a
 // verifying client accepts.
 func TestQuickRandomByteFlipNeverAltersRecords(t *testing.T) {
-	tree := propTree(t, 25, 99, core.OneSignature)
+	tree := propTree(t, 25, 99, verify.OneSignature)
 	pub := tree.Public()
 	q := query.NewRange(geometry.Point{0.1}, -2, 2)
 	ans, err := tree.Process(q, nil)
@@ -220,7 +221,7 @@ func TestQuickRandomByteFlipNeverAltersRecords(t *testing.T) {
 		if !query.Equal(q, dec.Query) {
 			return true // rejected by the client's echo check
 		}
-		if err := core.Verify(pub, q, dec.Records, &dec.VO, nil); err != nil {
+		if err := verify.Verify(pub, q, dec.Records, &dec.VO, nil); err != nil {
 			return true // rejected at verification time
 		}
 		return sameRecords(ans.Records, dec.Records)

@@ -38,9 +38,8 @@ type List struct {
 
 // Build constructs the FMH-tree for a sorted function list: perm[p] is
 // the index of the record at sorted position p, and leafDigest must
-// return that record's leaf digest (use RecordLeafDigest for the standard
-// derivation). Sentinel leaves are added automatically and commit to no
-// record.
+// return that record's leaf digest, h.Leaf of its record digest. Sentinel
+// leaves are added automatically and commit to no record.
 func Build(h *hashing.Hasher, perm []int, leafDigest func(rec int) hashing.Digest) (*List, error) {
 	n := len(perm)
 	if n > math.MaxInt32-2 {
@@ -54,12 +53,6 @@ func Build(h *hashing.Hasher, perm []int, leafDigest func(rec int) hashing.Diges
 	}
 	leaves[n+1], recs[n+1] = h.SentinelMax(n), mhtree.NoRecord
 	return &List{N: n, Tree: mhtree.Build(h, leaves, recs)}, nil
-}
-
-// RecordLeafDigest derives a record's FMH leaf digest from its record
-// digest.
-func RecordLeafDigest(h *hashing.Hasher, recDigest hashing.Digest) hashing.Digest {
-	return h.Leaf(recDigest)
 }
 
 // Root returns the FMH root digest.

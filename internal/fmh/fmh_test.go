@@ -19,7 +19,7 @@ func testList(t *testing.T, h *hashing.Hasher, n int, seed int64) (*List, []hash
 	leafD := make([]hashing.Digest, n)
 	for p := range leafD {
 		rec := record.Record{ID: uint64(p + 1), Attrs: []float64{rng.NormFloat64()}}
-		leafD[p] = RecordLeafDigest(h, h.Record(rec))
+		leafD[p] = h.Leaf(h.Record(rec))
 	}
 	l, err := Build(h, identity(n), func(rec int) hashing.Digest { return leafD[rec] })
 	if err != nil {

@@ -151,10 +151,10 @@ func TestHedgeRescuesSlowReplica(t *testing.T) {
 	delay.Store(int64(slow))
 
 	ctx := context.Background()
-	verify := backend.WithVerify(fl.res.Public)
+	withVerify := backend.WithVerify(fl.res.Public)
 	for i, q := range fleetQueries(fl.dom, 30) {
 		t0 := time.Now()
-		if _, err := f.Query(ctx, q, verify); err != nil {
+		if _, err := f.Query(ctx, q, withVerify); err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
 		if d := time.Since(t0); d > slow/2 {
@@ -203,9 +203,9 @@ func TestHedgeBudget(t *testing.T) {
 			delay.Store(int64(slow))
 
 			ctx := context.Background()
-			verify := backend.WithVerify(fl.res.Public)
+			withVerify := backend.WithVerify(fl.res.Public)
 			for i, q := range fleetQueries(fl.dom, 16) {
-				if _, err := f.Query(ctx, q, verify); err != nil {
+				if _, err := f.Query(ctx, q, withVerify); err != nil {
 					t.Fatalf("query %d: %v", i, err)
 				}
 			}

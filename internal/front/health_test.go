@@ -91,9 +91,9 @@ func TestEjectionAndReadmission(t *testing.T) {
 
 	// The set keeps serving on the healthy sibling while one is down.
 	ctx := context.Background()
-	verify := backend.WithVerify(fl.res.Public)
+	withVerify := backend.WithVerify(fl.res.Public)
 	for i, q := range fleetQueries(fl.dom, 8) {
-		if _, err := f.Query(ctx, q, verify); err != nil {
+		if _, err := f.Query(ctx, q, withVerify); err != nil {
 			t.Fatalf("query %d during the outage: %v", i, err)
 		}
 	}
@@ -134,7 +134,7 @@ func TestAdmissionBurst(t *testing.T) {
 
 	ctx := context.Background()
 	qs := fleetQueries(fl.dom, 12)
-	verify := backend.WithVerify(fl.res.Public)
+	withVerify := backend.WithVerify(fl.res.Public)
 	var (
 		wg     sync.WaitGroup
 		shed   atomic.Int64
@@ -144,7 +144,7 @@ func TestAdmissionBurst(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, err := r.Query(ctx, qs[i], verify)
+			_, err := r.Query(ctx, qs[i], withVerify)
 			switch {
 			case errors.Is(err, front.ErrOverload):
 				shed.Add(1)
@@ -189,7 +189,7 @@ func TestAdmissionBurst(t *testing.T) {
 	}
 	release1()
 	release2()
-	if _, err := r.Query(ctx, qs[0], verify); err != nil {
+	if _, err := r.Query(ctx, qs[0], withVerify); err != nil {
 		t.Errorf("query after releasing the gate: %v", err)
 	}
 }

@@ -61,9 +61,9 @@ func TestMetricsExposition(t *testing.T) {
 
 	ctx := context.Background()
 	qs := fleetQueries(fl.dom, 24)
-	verify := backend.WithVerify(fl.res.Public)
+	withVerify := backend.WithVerify(fl.res.Public)
 	for i, q := range qs {
-		if _, err := r.Query(ctx, q, verify); err != nil {
+		if _, err := r.Query(ctx, q, withVerify); err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
 	}

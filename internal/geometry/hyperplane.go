@@ -1,8 +1,7 @@
-// Package geometry models the domain-partitioning machinery behind the
-// I-tree: hyperplanes (function intersections), halfspaces (subdomain
-// boundary constraints), boxes (owner-specified query domains), and the
-// Space abstraction with two implementations — an exact rational 1-D space
-// and an LP-backed n-dimensional space.
+// Package geometry holds the values the I-tree partitions by:
+// hyperplanes (function intersections), halfspaces (subdomain boundary
+// constraints) and boxes (owner-specified query domains), with their
+// canonical byte encodings.
 package geometry
 
 import (

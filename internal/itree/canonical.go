@@ -140,8 +140,8 @@ func (a *Arrangement1D) NumBreakpoints() int { return len(a.Groups) }
 // ordered; degenerate, on-edge and out-of-domain entries — the ones the
 // exact insertion checks would prune — are dropped. The input may carry
 // the widened-margin superset Pairs1D enumerates.
-func NewArrangement1D(space *geometry.Space1D, inters []Intersection, seed int64) (*Arrangement1D, error) {
-	root, ok := space.Root().(geometry.Interval1D)
+func NewArrangement1D(space *Space1D, inters []Intersection, seed int64) (*Arrangement1D, error) {
+	root, ok := space.Root().(Interval1D)
 	if !ok {
 		return nil, fmt.Errorf("itree: 1-D space has a non-interval root region")
 	}
@@ -152,7 +152,7 @@ func NewArrangement1D(space *geometry.Space1D, inters []Intersection, seed int64
 	}
 	entries := make([]entry, 0, len(inters))
 	for _, in := range inters {
-		t, ok := geometry.Breakpoint1D(in.H)
+		t, ok := Breakpoint1D(in.H)
 		if !ok {
 			continue // degenerate: parallel functions
 		}
@@ -194,8 +194,8 @@ func NewArrangement1D(space *geometry.Space1D, inters []Intersection, seed int64
 // sort: the leaf of gap g is already the g-th from the left, so it is
 // created as Subs[g] with ID g. Every univariate tree — first build or
 // applied mutation — is constructed here.
-func BuildCanonical1D(space *geometry.Space1D, arr *Arrangement1D) (*Tree, error) {
-	root, ok := space.Root().(geometry.Interval1D)
+func BuildCanonical1D(space *Space1D, arr *Arrangement1D) (*Tree, error) {
+	root, ok := space.Root().(Interval1D)
 	if !ok {
 		return nil, fmt.Errorf("itree: 1-D space has a non-interval root region")
 	}
@@ -212,7 +212,7 @@ func BuildCanonical1D(space *geometry.Space1D, arr *Arrangement1D) (*Tree, error
 	// insert-path Partition assigns it: the side where c·x + b >= 0
 	// keeps the closed endpoint at t.
 	leafFor := func(g int) *Node {
-		iv := geometry.Interval1D{}
+		iv := Interval1D{}
 		if g == 0 {
 			iv.Lo, iv.LoStrict = root.Lo, root.LoStrict
 		} else {

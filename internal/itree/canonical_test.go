@@ -30,7 +30,7 @@ func sameTree(t *testing.T, a, b *Tree) {
 			if s.ID != i {
 				t.Fatalf("Subs[%d] has ID %d", i, s.ID)
 			}
-			if i > 0 && tr.Subs[i-1].Region.(geometry.Interval1D).Lo.Cmp(s.Region.(geometry.Interval1D).Lo) >= 0 {
+			if i > 0 && tr.Subs[i-1].Region.(Interval1D).Lo.Cmp(s.Region.(Interval1D).Lo) >= 0 {
 				t.Fatalf("Subs[%d] does not start right of Subs[%d]", i, i-1)
 			}
 		}
@@ -41,8 +41,8 @@ func sameTree(t *testing.T, a, b *Tree) {
 			t.Fatalf("%s: leaf %v vs %v", path, x.IsLeaf(), y.IsLeaf())
 		}
 		if x.IsLeaf() {
-			ix := x.Leaf.Region.(geometry.Interval1D)
-			iy := y.Leaf.Region.(geometry.Interval1D)
+			ix := x.Leaf.Region.(Interval1D)
+			iy := y.Leaf.Region.(Interval1D)
 			if ix.Lo.Cmp(iy.Lo) != 0 || ix.Hi.Cmp(iy.Hi) != 0 ||
 				ix.LoStrict != iy.LoStrict || ix.HiStrict != iy.HiStrict {
 				t.Fatalf("%s: leaf interval %+v vs %+v", path, ix, iy)
@@ -91,7 +91,7 @@ func randomLines(n int, seed int64) []funcs.Linear {
 // same tree, and returns it.
 func bothWays(t *testing.T, dom geometry.Box, inters []Intersection, seed int64) *Tree {
 	t.Helper()
-	space, err := geometry.NewSpace1D(dom)
+	space, err := NewSpace1D(dom)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestMergeArrangementEqualsRescan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	space, err := geometry.NewSpace1D(dom)
+	space, err := NewSpace1D(dom)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestBuildCanonical1DAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	space, err := geometry.NewSpace1D(dom)
+	space, err := NewSpace1D(dom)
 	if err != nil {
 		t.Fatal(err)
 	}

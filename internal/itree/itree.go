@@ -10,7 +10,7 @@
 // insertion order. This package fixes the canonical one (canonical.go),
 // which makes the tree a pure function of the intersection set, and
 // builds it two ways: Build runs the literal insertions over an abstract
-// geometry.Space — the only construction for the LP-backed n-dimensional
+// Space — the only construction for the LP-backed n-dimensional
 // space — while a univariate build sorts the breakpoints once into an
 // Arrangement1D and reads the same tree straight off it
 // (BuildCanonical1D), numbering each subdomain by its gap; the sweep,
@@ -55,12 +55,12 @@ func (n *Node) IsLeaf() bool { return n.Leaf != nil }
 // per-subdomain data kept by higher layers.
 type Subdomain struct {
 	ID     int
-	Region geometry.Region
+	Region Region
 }
 
 // Tree is a built I-tree.
 type Tree struct {
-	Space geometry.Space
+	Space Space
 	Root  *Node
 	// Subs lists the leaves by ID.
 	Subs []*Subdomain
@@ -117,7 +117,7 @@ func PairsND(fs []funcs.Linear) []Intersection {
 // NewArrangement1D and BuildCanonical1D, which return the same tree
 // without the descents — Build over a 1-D space is the reference the
 // tests compare that direct construction against.
-func Build(space geometry.Space, inters []Intersection, seed int64) (*Tree, error) {
+func Build(space Space, inters []Intersection, seed int64) (*Tree, error) {
 	t := &Tree{
 		Space:     space,
 		Root:      &Node{Leaf: &Subdomain{Region: space.Root()}},
@@ -132,7 +132,7 @@ func Build(space geometry.Space, inters []Intersection, seed int64) (*Tree, erro
 
 // insert pushes one intersection down the subtree rooted at n, whose
 // region is given, splitting every leaf the hyperplane crosses.
-func (t *Tree) insert(n *Node, region geometry.Region, in *Intersection) {
+func (t *Tree) insert(n *Node, region Region, in *Intersection) {
 	if n.IsLeaf() {
 		above, below, ok := t.Space.Partition(region, in.H)
 		if !ok {
@@ -178,10 +178,10 @@ func (t *Tree) enumerate() {
 		walk(n.Above)
 	}
 	walk(t.Root)
-	if _, ok := t.Space.(*geometry.Space1D); ok {
+	if _, ok := t.Space.(*Space1D); ok {
 		sort.Slice(leaves, func(a, b int) bool {
-			ia := leaves[a].Region.(geometry.Interval1D)
-			ib := leaves[b].Region.(geometry.Interval1D)
+			ia := leaves[a].Region.(Interval1D)
+			ib := leaves[b].Region.(Interval1D)
 			return ia.Lo.Cmp(ib.Lo) < 0
 		})
 	}

@@ -23,7 +23,7 @@ func lines(params ...[2]float64) []funcs.Linear {
 func build1D(t *testing.T, fs []funcs.Linear, lo, hi float64, seed int64) *Tree {
 	t.Helper()
 	domain := geometry.MustBox([]float64{lo}, []float64{hi})
-	space, err := geometry.NewSpace1D(domain)
+	space, err := NewSpace1D(domain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,8 +45,8 @@ func boundaries1D(t *testing.T, tree *Tree) []*big.Rat {
 	t.Helper()
 	out := make([]*big.Rat, 0, len(tree.Subs))
 	for i := 0; i+1 < len(tree.Subs); i++ {
-		cur := tree.Subs[i].Region.(geometry.Interval1D)
-		next := tree.Subs[i+1].Region.(geometry.Interval1D)
+		cur := tree.Subs[i].Region.(Interval1D)
+		next := tree.Subs[i+1].Region.(Interval1D)
 		if cur.Hi.Cmp(next.Lo) != 0 {
 			t.Fatalf("leaves %d and %d do not abut (%v vs %v)", i, i+1, cur.Hi, next.Lo)
 		}
@@ -146,8 +146,8 @@ func TestSubdomainOrderIsSpatial1D(t *testing.T) {
 	}
 	// Intervals tile the domain left to right.
 	boundaries1D(t, tree)
-	first := tree.Subs[0].Region.(geometry.Interval1D)
-	last := tree.Subs[len(tree.Subs)-1].Region.(geometry.Interval1D)
+	first := tree.Subs[0].Region.(Interval1D)
+	last := tree.Subs[len(tree.Subs)-1].Region.(Interval1D)
 	if f, _ := first.Lo.Float64(); f != -2 {
 		t.Errorf("first interval starts at %v, want -2", f)
 	}
@@ -168,7 +168,7 @@ func TestSortabilityAcrossSubdomains(t *testing.T) {
 	fs := lines(params...)
 	tree := build1D(t, fs, -1, 1, 3)
 	for _, sub := range tree.Subs {
-		iv := sub.Region.(geometry.Interval1D)
+		iv := sub.Region.(Interval1D)
 		lo, _ := iv.Lo.Float64()
 		hi, _ := iv.Hi.Float64()
 		w := (hi - lo)
@@ -198,7 +198,7 @@ func TestCanonicalDepthOnAscendingBreakpoints(t *testing.T) {
 	}
 	fs := lines(params...)
 	domain := geometry.MustBox([]float64{0.5}, []float64{s + 0.5})
-	space, err := geometry.NewSpace1D(domain)
+	space, err := NewSpace1D(domain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +207,8 @@ func TestCanonicalDepthOnAscendingBreakpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 1; k < len(inters); k++ {
-		a, _ := geometry.Breakpoint1D(inters[k-1].H)
-		b, _ := geometry.Breakpoint1D(inters[k].H)
+		a, _ := Breakpoint1D(inters[k-1].H)
+		b, _ := Breakpoint1D(inters[k].H)
 		if a.Cmp(b) >= 0 {
 			t.Fatalf("enumeration is not ascending at %d: the input is not adversarial", k)
 		}
@@ -243,7 +243,7 @@ func TestBuildND(t *testing.T) {
 		{Index: 2, RecordID: 3, Coef: []float64{0.5, 0.5}},
 	}
 	domain := geometry.MustBox([]float64{0, 0}, []float64{1, 1})
-	space, err := geometry.NewSpaceND(domain)
+	space, err := NewSpaceND(domain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestBuildNDGrid(t *testing.T) {
 		{Index: 2, RecordID: 3, Coef: []float64{0, 0}, Bias: 0.5},
 	}
 	domain := geometry.MustBox([]float64{0, 0}, []float64{1, 1})
-	space, _ := geometry.NewSpaceND(domain)
+	space, _ := NewSpaceND(domain)
 	tree, err := Build(space, PairsND(fs), 0)
 	if err != nil {
 		t.Fatal(err)

@@ -83,7 +83,7 @@ func DirtyPairs1D(fs []funcs.Linear, dirty []bool, domain geometry.Box) ([]Inter
 // be monotone over the surviving indexes — the mutation plane's
 // delete-compact-then-append rule — so that rewriting preserves the
 // canonical (I, J) tie-break order among survivors.
-func MergeArrangement1D(space *geometry.Space1D, prev *Arrangement1D, cleanRemap []int, dirtyInters []Intersection) (*Arrangement1D, []BoundaryClass, error) {
+func MergeArrangement1D(space *Space1D, prev *Arrangement1D, cleanRemap []int, dirtyInters []Intersection) (*Arrangement1D, []BoundaryClass, error) {
 	dirtyArr, err := NewArrangement1D(space, dirtyInters, prev.Seed)
 	if err != nil {
 		return nil, nil, err

@@ -125,7 +125,7 @@ func (cb *cutBuckets) bucketOf(in Intersection, t float64) (int, bool) {
 				cb.exactCuts[m] = new(big.Rat).SetFloat64(c)
 			}
 		}
-		bp, ok := geometry.Breakpoint1D(in.H)
+		bp, ok := Breakpoint1D(in.H)
 		if !ok {
 			return 0, false // degenerate; cannot split
 		}

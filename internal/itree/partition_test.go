@@ -104,7 +104,7 @@ func TestPairsPartition1DExactlyOnce(t *testing.T) {
 		edges = append(edges, new(big.Rat).SetFloat64(dom.Hi[0]))
 		for k, b := range buckets {
 			for _, in := range b {
-				bp, ok := geometry.Breakpoint1D(in.H)
+				bp, ok := Breakpoint1D(in.H)
 				if !ok {
 					t.Fatalf("bucket %d pair (%d,%d) has no breakpoint", k, in.I, in.J)
 				}

@@ -89,8 +89,6 @@ type Params struct {
 type PublicParams struct {
 	Verifier sig.Verifier
 	Template funcs.Template
-	// SemTol is the semantic tolerance; zero means core.DefaultSemTol.
-	SemTol float64
 }
 
 // Build constructs the signature mesh. Only univariate templates are
@@ -152,7 +150,7 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Mesh, error) {
 	if err != nil {
 		return nil, err
 	}
-	space, err := geometry.NewSpace1D(p.Domain)
+	space, err := itree.NewSpace1D(p.Domain)
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +158,7 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Mesh, error) {
 	if err != nil {
 		return nil, err
 	}
-	root := space.Root().(geometry.Interval1D)
+	root := space.Root().(itree.Interval1D)
 	edgesR := make([]*big.Rat, 0, len(arr.Groups)+2)
 	edgesR = append(edgesR, root.Lo)
 	for _, g := range arr.Groups {
@@ -204,7 +202,7 @@ func (m *Mesh) SignatureCount() int { return m.sigCount }
 
 // Public returns the parameters the owner publishes for clients.
 func (m *Mesh) Public() PublicParams {
-	return PublicParams{Verifier: m.verifier, Template: m.template, SemTol: core.DefaultSemTol}
+	return PublicParams{Verifier: m.verifier, Template: m.template}
 }
 
 // entryDigest maps an entry to its digest: record digests for functions,

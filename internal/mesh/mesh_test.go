@@ -14,6 +14,7 @@ import (
 	"aqverify/internal/query"
 	"aqverify/internal/record"
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 )
 
 var testSigner = func() sig.Signer {
@@ -121,7 +122,7 @@ func TestMeshAgreesWithIFMH(t *testing.T) {
 	tbl := lineTable(t, 30, 5)
 	m := buildMesh(t, tbl)
 	tree, err := core.Build(tbl, core.Params{
-		Mode:     core.OneSignature,
+		Mode:     verify.OneSignature,
 		Signer:   testSigner,
 		Domain:   geometry.MustBox([]float64{-1}, []float64{1}),
 		Template: funcs.AffineLine(0, 1),
@@ -248,7 +249,7 @@ func TestVerifyRejectsForgeries(t *testing.T) {
 	for _, tc := range cases {
 		bad := ans.Clone()
 		tc.mutate(bad)
-		if err := Verify(pub, q, bad.Records, &bad.VO, nil); !errors.Is(err, core.ErrVerification) {
+		if err := Verify(pub, q, bad.Records, &bad.VO, nil); !errors.Is(err, verify.ErrVerification) {
 			t.Errorf("%s: accepted (%v)", tc.name, err)
 		}
 	}
@@ -266,7 +267,7 @@ func TestVerifyRejectsWrongSubdomainReplay(t *testing.T) {
 	// Replaying the answer for a far-away function input must fail the
 	// run-interval checks (different subdomain, different order).
 	q2 := query.NewTopK(geometry.Point{0.9}, 3)
-	if err := Verify(pub, q2, ans.Records, &ans.VO, nil); !errors.Is(err, core.ErrVerification) {
+	if err := Verify(pub, q2, ans.Records, &ans.VO, nil); !errors.Is(err, verify.ErrVerification) {
 		t.Errorf("cross-subdomain replay accepted (%v)", err)
 	}
 }
@@ -351,5 +352,20 @@ func TestConcurrentMeshQueries(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+func TestVOSizeMeshGrowsWithResult(t *testing.T) {
+	m := buildMesh(t, lineTable(t, 40, 9))
+	a3, err := m.Process(query.NewTopK(geometry.Point{0.1}, 3), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a20, err := m.Process(query.NewTopK(geometry.Point{0.1}, 20), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a20.VO.Size() <= a3.VO.Size() {
+		t.Errorf("mesh VO size should grow with |q|: %d vs %d", a20.VO.Size(), a3.VO.Size())
 	}
 }

@@ -3,12 +3,12 @@ package mesh
 import (
 	"fmt"
 
-	"aqverify/internal/core"
 	"aqverify/internal/geometry"
 	"aqverify/internal/hashing"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
+	"aqverify/internal/verify"
 )
 
 // PairProof authenticates one consecutive pair of the result chain: the
@@ -24,8 +24,27 @@ type PairProof struct {
 // signatures in total, the cost that dominates the paper's Fig 7.
 type VO struct {
 	ListLen     int
-	Left, Right core.Boundary
+	Left, Right verify.Boundary
 	Pairs       []PairProof
+}
+
+// Size is the verification object's byte size, the paper's Fig 8 metric,
+// counted field by field: a u32 list length, two tagged boundaries, a
+// u32 pair count and, per pair, two f64 bounds and a u32-prefixed
+// signature.
+func (vo *VO) Size() int {
+	n := 4 + boundarySize(vo.Left) + boundarySize(vo.Right) + 4
+	for _, p := range vo.Pairs {
+		n += 8 + 8 + 4 + len(p.Sig)
+	}
+	return n
+}
+
+func boundarySize(b verify.Boundary) int {
+	if b.Kind == verify.BoundaryRecord {
+		return 1 + 4 + b.Rec.EncodedLen()
+	}
+	return 1
 }
 
 // Answer bundles a query result with its verification object.
@@ -43,10 +62,10 @@ func (a *Answer) Clone() *Answer {
 	for i, r := range a.Records {
 		cp.Records[i] = r.Clone()
 	}
-	if a.VO.Left.Kind == core.BoundaryRecord {
+	if a.VO.Left.Kind == verify.BoundaryRecord {
 		cp.VO.Left.Rec = a.VO.Left.Rec.Clone()
 	}
-	if a.VO.Right.Kind == core.BoundaryRecord {
+	if a.VO.Right.Kind == verify.BoundaryRecord {
 		cp.VO.Right.Rec = a.VO.Right.Rec.Clone()
 	}
 	cp.VO.Pairs = make([]PairProof, len(a.VO.Pairs))
@@ -92,11 +111,11 @@ func (m *Mesh) Process(q query.Query, ctr *metrics.Counter) (*Answer, error) {
 	vo := VO{ListLen: n}
 	chain := make([]int, 0, w.Count+2)
 	if w.Start == 0 {
-		vo.Left = core.Boundary{Kind: core.BoundaryMin}
+		vo.Left = verify.Boundary{Kind: verify.BoundaryMin}
 		chain = append(chain, EntryMin)
 	} else {
 		rec := m.table.Records[perm[w.Start-1]]
-		vo.Left = core.Boundary{Kind: core.BoundaryRecord, Rec: rec}
+		vo.Left = verify.Boundary{Kind: verify.BoundaryRecord, Rec: rec}
 		chain = append(chain, perm[w.Start-1])
 	}
 	records := make([]record.Record, 0, w.Count)
@@ -105,11 +124,11 @@ func (m *Mesh) Process(q query.Query, ctr *metrics.Counter) (*Answer, error) {
 		chain = append(chain, perm[pos])
 	}
 	if w.End() == n {
-		vo.Right = core.Boundary{Kind: core.BoundaryMax}
+		vo.Right = verify.Boundary{Kind: verify.BoundaryMax}
 		chain = append(chain, EntryMax)
 	} else {
 		rec := m.table.Records[perm[w.End()]]
-		vo.Right = core.Boundary{Kind: core.BoundaryRecord, Rec: rec}
+		vo.Right = verify.Boundary{Kind: verify.BoundaryRecord, Rec: rec}
 		chain = append(chain, perm[w.End()])
 	}
 
@@ -134,34 +153,34 @@ func Verify(pub PublicParams, q query.Query, recs []record.Record, vo *VO, ctr *
 		return fmt.Errorf("mesh: PublicParams.Verifier is required")
 	}
 	if vo == nil {
-		return fmt.Errorf("%w: missing verification object", core.ErrVerification)
+		return fmt.Errorf("%w: missing verification object", verify.ErrVerification)
 	}
 	if err := q.Validate(pub.Template.Dim()); err != nil {
-		return fmt.Errorf("%w: invalid query: %v", core.ErrVerification, err)
+		return fmt.Errorf("%w: invalid query: %v", verify.ErrVerification, err)
 	}
 	if pub.Template.Dim() != 1 {
 		return fmt.Errorf("mesh: univariate only")
 	}
 	m := len(recs)
 	if len(vo.Pairs) != m+1 {
-		return fmt.Errorf("%w: %d pair proofs for %d records", core.ErrVerification, len(vo.Pairs), m)
+		return fmt.Errorf("%w: %d pair proofs for %d records", verify.ErrVerification, len(vo.Pairs), m)
 	}
-	if vo.Left.Kind == core.BoundaryMax || vo.Right.Kind == core.BoundaryMin {
-		return fmt.Errorf("%w: boundary sentinel on the wrong side", core.ErrVerification)
+	if vo.Left.Kind == verify.BoundaryMax || vo.Right.Kind == verify.BoundaryMin {
+		return fmt.Errorf("%w: boundary sentinel on the wrong side", verify.ErrVerification)
 	}
 	if vo.ListLen < m {
-		return fmt.Errorf("%w: claimed list length %d below result size %d", core.ErrVerification, vo.ListLen, m)
+		return fmt.Errorf("%w: claimed list length %d below result size %d", verify.ErrVerification, vo.ListLen, m)
 	}
 
 	h := hashing.New(ctr)
-	sentinel := func(kind core.BoundaryKind) hashing.Digest {
-		if kind == core.BoundaryMin {
+	sentinel := func(kind verify.BoundaryKind) hashing.Digest {
+		if kind == verify.BoundaryMin {
 			return h.SentinelMin(vo.ListLen)
 		}
 		return h.SentinelMax(vo.ListLen)
 	}
 	digests := make([]hashing.Digest, 0, m+2)
-	if vo.Left.Kind == core.BoundaryRecord {
+	if vo.Left.Kind == verify.BoundaryRecord {
 		digests = append(digests, h.Record(vo.Left.Rec))
 	} else {
 		digests = append(digests, sentinel(vo.Left.Kind))
@@ -169,7 +188,7 @@ func Verify(pub PublicParams, q query.Query, recs []record.Record, vo *VO, ctr *
 	for _, r := range recs {
 		digests = append(digests, h.Record(r))
 	}
-	if vo.Right.Kind == core.BoundaryRecord {
+	if vo.Right.Kind == verify.BoundaryRecord {
 		digests = append(digests, h.Record(vo.Right.Rec))
 	} else {
 		digests = append(digests, sentinel(vo.Right.Kind))
@@ -179,14 +198,14 @@ func Verify(pub PublicParams, q query.Query, recs []record.Record, vo *VO, ctr *
 	for i, p := range vo.Pairs {
 		if x < p.Lo || x > p.Hi {
 			return fmt.Errorf("%w: pair %d's run interval [%v,%v] excludes the function input %v",
-				core.ErrVerification, i, p.Lo, p.Hi, x)
+				verify.ErrVerification, i, p.Lo, p.Hi, x)
 		}
 		d := h.MeshPair(digests[i], digests[i+1], runEnc(p.Lo, p.Hi))
 		ctr.AddVerify(1)
 		if err := pub.Verifier.Verify(d[:], p.Sig); err != nil {
-			return fmt.Errorf("%w: pair %d signature: %v", core.ErrVerification, i, err)
+			return fmt.Errorf("%w: pair %d signature: %v", verify.ErrVerification, i, err)
 		}
 	}
 
-	return core.CheckWindowSemantics(pub.Template, q, recs, vo.Left, vo.Right, vo.ListLen, pub.SemTol)
+	return verify.CheckWindowSemantics(pub.Template, q, recs, vo.Left, vo.Right, vo.ListLen)
 }

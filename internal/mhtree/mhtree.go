@@ -289,10 +289,12 @@ func (n *Node) rangeProof(hashes []hashing.Digest, off, lo, hi int, ctr *metrics
 // the FMH layer binds list length into the sentinel leaf digests, which
 // are in range exactly when length matters (top-k boundaries).
 func ComputeRoot(h *hashing.Hasher, leafCount, lo int, leaves []hashing.Digest, p Proof) (hashing.Digest, error) {
-	hi := lo + len(leaves) - 1
-	if leafCount <= 0 || lo < 0 || len(leaves) == 0 || hi >= leafCount {
-		return hashing.Digest{}, fmt.Errorf("mhtree: invalid range [%d,%d] for %d leaves", lo, hi, leafCount)
+	// lo > leafCount-len(leaves), not lo+len(leaves) > leafCount: a forged
+	// lo near the int limit cannot wrap, so hi cannot either.
+	if leafCount <= 0 || lo < 0 || len(leaves) == 0 || lo > leafCount-len(leaves) {
+		return hashing.Digest{}, fmt.Errorf("mhtree: invalid range of %d at %d for %d leaves", len(leaves), lo, leafCount)
 	}
+	hi := lo + len(leaves) - 1
 	cursor := 0
 	var rec func(off, w int) (hashing.Digest, error)
 	rec = func(off, w int) (hashing.Digest, error) {

@@ -1,6 +1,7 @@
 package mhtree
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -335,6 +336,12 @@ func TestComputeRootRejectsInvalidArgs(t *testing.T) {
 	}
 	if _, err := ComputeRoot(h, 0, 0, leaves[:1], Proof{}); err == nil {
 		t.Error("zero leaf count accepted")
+	}
+	// A start near the int limit must not wrap the range's end below the
+	// leaf count: the replay would then hash no leaf and return the first
+	// proof digest as the root.
+	if _, err := ComputeRoot(h, 3, math.MaxInt, leaves[:2], Proof{Hashes: leaves[:1]}); err == nil {
+		t.Error("wrapped range start accepted")
 	}
 }
 

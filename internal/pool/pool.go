@@ -1,8 +1,7 @@
 // Package pool provides the bounded worker-pool primitive shared by the
-// batched code paths (the backend batch drivers, core.VerifyBatch, the
-// sharded builders): workers claim item indexes off a shared atomic, so
-// unevenly sized items load-balance instead of straggling in a fixed
-// shard.
+// batched code paths (the backend batch drivers, the sharded builders):
+// workers claim item indexes off a shared atomic, so unevenly sized items
+// load-balance instead of straggling in a fixed shard.
 package pool
 
 import (

@@ -18,6 +18,7 @@ import (
 	"aqverify/internal/shard"
 	"aqverify/internal/sig"
 	"aqverify/internal/transport"
+	"aqverify/internal/verify"
 	"aqverify/internal/wire"
 )
 
@@ -56,7 +57,7 @@ type hosted struct {
 	url string
 }
 
-func host(t *testing.T, srv *server.Server, pub core.PublicParams) hosted {
+func host(t *testing.T, srv *server.Server, pub verify.PublicParams) hosted {
 	t.Helper()
 	h, err := transport.NewIFMHHandler(srv, pub)
 	if err != nil {
@@ -115,7 +116,7 @@ func fixtures(t *testing.T) (*core.Tree, geometry.Box) {
 	}
 	dom := geometry.MustBox([]float64{-1}, []float64{1})
 	tpl := funcs.AffineLine(0, 1)
-	tree, err := core.Build(tbl, core.Params{Mode: core.OneSignature, Signer: signer, Domain: dom, Template: tpl})
+	tree, err := core.Build(tbl, core.Params{Mode: verify.OneSignature, Signer: signer, Domain: dom, Template: tpl})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"aqverify/internal/server"
 	"aqverify/internal/shard"
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 	"aqverify/internal/wire"
 	"aqverify/internal/workload"
 )
@@ -33,7 +34,7 @@ func shardedFixture(t *testing.T, k int) (*server.Server, *shard.Set, geometry.B
 		t.Fatal(err)
 	}
 	set, err := shard.Build(tbl, core.Params{
-		Mode: core.MultiSignature, Signer: signer, Domain: dom,
+		Mode: verify.MultiSignature, Signer: signer, Domain: dom,
 		Template: funcs.AffineLine(0, 1), Seed: 1,
 	}, plan)
 	if err != nil {
@@ -61,7 +62,7 @@ func TestShardedServerBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.Verify(set.Public(), q, ans.Records, &ans.VO, &metrics.Counter{}); err != nil {
+	if err := verify.Verify(set.Public(), q, ans.Records, &ans.VO, &metrics.Counter{}); err != nil {
 		t.Fatalf("sharded answer rejected: %v", err)
 	}
 	// Out-of-domain input: refused before routing, tallied as an error.

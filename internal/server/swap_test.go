@@ -16,6 +16,7 @@ import (
 	"aqverify/internal/server"
 	"aqverify/internal/shard"
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 	"aqverify/internal/wire"
 	"aqverify/internal/workload"
 )
@@ -33,7 +34,7 @@ func swapFixture(t *testing.T) (e1, e2 *core.Tree, dom geometry.Box) {
 		t.Fatal(err)
 	}
 	p := core.Params{
-		Mode: core.OneSignature, Signer: signer, Domain: dom,
+		Mode: verify.OneSignature, Signer: signer, Domain: dom,
 		Template: funcs.AffineLine(0, 1), Seed: 5,
 	}
 	if e1, err = core.Build(tbl, p); err != nil {
@@ -63,7 +64,7 @@ func shardedAtEpoch(t *testing.T, k int, epoch uint64) *shard.Set {
 		t.Fatal(err)
 	}
 	set, err := shard.Build(tbl, core.Params{
-		Mode: core.MultiSignature, Signer: signer, Domain: dom,
+		Mode: verify.MultiSignature, Signer: signer, Domain: dom,
 		Template: funcs.AffineLine(0, 1), Seed: 1, Epoch: epoch,
 	}, plan)
 	if err != nil {
@@ -93,7 +94,7 @@ func TestSwapPublishesNewEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	multi, err := core.Build(e1.Table(), core.Params{
-		Mode: core.MultiSignature, Signer: signer, Domain: e1.Domain(),
+		Mode: verify.MultiSignature, Signer: signer, Domain: e1.Domain(),
 		Template: funcs.AffineLine(0, 1), Seed: 5, Epoch: 2,
 	})
 	if err != nil {
@@ -230,7 +231,7 @@ func TestQueryDuringSwapRace(t *testing.T) {
 			}
 			srv := newServer(t, hosted)
 
-			var pubs sync.Map // epoch -> core.PublicParams, stored before the swap
+			var pubs sync.Map // epoch -> verify.PublicParams, stored before the swap
 			pubs.Store(uint64(1), res.Public)
 
 			qs := make([]query.Query, 0, 8)
@@ -323,13 +324,13 @@ func checkEpochAnswer(t *testing.T, pubs *sync.Map, q query.Query, ans backend.A
 		t.Errorf("answer stamped with unpublished epoch %d", ans.Epoch)
 		return
 	}
-	pub := pv.(core.PublicParams)
+	pub := pv.(verify.PublicParams)
 	dec, derr := wire.DecodeIFMH(ans.Raw)
 	if derr != nil {
 		t.Errorf("epoch %d answer not decodable: %v", ans.Epoch, derr)
 		return
 	}
-	if verr := core.Verify(pub, q, dec.Records, &dec.VO, nil); verr != nil {
+	if verr := verify.Verify(pub, q, dec.Records, &dec.VO, nil); verr != nil {
 		t.Errorf("answer does not verify against its own epoch %d: %v", ans.Epoch, verr)
 	}
 }

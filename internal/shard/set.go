@@ -8,6 +8,7 @@ import (
 	"aqverify/internal/itree"
 	"aqverify/internal/pool"
 	"aqverify/internal/record"
+	"aqverify/internal/verify"
 )
 
 // Set is a domain-sharded deployment: one built IFMH-tree per sub-box of
@@ -131,12 +132,12 @@ func (s *Set) NumShards() int { return len(s.Trees) }
 func (s *Set) NumRecords() int { return s.Trees[0].NumRecords() }
 
 // Mode returns the signing scheme shared by every shard.
-func (s *Set) Mode() core.Mode { return s.Trees[0].Mode() }
+func (s *Set) Mode() verify.Mode { return s.Trees[0].Mode() }
 
 // Public returns the parameters the owner publishes for clients — the
 // same bundle for every shard, which is what makes sharding transparent
 // to verifying clients.
-func (s *Set) Public() core.PublicParams { return s.Trees[0].Public() }
+func (s *Set) Public() verify.PublicParams { return s.Trees[0].Public() }
 
 // Stats returns each shard's structure footprint, index-aligned with
 // Plan.Boxes.

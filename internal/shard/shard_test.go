@@ -11,10 +11,11 @@ import (
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 	"aqverify/internal/workload"
 )
 
-func buildSets(t *testing.T, mode core.Mode, n, k int) (*Set, *Set, geometry.Box) {
+func buildSets(t *testing.T, mode verify.Mode, n, k int) (*Set, *Set, geometry.Box) {
 	t.Helper()
 	tbl, dom, err := workload.Lines(workload.LinesConfig{N: n, Seed: 1})
 	if err != nil {
@@ -41,7 +42,7 @@ func buildSets(t *testing.T, mode core.Mode, n, k int) (*Set, *Set, geometry.Box
 
 // process routes q to its owning shard and answers it there — what
 // every sharded dispatcher does — returning the shard index alongside.
-func process(s *Set, q query.Query) (int, *core.Answer, error) {
+func process(s *Set, q query.Query) (int, *verify.Answer, error) {
 	id, err := s.Plan.RouteQuery(q)
 	if err != nil {
 		return -1, nil, err
@@ -89,7 +90,7 @@ func identityQueries(dom geometry.Box, cuts []float64, reps int, seed int64) []q
 // per-query answers on a K=1 and a K=4 deployment, for both signing
 // modes — including queries exactly on shard cuts and domain corners.
 func TestShardIdentity(t *testing.T) {
-	for _, mode := range []core.Mode{core.OneSignature, core.MultiSignature} {
+	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
 		single, sharded, dom := buildSets(t, mode, 200, 4)
 		pub := single.Public()
 		if got := sharded.Public(); got.Mode != pub.Mode {
@@ -118,8 +119,8 @@ func TestShardIdentity(t *testing.T) {
 				t.Fatalf("%v query %d: window (%d,%d) vs (%d,%d)", mode, i,
 					a1.VO.Start, a1.VO.ListLen, a4.VO.Start, a4.VO.ListLen)
 			}
-			v1 := core.Verify(pub, q, a1.Records, &a1.VO, &metrics.Counter{})
-			v4 := core.Verify(pub, q, a4.Records, &a4.VO, &metrics.Counter{})
+			v1 := verify.Verify(pub, q, a1.Records, &a1.VO, &metrics.Counter{})
+			v4 := verify.Verify(pub, q, a4.Records, &a4.VO, &metrics.Counter{})
 			if (v1 == nil) != (v4 == nil) {
 				t.Fatalf("%v query %d: verdicts differ (K=1 %v, K=4 %v)", mode, i, v1, v4)
 			}
@@ -134,7 +135,7 @@ func TestShardIdentity(t *testing.T) {
 // answer tampered in flight is rejected by the client no matter which
 // shard produced it.
 func TestShardIdentityTamper(t *testing.T) {
-	_, sharded, dom := buildSets(t, core.MultiSignature, 120, 4)
+	_, sharded, dom := buildSets(t, verify.MultiSignature, 120, 4)
 	pub := sharded.Public()
 	for i, c := range append([]float64{(dom.Lo[0] + dom.Hi[0]) / 2}, sharded.Plan.Cuts...) {
 		q := query.NewTopK(geometry.Point{c}, 3)
@@ -146,7 +147,7 @@ func TestShardIdentityTamper(t *testing.T) {
 			t.Fatal("empty answer")
 		}
 		ans.Records[0].Attrs[0] += 1 // forge a score input
-		if err := core.Verify(pub, q, ans.Records, &ans.VO, &metrics.Counter{}); !errors.Is(err, core.ErrVerification) {
+		if err := verify.Verify(pub, q, ans.Records, &ans.VO, &metrics.Counter{}); !errors.Is(err, verify.ErrVerification) {
 			t.Errorf("query %d: tampered answer accepted (err=%v)", i, err)
 		}
 	}
@@ -228,7 +229,7 @@ func TestBuildSharded2D(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := core.Params{
-		Mode: core.OneSignature, Signer: signer, Domain: dom,
+		Mode: verify.OneSignature, Signer: signer, Domain: dom,
 		Template: funcs.ScalarProduct(2), Seed: 1,
 	}
 	set, err := Build(tbl, p, mustPlan(t, dom, 1, 2))
@@ -250,7 +251,7 @@ func TestBuildSharded2D(t *testing.T) {
 		if want, _ := set.Plan.Route(x); want != id {
 			t.Fatalf("processed on shard %d, routed to %d", id, want)
 		}
-		if err := core.Verify(pub, q, ans.Records, &ans.VO, &metrics.Counter{}); err != nil {
+		if err := verify.Verify(pub, q, ans.Records, &ans.VO, &metrics.Counter{}); err != nil {
 			t.Fatalf("query %d rejected: %v", i, err)
 		}
 	}
@@ -267,7 +268,7 @@ func TestBuildValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := core.Params{
-		Mode: core.OneSignature, Signer: signer, Domain: dom,
+		Mode: verify.OneSignature, Signer: signer, Domain: dom,
 		Template: funcs.AffineLine(0, 1),
 	}
 	if _, err := Build(tbl, p, Plan{}); err == nil {

@@ -11,9 +11,9 @@ package tamper
 import (
 	"math/rand"
 
-	"aqverify/internal/core"
 	"aqverify/internal/mesh"
 	"aqverify/internal/record"
+	"aqverify/internal/verify"
 )
 
 // IFMH is one attack against an IFMH answer. Apply mutates the answer in
@@ -22,7 +22,7 @@ import (
 // Clone()d by the caller before mutation.
 type IFMH struct {
 	Name  string
-	Apply func(a *core.Answer, rng *rand.Rand) bool
+	Apply func(a *verify.Answer, rng *rand.Rand) bool
 }
 
 // Mesh is one attack against a signature-mesh answer.
@@ -47,14 +47,14 @@ func mutateRecord(r *record.Record, rng *rand.Rand) {
 // mode.
 func IFMHCatalog() []IFMH {
 	return []IFMH{
-		{Name: "forge-result-record", Apply: func(a *core.Answer, rng *rand.Rand) bool {
+		{Name: "forge-result-record", Apply: func(a *verify.Answer, rng *rand.Rand) bool {
 			if len(a.Records) == 0 {
 				return false
 			}
 			mutateRecord(&a.Records[rng.Intn(len(a.Records))], rng)
 			return true
 		}},
-		{Name: "drop-middle-record", Apply: func(a *core.Answer, rng *rand.Rand) bool {
+		{Name: "drop-middle-record", Apply: func(a *verify.Answer, rng *rand.Rand) bool {
 			if len(a.Records) < 3 {
 				return false
 			}
@@ -62,14 +62,14 @@ func IFMHCatalog() []IFMH {
 			a.Records = append(a.Records[:i], a.Records[i+1:]...)
 			return true
 		}},
-		{Name: "drop-first-record", Apply: func(a *core.Answer, rng *rand.Rand) bool {
+		{Name: "drop-first-record", Apply: func(a *verify.Answer, rng *rand.Rand) bool {
 			if len(a.Records) < 1 {
 				return false
 			}
 			a.Records = a.Records[1:]
 			return true
 		}},
-		{Name: "duplicate-record", Apply: func(a *core.Answer, rng *rand.Rand) bool {
+		{Name: "duplicate-record", Apply: func(a *verify.Answer, rng *rand.Rand) bool {
 			if len(a.Records) == 0 {
 				return false
 			}
@@ -77,7 +77,7 @@ func IFMHCatalog() []IFMH {
 			a.Records = append(a.Records[:i+1], a.Records[i:]...)
 			return true
 		}},
-		{Name: "reorder-records", Apply: func(a *core.Answer, rng *rand.Rand) bool {
+		{Name: "reorder-records", Apply: func(a *verify.Answer, rng *rand.Rand) bool {
 			if len(a.Records) < 2 {
 				return false
 			}
@@ -88,7 +88,7 @@ func IFMHCatalog() []IFMH {
 			a.Records[i], a.Records[i+1] = a.Records[i+1], a.Records[i]
 			return true
 		}},
-		{Name: "shift-window-start", Apply: func(a *core.Answer, rng *rand.Rand) bool {
+		{Name: "shift-window-start", Apply: func(a *verify.Answer, rng *rand.Rand) bool {
 			if a.VO.Start+len(a.Records) >= a.VO.ListLen {
 				a.VO.Start--
 			} else {
@@ -96,28 +96,28 @@ func IFMHCatalog() []IFMH {
 			}
 			return true
 		}},
-		{Name: "forge-left-boundary", Apply: func(a *core.Answer, rng *rand.Rand) bool {
-			if a.VO.Left.Kind != core.BoundaryRecord {
+		{Name: "forge-left-boundary", Apply: func(a *verify.Answer, rng *rand.Rand) bool {
+			if a.VO.Left.Kind != verify.BoundaryRecord {
 				return false
 			}
 			mutateRecord(&a.VO.Left.Rec, rng)
 			return true
 		}},
-		{Name: "forge-right-boundary", Apply: func(a *core.Answer, rng *rand.Rand) bool {
-			if a.VO.Right.Kind != core.BoundaryRecord {
+		{Name: "forge-right-boundary", Apply: func(a *verify.Answer, rng *rand.Rand) bool {
+			if a.VO.Right.Kind != verify.BoundaryRecord {
 				return false
 			}
 			mutateRecord(&a.VO.Right.Rec, rng)
 			return true
 		}},
-		{Name: "truncate-fmh-proof", Apply: func(a *core.Answer, rng *rand.Rand) bool {
+		{Name: "truncate-fmh-proof", Apply: func(a *verify.Answer, rng *rand.Rand) bool {
 			if len(a.VO.FProof.Hashes) == 0 {
 				return false
 			}
 			a.VO.FProof.Hashes = a.VO.FProof.Hashes[:len(a.VO.FProof.Hashes)-1]
 			return true
 		}},
-		{Name: "flip-fmh-proof-bit", Apply: func(a *core.Answer, rng *rand.Rand) bool {
+		{Name: "flip-fmh-proof-bit", Apply: func(a *verify.Answer, rng *rand.Rand) bool {
 			if len(a.VO.FProof.Hashes) == 0 {
 				return false
 			}
@@ -125,50 +125,50 @@ func IFMHCatalog() []IFMH {
 			a.VO.FProof.Hashes[i][rng.Intn(32)] ^= 1 << uint(rng.Intn(8))
 			return true
 		}},
-		{Name: "corrupt-signature", Apply: func(a *core.Answer, rng *rand.Rand) bool {
+		{Name: "corrupt-signature", Apply: func(a *verify.Answer, rng *rand.Rand) bool {
 			if len(a.VO.Signature) == 0 {
 				return false
 			}
 			a.VO.Signature[rng.Intn(len(a.VO.Signature))] ^= 1 << uint(rng.Intn(8))
 			return true
 		}},
-		{Name: "inflate-list-length", Apply: func(a *core.Answer, rng *rand.Rand) bool {
+		{Name: "inflate-list-length", Apply: func(a *verify.Answer, rng *rand.Rand) bool {
 			// Claiming a longer list tries to hide tail records from
 			// top-k results; the sentinel digests bind the real length.
-			if a.VO.Right.Kind != core.BoundaryMax && a.VO.Left.Kind != core.BoundaryMin {
+			if a.VO.Right.Kind != verify.BoundaryMax && a.VO.Left.Kind != verify.BoundaryMin {
 				return false
 			}
 			a.VO.ListLen++
-			if a.VO.Left.Kind != core.BoundaryMin {
+			if a.VO.Left.Kind != verify.BoundaryMin {
 				a.VO.Start++ // keep the structural checks self-consistent
 			}
 			return true
 		}},
-		{Name: "flip-path-direction", Apply: func(a *core.Answer, rng *rand.Rand) bool {
-			if a.VO.Mode != core.OneSignature || len(a.VO.Path) == 0 {
+		{Name: "flip-path-direction", Apply: func(a *verify.Answer, rng *rand.Rand) bool {
+			if a.VO.Mode != verify.OneSignature || len(a.VO.Path) == 0 {
 				return false
 			}
 			i := rng.Intn(len(a.VO.Path))
 			a.VO.Path[i].TookAbove = !a.VO.Path[i].TookAbove
 			return true
 		}},
-		{Name: "drop-path-step", Apply: func(a *core.Answer, rng *rand.Rand) bool {
-			if a.VO.Mode != core.OneSignature || len(a.VO.Path) == 0 {
+		{Name: "drop-path-step", Apply: func(a *verify.Answer, rng *rand.Rand) bool {
+			if a.VO.Mode != verify.OneSignature || len(a.VO.Path) == 0 {
 				return false
 			}
 			a.VO.Path = a.VO.Path[1:]
 			return true
 		}},
-		{Name: "swap-path-sibling", Apply: func(a *core.Answer, rng *rand.Rand) bool {
-			if a.VO.Mode != core.OneSignature || len(a.VO.Path) == 0 {
+		{Name: "swap-path-sibling", Apply: func(a *verify.Answer, rng *rand.Rand) bool {
+			if a.VO.Mode != verify.OneSignature || len(a.VO.Path) == 0 {
 				return false
 			}
 			i := rng.Intn(len(a.VO.Path))
 			a.VO.Path[i].Sibling[0] ^= 0xff
 			return true
 		}},
-		{Name: "widen-subdomain-ineqs", Apply: func(a *core.Answer, rng *rand.Rand) bool {
-			if a.VO.Mode != core.MultiSignature || len(a.VO.Ineqs) == 0 {
+		{Name: "widen-subdomain-ineqs", Apply: func(a *verify.Answer, rng *rand.Rand) bool {
+			if a.VO.Mode != verify.MultiSignature || len(a.VO.Ineqs) == 0 {
 				return false
 			}
 			// Loosen every constraint so a replayed X would pass the
@@ -178,14 +178,14 @@ func IFMHCatalog() []IFMH {
 			}
 			return true
 		}},
-		{Name: "drop-subdomain-ineq", Apply: func(a *core.Answer, rng *rand.Rand) bool {
-			if a.VO.Mode != core.MultiSignature || len(a.VO.Ineqs) < 2 {
+		{Name: "drop-subdomain-ineq", Apply: func(a *verify.Answer, rng *rand.Rand) bool {
+			if a.VO.Mode != verify.MultiSignature || len(a.VO.Ineqs) < 2 {
 				return false
 			}
 			a.VO.Ineqs = a.VO.Ineqs[1:]
 			return true
 		}},
-		{Name: "append-forged-record", Apply: func(a *core.Answer, rng *rand.Rand) bool {
+		{Name: "append-forged-record", Apply: func(a *verify.Answer, rng *rand.Rand) bool {
 			if len(a.Records) == 0 {
 				return false
 			}
@@ -226,14 +226,14 @@ func MeshCatalog() []Mesh {
 			return true
 		}},
 		{Name: "forge-left-boundary", Apply: func(a *mesh.Answer, rng *rand.Rand) bool {
-			if a.VO.Left.Kind != core.BoundaryRecord {
+			if a.VO.Left.Kind != verify.BoundaryRecord {
 				return false
 			}
 			mutateRecord(&a.VO.Left.Rec, rng)
 			return true
 		}},
 		{Name: "forge-right-boundary", Apply: func(a *mesh.Answer, rng *rand.Rand) bool {
-			if a.VO.Right.Kind != core.BoundaryRecord {
+			if a.VO.Right.Kind != verify.BoundaryRecord {
 				return false
 			}
 			mutateRecord(&a.VO.Right.Rec, rng)
@@ -265,7 +265,7 @@ func MeshCatalog() []Mesh {
 			return true
 		}},
 		{Name: "inflate-list-length", Apply: func(a *mesh.Answer, rng *rand.Rand) bool {
-			if a.VO.Left.Kind != core.BoundaryMin && a.VO.Right.Kind != core.BoundaryMax {
+			if a.VO.Left.Kind != verify.BoundaryMin && a.VO.Right.Kind != verify.BoundaryMax {
 				return false
 			}
 			a.VO.ListLen++

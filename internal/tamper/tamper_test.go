@@ -12,6 +12,7 @@ import (
 	"aqverify/internal/query"
 	"aqverify/internal/record"
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 )
 
 var testSigner = func() sig.Signer {
@@ -58,7 +59,7 @@ func testQueries(rng *rand.Rand) []query.Query {
 // fail verification — while the untampered answer verifies.
 func TestEveryIFMHTamperDetected(t *testing.T) {
 	tbl := lineTable(t, 50, 1)
-	for _, mode := range []core.Mode{core.OneSignature, core.MultiSignature} {
+	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			tree, err := core.Build(tbl, core.Params{
@@ -78,7 +79,7 @@ func TestEveryIFMHTamperDetected(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := core.Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
+					if err := verify.Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
 						t.Fatalf("%v: honest answer rejected: %v", q.Kind, err)
 					}
 					for _, atk := range IFMHCatalog() {
@@ -87,11 +88,11 @@ func TestEveryIFMHTamperDetected(t *testing.T) {
 							continue
 						}
 						applied[atk.Name]++
-						err := core.Verify(pub, q, bad.Records, &bad.VO, nil)
+						err := verify.Verify(pub, q, bad.Records, &bad.VO, nil)
 						if err == nil {
 							t.Fatalf("%v + %s: tampered answer ACCEPTED", q.Kind, atk.Name)
 						}
-						if !errors.Is(err, core.ErrVerification) {
+						if !errors.Is(err, verify.ErrVerification) {
 							t.Fatalf("%v + %s: unexpected error class: %v", q.Kind, atk.Name, err)
 						}
 					}
@@ -101,11 +102,11 @@ func TestEveryIFMHTamperDetected(t *testing.T) {
 			for _, atk := range IFMHCatalog() {
 				switch atk.Name {
 				case "flip-path-direction", "drop-path-step", "swap-path-sibling":
-					if mode != core.OneSignature {
+					if mode != verify.OneSignature {
 						continue
 					}
 				case "widen-subdomain-ineqs", "drop-subdomain-ineq":
-					if mode != core.MultiSignature {
+					if mode != verify.MultiSignature {
 						continue
 					}
 				}
@@ -150,7 +151,7 @@ func TestEveryMeshTamperDetected(t *testing.T) {
 				if err == nil {
 					t.Fatalf("%v + %s: tampered mesh answer ACCEPTED", q.Kind, atk.Name)
 				}
-				if !errors.Is(err, core.ErrVerification) {
+				if !errors.Is(err, verify.ErrVerification) {
 					t.Fatalf("%v + %s: unexpected error class: %v", q.Kind, atk.Name, err)
 				}
 			}
@@ -183,7 +184,7 @@ func TestTamperDetectedIn2D(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree, err := core.Build(tbl, core.Params{
-		Mode: core.MultiSignature, Signer: testSigner,
+		Mode: verify.MultiSignature, Signer: testSigner,
 		Domain:   geometry.MustBox([]float64{0.1, 0.1}, []float64{1, 1}),
 		Template: funcs.ScalarProduct(2),
 	})
@@ -203,7 +204,7 @@ func TestTamperDetectedIn2D(t *testing.T) {
 			if !atk.Apply(bad, rng) {
 				continue
 			}
-			if err := core.Verify(pub, q, bad.Records, &bad.VO, nil); err == nil {
+			if err := verify.Verify(pub, q, bad.Records, &bad.VO, nil); err == nil {
 				t.Fatalf("2-D %s: tampered answer ACCEPTED", atk.Name)
 			}
 		}

@@ -10,9 +10,9 @@ import (
 	"strings"
 	"testing"
 
-	"aqverify/internal/core"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
+	"aqverify/internal/verify"
 )
 
 // TestMethodNotAllowed: routes use Go 1.22 method patterns, so a request
@@ -61,7 +61,7 @@ func TestHTTPBatchRoundTrip(t *testing.T) {
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
-	r, verify := dialVerifying(t, ts.URL, ts.Client())
+	r, withVerify := dialVerifying(t, ts.URL, ts.Client())
 	ctx := context.Background()
 	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
 	qs := []query.Query{
@@ -71,7 +71,7 @@ func TestHTTPBatchRoundTrip(t *testing.T) {
 		query.NewRange(x, -2, 2),
 		query.NewKNN(x, 3, 0),
 	}
-	answers, errs := r.QueryBatch(ctx, qs, verify)
+	answers, errs := r.QueryBatch(ctx, qs, withVerify)
 	if len(answers) != len(qs) {
 		t.Fatalf("got %d results for %d queries", len(answers), len(qs))
 	}
@@ -79,7 +79,7 @@ func TestHTTPBatchRoundTrip(t *testing.T) {
 		if i == 2 {
 			if errs[i] == nil {
 				t.Error("out-of-domain query succeeded in batch")
-			} else if errors.Is(errs[i], core.ErrVerification) {
+			} else if errors.Is(errs[i], verify.ErrVerification) {
 				t.Errorf("server refusal misclassified as a verification rejection: %v", errs[i])
 			}
 			continue
@@ -98,7 +98,7 @@ func TestHTTPBatchRoundTrip(t *testing.T) {
 		if i == 2 {
 			continue
 		}
-		single, err := r.Query(ctx, q, verify)
+		single, err := r.Query(ctx, q, withVerify)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,14 +128,14 @@ func TestHTTPBatchTamperingRejected(t *testing.T) {
 	proxy := httptest.NewServer(&tamperingProxy{target: target, hc: origin.Client()})
 	defer proxy.Close()
 
-	r, verify := dialVerifying(t, proxy.URL, proxy.Client())
+	r, withVerify := dialVerifying(t, proxy.URL, proxy.Client())
 	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
 	qs := []query.Query{query.NewRange(x, -2, 2), query.NewTopK(x, 3)}
 	for trial := 0; trial < 10; trial++ {
 		// Every byte of the frame is load-bearing, so the flipped bit
 		// must take down at least one item — or, when it breaks the
 		// outer frame, all of them as a transport failure.
-		_, errs := r.QueryBatch(context.Background(), qs, verify)
+		_, errs := r.QueryBatch(context.Background(), qs, withVerify)
 		if errs[0] == nil && errs[1] == nil {
 			t.Fatal("bit-flipped batch answer fully accepted")
 		}

@@ -12,12 +12,12 @@ import (
 
 	"aqverify/internal/backend"
 	"aqverify/internal/build"
-	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
 	"aqverify/internal/server"
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 	"aqverify/internal/wire"
 	"aqverify/internal/workload"
 )
@@ -221,7 +221,7 @@ func TestStaleAnswerIsEpochErrorOnEveryEntryPoint(t *testing.T) {
 			if !errors.As(err, &ee) || ee.Want != 1 || ee.Got != 2 {
 				t.Errorf("%s item %d: err = %v, want EpochError{1,2}", tc.name, i, err)
 			}
-			if errors.Is(err, core.ErrVerification) {
+			if errors.Is(err, verify.ErrVerification) {
 				t.Errorf("%s item %d: staleness surfaced as a verification failure: %v", tc.name, i, err)
 			}
 		}
@@ -301,7 +301,7 @@ func TestKProcessEpochRaceUnderSwap(t *testing.T) {
 		t.Fatalf("front-end pinned epoch %d, want 1", r.Epoch())
 	}
 
-	var pubs sync.Map // epoch -> core.PublicParams, stored before any swap
+	var pubs sync.Map // epoch -> verify.PublicParams, stored before any swap
 	pubs.Store(uint64(1), res.Public)
 
 	qs := make([]query.Query, 0, 9)
@@ -370,7 +370,7 @@ func TestKProcessEpochRaceUnderSwap(t *testing.T) {
 						t.Errorf("epoch %d answer not decodable: %v", ans.Epoch, derr)
 						return
 					}
-					if verr := core.Verify(pv.(core.PublicParams), qs[i], dec.Records, &dec.VO, nil); verr != nil {
+					if verr := verify.Verify(pv.(verify.PublicParams), qs[i], dec.Records, &dec.VO, nil); verr != nil {
 						t.Errorf("answer does not verify against its own epoch %d: %v", ans.Epoch, verr)
 					}
 				}
@@ -405,7 +405,7 @@ func TestKProcessEpochRaceUnderSwap(t *testing.T) {
 		t.Fatalf("front-end advertises epoch %d after the rollout, want %d", e, lastEpoch)
 	}
 	pv, _ := pubs.Load(uint64(lastEpoch))
-	answers, errs := r.QueryBatch(ctx, qs, backend.WithVerify(pv.(core.PublicParams)))
+	answers, errs := r.QueryBatch(ctx, qs, backend.WithVerify(pv.(verify.PublicParams)))
 	for i := range qs {
 		if errs[i] != nil || answers[i].Epoch != lastEpoch {
 			t.Fatalf("settled query %d: epoch %d err %v", i, answers[i].Epoch, errs[i])

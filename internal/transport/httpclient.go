@@ -12,10 +12,10 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"aqverify/internal/core"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 	"aqverify/internal/wire"
 )
 
@@ -35,7 +35,7 @@ type HTTPClient struct {
 	base   string
 	hc     *http.Client
 	params Params
-	pub    core.PublicParams // Epoch is stamped by Public() from the live pin
+	pub    verify.PublicParams // Epoch is stamped by Public() from the live pin
 	// epoch pins the publication epoch the client verified /params
 	// against, compared to the epoch word of every batched or streamed
 	// answer: a mismatch is a typed staleness signal (the server swapped
@@ -58,12 +58,12 @@ func Dial(base string, hc *http.Client) (*HTTPClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	var mode core.Mode
+	var mode verify.Mode
 	switch p.Backend {
 	case "ifmh-one":
-		mode = core.OneSignature
+		mode = verify.OneSignature
 	case "ifmh-multi":
-		mode = core.MultiSignature
+		mode = verify.MultiSignature
 	default:
 		return nil, fmt.Errorf("transport: unknown backend %q", p.Backend)
 	}
@@ -78,8 +78,8 @@ func Dial(base string, hc *http.Client) (*HTTPClient, error) {
 	// One memo for the session, shared by every Public copy: Refresh
 	// pins the key, and a signature accepted under it is valid at every
 	// epoch — staleness is the epoch word's job.
-	out := &HTTPClient{base: base, hc: hc, params: p, pub: core.PublicParams{
-		Verifier: sig.Memo(key), Template: fromTplJSON(p.Template), Mode: mode, SemTol: p.SemTol,
+	out := &HTTPClient{base: base, hc: hc, params: p, pub: verify.PublicParams{
+		Verifier: sig.Memo(key), Template: fromTplJSON(p.Template), Mode: mode,
 	}}
 	out.epoch.Store(p.Epoch)
 	return out, nil
@@ -182,7 +182,7 @@ func (c *HTTPClient) Domain() (geometry.Box, bool) { return c.params.Domain.Box(
 // refreshed session publishes the epoch it verifies against. The bool
 // is always true — every dialed session is IFMH — and survives only
 // because benchmark/system.go, which this PR may not edit, reads it.
-func (c *HTTPClient) Public() (core.PublicParams, bool) {
+func (c *HTTPClient) Public() (verify.PublicParams, bool) {
 	pub := c.pub
 	pub.Epoch = c.Epoch()
 	return pub, true

@@ -13,6 +13,7 @@ import (
 	"aqverify/internal/query"
 	"aqverify/internal/shard"
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 	"aqverify/internal/wire"
 	"aqverify/internal/workload"
 )
@@ -35,7 +36,7 @@ func startShardProcess(t *testing.T, tree *core.Tree) *httptest.Server {
 // kProcessFixture stands up the whole deployment: K shard processes, a
 // vqfront-equivalent front-end (DialFanout + NewBackendHandler) on its
 // own httptest server, and the single-tree baseline.
-func kProcessFixture(t *testing.T, n, k int, mode core.Mode) (front *httptest.Server, f *backend.Fanout, single *core.Tree, dom geometry.Box) {
+func kProcessFixture(t *testing.T, n, k int, mode verify.Mode) (front *httptest.Server, f *backend.Fanout, single *core.Tree, dom geometry.Box) {
 	t.Helper()
 	tbl, dom, err := workload.Lines(workload.LinesConfig{N: n, Seed: 1})
 	if err != nil {
@@ -121,12 +122,12 @@ func kProcessQueries(dom geometry.Box, cuts []float64) []query.Query {
 // a single vqserve and verifies every answer, asked as one batch, one
 // stream and one query at a time — the last names its routed shard too.
 func TestKProcessIdentity(t *testing.T) {
-	for _, mode := range []core.Mode{core.OneSignature, core.MultiSignature} {
+	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
 		front, f, single, dom := kProcessFixture(t, 120, 3, mode)
 		qs := kProcessQueries(dom, f.Plan().Cuts)
 
 		// The verifying client sees the front-end as one server.
-		cli, verify := dialVerifying(t, front.URL, nil)
+		cli, withVerify := dialVerifying(t, front.URL, nil)
 		if cli.Client().Shards() != 3 {
 			t.Errorf("%v: front-end advertises %d shards, want 3", mode, cli.Client().Shards())
 		}
@@ -134,7 +135,7 @@ func TestKProcessIdentity(t *testing.T) {
 		if !ok {
 			t.Fatal("front-end params are not IFMH")
 		}
-		answers, errs := cli.QueryBatch(context.Background(), qs, verify)
+		answers, errs := cli.QueryBatch(context.Background(), qs, withVerify)
 
 		for i, q := range qs {
 			want, werr := single.Process(q, &metrics.Counter{})
@@ -144,7 +145,7 @@ func TestKProcessIdentity(t *testing.T) {
 			if werr != nil {
 				continue
 			}
-			if vErr := core.Verify(pub, q, want.Records, &want.VO, &metrics.Counter{}); vErr != nil {
+			if vErr := verify.Verify(pub, q, want.Records, &want.VO, &metrics.Counter{}); vErr != nil {
 				t.Fatalf("%v query %d: single-tree answer rejected: %v", mode, i, vErr)
 			}
 			if len(answers[i].Records) != len(want.Records) {
@@ -176,7 +177,7 @@ func TestKProcessIdentity(t *testing.T) {
 			}
 			// Asked alone, the query is a batch of one: the same bytes and
 			// the same routed shard, not an unattributed answer.
-			one, err := cli.Query(context.Background(), q, verify)
+			one, err := cli.Query(context.Background(), q, withVerify)
 			if err != nil {
 				t.Fatalf("%v query %d asked alone: %v", mode, i, err)
 			}
@@ -193,7 +194,7 @@ func TestKProcessIdentity(t *testing.T) {
 		// streams in completion order, but what arrives — bytes,
 		// verified records, shard attributions — is the same batch.
 		seen := make([]bool, len(qs))
-		for i, r := range cli.QueryStream(context.Background(), qs, verify) {
+		for i, r := range cli.QueryStream(context.Background(), qs, withVerify) {
 			if seen[i] {
 				t.Fatalf("%v: streamed index %d twice", mode, i)
 			}
@@ -224,14 +225,14 @@ func TestKProcessIdentity(t *testing.T) {
 // TestKProcessSingleQueryAndStats drives single queries (batches of one)
 // through the front-end and checks the front-end's own /stats tally.
 func TestKProcessSingleQueryAndStats(t *testing.T) {
-	front, f, single, dom := kProcessFixture(t, 80, 2, core.MultiSignature)
-	cli, verify := dialVerifying(t, front.URL, nil)
+	front, f, single, dom := kProcessFixture(t, 80, 2, verify.MultiSignature)
+	cli, withVerify := dialVerifying(t, front.URL, nil)
 	ctx := context.Background()
 	probe := append([]float64{(dom.Lo[0] + dom.Hi[0]) / 2}, f.Plan().Cuts...)
 	served := 0
 	for _, x := range probe {
 		q := query.NewTopK(geometry.Point{x}, 3)
-		ans, err := cli.Query(ctx, q, verify)
+		ans, err := cli.Query(ctx, q, withVerify)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +247,7 @@ func TestKProcessSingleQueryAndStats(t *testing.T) {
 		}
 	}
 	// An unroutable query is refused by the front-end.
-	if _, err := cli.Query(ctx, query.NewTopK(geometry.Point{dom.Hi[0] + 1}, 1), verify); err == nil {
+	if _, err := cli.Query(ctx, query.NewTopK(geometry.Point{dom.Hi[0] + 1}, 1), withVerify); err == nil {
 		t.Fatal("out-of-domain query answered")
 	}
 

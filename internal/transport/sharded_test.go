@@ -13,6 +13,7 @@ import (
 	"aqverify/internal/query"
 	"aqverify/internal/shard"
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 	"aqverify/internal/wire"
 	"aqverify/internal/workload"
 )
@@ -32,7 +33,7 @@ func shardedHandler(t *testing.T, k int) (*Handler, *shard.Set, geometry.Box) {
 		t.Fatal(err)
 	}
 	set, err := shard.Build(tbl, core.Params{
-		Mode: core.OneSignature, Signer: signer, Domain: dom,
+		Mode: verify.OneSignature, Signer: signer, Domain: dom,
 		Template: funcs.AffineLine(0, 1), Seed: 1,
 	}, plan)
 	if err != nil {
@@ -57,7 +58,7 @@ func TestHTTPShardedBatch(t *testing.T) {
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
-	r, verify := dialVerifying(t, ts.URL, ts.Client())
+	r, withVerify := dialVerifying(t, ts.URL, ts.Client())
 	if r.Client().Shards() != 4 {
 		t.Errorf("advertised shards = %d, want 4", r.Client().Shards())
 	}
@@ -71,7 +72,7 @@ func TestHTTPShardedBatch(t *testing.T) {
 	for _, c := range set.Plan.Cuts {
 		qs = append(qs, query.NewTopK(geometry.Point{c}, 2))
 	}
-	answers, errs := r.QueryBatch(context.Background(), qs, verify)
+	answers, errs := r.QueryBatch(context.Background(), qs, withVerify)
 	for i, ans := range answers {
 		if errs[i] != nil {
 			t.Fatalf("query %d rejected: %v", i, errs[i])
@@ -109,12 +110,12 @@ func TestHTTPUnshardedShardIsNone(t *testing.T) {
 	}
 	ts := httptest.NewServer(h)
 	defer ts.Close()
-	r, verify := dialVerifying(t, ts.URL, ts.Client())
+	r, withVerify := dialVerifying(t, ts.URL, ts.Client())
 	if r.Client().Shards() != 0 {
 		t.Errorf("advertised shards = %d, want 0", r.Client().Shards())
 	}
 	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
-	answers, errs := r.QueryBatch(context.Background(), []query.Query{query.NewTopK(x, 2)}, verify)
+	answers, errs := r.QueryBatch(context.Background(), []query.Query{query.NewTopK(x, 2)}, withVerify)
 	if errs[0] != nil {
 		t.Fatal(errs[0])
 	}

@@ -17,6 +17,7 @@ import (
 	"aqverify/internal/query"
 	"aqverify/internal/shard"
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 	"aqverify/internal/wire"
 	"aqverify/internal/workload"
 )
@@ -105,7 +106,7 @@ func TestStatsIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := core.Params{
-		Mode: core.MultiSignature, Signer: signer, Domain: dom,
+		Mode: verify.MultiSignature, Signer: signer, Domain: dom,
 		Template: funcs.AffineLine(0, 1), Seed: 1,
 	}
 	plan, err := shard.NewPlan(dom, 0, 2)

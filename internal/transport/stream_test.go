@@ -24,6 +24,7 @@ import (
 	"aqverify/internal/query"
 	"aqverify/internal/shard"
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 	"aqverify/internal/wire"
 	"aqverify/internal/workload"
 )
@@ -234,7 +235,7 @@ func (g *gateBackend) QueryStream(ctx context.Context, qs []query.Query, opts ..
 
 // gateParams builds a valid trust bundle around the fixture verifier so
 // Dial accepts the gate backend's handler.
-func gateParams(t *testing.T, pub core.PublicParams) Params {
+func gateParams(t *testing.T, pub verify.PublicParams) Params {
 	t.Helper()
 	vb, err := sig.MarshalVerifier(pub.Verifier)
 	if err != nil {
@@ -409,7 +410,7 @@ func TestFanoutStreamMidServerDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := core.Params{
-		Mode: core.MultiSignature, Signer: signer, Domain: dom,
+		Mode: verify.MultiSignature, Signer: signer, Domain: dom,
 		Template: funcs.AffineLine(0, 1), Seed: 4,
 	}
 	plan, err := shard.NewPlan(dom, 0, 2)
@@ -601,29 +602,29 @@ func TestRemoteCanceledContext(t *testing.T) {
 	}
 	ts := httptest.NewServer(h)
 	defer ts.Close()
-	r, verify := dialVerifying(t, ts.URL, nil)
+	r, withVerify := dialVerifying(t, ts.URL, nil)
 	q := query.NewTopK(geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}, 2)
 	qs := []query.Query{q}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := r.Query(ctx, q, verify); !errors.Is(err, context.Canceled) {
+	if _, err := r.Query(ctx, q, withVerify); !errors.Is(err, context.Canceled) {
 		t.Errorf("Query on a canceled context: %v, want context.Canceled", err)
 	}
-	if _, errs := r.QueryBatch(ctx, qs, verify); !errors.Is(errs[0], context.Canceled) {
+	if _, errs := r.QueryBatch(ctx, qs, withVerify); !errors.Is(errs[0], context.Canceled) {
 		t.Errorf("QueryBatch on a canceled context: %v, want context.Canceled", errs[0])
 	}
-	for _, res := range r.QueryStream(ctx, qs, verify) {
+	for _, res := range r.QueryStream(ctx, qs, withVerify) {
 		if !errors.Is(res.Err, context.Canceled) {
 			t.Errorf("QueryStream on a canceled context: %v, want context.Canceled", res.Err)
 		}
 	}
 
 	// The live paths still work.
-	if ans, err := r.Query(context.Background(), q, verify); err != nil || len(ans.Records) == 0 {
+	if ans, err := r.Query(context.Background(), q, withVerify); err != nil || len(ans.Records) == 0 {
 		t.Fatalf("live Query: recs=%d err=%v", len(ans.Records), err)
 	}
-	if answers, errs := r.QueryBatch(context.Background(), qs, verify); errs[0] != nil || len(answers[0].Records) == 0 {
+	if answers, errs := r.QueryBatch(context.Background(), qs, withVerify); errs[0] != nil || len(answers[0].Records) == 0 {
 		t.Fatalf("live QueryBatch: err=%v", errs[0])
 	}
 }

@@ -52,12 +52,12 @@ import (
 
 	"aqverify/internal/backend"
 	"aqverify/internal/cache"
-	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 	"aqverify/internal/wire"
 )
 
@@ -70,7 +70,6 @@ type Params struct {
 	Backend  string  `json:"backend"`  // "ifmh-one" or "ifmh-multi"
 	Verifier string  `json:"verifier"` // base64 of sig.MarshalVerifier
 	Template TplJSON `json:"template"`
-	SemTol   float64 `json:"semTol,omitempty"`
 	// Shards advertises the server's domain-shard count (0 or absent =
 	// single tree). Informational: verification is shard-transparent.
 	Shards int `json:"shards,omitempty"`
@@ -183,7 +182,7 @@ type Handler struct {
 
 // NewIFMHHandler serves an IFMH-backed backend — typically the
 // server.Server hosting one — under the bundle IFMHParams assembles.
-func NewIFMHHandler(b backend.Backend, pub core.PublicParams) (*Handler, error) {
+func NewIFMHHandler(b backend.Backend, pub verify.PublicParams) (*Handler, error) {
 	p, err := IFMHParams(b, pub)
 	if err != nil {
 		return nil, err
@@ -198,7 +197,7 @@ func NewIFMHHandler(b backend.Backend, pub core.PublicParams) (*Handler, error) 
 // with -cache serves cache.Wrap(srv) under srv's bundle): the owner's
 // verification anchors plus what the backend itself advertises, read
 // down its Inner chain (name, shard count, serving domain).
-func IFMHParams(b backend.Backend, pub core.PublicParams) (Params, error) {
+func IFMHParams(b backend.Backend, pub verify.PublicParams) (Params, error) {
 	vb, err := sig.MarshalVerifier(pub.Verifier)
 	if err != nil {
 		return Params{}, err
@@ -207,7 +206,6 @@ func IFMHParams(b backend.Backend, pub core.PublicParams) (Params, error) {
 		Backend:  b.Name(),
 		Verifier: base64.StdEncoding.EncodeToString(vb),
 		Template: toTplJSON(pub.Template),
-		SemTol:   pub.SemTol,
 		Shards:   len(backend.Epochs(b)),
 	}
 	if d, ok := backend.Find[interface{ Domain() geometry.Box }](b); ok {

@@ -19,9 +19,10 @@ import (
 	"aqverify/internal/record"
 	"aqverify/internal/server"
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 )
 
-func fixtures(t *testing.T) (*server.Server, core.PublicParams, geometry.Box) {
+func fixtures(t *testing.T) (*server.Server, verify.PublicParams, geometry.Box) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(3))
 	recs := make([]record.Record, 30)
@@ -41,7 +42,7 @@ func fixtures(t *testing.T) (*server.Server, core.PublicParams, geometry.Box) {
 	}
 	dom := geometry.MustBox([]float64{-1}, []float64{1})
 	tpl := funcs.AffineLine(0, 1)
-	tree, err := core.Build(tbl, core.Params{Mode: core.MultiSignature, Signer: signer, Domain: dom, Template: tpl})
+	tree, err := core.Build(tbl, core.Params{Mode: verify.MultiSignature, Signer: signer, Domain: dom, Template: tpl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestHTTPRoundTripIFMH(t *testing.T) {
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
-	r, verify := dialVerifying(t, ts.URL, ts.Client())
+	r, withVerify := dialVerifying(t, ts.URL, ts.Client())
 	if r.Name() != "ifmh-multi" {
 		t.Errorf("backend = %q", r.Name())
 	}
@@ -103,7 +104,7 @@ func TestHTTPRoundTripIFMH(t *testing.T) {
 		query.NewRange(x, -1, 1),
 		query.NewKNN(x, 3, 0),
 	} {
-		ans, err := r.Query(context.Background(), q, verify, backend.WithCounter(&ctr))
+		ans, err := r.Query(context.Background(), q, withVerify, backend.WithCounter(&ctr))
 		if err != nil {
 			t.Fatalf("%v: %v", q.Kind, err)
 		}
@@ -222,10 +223,10 @@ func TestHTTPTamperingChannelRejected(t *testing.T) {
 	proxy := httptest.NewServer(&tamperingProxy{target: target, hc: origin.Client()})
 	defer proxy.Close()
 
-	r, verify := dialVerifying(t, proxy.URL, proxy.Client())
+	r, withVerify := dialVerifying(t, proxy.URL, proxy.Client())
 	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
 	for trial := 0; trial < 10; trial++ {
-		if _, err := r.Query(context.Background(), query.NewRange(x, -2, 2), verify); !errors.Is(err, core.ErrVerification) {
+		if _, err := r.Query(context.Background(), query.NewRange(x, -2, 2), withVerify); !errors.Is(err, verify.ErrVerification) {
 			t.Fatalf("bit-flipped HTTP answer: err=%v, want ErrVerification", err)
 		}
 	}
@@ -259,10 +260,10 @@ func TestHTTPErrorPaths(t *testing.T) {
 		}
 	}
 	// Out-of-domain query reaches the server and fails there.
-	r, verify := dialVerifying(t, ts.URL, ts.Client())
-	if _, err := r.Query(context.Background(), query.NewTopK(geometry.Point{99}, 1), verify); err == nil {
+	r, withVerify := dialVerifying(t, ts.URL, ts.Client())
+	if _, err := r.Query(context.Background(), query.NewTopK(geometry.Point{99}, 1), withVerify); err == nil {
 		t.Error("out-of-domain query succeeded")
-	} else if errors.Is(err, core.ErrVerification) {
+	} else if errors.Is(err, verify.ErrVerification) {
 		t.Errorf("server refusal misclassified as a verification rejection: %v", err)
 	}
 	// Stats endpoint responds.

@@ -1,4 +1,11 @@
-package core
+// Package verify is the client's trusted code (paper §3.3): everything a
+// verifying client runs on an answer and the owner's public parameters.
+// Verify checks authenticity — the FMH root recomputed from the window,
+// anchored by the IMH path or the subdomain inequalities to the owner's
+// signature — and then the query's semantics over the authenticated
+// window. The package builds nothing: trees are built and walked by
+// package core, which imports this one for the answer types.
+package verify
 
 import (
 	"errors"
@@ -12,12 +19,58 @@ import (
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
+	"aqverify/internal/sig"
 )
+
+// Mode selects the signing scheme.
+type Mode int
+
+const (
+	// OneSignature signs only the IMH-tree root (paper §3.1 step 4,
+	// first approach).
+	OneSignature Mode = iota
+	// MultiSignature signs every subdomain's inequality-set + FMH-root
+	// digest (second approach).
+	MultiSignature
+)
+
+// String returns the mode name.
+func (m Mode) String() string {
+	switch m {
+	case OneSignature:
+		return "one-signature"
+	case MultiSignature:
+		return "multi-signature"
+	default:
+		return fmt.Sprintf("verify.Mode(%d)", int(m))
+	}
+}
+
+// SemTol is the semantic-check tolerance of the score-monotonicity
+// check. Scores themselves are computed bit-identically by server and
+// client; the tolerance only absorbs the gap between the owner's
+// exact-rational construction order and float evaluation of near-tied
+// scores. It is a constant of the protocol, never read from a server.
+const SemTol = 1e-9
+
+// PublicParams is what the data owner publishes out of band: everything a
+// client needs to verify query results.
+type PublicParams struct {
+	Verifier sig.Verifier
+	Template funcs.Template
+	Mode     Mode
+	// Epoch is the monotonic publication epoch of the bundle the
+	// parameters describe: 1 for a fresh outsourcing, bumped by every
+	// applied mutation batch. An answer verifies against exactly one
+	// epoch's bundle; clients compare epochs to detect a stale or forked
+	// server before misreading a verification failure as tampering.
+	Epoch uint64
+}
 
 // ErrVerification wraps every verification failure, so callers can
 // distinguish "the result is not authentic/complete" from operational
 // errors.
-var ErrVerification = errors.New("core: verification failed")
+var ErrVerification = errors.New("verify: verification failed")
 
 func vErrf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrVerification, fmt.Sprintf(format, args...))
@@ -39,7 +92,7 @@ func vErrf(format string, args ...any) error {
 // paper's Fig 7 metrics).
 func Verify(pub PublicParams, q query.Query, recs []record.Record, vo *VO, ctr *metrics.Counter) error {
 	if pub.Verifier == nil {
-		return fmt.Errorf("core: PublicParams.Verifier is required")
+		return fmt.Errorf("verify: PublicParams.Verifier is required")
 	}
 	if vo == nil {
 		return vErrf("missing verification object")
@@ -54,8 +107,9 @@ func Verify(pub PublicParams, q query.Query, recs []record.Record, vo *VO, ctr *
 
 	// --- Structural consistency of the window layout. ---
 	m := len(recs)
-	if vo.ListLen < 0 || vo.Start < 0 || vo.Start+m > vo.ListLen {
-		return vErrf("window [%d,%d) exceeds claimed list length %d", vo.Start, vo.Start+m, vo.ListLen)
+	// Start > ListLen-m, not Start+m > ListLen: a forged Start cannot wrap.
+	if vo.ListLen < 0 || vo.Start < 0 || vo.Start > vo.ListLen-m {
+		return vErrf("window of %d at %d exceeds claimed list length %d", m, vo.Start, vo.ListLen)
 	}
 	if (vo.Start == 0) != (vo.Left.Kind == BoundaryMin) {
 		return vErrf("left boundary kind inconsistent with window start %d", vo.Start)
@@ -138,7 +192,7 @@ func Verify(pub PublicParams, q query.Query, recs []record.Record, vo *VO, ctr *
 	}
 
 	// --- Step 2: semantic re-check of the query over the window. ---
-	return CheckWindowSemantics(pub.Template, q, recs, vo.Left, vo.Right, vo.ListLen, pub.SemTol)
+	return CheckWindowSemantics(pub.Template, q, recs, vo.Left, vo.Right, vo.ListLen)
 }
 
 // CheckWindowSemantics mimics the server's query processing over an
@@ -148,10 +202,7 @@ func Verify(pub PublicParams, q query.Query, recs []record.Record, vo *VO, ctr *
 // boundaries. It is shared by the IFMH verifier and the signature-mesh
 // baseline verifier, which authenticate windows by different means but
 // share the query semantics.
-func CheckWindowSemantics(tpl funcs.Template, q query.Query, recs []record.Record, left, right Boundary, listLen int, semTol float64) error {
-	if semTol == 0 {
-		semTol = DefaultSemTol
-	}
+func CheckWindowSemantics(tpl funcs.Template, q query.Query, recs []record.Record, left, right Boundary, listLen int) error {
 	m := len(recs)
 	scores := make([]float64, m)
 	for i, r := range recs {
@@ -162,7 +213,7 @@ func CheckWindowSemantics(tpl funcs.Template, q query.Query, recs []record.Recor
 	}
 	// Ascending order up to the construction-vs-evaluation tolerance.
 	for i := 1; i < m; i++ {
-		tol := semTol * (1 + math.Abs(scores[i-1]))
+		tol := SemTol * (1 + math.Abs(scores[i-1]))
 		if scores[i] < scores[i-1]-tol {
 			return vErrf("result scores not ascending at position %d", i)
 		}
@@ -197,7 +248,7 @@ func CheckWindowSemantics(tpl funcs.Template, q query.Query, recs []record.Recor
 		if m != want {
 			return vErrf("top-k returned %d records, want %d", m, want)
 		}
-		if m > 0 && leftScore > scores[0]+semTol*(1+math.Abs(scores[0])) {
+		if m > 0 && leftScore > scores[0]+SemTol*(1+math.Abs(scores[0])) {
 			return vErrf("left neighbor outscores the top-k window floor")
 		}
 	case query.BottomK:
@@ -213,7 +264,7 @@ func CheckWindowSemantics(tpl funcs.Template, q query.Query, recs []record.Recor
 		if m != want {
 			return vErrf("bottom-k returned %d records, want %d", m, want)
 		}
-		if m > 0 && rightScore < scores[m-1]-semTol*(1+math.Abs(scores[m-1])) {
+		if m > 0 && rightScore < scores[m-1]-SemTol*(1+math.Abs(scores[m-1])) {
 			return vErrf("right neighbor undercuts the bottom-k window ceiling")
 		}
 	case query.Range:

@@ -1,4 +1,4 @@
-package core
+package verify
 
 import (
 	"fmt"
@@ -111,7 +111,7 @@ func boundaryDigest(h *hashing.Hasher, b Boundary, listLen int) (hashing.Digest,
 	case BoundaryMax:
 		return h.SentinelMax(listLen), nil
 	default:
-		return hashing.Digest{}, fmt.Errorf("core: unknown boundary kind %d", b.Kind)
+		return hashing.Digest{}, fmt.Errorf("verify: unknown boundary kind %d", b.Kind)
 	}
 }
 

@@ -4,19 +4,16 @@ import (
 	"fmt"
 
 	"aqverify/internal/codec"
-	"aqverify/internal/core"
 	"aqverify/internal/geometry"
 	"aqverify/internal/hashing"
-	"aqverify/internal/mesh"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
+	"aqverify/internal/verify"
 )
 
-// Format magic bytes distinguishing the two answer encodings.
-const (
-	magicIFMH = 0xA1
-	magicMesh = 0xA2
-)
+// magicIFMH opens an answer frame. 0xA2, the retired mesh frame's
+// magic, is reserved and never reused.
+const magicIFMH = 0xA1
 
 // EncodeQuery serializes one query — a query-batch item's payload and
 // the cache's key — allocated once, at its length.
@@ -109,26 +106,26 @@ func decodeRecords(r *codec.Reader) []record.Record {
 	return out
 }
 
-func encodeBoundary(w *codec.Writer, b core.Boundary) {
+func encodeBoundary(w *codec.Writer, b verify.Boundary) {
 	w.U8(uint8(b.Kind))
-	if b.Kind == core.BoundaryRecord {
+	if b.Kind == verify.BoundaryRecord {
 		at := w.Begin()
 		w.Buf = b.Rec.Encode(w.Buf)
 		w.End(at)
 	}
 }
 
-func sizeBoundary(b core.Boundary) int {
-	if b.Kind == core.BoundaryRecord {
+func sizeBoundary(b verify.Boundary) int {
+	if b.Kind == verify.BoundaryRecord {
 		return 1 + 4 + b.Rec.EncodedLen()
 	}
 	return 1
 }
 
-func decodeBoundary(r *codec.Reader) core.Boundary {
-	var b core.Boundary
-	b.Kind = core.BoundaryKind(r.U8("boundary kind"))
-	if b.Kind == core.BoundaryRecord {
+func decodeBoundary(r *codec.Reader) verify.Boundary {
+	var b verify.Boundary
+	b.Kind = verify.BoundaryKind(r.U8("boundary kind"))
+	if b.Kind == verify.BoundaryRecord {
 		raw := r.Bytes("boundary record")
 		if r.Err() != nil {
 			return b
@@ -166,7 +163,7 @@ func decodeDigests(r *codec.Reader) []hashing.Digest {
 // allocated once at its exact length (sizeIFMH) and every part — records,
 // boundaries, hyperplanes, inequalities — is appended straight into it,
 // its length prefix filled in afterwards.
-func EncodeIFMH(a *core.Answer) []byte {
+func EncodeIFMH(a *verify.Answer) []byte {
 	w := &codec.Writer{Buf: make([]byte, 0, sizeIFMH(a))}
 	w.U8(magicIFMH)
 	encodeQuery(w, a.Query)
@@ -194,7 +191,7 @@ func EncodeIFMH(a *core.Answer) []byte {
 
 // sizeIFMH is len(EncodeIFMH(a)), field for field in EncodeIFMH's order
 // (TestEncodeIFMHIsOneExactAllocation holds the two together).
-func sizeIFMH(a *core.Answer) int {
+func sizeIFMH(a *verify.Answer) int {
 	n := 1 + sizeQuery(a.Query) + sizeRecords(a.Records)
 	n += 1 + 4 + 4 + sizeBoundary(a.VO.Left) + sizeBoundary(a.VO.Right)
 	n += 4 + hashing.Size*len(a.VO.FProof.Hashes)
@@ -207,15 +204,15 @@ func sizeIFMH(a *core.Answer) int {
 }
 
 // DecodeIFMH parses an IFMH answer.
-func DecodeIFMH(b []byte) (*core.Answer, error) {
+func DecodeIFMH(b []byte) (*verify.Answer, error) {
 	r := &codec.Reader{Buf: b}
 	if r.U8("magic") != magicIFMH {
 		return nil, fmt.Errorf("wire: not an IFMH answer")
 	}
-	a := &core.Answer{}
+	a := &verify.Answer{}
 	a.Query = decodeQuery(r)
 	a.Records = decodeRecords(r)
-	a.VO.Mode = core.Mode(r.U8("mode"))
+	a.VO.Mode = verify.Mode(r.U8("mode"))
 	a.VO.ListLen = r.Nonneg("list len")
 	a.VO.Start = r.Nonneg("start")
 	a.VO.Left = decodeBoundary(r)
@@ -223,7 +220,7 @@ func DecodeIFMH(b []byte) (*core.Answer, error) {
 	a.VO.FProof.Hashes = decodeDigests(r)
 	np := r.Count("path", 1+hashing.Size)
 	for i := 0; i < np; i++ {
-		var st core.PathStep
+		var st verify.PathStep
 		hp, err := geometry.DecodeHyperplane(r.Bytes("path hyperplane"))
 		if err != nil {
 			r.Corrupt("path step %d hyperplane: %v", i, err)
@@ -251,58 +248,9 @@ func DecodeIFMH(b []byte) (*core.Answer, error) {
 	return a, nil
 }
 
-// EncodeMesh serializes a signature-mesh answer.
-func EncodeMesh(a *mesh.Answer) []byte {
-	w := &codec.Writer{}
-	w.U8(magicMesh)
-	encodeQuery(w, a.Query)
-	encodeRecords(w, a.Records)
-	w.U32(uint32(a.VO.ListLen))
-	encodeBoundary(w, a.VO.Left)
-	encodeBoundary(w, a.VO.Right)
-	w.U32(uint32(len(a.VO.Pairs)))
-	for _, p := range a.VO.Pairs {
-		w.F64(p.Lo)
-		w.F64(p.Hi)
-		w.Bytes(p.Sig)
-	}
-	return w.Buf
-}
-
-// DecodeMesh parses a signature-mesh answer.
-func DecodeMesh(b []byte) (*mesh.Answer, error) {
-	r := &codec.Reader{Buf: b}
-	if r.U8("magic") != magicMesh {
-		return nil, fmt.Errorf("wire: not a mesh answer")
-	}
-	a := &mesh.Answer{}
-	a.Query = decodeQuery(r)
-	a.Records = decodeRecords(r)
-	a.VO.ListLen = r.Nonneg("list len")
-	a.VO.Left = decodeBoundary(r)
-	a.VO.Right = decodeBoundary(r)
-	np := r.Count("pairs", 20)
-	for i := 0; i < np; i++ {
-		var p mesh.PairProof
-		p.Lo = r.F64("pair lo")
-		p.Hi = r.F64("pair hi")
-		p.Sig = append([]byte(nil), r.Bytes("pair sig")...)
-		a.VO.Pairs = append(a.VO.Pairs, p)
-	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
 // VOSizeIFMH returns the byte size of the verification object alone
 // (excluding the query echo and the result records), which is the
 // paper's Fig 8 metric.
-func VOSizeIFMH(a *core.Answer) int {
+func VOSizeIFMH(a *verify.Answer) int {
 	return sizeIFMH(a) - sizeQuery(a.Query) - sizeRecords(a.Records) - 1
-}
-
-// VOSizeMesh returns the mesh verification object's byte size.
-func VOSizeMesh(a *mesh.Answer) int {
-	return len(EncodeMesh(a)) - sizeQuery(a.Query) - sizeRecords(a.Records) - 1
 }

@@ -3,15 +3,19 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
+	"math"
 	"testing"
 
 	"aqverify/internal/core"
+	"aqverify/internal/fmh"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
-	"aqverify/internal/mesh"
+	"aqverify/internal/hashing"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
+	"aqverify/internal/verify"
 )
 
 // Fuzz targets: the decoders face attacker-controlled bytes by design
@@ -22,7 +26,7 @@ import (
 func seedAnswers(f *testing.F) {
 	tbl := lineTableF(f, 12, 77)
 	tree, err := core.Build(tbl, core.Params{
-		Mode:     core.OneSignature,
+		Mode:     verify.OneSignature,
 		Signer:   testSigner,
 		Domain:   geometry.MustBox([]float64{-1}, []float64{1}),
 		Template: funcs.AffineLine(0, 1),
@@ -56,7 +60,7 @@ func seedAnswers(f *testing.F) {
 // coefficient count wraps 8*(n+1) on a 32-bit int (fatal out-of-memory on
 // GOARCH=386), and a strictness byte of 7 (accepted, re-encoded as 0).
 func forgedGeometry(f testing.TB) [][]byte {
-	build := func(mode core.Mode) *core.Answer {
+	build := func(mode verify.Mode) *verify.Answer {
 		tree, err := core.Build(lineTableF(f, 12, 77), core.Params{
 			Mode:     mode,
 			Signer:   testSigner,
@@ -82,7 +86,7 @@ func forgedGeometry(f testing.TB) [][]byte {
 		out = binary.BigEndian.AppendUint32(out, uint32(len(repl)))
 		return append(append(out, repl...), frame[at+len(old):]...)
 	}
-	multi, one := build(core.MultiSignature), build(core.OneSignature)
+	multi, one := build(verify.MultiSignature), build(verify.OneSignature)
 	if len(multi.VO.Ineqs) == 0 || len(one.VO.Path) == 0 {
 		f.Fatal("seed answers carry no inequalities / no path")
 	}
@@ -147,31 +151,125 @@ func FuzzDecodeIFMH(f *testing.F) {
 	})
 }
 
-func FuzzDecodeMesh(f *testing.F) {
-	tbl := lineTableF(f, 10, 78)
-	m, err := mesh.Build(tbl, mesh.Params{
-		Signer:   testSigner,
-		Domain:   geometry.MustBox([]float64{-1}, []float64{1}),
-		Template: funcs.AffineLine(0, 1),
-	})
-	if err != nil {
-		f.Fatal(err)
+// FuzzVerify holds the line a client relies on: whatever bytes arrive,
+// an answer that decodes and verifies carries exactly the records the
+// tree's own Process returns for the decoded query. Process is the
+// reference, not query.Exec: at a breakpoint Exec breaks score ties by
+// record index, not by the owner's order.
+func FuzzVerify(f *testing.F) {
+	trees := verifyTrees(f)
+	for _, tree := range trees {
+		for _, q := range []query.Query{
+			query.NewTopK(geometry.Point{0.2}, 3),
+			query.NewBottomK(geometry.Point{-0.7}, 2),
+			query.NewRange(geometry.Point{-0.4}, -1, 1),
+			query.NewKNN(geometry.Point{0.6}, 2, 0),
+		} {
+			ans, err := tree.Process(q, nil)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(EncodeIFMH(ans))
+		}
+		f.Add(wrappedStartFrame(f, tree))
 	}
-	ans, err := m.Process(query.NewTopK(geometry.Point{0.1}, 3), nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(EncodeMesh(ans))
-	f.Add([]byte{0xA2})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec, err := DecodeMesh(data)
-		if err != nil {
+		ans, err := DecodeIFMH(data)
+		if err != nil || int(ans.VO.Mode) >= len(trees) {
 			return
 		}
-		if got := EncodeMesh(dec); string(got) != string(data) {
-			t.Fatalf("decode/encode not canonical: %d vs %d bytes", len(got), len(data))
+		tree := trees[ans.VO.Mode]
+		if verify.Verify(tree.Public(), ans.Query, ans.Records, &ans.VO, nil) != nil {
+			return
+		}
+		want, err := tree.Process(ans.Query, nil)
+		if err != nil {
+			t.Fatalf("verified an answer to a query the tree refuses: %v", err)
+		}
+		if len(ans.Records) != len(want.Records) {
+			t.Fatalf("verified %d records, the tree answers %d", len(ans.Records), len(want.Records))
+		}
+		for i := range want.Records {
+			if !ans.Records[i].Equal(want.Records[i]) {
+				t.Fatalf("verified record %d is %+v, the tree answers %+v", i, ans.Records[i], want.Records[i])
+			}
 		}
 	})
+}
+
+// verifyTrees builds FuzzVerify's fixed trees, indexed by mode.
+func verifyTrees(tb testing.TB) [2]*core.Tree {
+	var trees [2]*core.Tree
+	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
+		tree, err := core.Build(lineTableF(tb, 12, 77), core.Params{
+			Mode:     mode,
+			Signer:   testSigner,
+			Domain:   geometry.MustBox([]float64{-1}, []float64{1}),
+			Template: funcs.AffineLine(0, 1),
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		trees[mode] = tree
+	}
+	return trees
+}
+
+// wrappedStartFrame forges a range answer from an honest one: one
+// fabricated record inside the range, fabricated neighbours outside it,
+// window start math.MaxInt32 (the largest codec.Nonneg admits on 32-bit),
+// and the honest FMH root as the only proof digest. Where Start+1 wraps,
+// the FMH replay hashes no leaf and returns that digest as the root,
+// which the honest path or inequalities and signature then anchor.
+func wrappedStartFrame(tb testing.TB, tree *core.Tree) []byte {
+	q := query.NewRange(geometry.Point{0.3}, -1, 1)
+	honest, err := tree.Process(q, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h := hashing.New(nil)
+	vo := honest.VO
+	leaf := func(b verify.Boundary) hashing.Digest {
+		switch b.Kind {
+		case verify.BoundaryMin:
+			return h.SentinelMin(vo.ListLen)
+		case verify.BoundaryMax:
+			return h.SentinelMax(vo.ListLen)
+		}
+		return h.Leaf(h.Record(b.Rec))
+	}
+	leaves := []hashing.Digest{leaf(vo.Left)}
+	for _, r := range honest.Records {
+		leaves = append(leaves, h.Leaf(h.Record(r)))
+	}
+	root, err := fmh.ComputeRoot(h, vo.ListLen, vo.Start, append(leaves, leaf(vo.Right)), vo.FProof)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fake := func(id uint64, score float64) verify.Boundary {
+		return verify.Boundary{Kind: verify.BoundaryRecord, Rec: record.Record{ID: id, Attrs: []float64{0, score}}}
+	}
+	forged := honest.Clone()
+	forged.Records = []record.Record{fake(1000, 0).Rec}
+	forged.VO.Left, forged.VO.Right = fake(1001, q.L-1), fake(1002, q.U+1)
+	forged.VO.Start = math.MaxInt32
+	forged.VO.FProof.Hashes = []hashing.Digest{root}
+	return EncodeIFMH(forged)
+}
+
+// TestWrappedStartFrameIsRefused sends wrappedStartFrame through decode
+// and Verify on every run, so the refusal is held under GOARCH=386 too,
+// where the frame's start is the int limit.
+func TestWrappedStartFrameIsRefused(t *testing.T) {
+	for mode, tree := range verifyTrees(t) {
+		ans, err := DecodeIFMH(wrappedStartFrame(t, tree))
+		if err != nil {
+			t.Fatalf("%v: the forged frame must decode: %v", verify.Mode(mode), err)
+		}
+		if err := verify.Verify(tree.Public(), ans.Query, ans.Records, &ans.VO, nil); !errors.Is(err, verify.ErrVerification) {
+			t.Errorf("%v: forged frame with a wrapped window start: %v, want a verification failure", verify.Mode(mode), err)
+		}
+	}
 }
 
 // FuzzDecodeAnswerStream drives the incremental stream decoder over

@@ -9,10 +9,10 @@ import (
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
-	"aqverify/internal/mesh"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 )
 
 var testSigner = func() sig.Signer {
@@ -44,7 +44,7 @@ func lineTable(t testing.TB, n int, seed int64) record.Table {
 	return tbl
 }
 
-func ifmhAnswers(t *testing.T, mode core.Mode) []*core.Answer {
+func ifmhAnswers(t *testing.T, mode verify.Mode) []*verify.Answer {
 	t.Helper()
 	tbl := lineTable(t, 25, int64(mode)+1)
 	tree, err := core.Build(tbl, core.Params{
@@ -56,7 +56,7 @@ func ifmhAnswers(t *testing.T, mode core.Mode) []*core.Answer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []*core.Answer
+	var out []*verify.Answer
 	for _, q := range []query.Query{
 		query.NewTopK(geometry.Point{0.4}, 3),
 		query.NewRange(geometry.Point{-0.2}, -1, 1),
@@ -72,7 +72,7 @@ func ifmhAnswers(t *testing.T, mode core.Mode) []*core.Answer {
 	return out
 }
 
-func answersEqualIFMH(a, b *core.Answer) bool {
+func answersEqualIFMH(a, b *verify.Answer) bool {
 	if len(a.Records) != len(b.Records) || a.VO.Mode != b.VO.Mode ||
 		a.VO.ListLen != b.VO.ListLen || a.VO.Start != b.VO.Start ||
 		a.VO.Left.Kind != b.VO.Left.Kind || a.VO.Right.Kind != b.VO.Right.Kind ||
@@ -101,7 +101,7 @@ func answersEqualIFMH(a, b *core.Answer) bool {
 }
 
 func TestIFMHRoundTrip(t *testing.T) {
-	for _, mode := range []core.Mode{core.OneSignature, core.MultiSignature} {
+	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
 		for i, a := range ifmhAnswers(t, mode) {
 			enc := EncodeIFMH(a)
 			got, err := DecodeIFMH(enc)
@@ -122,7 +122,7 @@ func TestIFMHRoundTrip(t *testing.T) {
 func TestDecodedAnswerStillVerifies(t *testing.T) {
 	tbl := lineTable(t, 30, 5)
 	tree, err := core.Build(tbl, core.Params{
-		Mode:     core.MultiSignature,
+		Mode:     verify.MultiSignature,
 		Signer:   testSigner,
 		Domain:   geometry.MustBox([]float64{-1}, []float64{1}),
 		Template: funcs.AffineLine(0, 1),
@@ -140,47 +140,13 @@ func TestDecodedAnswerStillVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.Verify(pub, q, got.Records, &got.VO, nil); err != nil {
+	if err := verify.Verify(pub, q, got.Records, &got.VO, nil); err != nil {
 		t.Fatalf("decoded answer rejected: %v", err)
 	}
 }
 
-func TestMeshRoundTrip(t *testing.T) {
-	tbl := lineTable(t, 25, 7)
-	m, err := mesh.Build(tbl, mesh.Params{
-		Signer:   testSigner,
-		Domain:   geometry.MustBox([]float64{-1}, []float64{1}),
-		Template: funcs.AffineLine(0, 1),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pub := m.Public()
-	for _, q := range []query.Query{
-		query.NewTopK(geometry.Point{0.4}, 3),
-		query.NewRange(geometry.Point{-0.6}, -2, 2),
-		query.NewKNN(geometry.Point{0.2}, 2, 1),
-	} {
-		a, err := m.Process(q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc := EncodeMesh(a)
-		got, err := DecodeMesh(enc)
-		if err != nil {
-			t.Fatalf("%v: decode: %v", q.Kind, err)
-		}
-		if string(EncodeMesh(got)) != string(enc) {
-			t.Fatalf("%v: re-encode differs", q.Kind)
-		}
-		if err := mesh.Verify(pub, q, got.Records, &got.VO, nil); err != nil {
-			t.Fatalf("%v: decoded mesh answer rejected: %v", q.Kind, err)
-		}
-	}
-}
-
 func TestDecodeRejectsTruncation(t *testing.T) {
-	a := ifmhAnswers(t, core.OneSignature)[0]
+	a := ifmhAnswers(t, verify.OneSignature)[0]
 	enc := EncodeIFMH(a)
 	for cut := 0; cut < len(enc); cut += 7 {
 		if _, err := DecodeIFMH(enc[:cut]); err == nil {
@@ -203,7 +169,7 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 // A decoder that read it as "== 1" accepted 2 as "below" and re-encoded
 // it as 0 — two encodings of one answer, which the codec forbids.
 func TestPathDirectionIsCanonical(t *testing.T) {
-	a := ifmhAnswers(t, core.OneSignature)[0]
+	a := ifmhAnswers(t, verify.OneSignature)[0]
 	if len(a.VO.Path) == 0 {
 		t.Fatal("seed answer carries no path")
 	}
@@ -225,7 +191,7 @@ func TestPathDirectionIsCanonical(t *testing.T) {
 // and the VO-size metric read off the same arithmetic is the frame minus
 // the magic byte, the query echo and the records.
 func TestEncodeIFMHIsOneExactAllocation(t *testing.T) {
-	for _, mode := range []core.Mode{core.OneSignature, core.MultiSignature} {
+	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
 		for i, a := range ifmhAnswers(t, mode) {
 			enc := EncodeIFMH(a)
 			if len(enc) != sizeIFMH(a) || cap(enc) != len(enc) {
@@ -331,7 +297,7 @@ func TestDecodeIFMHAllocationsAreFlatInTheWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree, err := core.Build(tbl, core.Params{
-		Mode: core.MultiSignature, Signer: testSigner,
+		Mode: verify.MultiSignature, Signer: testSigner,
 		Domain: geometry.MustBox([]float64{-1}, []float64{1}), Template: funcs.AffineLine(0, 1),
 	})
 	if err != nil {
@@ -359,7 +325,7 @@ func TestDecodeIFMHAllocationsAreFlatInTheWindow(t *testing.T) {
 }
 
 func TestVOSizeExcludesResult(t *testing.T) {
-	answers := ifmhAnswers(t, core.OneSignature)
+	answers := ifmhAnswers(t, verify.OneSignature)
 	for i, a := range answers {
 		vs := VOSizeIFMH(a)
 		if vs <= 0 {
@@ -375,27 +341,4 @@ func TestVOSizeExcludesResult(t *testing.T) {
 	large := answers[1] // range with records
 	_ = small
 	_ = large
-}
-
-func TestVOSizeMeshGrowsWithResult(t *testing.T) {
-	tbl := lineTable(t, 40, 9)
-	m, err := mesh.Build(tbl, mesh.Params{
-		Signer:   testSigner,
-		Domain:   geometry.MustBox([]float64{-1}, []float64{1}),
-		Template: funcs.AffineLine(0, 1),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a3, err := m.Process(query.NewTopK(geometry.Point{0.1}, 3), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a20, err := m.Process(query.NewTopK(geometry.Point{0.1}, 20), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if VOSizeMesh(a20) <= VOSizeMesh(a3) {
-		t.Errorf("mesh VO size should grow with |q|: %d vs %d", VOSizeMesh(a20), VOSizeMesh(a3))
-	}
 }
