@@ -20,6 +20,7 @@ import (
 	"aqverify/internal/metrics"
 	"aqverify/internal/server"
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 	"aqverify/internal/wire"
 	"aqverify/internal/workload"
 )
@@ -376,10 +377,11 @@ func BenchmarkClientPath(b *testing.B) {
 var serverPathSink []byte
 
 // BenchmarkServerPath is the server's half of an answer beside
-// BenchmarkClientPath — route to the shard, Tree.Process, wire.EncodeIFMH
-// — over the same mixed sequence on the same table, multi-signature,
-// split into 2 shards as the end-to-end benchmark deploys it. One op is
-// one answer; -benchmem reads the per-answer garbage directly.
+// BenchmarkClientPath — route to the shard, Tree.ProcessInto one reused
+// answer, wire.EncodeIFMH, as a shard's serving primitive does — over the
+// same mixed sequence on the same table, multi-signature, split into 2
+// shards as the end-to-end benchmark deploys it. One op is one answer;
+// -benchmem reads the per-answer garbage directly: the frame.
 func BenchmarkServerPath(b *testing.B) {
 	const n, count = 2000, 2048
 	tbl, dom, err := workload.Lines(workload.LinesConfig{N: n, Seed: 1})
@@ -400,6 +402,7 @@ func BenchmarkServerPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	qs := mixedQueries(b, tbl, dom, count)
+	var ans verify.Answer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -408,11 +411,10 @@ func BenchmarkServerPath(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ans, err := res.Set.Trees[id].Process(q, nil)
-		if err != nil {
+		if err := res.Set.Trees[id].ProcessInto(&ans, q, nil); err != nil {
 			b.Fatal(err)
 		}
-		serverPathSink = wire.EncodeIFMH(ans)
+		serverPathSink = wire.EncodeIFMH(&ans)
 	}
 }
 

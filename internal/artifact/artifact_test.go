@@ -462,11 +462,12 @@ func TestEncodeTreeIsOneExactAllocation(t *testing.T) {
 			if got.H != want.H || got.W != want.W {
 				t.Fatalf("list %d: root %x/%d decodes as %x/%d", k, want.H, want.W, got.H, got.W)
 			}
-			if w, g := fmt.Sprint(want.Records(nil, 0, int(want.W)-1)), fmt.Sprint(got.Records(nil, 0, int(got.W)-1)); g != w {
+			if w, g := fmt.Sprint(si.List.Window(nil, 0, si.List.N)), fmt.Sprint(d.subs[k].List.Window(nil, 0, si.List.N)); g != w {
 				t.Fatalf("list %d: records %s decode as %s", k, w, g)
 			}
 		}
-		if got, want := d.subs[0].List.Tree.RecordAt(2), d.subs[0].List.Tree.RecordAt(4); got != want {
+		rd := d.subs[0].List.Reader()
+		if got, want := rd.At(1), rd.At(3); got != want {
 			t.Fatalf("the crafted list does not repeat its shared records: leaf 2 names %d, leaf 4 %d", got, want)
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"iter"
 	"slices"
+	"sync"
 
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
@@ -88,28 +89,56 @@ func (f *Fanout) Query(ctx context.Context, q query.Query, opts ...Option) (Answ
 	return One(ctx, f, q, opts...)
 }
 
-// QueryBatch implements Backend: the batch is split per owning shard,
-// every owning child answers its sub-batch concurrently (each through
-// its own QueryBatch, so a Remote child spends one HTTP exchange per
-// shard), and the answers scatter back to their original indexes.
+// QueryBatch implements Backend: every owning shard's child answers its
+// sub-batch through its own QueryBatch (one HTTP exchange per Remote
+// child), concurrently, the last on the calling goroutine; the answers
+// scatter back to their indexes after the join. No item is handed over on
+// its own, and a batch one shard owns — every single query — runs inline.
 func (f *Fanout) QueryBatch(ctx context.Context, qs []query.Query, opts ...Option) ([]Answer, []error) {
-	return Collect(len(qs), f.scatter(ctx, qs, opts, Buffered))
+	answers, errs := make([]Answer, len(qs)), make([]error, len(qs))
+	groups, rerrs := f.plan.Group(qs)
+	for i, err := range rerrs {
+		answers[i], errs[i] = Answer{Shard: wire.ShardNone}, err // a routed query's is overwritten below
+	}
+	subAnswers, subErrs := make([][]Answer, len(f.kids)), make([][]error, len(f.kids))
+	ctrs := make([]metrics.Counter, len(f.kids))
+	batch := func(sh int) {
+		subAnswers[sh], subErrs[sh] = f.kids[sh].QueryBatch(ctx, pick(qs, groups[sh]), ReplaceCounter(opts, &ctrs[sh])...)
+	}
+	var wg sync.WaitGroup
+	last := -1
+	for sh, g := range groups {
+		if len(g) == 0 {
+			continue
+		}
+		if last >= 0 {
+			wg.Add(1)
+			go func(sh int) { defer wg.Done(); batch(sh) }(last)
+		}
+		last = sh
+	}
+	if last >= 0 {
+		batch(last)
+	}
+	wg.Wait()
+	for sh, g := range groups {
+		for j, i := range g {
+			answers[i], errs[i] = subAnswers[sh][j], subErrs[sh][j]
+			answers[i].Shard = sh // the front-end's routing choice, refused or not
+		}
+	}
+	// The caller's counter is only ever touched from the calling
+	// goroutine: children wrote private ones, charged after the join.
+	Resolve(opts).Charge(ctrs...)
+	return answers, errs
 }
 
 // QueryStream implements Backend: every owning child streams its
 // sub-batch concurrently and the front-end merges the streams, yielding
 // each item under its original index as it completes. An early break
-// cancels all child streams.
+// cancels all child streams. Every child writes a private counter,
+// charged after the join.
 func (f *Fanout) QueryStream(ctx context.Context, qs []query.Query, opts ...Option) iter.Seq2[int, BatchResult] {
-	return f.scatter(ctx, qs, opts, Backend.QueryStream)
-}
-
-// scatter is both exchanges' body: group the batch per owning shard,
-// run every owning child's exchange — QueryStream, or its QueryBatch
-// through Buffered — concurrently, each into a private counter, and
-// merge the results under their original indexes.
-func (f *Fanout) scatter(ctx context.Context, qs []query.Query, opts []Option,
-	exchange func(Backend, context.Context, []query.Query, ...Option) iter.Seq2[int, BatchResult]) iter.Seq2[int, BatchResult] {
 	return func(yield func(int, BatchResult) bool) {
 		if len(qs) == 0 {
 			return
@@ -128,7 +157,7 @@ func (f *Fanout) scatter(ctx context.Context, qs []query.Query, opts []Option,
 				continue
 			}
 			kids = append(kids, func(ctx context.Context, emit func(int, BatchResult) bool) {
-				for j, r := range exchange(f.kids[sh], ctx, pick(qs, g), ReplaceCounter(opts, &ctrs[sh])...) {
+				for j, r := range f.kids[sh].QueryStream(ctx, pick(qs, g), ReplaceCounter(opts, &ctrs[sh])...) {
 					r.Answer.Shard = sh // the front-end's routing choice, refused or not
 					if !emit(g[j], r) {
 						return // breaking the child's stream cancels it
@@ -136,15 +165,13 @@ func (f *Fanout) scatter(ctx context.Context, qs []query.Query, opts []Option,
 				}
 			})
 		}
-		// A batch that one shard owns — every single query — has nothing
-		// to merge: its child emits from one goroutine, so it runs here.
+		// A batch that one shard owns has nothing to merge: its child
+		// emits from one goroutine, so it runs here.
 		if len(kids) == 1 {
 			kids[0](ctx, yield)
 		} else {
 			Merge(ctx, yield, func(func(int, BatchResult) bool) {}, kids...)
 		}
-		// The caller's counter is only ever touched from the calling
-		// goroutine: children wrote private ones, charged after the join.
 		Resolve(opts).Charge(ctrs...)
 	}
 }

@@ -8,8 +8,11 @@ import (
 
 	"aqverify/internal/core"
 	"aqverify/internal/geometry"
+	"aqverify/internal/hashing"
 	"aqverify/internal/metrics"
+	"aqverify/internal/mhtree"
 	"aqverify/internal/query"
+	"aqverify/internal/record"
 	"aqverify/internal/shard"
 	"aqverify/internal/verify"
 	"aqverify/internal/wire"
@@ -61,19 +64,25 @@ func (b *Local) Domain() geometry.Box { return b.tree.Domain() }
 // process is the Local's evaluation primitive (see the Process type):
 // walk the tree, serialize the answer, charge its bytes.
 func (b *Local) process(q query.Query, ctr *metrics.Counter) (int, uint64, []byte, error) {
-	ans, err := b.tree.Process(q, ctr)
-	if err != nil {
-		return wire.ShardNone, b.tree.Epoch(), nil, err
-	}
-	return wire.ShardNone, b.tree.Epoch(), encoded(ans, ctr), nil
+	out, err := encoded(b.tree, q, ctr)
+	return wire.ShardNone, b.tree.Epoch(), out, err
 }
 
-// encoded serializes a walked answer and charges its bytes — the one
-// place an in-process IFMH answer becomes wire bytes.
-func encoded(ans *verify.Answer, ctr *metrics.Counter) []byte {
-	out := wire.EncodeIFMH(ans)
+// encoded walks q on t and serializes the answer, charging its bytes —
+// the one place an in-process IFMH answer becomes wire bytes. The walk
+// fills an answer whose arrays live on this frame, sized for windows of
+// up to 64 records, so the exact-length frame is the one allocation.
+func encoded(t *core.Tree, q query.Query, ctr *metrics.Counter) ([]byte, error) {
+	var recs [64]record.Record
+	var proof [64]hashing.Digest
+	var path [32]verify.PathStep
+	a := verify.Answer{Records: recs[:0], VO: verify.VO{FProof: mhtree.Proof{Hashes: proof[:0]}, Path: path[:0]}}
+	if err := t.ProcessInto(&a, q, ctr); err != nil {
+		return nil, err
+	}
+	out := wire.EncodeIFMH(&a)
 	ctr.AddBytes(uint64(len(out)))
-	return out
+	return out, nil
 }
 
 // Sharded serves a domain-sharded tree set: every query is answered by
@@ -156,11 +165,8 @@ func (b *Sharded) process(q query.Query, ctr *metrics.Counter) (int, uint64, []b
 		return wire.ShardNone, 0, nil, err
 	}
 	t := b.set.Trees[sh]
-	ans, err := t.Process(q, ctr)
-	if err != nil {
-		return sh, t.Epoch(), nil, err
-	}
-	return sh, t.Epoch(), encoded(ans, ctr), nil
+	out, err := encoded(t, q, ctr)
+	return sh, t.Epoch(), out, err
 }
 
 // ifmhName reports the backend name for a signing mode, matching the

@@ -352,9 +352,10 @@ func TestLeafIndexIsThePermutation(t *testing.T) {
 			if !slices.Equal(got[1:n+1], want) {
 				t.Fatalf("%s: subdomain %d list reads %v, the sort says %v", name, id, got[1:n+1], want)
 			}
+			rd := si.List.Reader()
 			for _, p := range []int{0, n / 2, n - 1} {
-				if si.List.RecordAt(p) != want[p] {
-					t.Fatalf("%s: subdomain %d RecordAt(%d) = %d, the sort says %d", name, id, p, si.List.RecordAt(p), want[p])
+				if got := rd.At(p); got != want[p] {
+					t.Fatalf("%s: subdomain %d position %d reads %d, the sort says %d", name, id, p, got, want[p])
 				}
 			}
 		}

@@ -11,10 +11,10 @@
 // root with a sentinel in range has also authenticated n.
 //
 // The tree is the sorted list, not a digest of one kept elsewhere: every
-// record leaf names the record it commits to, so RecordAt reads one
-// position in O(log n) and Window reads a result window with its two
-// neighbors in one pass. The server answers queries from these and never
-// materializes a subdomain's permutation.
+// record leaf names the record it commits to, so a Reader reads positions
+// — each read resuming the last one's descent — and Window a result
+// window with its two neighbors. The server answers queries from these
+// and never materializes a subdomain's permutation.
 //
 // Lists are immutable; DeriveSwap produces the next subdomain's list in
 // O(log n) new nodes via the persistent Merkle tree underneath.
@@ -61,24 +61,56 @@ func (l *List) Root() hashing.Digest { return l.Tree.Root() }
 // LeafCount returns the total tree leaves, n+2.
 func (l *List) LeafCount() int { return l.N + 2 }
 
-// RecordAt returns the index of the record at sorted position p, by one
-// root-to-leaf descent.
-func (l *List) RecordAt(p int) int {
-	if p < 0 || p >= l.N {
-		panic(fmt.Sprintf("fmh: record position %d out of range [0,%d)", p, l.N))
+// Reader reads a list's records by sorted position. It keeps the path of
+// its last read and climbs it only to the lowest node covering the next
+// leaf, so a binary search's later probes and a scan cost O(1) amortised.
+type Reader struct {
+	path [32]*mhtree.Node // path[0] is the root; W is 32-bit, so at most 31 levels
+	off  [32]int          // the first leaf under path[d]
+	d    int              // depth of the last leaf read
+}
+
+// Reader returns a reader over the list.
+func (l *List) Reader() Reader { return Reader{path: [32]*mhtree.Node{l.Tree}} }
+
+// At returns the index of the record at sorted position p in [-1, n]; the
+// sentinel positions -1 and n read mhtree.NoRecord.
+func (r *Reader) At(p int) int {
+	i := p + 1 // the leaf index
+	if i < 0 || i >= int(r.path[0].W) {
+		panic(fmt.Sprintf("fmh: record position %d out of range [-1,%d]", p, r.path[0].W-2))
 	}
-	return l.Tree.RecordAt(p + 1)
+	d := r.d
+	for i < r.off[d] || i >= r.off[d]+int(r.path[d].W) {
+		d--
+	}
+	n, off := r.path[d], r.off[d]
+	for n.W > 1 {
+		if lw := mhtree.LeftWidth(int(n.W)); i < off+lw {
+			n = n.L
+		} else {
+			n, off = n.R, off+lw
+		}
+		d++
+		r.path[d], r.off[d] = n, off
+	}
+	r.d = d
+	return int(n.Rec)
 }
 
 // Window appends the record indices at positions [start-1, start+count]
 // — a result window and its two neighbors, exactly the leaves
-// BoundaryProof covers — in one in-order pass. A neighbor that is a
+// BoundaryProof covers — through one Reader. A neighbor that is a
 // sentinel reads mhtree.NoRecord.
 func (l *List) Window(dst []int, start, count int) ([]int, error) {
 	if start < 0 || count < 0 || start+count > l.N {
 		return nil, fmt.Errorf("fmh: window start=%d count=%d out of range for %d records", start, count, l.N)
 	}
-	return l.Tree.Records(dst, start, start+count+1), nil
+	r := l.Reader()
+	for p := start - 1; p <= start+count; p++ {
+		dst = append(dst, r.At(p))
+	}
+	return dst, nil
 }
 
 // DeriveSwap returns a new list with the records at sorted positions p and
@@ -92,18 +124,19 @@ func (l *List) DeriveSwap(h *hashing.Hasher, p int) (*List, error) {
 	return &List{N: l.N, Tree: mhtree.SwapLeaves(h, l.Tree, p+1)}, nil
 }
 
-// BoundaryProof builds the range proof covering record positions
+// BoundaryProof writes into p the range proof covering record positions
 // [start-1, start+count] — the result window plus its immediate left and
-// right neighbors (which may be the sentinels). start is the record
-// position of the first result record; count may be zero for an empty
-// result window. The counter observes the server's traversal cost.
-func (l *List) BoundaryProof(start, count int, ctr *metrics.Counter) (mhtree.Proof, error) {
+// right neighbors (which may be the sentinels) — reusing p's capacity.
+// start is the record position of the first result record; count may be
+// zero for an empty result window. The counter observes the server's
+// traversal cost.
+func (l *List) BoundaryProof(p *mhtree.Proof, start, count int, ctr *metrics.Counter) error {
 	if start < 0 || count < 0 || start+count > l.N {
-		return mhtree.Proof{}, fmt.Errorf("fmh: window start=%d count=%d out of range for %d records", start, count, l.N)
+		return fmt.Errorf("fmh: window start=%d count=%d out of range for %d records", start, count, l.N)
 	}
 	// Tree leaves: left boundary at leaf index start, right boundary at
 	// start+count+1.
-	return l.Tree.RangeProof(start, start+count+1, ctr)
+	return l.Tree.RangeProof(p, start, start+count+1, ctr)
 }
 
 // ComputeRoot is the verifier-side counterpart of BoundaryProof: it

@@ -101,7 +101,7 @@ func TestDeriveSwap(t *testing.T) {
 		if swapped.Root() != fresh.Root() {
 			t.Fatalf("DeriveSwap(%d) root differs from fresh build", p)
 		}
-		if swapped.RecordAt(p) != p+1 || swapped.RecordAt(p+1) != p {
+		if recordAt(swapped, p) != p+1 || recordAt(swapped, p+1) != p {
 			t.Fatalf("DeriveSwap(%d) left the record indices behind", p)
 		}
 		// Sentinels must be untouched.
@@ -123,7 +123,7 @@ func TestBoundaryProofRoundTrip(t *testing.T) {
 	l, leafD := testList(t, h, n, 5)
 	for start := 0; start <= n; start++ {
 		for count := 0; start+count <= n; count++ {
-			proof, err := l.BoundaryProof(start, count, nil)
+			proof, err := boundaryProof(l, start, count, nil)
 			if err != nil {
 				t.Fatalf("BoundaryProof(%d,%d): %v", start, count, err)
 			}
@@ -158,7 +158,7 @@ func TestBoundaryProofRejectsBadWindow(t *testing.T) {
 	h := hashing.New(nil)
 	l, _ := testList(t, h, 5, 6)
 	for _, w := range [][2]int{{-1, 1}, {0, 6}, {5, 1}, {2, -1}} {
-		if _, err := l.BoundaryProof(w[0], w[1], nil); err == nil {
+		if _, err := boundaryProof(l, w[0], w[1], nil); err == nil {
 			t.Errorf("BoundaryProof(%d,%d) accepted", w[0], w[1])
 		}
 	}
@@ -171,7 +171,7 @@ func TestVerifierDetectsWrongLength(t *testing.T) {
 	// Window ending at the max sentinel (a top-k shape): claiming a
 	// different n changes the sentinel digest, so the forgery must fail.
 	start, count := 5, 3
-	proof, err := l.BoundaryProof(start, count, nil)
+	proof, err := boundaryProof(l, start, count, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestBoundaryProofCountsNodes(t *testing.T) {
 	h := hashing.New(nil)
 	l, _ := testList(t, h, 64, 8)
 	var ctr metrics.Counter
-	if _, err := l.BoundaryProof(30, 3, &ctr); err != nil {
+	if _, err := boundaryProof(l, 30, 3, &ctr); err != nil {
 		t.Fatal(err)
 	}
 	if ctr.NodesVisited == 0 {
@@ -234,8 +234,70 @@ func TestDeriveSwapChainMatchesFreshBuilds(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("step %d: Window(%d,%d) = %v, want %v", step, start, count, got, want)
 		}
-		if pos := rng.Intn(n); cur.RecordAt(pos) != perm[pos] {
-			t.Fatalf("step %d: RecordAt(%d) = %d, want %d", step, pos, cur.RecordAt(pos), perm[pos])
+		if pos := rng.Intn(n); recordAt(cur, pos) != perm[pos] {
+			t.Fatalf("step %d: position %d reads %d, want %d", step, pos, recordAt(cur, pos), perm[pos])
+		}
+	}
+}
+
+// boundaryProof is BoundaryProof into a fresh proof.
+func boundaryProof(l *List, start, count int, ctr *metrics.Counter) (mhtree.Proof, error) {
+	var p mhtree.Proof
+	err := l.BoundaryProof(&p, start, count, ctr)
+	return p, err
+}
+
+// recordAt reads position p by one root-to-leaf descent.
+func recordAt(l *List, p int) int {
+	r := l.Reader()
+	return r.At(p)
+}
+
+// TestReaderIsTheDescent: a Reader that resumes its last path reads what
+// a fresh reader's root-to-leaf descent reads, and what the list was
+// built from, over random probe sequences — uniform jumps, binary
+// searches, scans in both directions with repeats, and the sentinels —
+// on lists of every shape up to a few hundred records.
+func TestReaderIsTheDescent(t *testing.T) {
+	h := hashing.New(nil)
+	rng := rand.New(rand.NewSource(35))
+	for n := 0; n <= 300; n += 1 + n/8 {
+		perm := rng.Perm(n)
+		l, err := Build(h, perm, func(rec int) hashing.Digest { return h.Leaf(hashing.Digest{byte(rec)}) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		var probes []int
+		for i := 0; i < 4*n; i++ {
+			probes = append(probes, rng.Intn(n+2)-1)
+		}
+		for s := 0; s < 8; s++ {
+			target := rng.Intn(n + 1)
+			for lo, hi := 0, n; lo < hi; {
+				mid := (lo + hi) / 2
+				probes = append(probes, mid)
+				if mid < target {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+		}
+		for p := -1; p <= n; p++ {
+			probes = append(probes, p, p)
+		}
+		for p := n; p >= -1; p-- {
+			probes = append(probes, p)
+		}
+		rd := l.Reader()
+		for _, p := range probes {
+			want := mhtree.NoRecord
+			if p >= 0 && p < n {
+				want = perm[p]
+			}
+			if got, fresh := rd.At(p), recordAt(l, p); got != fresh || got != want {
+				t.Fatalf("n=%d: position %d reads %d, a descent %d, the build %d", n, p, got, fresh, want)
+			}
 		}
 	}
 }

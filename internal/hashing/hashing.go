@@ -57,10 +57,11 @@ const (
 // Hasher computes tagged SHA-256 digests and counts operations. The zero
 // value is usable; the counter may be nil. Hasher is not safe for
 // concurrent use; create one per goroutine (their only state is the
-// counter and a scratch buffer).
+// counter and Record's encoding scratch).
 type Hasher struct {
 	ctr *metrics.Counter
-	enc []byte // Record's encoding scratch: one buffer per window, not one per leaf
+	buf [256]byte // Record's scratch, held inline: a Hasher on the stack allocates nothing
+	enc []byte    // Record's scratch past len(buf): one per Hasher, not one per leaf
 }
 
 // New returns a Hasher that records operation counts into ctr (which may
@@ -91,6 +92,9 @@ func (h *Hasher) sum(tag byte, parts ...[]byte) Digest {
 
 // Record returns the digest H(TagRecord | canonical-encoding(r)).
 func (h *Hasher) Record(r record.Record) Digest {
+	if r.EncodedLen() <= len(h.buf) {
+		return h.sum(TagRecord, r.Encode(h.buf[:0]))
+	}
 	h.enc = r.Encode(h.enc[:0])
 	return h.sum(TagRecord, h.enc)
 }

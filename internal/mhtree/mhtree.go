@@ -28,7 +28,7 @@ import (
 //
 // A leaf also names the record its digest commits to (Rec, NoRecord for a
 // leaf that commits to none), so a tree over a sorted list is that list:
-// RecordAt and Records read it back without any side table. Rec is not
+// a descent reads it back without any side table. Rec is not
 // hashed — it is the server's index into its own table, and a wrong one
 // only yields an answer that fails verification. W and Rec are 32-bit so
 // the index costs the node no space: forests hold millions of nodes.
@@ -109,33 +109,6 @@ func (n *Node) leaf(i int) *Node {
 
 // Leaf returns the digest of leaf i (0-based).
 func (n *Node) Leaf(i int) hashing.Digest { return n.leaf(i).H }
-
-// RecordAt returns the record leaf i commits to (NoRecord for none).
-func (n *Node) RecordAt(i int) int { return int(n.leaf(i).Rec) }
-
-// Records appends the records leaves [lo, hi] (inclusive) commit to, in
-// leaf order, by one in-order pass that enters only subtrees overlapping
-// the range: O(log n + hi - lo).
-func (n *Node) Records(dst []int, lo, hi int) []int {
-	if lo < 0 || hi >= int(n.W) || lo > hi {
-		panic(fmt.Sprintf("mhtree: range [%d,%d] out of bounds for %d leaves", lo, hi, n.W))
-	}
-	return n.records(dst, 0, lo, hi)
-}
-
-func (n *Node) records(dst []int, off, lo, hi int) []int {
-	if n.W == 1 {
-		return append(dst, int(n.Rec))
-	}
-	lw := LeftWidth(int(n.W))
-	if lo < off+lw {
-		dst = n.L.records(dst, off, lo, hi)
-	}
-	if hi >= off+lw {
-		dst = n.R.records(dst, off+lw, lo, hi)
-	}
-	return dst
-}
 
 // WithLeaf returns a tree equal to n except that leaf i holds digest d
 // and commits to record rec. The returned tree shares all untouched
@@ -249,29 +222,35 @@ type Proof struct {
 	Hashes []hashing.Digest
 }
 
-// RangeProof builds the proof for leaves [lo, hi] (inclusive). The counter
-// observes every node visited during construction, which is the server's
-// VO-construction traversal cost in the paper's Fig 6.
-func (n *Node) RangeProof(lo, hi int, ctr *metrics.Counter) (Proof, error) {
+// RangeProof writes the proof for leaves [lo, hi] (inclusive) into p,
+// reusing p.Hashes' array. The counter observes every node visited, the
+// server's VO-construction traversal cost in the paper's Fig 6.
+func (n *Node) RangeProof(p *Proof, lo, hi int, ctr *metrics.Counter) error {
 	if lo < 0 || hi >= int(n.W) || lo > hi {
-		return Proof{}, fmt.Errorf("mhtree: range [%d,%d] out of bounds for %d leaves", lo, hi, n.W)
+		return fmt.Errorf("mhtree: range [%d,%d] out of bounds for %d leaves", lo, hi, n.W)
 	}
-	// A range leaves at most two outside subtrees per level.
-	hashes := make([]hashing.Digest, 0, 2*bits.Len(uint(n.W)))
-	return Proof{Hashes: n.rangeProof(hashes, 0, lo, hi, ctr)}, nil
+	// A range leaves at most two outside subtrees per level. Writing by
+	// index keeps a caller's stack-backed array on its stack.
+	if need := 2 * bits.Len(uint(n.W)); cap(p.Hashes) < need {
+		p.Hashes = make([]hashing.Digest, need)
+	}
+	p.Hashes = p.Hashes[:cap(p.Hashes)]
+	p.Hashes = p.Hashes[:n.rangeProof(p.Hashes, 0, 0, lo, hi, ctr)]
+	return nil
 }
 
-func (n *Node) rangeProof(hashes []hashing.Digest, off, lo, hi int, ctr *metrics.Counter) []hashing.Digest {
+func (n *Node) rangeProof(dst []hashing.Digest, k, off, lo, hi int, ctr *metrics.Counter) int {
 	ctr.AddNodes(1)
 	if off+int(n.W) <= lo || off > hi {
 		// Entirely outside: contribute one digest.
-		return append(hashes, n.H)
+		dst[k] = n.H
+		return k + 1
 	}
 	if n.W == 1 {
-		return hashes // inside the range; verifier recomputes it
+		return k // inside the range; verifier recomputes it
 	}
-	hashes = n.L.rangeProof(hashes, off, lo, hi, ctr)
-	return n.R.rangeProof(hashes, off+LeftWidth(int(n.W)), lo, hi, ctr)
+	k = n.L.rangeProof(dst, k, off, lo, hi, ctr)
+	return n.R.rangeProof(dst, k, off+LeftWidth(int(n.W)), lo, hi, ctr)
 }
 
 // ComputeRoot replays a range proof: given the tree's leaf count, the

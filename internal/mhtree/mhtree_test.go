@@ -199,7 +199,7 @@ func TestSwapLeavesIsTwoWithLeaf(t *testing.T) {
 				t.Fatalf("w=%d i=%d: the swapped tree is not the two-WithLeaf tree node for node", w, i)
 			}
 			if got.Root() != want.Root() || !slices.Equal(got.Leaves(), want.Leaves()) ||
-				!slices.Equal(got.Records(nil, 0, w-1), want.Records(nil, 0, w-1)) {
+				!slices.Equal(records(got, 0, w-1), records(want, 0, w-1)) {
 				t.Fatalf("w=%d i=%d: root, leaves or records differ", w, i)
 			}
 			made := newNodes(got, old)
@@ -218,7 +218,7 @@ func TestSwapLeavesIsTwoWithLeaf(t *testing.T) {
 			i := rng.Intn(w - 1)
 			got = append(got, SwapLeaves(h, got[k], i))
 			want = append(want, twoWithLeaf(ref, want[k], i))
-			if got[k+1].Root() != want[k+1].Root() || got[k+1].RecordAt(i) != want[k+1].RecordAt(i) {
+			if got[k+1].Root() != want[k+1].Root() || recordAt(got[k+1], i) != recordAt(want[k+1], i) {
 				t.Fatalf("w=%d: chain step %d differs", w, k)
 			}
 			counted += ChangedNodes(got[k], got[k+1])
@@ -256,7 +256,7 @@ func TestRangeProofRoundTrip(t *testing.T) {
 		tree := Build(h, leaves, nil)
 		for lo := 0; lo < n; lo++ {
 			for hi := lo; hi < n; hi++ {
-				proof, err := tree.RangeProof(lo, hi, nil)
+				proof, err := rangeProof(tree, lo, hi, nil)
 				if err != nil {
 					t.Fatalf("n=%d RangeProof(%d,%d): %v", n, lo, hi, err)
 				}
@@ -276,7 +276,7 @@ func TestRangeProofRejectsBadRange(t *testing.T) {
 	h := hashing.New(nil)
 	tree := Build(h, mkLeaves(5, 1), nil)
 	for _, rg := range [][2]int{{-1, 2}, {0, 5}, {3, 2}} {
-		if _, err := tree.RangeProof(rg[0], rg[1], nil); err == nil {
+		if _, err := rangeProof(tree, rg[0], rg[1], nil); err == nil {
 			t.Errorf("RangeProof(%d,%d) accepted", rg[0], rg[1])
 		}
 	}
@@ -288,7 +288,7 @@ func TestComputeRootDetectsTampering(t *testing.T) {
 	leaves := mkLeaves(n, 5)
 	tree := Build(h, leaves, nil)
 	lo, hi := 4, 9
-	proof, _ := tree.RangeProof(lo, hi, nil)
+	proof, _ := rangeProof(tree, lo, hi, nil)
 	rng := leaves[lo : hi+1]
 
 	// Tampered leaf digest -> different root.
@@ -319,7 +319,7 @@ func TestComputeRootDetectsTampering(t *testing.T) {
 	// hides inside proof-covered subtrees (see ComputeRoot's doc comment);
 	// once the range includes the tree's tail, it must be caught.
 	tailLo := n - 3
-	tailProof, _ := tree.RangeProof(tailLo, n-1, nil)
+	tailProof, _ := rangeProof(tree, tailLo, n-1, nil)
 	if root, err := ComputeRoot(h, n+1, tailLo, leaves[tailLo:], tailProof); err == nil && root == tree.Root() {
 		t.Error("forged leaf count with in-range tail still produced the correct root")
 	}
@@ -349,7 +349,7 @@ func TestRangeProofSizeLogarithmic(t *testing.T) {
 	h := hashing.New(nil)
 	n := 4096
 	tree := Build(h, mkLeaves(n, 21), nil)
-	proof, err := tree.RangeProof(2000, 2002, nil)
+	proof, err := rangeProof(tree, 2000, 2002, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestRangeProofCountsTraversal(t *testing.T) {
 	h := hashing.New(nil)
 	tree := Build(h, mkLeaves(64, 2), nil)
 	var ctr metrics.Counter
-	if _, err := tree.RangeProof(10, 12, &ctr); err != nil {
+	if _, err := rangeProof(tree, 10, 12, &ctr); err != nil {
 		t.Fatal(err)
 	}
 	if ctr.NodesVisited == 0 {
@@ -412,21 +412,40 @@ func TestLeavesNameTheirRecords(t *testing.T) {
 				leaves[i], leaves[i+1] = leaves[i+1], leaves[i]
 			}
 			for i, r := range want {
-				if got := tree.RecordAt(i); got != r {
-					t.Fatalf("n=%d: RecordAt(%d) = %d, want %d", n, i, got, r)
+				if got := recordAt(tree, i); got != r {
+					t.Fatalf("n=%d: leaf %d names %d, want %d", n, i, got, r)
 				}
 			}
 			lo := rng.Intn(n)
 			hi := lo + rng.Intn(n-lo)
-			if got := tree.Records(nil, lo, hi); !slices.Equal(got, want[lo:hi+1]) {
-				t.Fatalf("n=%d: Records(%d,%d) = %v, want %v", n, lo, hi, got, want[lo:hi+1])
+			if got := records(tree, lo, hi); !slices.Equal(got, want[lo:hi+1]) {
+				t.Fatalf("n=%d: leaves %d..%d name %v, want %v", n, lo, hi, got, want[lo:hi+1])
 			}
 		}
 		if tree.Root() != Build(h, leaves, nil).Root() {
 			t.Fatalf("n=%d: the record index changed the root digest", n)
 		}
-		if got := Build(h, leaves, nil).RecordAt(n - 1); got != NoRecord {
+		if got := recordAt(Build(h, leaves, nil), n-1); got != NoRecord {
 			t.Fatalf("n=%d: an untagged leaf names record %d", n, got)
 		}
 	}
+}
+
+// rangeProof is RangeProof into a fresh proof.
+func rangeProof(n *Node, lo, hi int, ctr *metrics.Counter) (Proof, error) {
+	var p Proof
+	err := n.RangeProof(&p, lo, hi, ctr)
+	return p, err
+}
+
+// recordAt reads leaf i by one root-to-leaf descent.
+func recordAt(n *Node, i int) int { return int(n.leaf(i).Rec) }
+
+// records reads leaves [lo, hi], one descent each.
+func records(n *Node, lo, hi int) []int {
+	var out []int
+	for i := lo; i <= hi; i++ {
+		out = append(out, recordAt(n, i))
+	}
+	return out
 }

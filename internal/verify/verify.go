@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"aqverify/internal/fmh"
 	"aqverify/internal/funcs"
@@ -122,7 +123,11 @@ func Verify(pub PublicParams, q query.Query, recs []record.Record, vo *VO, ctr *
 	}
 
 	// --- Step 1a: recompute the FMH root. ---
-	leaves := make([]hashing.Digest, 0, m+2)
+	// The leaves of a window of up to 64 records, and the path's or the
+	// inequalities' encoding, are built on the stack.
+	var leafBuf [66]hashing.Digest
+	var encBuf [512]byte
+	leaves := slices.Grow(leafBuf[:0], m+2)
 	ld, err := boundaryDigest(h, vo.Left, vo.ListLen)
 	if err != nil {
 		return vErrf("%v", err)
@@ -146,7 +151,7 @@ func Verify(pub PublicParams, q query.Query, recs []record.Record, vo *VO, ctr *
 	switch vo.Mode {
 	case OneSignature:
 		cur := h.Subdomain(fmhRoot)
-		var enc []byte // one hyperplane-encoding buffer for the whole path
+		enc := encBuf[:0] // one hyperplane-encoding buffer for the whole path
 		for i := len(vo.Path) - 1; i >= 0; i-- {
 			step := vo.Path[i]
 			if len(step.Hp.C) != pub.Template.Dim() {
@@ -181,7 +186,7 @@ func Verify(pub PublicParams, q query.Query, recs []record.Record, vo *VO, ctr *
 				return vErrf("function input violates subdomain inequality %d", i)
 			}
 		}
-		enc := geometry.EncodeHalfspaces(nil, vo.Ineqs)
+		enc := geometry.EncodeHalfspaces(encBuf[:0], vo.Ineqs)
 		d := h.MultiSig(h.Ineqs(enc), fmhRoot)
 		ctr.AddVerify(1)
 		if err := pub.Verifier.Verify(d[:], vo.Signature); err != nil {
@@ -204,7 +209,8 @@ func Verify(pub PublicParams, q query.Query, recs []record.Record, vo *VO, ctr *
 // share the query semantics.
 func CheckWindowSemantics(tpl funcs.Template, q query.Query, recs []record.Record, left, right Boundary, listLen int) error {
 	m := len(recs)
-	scores := make([]float64, m)
+	var scoreBuf [64]float64 // a window of up to 64 records scores on the stack
+	scores := slices.Grow(scoreBuf[:0], m)[:m]
 	for i, r := range recs {
 		if len(r.Attrs) <= maxAttr(tpl) {
 			return vErrf("result record %d lacks the template's attributes", i)
