@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/big"
 
 	"aqverify/internal/fmh"
 	"aqverify/internal/funcs"
@@ -201,11 +200,11 @@ func (t *Tree) finish1D(ctx context.Context, p Params, arr *itree.Arrangement1D,
 	}
 
 	groups := CrossingPairs(arr)
-	witnessAt := func(k int) *big.Rat { return space.WitnessRat(t.itree.Subs[k].Region) }
+	witnessAt := func(k int) funcs.At { return space.WitnessAt(t.itree.Subs[k].Region) }
 	var plan sweep.Plan
 	if m.prev == nil {
 		p.progress(StageSweep, arr.NumBreakpoints())
-		witnesses := make([]*big.Rat, len(t.itree.Subs))
+		witnesses := make([]funcs.At, len(t.itree.Subs))
 		for k := range witnesses {
 			witnesses[k] = witnessAt(k)
 		}

@@ -320,7 +320,7 @@ func TestLeafIndexIsThePermutation(t *testing.T) {
 		space := snap.ITree.Space.(*itree.Space1D)
 		out := make([][]int, len(snap.ITree.Subs))
 		for id, sub := range snap.ITree.Subs {
-			out[id] = funcs.SortAtRat(fs, space.WitnessRat(sub.Region))
+			out[id] = funcs.SortAtRat(fs, funcs.NewAt(space.WitnessRat(sub.Region)))
 		}
 		return out
 	}

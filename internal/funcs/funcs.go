@@ -6,6 +6,7 @@
 package funcs
 
 import (
+	"cmp"
 	"fmt"
 	"math/big"
 
@@ -129,7 +130,7 @@ func (t Template) Interpret(index int, r record.Record) Linear {
 func (t Template) Score(r record.Record, x geometry.Point) float64 {
 	var s, bias float64
 	for v, a := range t.CoefAttrs {
-		s += r.Attrs[a] * x[v]
+		s += float64(r.Attrs[a] * x[v]) // no fused multiply-add, as in linalg.Dot
 	}
 	if t.BiasAttr >= 0 {
 		bias = r.Attrs[t.BiasAttr]
@@ -158,27 +159,13 @@ func SortAt(fs []Linear, x geometry.Point) []int {
 	for i, f := range fs {
 		scores[i] = f.Eval(x)
 	}
-	perm := make([]int, len(fs))
-	for i := range perm {
-		perm[i] = i
-	}
-	sortPermByScore(perm, scores)
-	return perm
+	return sortedPerm(len(fs), func(a, b int) int { return cmp.Compare(scores[a], scores[b]) })
 }
 
-// SortAtRat is SortAt with exact rational evaluation for univariate
-// functions, used at subdomain witnesses during construction where float
-// rounding near a breakpoint could misorder nearly-equal scores.
-func SortAtRat(fs []Linear, x *big.Rat) []int {
-	scores := make([]*big.Rat, len(fs))
-	for i, f := range fs {
-		scores[i] = f.EvalRat(x)
-	}
-	perm := make([]int, len(fs))
-	for i := range perm {
-		perm[i] = i
-	}
-	// Insertion-free: sort.Slice with exact comparison.
-	sortPermByRat(perm, scores)
-	return perm
+// SortAtRat is SortAt at an exact point, with exact comparisons (CmpAt)
+// for univariate functions, used at subdomain witnesses during
+// construction where float rounding near a breakpoint could misorder
+// nearly-equal scores.
+func SortAtRat(fs []Linear, at At) []int {
+	return sortedPerm(len(fs), func(a, b int) int { return CmpAt(fs[a], fs[b], at) })
 }

@@ -188,7 +188,7 @@ func TestSortAtRatMatchesSortAtAwayFromBreakpoints(t *testing.T) {
 		num := int64(rng.Intn(1024)) - 512
 		x := big.NewRat(num, 256)
 		xf, _ := x.Float64()
-		pRat := SortAtRat(fs, x)
+		pRat := SortAtRat(fs, NewAt(x))
 		pFlt := SortAt(fs, geometry.Point{xf})
 		for i := range pRat {
 			if pRat[i] != pFlt[i] {

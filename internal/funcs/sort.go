@@ -1,31 +1,21 @@
 package funcs
 
-import (
-	"math/big"
-	"sort"
-)
+import "slices"
 
-// sortPermByScore orders perm ascending by scores[perm[i]], breaking ties
-// by index so the order is a total order regardless of input.
-func sortPermByScore(perm []int, scores []float64) {
-	sort.Slice(perm, func(a, b int) bool {
-		ia, ib := perm[a], perm[b]
-		if scores[ia] != scores[ib] {
-			return scores[ia] < scores[ib]
+// sortedPerm returns the permutation of 0..n-1 sorted ascending by cmp,
+// ties broken by index so the order is total and deterministic.
+func sortedPerm(n int, cmp func(a, b int) int) []int {
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	slices.SortFunc(perm, func(a, b int) int {
+		if c := cmp(a, b); c != 0 {
+			return c
 		}
-		return ia < ib
+		return a - b
 	})
-}
-
-// sortPermByRat is sortPermByScore with exact rational comparisons.
-func sortPermByRat(perm []int, scores []*big.Rat) {
-	sort.Slice(perm, func(a, b int) bool {
-		ia, ib := perm[a], perm[b]
-		if c := scores[ia].Cmp(scores[ib]); c != 0 {
-			return c < 0
-		}
-		return ia < ib
-	})
+	return perm
 }
 
 // InversePerm returns the inverse permutation: for perm[pos] = idx it

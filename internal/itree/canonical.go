@@ -1,6 +1,7 @@
 package itree
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -134,18 +135,30 @@ type Arrangement1D struct {
 // internal-node count of the canonical tree).
 func (a *Arrangement1D) NumBreakpoints() int { return len(a.Groups) }
 
+// cmpBreak compares the exact breakpoints t and u by their rounded
+// floats first: big.Rat.Cmp runs only when the floats are equal.
+func cmpBreak(tf float64, t *big.Rat, uf float64, u *big.Rat) int {
+	if tf != uf {
+		return cmp.Compare(tf, uf)
+	}
+	return t.Cmp(u)
+}
+
 // NewArrangement1D builds the arrangement of an enumerated intersection
 // list over the space's domain: members whose exact breakpoint lies
 // strictly inside (lo, hi) are grouped by breakpoint and canonically
 // ordered; degenerate, on-edge and out-of-domain entries — the ones the
 // exact insertion checks would prune — are dropped. The input may carry
-// the widened-margin superset Pairs1D enumerates.
+// the widened-margin superset Pairs1DCtx enumerates. Every order here is
+// exact but tried on the rounded breakpoints first (cmpBreak): rounding
+// is monotone, so distinct floats order their exact breakpoints.
 func NewArrangement1D(space *Space1D, inters []Intersection, seed int64) (*Arrangement1D, error) {
 	root, ok := space.Root().(Interval1D)
 	if !ok {
 		return nil, fmt.Errorf("itree: 1-D space has a non-interval root region")
 	}
 	type entry struct {
+		tf   float64
 		t    *big.Rat
 		in   Intersection
 		prio uint64
@@ -156,21 +169,23 @@ func NewArrangement1D(space *Space1D, inters []Intersection, seed int64) (*Arran
 		if !ok {
 			continue // degenerate: parallel functions
 		}
-		if t.Cmp(root.Lo) <= 0 || t.Cmp(root.Hi) >= 0 {
+		tf := -in.H.B / in.H.C[0] // t correctly rounded: an IEEE quotient
+		if cmpBreak(tf, t, space.domain.Lo[0], root.Lo) <= 0 || cmpBreak(tf, t, space.domain.Hi[0], root.Hi) >= 0 {
 			continue // on or outside the domain edges: Partition would prune
 		}
-		entries = append(entries, entry{t: t, in: in, prio: priorityOf(seed, in.H)})
+		entries = append(entries, entry{tf: tf, t: t, in: in, prio: priorityOf(seed, in.H)})
 	}
 	sort.SliceStable(entries, func(a, b int) bool {
-		if c := entries[a].t.Cmp(entries[b].t); c != 0 {
+		ea, eb := &entries[a], &entries[b]
+		if c := cmpBreak(ea.tf, ea.t, eb.tf, eb.t); c != 0 {
 			return c < 0
 		}
-		return canonLess(entries[a].prio, entries[a].in, entries[b].prio, entries[b].in)
+		return canonLess(ea.prio, ea.in, eb.prio, eb.in)
 	})
 	arr := &Arrangement1D{Seed: seed}
 	for i := 0; i < len(entries); {
 		j := i
-		for j+1 < len(entries) && entries[j+1].t.Cmp(entries[i].t) == 0 {
+		for j+1 < len(entries) && cmpBreak(entries[j+1].tf, entries[j+1].t, entries[i].tf, entries[i].t) == 0 {
 			j++
 		}
 		g := &Group1D{T: entries[i].t}

@@ -1,6 +1,7 @@
 package itree
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -128,7 +129,7 @@ func TestBuildCanonicalEqualsInsert(t *testing.T) {
 	}
 	for trial := 0; trial < 20; trial++ {
 		fs := randomLines(30+trial, int64(trial))
-		inters, err := Pairs1D(fs, dom)
+		inters, err := Pairs1DCtx(context.Background(), fs, dom, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +147,7 @@ func TestBuildCanonicalEqualsInsert(t *testing.T) {
 		[2]float64{1, 0}, [2]float64{-1, 1}, [2]float64{2, -0.5},
 	)
 	for seed := int64(0); seed < 4; seed++ {
-		inters, err := Pairs1D(fs, dom)
+		inters, err := Pairs1DCtx(context.Background(), fs, dom, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +166,7 @@ func TestBuildCanonicalEqualsInsert(t *testing.T) {
 		if hasBoundary(whole, -1) || hasBoundary(whole, 2) {
 			t.Fatal("a crossing on a domain edge split the domain")
 		}
-		buckets, err := PairsPartition1D(fs, dom, []float64{cut})
+		buckets, err := PairsPartition1DCtx(context.Background(), fs, dom, []float64{cut}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +203,7 @@ func TestMergeArrangementEqualsRescan(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		fs := randomLines(25, int64(trial+100))
-		inters, err := Pairs1D(fs, dom)
+		inters, err := Pairs1DCtx(context.Background(), fs, dom, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +255,7 @@ func TestMergeArrangementEqualsRescan(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		full, err := Pairs1D(newFs, dom)
+		full, err := Pairs1DCtx(context.Background(), newFs, dom, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +318,7 @@ func TestBuildCanonical1DAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inters, err := Pairs1D(fs, dom)
+	inters, err := Pairs1DCtx(context.Background(), fs, dom, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,21 +71,16 @@ type Tree struct {
 	Inserted int
 }
 
-// Pairs1D enumerates the intersections of univariate linear functions
+// Pairs1DCtx enumerates the intersections of univariate linear functions
 // whose breakpoint falls inside the domain. A cheap float prefilter (with
 // a widened margin so no in-domain breakpoint is ever excluded) avoids
 // allocating hyperplanes for the quadratically many out-of-domain pairs;
 // the exact rational check in Space1D.Partition remains the authority.
-// It is the trivial single-bucket case of PairsPartition1D, which keeps
-// the enumeration loop — margin, hyperplane sign convention and all — in
-// one place.
-func Pairs1D(fs []funcs.Linear, domain geometry.Box) ([]Intersection, error) {
-	return Pairs1DCtx(context.Background(), fs, domain, 1)
-}
-
-// Pairs1DCtx is Pairs1D with the O(n²) scan sharded across workers and
-// cooperative cancellation (see PairsPartition1DCtx). The enumeration
-// order is byte-identical to Pairs1D for every worker count.
+// It is the trivial single-bucket case of PairsPartition1DCtx, which
+// keeps the enumeration loop — margin, hyperplane sign convention and
+// all — in one place, and shares its worker pool and cooperative
+// cancellation: the enumeration order is byte-identical for every
+// worker count.
 func Pairs1DCtx(ctx context.Context, fs []funcs.Linear, domain geometry.Box, workers int) ([]Intersection, error) {
 	buckets, err := PairsPartition1DCtx(ctx, fs, domain, nil, workers)
 	if err != nil {

@@ -1,6 +1,7 @@
 package itree
 
 import (
+	"context"
 	"math"
 	"math/big"
 	"math/rand"
@@ -27,7 +28,7 @@ func build1D(t *testing.T, fs []funcs.Linear, lo, hi float64, seed int64) *Tree 
 	if err != nil {
 		t.Fatal(err)
 	}
-	inters, err := Pairs1D(fs, domain)
+	inters, err := Pairs1DCtx(context.Background(), fs, domain, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestCanonicalDepthOnAscendingBreakpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inters, err := Pairs1D(fs, domain)
+	inters, err := Pairs1DCtx(context.Background(), fs, domain, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +314,7 @@ func TestBuildNDGrid(t *testing.T) {
 func TestPairs1DFiltersAndValidates(t *testing.T) {
 	fs := lines([2]float64{1, 0}, [2]float64{-1, 100}, [2]float64{-1, 2})
 	domain := geometry.MustBox([]float64{0}, []float64{10})
-	inters, err := Pairs1D(fs, domain)
+	inters, err := Pairs1DCtx(context.Background(), fs, domain, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,10 +326,10 @@ func TestPairs1DFiltersAndValidates(t *testing.T) {
 		t.Errorf("kept pair (%d,%d), want (0,2)", inters[0].I, inters[0].J)
 	}
 	bad := []funcs.Linear{{Index: 0, Coef: []float64{1, 2}}}
-	if _, err := Pairs1D(bad, domain); err == nil {
+	if _, err := Pairs1DCtx(context.Background(), bad, domain, 1); err == nil {
 		t.Error("multivariate function accepted by Pairs1D")
 	}
-	if _, err := Pairs1D(fs, geometry.MustBox([]float64{0, 0}, []float64{1, 1})); err == nil {
+	if _, err := Pairs1DCtx(context.Background(), fs, geometry.MustBox([]float64{0, 0}, []float64{1, 1}), 1); err == nil {
 		t.Error("2-D domain accepted by Pairs1D")
 	}
 }

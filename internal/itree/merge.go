@@ -35,7 +35,7 @@ func DirtyPairs1D(fs []funcs.Linear, dirty []bool, domain geometry.Box) ([]Inter
 		return nil, fmt.Errorf("itree: dirty mask has %d entries for %d functions", len(dirty), len(fs))
 	}
 	lo, hi := domain.Lo[0], domain.Hi[0]
-	margin := (hi - lo) * 1e-9
+	margin := float64((hi - lo) * 1e-9) // rounded: no fused multiply-add below
 	var out []Intersection
 	emit := func(i, j int) {
 		ci, bi := fs[i].Coef[0], fs[i].Bias

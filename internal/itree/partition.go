@@ -11,7 +11,7 @@ import (
 	"aqverify/internal/pool"
 )
 
-// PairsPartition1D enumerates the pairwise intersections of univariate
+// PairsPartition1DCtx enumerates the pairwise intersections of univariate
 // linear functions once and partitions them across a contiguous split of
 // the domain: cuts lists the K-1 interior cut points (strictly ascending,
 // strictly inside the domain) separating K sub-boxes, and bucket k of the
@@ -22,38 +22,27 @@ import (
 // last bucket), so an intersection exactly on a cut lands in exactly one
 // bucket — the sub-box on the cut's right, matching shard.Plan.Route —
 // and every in-domain intersection lands in exactly one bucket: no drop,
-// no double count. Breakpoints within float rounding distance of a cut
-// are placed by the exact rational solution of the crossing, so ownership
-// never disagrees with the exact-rational splitting checks used during
+// no double count. A breakpoint whose rounded float equals a cut is
+// placed by the exact rational solution of the crossing (bucketOf), so
+// ownership never disagrees with the exact-rational splitting checks used during
 // tree construction; pairs sharing one concurrent crossing point always
 // land in the same bucket, keeping each sub-box's sweep groups complete.
 //
-// The outer domain edges keep Pairs1D's widened-margin prefilter: a
+// The outer domain edges keep Pairs1DCtx's widened-margin prefilter: a
 // breakpoint within margin outside the domain is still enumerated (into
 // the nearest bucket) and left for the exact insertion checks to prune.
-func PairsPartition1D(fs []funcs.Linear, domain geometry.Box, cuts []float64) ([][]Intersection, error) {
-	return PairsPartition1DCtx(context.Background(), fs, domain, cuts, 1)
-}
-
-// PairsPartition1DCtx is PairsPartition1D with the O(n²) row scan sharded
-// across a worker pool and cooperative cancellation between row chunks.
-// Each worker enumerates a contiguous range of rows i (all pairs (i, j),
-// j > i) into private buckets; the per-chunk buckets are concatenated in
-// ascending row order, so the output — bucket contents and the order
-// within each bucket — is byte-identical to the serial scan for every
-// worker count. workers <= 0 means one per CPU.
+//
+// The O(n²) row scan is sharded across a worker pool, with cooperative
+// cancellation between row chunks. Each worker enumerates a contiguous
+// range of rows i (all pairs (i, j), j > i) into private buckets; the
+// per-chunk buckets are concatenated in ascending row order, so the
+// output — bucket contents and the order within each bucket — is
+// byte-identical to the serial scan for every worker count. workers <= 0
+// means one per CPU.
 func PairsPartition1DCtx(ctx context.Context, fs []funcs.Linear, domain geometry.Box, cuts []float64, workers int) ([][]Intersection, error) {
-	if domain.Dim() != 1 {
-		return nil, fmt.Errorf("itree: 1-D pair enumeration needs a 1-D domain")
-	}
-	lo, hi := domain.Lo[0], domain.Hi[0]
-	for i, c := range cuts {
-		if c <= lo || c >= hi {
-			return nil, fmt.Errorf("itree: cut %d (%v) outside the open domain (%v,%v)", i, c, lo, hi)
-		}
-		if i > 0 && c <= cuts[i-1] {
-			return nil, fmt.Errorf("itree: cuts not strictly ascending at %d", i)
-		}
+	lo, hi, err := checkCuts(domain, cuts)
+	if err != nil {
+		return nil, err
 	}
 	for i := range fs {
 		if fs[i].Dim() != 1 {
@@ -74,10 +63,9 @@ func PairsPartition1DCtx(ctx context.Context, fs []funcs.Linear, domain geometry
 		chunks = 1
 	}
 	chunkOut := make([][][]Intersection, chunks)
-	err := pool.RunCtx(ctx, chunks, w, func(_, c int) {
+	if err := pool.RunCtx(ctx, chunks, w, func(_, c int) {
 		chunkOut[c] = pairsRows1D(fs, c*n/chunks, (c+1)*n/chunks, lo, hi, cuts)
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
 	out := make([][]Intersection, len(cuts)+1)
@@ -94,44 +82,41 @@ func PairsPartition1DCtx(ctx context.Context, fs []funcs.Linear, domain geometry
 	return out, nil
 }
 
-// cutBuckets is the shared bucket-decision state of the partitioned
-// scan and PartitionInters1D, so the ownership rule — float search with
-// exact-rational re-decision near cuts — lives in one place.
-type cutBuckets struct {
-	cuts   []float64
-	margin float64
-	// exactCuts materializes lazily: only breakpoints within margin of a
-	// cut pay for rational arithmetic.
-	exactCuts []*big.Rat
+// checkCuts validates cuts against a 1-D domain and returns its bounds:
+// strictly ascending, strictly inside the domain.
+func checkCuts(domain geometry.Box, cuts []float64) (lo, hi float64, err error) {
+	if domain.Dim() != 1 {
+		return 0, 0, fmt.Errorf("itree: 1-D pair enumeration needs a 1-D domain")
+	}
+	lo, hi = domain.Lo[0], domain.Hi[0]
+	for i, c := range cuts {
+		if c <= lo || c >= hi {
+			return 0, 0, fmt.Errorf("itree: cut %d (%v) outside the open domain (%v,%v)", i, c, lo, hi)
+		}
+		if i > 0 && c <= cuts[i-1] {
+			return 0, 0, fmt.Errorf("itree: cuts not strictly ascending at %d", i)
+		}
+	}
+	return lo, hi, nil
 }
 
-// bucketOf decides which sub-box owns the intersection with float
-// breakpoint t; ok is false when the hyperplane is degenerate after
-// float widening (cannot split anything).
-func (cb *cutBuckets) bucketOf(in Intersection, t float64) (int, bool) {
-	// Bucket k is the count of cuts at or below t.
-	k := sort.SearchFloat64s(cb.cuts, t)
-	if k < len(cb.cuts) && cb.cuts[k] == t {
-		k++
-	}
-	// Near a cut the float solution can sit on the wrong side of it;
-	// re-decide exactly there so ownership agrees with the
-	// exact-rational Partition used while building each sub-tree.
-	if nearCut := (k > 0 && t-cb.cuts[k-1] <= cb.margin) ||
-		(k < len(cb.cuts) && cb.cuts[k]-t <= cb.margin); nearCut {
-		if cb.exactCuts == nil {
-			cb.exactCuts = make([]*big.Rat, len(cb.cuts))
-			for m, c := range cb.cuts {
-				cb.exactCuts[m] = new(big.Rat).SetFloat64(c)
-			}
-		}
+// bucketOf decides which sub-box owns the intersection whose breakpoint
+// rounds to t: bucket k holds the breakpoints with exactly k cuts at or
+// below them. Both scans compute t as the IEEE quotient −B/C, the exact
+// breakpoint correctly rounded, and rounding is monotone, so t decides
+// against every cut it differs from; a t equal to a cut is re-decided
+// exactly, so ownership agrees with the exact-rational Partition used
+// while building each sub-tree. ok is false for a non-finite hyperplane.
+func bucketOf(cuts []float64, in Intersection, t float64) (int, bool) {
+	k := sort.SearchFloat64s(cuts, t) // the count of cuts below t
+	if k < len(cuts) && cuts[k] == t {
 		bp, ok := Breakpoint1D(in.H)
 		if !ok {
-			return 0, false // degenerate; cannot split
+			return 0, false
 		}
-		k = sort.Search(len(cb.cuts), func(m int) bool {
-			return cb.exactCuts[m].Cmp(bp) > 0
-		})
+		if bp.Cmp(new(big.Rat).SetFloat64(t)) >= 0 {
+			k++
+		}
 	}
 	return k, true
 }
@@ -142,7 +127,7 @@ func (cb *cutBuckets) bucketOf(in Intersection, t float64) (int, bool) {
 // enumeration order within the chunk is (i, j) lexicographic, matching
 // the serial scan.
 func pairsRows1D(fs []funcs.Linear, rlo, rhi int, lo, hi float64, cuts []float64) [][]Intersection {
-	cb := cutBuckets{cuts: cuts, margin: (hi - lo) * 1e-9}
+	margin := float64((hi - lo) * 1e-9) // rounded: no fused multiply-add below
 	out := make([][]Intersection, len(cuts)+1)
 	for i := rlo; i < rhi; i++ {
 		ci, bi := fs[i].Coef[0], fs[i].Bias
@@ -152,14 +137,14 @@ func pairsRows1D(fs []funcs.Linear, rlo, rhi int, lo, hi float64, cuts []float64
 				continue // parallel
 			}
 			t := (fs[j].Bias - bi) / dc
-			if t < lo-cb.margin || t > hi+cb.margin {
+			if t < lo-margin || t > hi+margin {
 				continue
 			}
 			in := Intersection{
 				I: i, J: j,
 				H: geometry.Hyperplane{C: []float64{dc}, B: bi - fs[j].Bias},
 			}
-			if k, ok := cb.bucketOf(in, t); ok {
+			if k, ok := bucketOf(cuts, in, t); ok {
 				out[k] = append(out[k], in)
 			}
 		}
@@ -168,33 +153,23 @@ func pairsRows1D(fs []funcs.Linear, rlo, rhi int, lo, hi float64, cuts []float64
 }
 
 // PartitionInters1D partitions an already enumerated intersection list
-// (as produced by Pairs1D over the same domain) across the cuts, under
-// exactly the ownership rule PairsPartition1D applies during a fused
+// (as produced by Pairs1DCtx over the same domain) across the cuts, under
+// exactly the ownership rule PairsPartition1DCtx applies during a fused
 // enumerate-and-bucket scan — the buckets are identical, order included.
 // It is the linear re-bucketing pass that lets one global enumeration be
 // shared between a cut planner and the shard build instead of paying the
 // O(n²) scan twice.
 func PartitionInters1D(inters []Intersection, domain geometry.Box, cuts []float64) ([][]Intersection, error) {
-	if domain.Dim() != 1 {
-		return nil, fmt.Errorf("itree: 1-D pair partitioning needs a 1-D domain")
+	if _, _, err := checkCuts(domain, cuts); err != nil {
+		return nil, err
 	}
-	lo, hi := domain.Lo[0], domain.Hi[0]
-	for i, c := range cuts {
-		if c <= lo || c >= hi {
-			return nil, fmt.Errorf("itree: cut %d (%v) outside the open domain (%v,%v)", i, c, lo, hi)
-		}
-		if i > 0 && c <= cuts[i-1] {
-			return nil, fmt.Errorf("itree: cuts not strictly ascending at %d", i)
-		}
-	}
-	cb := cutBuckets{cuts: cuts, margin: (hi - lo) * 1e-9}
 	out := make([][]Intersection, len(cuts)+1)
 	for _, in := range inters {
 		// The hyperplane is dc·x + (b_i − b_j); its root is the float
 		// breakpoint the fused scan computed ((b_j − b_i)/dc — IEEE
 		// negation is exact, so the value is bit-identical).
 		t := -in.H.B / in.H.C[0]
-		if k, ok := cb.bucketOf(in, t); ok {
+		if k, ok := bucketOf(cuts, in, t); ok {
 			out[k] = append(out[k], in)
 		}
 	}

@@ -22,7 +22,7 @@ func TestPairsPartition1DOnCut(t *testing.T) {
 		{Coef: []float64{1}, Bias: 0},
 		{Coef: []float64{-1}, Bias: 4},
 	}
-	buckets, err := PairsPartition1D(fs, dom, []float64{2})
+	buckets, err := PairsPartition1DCtx(context.Background(), fs, dom, []float64{2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestPairsPartition1DExactlyOnce(t *testing.T) {
 				funcs.Linear{Coef: []float64{-1}, Bias: c})
 		}
 
-		buckets, err := PairsPartition1D(fs, dom, cuts)
+		buckets, err := PairsPartition1DCtx(context.Background(), fs, dom, cuts, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat, err := Pairs1D(fs, dom)
+		flat, err := Pairs1DCtx(context.Background(), fs, dom, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,11 +128,11 @@ func TestPairsPartition1DValidation(t *testing.T) {
 	dom := geometry.MustBox([]float64{0}, []float64{1})
 	fs := []funcs.Linear{{Coef: []float64{1}, Bias: 0}}
 	for _, cuts := range [][]float64{{0}, {1}, {-0.5}, {0.5, 0.5}, {0.7, 0.3}} {
-		if _, err := PairsPartition1D(fs, dom, cuts); err == nil {
+		if _, err := PairsPartition1DCtx(context.Background(), fs, dom, cuts, 1); err == nil {
 			t.Errorf("cuts %v accepted", cuts)
 		}
 	}
-	if _, err := PairsPartition1D(fs, geometry.MustBox([]float64{0, 0}, []float64{1, 1}), nil); err == nil {
+	if _, err := PairsPartition1DCtx(context.Background(), fs, geometry.MustBox([]float64{0, 0}, []float64{1, 1}), nil, 1); err == nil {
 		t.Error("2-D domain accepted")
 	}
 }
@@ -213,11 +213,11 @@ func TestPartitionInters1DMatchesFusedScan(t *testing.T) {
 			funcs.Linear{Coef: []float64{1}, Bias: -c},
 			funcs.Linear{Coef: []float64{-1}, Bias: c})
 	}
-	fused, err := PairsPartition1D(fs, dom, cuts)
+	fused, err := PairsPartition1DCtx(context.Background(), fs, dom, cuts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := Pairs1D(fs, dom)
+	flat, err := Pairs1DCtx(context.Background(), fs, dom, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

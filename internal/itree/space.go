@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/big"
 
+	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/linalg"
 	"aqverify/internal/lp"
@@ -148,6 +149,21 @@ func (s *Space1D) WitnessRat(r Region) *big.Rat {
 	iv := r.(Interval1D)
 	m := new(big.Rat).Add(iv.Lo, iv.Hi)
 	return m.Quo(m, big.NewRat(2, 1))
+}
+
+// WitnessAt is WitnessRat prepared for funcs.CmpAt, and cheaper: the
+// float halfway between the interval's rounded ends when it lies
+// strictly between them — rounding is monotone, so it then lies strictly
+// inside, and no big.Rat is built unless a comparison falls back — else
+// the exact midpoint. Any interior point sorts the functions alike.
+func (s *Space1D) WitnessAt(r Region) funcs.At {
+	iv := r.(Interval1D)
+	lo, _ := iv.Lo.Float64()
+	hi, _ := iv.Hi.Float64()
+	if x := lo + float64((hi-lo)*0.5); lo < x && x < hi {
+		return funcs.AtFloat(x)
+	}
+	return funcs.NewAt(s.WitnessRat(r))
 }
 
 // Halfspaces implements Space: the minimal two-constraint description

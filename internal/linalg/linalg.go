@@ -17,7 +17,10 @@ func Dot(a, b []float64) float64 {
 	}
 	var s float64
 	for i, v := range a {
-		s += v * b[i]
+		// The explicit conversion rounds the product before the add: it
+		// forbids a fused multiply-add, so the sum is the same on every
+		// CPU (arm64, ppc64le, s390x and riscv64 would fuse otherwise).
+		s += float64(v * b[i])
 	}
 	return s
 }
@@ -55,36 +58,13 @@ func Scale(k float64, a []float64) []float64 {
 	return out
 }
 
-// AXPY computes dst = dst + k*a in place and returns dst.
-func AXPY(dst []float64, k float64, a []float64) []float64 {
-	if len(dst) != len(a) {
-		panic(fmt.Sprintf("linalg: axpy of mismatched lengths %d and %d", len(dst), len(a)))
-	}
-	for i := range dst {
-		dst[i] += k * a[i]
-	}
-	return dst
-}
-
 // Norm2 returns the Euclidean norm of a.
 func Norm2(a []float64) float64 {
 	var s float64
 	for _, v := range a {
-		s += v * v
+		s += float64(v * v) // no fused multiply-add, as in Dot
 	}
 	return math.Sqrt(s)
-}
-
-// NormInf returns the maximum absolute component of a, or 0 for an empty
-// vector.
-func NormInf(a []float64) float64 {
-	var m float64
-	for _, v := range a {
-		if av := math.Abs(v); av > m {
-			m = av
-		}
-	}
-	return m
 }
 
 // Clone returns a copy of a.
@@ -100,20 +80,6 @@ func Clone(a []float64) []float64 {
 func AllFinite(a []float64) bool {
 	for _, v := range a {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
-}
-
-// ApproxEqual reports whether |a-b| <= tol elementwise. Vectors of
-// different lengths are never approximately equal.
-func ApproxEqual(a, b []float64, tol float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > tol {
 			return false
 		}
 	}

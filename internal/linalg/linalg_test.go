@@ -49,22 +49,11 @@ func TestSubAddScale(t *testing.T) {
 	}
 }
 
-func TestAXPY(t *testing.T) {
-	dst := []float64{1, 1}
-	AXPY(dst, 3, []float64{2, -1})
-	if dst[0] != 7 || dst[1] != -2 {
-		t.Errorf("AXPY = %v", dst)
-	}
-}
-
 func TestNorms(t *testing.T) {
 	if got := Norm2([]float64{3, 4}); got != 5 {
 		t.Errorf("Norm2 = %v", got)
 	}
-	if got := NormInf([]float64{-7, 3}); got != 7 {
-		t.Errorf("NormInf = %v", got)
-	}
-	if NormInf(nil) != 0 || Norm2(nil) != 0 {
+	if Norm2(nil) != 0 {
 		t.Error("norms of empty vectors should be 0")
 	}
 }
@@ -77,18 +66,6 @@ func TestAllFinite(t *testing.T) {
 		if AllFinite(bad) {
 			t.Errorf("AllFinite(%v) = true", bad)
 		}
-	}
-}
-
-func TestApproxEqual(t *testing.T) {
-	if !ApproxEqual([]float64{1, 2}, []float64{1.0000001, 2}, 1e-6) {
-		t.Error("vectors within tolerance should be equal")
-	}
-	if ApproxEqual([]float64{1}, []float64{1, 1}, 1) {
-		t.Error("length mismatch should not be equal")
-	}
-	if ApproxEqual([]float64{1}, []float64{1.1}, 1e-6) {
-		t.Error("vectors outside tolerance should differ")
 	}
 }
 
@@ -116,7 +93,7 @@ func TestDotLinearity(t *testing.T) {
 			return true
 		}
 		// dot(a+k*b, c) == dot(a,c) + k*dot(b,c) up to roundoff
-		lhs := Dot(AXPY(Clone(as), k, bs), cs)
+		lhs := Dot(Add(as, Scale(k, bs)), cs)
 		rhs := Dot(as, cs) + k*Dot(bs, cs)
 		scale := 1 + math.Abs(lhs) + math.Abs(rhs)
 		return math.Abs(lhs-rhs) <= 1e-6*scale

@@ -218,9 +218,9 @@ func (t *tableau) optimize(obj []float64) (float64, error) {
 		if c == 0 {
 			continue
 		}
-		z += c * t.rhs[i]
+		z += float64(c * t.rhs[i])
 		for j := range red {
-			red[j] -= c * t.rows[i][j]
+			red[j] -= float64(c * t.rows[i][j])
 		}
 	}
 
@@ -255,13 +255,13 @@ func (t *tableau) optimize(obj []float64) (float64, error) {
 		if leave < 0 {
 			return 0, errUnbounded
 		}
-		z += red[enter] * best
+		z += float64(red[enter] * best)
 		t.pivot(leave, enter)
 		// Update reduced costs for the pivot.
 		c := red[enter]
 		if c != 0 {
 			for j := range red {
-				red[j] -= c * t.rows[leave][j]
+				red[j] -= float64(c * t.rows[leave][j])
 			}
 			red[enter] = 0
 		}
@@ -289,10 +289,10 @@ func (t *tableau) pivot(leave, enter int) {
 		}
 		row := t.rows[i]
 		for j := range row {
-			row[j] -= f * pr[j]
+			row[j] -= float64(f * pr[j])
 		}
 		row[enter] = 0
-		t.rhs[i] -= f * t.rhs[leave]
+		t.rhs[i] -= float64(f * t.rhs[leave])
 	}
 	t.basis[leave] = enter
 }

@@ -165,10 +165,9 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Mesh, error) {
 		edgesR = append(edgesR, g.T)
 	}
 	edgesR = append(edgesR, root.Hi)
-	witnesses := make([]*big.Rat, len(edgesR)-1)
+	witnesses := make([]funcs.At, len(edgesR)-1)
 	for k := range witnesses {
-		mid := new(big.Rat).Add(edgesR[k], edgesR[k+1])
-		witnesses[k] = mid.Quo(mid, big.NewRat(2, 1))
+		witnesses[k] = space.WitnessAt(itree.Interval1D{Lo: edgesR[k], Hi: edgesR[k+1]})
 	}
 	m.edges = make([]float64, len(edgesR))
 	for i, e := range edgesR {

@@ -27,7 +27,7 @@ type Set struct {
 //
 // For univariate templates the O(n²) pairwise-intersection enumeration
 // runs once and is partitioned across shards by the half-open ownership
-// rule of itree.PairsPartition1D, instead of once per shard.
+// rule of itree.PairsPartition1DCtx, instead of once per shard.
 // Each shard's IMH shape is seeded with p.Seed plus the shard index,
 // keeping builds reproducible.
 func Build(tbl record.Table, p core.Params, plan Plan) (*Set, error) {

@@ -3,7 +3,7 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"math/big"
+	"slices"
 	"sort"
 
 	"aqverify/internal/funcs"
@@ -46,7 +46,7 @@ type Boundary struct {
 // permutation, and the translated swap sequence is the one a full
 // re-sort would emit. ApplyCtx verifies the adjacency at every
 // translated swap and fails loudly if the alignment breaks.
-func ApplyCtx(ctx context.Context, fs []funcs.Linear, old Plan, cleanRemap []int, dirtyNew []bool, bs []Boundary, witnessAt func(k int) *big.Rat) (Plan, error) {
+func ApplyCtx(ctx context.Context, fs []funcs.Linear, old Plan, cleanRemap []int, dirtyNew []bool, bs []Boundary, witnessAt func(k int) funcs.At) (Plan, error) {
 	if len(dirtyNew) != len(fs) {
 		return Plan{}, fmt.Errorf("sweep: dirty mask has %d entries for %d functions", len(dirtyNew), len(fs))
 	}
@@ -141,7 +141,7 @@ func ApplyCtx(ctx context.Context, fs []funcs.Linear, old Plan, cleanRemap []int
 // breakpoint left of the first boundary), and each dirty function is
 // placed by exact binary search at the new base witness. The result is
 // the unique exact sorted order at w, without the O(n log n) full sort.
-func mergeBase(fs []funcs.Linear, oldBase []int, cleanRemap []int, dirtyNew []bool, w *big.Rat) ([]int, error) {
+func mergeBase(fs []funcs.Linear, oldBase []int, cleanRemap []int, dirtyNew []bool, w funcs.At) ([]int, error) {
 	survivors := make([]int, 0, len(oldBase))
 	for _, f := range oldBase {
 		if f < 0 || f >= len(cleanRemap) {
@@ -163,13 +163,13 @@ func mergeBase(fs []funcs.Linear, oldBase []int, cleanRemap []int, dirtyNew []bo
 	// Order the dirty functions among themselves exactly, then find
 	// each one's insertion point among the survivors; ties place the
 	// smaller function index first, matching funcs.SortAtRat.
-	sort.Slice(dirty, func(a, b int) bool {
-		return rankLess(fs[dirty[a]], fs[dirty[b]], w)
+	slices.SortFunc(dirty, func(a, b int) int {
+		return rankCmp(fs[a], fs[b], w)
 	})
 	at := make([]int, len(dirty)) // insertion index into survivors
 	for i, f := range dirty {
 		at[i] = sort.Search(len(survivors), func(s int) bool {
-			return rankLess(fs[f], fs[survivors[s]], w)
+			return rankCmp(fs[f], fs[survivors[s]], w) < 0
 		})
 	}
 	out := make([]int, 0, len(fs))

@@ -13,10 +13,10 @@
 package sweep
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"math/big"
-	"sort"
+	"slices"
 	"sync"
 
 	"aqverify/internal/funcs"
@@ -47,15 +47,12 @@ func (p Plan) TotalSwaps() int {
 	return total
 }
 
-// Compute builds the plan. witnesses[k] must be an exact interior point of
-// subdomain k (k = 0..S-1); groups[k] lists the function pairs whose
-// intersection forms boundary k (k = 0..S-2).
-func Compute(fs []funcs.Linear, witnesses []*big.Rat, groups [][]Pair) (Plan, error) {
-	return ComputeCtx(context.Background(), fs, witnesses, groups, 1)
-}
-
-// ComputeCtx is Compute with the boundary sweep sharded across a worker
-// pool and cooperative cancellation. The sweep looks inherently serial —
+// ComputeCtx builds the plan. witnesses[k] must be an exact interior
+// point of subdomain k (k = 0..S-1); groups[k] lists the function pairs
+// whose intersection forms boundary k (k = 0..S-2).
+//
+// The boundary sweep is sharded across a worker pool, with cooperative
+// cancellation. The sweep looks inherently serial —
 // each boundary's swaps are derived from the permutation to its left —
 // but the permutation inside subdomain k is fully determined without
 // sweeping: it is the exact sorted order at witness k (ties by function
@@ -70,7 +67,7 @@ func Compute(fs []funcs.Linear, witnesses []*big.Rat, groups [][]Pair) (Plan, er
 // Swaps[k] depends only on (exact permutation at k, groups[k],
 // witnesses[k+1]), so the plan is byte-identical for every worker count.
 // workers <= 0 means one per CPU.
-func ComputeCtx(ctx context.Context, fs []funcs.Linear, witnesses []*big.Rat, groups [][]Pair, workers int) (Plan, error) {
+func ComputeCtx(ctx context.Context, fs []funcs.Linear, witnesses []funcs.At, groups [][]Pair, workers int) (Plan, error) {
 	if len(witnesses) == 0 {
 		return Plan{}, fmt.Errorf("sweep: no subdomains")
 	}
@@ -140,32 +137,30 @@ func equalPerm(a, b []int) bool {
 	return true
 }
 
-// applyCrossing mutates perm/inv across one boundary and returns the
-// swap positions applied.
-func applyCrossing(fs []funcs.Linear, perm, inv []int, group []Pair, nextWitness *big.Rat) ([]int, error) {
-	involved := map[int]bool{}
+// applyCrossing mutates perm/inv across one boundary into the exact
+// order at the next subdomain's witness and returns the swap positions
+// applied.
+func applyCrossing(fs []funcs.Linear, perm, inv []int, group []Pair, at funcs.At) ([]int, error) {
+	positions := make([]int, 0, 2*len(group))
 	for _, pr := range group {
-		involved[pr.I] = true
-		involved[pr.J] = true
-	}
-	positions := make([]int, 0, len(involved))
-	//lint:ignore mapdeterminism order-blind: positions are sorted immediately below, before any use
-	for f := range involved {
-		if f < 0 || f >= len(perm) {
-			return nil, fmt.Errorf("pair references function %d outside [0,%d)", f, len(perm))
+		for _, f := range [2]int{pr.I, pr.J} {
+			if f < 0 || f >= len(perm) {
+				return nil, fmt.Errorf("pair references function %d outside [0,%d)", f, len(perm))
+			}
+			positions = append(positions, inv[f])
 		}
-		positions = append(positions, inv[f])
 	}
-	sort.Ints(positions)
+	slices.Sort(positions)
+	positions = slices.Compact(positions)
 
-	var swaps []int
+	// Every crossing pair is one transposition.
+	swaps := make([]int, 0, len(group))
 	for i := 0; i < len(positions); {
 		j := i
 		for j+1 < len(positions) && positions[j+1] == positions[j]+1 {
 			j++
 		}
-		s := resortRun(fs, perm, inv, positions[i], positions[j], nextWitness)
-		swaps = append(swaps, s...)
+		swaps = resortRun(fs, perm, inv, positions[i], positions[j], at, swaps)
 		i = j + 1
 	}
 
@@ -173,47 +168,34 @@ func applyCrossing(fs []funcs.Linear, perm, inv []int, group []Pair, nextWitness
 	// the next subdomain demands; a violation means the contiguity
 	// assumption broke and the caller must not build on a wrong order.
 	for _, pr := range group {
-		want := rankLess(fs[pr.I], fs[pr.J], nextWitness)
-		if (inv[pr.I] < inv[pr.J]) != want {
+		if (inv[pr.I] < inv[pr.J]) != (rankCmp(fs[pr.I], fs[pr.J], at) < 0) {
 			return nil, fmt.Errorf("pair (%d,%d) not ordered for the next subdomain", pr.I, pr.J)
 		}
 	}
 	return swaps, nil
 }
 
-// rankLess reports whether f sorts before g at the exact point w.
-func rankLess(f, g funcs.Linear, w *big.Rat) bool {
-	if c := f.EvalRat(w).Cmp(g.EvalRat(w)); c != 0 {
-		return c < 0
+// rankCmp orders f and g at the exact point at: by score (funcs.CmpAt),
+// ties by function index.
+func rankCmp(f, g funcs.Linear, at funcs.At) int {
+	if c := funcs.CmpAt(f, g, at); c != 0 {
+		return c
 	}
-	return f.Index < g.Index
+	return cmp.Compare(f.Index, g.Index)
 }
 
 // resortRun bubble-sorts the block perm[lo..hi] into the exact order at
-// witness w, recording each adjacent transposition.
-func resortRun(fs []funcs.Linear, perm, inv []int, lo, hi int, w *big.Rat) []int {
-	block := append([]int(nil), perm[lo:hi+1]...)
-	sort.Slice(block, func(a, b int) bool {
-		return rankLess(fs[block[a]], fs[block[b]], w)
-	})
-	rank := make(map[int]int, len(block))
-	for r, f := range block {
-		rank[f] = r
-	}
-	var swaps []int
-	for pass := 0; pass < len(block); pass++ {
-		moved := false
+// at, appending each adjacent transposition to swaps.
+func resortRun(fs []funcs.Linear, perm, inv []int, lo, hi int, at funcs.At, swaps []int) []int {
+	for moved := true; moved; {
+		moved = false
 		for p := lo; p < hi; p++ {
-			if rank[perm[p]] > rank[perm[p+1]] {
+			if rankCmp(fs[perm[p]], fs[perm[p+1]], at) > 0 {
 				perm[p], perm[p+1] = perm[p+1], perm[p]
-				inv[perm[p]] = p
-				inv[perm[p+1]] = p + 1
+				inv[perm[p]], inv[perm[p+1]] = p, p+1
 				swaps = append(swaps, p)
 				moved = true
 			}
-		}
-		if !moved {
-			break
 		}
 	}
 	return swaps

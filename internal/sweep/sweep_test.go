@@ -14,7 +14,7 @@ import (
 // arrangement computes, for a set of lines over [lo,hi], the sorted
 // distinct interior breakpoints, per-boundary crossing pairs, and exact
 // witnesses — a miniature of what core/mesh derive from their structures.
-func arrangement(fs []funcs.Linear, lo, hi *big.Rat) (witnesses []*big.Rat, groups [][]Pair) {
+func arrangement(fs []funcs.Linear, lo, hi *big.Rat) (witnesses []funcs.At, groups [][]Pair) {
 	type bp struct {
 		t    *big.Rat
 		pair Pair
@@ -49,12 +49,18 @@ func arrangement(fs []funcs.Linear, lo, hi *big.Rat) (witnesses []*big.Rat, grou
 	edges = append(edges, hi)
 	for k := 0; k+1 < len(edges); k++ {
 		m := new(big.Rat).Add(edges[k], edges[k+1])
-		witnesses = append(witnesses, m.Quo(m, big.NewRat(2, 1)))
+		witnesses = append(witnesses, funcs.NewAt(m.Quo(m, big.NewRat(2, 1))))
 	}
 	return witnesses, groups
 }
 
 func ratOf(f float64) *big.Rat { return new(big.Rat).SetFloat64(f) }
+
+// Compute is ComputeCtx with one worker and no cancellation: the serial
+// sweep the batteries below check and compare against.
+func Compute(fs []funcs.Linear, witnesses []funcs.At, groups [][]Pair) (Plan, error) {
+	return ComputeCtx(context.Background(), fs, witnesses, groups, 1)
+}
 
 func randLines(n int, seed int64) []funcs.Linear {
 	rng := rand.New(rand.NewSource(seed))
@@ -147,7 +153,7 @@ func TestComputeValidation(t *testing.T) {
 	if _, err := Compute(fs, nil, nil); err == nil {
 		t.Error("no subdomains accepted")
 	}
-	w := []*big.Rat{big.NewRat(0, 1), big.NewRat(1, 1)}
+	w := []funcs.At{funcs.NewAt(big.NewRat(0, 1)), funcs.NewAt(big.NewRat(1, 1))}
 	if _, err := Compute(fs, w, nil); err == nil {
 		t.Error("missing boundary groups accepted")
 	}

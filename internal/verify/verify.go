@@ -48,10 +48,13 @@ func (m Mode) String() string {
 }
 
 // SemTol is the semantic-check tolerance of the score-monotonicity
-// check. Scores themselves are computed bit-identically by server and
-// client; the tolerance only absorbs the gap between the owner's
-// exact-rational construction order and float evaluation of near-tied
-// scores. It is a constant of the protocol, never read from a server.
+// check. Scores are bit-identical on server and client whatever their
+// CPUs: Template.Score does the same correctly rounded IEEE-754 steps in
+// the same order, and rounds each product explicitly so that no CPU
+// fuses a multiply-add (scripts/nofma.sh). The tolerance only absorbs
+// the gap between the owner's exact-rational construction order and
+// float evaluation of near-tied scores. It is a constant of the
+// protocol, never read from a server.
 const SemTol = 1e-9
 
 // PublicParams is what the data owner publishes out of band: everything a
@@ -219,7 +222,7 @@ func CheckWindowSemantics(tpl funcs.Template, q query.Query, recs []record.Recor
 	}
 	// Ascending order up to the construction-vs-evaluation tolerance.
 	for i := 1; i < m; i++ {
-		tol := SemTol * (1 + math.Abs(scores[i-1]))
+		tol := float64(SemTol * (1 + math.Abs(scores[i-1])))
 		if scores[i] < scores[i-1]-tol {
 			return vErrf("result scores not ascending at position %d", i)
 		}
@@ -254,7 +257,7 @@ func CheckWindowSemantics(tpl funcs.Template, q query.Query, recs []record.Recor
 		if m != want {
 			return vErrf("top-k returned %d records, want %d", m, want)
 		}
-		if m > 0 && leftScore > scores[0]+SemTol*(1+math.Abs(scores[0])) {
+		if m > 0 && leftScore > scores[0]+float64(SemTol*(1+math.Abs(scores[0]))) {
 			return vErrf("left neighbor outscores the top-k window floor")
 		}
 	case query.BottomK:
@@ -270,7 +273,7 @@ func CheckWindowSemantics(tpl funcs.Template, q query.Query, recs []record.Recor
 		if m != want {
 			return vErrf("bottom-k returned %d records, want %d", m, want)
 		}
-		if m > 0 && rightScore < scores[m-1]-SemTol*(1+math.Abs(scores[m-1])) {
+		if m > 0 && rightScore < scores[m-1]-float64(SemTol*(1+math.Abs(scores[m-1]))) {
 			return vErrf("right neighbor undercuts the bottom-k window ceiling")
 		}
 	case query.Range:

@@ -34,7 +34,9 @@ func randomX(rng *rand.Rand, dom geometry.Box, margin float64) geometry.Point {
 	x := make(geometry.Point, dom.Dim())
 	for d := range x {
 		w := dom.Hi[d] - dom.Lo[d]
-		x[d] = dom.Lo[d] + w*(margin+(1-2*margin)*rng.Float64())
+		// Every product is rounded on its own (no fused multiply-add),
+		// so the inputs are the same bytes on every CPU.
+		x[d] = dom.Lo[d] + float64(w*(margin+float64((1-float64(2*margin))*rng.Float64())))
 	}
 	return x
 }
@@ -76,7 +78,7 @@ func KNN(tbl record.Table, tpl funcs.Template, dom geometry.Box, cfg QueryConfig
 		x := randomX(rng, dom, cfg.Margin)
 		// Target the score of a random record, perturbed slightly, so
 		// queries hit the populated region.
-		y := fs[rng.Intn(len(fs))].Eval(x) * (1 + rng.NormFloat64()*0.01)
+		y := fs[rng.Intn(len(fs))].Eval(x) * (1 + float64(rng.NormFloat64()*0.01))
 		out[i] = query.NewKNN(x, k, y)
 	}
 	return out, nil

@@ -24,14 +24,14 @@ func Applicants(n int, seed int64) (record.Table, geometry.Box, error) {
 	rng := rand.New(rand.NewSource(seed))
 	recs := make([]record.Record, n)
 	for i := range recs {
-		gpa := 2 + rng.Float64()*2
+		gpa := 2 + float64(unit(rng)*2)
 		awards := float64(rng.Intn(11))
 		papers := float64(rng.Intn(21))
 		recs[i] = record.Record{
 			ID: uint64(i + 1),
 			Attrs: []float64{
 				gpa, awards, papers,
-				awards, gpa + 0.5*papers,
+				awards, gpa + float64(0.5*papers),
 			},
 			Payload: []byte(applicantName(rng)),
 		}
@@ -79,11 +79,11 @@ func RiskPatients(n int, seed int64) (record.Table, geometry.Box, error) {
 		// Two loose clusters: a healthy majority and an elevated tail.
 		var metabolic, glucose float64
 		if rng.Float64() < 0.7 {
-			metabolic = clampRange(rng.NormFloat64()*1.2+3, 0, 10)
-			glucose = clampRange(rng.NormFloat64()*1.0+3, 0, 10)
+			metabolic = clampRange(float64(rng.NormFloat64()*1.2)+3, 0, 10)
+			glucose = clampRange(float64(rng.NormFloat64()*1.0)+3, 0, 10)
 		} else {
-			metabolic = clampRange(rng.NormFloat64()*1.5+7, 0, 10)
-			glucose = clampRange(rng.NormFloat64()*1.5+7, 0, 10)
+			metabolic = clampRange(float64(rng.NormFloat64()*1.5)+7, 0, 10)
+			glucose = clampRange(float64(rng.NormFloat64()*1.5)+7, 0, 10)
 		}
 		recs[i] = record.Record{
 			ID:    uint64(i + 1),

@@ -102,25 +102,29 @@ func Lines(cfg LinesConfig) (record.Table, geometry.Box, error) {
 	return tbl, dom, nil
 }
 
+// unit is rng.Float64() explicitly rounded, so that no CPU fuses its
+// inner scaling into the caller's add.
+func unit(rng *rand.Rand) float64 { return float64(rng.Float64()) }
+
 // drawLine samples one (slope, intercept) pair.
 func drawLine(rng *rand.Rand, dist Distribution) (float64, float64) {
 	switch dist {
 	case Uniform:
-		return rng.Float64()*2 - 1, rng.Float64()*10 - 5
+		return float64(unit(rng)*2) - 1, float64(unit(rng)*10) - 5
 	case Gaussian:
 		return rng.NormFloat64(), rng.NormFloat64() * 3
 	case Correlated:
 		s := rng.NormFloat64()
-		return s, 2*s + rng.NormFloat64()*0.5
+		return s, float64(2*s) + float64(rng.NormFloat64()*0.5)
 	case AntiCorrelated:
 		s := rng.NormFloat64()
-		return s, -2*s + rng.NormFloat64()*0.5
+		return s, float64(-2*s) + float64(rng.NormFloat64()*0.5)
 	case Clustered:
 		// Eight fixed-shape clusters whose centers depend on the rng.
 		cx := rng.Intn(8)
-		baseS := math.Sin(float64(cx)*2.39996) * 2 // deterministic spread
-		baseI := math.Cos(float64(cx)*2.39996) * 6
-		return baseS + rng.NormFloat64()*0.15, baseI + rng.NormFloat64()*0.4
+		baseS := float64(math.Sin(float64(cx)*2.39996) * 2) // deterministic spread
+		baseI := float64(math.Cos(float64(cx)*2.39996) * 6)
+		return baseS + float64(rng.NormFloat64()*0.15), baseI + float64(rng.NormFloat64()*0.4)
 	default:
 		return rng.NormFloat64(), rng.NormFloat64() * 3
 	}
@@ -222,22 +226,22 @@ func Points(cfg PointsConfig) (record.Table, geometry.Box, error) {
 		attrs := make([]float64, cfg.Dim)
 		switch cfg.Dist {
 		case Correlated:
-			base := rng.Float64()
+			base := unit(rng)
 			for d := range attrs {
-				attrs[d] = clamp01(base + rng.NormFloat64()*0.1)
+				attrs[d] = clamp01(base + float64(rng.NormFloat64()*0.1))
 			}
 		case AntiCorrelated:
-			base := rng.Float64()
+			base := unit(rng)
 			for d := range attrs {
 				if d%2 == 0 {
-					attrs[d] = clamp01(base + rng.NormFloat64()*0.05)
+					attrs[d] = clamp01(base + float64(rng.NormFloat64()*0.05))
 				} else {
-					attrs[d] = clamp01(1 - base + rng.NormFloat64()*0.05)
+					attrs[d] = clamp01(1 - base + float64(rng.NormFloat64()*0.05))
 				}
 			}
 		case Gaussian:
 			for d := range attrs {
-				attrs[d] = clamp01(0.5 + rng.NormFloat64()*0.15)
+				attrs[d] = clamp01(0.5 + float64(rng.NormFloat64()*0.15))
 			}
 		default:
 			for d := range attrs {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -76,7 +77,7 @@ func TestDensityControlsSubdomains(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inters, err := itree.Pairs1D(fs, dom)
+		inters, err := itree.Pairs1DCtx(context.Background(), fs, dom, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
