@@ -25,14 +25,15 @@ func TestDataMatchesGenerated(t *testing.T) {
 	if err := run([]string{"-data", csv, "-keyseed", "7", "-outsource", "-artifact", b}); err != nil {
 		t.Fatal(err)
 	}
-	ia, err := artifact.ReadInfo(a)
-	if err != nil {
-		t.Fatal(err)
+	info := func(dir string) artifact.Info {
+		o, err := artifact.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer o.Close()
+		return o.Info
 	}
-	ib, err := artifact.ReadInfo(b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ia, ib := info(a), info(b)
 	if len(ia.Fingerprints) != 1 || len(ib.Fingerprints) != 1 || ia.Fingerprints[0] != ib.Fingerprints[0] {
 		t.Fatalf("generated table signs %x, its CSV signs %x", ia.Fingerprints, ib.Fingerprints)
 	}

@@ -54,7 +54,7 @@ func main() {
 		log.Fatal(err)
 	}
 	tree, pub := res.Tree, res.Public
-	st := tree.Stats()
+	st := res.Stats()[0]
 	fmt.Printf("outsourced %d applicants: %d subdomains, %d signatures, ~%.1f MB structure\n\n",
 		st.Records, st.Subdomains, st.Signatures, float64(st.ApproxBytes)/(1<<20))
 

@@ -9,8 +9,8 @@
 //
 // The exempt shape, checked structurally, is the Ctx-sibling shim — a
 // function whose whole body is `return XCtx(context.Background(), ...)`
-// delegating to its own Ctx-suffixed variant (core.Build →
-// core.BuildCtx), the documented no-cancellation convenience form.
+// delegating to its own Ctx-suffixed variant (mesh.Build →
+// mesh.BuildCtx), the documented no-cancellation convenience form.
 //
 // Anything else either threads the caller's ctx or carries a
 // //lint:ignore ctxthread <reason> naming why the context chain

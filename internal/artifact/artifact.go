@@ -129,9 +129,9 @@ type Artifact struct {
 	Info
 	// Result is the reconstructed build product: Tree for a tree
 	// artifact (or a single shard opened with OpenShard), Set for a
-	// set. The trees are serve-only — they answer and authenticate
-	// exactly like the originals (equal fingerprints) but retain no
-	// signer, so build.Apply refuses them.
+	// set. It holds serving trees only — they answer and authenticate
+	// exactly like the originals (equal fingerprints) — and no owner, so
+	// build.Apply refuses it.
 	Result *build.Result
 	maps   []mapping
 }
@@ -251,16 +251,6 @@ func infoOf(m *manifest, v sig.Verifier) Info {
 	}
 }
 
-// ReadInfo reads and verifies just the manifest — the cheap probe a
-// daemon uses to report what a directory holds without mapping blobs.
-func ReadInfo(dir string) (Info, error) {
-	m, v, err := readManifest(dir)
-	if err != nil {
-		return Info{}, err
-	}
-	return infoOf(m, v), nil
-}
-
 func readManifest(dir string) (*manifest, sig.Verifier, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -358,11 +348,11 @@ func (a *Artifact) openTree(dir string, m *manifest, v sig.Verifier, i int) (*co
 	if err != nil {
 		return nil, fmt.Errorf("%w (%s)", err, name)
 	}
-	if d.epoch != m.epoch {
-		return nil, fmt.Errorf("%w: %s at epoch %d, manifest at epoch %d", ErrTorn, name, d.epoch, m.epoch)
+	if d.Epoch != m.epoch {
+		return nil, fmt.Errorf("%w: %s at epoch %d, manifest at epoch %d", ErrTorn, name, d.Epoch, m.epoch)
 	}
-	if d.mode != m.mode {
-		return nil, fmt.Errorf("%w: %s mode %v, manifest mode %v", ErrCorrupt, name, d.mode, m.mode)
+	if d.Mode != m.mode {
+		return nil, fmt.Errorf("%w: %s mode %v, manifest mode %v", ErrCorrupt, name, d.Mode, m.mode)
 	}
 	if d.shard != wantShard {
 		return nil, fmt.Errorf("%w: %s carries shard index %d", ErrCorrupt, name, int32(d.shard))
@@ -374,21 +364,12 @@ func (a *Artifact) openTree(dir string, m *manifest, v sig.Verifier, i int) (*co
 	if m.kind == KindSet {
 		wantDomain = m.plan.Boxes[i]
 	}
-	if !d.domain.Equal(wantDomain) {
-		return nil, fmt.Errorf("%w: %s domain %v disagrees with the plan's %v", ErrCorrupt, name, d.domain, wantDomain)
+	if !d.Domain.Equal(wantDomain) {
+		return nil, fmt.Errorf("%w: %s domain %v disagrees with the plan's %v", ErrCorrupt, name, d.Domain, wantDomain)
 	}
 
-	t, err := core.FromSnapshot(core.Snapshot{
-		Mode:     d.mode,
-		Epoch:    d.epoch,
-		Domain:   d.domain,
-		Template: m.template,
-		Table:    d.table,
-		ITree:    d.itree,
-		Subs:     d.subs,
-		RootSig:  d.rootSig,
-		Verifier: v,
-	})
+	d.Template, d.Verifier = m.template, v
+	t, err := core.FromSnapshot(d.Snapshot)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, name, err)
 	}

@@ -292,20 +292,14 @@ func joinSpans(l, r leafSpan) leafSpan {
 	return spanInvalid
 }
 
-// decodedTree is a structurally parsed tree blob: everything but the
-// template and verifier (which live in the manifest) of a
-// core.Snapshot, plus the header fields Open cross-checks against the
-// manifest.
+// decodedTree is a structurally parsed tree blob: the core.Snapshot
+// core.FromSnapshot validates, all but its template and verifier (which
+// live in the manifest), plus the header fields Open cross-checks
+// against the manifest.
 type decodedTree struct {
-	epoch   uint64
-	mode    verify.Mode
-	shard   uint32 // nilIndex when the blob belongs to no shard
-	domain  geometry.Box
-	table   record.Table
-	itree   *itree.Tree
-	subs    []*core.SubInfo
-	rootSig []byte
-	hash    hashing.Digest // the sealed trailer
+	core.Snapshot
+	shard uint32         // nilIndex when the blob belongs to no shard
+	hash  hashing.Digest // the sealed trailer
 }
 
 // decodeTree parses a tree blob. The structural pass validates every
@@ -330,15 +324,15 @@ func decodeTree(data []byte) (*decodedTree, error) {
 	}
 
 	d := &decodedTree{}
-	d.epoch = r.U64("epoch")
+	d.Epoch = r.U64("epoch")
 	mode := r.U8("mode")
 	if mode > uint8(verify.MultiSignature) {
 		r.Corrupt("unknown mode %d", mode)
 	}
-	d.mode = verify.Mode(mode)
+	d.Mode = verify.Mode(mode)
 	d.shard = r.U32("shard index")
-	d.domain = readBox(r, "domain")
-	dim := d.domain.Dim()
+	d.Domain = readBox(r, "domain")
+	dim := d.Domain.Dim()
 
 	// Records.
 	schema := record.Schema{Name: string(r.Bytes("schema name"))}
@@ -361,7 +355,7 @@ func decodeTree(data []byte) (*decodedTree, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	d.table = tbl
+	d.Table = tbl
 
 	// FMH forest.
 	nf := r.Count("fmh node", forestRow)
@@ -434,7 +428,7 @@ func decodeTree(data []byte) (*decodedTree, error) {
 	}
 
 	// Per-subdomain inequality encodings and signatures.
-	if d.mode == verify.MultiSignature {
+	if d.Mode == verify.MultiSignature {
 		for _, si := range subs {
 			si.IneqEnc = r.Bytes("inequality encoding")
 			si.Sig = r.Bytes("subdomain signature")
@@ -512,10 +506,10 @@ func decodeTree(data []byte) (*decodedTree, error) {
 	for i, si := range subs {
 		si.Sub = subPtrs[i]
 	}
-	d.itree = &itree.Tree{Root: &inodes[nt-1], Subs: subPtrs, NodeCount: nt}
-	d.subs = subs
+	d.ITree = &itree.Tree{Root: &inodes[nt-1], Subs: subPtrs, NodeCount: nt}
+	d.Subs = subs
 
-	d.rootSig = r.Bytes("root signature")
+	d.RootSig = r.Bytes("root signature")
 
 	// Sealed trailer: the content hash over everything before it.
 	want := readDigest(r, "content hash")

@@ -2,6 +2,7 @@ package backend
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"aqverify/internal/core"
@@ -19,12 +20,12 @@ import (
 func TestServedAnswerIsOneAllocation(t *testing.T) {
 	_, multi, dom, p := fixture(t, 200)
 	p.Mode = verify.OneSignature
-	one, err := core.Build(multi.Table(), p)
+	one, err := core.BuildCtx(context.Background(), multi.Table(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
-	for _, tree := range []*core.Tree{one, multi} {
+	for _, tree := range []*core.Tree{one.Tree, multi} {
 		b, err := NewLocal(tree)
 		if err != nil {
 			t.Fatal(err)

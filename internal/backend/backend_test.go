@@ -35,11 +35,11 @@ func fixture(t *testing.T, n int) (record.Table, *core.Tree, geometry.Box, core.
 		Mode: verify.MultiSignature, Signer: signer, Domain: dom,
 		Template: funcs.AffineLine(0, 1), Seed: 1,
 	}
-	tree, err := core.Build(tbl, p)
+	tree, err := core.BuildCtx(context.Background(), tbl, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tbl, tree, dom, p
+	return tbl, tree.Tree, dom, p
 }
 
 func testQueries(dom geometry.Box, n int) []query.Query {
@@ -193,7 +193,7 @@ func TestShardedMatchesRouter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := shard.Build(tbl, p, plan)
+	set, _, err := shard.BuildCtx(context.Background(), tbl, p, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func fanoutFixture(t *testing.T, n, k int) (*Local, *Fanout, geometry.Box, verif
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := shard.Build(tbl, p, plan)
+	set, _, err := shard.BuildCtx(context.Background(), tbl, p, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func probe(t *core.Tree, qs []query.Query) (nodes, voBytes float64, err error) {
 // a fresh list over n records has exactly 2(n+2)−1 nodes, so the row is
 // a pure function of the one fixture's counts.
 func literalRow(_ context.Context, _ *Harness, p point, b []*built) ([]string, error) {
-	s := b[0].Tree.Stats()
+	s := b[0].Stats()[0]
 	literal := s.Subdomains * (2*(p.n+2) - 1)
 	return []string{fmtInt(p.n), fmtInt(s.Subdomains),
 		fmtInt(s.FMHNodes), fmtInt(literal),
@@ -66,7 +66,7 @@ func variantRow(lead string, b *built, structural int, qs []query.Query) ([]stri
 // concentration, run lengths) rather than raw intersection counts.
 func distributionRow(_ context.Context, h *Harness, p point, b []*built) ([]string, error) {
 	qs := workload.TopK(b[0].domain, workload.QueryConfig{Count: h.Cfg.Reps, Seed: h.Cfg.Seed, K: 3})
-	return variantRow(p.arm, b[0], b[0].Tree.Stats().TotalSwaps, qs)
+	return variantRow(p.arm, b[0], b[0].Stats()[0].TotalSwaps, qs)
 }
 
 // dimensionN is A4's fixed table size: small enough that d = 3 builds.

@@ -148,7 +148,7 @@ func structureBytes(s sample) float64 {
 	if m := s.arm.Mesh; m != nil {
 		return float64(m.Stats().ApproxBytes)
 	}
-	return float64(s.arm.Tree.Stats().ApproxBytes)
+	return float64(s.arm.Stats()[0].ApproxBytes)
 }
 
 // row measures one sweep point: the lead cell (|q| on a result-size

@@ -64,12 +64,14 @@ func (m Mutation) String() string {
 // Apply re-outsources a previously built product under a batch of
 // record mutations, returning a new Result one epoch above the input.
 // The previous Result is left untouched — a server keeps answering
-// from its snapshot until the new epoch is swapped in.
+// from its snapshot until the new epoch is swapped in. It applies to
+// the owners a Result from Outsource or Apply holds; a Result
+// reconstructed from an artifact serves only and is refused.
 //
 // For every product over a univariate template — sharded or not,
 // whatever options built it — the work is incremental: only the pair
 // buckets, sweep boundaries, and signatures the changed records touch
-// are recomputed (see core.Tree.ApplyCtx for the stage-by-stage
+// are recomputed (see core.Owner.ApplyCtx for the stage-by-stage
 // contract), and the stages report to the WithProgress callback of the
 // original Outsource. Multivariate products fall back to a full rebuild
 // under the same API and epoch discipline. Either way the result is
@@ -87,54 +89,47 @@ func Apply(ctx context.Context, prev *Result, muts ...Mutation) (*Result, error)
 	if len(muts) == 0 {
 		return nil, fmt.Errorf("build: empty mutation batch")
 	}
-
-	switch {
-	case prev.Tree != nil:
-		d, err := mutate(prev.Tree.Table(), muts)
-		if err != nil {
-			return nil, err
-		}
-		nt, err := prev.Tree.ApplyCtx(ctx, d, prev.Tree.Epoch()+1)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Tree: nt, Plan: prev.Plan, Public: nt.Public()}, nil
-
-	case prev.Set != nil:
-		set := prev.Set
-		epoch := set.Trees[0].Epoch()
-		for i, t := range set.Trees {
-			if t.Epoch() != epoch {
-				return nil, fmt.Errorf("build: shard %d is at epoch %d but shard 0 is at %d; refusing to mutate a torn set", i, t.Epoch(), epoch)
-			}
-		}
-		d, err := mutate(set.Trees[0].Table(), muts)
-		if err != nil {
-			return nil, err
-		}
-		ns := &shard.Set{Plan: set.Plan, Trees: make([]*core.Tree, len(set.Trees))}
-		errs := make([]error, len(set.Trees))
-		runErr := pool.RunCtx(ctx, len(set.Trees), len(set.Trees), func(_, i int) {
-			nt, err := set.Trees[i].ApplyCtx(ctx, d, epoch+1)
-			if err != nil {
-				errs[i] = fmt.Errorf("shard %d: %w", i, err)
-				return
-			}
-			ns.Trees[i] = nt
-		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		if runErr != nil {
-			return nil, runErr
-		}
-		return &Result{Set: ns, Plan: prev.Plan, Public: ns.Public()}, nil
-
-	default:
-		return nil, fmt.Errorf("build: Result holds no product")
+	owners := prev.owners
+	if len(owners) == 0 {
+		return nil, fmt.Errorf("build: result is serve-only (no owner retained; e.g. reconstructed from an artifact); apply mutations on the owner's build and publish a new epoch")
 	}
+	epoch := owners[0].Epoch()
+	for i, o := range owners {
+		if o.Epoch() != epoch {
+			return nil, fmt.Errorf("build: shard %d is at epoch %d but shard 0 is at %d; refusing to mutate a torn set", i, o.Epoch(), epoch)
+		}
+	}
+	d, err := mutate(owners[0].Table(), muts)
+	if err != nil {
+		return nil, err
+	}
+	next := &Result{Plan: prev.Plan, owners: make([]*core.Owner, len(owners))}
+	errs := make([]error, len(owners))
+	runErr := pool.RunCtx(ctx, len(owners), len(owners), func(_, i int) {
+		applied, err := owners[i].ApplyCtx(ctx, d, epoch+1)
+		if err != nil && prev.Set != nil {
+			err = fmt.Errorf("shard %d: %w", i, err)
+		}
+		next.owners[i], errs[i] = applied, err
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	if runErr != nil {
+		return nil, runErr
+	}
+	next.Public = next.owners[0].Public()
+	if prev.Set == nil {
+		next.Tree = next.owners[0].Tree
+		return next, nil
+	}
+	next.Set = &shard.Set{Plan: prev.Set.Plan, Trees: make([]*core.Tree, len(owners))}
+	for i, o := range next.owners {
+		next.Set.Trees[i] = o.Tree
+	}
+	return next, nil
 }
 
 // mutate applies a mutation batch to a table snapshot and returns the

@@ -62,7 +62,11 @@ type Progress struct {
 
 // Result is one product of the build plane. Exactly one of Tree and Set
 // is non-nil — which one follows from the options: Tree for the default
-// single-tree product, Set for WithShards / WithPlan.
+// single-tree product, Set for WithShards / WithPlan. Both hold serving
+// trees only: the owner's side of each tree — its signer, arrangement,
+// sweep plan and record digests — is unexported, held by a Result that
+// Outsource or Apply returned and absent from one artifact.Open
+// reconstructed.
 type Result struct {
 	// Tree is the built IFMH-tree (the single-tree product, or one shard
 	// of a saved set opened with artifact.OpenShard).
@@ -76,6 +80,21 @@ type Result struct {
 	// Public is the parameter bundle the owner publishes for verifying
 	// clients (shards share the single-tree bundle).
 	Public verify.PublicParams
+	// owners holds one owner per tree, index-aligned with Plan.Boxes;
+	// nil for a Result reconstructed from an artifact.
+	owners []*core.Owner
+}
+
+// Stats returns each built tree's footprint, index-aligned with
+// Plan.Boxes, counting the sweep plan its owner keeps
+// (Stats.TotalSwaps). A Result reconstructed from an artifact has no
+// owners and returns none; its trees' own Stats read zero swaps.
+func (r *Result) Stats() []core.Stats {
+	out := make([]core.Stats, len(r.owners))
+	for i, o := range r.owners {
+		out[i] = o.Stats()
+	}
+	return out
 }
 
 // Option tunes one Outsource call.
@@ -123,8 +142,8 @@ func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
 func WithEpoch(e uint64) Option { return func(o *options) { o.epoch = e } }
 
 // WithProgress observes every construction stage as it starts — of this
-// Outsource call and, since the product retains the callback, of every
-// Apply on its Result. fn must be cheap, must not block, and — for
+// Outsource call and, since the product's owners retain the callback, of
+// every Apply on its Result. fn must be cheap, must not block, and — for
 // sharded products, whose K shard builds run concurrently — must be safe
 // for concurrent use.
 func WithProgress(fn func(Progress)) Option { return func(o *options) { o.progress = fn } }
@@ -190,7 +209,7 @@ func Outsource(ctx context.Context, spec Spec, opts ...Option) (*Result, error) 
 
 	if o.plan == nil && !o.shardsSet {
 		params.Progress = o.stageFn(ShardNone)
-		tree, err := core.BuildCtx(ctx, spec.Table, params)
+		owner, err := core.BuildCtx(ctx, spec.Table, params)
 		if err != nil {
 			return nil, err
 		}
@@ -198,7 +217,7 @@ func Outsource(ctx context.Context, spec Spec, opts ...Option) (*Result, error) 
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Tree: tree, Plan: trivial, Public: tree.Public()}, nil
+		return &Result{Tree: owner.Tree, Plan: trivial, Public: owner.Public(), owners: []*core.Owner{owner}}, nil
 	}
 
 	// The pair enumeration is the one stage of a sharded build that runs
@@ -247,11 +266,11 @@ func Outsource(ctx context.Context, spec Spec, opts ...Option) (*Result, error) 
 		plan = p
 	}
 
-	set, err := shard.BuildCtx(ctx, spec.Table, params, plan, o.perShard())
+	set, owners, err := shard.BuildCtx(ctx, spec.Table, params, plan, o.perShard())
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Set: set, Plan: plan, Public: set.Public()}, nil
+	return &Result{Set: set, Plan: plan, Public: set.Public(), owners: owners}, nil
 }
 
 // perShard adapts the progress callback to the set builder's per-shard

@@ -17,12 +17,13 @@ import (
 // signature count.
 func spread(set *shard.Set) (min, max int) {
 	min = -1
-	for _, st := range set.Stats() {
-		if min < 0 || st.Subdomains < min {
-			min = st.Subdomains
+	for _, tr := range set.Trees {
+		s := tr.NumSubdomains()
+		if min < 0 || s < min {
+			min = s
 		}
-		if st.Subdomains > max {
-			max = st.Subdomains
+		if s > max {
+			max = s
 		}
 	}
 	return min, max

@@ -78,45 +78,41 @@ func (d Delta) validate(prevLen int) error {
 	return nil
 }
 
-// ApplyCtx incrementally re-outsources the tree under a table
-// mutation, returning a new tree at the given epoch; the receiver is
-// left untouched, so a server can keep answering from its snapshot
-// while the next epoch builds. The result is byte-identical to a full
-// BuildCtx of the mutated table under the retained build parameters:
-// the I-tree shape is a pure function of the arrangement, and from the
-// arrangement onward the two run the same code (finish1D), so there is
-// one pipeline to keep right, not two that must meet
+// ApplyCtx incrementally re-outsources the owner's tree under a table
+// mutation, returning the owner of a new tree at the given epoch; the
+// receiver is left untouched, so a server can keep answering from its
+// snapshot while the next epoch builds. The result is byte-identical to
+// a full BuildCtx of the mutated table under the retained build
+// parameters: the I-tree shape is a pure function of the arrangement,
+// and from the arrangement onward the two run the same code (finish1D),
+// so there is one pipeline to keep right, not two that must meet
 // (TestApplyEquivalence still holds them to the same bytes). The
 // retained Params.Progress callback observes the stages.
 //
-// The localized work, for every univariate tree built by this process:
-// record digests are copied for clean rows, pair enumeration visits
-// only pairs touching dirty rows (O(b·n) instead of O(n²)), those pairs
-// are merged into the retained arrangement instead of re-sorting it,
-// and the sweep plan replays clean boundaries, re-sorting only dirty
-// ones. The per-subdomain FMH lists, the hash propagation and (in
-// multi-signature mode) the signatures are rebuilt in full — every
-// subdomain's function list contains every record, so any real
-// mutation invalidates all of them; there is no sublinear form to
-// exploit. Signatures whose signed digest is unchanged are reused
-// rather than re-signed.
+// The localized work, for every univariate tree: record digests are
+// copied for clean rows, pair enumeration visits only pairs touching
+// dirty rows (O(b·n) instead of O(n²)), those pairs are merged into the
+// retained arrangement instead of re-sorting it, and the sweep plan
+// replays clean boundaries, re-sorting only dirty ones. The
+// per-subdomain FMH lists, the hash propagation and (in multi-signature
+// mode) the signatures are rebuilt in full — every subdomain's function
+// list contains every record, so any real mutation invalidates all of
+// them; there is no sublinear form to exploit. Signatures whose signed
+// digest is unchanged are reused rather than re-signed.
 //
 // Multivariate trees have no arrangement to maintain; for those
 // ApplyCtx is a full rebuild under the same API — still correct, just
-// not localized. Serve-only trees (FromSnapshot) are refused.
-func (t *Tree) ApplyCtx(ctx context.Context, d Delta, epoch uint64) (*Tree, error) {
-	if epoch <= t.epoch {
-		return nil, fmt.Errorf("core: apply epoch %d is not above the current epoch %d", epoch, t.epoch)
+// not localized.
+func (o *Owner) ApplyCtx(ctx context.Context, d Delta, epoch uint64) (*Owner, error) {
+	if epoch <= o.epoch {
+		return nil, fmt.Errorf("core: apply epoch %d is not above the current epoch %d", epoch, o.epoch)
 	}
-	if err := d.validate(t.table.Len()); err != nil {
+	if err := d.validate(o.table.Len()); err != nil {
 		return nil, err
 	}
-	p := t.bp
+	p := o.p
 	p.Epoch = epoch
-	if p.Signer == nil {
-		return nil, fmt.Errorf("core: tree is serve-only (no signer retained; e.g. reconstructed from an artifact); apply mutations on the owner's build and publish a new epoch")
-	}
-	if t.arr == nil {
+	if o.arr == nil {
 		return BuildCtx(ctx, d.Table, p)
 	}
 
@@ -124,48 +120,50 @@ func (t *Tree) ApplyCtx(ctx context.Context, d Delta, epoch uint64) (*Tree, erro
 	if err != nil {
 		return nil, err
 	}
-	nt := &Tree{
-		mode:     t.mode,
-		space:    t.space,
-		domain:   t.domain,
-		template: t.template,
-		hasher:   t.hasher,
-		table:    d.Table,
-		fs:       fs,
-		verifier: t.verifier,
-		epoch:    epoch,
-		bp:       p,
+	next := &Owner{
+		Tree: &Tree{
+			mode:     o.mode,
+			epoch:    epoch,
+			domain:   o.domain,
+			template: o.template,
+			table:    d.Table,
+			fs:       fs,
+			verifier: o.verifier,
+		},
+		p:      p,
+		hasher: o.hasher,
 	}
 
 	// Digest: copy clean rows, hash dirty ones.
 	p.progress(StageDigest, d.dirtyCount())
-	nt.recDigests = make([]hashing.Digest, d.Table.Len())
+	next.recDigests = make([]hashing.Digest, d.Table.Len())
 	for oi, ni := range d.CleanRemap {
 		if ni >= 0 {
-			nt.recDigests[ni] = t.recDigests[oi]
+			next.recDigests[ni] = o.recDigests[oi]
 		}
 	}
 	for ni, dirty := range d.DirtyNew {
 		if dirty {
-			nt.recDigests[ni] = nt.hasher.Record(d.Table.Records[ni])
+			next.recDigests[ni] = next.hasher.Record(d.Table.Records[ni])
 		}
 	}
 
 	// Pairs: enumerate only the pairs touching dirty rows, and merge
 	// them into the retained arrangement.
-	dirtyInters, err := itree.DirtyPairs1D(fs, d.DirtyNew, t.domain)
+	dirtyInters, err := itree.DirtyPairs1D(fs, d.DirtyNew, o.domain)
 	if err != nil {
 		return nil, err
 	}
 	p.progress(StagePairs, len(dirtyInters))
-	merged, classes, err := itree.MergeArrangement1D(t.space.(*itree.Space1D), t.arr, d.CleanRemap, dirtyInters)
+	space := o.itree.Space.(*itree.Space1D)
+	merged, classes, err := itree.MergeArrangement1D(space, o.arr, d.CleanRemap, dirtyInters)
 	if err != nil {
 		return nil, err
 	}
-	if err := nt.finish1D(ctx, p, merged, mutation{prev: t, delta: d, classes: classes}); err != nil {
+	if err := next.finish1D(ctx, space, merged, mutation{prev: o, delta: d, classes: classes}); err != nil {
 		return nil, err
 	}
-	return nt, nil
+	return next, nil
 }
 
 // Fingerprint returns a canonical content digest of the published

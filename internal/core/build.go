@@ -14,22 +14,17 @@ import (
 	"aqverify/internal/verify"
 )
 
-// Build constructs the IFMH-tree for a table under the given parameters,
-// following the paper's four steps: build the I-tree over all pairwise
-// intersections, build an FMH-tree per sorted function list, propagate
-// Merkle hashes up the IMH-tree, and sign (the root, or every subdomain).
+// BuildCtx constructs the IFMH-tree for a table under the given
+// parameters, following the paper's four steps: build the I-tree over
+// all pairwise intersections, build an FMH-tree per sorted function
+// list, propagate Merkle hashes up the IMH-tree, and sign (the root, or
+// every subdomain). It returns the owner's side of the publication; the
+// server is handed the embedded Tree.
 //
-// Build is BuildCtx without cancellation; see there for the stage-level
-// parallelism and determinism contract.
-func Build(tbl record.Table, p Params) (*Tree, error) {
-	return BuildCtx(context.Background(), tbl, p)
-}
-
-// BuildCtx is the context-aware construction entry point. Every stage
-// with independent units is sharded across Params.Workers goroutines:
-// record digesting, 1-D pairwise-intersection enumeration, the subdomain
-// sweep plan, per-subdomain FMH-list construction (multivariate
-// templates), level-order IMH hash propagation, and
+// Every stage with independent units is sharded across Params.Workers
+// goroutines: record digesting, 1-D pairwise-intersection enumeration,
+// the subdomain sweep plan, per-subdomain FMH-list construction
+// (multivariate templates), level-order IMH hash propagation, and
 // multi-signature signing. The output is byte-identical for every worker
 // count: every digest, swap list and signature input depends only on its
 // own index, and per-worker hash counters are merged after each join.
@@ -38,7 +33,7 @@ func Build(tbl record.Table, p Params) (*Tree, error) {
 // from claiming new chunks, the serial stages check between units, and
 // BuildCtx returns ctx.Err(). Params.Progress, when set, observes every
 // stage as it starts.
-func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Tree, error) {
+func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Owner, error) {
 	if p.Signer == nil {
 		return nil, fmt.Errorf("core: Params.Signer is required")
 	}
@@ -61,27 +56,29 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{
-		mode:     p.Mode,
-		domain:   p.Domain,
-		template: p.Template,
-		hasher:   h,
-		table:    tbl,
-		fs:       fs,
-		verifier: p.Signer.Verifier(),
-		epoch:    p.Epoch,
-		bp:       p,
+	o := &Owner{
+		Tree: &Tree{
+			mode:     p.Mode,
+			epoch:    p.Epoch,
+			domain:   p.Domain,
+			template: p.Template,
+			table:    tbl,
+			fs:       fs,
+			verifier: p.Signer.Verifier(),
+		},
+		p:      p,
+		hasher: h,
 	}
-	if t.epoch == 0 {
-		t.epoch = 1
+	if o.epoch == 0 {
+		o.epoch = 1
 	}
-	t.bp.Inters1D = nil
+	o.p.Inters1D = nil
 	workers := p.workers()
 	p.progress(StageDigest, tbl.Len())
-	t.recDigests = make([]hashing.Digest, tbl.Len())
-	err = t.parallelChunks(ctx, workers, tbl.Len(), func(h *hashing.Hasher, lo, hi int) error {
+	o.recDigests = make([]hashing.Digest, tbl.Len())
+	err = o.parallelChunks(ctx, workers, tbl.Len(), func(h *hashing.Hasher, lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			t.recDigests[i] = h.Record(tbl.Records[i])
+			o.recDigests[i] = h.Record(tbl.Records[i])
 		}
 		return nil
 	})
@@ -94,7 +91,6 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Tree, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.space = space
 		inters := p.Inters1D
 		if inters == nil {
 			p.progress(StagePairs, tbl.Len())
@@ -106,32 +102,31 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Tree, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := t.finish1D(ctx, p, arr, mutation{}); err != nil {
+		if err := o.finish1D(ctx, space, arr, mutation{}); err != nil {
 			return nil, err
 		}
-		return t, nil
+		return o, nil
 	}
 
 	space, err := itree.NewSpaceND(p.Domain)
 	if err != nil {
 		return nil, err
 	}
-	t.space = space
 	p.progress(StageITree, 0)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if t.itree, err = itree.Build(space, itree.PairsND(fs), p.Seed); err != nil {
+	if o.itree, err = itree.Build(space, itree.PairsND(fs), p.Seed); err != nil {
 		return nil, err
 	}
-	p.progress(StageLists, len(t.itree.Subs))
-	if err := t.buildListsND(ctx, workers); err != nil {
+	p.progress(StageLists, len(o.itree.Subs))
+	if err := o.buildListsND(ctx, workers); err != nil {
 		return nil, err
 	}
-	if err := t.seal(ctx, p, nil); err != nil {
+	if err := o.seal(ctx, nil); err != nil {
 		return nil, err
 	}
-	return t, nil
+	return o, nil
 }
 
 // progress reports one stage start to the configured callback, if any.
@@ -143,9 +138,9 @@ func (p Params) progress(stage Stage, units int) {
 
 // fmhFromPerm builds a fresh FMH-tree for a permutation with the given
 // hasher (a worker-local one inside parallel sections).
-func (t *Tree) fmhFromPerm(h *hashing.Hasher, perm []int) (*fmh.List, error) {
+func (o *Owner) fmhFromPerm(h *hashing.Hasher, perm []int) (*fmh.List, error) {
 	return fmh.Build(h, perm, func(rec int) hashing.Digest {
-		return h.Leaf(t.recDigests[rec])
+		return h.Leaf(o.recDigests[rec])
 	})
 }
 
@@ -164,12 +159,12 @@ func CrossingPairs(arr *itree.Arrangement1D) [][]sweep.Pair {
 	return out
 }
 
-// mutation is what ApplyCtx knows that a first build does not: the tree
-// the batch applies to, the batch's index bookkeeping, and how every
-// boundary of the merged arrangement aligns with the previous one. The
-// zero value is a first build.
+// mutation is what ApplyCtx knows that a first build does not: the
+// owner the batch applies to, the batch's index bookkeeping, and how
+// every boundary of the merged arrangement aligns with the previous one.
+// The zero value is a first build.
 type mutation struct {
-	prev    *Tree
+	prev    *Owner
 	delta   Delta
 	classes []itree.BoundaryClass
 }
@@ -187,28 +182,28 @@ type mutation struct {
 // boundaries and re-sorts only the dirty ones, and reuses the previous
 // epoch's unchanged signatures. Both meet at the same bytes because
 // they differ in nothing else.
-func (t *Tree) finish1D(ctx context.Context, p Params, arr *itree.Arrangement1D, m mutation) error {
-	space := t.space.(*itree.Space1D)
+func (o *Owner) finish1D(ctx context.Context, space *itree.Space1D, arr *itree.Arrangement1D, m mutation) error {
+	p := o.p
 	p.progress(StageITree, arr.NumBreakpoints())
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	var err error
-	t.arr = arr
-	if t.itree, err = itree.BuildCanonical1D(space, arr); err != nil {
+	o.arr = arr
+	if o.itree, err = itree.BuildCanonical1D(space, arr); err != nil {
 		return err
 	}
 
 	groups := CrossingPairs(arr)
-	witnessAt := func(k int) funcs.At { return space.WitnessAt(t.itree.Subs[k].Region) }
+	witnessAt := func(k int) funcs.At { return space.WitnessAt(o.itree.Subs[k].Region) }
 	var plan sweep.Plan
 	if m.prev == nil {
 		p.progress(StageSweep, arr.NumBreakpoints())
-		witnesses := make([]funcs.At, len(t.itree.Subs))
+		witnesses := make([]funcs.At, len(o.itree.Subs))
 		for k := range witnesses {
 			witnesses[k] = witnessAt(k)
 		}
-		plan, err = sweep.ComputeCtx(ctx, t.fs, witnesses, groups, p.workers())
+		plan, err = sweep.ComputeCtx(ctx, o.fs, witnesses, groups, p.workers())
 	} else {
 		// Like the digest and pair stages of ApplyCtx, the sweep reports
 		// what it re-derives exactly — the dirty boundaries; the clean
@@ -222,25 +217,25 @@ func (t *Tree) finish1D(ctx context.Context, p Params, arr *itree.Arrangement1D,
 			}
 		}
 		p.progress(StageSweep, dirty)
-		plan, err = sweep.ApplyCtx(ctx, t.fs, m.prev.plan, m.delta.CleanRemap, m.delta.DirtyNew, bs, witnessAt)
+		plan, err = sweep.ApplyCtx(ctx, o.fs, m.prev.plan, m.delta.CleanRemap, m.delta.DirtyNew, bs, witnessAt)
 	}
 	if err != nil {
 		return err
 	}
-	if err := t.listsFromPlan(ctx, plan, p); err != nil {
+	if err := o.listsFromPlan(ctx, plan); err != nil {
 		return err
 	}
-	return t.seal(ctx, p, m.prev)
+	return o.seal(ctx, m.prev)
 }
 
 // seal runs the two closing stages every tree shares: IMH hash
 // propagation and signing (prev as in sign).
-func (t *Tree) seal(ctx context.Context, p Params, prev *Tree) error {
-	p.progress(StagePropagate, t.itree.NodeCount)
-	if err := t.propagateHashes(ctx, p.workers()); err != nil {
+func (o *Owner) seal(ctx context.Context, prev *Owner) error {
+	o.p.progress(StagePropagate, o.itree.NodeCount)
+	if err := o.propagateHashes(ctx, o.p.workers()); err != nil {
 		return err
 	}
-	return t.sign(ctx, p, prev)
+	return o.sign(ctx, prev)
 }
 
 // listsFromPlan builds every subdomain's FMH list from a computed sweep
@@ -250,28 +245,28 @@ func (t *Tree) seal(ctx context.Context, p Params, prev *Tree) error {
 // S·(2(n+2)−1) nodes of one from-scratch tree per subdomain. It is the
 // only univariate construction: a first build and ApplyCtx both end
 // here.
-func (t *Tree) listsFromPlan(ctx context.Context, plan sweep.Plan, p Params) error {
-	subs := t.itree.Subs
-	t.subs = make([]*SubInfo, len(subs))
-	t.plan = plan
-	p.progress(StageLists, len(subs))
+func (o *Owner) listsFromPlan(ctx context.Context, plan sweep.Plan) error {
+	subs := o.itree.Subs
+	o.subs = make([]*SubInfo, len(subs))
+	o.plan = plan
+	o.p.progress(StageLists, len(subs))
 
-	list, err := t.fmhFromPerm(t.hasher, plan.BasePerm)
+	list, err := o.fmhFromPerm(o.hasher, plan.BasePerm)
 	if err != nil {
 		return err
 	}
-	t.subs[0] = &SubInfo{Sub: subs[0], List: list}
+	o.subs[0] = &SubInfo{Sub: subs[0], List: list}
 	for k := 0; k < len(subs)-1; k++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		for _, pos := range plan.Swaps[k] {
-			list, err = list.DeriveSwap(t.hasher, pos)
+			list, err = list.DeriveSwap(o.hasher, pos)
 			if err != nil {
 				return err
 			}
 		}
-		t.subs[k+1] = &SubInfo{Sub: subs[k+1], List: list}
+		o.subs[k+1] = &SubInfo{Sub: subs[k+1], List: list}
 	}
 	return nil
 }
@@ -280,18 +275,18 @@ func (t *Tree) listsFromPlan(ctx context.Context, plan sweep.Plan, p Params) err
 // point and builds its list from scratch — there is no sweep order to
 // exploit in d >= 2. The subdomains are independent, so the sort + FMH
 // build shards across the worker pool.
-func (t *Tree) buildListsND(ctx context.Context, workers int) error {
-	subs := t.itree.Subs
-	t.subs = make([]*SubInfo, len(subs))
-	return t.parallelChunks(ctx, workers, len(subs), func(h *hashing.Hasher, lo, hi int) error {
+func (o *Owner) buildListsND(ctx context.Context, workers int) error {
+	subs := o.itree.Subs
+	o.subs = make([]*SubInfo, len(subs))
+	return o.parallelChunks(ctx, workers, len(subs), func(h *hashing.Hasher, lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			sub := subs[i]
-			w := t.space.Witness(sub.Region)
-			list, err := t.fmhFromPerm(h, funcs.SortAt(t.fs, w))
+			w := o.itree.Space.Witness(sub.Region)
+			list, err := o.fmhFromPerm(h, funcs.SortAt(o.fs, w))
 			if err != nil {
 				return err
 			}
-			t.subs[i] = &SubInfo{Sub: sub, List: list}
+			o.subs[i] = &SubInfo{Sub: sub, List: list}
 		}
 		return nil
 	})
@@ -304,7 +299,7 @@ func (t *Tree) buildListsND(ctx context.Context, workers int) error {
 // pool, deepest first, so every node's children are hashed before the
 // node itself — a node's hash depends only on its own children, which
 // keeps the digest byte-identical for every worker count.
-func (t *Tree) propagateHashes(ctx context.Context, workers int) error {
+func (o *Owner) propagateHashes(ctx context.Context, workers int) error {
 	var levels [][]*itree.Node
 	var walk func(n *itree.Node, d int)
 	walk = func(n *itree.Node, d int) {
@@ -318,13 +313,13 @@ func (t *Tree) propagateHashes(ctx context.Context, workers int) error {
 		walk(n.Above, d+1)
 		walk(n.Below, d+1)
 	}
-	walk(t.itree.Root, 0)
+	walk(o.itree.Root, 0)
 	for d := len(levels) - 1; d >= 0; d-- {
 		level := levels[d]
-		err := t.parallelChunks(ctx, workers, len(level), func(h *hashing.Hasher, lo, hi int) error {
+		err := o.parallelChunks(ctx, workers, len(level), func(h *hashing.Hasher, lo, hi int) error {
 			for _, n := range level[lo:hi] {
 				if n.IsLeaf() {
-					n.Hash = h.Subdomain(t.subs[n.Leaf.ID].List.Root())
+					n.Hash = h.Subdomain(o.subs[n.Leaf.ID].List.Root())
 				} else {
 					n.Hash = h.Intersection(n.Int.H.Encode(nil), n.Above.Hash, n.Below.Hash)
 				}
@@ -335,7 +330,7 @@ func (t *Tree) propagateHashes(ctx context.Context, workers int) error {
 			return err
 		}
 	}
-	t.rootDigest = t.hasher.Root(t.itree.Root.Hash)
+	o.rootDigest = o.hasher.Root(o.itree.Root.Hash)
 	return nil
 }
 
@@ -346,32 +341,33 @@ func (t *Tree) propagateHashes(ctx context.Context, workers int) error {
 // randomness differ run to run regardless). Every sig.Signer is safe for
 // concurrent use: the schemes are stateless apart from crypto/rand.
 //
-// prev is the tree a mutation was applied to, nil on a first build: a
+// prev is the owner a mutation was applied to, nil on a first build: a
 // signature of prev whose signed digest is unchanged is copied instead
 // of re-signed. In practice a real mutation changes every subdomain's
 // FMH root (every list contains every record), so reuse fires mainly for
 // no-op updates — but it costs one digest comparison, and it spares
 // randomized schemes from churning bytes that did not change.
-func (t *Tree) sign(ctx context.Context, p Params, prev *Tree) error {
+func (o *Owner) sign(ctx context.Context, prev *Owner) error {
+	p := o.p
 	switch p.Mode {
 	case verify.OneSignature:
-		if prev != nil && prev.mode == verify.OneSignature && prev.rootDigest == t.rootDigest && prev.rootSig != nil {
+		if prev != nil && prev.mode == verify.OneSignature && prev.rootDigest == o.rootDigest && prev.rootSig != nil {
 			p.progress(StageSign, 0)
-			t.rootSig = prev.rootSig
-			t.sigCount = 1
+			o.rootSig = prev.rootSig
+			o.sigCount = 1
 			return nil
 		}
 		p.progress(StageSign, 1)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		s, err := p.Signer.Sign(t.rootDigest[:])
+		s, err := p.Signer.Sign(o.rootDigest[:])
 		if err != nil {
 			return fmt.Errorf("core: signing root: %w", err)
 		}
-		t.hasher.Counter().AddSign(1)
-		t.rootSig = s
-		t.sigCount = 1
+		o.hasher.Counter().AddSign(1)
+		o.rootSig = s
+		o.sigCount = 1
 	case verify.MultiSignature:
 		// Index the previous subdomain signatures by signed digest,
 		// with an uncounted hasher: the lookups are bookkeeping, not
@@ -386,10 +382,10 @@ func (t *Tree) sign(ctx context.Context, p Params, prev *Tree) error {
 				}
 			}
 		}
-		p.progress(StageSign, len(t.subs))
-		err := t.parallelChunks(ctx, p.workers(), len(t.subs), func(h *hashing.Hasher, lo, hi int) error {
-			for _, si := range t.subs[lo:hi] {
-				si.Ineqs = t.space.Halfspaces(si.Sub.Region)
+		p.progress(StageSign, len(o.subs))
+		err := o.parallelChunks(ctx, p.workers(), len(o.subs), func(h *hashing.Hasher, lo, hi int) error {
+			for _, si := range o.subs[lo:hi] {
+				si.Ineqs = o.itree.Space.Halfspaces(si.Sub.Region)
 				si.IneqEnc = geometry.EncodeHalfspaces(nil, si.Ineqs)
 				d := h.MultiSig(h.Ineqs(si.IneqEnc), si.List.Root())
 				if s, ok := prevSigs[d]; ok {
@@ -408,7 +404,7 @@ func (t *Tree) sign(ctx context.Context, p Params, prev *Tree) error {
 		if err != nil {
 			return err
 		}
-		t.sigCount = len(t.subs)
+		o.sigCount = len(o.subs)
 	default:
 		return fmt.Errorf("core: unknown mode %v", p.Mode)
 	}

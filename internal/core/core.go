@@ -15,8 +15,9 @@
 // verification objects carry the subdomain's inequality set instead of
 // the path.
 //
-// The entry points are Build and Tree.Process; the answers they produce
-// are checked by package verify.
+// The entry points are BuildCtx, which returns the owner's side of a
+// publication (Owner), and Tree.Process on the server's side; the
+// answers they produce are checked by package verify.
 package core
 
 import (
@@ -50,7 +51,7 @@ var (
 	Verify          = verify.Verify
 )
 
-// Params configures Build.
+// Params configures BuildCtx.
 type Params struct {
 	// Mode selects one-signature or multi-signature.
 	Mode verify.Mode
@@ -84,15 +85,15 @@ type Params struct {
 	// which is how the build plane shares one scan between its cut
 	// planner and the shard build. It must contain every pair whose
 	// breakpoint lies inside Domain (a superset is fine: out-of-domain
-	// entries are pruned exactly by itree.NewArrangement1D). Nil means Build
+	// entries are pruned exactly by itree.NewArrangement1D). Nil means BuildCtx
 	// enumerates via itree.Pairs1DCtx; ignored for multivariate templates.
 	Inters1D []itree.Intersection
 	// Progress, when non-nil, is invoked from the building goroutine at
 	// the start of every construction stage with the stage and the number
 	// of units (records, intersections, subdomains, tree nodes, ...) the
 	// stage is about to process. It must be cheap and must not block. The
-	// built tree retains it: ApplyCtx reports the stages of every later
-	// epoch to the same callback.
+	// Owner retains it: ApplyCtx reports the stages of every later epoch
+	// to the same callback.
 	Progress func(stage Stage, units int)
 	// Epoch stamps the built tree's publication epoch. Zero means 1 —
 	// the first epoch of a fresh outsourcing; ApplyCtx bumps it per
@@ -138,20 +139,18 @@ type SubInfo struct {
 	Sig []byte
 }
 
-// Tree is a built IFMH-tree, the server-side authenticated data structure.
+// Tree is a built IFMH-tree, the server-side authenticated data
+// structure: everything a server reads to answer and authenticate
+// queries, and nothing else. The owner's side of a publication is
+// Owner, which embeds the Tree it handed out.
 type Tree struct {
 	mode     verify.Mode
-	space    itree.Space
+	epoch    uint64
 	domain   geometry.Box
 	template funcs.Template
-	hasher   *hashing.Hasher
 
 	table record.Table
 	fs    []funcs.Linear
-	// recDigests are the record digests the FMH leaves are made from:
-	// an input of list construction only, so nil on a serve-only
-	// (FromSnapshot) tree.
-	recDigests []hashing.Digest
 
 	itree *itree.Tree
 	subs  []*SubInfo
@@ -160,19 +159,22 @@ type Tree struct {
 	rootSig    []byte // one-signature mode
 	verifier   sig.Verifier
 	sigCount   int
+}
 
-	// Mutation-plane state: the publication epoch, the arrangement the
-	// tree was read off and the sweep plan its lists were derived by (the
-	// base permutation and per-boundary swaps; both held by every
-	// univariate tree built or applied by this process, nil and zero for
-	// multivariate and FromSnapshot trees), and the build parameters,
-	// retained so ApplyCtx runs the stages the way the original
-	// construction did. The arrangement and the plan are owner state:
-	// serving never reads them, and no Snapshot carries them.
-	epoch uint64
-	arr   *itree.Arrangement1D
-	plan  sweep.Plan
-	bp    Params
+// Owner is the data owner's side of one published tree: the serving
+// Tree it hands to the cloud, plus what only the next epoch's build
+// reads — the build parameters (with the signing key and the progress
+// callback), the instrumented hasher, the record digests the FMH leaves
+// are made from, and, for a univariate tree, the arrangement the tree
+// was read off and the sweep plan its lists were derived by. A server
+// is handed the embedded Tree, which reaches none of them.
+type Owner struct {
+	*Tree
+	p          Params
+	hasher     *hashing.Hasher
+	recDigests []hashing.Digest
+	arr        *itree.Arrangement1D // nil for multivariate trees
+	plan       sweep.Plan
 }
 
 // Mode returns the tree's signing scheme.

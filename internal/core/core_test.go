@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -47,9 +48,9 @@ func lineTable(t testing.TB, n int, seed int64) record.Table {
 	return tbl
 }
 
-func build1D(t testing.TB, tbl record.Table, mode verify.Mode) *Tree {
+func build1D(t testing.TB, tbl record.Table, mode verify.Mode) *Owner {
 	t.Helper()
-	tree, err := Build(tbl, Params{
+	tree, err := BuildCtx(context.Background(), tbl, Params{
 		Mode:     mode,
 		Signer:   testSigner,
 		Domain:   geometry.MustBox([]float64{-1}, []float64{1}),
@@ -207,20 +208,20 @@ func TestBuildValidation(t *testing.T) {
 	}
 	p := base
 	p.Signer = nil
-	if _, err := Build(tbl, p); err == nil {
+	if _, err := BuildCtx(context.Background(), tbl, p); err == nil {
 		t.Error("nil signer accepted")
 	}
 	p = base
 	p.Domain = geometry.MustBox([]float64{-1, -1}, []float64{1, 1})
-	if _, err := Build(tbl, p); err == nil {
+	if _, err := BuildCtx(context.Background(), tbl, p); err == nil {
 		t.Error("domain/template dimension mismatch accepted")
 	}
 	p = base
 	p.Template = funcs.AffineLine(0, 7)
-	if _, err := Build(tbl, p); err == nil {
+	if _, err := BuildCtx(context.Background(), tbl, p); err == nil {
 		t.Error("template beyond schema arity accepted")
 	}
-	if _, err := Build(record.Table{Schema: tbl.Schema}, base); err == nil {
+	if _, err := BuildCtx(context.Background(), record.Table{Schema: tbl.Schema}, base); err == nil {
 		t.Error("empty table accepted")
 	}
 }
@@ -389,7 +390,7 @@ func TestBuildND2D(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
-		tree, err := Build(tbl, Params{
+		tree, err := BuildCtx(context.Background(), tbl, Params{
 			Mode:     mode,
 			Signer:   testSigner,
 			Domain:   geometry.MustBox([]float64{0.1, 0.1}, []float64{1, 1}),
@@ -445,7 +446,7 @@ func TestDuplicateBreakpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := Build(tbl, Params{
+	tree, err := BuildCtx(context.Background(), tbl, Params{
 		Mode:     verify.OneSignature,
 		Signer:   testSigner,
 		Domain:   geometry.MustBox([]float64{-2}, []float64{2}),

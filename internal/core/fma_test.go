@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"slices"
 	"testing"
@@ -57,7 +58,7 @@ func TestUnfusedOnHyperplane2D(t *testing.T) {
 	}
 	q := query.NewRange(x, 0.6, 0.7)
 	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
-		tree, err := Build(tbl, Params{
+		tree, err := BuildCtx(context.Background(), tbl, Params{
 			Mode:     mode,
 			Signer:   testSigner,
 			Domain:   geometry.MustBox([]float64{0.1, 0.1}, []float64{1, 1}),

@@ -12,7 +12,7 @@ import (
 // runs fn on each chunk across at most workers goroutines. Every worker
 // gets a hasher bound to its own metrics counter (a Hasher is not safe
 // for concurrent use); after the join, the per-worker counts are merged
-// into the tree's main counter, so hash/sign totals match the serial path
+// into the owner's main counter, so hash/sign totals match the serial path
 // exactly. The first non-nil chunk error (lowest chunk index) is
 // returned.
 //
@@ -23,7 +23,7 @@ import (
 // done context is noticed between chunks). Cancellation is cooperative:
 // once ctx is done no new chunk starts, and ctx.Err() is returned after
 // the in-flight chunks drain.
-func (t *Tree) parallelChunks(ctx context.Context, workers, n int, fn func(h *hashing.Hasher, lo, hi int) error) error {
+func (o *Owner) parallelChunks(ctx context.Context, workers, n int, fn func(h *hashing.Hasher, lo, hi int) error) error {
 	if n == 0 {
 		return ctx.Err()
 	}
@@ -37,7 +37,7 @@ func (t *Tree) parallelChunks(ctx context.Context, workers, n int, fn func(h *ha
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(t.hasher, c*n/chunks, (c+1)*n/chunks); err != nil {
+			if err := fn(o.hasher, c*n/chunks, (c+1)*n/chunks); err != nil {
 				return err
 			}
 		}
@@ -46,13 +46,13 @@ func (t *Tree) parallelChunks(ctx context.Context, workers, n int, fn func(h *ha
 	hs := make([]*hashing.Hasher, w)
 	ctrs := make([]metrics.Counter, w)
 	for i := range hs {
-		hs[i] = t.hasher.WithCounter(&ctrs[i])
+		hs[i] = o.hasher.WithCounter(&ctrs[i])
 	}
 	errs := make([]error, chunks)
 	runErr := pool.RunCtx(ctx, chunks, w, func(worker, c int) {
 		errs[c] = fn(hs[worker], c*n/chunks, (c+1)*n/chunks)
 	})
-	main := t.hasher.Counter()
+	main := o.hasher.Counter()
 	for i := range ctrs {
 		main.Add(ctrs[i])
 	}

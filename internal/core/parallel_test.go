@@ -21,7 +21,7 @@ import (
 // own counter, so tests can compare both outputs and instrumentation.
 func buildWorkers(t testing.TB, tbl record.Table, mode verify.Mode, workers int, ctr *metrics.Counter) *Tree {
 	t.Helper()
-	tree, err := Build(tbl, Params{
+	tree, err := BuildCtx(context.Background(), tbl, Params{
 		Mode:     mode,
 		Signer:   testSigner,
 		Domain:   geometry.MustBox([]float64{-1}, []float64{1}),
@@ -33,7 +33,7 @@ func buildWorkers(t testing.TB, tbl record.Table, mode verify.Mode, workers int,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tree
+	return tree.Tree
 }
 
 // sigsOf collects every signature a tree holds (one root signature or S
@@ -104,7 +104,7 @@ func TestParallelBuildIdenticalND(t *testing.T) {
 		t.Fatal(err)
 	}
 	build := func(workers int) *Tree {
-		tree, err := Build(tbl, Params{
+		tree, err := BuildCtx(context.Background(), tbl, Params{
 			Mode:     verify.MultiSignature,
 			Signer:   testSigner,
 			Domain:   geometry.MustBox([]float64{0.1, 0.1}, []float64{1, 1}),
@@ -115,7 +115,7 @@ func TestParallelBuildIdenticalND(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tree
+		return tree.Tree
 	}
 	serial, parallel := build(1), build(8)
 	if serial.rootDigest != parallel.rootDigest {
@@ -214,7 +214,7 @@ func TestBuildCtxCanceled(t *testing.T) {
 func TestBuildProgressStages(t *testing.T) {
 	tbl := lineTable(t, 40, 29)
 	var stages []Stage
-	_, err := Build(tbl, Params{
+	_, err := BuildCtx(context.Background(), tbl, Params{
 		Mode:     verify.MultiSignature,
 		Signer:   testSigner,
 		Domain:   geometry.MustBox([]float64{-1}, []float64{1}),

@@ -12,13 +12,13 @@ import (
 	"aqverify/internal/verify"
 )
 
-// Snapshot is the complete serve-state of a built tree: every field a
-// server needs to answer and authenticate queries, and nothing private
-// to the owner (the signer, the arrangement, the sweep plan). The
-// artifact plane (internal/artifact) persists snapshots to disk and
-// reconstructs serving trees from them through FromSnapshot; the two
-// directions meet at Fingerprint — a reconstructed tree fingerprints
-// identically to the one that was snapshotted.
+// Snapshot is the complete stored state of a serving Tree: every field
+// a server needs to answer and authenticate queries that is not derived
+// from the others. The artifact plane (internal/artifact) encodes a
+// tree's Snapshot to disk and decodes blobs into one, which
+// FromSnapshot validates into a Tree; the two directions meet at
+// Fingerprint — a reconstructed tree fingerprints identically to the
+// one that was snapshotted.
 //
 // A snapshot aliases the tree's internal state. It is a read view:
 // callers must not mutate the referenced nodes, lists or slices.
@@ -62,10 +62,10 @@ func (t *Tree) Snapshot() Snapshot {
 // the snapshot as-is, which is what makes reconstruction O(structure)
 // instead of an O(n²) rebuild, with no per-record hashing.
 //
-// The result is serve-only: it answers and authenticates queries
-// exactly like the original (equal Fingerprint), but it retains no
-// signer, arrangement or sweep plan, so ApplyCtx refuses it — the owner
-// mutates its own build and publishes a new artifact.
+// The result answers and authenticates queries exactly like the
+// original (equal Fingerprint). It is a Tree, not an Owner: nothing can
+// apply a mutation to it — the owner mutates its own build and
+// publishes a new artifact.
 //
 // FromSnapshot validates structural consistency (counts, index ranges,
 // mode-required fields), not cryptographic integrity: a caller that
@@ -115,23 +115,17 @@ func FromSnapshot(s Snapshot) (*Tree, error) {
 		s.ITree.Space = space
 	}
 
-	h := hashing.New(nil)
 	t := &Tree{
 		mode:     s.Mode,
-		space:    space,
+		epoch:    s.Epoch,
 		domain:   s.Domain,
 		template: s.Template,
-		hasher:   h,
 		table:    s.Table,
 		fs:       fs,
 		itree:    s.ITree,
 		subs:     s.Subs,
 		rootSig:  s.RootSig,
 		verifier: s.Verifier,
-		epoch:    s.Epoch,
-		// bp retains only the public build shape; Signer stays nil, the
-		// marker ApplyCtx uses to refuse serve-only trees.
-		bp: Params{Mode: s.Mode, Domain: s.Domain, Template: s.Template, Epoch: s.Epoch},
 	}
 
 	n := s.Table.Len()
@@ -172,6 +166,6 @@ func FromSnapshot(s Snapshot) (*Tree, error) {
 		return nil, fmt.Errorf("core: unknown mode %v", s.Mode)
 	}
 
-	t.rootDigest = h.Root(s.ITree.Root.Hash)
+	t.rootDigest = hashing.New(nil).Root(s.ITree.Root.Hash)
 	return t, nil
 }

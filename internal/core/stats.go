@@ -19,8 +19,8 @@ type Stats struct {
 	// Signatures and SignatureBytes cover the owner's signatures.
 	Signatures     int
 	SignatureBytes int
-	// TotalSwaps is the sweep's transposition count (zero for
-	// multivariate and serve-only trees).
+	// TotalSwaps is the sweep plan's transposition count: owner state,
+	// so zero for a Tree's Stats and for a multivariate Owner's.
 	TotalSwaps int
 	// ApproxBytes estimates the serialized structure size from the
 	// component counts (see the constants below).
@@ -38,15 +38,21 @@ const (
 	bytesPerSwap    = 8
 )
 
-// Stats computes the tree's footprint.
-func (t *Tree) Stats() Stats {
+// Stats computes the serving tree's footprint.
+func (t *Tree) Stats() Stats { return t.stats(0) }
+
+// Stats computes the published tree's footprint, counting the sweep
+// plan the owner keeps beside it.
+func (o *Owner) Stats() Stats { return o.Tree.stats(o.plan.TotalSwaps()) }
+
+func (t *Tree) stats(swaps int) Stats {
 	s := Stats{
 		Records:    t.table.Len(),
 		Subdomains: len(t.subs),
 		IMHNodes:   t.itree.NodeCount,
 		IMHDepth:   t.itree.Depth(),
 		Signatures: t.sigCount,
-		TotalSwaps: t.plan.TotalSwaps(),
+		TotalSwaps: swaps,
 	}
 	roots := make([]*mhtree.Node, 0, len(t.subs))
 	for _, si := range t.subs {

@@ -2,6 +2,7 @@ package e2e
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -48,7 +49,7 @@ func propTable(t *testing.T, n int, seed int64) record.Table {
 // propBuild outsources tbl over [-1, 1] with the given IMH-shape seed.
 func propBuild(t *testing.T, tbl record.Table, shapeSeed int64, mode verify.Mode) *core.Tree {
 	t.Helper()
-	tree, err := core.Build(tbl, core.Params{
+	tree, err := core.BuildCtx(context.Background(), tbl, core.Params{
 		Mode: mode, Signer: propSigner,
 		Domain:   geometry.MustBox([]float64{-1}, []float64{1}),
 		Template: funcs.AffineLine(0, 1),
@@ -57,7 +58,7 @@ func propBuild(t *testing.T, tbl record.Table, shapeSeed int64, mode verify.Mode
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tree
+	return tree.Tree
 }
 
 func propTree(t *testing.T, n int, seed int64, mode verify.Mode) *core.Tree {

@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -121,7 +122,7 @@ func TestResultsMatchOracle(t *testing.T) {
 func TestMeshAgreesWithIFMH(t *testing.T) {
 	tbl := lineTable(t, 30, 5)
 	m := buildMesh(t, tbl)
-	tree, err := core.Build(tbl, core.Params{
+	tree, err := core.BuildCtx(context.Background(), tbl, core.Params{
 		Mode:     verify.OneSignature,
 		Signer:   testSigner,
 		Domain:   geometry.MustBox([]float64{-1}, []float64{1}),

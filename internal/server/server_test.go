@@ -116,11 +116,11 @@ func fixtures(t *testing.T) (*core.Tree, geometry.Box) {
 	}
 	dom := geometry.MustBox([]float64{-1}, []float64{1})
 	tpl := funcs.AffineLine(0, 1)
-	tree, err := core.Build(tbl, core.Params{Mode: verify.OneSignature, Signer: signer, Domain: dom, Template: tpl})
+	tree, err := core.BuildCtx(context.Background(), tbl, core.Params{Mode: verify.OneSignature, Signer: signer, Domain: dom, Template: tpl})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tree, dom
+	return tree.Tree, dom
 }
 
 func TestNewRequiresBackend(t *testing.T) {

@@ -33,10 +33,10 @@ func shardedFixture(t *testing.T, k int) (*server.Server, *shard.Set, geometry.B
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := shard.Build(tbl, core.Params{
+	set, _, err := shard.BuildCtx(context.Background(), tbl, core.Params{
 		Mode: verify.MultiSignature, Signer: signer, Domain: dom,
 		Template: funcs.AffineLine(0, 1), Seed: 1,
-	}, plan)
+	}, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,14 +37,16 @@ func swapFixture(t *testing.T) (e1, e2 *core.Tree, dom geometry.Box) {
 		Mode: verify.OneSignature, Signer: signer, Domain: dom,
 		Template: funcs.AffineLine(0, 1), Seed: 5,
 	}
-	if e1, err = core.Build(tbl, p); err != nil {
+	o1, err := core.BuildCtx(context.Background(), tbl, p)
+	if err != nil {
 		t.Fatal(err)
 	}
 	p.Epoch = 2
-	if e2, err = core.Build(tbl, p); err != nil {
+	o2, err := core.BuildCtx(context.Background(), tbl, p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return e1, e2, dom
+	return o1.Tree, o2.Tree, dom
 }
 
 // shardedAtEpoch builds the shardedFixture table as a k-shard set
@@ -63,10 +65,10 @@ func shardedAtEpoch(t *testing.T, k int, epoch uint64) *shard.Set {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := shard.Build(tbl, core.Params{
+	set, _, err := shard.BuildCtx(context.Background(), tbl, core.Params{
 		Mode: verify.MultiSignature, Signer: signer, Domain: dom,
 		Template: funcs.AffineLine(0, 1), Seed: 1, Epoch: epoch,
-	}, plan)
+	}, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,14 +95,14 @@ func TestSwapPublishesNewEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := core.Build(e1.Table(), core.Params{
+	multi, err := core.BuildCtx(context.Background(), e1.Table(), core.Params{
 		Mode: verify.MultiSignature, Signer: signer, Domain: e1.Domain(),
 		Template: funcs.AffineLine(0, 1), Seed: 5, Epoch: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Swap(local(t, multi)); err == nil || !strings.Contains(err.Error(), "same logical database") {
+	if err := srv.Swap(local(t, multi.Tree)); err == nil || !strings.Contains(err.Error(), "same logical database") {
 		t.Errorf("ifmh-multi over ifmh-one: err = %v", err)
 	}
 	if err := srv.Swap(local(t, e1)); err == nil || !strings.Contains(err.Error(), "does not advance") {

@@ -18,7 +18,14 @@ type Set struct {
 	Trees []*core.Tree
 }
 
-// Build constructs the K shard trees concurrently. p is the single-tree
+// PerShardProgress derives shard i's stage callback (core.Params.Progress)
+// for a set build; it may return nil to leave a shard unobserved. The
+// returned callbacks run on the K concurrent shard-build goroutines.
+type PerShardProgress func(shard int) func(core.Stage, int)
+
+// BuildCtx constructs the K shard trees concurrently and returns the set
+// with the K owners that built it, index-aligned with Plan.Boxes (the
+// set's trees are the owners' serving trees). p is the single-tree
 // build configuration; p.Domain must equal plan.Domain, and each shard's
 // tree is built with its sub-box substituted for it. Every shard reuses
 // p.Workers for its own internal worker pool, so on a large machine the
@@ -29,54 +36,45 @@ type Set struct {
 // runs once and is partitioned across shards by the half-open ownership
 // rule of itree.PairsPartition1DCtx, instead of once per shard.
 // Each shard's IMH shape is seeded with p.Seed plus the shard index,
-// keeping builds reproducible.
-func Build(tbl record.Table, p core.Params, plan Plan) (*Set, error) {
-	return BuildCtx(context.Background(), tbl, p, plan, nil)
-}
-
-// PerShardProgress derives shard i's stage callback (core.Params.Progress)
-// for a set build; it may return nil to leave a shard unobserved. The
-// returned callbacks run on the K concurrent shard-build goroutines.
-type PerShardProgress func(shard int) func(core.Stage, int)
-
-// BuildCtx is Build with cooperative cancellation and optional per-shard
-// progress attribution. A done ctx stops unstarted shard builds from
+// keeping builds reproducible. progress, when non-nil, attributes stage
+// events per shard. A done ctx stops unstarted shard builds from
 // launching and cancels the in-flight ones (each core.BuildCtx aborts
 // between chunks), returning ctx.Err().
-func BuildCtx(ctx context.Context, tbl record.Table, p core.Params, plan Plan, progress PerShardProgress) (*Set, error) {
+func BuildCtx(ctx context.Context, tbl record.Table, p core.Params, plan Plan, progress PerShardProgress) (*Set, []*core.Owner, error) {
 	buckets, err := shardBuckets(ctx, tbl, p, plan)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	s := &Set{Plan: plan, Trees: make([]*core.Tree, plan.K())}
+	owners := make([]*core.Owner, plan.K())
 	errs := make([]error, plan.K())
 	runErr := pool.RunCtx(ctx, plan.K(), plan.K(), func(_, i int) {
 		sp := shardParams(p, plan, buckets, i)
 		if progress != nil {
 			sp.Progress = progress(i)
 		}
-		tree, err := core.BuildCtx(ctx, tbl, sp)
+		o, err := core.BuildCtx(ctx, tbl, sp)
 		if err != nil {
 			errs[i] = fmt.Errorf("shard %d: %w", i, err)
 			return
 		}
-		s.Trees[i] = tree
+		owners[i], s.Trees[i] = o, o.Tree
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	if runErr != nil {
-		return nil, runErr
+		return nil, nil, runErr
 	}
-	return s, nil
+	return s, owners, nil
 }
 
 // shardBuckets validates the build inputs and partitions the global
 // intersection enumeration across the plan's sub-boxes (1-D templates
-// only; multivariate shards enumerate per sub-box inside core.Build).
+// only; multivariate shards enumerate per sub-box inside core.BuildCtx).
 // A caller that already holds the whole-domain enumeration — the build
 // plane shares one with its cut planner — passes it through p.Inters1D
 // and only pays a linear re-bucketing pass; otherwise the O(n²) scan
@@ -138,16 +136,6 @@ func (s *Set) Mode() verify.Mode { return s.Trees[0].Mode() }
 // same bundle for every shard, which is what makes sharding transparent
 // to verifying clients.
 func (s *Set) Public() verify.PublicParams { return s.Trees[0].Public() }
-
-// Stats returns each shard's structure footprint, index-aligned with
-// Plan.Boxes.
-func (s *Set) Stats() []core.Stats {
-	out := make([]core.Stats, len(s.Trees))
-	for i, t := range s.Trees {
-		out[i] = t.Stats()
-	}
-	return out
-}
 
 // SignatureCount sums the owner signatures across shards (K for
 // one-signature mode, the total subdomain count for multi-signature).

@@ -1,7 +1,7 @@
 // Package shard splits one logical outsourced database across several
 // independently built and signed IFMH-trees, partitioned by domain: a
 // Plan cuts the owner-specified domain into K contiguous sub-boxes along
-// one axis, Build constructs one core.Tree per sub-box in parallel (each
+// one axis, BuildCtx constructs one core.Tree per sub-box in parallel (each
 // reusing core.Params.Workers internally), and Plan.RouteQuery maps
 // every query's function input to the one shard whose sub-box owns it
 // (Plan.Group does a batch's worth). The package answers nothing:

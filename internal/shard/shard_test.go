@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -29,11 +30,11 @@ func buildSets(t *testing.T, mode verify.Mode, n, k int) (*Set, *Set, geometry.B
 		Mode: mode, Signer: signer, Domain: dom,
 		Template: funcs.AffineLine(0, 1), Seed: 1,
 	}
-	single, err := Build(tbl, p, mustPlan(t, dom, 0, 1))
+	single, _, err := BuildCtx(context.Background(), tbl, p, mustPlan(t, dom, 0, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := Build(tbl, p, mustPlan(t, dom, 0, k))
+	sharded, _, err := BuildCtx(context.Background(), tbl, p, mustPlan(t, dom, 0, k), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestBuildSharded2D(t *testing.T) {
 		Mode: verify.OneSignature, Signer: signer, Domain: dom,
 		Template: funcs.ScalarProduct(2), Seed: 1,
 	}
-	set, err := Build(tbl, p, mustPlan(t, dom, 1, 2))
+	set, _, err := BuildCtx(context.Background(), tbl, p, mustPlan(t, dom, 1, 2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,11 +272,11 @@ func TestBuildValidation(t *testing.T) {
 		Mode: verify.OneSignature, Signer: signer, Domain: dom,
 		Template: funcs.AffineLine(0, 1),
 	}
-	if _, err := Build(tbl, p, Plan{}); err == nil {
+	if _, _, err := BuildCtx(context.Background(), tbl, p, Plan{}, nil); err == nil {
 		t.Error("empty plan accepted")
 	}
 	other := geometry.MustBox([]float64{0}, []float64{1})
-	if _, err := Build(tbl, p, mustPlan(t, other, 0, 2)); err == nil {
+	if _, _, err := BuildCtx(context.Background(), tbl, p, mustPlan(t, other, 0, 2), nil); err == nil {
 		t.Error("plan over a different domain accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package tamper
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -62,7 +63,7 @@ func TestEveryIFMHTamperDetected(t *testing.T) {
 	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
-			tree, err := core.Build(tbl, core.Params{
+			tree, err := core.BuildCtx(context.Background(), tbl, core.Params{
 				Mode: mode, Signer: testSigner,
 				Domain:   geometry.MustBox([]float64{-1}, []float64{1}),
 				Template: funcs.AffineLine(0, 1),
@@ -183,7 +184,7 @@ func TestTamperDetectedIn2D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := core.Build(tbl, core.Params{
+	tree, err := core.BuildCtx(context.Background(), tbl, core.Params{
 		Mode: verify.MultiSignature, Signer: testSigner,
 		Domain:   geometry.MustBox([]float64{0.1, 0.1}, []float64{1, 1}),
 		Template: funcs.ScalarProduct(2),

@@ -55,7 +55,7 @@ func kProcessFixture(t *testing.T, n, k int, mode verify.Mode) (front *httptest.
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := shard.Build(tbl, p, plan)
+	set, _, err := shard.BuildCtx(context.Background(), tbl, p, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +82,11 @@ func kProcessFixture(t *testing.T, n, k int, mode verify.Mode) (front *httptest.
 	front = httptest.NewServer(h)
 	t.Cleanup(front.Close)
 
-	single, err = core.Build(tbl, p)
+	o, err := core.BuildCtx(context.Background(), tbl, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return front, f, single, dom
+	return front, f, o.Tree, dom
 }
 
 // kProcessQueries mixes every query kind across the domain with queries

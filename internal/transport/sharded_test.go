@@ -32,10 +32,10 @@ func shardedHandler(t *testing.T, k int) (*Handler, *shard.Set, geometry.Box) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := shard.Build(tbl, core.Params{
+	set, _, err := shard.BuildCtx(context.Background(), tbl, core.Params{
 		Mode: verify.OneSignature, Signer: signer, Domain: dom,
 		Template: funcs.AffineLine(0, 1), Seed: 1,
-	}, plan)
+	}, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,11 +113,11 @@ func TestStatsIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := shard.Build(tbl, p, plan)
+	set, _, err := shard.BuildCtx(context.Background(), tbl, p, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := core.Build(tbl, p)
+	single, err := core.BuildCtx(context.Background(), tbl, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestStatsIdentity(t *testing.T) {
 	}
 	var hosts []host
 	{
-		srv := newServer(t, local(t, single))
+		srv := newServer(t, local(t, single.Tree))
 		hp, err := IFMHParams(srv, pub)
 		if err != nil {
 			t.Fatal(err)

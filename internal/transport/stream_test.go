@@ -417,7 +417,7 @@ func TestFanoutStreamMidServerDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := shard.Build(tbl, p, plan)
+	set, _, err := shard.BuildCtx(context.Background(), tbl, p, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,11 +42,11 @@ func fixtures(t *testing.T) (*server.Server, verify.PublicParams, geometry.Box) 
 	}
 	dom := geometry.MustBox([]float64{-1}, []float64{1})
 	tpl := funcs.AffineLine(0, 1)
-	tree, err := core.Build(tbl, core.Params{Mode: verify.MultiSignature, Signer: signer, Domain: dom, Template: tpl})
+	tree, err := core.BuildCtx(context.Background(), tbl, core.Params{Mode: verify.MultiSignature, Signer: signer, Domain: dom, Template: tpl})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(t, local(t, tree))
+	srv := newServer(t, local(t, tree.Tree))
 	return srv, tree.Public(), dom
 }
 

@@ -1,6 +1,7 @@
 package verify_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -37,7 +38,7 @@ func TestWindowStartCannotWrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
-		tree, err := core.Build(tbl, core.Params{
+		tree, err := core.BuildCtx(context.Background(), tbl, core.Params{
 			Mode:     mode,
 			Signer:   signer,
 			Domain:   geometry.MustBox([]float64{-1}, []float64{1}),

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -25,7 +26,7 @@ import (
 
 func seedAnswers(f *testing.F) {
 	tbl := lineTableF(f, 12, 77)
-	tree, err := core.Build(tbl, core.Params{
+	tree, err := core.BuildCtx(context.Background(), tbl, core.Params{
 		Mode:     verify.OneSignature,
 		Signer:   testSigner,
 		Domain:   geometry.MustBox([]float64{-1}, []float64{1}),
@@ -61,7 +62,7 @@ func seedAnswers(f *testing.F) {
 // GOARCH=386), and a strictness byte of 7 (accepted, re-encoded as 0).
 func forgedGeometry(f testing.TB) [][]byte {
 	build := func(mode verify.Mode) *verify.Answer {
-		tree, err := core.Build(lineTableF(f, 12, 77), core.Params{
+		tree, err := core.BuildCtx(context.Background(), lineTableF(f, 12, 77), core.Params{
 			Mode:     mode,
 			Signer:   testSigner,
 			Domain:   geometry.MustBox([]float64{-1}, []float64{1}),
@@ -201,7 +202,7 @@ func FuzzVerify(f *testing.F) {
 func verifyTrees(tb testing.TB) [2]*core.Tree {
 	var trees [2]*core.Tree
 	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
-		tree, err := core.Build(lineTableF(tb, 12, 77), core.Params{
+		tree, err := core.BuildCtx(context.Background(), lineTableF(tb, 12, 77), core.Params{
 			Mode:     mode,
 			Signer:   testSigner,
 			Domain:   geometry.MustBox([]float64{-1}, []float64{1}),
@@ -210,7 +211,7 @@ func verifyTrees(tb testing.TB) [2]*core.Tree {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		trees[mode] = tree
+		trees[mode] = tree.Tree
 	}
 	return trees
 }

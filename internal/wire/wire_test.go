@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -47,7 +48,7 @@ func lineTable(t testing.TB, n int, seed int64) record.Table {
 func ifmhAnswers(t *testing.T, mode verify.Mode) []*verify.Answer {
 	t.Helper()
 	tbl := lineTable(t, 25, int64(mode)+1)
-	tree, err := core.Build(tbl, core.Params{
+	tree, err := core.BuildCtx(context.Background(), tbl, core.Params{
 		Mode:     mode,
 		Signer:   testSigner,
 		Domain:   geometry.MustBox([]float64{-1}, []float64{1}),
@@ -121,7 +122,7 @@ func TestIFMHRoundTrip(t *testing.T) {
 
 func TestDecodedAnswerStillVerifies(t *testing.T) {
 	tbl := lineTable(t, 30, 5)
-	tree, err := core.Build(tbl, core.Params{
+	tree, err := core.BuildCtx(context.Background(), tbl, core.Params{
 		Mode:     verify.MultiSignature,
 		Signer:   testSigner,
 		Domain:   geometry.MustBox([]float64{-1}, []float64{1}),
@@ -296,7 +297,7 @@ func TestDecodeIFMHAllocationsAreFlatInTheWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := core.Build(tbl, core.Params{
+	tree, err := core.BuildCtx(context.Background(), tbl, core.Params{
 		Mode: verify.MultiSignature, Signer: testSigner,
 		Domain: geometry.MustBox([]float64{-1}, []float64{1}), Template: funcs.AffineLine(0, 1),
 	})
