@@ -19,7 +19,6 @@ import (
 	"aqverify/internal/bench"
 	"aqverify/internal/metrics"
 	"aqverify/internal/server"
-	"aqverify/internal/sig"
 	"aqverify/internal/verify"
 	"aqverify/internal/wire"
 	"aqverify/internal/workload"
@@ -321,7 +320,7 @@ func mixedQueries(b *testing.B, tbl aqverify.Table, dom aqverify.Box, count int)
 // wire.DecodeIFMH + verify.Verify — over 2 048 mixed answers shaped like
 // the end-to-end benchmark's mixed sequence (mixedQueries; Lines n=2000,
 // multi-signature). One op is one answer (ns/op ÷ 1000 = µs/answer).
-// cold verifies under the owner's raw key; warm under a sig.Memo that
+// cold verifies under the owner's raw key; warm under a verify.Memo that
 // has seen every answer once, which is what a dialed session reaches;
 // decode is wire.DecodeIFMH alone.
 func BenchmarkClientPath(b *testing.B) {
@@ -345,7 +344,7 @@ func BenchmarkClientPath(b *testing.B) {
 		}
 	}
 	cold, warm := tree.Public(), tree.Public()
-	warm.Verifier = sig.Memo(cold.Verifier)
+	warm.Verifier = verify.Memo(cold.Verifier)
 	for _, frame := range frames {
 		check(warm, frame, nil)
 	}

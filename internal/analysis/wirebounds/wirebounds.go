@@ -1,7 +1,7 @@
 // Package wirebounds flags int(...) conversions of unsigned words
 // decoded from untrusted bytes (internal/codec, the wire, artifact and
-// geometry decoders that read through it, and record's hand-written
-// decoder) that lack a bounds guard. On a 32-bit platform int(u32max) wraps
+// geometry decoders that read through it, record's hand-written decoder
+// and verify's key decoder) that lack a bounds guard. On a 32-bit platform int(u32max) wraps
 // negative, so an unguarded conversion lets a forged count, index or
 // shard word slip past a later `>= limit` check — the overflow class
 // PR 5 and PR 8 fixed by hand and pinned under GOARCH=386.
@@ -27,13 +27,15 @@ import (
 )
 
 // scope: the packages that decode attacker-controlled bytes — the
-// shared reader, its three users, and record's hand-written decoder.
+// shared reader, its three users, record's hand-written decoder, and
+// verify's key decoder (a server's /params, an artifact manifest).
 var scope = map[string]bool{
 	"codec":    true,
 	"wire":     true,
 	"artifact": true,
 	"geometry": true,
 	"record":   true,
+	"verify":   true,
 }
 
 // Analyzer flags unguarded int conversions of decoded unsigned words.

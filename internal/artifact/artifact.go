@@ -37,7 +37,6 @@ import (
 	"aqverify/internal/core"
 	"aqverify/internal/hashing"
 	"aqverify/internal/shard"
-	"aqverify/internal/sig"
 	"aqverify/internal/verify"
 )
 
@@ -173,7 +172,7 @@ func Save(dir string, res *build.Result) (Info, error) {
 			return Info{}, fmt.Errorf("artifact: shard %d mode %v != shard 0 mode %v", i, t.Mode(), mode)
 		}
 	}
-	vb, err := sig.MarshalVerifier(res.Public.Verifier)
+	vb, err := verify.MarshalVerifier(res.Public.Verifier)
 	if err != nil {
 		return Info{}, fmt.Errorf("artifact: %w", err)
 	}
@@ -233,7 +232,7 @@ func tempName(dir, name string) string { return filepath.Join(dir, "."+name+".tm
 
 // infoOf assembles the public Info view of a decoded (or just-encoded)
 // manifest.
-func infoOf(m *manifest, v sig.Verifier) Info {
+func infoOf(m *manifest, v verify.Verifier) Info {
 	return Info{
 		Hash:   m.hash,
 		Kind:   m.kind,
@@ -251,7 +250,7 @@ func infoOf(m *manifest, v sig.Verifier) Info {
 	}
 }
 
-func readManifest(dir string) (*manifest, sig.Verifier, error) {
+func readManifest(dir string) (*manifest, verify.Verifier, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
 		return nil, nil, fmt.Errorf("artifact: %w", err)
@@ -260,7 +259,7 @@ func readManifest(dir string) (*manifest, sig.Verifier, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w (%s)", err, ManifestName)
 	}
-	v, err := sig.UnmarshalVerifier(m.verifierBytes)
+	v, err := verify.UnmarshalVerifier(m.verifierBytes)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: manifest verifier: %v", ErrCorrupt, err)
 	}
@@ -326,7 +325,7 @@ func OpenShard(dir string, i int) (*Artifact, error) {
 // (a self-consistent blob from another publication is torn, not
 // corrupt), then the sealed content hash, then — after reconstruction —
 // the tree fingerprint.
-func (a *Artifact) openTree(dir string, m *manifest, v sig.Verifier, i int) (*core.Tree, error) {
+func (a *Artifact) openTree(dir string, m *manifest, v verify.Verifier, i int) (*core.Tree, error) {
 	name := treeName
 	wantShard := nilIndex
 	if m.kind == KindSet {

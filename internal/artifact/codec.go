@@ -391,7 +391,7 @@ func decodeTree(data []byte) (*decodedTree, error) {
 			r.Corrupt("fmh node %d references a later node", i)
 		default:
 			forest[i].L, forest[i].R = &forest[l], &forest[rr]
-			if int64(wdt) != int64(forest[l].W)+int64(forest[rr].W) || int(forest[l].W) != mhtree.LeftWidth(int(wdt)) {
+			if int64(wdt) != int64(forest[l].W)+int64(forest[rr].W) || int(forest[l].W) != verify.LeftWidth(int(wdt)) {
 				r.Corrupt("fmh node %d has inconsistent width %d", i, wdt)
 			}
 			if spans[i] = joinSpans(spans[l], spans[rr]); spans[i] == spanInvalid {

@@ -10,7 +10,6 @@ import (
 	"aqverify/internal/geometry"
 	"aqverify/internal/hashing"
 	"aqverify/internal/metrics"
-	"aqverify/internal/mhtree"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
 	"aqverify/internal/shard"
@@ -76,7 +75,7 @@ func encoded(t *core.Tree, q query.Query, ctr *metrics.Counter) ([]byte, error) 
 	var recs [64]record.Record
 	var proof [64]hashing.Digest
 	var path [32]verify.PathStep
-	a := verify.Answer{Records: recs[:0], VO: verify.VO{FProof: mhtree.Proof{Hashes: proof[:0]}, Path: path[:0]}}
+	a := verify.Answer{Records: recs[:0], VO: verify.VO{FProof: verify.Proof{Hashes: proof[:0]}, Path: path[:0]}}
 	if err := t.ProcessInto(&a, q, ctr); err != nil {
 		return nil, err
 	}

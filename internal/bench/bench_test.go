@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 )
 
 // quick is the one harness every test in the package shares, so each
@@ -54,7 +55,7 @@ func (digestSigner) SignatureSize() int                 { return 64 }
 
 func (digestSigner) Verify(digest, s []byte) error {
 	if !bytes.Equal(s, slices.Concat(digest, digest)) {
-		return sig.ErrBadSignature
+		return verify.ErrBadSignature
 	}
 	return nil
 }

@@ -157,7 +157,7 @@ type Tree struct {
 
 	rootDigest hashing.Digest
 	rootSig    []byte // one-signature mode
-	verifier   sig.Verifier
+	verifier   verify.Verifier
 	sigCount   int
 }
 

@@ -8,7 +8,6 @@ import (
 	"aqverify/internal/hashing"
 	"aqverify/internal/itree"
 	"aqverify/internal/record"
-	"aqverify/internal/sig"
 	"aqverify/internal/verify"
 )
 
@@ -36,7 +35,7 @@ type Snapshot struct {
 	Subs []*SubInfo
 	// RootSig is the owner's root signature (one-signature mode).
 	RootSig  []byte
-	Verifier sig.Verifier
+	Verifier verify.Verifier
 }
 
 // Snapshot returns the tree's serve-state. See Snapshot for the

@@ -17,7 +17,6 @@ import (
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
-	"aqverify/internal/sig"
 	"aqverify/internal/tamper"
 	"aqverify/internal/transport"
 	"aqverify/internal/verify"
@@ -254,13 +253,13 @@ func TestDialedSessionPoison(t *testing.T) {
 				t.Fatal(err)
 			}
 			network := &detour{}
-			dial := func() (*transport.Remote, backend.Option, *sig.Memoized) {
+			dial := func() (*transport.Remote, backend.Option, *verify.Memoized) {
 				r, err := transport.DialRemote(ts.URL, &http.Client{Transport: network})
 				if err != nil {
 					t.Fatal(err)
 				}
 				pub, _ := r.Client().Public()
-				return r, backend.WithVerify(pub), pub.Verifier.(*sig.Memoized)
+				return r, backend.WithVerify(pub), pub.Verifier.(*verify.Memoized)
 			}
 			at := func(f float64) geometry.Point { return geometry.Point{dom.Lo[0] + f*(dom.Hi[0]-dom.Lo[0])} }
 			qs := []query.Query{query.NewTopK(at(0.25), 5), query.NewTopK(at(0.75), 5)}

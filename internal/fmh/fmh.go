@@ -17,7 +17,8 @@
 // and never materializes a subdomain's permutation.
 //
 // Lists are immutable; DeriveSwap produces the next subdomain's list in
-// O(log n) new nodes via the persistent Merkle tree underneath.
+// O(log n) new nodes via the persistent Merkle tree underneath. The
+// client's counterpart of BoundaryProof is verify.ComputeFMHRoot.
 package fmh
 
 import (
@@ -27,6 +28,7 @@ import (
 	"aqverify/internal/hashing"
 	"aqverify/internal/metrics"
 	"aqverify/internal/mhtree"
+	"aqverify/internal/verify"
 )
 
 // List is one subdomain's FMH-tree. N is the record count (excluding
@@ -86,7 +88,7 @@ func (r *Reader) At(p int) int {
 	}
 	n, off := r.path[d], r.off[d]
 	for n.W > 1 {
-		if lw := mhtree.LeftWidth(int(n.W)); i < off+lw {
+		if lw := verify.LeftWidth(int(n.W)); i < off+lw {
 			n = n.L
 		} else {
 			n, off = n.R, off+lw
@@ -130,22 +132,11 @@ func (l *List) DeriveSwap(h *hashing.Hasher, p int) (*List, error) {
 // start is the record position of the first result record; count may be
 // zero for an empty result window. The counter observes the server's
 // traversal cost.
-func (l *List) BoundaryProof(p *mhtree.Proof, start, count int, ctr *metrics.Counter) error {
+func (l *List) BoundaryProof(p *verify.Proof, start, count int, ctr *metrics.Counter) error {
 	if start < 0 || count < 0 || start+count > l.N {
 		return fmt.Errorf("fmh: window start=%d count=%d out of range for %d records", start, count, l.N)
 	}
 	// Tree leaves: left boundary at leaf index start, right boundary at
 	// start+count+1.
 	return l.Tree.RangeProof(p, start, start+count+1, ctr)
-}
-
-// ComputeRoot is the verifier-side counterpart of BoundaryProof: it
-// recomputes the root from the claimed list length, window start, the
-// leaf digests of [left boundary, window..., right boundary], and the
-// proof. leaves must have length count+2.
-func ComputeRoot(h *hashing.Hasher, n, start int, leaves []hashing.Digest, p mhtree.Proof) (hashing.Digest, error) {
-	if n < 0 {
-		return hashing.Digest{}, fmt.Errorf("fmh: negative list length %d", n)
-	}
-	return mhtree.ComputeRoot(h, n+2, start, leaves, p)
 }

@@ -9,6 +9,7 @@ import (
 	"aqverify/internal/metrics"
 	"aqverify/internal/mhtree"
 	"aqverify/internal/record"
+	"aqverify/internal/verify"
 )
 
 // testList builds an FMH list over n synthetic records and returns the
@@ -143,9 +144,9 @@ func TestBoundaryProofRoundTrip(t *testing.T) {
 			} else {
 				leaves = append(leaves, leafD[start+count])
 			}
-			root, err := ComputeRoot(h, n, start, leaves, proof)
+			root, err := verify.ComputeFMHRoot(h, n, start, leaves, proof)
 			if err != nil {
-				t.Fatalf("ComputeRoot(%d,%d): %v", start, count, err)
+				t.Fatalf("verify.ComputeFMHRoot(%d,%d): %v", start, count, err)
 			}
 			if root != l.Root() {
 				t.Fatalf("window (%d,%d): recomputed root differs", start, count)
@@ -180,7 +181,7 @@ func TestVerifierDetectsWrongLength(t *testing.T) {
 		leafD[start-1], leafD[5], leafD[6], leafD[7],
 		h.SentinelMax(forgedN),
 	}
-	root, err := ComputeRoot(h, forgedN, start, leaves, proof)
+	root, err := verify.ComputeFMHRoot(h, forgedN, start, leaves, proof)
 	if err == nil && root == l.Root() {
 		t.Error("forged list length with max sentinel in range verified")
 	}
@@ -241,8 +242,8 @@ func TestDeriveSwapChainMatchesFreshBuilds(t *testing.T) {
 }
 
 // boundaryProof is BoundaryProof into a fresh proof.
-func boundaryProof(l *List, start, count int, ctr *metrics.Counter) (mhtree.Proof, error) {
-	var p mhtree.Proof
+func boundaryProof(l *List, start, count int, ctr *metrics.Counter) (verify.Proof, error) {
+	var p verify.Proof
 	err := l.BoundaryProof(&p, start, count, ctr)
 	return p, err
 }

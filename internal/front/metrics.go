@@ -5,7 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"aqverify/internal/metrics"
+	"aqverify/internal/transport"
 )
 
 // latencyBuckets are the per-shard request-latency histogram bounds, in
@@ -42,13 +42,13 @@ func (h *histogram) Observe(d time.Duration) {
 }
 
 // writeProm renders the histogram as one labeled series set.
-func (h *histogram) writeProm(p *metrics.Prom, name string, labels []metrics.Label) {
+func (h *histogram) writeProm(p *transport.Prom, name string, labels []transport.Label) {
 	for i, ub := range latencyBuckets {
-		l := append(append([]metrics.Label(nil), labels...),
-			metrics.Label{Name: "le", Value: fmt.Sprintf("%g", ub)})
+		l := append(append([]transport.Label(nil), labels...),
+			transport.Label{Name: "le", Value: fmt.Sprintf("%g", ub)})
 		p.Int(name+"_bucket", l, h.counts[i].Load())
 	}
-	inf := append(append([]metrics.Label(nil), labels...), metrics.Label{Name: "le", Value: "+Inf"})
+	inf := append(append([]transport.Label(nil), labels...), transport.Label{Name: "le", Value: "+Inf"})
 	p.Int(name+"_bucket", inf, h.count.Load())
 	p.Sample(name+"_sum", labels, time.Duration(h.sumNS.Load()).Seconds())
 	p.Int(name+"_count", labels, h.count.Load())

@@ -16,7 +16,6 @@ import (
 
 	"aqverify/internal/backend"
 	"aqverify/internal/front"
-	"aqverify/internal/metrics"
 	"aqverify/internal/transport"
 )
 
@@ -77,10 +76,10 @@ func TestMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := resp.Header.Get("Content-Type"); got != metrics.PromContentType {
-		t.Errorf("Content-Type = %q, want %q", got, metrics.PromContentType)
+	if got := resp.Header.Get("Content-Type"); got != transport.PromContentType {
+		t.Errorf("Content-Type = %q, want %q", got, transport.PromContentType)
 	}
-	fams, err := metrics.ParseProm(string(body))
+	fams, err := transport.ParseProm(string(body))
 	if err != nil {
 		t.Fatalf("/metrics does not parse: %v\n%s", err, body)
 	}

@@ -3,7 +3,7 @@ package front
 import (
 	"fmt"
 
-	"aqverify/internal/metrics"
+	"aqverify/internal/transport"
 )
 
 // WriteProm appends the front plane's metric families to a /metrics
@@ -11,7 +11,7 @@ import (
 // (through decorators) and calls it after the tally and cache families.
 // Family names are pinned by the golden file in this package's tests:
 // renaming one is a dashboard-breaking change, make it deliberately.
-func (f *Frontend) WriteProm(p *metrics.Prom) {
+func (f *Frontend) WriteProm(p *transport.Prom) {
 	snap := f.Snapshot()
 
 	p.Scalar("aqv_front_inflight", "gauge", "Requests currently admitted by the front's gate.", snap.InFlight)
@@ -45,7 +45,7 @@ func (f *Frontend) WriteProm(p *metrics.Prom) {
 	p.Family("aqv_front_probe_failures_total", "counter", "Failed health probes, by replica.")
 	for i, sh := range snap.Shards {
 		for j, r := range sh.Replicas {
-			l := append(shardLabel(i), metrics.Label{Name: "replica", Value: fmt.Sprint(j)})
+			l := append(shardLabel(i), transport.Label{Name: "replica", Value: fmt.Sprint(j)})
 			up := int64(0)
 			if r.Up {
 				up = 1
@@ -64,6 +64,6 @@ func (f *Frontend) WriteProm(p *metrics.Prom) {
 	}
 }
 
-func shardLabel(i int) []metrics.Label {
-	return []metrics.Label{{Name: "shard", Value: fmt.Sprint(i)}}
+func shardLabel(i int) []transport.Label {
+	return []transport.Label{{Name: "shard", Value: fmt.Sprint(i)}}
 }

@@ -67,13 +67,6 @@ func Norm2(a []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// Clone returns a copy of a.
-func Clone(a []float64) []float64 {
-	out := make([]float64, len(a))
-	copy(out, a)
-	return out
-}
-
 // AllFinite reports whether every component of a is finite (not NaN or
 // ±Inf). The verification structures reject non-finite attribute values up
 // front so that downstream hashing and geometry are total.

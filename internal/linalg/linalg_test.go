@@ -69,15 +69,6 @@ func TestAllFinite(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	a := []float64{1, 2}
-	c := Clone(a)
-	c[0] = 9
-	if a[0] != 1 {
-		t.Error("Clone shares backing array")
-	}
-}
-
 func TestDotLinearity(t *testing.T) {
 	f := func(a, b, c [4]float64, k float64) bool {
 		if math.IsNaN(k) || math.IsInf(k, 0) {

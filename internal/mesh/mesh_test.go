@@ -185,7 +185,7 @@ func TestLinearScanCost(t *testing.T) {
 			ctr.CellsVisited, m.NumSubdomains())
 	}
 	// A query near the left edge exits early.
-	ctr.Reset()
+	ctr = metrics.Counter{}
 	if _, err := m.Process(query.NewTopK(geometry.Point{-0.999}, 1), &ctr); err != nil {
 		t.Fatal(err)
 	}

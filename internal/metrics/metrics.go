@@ -5,7 +5,9 @@
 // invocations, signature creations and verifications, tree nodes or mesh
 // cells traversed — alongside wall-clock time and byte sizes. A Counter is
 // threaded explicitly through the code paths that need instrumentation; no
-// global state is used so concurrent benchmarks do not interfere.
+// global state is used so concurrent benchmarks do not interfere. The
+// package is the Counter alone, so the verifier that takes one compiles
+// nothing else; the /metrics text exposition is package transport's.
 package metrics
 
 import "fmt"
@@ -117,14 +119,6 @@ func (c *Counter) Add(other Counter) {
 	c.Bytes += other.Bytes
 }
 
-// Reset zeroes every field.
-func (c *Counter) Reset() {
-	if c == nil {
-		return
-	}
-	*c = Counter{}
-}
-
 // Snapshot returns a copy of the current counts. A nil receiver snapshots
 // to the zero Counter.
 func (c *Counter) Snapshot() Counter {
@@ -132,22 +126,6 @@ func (c *Counter) Snapshot() Counter {
 		return Counter{}
 	}
 	return *c
-}
-
-// Diff returns the per-field difference c - earlier. It is used to isolate
-// the cost of one operation inside a longer-lived counter.
-func (c *Counter) Diff(earlier Counter) Counter {
-	s := c.Snapshot()
-	return Counter{
-		Hashes:       s.Hashes - earlier.Hashes,
-		HashBytes:    s.HashBytes - earlier.HashBytes,
-		SigSigns:     s.SigSigns - earlier.SigSigns,
-		SigVerifies:  s.SigVerifies - earlier.SigVerifies,
-		NodesVisited: s.NodesVisited - earlier.NodesVisited,
-		CellsVisited: s.CellsVisited - earlier.CellsVisited,
-		Comparisons:  s.Comparisons - earlier.Comparisons,
-		Bytes:        s.Bytes - earlier.Bytes,
-	}
 }
 
 // String renders the non-zero fields compactly, for logs and demos.

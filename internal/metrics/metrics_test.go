@@ -15,7 +15,6 @@ func TestNilCounterIsSafe(t *testing.T) {
 	c.AddComparisons(1)
 	c.AddBytes(1)
 	c.Add(Counter{Hashes: 5})
-	c.Reset()
 	if c.Traversed() != 0 {
 		t.Error("nil counter should report 0")
 	}
@@ -40,29 +39,13 @@ func TestCounterAccumulation(t *testing.T) {
 	}
 }
 
-func TestDiff(t *testing.T) {
-	var c Counter
-	c.AddHash(10, 50)
-	before := c.Snapshot()
-	c.AddHash(5, 25)
-	c.AddNodes(3)
-	d := c.Diff(before)
-	if d.Hashes != 5 || d.HashBytes != 25 || d.NodesVisited != 3 {
-		t.Errorf("Diff = %+v", d)
-	}
-}
-
-func TestAddAndReset(t *testing.T) {
+func TestAdd(t *testing.T) {
 	var a, b Counter
 	a.AddHash(1, 10)
 	b.AddSign(2)
 	a.Add(b.Snapshot())
 	if a.SigSigns != 2 || a.Hashes != 1 {
 		t.Errorf("Add = %+v", a)
-	}
-	a.Reset()
-	if a != (Counter{}) {
-		t.Errorf("Reset left %+v", a)
 	}
 }
 

@@ -3,8 +3,13 @@
 // to right and an odd trailing node is promoted to the next level
 // unchanged. This yields, equivalently, a recursive shape whose left
 // subtree always covers the largest power of two strictly smaller than the
-// node's leaf span — the form used here because it lets a verifier
-// recompute the shape from the leaf count alone.
+// node's leaf span (verify.LeftWidth) — the form used here because it
+// lets a verifier recompute the shape from the leaf count alone.
+//
+// This package is the server's and the owner's side: it builds, derives
+// and walks trees and writes range proofs. The proof format and its
+// check (verify.Proof, verify.ComputeRoot) are the client's, in package
+// verify, which this package imports and never the reverse.
 //
 // Trees are immutable and persistent: deriving a tree that differs in one
 // leaf (or an adjacent swap) copies only the O(log n) path to the root and
@@ -20,6 +25,7 @@ import (
 
 	"aqverify/internal/hashing"
 	"aqverify/internal/metrics"
+	"aqverify/internal/verify"
 )
 
 // Node is an immutable Merkle tree node covering W leaves. Leaf nodes have
@@ -43,16 +49,6 @@ type Node struct {
 // internal node).
 const NoRecord = -1
 
-// LeftWidth returns the leaf span of the left subtree of a node covering w
-// leaves: the largest power of two strictly less than w. This is exactly
-// the shape produced by the paper's pair-and-promote construction.
-func LeftWidth(w int) int {
-	if w < 2 {
-		panic(fmt.Sprintf("mhtree: LeftWidth of width %d", w))
-	}
-	return 1 << (bits.Len(uint(w-1)) - 1)
-}
-
 // Build constructs a tree over the given leaf digests; recs[i] is the
 // record leaf i commits to, and a nil recs means no leaf commits to one.
 // It returns nil for an empty slice. The hasher's counter observes one
@@ -75,7 +71,7 @@ func build(h *hashing.Hasher, leaves []hashing.Digest, recs []int32, off, w int)
 		}
 		return n
 	}
-	lw := LeftWidth(w)
+	lw := verify.LeftWidth(w)
 	return join(h, build(h, leaves, recs, off, lw), build(h, leaves, recs, off+lw, w-lw))
 }
 
@@ -96,7 +92,7 @@ func (n *Node) leaf(i int) *Node {
 		panic(fmt.Sprintf("mhtree: leaf %d out of range [0,%d)", i, n.W))
 	}
 	for n.W > 1 {
-		lw := LeftWidth(int(n.W))
+		lw := verify.LeftWidth(int(n.W))
 		if i < lw {
 			n = n.L
 		} else {
@@ -120,7 +116,7 @@ func WithLeaf(h *hashing.Hasher, n *Node, i int, d hashing.Digest, rec int) *Nod
 	if n.W == 1 {
 		return &Node{H: d, W: 1, Rec: int32(rec)}
 	}
-	lw := LeftWidth(int(n.W))
+	lw := verify.LeftWidth(int(n.W))
 	if i < lw {
 		return join(h, WithLeaf(h, n.L, i, d, rec), n.R)
 	}
@@ -140,7 +136,7 @@ func SwapLeaves(h *hashing.Hasher, n *Node, i int) *Node {
 	if i < 0 || i+1 >= int(n.W) {
 		panic(fmt.Sprintf("mhtree: swap at %d out of range [0,%d)", i, n.W-1))
 	}
-	lw := LeftWidth(int(n.W))
+	lw := verify.LeftWidth(int(n.W))
 	switch {
 	case i+1 < lw:
 		return join(h, SwapLeaves(h, n.L, i), n.R)
@@ -214,18 +210,10 @@ func countNodes(n *Node, seen map[*Node]bool) int {
 	return 1 + countNodes(n.L, seen) + countNodes(n.R, seen)
 }
 
-// Proof is the evidence needed to recompute a root from a contiguous leaf
-// range: the digests of the maximal subtrees entirely outside the range,
-// in deterministic depth-first order. Its size is O(log n) regardless of
-// the range width.
-type Proof struct {
-	Hashes []hashing.Digest
-}
-
 // RangeProof writes the proof for leaves [lo, hi] (inclusive) into p,
 // reusing p.Hashes' array. The counter observes every node visited, the
 // server's VO-construction traversal cost in the paper's Fig 6.
-func (n *Node) RangeProof(p *Proof, lo, hi int, ctr *metrics.Counter) error {
+func (n *Node) RangeProof(p *verify.Proof, lo, hi int, ctr *metrics.Counter) error {
 	if lo < 0 || hi >= int(n.W) || lo > hi {
 		return fmt.Errorf("mhtree: range [%d,%d] out of bounds for %d leaves", lo, hi, n.W)
 	}
@@ -250,61 +238,5 @@ func (n *Node) rangeProof(dst []hashing.Digest, k, off, lo, hi int, ctr *metrics
 		return k // inside the range; verifier recomputes it
 	}
 	k = n.L.rangeProof(dst, k, off, lo, hi, ctr)
-	return n.R.rangeProof(dst, k, off+LeftWidth(int(n.W)), lo, hi, ctr)
-}
-
-// ComputeRoot replays a range proof: given the tree's leaf count, the
-// range start, the in-range leaf digests, and the proof, it recomputes the
-// root digest using the same deterministic traversal as RangeProof. The
-// caller compares the result against a trusted root. Errors indicate a
-// malformed proof (wrong length), never a hash mismatch — mismatches
-// surface as a different root.
-//
-// Authentication granularity: a matching root binds every in-range leaf
-// digest to its absolute position. The leaf count itself is bound only to
-// the extent it changes in-range placement — a forged count whose shape
-// differences lie entirely inside proof-covered subtrees reproduces the
-// root. Protocol layers must therefore never trust leafCount on its own;
-// the FMH layer binds list length into the sentinel leaf digests, which
-// are in range exactly when length matters (top-k boundaries).
-func ComputeRoot(h *hashing.Hasher, leafCount, lo int, leaves []hashing.Digest, p Proof) (hashing.Digest, error) {
-	// lo > leafCount-len(leaves), not lo+len(leaves) > leafCount: a forged
-	// lo near the int limit cannot wrap, so hi cannot either.
-	if leafCount <= 0 || lo < 0 || len(leaves) == 0 || lo > leafCount-len(leaves) {
-		return hashing.Digest{}, fmt.Errorf("mhtree: invalid range of %d at %d for %d leaves", len(leaves), lo, leafCount)
-	}
-	hi := lo + len(leaves) - 1
-	cursor := 0
-	var rec func(off, w int) (hashing.Digest, error)
-	rec = func(off, w int) (hashing.Digest, error) {
-		if off+w <= lo || off > hi {
-			if cursor >= len(p.Hashes) {
-				return hashing.Digest{}, fmt.Errorf("mhtree: proof exhausted at subtree [%d,%d)", off, off+w)
-			}
-			d := p.Hashes[cursor]
-			cursor++
-			return d, nil
-		}
-		if w == 1 {
-			return leaves[off-lo], nil
-		}
-		lw := LeftWidth(w)
-		l, err := rec(off, lw)
-		if err != nil {
-			return hashing.Digest{}, err
-		}
-		r, err := rec(off+lw, w-lw)
-		if err != nil {
-			return hashing.Digest{}, err
-		}
-		return h.Node(l, r), nil
-	}
-	root, err := rec(0, leafCount)
-	if err != nil {
-		return hashing.Digest{}, err
-	}
-	if cursor != len(p.Hashes) {
-		return hashing.Digest{}, fmt.Errorf("mhtree: proof has %d unused digests", len(p.Hashes)-cursor)
-	}
-	return root, nil
+	return n.R.rangeProof(dst, k, off+verify.LeftWidth(int(n.W)), lo, hi, ctr)
 }

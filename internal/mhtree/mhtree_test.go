@@ -9,6 +9,7 @@ import (
 
 	"aqverify/internal/hashing"
 	"aqverify/internal/metrics"
+	"aqverify/internal/verify"
 )
 
 func mkLeaves(n int, seed int64) []hashing.Digest {
@@ -26,8 +27,8 @@ func TestLeftWidth(t *testing.T) {
 		{9, 8}, {12, 8}, {16, 8}, {17, 16},
 	}
 	for _, tc := range tests {
-		if got := LeftWidth(tc.w); got != tc.want {
-			t.Errorf("LeftWidth(%d) = %d, want %d", tc.w, got, tc.want)
+		if got := verify.LeftWidth(tc.w); got != tc.want {
+			t.Errorf("verify.LeftWidth(%d) = %d, want %d", tc.w, got, tc.want)
 		}
 	}
 }
@@ -260,9 +261,9 @@ func TestRangeProofRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("n=%d RangeProof(%d,%d): %v", n, lo, hi, err)
 				}
-				root, err := ComputeRoot(h, n, lo, leaves[lo:hi+1], proof)
+				root, err := verify.ComputeRoot(h, n, lo, leaves[lo:hi+1], proof)
 				if err != nil {
-					t.Fatalf("n=%d ComputeRoot(%d,%d): %v", n, lo, hi, err)
+					t.Fatalf("n=%d verify.ComputeRoot(%d,%d): %v", n, lo, hi, err)
 				}
 				if root != tree.Root() {
 					t.Fatalf("n=%d range [%d,%d]: recomputed root differs", n, lo, hi)
@@ -294,24 +295,24 @@ func TestComputeRootDetectsTampering(t *testing.T) {
 	// Tampered leaf digest -> different root.
 	bad := append([]hashing.Digest(nil), rng...)
 	bad[2][0] ^= 1
-	if root, err := ComputeRoot(h, n, lo, bad, proof); err == nil && root == tree.Root() {
+	if root, err := verify.ComputeRoot(h, n, lo, bad, proof); err == nil && root == tree.Root() {
 		t.Error("tampered leaf digest still produced the correct root")
 	}
 
 	// Shifted position -> different root (or error).
-	if root, err := ComputeRoot(h, n, lo+1, rng, proof); err == nil && root == tree.Root() {
+	if root, err := verify.ComputeRoot(h, n, lo+1, rng, proof); err == nil && root == tree.Root() {
 		t.Error("shifted range still produced the correct root")
 	}
 
 	// Truncated proof -> error.
-	short := Proof{Hashes: proof.Hashes[:len(proof.Hashes)-1]}
-	if _, err := ComputeRoot(h, n, lo, rng, short); err == nil {
+	short := verify.Proof{Hashes: proof.Hashes[:len(proof.Hashes)-1]}
+	if _, err := verify.ComputeRoot(h, n, lo, rng, short); err == nil {
 		t.Error("truncated proof accepted")
 	}
 
 	// Padded proof -> error.
-	long := Proof{Hashes: append(append([]hashing.Digest(nil), proof.Hashes...), hashing.Digest{})}
-	if _, err := ComputeRoot(h, n, lo, rng, long); err == nil {
+	long := verify.Proof{Hashes: append(append([]hashing.Digest(nil), proof.Hashes...), hashing.Digest{})}
+	if _, err := verify.ComputeRoot(h, n, lo, rng, long); err == nil {
 		t.Error("padded proof accepted")
 	}
 
@@ -320,7 +321,7 @@ func TestComputeRootDetectsTampering(t *testing.T) {
 	// once the range includes the tree's tail, it must be caught.
 	tailLo := n - 3
 	tailProof, _ := rangeProof(tree, tailLo, n-1, nil)
-	if root, err := ComputeRoot(h, n+1, tailLo, leaves[tailLo:], tailProof); err == nil && root == tree.Root() {
+	if root, err := verify.ComputeRoot(h, n+1, tailLo, leaves[tailLo:], tailProof); err == nil && root == tree.Root() {
 		t.Error("forged leaf count with in-range tail still produced the correct root")
 	}
 }
@@ -328,19 +329,19 @@ func TestComputeRootDetectsTampering(t *testing.T) {
 func TestComputeRootRejectsInvalidArgs(t *testing.T) {
 	h := hashing.New(nil)
 	leaves := mkLeaves(3, 1)
-	if _, err := ComputeRoot(h, 3, 0, nil, Proof{}); err == nil {
+	if _, err := verify.ComputeRoot(h, 3, 0, nil, verify.Proof{}); err == nil {
 		t.Error("empty range accepted")
 	}
-	if _, err := ComputeRoot(h, 3, 2, leaves[:2], Proof{}); err == nil {
+	if _, err := verify.ComputeRoot(h, 3, 2, leaves[:2], verify.Proof{}); err == nil {
 		t.Error("range past end accepted")
 	}
-	if _, err := ComputeRoot(h, 0, 0, leaves[:1], Proof{}); err == nil {
+	if _, err := verify.ComputeRoot(h, 0, 0, leaves[:1], verify.Proof{}); err == nil {
 		t.Error("zero leaf count accepted")
 	}
 	// A start near the int limit must not wrap the range's end below the
 	// leaf count: the replay would then hash no leaf and return the first
 	// proof digest as the root.
-	if _, err := ComputeRoot(h, 3, math.MaxInt, leaves[:2], Proof{Hashes: leaves[:1]}); err == nil {
+	if _, err := verify.ComputeRoot(h, 3, math.MaxInt, leaves[:2], verify.Proof{Hashes: leaves[:1]}); err == nil {
 		t.Error("wrapped range start accepted")
 	}
 }
@@ -432,8 +433,8 @@ func TestLeavesNameTheirRecords(t *testing.T) {
 }
 
 // rangeProof is RangeProof into a fresh proof.
-func rangeProof(n *Node, lo, hi int, ctr *metrics.Counter) (Proof, error) {
-	var p Proof
+func rangeProof(n *Node, lo, hi int, ctr *metrics.Counter) (verify.Proof, error) {
+	var p verify.Proof
 	err := n.RangeProof(&p, lo, hi, ctr)
 	return p, err
 }

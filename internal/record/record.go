@@ -179,13 +179,3 @@ func NewTable(schema Schema, records []Record) (Table, error) {
 
 // Len returns the record count.
 func (t Table) Len() int { return len(t.Records) }
-
-// ByID returns the record with the given ID, if present.
-func (t Table) ByID(id uint64) (Record, bool) {
-	for _, r := range t.Records {
-		if r.ID == id {
-			return r, true
-		}
-	}
-	return Record{}, false
-}

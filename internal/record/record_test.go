@@ -116,12 +116,6 @@ func TestNewTable(t *testing.T) {
 	if tbl.Len() != 2 {
 		t.Errorf("Len = %d", tbl.Len())
 	}
-	if r, ok := tbl.ByID(2); !ok || r.Attrs[0] != 3 {
-		t.Error("ByID(2) failed")
-	}
-	if _, ok := tbl.ByID(99); ok {
-		t.Error("ByID(99) should miss")
-	}
 }
 
 func TestNewTableRejects(t *testing.T) {

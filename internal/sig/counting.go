@@ -1,21 +1,17 @@
 package sig
 
 import (
-	"bytes"
 	"fmt"
+
+	"aqverify/internal/verify"
 )
 
-// countingSigSize mimics an RSA-2048 signature so byte accounting under
-// the counting scheme matches the default real scheme.
-const countingSigSize = 256
-
 // countingSigner is a measurement-only scheme: the "signature" embeds the
-// digest, so verification still catches any tampering with signed content
-// in tests, but anyone can forge it. It exists for experiments that only
-// count signatures (Fig 5a) and for fast large-n structure builds.
+// digest (verify.CountingVerifier), so verification still catches any
+// tampering with signed content in tests, but anyone can forge it. It
+// exists for experiments that only count signatures (Fig 5a) and for fast
+// large-n structure builds.
 type countingSigner struct{}
-
-type countingVerifier struct{}
 
 func newCountingSigner() Signer { return countingSigner{} }
 
@@ -25,28 +21,9 @@ func (countingSigner) Sign(digest []byte) ([]byte, error) {
 	if len(digest) != 32 {
 		return nil, fmt.Errorf("sig: counting: digest must be 32 bytes, got %d", len(digest))
 	}
-	out := make([]byte, countingSigSize)
+	out := make([]byte, verify.CountingVerifier{}.SignatureSize())
 	copy(out, digest)
 	return out, nil
 }
 
-func (countingSigner) Verifier() Verifier { return countingVerifier{} }
-
-func (countingVerifier) Scheme() Scheme { return Counting }
-
-func (countingVerifier) Verify(digest, sig []byte) error {
-	if len(digest) != 32 {
-		return fmt.Errorf("sig: counting: digest must be 32 bytes, got %d", len(digest))
-	}
-	if len(sig) != countingSigSize || !bytes.Equal(sig[:32], digest) {
-		return fmt.Errorf("%w: counting", ErrBadSignature)
-	}
-	for _, b := range sig[32:] {
-		if b != 0 {
-			return fmt.Errorf("%w: counting: corrupted padding", ErrBadSignature)
-		}
-	}
-	return nil
-}
-
-func (countingVerifier) SignatureSize() int { return countingSigSize }
+func (countingSigner) Verifier() Verifier { return verify.CountingVerifier{} }

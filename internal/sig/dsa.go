@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/big"
 	"sync"
+
+	"aqverify/internal/verify"
 )
 
 // dsaParams caches DSA domain parameters: generation is by far the most
@@ -32,16 +34,6 @@ type dsaSigner struct {
 	key *dsa.PrivateKey
 }
 
-type dsaVerifier struct {
-	pub *dsa.PublicKey
-}
-
-// dsaSignature is the ASN.1 structure for an (r,s) signature, mirroring
-// the classic OpenSSL encoding.
-type dsaSignature struct {
-	R, S *big.Int
-}
-
 func newDSASigner(opt Options) (Signer, error) {
 	params, err := sharedDSAParams()
 	if err != nil {
@@ -65,29 +57,8 @@ func (s *dsaSigner) Sign(digest []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sig: dsa sign: %w", err)
 	}
-	return asn1.Marshal(dsaSignature{R: r, S: sv})
+	// The ASN.1 (r, s) sequence verify.DSAVerifier parses.
+	return asn1.Marshal(struct{ R, S *big.Int }{r, sv})
 }
 
-func (s *dsaSigner) Verifier() Verifier { return &dsaVerifier{pub: &s.key.PublicKey} }
-
-func (v *dsaVerifier) Scheme() Scheme { return DSA }
-
-func (v *dsaVerifier) Verify(digest, sigBytes []byte) error {
-	if len(digest) != 32 {
-		return fmt.Errorf("sig: dsa: digest must be 32 bytes, got %d", len(digest))
-	}
-	var parsed dsaSignature
-	rest, err := asn1.Unmarshal(sigBytes, &parsed)
-	if err != nil || len(rest) != 0 {
-		return fmt.Errorf("%w: dsa: malformed signature", ErrBadSignature)
-	}
-	if !dsa.Verify(v.pub, digest, parsed.R, parsed.S) {
-		return fmt.Errorf("%w: dsa", ErrBadSignature)
-	}
-	return nil
-}
-
-func (v *dsaVerifier) SignatureSize() int {
-	// ASN.1 SEQUENCE of two 160-bit integers: ~46-48 bytes.
-	return 48
-}
+func (s *dsaSigner) Verifier() Verifier { return &verify.DSAVerifier{Key: &s.key.PublicKey} }

@@ -4,14 +4,12 @@ import (
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"fmt"
+
+	"aqverify/internal/verify"
 )
 
 type ecdsaSigner struct {
 	key *ecdsa.PrivateKey
-}
-
-type ecdsaVerifier struct {
-	pub *ecdsa.PublicKey
 }
 
 func newECDSASigner(opt Options) (Signer, error) {
@@ -31,18 +29,4 @@ func (s *ecdsaSigner) Sign(digest []byte) ([]byte, error) {
 	return ecdsa.SignASN1(cryptoRand(), s.key, digest)
 }
 
-func (s *ecdsaSigner) Verifier() Verifier { return &ecdsaVerifier{pub: &s.key.PublicKey} }
-
-func (v *ecdsaVerifier) Scheme() Scheme { return ECDSA }
-
-func (v *ecdsaVerifier) Verify(digest, sig []byte) error {
-	if len(digest) != 32 {
-		return fmt.Errorf("sig: ecdsa: digest must be 32 bytes, got %d", len(digest))
-	}
-	if !ecdsa.VerifyASN1(v.pub, digest, sig) {
-		return fmt.Errorf("%w: ecdsa", ErrBadSignature)
-	}
-	return nil
-}
-
-func (v *ecdsaVerifier) SignatureSize() int { return 72 } // max ASN.1 P-256 size
+func (s *ecdsaSigner) Verifier() Verifier { return &verify.ECDSAVerifier{Key: &s.key.PublicKey} }

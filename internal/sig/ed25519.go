@@ -3,15 +3,13 @@ package sig
 import (
 	"crypto/ed25519"
 	"fmt"
+
+	"aqverify/internal/verify"
 )
 
 type ed25519Signer struct {
 	priv ed25519.PrivateKey
 	pub  ed25519.PublicKey
-}
-
-type ed25519Verifier struct {
-	pub ed25519.PublicKey
 }
 
 func newEd25519Signer(opt Options) (Signer, error) {
@@ -31,18 +29,4 @@ func (s *ed25519Signer) Sign(digest []byte) ([]byte, error) {
 	return ed25519.Sign(s.priv, digest), nil
 }
 
-func (s *ed25519Signer) Verifier() Verifier { return &ed25519Verifier{pub: s.pub} }
-
-func (v *ed25519Verifier) Scheme() Scheme { return Ed25519 }
-
-func (v *ed25519Verifier) Verify(digest, sig []byte) error {
-	if len(digest) != 32 {
-		return fmt.Errorf("sig: ed25519: digest must be 32 bytes, got %d", len(digest))
-	}
-	if !ed25519.Verify(v.pub, digest, sig) {
-		return fmt.Errorf("%w: ed25519", ErrBadSignature)
-	}
-	return nil
-}
-
-func (v *ed25519Verifier) SignatureSize() int { return ed25519.SignatureSize }
+func (s *ed25519Signer) Verifier() Verifier { return &verify.Ed25519Verifier{Key: s.pub} }

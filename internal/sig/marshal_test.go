@@ -3,6 +3,8 @@ package sig
 import (
 	"crypto/sha256"
 	"testing"
+
+	"aqverify/internal/verify"
 )
 
 func TestMarshalVerifierRoundTrip(t *testing.T) {
@@ -18,11 +20,11 @@ func TestMarshalVerifierRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			enc, err := MarshalVerifier(s.Verifier())
+			enc, err := verify.MarshalVerifier(s.Verifier())
 			if err != nil {
 				t.Fatalf("marshal: %v", err)
 			}
-			v, err := UnmarshalVerifier(enc)
+			v, err := verify.UnmarshalVerifier(enc)
 			if err != nil {
 				t.Fatalf("unmarshal: %v", err)
 			}
@@ -53,11 +55,11 @@ func TestMarshalVerifierDSA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := MarshalVerifier(s.Verifier())
+	enc, err := verify.MarshalVerifier(s.Verifier())
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := UnmarshalVerifier(enc)
+	v, err := verify.UnmarshalVerifier(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +78,7 @@ func TestUnmarshalVerifierRejectsGarbage(t *testing.T) {
 		{4, 0xde, 0xad}, // ed25519 tag, junk
 	}
 	for i, c := range cases {
-		if _, err := UnmarshalVerifier(c); err == nil {
+		if _, err := verify.UnmarshalVerifier(c); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
@@ -88,12 +90,12 @@ func TestCrossSchemeTagMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := MarshalVerifier(s.Verifier())
+	enc, err := verify.MarshalVerifier(s.Verifier())
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc[0] = schemeTag(ECDSA)
-	if _, err := UnmarshalVerifier(enc); err == nil {
+	enc[0] = 3 // ECDSA's tag
+	if _, err := verify.UnmarshalVerifier(enc); err == nil {
 		t.Error("RSA key with ECDSA tag accepted")
 	}
 }

@@ -4,14 +4,12 @@ import (
 	"crypto"
 	"crypto/rsa"
 	"fmt"
+
+	"aqverify/internal/verify"
 )
 
 type rsaSigner struct {
 	key *rsa.PrivateKey
-}
-
-type rsaVerifier struct {
-	pub *rsa.PublicKey
 }
 
 func newRSASigner(opt Options) (Signer, error) {
@@ -33,18 +31,4 @@ func (s *rsaSigner) Sign(digest []byte) ([]byte, error) {
 	return rsa.SignPKCS1v15(nil, s.key, crypto.SHA256, digest)
 }
 
-func (s *rsaSigner) Verifier() Verifier { return &rsaVerifier{pub: &s.key.PublicKey} }
-
-func (v *rsaVerifier) Scheme() Scheme { return RSA }
-
-func (v *rsaVerifier) Verify(digest, sig []byte) error {
-	if len(digest) != 32 {
-		return fmt.Errorf("sig: rsa: digest must be 32 bytes, got %d", len(digest))
-	}
-	if err := rsa.VerifyPKCS1v15(v.pub, crypto.SHA256, digest, sig); err != nil {
-		return fmt.Errorf("%w: rsa: %v", ErrBadSignature, err)
-	}
-	return nil
-}
-
-func (v *rsaVerifier) SignatureSize() int { return v.pub.Size() }
+func (s *rsaSigner) Verifier() Verifier { return &verify.RSAVerifier{Key: &s.key.PublicKey} }

@@ -1,8 +1,10 @@
-// Package sig provides the digital-signature schemes used to anchor the
-// verification structures: RSA (the paper's default), DSA (the paper's
-// comparison point in Fig 7c), ECDSA and Ed25519 as modern alternatives,
-// and a no-crypto counting scheme for experiments that only tally
-// signature counts (Fig 5a).
+// Package sig is the data owner's half of the digital-signature schemes
+// that anchor the verification structures: key generation and signing for
+// RSA (the paper's default), DSA (the paper's comparison point in Fig 7c),
+// ECDSA and Ed25519 as modern alternatives, and a no-crypto counting
+// scheme for experiments that only tally signature counts (Fig 5a). The
+// verifiers, the key format and the memo a client runs are package
+// verify's; sig imports them, never the reverse.
 //
 // Every scheme signs a 32-byte digest produced by package hashing; schemes
 // that internally hash again (Ed25519) treat the digest as the message.
@@ -12,25 +14,15 @@ import (
 	"crypto/rand"
 	"fmt"
 	"io"
+
+	"aqverify/internal/verify"
 )
 
-// Scheme names a signature algorithm.
-type Scheme string
+// A Signer speaks the verifier's scheme names and returns its Verifier.
+type Scheme = verify.Scheme
+type Verifier = verify.Verifier
 
-const (
-	// RSA is RSASSA-PKCS1-v1_5 over SHA-256 digests.
-	RSA Scheme = "rsa"
-	// DSA is FIPS 186-3 DSA (the paper's second algorithm).
-	DSA Scheme = "dsa"
-	// ECDSA is ECDSA over P-256 with ASN.1 signatures.
-	ECDSA Scheme = "ecdsa"
-	// Ed25519 is EdDSA over Curve25519.
-	Ed25519 Scheme = "ed25519"
-	// Counting is a non-cryptographic scheme for signature-count
-	// experiments: structurally valid, integrity-checking, but trivially
-	// forgeable. Never use it outside measurements and tests.
-	Counting Scheme = "counting"
-)
+const RSA, DSA, ECDSA, Ed25519, Counting = verify.RSA, verify.DSA, verify.ECDSA, verify.Ed25519, verify.Counting
 
 // Signer creates signatures over 32-byte digests.
 type Signer interface {
@@ -40,20 +32,6 @@ type Signer interface {
 	// Verifier returns the matching public verifier.
 	Verifier() Verifier
 }
-
-// Verifier checks signatures over 32-byte digests.
-type Verifier interface {
-	Scheme() Scheme
-	// Verify returns nil iff sig is a valid signature over digest.
-	Verify(digest, sig []byte) error
-	// SignatureSize returns the nominal signature size in bytes, used for
-	// communication-overhead accounting.
-	SignatureSize() int
-}
-
-// ErrBadSignature is wrapped by every Verify failure caused by an invalid
-// signature (as opposed to malformed input).
-var ErrBadSignature = fmt.Errorf("sig: signature verification failed")
 
 // Options configures key generation.
 type Options struct {
@@ -93,9 +71,4 @@ func NewSigner(scheme Scheme, opt Options) (Signer, error) {
 	default:
 		return nil, fmt.Errorf("sig: unknown scheme %q", scheme)
 	}
-}
-
-// Schemes lists every supported scheme.
-func Schemes() []Scheme {
-	return []Scheme{RSA, DSA, ECDSA, Ed25519, Counting}
 }

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"errors"
 	"testing"
+
+	"aqverify/internal/verify"
 )
 
 // realSchemes are the cryptographic schemes; DSA is exercised separately
@@ -59,14 +61,14 @@ func TestVerifyRejectsTampering(t *testing.T) {
 			}
 			v := s.Verifier()
 			// Wrong digest.
-			if err := v.Verify(other[:], sigBytes); !errors.Is(err, ErrBadSignature) {
-				t.Errorf("wrong digest: err = %v, want ErrBadSignature", err)
+			if err := v.Verify(other[:], sigBytes); !errors.Is(err, verify.ErrBadSignature) {
+				t.Errorf("wrong digest: err = %v, want verify.ErrBadSignature", err)
 			}
 			// Flipped signature bit.
 			bad := append([]byte(nil), sigBytes...)
 			bad[len(bad)/2] ^= 0x01
-			if err := v.Verify(digest[:], bad); !errors.Is(err, ErrBadSignature) {
-				t.Errorf("flipped sig: err = %v, want ErrBadSignature", err)
+			if err := v.Verify(digest[:], bad); !errors.Is(err, verify.ErrBadSignature) {
+				t.Errorf("flipped sig: err = %v, want verify.ErrBadSignature", err)
 			}
 			// Truncated signature.
 			if err := v.Verify(digest[:], sigBytes[:len(sigBytes)-1]); err == nil {
@@ -97,18 +99,6 @@ func TestUnknownScheme(t *testing.T) {
 	}
 }
 
-func TestSchemesList(t *testing.T) {
-	seen := map[Scheme]bool{}
-	for _, s := range Schemes() {
-		seen[s] = true
-	}
-	for _, want := range []Scheme{RSA, DSA, ECDSA, Ed25519, Counting} {
-		if !seen[want] {
-			t.Errorf("Schemes() missing %v", want)
-		}
-	}
-}
-
 func TestKeysAreIndependent(t *testing.T) {
 	digest := sha256.Sum256([]byte("payload"))
 	s1, err := NewSigner(Ed25519, Options{})
@@ -120,7 +110,7 @@ func TestKeysAreIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	sig1, _ := s1.Sign(digest[:])
-	if err := s2.Verifier().Verify(digest[:], sig1); !errors.Is(err, ErrBadSignature) {
+	if err := s2.Verifier().Verify(digest[:], sig1); !errors.Is(err, verify.ErrBadSignature) {
 		t.Error("signature from one key verified under another")
 	}
 }
@@ -142,7 +132,7 @@ func TestDSASignVerify(t *testing.T) {
 		t.Fatalf("Verify: %v", err)
 	}
 	other := sha256.Sum256([]byte("other"))
-	if err := s.Verifier().Verify(other[:], sigBytes); !errors.Is(err, ErrBadSignature) {
+	if err := s.Verifier().Verify(other[:], sigBytes); !errors.Is(err, verify.ErrBadSignature) {
 		t.Errorf("wrong digest accepted: %v", err)
 	}
 }

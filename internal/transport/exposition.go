@@ -1,4 +1,4 @@
-package metrics
+package transport
 
 import (
 	"bufio"
@@ -28,7 +28,7 @@ type Label struct {
 // Prom writes one Prometheus text exposition. Families are written with
 // Family, then their samples with Sample; the first write error is
 // latched and every later call is a no-op, so call sites stay linear
-// and check Err once at the end.
+// and read it once from Flush at the end.
 type Prom struct {
 	w   *bufio.Writer
 	err error
@@ -137,7 +137,7 @@ func ParseProm(text string) (map[string]PromFamily, error) {
 		if strings.HasPrefix(line, "# TYPE ") {
 			parts := strings.Fields(line)
 			if len(parts) != 4 {
-				return nil, fmt.Errorf("metrics: line %d: malformed TYPE: %q", ln+1, line)
+				return nil, fmt.Errorf("transport: line %d: malformed TYPE: %q", ln+1, line)
 			}
 			fams[parts[2]] = PromFamily{Type: parts[3]}
 			continue
@@ -147,7 +147,7 @@ func ParseProm(text string) (map[string]PromFamily, error) {
 		}
 		name, sample, err := parseSample(line)
 		if err != nil {
-			return nil, fmt.Errorf("metrics: line %d: %w", ln+1, err)
+			return nil, fmt.Errorf("transport: line %d: %w", ln+1, err)
 		}
 		fam := name
 		if _, ok := fams[fam]; !ok {
@@ -160,7 +160,7 @@ func ParseProm(text string) (map[string]PromFamily, error) {
 		}
 		f, ok := fams[fam]
 		if !ok {
-			return nil, fmt.Errorf("metrics: line %d: sample %q has no # TYPE header", ln+1, name)
+			return nil, fmt.Errorf("transport: line %d: sample %q has no # TYPE header", ln+1, name)
 		}
 		f.Samples = append(f.Samples, sample)
 		fams[fam] = f

@@ -1,4 +1,4 @@
-package metrics
+package transport
 
 import (
 	"strings"

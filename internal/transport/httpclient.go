@@ -14,7 +14,6 @@ import (
 
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
-	"aqverify/internal/sig"
 	"aqverify/internal/verify"
 	"aqverify/internal/wire"
 )
@@ -71,7 +70,7 @@ func Dial(base string, hc *http.Client) (*HTTPClient, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: verifier encoding: %w", err)
 	}
-	key, err := sig.UnmarshalVerifier(vb)
+	key, err := verify.UnmarshalVerifier(vb)
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +78,7 @@ func Dial(base string, hc *http.Client) (*HTTPClient, error) {
 	// pins the key, and a signature accepted under it is valid at every
 	// epoch — staleness is the epoch word's job.
 	out := &HTTPClient{base: base, hc: hc, params: p, pub: verify.PublicParams{
-		Verifier: sig.Memo(key), Template: fromTplJSON(p.Template), Mode: mode,
+		Verifier: verify.Memo(key), Template: fromTplJSON(p.Template), Mode: mode,
 	}}
 	out.epoch.Store(p.Epoch)
 	return out, nil
@@ -176,7 +175,7 @@ func (c *HTTPClient) Provenance() string { return c.params.Provenance }
 func (c *HTTPClient) Domain() (geometry.Box, bool) { return c.params.Domain.Box() }
 
 // Public returns the verification parameters derived from the
-// advertised bundle. Their Verifier is the session's sig.Memo: an owner
+// advertised bundle. Their Verifier is the session's verify.Memo: an owner
 // signature accepted once costs no second public-key operation; every
 // other check still runs per answer. Their Epoch is the live pin, so a
 // refreshed session publishes the epoch it verifies against. The bool

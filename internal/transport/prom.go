@@ -7,20 +7,19 @@ import (
 	"net/http"
 
 	"aqverify/internal/cache"
-	"aqverify/internal/metrics"
 )
 
 // This file is the GET /metrics route: the serving tally, cache-plane
 // counters and (on a front) the replica/hedge/shed gauges rendered as a
 // Prometheus text exposition. The writer is hand-rolled in
-// internal/metrics (no client library); family names are pinned by a
+// exposition.go (no client library); family names are pinned by a
 // golden file in internal/front's tests, so renames are deliberate
 // wire-format changes, not refactors.
 
 func (h *Handler) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	epoch := h.liveEpoch()
 	var buf bytes.Buffer
-	p := metrics.NewProm(&buf)
+	p := NewProm(&buf)
 
 	stats := h.tally.cost()
 	p.Scalar("aqv_queries_total", "counter", "Queries answered successfully.", h.tally.queries.Load())
@@ -39,7 +38,7 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		p.Family("aqv_shard_epoch", "gauge", "Publication epoch served, by shard.")
 		p.Family("aqv_shard_epoch_lag", "gauge", "Epochs the shard trails the serving epoch.")
 		for i, s := range ss {
-			l := []metrics.Label{{Name: "shard", Value: fmt.Sprint(i)}}
+			l := []Label{{Name: "shard", Value: fmt.Sprint(i)}}
 			p.Int("aqv_shard_queries_total", l, int64(s.Queries))
 			p.Int("aqv_shard_errors_total", l, int64(s.Errors))
 			p.Int("aqv_shard_epoch", l, int64(s.Epoch))
@@ -58,13 +57,13 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, "render: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", metrics.PromContentType)
+	w.Header().Set("Content-Type", PromContentType)
 	if _, err := w.Write(buf.Bytes()); err != nil {
 		log.Printf("transport: writing /metrics response: %v", err)
 	}
 }
 
-func writeCacheProm(p *metrics.Prom, cs cache.Stats) {
+func writeCacheProm(p *Prom, cs cache.Stats) {
 	p.Scalar("aqv_cache_hits_total", "counter", "Whole-answer cache hits.", cs.Hits)
 	p.Scalar("aqv_cache_epoch_hits", "gauge", "Whole-answer cache hits against the current epoch (resets on swap).", cs.EpochHits)
 	p.Scalar("aqv_cache_misses_total", "counter", "Whole-answer cache misses.", cs.Misses)

@@ -237,7 +237,7 @@ func (g *gateBackend) QueryStream(ctx context.Context, qs []query.Query, opts ..
 // Dial accepts the gate backend's handler.
 func gateParams(t *testing.T, pub verify.PublicParams) Params {
 	t.Helper()
-	vb, err := sig.MarshalVerifier(pub.Verifier)
+	vb, err := verify.MarshalVerifier(pub.Verifier)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,6 @@ import (
 	"aqverify/internal/geometry"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
-	"aqverify/internal/sig"
 	"aqverify/internal/verify"
 	"aqverify/internal/wire"
 )
@@ -68,7 +67,7 @@ const maxBatchBytes = 1 << 22
 // names the signing mode the answers verify under.
 type Params struct {
 	Backend  string  `json:"backend"`  // "ifmh-one" or "ifmh-multi"
-	Verifier string  `json:"verifier"` // base64 of sig.MarshalVerifier
+	Verifier string  `json:"verifier"` // base64 of verify.MarshalVerifier
 	Template TplJSON `json:"template"`
 	// Shards advertises the server's domain-shard count (0 or absent =
 	// single tree). Informational: verification is shard-transparent.
@@ -158,7 +157,7 @@ type admitter interface {
 // the handler's /metrics exposition (the front plane's hedge, replica
 // and shed gauges).
 type promSource interface {
-	WriteProm(p *metrics.Prom)
+	WriteProm(p *Prom)
 }
 
 // cacheSource is the cache tier's counter surface; /stats and /metrics
@@ -198,7 +197,7 @@ func NewIFMHHandler(b backend.Backend, pub verify.PublicParams) (*Handler, error
 // verification anchors plus what the backend itself advertises, read
 // down its Inner chain (name, shard count, serving domain).
 func IFMHParams(b backend.Backend, pub verify.PublicParams) (Params, error) {
-	vb, err := sig.MarshalVerifier(pub.Verifier)
+	vb, err := verify.MarshalVerifier(pub.Verifier)
 	if err != nil {
 		return Params{}, err
 	}

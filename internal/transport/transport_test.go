@@ -121,7 +121,7 @@ func TestHTTPRoundTripIFMH(t *testing.T) {
 	// handler published from them advertises the owner's key, not the
 	// wrapper around it.
 	dialed, _ := r.Client().Public()
-	memo, ok := dialed.Verifier.(*sig.Memoized)
+	memo, ok := dialed.Verifier.(*verify.Memoized)
 	if !ok || memo.Hits()+memo.Misses() != uint64(ctr.SigVerifies) {
 		t.Fatalf("dialed verifier is %T; hits+misses != %d checks", dialed.Verifier, ctr.SigVerifies)
 	}

@@ -1,4 +1,4 @@
-package sig
+package verify
 
 import (
 	"crypto/dsa" //nolint:staticcheck // DSA is part of the paper's evaluation
@@ -9,6 +9,7 @@ import (
 	"encoding/asn1"
 	"fmt"
 	"math/big"
+	"slices"
 )
 
 // MarshalVerifier serializes a public verifier so the data owner can
@@ -17,40 +18,34 @@ import (
 // key encoding: PKIX DER for RSA/ECDSA/Ed25519, ASN.1 (P,Q,G,Y) for DSA,
 // empty for the measurement-only counting scheme.
 func MarshalVerifier(v Verifier) ([]byte, error) {
+	var key any // a PKIX key
 	switch impl := v.(type) {
 	case *Memoized:
 		return MarshalVerifier(impl.inner)
-	case *rsaVerifier:
-		der, err := x509.MarshalPKIXPublicKey(impl.pub)
-		if err != nil {
-			return nil, fmt.Errorf("sig: marshal rsa: %w", err)
-		}
-		return append([]byte{schemeTag(RSA)}, der...), nil
-	case *ecdsaVerifier:
-		der, err := x509.MarshalPKIXPublicKey(impl.pub)
-		if err != nil {
-			return nil, fmt.Errorf("sig: marshal ecdsa: %w", err)
-		}
-		return append([]byte{schemeTag(ECDSA)}, der...), nil
-	case *ed25519Verifier:
-		der, err := x509.MarshalPKIXPublicKey(impl.pub)
-		if err != nil {
-			return nil, fmt.Errorf("sig: marshal ed25519: %w", err)
-		}
-		return append([]byte{schemeTag(Ed25519)}, der...), nil
-	case *dsaVerifier:
+	case *RSAVerifier:
+		key = impl.Key
+	case *ECDSAVerifier:
+		key = impl.Key
+	case *Ed25519Verifier:
+		key = impl.Key
+	case *DSAVerifier:
 		der, err := asn1.Marshal(dsaPublicKey{
-			P: impl.pub.P, Q: impl.pub.Q, G: impl.pub.G, Y: impl.pub.Y,
+			P: impl.Key.P, Q: impl.Key.Q, G: impl.Key.G, Y: impl.Key.Y,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("sig: marshal dsa: %w", err)
 		}
 		return append([]byte{schemeTag(DSA)}, der...), nil
-	case countingVerifier:
+	case CountingVerifier:
 		return []byte{schemeTag(Counting)}, nil
 	default:
 		return nil, fmt.Errorf("sig: cannot marshal verifier of type %T", v)
 	}
+	der, err := x509.MarshalPKIXPublicKey(key)
+	if err != nil {
+		return nil, fmt.Errorf("sig: marshal %s: %w", v.Scheme(), err)
+	}
+	return append([]byte{schemeTag(v.Scheme())}, der...), nil
 }
 
 // UnmarshalVerifier parses a verifier serialized by MarshalVerifier.
@@ -58,32 +53,32 @@ func UnmarshalVerifier(b []byte) (Verifier, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("sig: empty verifier encoding")
 	}
-	scheme, rest := tagScheme(b[0]), b[1:]
+	var scheme Scheme
+	if t := int(b[0]); t < len(schemeTags) {
+		scheme = schemeTags[t]
+	}
+	rest := b[1:]
 	switch scheme {
 	case RSA, ECDSA, Ed25519:
 		keyAny, err := x509.ParsePKIXPublicKey(rest)
 		if err != nil {
 			return nil, fmt.Errorf("sig: parse %s key: %w", scheme, err)
 		}
+		var v Verifier
 		switch key := keyAny.(type) {
 		case *rsa.PublicKey:
-			if scheme != RSA {
-				return nil, fmt.Errorf("sig: scheme tag %s but RSA key", scheme)
-			}
-			return &rsaVerifier{pub: key}, nil
+			v = &RSAVerifier{Key: key}
 		case *ecdsa.PublicKey:
-			if scheme != ECDSA {
-				return nil, fmt.Errorf("sig: scheme tag %s but ECDSA key", scheme)
-			}
-			return &ecdsaVerifier{pub: key}, nil
+			v = &ECDSAVerifier{Key: key}
 		case ed25519.PublicKey:
-			if scheme != Ed25519 {
-				return nil, fmt.Errorf("sig: scheme tag %s but Ed25519 key", scheme)
-			}
-			return &ed25519Verifier{pub: key}, nil
+			v = &Ed25519Verifier{Key: key}
 		default:
 			return nil, fmt.Errorf("sig: unsupported PKIX key type %T", keyAny)
 		}
+		if v.Scheme() != scheme {
+			return nil, fmt.Errorf("sig: scheme tag %s but %s key", scheme, v.Scheme())
+		}
+		return v, nil
 	case DSA:
 		var pk dsaPublicKey
 		extra, err := asn1.Unmarshal(rest, &pk)
@@ -94,12 +89,12 @@ func UnmarshalVerifier(b []byte) (Verifier, error) {
 			Parameters: dsa.Parameters{P: pk.P, Q: pk.Q, G: pk.G},
 			Y:          pk.Y,
 		}
-		return &dsaVerifier{pub: pub}, nil
+		return &DSAVerifier{Key: pub}, nil
 	case Counting:
 		if len(rest) != 0 {
 			return nil, fmt.Errorf("sig: counting verifier carries unexpected bytes")
 		}
-		return countingVerifier{}, nil
+		return CountingVerifier{}, nil
 	default:
 		return nil, fmt.Errorf("sig: unknown verifier tag 0x%02x", b[0])
 	}
@@ -110,38 +105,9 @@ type dsaPublicKey struct {
 	P, Q, G, Y *big.Int
 }
 
-// schemeTag maps schemes to their one-byte wire tags.
-func schemeTag(s Scheme) byte {
-	switch s {
-	case RSA:
-		return 1
-	case DSA:
-		return 2
-	case ECDSA:
-		return 3
-	case Ed25519:
-		return 4
-	case Counting:
-		return 5
-	default:
-		return 0
-	}
-}
+// schemeTags maps the one-byte tag that leads an encoded key to its
+// scheme; tag 0 names none.
+var schemeTags = [...]Scheme{1: RSA, 2: DSA, 3: ECDSA, 4: Ed25519, 5: Counting}
 
-// tagScheme is the inverse of schemeTag.
-func tagScheme(b byte) Scheme {
-	switch b {
-	case 1:
-		return RSA
-	case 2:
-		return DSA
-	case 3:
-		return ECDSA
-	case 4:
-		return Ed25519
-	case 5:
-		return Counting
-	default:
-		return ""
-	}
-}
+// schemeTag is the tag of a scheme schemeTags names.
+func schemeTag(s Scheme) byte { return byte(slices.Index(schemeTags[:], s)) }

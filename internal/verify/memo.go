@@ -1,4 +1,4 @@
-package sig
+package verify
 
 import (
 	"crypto/sha256"

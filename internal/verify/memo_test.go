@@ -1,4 +1,4 @@
-package sig
+package verify_test
 
 import (
 	"bytes"
@@ -8,13 +8,16 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"aqverify/internal/sig"
+	"aqverify/internal/verify"
 )
 
 // memoCase is one call of the stream with the inner verifier's verdict.
 type memoCase struct {
 	digest, sig []byte
 	accept      bool // inner verdict is nil
-	bad         bool // inner verdict wraps ErrBadSignature
+	bad         bool // inner verdict wraps verify.ErrBadSignature
 }
 
 // memoStream draws a seeded stream over 12 signed digests: valid pairs,
@@ -24,7 +27,7 @@ type memoCase struct {
 // exactly the bytes of a valid pair, the memo key's one ambiguity.
 // Verdicts are the raw verifier's. It also returns how many distinct
 // pairs the raw verifier accepted.
-func memoStream(t *testing.T, s Signer, v Verifier) ([]memoCase, int) {
+func memoStream(t *testing.T, s sig.Signer, v verify.Verifier) ([]memoCase, int) {
 	t.Helper()
 	const signed = 12
 	var ds, ss [signed][]byte
@@ -65,7 +68,7 @@ func memoStream(t *testing.T, s Signer, v Verifier) ([]memoCase, int) {
 			c.sig = ss[i][1:]
 		}
 		err := v.Verify(c.digest, c.sig)
-		c.accept, c.bad = err == nil, errors.Is(err, ErrBadSignature)
+		c.accept, c.bad = err == nil, errors.Is(err, verify.ErrBadSignature)
 		if c.accept {
 			distinct[string(c.digest)+string(c.sig)] = true
 		}
@@ -76,22 +79,22 @@ func memoStream(t *testing.T, s Signer, v Verifier) ([]memoCase, int) {
 
 // replay runs the stream through m and reports every verdict that
 // differs from the raw verifier's.
-func replay(t *testing.T, m *Memoized, stream []memoCase) {
+func replay(t *testing.T, m *verify.Memoized, stream []memoCase) {
 	for n, c := range stream {
 		err := m.Verify(c.digest, c.sig)
-		if (err == nil) != c.accept || errors.Is(err, ErrBadSignature) != c.bad {
+		if (err == nil) != c.accept || errors.Is(err, verify.ErrBadSignature) != c.bad {
 			t.Errorf("call %d: memo says %v, raw verifier accept=%v bad=%v", n, err, c.accept, c.bad)
 		}
 	}
 }
 
 func TestMemoIsTheVerifier(t *testing.T) {
-	for _, scheme := range Schemes() {
+	for _, scheme := range []verify.Scheme{verify.RSA, verify.DSA, verify.ECDSA, verify.Ed25519, verify.Counting} {
 		t.Run(string(scheme), func(t *testing.T) {
-			if scheme == DSA && testing.Short() {
-				t.Skip("DSA parameter generation is slow")
+			if scheme == verify.DSA && testing.Short() {
+				t.Skip("verify.DSA parameter generation is slow")
 			}
-			s, err := NewSigner(scheme, testOptions())
+			s, err := sig.NewSigner(scheme, sig.Options{RSABits: 1024})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,19 +112,19 @@ func TestMemoIsTheVerifier(t *testing.T) {
 
 			// Capacity 4 against 12 signed pairs: both generations roll
 			// over many times mid-stream, on first sight and on repeats.
-			small := newMemo(v, 4)
+			small := verify.NewMemoLimit(v, 4)
 			for pass := 0; pass < 3; pass++ {
 				replay(t, small, stream)
 			}
-			if len(small.cur) > 4 || len(small.old) > 4 {
-				t.Errorf("generations hold %d+%d pairs, capacity is 4", len(small.cur), len(small.old))
+			if cur, old := small.Generations(); cur > 4 || old > 4 {
+				t.Errorf("generations hold %d+%d pairs, capacity is 4", cur, old)
 			}
 			if small.Misses() <= uint64(distinct) {
 				t.Errorf("misses = %d with capacity 4: nothing was ever evicted", small.Misses())
 			}
 
 			// Nothing evicted: one public-key operation per distinct pair.
-			roomy := newMemo(v, len(stream))
+			roomy := verify.NewMemoLimit(v, len(stream))
 			replay(t, roomy, stream)
 			replay(t, roomy, stream)
 			if got := roomy.Misses(); got != uint64(distinct) {
@@ -132,7 +135,7 @@ func TestMemoIsTheVerifier(t *testing.T) {
 			}
 
 			// The same stream from 8 goroutines, under -race.
-			shared, rolling := newMemo(v, len(stream)), newMemo(v, 4)
+			shared, rolling := verify.NewMemoLimit(v, len(stream)), verify.NewMemoLimit(v, 4)
 			var wg sync.WaitGroup
 			for g := 0; g < 8; g++ {
 				wg.Add(1)
@@ -147,16 +150,16 @@ func TestMemoIsTheVerifier(t *testing.T) {
 				t.Errorf("concurrent misses = %d, want %d", got, distinct)
 			}
 
-			if m := Memo(v); m.Scheme() != v.Scheme() || m.SignatureSize() != v.SignatureSize() {
+			if m := verify.Memo(v); m.Scheme() != v.Scheme() || m.SignatureSize() != v.SignatureSize() {
 				t.Errorf("Memo reports %v/%d, inner %v/%d", m.Scheme(), m.SignatureSize(), v.Scheme(), v.SignatureSize())
 			}
-			want, err := MarshalVerifier(v)
+			want, err := verify.MarshalVerifier(v)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := MarshalVerifier(Memo(v))
+			got, err := verify.MarshalVerifier(verify.Memo(v))
 			if err != nil || !bytes.Equal(got, want) {
-				t.Errorf("MarshalVerifier(Memo(v)) = %x, %v; want the inner key %x", got, err, want)
+				t.Errorf("verify.MarshalVerifier(verify.Memo(v)) = %x, %v; want the inner key %x", got, err, want)
 			}
 		})
 	}

@@ -3,8 +3,14 @@
 // Verify checks authenticity — the FMH root recomputed from the window,
 // anchored by the IMH path or the subdomain inequalities to the owner's
 // signature — and then the query's semantics over the authenticated
-// window. The package builds nothing: trees are built and walked by
-// package core, which imports this one for the answer types.
+// window.
+//
+// The package owns the protocol's client half: the answer and proof
+// types, the Merkle proof check (ComputeRoot), the signature verifiers,
+// their key format (MarshalVerifier) and the Memo a session verifies
+// through. It builds and signs nothing: mhtree, fmh and core build and
+// walk trees, sig signs, and all of them import this package, never the
+// reverse (TestClosureReachesNoBuilder).
 package verify
 
 import (
@@ -13,14 +19,12 @@ import (
 	"math"
 	"slices"
 
-	"aqverify/internal/fmh"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/hashing"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
-	"aqverify/internal/sig"
 )
 
 // Mode selects the signing scheme.
@@ -60,7 +64,7 @@ const SemTol = 1e-9
 // PublicParams is what the data owner publishes out of band: everything a
 // client needs to verify query results.
 type PublicParams struct {
-	Verifier sig.Verifier
+	Verifier Verifier
 	Template funcs.Template
 	Mode     Mode
 	// Epoch is the monotonic publication epoch of the bundle the
@@ -145,7 +149,7 @@ func Verify(pub PublicParams, q query.Query, recs []record.Record, vo *VO, ctr *
 	}
 	leaves = append(leaves, rd)
 
-	fmhRoot, err := fmh.ComputeRoot(h, vo.ListLen, vo.Start, leaves, vo.FProof)
+	fmhRoot, err := ComputeFMHRoot(h, vo.ListLen, vo.Start, leaves, vo.FProof)
 	if err != nil {
 		return vErrf("FMH proof: %v", err)
 	}

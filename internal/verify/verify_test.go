@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"aqverify/internal/core"
-	"aqverify/internal/fmh"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/hashing"
@@ -77,7 +76,7 @@ func forgeWrappedStart(t *testing.T, honest *verify.Answer, start int) *verify.A
 	for _, r := range honest.Records {
 		leaves = append(leaves, h.Leaf(h.Record(r)))
 	}
-	root, err := fmh.ComputeRoot(h, vo.ListLen, vo.Start, append(leaves, leaf(vo.Right)), vo.FProof)
+	root, err := verify.ComputeFMHRoot(h, vo.ListLen, vo.Start, append(leaves, leaf(vo.Right)), vo.FProof)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"aqverify/internal/geometry"
 	"aqverify/internal/hashing"
-	"aqverify/internal/mhtree"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
 )
@@ -59,7 +58,7 @@ type VO struct {
 	// neighboring the result window.
 	Left, Right Boundary
 	// FProof is the FMH-tree range proof for [left, window, right].
-	FProof mhtree.Proof
+	FProof Proof
 
 	// Path is the one-signature IMH search path (root to leaf).
 	Path []PathStep

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"aqverify/internal/core"
-	"aqverify/internal/fmh"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/hashing"
@@ -243,7 +242,7 @@ func wrappedStartFrame(tb testing.TB, tree *core.Tree) []byte {
 	for _, r := range honest.Records {
 		leaves = append(leaves, h.Leaf(h.Record(r)))
 	}
-	root, err := fmh.ComputeRoot(h, vo.ListLen, vo.Start, append(leaves, leaf(vo.Right)), vo.FProof)
+	root, err := verify.ComputeFMHRoot(h, vo.ListLen, vo.Start, append(leaves, leaf(vo.Right)), vo.FProof)
 	if err != nil {
 		tb.Fatal(err)
 	}
