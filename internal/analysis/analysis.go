@@ -51,11 +51,6 @@ type Pass struct {
 	diags *[]Diagnostic
 }
 
-// Path returns the package's import path (for fixture packages loaded
-// from a bare directory, the directory base). Scoped analyzers match
-// against its final element.
-func (p *Pass) Path() string { return p.Pkg.Path() }
-
 // PathBase returns the final element of the package path — the name
 // scoped analyzers (mapdeterminism, wirebounds) key their package
 // allowlists on.

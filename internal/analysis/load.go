@@ -83,10 +83,6 @@ func NewLoader(moduleRoot string) (*Loader, error) {
 	return l, nil
 }
 
-// Fset returns the shared position table every loaded file is
-// registered in.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // LoadDir loads the single package in dir as an analysis target. The
 // package path defaults to the module-relative import path when dir
 // sits under the module root, and to the directory base otherwise

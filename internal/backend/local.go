@@ -102,9 +102,6 @@ func NewSharded(s *shard.Set) (*Sharded, error) {
 	return &Sharded{set: s}, nil
 }
 
-// Set returns the underlying shard set.
-func (b *Sharded) Set() *shard.Set { return b.set }
-
 // Name implements Backend.
 func (b *Sharded) Name() string { return ifmhName(b.set.Mode()) }
 

@@ -220,33 +220,20 @@ func Outsource(ctx context.Context, spec Spec, opts ...Option) (*Result, error) 
 		return &Result{Tree: owner.Tree, Plan: trivial, Public: owner.Public(), owners: []*core.Owner{owner}}, nil
 	}
 
-	// The pair enumeration is the one stage of a sharded build that runs
-	// before any shard exists, so it reports with ShardNone — whether it
-	// happens here or fused into the shard build below.
+	// A univariate sharded build enumerates the pairs once, before any
+	// shard exists (so the stage reports with ShardNone): the planner
+	// reads the list and the shard build re-buckets it.
 	if spec.Template.Dim() == 1 {
 		if fn := o.stageFn(ShardNone); fn != nil {
 			fn(core.StagePairs, spec.Table.Len())
 		}
-	}
-	// A custom planner gets the whole-domain enumeration and the shard
-	// build re-buckets the same list (one O(n²) scan total, two linear
-	// passes). With no planner to feed — EvenCuts or an explicit plan —
-	// skip the flat list entirely and let shard.BuildCtx run the fused
-	// enumerate-and-bucket scan, which keeps only the per-shard buckets
-	// in memory. Above the exact-enumeration bound QuantileCuts samples
-	// regardless (see its doc), so the flat list is not materialized for
-	// the planner's sake there either.
-	var inters []itree.Intersection
-	n := spec.Table.Len()
-	if o.planner != nil && spec.Template.Dim() == 1 && n*(n-1)/2 <= maxExactPairs {
 		fs, err := spec.Template.InterpretTable(spec.Table)
 		if err != nil {
 			return nil, err
 		}
-		if inters, err = itree.Pairs1DCtx(ctx, fs, spec.Domain, o.workers); err != nil {
+		if params.Inters1D, err = itree.Pairs1DCtx(ctx, fs, spec.Domain, o.workers); err != nil {
 			return nil, err
 		}
-		params.Inters1D = inters
 	}
 
 	var plan shard.Plan
@@ -258,7 +245,7 @@ func Outsource(ctx context.Context, spec Spec, opts ...Option) (*Result, error) 
 			planner = EvenCuts
 		}
 		p, err := planner(ctx, PlanRequest{
-			Spec: spec, K: o.shards, Axis: o.axis, Workers: o.workers, Inters: inters,
+			Spec: spec, K: o.shards, Axis: o.axis, Workers: o.workers, Inters: params.Inters1D,
 		})
 		if err != nil {
 			return nil, err

@@ -36,10 +36,11 @@ func EvenCuts(_ context.Context, req PlanRequest) (shard.Plan, error) {
 	return shard.NewPlan(req.Spec.Domain, req.Axis, req.K)
 }
 
-// maxExactPairs bounds the exact O(n²) breakpoint enumeration inside a
-// standalone QuantileCuts call; above it the breakpoint distribution is
-// estimated from a fixed-seed pair sample (deterministic for a given
-// table). Irrelevant when the request already carries the enumeration.
+// maxExactPairs bounds the pair count up to which QuantileCuts places
+// its cuts on the exact breakpoints; above it the breakpoint
+// distribution is estimated from a fixed-seed pair sample (deterministic
+// for a given table), whether or not the request carries the
+// enumeration.
 const maxExactPairs = 1 << 21
 
 // quantileSample is the pair-sample size of the estimated path.

@@ -2,6 +2,8 @@ package build
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"aqverify/internal/funcs"
@@ -151,6 +153,49 @@ func TestQuantileCutsMultivariateFallback(t *testing.T) {
 	for i := range q.Cuts {
 		if q.Cuts[i] != e.Cuts[i] {
 			t.Fatalf("fallback cut %d differs: %v vs %v", i, q.Cuts[i], e.Cuts[i])
+		}
+	}
+}
+
+// TestCutsDecideTheProduct: a 1-D sharded product is a function of its
+// cuts, not of how they were asked for. Even cuts requested with no
+// planner, through WithPlanner(EvenCuts) and as an explicit WithPlan
+// must build the same shard trees and publish the same bundle.
+func TestCutsDecideTheProduct(t *testing.T) {
+	ctx := context.Background()
+	spec := testSpec(t, 60, 3, workload.Gaussian)
+	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
+		for _, k := range []int{2, 4} {
+			plan, err := shard.NewPlan(spec.Domain, 0, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []string
+			var wantPub verify.PublicParams
+			for i, ask := range [][]Option{
+				{WithShards(k, 0)},
+				{WithShards(k, 0), WithPlanner(EvenCuts)},
+				{WithPlan(plan)},
+			} {
+				r, err := Outsource(ctx, spec, append(ask, WithMode(mode), WithShuffle(5))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []string
+				for _, tr := range treesOf(t, r) {
+					got = append(got, fmt.Sprintf("%x", tr.Fingerprint()))
+				}
+				if i == 0 {
+					want, wantPub = got, r.Public
+					continue
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%v K=%d request %d: fingerprints %v, want %v", mode, k, i, got, want)
+				}
+				if !reflect.DeepEqual(r.Public, wantPub) {
+					t.Errorf("%v K=%d request %d: published bundle %+v, want %+v", mode, k, i, r.Public, wantPub)
+				}
+			}
 		}
 	}
 }

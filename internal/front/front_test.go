@@ -111,15 +111,22 @@ func fleetQueries(dom geometry.Box, n int) []query.Query {
 }
 
 // delayQueries injects a latency fault: every query route sleeps for
-// the held duration; control routes (/params) stay fast.
+// the held duration; control routes (/params) stay fast. served, when
+// non-nil, counts the query exchanges the replica took.
 type delayQueries struct {
 	h       http.Handler
 	delayNS *atomic.Int64
+	served  *atomic.Int64
 }
 
 func (d delayQueries) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if v := time.Duration(d.delayNS.Load()); v > 0 && strings.HasPrefix(r.URL.Path, "/query") {
-		time.Sleep(v)
+	if strings.HasPrefix(r.URL.Path, "/query") {
+		if d.served != nil {
+			d.served.Add(1)
+		}
+		if v := time.Duration(d.delayNS.Load()); v > 0 {
+			time.Sleep(v)
+		}
 	}
 	d.h.ServeHTTP(w, r)
 }
@@ -134,7 +141,7 @@ func TestHedgeRescuesSlowReplica(t *testing.T) {
 	var delay atomic.Int64
 	fl := newFleet(t, 2, 2, func(si, ri int, h http.Handler) http.Handler {
 		if si == 0 && ri == 1 {
-			return delayQueries{h, &delay}
+			return delayQueries{h, &delay, nil}
 		}
 		return h
 	})
@@ -184,10 +191,10 @@ func TestHedgeBudget(t *testing.T) {
 		{"no budget", 0, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var delay atomic.Int64
+			var delay, slowServed atomic.Int64
 			fl := newFleet(t, 2, 2, func(si, ri int, h http.Handler) http.Handler {
 				if si == 0 && ri == 1 {
-					return delayQueries{h, &delay}
+					return delayQueries{h, &delay, &slowServed}
 				}
 				return h
 			})
@@ -204,9 +211,20 @@ func TestHedgeBudget(t *testing.T) {
 
 			ctx := context.Background()
 			withVerify := backend.WithVerify(fl.res.Public)
-			for i, q := range fleetQueries(fl.dom, 16) {
+			qs := fleetQueries(fl.dom, 16)
+			for i, q := range qs {
 				if _, err := f.Query(ctx, q, withVerify); err != nil {
 					t.Fatalf("query %d: %v", i, err)
+				}
+			}
+			// Idle replicas split P2C's pick by a coin flip, so shard 0's
+			// ~8 queries can all miss the slow replica. Send shard 0 more
+			// (qs[0] routes there) until the slow replica has been primary
+			// once, staying under the 100 requests at which the 0.01
+			// budget would allow a hedge.
+			for slowServed.Load() == 0 && f.Snapshot().Shards[0].Requests < 99 {
+				if _, err := f.Query(ctx, qs[0], withVerify); err != nil {
+					t.Fatalf("shard-0 query: %v", err)
 				}
 			}
 			snap := f.Snapshot()

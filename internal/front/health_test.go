@@ -113,7 +113,7 @@ func TestAdmissionBurst(t *testing.T) {
 	const hold = 100 * time.Millisecond
 	var delay atomic.Int64
 	fl := newFleet(t, 2, 2, func(si, ri int, h http.Handler) http.Handler {
-		return delayQueries{h, &delay}
+		return delayQueries{h, &delay, nil}
 	})
 	f, params, err := front.DialFront(fl.groups, nil, front.Options{MaxInFlight: 2, ProbeEvery: -1})
 	if err != nil {

@@ -32,7 +32,7 @@ func TestMetricsExposition(t *testing.T) {
 	var delay atomic.Int64
 	fl := newFleet(t, 2, 2, func(si, ri int, h http.Handler) http.Handler {
 		if si == 0 && ri == 1 {
-			return delayQueries{h, &delay}
+			return delayQueries{h, &delay, nil}
 		}
 		return h
 	})

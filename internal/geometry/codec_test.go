@@ -4,11 +4,23 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+
+	"aqverify/internal/codec"
 )
 
 // The decoders below parse bytes the untrusted server controls (every
 // answer's inequality set and path hyperplanes), so a forged count must
 // cost nothing and every accepted encoding must be the canonical one.
+
+// decodeHalfspace parses exactly one halfspace written by Encode.
+func decodeHalfspace(src []byte) (Halfspace, error) {
+	r := codec.Reader{Buf: src}
+	hs := readHalfspace(&r)
+	if err := r.Done(); err != nil {
+		return Halfspace{}, err
+	}
+	return hs, nil
+}
 
 // TestDecodeHalfspacesBoundsCountByBytes: four bytes claiming 2^24
 // halfspaces used to allocate 640 MB before the first one failed to

@@ -152,16 +152,6 @@ func (hs Halfspace) EncodedLen() int { return 1 + hs.H.EncodedLen() }
 // byte, a zero coefficient count and the bias.
 const minHalfspaceLen = 1 + 4 + 8
 
-// decodeHalfspace parses exactly one halfspace written by Encode.
-func decodeHalfspace(src []byte) (Halfspace, error) {
-	r := codec.Reader{Buf: src}
-	hs := readHalfspace(&r)
-	if err := r.Done(); err != nil {
-		return Halfspace{}, err
-	}
-	return hs, nil
-}
-
 // readHalfspace reads the strictness byte as 0 or 1 and nothing else,
 // so that every accepted encoding is the one Encode writes.
 func readHalfspace(r *codec.Reader) Halfspace {

@@ -166,7 +166,7 @@ func TestBuildCanonicalEqualsInsert(t *testing.T) {
 		if hasBoundary(whole, -1) || hasBoundary(whole, 2) {
 			t.Fatal("a crossing on a domain edge split the domain")
 		}
-		buckets, err := PairsPartition1DCtx(context.Background(), fs, dom, []float64{cut}, 1)
+		buckets, err := PartitionInters1D(inters, dom, []float64{cut})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,12 +21,14 @@ package itree
 
 import (
 	"context"
+	"fmt"
 	"sort"
 
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/hashing"
 	"aqverify/internal/metrics"
+	"aqverify/internal/pool"
 )
 
 // Intersection is the hyperplane f_I - f_J = 0 between two record
@@ -72,21 +74,76 @@ type Tree struct {
 }
 
 // Pairs1DCtx enumerates the intersections of univariate linear functions
-// whose breakpoint falls inside the domain. A cheap float prefilter (with
-// a widened margin so no in-domain breakpoint is ever excluded) avoids
-// allocating hyperplanes for the quadratically many out-of-domain pairs;
-// the exact rational check in Space1D.Partition remains the authority.
-// It is the trivial single-bucket case of PairsPartition1DCtx, which
-// keeps the enumeration loop — margin, hyperplane sign convention and
-// all — in one place, and shares its worker pool and cooperative
-// cancellation: the enumeration order is byte-identical for every
-// worker count.
+// whose breakpoint falls inside the domain: the one O(n²) scan every 1-D
+// build runs, sharded or not (a sharded build splits the list with
+// PartitionInters1D). A cheap float prefilter, widened by a margin so no
+// in-domain breakpoint is ever excluded, avoids allocating hyperplanes
+// for the quadratically many out-of-domain pairs; the exact rational
+// check in Space1D.Partition remains the authority.
+//
+// The row scan is sharded across a worker pool, with cooperative
+// cancellation between row chunks. Each worker enumerates a contiguous
+// range of rows i (all pairs (i, j), j > i); the chunks are concatenated
+// in ascending row order, so the list is byte-identical to the serial
+// scan's for every worker count. workers <= 0 means one per CPU.
 func Pairs1DCtx(ctx context.Context, fs []funcs.Linear, domain geometry.Box, workers int) ([]Intersection, error) {
-	buckets, err := PairsPartition1DCtx(ctx, fs, domain, nil, workers)
-	if err != nil {
+	if domain.Dim() != 1 {
+		return nil, fmt.Errorf("itree: 1-D pair enumeration needs a 1-D domain")
+	}
+	for i := range fs {
+		if fs[i].Dim() != 1 {
+			return nil, fmt.Errorf("itree: function %d is not univariate", i)
+		}
+	}
+	n := len(fs)
+	w := pool.Workers(workers, n)
+	// Row i owns n-1-i pairs, so fixed row ranges straggle; oversplitting
+	// the rows and letting the pool load-balance the chunks evens it out.
+	// The chunk count never changes the output: chunks are concatenated in
+	// ascending row order regardless of which worker ran them.
+	chunks := max(min(w*8, n), 1)
+	chunkOut := make([][]Intersection, chunks)
+	lo, hi := domain.Lo[0], domain.Hi[0]
+	if err := pool.RunCtx(ctx, chunks, w, func(_, c int) {
+		chunkOut[c] = pairsRows1D(fs, c*n/chunks, (c+1)*n/chunks, lo, hi)
+	}); err != nil {
 		return nil, err
 	}
-	return buckets[0], nil
+	total := 0
+	for _, co := range chunkOut {
+		total += len(co)
+	}
+	out := make([]Intersection, 0, total)
+	for _, co := range chunkOut {
+		out = append(out, co...)
+	}
+	return out, nil
+}
+
+// pairsRows1D enumerates the pairs (i, j) for i in [rlo, rhi), j > i,
+// whose breakpoint lies in the domain or within its margin, in (i, j)
+// lexicographic order: the per-chunk body of Pairs1DCtx.
+func pairsRows1D(fs []funcs.Linear, rlo, rhi int, lo, hi float64) []Intersection {
+	margin := float64((hi - lo) * 1e-9) // rounded: no fused multiply-add below
+	var out []Intersection
+	for i := rlo; i < rhi; i++ {
+		ci, bi := fs[i].Coef[0], fs[i].Bias
+		for j := i + 1; j < len(fs); j++ {
+			dc := ci - fs[j].Coef[0]
+			if dc == 0 {
+				continue // parallel
+			}
+			t := (fs[j].Bias - bi) / dc
+			if t < lo-margin || t > hi+margin {
+				continue
+			}
+			out = append(out, Intersection{
+				I: i, J: j,
+				H: geometry.Hyperplane{C: []float64{dc}, B: bi - fs[j].Bias},
+			})
+		}
+	}
+	return out
 }
 
 // PairsND enumerates all non-degenerate pairwise intersections for

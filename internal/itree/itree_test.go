@@ -2,6 +2,7 @@ package itree
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/metrics"
+	"aqverify/internal/workload"
 )
 
 // lines builds univariate linear functions from (slope, intercept) pairs.
@@ -331,5 +333,30 @@ func TestPairs1DFiltersAndValidates(t *testing.T) {
 	}
 	if _, err := Pairs1DCtx(context.Background(), fs, geometry.MustBox([]float64{0, 0}, []float64{1, 1}), 1); err == nil {
 		t.Error("2-D domain accepted by Pairs1D")
+	}
+}
+
+// BenchmarkPairs1D times the owner's O(n²) pair scan over the
+// benchmark's 2 000-line table, serial and on every CPU.
+//
+//	go test ./internal/itree -run '^$' -bench Pairs1D -count 10
+func BenchmarkPairs1D(b *testing.B) {
+	tbl, dom, err := workload.Lines(workload.LinesConfig{N: 2000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fs, err := funcs.AffineLine(0, 1).InterpretTable(tbl)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 0} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Pairs1DCtx(context.Background(), fs, dom, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

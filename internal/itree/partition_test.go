@@ -11,6 +11,16 @@ import (
 	"aqverify/internal/geometry"
 )
 
+// partition is a sharded build's enumeration: one Pairs1DCtx scan, split
+// by PartitionInters1D.
+func partition(ctx context.Context, fs []funcs.Linear, dom geometry.Box, cuts []float64, workers int) ([][]Intersection, error) {
+	inters, err := Pairs1DCtx(ctx, fs, dom, workers)
+	if err != nil {
+		return nil, err
+	}
+	return PartitionInters1D(inters, dom, cuts)
+}
+
 // TestPairsPartition1DOnCut pins the boundary rule the shard subsystem
 // depends on: an intersection whose breakpoint lies exactly on a cut
 // lands in exactly one bucket — the sub-box on the cut's right — never
@@ -22,7 +32,7 @@ func TestPairsPartition1DOnCut(t *testing.T) {
 		{Coef: []float64{1}, Bias: 0},
 		{Coef: []float64{-1}, Bias: 4},
 	}
-	buckets, err := PairsPartition1DCtx(context.Background(), fs, dom, []float64{2}, 1)
+	buckets, err := partition(context.Background(), fs, dom, []float64{2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +75,7 @@ func TestPairsPartition1DExactlyOnce(t *testing.T) {
 				funcs.Linear{Coef: []float64{-1}, Bias: c})
 		}
 
-		buckets, err := PairsPartition1DCtx(context.Background(), fs, dom, cuts, 1)
+		buckets, err := partition(context.Background(), fs, dom, cuts, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,11 +138,11 @@ func TestPairsPartition1DValidation(t *testing.T) {
 	dom := geometry.MustBox([]float64{0}, []float64{1})
 	fs := []funcs.Linear{{Coef: []float64{1}, Bias: 0}}
 	for _, cuts := range [][]float64{{0}, {1}, {-0.5}, {0.5, 0.5}, {0.7, 0.3}} {
-		if _, err := PairsPartition1DCtx(context.Background(), fs, dom, cuts, 1); err == nil {
+		if _, err := partition(context.Background(), fs, dom, cuts, 1); err == nil {
 			t.Errorf("cuts %v accepted", cuts)
 		}
 	}
-	if _, err := PairsPartition1DCtx(context.Background(), fs, geometry.MustBox([]float64{0, 0}, []float64{1, 1}), nil, 1); err == nil {
+	if _, err := partition(context.Background(), fs, geometry.MustBox([]float64{0, 0}, []float64{1, 1}), nil, 1); err == nil {
 		t.Error("2-D domain accepted")
 	}
 }
@@ -149,12 +159,12 @@ func TestPairsPartition1DWorkersIdentity(t *testing.T) {
 		fs[i] = funcs.Linear{Index: i, Coef: []float64{rng.NormFloat64()}, Bias: rng.NormFloat64()}
 	}
 	for _, cuts := range [][]float64{nil, {-0.4, 0.1, 0.3}} {
-		serial, err := PairsPartition1DCtx(context.Background(), fs, dom, cuts, 1)
+		serial, err := partition(context.Background(), fs, dom, cuts, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 3, 8} {
-			par, err := PairsPartition1DCtx(context.Background(), fs, dom, cuts, workers)
+			par, err := partition(context.Background(), fs, dom, cuts, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,56 +197,7 @@ func TestPairsPartition1DCtxCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := PairsPartition1DCtx(ctx, fs, dom, nil, 4); !errors.Is(err, context.Canceled) {
+	if _, err := partition(ctx, fs, dom, nil, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// TestPartitionInters1DMatchesFusedScan pins the re-bucketing contract:
-// partitioning a precomputed whole-domain enumeration by cuts must yield
-// exactly the buckets the fused enumerate-and-bucket scan produces —
-// contents and order — including pairs crossing exactly on a cut and
-// within float-margin of one. The build plane relies on this to share
-// one O(n²) scan between its cut planner and the shard build.
-func TestPartitionInters1DMatchesFusedScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	dom := geometry.MustBox([]float64{-1}, []float64{1})
-	cuts := []float64{-0.5, 0, 0.25}
-	fs := make([]funcs.Linear, 80)
-	for i := range fs {
-		fs[i] = funcs.Linear{Index: i, Coef: []float64{rng.NormFloat64()}, Bias: rng.NormFloat64()}
-	}
-	// Engineered crossings exactly on each cut (f and its reflection
-	// around x = c cross precisely at c).
-	for _, c := range cuts {
-		fs = append(fs,
-			funcs.Linear{Coef: []float64{1}, Bias: -c},
-			funcs.Linear{Coef: []float64{-1}, Bias: c})
-	}
-	fused, err := PairsPartition1DCtx(context.Background(), fs, dom, cuts, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := Pairs1DCtx(context.Background(), fs, dom, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rebucketed, err := PartitionInters1D(flat, dom, cuts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rebucketed) != len(fused) {
-		t.Fatalf("%d buckets, want %d", len(rebucketed), len(fused))
-	}
-	for k := range fused {
-		if len(rebucketed[k]) != len(fused[k]) {
-			t.Fatalf("bucket %d: %d pairs, want %d", k, len(rebucketed[k]), len(fused[k]))
-		}
-		for p := range fused[k] {
-			a, b := fused[k][p], rebucketed[k][p]
-			if a.I != b.I || a.J != b.J || a.H.B != b.H.B || a.H.C[0] != b.H.C[0] {
-				t.Fatalf("bucket %d pair %d differs: %+v vs %+v", k, p, a, b)
-			}
-		}
 	}
 }

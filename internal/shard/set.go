@@ -33,8 +33,8 @@ type PerShardProgress func(shard int) func(core.Stage, int)
 // could equally run on K different machines.
 //
 // For univariate templates the O(n²) pairwise-intersection enumeration
-// runs once and is partitioned across shards by the half-open ownership
-// rule of itree.PairsPartition1DCtx, instead of once per shard.
+// runs once and is split across shards by itree.PartitionInters1D's
+// half-open ownership rule, instead of once per shard.
 // Each shard's IMH shape is seeded with p.Seed plus the shard index,
 // keeping builds reproducible. progress, when non-nil, attributes stage
 // events per shard. A done ctx stops unstarted shard builds from
@@ -72,13 +72,13 @@ func BuildCtx(ctx context.Context, tbl record.Table, p core.Params, plan Plan, p
 	return s, owners, nil
 }
 
-// shardBuckets validates the build inputs and partitions the global
-// intersection enumeration across the plan's sub-boxes (1-D templates
-// only; multivariate shards enumerate per sub-box inside core.BuildCtx).
-// A caller that already holds the whole-domain enumeration — the build
-// plane shares one with its cut planner — passes it through p.Inters1D
-// and only pays a linear re-bucketing pass; otherwise the O(n²) scan
-// runs here, sharded across p.Workers goroutines.
+// shardBuckets validates the build inputs and splits the whole-domain
+// intersection list across the plan's sub-boxes with
+// itree.PartitionInters1D (1-D templates only; multivariate shards
+// enumerate per sub-box inside core.BuildCtx). The list is p.Inters1D —
+// the build plane shares its one scan with the cut planner that way —
+// or, when that is nil, the itree.Pairs1DCtx scan run here, sharded
+// across p.Workers goroutines.
 func shardBuckets(ctx context.Context, tbl record.Table, p core.Params, plan Plan) ([][]itree.Intersection, error) {
 	if plan.K() == 0 {
 		return nil, fmt.Errorf("shard: empty plan; use NewPlan")
@@ -93,17 +93,17 @@ func shardBuckets(ctx context.Context, tbl record.Table, p core.Params, plan Pla
 		}
 		return make([][]itree.Intersection, plan.K()), nil
 	}
-	if p.Inters1D != nil {
-		return itree.PartitionInters1D(p.Inters1D, plan.Domain, plan.Cuts)
+	inters := p.Inters1D
+	if inters == nil {
+		fs, err := p.Template.InterpretTable(tbl)
+		if err != nil {
+			return nil, err
+		}
+		if inters, err = itree.Pairs1DCtx(ctx, fs, plan.Domain, p.Workers); err != nil {
+			return nil, err
+		}
 	}
-	if err := p.Template.Validate(tbl.Schema.Arity()); err != nil {
-		return nil, err
-	}
-	fs, err := p.Template.InterpretTable(tbl)
-	if err != nil {
-		return nil, err
-	}
-	return itree.PairsPartition1DCtx(ctx, fs, plan.Domain, plan.Cuts, p.Workers)
+	return itree.PartitionInters1D(inters, plan.Domain, plan.Cuts)
 }
 
 // shardParams derives shard i's build configuration from the set-wide

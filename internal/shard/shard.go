@@ -23,7 +23,7 @@
 // Routing is deterministic on boundaries: a function input exactly on a
 // cut belongs to the sub-box on the cut's right. The same half-open rule
 // assigns intersections to shards during construction (see
-// itree.PairsPartition1DCtx), so a shard's tree always covers every query
+// itree.PartitionInters1D), so a shard's tree always covers every query
 // routed to it.
 package shard
 
@@ -178,7 +178,7 @@ func contiguousAlong(boxes []geometry.Box, a int) bool {
 
 // Route returns the index of the shard owning the function input x. A
 // point exactly on a cut routes deterministically to the shard on the
-// cut's right — the same tie-break itree.PairsPartition1DCtx applies to
+// cut's right — the same tie-break itree.PartitionInters1D applies to
 // intersections during construction. Points outside the domain error.
 func (p Plan) Route(x geometry.Point) (int, error) {
 	if !p.Domain.Contains(x) {

@@ -26,8 +26,6 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p.Scalar("aqv_query_errors_total", "counter", "Queries refused or failed.", h.tally.errors.Load())
 	p.Scalar("aqv_answer_bytes_total", "counter", "Wire bytes of served answers (VO sizes).", int64(stats.Bytes))
 	p.Scalar("aqv_nodes_visited_total", "counter", "IFMH tree nodes traversed answering queries.", int64(stats.NodesVisited))
-	p.Scalar("aqv_hashes_total", "counter", "Hash invocations spent answering queries.", int64(stats.Hashes))
-	p.Scalar("aqv_sig_verifies_total", "counter", "Signature verifications spent answering queries.", int64(stats.SigVerifies))
 
 	p.Scalar("aqv_epoch", "gauge", "Serving publication epoch.", int64(epoch))
 	p.Scalar("aqv_swaps_total", "counter", "Epoch swaps observed.", h.tally.swaps.Load())
