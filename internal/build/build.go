@@ -125,10 +125,11 @@ func WithMode(m verify.Mode) Option { return func(o *options) { o.mode = m } }
 // multi-signature answers do not.
 func WithShuffle(seed int64) Option { return func(o *options) { o.seed = seed } }
 
-// WithWorkers bounds every construction stage's worker pool: record
-// digesting, pair enumeration, the sweep plan, FMH-list building, hash
-// propagation and multi-signature signing. Zero (the default) means one
-// per CPU, one is serial; the product is byte-identical for every count.
+// WithWorkers bounds every parallel construction stage's worker pool:
+// record digesting, the sweep plan, FMH-list building, hash propagation
+// and multi-signature signing (the 1-D pair enumeration is one serial
+// O(n log n + k) pass). Zero (the default) means one per CPU, one is
+// serial; the product is byte-identical for every count.
 // In a sharded build each shard reuses the same bound internally, so the
 // effective parallelism is K × workers.
 func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
@@ -231,7 +232,7 @@ func Outsource(ctx context.Context, spec Spec, opts ...Option) (*Result, error) 
 		if err != nil {
 			return nil, err
 		}
-		if params.Inters1D, err = itree.Pairs1DCtx(ctx, fs, spec.Domain, o.workers); err != nil {
+		if params.Inters1D, err = itree.Pairs1DCtx(ctx, fs, spec.Domain); err != nil {
 			return nil, err
 		}
 	}
@@ -245,7 +246,7 @@ func Outsource(ctx context.Context, spec Spec, opts ...Option) (*Result, error) 
 			planner = EvenCuts
 		}
 		p, err := planner(ctx, PlanRequest{
-			Spec: spec, K: o.shards, Axis: o.axis, Workers: o.workers, Inters: params.Inters1D,
+			Spec: spec, K: o.shards, Axis: o.axis, Inters: params.Inters1D,
 		})
 		if err != nil {
 			return nil, err

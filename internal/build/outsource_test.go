@@ -289,3 +289,26 @@ func TestPinnedFingerprints(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkOutsource1D times a serial multi-signature univariate build
+// at n = 10 000, the top of the paper's Fig 5 sweep: the pair
+// enumeration, sweep, lists, propagation and signing of one tree.
+//
+//	go test ./internal/build -run '^$' -bench Outsource1D -count 10
+func BenchmarkOutsource1D(b *testing.B) {
+	tbl, dom, err := workload.Lines(workload.LinesConfig{N: 10000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	signer, err := sig.NewSigner(sig.Ed25519, sig.Options{Rand: sig.DeterministicRand(7)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := Spec{Table: tbl, Template: funcs.AffineLine(0, 1), Domain: dom, Signer: signer}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Outsource(context.Background(), spec, WithMode(verify.MultiSignature), WithWorkers(1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"aqverify/internal/funcs"
@@ -109,11 +110,11 @@ func TestQuantileCutsIdentity(t *testing.T) {
 // cuts, call after call.
 func TestQuantileCutsDeterministic(t *testing.T) {
 	spec := testSpec(t, 200, 8, workload.Clustered)
-	a, err := QuantileCuts(context.Background(), PlanRequest{Spec: spec, K: 4, Workers: 2})
+	a, err := QuantileCuts(context.Background(), PlanRequest{Spec: spec, K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := QuantileCuts(context.Background(), PlanRequest{Spec: spec, K: 4, Workers: 2})
+	b, err := QuantileCuts(context.Background(), PlanRequest{Spec: spec, K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,6 +125,56 @@ func TestQuantileCutsDeterministic(t *testing.T) {
 		if a.Cuts[i] != b.Cuts[i] {
 			t.Fatalf("cut %d differs: %v vs %v", i, a.Cuts[i], b.Cuts[i])
 		}
+	}
+}
+
+// TestQuantileCutsAreExactQuantiles: above 2 048 lines, where the
+// planner once sampled pairs, a standalone call with no Inters places
+// the cuts at the k-quantiles of the brute-force breakpoint list (every
+// pair's hyperplane root strictly inside the domain), and Outsource,
+// which hands the planner its own enumeration, derives the same cuts.
+func TestQuantileCutsAreExactQuantiles(t *testing.T) {
+	const n, k = 3000, 4
+	spec := testSpec(t, n, 1, workload.Clustered)
+	fs, err := spec.Template.InterpretTable(spec.Table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := spec.Domain.Lo[0], spec.Domain.Hi[0]
+	var bps []float64
+	for i := range fs {
+		for j := i + 1; j < len(fs); j++ {
+			// The rounded root of f_i − f_j; a root strictly inside
+			// rounds to [lo, hi], and rounding is monotone.
+			h := funcs.Diff(fs[i], fs[j])
+			if t := -h.B / h.C[0]; t > lo && t < hi {
+				bps = append(bps, t)
+			}
+		}
+	}
+	slices.Sort(bps)
+	var want []float64
+	for q := 1; q < k; q++ {
+		idx := q * len(bps) / k
+		for len(want) > 0 && bps[idx] <= want[len(want)-1] {
+			idx++
+		}
+		want = append(want, bps[idx])
+	}
+
+	plan, err := QuantileCuts(context.Background(), PlanRequest{Spec: spec, K: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(plan.Cuts, want) {
+		t.Fatalf("standalone cuts %v, want the exact quantiles %v of %d breakpoints", plan.Cuts, want, len(bps))
+	}
+	res, err := Outsource(context.Background(), spec, WithMode(verify.MultiSignature), WithShards(k, 0), WithPlanner(QuantileCuts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.Plan.Cuts, want) {
+		t.Fatalf("Outsource cuts %v, want the standalone cuts %v", res.Plan.Cuts, want)
 	}
 }
 

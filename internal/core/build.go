@@ -22,10 +22,9 @@ import (
 // server is handed the embedded Tree.
 //
 // Every stage with independent units is sharded across Params.Workers
-// goroutines: record digesting, 1-D pairwise-intersection enumeration,
-// the subdomain sweep plan, per-subdomain FMH-list construction
-// (multivariate templates), level-order IMH hash propagation, and
-// multi-signature signing. The output is byte-identical for every worker
+// goroutines: record digesting, the subdomain sweep plan,
+// per-subdomain FMH-list construction (multivariate templates),
+// level-order IMH hash propagation, and multi-signature signing. The output is byte-identical for every worker
 // count: every digest, swap list and signature input depends only on its
 // own index, and per-worker hash counters are merged after each join.
 //
@@ -94,7 +93,7 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Owner, error) {
 		inters := p.Inters1D
 		if inters == nil {
 			p.progress(StagePairs, tbl.Len())
-			if inters, err = itree.Pairs1DCtx(ctx, fs, p.Domain, workers); err != nil {
+			if inters, err = itree.Pairs1DCtx(ctx, fs, p.Domain); err != nil {
 				return nil, err
 			}
 		}

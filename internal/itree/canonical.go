@@ -148,15 +148,13 @@ func cmpBreak(tf float64, t *big.Rat, uf float64, u *big.Rat) int {
 // list over the space's domain: members whose exact breakpoint lies
 // strictly inside (lo, hi) are grouped by breakpoint and canonically
 // ordered; degenerate, on-edge and out-of-domain entries — the ones the
-// exact insertion checks would prune — are dropped. The input may carry
-// the widened-margin superset Pairs1DCtx enumerates. Every order here is
-// exact but tried on the rounded breakpoints first (cmpBreak): rounding
-// is monotone, so distinct floats order their exact breakpoints.
+// exact insertion checks would prune — are dropped by inside, the rule
+// Pairs1DCtx and DirtyPairs1D enumerate by, so the filter bites on a
+// shard's bucket, whose sub-box is narrower than the domain the list was
+// enumerated over. Every order here is exact but tried on the rounded
+// breakpoints first (cmpBreak): rounding is monotone, so distinct floats
+// order their exact breakpoints.
 func NewArrangement1D(space *Space1D, inters []Intersection, seed int64) (*Arrangement1D, error) {
-	root, ok := space.Root().(Interval1D)
-	if !ok {
-		return nil, fmt.Errorf("itree: 1-D space has a non-interval root region")
-	}
 	type entry struct {
 		tf   float64
 		t    *big.Rat
@@ -165,14 +163,11 @@ func NewArrangement1D(space *Space1D, inters []Intersection, seed int64) (*Arran
 	}
 	entries := make([]entry, 0, len(inters))
 	for _, in := range inters {
-		t, ok := Breakpoint1D(in.H)
-		if !ok {
-			continue // degenerate: parallel functions
+		if !inside(in.H, space.domain.Lo[0], space.domain.Hi[0]) {
+			continue // parallel, on or outside the domain edges: Partition would prune
 		}
+		t, _ := Breakpoint1D(in.H)
 		tf := -in.H.B / in.H.C[0] // t correctly rounded: an IEEE quotient
-		if cmpBreak(tf, t, space.domain.Lo[0], root.Lo) <= 0 || cmpBreak(tf, t, space.domain.Hi[0], root.Hi) >= 0 {
-			continue // on or outside the domain edges: Partition would prune
-		}
 		entries = append(entries, entry{tf: tf, t: t, in: in, prio: priorityOf(seed, in.H)})
 	}
 	sort.SliceStable(entries, func(a, b int) bool {

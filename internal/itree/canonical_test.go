@@ -129,7 +129,7 @@ func TestBuildCanonicalEqualsInsert(t *testing.T) {
 	}
 	for trial := 0; trial < 20; trial++ {
 		fs := randomLines(30+trial, int64(trial))
-		inters, err := Pairs1DCtx(context.Background(), fs, dom, 1)
+		inters, err := Pairs1DCtx(context.Background(), fs, dom)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestBuildCanonicalEqualsInsert(t *testing.T) {
 		[2]float64{1, 0}, [2]float64{-1, 1}, [2]float64{2, -0.5},
 	)
 	for seed := int64(0); seed < 4; seed++ {
-		inters, err := Pairs1DCtx(context.Background(), fs, dom, 1)
+		inters, err := Pairs1DCtx(context.Background(), fs, dom)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestMergeArrangementEqualsRescan(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		fs := randomLines(25, int64(trial+100))
-		inters, err := Pairs1DCtx(context.Background(), fs, dom, 1)
+		inters, err := Pairs1DCtx(context.Background(), fs, dom)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func TestMergeArrangementEqualsRescan(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		full, err := Pairs1DCtx(context.Background(), newFs, dom, 1)
+		full, err := Pairs1DCtx(context.Background(), newFs, dom)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +318,7 @@ func TestBuildCanonical1DAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inters, err := Pairs1DCtx(context.Background(), fs, dom, 1)
+	inters, err := Pairs1DCtx(context.Background(), fs, dom)
 	if err != nil {
 		t.Fatal(err)
 	}

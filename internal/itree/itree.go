@@ -22,13 +22,15 @@ package itree
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/big"
+	"slices"
 	"sort"
 
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/hashing"
 	"aqverify/internal/metrics"
-	"aqverify/internal/pool"
 )
 
 // Intersection is the hyperplane f_I - f_J = 0 between two record
@@ -74,19 +76,26 @@ type Tree struct {
 }
 
 // Pairs1DCtx enumerates the intersections of univariate linear functions
-// whose breakpoint falls inside the domain: the one O(n²) scan every 1-D
-// build runs, sharded or not (a sharded build splits the list with
-// PartitionInters1D). A cheap float prefilter, widened by a margin so no
-// in-domain breakpoint is ever excluded, avoids allocating hyperplanes
-// for the quadratically many out-of-domain pairs; the exact rational
-// check in Space1D.Partition remains the authority.
+// whose breakpoint lies strictly inside the domain (lo, hi): the pairs
+// NewArrangement1D keeps, and the list every 1-D build starts from,
+// sharded or not (a sharded build splits it with PartitionInters1D). The
+// paper's build (Nosrati & Cai §3.1 step 1) inserts every pairwise
+// intersection, but only these split the domain, and they are found in
+// O(n log n + k) for k crossings rather than by scanning all n²/2 pairs:
+// two lines cross strictly inside an interval exactly when their orders
+// at its two ends differ, so the crossings are the inversions between
+// two sorted orders (inversions1D).
 //
-// The row scan is sharded across a worker pool, with cooperative
-// cancellation between row chunks. Each worker enumerates a contiguous
-// range of rows i (all pairs (i, j), j > i); the chunks are concatenated
-// in ascending row order, so the list is byte-identical to the serial
-// scan's for every worker count. workers <= 0 means one per CPU.
-func Pairs1DCtx(ctx context.Context, fs []funcs.Linear, domain geometry.Box, workers int) ([]Intersection, error) {
+// A pair's hyperplane holds the rounded differences c_I − c_J and
+// b_I − b_J, so its root t may sit up to 2u·|t| (u = 2⁻⁵³) from the
+// lines' own crossing. The inversions are therefore taken over the
+// domain widened by 2⁻⁵⁰·max(|lo|, |hi|) on each side, in exact
+// arithmetic — a superset of the pairs whose root is inside — and each
+// is kept by inside, the one exact rule DirtyPairs1D applies too. Each
+// pair is Intersection{I < J} with the hyperplane f_I − f_J. The list
+// comes out in merge order; NewArrangement1D orders it by breakpoint.
+// ctx is checked once per merge pass.
+func Pairs1DCtx(ctx context.Context, fs []funcs.Linear, domain geometry.Box) ([]Intersection, error) {
 	if domain.Dim() != 1 {
 		return nil, fmt.Errorf("itree: 1-D pair enumeration needs a 1-D domain")
 	}
@@ -95,55 +104,107 @@ func Pairs1DCtx(ctx context.Context, fs []funcs.Linear, domain geometry.Box, wor
 			return nil, fmt.Errorf("itree: function %d is not univariate", i)
 		}
 	}
-	n := len(fs)
-	w := pool.Workers(workers, n)
-	// Row i owns n-1-i pairs, so fixed row ranges straggle; oversplitting
-	// the rows and letting the pool load-balance the chunks evens it out.
-	// The chunk count never changes the output: chunks are concatenated in
-	// ascending row order regardless of which worker ran them.
-	chunks := max(min(w*8, n), 1)
-	chunkOut := make([][]Intersection, chunks)
 	lo, hi := domain.Lo[0], domain.Hi[0]
-	if err := pool.RunCtx(ctx, chunks, w, func(_, c int) {
-		chunkOut[c] = pairsRows1D(fs, c*n/chunks, (c+1)*n/chunks, lo, hi)
-	}); err != nil {
+	pad := new(big.Rat).SetFloat64(max(math.Abs(lo), math.Abs(hi)))
+	pad.Quo(pad, new(big.Rat).SetInt64(1<<50))
+	loW := funcs.NewAt(new(big.Rat).Sub(new(big.Rat).SetFloat64(lo), pad))
+	hiW := funcs.NewAt(new(big.Rat).Add(new(big.Rat).SetFloat64(hi), pad))
+	cands, err := inversions1D(ctx, fs, loW, hiW)
+	if err != nil {
 		return nil, err
 	}
-	total := 0
-	for _, co := range chunkOut {
-		total += len(co)
-	}
-	out := make([]Intersection, 0, total)
-	for _, co := range chunkOut {
-		out = append(out, co...)
+	out := make([]Intersection, 0, len(cands)) // non-nil: an empty list is still an enumeration
+	cs := make([]float64, len(cands))
+	for _, p := range cands {
+		in := crossing(fs, p[0], p[1], cs[len(out):len(out)+1:len(out)+1])
+		if inside(in.H, lo, hi) {
+			out = append(out, in)
+		}
 	}
 	return out, nil
 }
 
-// pairsRows1D enumerates the pairs (i, j) for i in [rlo, rhi), j > i,
-// whose breakpoint lies in the domain or within its margin, in (i, j)
-// lexicographic order: the per-chunk body of Pairs1DCtx.
-func pairsRows1D(fs []funcs.Linear, rlo, rhi int, lo, hi float64) []Intersection {
-	margin := float64((hi - lo) * 1e-9) // rounded: no fused multiply-add below
-	var out []Intersection
-	for i := rlo; i < rhi; i++ {
-		ci, bi := fs[i].Coef[0], fs[i].Bias
-		for j := i + 1; j < len(fs); j++ {
-			dc := ci - fs[j].Coef[0]
-			if dc == 0 {
-				continue // parallel
-			}
-			t := (fs[j].Bias - bi) / dc
-			if t < lo-margin || t > hi+margin {
-				continue
-			}
-			out = append(out, Intersection{
-				I: i, J: j,
-				H: geometry.Hyperplane{C: []float64{dc}, B: bi - fs[j].Bias},
-			})
-		}
+// inversions1D returns the pairs of univariate functions whose order at
+// lo strictly differs from their order at hi — the pairs whose lines
+// cross strictly between the two points — as unordered index pairs. The
+// functions are sorted by value at lo, ties by value at hi and then by
+// index, so a pair that meets at lo (or coincides) is already in its
+// order at hi; a bottom-up merge sort by value at hi, taking the left
+// element on a tie, then reports exactly the pairs it strictly inverts,
+// so a pair that meets at hi is not one. Every comparison is
+// funcs.CmpAt's exact one.
+func inversions1D(ctx context.Context, fs []funcs.Linear, lo, hi funcs.At) ([][2]int, error) {
+	n := len(fs)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
 	}
-	return out
+	slices.SortFunc(order, func(a, b int) int {
+		if c := funcs.CmpAt(fs[a], fs[b], lo); c != 0 {
+			return c
+		}
+		if c := funcs.CmpAt(fs[a], fs[b], hi); c != 0 {
+			return c
+		}
+		return a - b
+	})
+	out := make([][2]int, 0, n)
+	buf := make([]int, n)
+	for width := 1; width < n; width *= 2 {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		for l := 0; l < n; l += 2 * width {
+			m, r := min(l+width, n), min(l+2*width, n)
+			a, b, k := l, m, l
+			for ; a < m && b < r; k++ {
+				if funcs.CmpAt(fs[order[a]], fs[order[b]], hi) <= 0 {
+					buf[k], a = order[a], a+1
+					continue
+				}
+				// order[b] passes every left element still waiting.
+				for _, i := range order[a:m] {
+					out = append(out, [2]int{i, order[b]})
+				}
+				buf[k], b = order[b], b+1
+			}
+			k += copy(buf[k:], order[a:m])
+			copy(buf[k:], order[b:r])
+		}
+		order, buf = buf, order
+	}
+	return out, nil
+}
+
+// crossing returns the intersection of functions i and j, ordered so
+// I < J, with the hyperplane f_I − f_J = 0; c is the one-element slice
+// its coefficient is stored in.
+func crossing(fs []funcs.Linear, i, j int, c []float64) Intersection {
+	if i > j {
+		i, j = j, i
+	}
+	c[0] = fs[i].Coef[0] - fs[j].Coef[0]
+	return Intersection{I: i, J: j, H: geometry.Hyperplane{C: c, B: fs[i].Bias - fs[j].Bias}}
+}
+
+// inside reports whether the univariate hyperplane c·x + b = 0 has a
+// root strictly inside (lo, hi), exactly: the membership rule of every
+// 1-D enumeration, the one NewArrangement1D applies. The float quotient
+// −b/c is the root correctly rounded, and rounding is monotone, so it
+// decides every root it does not round onto an edge; one that does is
+// decided by Breakpoint1D. A parallel pair or a non-finite coefficient
+// has no root.
+func inside(h geometry.Hyperplane, lo, hi float64) bool {
+	c := h.C[0]
+	if math.IsInf(c, 0) {
+		return false // the root −b/c would read 0
+	}
+	t := -h.B / c
+	if t != lo && t != hi {
+		return t > lo && t < hi // false for NaN and ±Inf
+	}
+	r, ok := Breakpoint1D(h)
+	return ok && r.Cmp(new(big.Rat).SetFloat64(lo)) > 0 && r.Cmp(new(big.Rat).SetFloat64(hi)) < 0
 }
 
 // PairsND enumerates all non-degenerate pairwise intersections for

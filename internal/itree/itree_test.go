@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"aqverify/internal/funcs"
@@ -30,7 +31,7 @@ func build1D(t *testing.T, fs []funcs.Linear, lo, hi float64, seed int64) *Tree 
 	if err != nil {
 		t.Fatal(err)
 	}
-	inters, err := Pairs1DCtx(context.Background(), fs, domain, 1)
+	inters, err := Pairs1DCtx(context.Background(), fs, domain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,9 +189,9 @@ func TestSortabilityAcrossSubdomains(t *testing.T) {
 }
 
 // TestCanonicalDepthOnAscendingBreakpoints feeds the construction its
-// worst enumeration: one flat line crossed by S parallel ones, so
-// Pairs1D lists the S breakpoints in ascending order and inserting them
-// as listed would grow a depth-S path. The canonical order ignores how
+// worst enumeration: one flat line crossed by S parallel ones, its S
+// breakpoints listed in ascending order, so inserting them as listed
+// would grow a depth-S path. The canonical order ignores how
 // the pairs enumerate; the depth stays within 4·log2 S for every seed
 // tried, on the insert path and the direct construction alike.
 func TestCanonicalDepthOnAscendingBreakpoints(t *testing.T) {
@@ -205,16 +206,17 @@ func TestCanonicalDepthOnAscendingBreakpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inters, err := Pairs1DCtx(context.Background(), fs, domain, 1)
+	inters, err := Pairs1DCtx(context.Background(), fs, domain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := 1; k < len(inters); k++ {
-		a, _ := Breakpoint1D(inters[k-1].H)
-		b, _ := Breakpoint1D(inters[k].H)
-		if a.Cmp(b) >= 0 {
-			t.Fatalf("enumeration is not ascending at %d: the input is not adversarial", k)
-		}
+	slices.SortFunc(inters, func(a, b Intersection) int {
+		ta, _ := Breakpoint1D(a.H)
+		tb, _ := Breakpoint1D(b.H)
+		return ta.Cmp(tb)
+	})
+	if len(inters) != s {
+		t.Fatalf("%d intersections, want %d", len(inters), s)
 	}
 	bound := 4 * int(math.Log2(s))
 	for seed := int64(0); seed < 5; seed++ {
@@ -316,7 +318,7 @@ func TestBuildNDGrid(t *testing.T) {
 func TestPairs1DFiltersAndValidates(t *testing.T) {
 	fs := lines([2]float64{1, 0}, [2]float64{-1, 100}, [2]float64{-1, 2})
 	domain := geometry.MustBox([]float64{0}, []float64{10})
-	inters, err := Pairs1DCtx(context.Background(), fs, domain, 1)
+	inters, err := Pairs1DCtx(context.Background(), fs, domain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,32 +330,32 @@ func TestPairs1DFiltersAndValidates(t *testing.T) {
 		t.Errorf("kept pair (%d,%d), want (0,2)", inters[0].I, inters[0].J)
 	}
 	bad := []funcs.Linear{{Index: 0, Coef: []float64{1, 2}}}
-	if _, err := Pairs1DCtx(context.Background(), bad, domain, 1); err == nil {
+	if _, err := Pairs1DCtx(context.Background(), bad, domain); err == nil {
 		t.Error("multivariate function accepted by Pairs1D")
 	}
-	if _, err := Pairs1DCtx(context.Background(), fs, geometry.MustBox([]float64{0, 0}, []float64{1, 1}), 1); err == nil {
+	if _, err := Pairs1DCtx(context.Background(), fs, geometry.MustBox([]float64{0, 0}, []float64{1, 1})); err == nil {
 		t.Error("2-D domain accepted by Pairs1D")
 	}
 }
 
-// BenchmarkPairs1D times the owner's O(n²) pair scan over the
-// benchmark's 2 000-line table, serial and on every CPU.
+// BenchmarkPairs1D times the owner's pair enumeration over the
+// benchmark's 2 000-line table and the top of the paper's Fig 5 sweep.
 //
 //	go test ./internal/itree -run '^$' -bench Pairs1D -count 10
 func BenchmarkPairs1D(b *testing.B) {
-	tbl, dom, err := workload.Lines(workload.LinesConfig{N: 2000, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	fs, err := funcs.AffineLine(0, 1).InterpretTable(tbl)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 0} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	for _, n := range []int{2000, 10000} {
+		tbl, dom, err := workload.Lines(workload.LinesConfig{N: n, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		fs, err := funcs.AffineLine(0, 1).InterpretTable(tbl)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Pairs1DCtx(context.Background(), fs, dom, workers); err != nil {
+				if _, err := Pairs1DCtx(context.Background(), fs, dom); err != nil {
 					b.Fatal(err)
 				}
 			}

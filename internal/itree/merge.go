@@ -23,10 +23,10 @@ type BoundaryClass struct {
 }
 
 // DirtyPairs1D enumerates, in (i, j)-lexicographic order, the pairs of
-// the new function list that involve at least one dirty function, with
-// the same widened-margin domain prefilter as the full scan. This is
-// the O(b·n) localized replacement for the O(n²) enumeration: only
-// pairs touching changed records are visited.
+// the new function list that involve at least one dirty function and
+// whose breakpoint lies strictly inside the domain, by Pairs1DCtx's exact
+// rule (inside). This is the O(b·n) localized replacement for the full
+// enumeration: only pairs touching changed records are visited.
 func DirtyPairs1D(fs []funcs.Linear, dirty []bool, domain geometry.Box) ([]Intersection, error) {
 	if domain.Dim() != 1 {
 		return nil, fmt.Errorf("itree: 1-D pair enumeration needs a 1-D domain")
@@ -35,22 +35,13 @@ func DirtyPairs1D(fs []funcs.Linear, dirty []bool, domain geometry.Box) ([]Inter
 		return nil, fmt.Errorf("itree: dirty mask has %d entries for %d functions", len(dirty), len(fs))
 	}
 	lo, hi := domain.Lo[0], domain.Hi[0]
-	margin := float64((hi - lo) * 1e-9) // rounded: no fused multiply-add below
 	var out []Intersection
+	scratch := make([]float64, 1)
 	emit := func(i, j int) {
-		ci, bi := fs[i].Coef[0], fs[i].Bias
-		dc := ci - fs[j].Coef[0]
-		if dc == 0 {
-			return // parallel
+		if in := crossing(fs, i, j, scratch); inside(in.H, lo, hi) {
+			in.H.C = []float64{in.H.C[0]}
+			out = append(out, in)
 		}
-		t := (fs[j].Bias - bi) / dc
-		if t < lo-margin || t > hi+margin {
-			return
-		}
-		out = append(out, Intersection{
-			I: i, J: j,
-			H: geometry.Hyperplane{C: []float64{dc}, B: bi - fs[j].Bias},
-		})
 	}
 	for i := range fs {
 		if dirty[i] {

@@ -21,9 +21,9 @@ import (
 // last bucket), so an intersection exactly on a cut lands in exactly one
 // bucket — the sub-box on the cut's right, matching shard.Plan.Route —
 // and every in-domain intersection lands in exactly one bucket: no drop,
-// no double count. Pairs1DCtx's widened-margin entries just outside the
-// domain go to the nearest bucket, left for the exact insertion checks
-// to prune.
+// no double count. Pairs1DCtx lists only in-domain pairs; an entry of a
+// caller's list outside the domain goes to the nearest bucket, left for
+// the exact insertion checks to prune.
 //
 // The float breakpoint decides against every cut it differs from: it is
 // the IEEE quotient −B/C, the exact breakpoint correctly rounded, and
@@ -48,9 +48,8 @@ func PartitionInters1D(inters []Intersection, domain geometry.Box, cuts []float6
 	}
 	out := make([][]Intersection, len(cuts)+1)
 	for _, in := range inters {
-		// The hyperplane is dc·x + (b_i − b_j); its root is the float
-		// breakpoint Pairs1DCtx's prefilter computed ((b_j − b_i)/dc —
-		// IEEE negation is exact, so the value is bit-identical).
+		// The hyperplane is dc·x + (b_i − b_j); −B/C is its root
+		// correctly rounded, the float inside decides on.
 		t := -in.H.B / in.H.C[0]
 		k := sort.SearchFloat64s(cuts, t) // the count of cuts below t
 		if k < len(cuts) && cuts[k] == t {

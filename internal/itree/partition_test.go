@@ -11,10 +11,10 @@ import (
 	"aqverify/internal/geometry"
 )
 
-// partition is a sharded build's enumeration: one Pairs1DCtx scan, split
+// partition is a sharded build's enumeration: one Pairs1DCtx call, split
 // by PartitionInters1D.
-func partition(ctx context.Context, fs []funcs.Linear, dom geometry.Box, cuts []float64, workers int) ([][]Intersection, error) {
-	inters, err := Pairs1DCtx(ctx, fs, dom, workers)
+func partition(ctx context.Context, fs []funcs.Linear, dom geometry.Box, cuts []float64) ([][]Intersection, error) {
+	inters, err := Pairs1DCtx(ctx, fs, dom)
 	if err != nil {
 		return nil, err
 	}
@@ -32,7 +32,7 @@ func TestPairsPartition1DOnCut(t *testing.T) {
 		{Coef: []float64{1}, Bias: 0},
 		{Coef: []float64{-1}, Bias: 4},
 	}
-	buckets, err := partition(context.Background(), fs, dom, []float64{2}, 1)
+	buckets, err := partition(context.Background(), fs, dom, []float64{2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +75,11 @@ func TestPairsPartition1DExactlyOnce(t *testing.T) {
 				funcs.Linear{Coef: []float64{-1}, Bias: c})
 		}
 
-		buckets, err := partition(context.Background(), fs, dom, cuts, 1)
+		buckets, err := partition(context.Background(), fs, dom, cuts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat, err := Pairs1DCtx(context.Background(), fs, dom, 1)
+		flat, err := Pairs1DCtx(context.Background(), fs, dom)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestPairsPartition1DExactlyOnce(t *testing.T) {
 		}
 
 		// Exact half-open ownership: edges[k] <= breakpoint < edges[k+1],
-		// except within the outer-margin slack at the domain ends.
+		// every breakpoint strictly inside the domain.
 		edges := make([]*big.Rat, 0, len(cuts)+2)
 		edges = append(edges, new(big.Rat).SetFloat64(dom.Lo[0]))
 		for _, c := range cuts {
@@ -118,9 +118,8 @@ func TestPairsPartition1DExactlyOnce(t *testing.T) {
 				if !ok {
 					t.Fatalf("bucket %d pair (%d,%d) has no breakpoint", k, in.I, in.J)
 				}
-				interior := bp.Cmp(edges[0]) > 0 && bp.Cmp(edges[len(edges)-1]) < 0
-				if !interior {
-					continue // outer-margin slack; pruned exactly at insertion
+				if bp.Cmp(edges[0]) <= 0 || bp.Cmp(edges[len(edges)-1]) >= 0 {
+					t.Errorf("bucket %d pair (%d,%d): breakpoint %v outside the domain", k, in.I, in.J, bp)
 				}
 				if k > 0 && bp.Cmp(edges[k]) < 0 {
 					t.Errorf("bucket %d pair (%d,%d): breakpoint %v left of its sub-box", k, in.I, in.J, bp)
@@ -138,51 +137,12 @@ func TestPairsPartition1DValidation(t *testing.T) {
 	dom := geometry.MustBox([]float64{0}, []float64{1})
 	fs := []funcs.Linear{{Coef: []float64{1}, Bias: 0}}
 	for _, cuts := range [][]float64{{0}, {1}, {-0.5}, {0.5, 0.5}, {0.7, 0.3}} {
-		if _, err := partition(context.Background(), fs, dom, cuts, 1); err == nil {
+		if _, err := partition(context.Background(), fs, dom, cuts); err == nil {
 			t.Errorf("cuts %v accepted", cuts)
 		}
 	}
-	if _, err := partition(context.Background(), fs, geometry.MustBox([]float64{0, 0}, []float64{1, 1}), nil, 1); err == nil {
+	if _, err := partition(context.Background(), fs, geometry.MustBox([]float64{0, 0}, []float64{1, 1}), nil); err == nil {
 		t.Error("2-D domain accepted")
-	}
-}
-
-// TestPairsPartition1DWorkersIdentity is the byte-identity contract of
-// the sharded enumeration: for every worker count the buckets — contents
-// and order within each bucket — must equal the serial scan's exactly:
-// the determinism every stage downstream inherits.
-func TestPairsPartition1DWorkersIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	dom := geometry.MustBox([]float64{-1}, []float64{1})
-	fs := make([]funcs.Linear, 120)
-	for i := range fs {
-		fs[i] = funcs.Linear{Index: i, Coef: []float64{rng.NormFloat64()}, Bias: rng.NormFloat64()}
-	}
-	for _, cuts := range [][]float64{nil, {-0.4, 0.1, 0.3}} {
-		serial, err := partition(context.Background(), fs, dom, cuts, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 3, 8} {
-			par, err := partition(context.Background(), fs, dom, cuts, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(par) != len(serial) {
-				t.Fatalf("workers=%d: %d buckets, want %d", workers, len(par), len(serial))
-			}
-			for k := range serial {
-				if len(par[k]) != len(serial[k]) {
-					t.Fatalf("workers=%d bucket %d: %d pairs, want %d", workers, k, len(par[k]), len(serial[k]))
-				}
-				for p := range serial[k] {
-					a, b := serial[k][p], par[k][p]
-					if a.I != b.I || a.J != b.J || a.H.B != b.H.B || a.H.C[0] != b.H.C[0] {
-						t.Fatalf("workers=%d bucket %d pair %d differs: %+v vs %+v", workers, k, p, a, b)
-					}
-				}
-			}
-		}
 	}
 }
 
@@ -197,7 +157,7 @@ func TestPairsPartition1DCtxCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := partition(ctx, fs, dom, nil, 4); !errors.Is(err, context.Canceled) {
+	if _, err := partition(ctx, fs, dom, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

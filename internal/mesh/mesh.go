@@ -79,9 +79,9 @@ type Params struct {
 	Template funcs.Template
 	// Hasher may be nil for an uninstrumented hasher.
 	Hasher *hashing.Hasher
-	// Workers bounds the worker pool sharding the O(n²) intersection
-	// enumeration and the sweep-plan computation; zero means one per
-	// CPU, one is serial. The built mesh is identical either way.
+	// Workers bounds the worker pool sharding the sweep-plan
+	// computation; zero means one per CPU, one is serial. The built mesh
+	// is identical either way.
 	Workers int
 }
 
@@ -98,10 +98,10 @@ func Build(tbl record.Table, p Params) (*Mesh, error) {
 	return BuildCtx(context.Background(), tbl, p)
 }
 
-// BuildCtx is Build with cooperative cancellation and the enumeration
-// and sweep stages sharded across p.Workers goroutines. The run-signing
-// sweep itself stays serial — it is one left-to-right state machine over
-// the adjacency slots — but checks ctx at every boundary.
+// BuildCtx is Build with cooperative cancellation and the sweep stage
+// sharded across p.Workers goroutines. The run-signing sweep itself
+// stays serial — it is one left-to-right state machine over the
+// adjacency slots — but checks ctx at every boundary.
 func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Mesh, error) {
 	if p.Signer == nil {
 		return nil, fmt.Errorf("mesh: Params.Signer is required")
@@ -146,7 +146,7 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Mesh, error) {
 	// same exact in-domain filter and breakpoint grouping. Only the
 	// breakpoints and their crossing pairs are read — never the
 	// canonical order, so the seed is immaterial.
-	inters, err := itree.Pairs1DCtx(ctx, fs, p.Domain, p.Workers)
+	inters, err := itree.Pairs1DCtx(ctx, fs, p.Domain)
 	if err != nil {
 		return nil, err
 	}

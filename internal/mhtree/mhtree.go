@@ -164,23 +164,6 @@ func ChangedNodes(prev, next *Node) int {
 	return 1 + ChangedNodes(prev.L, next.L) + ChangedNodes(prev.R, next.R)
 }
 
-// Leaves returns all leaf digests left to right. Intended for tests and
-// small trees; it allocates O(n).
-func (n *Node) Leaves() []hashing.Digest {
-	out := make([]hashing.Digest, 0, n.W)
-	var walk func(*Node)
-	walk = func(m *Node) {
-		if m.W == 1 {
-			out = append(out, m.H)
-			return
-		}
-		walk(m.L)
-		walk(m.R)
-	}
-	walk(n)
-	return out
-}
-
 // NodeCount returns the total number of distinct nodes reachable from n,
 // deduplicating shared subtrees. It measures the real memory footprint of
 // a persistent forest when called through CountForest.

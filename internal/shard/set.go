@@ -32,7 +32,7 @@ type PerShardProgress func(shard int) func(core.Stage, int)
 // effective parallelism is K × Workers; shard builds are independent and
 // could equally run on K different machines.
 //
-// For univariate templates the O(n²) pairwise-intersection enumeration
+// For univariate templates the pairwise-intersection enumeration
 // runs once and is split across shards by itree.PartitionInters1D's
 // half-open ownership rule, instead of once per shard.
 // Each shard's IMH shape is seeded with p.Seed plus the shard index,
@@ -76,9 +76,8 @@ func BuildCtx(ctx context.Context, tbl record.Table, p core.Params, plan Plan, p
 // intersection list across the plan's sub-boxes with
 // itree.PartitionInters1D (1-D templates only; multivariate shards
 // enumerate per sub-box inside core.BuildCtx). The list is p.Inters1D —
-// the build plane shares its one scan with the cut planner that way —
-// or, when that is nil, the itree.Pairs1DCtx scan run here, sharded
-// across p.Workers goroutines.
+// the build plane shares its one enumeration with the cut planner that
+// way — or, when that is nil, one itree.Pairs1DCtx call here.
 func shardBuckets(ctx context.Context, tbl record.Table, p core.Params, plan Plan) ([][]itree.Intersection, error) {
 	if plan.K() == 0 {
 		return nil, fmt.Errorf("shard: empty plan; use NewPlan")
@@ -99,7 +98,7 @@ func shardBuckets(ctx context.Context, tbl record.Table, p core.Params, plan Pla
 		if err != nil {
 			return nil, err
 		}
-		if inters, err = itree.Pairs1DCtx(ctx, fs, plan.Domain, p.Workers); err != nil {
+		if inters, err = itree.Pairs1DCtx(ctx, fs, plan.Domain); err != nil {
 			return nil, err
 		}
 	}

@@ -26,7 +26,7 @@ func TestComputeCtxAllocsPerBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inters, err := itree.Pairs1DCtx(ctx, fs, dom, 1)
+	inters, err := itree.Pairs1DCtx(ctx, fs, dom)
 	if err != nil {
 		t.Fatal(err)
 	}

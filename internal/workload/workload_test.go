@@ -77,7 +77,7 @@ func TestDensityControlsSubdomains(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inters, err := itree.Pairs1DCtx(context.Background(), fs, dom, 1)
+		inters, err := itree.Pairs1DCtx(context.Background(), fs, dom)
 		if err != nil {
 			t.Fatal(err)
 		}
