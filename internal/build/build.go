@@ -26,7 +26,6 @@ import (
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
-	"aqverify/internal/itree"
 	"aqverify/internal/record"
 	"aqverify/internal/shard"
 	"aqverify/internal/sig"
@@ -43,8 +42,8 @@ type Spec struct {
 	Signer   sig.Signer
 }
 
-// ShardNone marks a progress event that is not bound to a shard
-// (the single-tree product, set-level work).
+// ShardNone marks a progress event that is not bound to a shard: every
+// stage of a single-tree product.
 const ShardNone = -1
 
 // Progress is one stage-start event of a running construction.
@@ -221,22 +220,6 @@ func Outsource(ctx context.Context, spec Spec, opts ...Option) (*Result, error) 
 		return &Result{Tree: owner.Tree, Plan: trivial, Public: owner.Public(), owners: []*core.Owner{owner}}, nil
 	}
 
-	// A univariate sharded build enumerates the pairs once, before any
-	// shard exists (so the stage reports with ShardNone): the planner
-	// reads the list and the shard build re-buckets it.
-	if spec.Template.Dim() == 1 {
-		if fn := o.stageFn(ShardNone); fn != nil {
-			fn(core.StagePairs, spec.Table.Len())
-		}
-		fs, err := spec.Template.InterpretTable(spec.Table)
-		if err != nil {
-			return nil, err
-		}
-		if params.Inters1D, err = itree.Pairs1DCtx(ctx, fs, spec.Domain); err != nil {
-			return nil, err
-		}
-	}
-
 	var plan shard.Plan
 	if o.plan != nil {
 		plan = *o.plan
@@ -245,9 +228,7 @@ func Outsource(ctx context.Context, spec Spec, opts ...Option) (*Result, error) 
 		if planner == nil {
 			planner = EvenCuts
 		}
-		p, err := planner(ctx, PlanRequest{
-			Spec: spec, K: o.shards, Axis: o.axis, Inters: params.Inters1D,
-		})
+		p, err := planner(ctx, PlanRequest{Spec: spec, K: o.shards, Axis: o.axis})
 		if err != nil {
 			return nil, err
 		}

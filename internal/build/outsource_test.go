@@ -200,7 +200,8 @@ func TestOutsourceCanceled(t *testing.T) {
 
 // TestOutsourceProgress checks stage events arrive with shard
 // attribution: an unsharded build reports ShardNone, a K-shard build
-// reports every shard index.
+// reports every shard index, each with its own StagePairs, and never
+// ShardNone.
 func TestOutsourceProgress(t *testing.T) {
 	ctx := context.Background()
 	spec := testSpec(t, 40, 11, workload.Gaussian)
@@ -219,30 +220,35 @@ func TestOutsourceProgress(t *testing.T) {
 		}
 	}
 
-	// Sharded build: the shared enumeration reports once with ShardNone
-	// (it precedes any shard), then every shard's stages follow.
-	sawPairs := false
+	// Sharded build: every event belongs to a shard, and every shard
+	// enumerates its own pairs (StagePairs), as an unsharded build does.
+	noShard := false
 	seen := make(map[int]bool)
+	sawPairs := make(map[int]bool)
 	var mu = make(chan struct{}, 1)
 	mu <- struct{}{}
 	if _, err := Outsource(ctx, spec, WithShuffle(11), WithShards(3, 0),
 		WithProgress(func(p Progress) {
 			<-mu
 			seen[p.Shard] = true
+			noShard = noShard || p.Shard == ShardNone
 			if p.Stage == core.StagePairs {
-				sawPairs = p.Shard == ShardNone
+				sawPairs[p.Shard] = true
 			}
 			mu <- struct{}{}
 		})); err != nil {
 		t.Fatal(err)
 	}
+	if noShard {
+		t.Fatal("sharded build reported a stage with ShardNone")
+	}
 	for i := 0; i < 3; i++ {
 		if !seen[i] {
 			t.Fatalf("no progress events for shard %d", i)
 		}
-	}
-	if !sawPairs {
-		t.Fatal("sharded build never reported the shared pair enumeration (StagePairs, ShardNone)")
+		if !sawPairs[i] {
+			t.Fatalf("shard %d never reported its pair enumeration (StagePairs)", i)
+		}
 	}
 }
 

@@ -9,17 +9,12 @@ import (
 	"aqverify/internal/shard"
 )
 
-// PlanRequest carries a planner's inputs: the spec, the requested shard
-// count and axis, and — when the caller has already enumerated it
-// (Outsource does, for univariate sharded builds, and then reuses the
-// same list for the shard build itself) — the whole-domain pairwise
-// intersection list. Inters is nil for standalone planner calls (e.g.
-// vqgen's plan preview); planners that need the breakpoint distribution
-// then derive it themselves.
+// PlanRequest carries a planner's inputs: the spec and the requested
+// shard count and axis. A planner that needs the breakpoint distribution
+// derives it from the spec itself.
 type PlanRequest struct {
 	Spec    Spec
 	K, Axis int
-	Inters  []itree.Intersection
 }
 
 // Planner places the K-1 interior cuts of a WithShards request.
@@ -45,10 +40,9 @@ func EvenCuts(_ context.Context, req PlanRequest) (shard.Plan, error) {
 //
 // The cuts are a function of the spec alone — a vqgen -plan preview
 // and the Outsource that follows it must derive the same plan — and are
-// always placed on the exact breakpoint list: req.Inters when the caller
-// supplies it (Outsource enumerates once and shares the list with the
-// shard build), otherwise one itree.Pairs1DCtx call here, so the
-// crossing rule and hyperplane convention stay in one place.
+// placed on the exact breakpoint list of one itree.Pairs1DCtx call over
+// the whole domain, so the crossing rule and hyperplane convention stay
+// in one place.
 // Univariate templates only; for multivariate specs the breakpoint
 // density along one axis is not defined and QuantileCuts falls back to
 // EvenCuts.
@@ -63,15 +57,13 @@ func QuantileCuts(ctx context.Context, req PlanRequest) (shard.Plan, error) {
 	if k == 1 {
 		return shard.NewPlanCuts(spec.Domain, axis, nil)
 	}
-	inters := req.Inters
-	if inters == nil {
-		fs, err := spec.Template.InterpretTable(spec.Table)
-		if err != nil {
-			return shard.Plan{}, err
-		}
-		if inters, err = itree.Pairs1DCtx(ctx, fs, spec.Domain); err != nil {
-			return shard.Plan{}, err
-		}
+	fs, err := spec.Template.InterpretTable(spec.Table)
+	if err != nil {
+		return shard.Plan{}, err
+	}
+	inters, err := itree.Pairs1DCtx(ctx, fs, spec.Domain)
+	if err != nil {
+		return shard.Plan{}, err
 	}
 	lo, hi := spec.Domain.Lo[0], spec.Domain.Hi[0]
 	bps := make([]float64, 0, len(inters))

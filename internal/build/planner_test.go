@@ -129,10 +129,10 @@ func TestQuantileCutsDeterministic(t *testing.T) {
 }
 
 // TestQuantileCutsAreExactQuantiles: above 2 048 lines, where the
-// planner once sampled pairs, a standalone call with no Inters places
-// the cuts at the k-quantiles of the brute-force breakpoint list (every
-// pair's hyperplane root strictly inside the domain), and Outsource,
-// which hands the planner its own enumeration, derives the same cuts.
+// planner once sampled pairs, a standalone call places the cuts at the
+// k-quantiles of the brute-force breakpoint list (every pair's
+// hyperplane root strictly inside the domain), and Outsource derives the
+// same cuts.
 func TestQuantileCutsAreExactQuantiles(t *testing.T) {
 	const n, k = 3000, 4
 	spec := testSpec(t, n, 1, workload.Clustered)

@@ -156,10 +156,7 @@ func (o *Owner) ApplyCtx(ctx context.Context, d Delta, epoch uint64) (*Owner, er
 	}
 	p.progress(StagePairs, len(dirtyInters))
 	space := o.itree.Space.(*itree.Space1D)
-	merged, classes, err := itree.MergeArrangement1D(space, o.arr, d.CleanRemap, dirtyInters)
-	if err != nil {
-		return nil, err
-	}
+	merged, classes := itree.MergeArrangement1D(space, o.arr, d.CleanRemap, dirtyInters)
 	if err := next.finish1D(ctx, space, merged, mutation{prev: o, delta: d, classes: classes}); err != nil {
 		return nil, err
 	}

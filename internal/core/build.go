@@ -71,7 +71,6 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Owner, error) {
 	if o.epoch == 0 {
 		o.epoch = 1
 	}
-	o.p.Inters1D = nil
 	workers := p.workers()
 	p.progress(StageDigest, tbl.Len())
 	o.recDigests = make([]hashing.Digest, tbl.Len())
@@ -90,17 +89,12 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Owner, error) {
 		if err != nil {
 			return nil, err
 		}
-		inters := p.Inters1D
-		if inters == nil {
-			p.progress(StagePairs, tbl.Len())
-			if inters, err = itree.Pairs1DCtx(ctx, fs, p.Domain); err != nil {
-				return nil, err
-			}
-		}
-		arr, err := itree.NewArrangement1D(space, inters, p.Seed)
+		p.progress(StagePairs, tbl.Len())
+		inters, err := itree.Pairs1DCtx(ctx, fs, p.Domain)
 		if err != nil {
 			return nil, err
 		}
+		arr := itree.NewArrangement1D(space, inters, p.Seed)
 		if err := o.finish1D(ctx, space, arr, mutation{}); err != nil {
 			return nil, err
 		}
@@ -115,9 +109,7 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Owner, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if o.itree, err = itree.Build(space, itree.PairsND(fs), p.Seed); err != nil {
-		return nil, err
-	}
+	o.itree = itree.Build(space, itree.PairsND(fs), p.Seed)
 	p.progress(StageLists, len(o.itree.Subs))
 	if err := o.buildListsND(ctx, workers); err != nil {
 		return nil, err
@@ -187,15 +179,13 @@ func (o *Owner) finish1D(ctx context.Context, space *itree.Space1D, arr *itree.A
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	var err error
 	o.arr = arr
-	if o.itree, err = itree.BuildCanonical1D(space, arr); err != nil {
-		return err
-	}
+	o.itree = itree.BuildCanonical1D(space, arr)
 
 	groups := CrossingPairs(arr)
 	witnessAt := func(k int) funcs.At { return space.WitnessAt(o.itree.Subs[k].Region) }
 	var plan sweep.Plan
+	var err error
 	if m.prev == nil {
 		p.progress(StageSweep, arr.NumBreakpoints())
 		witnesses := make([]funcs.At, len(o.itree.Subs))

@@ -76,19 +76,6 @@ type Params struct {
 	// reproduces the serial path. The built tree — root digest,
 	// signatures, hash counts — is identical for every worker count.
 	Workers int
-	// Inters1D optionally supplies a precomputed intersection
-	// enumeration for 1-D builds. The domain-sharded builder (package
-	// shard) splits one whole-domain itree.Pairs1DCtx list across its
-	// sub-box builds through this field with itree.PartitionInters1D,
-	// instead of enumerating once per shard, and itself accepts that
-	// list through it, which is how the build plane shares one
-	// enumeration between its cut planner and the shard build. It must
-	// contain every pair whose breakpoint lies inside Domain; Pairs1DCtx
-	// lists exactly those, and a caller's superset is fine (out-of-domain
-	// entries are pruned exactly by itree.NewArrangement1D). Nil means
-	// BuildCtx enumerates via itree.Pairs1DCtx; ignored for multivariate
-	// templates.
-	Inters1D []itree.Intersection
 	// Progress, when non-nil, is invoked from the building goroutine at
 	// the start of every construction stage with the stage and the number
 	// of units (records, intersections, subdomains, tree nodes, ...) the

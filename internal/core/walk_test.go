@@ -430,3 +430,114 @@ func TestNDLeavesAreTheSortedOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestNDOrderIsScaleInvariant: multiplying every attribute by 2^k is
+// exact in floats and scales every difference hyperplane by 2^k, so the
+// exact arrangement — and the 2-D tree of a build whose split test
+// measures distance — must not change with k. For each scale the
+// subdomain count and the sorted multiset of leaf orders must equal the
+// k = 0 tree's, and at 3 000 seeded inputs (skipping those within
+// 1e-9·2^k of a tie) the leaf the search lands in must hold
+// funcs.SortAt's order. Three dimensions are held at the split test
+// itself (itree's TestSpaceNDSplitIsScaleInvariant): there a whole build
+// is not, because the canonical insertion order hashes the scaled
+// hyperplane bytes and the tolerance-based 3-D split depends on that
+// order at its margin.
+func TestNDOrderIsScaleInvariant(t *testing.T) {
+	const dim, inputs = 2, 3000
+	tpl := funcs.ScalarProduct(dim)
+	for _, n := range []int{8, 16} {
+		for _, dist := range []workload.Distribution{workload.Uniform, workload.AntiCorrelated} {
+			t.Run(fmt.Sprintf("n=%d/%s", n, dist), func(t *testing.T) {
+				tbl, dom, err := workload.Points(workload.PointsConfig{N: n, Dim: dim, Seed: int64(10*dim + n), Dist: dist})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var baseOrders []string
+				for _, k := range []int{0, -23, -17, -10, 10, 20} {
+					scaled := scaleTable(t, tbl, k)
+					res := outsourceWalk(t, build.Spec{Table: scaled, Template: tpl, Domain: dom, Signer: walkSigner},
+						build.WithMode(verify.MultiSignature))
+					snap := res.Tree.Snapshot()
+					orders := make([]string, len(snap.Subs))
+					for id, si := range snap.Subs {
+						got, err := si.List.Window(nil, 0, n)
+						if err != nil {
+							t.Fatal(err)
+						}
+						orders[id] = fmt.Sprint(got[1 : n+1])
+					}
+					slices.Sort(orders)
+					if k == 0 {
+						baseOrders = orders
+						continue
+					}
+					if len(orders) != len(baseOrders) {
+						t.Errorf("scale 2^%d: %d subdomains, scale 1 has %d", k, len(orders), len(baseOrders))
+					} else if !slices.Equal(orders, baseOrders) {
+						t.Errorf("scale 2^%d: the leaf orders differ from scale 1's", k)
+					}
+					fs, err := tpl.InterpretTable(scaled)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tie := math.Ldexp(1e-9, k)
+					rng := rand.New(rand.NewSource(int64(n)))
+					wrong := 0
+					for checked := 0; checked < inputs; {
+						x := make(geometry.Point, dim)
+						for a := range x {
+							x[a] = dom.Lo[a] + rng.Float64()*(dom.Hi[a]-dom.Lo[a])
+						}
+						if nearTieAt(fs, x, tie) {
+							continue
+						}
+						checked++
+						sub := snap.ITree.Search(x, nil, nil)
+						got, err := snap.Subs[sub.ID].List.Window(nil, 0, n)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(got[1:n+1], funcs.SortAt(fs, x)) {
+							wrong++
+						}
+					}
+					if wrong > 0 {
+						t.Errorf("scale 2^%d: %d of %d inputs land in a leaf whose order is not the sort there", k, wrong, inputs)
+					}
+				}
+			})
+		}
+	}
+}
+
+// scaleTable returns tbl with every attribute multiplied by 2^k.
+func scaleTable(t *testing.T, tbl record.Table, k int) record.Table {
+	t.Helper()
+	recs := make([]record.Record, len(tbl.Records))
+	for i, r := range tbl.Records {
+		attrs := make([]float64, len(r.Attrs))
+		for a, v := range r.Attrs {
+			attrs[a] = math.Ldexp(v, k)
+		}
+		recs[i] = record.Record{ID: r.ID, Attrs: attrs}
+	}
+	out, err := record.NewTable(tbl.Schema, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// nearTieAt reports whether two functions score within tol of each other
+// at x.
+func nearTieAt(fs []funcs.Linear, x geometry.Point, tol float64) bool {
+	for i := range fs {
+		for j := i + 1; j < len(fs); j++ {
+			if math.Abs(fs[i].Eval(x)-fs[j].Eval(x)) < tol {
+				return true
+			}
+		}
+	}
+	return false
+}

@@ -3,7 +3,6 @@ package itree
 import (
 	"cmp"
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
 	"math/big"
 	"sort"
@@ -149,12 +148,11 @@ func cmpBreak(tf float64, t *big.Rat, uf float64, u *big.Rat) int {
 // strictly inside (lo, hi) are grouped by breakpoint and canonically
 // ordered; degenerate, on-edge and out-of-domain entries — the ones the
 // exact insertion checks would prune — are dropped by inside, the rule
-// Pairs1DCtx and DirtyPairs1D enumerate by, so the filter bites on a
-// shard's bucket, whose sub-box is narrower than the domain the list was
-// enumerated over. Every order here is exact but tried on the rounded
+// Pairs1DCtx and DirtyPairs1D enumerate by, so a caller's list need only
+// be a superset. Every order here is exact but tried on the rounded
 // breakpoints first (cmpBreak): rounding is monotone, so distinct floats
 // order their exact breakpoints.
-func NewArrangement1D(space *Space1D, inters []Intersection, seed int64) (*Arrangement1D, error) {
+func NewArrangement1D(space *Space1D, inters []Intersection, seed int64) *Arrangement1D {
 	type entry struct {
 		tf   float64
 		t    *big.Rat
@@ -191,7 +189,7 @@ func NewArrangement1D(space *Space1D, inters []Intersection, seed int64) (*Arran
 		arr.Groups = append(arr.Groups, g)
 		i = j + 1
 	}
-	return arr, nil
+	return arr
 }
 
 // BuildCanonical1D reconstructs the canonical I-tree directly from an
@@ -204,11 +202,8 @@ func NewArrangement1D(space *Space1D, inters []Intersection, seed int64) (*Arran
 // sort: the leaf of gap g is already the g-th from the left, so it is
 // created as Subs[g] with ID g. Every univariate tree — first build or
 // applied mutation — is constructed here.
-func BuildCanonical1D(space *Space1D, arr *Arrangement1D) (*Tree, error) {
-	root, ok := space.Root().(Interval1D)
-	if !ok {
-		return nil, fmt.Errorf("itree: 1-D space has a non-interval root region")
-	}
+func BuildCanonical1D(space *Space1D, arr *Arrangement1D) *Tree {
+	root := space.Root().(Interval1D)
 	nb := len(arr.Groups)
 	t := &Tree{Space: space, Subs: make([]*Subdomain, nb+1), NodeCount: 2*nb + 1, Inserted: nb}
 	// One slab for the nodes — group g's internal node at g, gap g's
@@ -244,7 +239,7 @@ func BuildCanonical1D(space *Space1D, arr *Arrangement1D) (*Tree, error) {
 	}
 	if nb == 0 {
 		t.Root = leafFor(0)
-		return t, nil
+		return t
 	}
 
 	// Cartesian construction of the internal-node skeleton: walk the
@@ -303,5 +298,5 @@ func BuildCanonical1D(space *Space1D, arr *Arrangement1D) (*Tree, error) {
 		return n
 	}
 	t.Root = build(rootGroup)
-	return t, nil
+	return t
 }

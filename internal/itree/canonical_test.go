@@ -96,18 +96,9 @@ func bothWays(t *testing.T, dom geometry.Box, inters []Intersection, seed int64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaInsert, err := Build(space, inters, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arr, err := NewArrangement1D(space, inters, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := BuildCanonical1D(space, arr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	viaInsert := Build(space, inters, seed)
+	arr := NewArrangement1D(space, inters, seed)
+	direct := BuildCanonical1D(space, arr)
 	sameTree(t, viaInsert, direct)
 	return direct
 }
@@ -120,8 +111,7 @@ func bothWays(t *testing.T, dom geometry.Box, inters []Intersection, seed int64)
 // intersections, and on forced ties and edges: three lines through one
 // point, a breakpoint exactly on each domain edge, and one exactly on a
 // shard cut (interior to the whole domain, on the edge of both
-// sub-boxes, where the half-open ownership rule hands it to the right
-// one and the exact filter prunes it).
+// sub-boxes, where neither sub-box's enumeration lists it).
 func TestBuildCanonicalEqualsInsert(t *testing.T) {
 	dom, err := geometry.NewBox([]float64{-1}, []float64{2})
 	if err != nil {
@@ -166,16 +156,16 @@ func TestBuildCanonicalEqualsInsert(t *testing.T) {
 		if hasBoundary(whole, -1) || hasBoundary(whole, 2) {
 			t.Fatal("a crossing on a domain edge split the domain")
 		}
-		buckets, err := PartitionInters1D(inters, dom, []float64{cut})
-		if err != nil {
-			t.Fatal(err)
-		}
 		inserted := 0
 		for k, box := range []geometry.Box{
 			geometry.MustBox([]float64{-1}, []float64{cut}),
 			geometry.MustBox([]float64{cut}, []float64{2}),
 		} {
-			sub := bothWays(t, box, buckets[k], seed+int64(k))
+			own, err := Pairs1DCtx(context.Background(), fs, box)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub := bothWays(t, box, own, seed+int64(k))
 			if hasBoundary(sub, cut) {
 				t.Fatalf("shard %d: the crossing on the cut split the sub-box", k)
 			}
@@ -208,10 +198,7 @@ func TestMergeArrangementEqualsRescan(t *testing.T) {
 			t.Fatal(err)
 		}
 		seed := int64(trial)
-		prev, err := NewArrangement1D(space, inters, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
+		prev := NewArrangement1D(space, inters, seed)
 
 		// Mutate: delete a couple, update one, insert a couple. Deletes
 		// compact preserving order; inserts append.
@@ -250,19 +237,13 @@ func TestMergeArrangementEqualsRescan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		merged, classes, err := MergeArrangement1D(space, prev, cleanRemap, dirty)
-		if err != nil {
-			t.Fatal(err)
-		}
+		merged, classes := MergeArrangement1D(space, prev, cleanRemap, dirty)
 
 		full, err := Pairs1DCtx(context.Background(), newFs, dom)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := NewArrangement1D(space, full, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := NewArrangement1D(space, full, seed)
 		if len(merged.Groups) != len(want.Groups) {
 			t.Fatalf("trial %d: %d merged groups vs %d rescanned", trial, len(merged.Groups), len(want.Groups))
 		}
@@ -288,14 +269,8 @@ func TestMergeArrangementEqualsRescan(t *testing.T) {
 			}
 		}
 		// And the trees built from both must agree.
-		mt, err := BuildCanonical1D(space, merged)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wt, err := BuildCanonical1D(space, want)
-		if err != nil {
-			t.Fatal(err)
-		}
+		mt := BuildCanonical1D(space, merged)
+		wt := BuildCanonical1D(space, want)
 		sameTree(t, mt, wt)
 	}
 }
@@ -322,14 +297,9 @@ func TestBuildCanonical1DAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr, err := NewArrangement1D(space, inters, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	arr := NewArrangement1D(space, inters, 1)
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := BuildCanonical1D(space, arr); err != nil {
-			t.Fatal(err)
-		}
+		BuildCanonical1D(space, arr)
 	})
 	if per := allocs / float64(arr.NumBreakpoints()); per > 4 {
 		t.Errorf("%.0f allocations for %d breakpoints: %.1f per breakpoint, want at most 4", allocs, arr.NumBreakpoints(), per)

@@ -77,9 +77,9 @@ type Tree struct {
 
 // Pairs1DCtx enumerates the intersections of univariate linear functions
 // whose breakpoint lies strictly inside the domain (lo, hi): the pairs
-// NewArrangement1D keeps, and the list every 1-D build starts from,
-// sharded or not (a sharded build splits it with PartitionInters1D). The
-// paper's build (Nosrati & Cai §3.1 step 1) inserts every pairwise
+// NewArrangement1D keeps, and the list every 1-D build starts from (each
+// shard of a sharded build calls it over its own sub-box). The paper's
+// build (Nosrati & Cai §3.1 step 1) inserts every pairwise
 // intersection, but only these split the domain, and they are found in
 // O(n log n + k) for k crossings rather than by scanning all n²/2 pairs:
 // two lines cross strictly inside an interval exactly when their orders
@@ -230,7 +230,7 @@ func PairsND(fs []funcs.Linear) []Intersection {
 // NewArrangement1D and BuildCanonical1D, which return the same tree
 // without the descents — Build over a 1-D space is the reference the
 // tests compare that direct construction against.
-func Build(space Space, inters []Intersection, seed int64) (*Tree, error) {
+func Build(space Space, inters []Intersection, seed int64) *Tree {
 	t := &Tree{
 		Space:     space,
 		Root:      &Node{Leaf: &Subdomain{Region: space.Root()}},
@@ -240,7 +240,7 @@ func Build(space Space, inters []Intersection, seed int64) (*Tree, error) {
 		t.insert(t.Root, space.Root(), &inters[k])
 	}
 	t.enumerate()
-	return t, nil
+	return t
 }
 
 // insert pushes one intersection down the subtree rooted at n, whose

@@ -35,10 +35,7 @@ func build1D(t *testing.T, fs []funcs.Linear, lo, hi float64, seed int64) *Tree 
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := Build(space, inters, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := Build(space, inters, seed)
 	return tree
 }
 
@@ -220,14 +217,8 @@ func TestCanonicalDepthOnAscendingBreakpoints(t *testing.T) {
 	}
 	bound := 4 * int(math.Log2(s))
 	for seed := int64(0); seed < 5; seed++ {
-		arr, err := NewArrangement1D(space, inters, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct, err := BuildCanonical1D(space, arr)
-		if err != nil {
-			t.Fatal(err)
-		}
+		arr := NewArrangement1D(space, inters, seed)
+		direct := BuildCanonical1D(space, arr)
 		if len(direct.Subs) != s+1 {
 			t.Fatalf("seed %d: %d subdomains, want %d", seed, len(direct.Subs), s+1)
 		}
@@ -256,10 +247,7 @@ func TestBuildND(t *testing.T) {
 	if len(inters) != 3 {
 		t.Fatalf("PairsND = %d intersections, want 3", len(inters))
 	}
-	tree, err := Build(space, inters, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := Build(space, inters, 0)
 	// f0-f1, f0-f2, f1-f2 all vanish on the diagonal x=y: the three
 	// hyperplanes coincide, so only the first insertion splits.
 	if len(tree.Subs) != 2 {
@@ -283,10 +271,7 @@ func TestBuildNDGrid(t *testing.T) {
 	}
 	domain := geometry.MustBox([]float64{0, 0}, []float64{1, 1})
 	space, _ := NewSpaceND(domain)
-	tree, err := Build(space, PairsND(fs), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := Build(space, PairsND(fs), 0)
 	// x=y, x=0.5, y=0.5 inside the unit square: the diagonal plus the
 	// two half-lines cut the square into 6 cells.
 	if len(tree.Subs) != 6 {
@@ -361,4 +346,67 @@ func BenchmarkPairs1D(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestSpaceNDSplitIsScaleInvariant holds SpaceND's split test to a
+// distance: multiplying every attribute by 2^k scales each difference
+// hyperplane by 2^k, and with the insertion order held at the scale-1
+// canonical order (the canonical priority hashes the hyperplane's bytes,
+// which scaling changes) every split must be decided alike — the same
+// node count and a bit-identical witness in every leaf — in two and
+// three dimensions.
+func TestSpaceNDSplitIsScaleInvariant(t *testing.T) {
+	for _, dim := range []int{2, 3} {
+		for _, n := range []int{8, 16} {
+			for _, dist := range []workload.Distribution{workload.Uniform, workload.AntiCorrelated} {
+				tbl, dom, err := workload.Points(workload.PointsConfig{N: n, Dim: dim, Seed: int64(10*dim + n), Dist: dist})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fs, err := funcs.ScalarProduct(dim).InterpretTable(tbl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inters := PairsND(fs)
+				order := canonicalOrder(inters, 0)
+				base := insertInOrder(t, dom, inters, order)
+				for _, k := range []int{-23, -17, -10, 10, 20} {
+					scaled := make([]funcs.Linear, len(fs))
+					for i, f := range fs {
+						c := make([]float64, len(f.Coef))
+						for a, v := range f.Coef {
+							c[a] = math.Ldexp(v, k)
+						}
+						scaled[i] = funcs.Linear{Index: f.Index, RecordID: f.RecordID, Coef: c, Bias: math.Ldexp(f.Bias, k)}
+					}
+					got := insertInOrder(t, dom, PairsND(scaled), order)
+					what := fmt.Sprintf("%dD n=%d %s scale 2^%d", dim, n, dist, k)
+					if got.NodeCount != base.NodeCount || len(got.Subs) != len(base.Subs) {
+						t.Fatalf("%s: %d nodes, %d subdomains; scale 1 has %d, %d", what, got.NodeCount, len(got.Subs), base.NodeCount, len(base.Subs))
+					}
+					for id := range got.Subs {
+						if w, bw := got.Space.Witness(got.Subs[id].Region), base.Space.Witness(base.Subs[id].Region); !slices.Equal(w, bw) {
+							t.Fatalf("%s: subdomain %d's witness is %v, at scale 1 %v", what, id, w, bw)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// insertInOrder builds the n-D I-tree over dom by inserting inters in
+// the given order.
+func insertInOrder(t *testing.T, dom geometry.Box, inters []Intersection, order []int) *Tree {
+	t.Helper()
+	space, err := NewSpaceND(dom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := &Tree{Space: space, Root: &Node{Leaf: &Subdomain{Region: space.Root()}}, NodeCount: 1}
+	for _, k := range order {
+		tree.insert(tree.Root, space.Root(), &inters[k])
+	}
+	tree.enumerate()
+	return tree
 }

@@ -74,11 +74,8 @@ func DirtyPairs1D(fs []funcs.Linear, dirty []bool, domain geometry.Box) ([]Inter
 // be monotone over the surviving indexes — the mutation plane's
 // delete-compact-then-append rule — so that rewriting preserves the
 // canonical (I, J) tie-break order among survivors.
-func MergeArrangement1D(space *Space1D, prev *Arrangement1D, cleanRemap []int, dirtyInters []Intersection) (*Arrangement1D, []BoundaryClass, error) {
-	dirtyArr, err := NewArrangement1D(space, dirtyInters, prev.Seed)
-	if err != nil {
-		return nil, nil, err
-	}
+func MergeArrangement1D(space *Space1D, prev *Arrangement1D, cleanRemap []int, dirtyInters []Intersection) (*Arrangement1D, []BoundaryClass) {
+	dirtyArr := NewArrangement1D(space, dirtyInters, prev.Seed)
 	merged := &Arrangement1D{Seed: prev.Seed}
 	var classes []BoundaryClass
 	pi, di := 0, 0
@@ -122,7 +119,7 @@ func MergeArrangement1D(space *Space1D, prev *Arrangement1D, cleanRemap []int, d
 			pi, di = pi+1, di+1
 		}
 	}
-	return merged, classes, nil
+	return merged, classes
 }
 
 // rewriteGroup filters a group to its surviving members with indexes

@@ -209,13 +209,19 @@ func (s *Space1D) Contains(r Region, x geometry.Point) bool {
 // halfspaces accumulated along an I-tree path; deciding whether an
 // intersection hyperplane splits a region reduces to maximizing and
 // minimizing the hyperplane's affine form over the region.
+//
+// The split test is tolerance-based, not exact: each hyperplane reaches
+// the LP divided by its ‖C‖ (unitND), so sepTol is a distance and no
+// split decision depends on the data's units. But a region thinner than
+// sepTol on one side is not split, so for d >= 3 the subdomain count can
+// depend on the insertion order, and the LP's verdict is not certified.
 type SpaceND struct {
 	domain geometry.Box
 	// sepTol is the strict-separation tolerance: a hyperplane only counts
-	// as splitting a region if the region extends at least sepTol on both
-	// sides. This suppresses degenerate sliver subdomains created by
-	// float roundoff, which would otherwise have no reliably computable
-	// interior witness.
+	// as splitting a region if the region extends at least sepTol (a
+	// distance) on both sides. This suppresses degenerate sliver
+	// subdomains created by float roundoff, which would otherwise have no
+	// reliably computable interior witness.
 	sepTol float64
 	// boxRows/boxRhs cache the domain box as LP constraints (A x <= b).
 	boxRows [][]float64
@@ -256,35 +262,49 @@ func (s *SpaceND) Dim() int { return s.domain.Dim() }
 // Root implements Space.
 func (s *SpaceND) Root() Region { return RegionND{} }
 
+// unitND returns the hyperplane C·X + B = 0 divided by ‖C‖, the form
+// the LPs see: its value at X is X's signed distance from the
+// hyperplane. The stored hyperplane is never rewritten.
+func unitND(h geometry.Hyperplane) ([]float64, float64) {
+	n := linalg.Norm2(h.C)
+	c := make([]float64, len(h.C))
+	for i, v := range h.C {
+		c[i] = v / n
+	}
+	return c, h.B / n
+}
+
 // constraints materializes box + region halfspaces as A x <= b rows.
-// A halfspace C·X + B >= 0 becomes -C·X <= B.
+// A halfspace C·X + B >= 0 becomes -C·X <= B, in its unit form.
 func (s *SpaceND) constraints(r RegionND) ([][]float64, []float64) {
 	a := make([][]float64, 0, len(s.boxRows)+len(r.HSS))
 	b := make([]float64, 0, len(s.boxRhs)+len(r.HSS))
 	a = append(a, s.boxRows...)
 	b = append(b, s.boxRhs...)
 	for _, hs := range r.HSS {
-		a = append(a, linalg.Scale(-1, hs.H.C))
-		b = append(b, hs.H.B)
+		c, bias := unitND(hs.H)
+		a = append(a, linalg.Scale(-1, c))
+		b = append(b, bias)
 	}
 	return a, b
 }
 
 // Partition implements Space. The hyperplane splits the region iff the
-// affine form attains values above +sepTol and below -sepTol on it.
+// region reaches farther than sepTol from it on both sides.
 func (s *SpaceND) Partition(r Region, h geometry.Hyperplane) (Region, Region, bool) {
 	reg := r.(RegionND)
 	if h.IsDegenerate() || len(h.C) != s.Dim() {
 		return nil, nil, false
 	}
 	a, b := s.constraints(reg)
+	c, bias := unitND(h)
 
-	maxRes, err := lp.Maximize(h.C, a, b)
-	if err != nil || maxRes.Status != lp.Optimal || maxRes.Objective+h.B <= s.sepTol {
+	maxRes, err := lp.Maximize(c, a, b)
+	if err != nil || maxRes.Status != lp.Optimal || maxRes.Objective+bias <= s.sepTol {
 		return nil, nil, false
 	}
-	minRes, err := lp.Minimize(h.C, a, b)
-	if err != nil || minRes.Status != lp.Optimal || minRes.Objective+h.B >= -s.sepTol {
+	minRes, err := lp.Minimize(c, a, b)
+	if err != nil || minRes.Status != lp.Optimal || minRes.Objective+bias >= -s.sepTol {
 		return nil, nil, false
 	}
 
@@ -302,35 +322,36 @@ func appendHS(hss []geometry.Halfspace, hs geometry.Halfspace) []geometry.Halfsp
 }
 
 // Witness implements Space via a Chebyshev-style interior-point LP:
-// maximize t subject to C·X + B >= t*||C|| for every constraint. When the
-// region has positive volume the optimum has t > 0 and X is strictly
-// interior.
+// maximize t subject to C·X + B >= t*||C|| for every constraint, each
+// passed in its unit form (unitND). When the region has positive volume
+// the optimum has t > 0 and X is strictly interior.
 func (s *SpaceND) Witness(r Region) geometry.Point {
 	reg := r.(RegionND)
 	d := s.Dim()
 	// Variables: X (d entries) then t.
 	var a [][]float64
 	var b []float64
-	addRow := func(c []float64, bias float64) {
-		// Constraint C·X + bias >= t*||C||  =>  -C·X + ||C||*t <= bias.
+	addRow := func(h geometry.Hyperplane) {
+		// Unit constraint C·X + B >= t  =>  -C·X + t <= B.
+		c, bias := unitND(h)
 		row := make([]float64, d+1)
 		for i, v := range c {
 			row[i] = -v
 		}
-		row[d] = linalg.Norm2(c)
+		row[d] = 1
 		a = append(a, row)
 		b = append(b, bias)
 	}
 	for i := 0; i < d; i++ {
 		lo := make([]float64, d)
 		lo[i] = 1
-		addRow(lo, -s.domain.Lo[i])
+		addRow(geometry.Hyperplane{C: lo, B: -s.domain.Lo[i]})
 		hi := make([]float64, d)
 		hi[i] = -1
-		addRow(hi, s.domain.Hi[i])
+		addRow(geometry.Hyperplane{C: hi, B: s.domain.Hi[i]})
 	}
 	for _, hs := range reg.HSS {
-		addRow(hs.H.C, hs.H.B)
+		addRow(hs.H)
 	}
 	obj := make([]float64, d+1)
 	obj[d] = 1

@@ -154,10 +154,7 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Mesh, error) {
 	if err != nil {
 		return nil, err
 	}
-	arr, err := itree.NewArrangement1D(space, inters, 0)
-	if err != nil {
-		return nil, err
-	}
+	arr := itree.NewArrangement1D(space, inters, 0)
 	root := space.Root().(itree.Interval1D)
 	edgesR := make([]*big.Rat, 0, len(arr.Groups)+2)
 	edgesR = append(edgesR, root.Lo)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"aqverify/internal/core"
-	"aqverify/internal/itree"
 	"aqverify/internal/pool"
 	"aqverify/internal/record"
 	"aqverify/internal/verify"
@@ -32,17 +31,16 @@ type PerShardProgress func(shard int) func(core.Stage, int)
 // effective parallelism is K × Workers; shard builds are independent and
 // could equally run on K different machines.
 //
-// For univariate templates the pairwise-intersection enumeration
-// runs once and is split across shards by itree.PartitionInters1D's
-// half-open ownership rule, instead of once per shard.
+// Each shard enumerates the intersections inside its own sub-box
+// (core.BuildCtx does, as for an unsharded build over the whole domain),
+// so a crossing exactly on a cut splits neither neighbour.
 // Each shard's IMH shape is seeded with p.Seed plus the shard index,
 // keeping builds reproducible. progress, when non-nil, attributes stage
 // events per shard. A done ctx stops unstarted shard builds from
 // launching and cancels the in-flight ones (each core.BuildCtx aborts
 // between chunks), returning ctx.Err().
 func BuildCtx(ctx context.Context, tbl record.Table, p core.Params, plan Plan, progress PerShardProgress) (*Set, []*core.Owner, error) {
-	buckets, err := shardBuckets(ctx, tbl, p, plan)
-	if err != nil {
+	if err := validate(p, plan); err != nil {
 		return nil, nil, err
 	}
 
@@ -50,7 +48,7 @@ func BuildCtx(ctx context.Context, tbl record.Table, p core.Params, plan Plan, p
 	owners := make([]*core.Owner, plan.K())
 	errs := make([]error, plan.K())
 	runErr := pool.RunCtx(ctx, plan.K(), plan.K(), func(_, i int) {
-		sp := shardParams(p, plan, buckets, i)
+		sp := shardParams(p, plan, i)
 		if progress != nil {
 			sp.Progress = progress(i)
 		}
@@ -72,52 +70,24 @@ func BuildCtx(ctx context.Context, tbl record.Table, p core.Params, plan Plan, p
 	return s, owners, nil
 }
 
-// shardBuckets validates the build inputs and splits the whole-domain
-// intersection list across the plan's sub-boxes with
-// itree.PartitionInters1D (1-D templates only; multivariate shards
-// enumerate per sub-box inside core.BuildCtx). The list is p.Inters1D —
-// the build plane shares its one enumeration with the cut planner that
-// way — or, when that is nil, one itree.Pairs1DCtx call here.
-func shardBuckets(ctx context.Context, tbl record.Table, p core.Params, plan Plan) ([][]itree.Intersection, error) {
+// validate checks that the plan is usable and covers the build's domain.
+func validate(p core.Params, plan Plan) error {
 	if plan.K() == 0 {
-		return nil, fmt.Errorf("shard: empty plan; use NewPlan")
+		return fmt.Errorf("shard: empty plan; use NewPlan")
 	}
 	if !p.Domain.Equal(plan.Domain) {
-		return nil, fmt.Errorf("shard: plan covers %v-%v but Params.Domain is %v-%v",
+		return fmt.Errorf("shard: plan covers %v-%v but Params.Domain is %v-%v",
 			plan.Domain.Lo, plan.Domain.Hi, p.Domain.Lo, p.Domain.Hi)
 	}
-	if p.Template.Dim() != 1 {
-		if p.Inters1D != nil {
-			return nil, fmt.Errorf("shard: Params.Inters1D applies to univariate templates only")
-		}
-		return make([][]itree.Intersection, plan.K()), nil
-	}
-	inters := p.Inters1D
-	if inters == nil {
-		fs, err := p.Template.InterpretTable(tbl)
-		if err != nil {
-			return nil, err
-		}
-		if inters, err = itree.Pairs1DCtx(ctx, fs, plan.Domain); err != nil {
-			return nil, err
-		}
-	}
-	return itree.PartitionInters1D(inters, plan.Domain, plan.Cuts)
+	return nil
 }
 
 // shardParams derives shard i's build configuration from the set-wide
-// one: the sub-box domain, a seed derived from the shard index, and the
-// shard's intersection bucket.
-func shardParams(p core.Params, plan Plan, buckets [][]itree.Intersection, i int) core.Params {
+// one: the sub-box domain and a seed derived from the shard index.
+func shardParams(p core.Params, plan Plan, i int) core.Params {
 	sp := p
 	sp.Domain = plan.Boxes[i]
 	sp.Seed = p.Seed + int64(i)
-	sp.Inters1D = buckets[i]
-	if sp.Inters1D == nil && p.Template.Dim() == 1 {
-		// An interior shard may legitimately own zero
-		// intersections; distinguish that from "enumerate for me".
-		sp.Inters1D = []itree.Intersection{}
-	}
 	return sp
 }
 

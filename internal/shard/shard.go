@@ -21,10 +21,11 @@
 // posture of the source paper).
 //
 // Routing is deterministic on boundaries: a function input exactly on a
-// cut belongs to the sub-box on the cut's right. The same half-open rule
-// assigns intersections to shards during construction (see
-// itree.PartitionInters1D), so a shard's tree always covers every query
-// routed to it.
+// cut belongs to the sub-box on the cut's right. Each shard's tree covers
+// its closed sub-box, cut included, and holds only the intersections
+// strictly inside it (itree.Pairs1DCtx over the sub-box), so a crossing
+// exactly on a cut splits neither neighbour and every query routed to a
+// shard falls in one of its subdomains.
 package shard
 
 import (
@@ -178,8 +179,8 @@ func contiguousAlong(boxes []geometry.Box, a int) bool {
 
 // Route returns the index of the shard owning the function input x. A
 // point exactly on a cut routes deterministically to the shard on the
-// cut's right — the same tie-break itree.PartitionInters1D applies to
-// intersections during construction. Points outside the domain error.
+// cut's right, whose closed sub-box contains it. Points outside the
+// domain error.
 func (p Plan) Route(x geometry.Point) (int, error) {
 	if !p.Domain.Contains(x) {
 		return 0, fmt.Errorf("shard: function input %v outside the owner-specified domain", x)

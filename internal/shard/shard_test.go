@@ -212,6 +212,11 @@ func TestPlanValidation(t *testing.T) {
 	if _, err := NewPlanCuts(dom, 0, []float64{0.6, 0.4}); err == nil {
 		t.Error("descending cuts accepted")
 	}
+	for _, cuts := range [][]float64{{1}, {-0.5}, {0.5, 0.5}} {
+		if _, err := NewPlanCuts(dom, 0, cuts); err == nil {
+			t.Errorf("cuts %v accepted", cuts)
+		}
+	}
 	plan, err := NewPlan(dom, 0, 1)
 	if err != nil || plan.K() != 1 || len(plan.Cuts) != 0 {
 		t.Fatalf("trivial plan = %+v, err %v", plan, err)

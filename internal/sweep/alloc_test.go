@@ -34,14 +34,8 @@ func TestComputeCtxAllocsPerBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr, err := itree.NewArrangement1D(space, inters, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := itree.BuildCanonical1D(space, arr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	arr := itree.NewArrangement1D(space, inters, 0)
+	tree := itree.BuildCanonical1D(space, arr)
 	witnesses := make([]funcs.At, len(tree.Subs))
 	for k, sub := range tree.Subs {
 		witnesses[k] = space.WitnessAt(sub.Region)
