@@ -42,11 +42,9 @@
 // An outsourced product is not frozen: Apply re-outsources a previous
 // build under a batch of record-level mutations — Insert, Delete,
 // Update — and returns a new BuildResult exactly one publication epoch
-// above the input. For canonical-order builds over univariate
-// templates the work is incremental (only the pair buckets, sweep
-// boundaries and signatures the changed records touch are recomputed),
-// and the result is byte-identical to a full Outsource of the mutated
-// table at the same epoch. Every published bundle carries its epoch in
+// above the input. It rebuilds the mutated table under the options
+// the product was built with, so the result is byte-identical to a full
+// Outsource of the mutated table at the same epoch. Every published bundle carries its epoch in
 // PublicParams.Epoch; epoch-aware servers swap the new bundle in
 // atomically, answers carry the epoch they were computed at, and a
 // client pinned to an older epoch surfaces the mismatch as a typed
@@ -209,7 +207,7 @@ type (
 )
 
 // The mutation plane (see internal/build): record-level changes
-// re-outsourced incrementally under epoch discipline.
+// re-outsourced under epoch discipline.
 type (
 	// Mutation is one record-level change of an outsourced table;
 	// construct with Insert, Delete and Update.
@@ -378,19 +376,18 @@ func Insert(rec Record) Mutation { return build.Insert(rec) }
 func Delete(i int) Mutation { return build.Delete(i) }
 
 // Update replaces the record at index i of the previous epoch's table
-// in place: the row keeps its (compacted) position, but its digest,
-// utility function and intersections are all recomputed.
+// in place: the row keeps its (compacted) position.
 func Update(i int, rec Record) Mutation { return build.Update(i, rec) }
 
 // Apply re-outsources a previously built product under a batch of
 // record mutations, returning a new BuildResult one publication epoch
 // above the input; the previous result is left untouched, so a server
 // keeps answering from its snapshot until the new epoch is swapped in.
-// Over univariate templates the work is incremental, whatever options
-// built the product; multivariate products are rebuilt. Either way the
-// result is byte-identical to a full Outsource of the mutated table at
-// the same epoch, at any worker count. Sharded
-// products mutate every shard concurrently onto one common epoch.
+// Every tree is rebuilt from the mutated table under the options that
+// built the product, so the result is byte-identical to a full
+// Outsource of the mutated table at the same epoch, at any worker
+// count. Sharded products rebuild every shard concurrently onto one
+// common epoch.
 func Apply(ctx context.Context, prev *BuildResult, muts ...Mutation) (*BuildResult, error) {
 	return build.Apply(ctx, prev, muts...)
 }

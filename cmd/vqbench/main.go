@@ -8,7 +8,7 @@
 //	vqbench [flags]
 //
 //	-figure id     run one figure (fig5a..fig8b, ablationA1, ablationA3,
-//	               ablationA4, shardS1, planQ1, mutM1); default runs all
+//	               ablationA4, shardS1, planQ1); default runs all
 //	-quick         scaled-down sweep (seconds instead of minutes)
 //	-sizes list    comma-separated database sizes (default paper scale)
 //	-qsizes list   comma-separated result sizes for Figs 6d/7/8a

@@ -2,8 +2,8 @@
 // owner builds and signs the IFMH-tree, a cloud server answers analytic
 // queries with verification objects, an honest round trip verifies, a
 // battery of attacks by a lying server or network adversary is rejected,
-// and the owner mutates the live database — the incremental
-// re-outsourcing is swapped in as a new epoch, a pinned client detects
+// and the owner mutates the live database — the re-outsourced tree is
+// swapped in as a new epoch, a pinned client detects
 // the bump as a typed error, refreshes, and resumes verified queries.
 //
 // Usage:

@@ -316,33 +316,3 @@ func TestConfigValidation(t *testing.T) {
 		t.Errorf("maxSize = %d", c.maxSize())
 	}
 }
-
-// TestMutationShapes asserts the mutation figure's claims at quick
-// scale: the applied tree answers identically to the full rebuild on
-// every row (the engine fails the figure otherwise), and the
-// single-record batch beats the rebuild on every size in the units the
-// figure reports — pairs examined, boundaries re-sorted exactly,
-// signatures issued. The wall-clock side is benchmark/'s republish.
-func TestMutationShapes(t *testing.T) {
-	h := quickHarness(t)
-	tbl := runFig(t, h, "mutM1")
-	singles := 0
-	for r, row := range tbl.Rows {
-		if row[1] != "1" {
-			continue
-		}
-		singles++
-		if pairs, all := cell(t, tbl, r, 2), cell(t, tbl, r, 3); pairs*3 > all*2 {
-			t.Errorf("n=%s: apply examined %v pairs, a rebuild %v; want comfortably fewer", row[0], pairs, all)
-		}
-		if sorted, all := cell(t, tbl, r, 4), cell(t, tbl, r, 5); sorted*3 > all*2 {
-			t.Errorf("n=%s: apply re-sorted %v boundaries, a rebuild %v; want comfortably fewer", row[0], sorted, all)
-		}
-		if signed, all := cell(t, tbl, r, 6), cell(t, tbl, r, 7); signed > all {
-			t.Errorf("n=%s: apply issued %v signatures, a rebuild %v", row[0], signed, all)
-		}
-	}
-	if singles != len(h.Cfg.AblationSizes) {
-		t.Errorf("%d single-record rows, want one per size %v", singles, h.Cfg.AblationSizes)
-	}
-}

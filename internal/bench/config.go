@@ -19,8 +19,8 @@ type Config struct {
 	QuerySizes []int
 	// QFixed is the result size for Fig 8b (paper: 100).
 	QFixed int
-	// AblationSizes is the n sweep of ablation A1 and of the sharding,
-	// planner and mutation figures.
+	// AblationSizes is the n sweep of ablation A1 and of the sharding
+	// and planner figures.
 	AblationSizes []int
 	// Scheme is the signature algorithm used in builds and priced by Fig
 	// 7d's total verification time (the paper's default is RSA).

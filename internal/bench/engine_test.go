@@ -36,8 +36,8 @@ func TestEveryFigure(t *testing.T) {
 			}
 		}
 	}
-	if len(Figures()) != 19 || verdicts != 3 {
-		t.Errorf("%d figures, %d with an identity column; want 19 and 3", len(Figures()), verdicts)
+	if len(Figures()) != 18 || verdicts != 2 {
+		t.Errorf("%d figures, %d with an identity column; want 18 and 2", len(Figures()), verdicts)
 	}
 }
 

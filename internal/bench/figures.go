@@ -4,16 +4,16 @@
 // 7a-d), communication overheads (Fig 8a-b); three ablations over design
 // choices the paper leaves open (A1, A3, A4); and one figure per plane
 // built on top of the IFMH-tree — sharding and its planners (shardS1,
-// planQ1) and mutation (mutM1).
+// planQ1).
 //
-// The figures are counts: hashes, signature checks, nodes, bytes,
-// subdomains and build-stage units, so every table but Fig 5b is a
-// deterministic function of the Config and its seed. Fig 5b reads the
-// package's one stopwatch (the build timer in Harness.outsource); Figs
+// The figures are counts — hashes, signature checks, nodes, bytes and
+// subdomains — so every table but Fig 5b is a deterministic function
+// of the Config and its seed. Fig 5b reads the
+// package's one stopwatch (the build timer in Harness.build); Figs
 // 7b-7d multiply counts by the harness's price list (PerHashSeconds,
 // PerVerifySeconds). Every other clock lives in benchmark/.
 //
-// A figure is a row of data, not a runner: Figures lists 19 Figure
+// A figure is a row of data, not a runner: Figures lists 18 Figure
 // values — id, titles, columns, notes, a sweep, the fixtures a sweep
 // point needs, a function measuring the point on them, and the column
 // (if any) holding an identity verdict — and Figure.Run is the one
@@ -59,7 +59,7 @@ type Figure struct {
 
 // point is one position of a figure's sweep. n is the database size; k
 // is the sweep's second coordinate when it has one — shard count K,
-// result size |q|, mutation batch or dimension d — and arm its third, a
+// result size |q| or dimension d — and arm its third, a
 // planner or distribution name.
 type point struct {
 	n, k int
@@ -234,17 +234,6 @@ func Figures() []Figure {
 				planned := base
 				planned.shards, planned.quantile = p.k, p.arm == "quantile"
 				return []fixture{base, planned}
-			}},
-		{ID: "mutM1", Title: "Mutation plane: incremental apply vs full rebuild by batch size",
-			columns: []string{"n", "batch", "apply-pairs", "rebuild-pairs", "apply-boundaries", "rebuild-boundaries",
-				"apply-signatures", "rebuild-signatures", "identity"},
-			notes: static("apply: build.Apply of the batch onto the epoch-1 tree; rebuild: full Outsource of the mutated table "+
-				"(pairs examined, boundaries re-sorted exactly, signatures issued; a rebuild examines all n(n-1)/2 pairs)",
-				"batches mix insert/update/delete round-robin; mode=one (single root signature)",
-				"identity: sampled queries answered by the applied tree match the rebuilt tree record-for-record"),
-			identity: "identity", fixtures: plain, row: mutationRow,
-			sweep: func(c *Config) []point { // a batch must leave records to mutate
-				return slices.DeleteFunc(grid(c.AblationSizes, mutationBatchSizes), func(p point) bool { return p.k >= p.n })
 			}},
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"aqverify/internal/backend"
 	"aqverify/internal/build"
-	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/hashing"
@@ -32,12 +31,7 @@ type Harness struct {
 	fixtures map[fixture]*built
 	// verified memoises the client-side counts per sweep point: Figs
 	// 7a-7d are four views of one verification pass, paid once.
-	verified map[point][]sample
-	// units tallies the build.WithProgress units every unsharded build
-	// reports — including each Apply on it, since a product keeps its
-	// callback. Such builds report their stages serially; mutM1 clears
-	// and reads it around each side it counts.
-	units        map[core.Stage]int
+	verified     map[point][]sample
 	perHashSec   float64
 	perVerifySec map[sig.Scheme]float64
 }
@@ -57,7 +51,6 @@ func NewHarness(cfg Config) (*Harness, error) {
 		signer:       signer,
 		fixtures:     make(map[fixture]*built),
 		verified:     make(map[point][]sample),
-		units:        make(map[core.Stage]int),
 		perVerifySec: make(map[sig.Scheme]float64),
 	}, nil
 }
@@ -73,10 +66,9 @@ type fixture struct {
 	// d > 0 is A4's d-weight Points workload under ScalarProduct.
 	dim      int
 	mode     verify.Mode
-	mesh     bool   // the signature-mesh baseline (built.Mesh) instead of an IFMH product
-	shards   int    // 0 = one tree (Result.Tree); K >= 1 = a K-shard set (Result.Set)
-	quantile bool   // cut shards with build.QuantileCuts instead of the default even cuts
-	epoch    uint64 // pinned publication epoch (mutM1's rebuild); 0 = the build plane's default
+	mesh     bool // the signature-mesh baseline (built.Mesh) instead of an IFMH product
+	shards   int  // 0 = one tree (Result.Tree); K >= 1 = a K-shard set (Result.Set)
+	quantile bool // cut shards with build.QuantileCuts instead of the default even cuts
 }
 
 // built is a fixture's product with the inputs it was built from (query
@@ -92,10 +84,11 @@ type built struct {
 }
 
 // build returns the fixture's product, generating its table and
-// outsourcing it on first use. Fixtures are memoised for the harness's
-// lifetime, so figures that share a structure (the thirteen paper
-// figures; the one-signature planes)
-// share one build and report one build time.
+// outsourcing it on first use, and times the build call alone — the
+// package's one stopwatch, read by Fig 5b alone. Fixtures are memoised
+// for the harness's lifetime, so figures that share a structure (the
+// thirteen paper figures; the one-signature planes) share one build and
+// report one build time.
 func (h *Harness) build(ctx context.Context, fx fixture) (*built, error) {
 	if fx.dist == "" {
 		fx.dist = h.Cfg.Dist // before the lookup: one key per structure
@@ -119,21 +112,7 @@ func (h *Harness) build(ctx context.Context, fx fixture) (*built, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, err := h.outsource(ctx, fx, tbl, tpl, dom)
-	if err != nil {
-		return nil, err
-	}
-	h.fixtures[fx] = b
-	return b, nil
-}
-
-// outsource is the package's one build call: the fixture's options over
-// the given table, timed — the package's one stopwatch, read by Fig 5b
-// alone. build goes through it; mutM1 calls it directly to rebuild a
-// mutated table no key can name.
-func (h *Harness) outsource(ctx context.Context, fx fixture, tbl record.Table, tpl funcs.Template, dom geometry.Box) (*built, error) {
 	b := &built{table: tbl, template: tpl, domain: dom}
-	var err error
 	start := time.Now()
 	if fx.mesh {
 		b.Mesh, err = mesh.BuildCtx(ctx, tbl, mesh.Params{Signer: h.signer, Domain: dom, Template: tpl, Workers: h.Cfg.Workers})
@@ -141,14 +120,9 @@ func (h *Harness) outsource(ctx context.Context, fx fixture, tbl record.Table, t
 		opts := []build.Option{build.WithWorkers(h.Cfg.Workers), build.WithMode(fx.mode), build.WithShuffle(h.Cfg.Seed)}
 		if fx.shards > 0 {
 			opts = append(opts, build.WithShards(fx.shards, 0))
-		} else {
-			opts = append(opts, build.WithProgress(func(p build.Progress) { h.units[p.Stage] += p.Units }))
 		}
 		if fx.quantile {
 			opts = append(opts, build.WithPlanner(build.QuantileCuts))
-		}
-		if fx.epoch != 0 {
-			opts = append(opts, build.WithEpoch(fx.epoch))
 		}
 		b.Result, err = build.Outsource(ctx, build.Spec{Table: tbl, Template: tpl, Domain: dom, Signer: h.signer}, opts...)
 	}
@@ -156,6 +130,7 @@ func (h *Harness) outsource(ctx context.Context, fx fixture, tbl record.Table, t
 		return nil, fmt.Errorf("outsource %+v: %w", fx, err)
 	}
 	b.seconds = time.Since(start).Seconds()
+	h.fixtures[fx] = b
 	return b, nil
 }
 
@@ -214,7 +189,7 @@ func identical(a []backend.Answer, aerrs []error, b []backend.Answer, berrs []er
 // identity answers Cfg.Reps mixed queries in-process on both products,
 // each verified against its own published bundle, and returns the
 // verdict. a must come from Outsource (its plan names the domain the
-// sample is drawn from); b may be applied or re-planned.
+// sample is drawn from); b may be re-planned.
 func (h *Harness) identity(ctx context.Context, a, b *build.Result) (string, error) {
 	qs := mixedQueries(a.Plan.Domain, h.Cfg.Reps, h.Cfg.Seed)
 	var answers [2][]backend.Answer

@@ -41,8 +41,7 @@ func Insert(rec record.Record) Mutation { return Mutation{kind: mutInsert, rec: 
 func Delete(i int) Mutation { return Mutation{kind: mutDelete, index: i} }
 
 // Update replaces the record at index i of the previous epoch's table
-// in place: the row keeps its (compacted) position, but its digest,
-// utility function and intersections are all recomputed.
+// in place: the row keeps its (compacted) position.
 func Update(i int, rec record.Record) Mutation {
 	return Mutation{kind: mutUpdate, index: i, rec: rec}
 }
@@ -68,20 +67,16 @@ func (m Mutation) String() string {
 // the owners a Result from Outsource or Apply holds; a Result
 // reconstructed from an artifact serves only and is refused.
 //
-// For every product over a univariate template — sharded or not,
-// whatever options built it — the work is incremental: only the pair
-// buckets, sweep boundaries, and signatures the changed records touch
-// are recomputed (see core.Owner.ApplyCtx for the stage-by-stage
-// contract), and the stages report to the WithProgress callback of the
-// original Outsource. Multivariate products fall back to a full rebuild
-// under the same API and epoch discipline. Either way the result is
-// byte-identical to a full Outsource of the mutated table at the same
-// epoch, at any worker count.
+// Apply rebuilds: every tree of the product is a full build of the
+// mutated table under the options the original Outsource was given
+// (core.Owner.ApplyCtx), and its stages report to that call's
+// WithProgress callback. The result is therefore byte-identical to a
+// full Outsource of the mutated table at the same epoch, at any worker
+// count.
 //
-// Sharded products apply the batch to every shard concurrently; each
-// shard keeps its own sub-domain, derived seed and retained
-// arrangement, and all shards land on the same new epoch, so a set
-// never publishes a torn mix of epochs.
+// Sharded products rebuild every shard concurrently; each shard keeps
+// its own sub-domain and derived seed, and all shards land on the same
+// new epoch, so a set never publishes a torn mix of epochs.
 func Apply(ctx context.Context, prev *Result, muts ...Mutation) (*Result, error) {
 	if prev == nil {
 		return nil, fmt.Errorf("build: Apply needs the previous Result")
@@ -99,14 +94,14 @@ func Apply(ctx context.Context, prev *Result, muts ...Mutation) (*Result, error)
 			return nil, fmt.Errorf("build: shard %d is at epoch %d but shard 0 is at %d; refusing to mutate a torn set", i, o.Epoch(), epoch)
 		}
 	}
-	d, err := mutate(owners[0].Table(), muts)
+	tbl, err := mutate(owners[0].Table(), muts)
 	if err != nil {
 		return nil, err
 	}
 	next := &Result{Plan: prev.Plan, owners: make([]*core.Owner, len(owners))}
 	errs := make([]error, len(owners))
 	runErr := pool.RunCtx(ctx, len(owners), len(owners), func(_, i int) {
-		applied, err := owners[i].ApplyCtx(ctx, d, epoch+1)
+		applied, err := owners[i].ApplyCtx(ctx, tbl)
 		if err != nil && prev.Set != nil {
 			err = fmt.Errorf("shard %d: %w", i, err)
 		}
@@ -133,11 +128,11 @@ func Apply(ctx context.Context, prev *Result, muts ...Mutation) (*Result, error)
 }
 
 // mutate applies a mutation batch to a table snapshot and returns the
-// core-level delta: the mutated table plus the clean-survivor remap and
-// dirty mask the incremental stages key off. The batch is validated as
-// a set — out-of-range indexes, duplicate targets, and conflicting
-// delete/update pairs are errors, never last-writer-wins.
-func mutate(tbl record.Table, muts []Mutation) (core.Delta, error) {
+// mutated table: deletes compact the survivors preserving their order,
+// updates replace in place, inserts append in batch order. The batch is
+// validated as a set — out-of-range indexes, duplicate targets, and
+// conflicting delete/update pairs are errors, never last-writer-wins.
+func mutate(tbl record.Table, muts []Mutation) (record.Table, error) {
 	n := tbl.Len()
 	deletes := make(map[int]bool)
 	updates := make(map[int]record.Record)
@@ -148,13 +143,13 @@ func mutate(tbl record.Table, muts []Mutation) (core.Delta, error) {
 			inserts = append(inserts, m.rec)
 		case mutDelete, mutUpdate:
 			if m.index < 0 || m.index >= n {
-				return core.Delta{}, fmt.Errorf("build: mutation %d (%v): index outside the %d-record table", mi, m, n)
+				return record.Table{}, fmt.Errorf("build: mutation %d (%v): index outside the %d-record table", mi, m, n)
 			}
 			if deletes[m.index] {
-				return core.Delta{}, fmt.Errorf("build: mutation %d (%v): record %d already deleted in this batch", mi, m, m.index)
+				return record.Table{}, fmt.Errorf("build: mutation %d (%v): record %d already deleted in this batch", mi, m, m.index)
 			}
 			if _, ok := updates[m.index]; ok {
-				return core.Delta{}, fmt.Errorf("build: mutation %d (%v): record %d already updated in this batch", mi, m, m.index)
+				return record.Table{}, fmt.Errorf("build: mutation %d (%v): record %d already updated in this batch", mi, m, m.index)
 			}
 			if m.kind == mutDelete {
 				deletes[m.index] = true
@@ -162,37 +157,23 @@ func mutate(tbl record.Table, muts []Mutation) (core.Delta, error) {
 				updates[m.index] = m.rec
 			}
 		default:
-			return core.Delta{}, fmt.Errorf("build: mutation %d is the invalid zero Mutation", mi)
+			return record.Table{}, fmt.Errorf("build: mutation %d is the invalid zero Mutation", mi)
 		}
 	}
 
 	recs := make([]record.Record, 0, n-len(deletes)+len(inserts))
-	remap := make([]int, n)
-	dirty := make([]bool, 0, cap(recs))
 	for i, r := range tbl.Records {
 		if deletes[i] {
-			remap[i] = -1
 			continue
 		}
 		if nr, ok := updates[i]; ok {
-			// The row keeps its compacted position but is dirty; its
-			// old index is dead in the remap (old pairs die with it).
-			remap[i] = -1
-			recs = append(recs, nr)
-			dirty = append(dirty, true)
-			continue
+			r = nr
 		}
-		remap[i] = len(recs)
 		recs = append(recs, r)
-		dirty = append(dirty, false)
 	}
-	recs = append(recs, inserts...)
-	for range inserts {
-		dirty = append(dirty, true)
-	}
-	nt, err := record.NewTable(tbl.Schema, recs)
+	nt, err := record.NewTable(tbl.Schema, append(recs, inserts...))
 	if err != nil {
-		return core.Delta{}, fmt.Errorf("build: mutated table: %w", err)
+		return record.Table{}, fmt.Errorf("build: mutated table: %w", err)
 	}
-	return core.Delta{Table: nt, CleanRemap: remap, DirtyNew: dirty}, nil
+	return nt, nil
 }

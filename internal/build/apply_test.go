@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
-	"aqverify/internal/itree"
 	"aqverify/internal/record"
 	"aqverify/internal/sig"
 	"aqverify/internal/verify"
@@ -30,8 +28,8 @@ func treesOf(t *testing.T, r *Result) []*core.Tree {
 }
 
 // TestApplyEquivalence is the mutation plane's keystone: for every
-// combination of signing mode, sharding, layout and worker count, an
-// incremental Apply must be byte-identical — fingerprints and served
+// combination of signing mode, sharding, layout and worker count, Apply
+// must be byte-identical — fingerprints and served
 // answer bytes — to a full Outsource of the mutated table at the same
 // epoch. The batches cover inserts, deletes, updates, a mixed batch,
 // and records whose intersections land exactly on a shard cut (or the
@@ -94,12 +92,12 @@ func TestApplyEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatalf("apply: %v", err)
 						}
-						d, err := mutate(tbl, muts)
+						mutated, err := mutate(tbl, muts)
 						if err != nil {
 							t.Fatal(err)
 						}
 						fullSpec := spec
-						fullSpec.Table = d.Table
+						fullSpec.Table = mutated
 						full, err := Outsource(ctx, fullSpec, append(opts[:len(opts):len(opts)], WithEpoch(2))...)
 						if err != nil {
 							t.Fatalf("full rebuild: %v", err)
@@ -147,11 +145,11 @@ func TestApplyChain(t *testing.T) {
 	}
 	tbl := spec.Table
 	for _, muts := range steps {
-		d, err := mutate(tbl, muts)
+		mutated, err := mutate(tbl, muts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tbl = d.Table
+		tbl = mutated
 		if r, err = Apply(ctx, r, muts...); err != nil {
 			t.Fatal(err)
 		}
@@ -196,10 +194,9 @@ func TestApplyValidation(t *testing.T) {
 	}
 }
 
-// TestApplyFallback checks the one full-rebuild path left: a multivariate
-// product has no arrangement to maintain, so Apply rebuilds it — same
-// API, same epoch bump, and still byte-identical to a direct Outsource
-// of the mutated table.
+// TestApplyFallback checks Apply on a multivariate product — same API,
+// same epoch bump, and still byte-identical to a direct Outsource of the
+// mutated table.
 func TestApplyFallback(t *testing.T) {
 	ctx := context.Background()
 	tbl, dom, err := workload.Points(workload.PointsConfig{N: 8, Dim: 2, Seed: 1})
@@ -223,93 +220,17 @@ func TestApplyFallback(t *testing.T) {
 	if next.Tree.Epoch() != 2 {
 		t.Fatalf("fallback epoch %d, want 2", next.Tree.Epoch())
 	}
-	d, err := mutate(spec.Table, muts)
+	mutated, err := mutate(spec.Table, muts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fullSpec := spec
-	fullSpec.Table = d.Table
+	fullSpec.Table = mutated
 	full, err := Outsource(ctx, fullSpec, WithEpoch(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if next.Tree.Fingerprint() != full.Tree.Fingerprint() {
 		t.Fatal("fallback apply differs from a direct rebuild")
-	}
-}
-
-// TestUnivariateBuildAlwaysAppliesIncrementally: a product built with no
-// shape option at all — what `vqgen -outsource` builds — retains its
-// arrangement, so Apply enumerates only the pairs touching the three
-// mutated rows (one StagePairs event per tree, its units the dirty-pair
-// count of that tree's sub-domain) instead of rebuilding, on a single
-// tree and a shard set, in both modes, and still lands on the bytes of a
-// direct Outsource of the mutated table.
-func TestUnivariateBuildAlwaysAppliesIncrementally(t *testing.T) {
-	ctx := context.Background()
-	spec := testSpec(t, 60, 4, workload.Gaussian)
-	muts := []Mutation{
-		Update(5, record.Record{ID: spec.Table.Records[5].ID, Attrs: []float64{0.7, -0.2}}),
-		Insert(record.Record{ID: 5000001, Attrs: []float64{-1.1, 0.3}}),
-		Delete(17),
-	}
-	d, err := mutate(spec.Table, muts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := spec.Template.InterpretTable(d.Table)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
-		for _, shards := range []int{0, 3} {
-			t.Run(fmt.Sprintf("%v/shards=%d", mode, shards), func(t *testing.T) {
-				opts := []Option{WithMode(mode)}
-				if shards > 0 {
-					opts = append(opts, WithShards(shards, 0))
-				}
-				var mu sync.Mutex
-				pairs := map[int][]int{} // shard -> units of its StagePairs events
-				observe := WithProgress(func(p Progress) {
-					if p.Stage == core.StagePairs {
-						mu.Lock()
-						pairs[p.Shard] = append(pairs[p.Shard], p.Units)
-						mu.Unlock()
-					}
-				})
-				prev, err := Outsource(ctx, spec, append(opts[:len(opts):len(opts)], observe)...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pairs = map[int][]int{}
-				next, err := Apply(ctx, prev, muts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fullSpec := spec
-				fullSpec.Table = d.Table
-				full, err := Outsource(ctx, fullSpec, append(opts[:len(opts):len(opts)], WithEpoch(2))...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				at, ft := treesOf(t, next), treesOf(t, full)
-				for i, tr := range at {
-					dirty, err := itree.DirtyPairs1D(fs, d.DirtyNew, tr.Domain())
-					if err != nil {
-						t.Fatal(err)
-					}
-					sh := i
-					if shards == 0 {
-						sh = ShardNone
-					}
-					if got := pairs[sh]; len(got) != 1 || got[0] != len(dirty) {
-						t.Errorf("tree %d: StagePairs units %v, want one event of the %d dirty pairs", i, got, len(dirty))
-					}
-					if tr.Fingerprint() != ft[i].Fingerprint() {
-						t.Errorf("tree %d: fingerprint differs between Apply and full Outsource", i)
-					}
-				}
-			})
-		}
 	}
 }

@@ -62,8 +62,8 @@ type Progress struct {
 // Result is one product of the build plane. Exactly one of Tree and Set
 // is non-nil — which one follows from the options: Tree for the default
 // single-tree product, Set for WithShards / WithPlan. Both hold serving
-// trees only: the owner's side of each tree — its signer, arrangement,
-// sweep plan and record digests — is unexported, held by a Result that
+// trees only: the owner's side of each tree — its build parameters,
+// signer and record digests — is unexported, held by a Result that
 // Outsource or Apply returned and absent from one artifact.Open
 // reconstructed.
 type Result struct {
@@ -85,7 +85,7 @@ type Result struct {
 }
 
 // Stats returns each built tree's footprint, index-aligned with
-// Plan.Boxes, counting the sweep plan its owner keeps
+// Plan.Boxes, counting its sweep plan's transpositions
 // (Stats.TotalSwaps). A Result reconstructed from an artifact has no
 // owners and returns none; its trees' own Stats read zero swaps.
 func (r *Result) Stats() []core.Stats {
@@ -134,11 +134,11 @@ func WithShuffle(seed int64) Option { return func(o *options) { o.seed = seed } 
 func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
 
 // WithEpoch stamps the built product's publication epoch (default 1).
-// Apply bumps epochs automatically; the explicit stamp exists so a full
-// rebuild can land on the same epoch an incremental apply would — the
-// equivalence tests build both sides at one epoch and demand identical
-// bytes — and so an owner restoring from offline state can resume its
-// epoch sequence.
+// Apply bumps epochs automatically; the explicit stamp lets an owner
+// that rebuilds from its table, Params and key resume its epoch
+// sequence, and lets a direct Outsource land on the epoch an Apply
+// would — the equivalence tests build both sides at one epoch and
+// demand identical bytes.
 func WithEpoch(e uint64) Option { return func(o *options) { o.epoch = e } }
 
 // WithProgress observes every construction stage as it starts — of this

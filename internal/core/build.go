@@ -85,17 +85,7 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Owner, error) {
 	}
 
 	if p.Template.Dim() == 1 {
-		space, err := itree.NewSpace1D(p.Domain)
-		if err != nil {
-			return nil, err
-		}
-		p.progress(StagePairs, tbl.Len())
-		inters, err := itree.Pairs1DCtx(ctx, fs, p.Domain)
-		if err != nil {
-			return nil, err
-		}
-		arr := itree.NewArrangement1D(space, inters, p.Seed)
-		if err := o.finish1D(ctx, space, arr, mutation{}); err != nil {
+		if err := o.build1D(ctx); err != nil {
 			return nil, err
 		}
 		return o, nil
@@ -114,10 +104,25 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Owner, error) {
 	if err := o.buildListsND(ctx, workers); err != nil {
 		return nil, err
 	}
-	if err := o.seal(ctx, nil); err != nil {
+	if err := o.seal(ctx); err != nil {
 		return nil, err
 	}
 	return o, nil
+}
+
+// ApplyCtx re-outsources the owner's table after a mutation: it is
+// BuildCtx of tbl, the mutated table, under the retained parameters,
+// hasher and progress callback at the next epoch. The receiver is left
+// untouched, so a server can keep answering from its snapshot while the
+// next epoch builds. The paper has no update algorithm — its
+// construction is the four from-scratch steps of §3.1 — and every
+// subdomain's list holds every record, so any real mutation changes
+// every list and every signature.
+func (o *Owner) ApplyCtx(ctx context.Context, tbl record.Table) (*Owner, error) {
+	p := o.p
+	p.Epoch = o.epoch + 1
+	p.Hasher = o.hasher
+	return BuildCtx(ctx, tbl, p)
 }
 
 // progress reports one stage start to the configured callback, if any.
@@ -136,8 +141,8 @@ func (o *Owner) fmhFromPerm(h *hashing.Hasher, perm []int) (*fmh.List, error) {
 }
 
 // CrossingPairs lists, per boundary of a univariate arrangement, the
-// function pairs crossing there — the boundary groups of sweep.ComputeCtx
-// and sweep.ApplyCtx. The signature-mesh baseline sweeps the same
+// function pairs crossing there — the boundary groups of
+// sweep.ComputeCtx. The signature-mesh baseline sweeps the same
 // arrangement without the tree and reads its groups here too.
 func CrossingPairs(arr *itree.Arrangement1D) [][]sweep.Pair {
 	out := make([][]sweep.Pair, len(arr.Groups))
@@ -150,81 +155,56 @@ func CrossingPairs(arr *itree.Arrangement1D) [][]sweep.Pair {
 	return out
 }
 
-// mutation is what ApplyCtx knows that a first build does not: the
-// owner the batch applies to, the batch's index bookkeeping, and how
-// every boundary of the merged arrangement aligns with the previous one.
-// The zero value is a first build.
-type mutation struct {
-	prev    *Owner
-	delta   Delta
-	classes []itree.BoundaryClass
-}
-
-// finish1D is the univariate pipeline from "arrangement in hand" onward,
-// the one path BuildCtx and ApplyCtx both take: reconstruct the
-// canonical I-tree directly from the arrangement, read the sweep inputs
-// off it (crossing pairs from each group's members, exact witnesses from
-// the built subdomains), compute the sweep plan, build the FMH lists,
-// propagate and sign. A first build (the zero mutation) computes the
-// plan from scratch — seed the sorted order exactly (see
-// sweep.ComputeCtx for how the seeding shards across workers), then
+// build1D is the univariate pipeline: enumerate the pairs crossing
+// inside the domain, sort them into the arrangement, read the canonical
+// I-tree directly off it, read the sweep inputs off both (crossing
+// pairs from each group's members, witnesses from the built
+// subdomains), compute the sweep plan — seed the sorted order exactly
+// (see sweep.ComputeCtx for how the seeding shards across workers), then
 // cross each boundary by the adjacent transpositions of the pairs
-// intersecting there; a mutation replays the previous plan's clean
-// boundaries and re-sorts only the dirty ones, and reuses the previous
-// epoch's unchanged signatures. Both meet at the same bytes because
-// they differ in nothing else.
-func (o *Owner) finish1D(ctx context.Context, space *itree.Space1D, arr *itree.Arrangement1D, m mutation) error {
+// intersecting there — build the FMH lists, propagate and sign.
+func (o *Owner) build1D(ctx context.Context) error {
 	p := o.p
+	space, err := itree.NewSpace1D(p.Domain)
+	if err != nil {
+		return err
+	}
+	p.progress(StagePairs, o.table.Len())
+	inters, err := itree.Pairs1DCtx(ctx, o.fs, p.Domain)
+	if err != nil {
+		return err
+	}
+	arr := itree.NewArrangement1D(space, inters, p.Seed)
 	p.progress(StageITree, arr.NumBreakpoints())
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	o.arr = arr
 	o.itree = itree.BuildCanonical1D(space, arr)
 
-	groups := CrossingPairs(arr)
-	witnessAt := func(k int) funcs.At { return space.WitnessAt(o.itree.Subs[k].Region) }
-	var plan sweep.Plan
-	var err error
-	if m.prev == nil {
-		p.progress(StageSweep, arr.NumBreakpoints())
-		witnesses := make([]funcs.At, len(o.itree.Subs))
-		for k := range witnesses {
-			witnesses[k] = witnessAt(k)
-		}
-		plan, err = sweep.ComputeCtx(ctx, o.fs, witnesses, groups, p.workers())
-	} else {
-		// Like the digest and pair stages of ApplyCtx, the sweep reports
-		// what it re-derives exactly — the dirty boundaries; the clean
-		// ones replay the previous plan.
-		bs := make([]sweep.Boundary, len(groups))
-		dirty := 0
-		for k, c := range m.classes {
-			bs[k] = sweep.Boundary{Old: c.Old, Dirty: c.Dirty, Group: groups[k]}
-			if c.Dirty {
-				dirty++
-			}
-		}
-		p.progress(StageSweep, dirty)
-		plan, err = sweep.ApplyCtx(ctx, o.fs, m.prev.plan, m.delta.CleanRemap, m.delta.DirtyNew, bs, witnessAt)
+	p.progress(StageSweep, arr.NumBreakpoints())
+	witnesses := make([]funcs.At, len(o.itree.Subs))
+	for k, sub := range o.itree.Subs {
+		witnesses[k] = space.WitnessAt(sub.Region)
 	}
+	plan, err := sweep.ComputeCtx(ctx, o.fs, witnesses, CrossingPairs(arr), p.workers())
 	if err != nil {
 		return err
 	}
+	o.swaps = plan.TotalSwaps()
 	if err := o.listsFromPlan(ctx, plan); err != nil {
 		return err
 	}
-	return o.seal(ctx, m.prev)
+	return o.seal(ctx)
 }
 
 // seal runs the two closing stages every tree shares: IMH hash
-// propagation and signing (prev as in sign).
-func (o *Owner) seal(ctx context.Context, prev *Owner) error {
+// propagation and signing.
+func (o *Owner) seal(ctx context.Context) error {
 	o.p.progress(StagePropagate, o.itree.NodeCount)
 	if err := o.propagateHashes(ctx, o.p.workers()); err != nil {
 		return err
 	}
-	return o.sign(ctx, prev)
+	return o.sign(ctx)
 }
 
 // listsFromPlan builds every subdomain's FMH list from a computed sweep
@@ -232,12 +212,10 @@ func (o *Owner) seal(ctx context.Context, prev *Owner) error {
 // persistently from its left neighbor by the boundary's swaps. The chain
 // is inherently sequential and O(n + S log n) in total, against the
 // S·(2(n+2)−1) nodes of one from-scratch tree per subdomain. It is the
-// only univariate construction: a first build and ApplyCtx both end
-// here.
+// only univariate construction.
 func (o *Owner) listsFromPlan(ctx context.Context, plan sweep.Plan) error {
 	subs := o.itree.Subs
 	o.subs = make([]*SubInfo, len(subs))
-	o.plan = plan
 	o.p.progress(StageLists, len(subs))
 
 	list, err := o.fmhFromPerm(o.hasher, plan.BasePerm)
@@ -329,23 +307,10 @@ func (o *Owner) propagateHashes(ctx context.Context, workers int) error {
 // are independent of the worker count (schemes with per-signature
 // randomness differ run to run regardless). Every sig.Signer is safe for
 // concurrent use: the schemes are stateless apart from crypto/rand.
-//
-// prev is the owner a mutation was applied to, nil on a first build: a
-// signature of prev whose signed digest is unchanged is copied instead
-// of re-signed. In practice a real mutation changes every subdomain's
-// FMH root (every list contains every record), so reuse fires mainly for
-// no-op updates — but it costs one digest comparison, and it spares
-// randomized schemes from churning bytes that did not change.
-func (o *Owner) sign(ctx context.Context, prev *Owner) error {
+func (o *Owner) sign(ctx context.Context) error {
 	p := o.p
 	switch p.Mode {
 	case verify.OneSignature:
-		if prev != nil && prev.mode == verify.OneSignature && prev.rootDigest == o.rootDigest && prev.rootSig != nil {
-			p.progress(StageSign, 0)
-			o.rootSig = prev.rootSig
-			o.sigCount = 1
-			return nil
-		}
 		p.progress(StageSign, 1)
 		if err := ctx.Err(); err != nil {
 			return err
@@ -358,29 +323,12 @@ func (o *Owner) sign(ctx context.Context, prev *Owner) error {
 		o.rootSig = s
 		o.sigCount = 1
 	case verify.MultiSignature:
-		// Index the previous subdomain signatures by signed digest,
-		// with an uncounted hasher: the lookups are bookkeeping, not
-		// construction cost.
-		var prevSigs map[hashing.Digest][]byte
-		if prev != nil {
-			uh := hashing.New(nil)
-			prevSigs = make(map[hashing.Digest][]byte, len(prev.subs))
-			for _, si := range prev.subs {
-				if si.Sig != nil && si.IneqEnc != nil {
-					prevSigs[uh.MultiSig(uh.Ineqs(si.IneqEnc), si.List.Root())] = si.Sig
-				}
-			}
-		}
 		p.progress(StageSign, len(o.subs))
 		err := o.parallelChunks(ctx, p.workers(), len(o.subs), func(h *hashing.Hasher, lo, hi int) error {
 			for _, si := range o.subs[lo:hi] {
 				si.Ineqs = o.itree.Space.Halfspaces(si.Sub.Region)
 				si.IneqEnc = geometry.EncodeHalfspaces(nil, si.Ineqs)
 				d := h.MultiSig(h.Ineqs(si.IneqEnc), si.List.Root())
-				if s, ok := prevSigs[d]; ok {
-					si.Sig = s
-					continue
-				}
 				s, err := p.Signer.Sign(d[:])
 				if err != nil {
 					return fmt.Errorf("core: signing subdomain %d: %w", si.Sub.ID, err)

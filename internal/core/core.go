@@ -30,7 +30,6 @@ import (
 	"aqverify/internal/itree"
 	"aqverify/internal/record"
 	"aqverify/internal/sig"
-	"aqverify/internal/sweep"
 	"aqverify/internal/verify"
 )
 
@@ -80,12 +79,12 @@ type Params struct {
 	// the start of every construction stage with the stage and the number
 	// of units (records, intersections, subdomains, tree nodes, ...) the
 	// stage is about to process. It must be cheap and must not block. The
-	// Owner retains it: ApplyCtx reports the stages of every later epoch
-	// to the same callback.
+	// Owner retains it: ApplyCtx reports the stages of every later
+	// epoch's build to the same callback.
 	Progress func(stage Stage, units int)
 	// Epoch stamps the built tree's publication epoch. Zero means 1 —
-	// the first epoch of a fresh outsourcing; ApplyCtx bumps it per
-	// mutation batch. Clients pin the epoch their verification ran
+	// the first epoch of a fresh outsourcing; ApplyCtx builds at the
+	// next one. Clients pin the epoch their verification ran
 	// against, so a bundle's epoch is part of its published identity.
 	Epoch uint64
 }
@@ -150,19 +149,18 @@ type Tree struct {
 }
 
 // Owner is the data owner's side of one published tree: the serving
-// Tree it hands to the cloud, plus what only the next epoch's build
-// reads — the build parameters (with the signing key and the progress
-// callback), the instrumented hasher, the record digests the FMH leaves
-// are made from, and, for a univariate tree, the arrangement the tree
-// was read off and the sweep plan its lists were derived by. A server
-// is handed the embedded Tree, which reaches none of them.
+// Tree it hands to the cloud, plus what the next epoch's build reads —
+// the build parameters (with the signing key and the progress callback)
+// and the instrumented hasher; the table is the Tree's. The record
+// digests the FMH leaves were made from and the sweep's transposition
+// count (Stats.TotalSwaps) are kept beside them. A server is handed the
+// embedded Tree, which reaches none of them.
 type Owner struct {
 	*Tree
 	p          Params
 	hasher     *hashing.Hasher
 	recDigests []hashing.Digest
-	arr        *itree.Arrangement1D // nil for multivariate trees
-	plan       sweep.Plan
+	swaps      int // the 1-D sweep plan's transposition count
 }
 
 // Mode returns the tree's signing scheme.

@@ -9,11 +9,11 @@ import (
 
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
+	"aqverify/internal/itree"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
 	"aqverify/internal/sig"
-	"aqverify/internal/sweep"
 	"aqverify/internal/verify"
 )
 
@@ -135,7 +135,7 @@ func TestResultsMatchOracle(t *testing.T) {
 // one univariate construction: every subdomain's list — derived
 // persistently from its left neighbor, one DeriveSwap per crossing — has
 // the root of a list built here from nothing, over that subdomain's
-// permutation as the plan replays it. A wrong or misplaced swap in the
+// exact sorted order at its witness. A wrong or misplaced swap in the
 // chain moves a root.
 func TestSweepChainMatchesFreshLists(t *testing.T) {
 	tables := map[string]record.Table{}
@@ -154,12 +154,9 @@ func TestSweepChainMatchesFreshLists(t *testing.T) {
 		for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
 			t.Run(fmt.Sprintf("%s/%v", name, mode), func(t *testing.T) {
 				tree := build1D(t, tbl, mode)
-				cursor := sweep.NewCursor(tree.plan)
+				space := tree.itree.Space.(*itree.Space1D)
 				for k, si := range tree.subs {
-					perm, err := cursor.PermAt(k)
-					if err != nil {
-						t.Fatal(err)
-					}
+					perm := funcs.SortAtRat(tree.fs, space.WitnessAt(si.Sub.Region))
 					fresh, err := tree.fmhFromPerm(tree.hasher, perm)
 					if err != nil {
 						t.Fatal(err)

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
+	"aqverify/internal/itree"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
 	"aqverify/internal/verify"
@@ -134,5 +137,57 @@ func TestStatsInvariants(t *testing.T) {
 	}
 	if s.ApproxBytes <= 0 || s.SignatureBytes <= 0 {
 		t.Error("byte estimates missing")
+	}
+}
+
+// TestWitnessFallbackOnTiedFloats builds a tree whose distinct exact
+// breakpoints round to the same float or to adjacent floats: the line
+// y = 0 crossed by six parallel lines y = 3x − b whose intercepts b are
+// consecutive floats near 0.9, so the breakpoints b/3 lie 2/3 of an
+// ulp apart. No float lies strictly inside those subdomains, so
+// Space1D.WitnessAt falls back to the exact midpoint of the interval's
+// exact ends (WitnessRat). That witness must lie strictly inside the
+// exact interval, and every subdomain's list must be the exact sort of
+// the functions at its witness.
+func TestWitnessFallbackOnTiedFloats(t *testing.T) {
+	rows := [][2]float64{{0, 0}}
+	for b := 0.9; len(rows) < 7; b = math.Nextafter(b, 1) {
+		rows = append(rows, [2]float64{3, -b})
+	}
+	tbl := tinyTable(t, rows...)
+	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
+		tree := build1D(t, tbl, mode)
+		if tree.NumSubdomains() != len(rows) {
+			t.Fatalf("%v: %d subdomains, want %d", mode, tree.NumSubdomains(), len(rows))
+		}
+		space := tree.itree.Space.(*itree.Space1D)
+		n := tbl.Len()
+		same, adjacent := 0, 0
+		for id, si := range tree.subs {
+			iv := si.Sub.Region.(itree.Interval1D)
+			if next := math.Nextafter(iv.Lo, iv.Hi); iv.Lo == iv.Hi || next == iv.Hi {
+				if iv.Lo == iv.Hi {
+					same++
+				} else {
+					adjacent++
+				}
+				// No float fits: the witness is the exact midpoint.
+				w := space.WitnessRat(si.Sub.Region)
+				if w.Cmp(iv.LoRat()) <= 0 || w.Cmp(iv.HiRat()) >= 0 {
+					t.Fatalf("%v: subdomain %d: witness %v outside (%v, %v)", mode, id, w, iv.LoRat(), iv.HiRat())
+				}
+			}
+			got, err := si.List.Window(nil, 0, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := funcs.SortAtRat(tree.fs, space.WitnessAt(si.Sub.Region))
+			if !slices.Equal(got[1:n+1], want) {
+				t.Fatalf("%v: subdomain %d list reads %v, the sort at its witness says %v", mode, id, got[1:n+1], want)
+			}
+		}
+		if same == 0 || adjacent == 0 {
+			t.Fatalf("%v: %d subdomains between equal floats and %d between adjacent ones; want both", mode, same, adjacent)
+		}
 	}
 }

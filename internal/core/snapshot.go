@@ -1,7 +1,10 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
@@ -100,20 +103,6 @@ func FromSnapshot(s Snapshot) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	var space itree.Space
-	if s.Template.Dim() == 1 {
-		if space, err = itree.NewSpace1D(s.Domain); err != nil {
-			return nil, err
-		}
-	} else {
-		if space, err = itree.NewSpaceND(s.Domain); err != nil {
-			return nil, err
-		}
-	}
-	if s.ITree.Space == nil {
-		s.ITree.Space = space
-	}
-
 	t := &Tree{
 		mode:     s.Mode,
 		epoch:    s.Epoch,
@@ -167,4 +156,39 @@ func FromSnapshot(s Snapshot) (*Tree, error) {
 
 	t.rootDigest = hashing.New(nil).Root(s.ITree.Root.Hash)
 	return t, nil
+}
+
+// Fingerprint returns a canonical content digest of the published
+// bundle — serving state only: the mode, epoch, domain, root digest and
+// signature, and every subdomain's FMH root (and so its order),
+// inequality encoding and signature. Two trees with equal fingerprints
+// answer and verify identically; the mutation plane's equivalence tests
+// compare fingerprints, and the front plane can use them to tell a
+// forked server from a lagging one when epochs collide. Owner state is
+// not covered.
+func (t *Tree) Fingerprint() hashing.Digest {
+	h := sha256.New()
+	var w [8]byte
+	put64 := func(v uint64) { binary.BigEndian.PutUint64(w[:], v); h.Write(w[:]) }
+	putBytes := func(b []byte) { put64(uint64(len(b))); h.Write(b) }
+	put64(uint64(t.mode))
+	put64(t.epoch)
+	for _, lo := range t.domain.Lo {
+		put64(math.Float64bits(lo))
+	}
+	for _, hi := range t.domain.Hi {
+		put64(math.Float64bits(hi))
+	}
+	h.Write(t.rootDigest[:])
+	putBytes(t.rootSig)
+	put64(uint64(len(t.subs)))
+	for _, si := range t.subs {
+		root := si.List.Root()
+		h.Write(root[:])
+		putBytes(si.IneqEnc)
+		putBytes(si.Sig)
+	}
+	var out hashing.Digest
+	copy(out[:], h.Sum(nil))
+	return out
 }

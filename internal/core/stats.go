@@ -42,8 +42,8 @@ const (
 func (t *Tree) Stats() Stats { return t.stats(0) }
 
 // Stats computes the published tree's footprint, counting the sweep
-// plan the owner keeps beside it.
-func (o *Owner) Stats() Stats { return o.Tree.stats(o.plan.TotalSwaps()) }
+// plan's transpositions (owner state).
+func (o *Owner) Stats() Stats { return o.Tree.stats(o.swaps) }
 
 func (t *Tree) stats(swaps int) Stats {
 	s := Stats{

@@ -1,23 +1,23 @@
 package itree
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"hash/fnv"
-	"math/big"
-	"sort"
+	"slices"
 
 	"aqverify/internal/geometry"
 )
 
 // Canonical insertion order.
 //
-// The mutation plane needs a tree whose shape is a pure function of the
-// intersection *set*, so that an incremental apply and a full rebuild
-// of the mutated table agree byte for byte; the query plane needs it
-// balanced. The canonical order gives both. Every intersection gets a
-// pseudorandom priority keyed by its content (a seeded FNV-64a of the
-// hyperplane's canonical encoding), and insertion proceeds in ascending
+// The query plane needs a balanced tree, and a build must be
+// deterministic: the same table must give the same tree, whatever order
+// its pairs are enumerated in or how many workers build it. The
+// canonical order gives both. Every intersection gets a pseudorandom
+// priority keyed by its content (a seeded FNV-64a of the hyperplane's
+// canonical encoding), and insertion proceeds in ascending
 // (priority, hyperplane bytes, I, J) order. Inserting keys into a
 // leaf-split BST in ascending priority order yields the treap over
 // (key, priority) — and a treap with distinct priorities is *unique*
@@ -33,9 +33,7 @@ import (
 
 // priorityOf returns the canonical priority of one intersection: a
 // seeded FNV-64a over the hyperplane's canonical byte encoding. It
-// depends only on the hyperplane content — not on the pair indexes —
-// so a surviving intersection keeps its priority when record indexes
-// are remapped by a mutation.
+// depends only on the hyperplane content, not on the pair indexes.
 func priorityOf(seed int64, h geometry.Hyperplane) uint64 {
 	f := fnv.New64a()
 	var s [8]byte
@@ -45,38 +43,23 @@ func priorityOf(seed int64, h geometry.Hyperplane) uint64 {
 	return f.Sum64()
 }
 
-// canonLess is the canonical strict total order on intersections:
+// canonCmp is the canonical strict total order on intersections:
 // ascending priority, ties broken by the hyperplane's canonical bytes,
 // then by (I, J). Two intersections compare equal only when they are
 // the same pair of the same hyperplane. Distinct breakpoints always
 // have distinct hyperplane bytes, so the induced treap shape never
-// depends on the (I, J) tail — which is what keeps the shape stable
-// under index remapping.
-func canonLess(pa uint64, a Intersection, pb uint64, b Intersection) bool {
-	if pa != pb {
-		return pa < pb
+// depends on the (I, J) tail.
+func canonCmp(pa uint64, a Intersection, pb uint64, b Intersection) int {
+	if c := cmp.Compare(pa, pb); c != 0 {
+		return c
 	}
-	ea, eb := a.H.Encode(nil), b.H.Encode(nil)
-	if c := compareBytes(ea, eb); c != 0 {
-		return c < 0
+	if c := bytes.Compare(a.H.Encode(nil), b.H.Encode(nil)); c != 0 {
+		return c
 	}
-	if a.I != b.I {
-		return a.I < b.I
+	if c := cmp.Compare(a.I, b.I); c != 0 {
+		return c
 	}
-	return a.J < b.J
-}
-
-func compareBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return int(a[i]) - int(b[i])
-		}
-	}
-	return len(a) - len(b)
+	return cmp.Compare(a.J, b.J)
 }
 
 // canonicalOrder returns the indexes of inters sorted by the canonical
@@ -90,22 +73,22 @@ func canonicalOrder(inters []Intersection, seed int64) []int {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		return canonLess(prios[ia], inters[ia], prios[ib], inters[ib])
+	slices.SortFunc(order, func(a, b int) int {
+		return canonCmp(prios[a], inters[a], prios[b], inters[b])
 	})
 	return order
 }
 
 // Group1D is one exact breakpoint of a 1-D arrangement: every
-// enumerated intersection whose exact rational breakpoint equals T, in
-// canonical order. Members[0] is the representative — the member a
+// enumerated intersection whose exact rational breakpoint is the same,
+// in canonical order. Members[0] is the representative — the member a
 // canonical-order insertion would insert first, whose hyperplane splits
 // the leaf and therefore determines the internal node's hyperplane
-// bytes and the closed side of the boundary.
+// bytes and the closed side of the boundary. The exact breakpoint is
+// the representative's Breakpoint1D, built only when needed.
 type Group1D struct {
-	// T is the exact breakpoint, strictly inside the domain.
-	T *big.Rat
+	// T is the breakpoint correctly rounded, strictly inside the domain.
+	T float64
 	// Members lists the group's intersections in canonical order.
 	Members []Intersection
 	// prios caches each member's canonical priority, index-aligned
@@ -119,28 +102,37 @@ func (g *Group1D) Rep() Intersection { return g.Members[0] }
 // Arrangement1D is the exact-filtered, breakpoint-sorted view of a 1-D
 // intersection enumeration: one group per distinct in-domain breakpoint,
 // ascending. It is the content the canonical I-tree is a pure function
-// of, and the state the mutation plane keeps between epochs — merging a
-// few dirty pairs into an arrangement is linear, where re-enumerating
-// them is quadratic.
+// of, and the sweep reads its boundaries off it.
 type Arrangement1D struct {
-	// Seed is the canonical-priority seed the arrangement's tree shape
-	// is keyed by.
-	Seed int64
 	// Groups lists the distinct breakpoints in ascending order.
 	Groups []*Group1D
+	// domain is the interval the arrangement was built over.
+	domain Interval1D
 }
 
 // NumBreakpoints returns the distinct in-domain breakpoint count (the
 // internal-node count of the canonical tree).
 func (a *Arrangement1D) NumBreakpoints() int { return len(a.Groups) }
 
-// cmpBreak compares the exact breakpoints t and u by their rounded
-// floats first: big.Rat.Cmp runs only when the floats are equal.
-func cmpBreak(tf float64, t *big.Rat, uf float64, u *big.Rat) int {
-	if tf != uf {
-		return cmp.Compare(tf, uf)
+// Gap returns the interval between boundaries g-1 and g (g = 0..S-1 for
+// S = NumBreakpoints()+1 gaps), the domain edges closing the ends: the
+// region of the canonical tree's g-th subdomain. Each interior end is
+// cut by its group's representative hyperplane, whose sign decides the
+// end's strictness exactly as the insert-path Partition assigns it: the
+// side where c·x + b >= 0 keeps the closed end at t.
+func (a *Arrangement1D) Gap(g int) Interval1D {
+	iv := a.domain
+	if g > 0 {
+		rep := &a.Groups[g-1].Members[0]
+		iv.Lo, iv.LoCut = a.Groups[g-1].T, &rep.H
+		iv.LoStrict = rep.H.C[0] <= 0 // c > 0: right side closed at t
 	}
-	return t.Cmp(u)
+	if g < len(a.Groups) {
+		rep := &a.Groups[g].Members[0]
+		iv.Hi, iv.HiCut = a.Groups[g].T, &rep.H
+		iv.HiStrict = rep.H.C[0] > 0 // c > 0: left side open at t
+	}
+	return iv
 }
 
 // NewArrangement1D builds the arrangement of an enumerated intersection
@@ -148,46 +140,52 @@ func cmpBreak(tf float64, t *big.Rat, uf float64, u *big.Rat) int {
 // strictly inside (lo, hi) are grouped by breakpoint and canonically
 // ordered; degenerate, on-edge and out-of-domain entries — the ones the
 // exact insertion checks would prune — are dropped by inside, the rule
-// Pairs1DCtx and DirtyPairs1D enumerate by, so a caller's list need only
-// be a superset. Every order here is exact but tried on the rounded
-// breakpoints first (cmpBreak): rounding is monotone, so distinct floats
-// order their exact breakpoints.
+// Pairs1DCtx enumerates by, so a caller's list need only be a superset.
+// Every order here is exact but decided on the rounded breakpoints
+// first (cmpBreak): rounding is monotone, so distinct floats order
+// their exact breakpoints, and a big.Rat is built only for two equal
+// floats. The order (breakpoint, then canonCmp) is total over distinct
+// pairs, so an unstable sort gives the one arrangement, and members and
+// groups live in three slabs.
 func NewArrangement1D(space *Space1D, inters []Intersection, seed int64) *Arrangement1D {
 	type entry struct {
 		tf   float64
-		t    *big.Rat
 		in   Intersection
 		prio uint64
 	}
+	lo, hi := space.domain.Lo[0], space.domain.Hi[0]
 	entries := make([]entry, 0, len(inters))
 	for _, in := range inters {
-		if !inside(in.H, space.domain.Lo[0], space.domain.Hi[0]) {
+		if !inside(in.H, lo, hi) {
 			continue // parallel, on or outside the domain edges: Partition would prune
 		}
-		t, _ := Breakpoint1D(in.H)
-		tf := -in.H.B / in.H.C[0] // t correctly rounded: an IEEE quotient
-		entries = append(entries, entry{tf: tf, t: t, in: in, prio: priorityOf(seed, in.H)})
+		tf := -in.H.B / in.H.C[0] // the breakpoint correctly rounded: an IEEE quotient
+		entries = append(entries, entry{tf: tf, in: in, prio: priorityOf(seed, in.H)})
 	}
-	sort.SliceStable(entries, func(a, b int) bool {
-		ea, eb := &entries[a], &entries[b]
-		if c := cmpBreak(ea.tf, ea.t, eb.tf, eb.t); c != 0 {
-			return c < 0
+	slices.SortFunc(entries, func(a, b entry) int {
+		if c := cmpBreak(a.tf, &a.in.H, b.tf, &b.in.H); c != 0 {
+			return c
 		}
-		return canonLess(ea.prio, ea.in, eb.prio, eb.in)
+		return canonCmp(a.prio, a.in, b.prio, b.in)
 	})
-	arr := &Arrangement1D{Seed: seed}
+	arr := &Arrangement1D{domain: space.Root().(Interval1D)}
+	members := make([]Intersection, len(entries))
+	prios := make([]uint64, len(entries))
+	for k, e := range entries {
+		members[k], prios[k] = e.in, e.prio
+	}
+	groups := make([]Group1D, 0, len(entries))
 	for i := 0; i < len(entries); {
-		j := i
-		for j+1 < len(entries) && cmpBreak(entries[j+1].tf, entries[j+1].t, entries[i].tf, entries[i].t) == 0 {
+		j := i + 1
+		for j < len(entries) && cmpBreak(entries[j].tf, &members[j].H, entries[i].tf, &members[i].H) == 0 {
 			j++
 		}
-		g := &Group1D{T: entries[i].t}
-		for k := i; k <= j; k++ {
-			g.Members = append(g.Members, entries[k].in)
-			g.prios = append(g.prios, entries[k].prio)
-		}
-		arr.Groups = append(arr.Groups, g)
-		i = j + 1
+		groups = append(groups, Group1D{T: entries[i].tf, Members: members[i:j:j], prios: prios[i:j:j]})
+		i = j
+	}
+	arr.Groups = make([]*Group1D, len(groups))
+	for g := range groups {
+		arr.Groups[g] = &groups[g]
 	}
 	return arr
 }
@@ -200,10 +198,9 @@ func NewArrangement1D(space *Space1D, inters []Intersection, seed int64) *Arrang
 // arrangement's intersections in canonical order, without any of
 // Build's O(S log S) exact-rational descent work — and without its leaf
 // sort: the leaf of gap g is already the g-th from the left, so it is
-// created as Subs[g] with ID g. Every univariate tree — first build or
-// applied mutation — is constructed here.
+// created as Subs[g] with ID g. Every univariate tree is constructed
+// here.
 func BuildCanonical1D(space *Space1D, arr *Arrangement1D) *Tree {
-	root := space.Root().(Interval1D)
 	nb := len(arr.Groups)
 	t := &Tree{Space: space, Subs: make([]*Subdomain, nb+1), NodeCount: 2*nb + 1, Inserted: nb}
 	// One slab for the nodes — group g's internal node at g, gap g's
@@ -211,28 +208,9 @@ func BuildCanonical1D(space *Space1D, arr *Arrangement1D) *Tree {
 	nodes := make([]Node, 2*nb+1)
 	subs := make([]Subdomain, nb+1)
 
-	// Attach leaves: gap g spans (boundary g-1, boundary g) with the
-	// domain edges closing the ends. The strictness at each breakpoint
-	// follows the representative hyperplane's sign exactly as the
-	// insert-path Partition assigns it: the side where c·x + b >= 0
-	// keeps the closed endpoint at t.
+	// Attach leaves: gap g's leaf is the arrangement's g-th gap.
 	leafFor := func(g int) *Node {
-		iv := Interval1D{}
-		if g == 0 {
-			iv.Lo, iv.LoStrict = root.Lo, root.LoStrict
-		} else {
-			rep := arr.Groups[g-1].Rep()
-			iv.Lo = arr.Groups[g-1].T
-			iv.LoStrict = rep.H.C[0] <= 0 // c > 0: right side closed at t
-		}
-		if g == nb {
-			iv.Hi, iv.HiStrict = root.Hi, root.HiStrict
-		} else {
-			rep := arr.Groups[g].Rep()
-			iv.Hi = arr.Groups[g].T
-			iv.HiStrict = rep.H.C[0] > 0 // c > 0: left side open at t
-		}
-		subs[g] = Subdomain{ID: g, Region: iv}
+		subs[g] = Subdomain{ID: g, Region: arr.Gap(g)}
 		t.Subs[g] = &subs[g]
 		nodes[nb+g].Leaf = t.Subs[g]
 		return &nodes[nb+g]
@@ -247,7 +225,7 @@ func BuildCanonical1D(space *Space1D, arr *Arrangement1D) *Tree {
 	// ordered by ascending priority from bottom to top of the tree.
 	less := func(a, b int) bool {
 		ga, gb := arr.Groups[a], arr.Groups[b]
-		return canonLess(ga.prios[0], ga.Members[0], gb.prios[0], gb.Members[0])
+		return canonCmp(ga.prios[0], ga.Members[0], gb.prios[0], gb.Members[0]) < 0
 	}
 	// left[i] / right[i] are the child *groups* of group i, -1 for none.
 	left := make([]int, nb)

@@ -31,7 +31,7 @@ func sameTree(t *testing.T, a, b *Tree) {
 			if s.ID != i {
 				t.Fatalf("Subs[%d] has ID %d", i, s.ID)
 			}
-			if i > 0 && tr.Subs[i-1].Region.(Interval1D).Lo.Cmp(s.Region.(Interval1D).Lo) >= 0 {
+			if i > 0 && tr.Subs[i-1].Region.(Interval1D).LoRat().Cmp(s.Region.(Interval1D).LoRat()) >= 0 {
 				t.Fatalf("Subs[%d] does not start right of Subs[%d]", i, i-1)
 			}
 		}
@@ -44,7 +44,7 @@ func sameTree(t *testing.T, a, b *Tree) {
 		if x.IsLeaf() {
 			ix := x.Leaf.Region.(Interval1D)
 			iy := y.Leaf.Region.(Interval1D)
-			if ix.Lo.Cmp(iy.Lo) != 0 || ix.Hi.Cmp(iy.Hi) != 0 ||
+			if ix.LoRat().Cmp(iy.LoRat()) != 0 || ix.HiRat().Cmp(iy.HiRat()) != 0 ||
 				ix.LoStrict != iy.LoStrict || ix.HiStrict != iy.HiStrict {
 				t.Fatalf("%s: leaf interval %+v vs %+v", path, ix, iy)
 			}
@@ -177,104 +177,6 @@ func TestBuildCanonicalEqualsInsert(t *testing.T) {
 	}
 }
 
-// TestMergeArrangementEqualsRescan: merging dirty pairs into a prior
-// arrangement must equal arranging the mutated function set from a
-// full rescan — for deletes, inserts and updates, including records
-// whose breakpoints collide with surviving ones.
-func TestMergeArrangementEqualsRescan(t *testing.T) {
-	dom, err := geometry.NewBox([]float64{-1}, []float64{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	space, err := NewSpace1D(dom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 20; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial)))
-		fs := randomLines(25, int64(trial+100))
-		inters, err := Pairs1DCtx(context.Background(), fs, dom)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seed := int64(trial)
-		prev := NewArrangement1D(space, inters, seed)
-
-		// Mutate: delete a couple, update one, insert a couple. Deletes
-		// compact preserving order; inserts append.
-		del := map[int]bool{rng.Intn(25): true, rng.Intn(25): true}
-		upd := rng.Intn(25)
-		for del[upd] {
-			upd = (upd + 1) % 25
-		}
-		var newFs []funcs.Linear
-		cleanRemap := make([]int, len(fs))
-		dirtyNew := []bool{}
-		for i, f := range fs {
-			if del[i] {
-				cleanRemap[i] = -1
-				continue
-			}
-			ni := len(newFs)
-			if i == upd {
-				f = funcs.Linear{Coef: []float64{rng.NormFloat64() * 2}, Bias: rng.NormFloat64()}
-				cleanRemap[i] = -1 // updated: old pairs are dead
-			} else {
-				cleanRemap[i] = ni
-			}
-			f.Index = ni
-			newFs = append(newFs, f)
-			dirtyNew = append(dirtyNew, i == upd)
-		}
-		for k := 0; k < 2; k++ {
-			f := funcs.Linear{Coef: []float64{rng.NormFloat64() * 3}, Bias: rng.NormFloat64()}
-			f.Index = len(newFs)
-			newFs = append(newFs, f)
-			dirtyNew = append(dirtyNew, true)
-		}
-
-		dirty, err := DirtyPairs1D(newFs, dirtyNew, dom)
-		if err != nil {
-			t.Fatal(err)
-		}
-		merged, classes := MergeArrangement1D(space, prev, cleanRemap, dirty)
-
-		full, err := Pairs1DCtx(context.Background(), newFs, dom)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := NewArrangement1D(space, full, seed)
-		if len(merged.Groups) != len(want.Groups) {
-			t.Fatalf("trial %d: %d merged groups vs %d rescanned", trial, len(merged.Groups), len(want.Groups))
-		}
-		if len(classes) != len(merged.Groups) {
-			t.Fatalf("trial %d: %d classes for %d groups", trial, len(classes), len(merged.Groups))
-		}
-		for g := range merged.Groups {
-			mg, wg := merged.Groups[g], want.Groups[g]
-			if mg.T.Cmp(wg.T) != 0 {
-				t.Fatalf("trial %d group %d: breakpoint %v vs %v", trial, g, mg.T, wg.T)
-			}
-			if len(mg.Members) != len(wg.Members) {
-				t.Fatalf("trial %d group %d: %d members vs %d", trial, g, len(mg.Members), len(wg.Members))
-			}
-			for m := range mg.Members {
-				a, b := mg.Members[m], wg.Members[m]
-				if a.I != b.I || a.J != b.J || string(a.H.Encode(nil)) != string(b.H.Encode(nil)) {
-					t.Fatalf("trial %d group %d member %d: %+v vs %+v", trial, g, m, a, b)
-				}
-				if mg.prios[m] != wg.prios[m] {
-					t.Fatalf("trial %d group %d member %d: priority mismatch", trial, g, m)
-				}
-			}
-		}
-		// And the trees built from both must agree.
-		mt := BuildCanonical1D(space, merged)
-		wt := BuildCanonical1D(space, want)
-		sameTree(t, mt, wt)
-	}
-}
-
 // TestBuildCanonical1DAllocs: the direct construction numbers each leaf
 // by its gap and sorts nothing, so its allocations stay a small constant
 // per breakpoint — a sort of the leaves by exact interval start would
@@ -303,5 +205,36 @@ func TestBuildCanonical1DAllocs(t *testing.T) {
 	})
 	if per := allocs / float64(arr.NumBreakpoints()); per > 4 {
 		t.Errorf("%.0f allocations for %d breakpoints: %.1f per breakpoint, want at most 4", allocs, arr.NumBreakpoints(), per)
+	}
+}
+
+// TestNewArrangement1DAllocs: the arrangement decides every order on the
+// rounded breakpoints and builds a big.Rat only for two equal floats,
+// and it keeps its members and groups in slabs, so its allocations stay
+// a small constant per intersection — building an exact breakpoint for
+// every intersection, as it once did, costs over twenty. The table is
+// the republish benchmark's shape: 2 000 lines, 4 821 crossings.
+func TestNewArrangement1DAllocs(t *testing.T) {
+	tbl, dom, err := workload.Lines(workload.LinesConfig{N: 2000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := funcs.AffineLine(0, 1).InterpretTable(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space, err := NewSpace1D(dom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inters, err := Pairs1DCtx(context.Background(), fs, dom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		NewArrangement1D(space, inters, 1)
+	})
+	if per := allocs / float64(len(inters)); per > 5 {
+		t.Errorf("%.0f allocations for %d intersections: %.1f per intersection, want at most 5", allocs, len(inters), per)
 	}
 }

@@ -13,9 +13,8 @@
 // Space — the only construction for the LP-backed n-dimensional
 // space — while a univariate build sorts the breakpoints once into an
 // Arrangement1D and reads the same tree straight off it
-// (BuildCanonical1D), numbering each subdomain by its gap; the sweep,
-// the mutation plane and the signature-mesh baseline take their
-// boundaries from it too. Only Build, the tests' 1-D reference, sorts
+// (BuildCanonical1D), numbering each subdomain by its gap; the sweep
+// and the signature-mesh baseline take their boundaries from it too. Only Build, the tests' 1-D reference, sorts
 // its leaves to number them.
 package itree
 
@@ -91,7 +90,7 @@ type Tree struct {
 // lines' own crossing. The inversions are therefore taken over the
 // domain widened by 2⁻⁵⁰·max(|lo|, |hi|) on each side, in exact
 // arithmetic — a superset of the pairs whose root is inside — and each
-// is kept by inside, the one exact rule DirtyPairs1D applies too. Each
+// is kept by inside, the one exact rule NewArrangement1D applies too. Each
 // pair is Intersection{I < J} with the hyperplane f_I − f_J. The list
 // comes out in merge order; NewArrangement1D orders it by breakpoint.
 // ctx is checked once per merge pass.
@@ -295,7 +294,7 @@ func (t *Tree) enumerate() {
 		sort.Slice(leaves, func(a, b int) bool {
 			ia := leaves[a].Region.(Interval1D)
 			ib := leaves[b].Region.(Interval1D)
-			return ia.Lo.Cmp(ib.Lo) < 0
+			return cmpBreak(ia.Lo, ia.LoCut, ib.Lo, ib.LoCut) < 0
 		})
 	}
 	for i, l := range leaves {

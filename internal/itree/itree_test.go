@@ -48,10 +48,10 @@ func boundaries1D(t *testing.T, tree *Tree) []*big.Rat {
 	for i := 0; i+1 < len(tree.Subs); i++ {
 		cur := tree.Subs[i].Region.(Interval1D)
 		next := tree.Subs[i+1].Region.(Interval1D)
-		if cur.Hi.Cmp(next.Lo) != 0 {
-			t.Fatalf("leaves %d and %d do not abut (%v vs %v)", i, i+1, cur.Hi, next.Lo)
+		if cur.HiRat().Cmp(next.LoRat()) != 0 {
+			t.Fatalf("leaves %d and %d do not abut (%v vs %v)", i, i+1, cur.HiRat(), next.LoRat())
 		}
-		out = append(out, cur.Hi)
+		out = append(out, cur.HiRat())
 	}
 	return out
 }
@@ -149,11 +149,11 @@ func TestSubdomainOrderIsSpatial1D(t *testing.T) {
 	boundaries1D(t, tree)
 	first := tree.Subs[0].Region.(Interval1D)
 	last := tree.Subs[len(tree.Subs)-1].Region.(Interval1D)
-	if f, _ := first.Lo.Float64(); f != -2 {
-		t.Errorf("first interval starts at %v, want -2", f)
+	if first.Lo != -2 || first.LoCut != nil {
+		t.Errorf("first interval starts at %v, want the domain edge -2", first.Lo)
 	}
-	if f, _ := last.Hi.Float64(); f != 2 {
-		t.Errorf("last interval ends at %v, want 2", f)
+	if last.Hi != 2 || last.HiCut != nil {
+		t.Errorf("last interval ends at %v, want the domain edge 2", last.Hi)
 	}
 }
 
@@ -170,8 +170,7 @@ func TestSortabilityAcrossSubdomains(t *testing.T) {
 	tree := build1D(t, fs, -1, 1, 3)
 	for _, sub := range tree.Subs {
 		iv := sub.Region.(Interval1D)
-		lo, _ := iv.Lo.Float64()
-		hi, _ := iv.Hi.Float64()
+		lo, hi := iv.Lo, iv.Hi
 		w := (hi - lo)
 		base := funcs.SortAt(fs, geometry.Point{lo + w*0.5})
 		for _, frac := range []float64{0.1, 0.3, 0.7, 0.9} {

@@ -116,13 +116,11 @@ func rootInsideRef(fs []funcs.Linear, i, j int, lo, hi float64) (geometry.Hyperp
 // TestPairs1DIsTheExactCrossingSet holds the 1-D enumeration to its
 // brute-force definition on adversarial tables: Pairs1DCtx returns
 // exactly the pairs, each once, whose hyperplane root lies strictly
-// inside the domain, with today's I < J, f_I − f_J convention, and
-// DirtyPairs1D the same pairs among those touching a dirty index, in
-// (i, j) order. Underneath, the merge-sort enumerator at the domain
+// inside the domain, with today's I < J, f_I − f_J convention.
+// Underneath, the merge-sort enumerator at the domain
 // edges returns exactly the pairs whose lines cross strictly inside, so
 // a pair meeting at an edge, parallel or identical is never one.
 func TestPairs1DIsTheExactCrossingSet(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
 	for _, tab := range crossingTables() {
 		fs, lo, hi := tab.fs, tab.lo, tab.hi
 		dom := geometry.MustBox([]float64{lo}, []float64{hi})
@@ -173,21 +171,6 @@ func TestPairs1DIsTheExactCrossingSet(t *testing.T) {
 			t.Errorf("%s [%v, %v]: %d inversions, want the %d strict crossings", tab.name, lo, hi, len(gotCross), len(crossWant))
 		}
 
-		dirty := make([]bool, len(fs))
-		for i := range dirty {
-			dirty[i] = rng.Intn(4) == 0
-		}
-		var dirtyWant []Intersection
-		for _, in := range want {
-			if dirty[in.I] || dirty[in.J] {
-				dirtyWant = append(dirtyWant, in)
-			}
-		}
-		gotDirty, err := DirtyPairs1D(fs, dirty, dom)
-		if err != nil {
-			t.Fatal(err)
-		}
-		samePairs(t, tab.name+": DirtyPairs1D", gotDirty, dirtyWant)
 	}
 }
 

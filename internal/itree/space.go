@@ -1,7 +1,9 @@
 package itree
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/big"
 
 	"aqverify/internal/funcs"
@@ -18,9 +20,9 @@ type Region interface{}
 // Space abstracts the domain-partitioning geometry the I-tree is built
 // over. Two implementations exist:
 //
-//   - Space1D: exact rational arithmetic over an interval domain, used for
-//     univariate ranking functions (the scale regime of the paper's
-//     evaluation).
+//   - Space1D: exact breakpoints over an interval domain, decided on
+//     their rounded floats first, used for univariate ranking functions
+//     (the scale regime of the paper's evaluation).
 //   - SpaceND: an LP-backed polytope space for d >= 2 variables, where
 //     split tests are linear-programming feasibility problems.
 //
@@ -55,38 +57,70 @@ type Space interface {
 	Contains(r Region, x geometry.Point) bool
 }
 
-// Space1D is the exact-arithmetic space for univariate ranking functions.
-// Regions are open/half-open intervals whose endpoints are big.Rat
-// breakpoints (every breakpoint -B/C of float64-coefficient lines is
-// exactly representable as a rational), so subdomain boundaries never
-// suffer float drift: two lines either cross inside a region or they do
-// not, with no epsilon ambiguity.
+// Space1D is the space for univariate ranking functions. Regions are
+// intervals whose ends are breakpoints −B/C of float64-coefficient
+// lines. Each end is kept as its correctly rounded float together with
+// the hyperplane that cuts there, so the exact rational end — which
+// every such breakpoint has — is built only when two rounded values
+// tie (cmpBreak): rounding is monotone, so distinct floats already
+// order their exact ends, and subdomain boundaries never suffer float
+// drift.
 type Space1D struct {
 	domain geometry.Box
-	lo, hi *big.Rat
 }
 
-// Interval1D is Space1D's Region implementation. Endpoints are always
-// finite because the root region is the owner-specified bounded domain.
-// The strictness flags record whether each endpoint is excluded:
-// loStrict means x > lo, otherwise x >= lo (and symmetrically for hi).
+// Interval1D is Space1D's Region implementation. Lo and Hi are the
+// ends correctly rounded; LoCut and HiCut are the hyperplanes whose
+// roots the ends exactly are, nil at a domain edge, whose float is
+// already exact. Ends are always finite because the root region is the
+// owner-specified bounded domain. The strictness flags record whether
+// each end is excluded: LoStrict means x > lo, otherwise x >= lo (and
+// symmetrically for hi).
 type Interval1D struct {
-	Lo, Hi             *big.Rat
+	Lo, Hi             float64
+	LoCut, HiCut       *geometry.Hyperplane
 	LoStrict, HiStrict bool
 }
 
-// NewSpace1D builds the exact 1-D space over the given domain box, which
-// must be one-dimensional.
+// LoRat returns the interval's exact lower end.
+func (iv Interval1D) LoRat() *big.Rat { return exactEnd(iv.Lo, iv.LoCut) }
+
+// HiRat returns the interval's exact upper end.
+func (iv Interval1D) HiRat() *big.Rat { return exactEnd(iv.Hi, iv.HiCut) }
+
+// exactEnd returns the exact value of a rounded end: the root of the
+// hyperplane that cuts there, or the float itself at a domain edge.
+func exactEnd(f float64, cut *geometry.Hyperplane) *big.Rat {
+	if cut == nil {
+		return new(big.Rat).SetFloat64(f)
+	}
+	t, _ := Breakpoint1D(*cut)
+	return t
+}
+
+// cmpBreak compares two exact ends or breakpoints, each given as its
+// rounded float and the hyperplane it is the root of (nil when the
+// float is exact): by the floats first, and by the exact rationals only
+// when the floats are equal.
+func cmpBreak(tf float64, th *geometry.Hyperplane, uf float64, uh *geometry.Hyperplane) int {
+	if tf != uf {
+		return cmp.Compare(tf, uf)
+	}
+	return exactEnd(tf, th).Cmp(exactEnd(uf, uh))
+}
+
+// NewSpace1D builds the 1-D space over the given domain box, which must
+// be one-dimensional with finite bounds.
 func NewSpace1D(domain geometry.Box) (*Space1D, error) {
 	if domain.Dim() != 1 {
 		return nil, fmt.Errorf("itree: Space1D needs a 1-D domain, got %d-D", domain.Dim())
 	}
-	lo := new(big.Rat).SetFloat64(domain.Lo[0])
-	hi := new(big.Rat).SetFloat64(domain.Hi[0])
-	if lo == nil || hi == nil {
-		return nil, fmt.Errorf("itree: non-finite domain bounds")
+	for _, v := range [2]float64{domain.Lo[0], domain.Hi[0]} {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return nil, fmt.Errorf("itree: non-finite domain bounds")
+		}
 	}
-	return &Space1D{domain: domain, lo: lo, hi: hi}, nil
+	return &Space1D{domain: domain}, nil
 }
 
 // Dim implements Space.
@@ -94,7 +128,7 @@ func (s *Space1D) Dim() int { return 1 }
 
 // Root implements Space: the whole domain interval, closed on both ends.
 func (s *Space1D) Root() Region {
-	return Interval1D{Lo: s.lo, Hi: s.hi}
+	return Interval1D{Lo: s.domain.Lo[0], Hi: s.domain.Hi[0]}
 }
 
 // Breakpoint1D returns the exact solution of C[0]*x + B = 0 as a rational,
@@ -113,26 +147,25 @@ func Breakpoint1D(h geometry.Hyperplane) (*big.Rat, bool) {
 	return t, true
 }
 
-// Partition implements Space. The hyperplane c*x + b splits the interval
-// iff its breakpoint t = -b/c lies strictly inside. "Above" is the side
-// where c*x + b >= 0: x >= t when c > 0, x <= t when c < 0.
+// Partition implements Space, exactly: the reference the insert-path
+// Build splits by. The hyperplane c*x + b splits the interval iff its
+// breakpoint t = -b/c lies strictly inside. "Above" is the side where
+// c*x + b >= 0: x >= t when c > 0, x <= t when c < 0.
 func (s *Space1D) Partition(r Region, h geometry.Hyperplane) (Region, Region, bool) {
 	iv := r.(Interval1D)
 	t, ok := Breakpoint1D(h)
-	if !ok {
+	if !ok || t.Cmp(iv.LoRat()) <= 0 || t.Cmp(iv.HiRat()) >= 0 {
 		return nil, nil, false
 	}
-	if t.Cmp(iv.Lo) <= 0 || t.Cmp(iv.Hi) >= 0 {
-		return nil, nil, false
-	}
+	tf, cut := -h.B/h.C[0], &h // t correctly rounded: an IEEE quotient
 	// Interval [lo, t) or (lo, t] etc: above gets the closed endpoint at t.
 	if h.C[0] > 0 {
-		above := Interval1D{Lo: t, Hi: iv.Hi, LoStrict: false, HiStrict: iv.HiStrict}
-		below := Interval1D{Lo: iv.Lo, Hi: t, LoStrict: iv.LoStrict, HiStrict: true}
+		above := Interval1D{Lo: tf, LoCut: cut, Hi: iv.Hi, HiCut: iv.HiCut, LoStrict: false, HiStrict: iv.HiStrict}
+		below := Interval1D{Lo: iv.Lo, LoCut: iv.LoCut, Hi: tf, HiCut: cut, LoStrict: iv.LoStrict, HiStrict: true}
 		return above, below, true
 	}
-	above := Interval1D{Lo: iv.Lo, Hi: t, LoStrict: iv.LoStrict, HiStrict: false}
-	below := Interval1D{Lo: t, Hi: iv.Hi, LoStrict: true, HiStrict: iv.HiStrict}
+	above := Interval1D{Lo: iv.Lo, LoCut: iv.LoCut, Hi: tf, HiCut: cut, LoStrict: iv.LoStrict, HiStrict: false}
+	below := Interval1D{Lo: tf, LoCut: cut, Hi: iv.Hi, HiCut: iv.HiCut, LoStrict: true, HiStrict: iv.HiStrict}
 	return above, below, true
 }
 
@@ -147,7 +180,7 @@ func (s *Space1D) Witness(r Region) geometry.Point {
 // callers that sort record functions with exact arithmetic.
 func (s *Space1D) WitnessRat(r Region) *big.Rat {
 	iv := r.(Interval1D)
-	m := new(big.Rat).Add(iv.Lo, iv.Hi)
+	m := new(big.Rat).Add(iv.LoRat(), iv.HiRat())
 	return m.Quo(m, big.NewRat(2, 1))
 }
 
@@ -158,40 +191,33 @@ func (s *Space1D) WitnessRat(r Region) *big.Rat {
 // the exact midpoint. Any interior point sorts the functions alike.
 func (s *Space1D) WitnessAt(r Region) funcs.At {
 	iv := r.(Interval1D)
-	lo, _ := iv.Lo.Float64()
-	hi, _ := iv.Hi.Float64()
-	if x := lo + float64((hi-lo)*0.5); lo < x && x < hi {
+	if x := iv.Lo + float64((iv.Hi-iv.Lo)*0.5); iv.Lo < x && x < iv.Hi {
 		return funcs.AtFloat(x)
 	}
 	return funcs.NewAt(s.WitnessRat(r))
 }
 
 // Halfspaces implements Space: the minimal two-constraint description
-// x >= lo (or > lo) and x <= hi (or < hi), expressed as halfspaces so the
-// multi-signature verification object stays small.
+// x >= lo (or > lo) and x <= hi (or < hi), over the rounded ends,
+// expressed as halfspaces so the multi-signature verification object
+// stays small.
 func (s *Space1D) Halfspaces(r Region) []geometry.Halfspace {
 	iv := r.(Interval1D)
-	lo, _ := iv.Lo.Float64()
-	hi, _ := iv.Hi.Float64()
 	return []geometry.Halfspace{
-		{H: geometry.Hyperplane{C: []float64{1}, B: -lo}, Strict: iv.LoStrict},
-		{H: geometry.Hyperplane{C: []float64{-1}, B: hi}, Strict: iv.HiStrict},
+		{H: geometry.Hyperplane{C: []float64{1}, B: -iv.Lo}, Strict: iv.LoStrict},
+		{H: geometry.Hyperplane{C: []float64{-1}, B: iv.Hi}, Strict: iv.HiStrict},
 	}
 }
 
-// Contains implements Space with an exact rational comparison (x converts
-// to big.Rat losslessly).
+// Contains implements Space, exactly: x is compared with each end by
+// cmpBreak.
 func (s *Space1D) Contains(r Region, x geometry.Point) bool {
-	if len(x) != 1 {
+	if len(x) != 1 || math.IsNaN(x[0]) {
 		return false
 	}
 	iv := r.(Interval1D)
-	xr := new(big.Rat).SetFloat64(x[0])
-	if xr == nil {
-		return false
-	}
-	cl := xr.Cmp(iv.Lo)
-	ch := xr.Cmp(iv.Hi)
+	cl := cmpBreak(x[0], nil, iv.Lo, iv.LoCut)
+	ch := cmpBreak(x[0], nil, iv.Hi, iv.HiCut)
 	if cl < 0 || ch > 0 {
 		return false
 	}

@@ -18,7 +18,6 @@ package mesh
 import (
 	"context"
 	"fmt"
-	"math/big"
 	"sort"
 
 	"aqverify/internal/core"
@@ -155,20 +154,13 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Mesh, error) {
 		return nil, err
 	}
 	arr := itree.NewArrangement1D(space, inters, 0)
-	root := space.Root().(itree.Interval1D)
-	edgesR := make([]*big.Rat, 0, len(arr.Groups)+2)
-	edgesR = append(edgesR, root.Lo)
-	for _, g := range arr.Groups {
-		edgesR = append(edgesR, g.T)
-	}
-	edgesR = append(edgesR, root.Hi)
-	witnesses := make([]funcs.At, len(edgesR)-1)
+	witnesses := make([]funcs.At, arr.NumBreakpoints()+1)
+	m.edges = make([]float64, 0, len(witnesses)+1)
+	m.edges = append(m.edges, p.Domain.Lo[0])
 	for k := range witnesses {
-		witnesses[k] = space.WitnessAt(itree.Interval1D{Lo: edgesR[k], Hi: edgesR[k+1]})
-	}
-	m.edges = make([]float64, len(edgesR))
-	for i, e := range edgesR {
-		m.edges[i], _ = e.Float64()
+		gap := arr.Gap(k)
+		witnesses[k] = space.WitnessAt(gap)
+		m.edges = append(m.edges, gap.Hi)
 	}
 
 	m.plan, err = sweep.ComputeCtx(ctx, fs, witnesses, core.CrossingPairs(arr), p.Workers)
