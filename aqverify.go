@@ -30,7 +30,7 @@
 // one context-aware call, Outsource, shaped by functional options:
 // WithShards/WithPlan select sharding, WithPlanner picks the cut
 // placement (QuantileCuts balances skewed data), WithBuildWorkers bounds
-// every stage's worker pool and WithProgress observes the stages. The
+// the parallel stages' worker pool and WithProgress observes the stages. The
 // built bytes are identical for every worker count, and a canceled ctx
 // aborts construction mid-stage. No option selects a list layout: a
 // univariate template's sorted lists are always one persistent sweep
@@ -82,8 +82,9 @@
 // # Scaling
 //
 // Construction shards its embarrassingly parallel steps — record
-// digesting, per-subdomain FMH-list building, multi-signature signing —
-// across Params.Workers goroutines (0 = one per CPU, 1 = serial); the
+// digesting, multivariate FMH-list building, hash propagation,
+// multi-signature signing — across Params.Workers goroutines (0 = one
+// per CPU, 1 = serial); the univariate sweep is one serial walk. The
 // built tree is byte-identical for every worker count. WithVerify
 // on a QueryBatch checks the answers concurrently on the client side
 // across the WithWorkers pool. Over HTTP,
@@ -337,8 +338,8 @@ func WithMode(m Mode) BuildOption { return build.WithMode(m) }
 // such tree, and only one-signature verification objects depend on it.
 func WithShuffle(seed int64) BuildOption { return build.WithShuffle(seed) }
 
-// WithBuildWorkers bounds every construction stage's worker pool (0 =
-// one per CPU, 1 = serial); the product is byte-identical either way.
+// WithBuildWorkers bounds the parallel construction stages' worker pool
+// (0 = one per CPU, 1 = serial); the product is byte-identical either way.
 func WithBuildWorkers(n int) BuildOption { return build.WithWorkers(n) }
 
 // WithProgress observes every construction stage as it starts — of the

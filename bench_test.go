@@ -151,12 +151,12 @@ func BenchmarkBuildParallel(b *testing.B) {
 }
 
 // BenchmarkOutsourceParallel measures the unified build plane end to
-// end — one Outsource call covering the parallelized pair enumeration,
-// sweep plan, FMH builds, level-parallel hash propagation and signing —
-// serial (workers=1) versus one worker per CPU. Unlike
-// BenchmarkBuildParallel (bivariate, one independent list per
-// subdomain), this is a univariate build: its list stage is one serial
-// chain, so the pair, sweep and propagation stages carry the speedup.
+// end — one Outsource call covering the pair enumeration, sweep, FMH
+// builds, level-parallel hash propagation and signing — serial
+// (workers=1) versus one worker per CPU. Unlike BenchmarkBuildParallel
+// (bivariate, one independent list per subdomain), this is a univariate
+// build: its pair enumeration and sweep-driven list chain are serial,
+// so digesting, propagation and signing carry the speedup.
 // Compare the workers=1 and workers=N lines:
 //
 //	go test -bench BenchmarkOutsourceParallel -benchtime 3x

@@ -3,7 +3,7 @@
 // byte-identical output at any worker count (PR 1/4's identity tests),
 // which makes map iteration order — randomized per run by the runtime —
 // a correctness hazard in every package whose output feeds hashed or
-// signed bytes: core, build, sweep, itree, fmh and artifact. A map
+// signed bytes: core, build, itree, fmh and artifact. A map
 // range there silently leaks iteration order into subdomain layouts,
 // permutation plans or encoded artifacts. Iterate a sorted key slice
 // instead, or suppress with //lint:ignore mapdeterminism <reason> when
@@ -22,7 +22,6 @@ import (
 var scope = map[string]bool{
 	"core":     true,
 	"build":    true,
-	"sweep":    true,
 	"itree":    true,
 	"fmh":      true,
 	"artifact": true,
@@ -31,7 +30,7 @@ var scope = map[string]bool{
 // Analyzer flags nondeterministic map iteration in the build plane.
 var Analyzer = &analysis.Analyzer{
 	Name: "mapdeterminism",
-	Doc:  "range over a map in a byte-identical build-plane package (core, build, sweep, itree, fmh, artifact)",
+	Doc:  "range over a map in a byte-identical build-plane package (core, build, itree, fmh, artifact)",
 	Run:  run,
 }
 

@@ -16,7 +16,7 @@ func TestSeededViolations(t *testing.T) {
 // TestCleanFixture proves zero false positives on idiomatic build-plane
 // code (sorted-key iteration, slice ranges).
 func TestCleanFixture(t *testing.T) {
-	analysistest.Run(t, mapdeterminism.Analyzer, "sweep", 0)
+	analysistest.Run(t, mapdeterminism.Analyzer, "itree", 0)
 }
 
 // TestOutOfScope proves the package scoping: map ranges outside the

@@ -1,7 +1,7 @@
-// Package sweep is mapdeterminism's clean fixture: an in-scope
+// Package itree is mapdeterminism's clean fixture: an in-scope
 // build-plane package written idiomatically — sorted-key iteration,
 // slice ranges — that must produce zero findings.
-package sweep
+package itree
 
 import "sort"
 

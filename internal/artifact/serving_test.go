@@ -11,15 +11,13 @@ import (
 	"aqverify/internal/hashing"
 	"aqverify/internal/itree"
 	"aqverify/internal/sig"
-	"aqverify/internal/sweep"
 )
 
 // TestServingTreeHoldsNoSigner: the tree a server is handed reaches no
 // owner state. Every value reachable from the *core.Tree of a built
 // single tree, a built shard set, an applied product and an opened
 // artifact is walked by reflection, unexported fields included; none
-// may be a signer, the hasher that builds, the 1-D arrangement or the
-// sweep plan.
+// may be a signer, the hasher that builds or the 1-D arrangement.
 func TestServingTreeHoldsNoSigner(t *testing.T) {
 	ctx := context.Background()
 	spec := testSpec(t, 40, 3)
@@ -58,12 +56,11 @@ func TestServingTreeHoldsNoSigner(t *testing.T) {
 }
 
 // ownerStateTypes are the owner's private values: a signer (any type
-// that signs), the build hasher, the arrangement and the sweep plan.
+// that signs), the build hasher and the arrangement.
 var ownerStateTypes = []reflect.Type{
 	reflect.TypeOf((*sig.Signer)(nil)).Elem(),
 	reflect.TypeOf((*hashing.Hasher)(nil)),
 	reflect.TypeOf((*itree.Arrangement1D)(nil)),
-	reflect.TypeOf(sweep.Plan{}),
 }
 
 type visit struct {

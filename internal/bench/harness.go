@@ -115,7 +115,7 @@ func (h *Harness) build(ctx context.Context, fx fixture) (*built, error) {
 	b := &built{table: tbl, template: tpl, domain: dom}
 	start := time.Now()
 	if fx.mesh {
-		b.Mesh, err = mesh.BuildCtx(ctx, tbl, mesh.Params{Signer: h.signer, Domain: dom, Template: tpl, Workers: h.Cfg.Workers})
+		b.Mesh, err = mesh.BuildCtx(ctx, tbl, mesh.Params{Signer: h.signer, Domain: dom, Template: tpl})
 	} else {
 		opts := []build.Option{build.WithWorkers(h.Cfg.Workers), build.WithMode(fx.mode), build.WithShuffle(h.Cfg.Seed)}
 		if fx.shards > 0 {

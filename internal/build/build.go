@@ -85,8 +85,7 @@ type Result struct {
 }
 
 // Stats returns each built tree's footprint, index-aligned with
-// Plan.Boxes, counting its sweep plan's transpositions
-// (Stats.TotalSwaps). A Result reconstructed from an artifact has no
+// Plan.Boxes, counting its sweep's transpositions (Stats.TotalSwaps). A Result reconstructed from an artifact has no
 // owners and returns none; its trees' own Stats read zero swaps.
 func (r *Result) Stats() []core.Stats {
 	out := make([]core.Stats, len(r.owners))
@@ -125,9 +124,9 @@ func WithMode(m verify.Mode) Option { return func(o *options) { o.mode = m } }
 func WithShuffle(seed int64) Option { return func(o *options) { o.seed = seed } }
 
 // WithWorkers bounds every parallel construction stage's worker pool:
-// record digesting, the sweep plan, FMH-list building, hash propagation
-// and multi-signature signing (the 1-D pair enumeration is one serial
-// O(n log n + k) pass). Zero (the default) means one per CPU, one is
+// record digesting, multivariate FMH-list building, hash propagation
+// and multi-signature signing (the 1-D pair enumeration and sweep are
+// serial: one O(n log n + k) merge sort and one walk of the gaps). Zero (the default) means one per CPU, one is
 // serial; the product is byte-identical for every count.
 // In a sharded build each shard reuses the same bound internally, so the
 // effective parallelism is K × workers.

@@ -104,9 +104,9 @@ func TestOutsourceProducts(t *testing.T) {
 }
 
 // TestOutsourceWorkersIdentity is the full-stack byte-identity check:
-// one Outsource call at Workers=1 versus Workers=8 — covering the
-// parallel pair enumeration, sweep, FMH builds, hash propagation and
-// signing at once — must produce trees whose serialized answers (records
+// one Outsource call at Workers=1 versus Workers=8 — covering the pair
+// enumeration, sweep, FMH builds, hash propagation and signing at
+// once — must produce trees whose serialized answers (records
 // + verification objects, signatures included) match byte for byte.
 func TestOutsourceWorkersIdentity(t *testing.T) {
 	ctx := context.Background()

@@ -10,7 +10,6 @@ import (
 	"aqverify/internal/hashing"
 	"aqverify/internal/itree"
 	"aqverify/internal/record"
-	"aqverify/internal/sweep"
 	"aqverify/internal/verify"
 )
 
@@ -22,11 +21,12 @@ import (
 // server is handed the embedded Tree.
 //
 // Every stage with independent units is sharded across Params.Workers
-// goroutines: record digesting, the subdomain sweep plan,
-// per-subdomain FMH-list construction (multivariate templates),
-// level-order IMH hash propagation, and multi-signature signing. The output is byte-identical for every worker
-// count: every digest, swap list and signature input depends only on its
-// own index, and per-worker hash counters are merged after each join.
+// goroutines: record digesting, per-subdomain FMH-list construction
+// (multivariate templates), level-order IMH hash propagation, and
+// multi-signature signing; the univariate sweep is one serial walk. The
+// output is byte-identical for every worker count: every digest and
+// signature input depends only on its own index, and per-worker hash
+// counters are merged after each join.
 //
 // Cancellation is cooperative: a done ctx stops each stage's worker pool
 // from claiming new chunks, the serial stages check between units, and
@@ -73,10 +73,10 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Owner, error) {
 	}
 	workers := p.workers()
 	p.progress(StageDigest, tbl.Len())
-	o.recDigests = make([]hashing.Digest, tbl.Len())
+	recDigests := make([]hashing.Digest, tbl.Len())
 	err = o.parallelChunks(ctx, workers, tbl.Len(), func(h *hashing.Hasher, lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			o.recDigests[i] = h.Record(tbl.Records[i])
+			recDigests[i] = h.Record(tbl.Records[i])
 		}
 		return nil
 	})
@@ -85,7 +85,7 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Owner, error) {
 	}
 
 	if p.Template.Dim() == 1 {
-		if err := o.build1D(ctx); err != nil {
+		if err := o.build1D(ctx, recDigests); err != nil {
 			return nil, err
 		}
 		return o, nil
@@ -101,7 +101,7 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Owner, error) {
 	}
 	o.itree = itree.Build(space, itree.PairsND(fs), p.Seed)
 	p.progress(StageLists, len(o.itree.Subs))
-	if err := o.buildListsND(ctx, workers); err != nil {
+	if err := o.buildListsND(ctx, workers, recDigests); err != nil {
 		return nil, err
 	}
 	if err := o.seal(ctx); err != nil {
@@ -133,37 +133,22 @@ func (p Params) progress(stage Stage, units int) {
 }
 
 // fmhFromPerm builds a fresh FMH-tree for a permutation with the given
-// hasher (a worker-local one inside parallel sections).
-func (o *Owner) fmhFromPerm(h *hashing.Hasher, perm []int) (*fmh.List, error) {
+// hasher (a worker-local one inside parallel sections), its leaves made
+// from the record digests.
+func fmhFromPerm(h *hashing.Hasher, recDigests []hashing.Digest, perm []int) (*fmh.List, error) {
 	return fmh.Build(h, perm, func(rec int) hashing.Digest {
-		return h.Leaf(o.recDigests[rec])
+		return h.Leaf(recDigests[rec])
 	})
-}
-
-// CrossingPairs lists, per boundary of a univariate arrangement, the
-// function pairs crossing there — the boundary groups of
-// sweep.ComputeCtx. The signature-mesh baseline sweeps the same
-// arrangement without the tree and reads its groups here too.
-func CrossingPairs(arr *itree.Arrangement1D) [][]sweep.Pair {
-	out := make([][]sweep.Pair, len(arr.Groups))
-	for k, g := range arr.Groups {
-		out[k] = make([]sweep.Pair, len(g.Members))
-		for m, in := range g.Members {
-			out[k][m] = sweep.Pair{I: in.I, J: in.J}
-		}
-	}
-	return out
 }
 
 // build1D is the univariate pipeline: enumerate the pairs crossing
 // inside the domain, sort them into the arrangement, read the canonical
-// I-tree directly off it, read the sweep inputs off both (crossing
-// pairs from each group's members, witnesses from the built
-// subdomains), compute the sweep plan — seed the sorted order exactly
-// (see sweep.ComputeCtx for how the seeding shards across workers), then
-// cross each boundary by the adjacent transpositions of the pairs
-// intersecting there — build the FMH lists, propagate and sign.
-func (o *Owner) build1D(ctx context.Context) error {
+// I-tree directly off it, then walk its gaps (Arrangement1D.Sweep): gap
+// 0's list is built from its sorted order and every other list is
+// derived persistently from its left neighbour by the boundary's swaps.
+// The chain is O(n + S log n) in total, against the S·(2(n+2)−1) nodes
+// of one from-scratch tree per subdomain. Then propagate and sign.
+func (o *Owner) build1D(ctx context.Context, recDigests []hashing.Digest) error {
 	p := o.p
 	space, err := itree.NewSpace1D(p.Domain)
 	if err != nil {
@@ -181,17 +166,26 @@ func (o *Owner) build1D(ctx context.Context) error {
 	}
 	o.itree = itree.BuildCanonical1D(space, arr)
 
-	p.progress(StageSweep, arr.NumBreakpoints())
-	witnesses := make([]funcs.At, len(o.itree.Subs))
-	for k, sub := range o.itree.Subs {
-		witnesses[k] = space.WitnessAt(sub.Region)
-	}
-	plan, err := sweep.ComputeCtx(ctx, o.fs, witnesses, CrossingPairs(arr), p.workers())
+	subs := o.itree.Subs
+	o.subs = make([]*SubInfo, len(subs))
+	p.progress(StageLists, len(subs))
+	var list *fmh.List
+	err = arr.Sweep(ctx, o.fs, func(g int, perm, swaps []int) (err error) {
+		if g == 0 {
+			if list, err = fmhFromPerm(o.hasher, recDigests, perm); err != nil {
+				return err
+			}
+		}
+		for _, pos := range swaps {
+			if list, err = list.DeriveSwap(o.hasher, pos); err != nil {
+				return err
+			}
+		}
+		o.swaps += len(swaps)
+		o.subs[g] = &SubInfo{Sub: subs[g], List: list}
+		return nil
+	})
 	if err != nil {
-		return err
-	}
-	o.swaps = plan.TotalSwaps()
-	if err := o.listsFromPlan(ctx, plan); err != nil {
 		return err
 	}
 	return o.seal(ctx)
@@ -207,49 +201,18 @@ func (o *Owner) seal(ctx context.Context) error {
 	return o.sign(ctx)
 }
 
-// listsFromPlan builds every subdomain's FMH list from a computed sweep
-// plan: the base list from plan.BasePerm, every other list derived
-// persistently from its left neighbor by the boundary's swaps. The chain
-// is inherently sequential and O(n + S log n) in total, against the
-// S·(2(n+2)−1) nodes of one from-scratch tree per subdomain. It is the
-// only univariate construction.
-func (o *Owner) listsFromPlan(ctx context.Context, plan sweep.Plan) error {
-	subs := o.itree.Subs
-	o.subs = make([]*SubInfo, len(subs))
-	o.p.progress(StageLists, len(subs))
-
-	list, err := o.fmhFromPerm(o.hasher, plan.BasePerm)
-	if err != nil {
-		return err
-	}
-	o.subs[0] = &SubInfo{Sub: subs[0], List: list}
-	for k := 0; k < len(subs)-1; k++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for _, pos := range plan.Swaps[k] {
-			list, err = list.DeriveSwap(o.hasher, pos)
-			if err != nil {
-				return err
-			}
-		}
-		o.subs[k+1] = &SubInfo{Sub: subs[k+1], List: list}
-	}
-	return nil
-}
-
 // buildListsND sorts each subdomain independently at an interior witness
 // point and builds its list from scratch — there is no sweep order to
 // exploit in d >= 2. The subdomains are independent, so the sort + FMH
 // build shards across the worker pool.
-func (o *Owner) buildListsND(ctx context.Context, workers int) error {
+func (o *Owner) buildListsND(ctx context.Context, workers int, recDigests []hashing.Digest) error {
 	subs := o.itree.Subs
 	o.subs = make([]*SubInfo, len(subs))
 	return o.parallelChunks(ctx, workers, len(subs), func(h *hashing.Hasher, lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			sub := subs[i]
 			w := o.itree.Space.Witness(sub.Region)
-			list, err := o.fmhFromPerm(h, funcs.SortAt(o.fs, w))
+			list, err := fmhFromPerm(h, recDigests, funcs.SortAt(o.fs, w))
 			if err != nil {
 				return err
 			}

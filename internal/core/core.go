@@ -70,8 +70,8 @@ type Params struct {
 	// verification objects — which carry the IMH path — depend on it.
 	Seed int64
 	// Workers bounds the construction worker pool sharding record
-	// digesting, per-subdomain FMH-list building and multi-signature
-	// signing. Zero (the default) means runtime.GOMAXPROCS(0); 1
+	// digesting, n-D FMH-list building, hash propagation and
+	// multi-signature signing; the 1-D sweep is serial. Zero (the default) means runtime.GOMAXPROCS(0); 1
 	// reproduces the serial path. The built tree — root digest,
 	// signatures, hash counts — is identical for every worker count.
 	Workers int
@@ -93,13 +93,12 @@ type Params struct {
 // the order the stages run.
 type Stage string
 
-// The construction stages, in execution order. StagePairs and StageSweep
-// occur only for univariate templates.
+// The construction stages, in execution order. StagePairs occurs only
+// for univariate templates, whose StageLists is the sweep.
 const (
 	StageDigest    Stage = "digest"    // record digesting
 	StagePairs     Stage = "pairs"     // pairwise-intersection enumeration (1-D)
 	StageITree     Stage = "itree"     // I-tree construction
-	StageSweep     Stage = "sweep"     // subdomain sweep plan (1-D)
 	StageLists     Stage = "lists"     // per-subdomain FMH-list construction
 	StagePropagate Stage = "propagate" // IMH-tree hash propagation
 	StageSign      Stage = "sign"      // root / per-subdomain signing
@@ -151,16 +150,14 @@ type Tree struct {
 // Owner is the data owner's side of one published tree: the serving
 // Tree it hands to the cloud, plus what the next epoch's build reads —
 // the build parameters (with the signing key and the progress callback)
-// and the instrumented hasher; the table is the Tree's. The record
-// digests the FMH leaves were made from and the sweep's transposition
-// count (Stats.TotalSwaps) are kept beside them. A server is handed the
-// embedded Tree, which reaches none of them.
+// and the instrumented hasher; the table is the Tree's. The 1-D sweep's
+// transposition count (Stats.TotalSwaps) is kept beside them. A server
+// is handed the embedded Tree, which reaches none of them.
 type Owner struct {
 	*Tree
-	p          Params
-	hasher     *hashing.Hasher
-	recDigests []hashing.Digest
-	swaps      int // the 1-D sweep plan's transposition count
+	p      Params
+	hasher *hashing.Hasher
+	swaps  int // the 1-D sweep's transposition count
 }
 
 // Mode returns the tree's signing scheme.

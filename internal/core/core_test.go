@@ -9,6 +9,7 @@ import (
 
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
+	"aqverify/internal/hashing"
 	"aqverify/internal/itree"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
@@ -155,9 +156,13 @@ func TestSweepChainMatchesFreshLists(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%v", name, mode), func(t *testing.T) {
 				tree := build1D(t, tbl, mode)
 				space := tree.itree.Space.(*itree.Space1D)
+				digests := make([]hashing.Digest, tbl.Len())
+				for i, rec := range tbl.Records {
+					digests[i] = tree.hasher.Record(rec)
+				}
 				for k, si := range tree.subs {
 					perm := funcs.SortAtRat(tree.fs, space.WitnessAt(si.Sub.Region))
-					fresh, err := tree.fmhFromPerm(tree.hasher, perm)
+					fresh, err := fmhFromPerm(tree.hasher, digests, perm)
 					if err != nil {
 						t.Fatal(err)
 					}

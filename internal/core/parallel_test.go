@@ -225,7 +225,7 @@ func TestBuildProgressStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Stage{StageDigest, StagePairs, StageITree, StageSweep, StageLists, StagePropagate, StageSign}
+	want := []Stage{StageDigest, StagePairs, StageITree, StageLists, StagePropagate, StageSign}
 	if len(stages) != len(want) {
 		t.Fatalf("saw stages %v, want %v", stages, want)
 	}

@@ -19,7 +19,7 @@ type Stats struct {
 	// Signatures and SignatureBytes cover the owner's signatures.
 	Signatures     int
 	SignatureBytes int
-	// TotalSwaps is the sweep plan's transposition count: owner state,
+	// TotalSwaps is the sweep's transposition count: owner state,
 	// so zero for a Tree's Stats and for a multivariate Owner's.
 	TotalSwaps int
 	// ApproxBytes estimates the serialized structure size from the

@@ -96,18 +96,15 @@ type Group1D struct {
 	prios []uint64
 }
 
-// Rep returns the group's representative intersection.
-func (g *Group1D) Rep() Intersection { return g.Members[0] }
-
 // Arrangement1D is the exact-filtered, breakpoint-sorted view of a 1-D
 // intersection enumeration: one group per distinct in-domain breakpoint,
 // ascending. It is the content the canonical I-tree is a pure function
-// of, and the sweep reads its boundaries off it.
+// of, and Sweep walks its gaps.
 type Arrangement1D struct {
 	// Groups lists the distinct breakpoints in ascending order.
 	Groups []*Group1D
-	// domain is the interval the arrangement was built over.
-	domain Interval1D
+	// space is the space whose domain the arrangement was built over.
+	space *Space1D
 }
 
 // NumBreakpoints returns the distinct in-domain breakpoint count (the
@@ -121,7 +118,7 @@ func (a *Arrangement1D) NumBreakpoints() int { return len(a.Groups) }
 // end's strictness exactly as the insert-path Partition assigns it: the
 // side where c·x + b >= 0 keeps the closed end at t.
 func (a *Arrangement1D) Gap(g int) Interval1D {
-	iv := a.domain
+	iv := a.space.Root().(Interval1D)
 	if g > 0 {
 		rep := &a.Groups[g-1].Members[0]
 		iv.Lo, iv.LoCut = a.Groups[g-1].T, &rep.H
@@ -168,7 +165,7 @@ func NewArrangement1D(space *Space1D, inters []Intersection, seed int64) *Arrang
 		}
 		return canonCmp(a.prio, a.in, b.prio, b.in)
 	})
-	arr := &Arrangement1D{domain: space.Root().(Interval1D)}
+	arr := &Arrangement1D{space: space}
 	members := make([]Intersection, len(entries))
 	prios := make([]uint64, len(entries))
 	for k, e := range entries {

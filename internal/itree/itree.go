@@ -13,9 +13,11 @@
 // Space — the only construction for the LP-backed n-dimensional
 // space — while a univariate build sorts the breakpoints once into an
 // Arrangement1D and reads the same tree straight off it
-// (BuildCanonical1D), numbering each subdomain by its gap; the sweep
-// and the signature-mesh baseline take their boundaries from it too. Only Build, the tests' 1-D reference, sorts
-// its leaves to number them.
+// (BuildCanonical1D), numbering each subdomain by its gap. Only Build,
+// the tests' 1-D reference, sorts its leaves to number them. The same
+// arrangement is walked by Sweep (sweep.go), which hands each gap's
+// sorted order to the IFMH-tree's list chain and to the signature-mesh
+// baseline's run signing.
 package itree
 
 import (

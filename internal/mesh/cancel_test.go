@@ -19,7 +19,6 @@ func TestBuildCanceled(t *testing.T) {
 		Signer:   testSigner,
 		Domain:   geometry.MustBox([]float64{-1}, []float64{1}),
 		Template: funcs.AffineLine(0, 1),
-		Workers:  4,
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"sort"
 
-	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/hashing"
@@ -28,7 +27,6 @@ import (
 	"aqverify/internal/metrics"
 	"aqverify/internal/record"
 	"aqverify/internal/sig"
-	"aqverify/internal/sweep"
 )
 
 // Entry identifies one member of an adjacency pair: a function index, or
@@ -63,9 +61,10 @@ type Mesh struct {
 	verifier sig.Verifier
 
 	// edges[k]..edges[k+1] is subdomain k's interval; len(edges) = S+1.
-	edges  []float64
-	plan   sweep.Plan
-	cursor *sweep.Cursor
+	edges []float64
+	// witnesses[k] is an exact interior point of subdomain k: its sorted
+	// order is funcs.SortAtRat there.
+	witnesses []funcs.At
 
 	runs     map[pairKey][]*Run
 	sigCount int
@@ -78,10 +77,6 @@ type Params struct {
 	Template funcs.Template
 	// Hasher may be nil for an uninstrumented hasher.
 	Hasher *hashing.Hasher
-	// Workers bounds the worker pool sharding the sweep-plan
-	// computation; zero means one per CPU, one is serial. The built mesh
-	// is identical either way.
-	Workers int
 }
 
 // PublicParams is what the owner publishes for mesh clients.
@@ -97,10 +92,9 @@ func Build(tbl record.Table, p Params) (*Mesh, error) {
 	return BuildCtx(context.Background(), tbl, p)
 }
 
-// BuildCtx is Build with cooperative cancellation and the sweep stage
-// sharded across p.Workers goroutines. The run-signing sweep itself
-// stays serial — it is one left-to-right state machine over the
-// adjacency slots — but checks ctx at every boundary.
+// BuildCtx is Build with cooperative cancellation: the run-signing
+// sweep is one left-to-right state machine over the adjacency slots,
+// and checks ctx at every boundary.
 func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Mesh, error) {
 	if p.Signer == nil {
 		return nil, fmt.Errorf("mesh: Params.Signer is required")
@@ -154,22 +148,16 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Mesh, error) {
 		return nil, err
 	}
 	arr := itree.NewArrangement1D(space, inters, 0)
-	witnesses := make([]funcs.At, arr.NumBreakpoints()+1)
-	m.edges = make([]float64, 0, len(witnesses)+1)
+	m.witnesses = make([]funcs.At, arr.NumBreakpoints()+1)
+	m.edges = make([]float64, 0, len(m.witnesses)+1)
 	m.edges = append(m.edges, p.Domain.Lo[0])
-	for k := range witnesses {
+	for k := range m.witnesses {
 		gap := arr.Gap(k)
-		witnesses[k] = space.WitnessAt(gap)
+		m.witnesses[k] = space.WitnessAt(gap)
 		m.edges = append(m.edges, gap.Hi)
 	}
 
-	m.plan, err = sweep.ComputeCtx(ctx, fs, witnesses, core.CrossingPairs(arr), p.Workers)
-	if err != nil {
-		return nil, err
-	}
-	m.cursor = sweep.NewCursor(m.plan)
-
-	if err := m.buildRuns(ctx, p.Signer); err != nil {
+	if err := m.buildRuns(ctx, arr, p.Signer); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -212,13 +200,13 @@ func runEnc(lo, hi float64) []byte {
 	return h.Encode(nil)
 }
 
-// buildRuns sweeps the subdomains left to right, tracking for every
-// adjacency slot the run it began at, closing and signing runs whenever a
-// crossing disturbs the slot.
-func (m *Mesh) buildRuns(ctx context.Context, signer sig.Signer) error {
+// buildRuns sweeps the subdomains left to right (Arrangement1D.Sweep),
+// tracking for every adjacency slot the run it began at, closing and
+// signing runs whenever a crossing disturbs the slot.
+func (m *Mesh) buildRuns(ctx context.Context, arr *itree.Arrangement1D, signer sig.Signer) error {
 	n := m.table.Len()
 	s := m.NumSubdomains()
-	perm := append([]int(nil), m.plan.BasePerm...)
+	var perm []int
 
 	type open struct {
 		a, b int
@@ -236,9 +224,6 @@ func (m *Mesh) buildRuns(ctx context.Context, signer sig.Signer) error {
 		}
 	}
 	slots := make([]open, n+1)
-	for i := 0; i <= n; i++ {
-		slots[i] = open{a: entry(i - 1), b: entry(i), from: 0}
-	}
 
 	sign := func(o open, to int) error {
 		if o.from > to {
@@ -259,22 +244,32 @@ func (m *Mesh) buildRuns(ctx context.Context, signer sig.Signer) error {
 		return nil
 	}
 
-	for k := 0; k < s-1; k++ {
-		if err := ctx.Err(); err != nil {
-			return err
+	// The sweep hands each gap's order after its boundary's swaps; the
+	// slots replay them one at a time on their own copy, since a run
+	// closes at the swap that disturbs it.
+	err := arr.Sweep(ctx, m.fs, func(g int, sorted, swaps []int) error {
+		if g == 0 {
+			perm = append([]int(nil), sorted...)
+			for i := 0; i <= n; i++ {
+				slots[i] = open{a: entry(i - 1), b: entry(i), from: 0}
+			}
 		}
-		for _, pos := range m.plan.Swaps[k] {
+		for _, pos := range swaps {
 			// A swap at pos disturbs slots pos, pos+1, pos+2.
 			for _, sl := range []int{pos, pos + 1, pos + 2} {
-				if err := sign(slots[sl], k); err != nil {
+				if err := sign(slots[sl], g-1); err != nil {
 					return err
 				}
 			}
 			perm[pos], perm[pos+1] = perm[pos+1], perm[pos]
 			for _, sl := range []int{pos, pos + 1, pos + 2} {
-				slots[sl] = open{a: entry(sl - 1), b: entry(sl), from: k + 1}
+				slots[sl] = open{a: entry(sl - 1), b: entry(sl), from: g}
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	for i := 0; i <= n; i++ {
 		if err := sign(slots[i], s-1); err != nil {

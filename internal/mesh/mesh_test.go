@@ -303,9 +303,8 @@ func TestEmptyRangeResult(t *testing.T) {
 	}
 }
 
-// TestConcurrentMeshQueries exercises the shared sweep cursor from many
-// goroutines (run with -race); results must match the single-threaded
-// answers.
+// TestConcurrentMeshQueries queries one mesh from many goroutines (run
+// with -race); results must match the single-threaded answers.
 func TestConcurrentMeshQueries(t *testing.T) {
 	tbl := lineTable(t, 40, 14)
 	m := buildMesh(t, tbl)

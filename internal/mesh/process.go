@@ -3,6 +3,7 @@ package mesh
 import (
 	"fmt"
 
+	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/hashing"
 	"aqverify/internal/metrics"
@@ -98,10 +99,7 @@ func (m *Mesh) Process(q query.Query, ctr *metrics.Counter) (*Answer, error) {
 		}
 	}
 
-	perm, err := m.cursor.PermAt(sub)
-	if err != nil {
-		return nil, err
-	}
+	perm := funcs.SortAtRat(m.fs, m.witnesses[sub])
 	n := len(perm)
 	w, err := query.SelectWindow(n, func(pos int) float64 { return m.fs[perm[pos]].Eval(q.X) }, q, ctr)
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 // compile in a package that builds, walks or shards trees, writes their
 // proofs, or signs.
 func TestClosureReachesNoBuilder(t *testing.T) {
-	builders := []string{"core", "itree", "sweep", "lp", "pool", "shard", "mesh", "fmh", "mhtree", "sig"}
+	builders := []string{"core", "itree", "lp", "pool", "shard", "mesh", "fmh", "mhtree", "sig"}
 	for _, pkg := range []string{"aqverify/internal/verify", "aqverify/internal/wire"} {
 		out, err := exec.Command("go", "list", "-deps", pkg).Output()
 		if err != nil {

@@ -17,7 +17,7 @@
 set -eu
 cd "${1:-$(dirname "$0")/..}"
 pkgs="./internal/linalg ./internal/funcs ./internal/geometry ./internal/verify
-./internal/query ./internal/sweep ./internal/itree ./internal/lp ./internal/workload"
+./internal/query ./internal/itree ./internal/lp ./internal/workload"
 status=0
 for arch in arm64 ppc64le s390x riscv64; do
 	# shellcheck disable=SC2086 # pkgs is a word list
