@@ -52,32 +52,44 @@ func sweepOrders(t *testing.T, fs []funcs.Linear, arr *Arrangement1D) ([][]int, 
 	return orders, total
 }
 
-// TestSweepMatchesDirectSort: every gap's swept order equals a fresh
-// exact sort at the gap's witness, and every crossing pair costs one
-// transposition. The random tables mix parallel families and lines
-// concurrent through one point with general ones.
-func TestSweepMatchesDirectSort(t *testing.T) {
-	for _, c := range []struct {
-		n     int
-		seeds int64
-	}{{12, 10}, {80, 2}} {
-		for seed := int64(0); seed < c.seeds; seed++ {
-			fs := randomLines(c.n, seed)
-			space, arr := arrangement1D(t, fs, -2, 2)
-			orders, total := sweepOrders(t, fs, arr)
-			for g, got := range orders {
-				if want := funcs.SortAtRat(fs, space.WitnessAt(arr.Gap(g))); !slices.Equal(got, want) {
-					t.Fatalf("n=%d seed %d: gap %d's swept order disagrees with the exact sort", c.n, seed, g)
-				}
-			}
-			pairs := 0
-			for _, grp := range arr.Groups {
-				pairs += len(grp.Members)
-			}
-			if total != pairs {
-				t.Errorf("n=%d seed %d: %d swaps for %d crossing pairs", c.n, seed, total, pairs)
-			}
+// checkSweepAgainstSort sweeps the arrangement of fs over [-2, 2] and
+// checks that every gap's swept order equals a fresh exact sort at the
+// gap's witness, and that every crossing pair costs one transposition.
+func checkSweepAgainstSort(t *testing.T, n int, seed int64) {
+	t.Helper()
+	fs := randomLines(n, seed)
+	space, arr := arrangement1D(t, fs, -2, 2)
+	orders, total := sweepOrders(t, fs, arr)
+	for g, got := range orders {
+		if want := funcs.SortAtRat(fs, space.WitnessAt(arr.Gap(g))); !slices.Equal(got, want) {
+			t.Fatalf("n=%d seed %d: gap %d's swept order disagrees with the exact sort", n, seed, g)
 		}
+	}
+	pairs := 0
+	for _, grp := range arr.Groups {
+		pairs += len(grp.Members)
+	}
+	if total != pairs {
+		t.Errorf("n=%d seed %d: %d swaps for %d crossing pairs", n, seed, total, pairs)
+	}
+}
+
+// TestSweepMatchesDirectSort: on small random tables that mix parallel
+// families and lines concurrent through one point with general ones,
+// the swept order of every gap is the exact sort at its witness.
+func TestSweepMatchesDirectSort(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		checkSweepAgainstSort(t, 12, seed)
+	}
+}
+
+// TestSweepLargeTableMatchesDirectSort: the same check on 80-line
+// tables, where gaps far from the left edge are reached only after
+// hundreds of transpositions, so a drift in the incremental order
+// would surface as a disagreement with the fresh sort.
+func TestSweepLargeTableMatchesDirectSort(t *testing.T) {
+	for seed := int64(0); seed < 2; seed++ {
+		checkSweepAgainstSort(t, 80, seed)
 	}
 }
 
