@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"aqverify/internal/build"
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
@@ -40,6 +41,19 @@ func fixture(t *testing.T, n int) (record.Table, *core.Tree, geometry.Box, core.
 		t.Fatal(err)
 	}
 	return tbl, tree.Tree, dom, p
+}
+
+// buildSet builds the shard set of one plan through the build plane,
+// under p's mode, key and shape seed.
+func buildSet(t *testing.T, tbl record.Table, p core.Params, plan shard.Plan) *shard.Set {
+	t.Helper()
+	res, err := build.Outsource(context.Background(),
+		build.Spec{Table: tbl, Template: p.Template, Domain: p.Domain, Signer: p.Signer},
+		build.WithMode(p.Mode), build.WithShuffle(p.Seed), build.WithPlan(plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Set
 }
 
 func testQueries(dom geometry.Box, n int) []query.Query {
@@ -193,10 +207,7 @@ func TestShardedMatchesRouter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, _, err := shard.BuildCtx(context.Background(), tbl, p, plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	set := buildSet(t, tbl, p, plan)
 	b, err := NewSharded(set)
 	if err != nil {
 		t.Fatal(err)

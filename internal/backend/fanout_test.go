@@ -23,10 +23,7 @@ func fanoutFixture(t *testing.T, n, k int) (*Local, *Fanout, geometry.Box, verif
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, _, err := shard.BuildCtx(context.Background(), tbl, p, plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	set := buildSet(t, tbl, p, plan)
 	kids := make([]Backend, set.NumShards())
 	for i, st := range set.Trees {
 		if kids[i], err = NewLocal(st); err != nil {

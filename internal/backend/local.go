@@ -136,8 +136,8 @@ func (b *Sharded) QueryStream(ctx context.Context, qs []query.Query, opts ...Opt
 }
 
 // Epoch returns the served set's publication epoch — the maximum across
-// shards, which all agree on when the set is untorn (build.Apply and
-// shard.BuildCtx both land every shard on one epoch).
+// shards, which all agree on when the set is untorn (build.Outsource
+// and build.Apply land every shard on one epoch).
 func (b *Sharded) Epoch() uint64 { return slices.Max(b.Epochs()) }
 
 // Epochs returns every shard's publication epoch, in shard order.

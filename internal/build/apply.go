@@ -4,10 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"aqverify/internal/core"
-	"aqverify/internal/pool"
 	"aqverify/internal/record"
-	"aqverify/internal/shard"
 )
 
 // mutKind discriminates the mutation operations.
@@ -64,19 +61,20 @@ func (m Mutation) String() string {
 // record mutations, returning a new Result one epoch above the input.
 // The previous Result is left untouched — a server keeps answering
 // from its snapshot until the new epoch is swapped in. It applies to
-// the owners a Result from Outsource or Apply holds; a Result
+// the Spec and options a Result from Outsource or Apply keeps; a Result
 // reconstructed from an artifact serves only and is refused.
 //
-// Apply rebuilds: every tree of the product is a full build of the
-// mutated table under the options the original Outsource was given
-// (core.Owner.ApplyCtx), and its stages report to that call's
-// WithProgress callback. The result is therefore byte-identical to a
-// full Outsource of the mutated table at the same epoch, at any worker
-// count.
-//
-// Sharded products rebuild every shard concurrently; each shard keeps
-// its own sub-domain and derived seed, and all shards land on the same
-// new epoch, so a set never publishes a torn mix of epochs.
+// The paper has no update algorithm: a new epoch is its four
+// construction steps run again on the mutated table, and every
+// subdomain's list holds every record, so any real mutation changes
+// every list and every signature. Apply is therefore Outsource's own
+// build of the mutated table under the options the original Outsource
+// was given — a sharded product keeps its plan, never re-planned — and
+// its stages report to that call's WithProgress callback. The result is
+// byte-identical to a full Outsource of the mutated table at the same
+// epoch (and, for a set, under WithPlan of the same plan), at any
+// worker count; every shard lands on the one new epoch, so a set never
+// publishes a torn mix of epochs.
 func Apply(ctx context.Context, prev *Result, muts ...Mutation) (*Result, error) {
 	if prev == nil {
 		return nil, fmt.Errorf("build: Apply needs the previous Result")
@@ -84,47 +82,17 @@ func Apply(ctx context.Context, prev *Result, muts ...Mutation) (*Result, error)
 	if len(muts) == 0 {
 		return nil, fmt.Errorf("build: empty mutation batch")
 	}
-	owners := prev.owners
-	if len(owners) == 0 {
+	if prev.spec.Signer == nil {
 		return nil, fmt.Errorf("build: result is serve-only (no owner retained; e.g. reconstructed from an artifact); apply mutations on the owner's build and publish a new epoch")
 	}
-	epoch := owners[0].Epoch()
-	for i, o := range owners {
-		if o.Epoch() != epoch {
-			return nil, fmt.Errorf("build: shard %d is at epoch %d but shard 0 is at %d; refusing to mutate a torn set", i, o.Epoch(), epoch)
-		}
-	}
-	tbl, err := mutate(owners[0].Table(), muts)
+	spec, o := prev.spec, prev.opts
+	tbl, err := mutate(spec.Table, muts)
 	if err != nil {
 		return nil, err
 	}
-	next := &Result{Plan: prev.Plan, owners: make([]*core.Owner, len(owners))}
-	errs := make([]error, len(owners))
-	runErr := pool.RunCtx(ctx, len(owners), len(owners), func(_, i int) {
-		applied, err := owners[i].ApplyCtx(ctx, tbl)
-		if err != nil && prev.Set != nil {
-			err = fmt.Errorf("shard %d: %w", i, err)
-		}
-		next.owners[i], errs[i] = applied, err
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	next.Public = next.owners[0].Public()
-	if prev.Set == nil {
-		next.Tree = next.owners[0].Tree
-		return next, nil
-	}
-	next.Set = &shard.Set{Plan: prev.Set.Plan, Trees: make([]*core.Tree, len(owners))}
-	for i, o := range next.owners {
-		next.Set.Trees[i] = o.Tree
-	}
-	return next, nil
+	spec.Table = tbl
+	o.epoch = prev.Public.Epoch + 1
+	return outsource(ctx, spec, o)
 }
 
 // mutate applies a mutation batch to a table snapshot and returns the

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"aqverify/internal/core"
@@ -232,5 +234,113 @@ func TestApplyFallback(t *testing.T) {
 	}
 	if next.Tree.Fingerprint() != full.Tree.Fingerprint() {
 		t.Fatal("fallback apply differs from a direct rebuild")
+	}
+}
+
+// TestApplyKeepsThePlan: a sharded product's plan is fixed by the build
+// that made it, so Apply rebuilds under that plan even when its planner
+// would cut the mutated table elsewhere, and a one-shard set stays a
+// set. TestApplyEquivalence cannot see this: re-planning never moves
+// even cuts.
+func TestApplyKeepsThePlan(t *testing.T) {
+	ctx := context.Background()
+	spec := testSpec(t, 40, 13, workload.Gaussian)
+	opts := []Option{WithMode(verify.MultiSignature), WithShuffle(13)}
+	prev, err := Outsource(ctx, spec, append(opts, WithShards(3, 0), WithPlanner(QuantileCuts))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Deleting a third of the table redistributes the breakpoints.
+	var muts []Mutation
+	for i := 0; i < 14; i++ {
+		muts = append(muts, Delete(i))
+	}
+	mutated, err := mutate(spec.Table, muts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutSpec := spec
+	mutSpec.Table = mutated
+	replanned, err := QuantileCuts(ctx, PlanRequest{Spec: mutSpec, K: 3, Axis: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(replanned.Cuts, prev.Plan.Cuts) {
+		t.Fatalf("the mutation leaves the quantile cuts at %v; the test needs one that moves them", prev.Plan.Cuts)
+	}
+
+	next, err := Apply(ctx, prev, muts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(next.Plan.Cuts, prev.Plan.Cuts) || !slices.Equal(next.Set.Plan.Cuts, prev.Plan.Cuts) {
+		t.Fatalf("Apply re-planned: cuts %v (set %v), built under %v", next.Plan.Cuts, next.Set.Plan.Cuts, prev.Plan.Cuts)
+	}
+	full, err := Outsource(ctx, mutSpec, append(opts, WithPlan(prev.Plan), WithEpoch(2))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at, ft := treesOf(t, next), treesOf(t, full)
+	if len(at) != len(ft) {
+		t.Fatalf("apply built %d trees, WithPlan build %d", len(at), len(ft))
+	}
+	for i := range at {
+		if at[i].Fingerprint() != ft[i].Fingerprint() {
+			t.Errorf("tree %d: Apply differs from Outsource under the original plan", i)
+		}
+	}
+
+	one, err := Outsource(ctx, spec, append(opts, WithShards(1, 0))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneNext, err := Apply(ctx, one, Delete(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oneNext.Set == nil || oneNext.Tree != nil || oneNext.Set.NumShards() != 1 {
+		t.Fatal("a one-shard set is no longer a set after Apply")
+	}
+}
+
+// TestApplyProgress: Apply reports every stage of its build to the
+// original WithProgress callback, attributed as the original build
+// was — ShardNone for a single tree, each shard's index for a set.
+func TestApplyProgress(t *testing.T) {
+	ctx := context.Background()
+	spec := testSpec(t, 30, 17, workload.Gaussian)
+	for _, shards := range []int{0, 3} {
+		var mu sync.Mutex
+		stages := map[int][]core.Stage{}
+		opts := []Option{WithShuffle(17), WithProgress(func(p Progress) {
+			mu.Lock()
+			defer mu.Unlock()
+			stages[p.Shard] = append(stages[p.Shard], p.Stage)
+		})}
+		want := []int{ShardNone}
+		if shards > 0 {
+			opts = append(opts, WithShards(shards, 0))
+			want = []int{0, 1, 2}
+		}
+		prev, err := Outsource(ctx, spec, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built := stages
+		stages = map[int][]core.Stage{}
+		if _, err := Apply(ctx, prev, Delete(2), Insert(record.Record{ID: 6000001, Attrs: []float64{0.3, -0.2}})); err != nil {
+			t.Fatal(err)
+		}
+		if len(stages) != len(want) {
+			t.Fatalf("shards=%d: Apply reported for %d attributions, want %v", shards, len(stages), want)
+		}
+		for _, sh := range want {
+			if len(stages[sh]) == 0 {
+				t.Fatalf("shards=%d: Apply reported no stage for shard %d", shards, sh)
+			}
+			if !slices.Equal(stages[sh], built[sh]) {
+				t.Errorf("shards=%d shard %d: Apply reported %v, Outsource %v", shards, sh, stages[sh], built[sh])
+			}
+		}
 	}
 }

@@ -13,10 +13,14 @@
 // one saved set, each process opening its shard with
 // artifact.OpenShard), WithPlanner for density-adaptive cuts
 // (QuantileCuts balances skewed workloads), WithWorkers bounds every
-// stage's worker pool, and WithProgress observes stage starts. The
-// result is byte-identical for every worker count, and a done ctx
-// aborts mid-stage and returns ctx.Err() — every stage runs under
-// pool.RunCtx (see core.BuildCtx, shard.BuildCtx).
+// stage's worker pool, and WithProgress observes stage starts.
+//
+// Every product is built by one loop over a shard plan's boxes, one
+// core.BuildCtx per box, run concurrently: a single tree is the
+// one-box plan over the whole domain. Apply is that same loop over the
+// mutated table at the next epoch. The result is byte-identical for
+// every worker count, and a done ctx aborts mid-stage and returns
+// ctx.Err() — every stage runs under pool.RunCtx (see core.BuildCtx).
 package build
 
 import (
@@ -26,6 +30,7 @@ import (
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
+	"aqverify/internal/pool"
 	"aqverify/internal/record"
 	"aqverify/internal/shard"
 	"aqverify/internal/sig"
@@ -62,9 +67,9 @@ type Progress struct {
 // Result is one product of the build plane. Exactly one of Tree and Set
 // is non-nil — which one follows from the options: Tree for the default
 // single-tree product, Set for WithShards / WithPlan. Both hold serving
-// trees only: the owner's side of each tree — its build parameters,
-// signer and record digests — is unexported, held by a Result that
-// Outsource or Apply returned and absent from one artifact.Open
+// trees only: the owner's side — the Spec (with its signing key) and
+// the options that built the product — is unexported, held by a Result
+// that Outsource or Apply returned and absent from one artifact.Open
 // reconstructed.
 type Result struct {
 	// Tree is the built IFMH-tree (the single-tree product, or one shard
@@ -79,14 +84,21 @@ type Result struct {
 	// Public is the parameter bundle the owner publishes for verifying
 	// clients (shards share the single-tree bundle).
 	Public verify.PublicParams
-	// owners holds one owner per tree, index-aligned with Plan.Boxes;
-	// nil for a Result reconstructed from an artifact.
+	// spec and opts are the owner's state between epochs: the table,
+	// template, domain and key, and the resolved options — a sharded
+	// product's plan among them, so Apply never re-plans. Both are zero
+	// for a Result reconstructed from an artifact.
+	spec Spec
+	opts options
+	// owners holds one owner per tree, index-aligned with Plan.Boxes,
+	// for Stats; nil for a Result reconstructed from an artifact.
 	owners []*core.Owner
 }
 
 // Stats returns each built tree's footprint, index-aligned with
-// Plan.Boxes, counting its sweep's transpositions (Stats.TotalSwaps). A Result reconstructed from an artifact has no
-// owners and returns none; its trees' own Stats read zero swaps.
+// Plan.Boxes, counting its sweep's transpositions (Stats.TotalSwaps).
+// A Result reconstructed from an artifact has no owners and returns
+// none; its trees' own Stats read zero swaps.
 func (r *Result) Stats() []core.Stats {
 	out := make([]core.Stats, len(r.owners))
 	for i, o := range r.owners {
@@ -141,10 +153,11 @@ func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
 func WithEpoch(e uint64) Option { return func(o *options) { o.epoch = e } }
 
 // WithProgress observes every construction stage as it starts — of this
-// Outsource call and, since the product's owners retain the callback, of
-// every Apply on its Result. fn must be cheap, must not block, and — for
-// sharded products, whose K shard builds run concurrently — must be safe
-// for concurrent use.
+// Outsource call and, since the Result keeps its options, of every
+// Apply on it, with the same attribution (ShardNone for a single tree,
+// the shard index for a set). fn must be cheap, must not block, and —
+// for sharded products, whose K shard builds run concurrently — must be
+// safe for concurrent use.
 func WithProgress(fn func(Progress)) Option { return func(o *options) { o.progress = fn } }
 
 // WithPlan asks for a domain-sharded product built under an explicit
@@ -193,59 +206,88 @@ func Outsource(ctx context.Context, spec Spec, opts ...Option) (*Result, error) 
 	if o.plan != nil && o.shardsSet {
 		return nil, fmt.Errorf("build: WithPlan and WithShards are mutually exclusive")
 	}
-	if o.shardsSet && o.shards < 1 {
-		return nil, fmt.Errorf("build: need at least one shard, got %d", o.shards)
-	}
-	params := core.Params{
-		Mode:     o.mode,
-		Signer:   spec.Signer,
-		Domain:   spec.Domain,
-		Template: spec.Template,
-		Seed:     o.seed,
-		Workers:  o.workers,
-		Epoch:    o.epoch,
-	}
-
-	if o.plan == nil && !o.shardsSet {
-		params.Progress = o.stageFn(ShardNone)
-		owner, err := core.BuildCtx(ctx, spec.Table, params)
-		if err != nil {
-			return nil, err
+	if o.shardsSet {
+		if o.shards < 1 {
+			return nil, fmt.Errorf("build: need at least one shard, got %d", o.shards)
 		}
-		trivial, err := shard.NewPlanCuts(spec.Domain, 0, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Tree: owner.Tree, Plan: trivial, Public: owner.Public(), owners: []*core.Owner{owner}}, nil
-	}
-
-	var plan shard.Plan
-	if o.plan != nil {
-		plan = *o.plan
-	} else {
 		planner := o.planner
 		if planner == nil {
 			planner = EvenCuts
 		}
-		p, err := planner(ctx, PlanRequest{Spec: spec, K: o.shards, Axis: o.axis})
+		plan, err := planner(ctx, PlanRequest{Spec: spec, K: o.shards, Axis: o.axis})
 		if err != nil {
 			return nil, err
 		}
-		plan = p
+		o.plan, o.shardsSet = &plan, false
 	}
-
-	set, owners, err := shard.BuildCtx(ctx, spec.Table, params, plan, o.perShard())
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Set: set, Plan: plan, Public: set.Public(), owners: owners}, nil
+	return outsource(ctx, spec, o)
 }
 
-// perShard adapts the progress callback to the set builder's per-shard
-// hook.
-func (o *options) perShard() shard.PerShardProgress {
-	if o.progress == nil {
-		return nil
+// outsource builds the product of resolved options — o.plan is the
+// set's plan, or nil for a single tree — through one concurrent loop:
+// box i of the plan is built by core.BuildCtx with that box as its
+// domain and seed+i as its shape seed. A single tree is the trivial
+// one-box plan over the whole domain; its stages report as ShardNone
+// and its errors carry no shard prefix. A set's errors name the shard,
+// the lowest failing index first.
+func outsource(ctx context.Context, spec Spec, o options) (*Result, error) {
+	sharded := o.plan != nil
+	var plan shard.Plan
+	if sharded {
+		plan = *o.plan
+		if plan.K() == 0 {
+			return nil, fmt.Errorf("build: empty plan; use shard.NewPlan")
+		}
+		if !spec.Domain.Equal(plan.Domain) {
+			return nil, fmt.Errorf("build: plan covers %v-%v but Spec.Domain is %v-%v",
+				plan.Domain.Lo, plan.Domain.Hi, spec.Domain.Lo, spec.Domain.Hi)
+		}
+	} else {
+		var err error
+		if plan, err = shard.NewPlanCuts(spec.Domain, 0, nil); err != nil {
+			return nil, err
+		}
 	}
-	return func(i int) func(core.Stage, int) { return o.stageFn(i) }
+
+	k := plan.K()
+	owners := make([]*core.Owner, k)
+	errs := make([]error, k)
+	runErr := pool.RunCtx(ctx, k, k, func(_, i int) {
+		sh := ShardNone
+		if sharded {
+			sh = i
+		}
+		owners[i], errs[i] = core.BuildCtx(ctx, spec.Table, core.Params{
+			Mode:     o.mode,
+			Signer:   spec.Signer,
+			Domain:   plan.Boxes[i],
+			Template: spec.Template,
+			Seed:     o.seed + int64(i),
+			Workers:  o.workers,
+			Progress: o.stageFn(sh),
+			Epoch:    o.epoch,
+		})
+		if errs[i] != nil && sharded {
+			errs[i] = fmt.Errorf("shard %d: %w", i, errs[i])
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	if runErr != nil {
+		return nil, runErr
+	}
+
+	r := &Result{Plan: plan, Public: owners[0].Public(), spec: spec, opts: o, owners: owners}
+	if !sharded {
+		r.Tree = owners[0].Tree
+		return r, nil
+	}
+	r.Set = &shard.Set{Plan: plan, Trees: make([]*core.Tree, k)}
+	for i, ow := range owners {
+		r.Set.Trees[i] = ow.Tree
+	}
+	return r, nil
 }

@@ -110,21 +110,6 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Owner, error) {
 	return o, nil
 }
 
-// ApplyCtx re-outsources the owner's table after a mutation: it is
-// BuildCtx of tbl, the mutated table, under the retained parameters,
-// hasher and progress callback at the next epoch. The receiver is left
-// untouched, so a server can keep answering from its snapshot while the
-// next epoch builds. The paper has no update algorithm — its
-// construction is the four from-scratch steps of §3.1 — and every
-// subdomain's list holds every record, so any real mutation changes
-// every list and every signature.
-func (o *Owner) ApplyCtx(ctx context.Context, tbl record.Table) (*Owner, error) {
-	p := o.p
-	p.Epoch = o.epoch + 1
-	p.Hasher = o.hasher
-	return BuildCtx(ctx, tbl, p)
-}
-
 // progress reports one stage start to the configured callback, if any.
 func (p Params) progress(stage Stage, units int) {
 	if p.Progress != nil {

@@ -78,14 +78,13 @@ type Params struct {
 	// Progress, when non-nil, is invoked from the building goroutine at
 	// the start of every construction stage with the stage and the number
 	// of units (records, intersections, subdomains, tree nodes, ...) the
-	// stage is about to process. It must be cheap and must not block. The
-	// Owner retains it: ApplyCtx reports the stages of every later
-	// epoch's build to the same callback.
+	// stage is about to process. It must be cheap and must not block.
 	Progress func(stage Stage, units int)
 	// Epoch stamps the built tree's publication epoch. Zero means 1 —
-	// the first epoch of a fresh outsourcing; ApplyCtx builds at the
-	// next one. Clients pin the epoch their verification ran
-	// against, so a bundle's epoch is part of its published identity.
+	// the first epoch of a fresh outsourcing; a mutated table is built
+	// again at the next one (build.Apply). Clients pin the epoch their
+	// verification ran against, so a bundle's epoch is part of its
+	// published identity.
 	Epoch uint64
 }
 
@@ -147,12 +146,13 @@ type Tree struct {
 	sigCount   int
 }
 
-// Owner is the data owner's side of one published tree: the serving
-// Tree it hands to the cloud, plus what the next epoch's build reads —
-// the build parameters (with the signing key and the progress callback)
-// and the instrumented hasher; the table is the Tree's. The 1-D sweep's
-// transposition count (Stats.TotalSwaps) is kept beside them. A server
-// is handed the embedded Tree, which reaches none of them.
+// Owner is the data owner's side of one built tree: the serving Tree it
+// hands to the cloud, plus the build parameters (with the signing key)
+// and the hasher its construction ran with, and the 1-D sweep's
+// transposition count (Stats.TotalSwaps). Nothing of it is read after
+// BuildCtx returns but the Tree and Stats: a later epoch is a fresh
+// BuildCtx of the mutated table (build.Apply). A server is handed the
+// embedded Tree, which reaches none of the rest.
 type Owner struct {
 	*Tree
 	p      Params

@@ -37,18 +37,6 @@ func Sub(a, b []float64) []float64 {
 	return out
 }
 
-// Add returns a new vector a + b.
-func Add(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("linalg: add of mismatched lengths %d and %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
 // Scale returns a new vector k*a.
 func Scale(k float64, a []float64) []float64 {
 	out := make([]float64, len(a))

@@ -6,7 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"aqverify/internal/core"
+	"aqverify/internal/build"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/metrics"
@@ -33,14 +33,13 @@ func shardedFixture(t *testing.T, k int) (*server.Server, *shard.Set, geometry.B
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, _, err := shard.BuildCtx(context.Background(), tbl, core.Params{
-		Mode: verify.MultiSignature, Signer: signer, Domain: dom,
-		Template: funcs.AffineLine(0, 1), Seed: 1,
-	}, plan, nil)
+	res, err := build.Outsource(context.Background(),
+		build.Spec{Table: tbl, Template: funcs.AffineLine(0, 1), Domain: dom, Signer: signer},
+		build.WithMode(verify.MultiSignature), build.WithShuffle(1), build.WithPlan(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newServer(t, sharded(t, set)), set, dom
+	return newServer(t, sharded(t, res.Set)), res.Set, dom
 }
 
 func TestShardedServerBasics(t *testing.T) {

@@ -65,14 +65,13 @@ func shardedAtEpoch(t *testing.T, k int, epoch uint64) *shard.Set {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, _, err := shard.BuildCtx(context.Background(), tbl, core.Params{
-		Mode: verify.MultiSignature, Signer: signer, Domain: dom,
-		Template: funcs.AffineLine(0, 1), Seed: 1, Epoch: epoch,
-	}, plan, nil)
+	res, err := build.Outsource(context.Background(),
+		build.Spec{Table: tbl, Template: funcs.AffineLine(0, 1), Domain: dom, Signer: signer},
+		build.WithMode(verify.MultiSignature), build.WithShuffle(1), build.WithEpoch(epoch), build.WithPlan(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return set
+	return res.Set
 }
 
 // TestSwapPublishesNewEpoch pins the single-tree accept/reject matrix:

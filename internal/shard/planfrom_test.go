@@ -1,9 +1,10 @@
-package shard
+package shard_test
 
 import (
 	"testing"
 
 	"aqverify/internal/geometry"
+	"aqverify/internal/shard"
 )
 
 // TestPlanFromBoxes: the plan survives the round trip through its own
@@ -12,7 +13,7 @@ func TestPlanFromBoxes(t *testing.T) {
 	dom := geometry.MustBox([]float64{0, -1, 2}, []float64{8, 1, 5})
 	for _, axis := range []int{0, 1, 2} {
 		plan := mustPlan(t, dom, axis, 4)
-		got, err := PlanFromBoxes(plan.Boxes)
+		got, err := shard.PlanFromBoxes(plan.Boxes)
 		if err != nil {
 			t.Fatalf("axis %d: %v", axis, err)
 		}
@@ -29,7 +30,7 @@ func TestPlanFromBoxes(t *testing.T) {
 		}
 	}
 	// Trivial single-box plan.
-	single, err := PlanFromBoxes([]geometry.Box{dom})
+	single, err := shard.PlanFromBoxes([]geometry.Box{dom})
 	if err != nil || single.K() != 1 {
 		t.Fatalf("single box: K=%d err=%v", single.K(), err)
 	}
@@ -40,28 +41,28 @@ func TestPlanFromBoxesRejects(t *testing.T) {
 	box := func(lo, hi float64) geometry.Box {
 		return geometry.MustBox([]float64{lo, 0}, []float64{hi, 1})
 	}
-	if _, err := PlanFromBoxes(nil); err == nil {
+	if _, err := shard.PlanFromBoxes(nil); err == nil {
 		t.Error("empty box list accepted")
 	}
 	// Gap between boxes.
-	if _, err := PlanFromBoxes([]geometry.Box{box(0, 1), box(2, 3)}); err == nil {
+	if _, err := shard.PlanFromBoxes([]geometry.Box{box(0, 1), box(2, 3)}); err == nil {
 		t.Error("gapped tiling accepted")
 	}
 	// Overlap.
-	if _, err := PlanFromBoxes([]geometry.Box{box(0, 2), box(1, 3)}); err == nil {
+	if _, err := shard.PlanFromBoxes([]geometry.Box{box(0, 2), box(1, 3)}); err == nil {
 		t.Error("overlapping tiling accepted")
 	}
 	// Wrong order (right box first).
-	if _, err := PlanFromBoxes([]geometry.Box{box(1, 2), box(0, 1)}); err == nil {
+	if _, err := shard.PlanFromBoxes([]geometry.Box{box(1, 2), box(0, 1)}); err == nil {
 		t.Error("unordered tiling accepted")
 	}
 	// Disagreement on the other axis.
 	odd := geometry.MustBox([]float64{1, 0}, []float64{2, 4})
-	if _, err := PlanFromBoxes([]geometry.Box{box(0, 1), odd}); err == nil {
+	if _, err := shard.PlanFromBoxes([]geometry.Box{box(0, 1), odd}); err == nil {
 		t.Error("off-axis disagreement accepted")
 	}
 	// Mixed dimensionality.
-	if _, err := PlanFromBoxes([]geometry.Box{box(0, 1), geometry.MustBox([]float64{1}, []float64{2})}); err == nil {
+	if _, err := shard.PlanFromBoxes([]geometry.Box{box(0, 1), geometry.MustBox([]float64{1}, []float64{2})}); err == nil {
 		t.Error("mixed dimensions accepted")
 	}
 }

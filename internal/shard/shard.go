@@ -1,12 +1,12 @@
 // Package shard splits one logical outsourced database across several
 // independently built and signed IFMH-trees, partitioned by domain: a
 // Plan cuts the owner-specified domain into K contiguous sub-boxes along
-// one axis, BuildCtx constructs one core.Tree per sub-box in parallel (each
-// reusing core.Params.Workers internally), and Plan.RouteQuery maps
-// every query's function input to the one shard whose sub-box owns it
-// (Plan.Group does a batch's worth). The package answers nothing:
-// backend.Sharded serves a Set, backend.Fanout K remote shards, both by
-// these two routines.
+// one axis, a Set holds one core.Tree per sub-box, and Plan.RouteQuery
+// maps every query's function input to the one shard whose sub-box owns
+// it (Plan.Group does a batch's worth). The package builds nothing —
+// build.Outsource constructs a Set, one core.BuildCtx per box — and
+// answers nothing: backend.Sharded serves a Set, backend.Fanout K remote
+// shards, both by these two routines.
 //
 // Sharding is transparent to verification. Every shard holds the full
 // record table — the split is over the query domain, not the rows — so a

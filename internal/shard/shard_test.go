@@ -1,4 +1,4 @@
-package shard
+package shard_test
 
 import (
 	"context"
@@ -6,17 +6,18 @@ import (
 	"math/rand"
 	"testing"
 
-	"aqverify/internal/core"
+	"aqverify/internal/build"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
+	"aqverify/internal/shard"
 	"aqverify/internal/sig"
 	"aqverify/internal/verify"
 	"aqverify/internal/workload"
 )
 
-func buildSets(t *testing.T, mode verify.Mode, n, k int) (*Set, *Set, geometry.Box) {
+func buildSets(t *testing.T, mode verify.Mode, n, k int) (*shard.Set, *shard.Set, geometry.Box) {
 	t.Helper()
 	tbl, dom, err := workload.Lines(workload.LinesConfig{N: n, Seed: 1})
 	if err != nil {
@@ -26,24 +27,32 @@ func buildSets(t *testing.T, mode verify.Mode, n, k int) (*Set, *Set, geometry.B
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := core.Params{
-		Mode: mode, Signer: signer, Domain: dom,
-		Template: funcs.AffineLine(0, 1), Seed: 1,
-	}
-	single, _, err := BuildCtx(context.Background(), tbl, p, mustPlan(t, dom, 0, 1), nil)
+	spec := build.Spec{Table: tbl, Template: funcs.AffineLine(0, 1), Domain: dom, Signer: signer}
+	single, err := buildSet(spec, mode, mustPlan(t, dom, 0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, _, err := BuildCtx(context.Background(), tbl, p, mustPlan(t, dom, 0, k), nil)
+	sharded, err := buildSet(spec, mode, mustPlan(t, dom, 0, k))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return single, sharded, dom
 }
 
+// buildSet builds the set of one plan through the build plane, at shape
+// seed 1.
+func buildSet(spec build.Spec, mode verify.Mode, plan shard.Plan) (*shard.Set, error) {
+	res, err := build.Outsource(context.Background(), spec,
+		build.WithMode(mode), build.WithShuffle(1), build.WithPlan(plan))
+	if err != nil {
+		return nil, err
+	}
+	return res.Set, nil
+}
+
 // process routes q to its owning shard and answers it there — what
 // every sharded dispatcher does — returning the shard index alongside.
-func process(s *Set, q query.Query) (int, *verify.Answer, error) {
+func process(s *shard.Set, q query.Query) (int, *verify.Answer, error) {
 	id, err := s.Plan.RouteQuery(q)
 	if err != nil {
 		return -1, nil, err
@@ -52,9 +61,9 @@ func process(s *Set, q query.Query) (int, *verify.Answer, error) {
 	return id, ans, err
 }
 
-func mustPlan(t *testing.T, dom geometry.Box, axis, k int) Plan {
+func mustPlan(t *testing.T, dom geometry.Box, axis, k int) shard.Plan {
 	t.Helper()
-	plan, err := NewPlan(dom, axis, k)
+	plan, err := shard.NewPlan(dom, axis, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,24 +209,24 @@ func TestRouteBoundaryDeterministic(t *testing.T) {
 // TestPlanValidation covers the plan constructors' error paths.
 func TestPlanValidation(t *testing.T) {
 	dom := geometry.MustBox([]float64{0}, []float64{1})
-	if _, err := NewPlan(dom, 1, 2); err == nil {
+	if _, err := shard.NewPlan(dom, 1, 2); err == nil {
 		t.Error("out-of-range axis accepted")
 	}
-	if _, err := NewPlan(dom, 0, 0); err == nil {
+	if _, err := shard.NewPlan(dom, 0, 0); err == nil {
 		t.Error("zero shards accepted")
 	}
-	if _, err := NewPlanCuts(dom, 0, []float64{0}); err == nil {
+	if _, err := shard.NewPlanCuts(dom, 0, []float64{0}); err == nil {
 		t.Error("cut on the domain edge accepted")
 	}
-	if _, err := NewPlanCuts(dom, 0, []float64{0.6, 0.4}); err == nil {
+	if _, err := shard.NewPlanCuts(dom, 0, []float64{0.6, 0.4}); err == nil {
 		t.Error("descending cuts accepted")
 	}
 	for _, cuts := range [][]float64{{1}, {-0.5}, {0.5, 0.5}} {
-		if _, err := NewPlanCuts(dom, 0, cuts); err == nil {
+		if _, err := shard.NewPlanCuts(dom, 0, cuts); err == nil {
 			t.Errorf("cuts %v accepted", cuts)
 		}
 	}
-	plan, err := NewPlan(dom, 0, 1)
+	plan, err := shard.NewPlan(dom, 0, 1)
 	if err != nil || plan.K() != 1 || len(plan.Cuts) != 0 {
 		t.Fatalf("trivial plan = %+v, err %v", plan, err)
 	}
@@ -234,11 +243,8 @@ func TestBuildSharded2D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := core.Params{
-		Mode: verify.OneSignature, Signer: signer, Domain: dom,
-		Template: funcs.ScalarProduct(2), Seed: 1,
-	}
-	set, _, err := BuildCtx(context.Background(), tbl, p, mustPlan(t, dom, 1, 2), nil)
+	spec := build.Spec{Table: tbl, Template: funcs.ScalarProduct(2), Domain: dom, Signer: signer}
+	set, err := buildSet(spec, verify.OneSignature, mustPlan(t, dom, 1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +269,9 @@ func TestBuildSharded2D(t *testing.T) {
 	}
 }
 
-// TestBuildValidation covers the sharded builder's error paths.
+// TestBuildValidation covers the sharded build's plan checks: a plan is
+// outside input (WithPlan), so an empty one and one over another domain
+// are refused.
 func TestBuildValidation(t *testing.T) {
 	tbl, dom, err := workload.Lines(workload.LinesConfig{N: 20, Seed: 1})
 	if err != nil {
@@ -273,15 +281,12 @@ func TestBuildValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := core.Params{
-		Mode: verify.OneSignature, Signer: signer, Domain: dom,
-		Template: funcs.AffineLine(0, 1),
-	}
-	if _, _, err := BuildCtx(context.Background(), tbl, p, Plan{}, nil); err == nil {
+	spec := build.Spec{Table: tbl, Template: funcs.AffineLine(0, 1), Domain: dom, Signer: signer}
+	if _, err := buildSet(spec, verify.OneSignature, shard.Plan{}); err == nil {
 		t.Error("empty plan accepted")
 	}
 	other := geometry.MustBox([]float64{0}, []float64{1})
-	if _, _, err := BuildCtx(context.Background(), tbl, p, mustPlan(t, other, 0, 2), nil); err == nil {
+	if _, err := buildSet(spec, verify.OneSignature, mustPlan(t, other, 0, 2)); err == nil {
 		t.Error("plan over a different domain accepted")
 	}
 }

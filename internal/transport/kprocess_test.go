@@ -55,10 +55,7 @@ func kProcessFixture(t *testing.T, n, k int, mode verify.Mode) (front *httptest.
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, _, err := shard.BuildCtx(context.Background(), tbl, p, plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	set := buildSet(t, tbl, p, plan)
 	urls := make([]string, k)
 	for i, tree := range set.Trees {
 		urls[i] = startShardProcess(t, tree).URL

@@ -7,16 +7,31 @@ import (
 	"testing"
 
 	"aqverify/internal/backend"
+	"aqverify/internal/build"
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
+	"aqverify/internal/record"
 	"aqverify/internal/shard"
 	"aqverify/internal/sig"
 	"aqverify/internal/verify"
 	"aqverify/internal/wire"
 	"aqverify/internal/workload"
 )
+
+// buildSet builds the shard set of one plan through the build plane,
+// under p's mode, key and shape seed.
+func buildSet(t *testing.T, tbl record.Table, p core.Params, plan shard.Plan) *shard.Set {
+	t.Helper()
+	res, err := build.Outsource(context.Background(),
+		build.Spec{Table: tbl, Template: p.Template, Domain: p.Domain, Signer: p.Signer},
+		build.WithMode(p.Mode), build.WithShuffle(p.Seed), build.WithPlan(plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Set
+}
 
 func shardedHandler(t *testing.T, k int) (*Handler, *shard.Set, geometry.Box) {
 	t.Helper()
@@ -32,13 +47,10 @@ func shardedHandler(t *testing.T, k int) (*Handler, *shard.Set, geometry.Box) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, _, err := shard.BuildCtx(context.Background(), tbl, core.Params{
+	set := buildSet(t, tbl, core.Params{
 		Mode: verify.OneSignature, Signer: signer, Domain: dom,
 		Template: funcs.AffineLine(0, 1), Seed: 1,
-	}, plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, plan)
 	sb, err := backend.NewSharded(set)
 	if err != nil {
 		t.Fatal(err)

@@ -113,10 +113,7 @@ func TestStatsIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, _, err := shard.BuildCtx(context.Background(), tbl, p, plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	set := buildSet(t, tbl, p, plan)
 	single, err := core.BuildCtx(context.Background(), tbl, p)
 	if err != nil {
 		t.Fatal(err)

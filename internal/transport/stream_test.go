@@ -417,10 +417,7 @@ func TestFanoutStreamMidServerDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, _, err := shard.BuildCtx(context.Background(), tbl, p, plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	set := buildSet(t, tbl, p, plan)
 	urls := make([]string, 2)
 	for i, tree := range set.Trees {
 		srv := newServer(t, local(t, tree))
