@@ -53,3 +53,35 @@ func TestFlagsValidatedBeforeBuilding(t *testing.T) {
 		}
 	}
 }
+
+// TestArtifactHashesArePinned pins the content hash vqgen reports for
+// four builds of one n = 2 000 lines table: a change that moves any
+// signed byte of a univariate build (an order, a boundary, a tree
+// shape, an encoding) moves one of these, and must say why.
+func TestArtifactHashesArePinned(t *testing.T) {
+	base := []string{"-kind", "lines", "-n", "2000", "-seed", "1", "-keyseed", "7", "-outsource"}
+	for _, tc := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-mode", "multi", "-shards", "2"}, "c65deb04b035"},
+		{[]string{"-mode", "multi", "-shards", "4", "-planner", "quantile"}, "0ad978084a0c"},
+		{[]string{"-mode", "multi", "-shards", "4"}, "e0fb578f33b3"},
+		{[]string{"-mode", "one"}, "8fae72060847"},
+	} {
+		dir := filepath.Join(t.TempDir(), "A")
+		args := append(append(append([]string(nil), base...), tc.flags...), "-artifact", dir)
+		if err := run(args); err != nil {
+			t.Fatal(err)
+		}
+		o, err := artifact.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := o.Info.HashHex()[:12]
+		o.Close()
+		if got != tc.want {
+			t.Errorf("vqgen %v: artifact %s, pinned %s", tc.flags, got, tc.want)
+		}
+	}
+}
