@@ -759,7 +759,10 @@ func TestFormat2IsRefused(t *testing.T) {
 // server reads — between the records and the FMH forest. Both fixtures
 // are refused by version, and the blob the same build writes now is the
 // format-3 blob minus exactly that section, restamped and resealed, byte
-// for byte: no served byte moved.
+// for byte: no served byte moved. Since then a 1-D boundary has become
+// a float threshold, so the univariate fixture's IMH hyperplanes, every
+// hash over them and its signatures moved; what precedes the plan —
+// header, domain, schema and records — still matches byte for byte.
 func TestFormat3IsRefused(t *testing.T) {
 	for _, name := range oldFormatNames {
 		t.Run(name, func(t *testing.T) {
@@ -803,6 +806,12 @@ func TestFormat3IsRefused(t *testing.T) {
 
 			body := append(append([]byte(nil), old[:at]...), old[end:]...)
 			binary.BigEndian.PutUint32(body[len(magicTree):], formatVersion)
+			if s.Template.Dim() == 1 {
+				if !bytes.Equal(body[:at], blob[:at]) {
+					t.Errorf("the format-3 blob's first %d bytes, before its plan, are not the blob's written now", at)
+				}
+				return
+			}
 			if !bytes.Equal(reseal(body), blob) {
 				t.Errorf("the format-3 blob minus its %d-byte plan is not the %d-byte blob written now", end-at, len(blob))
 			}
@@ -851,9 +860,9 @@ func TestWorkedExample(t *testing.T) {
 	blob := mustRead(t, filepath.Join(dir, treeName))
 	blobHash := sha256.Sum256(blob[:len(blob)-32])
 
-	const wantManifest = "4151414d00000004010000000000000001000000002d04302a300506032b6570032100069d8d6980eaf1bca2e4118bc612a13f23791bf2c60ceef2692b581d27b0a1590000000b616666696e652d6c696e650000000100000000000000013e112e0be826d69500000001bff00000000000003ff000000000000000000000000000000000000112e8410829acaf9a8a4f06973e7e1b5c8a1af3d00c76e29bc6ca9d367eb9a76c052c359d85e930a416f2a65aea0caa8e6bc4451780feadcdb8072adef1f0791be5a8b9882cfd2d4b5e456cbc82d808239c22a6c472124abed3d0e08fff9e6c3d"
-	const wantBlobHash = "12e8410829acaf9a8a4f06973e7e1b5c8a1af3d00c76e29bc6ca9d367eb9a76c"
-	const wantArtifact = "e5a8b9882cfd2d4b5e456cbc82d808239c22a6c472124abed3d0e08fff9e6c3d"
+	const wantManifest = "4151414d00000004010000000000000001000000002d04302a300506032b6570032100069d8d6980eaf1bca2e4118bc612a13f23791bf2c60ceef2692b581d27b0a1590000000b616666696e652d6c696e650000000100000000000000013e112e0be826d69500000001bff00000000000003ff0000000000000000000000000000000000001f78f87787d692a94be9cacda96dc2e42020dfb37e30fb08df228c1667d3a6836cafb424b6e936672277474c60ffc613114b57cb08ca35e9f10644e01b8204c99931ab3e9c5f55fa659f39653c7bd39ed0effa39e78c410ebb4e9f32b81bd7229"
+	const wantBlobHash = "f78f87787d692a94be9cacda96dc2e42020dfb37e30fb08df228c1667d3a6836"
+	const wantArtifact = "931ab3e9c5f55fa659f39653c7bd39ed0effa39e78c410ebb4e9f32b81bd7229"
 	if manifestHex != wantManifest {
 		t.Errorf("manifest bytes drifted:\n got %s\nwant %s", manifestHex, wantManifest)
 	}

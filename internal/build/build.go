@@ -261,6 +261,7 @@ func outsource(ctx context.Context, spec Spec, o options) (*Result, error) {
 			Mode:     o.mode,
 			Signer:   spec.Signer,
 			Domain:   plan.Boxes[i],
+			OpenHi:   i < k-1,
 			Template: spec.Template,
 			Seed:     o.seed + int64(i),
 			Workers:  o.workers,

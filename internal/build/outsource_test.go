@@ -256,9 +256,12 @@ func TestOutsourceProgress(t *testing.T) {
 // first recorded from the insert-path construction (at the commit before
 // univariate trees were read straight off the arrangement) — treap
 // uniqueness checked end to end, through every hash and signature, and
-// the proof that no WithShuffle caller saw a byte move — and re-pinned
+// the proof that no WithShuffle caller saw a byte move — re-pinned
 // once, unchanged builds, when the fingerprint stopped hashing the sweep
-// plan (format 4).
+// plan (format 4), and again when a 1-D boundary became a float
+// threshold: every node hyperplane is x − τ, which moves the canonical
+// priorities, the tree shape, every IMH hash and, in multi-signature
+// mode, each subdomain's inequalities.
 func TestPinnedFingerprints(t *testing.T) {
 	ctx := context.Background()
 	spec := testSpec(t, 60, 3, workload.Gaussian)
@@ -268,17 +271,17 @@ func TestPinnedFingerprints(t *testing.T) {
 		want   []string
 	}{
 		{verify.OneSignature, 0, []string{
-			"a7e3a5dd91006282a2aed08a05a8559e6ab5b67fcec055cfb034e7cada196331"}},
+			"014e098b89f28f064a1f37d92eec938d41a94e3d75fafaaa213471538f4969ea"}},
 		{verify.OneSignature, 3, []string{
-			"245e52b5c6d0c3d3b3e3eb7043df133684d7a01b9a56bb0fd7681f648559204c",
-			"d70eea212333bd45ed910264be06735064c97cf03bb6494f0502162cdbb01a3d",
-			"1fbbd344484143e1dcef3275d383168f7328faec656d3da5b42999053d26a8c1"}},
+			"a0dfe60150eb4536466f250fd8d73230e5a0598e8b3fdeee0da45dbeaa4275f5",
+			"61c995a9c9bc793d481fa0c1ed701f7e2090f58b65fb856e0cdffb81ea2cf03f",
+			"a6fc0d61ed090e115be7b312eed294e45c52f2a30d118270638d2b4fc391c872"}},
 		{verify.MultiSignature, 0, []string{
-			"1499b535811f73a67f2fed425ff93df994821f76af44ff1b8508bbd0ffb6a513"}},
+			"ff3899821efbd9e6555b61c556ba5e8189fa3b44f22070630b39154e69f93cff"}},
 		{verify.MultiSignature, 3, []string{
-			"b73a8ae3252fdcc111244c68b095a50dfebe8d0c498d7e20b4fa2367a3a76cff",
-			"631e88d6f00480600187303028cee10f401a67a4ce26a8a6cfedd792609f6ae9",
-			"03ba0b69bb5f1bdec648ea68a9b4325a39cebdbd9e68bd422f1339ee266e791b"}},
+			"509fc4c84917d9dddf346f24abc6b300a4887abb9bc1c2aa8d0f29155e91ec37",
+			"e11dc4dedca644d1c70cd232b6a45c143444c79452b75a03ae873e3fabfc341f",
+			"d0e5a0b25380f507be26a521cc0d023fc9a39d0304938ec8805d7e911d4e1a74"}},
 	} {
 		opts := []Option{WithMode(c.mode), WithShuffle(5)}
 		if c.shards > 0 {

@@ -40,9 +40,9 @@ func EvenCuts(_ context.Context, req PlanRequest) (shard.Plan, error) {
 //
 // The cuts are a function of the spec alone — a vqgen -plan preview
 // and the Outsource that follows it must derive the same plan — and are
-// placed on the exact breakpoint list of one itree.Pairs1DCtx call over
-// the whole domain, so the crossing rule and hyperplane convention stay
-// in one place.
+// placed on the thresholds of one itree.Pairs1DCtx call over the whole
+// domain, so the crossing rule and hyperplane convention stay in one
+// place.
 // Univariate templates only; for multivariate specs the breakpoint
 // density along one axis is not defined and QuantileCuts falls back to
 // EvenCuts.
@@ -68,10 +68,9 @@ func QuantileCuts(ctx context.Context, req PlanRequest) (shard.Plan, error) {
 	lo, hi := spec.Domain.Lo[0], spec.Domain.Hi[0]
 	bps := make([]float64, 0, len(inters))
 	for _, in := range inters {
-		// The hyperplane is dc·x + b; its root, rounded, is the
-		// breakpoint. A crossing just inside an edge may round onto it:
-		// the cuts must stay strictly interior.
-		if t := -in.H.B / in.H.C[0]; t > lo && t < hi {
+		// The hyperplane is x − τ: its root is the threshold τ exactly,
+		// in (lo, hi]. A cut must stay strictly interior.
+		if t := -in.H.B; t < hi {
 			bps = append(bps, t)
 		}
 	}

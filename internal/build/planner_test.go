@@ -3,6 +3,7 @@ package build
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -141,13 +142,30 @@ func TestQuantileCutsAreExactQuantiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, hi := spec.Domain.Lo[0], spec.Domain.Hi[0]
+	// rank is the owner's order at x: exact score, ties by index.
+	rank := func(i, j int, x float64) bool {
+		c := funcs.CmpAt(fs[i], fs[j], x)
+		return c < 0 || c == 0 && i < j
+	}
 	var bps []float64
 	for i := range fs {
 		for j := i + 1; j < len(fs); j++ {
-			// The rounded root of f_i − f_j; a root strictly inside
-			// rounds to [lo, hi], and rounding is monotone.
+			atHi := rank(i, j, hi)
+			if rank(i, j, lo) == atHi {
+				continue
+			}
+			// The threshold: the first float at which the pair is in
+			// its order at hi, walked to one float at a time from the
+			// rounded root of f_i − f_j. A cut is strictly inside.
 			h := funcs.Diff(fs[i], fs[j])
-			if t := -h.B / h.C[0]; t > lo && t < hi {
+			t := min(max(-h.B/h.C[0], math.Nextafter(lo, hi)), hi)
+			for rank(i, j, t) != atHi {
+				t = math.Nextafter(t, hi)
+			}
+			for t > math.Nextafter(lo, hi) && rank(i, j, math.Nextafter(t, lo)) == atHi {
+				t = math.Nextafter(t, lo)
+			}
+			if t < hi {
 				bps = append(bps, t)
 			}
 		}

@@ -3,9 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"aqverify/internal/fmh"
-	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/hashing"
 	"aqverify/internal/itree"
@@ -135,12 +135,17 @@ func fmhFromPerm(h *hashing.Hasher, recDigests []hashing.Digest, perm []int) (*f
 // of one from-scratch tree per subdomain. Then propagate and sign.
 func (o *Owner) build1D(ctx context.Context, recDigests []hashing.Digest) error {
 	p := o.p
-	space, err := itree.NewSpace1D(p.Domain)
+	dom := p.Domain
+	if p.OpenHi {
+		// Only the floats below the upper edge: the last leaf is [τ, hi).
+		dom = geometry.Box{Lo: dom.Lo, Hi: []float64{math.Nextafter(dom.Hi[0], math.Inf(-1))}}
+	}
+	space, err := itree.NewSpace1D(dom)
 	if err != nil {
 		return err
 	}
 	p.progress(StagePairs, o.table.Len())
-	inters, err := itree.Pairs1DCtx(ctx, o.fs, p.Domain)
+	inters, err := itree.Pairs1DCtx(ctx, o.fs, dom)
 	if err != nil {
 		return err
 	}
@@ -197,7 +202,7 @@ func (o *Owner) buildListsND(ctx context.Context, workers int, recDigests []hash
 		for i := lo; i < hi; i++ {
 			sub := subs[i]
 			w := o.itree.Space.Witness(sub.Region)
-			list, err := fmhFromPerm(h, recDigests, funcs.SortAt(o.fs, w))
+			list, err := fmhFromPerm(h, recDigests, itree.SortAt(o.fs, w))
 			if err != nil {
 				return err
 			}

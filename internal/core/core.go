@@ -59,6 +59,11 @@ type Params struct {
 	// Domain is the owner-specified bounded domain of the function
 	// variables; its dimension must match the template.
 	Domain geometry.Box
+	// OpenHi gives a univariate Domain's upper edge to the next shard,
+	// as shard.Plan routes a cut: the build partitions only the floats
+	// below it, so no leaf is the edge alone, which no query reaches.
+	// Set for every shard of a set but the last.
+	OpenHi bool
 	// Template interprets records as functions.
 	Template funcs.Template
 	// Hasher provides the one-way hash; nil means an uninstrumented

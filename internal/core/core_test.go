@@ -155,13 +155,12 @@ func TestSweepChainMatchesFreshLists(t *testing.T) {
 		for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
 			t.Run(fmt.Sprintf("%s/%v", name, mode), func(t *testing.T) {
 				tree := build1D(t, tbl, mode)
-				space := tree.itree.Space.(*itree.Space1D)
 				digests := make([]hashing.Digest, tbl.Len())
 				for i, rec := range tbl.Records {
 					digests[i] = tree.hasher.Record(rec)
 				}
 				for k, si := range tree.subs {
-					perm := funcs.SortAtRat(tree.fs, space.WitnessAt(si.Sub.Region))
+					perm := itree.SortAtExact(tree.fs, si.Sub.Region.(itree.Interval1D).Witness())
 					fresh, err := fmhFromPerm(tree.hasher, digests, perm)
 					if err != nil {
 						t.Fatal(err)

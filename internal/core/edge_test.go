@@ -141,14 +141,13 @@ func TestStatsInvariants(t *testing.T) {
 }
 
 // TestWitnessFallbackOnTiedFloats builds a tree whose distinct exact
-// breakpoints round to the same float or to adjacent floats: the line
+// crossings round to the same float or to adjacent floats: the line
 // y = 0 crossed by six parallel lines y = 3x − b whose intercepts b are
-// consecutive floats near 0.9, so the breakpoints b/3 lie 2/3 of an
-// ulp apart. No float lies strictly inside those subdomains, so
-// Space1D.WitnessAt falls back to the exact midpoint of the interval's
-// exact ends (WitnessRat). That witness must lie strictly inside the
-// exact interval, and every subdomain's list must be the exact sort of
-// the functions at its witness.
+// consecutive floats near 0.9, so the crossings b/3 lie 2/3 of an ulp
+// apart. A boundary is a float threshold, so crossings with no float
+// between them share one, and no leaf is without a float. Every float
+// of every leaf, from its lower end to the float below the next
+// threshold, must sort exactly as the leaf's list.
 func TestWitnessFallbackOnTiedFloats(t *testing.T) {
 	rows := [][2]float64{{0, 0}}
 	for b := 0.9; len(rows) < 7; b = math.Nextafter(b, 1) {
@@ -157,37 +156,31 @@ func TestWitnessFallbackOnTiedFloats(t *testing.T) {
 	tbl := tinyTable(t, rows...)
 	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
 		tree := build1D(t, tbl, mode)
-		if tree.NumSubdomains() != len(rows) {
-			t.Fatalf("%v: %d subdomains, want %d", mode, tree.NumSubdomains(), len(rows))
-		}
-		space := tree.itree.Space.(*itree.Space1D)
 		n := tbl.Len()
-		same, adjacent := 0, 0
+		// The floats within 16 ulps of 0.3, where the crossings lie.
+		near, far := 0.3, 0.3
+		for i := 0; i < 16; i++ {
+			near, far = math.Nextafter(near, 0), math.Nextafter(far, 1)
+		}
+		checked := 0
 		for id, si := range tree.subs {
 			iv := si.Sub.Region.(itree.Interval1D)
-			if next := math.Nextafter(iv.Lo, iv.Hi); iv.Lo == iv.Hi || next == iv.Hi {
-				if iv.Lo == iv.Hi {
-					same++
-				} else {
-					adjacent++
-				}
-				// No float fits: the witness is the exact midpoint.
-				w := space.WitnessRat(si.Sub.Region)
-				if w.Cmp(iv.LoRat()) <= 0 || w.Cmp(iv.HiRat()) >= 0 {
-					t.Fatalf("%v: subdomain %d: witness %v outside (%v, %v)", mode, id, w, iv.LoRat(), iv.HiRat())
-				}
-			}
 			got, err := si.List.Window(nil, 0, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := funcs.SortAtRat(tree.fs, space.WitnessAt(si.Sub.Region))
-			if !slices.Equal(got[1:n+1], want) {
-				t.Fatalf("%v: subdomain %d list reads %v, the sort at its witness says %v", mode, id, got[1:n+1], want)
+			for x := max(iv.Lo, near); x <= far && (x < iv.Hi || x == iv.Hi && !iv.HiStrict); x = math.Nextafter(x, 1) {
+				if want := itree.SortAtExact(tree.fs, x); !slices.Equal(got[1:n+1], want) {
+					t.Fatalf("%v: subdomain %d list reads %v, the exact sort at %v says %v", mode, id, got[1:n+1], x, want)
+				}
+				if sub := tree.itree.Search(geometry.Point{x}, nil, nil); sub.ID != id {
+					t.Fatalf("%v: %v is in subdomain %d, Search finds %d", mode, x, id, sub.ID)
+				}
+				checked++
 			}
 		}
-		if same == 0 || adjacent == 0 {
-			t.Fatalf("%v: %d subdomains between equal floats and %d between adjacent ones; want both", mode, same, adjacent)
+		if checked != 33 || tree.NumSubdomains() < 3 {
+			t.Fatalf("%v: checked %d floats in %d subdomains, want the 33 near the crossings in several", mode, checked, tree.NumSubdomains())
 		}
 	}
 }

@@ -317,10 +317,9 @@ func TestLeafIndexIsThePermutation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		space := snap.ITree.Space.(*itree.Space1D)
 		out := make([][]int, len(snap.ITree.Subs))
 		for id, sub := range snap.ITree.Subs {
-			out[id] = funcs.SortAtRat(fs, funcs.NewAt(space.WitnessRat(sub.Region)))
+			out[id] = itree.SortAtExact(fs, sub.Region.(itree.Interval1D).Witness())
 		}
 		return out
 	}
@@ -409,7 +408,7 @@ func TestNDLeavesAreTheSortedOrder(t *testing.T) {
 							continue
 						}
 						checked++
-						want := funcs.SortAt(fs, x)
+						want := itree.SortAt(fs, x)
 						for name, snap := range snaps {
 							sub := snap.ITree.Search(x, nil, nil)
 							visited[sub.ID] = true
@@ -438,7 +437,7 @@ func TestNDLeavesAreTheSortedOrder(t *testing.T) {
 // subdomain count and the sorted multiset of leaf orders must equal the
 // k = 0 tree's, and at 3 000 seeded inputs (skipping those within
 // 1e-9·2^k of a tie) the leaf the search lands in must hold
-// funcs.SortAt's order. Three dimensions are held at the split test
+// itree.SortAt's order. Three dimensions are held at the split test
 // itself (itree's TestSpaceNDSplitIsScaleInvariant): there a whole build
 // is not, because the canonical insertion order hashes the scaled
 // hyperplane bytes and the tolerance-based 3-D split depends on that
@@ -498,7 +497,7 @@ func TestNDOrderIsScaleInvariant(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if !slices.Equal(got[1:n+1], funcs.SortAt(fs, x)) {
+						if !slices.Equal(got[1:n+1], itree.SortAt(fs, x)) {
 							wrong++
 						}
 					}

@@ -8,12 +8,9 @@ import (
 )
 
 // exactCmp is the reference CmpAt must reproduce: the sign of
-// f(w) − g(w) in big.Rat arithmetic.
-func exactCmp(f, g Linear, at At) int {
-	w := at.w
-	if w == nil {
-		w = rat(at.x)
-	}
+// f(x) − g(x) in big.Rat arithmetic.
+func exactCmp(f, g Linear, x float64) int {
+	w := rat(x)
 	return f.EvalRat(w).Cmp(g.EvalRat(w))
 }
 
@@ -58,12 +55,9 @@ type battery struct {
 	cases, ties int
 }
 
-func (b *battery) all(lines []Linear, at At) {
+func (b *battery) all(lines []Linear, x float64) {
 	b.t.Helper()
-	w := at.w
-	if w == nil {
-		w = rat(at.x)
-	}
+	w := rat(x)
 	vals := make([]*big.Rat, len(lines))
 	for i, f := range lines {
 		vals[i] = f.EvalRat(w)
@@ -78,9 +72,9 @@ func (b *battery) all(lines []Linear, at At) {
 			if want == 0 {
 				b.ties++
 			}
-			if got := CmpAt(f, g, at); got != want {
-				b.t.Fatalf("CmpAt(%v·w%+v, %v·w%+v) at w=%v (x=%v) = %d, exact %d",
-					f.Coef[0], f.Bias, g.Coef[0], g.Bias, w, at.x, got, want)
+			if got := CmpAt(f, g, x); got != want {
+				b.t.Fatalf("CmpAt(%v·x%+v, %v·x%+v) at x=%v = %d, exact %d",
+					f.Coef[0], f.Bias, g.Coef[0], g.Bias, x, got, want)
 			}
 		}
 	}
@@ -93,8 +87,8 @@ func TestCmpAtMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	b := &battery{t: t}
 	// Random lines — normal, log-uniform over 1e±300 and special values —
-	// at random witnesses: float points and rational midpoints of two
-	// floats, as the sweep's witnesses are.
+	// at random floats, and at the float nearest the crossing of two of
+	// them, where most comparisons are near-ties.
 	for i := 0; i < 800; i++ {
 		lines := make([]Linear, 36)
 		for k := range lines {
@@ -108,17 +102,15 @@ func TestCmpAtMatchesExact(t *testing.T) {
 			}
 		}
 		x := rng.NormFloat64() * 4
-		if i%2 == 0 {
-			b.all(lines, AtFloat(x))
-		} else {
-			m := new(big.Rat).Add(rat(x), rat(x+rng.ExpFloat64()))
-			b.all(lines, NewAt(m.Quo(m, big.NewRat(2, 1))))
+		if bp := breakpoint(lines[2], lines[3]); i%2 == 1 && bp != nil {
+			x, _ = bp.Float64()
 		}
+		b.all(lines, x)
 	}
 	if b.cases < 1_000_000 {
 		t.Fatalf("only %d random cases", b.cases)
 	}
-	// The witness at a breakpoint and ±1 ulp from its float.
+	// The floats at a breakpoint and ±1 ulp from it.
 	for i := 0; i < 2_000; i++ {
 		f, g := line(rng.NormFloat64(), rng.NormFloat64()), line(rng.NormFloat64(), rng.NormFloat64())
 		if i%4 == 0 {
@@ -128,10 +120,9 @@ func TestCmpAtMatchesExact(t *testing.T) {
 		if bp == nil {
 			continue
 		}
-		b.all([]Linear{f, g}, NewAt(bp))
 		if x, _ := bp.Float64(); !math.IsInf(x, 0) {
 			for _, y := range []float64{x, math.Nextafter(x, math.Inf(-1)), math.Nextafter(x, math.Inf(1))} {
-				b.all([]Linear{f, g}, AtFloat(y))
+				b.all([]Linear{f, g}, y)
 			}
 		}
 	}
@@ -145,7 +136,7 @@ func TestCmpAtMatchesExact(t *testing.T) {
 			pencil[k] = line(c, y0-c*x0)
 		}
 		for _, y := range []float64{x0, math.Nextafter(x0, math.Inf(-1)), math.Nextafter(x0, math.Inf(1))} {
-			b.all(pencil, AtFloat(y))
+			b.all(pencil, y)
 		}
 	}
 	// Biases that cancel: large, equal or adjacent biases under small
@@ -157,7 +148,7 @@ func TestCmpAtMatchesExact(t *testing.T) {
 		if i%2 == 0 {
 			g.Bias = bias
 		}
-		b.all([]Linear{f, g}, AtFloat(rng.NormFloat64()))
+		b.all([]Linear{f, g}, rng.NormFloat64())
 	}
 	// Subnormal products that nearly cancel against a bias: a product
 	// below the normal range keeps only its absolute precision, and a
@@ -166,7 +157,17 @@ func TestCmpAtMatchesExact(t *testing.T) {
 	for i := 0; i < 4_000; i++ {
 		kf, kg, x := float64(rng.Intn(1<<20)), float64(rng.Intn(1<<20)), rng.NormFloat64()
 		bias := (math.Round((kf-kg)*x) + float64(rng.Intn(3)-1)) * ulp
-		b.all([]Linear{line(kf*ulp, 0), line(kg*ulp, bias)}, AtFloat(x))
+		b.all([]Linear{line(kf*ulp, 0), line(kg*ulp, bias)}, x)
+	}
+	// Lines crossing exactly at a float: dyadic slopes, points and
+	// heights, so every bias is exact, at the crossing and ±1 ulp.
+	for i := 0; i < 2_000; i++ {
+		x0, y0 := float64(rng.Intn(4096)-2048)/256, float64(rng.Intn(4096)-2048)/64
+		f, g := line(float64(rng.Intn(64)-32)/8, 0), line(float64(rng.Intn(64)-32)/8, 0)
+		f.Bias, g.Bias = y0-f.Coef[0]*x0, y0-g.Coef[0]*x0
+		for _, y := range []float64{x0, math.Nextafter(x0, math.Inf(-1)), math.Nextafter(x0, math.Inf(1))} {
+			b.all([]Linear{f, g}, y)
+		}
 	}
 	if b.ties == 0 {
 		t.Fatal("the battery constructed no exact tie")
@@ -175,12 +176,20 @@ func TestCmpAtMatchesExact(t *testing.T) {
 }
 
 // FuzzCmpAt holds CmpAt to the big.Rat comparison on arbitrary lines
-// at a float witness and at the exact midpoint of two floats.
+// at the floats lo and hi and at the float nearest their crossing,
+// where the float filter cannot decide and the exact stage must. The
+// seeds include near-ties and magnitudes from 1e-300 to 1e300.
 func FuzzCmpAt(f *testing.F) {
 	f.Add(1.0, 0.0, 2.0, 0.0, 0.0, 1.0)
 	f.Add(1.0, -1.0, -1.0, 1.0, 1.0, 1.0)
 	f.Add(1e-300, 1e300, -1e-300, 1e300, 5e-324, 0x1p-1022)
 	f.Add(0.1, 0.2, 0.30000000000000004, 0.0, 1.0, 3.0)
+	f.Add(-4.5, 4.5*0.26163459833063035, 3.5, -3.5*0.26163459833063035, 0.26163459833063035, 0.3)
+	f.Add(3.0, -0.9, 3.0, -0.9000000000000001, 0.3, 0.30000000000000004)
+	f.Add(1e300, -1e299, 1e-300, 0.0, 0.1, 1e-300)
+	f.Add(1e-300, 1e-301, -1e-300, -1e-301, -0.1, 1e300)
+	f.Add(0x1p499, 0x1p-400, -0x1p499, 0.0, 0x1p-899, 0x1p-500)
+	f.Add(6.103515625e-05, 0.0, 0.00390625, 0.0, -2e-323, 0.0)
 	f.Fuzz(func(t *testing.T, cf, bf, cg, bg, lo, hi float64) {
 		for _, v := range []float64{cf, bf, cg, bg, lo, hi} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -188,11 +197,49 @@ func FuzzCmpAt(f *testing.F) {
 			}
 		}
 		fl, gl := line(cf, bf), line(cg, bg)
-		m := new(big.Rat).Add(rat(lo), rat(hi))
-		for _, at := range []At{AtFloat(lo), NewAt(m.Quo(m, big.NewRat(2, 1)))} {
-			if got, want := CmpAt(fl, gl, at), exactCmp(fl, gl, at); got != want {
-				t.Fatalf("CmpAt = %d, exact %d (f=%v·w%+v, g=%v·w%+v, w=%v)", got, want, cf, bf, cg, bg, at.w)
+		xs := []float64{lo, hi}
+		if bp := breakpoint(fl, gl); bp != nil {
+			if x, _ := bp.Float64(); !math.IsInf(x, 0) {
+				xs = append(xs, x, math.Nextafter(x, math.Inf(-1)), math.Nextafter(x, math.Inf(1)))
+			}
+		}
+		for _, x := range xs {
+			if got, want := CmpAt(fl, gl, x), exactCmp(fl, gl, x); got != want {
+				t.Fatalf("CmpAt = %d, exact %d (f=%v·x%+v, g=%v·x%+v, x=%v)", got, want, cf, bf, cg, bg, x)
 			}
 		}
 	})
+}
+
+// TestExactStageMatchesEvalRat holds CmpAt's second stage alone to the
+// big.Rat comparison on near-ties, where the float filter gives way: it
+// must decide every input inside its range, and decide it exactly.
+func TestExactStageMatchesEvalRat(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	scaled := func() float64 { return rng.NormFloat64() * math.Pow(2, float64(rng.Intn(600)-300)) }
+	for i := 0; i < 20_000; i++ {
+		f, g := line(scaled(), scaled()), line(scaled(), scaled())
+		x := scaled()
+		if bp := breakpoint(f, g); bp != nil && i%4 != 0 {
+			if x, _ = bp.Float64(); math.IsInf(x, 0) || math.Abs(x) >= 0x1p500 {
+				continue
+			}
+			for k := rng.Intn(3); k > 0; k-- {
+				x = math.Nextafter(x, math.Inf(rng.Intn(2)*2-1))
+			}
+		}
+		got, ok := sign6(f.Coef[0], f.Bias, g.Coef[0], g.Bias, x)
+		inRange := true
+		for _, c := range []float64{f.Coef[0], g.Coef[0]} {
+			if c != 0 && x != 0 && math.Abs(c*x) < 0x1p-900 {
+				inRange = false
+			}
+		}
+		if ok != inRange {
+			t.Fatalf("sign6(%v·x%+v, %v·x%+v, x=%v): ok = %v, in range %v", f.Coef[0], f.Bias, g.Coef[0], g.Bias, x, ok, inRange)
+		}
+		if want := exactCmp(f, g, x); ok && got != want {
+			t.Fatalf("sign6(%v·x%+v, %v·x%+v, x=%v) = %d, exact %d", f.Coef[0], f.Bias, g.Coef[0], g.Bias, x, got, want)
+		}
+	}
 }

@@ -6,7 +6,6 @@
 package funcs
 
 import (
-	"cmp"
 	"fmt"
 	"math/big"
 
@@ -30,8 +29,8 @@ func (f Linear) Eval(x geometry.Point) float64 {
 	return linalg.Dot(f.Coef, []float64(x)) + f.Bias
 }
 
-// EvalRat returns f(X) in exact rational arithmetic for a rational input,
-// used when sorting functions at a subdomain witness must be exact.
+// EvalRat returns f(X) in exact rational arithmetic for a rational input:
+// CmpAt's last resort.
 func (f Linear) EvalRat(x *big.Rat) *big.Rat {
 	if len(f.Coef) != 1 {
 		panic(fmt.Sprintf("funcs: EvalRat needs a univariate function, got %d variables", len(f.Coef)))
@@ -148,24 +147,4 @@ func (t Template) InterpretTable(tbl record.Table) ([]Linear, error) {
 		out[i] = t.Interpret(i, r)
 	}
 	return out, nil
-}
-
-// SortAt returns the permutation of function indices sorted ascending by
-// score at x, with ties broken by function index so the order is total
-// and deterministic. perm[pos] is the index (into fs) of the function at
-// sorted position pos.
-func SortAt(fs []Linear, x geometry.Point) []int {
-	scores := make([]float64, len(fs))
-	for i, f := range fs {
-		scores[i] = f.Eval(x)
-	}
-	return sortedPerm(len(fs), func(a, b int) int { return cmp.Compare(scores[a], scores[b]) })
-}
-
-// SortAtRat is SortAt at an exact point, with exact comparisons (CmpAt)
-// for univariate functions, used at subdomain witnesses during
-// construction where float rounding near a breakpoint could misorder
-// nearly-equal scores.
-func SortAtRat(fs []Linear, at At) []int {
-	return sortedPerm(len(fs), func(a, b int) int { return CmpAt(fs[a], fs[b], at) })
 }

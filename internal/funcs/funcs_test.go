@@ -1,9 +1,11 @@
 package funcs
 
 import (
+	"cmp"
 	"math"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"aqverify/internal/geometry"
@@ -140,79 +142,6 @@ func TestInterpretTable(t *testing.T) {
 	}
 }
 
-func TestSortAt(t *testing.T) {
-	fs := []Linear{
-		{Index: 0, Coef: []float64{1}, Bias: 0},  // x
-		{Index: 1, Coef: []float64{-1}, Bias: 4}, // 4-x
-		{Index: 2, Coef: []float64{0}, Bias: 1},  // 1
-	}
-	perm := SortAt(fs, geometry.Point{0}) // scores 0, 4, 1
-	want := []int{0, 2, 1}
-	for i := range want {
-		if perm[i] != want[i] {
-			t.Fatalf("SortAt = %v, want %v", perm, want)
-		}
-	}
-	perm = SortAt(fs, geometry.Point{10}) // scores 10, -6, 1
-	want = []int{1, 2, 0}
-	for i := range want {
-		if perm[i] != want[i] {
-			t.Fatalf("SortAt(10) = %v, want %v", perm, want)
-		}
-	}
-}
-
-func TestSortAtTieBreaksByIndex(t *testing.T) {
-	fs := []Linear{
-		{Index: 0, Coef: []float64{0}, Bias: 5},
-		{Index: 1, Coef: []float64{0}, Bias: 5},
-		{Index: 2, Coef: []float64{0}, Bias: 5},
-	}
-	perm := SortAt(fs, geometry.Point{1})
-	for i, p := range perm {
-		if p != i {
-			t.Fatalf("tie-break order = %v, want identity", perm)
-		}
-	}
-}
-
-func TestSortAtRatMatchesSortAtAwayFromBreakpoints(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 50; trial++ {
-		n := 2 + rng.Intn(20)
-		fs := make([]Linear, n)
-		for i := range fs {
-			fs[i] = Linear{Index: i, Coef: []float64{rng.NormFloat64()}, Bias: rng.NormFloat64()}
-		}
-		// A random dyadic rational point converts exactly to float.
-		num := int64(rng.Intn(1024)) - 512
-		x := big.NewRat(num, 256)
-		xf, _ := x.Float64()
-		pRat := SortAtRat(fs, NewAt(x))
-		pFlt := SortAt(fs, geometry.Point{xf})
-		for i := range pRat {
-			if pRat[i] != pFlt[i] {
-				// Scores could genuinely tie only with probability ~0;
-				// verify before failing.
-				a, b := fs[pRat[i]], fs[pFlt[i]]
-				if a.Eval(geometry.Point{xf}) != b.Eval(geometry.Point{xf}) {
-					t.Fatalf("trial %d: rat=%v float=%v differ at %d", trial, pRat, pFlt, i)
-				}
-			}
-		}
-	}
-}
-
-func TestInversePerm(t *testing.T) {
-	perm := []int{2, 0, 3, 1}
-	inv := InversePerm(perm)
-	for pos, idx := range perm {
-		if inv[idx] != pos {
-			t.Fatalf("inv[%d] = %d, want %d", idx, inv[idx], pos)
-		}
-	}
-}
-
 // TestFunctionSortability validates the theorem the whole paper rests on:
 // within one subdomain (no breakpoints inside), the function order is the
 // same at every point.
@@ -255,10 +184,10 @@ func TestFunctionSortability(t *testing.T) {
 		if hi-mid < 1e-9 {
 			continue
 		}
-		base := SortAt(fs, geometry.Point{mid + (hi-mid)*0.5})
+		base := sortAt(fs, mid+(hi-mid)*0.5)
 		for k := 1; k <= 8; k++ {
 			x := mid + (hi-mid)*float64(k)/10
-			got := SortAt(fs, geometry.Point{x})
+			got := sortAt(fs, x)
 			for i := range base {
 				if got[i] != base[i] {
 					t.Fatalf("trial %d: order differs inside subdomain at x=%v", trial, x)
@@ -266,4 +195,17 @@ func TestFunctionSortability(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sortAt returns the function indices ascending by float score at x,
+// ties by index.
+func sortAt(fs []Linear, x float64) []int {
+	perm := make([]int, len(fs))
+	for i := range perm {
+		perm[i] = i
+	}
+	slices.SortStableFunc(perm, func(a, b int) int {
+		return cmp.Compare(fs[a].Eval(geometry.Point{x}), fs[b].Eval(geometry.Point{x}))
+	})
+	return perm
 }

@@ -17,8 +17,9 @@ import (
 type Point []float64
 
 // Hyperplane is the zero set {X : C·X + B = 0}. In this codebase a
-// hyperplane always arises as the difference of two record functions
-// f_i - f_j, so C and B are the coefficient and bias differences.
+// hyperplane arises as the difference of two record functions f_i - f_j,
+// so C and B are the coefficient and bias differences — or, in one
+// variable, as the threshold x − τ at which two functions change order.
 type Hyperplane struct {
 	C []float64
 	B float64

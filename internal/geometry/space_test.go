@@ -3,10 +3,13 @@
 package geometry_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/itree"
 )
@@ -18,10 +21,10 @@ func TestSpace1DPartition(t *testing.T) {
 	}
 	root := s.Root()
 
-	// 2x - 8 = 0 -> breakpoint x=4, positive slope: above is x >= 4.
-	above, below, ok := s.Partition(root, geometry.Hyperplane{C: []float64{2}, B: -8})
+	// The threshold x − 4 = 0: above is x >= 4, below x < 4.
+	above, below, ok := s.Partition(root, geometry.Hyperplane{C: []float64{1}, B: -4})
 	if !ok {
-		t.Fatal("hyperplane with interior breakpoint should split")
+		t.Fatal("threshold inside the interval should split")
 	}
 	if !s.Contains(above, geometry.Point{5}) || s.Contains(above, geometry.Point{3}) {
 		t.Error("above region should be x >= 4")
@@ -29,37 +32,31 @@ func TestSpace1DPartition(t *testing.T) {
 	if !s.Contains(below, geometry.Point{3}) || s.Contains(below, geometry.Point{5}) {
 		t.Error("below region should be x < 4")
 	}
-	// Boundary: above closed, below strict.
-	if !s.Contains(above, geometry.Point{4}) {
-		t.Error("above should include the breakpoint")
+	// Boundary: above closed, below strict, at the float 4 and beside it.
+	if !s.Contains(above, geometry.Point{4}) || s.Contains(above, geometry.Point{math.Nextafter(4, 0)}) {
+		t.Error("above should begin at the threshold")
 	}
-	if s.Contains(below, geometry.Point{4}) {
-		t.Error("below should exclude the breakpoint")
-	}
-
-	// Negative slope flips sides: -1*x + 4 >= 0 is x <= 4.
-	above2, below2, ok := s.Partition(root, geometry.Hyperplane{C: []float64{-1}, B: 4})
-	if !ok {
-		t.Fatal("split expected")
-	}
-	if !s.Contains(above2, geometry.Point{3}) || s.Contains(above2, geometry.Point{5}) {
-		t.Error("above of negative-slope hyperplane should be x <= 4")
-	}
-	if !s.Contains(below2, geometry.Point{5}) {
-		t.Error("below of negative-slope hyperplane should be x > 4")
+	if s.Contains(below, geometry.Point{4}) || !s.Contains(below, geometry.Point{math.Nextafter(4, 0)}) {
+		t.Error("below should end just before the threshold")
 	}
 
-	// Breakpoint outside the interval does not split.
-	if _, _, ok := s.Partition(root, geometry.Hyperplane{C: []float64{1}, B: -20}); ok {
-		t.Error("breakpoint x=20 is outside [0,10], must not split")
+	// A threshold outside the interval, or on its lower end, leaves no
+	// float on one side: no split.
+	for _, tau := range []float64{20, -1, 0} {
+		if _, _, ok := s.Partition(root, geometry.Hyperplane{C: []float64{1}, B: -tau}); ok {
+			t.Errorf("threshold %v must not split [0, 10]", tau)
+		}
 	}
-	// Breakpoint exactly at an endpoint does not split.
-	if _, _, ok := s.Partition(root, geometry.Hyperplane{C: []float64{1}, B: 0}); ok {
-		t.Error("breakpoint at endpoint must not split")
+	// One on the closed upper end splits off that float alone.
+	top, _, ok := s.Partition(root, geometry.Hyperplane{C: []float64{1}, B: -10})
+	if !ok || !s.Contains(top, geometry.Point{10}) || s.Contains(top, geometry.Point{math.Nextafter(10, 0)}) {
+		t.Error("threshold 10 should split off the float 10")
 	}
-	// Degenerate hyperplane does not split.
-	if _, _, ok := s.Partition(root, geometry.Hyperplane{C: []float64{0}, B: 1}); ok {
-		t.Error("degenerate hyperplane must not split")
+	// A hyperplane that is not a threshold splits nothing.
+	for _, h := range []geometry.Hyperplane{{C: []float64{2}, B: -8}, {C: []float64{-1}, B: 4}, {C: []float64{0}, B: 1}} {
+		if _, _, ok := s.Partition(root, h); ok {
+			t.Errorf("%+v is not a threshold, must not split", h)
+		}
 	}
 }
 
@@ -116,16 +113,30 @@ func TestSpace1DHalfspacesDescribeInterval(t *testing.T) {
 	}
 }
 
+// TestBreakpoint1D: a 1-D boundary is the float at which a pair's
+// order — exact score, ties by index — changes, as the threshold x − τ.
+// f1 = 2x − 5 ranks below f0 = 0 up to 2.5 and above it from 2.5 on,
+// where the tie already goes to f0; f1 meets f2 = 1 at 3, where the tie
+// keeps f1 first, so their boundary is the float after 3. The parallel
+// f0 and f2 never change order.
 func TestBreakpoint1D(t *testing.T) {
-	tp, ok := itree.Breakpoint1D(geometry.Hyperplane{C: []float64{2}, B: -5})
-	if !ok {
-		t.Fatal("expected a breakpoint")
+	fs := []funcs.Linear{
+		{Index: 0, Coef: []float64{0}, Bias: 0},
+		{Index: 1, Coef: []float64{2}, Bias: -5},
+		{Index: 2, Coef: []float64{0}, Bias: 1},
 	}
-	if f, _ := tp.Float64(); math.Abs(f-2.5) > 1e-15 {
-		t.Errorf("breakpoint = %v, want 2.5", f)
+	inters, err := itree.Pairs1DCtx(context.Background(), fs, geometry.MustBox([]float64{0}, []float64{10}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := itree.Breakpoint1D(geometry.Hyperplane{C: []float64{0}, B: 1}); ok {
-		t.Error("degenerate hyperplane should have no breakpoint")
+	slices.SortFunc(inters, func(a, b itree.Intersection) int { return a.I - b.I })
+	if len(inters) != 2 || inters[0].I != 0 || inters[0].J != 1 || inters[1].I != 1 || inters[1].J != 2 {
+		t.Fatalf("pairs %+v, want (0,1) and (1,2)", inters)
+	}
+	for k, tau := range []float64{2.5, math.Nextafter(3, 4)} {
+		if h := inters[k].H; len(h.C) != 1 || h.C[0] != 1 || h.B != -tau {
+			t.Errorf("pair %d: hyperplane %+v, want x − %v", k, h, tau)
+		}
 	}
 }
 

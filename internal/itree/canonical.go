@@ -24,7 +24,7 @@ import (
 // given its key set. The tree is therefore expected-logarithmic
 // (priorities are uniform for non-adversarial inputs, whatever order
 // the pairs enumerate in) and content-determined: BuildCanonical1D
-// reconstructs the identical tree directly from a sorted breakpoint
+// reconstructs the identical tree directly from a sorted threshold
 // arrangement in O(S).
 //
 // The priority hash is deliberately non-cryptographic: it only balances
@@ -46,7 +46,7 @@ func priorityOf(seed int64, h geometry.Hyperplane) uint64 {
 // canonCmp is the canonical strict total order on intersections:
 // ascending priority, ties broken by the hyperplane's canonical bytes,
 // then by (I, J). Two intersections compare equal only when they are
-// the same pair of the same hyperplane. Distinct breakpoints always
+// the same pair of the same hyperplane. Distinct thresholds always
 // have distinct hyperplane bytes, so the induced treap shape never
 // depends on the (I, J) tail.
 func canonCmp(pa uint64, a Intersection, pb uint64, b Intersection) int {
@@ -79,108 +79,83 @@ func canonicalOrder(inters []Intersection, seed int64) []int {
 	return order
 }
 
-// Group1D is one exact breakpoint of a 1-D arrangement: every
-// enumerated intersection whose exact rational breakpoint is the same,
-// in canonical order. Members[0] is the representative — the member a
-// canonical-order insertion would insert first, whose hyperplane splits
-// the leaf and therefore determines the internal node's hyperplane
-// bytes and the closed side of the boundary. The exact breakpoint is
-// the representative's Breakpoint1D, built only when needed.
+// Group1D is one boundary of a 1-D arrangement: every enumerated pair
+// whose threshold is the same float, in canonical order. They share one
+// hyperplane, x − T = 0, so Members[0] — the member a canonical-order
+// insertion would insert first — is the representative only by (I, J).
 type Group1D struct {
-	// T is the breakpoint correctly rounded, strictly inside the domain.
+	// T is the threshold, in (lo, hi] of the domain.
 	T float64
 	// Members lists the group's intersections in canonical order.
 	Members []Intersection
-	// prios caches each member's canonical priority, index-aligned
-	// with Members.
-	prios []uint64
+	// prio caches the group's canonical priority.
+	prio uint64
 }
 
-// Arrangement1D is the exact-filtered, breakpoint-sorted view of a 1-D
-// intersection enumeration: one group per distinct in-domain breakpoint,
-// ascending. It is the content the canonical I-tree is a pure function
-// of, and Sweep walks its gaps.
+// Arrangement1D is the threshold-sorted view of a 1-D pair enumeration:
+// one group per distinct threshold, ascending. It is the content the
+// canonical I-tree is a pure function of, and Sweep walks its gaps.
 type Arrangement1D struct {
-	// Groups lists the distinct breakpoints in ascending order.
+	// Groups lists the distinct thresholds in ascending order.
 	Groups []*Group1D
 	// space is the space whose domain the arrangement was built over.
 	space *Space1D
 }
 
-// NumBreakpoints returns the distinct in-domain breakpoint count (the
+// NumBreakpoints returns the distinct threshold count (the
 // internal-node count of the canonical tree).
 func (a *Arrangement1D) NumBreakpoints() int { return len(a.Groups) }
 
-// Gap returns the interval between boundaries g-1 and g (g = 0..S-1 for
-// S = NumBreakpoints()+1 gaps), the domain edges closing the ends: the
-// region of the canonical tree's g-th subdomain. Each interior end is
-// cut by its group's representative hyperplane, whose sign decides the
-// end's strictness exactly as the insert-path Partition assigns it: the
-// side where c·x + b >= 0 keeps the closed end at t.
+// Gap returns the floats between boundaries g-1 and g (g = 0..S-1 for
+// S = NumBreakpoints()+1 gaps): [T_{g-1}, T_g), the domain edges
+// closing the ends, and the last gap closed at hi. It is the region of
+// the canonical tree's g-th subdomain, and holds at least the float
+// T_{g-1} (lo for gap 0).
 func (a *Arrangement1D) Gap(g int) Interval1D {
 	iv := a.space.Root().(Interval1D)
 	if g > 0 {
-		rep := &a.Groups[g-1].Members[0]
-		iv.Lo, iv.LoCut = a.Groups[g-1].T, &rep.H
-		iv.LoStrict = rep.H.C[0] <= 0 // c > 0: right side closed at t
+		iv.Lo = a.Groups[g-1].T
 	}
 	if g < len(a.Groups) {
-		rep := &a.Groups[g].Members[0]
-		iv.Hi, iv.HiCut = a.Groups[g].T, &rep.H
-		iv.HiStrict = rep.H.C[0] > 0 // c > 0: left side open at t
+		iv.Hi, iv.HiStrict = a.Groups[g].T, true
 	}
 	return iv
 }
 
-// NewArrangement1D builds the arrangement of an enumerated intersection
-// list over the space's domain: members whose exact breakpoint lies
-// strictly inside (lo, hi) are grouped by breakpoint and canonically
-// ordered; degenerate, on-edge and out-of-domain entries — the ones the
-// exact insertion checks would prune — are dropped by inside, the rule
-// Pairs1DCtx enumerates by, so a caller's list need only be a superset.
-// Every order here is exact but decided on the rounded breakpoints
-// first (cmpBreak): rounding is monotone, so distinct floats order
-// their exact breakpoints, and a big.Rat is built only for two equal
-// floats. The order (breakpoint, then canonCmp) is total over distinct
-// pairs, so an unstable sort gives the one arrangement, and members and
-// groups live in three slabs.
+// NewArrangement1D builds the arrangement of a Pairs1DCtx enumeration
+// over the space's domain: the pairs are sorted by threshold, then by
+// canonical order, and grouped by threshold. The order is total over
+// distinct pairs, so an unstable sort gives the one arrangement, and
+// members and groups live in two slabs.
 func NewArrangement1D(space *Space1D, inters []Intersection, seed int64) *Arrangement1D {
 	type entry struct {
-		tf   float64
 		in   Intersection
 		prio uint64
 	}
-	lo, hi := space.domain.Lo[0], space.domain.Hi[0]
-	entries := make([]entry, 0, len(inters))
-	for _, in := range inters {
-		if !inside(in.H, lo, hi) {
-			continue // parallel, on or outside the domain edges: Partition would prune
-		}
-		tf := -in.H.B / in.H.C[0] // the breakpoint correctly rounded: an IEEE quotient
-		entries = append(entries, entry{tf: tf, in: in, prio: priorityOf(seed, in.H)})
+	entries := make([]entry, len(inters))
+	for k, in := range inters {
+		entries[k] = entry{in: in, prio: priorityOf(seed, in.H)}
 	}
 	slices.SortFunc(entries, func(a, b entry) int {
-		if c := cmpBreak(a.tf, &a.in.H, b.tf, &b.in.H); c != 0 {
-			return c
+		if c := cmp.Compare(b.in.H.B, a.in.H.B); c != 0 {
+			return c // ascending T = −B
 		}
 		return canonCmp(a.prio, a.in, b.prio, b.in)
 	})
-	arr := &Arrangement1D{space: space}
 	members := make([]Intersection, len(entries))
-	prios := make([]uint64, len(entries))
 	for k, e := range entries {
-		members[k], prios[k] = e.in, e.prio
+		members[k] = e.in
 	}
 	groups := make([]Group1D, 0, len(entries))
 	for i := 0; i < len(entries); {
 		j := i + 1
-		for j < len(entries) && cmpBreak(entries[j].tf, &members[j].H, entries[i].tf, &members[i].H) == 0 {
+		for j < len(entries) && members[j].H.B == members[i].H.B {
 			j++
 		}
-		groups = append(groups, Group1D{T: entries[i].tf, Members: members[i:j:j], prios: prios[i:j:j]})
+		groups = append(groups, Group1D{T: -members[i].H.B, Members: members[i:j:j], prio: entries[i].prio})
 		i = j
 	}
-	arr.Groups = make([]*Group1D, len(groups))
+	arr := &Arrangement1D{Groups: make([]*Group1D, len(groups)), space: space}
 	for g := range groups {
 		arr.Groups[g] = &groups[g]
 	}
@@ -189,14 +164,13 @@ func NewArrangement1D(space *Space1D, inters []Intersection, seed int64) *Arrang
 
 // BuildCanonical1D reconstructs the canonical I-tree directly from an
 // arrangement in O(S): a stack-based Cartesian construction over the
-// breakpoint sequence (BST by breakpoint, min-heap by canonical
+// threshold sequence (BST by threshold, min-heap by canonical
 // priority), with the subdomain leaves attached into the gaps. By treap
 // uniqueness it returns the same tree Build produces by inserting the
 // arrangement's intersections in canonical order, without any of
-// Build's O(S log S) exact-rational descent work — and without its leaf
-// sort: the leaf of gap g is already the g-th from the left, so it is
-// created as Subs[g] with ID g. Every univariate tree is constructed
-// here.
+// Build's O(S log S) descent work — and without its leaf sort: the leaf
+// of gap g is already the g-th from the left, so it is created as
+// Subs[g] with ID g. Every univariate tree is constructed here.
 func BuildCanonical1D(space *Space1D, arr *Arrangement1D) *Tree {
 	nb := len(arr.Groups)
 	t := &Tree{Space: space, Subs: make([]*Subdomain, nb+1), NodeCount: 2*nb + 1, Inserted: nb}
@@ -218,11 +192,11 @@ func BuildCanonical1D(space *Space1D, arr *Arrangement1D) *Tree {
 	}
 
 	// Cartesian construction of the internal-node skeleton: walk the
-	// breakpoints left to right, keeping the rightmost spine on a stack
+	// thresholds left to right, keeping the rightmost spine on a stack
 	// ordered by ascending priority from bottom to top of the tree.
 	less := func(a, b int) bool {
 		ga, gb := arr.Groups[a], arr.Groups[b]
-		return canonCmp(ga.prios[0], ga.Members[0], gb.prios[0], gb.Members[0]) < 0
+		return canonCmp(ga.prio, ga.Members[0], gb.prio, gb.Members[0]) < 0
 	}
 	// left[i] / right[i] are the child *groups* of group i, -1 for none.
 	left := make([]int, nb)
@@ -263,13 +237,8 @@ func BuildCanonical1D(space *Space1D, arr *Arrangement1D) *Tree {
 		} else {
 			r = leafFor(g + 1)
 		}
-		// "Above" is the halfspace c·x + b >= 0: spatially the right
-		// side when c > 0, the left side when c < 0.
-		if n.Int.H.C[0] > 0 {
-			n.Above, n.Below = r, l
-		} else {
-			n.Above, n.Below = l, r
-		}
+		// "Above" is the halfspace x − T >= 0: the right side.
+		n.Above, n.Below = r, l
 		return n
 	}
 	t.Root = build(rootGroup)

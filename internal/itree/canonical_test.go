@@ -2,6 +2,7 @@ package itree
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 
 // sameTree asserts two trees are structurally identical: same node
 // shape, same representative intersections (indexes and hyperplane
-// bytes), same leaf intervals including strictness flags, and same
+// bytes), same leaf intervals including the strictness flag, and same
 // subdomain IDs — and that each numbers its subdomains left to right:
 // Subs[i] has ID i, and Subs ascends strictly by interval start.
 func sameTree(t *testing.T, a, b *Tree) {
@@ -31,7 +32,7 @@ func sameTree(t *testing.T, a, b *Tree) {
 			if s.ID != i {
 				t.Fatalf("Subs[%d] has ID %d", i, s.ID)
 			}
-			if i > 0 && tr.Subs[i-1].Region.(Interval1D).LoRat().Cmp(s.Region.(Interval1D).LoRat()) >= 0 {
+			if i > 0 && tr.Subs[i-1].Region.(Interval1D).Lo >= s.Region.(Interval1D).Lo {
 				t.Fatalf("Subs[%d] does not start right of Subs[%d]", i, i-1)
 			}
 		}
@@ -44,8 +45,7 @@ func sameTree(t *testing.T, a, b *Tree) {
 		if x.IsLeaf() {
 			ix := x.Leaf.Region.(Interval1D)
 			iy := y.Leaf.Region.(Interval1D)
-			if ix.LoRat().Cmp(iy.LoRat()) != 0 || ix.HiRat().Cmp(iy.HiRat()) != 0 ||
-				ix.LoStrict != iy.LoStrict || ix.HiStrict != iy.HiStrict {
+			if ix != iy {
 				t.Fatalf("%s: leaf interval %+v vs %+v", path, ix, iy)
 			}
 			if x.Leaf.ID != y.Leaf.ID {
@@ -109,9 +109,11 @@ func bothWays(t *testing.T, dom geometry.Box, inters []Intersection, seed int64)
 // tree exactly, treap uniqueness in action, across random inputs with
 // duplicate breakpoints, concurrent crossing points and out-of-domain
 // intersections, and on forced ties and edges: three lines through one
-// point, a breakpoint exactly on each domain edge, and one exactly on a
+// point, a crossing exactly on each domain edge, and one exactly on a
 // shard cut (interior to the whole domain, on the edge of both
-// sub-boxes, where neither sub-box's enumeration lists it).
+// sub-boxes, where neither sub-box's enumeration lists it: the left
+// shard partitions only the floats below the cut, as core.Params.OpenHi
+// has it).
 func TestBuildCanonicalEqualsInsert(t *testing.T) {
 	dom, err := geometry.NewBox([]float64{-1}, []float64{2})
 	if err != nil {
@@ -144,7 +146,7 @@ func TestBuildCanonicalEqualsInsert(t *testing.T) {
 		whole := bothWays(t, dom, inters, seed)
 		hasBoundary := func(tree *Tree, x float64) bool {
 			for _, b := range boundaries1D(t, tree) {
-				if f, exact := b.Float64(); exact && f == x {
+				if b == x {
 					return true
 				}
 			}
@@ -153,12 +155,17 @@ func TestBuildCanonicalEqualsInsert(t *testing.T) {
 		if !hasBoundary(whole, 1) || !hasBoundary(whole, cut) {
 			t.Fatal("the concurrent crossing points are not boundaries of the whole-domain tree")
 		}
-		if hasBoundary(whole, -1) || hasBoundary(whole, 2) {
-			t.Fatal("a crossing on a domain edge split the domain")
+		// Lines 3 and 4 meet on lo in one order and part in the other:
+		// their threshold is the float after lo. Lines 5 and 6 meet on
+		// hi in the order they held (ties go by index), so they have
+		// none. Lines 1 and 4 also meet on hi, but in the other order:
+		// hi alone is a leaf.
+		if hasBoundary(whole, -1) || !hasBoundary(whole, math.Nextafter(-1, 0)) || !hasBoundary(whole, 2) {
+			t.Fatal("the crossings on the domain edges are not the boundaries their orders make")
 		}
 		inserted := 0
 		for k, box := range []geometry.Box{
-			geometry.MustBox([]float64{-1}, []float64{cut}),
+			geometry.MustBox([]float64{-1}, []float64{math.Nextafter(cut, -1)}),
 			geometry.MustBox([]float64{cut}, []float64{2}),
 		} {
 			own, err := Pairs1DCtx(context.Background(), fs, box)
@@ -179,9 +186,8 @@ func TestBuildCanonicalEqualsInsert(t *testing.T) {
 
 // TestBuildCanonical1DAllocs: the direct construction numbers each leaf
 // by its gap and sorts nothing, so its allocations stay a small constant
-// per breakpoint — a sort of the leaves by exact interval start would
-// add dozens, through big.Rat comparisons. The arrangement is the
-// republish benchmark's table shape: 2 000 lines.
+// per breakpoint. The arrangement is the republish benchmark's table
+// shape: 2 000 lines.
 func TestBuildCanonical1DAllocs(t *testing.T) {
 	tbl, dom, err := workload.Lines(workload.LinesConfig{N: 2000, Seed: 1})
 	if err != nil {
@@ -208,10 +214,9 @@ func TestBuildCanonical1DAllocs(t *testing.T) {
 	}
 }
 
-// TestNewArrangement1DAllocs: the arrangement decides every order on the
-// rounded breakpoints and builds a big.Rat only for two equal floats,
-// and it keeps its members and groups in slabs, so its allocations stay
-// a small constant per intersection — building an exact breakpoint for
+// TestNewArrangement1DAllocs: the arrangement orders float thresholds
+// and keeps its members and groups in slabs, so its allocations stay a
+// small constant per intersection — building an exact breakpoint for
 // every intersection, as it once did, costs over twenty. The table is
 // the republish benchmark's shape: 2 000 lines, 4 821 crossings.
 func TestNewArrangement1DAllocs(t *testing.T) {

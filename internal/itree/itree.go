@@ -11,7 +11,7 @@
 // which makes the tree a pure function of the intersection set, and
 // builds it two ways: Build runs the literal insertions over an abstract
 // Space — the only construction for the LP-backed n-dimensional
-// space — while a univariate build sorts the breakpoints once into an
+// space — while a univariate build sorts the thresholds once into an
 // Arrangement1D and reads the same tree straight off it
 // (BuildCanonical1D), numbering each subdomain by its gap. Only Build,
 // the tests' 1-D reference, sorts its leaves to number them. The same
@@ -24,7 +24,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/big"
 	"slices"
 	"sort"
 
@@ -76,26 +75,22 @@ type Tree struct {
 	Inserted int
 }
 
-// Pairs1DCtx enumerates the intersections of univariate linear functions
-// whose breakpoint lies strictly inside the domain (lo, hi): the pairs
-// NewArrangement1D keeps, and the list every 1-D build starts from (each
-// shard of a sharded build calls it over its own sub-box). The paper's
-// build (Nosrati & Cai §3.1 step 1) inserts every pairwise
-// intersection, but only these split the domain, and they are found in
-// O(n log n + k) for k crossings rather than by scanning all n²/2 pairs:
-// two lines cross strictly inside an interval exactly when their orders
-// at its two ends differ, so the crossings are the inversions between
-// two sorted orders (inversions1D).
-//
-// A pair's hyperplane holds the rounded differences c_I − c_J and
-// b_I − b_J, so its root t may sit up to 2u·|t| (u = 2⁻⁵³) from the
-// lines' own crossing. The inversions are therefore taken over the
-// domain widened by 2⁻⁵⁰·max(|lo|, |hi|) on each side, in exact
-// arithmetic — a superset of the pairs whose root is inside — and each
-// is kept by inside, the one exact rule NewArrangement1D applies too. Each
-// pair is Intersection{I < J} with the hyperplane f_I − f_J. The list
-// comes out in merge order; NewArrangement1D orders it by breakpoint.
-// ctx is checked once per merge pass.
+// Pairs1DCtx enumerates the pairs of univariate linear functions whose
+// order changes inside the domain, each with its threshold: the list
+// NewArrangement1D sorts, and every 1-D build starts from (each shard of
+// a sharded build calls it over its own sub-box). The order is exact
+// and total on the float line: by exact score (funcs.CmpAt), ties by
+// index. A pair's order changes at most once along it, so the pairs
+// whose order at the floats lo and hi differs are exactly the pairs that
+// need a boundary, and they are found in O(n log n + k) for k such
+// pairs as the inversions between the two sorted orders (inversions1D),
+// rather than by scanning all n²/2 (the paper's build, Nosrati & Cai
+// §3.1 step 1, inserts every pairwise intersection; only these split
+// the domain). Each pair is Intersection{I < J} with the hyperplane
+// x − τ = 0, τ its threshold (threshold): the first float in (lo, hi]
+// at which the pair is in its order at hi. The list comes out in merge
+// order; NewArrangement1D orders it by τ. ctx is checked once per merge
+// pass.
 func Pairs1DCtx(ctx context.Context, fs []funcs.Linear, domain geometry.Box) ([]Intersection, error) {
 	if domain.Dim() != 1 {
 		return nil, fmt.Errorf("itree: 1-D pair enumeration needs a 1-D domain")
@@ -106,49 +101,32 @@ func Pairs1DCtx(ctx context.Context, fs []funcs.Linear, domain geometry.Box) ([]
 		}
 	}
 	lo, hi := domain.Lo[0], domain.Hi[0]
-	pad := new(big.Rat).SetFloat64(max(math.Abs(lo), math.Abs(hi)))
-	pad.Quo(pad, new(big.Rat).SetInt64(1<<50))
-	loW := funcs.NewAt(new(big.Rat).Sub(new(big.Rat).SetFloat64(lo), pad))
-	hiW := funcs.NewAt(new(big.Rat).Add(new(big.Rat).SetFloat64(hi), pad))
-	cands, err := inversions1D(ctx, fs, loW, hiW)
+	pairs, err := inversions1D(ctx, fs, lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Intersection, 0, len(cands)) // non-nil: an empty list is still an enumeration
-	cs := make([]float64, len(cands))
-	for _, p := range cands {
-		in := crossing(fs, p[0], p[1], cs[len(out):len(out)+1:len(out)+1])
-		if inside(in.H, lo, hi) {
-			out = append(out, in)
-		}
+	out := make([]Intersection, len(pairs)) // non-nil: an empty list is still an enumeration
+	cs := make([]float64, len(pairs))
+	for k, p := range pairs {
+		cs[k] = 1
+		h := geometry.Hyperplane{C: cs[k : k+1 : k+1], B: -threshold(fs, p[0], p[1], lo, hi)}
+		out[k] = Intersection{I: min(p[0], p[1]), J: max(p[0], p[1]), H: h}
 	}
 	return out, nil
 }
 
-// inversions1D returns the pairs of univariate functions whose order at
-// lo strictly differs from their order at hi — the pairs whose lines
-// cross strictly between the two points — as unordered index pairs. The
-// functions are sorted by value at lo, ties by value at hi and then by
-// index, so a pair that meets at lo (or coincides) is already in its
-// order at hi; a bottom-up merge sort by value at hi, taking the left
-// element on a tie, then reports exactly the pairs it strictly inverts,
-// so a pair that meets at hi is not one. Every comparison is
-// funcs.CmpAt's exact one.
-func inversions1D(ctx context.Context, fs []funcs.Linear, lo, hi funcs.At) ([][2]int, error) {
+// inversions1D returns the pairs of univariate functions whose order
+// (rank) at the float lo differs from their order at the float hi, as
+// {first at lo, first at hi}: it sorts the functions by their order at
+// lo, then merge-sorts them bottom-up by their order at hi, reporting
+// every pair a merge inverts.
+func inversions1D(ctx context.Context, fs []funcs.Linear, lo, hi float64) ([][2]int, error) {
 	n := len(fs)
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortFunc(order, func(a, b int) int {
-		if c := funcs.CmpAt(fs[a], fs[b], lo); c != 0 {
-			return c
-		}
-		if c := funcs.CmpAt(fs[a], fs[b], hi); c != 0 {
-			return c
-		}
-		return a - b
-	})
+	slices.SortFunc(order, func(a, b int) int { return rank(fs, a, b, lo) })
 	out := make([][2]int, 0, n)
 	buf := make([]int, n)
 	for width := 1; width < n; width *= 2 {
@@ -159,7 +137,7 @@ func inversions1D(ctx context.Context, fs []funcs.Linear, lo, hi funcs.At) ([][2
 			m, r := min(l+width, n), min(l+2*width, n)
 			a, b, k := l, m, l
 			for ; a < m && b < r; k++ {
-				if funcs.CmpAt(fs[order[a]], fs[order[b]], hi) <= 0 {
+				if rank(fs, order[a], order[b], hi) < 0 {
 					buf[k], a = order[a], a+1
 					continue
 				}
@@ -177,35 +155,53 @@ func inversions1D(ctx context.Context, fs []funcs.Linear, lo, hi funcs.At) ([][2
 	return out, nil
 }
 
-// crossing returns the intersection of functions i and j, ordered so
-// I < J, with the hyperplane f_I − f_J = 0; c is the one-element slice
-// its coefficient is stored in.
-func crossing(fs []funcs.Linear, i, j int, c []float64) Intersection {
-	if i > j {
-		i, j = j, i
+// threshold returns the first float x in (lo, hi] at which function b of
+// fs ranks before function a, given that a ranks first at lo and b at
+// hi; the pair's order changes once, so b ranks first at every float
+// from x on. The search runs over floats as ordered integers (key). The
+// quotient of the rounded coefficient differences is the crossing to
+// within a few ulps, so it walks from there one float at a time — two
+// comparisons when the quotient is the threshold — and bisects what a
+// few steps leave bracketed.
+func threshold(fs []funcs.Linear, a, b int, lo, hi float64) float64 {
+	fa, fb := fs[a], fs[b]
+	after := func(k int64) bool { return rank(fs, b, a, unkey(k)) < 0 }
+	l, h := key(lo), key(hi) // after(l) is false, after(h) true
+	if t := -(fa.Bias - fb.Bias) / (fa.Coef[0] - fb.Coef[0]); t > lo && t < hi {
+		for g, i := key(t), 0; i < 4 && l < g && g < h; i++ {
+			if after(g) {
+				h, g = g, g-1
+			} else {
+				l, g = g, g+1
+			}
+		}
 	}
-	c[0] = fs[i].Coef[0] - fs[j].Coef[0]
-	return Intersection{I: i, J: j, H: geometry.Hyperplane{C: c, B: fs[i].Bias - fs[j].Bias}}
+	for uint64(h-l) > 1 { // h − l may exceed the int64 range
+		m := l + int64(uint64(h-l)/2)
+		if after(m) {
+			h = m
+		} else {
+			l = m
+		}
+	}
+	return unkey(h)
 }
 
-// inside reports whether the univariate hyperplane c·x + b = 0 has a
-// root strictly inside (lo, hi), exactly: the membership rule of every
-// 1-D enumeration, the one NewArrangement1D applies. The float quotient
-// −b/c is the root correctly rounded, and rounding is monotone, so it
-// decides every root it does not round onto an edge; one that does is
-// decided by Breakpoint1D. A parallel pair or a non-finite coefficient
-// has no root.
-func inside(h geometry.Hyperplane, lo, hi float64) bool {
-	c := h.C[0]
-	if math.IsInf(c, 0) {
-		return false // the root −b/c would read 0
+// key maps a finite float to an integer in the same order, one apart
+// for adjacent floats (both zeros map to 0); unkey inverts it.
+func key(x float64) int64 {
+	k := int64(math.Float64bits(x))
+	if k < 0 {
+		k = math.MinInt64 - k
 	}
-	t := -h.B / c
-	if t != lo && t != hi {
-		return t > lo && t < hi // false for NaN and ±Inf
+	return k
+}
+
+func unkey(k int64) float64 {
+	if k < 0 {
+		k = math.MinInt64 - k
 	}
-	r, ok := Breakpoint1D(h)
-	return ok && r.Cmp(new(big.Rat).SetFloat64(lo)) > 0 && r.Cmp(new(big.Rat).SetFloat64(hi)) < 0
+	return math.Float64frombits(uint64(k))
 }
 
 // PairsND enumerates all non-degenerate pairwise intersections for
@@ -296,7 +292,7 @@ func (t *Tree) enumerate() {
 		sort.Slice(leaves, func(a, b int) bool {
 			ia := leaves[a].Region.(Interval1D)
 			ib := leaves[b].Region.(Interval1D)
-			return cmpBreak(ia.Lo, ia.LoCut, ib.Lo, ib.LoCut) < 0
+			return ia.Lo < ib.Lo
 		})
 	}
 	for i, l := range leaves {

@@ -1,10 +1,10 @@
 package itree
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"math/big"
 	"math/rand"
 	"slices"
 	"testing"
@@ -39,19 +39,19 @@ func build1D(t *testing.T, fs []funcs.Linear, lo, hi float64, seed int64) *Tree 
 	return tree
 }
 
-// boundaries1D returns the S-1 interior breakpoints separating
+// boundaries1D returns the S-1 interior thresholds separating
 // consecutive subdomains of a 1-D tree, ascending, and fails the test if
-// two adjacent leaves do not share an endpoint.
-func boundaries1D(t *testing.T, tree *Tree) []*big.Rat {
+// two adjacent leaves do not share an end, open on the left leaf.
+func boundaries1D(t *testing.T, tree *Tree) []float64 {
 	t.Helper()
-	out := make([]*big.Rat, 0, len(tree.Subs))
+	out := make([]float64, 0, len(tree.Subs))
 	for i := 0; i+1 < len(tree.Subs); i++ {
 		cur := tree.Subs[i].Region.(Interval1D)
 		next := tree.Subs[i+1].Region.(Interval1D)
-		if cur.HiRat().Cmp(next.LoRat()) != 0 {
-			t.Fatalf("leaves %d and %d do not abut (%v vs %v)", i, i+1, cur.HiRat(), next.LoRat())
+		if cur.Hi != next.Lo || !cur.HiStrict {
+			t.Fatalf("leaves %d and %d do not abut (%+v vs %+v)", i, i+1, cur, next)
 		}
-		out = append(out, cur.HiRat())
+		out = append(out, cur.Hi)
 	}
 	return out
 }
@@ -77,7 +77,7 @@ func TestPaperFourLineExample(t *testing.T) {
 		t.Fatalf("boundaries = %d, want 6", len(bs))
 	}
 	for i := 1; i < len(bs); i++ {
-		if bs[i-1].Cmp(bs[i]) >= 0 {
+		if bs[i-1] >= bs[i] {
 			t.Error("boundaries not strictly ascending")
 		}
 	}
@@ -149,10 +149,10 @@ func TestSubdomainOrderIsSpatial1D(t *testing.T) {
 	boundaries1D(t, tree)
 	first := tree.Subs[0].Region.(Interval1D)
 	last := tree.Subs[len(tree.Subs)-1].Region.(Interval1D)
-	if first.Lo != -2 || first.LoCut != nil {
+	if first.Lo != -2 {
 		t.Errorf("first interval starts at %v, want the domain edge -2", first.Lo)
 	}
-	if last.Hi != 2 || last.HiCut != nil {
+	if last.Hi != 2 || last.HiStrict {
 		t.Errorf("last interval ends at %v, want the domain edge 2", last.Hi)
 	}
 }
@@ -172,9 +172,9 @@ func TestSortabilityAcrossSubdomains(t *testing.T) {
 		iv := sub.Region.(Interval1D)
 		lo, hi := iv.Lo, iv.Hi
 		w := (hi - lo)
-		base := funcs.SortAt(fs, geometry.Point{lo + w*0.5})
+		base := SortAt(fs, geometry.Point{lo + w*0.5})
 		for _, frac := range []float64{0.1, 0.3, 0.7, 0.9} {
-			got := funcs.SortAt(fs, geometry.Point{lo + w*frac})
+			got := SortAt(fs, geometry.Point{lo + w*frac})
 			for i := range base {
 				if got[i] != base[i] {
 					t.Fatalf("subdomain %d: order changed inside the region", sub.ID)
@@ -206,11 +206,7 @@ func TestCanonicalDepthOnAscendingBreakpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slices.SortFunc(inters, func(a, b Intersection) int {
-		ta, _ := Breakpoint1D(a.H)
-		tb, _ := Breakpoint1D(b.H)
-		return ta.Cmp(tb)
-	})
+	slices.SortFunc(inters, func(a, b Intersection) int { return cmp.Compare(-a.H.B, -b.H.B) })
 	if len(inters) != s {
 		t.Fatalf("%d intersections, want %d", len(inters), s)
 	}
@@ -280,7 +276,7 @@ func TestBuildNDGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, sub := range tree.Subs {
 		w := space.Witness(sub.Region)
-		base := funcs.SortAt(fs, w)
+		base := SortAt(fs, w)
 		for k := 0; k < 5; k++ {
 			p := geometry.Point{
 				w[0] + rng.NormFloat64()*1e-4,
@@ -289,7 +285,7 @@ func TestBuildNDGrid(t *testing.T) {
 			if !space.Contains(sub.Region, p) {
 				continue
 			}
-			got := funcs.SortAt(fs, p)
+			got := SortAt(fs, p)
 			for i := range base {
 				if got[i] != base[i] {
 					t.Fatalf("subdomain %d: order differs near witness", sub.ID)

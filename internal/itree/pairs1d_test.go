@@ -1,6 +1,7 @@
 package itree
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"math/big"
@@ -104,32 +105,33 @@ func magnitude(rng *rand.Rand) float64 {
 	return v
 }
 
-// rootInsideRef is the reference membership rule, all in big.Rat: the
-// pair's hyperplane (the rounded differences an Intersection stores)
-// has a breakpoint strictly inside (lo, hi).
-func rootInsideRef(fs []funcs.Linear, i, j int, lo, hi float64) (geometry.Hyperplane, bool) {
-	h := funcs.Diff(fs[i], fs[j])
-	t, ok := Breakpoint1D(h)
-	return h, ok && t.Cmp(new(big.Rat).SetFloat64(lo)) > 0 && t.Cmp(new(big.Rat).SetFloat64(hi)) < 0
+// rankRef is the reference order, all in big.Rat: the sign of
+// (f_i(x), i) − (f_j(x), j) at the float x.
+func rankRef(fs []funcs.Linear, i, j int, x float64) int {
+	w := new(big.Rat).SetFloat64(x)
+	if c := fs[i].EvalRat(w).Cmp(fs[j].EvalRat(w)); c != 0 {
+		return c
+	}
+	return cmp.Compare(i, j)
 }
 
 // TestPairs1DIsTheExactCrossingSet holds the 1-D enumeration to its
 // brute-force definition on adversarial tables: Pairs1DCtx returns
-// exactly the pairs, each once, whose hyperplane root lies strictly
-// inside the domain, with today's I < J, f_I − f_J convention.
-// Underneath, the merge-sort enumerator at the domain
-// edges returns exactly the pairs whose lines cross strictly inside, so
-// a pair meeting at an edge, parallel or identical is never one.
+// exactly the pairs, each once, whose order (exact score, then index)
+// differs at the floats lo and hi, with today's I < J convention. Each
+// carries the hyperplane x − τ: at τ the pair is in its order at hi, and
+// at the float below τ in its order at lo. Every pair whose lines cross
+// strictly inside is one of them, so a crossing whose rounded
+// difference root falls on an edge is never dropped.
 func TestPairs1DIsTheExactCrossingSet(t *testing.T) {
 	for _, tab := range crossingTables() {
 		fs, lo, hi := tab.fs, tab.lo, tab.hi
 		dom := geometry.MustBox([]float64{lo}, []float64{hi})
-		var want []Intersection
-		var crossWant [][2]int
+		var want, crossWant [][2]int
 		for i := range fs {
 			for j := i + 1; j < len(fs); j++ {
-				if h, ok := rootInsideRef(fs, i, j, lo, hi); ok {
-					want = append(want, Intersection{I: i, J: j, H: h})
+				if rankRef(fs, i, j, lo) != rankRef(fs, i, j, hi) {
+					want = append(want, [2]int{i, j})
 				}
 				// The lines' own crossing: strictly opposite orders at
 				// lo and hi.
@@ -151,43 +153,30 @@ func TestPairs1DIsTheExactCrossingSet(t *testing.T) {
 			}
 			return a.J - b.J
 		})
-		samePairs(t, tab.name+": Pairs1DCtx", got, want)
-
-		inv, err := inversions1D(context.Background(), fs, funcs.AtFloat(lo), funcs.AtFloat(hi))
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotCross := make([][2]int, len(inv))
-		for k, p := range inv {
-			gotCross[k] = [2]int{min(p[0], p[1]), max(p[0], p[1])}
-		}
-		slices.SortFunc(gotCross, func(a, b [2]int) int {
-			if a[0] != b[0] {
-				return a[0] - b[0]
+		gotPairs := make([][2]int, len(got))
+		for k, in := range got {
+			gotPairs[k] = [2]int{in.I, in.J}
+			tau := -in.H.B
+			if len(in.H.C) != 1 || in.H.C[0] != 1 || !(tau > lo && tau <= hi) {
+				t.Fatalf("%s [%v, %v]: pair (%d,%d) has hyperplane %+v, want x − τ with τ in (lo, hi]", tab.name, lo, hi, in.I, in.J, in.H)
 			}
-			return a[1] - b[1]
-		})
-		if !slices.Equal(gotCross, crossWant) {
-			t.Errorf("%s [%v, %v]: %d inversions, want the %d strict crossings", tab.name, lo, hi, len(gotCross), len(crossWant))
+			below := math.Nextafter(tau, math.Inf(-1))
+			if rankRef(fs, in.I, in.J, tau) != rankRef(fs, in.I, in.J, hi) || rankRef(fs, in.I, in.J, below) != rankRef(fs, in.I, in.J, lo) {
+				t.Fatalf("%s [%v, %v]: pair (%d,%d) changes order elsewhere than at τ = %v", tab.name, lo, hi, in.I, in.J, tau)
+			}
 		}
-
-	}
-}
-
-// samePairs fails unless got and want list the same pairs in the same
-// order with bit-identical hyperplanes.
-func samePairs(t *testing.T, what string, got, want []Intersection) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Errorf("%s: %d pairs, want %d", what, len(got), len(want))
-		return
-	}
-	for k := range want {
-		g, w := got[k], want[k]
-		if g.I != w.I || g.J != w.J || len(g.H.C) != 1 ||
-			math.Float64bits(g.H.C[0]) != math.Float64bits(w.H.C[0]) || math.Float64bits(g.H.B) != math.Float64bits(w.H.B) {
-			t.Errorf("%s: pair %d is %+v, want %+v", what, k, g, w)
-			return
+		if !slices.Equal(gotPairs, want) {
+			t.Errorf("%s [%v, %v]: %d pairs, want the %d whose order differs at lo and hi", tab.name, lo, hi, len(gotPairs), len(want))
+		}
+		for _, p := range crossWant {
+			if _, found := slices.BinarySearchFunc(gotPairs, p, func(a, b [2]int) int {
+				if a[0] != b[0] {
+					return a[0] - b[0]
+				}
+				return a[1] - b[1]
+			}); !found {
+				t.Errorf("%s [%v, %v]: lines %d and %d cross strictly inside, but have no threshold", tab.name, lo, hi, p[0], p[1])
+			}
 		}
 	}
 }

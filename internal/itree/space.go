@@ -1,12 +1,9 @@
 package itree
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"math/big"
 
-	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/linalg"
 	"aqverify/internal/lp"
@@ -20,9 +17,9 @@ type Region interface{}
 // Space abstracts the domain-partitioning geometry the I-tree is built
 // over. Two implementations exist:
 //
-//   - Space1D: exact breakpoints over an interval domain, decided on
-//     their rounded floats first, used for univariate ranking functions
-//     (the scale regime of the paper's evaluation).
+//   - Space1D: float thresholds over an interval domain, used for
+//     univariate ranking functions (the scale regime of the paper's
+//     evaluation).
 //   - SpaceND: an LP-backed polytope space for d >= 2 variables, where
 //     split tests are linear-programming feasibility problems.
 //
@@ -57,56 +54,22 @@ type Space interface {
 	Contains(r Region, x geometry.Point) bool
 }
 
-// Space1D is the space for univariate ranking functions. Regions are
-// intervals whose ends are breakpoints −B/C of float64-coefficient
-// lines. Each end is kept as its correctly rounded float together with
-// the hyperplane that cuts there, so the exact rational end — which
-// every such breakpoint has — is built only when two rounded values
-// tie (cmpBreak): rounding is monotone, so distinct floats already
-// order their exact ends, and subdomain boundaries never suffer float
-// drift.
+// Space1D is the space for univariate ranking functions over the float
+// line: every query input is a float64, so a region is the set of floats
+// in an interval, and every boundary is a threshold τ, the hyperplane
+// x − τ = 0 (C = [1], B = −τ), whose float sign is exact. The regions
+// it carves are closed below and open above ([lo, τ) and [τ, hi]), so
+// x = τ lies above, as Search branches.
 type Space1D struct {
 	domain geometry.Box
 }
 
-// Interval1D is Space1D's Region implementation. Lo and Hi are the
-// ends correctly rounded; LoCut and HiCut are the hyperplanes whose
-// roots the ends exactly are, nil at a domain edge, whose float is
-// already exact. Ends are always finite because the root region is the
-// owner-specified bounded domain. The strictness flags record whether
-// each end is excluded: LoStrict means x > lo, otherwise x >= lo (and
-// symmetrically for hi).
+// Interval1D is Space1D's Region implementation: the floats x with
+// Lo ≤ x < Hi when HiStrict, Lo ≤ x ≤ Hi otherwise. Ends are always
+// finite because the root region is the owner-specified bounded domain.
 type Interval1D struct {
-	Lo, Hi             float64
-	LoCut, HiCut       *geometry.Hyperplane
-	LoStrict, HiStrict bool
-}
-
-// LoRat returns the interval's exact lower end.
-func (iv Interval1D) LoRat() *big.Rat { return exactEnd(iv.Lo, iv.LoCut) }
-
-// HiRat returns the interval's exact upper end.
-func (iv Interval1D) HiRat() *big.Rat { return exactEnd(iv.Hi, iv.HiCut) }
-
-// exactEnd returns the exact value of a rounded end: the root of the
-// hyperplane that cuts there, or the float itself at a domain edge.
-func exactEnd(f float64, cut *geometry.Hyperplane) *big.Rat {
-	if cut == nil {
-		return new(big.Rat).SetFloat64(f)
-	}
-	t, _ := Breakpoint1D(*cut)
-	return t
-}
-
-// cmpBreak compares two exact ends or breakpoints, each given as its
-// rounded float and the hyperplane it is the root of (nil when the
-// float is exact): by the floats first, and by the exact rationals only
-// when the floats are equal.
-func cmpBreak(tf float64, th *geometry.Hyperplane, uf float64, uh *geometry.Hyperplane) int {
-	if tf != uf {
-		return cmp.Compare(tf, uf)
-	}
-	return exactEnd(tf, th).Cmp(exactEnd(uf, uh))
+	Lo, Hi   float64
+	HiStrict bool
 }
 
 // NewSpace1D builds the 1-D space over the given domain box, which must
@@ -131,103 +94,55 @@ func (s *Space1D) Root() Region {
 	return Interval1D{Lo: s.domain.Lo[0], Hi: s.domain.Hi[0]}
 }
 
-// Breakpoint1D returns the exact solution of C[0]*x + B = 0 as a rational,
-// or ok=false when the hyperplane is degenerate (parallel functions).
-func Breakpoint1D(h geometry.Hyperplane) (*big.Rat, bool) {
-	if len(h.C) != 1 || h.C[0] == 0 {
-		return nil, false
-	}
-	c := new(big.Rat).SetFloat64(h.C[0])
-	b := new(big.Rat).SetFloat64(h.B)
-	if c == nil || b == nil {
-		return nil, false
-	}
-	// x = -B/C.
-	t := new(big.Rat).Quo(b.Neg(b), c)
-	return t, true
-}
-
-// Partition implements Space, exactly: the reference the insert-path
-// Build splits by. The hyperplane c*x + b splits the interval iff its
-// breakpoint t = -b/c lies strictly inside. "Above" is the side where
-// c*x + b >= 0: x >= t when c > 0, x <= t when c < 0.
+// Partition implements Space for a threshold x − τ = 0 (any other
+// hyperplane splits nothing): it splits the interval when some float of
+// it lies below τ and some at or above, returning above = [τ, Hi] and
+// below = [Lo, τ).
 func (s *Space1D) Partition(r Region, h geometry.Hyperplane) (Region, Region, bool) {
 	iv := r.(Interval1D)
-	t, ok := Breakpoint1D(h)
-	if !ok || t.Cmp(iv.LoRat()) <= 0 || t.Cmp(iv.HiRat()) >= 0 {
+	if len(h.C) != 1 || h.C[0] != 1 {
 		return nil, nil, false
 	}
-	tf, cut := -h.B/h.C[0], &h // t correctly rounded: an IEEE quotient
-	// Interval [lo, t) or (lo, t] etc: above gets the closed endpoint at t.
-	if h.C[0] > 0 {
-		above := Interval1D{Lo: tf, LoCut: cut, Hi: iv.Hi, HiCut: iv.HiCut, LoStrict: false, HiStrict: iv.HiStrict}
-		below := Interval1D{Lo: iv.Lo, LoCut: iv.LoCut, Hi: tf, HiCut: cut, LoStrict: iv.LoStrict, HiStrict: true}
-		return above, below, true
+	t := -h.B
+	if !(iv.Lo < t && (t < iv.Hi || t == iv.Hi && !iv.HiStrict)) {
+		return nil, nil, false
 	}
-	above := Interval1D{Lo: iv.Lo, LoCut: iv.LoCut, Hi: tf, HiCut: cut, LoStrict: iv.LoStrict, HiStrict: false}
-	below := Interval1D{Lo: tf, LoCut: cut, Hi: iv.Hi, HiCut: iv.HiCut, LoStrict: true, HiStrict: iv.HiStrict}
-	return above, below, true
+	return Interval1D{Lo: t, Hi: iv.Hi, HiStrict: iv.HiStrict}, Interval1D{Lo: iv.Lo, Hi: t, HiStrict: true}, true
 }
 
-// Witness implements Space: the interval midpoint as a float64 point.
+// Witness implements Space: the interval's Witness.
 func (s *Space1D) Witness(r Region) geometry.Point {
-	m := s.WitnessRat(r)
-	f, _ := m.Float64()
-	return geometry.Point{f}
+	return geometry.Point{r.(Interval1D).Witness()}
 }
 
-// WitnessRat returns the exact rational midpoint of the interval, for
-// callers that sort record functions with exact arithmetic.
-func (s *Space1D) WitnessRat(r Region) *big.Rat {
-	iv := r.(Interval1D)
-	m := new(big.Rat).Add(iv.LoRat(), iv.HiRat())
-	return m.Quo(m, big.NewRat(2, 1))
-}
-
-// WitnessAt is WitnessRat prepared for funcs.CmpAt, and cheaper: the
-// float halfway between the interval's rounded ends when it lies
-// strictly between them — rounding is monotone, so it then lies strictly
-// inside, and no big.Rat is built unless a comparison falls back — else
-// the exact midpoint. Any interior point sorts the functions alike.
-func (s *Space1D) WitnessAt(r Region) funcs.At {
-	iv := r.(Interval1D)
+// Witness returns a float of the interval: the float halfway between
+// its ends when that lies strictly between them, else Lo. Every float of
+// a leaf sorts the functions alike.
+func (iv Interval1D) Witness() float64 {
 	if x := iv.Lo + float64((iv.Hi-iv.Lo)*0.5); iv.Lo < x && x < iv.Hi {
-		return funcs.AtFloat(x)
+		return x
 	}
-	return funcs.NewAt(s.WitnessRat(r))
+	return iv.Lo
 }
 
-// Halfspaces implements Space: the minimal two-constraint description
-// x >= lo (or > lo) and x <= hi (or < hi), over the rounded ends,
-// expressed as halfspaces so the multi-signature verification object
-// stays small.
+// Halfspaces implements Space: x − Lo ≥ 0 and Hi − x ≥ 0 (> 0 when
+// HiStrict), two constraints so the multi-signature verification object
+// stays small. Both signs are exact in float64.
 func (s *Space1D) Halfspaces(r Region) []geometry.Halfspace {
 	iv := r.(Interval1D)
 	return []geometry.Halfspace{
-		{H: geometry.Hyperplane{C: []float64{1}, B: -iv.Lo}, Strict: iv.LoStrict},
+		{H: geometry.Hyperplane{C: []float64{1}, B: -iv.Lo}},
 		{H: geometry.Hyperplane{C: []float64{-1}, B: iv.Hi}, Strict: iv.HiStrict},
 	}
 }
 
-// Contains implements Space, exactly: x is compared with each end by
-// cmpBreak.
+// Contains implements Space, exactly.
 func (s *Space1D) Contains(r Region, x geometry.Point) bool {
-	if len(x) != 1 || math.IsNaN(x[0]) {
+	if len(x) != 1 {
 		return false
 	}
 	iv := r.(Interval1D)
-	cl := cmpBreak(x[0], nil, iv.Lo, iv.LoCut)
-	ch := cmpBreak(x[0], nil, iv.Hi, iv.HiCut)
-	if cl < 0 || ch > 0 {
-		return false
-	}
-	if cl == 0 && iv.LoStrict {
-		return false
-	}
-	if ch == 0 && iv.HiStrict {
-		return false
-	}
-	return true
+	return iv.Lo <= x[0] && (x[0] < iv.Hi || x[0] == iv.Hi && !iv.HiStrict)
 }
 
 // SpaceND is the LP-backed polytope space for ranking functions of two or

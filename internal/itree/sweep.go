@@ -1,7 +1,6 @@
 package itree
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -11,8 +10,9 @@ import (
 
 // Sweep walks the arrangement's gaps left to right and hands visit each
 // gap's sorted order: perm[pos] is the index into fs of the function at
-// sorted position pos, ascending at the gap's witness (Space1D.WitnessAt),
-// ties by index. Gap 0's order is one exact sort (funcs.SortAtRat). Every
+// sorted position pos, in SortAtExact's order at the gap's witness
+// (Interval1D.Witness) — the order at every float of the gap. Gap 0's
+// order is one exact sort (SortAtExact). Every
 // later gap's is its left neighbour's with each contiguous run of the
 // boundary group's members re-sorted at the gap's witness by adjacent
 // transpositions; swaps lists their positions in the order applied (nil
@@ -20,9 +20,10 @@ import (
 // transposition. perm and swaps are reused between calls: visit must
 // not keep or modify them.
 //
-// The functions crossing at a boundary tie exactly there, so their
-// positions form contiguous runs, and every pair that reorders between
-// adjacent witnesses crosses at the boundary between them. Two checks
+// Every pair that reorders between adjacent witnesses has its threshold
+// at the boundary between them, and a function ranked between two that
+// swap there must swap with one of them, so the boundary's members form
+// contiguous runs and no other function moves. Two checks
 // hold that assumption: after each boundary every member pair must be
 // ordered as the next gap demands, and the order leaving the last gap
 // must equal the exact sort at its witness. A failed check returns an
@@ -30,15 +31,15 @@ import (
 // gaps with ctx.Err().
 func (a *Arrangement1D) Sweep(ctx context.Context, fs []funcs.Linear, visit func(g int, perm, swaps []int) error) error {
 	var perm, inv, positions, swaps []int
-	var at funcs.At
+	var x float64
 	for g := 0; g <= len(a.Groups); g++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		at = a.space.WitnessAt(a.Gap(g))
+		x = a.Gap(g).Witness()
 		if g == 0 {
-			perm = funcs.SortAtRat(fs, at)
-			inv = funcs.InversePerm(perm)
+			perm = SortAtExact(fs, x)
+			inv = InversePerm(perm)
 		} else {
 			members := a.Groups[g-1].Members
 			positions = positions[:0]
@@ -53,11 +54,11 @@ func (a *Arrangement1D) Sweep(ctx context.Context, fs []funcs.Linear, visit func
 				for j+1 < len(positions) && positions[j+1] == positions[j]+1 {
 					j++
 				}
-				swaps = resortRun(fs, perm, inv, positions[i], positions[j], at, swaps)
+				swaps = resortRun(fs, perm, inv, positions[i], positions[j], x, swaps)
 				i = j + 1
 			}
 			for _, in := range members {
-				if (inv[in.I] < inv[in.J]) != (rankCmp(fs[in.I], fs[in.J], at) < 0) {
+				if (inv[in.I] < inv[in.J]) != (rank(fs, in.I, in.J, x) < 0) {
 					return fmt.Errorf("itree: sweep: boundary %d: pair (%d,%d) not ordered for the next gap", g-1, in.I, in.J)
 				}
 			}
@@ -66,28 +67,19 @@ func (a *Arrangement1D) Sweep(ctx context.Context, fs []funcs.Linear, visit func
 			return err
 		}
 	}
-	if len(a.Groups) > 0 && !slices.Equal(perm, funcs.SortAtRat(fs, at)) {
+	if len(a.Groups) > 0 && !slices.Equal(perm, SortAtExact(fs, x)) {
 		return fmt.Errorf("itree: sweep: the order leaving gap %d disagrees with the exact sort at its witness", len(a.Groups))
 	}
 	return nil
 }
 
-// rankCmp orders f and g at the exact point at: by score (funcs.CmpAt),
-// ties by function index.
-func rankCmp(f, g funcs.Linear, at funcs.At) int {
-	if c := funcs.CmpAt(f, g, at); c != 0 {
-		return c
-	}
-	return cmp.Compare(f.Index, g.Index)
-}
-
 // resortRun bubble-sorts the block perm[lo..hi] into the exact order at
-// at, appending each adjacent transposition to swaps.
-func resortRun(fs []funcs.Linear, perm, inv []int, lo, hi int, at funcs.At, swaps []int) []int {
+// x, appending each adjacent transposition to swaps.
+func resortRun(fs []funcs.Linear, perm, inv []int, lo, hi int, x float64, swaps []int) []int {
 	for moved := true; moved; {
 		moved = false
 		for p := lo; p < hi; p++ {
-			if rankCmp(fs[perm[p]], fs[perm[p+1]], at) > 0 {
+			if rank(fs, perm[p], perm[p+1], x) > 0 {
 				perm[p], perm[p+1] = perm[p+1], perm[p]
 				inv[perm[p]], inv[perm[p+1]] = p, p+1
 				swaps = append(swaps, p)

@@ -3,6 +3,7 @@ package itree
 import (
 	"context"
 	"errors"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -13,7 +14,7 @@ import (
 )
 
 // arrangement1D builds the arrangement of fs over [lo, hi] the way the
-// owner does: one Pairs1DCtx enumeration, grouped by breakpoint.
+// owner does: one Pairs1DCtx enumeration, grouped by threshold.
 func arrangement1D(t testing.TB, fs []funcs.Linear, lo, hi float64) (*Space1D, *Arrangement1D) {
 	t.Helper()
 	dom := geometry.MustBox([]float64{lo}, []float64{hi})
@@ -58,10 +59,10 @@ func sweepOrders(t *testing.T, fs []funcs.Linear, arr *Arrangement1D) ([][]int, 
 func checkSweepAgainstSort(t *testing.T, n int, seed int64) {
 	t.Helper()
 	fs := randomLines(n, seed)
-	space, arr := arrangement1D(t, fs, -2, 2)
+	_, arr := arrangement1D(t, fs, -2, 2)
 	orders, total := sweepOrders(t, fs, arr)
 	for g, got := range orders {
-		if want := funcs.SortAtRat(fs, space.WitnessAt(arr.Gap(g))); !slices.Equal(got, want) {
+		if want := SortAtExact(fs, arr.Gap(g).Witness()); !slices.Equal(got, want) {
 			t.Fatalf("n=%d seed %d: gap %d's swept order disagrees with the exact sort", n, seed, g)
 		}
 	}
@@ -93,18 +94,23 @@ func TestSweepLargeTableMatchesDirectSort(t *testing.T) {
 	}
 }
 
-// TestSweepPencilDegenerate: four lines through the origin make one
-// boundary where all six pairs cross at once and the whole order
-// reverses, by six transpositions.
+// TestSweepPencilDegenerate: four lines through the origin, where all
+// six pairs tie and the whole order reverses. At 0 itself the ties go
+// by index, so the two pairs already in index order at 0 change order
+// there and the other four one float later: two boundaries, the float 0
+// a leaf of its own, and six transpositions in all.
 func TestSweepPencilDegenerate(t *testing.T) {
 	fs := lines([2]float64{1, 0}, [2]float64{2, 0}, [2]float64{-1, 0}, [2]float64{0.5, 0})
-	space, arr := arrangement1D(t, fs, -1, 1)
-	if len(arr.Groups) != 1 || len(arr.Groups[0].Members) != 6 {
-		t.Fatalf("arrangement: %d groups, want one of 6 members", len(arr.Groups))
+	_, arr := arrangement1D(t, fs, -1, 1)
+	if len(arr.Groups) != 2 || arr.Groups[0].T != 0 || len(arr.Groups[0].Members) != 2 ||
+		arr.Groups[1].T != math.Nextafter(0, 1) || len(arr.Groups[1].Members) != 4 {
+		t.Fatalf("arrangement: %d groups, want 2 members at 0 and 4 one float later", len(arr.Groups))
 	}
 	orders, total := sweepOrders(t, fs, arr)
-	if want := funcs.SortAtRat(fs, space.WitnessAt(arr.Gap(1))); !slices.Equal(orders[1], want) {
-		t.Fatalf("pencil crossing produced %v, want %v", orders[1], want)
+	for g, want := range [][]int{{1, 0, 3, 2}, {0, 1, 2, 3}, {2, 3, 0, 1}} {
+		if !slices.Equal(orders[g], want) {
+			t.Fatalf("gap %d holds %v, want %v", g, orders[g], want)
+		}
 	}
 	if total != 6 {
 		t.Errorf("%d swaps, want 6", total)
@@ -146,9 +152,9 @@ func TestSweepCanceled(t *testing.T) {
 
 // TestSweepAllocsPerBoundary pins what the sweep allocates on the
 // benchmark's table (2 000 lines, seed 1): nothing per comparison.
-// Comparisons decide in float64 (funcs.CmpAt) and the witnesses are
-// floats wherever a gap allows, so a big.Rat back on the common path —
-// four of them per comparison — fails here by name.
+// Comparisons decide in float64 (funcs.CmpAt, its exact stage included)
+// at float witnesses, so a big.Rat back on the common path — four of
+// them per comparison — fails here by name.
 func TestSweepAllocsPerBoundary(t *testing.T) {
 	tbl, dom, err := workload.Lines(workload.LinesConfig{N: 2000, Seed: 1})
 	if err != nil {

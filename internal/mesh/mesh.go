@@ -18,6 +18,7 @@ package mesh
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"aqverify/internal/funcs"
@@ -60,11 +61,12 @@ type Mesh struct {
 	hasher   *hashing.Hasher
 	verifier sig.Verifier
 
-	// edges[k]..edges[k+1] is subdomain k's interval; len(edges) = S+1.
+	// Subdomain k is the floats in [edges[k], edges[k+1]), the last one
+	// closed at the domain's hi; len(edges) = S+1.
 	edges []float64
-	// witnesses[k] is an exact interior point of subdomain k: its sorted
-	// order is funcs.SortAtRat there.
-	witnesses []funcs.At
+	// witnesses[k] is a float of subdomain k: its sorted order is
+	// itree.SortAtExact there.
+	witnesses []float64
 
 	runs     map[pairKey][]*Run
 	sigCount int
@@ -135,10 +137,9 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Mesh, error) {
 		m.recDig[i] = h.Record(r)
 	}
 
-	// The arrangement is the IFMH-tree's own: the same enumeration, the
-	// same exact in-domain filter and breakpoint grouping. Only the
-	// breakpoints and their crossing pairs are read — never the
-	// canonical order, so the seed is immaterial.
+	// The arrangement is the IFMH-tree's own: the same enumeration and
+	// threshold grouping. Only the thresholds and their crossing pairs
+	// are read — never the canonical order, so the seed is immaterial.
 	inters, err := itree.Pairs1DCtx(ctx, fs, p.Domain)
 	if err != nil {
 		return nil, err
@@ -148,12 +149,12 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Mesh, error) {
 		return nil, err
 	}
 	arr := itree.NewArrangement1D(space, inters, 0)
-	m.witnesses = make([]funcs.At, arr.NumBreakpoints()+1)
+	m.witnesses = make([]float64, arr.NumBreakpoints()+1)
 	m.edges = make([]float64, 0, len(m.witnesses)+1)
 	m.edges = append(m.edges, p.Domain.Lo[0])
 	for k := range m.witnesses {
 		gap := arr.Gap(k)
-		m.witnesses[k] = space.WitnessAt(gap)
+		m.witnesses[k] = gap.Witness()
 		m.edges = append(m.edges, gap.Hi)
 	}
 
@@ -231,7 +232,12 @@ func (m *Mesh) buildRuns(ctx context.Context, arr *itree.Arrangement1D, signer s
 			// covered a whole subdomain.
 			return nil
 		}
+		// The run's floats, as a closed interval: a boundary float is
+		// the next subdomain's.
 		lo, hi := m.edges[o.from], m.edges[to+1]
+		if to < s-1 {
+			hi = math.Nextafter(hi, math.Inf(-1))
+		}
 		d := m.hasher.MeshPair(m.entryDigest(o.a), m.entryDigest(o.b), runEnc(lo, hi))
 		sg, err := signer.Sign(d[:])
 		if err != nil {

@@ -3,9 +3,9 @@ package mesh
 import (
 	"fmt"
 
-	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/hashing"
+	"aqverify/internal/itree"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
@@ -93,13 +93,13 @@ func (m *Mesh) Process(q query.Query, ctr *metrics.Counter) (*Answer, error) {
 	sub := m.NumSubdomains() - 1
 	for k := 0; k < m.NumSubdomains(); k++ {
 		ctr.AddCells(1)
-		if x <= m.edges[k+1] {
+		if x < m.edges[k+1] {
 			sub = k
 			break
 		}
 	}
 
-	perm := funcs.SortAtRat(m.fs, m.witnesses[sub])
+	perm := itree.SortAtExact(m.fs, m.witnesses[sub])
 	n := len(perm)
 	w, err := query.SelectWindow(n, func(pos int) float64 { return m.fs[perm[pos]].Eval(q.X) }, q, ctr)
 	if err != nil {

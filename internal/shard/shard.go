@@ -14,18 +14,19 @@
 // single-tree build would have returned, under the same published
 // PublicParams (same signer, template and mode). What sharding buys is
 // construction and serving scale: each shard sees only the intersections
-// whose breakpoints fall in its sub-box, so its subdomain count — the S
+// whose boundaries fall in its sub-box, so its subdomain count — the S
 // that drives build time, structure size and multi-signature count —
 // shrinks by roughly a factor of K, and the K builds run concurrently,
 // potentially on K different machines (the outsource-to-many-servers
 // posture of the source paper).
 //
 // Routing is deterministic on boundaries: a function input exactly on a
-// cut belongs to the sub-box on the cut's right. Each shard's tree covers
-// its closed sub-box, cut included, and holds only the intersections
-// strictly inside it (itree.Pairs1DCtx over the sub-box), so a crossing
-// exactly on a cut splits neither neighbour and every query routed to a
-// shard falls in one of its subdomains.
+// cut belongs to the sub-box on the cut's right. A univariate shard's
+// tree partitions the floats it is routed: its sub-box, minus the upper
+// cut unless it is the last shard (core.Params.OpenHi), with the
+// thresholds itree.Pairs1DCtx finds there. A pair whose order changes
+// exactly at a cut needs no boundary in either neighbour, and every
+// query routed to a shard falls in one of its subdomains.
 package shard
 
 import (
