@@ -346,7 +346,9 @@ func TestSwapBlueGreen(t *testing.T) {
 // shard of a set, a pencil (seven lines through one point, whose sweep
 // reverses a 7-block at one boundary) and a tree read back from an
 // artifact — and forestBound sizes the node table at exactly the
-// forest's rows.
+// forest's rows. The blobs of the pencil (the multi-swap case), the 2-D
+// tree at one and at eight workers, and every shard of the set are
+// pinned by SHA-256.
 func TestEncodeTreeIsOneExactAllocation(t *testing.T) {
 	ctx := context.Background()
 	lines := testSpec(t, 60, 4)
@@ -370,13 +372,18 @@ func TestEncodeTreeIsOneExactAllocation(t *testing.T) {
 		spec   build.Spec
 		opts   []build.Option
 		reopen bool
+		pins   []string // the SHA-256 of each tree's blob, when pinned
 	}{
-		{"one", lines, []build.Option{build.WithMode(verify.OneSignature), build.WithShuffle(4)}, false},
-		{"multi", lines, []build.Option{build.WithMode(verify.MultiSignature), build.WithShuffle(4)}, false},
-		{"2d", points, []build.Option{build.WithMode(verify.MultiSignature)}, false},
-		{"set", lines, []build.Option{build.WithMode(verify.OneSignature), build.WithShuffle(4), build.WithShards(2, 0)}, false},
-		{"pencil", pencil, []build.Option{build.WithMode(verify.OneSignature)}, false},
-		{"reopened", lines, []build.Option{build.WithMode(verify.MultiSignature), build.WithShuffle(4)}, true},
+		{"one", lines, []build.Option{build.WithMode(verify.OneSignature), build.WithShuffle(4)}, false, nil},
+		{"multi", lines, []build.Option{build.WithMode(verify.MultiSignature), build.WithShuffle(4)}, false, nil},
+		{"2d", points, []build.Option{build.WithMode(verify.MultiSignature), build.WithWorkers(1)}, false, []string{"5212debb2680f324948dacb9d852fdee4070b8548fcccb5ff57a13664567c780"}},
+		{"2d-8workers", points, []build.Option{build.WithMode(verify.MultiSignature), build.WithWorkers(8)}, false, []string{"5212debb2680f324948dacb9d852fdee4070b8548fcccb5ff57a13664567c780"}},
+		{"set", lines, []build.Option{build.WithMode(verify.OneSignature), build.WithShuffle(4), build.WithShards(2, 0)}, false, []string{
+			"1e567015304d52fa65766fdb1f3263eee26c69c8b0953eee0586217923108258",
+			"b72d48b981223467ab816390417c53d30dbdf76f0c987eccf01a1128a5e7d277",
+		}},
+		{"pencil", pencil, []build.Option{build.WithMode(verify.OneSignature)}, false, []string{"0ca7ba29f5dccd77d1053dce889c1caca6b6edd9ae9d2b56a9fca45ed0ccc053"}},
+		{"reopened", lines, []build.Option{build.WithMode(verify.MultiSignature), build.WithShuffle(4)}, true, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := build.Outsource(ctx, tc.spec, tc.opts...)
@@ -403,6 +410,9 @@ func TestEncodeTreeIsOneExactAllocation(t *testing.T) {
 				}
 				if cap(blob) != len(blob) {
 					t.Errorf("tree %d: a %d-byte blob in a %d-byte allocation", i, len(blob), cap(blob))
+				}
+				if sum := sha256.Sum256(blob); tc.pins != nil && hex.EncodeToString(sum[:]) != tc.pins[i] {
+					t.Errorf("tree %d: blob SHA-256 %x, pinned %s", i, sum, tc.pins[i])
 				}
 				if rows := tr.Stats().FMHNodes; forestBound(s) != rows {
 					t.Errorf("tree %d: forestBound %d for the forest's %d rows", i, forestBound(s), rows)
