@@ -17,10 +17,10 @@ import (
 	"aqverify/internal/backend"
 	"aqverify/internal/build"
 	"aqverify/internal/core"
-	"aqverify/internal/fmh"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/hashing"
+	"aqverify/internal/mhtree"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
 	"aqverify/internal/server"
@@ -345,8 +345,8 @@ func TestSwapBlueGreen(t *testing.T) {
 // length sizeTree computes, for both signing modes, a 2-D tree, every
 // shard of a set, a pencil (seven lines through one point, whose sweep
 // reverses a 7-block at one boundary) and a tree read back from an
-// artifact — and forestBound sizes the node table at exactly the
-// forest's rows. The blobs of the pencil (the multi-swap case), the 2-D
+// artifact — and every row of the forest it writes is some list's: a
+// multi-swap gap leaves no dead rows. The blobs of the pencil (the multi-swap case), the 2-D
 // tree at one and at eight workers, and every shard of the set are
 // pinned by SHA-256.
 func TestEncodeTreeIsOneExactAllocation(t *testing.T) {
@@ -414,30 +414,36 @@ func TestEncodeTreeIsOneExactAllocation(t *testing.T) {
 				if sum := sha256.Sum256(blob); tc.pins != nil && hex.EncodeToString(sum[:]) != tc.pins[i] {
 					t.Errorf("tree %d: blob SHA-256 %x, pinned %s", i, sum, tc.pins[i])
 				}
-				if rows := tr.Stats().FMHNodes; forestBound(s) != rows {
-					t.Errorf("tree %d: forestBound %d for the forest's %d rows", i, forestBound(s), rows)
+				if got, rows := reachableRows(s), s.Forest.Len(); got != rows || tr.Stats().FMHNodes != rows {
+					t.Errorf("tree %d: the lists reach %d of the forest's %d rows (FMHNodes %d)", i, got, rows, tr.Stats().FMHNodes)
 				}
 			}
 		})
 	}
 
 	// A crafted forest no build makes and the decoder accepts: the first
-	// list holds one node at two positions. Over six records a list has
+	// list holds one row at two positions. Over six records a list has
 	// eight leaves, so its root's left child's right child and right
 	// child's left child each span two records; the crafted list puts the
-	// former in both places. The encoder writes a row per position — one
-	// exact allocation still — and the blob decodes to the same lists.
+	// former in both places. A row table has no pointer identity to lose:
+	// the blob holds the table as it is, one exact allocation still, and
+	// re-saving the decoded tree reproduces the blob byte for byte.
 	t.Run("shared", func(t *testing.T) {
 		res, err := build.Outsource(ctx, testSpec(t, 6, 2), build.WithMode(verify.MultiSignature), build.WithShuffle(2))
 		if err != nil {
 			t.Fatal(err)
 		}
 		s := res.Tree.Snapshot()
-		l0 := s.Subs[0].List.Tree
-		right, root := *l0.R, *l0
-		right.L, root.R = l0.L.R, &right
+		f := s.Forest
+		l0, r0 := f.Children(s.Subs[0].List.Row)
+		_, lr := f.Children(l0)
+		_, rr := f.Children(r0)
+		rows := append([]byte(nil), f.Rows()...)
+		rows = appendRow(rows, f.Digest(r0), lr, rr, f.Width(r0))
+		rows = appendRow(rows, f.Digest(s.Subs[0].List.Row), l0, uint32(f.Len()), f.Width(s.Subs[0].List.Row))
+		s.Forest = mhtree.FromRows(rows)
 		first := *s.Subs[0]
-		first.List = &fmh.List{N: first.List.N, Tree: &root}
+		first.List.Forest, first.List.Row = s.Forest, uint32(s.Forest.Len()-1)
 		s.Subs = append([]*core.SubInfo{&first}, s.Subs[1:]...)
 
 		blob, _, err := encodeTree(s, build.ShardNone)
@@ -451,18 +457,15 @@ func TestEncodeTreeIsOneExactAllocation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("the crafted forest's blob: %v", err)
 		}
-		for i, rec := range s.Table.Records {
-			if !bytes.Equal(d.Table.Records[i].Encode(nil), rec.Encode(nil)) {
-				t.Fatalf("record %d decodes differently", i)
-			}
+		if again, _, err := encodeTree(d.Snapshot, build.ShardNone); err != nil || !bytes.Equal(again, blob) {
+			t.Fatalf("the decoded crafted forest re-saves to a different blob (%v)", err)
 		}
 		if len(d.Subs) != len(s.Subs) {
 			t.Fatalf("%d lists decode from %d", len(d.Subs), len(s.Subs))
 		}
 		for k, si := range s.Subs {
-			want, got := si.List.Tree, d.Subs[k].List.Tree
-			if got.H != want.H || got.W != want.W {
-				t.Fatalf("list %d: root %x/%d decodes as %x/%d", k, want.H, want.W, got.H, got.W)
+			if got, want := d.Subs[k].List.Root(), si.List.Root(); got != want {
+				t.Fatalf("list %d: root %x decodes as %x", k, want, got)
 			}
 			if w, g := fmt.Sprint(si.List.Window(nil, 0, si.List.N)), fmt.Sprint(d.Subs[k].List.Window(nil, 0, si.List.N)); g != w {
 				t.Fatalf("list %d: records %s decode as %s", k, w, g)
@@ -473,6 +476,36 @@ func TestEncodeTreeIsOneExactAllocation(t *testing.T) {
 			t.Fatalf("the crafted list does not repeat its shared records: leaf 2 names %d, leaf 4 %d", got, want)
 		}
 	})
+}
+
+// appendRow appends one FMH forest row: digest, left, right, width.
+func appendRow(rows []byte, d hashing.Digest, l, r uint32, w int) []byte {
+	rows = append(rows, d[:]...)
+	rows = binary.BigEndian.AppendUint32(rows, l)
+	rows = binary.BigEndian.AppendUint32(rows, r)
+	return binary.BigEndian.AppendUint32(rows, uint32(w))
+}
+
+// reachableRows counts the forest rows some subdomain's list reaches.
+func reachableRows(s core.Snapshot) int {
+	seen := make([]bool, s.Forest.Len())
+	count := 0
+	var walk func(i uint32)
+	walk = func(i uint32) {
+		if seen[i] {
+			return
+		}
+		seen[i] = true
+		count++
+		if l, r := s.Forest.Children(i); l != mhtree.None {
+			walk(l)
+			walk(r)
+		}
+	}
+	for _, si := range s.Subs {
+		walk(si.List.Row)
+	}
+	return count
 }
 
 // TestSaveOverAnOpenArtifact: saving a new epoch into the directory an
@@ -534,6 +567,59 @@ func TestSaveOverAnOpenArtifact(t *testing.T) {
 		}
 		if _, err := backend.One(ctx, b2, q, backend.WithVerify(a2.Result.Public)); err != nil {
 			t.Fatalf("epoch 2: %v", err)
+		}
+	}
+}
+
+// TestOpenCopiesTheForest: an open artifact's FMH forest is a heap copy
+// of the blob's forest section, not a view of the map. Overwriting the
+// section in place in the mapped file — which a shared map shows at
+// once — leaves every answer of a mixed query set verifying: the
+// indices Open validated are the ones it serves.
+func TestOpenCopiesTheForest(t *testing.T) {
+	ctx := context.Background()
+	spec := testSpec(t, 200, 17)
+	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
+		res, err := build.Outsource(ctx, spec, build.WithMode(mode), build.WithShuffle(17))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if _, err := Save(dir, res); err != nil {
+			t.Fatal(err)
+		}
+		a, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+		path := filepath.Join(dir, treeName)
+		rows := res.Tree.Snapshot().Forest.Rows()
+		at := bytes.Index(mustRead(t, path), rows)
+		if at < 0 {
+			t.Fatal("the forest's rows are not in the blob")
+		}
+		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(bytes.Repeat([]byte{0xff}, len(rows)), int64(at)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if mp := a.maps[0]; mp.mapped && mp.data[at] != 0xff {
+			t.Fatal("the shared map does not show the in-place write")
+		}
+		b, err := a.Backend()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range sampleQueries(spec.Domain, 12) {
+			if _, err := backend.One(ctx, b, q, backend.WithVerify(a.Result.Public)); err != nil {
+				t.Fatalf("%v: %v after the forest was overwritten in the file", mode, err)
+			}
 		}
 	}
 }

@@ -94,15 +94,15 @@ func readBox(r *codec.Reader, what string) geometry.Box {
 }
 
 // encodeTree serializes one built tree's serve-state into a sealed blob.
-// The FMH forest is a children-before-parents node table indexed by
-// position: a list reuses its left neighbor's row wherever it holds the
-// same node at the same position, which is all the sharing a sweep chain
-// has, so the file is O(forest), not O(S·n). The IMH tree is a
-// post-order table. shardIdx is the tree's position in a sharded set, or
-// build.ShardNone. The blob is one allocation of its exact length
+// The FMH forest is the tree's row table as it is held in memory
+// (mhtree.Forest): children before parents, every list's rows appended
+// after its left neighbour's, sharing what the lists share, so the file
+// is O(forest), not O(S·n). The IMH tree is a post-order table. shardIdx
+// is the tree's position in a sharded set, or build.ShardNone. The blob
+// is one allocation of its exact length
 // (TestEncodeTreeIsOneExactAllocation).
 func encodeTree(s core.Snapshot, shardIdx int) ([]byte, hashing.Digest, error) {
-	nf := forestBound(s)
+	nf := s.Forest.Len()
 	ni, isize := imhSize(s.ITree.Root)
 	w := &codec.Writer{Buf: make([]byte, 0, sizeTree(s, nf, isize))}
 	w.Buf = append(w.Buf, magicTree[:]...)
@@ -129,46 +129,12 @@ func encodeTree(s core.Snapshot, shardIdx int) ([]byte, hashing.Digest, error) {
 		w.Buf = rec.Encode(w.Buf)
 	}
 
-	// A row is digest, left, right, width. A leaf has no children: its
-	// left slot is nilIndex and its right slot names the record the leaf
-	// commits to — mhtree.NoRecord (-1, a sentinel's) is nilIndex as a u32.
-	// slot[p] is the row of the last list's node at post-order position
-	// p of the (n+2)-leaf shape; a width-wd subtree from position at has
-	// its root at at+2wd-2. forestBound counts the rows this writes.
+	// The forest rows, then each subdomain's root row.
 	w.U32(uint32(nf))
-	slot := make([]uint32, 2*s.Subs[0].List.Tree.W-1)
-	rows := uint32(0)
-	var row func(n, prev *mhtree.Node, at int) uint32
-	row = func(n, prev *mhtree.Node, at int) uint32 {
-		p := at + 2*int(n.W) - 2
-		if n == prev {
-			return slot[p]
-		}
-		l, r := nilIndex, uint32(n.Rec)
-		if n.L != nil {
-			var pl, pr *mhtree.Node
-			if prev != nil {
-				pl, pr = prev.L, prev.R
-			}
-			l = row(n.L, pl, at)
-			r = row(n.R, pr, at+2*int(n.L.W)-1)
-		}
-		w.Buf = append(w.Buf, n.H[:]...)
-		w.U32(l)
-		w.U32(r)
-		w.U32(uint32(n.W))
-		slot[p], rows = rows, rows+1
-		return slot[p]
-	}
-	roots := make([]uint32, len(s.Subs))
-	var prev *mhtree.Node
-	for k, si := range s.Subs {
-		roots[k] = row(si.List.Tree, prev, 0)
-		prev = si.List.Tree
-	}
-	w.U32(uint32(len(roots)))
-	for _, ri := range roots {
-		w.U32(ri)
+	w.Buf = append(w.Buf, s.Forest.Rows()...)
+	w.U32(uint32(len(s.Subs)))
+	for _, si := range s.Subs {
+		w.U32(si.List.Row)
 	}
 
 	// Per-subdomain inequality encoding and signature (multi-signature
@@ -211,20 +177,6 @@ func encodeTree(s core.Snapshot, shardIdx int) ([]byte, hashing.Digest, error) {
 	return buf, h, nil
 }
 
-// forestBound counts the FMH rows encodeTree writes, from the lists
-// themselves: the first whole, then each list's nodes that its left
-// neighbor does not hold at the same position. For a sweep chain, built
-// or loaded, and for lists built from scratch that is the forest's
-// distinct nodes; a forest sharing a node across positions gets a row
-// per position.
-func forestBound(s core.Snapshot) int {
-	n := 2*s.Subs[0].List.Tree.LeafCount() - 1
-	for k := 1; k < len(s.Subs); k++ {
-		n += mhtree.ChangedNodes(s.Subs[k-1].List.Tree, s.Subs[k].List.Tree)
-	}
-	return n
-}
-
 // imhSize counts the rows and bytes of the IMH table under n.
 func imhSize(n *itree.Node) (rows, size int) {
 	if n.IsLeaf() {
@@ -257,7 +209,7 @@ func sizeTree(s core.Snapshot, nf, isize int) int {
 }
 
 // forestRow is one FMH node row: digest, left, right, width.
-const forestRow = hashing.Size + 4 + 4 + 4
+const forestRow = mhtree.RowSize
 
 // leafSpan classifies the leaves under an FMH node by where the
 // sentinels (leaves naming no record) sit. The server indexes its table
@@ -357,22 +309,22 @@ func decodeTree(data []byte) (*decodedTree, error) {
 	}
 	d.Table = tbl
 
-	// FMH forest.
+	// FMH forest: copied out of the input once and checked on the copy —
+	// a blob is a shared map, and a rewrite must not move a checked index.
 	nf := r.Count("fmh node", forestRow)
-	forest := make([]mhtree.Node, nf)
+	rows := append([]byte(nil), r.Take(nf*forestRow, "fmh forest")...)
+	if r.Err() != nil {
+		return nil, r.Err()
+	}
+	forest := mhtree.FromRows(rows)
 	spans := make([]leafSpan, nf)
-	for i := range forest {
-		forest[i].H = readDigest(r, "fmh node hash")
-		l, rr := r.U32("fmh left child"), r.U32("fmh right child")
-		wdt := r.U32("fmh node width")
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
+	for i := range spans {
+		l, rr := forest.Children(uint32(i))
+		wdt := uint32(forest.Width(uint32(i)))
 		if uint64(wdt) > uint64(n)+2 || wdt > math.MaxInt32 {
 			r.Corrupt("fmh node %d has width %d for %d records", i, wdt, n)
 			return nil, r.Err()
 		}
-		forest[i].W, forest[i].Rec = int32(wdt), mhtree.NoRecord
 		switch {
 		case l == nilIndex:
 			// A leaf: the right slot is its record (nilIndex: none).
@@ -383,15 +335,14 @@ func decodeTree(data []byte) (*decodedTree, error) {
 				if uint64(rr) >= uint64(n) {
 					r.Corrupt("fmh leaf %d names record %d outside %d records", i, rr, n)
 				}
-				forest[i].Rec, spans[i] = int32(rr), spanRecords
+				spans[i] = spanRecords
 			}
 		case rr == nilIndex:
 			r.Corrupt("fmh node %d has one child", i)
 		case uint64(l) >= uint64(i) || uint64(rr) >= uint64(i):
 			r.Corrupt("fmh node %d references a later node", i)
 		default:
-			forest[i].L, forest[i].R = &forest[l], &forest[rr]
-			if int64(wdt) != int64(forest[l].W)+int64(forest[rr].W) || int(forest[l].W) != verify.LeftWidth(int(wdt)) {
+			if int64(wdt) != int64(forest.Width(l))+int64(forest.Width(rr)) || forest.Width(l) != verify.LeftWidth(int(wdt)) {
 				r.Corrupt("fmh node %d has inconsistent width %d", i, wdt)
 			}
 			if spans[i] = joinSpans(spans[l], spans[rr]); spans[i] == spanInvalid {
@@ -406,6 +357,7 @@ func decodeTree(data []byte) (*decodedTree, error) {
 	if ns < 1 {
 		r.Corrupt("no subdomains")
 	}
+	infos := make([]core.SubInfo, ns)
 	subs := make([]*core.SubInfo, ns)
 	for i := range subs {
 		ri := r.U32("fmh root index")
@@ -416,15 +368,16 @@ func decodeTree(data []byte) (*decodedTree, error) {
 			r.Corrupt("subdomain %d fmh root %d outside %d nodes", i, ri, nf)
 			return nil, r.Err()
 		}
-		if int(forest[ri].W) != n+2 {
-			r.Corrupt("subdomain %d list covers %d leaves for %d records", i, forest[ri].W, n)
+		if forest.Width(ri) != n+2 {
+			r.Corrupt("subdomain %d list covers %d leaves for %d records", i, forest.Width(ri), n)
 			return nil, r.Err()
 		}
 		if spans[ri] != spanList {
 			r.Corrupt("subdomain %d list is not n records between two sentinels", i)
 			return nil, r.Err()
 		}
-		subs[i] = &core.SubInfo{List: &fmh.List{N: n, Tree: &forest[ri]}}
+		infos[i].List = fmh.List{N: n, Forest: forest, Row: ri}
+		subs[i] = &infos[i]
 	}
 
 	// Per-subdomain inequality encodings and signatures.
@@ -507,7 +460,7 @@ func decodeTree(data []byte) (*decodedTree, error) {
 		si.Sub = subPtrs[i]
 	}
 	d.ITree = &itree.Tree{Root: &inodes[nt-1], Subs: subPtrs, NodeCount: nt}
-	d.Subs = subs
+	d.Subs, d.Forest = subs, forest
 
 	d.RootSig = r.Bytes("root signature")
 

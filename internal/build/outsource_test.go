@@ -321,3 +321,21 @@ func BenchmarkOutsource1D(b *testing.B) {
 		}
 	}
 }
+
+// TestRepublishBuildAllocs pins the allocations of one build of the
+// republish benchmark's table — 2 000 lines, seed 1, one signature,
+// WithShuffle(1) — at 30 000. Its ~71 500 FMH nodes were heap objects
+// once (98 021 allocations in all); as rows of one table they cost a
+// handful, so the count no longer grows with the forest.
+func TestRepublishBuildAllocs(t *testing.T) {
+	spec := testSpec(t, 2000, 1, workload.Gaussian)
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := Outsource(context.Background(), spec, WithMode(verify.OneSignature), WithShuffle(1)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations", allocs)
+	if allocs > 30000 {
+		t.Errorf("building the 2 000-line table allocates %.0f times, want at most 30 000", allocs)
+	}
+}

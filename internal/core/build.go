@@ -4,11 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"aqverify/internal/fmh"
 	"aqverify/internal/geometry"
 	"aqverify/internal/hashing"
 	"aqverify/internal/itree"
+	"aqverify/internal/mhtree"
 	"aqverify/internal/record"
 	"aqverify/internal/verify"
 )
@@ -38,6 +41,9 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Owner, error) {
 	}
 	if tbl.Len() == 0 {
 		return nil, fmt.Errorf("core: cannot outsource an empty table")
+	}
+	if tbl.Len() > math.MaxInt32-2 {
+		return nil, fmt.Errorf("core: %d records overflow the 32-bit FMH leaf index", tbl.Len())
 	}
 	if err := p.Template.Validate(tbl.Schema.Arity()); err != nil {
 		return nil, err
@@ -73,10 +79,10 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Owner, error) {
 	}
 	workers := p.workers()
 	p.progress(StageDigest, tbl.Len())
-	recDigests := make([]hashing.Digest, tbl.Len())
+	leaves := make([]hashing.Digest, tbl.Len())
 	err = o.parallelChunks(ctx, workers, tbl.Len(), func(h *hashing.Hasher, lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			recDigests[i] = h.Record(tbl.Records[i])
+			leaves[i] = h.Leaf(h.Record(tbl.Records[i]))
 		}
 		return nil
 	})
@@ -85,7 +91,7 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Owner, error) {
 	}
 
 	if p.Template.Dim() == 1 {
-		if err := o.build1D(ctx, recDigests); err != nil {
+		if err := o.build1D(ctx, leaves); err != nil {
 			return nil, err
 		}
 		return o, nil
@@ -101,7 +107,7 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Owner, error) {
 	}
 	o.itree = itree.Build(space, itree.PairsND(fs), p.Seed)
 	p.progress(StageLists, len(o.itree.Subs))
-	if err := o.buildListsND(ctx, workers, recDigests); err != nil {
+	if err := o.buildListsND(ctx, workers, leaves); err != nil {
 		return nil, err
 	}
 	if err := o.seal(ctx); err != nil {
@@ -117,23 +123,16 @@ func (p Params) progress(stage Stage, units int) {
 	}
 }
 
-// fmhFromPerm builds a fresh FMH-tree for a permutation with the given
-// hasher (a worker-local one inside parallel sections), its leaves made
-// from the record digests.
-func fmhFromPerm(h *hashing.Hasher, recDigests []hashing.Digest, perm []int) (*fmh.List, error) {
-	return fmh.Build(h, perm, func(rec int) hashing.Digest {
-		return h.Leaf(recDigests[rec])
-	})
-}
-
 // build1D is the univariate pipeline: enumerate the pairs crossing
 // inside the domain, sort them into the arrangement, read the canonical
 // I-tree directly off it, then walk its gaps (Arrangement1D.Sweep): gap
 // 0's list is built from its sorted order and every other list is
-// derived persistently from its left neighbour by the boundary's swaps.
-// The chain is O(n + S log n) in total, against the S·(2(n+2)−1) nodes
-// of one from-scratch tree per subdomain. Then propagate and sign.
-func (o *Owner) build1D(ctx context.Context, recDigests []hashing.Digest) error {
+// derived from its left neighbour in one path-copying pass over the
+// positions the boundary's swaps touched. The chain is O(n + S log n)
+// rows in one forest, against the S·(2(n+2)−1) of one from-scratch tree
+// per subdomain. Then propagate and sign. leaves[rec] is record rec's
+// leaf digest.
+func (o *Owner) build1D(ctx context.Context, leaves []hashing.Digest) error {
 	p := o.p
 	dom := p.Domain
 	if p.OpenHi {
@@ -157,22 +156,29 @@ func (o *Owner) build1D(ctx context.Context, recDigests []hashing.Digest) error 
 	o.itree = itree.BuildCanonical1D(space, arr)
 
 	subs := o.itree.Subs
+	infos := make([]SubInfo, len(subs))
 	o.subs = make([]*SubInfo, len(subs))
+	// Gap 0's tree, then per swap its leaves and their root paths: under
+	// depth + 4 rows on random lines (the table doubles past that).
+	o.forest = new(mhtree.Forest)
+	o.forest.Grow(2*(len(leaves)+2) - 1 + len(inters)*(bits.Len(uint(len(leaves)+2))+4))
 	p.progress(StageLists, len(subs))
-	var list *fmh.List
-	err = arr.Sweep(ctx, o.fs, func(g int, perm, swaps []int) (err error) {
+	var list fmh.List
+	var at []int
+	err = arr.Sweep(ctx, o.fs, func(g int, perm, swaps []int) error {
 		if g == 0 {
-			if list, err = fmhFromPerm(o.hasher, recDigests, perm); err != nil {
-				return err
+			list = fmh.Build(o.hasher, o.forest, perm, leaves)
+		} else {
+			at = at[:0]
+			for _, pos := range swaps {
+				at = append(at, pos, pos+1)
 			}
-		}
-		for _, pos := range swaps {
-			if list, err = list.DeriveSwap(o.hasher, pos); err != nil {
-				return err
-			}
+			slices.Sort(at)
+			list = list.Derive(o.hasher, slices.Compact(at), perm, leaves)
 		}
 		o.swaps += len(swaps)
-		o.subs[g] = &SubInfo{Sub: subs[g], List: list}
+		infos[g] = SubInfo{Sub: subs[g], List: list}
+		o.subs[g] = &infos[g]
 		return nil
 	})
 	if err != nil {
@@ -194,22 +200,37 @@ func (o *Owner) seal(ctx context.Context) error {
 // buildListsND sorts each subdomain independently at an interior witness
 // point and builds its list from scratch — there is no sweep order to
 // exploit in d >= 2. The subdomains are independent, so the sort + FMH
-// build shards across the worker pool.
-func (o *Owner) buildListsND(ctx context.Context, workers int, recDigests []hashing.Digest) error {
+// build shards across the worker pool: each chunk of subdomains builds
+// its lists into a forest of its own, and the chunks' forests are then
+// joined in subdomain order, so the rows are the same for every worker
+// count.
+func (o *Owner) buildListsND(ctx context.Context, workers int, leaves []hashing.Digest) error {
 	subs := o.itree.Subs
+	infos := make([]SubInfo, len(subs))
 	o.subs = make([]*SubInfo, len(subs))
-	return o.parallelChunks(ctx, workers, len(subs), func(h *hashing.Hasher, lo, hi int) error {
+	chunks := make([]*mhtree.Forest, len(subs)) // by the chunk's first subdomain
+	err := o.parallelChunks(ctx, workers, len(subs), func(h *hashing.Hasher, lo, hi int) error {
+		f := new(mhtree.Forest)
+		chunks[lo] = f
 		for i := lo; i < hi; i++ {
-			sub := subs[i]
-			w := o.itree.Space.Witness(sub.Region)
-			list, err := fmhFromPerm(h, recDigests, itree.SortAt(o.fs, w))
-			if err != nil {
-				return err
-			}
-			o.subs[i] = &SubInfo{Sub: sub, List: list}
+			w := o.itree.Space.Witness(subs[i].Region)
+			infos[i] = SubInfo{Sub: subs[i], List: fmh.Build(h, f, itree.SortAt(o.fs, w), leaves)}
+			o.subs[i] = &infos[i]
 		}
 		return nil
 	})
+	if err != nil {
+		return err
+	}
+	o.forest = chunks[0]
+	var shift uint32
+	for i, f := range chunks {
+		if f != nil && i > 0 {
+			shift = o.forest.Append(f)
+		}
+		infos[i].List.Forest, infos[i].List.Row = o.forest, infos[i].List.Row+shift
+	}
+	return nil
 }
 
 // propagateHashes fills every IMH node's hash bottom-up (paper §3.1 step

@@ -28,6 +28,7 @@ import (
 	"aqverify/internal/geometry"
 	"aqverify/internal/hashing"
 	"aqverify/internal/itree"
+	"aqverify/internal/mhtree"
 	"aqverify/internal/record"
 	"aqverify/internal/sig"
 	"aqverify/internal/verify"
@@ -120,7 +121,7 @@ func (p Params) workers() int {
 // SubInfo is the per-subdomain state of a built tree.
 type SubInfo struct {
 	Sub  *itree.Subdomain
-	List *fmh.List
+	List fmh.List
 	// IneqEnc is the canonical encoding of the subdomain's inequality
 	// set; Ineqs is its decoded form (multi-signature mode only).
 	IneqEnc []byte
@@ -142,8 +143,9 @@ type Tree struct {
 	table record.Table
 	fs    []funcs.Linear
 
-	itree *itree.Tree
-	subs  []*SubInfo
+	itree  *itree.Tree
+	subs   []*SubInfo
+	forest *mhtree.Forest // every subdomain list's rows
 
 	rootDigest hashing.Digest
 	rootSig    []byte // one-signature mode

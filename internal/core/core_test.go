@@ -7,11 +7,13 @@ import (
 	"math/rand"
 	"testing"
 
+	"aqverify/internal/fmh"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/hashing"
 	"aqverify/internal/itree"
 	"aqverify/internal/metrics"
+	"aqverify/internal/mhtree"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
 	"aqverify/internal/sig"
@@ -134,7 +136,8 @@ func TestResultsMatchOracle(t *testing.T) {
 
 // TestSweepChainMatchesFreshLists is the from-scratch reference for the
 // one univariate construction: every subdomain's list — derived
-// persistently from its left neighbor, one DeriveSwap per crossing — has
+// from its left neighbor by one path-copying pass over the positions the
+// boundary's swaps touched — has
 // the root of a list built here from nothing, over that subdomain's
 // exact sorted order at its witness. A wrong or misplaced swap in the
 // chain moves a root.
@@ -155,16 +158,13 @@ func TestSweepChainMatchesFreshLists(t *testing.T) {
 		for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
 			t.Run(fmt.Sprintf("%s/%v", name, mode), func(t *testing.T) {
 				tree := build1D(t, tbl, mode)
-				digests := make([]hashing.Digest, tbl.Len())
+				leaves := make([]hashing.Digest, tbl.Len())
 				for i, rec := range tbl.Records {
-					digests[i] = tree.hasher.Record(rec)
+					leaves[i] = tree.hasher.Leaf(tree.hasher.Record(rec))
 				}
 				for k, si := range tree.subs {
 					perm := itree.SortAtExact(tree.fs, si.Sub.Region.(itree.Interval1D).Witness())
-					fresh, err := fmhFromPerm(tree.hasher, digests, perm)
-					if err != nil {
-						t.Fatal(err)
-					}
+					fresh := fmh.Build(tree.hasher, new(mhtree.Forest), perm, leaves)
 					if si.List.Root() != fresh.Root() {
 						t.Fatalf("subdomain %d of %d: the derived list's root differs from a fresh list over the same order", k, len(tree.subs))
 					}

@@ -10,6 +10,7 @@ import (
 	"aqverify/internal/geometry"
 	"aqverify/internal/hashing"
 	"aqverify/internal/itree"
+	"aqverify/internal/mhtree"
 	"aqverify/internal/record"
 	"aqverify/internal/verify"
 )
@@ -36,6 +37,8 @@ type Snapshot struct {
 	// sorted order — and, in multi-signature mode, its inequality
 	// encoding and signature.
 	Subs []*SubInfo
+	// Forest holds every list's rows.
+	Forest *mhtree.Forest
 	// RootSig is the owner's root signature (one-signature mode).
 	RootSig  []byte
 	Verifier verify.Verifier
@@ -52,6 +55,7 @@ func (t *Tree) Snapshot() Snapshot {
 		Table:    t.table,
 		ITree:    t.itree,
 		Subs:     t.subs,
+		Forest:   t.forest,
 		RootSig:  t.rootSig,
 		Verifier: t.verifier,
 	}
@@ -112,21 +116,21 @@ func FromSnapshot(s Snapshot) (*Tree, error) {
 		fs:       fs,
 		itree:    s.ITree,
 		subs:     s.Subs,
+		forest:   s.Forest,
 		rootSig:  s.RootSig,
 		verifier: s.Verifier,
 	}
 
 	n := s.Table.Len()
 	for i, si := range s.Subs {
-		if si == nil || si.List == nil || si.Sub == nil {
-			return nil, fmt.Errorf("core: snapshot subdomain %d is incomplete", i)
+		if si == nil || si.Sub == nil || si.List.Forest == nil || si.List.Forest != s.Forest {
+			return nil, fmt.Errorf("core: snapshot subdomain %d is incomplete or not in the snapshot's forest", i)
 		}
 		if si.Sub.ID != i {
 			return nil, fmt.Errorf("core: snapshot subdomain %d carries id %d", i, si.Sub.ID)
 		}
-		if si.List.LeafCount() != n+2 {
-			return nil, fmt.Errorf("core: subdomain %d list covers %d leaves for %d records",
-				i, si.List.LeafCount(), n)
+		if si.List.N != n {
+			return nil, fmt.Errorf("core: subdomain %d list holds %d records for %d", i, si.List.N, n)
 		}
 	}
 

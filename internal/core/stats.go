@@ -1,9 +1,5 @@
 package core
 
-import (
-	"aqverify/internal/mhtree"
-)
-
 // Stats describes a built IFMH-tree's footprint — the data the owner
 // uploads to the cloud (paper Fig 5c) and the signature counts (Fig 5a).
 type Stats struct {
@@ -13,8 +9,8 @@ type Stats struct {
 	IMHNodes int
 	// IMHDepth is the maximum root-to-leaf path length.
 	IMHDepth int
-	// FMHNodes counts distinct Merkle nodes across all subdomain lists,
-	// deduplicating persistent sharing.
+	// FMHNodes counts the rows of the FMH forest every subdomain list
+	// shares.
 	FMHNodes int
 	// Signatures and SignatureBytes cover the owner's signatures.
 	Signatures     int
@@ -52,15 +48,13 @@ func (t *Tree) stats(swaps int) Stats {
 		IMHNodes:   t.itree.NodeCount,
 		IMHDepth:   t.itree.Depth(),
 		Signatures: t.sigCount,
+		FMHNodes:   t.forest.Len(),
 		TotalSwaps: swaps,
 	}
-	roots := make([]*mhtree.Node, 0, len(t.subs))
 	for _, si := range t.subs {
-		roots = append(roots, si.List.Tree)
 		s.SignatureBytes += len(si.Sig)
 	}
 	s.SignatureBytes += len(t.rootSig)
-	s.FMHNodes = mhtree.CountForest(roots)
 
 	recordBytes := 0
 	for _, r := range t.table.Records {

@@ -16,14 +16,15 @@
 // window with its two neighbors. The server answers queries from these
 // and never materializes a subdomain's permutation.
 //
-// Lists are immutable; DeriveSwap produces the next subdomain's list in
-// O(log n) new nodes via the persistent Merkle tree underneath. The
-// client's counterpart of BoundaryProof is verify.ComputeFMHRoot.
+// A list is a root row in an mhtree.Forest, the one table its
+// neighbours' lists share rows in. Lists are immutable; Derive appends
+// the next subdomain's list in O(log n) rows per moved record, sharing
+// every untouched row. The client's counterpart of BoundaryProof is
+// verify.ComputeFMHRoot.
 package fmh
 
 import (
 	"fmt"
-	"math"
 
 	"aqverify/internal/hashing"
 	"aqverify/internal/metrics"
@@ -31,73 +32,83 @@ import (
 	"aqverify/internal/verify"
 )
 
-// List is one subdomain's FMH-tree. N is the record count (excluding
-// sentinels).
+// List is one subdomain's FMH-tree: the tree at row Row of Forest. N is
+// the record count (excluding sentinels).
 type List struct {
-	N    int
-	Tree *mhtree.Node
+	N      int
+	Forest *mhtree.Forest
+	Row    uint32
 }
 
-// Build constructs the FMH-tree for a sorted function list: perm[p] is
-// the index of the record at sorted position p, and leafDigest must
-// return that record's leaf digest, h.Leaf of its record digest. Sentinel
-// leaves are added automatically and commit to no record.
-func Build(h *hashing.Hasher, perm []int, leafDigest func(rec int) hashing.Digest) (*List, error) {
+// Build appends to f the FMH-tree for a sorted function list: perm[p] is
+// the index of the record at sorted position p, and leaf[rec] is that
+// record's leaf digest, h.Leaf of its record digest. Sentinel leaves are
+// added automatically and commit to no record.
+func Build(h *hashing.Hasher, f *mhtree.Forest, perm []int, leaf []hashing.Digest) List {
 	n := len(perm)
-	if n > math.MaxInt32-2 {
-		return nil, fmt.Errorf("fmh: list length %d overflows the 32-bit leaf index", n)
-	}
 	leaves := make([]hashing.Digest, n+2)
 	recs := make([]int32, n+2)
 	leaves[0], recs[0] = h.SentinelMin(n), mhtree.NoRecord
 	for p, rec := range perm {
-		leaves[p+1], recs[p+1] = leafDigest(rec), int32(rec)
+		leaves[p+1], recs[p+1] = leaf[rec], int32(rec)
 	}
 	leaves[n+1], recs[n+1] = h.SentinelMax(n), mhtree.NoRecord
-	return &List{N: n, Tree: mhtree.Build(h, leaves, recs)}, nil
+	return List{N: n, Forest: f, Row: f.Build(h, leaves, recs)}
+}
+
+// Derive returns the list whose order is perm, for a perm that differs
+// from l's order only at the record positions at (ascending, without
+// repeats, in [0, n)): one path-copying pass (mhtree.Forest.Derive)
+// appends a leaf row naming perm[p], with digest leaf[perm[p]], for each
+// p in at and a row for each of their ancestors. This is the step between
+// two adjacent subdomains, whose orders differ by the boundary's
+// transpositions.
+func (l List) Derive(h *hashing.Hasher, at, perm []int, leaf []hashing.Digest) List {
+	l.Row = l.Forest.Derive(h, l.Row, -1, at, func(p int) (hashing.Digest, int) {
+		return leaf[perm[p]], perm[p]
+	})
+	return l
 }
 
 // Root returns the FMH root digest.
-func (l *List) Root() hashing.Digest { return l.Tree.Root() }
-
-// LeafCount returns the total tree leaves, n+2.
-func (l *List) LeafCount() int { return l.N + 2 }
+func (l *List) Root() hashing.Digest { return l.Forest.Digest(l.Row) }
 
 // Reader reads a list's records by sorted position. It keeps the path of
-// its last read and climbs it only to the lowest node covering the next
+// its last read and climbs it only to the lowest row covering the next
 // leaf, so a binary search's later probes and a scan cost O(1) amortised.
 type Reader struct {
-	path [32]*mhtree.Node // path[0] is the root; W is 32-bit, so at most 31 levels
-	off  [32]int          // the first leaf under path[d]
-	d    int              // depth of the last leaf read
+	f    *mhtree.Forest
+	path [32]uint32 // path[0] is the root; widths are 32-bit, so at most 31 levels
+	off  [32]int    // the first leaf under path[d]
+	d    int        // depth of the last leaf read
 }
 
 // Reader returns a reader over the list.
-func (l *List) Reader() Reader { return Reader{path: [32]*mhtree.Node{l.Tree}} }
+func (l *List) Reader() Reader { return Reader{f: l.Forest, path: [32]uint32{l.Row}} }
 
 // At returns the index of the record at sorted position p in [-1, n]; the
 // sentinel positions -1 and n read mhtree.NoRecord.
 func (r *Reader) At(p int) int {
 	i := p + 1 // the leaf index
-	if i < 0 || i >= int(r.path[0].W) {
-		panic(fmt.Sprintf("fmh: record position %d out of range [-1,%d]", p, r.path[0].W-2))
+	if w := r.f.Width(r.path[0]); i < 0 || i >= w {
+		panic(fmt.Sprintf("fmh: record position %d out of range [-1,%d]", p, w-2))
 	}
 	d := r.d
-	for i < r.off[d] || i >= r.off[d]+int(r.path[d].W) {
+	for i < r.off[d] || i >= r.off[d]+r.f.Width(r.path[d]) {
 		d--
 	}
 	n, off := r.path[d], r.off[d]
-	for n.W > 1 {
-		if lw := verify.LeftWidth(int(n.W)); i < off+lw {
-			n = n.L
+	for w := r.f.Width(n); w > 1; d++ {
+		lc, rc := r.f.Children(n)
+		if lw := verify.LeftWidth(w); i < off+lw {
+			n, w = lc, lw
 		} else {
-			n, off = n.R, off+lw
+			n, off, w = rc, off+lw, w-lw
 		}
-		d++
-		r.path[d], r.off[d] = n, off
+		r.path[d+1], r.off[d+1] = n, off
 	}
 	r.d = d
-	return int(n.Rec)
+	return r.f.Rec(n)
 }
 
 // Window appends the record indices at positions [start-1, start+count]
@@ -115,17 +126,6 @@ func (l *List) Window(dst []int, start, count int) ([]int, error) {
 	return dst, nil
 }
 
-// DeriveSwap returns a new list with the records at sorted positions p and
-// p+1 exchanged, sharing all untouched tree structure with l. This is the
-// step between two adjacent subdomains whose orders differ by one
-// transposition.
-func (l *List) DeriveSwap(h *hashing.Hasher, p int) (*List, error) {
-	if p < 0 || p+1 >= l.N {
-		return nil, fmt.Errorf("fmh: swap at record position %d out of range [0,%d)", p, l.N-1)
-	}
-	return &List{N: l.N, Tree: mhtree.SwapLeaves(h, l.Tree, p+1)}, nil
-}
-
 // BoundaryProof writes into p the range proof covering record positions
 // [start-1, start+count] — the result window plus its immediate left and
 // right neighbors (which may be the sentinels) — reusing p's capacity.
@@ -138,5 +138,5 @@ func (l *List) BoundaryProof(p *verify.Proof, start, count int, ctr *metrics.Cou
 	}
 	// Tree leaves: left boundary at leaf index start, right boundary at
 	// start+count+1.
-	return l.Tree.RangeProof(p, start, start+count+1, ctr)
+	return l.Forest.RangeProof(p, l.Row, start, start+count+1, ctr)
 }

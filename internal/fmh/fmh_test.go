@@ -14,7 +14,7 @@ import (
 
 // testList builds an FMH list over n synthetic records and returns the
 // list plus each record's leaf digest by position.
-func testList(t *testing.T, h *hashing.Hasher, n int, seed int64) (*List, []hashing.Digest) {
+func testList(t *testing.T, h *hashing.Hasher, n int, seed int64) (List, []hashing.Digest) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	leafD := make([]hashing.Digest, n)
@@ -22,10 +22,7 @@ func testList(t *testing.T, h *hashing.Hasher, n int, seed int64) (*List, []hash
 		rec := record.Record{ID: uint64(p + 1), Attrs: []float64{rng.NormFloat64()}}
 		leafD[p] = h.Leaf(h.Record(rec))
 	}
-	l, err := Build(h, identity(n), func(rec int) hashing.Digest { return leafD[rec] })
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := Build(h, new(mhtree.Forest), identity(n), leafD)
 	return l, leafD
 }
 
@@ -41,29 +38,23 @@ func identity(n int) []int {
 func TestBuildShape(t *testing.T) {
 	h := hashing.New(nil)
 	l, _ := testList(t, h, 5, 1)
-	if l.LeafCount() != 7 {
-		t.Errorf("LeafCount = %d, want 7 (5 records + 2 sentinels)", l.LeafCount())
-	}
-	if l.Tree.LeafCount() != 7 {
-		t.Errorf("tree leaves = %d", l.Tree.LeafCount())
+	if l.Forest.Width(l.Row) != 7 {
+		t.Errorf("the tree has %d leaves, want 7 (5 records + 2 sentinels)", l.Forest.Width(l.Row))
 	}
 	// Sentinel leaves occupy the ends.
-	if l.Tree.Leaf(0) != h.SentinelMin(5) {
+	if leafDigest(l, 0) != h.SentinelMin(5) {
 		t.Error("leaf 0 is not the min sentinel")
 	}
-	if l.Tree.Leaf(6) != h.SentinelMax(5) {
+	if leafDigest(l, 6) != h.SentinelMax(5) {
 		t.Error("last leaf is not the max sentinel")
 	}
 }
 
 func TestBuildEmptyList(t *testing.T) {
 	h := hashing.New(nil)
-	l, err := Build(h, nil, func(int) hashing.Digest { panic("no records") })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.LeafCount() != 2 {
-		t.Errorf("empty list LeafCount = %d, want 2 sentinels", l.LeafCount())
+	l := Build(h, new(mhtree.Forest), nil, nil)
+	if l.Forest.Width(l.Row) != 2 {
+		t.Errorf("the empty list's tree has %d leaves, want 2 sentinels", l.Forest.Width(l.Row))
 	}
 	if got, err := l.Window(nil, 0, 0); err != nil || len(got) != 2 || got[0] != mhtree.NoRecord || got[1] != mhtree.NoRecord {
 		t.Errorf("empty list window = %v, %v; want the two sentinels", got, err)
@@ -75,13 +66,17 @@ func TestRootBindsLength(t *testing.T) {
 	l5, d5 := testList(t, h, 5, 3)
 	// Same record digests, different claimed length -> different root
 	// (sentinels bind n).
-	l5b, err := Build(h, identity(5), func(rec int) hashing.Digest { return d5[rec] })
-	if err != nil {
-		t.Fatal(err)
-	}
+	l5b := Build(h, new(mhtree.Forest), identity(5), d5)
 	if l5.Root() != l5b.Root() {
 		t.Error("rebuild changed the root")
 	}
+}
+
+// swap derives the list with the records at positions p and p+1
+// exchanged, perm updated to match.
+func swap(h *hashing.Hasher, l List, perm []int, leafD []hashing.Digest, p int) List {
+	perm[p], perm[p+1] = perm[p+1], perm[p]
+	return l.Derive(h, []int{p, p + 1}, perm, leafD)
 }
 
 func TestDeriveSwap(t *testing.T) {
@@ -89,32 +84,32 @@ func TestDeriveSwap(t *testing.T) {
 	n := 9
 	l, leafD := testList(t, h, n, 4)
 	for p := 0; p+1 < n; p++ {
-		swapped, err := l.DeriveSwap(h, p)
-		if err != nil {
-			t.Fatalf("DeriveSwap(%d): %v", p, err)
-		}
 		want := identity(n)
-		want[p], want[p+1] = want[p+1], want[p]
-		fresh, err := Build(h, want, func(rec int) hashing.Digest { return leafD[rec] })
-		if err != nil {
-			t.Fatal(err)
-		}
+		swapped := swap(h, l, want, leafD, p)
+		fresh := Build(h, new(mhtree.Forest), want, leafD)
 		if swapped.Root() != fresh.Root() {
-			t.Fatalf("DeriveSwap(%d) root differs from fresh build", p)
+			t.Fatalf("swap at %d: root differs from fresh build", p)
 		}
 		if recordAt(swapped, p) != p+1 || recordAt(swapped, p+1) != p {
-			t.Fatalf("DeriveSwap(%d) left the record indices behind", p)
+			t.Fatalf("swap at %d left the record indices behind", p)
 		}
 		// Sentinels must be untouched.
-		if swapped.Tree.Leaf(0) != h.SentinelMin(n) || swapped.Tree.Leaf(n+1) != h.SentinelMax(n) {
-			t.Fatalf("DeriveSwap(%d) disturbed a sentinel", p)
+		if leafDigest(swapped, 0) != h.SentinelMin(n) || leafDigest(swapped, n+1) != h.SentinelMax(n) {
+			t.Fatalf("swap at %d disturbed a sentinel", p)
+		}
+		if recordAt(l, p) != p || recordAt(l, p+1) != p+1 {
+			t.Fatalf("swap at %d changed the list it was derived from", p)
 		}
 	}
-	if _, err := l.DeriveSwap(h, n-1); err == nil {
-		t.Error("swap at last record position accepted (would swap with sentinel)")
-	}
-	if _, err := l.DeriveSwap(h, -1); err == nil {
-		t.Error("negative swap accepted")
+	for _, at := range [][]int{{n - 1, n}, {-1, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("deriving positions %v (a sentinel's) accepted", at)
+				}
+			}()
+			l.Derive(h, at, identity(n), leafD)
+		}()
 	}
 }
 
@@ -209,17 +204,16 @@ func TestDeriveSwapChainMatchesFreshBuilds(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	cur := l
 	for step := 0; step < 50; step++ {
-		p := rng.Intn(n - 1)
-		var err error
-		cur, err = cur.DeriveSwap(h, p)
-		if err != nil {
-			t.Fatal(err)
+		// One to three overlapping adjacent swaps, derived in one pass.
+		var at []int
+		for k := rng.Intn(3); k >= 0; k-- {
+			p := rng.Intn(n - 1)
+			perm[p], perm[p+1] = perm[p+1], perm[p]
+			at = append(at, p, p+1)
 		}
-		perm[p], perm[p+1] = perm[p+1], perm[p]
-		fresh, err := Build(h, perm, func(rec int) hashing.Digest { return leafD[rec] })
-		if err != nil {
-			t.Fatal(err)
-		}
+		slices.Sort(at)
+		cur = cur.Derive(h, slices.Compact(at), perm, leafD)
+		fresh := Build(h, new(mhtree.Forest), perm, leafD)
 		if cur.Root() != fresh.Root() {
 			t.Fatalf("step %d: derived root diverged from fresh build", step)
 		}
@@ -242,16 +236,30 @@ func TestDeriveSwapChainMatchesFreshBuilds(t *testing.T) {
 }
 
 // boundaryProof is BoundaryProof into a fresh proof.
-func boundaryProof(l *List, start, count int, ctr *metrics.Counter) (verify.Proof, error) {
+func boundaryProof(l List, start, count int, ctr *metrics.Counter) (verify.Proof, error) {
 	var p verify.Proof
 	err := l.BoundaryProof(&p, start, count, ctr)
 	return p, err
 }
 
 // recordAt reads position p by one root-to-leaf descent.
-func recordAt(l *List, p int) int {
+func recordAt(l List, p int) int {
 	r := l.Reader()
 	return r.At(p)
+}
+
+// leafDigest reads leaf i's digest by one root-to-leaf descent.
+func leafDigest(l List, i int) hashing.Digest {
+	n := l.Row
+	for w := l.Forest.Width(n); w > 1; {
+		lc, rc := l.Forest.Children(n)
+		if lw := verify.LeftWidth(w); i < lw {
+			n, w = lc, lw
+		} else {
+			n, w, i = rc, w-lw, i-lw
+		}
+	}
+	return l.Forest.Digest(n)
 }
 
 // TestReaderIsTheDescent: a Reader that resumes its last path reads what
@@ -264,10 +272,11 @@ func TestReaderIsTheDescent(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	for n := 0; n <= 300; n += 1 + n/8 {
 		perm := rng.Perm(n)
-		l, err := Build(h, perm, func(rec int) hashing.Digest { return h.Leaf(hashing.Digest{byte(rec)}) })
-		if err != nil {
-			t.Fatal(err)
+		leaves := make([]hashing.Digest, n)
+		for rec := range leaves {
+			leaves[rec] = h.Leaf(hashing.Digest{byte(rec)})
 		}
+		l := Build(h, new(mhtree.Forest), perm, leaves)
 		var probes []int
 		for i := 0; i < 4*n; i++ {
 			probes = append(probes, rng.Intn(n+2)-1)

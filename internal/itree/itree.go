@@ -162,7 +162,10 @@ func inversions1D(ctx context.Context, fs []funcs.Linear, lo, hi float64) ([][2]
 // quotient of the rounded coefficient differences is the crossing to
 // within a few ulps, so it walks from there one float at a time — two
 // comparisons when the quotient is the threshold — and bisects what a
-// few steps leave bracketed.
+// few steps leave bracketed: by value while its ends differ in sign or
+// binade, where the key midpoint is a float far smaller than either (one
+// whose products leave funcs.CmpAt for big.Rat around 0), and by key
+// within one. Either probe keeps the bracket, so the result is the same.
 func threshold(fs []funcs.Linear, a, b int, lo, hi float64) float64 {
 	fa, fb := fs[a], fs[b]
 	after := func(k int64) bool { return rank(fs, b, a, unkey(k)) < 0 }
@@ -178,6 +181,11 @@ func threshold(fs []funcs.Linear, a, b int, lo, hi float64) float64 {
 	}
 	for uint64(h-l) > 1 { // h − l may exceed the int64 range
 		m := l + int64(uint64(h-l)/2)
+		if x, y := unkey(l), unkey(h); math.Float64bits(x)>>52 != math.Float64bits(y)>>52 {
+			if v := key(x/2 + y/2); l < v && v < h {
+				m = v
+			}
+		}
 		if after(m) {
 			h = m
 		} else {

@@ -318,6 +318,29 @@ func TestPairs1DFiltersAndValidates(t *testing.T) {
 	}
 }
 
+// TestPairs1DAllocs: enumerating the pairs of the benchmark's 2 000
+// lines allocates a constant few times — the thresholds' bisections
+// stay out of big.Rat on a domain spanning 0 (86 allocations when they
+// bisected by key from ends of opposite sign).
+func TestPairs1DAllocs(t *testing.T) {
+	tbl, dom, err := workload.Lines(workload.LinesConfig{N: 2000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := funcs.AffineLine(0, 1).InterpretTable(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := Pairs1DCtx(context.Background(), fs, dom); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 12 {
+		t.Errorf("Pairs1DCtx over 2 000 lines allocates %.0f times, want at most 12", allocs)
+	}
+}
+
 // BenchmarkPairs1D times the owner's pair enumeration over the
 // benchmark's 2 000-line table and the top of the paper's Fig 5 sweep.
 //

@@ -180,3 +180,133 @@ func TestPairs1DIsTheExactCrossingSet(t *testing.T) {
 		}
 	}
 }
+
+// thresholdByKey is threshold with the bisection by key alone, the one
+// it had before it halved by value: the reference TestThresholdMatches
+// KeyBisection holds it to.
+func thresholdByKey(fs []funcs.Linear, a, b int, lo, hi float64) float64 {
+	fa, fb := fs[a], fs[b]
+	after := func(k int64) bool { return rank(fs, b, a, unkey(k)) < 0 }
+	l, h := key(lo), key(hi)
+	if t := -(fa.Bias - fb.Bias) / (fa.Coef[0] - fb.Coef[0]); t > lo && t < hi {
+		for g, i := key(t), 0; i < 4 && l < g && g < h; i++ {
+			if after(g) {
+				h, g = g, g-1
+			} else {
+				l, g = g, g+1
+			}
+		}
+	}
+	for uint64(h-l) > 1 {
+		m := l + int64(uint64(h-l)/2)
+		if after(m) {
+			h = m
+		} else {
+			l = m
+		}
+	}
+	return unkey(h)
+}
+
+// TestThresholdMatchesKeyBisection: halving by value before bisecting by
+// key finds the same threshold as bisecting by key alone, on 10^5 random
+// crossing pairs over domains spanning 0 — ordinary lines, crossings a
+// few ulps from 0 or from the domain's lower end, coefficients from
+// 2^-1000 to 2^1000 (2^-440 to 2^440 in the main, where CmpAt stays in
+// floats), and coefficients and biases whose differences
+// overflow, so that the quotient guess is NaN, ±Inf or outside (lo, hi)
+// — and the threshold is the first float at which the pair's order is
+// its order at hi.
+func TestThresholdMatchesKeyBisection(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	sgn := func() float64 { return float64(1 - 2*rng.Intn(2)) }
+	// mag is a random float in [2^e/2, 2^e·3/2) for e in [lo, hi].
+	mag := func(lo, hi int) float64 { return math.Ldexp(0.5+rng.Float64(), lo+rng.Intn(hi-lo+1)) }
+	line := func(c, b float64) funcs.Linear { return funcs.Linear{Coef: []float64{c}, Bias: b} }
+	around0 := func(lo, hi int) (float64, float64) { return -mag(lo, hi), mag(lo, hi) }
+	wide := func(e int) (funcs.Linear, funcs.Linear, float64, float64) {
+		lo, hi := around0(-e, e)
+		return line(sgn()*mag(-e, e), sgn()*mag(-e, e)), line(sgn()*mag(-e, e), sgn()*mag(-e, e)), lo, hi
+	}
+	kinds := []func() (f, g funcs.Linear, lo, hi float64){
+		func() (funcs.Linear, funcs.Linear, float64, float64) { // ordinary lines
+			lo, hi := around0(-10, 10)
+			return line(rng.NormFloat64(), rng.NormFloat64()), line(rng.NormFloat64(), rng.NormFloat64()), lo, hi
+		},
+		func() (funcs.Linear, funcs.Linear, float64, float64) { // crossing near 0
+			lo, hi := around0(-4, 4)
+			return line(rng.NormFloat64(), sgn()*mag(-1000, -20)), line(rng.NormFloat64(), sgn()*mag(-1000, -20)), lo, hi
+		},
+		func() (funcs.Linear, funcs.Linear, float64, float64) { // 2^-440 to 2^440
+			return wide(440)
+		},
+		func() (funcs.Linear, funcs.Linear, float64, float64) { // crossing a few ulps above lo
+			tau := -mag(-30, 3)
+			c1, c2 := rng.NormFloat64(), rng.NormFloat64()
+			lo := tau
+			for k := rng.Intn(4); k >= 0; k-- {
+				lo = math.Nextafter(lo, math.Inf(-1))
+			}
+			return line(c1, float64(-c1*tau)), line(c2, float64(-c2*tau)), lo, mag(-3, 3)
+		},
+		func() (funcs.Linear, funcs.Linear, float64, float64) { // 2^-1000 to 2^1000
+			return wide(1000)
+		},
+		func() (funcs.Linear, funcs.Linear, float64, float64) { // both differences overflow: NaN
+			c, b := mag(1023, 1023), mag(1023, 1023)
+			lo, hi := around0(2, 3)
+			return line(c, b), line(-mag(1023, 1023), -mag(1023, 1023)), lo, hi
+		},
+		func() (funcs.Linear, funcs.Linear, float64, float64) { // the bias difference overflows: ±Inf
+			s := sgn()
+			lo, hi := around0(10, 12)
+			return line(mag(1014, 1016), s*mag(1023, 1023)), line(-mag(1014, 1016), -s*mag(1023, 1023)), lo, hi
+		},
+	}
+	var quotients [4]int // NaN, ±Inf, outside (lo, hi), inside
+	pairs := 0
+	for i := 0; pairs < 100000; i++ {
+		if i > 1000000 {
+			t.Fatalf("only %d crossing pairs in %d draws", pairs, i)
+		}
+		// The last three kinds compare in big.Rat throughout: one draw in
+		// 50 each.
+		kind := kinds[i%4]
+		if k := i % 100; k >= 97 {
+			kind = kinds[k-93]
+		}
+		f, g, lo, hi := kind()
+		fs := []funcs.Linear{f, g}
+		a, b := 0, 1
+		if rank(fs, 0, 1, lo) > 0 {
+			a, b = 1, 0
+		}
+		if rank(fs, a, b, hi) < 0 {
+			continue // the order does not change in [lo, hi]
+		}
+		pairs++
+		switch q := -(fs[a].Bias - fs[b].Bias) / (fs[a].Coef[0] - fs[b].Coef[0]); {
+		case math.IsNaN(q):
+			quotients[0]++
+		case math.IsInf(q, 0):
+			quotients[1]++
+		case !(q > lo && q < hi):
+			quotients[2]++
+		default:
+			quotients[3]++
+		}
+		tau, want := threshold(fs, a, b, lo, hi), thresholdByKey(fs, a, b, lo, hi)
+		if math.Float64bits(tau) != math.Float64bits(want) {
+			t.Fatalf("lines %v and %v on [%v, %v]: threshold %v, by key %v", fs[a], fs[b], lo, hi, tau, want)
+		}
+		if prev := math.Nextafter(tau, math.Inf(-1)); rank(fs, b, a, tau) > 0 || (prev > lo && rank(fs, b, a, prev) < 0) {
+			t.Fatalf("lines %v and %v on [%v, %v]: %v is not the first float of the order at hi", fs[a], fs[b], lo, hi, tau)
+		}
+	}
+	t.Logf("%d pairs; quotients NaN %d, ±Inf %d, outside (lo, hi) %d, inside %d", pairs, quotients[0], quotients[1], quotients[2], quotients[3])
+	for k, c := range quotients {
+		if c < 100 {
+			t.Errorf("quotient class %d has %d pairs, want at least 100", k, c)
+		}
+	}
+}

@@ -11,14 +11,21 @@
 // check (verify.Proof, verify.ComputeRoot) are the client's, in package
 // verify, which this package imports and never the reverse.
 //
-// Trees are immutable and persistent: deriving a tree that differs in one
-// leaf (or an adjacent swap) copies only the O(log n) path to the root and
-// shares everything else. The IFMH construction leans on this heavily —
-// consecutive subdomains differ by adjacent transpositions, so S
-// subdomains cost O(n + S log n) memory instead of O(S n).
+// Trees live in a Forest: one pointer-free table of fixed-size rows —
+// digest, left child, right child, width — appended children before
+// parents, a tree being the index of its root row. Rows are never
+// rewritten: deriving a tree that differs at a few leaves appends a row
+// for each of them and each of their ancestors and shares every other
+// row. The IFMH construction leans on this heavily — consecutive
+// subdomains differ by adjacent transpositions, so S subdomains cost
+// O(n + S log n) rows instead of O(S n) — and the garbage collector never
+// scans the table, which holds no pointer. The rows are the artifact's
+// forest section byte for byte, so saving a forest is one append and
+// opening one is one copy.
 package mhtree
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -28,198 +35,202 @@ import (
 	"aqverify/internal/verify"
 )
 
-// Node is an immutable Merkle tree node covering W leaves. Leaf nodes have
-// W == 1 and nil children; internal nodes have exactly two children with
-// H = hash(TagNode | L.H | R.H).
-//
-// A leaf also names the record its digest commits to (Rec, NoRecord for a
-// leaf that commits to none), so a tree over a sorted list is that list:
-// a descent reads it back without any side table. Rec is not
+// RowSize is one row's bytes: the digest, then three big-endian u32s —
+// the left child, the right child and the width (the leaves under the
+// row). A leaf row (width 1) has None on the left and, on the right, the
+// record its digest commits to (None for none). The record index is not
 // hashed — it is the server's index into its own table, and a wrong one
-// only yields an answer that fails verification. W and Rec are 32-bit so
-// the index costs the node no space: forests hold millions of nodes.
-type Node struct {
-	H    hashing.Digest
-	L, R *Node
-	W    int32
-	Rec  int32
-}
+// only yields an answer that fails verification.
+const RowSize = hashing.Size + 4 + 4 + 4
 
-// NoRecord is the Rec of a leaf that commits to no record (and of every
-// internal node).
+// None is the u32 in a leaf row's left slot, and in the right slot of a
+// leaf that commits to no record.
+const None = ^uint32(0)
+
+// NoRecord is the record a leaf that commits to none reads as.
 const NoRecord = -1
 
-// Build constructs a tree over the given leaf digests; recs[i] is the
-// record leaf i commits to, and a nil recs means no leaf commits to one.
-// It returns nil for an empty slice. The hasher's counter observes one
-// hash per internal node (w-1 total).
-func Build(h *hashing.Hasher, leaves []hashing.Digest, recs []int32) *Node {
+// Forest is a table of rows, each row's children strictly before it.
+// Rows are only ever appended; a row index, once returned, names the same
+// tree for the forest's lifetime.
+type Forest struct {
+	rows []byte
+}
+
+// FromRows wraps a row table without copying it. The caller has checked
+// that len(rows) is a multiple of RowSize and that every row is well
+// formed (children before parents, widths consistent with
+// verify.LeftWidth); the forest's readers index by the table alone.
+func FromRows(rows []byte) *Forest { return &Forest{rows: rows} }
+
+// Rows returns the table. It aliases the forest: callers must not modify
+// it.
+func (f *Forest) Rows() []byte { return f.rows }
+
+// Len returns the row count.
+func (f *Forest) Len() int { return len(f.rows) / RowSize }
+
+// Grow reserves room for n more rows, at least doubling the table when it
+// grows, so a forest built row by row copies each row about once.
+func (f *Forest) Grow(n int) {
+	if need := len(f.rows) + n*RowSize; need > cap(f.rows) {
+		f.rows = append(make([]byte, 0, max(need, 2*cap(f.rows))), f.rows...)
+	}
+}
+
+// Digest returns row i's digest.
+func (f *Forest) Digest(i uint32) hashing.Digest {
+	o := int(i) * RowSize
+	return hashing.Digest(f.rows[o : o+hashing.Size])
+}
+
+// Children returns row i's left and right slots.
+func (f *Forest) Children(i uint32) (l, r uint32) {
+	o := int(i)*RowSize + hashing.Size
+	return binary.BigEndian.Uint32(f.rows[o:]), binary.BigEndian.Uint32(f.rows[o+4:])
+}
+
+// Width returns the number of leaves under row i.
+func (f *Forest) Width(i uint32) int {
+	return int(binary.BigEndian.Uint32(f.rows[int(i)*RowSize+hashing.Size+8:]))
+}
+
+// Rec returns the record leaf row i commits to, NoRecord for none.
+func (f *Forest) Rec(i uint32) int {
+	_, r := f.Children(i)
+	return int(int32(r))
+}
+
+// row appends one row and returns its index.
+func (f *Forest) row(d hashing.Digest, l, r uint32, w int) uint32 {
+	i := uint32(f.Len())
+	f.Grow(1)
+	f.rows = append(f.rows, d[:]...)
+	f.rows = binary.BigEndian.AppendUint32(f.rows, l)
+	f.rows = binary.BigEndian.AppendUint32(f.rows, r)
+	f.rows = binary.BigEndian.AppendUint32(f.rows, uint32(w))
+	return i
+}
+
+// join appends the internal row over l and r, hashing it.
+func (f *Forest) join(h *hashing.Hasher, l, r uint32) uint32 {
+	return f.row(h.Node(f.Digest(l), f.Digest(r)), l, r, f.Width(l)+f.Width(r))
+}
+
+// Build appends a tree over the given leaf digests and returns its root
+// row; recs[i] is the record leaf i commits to, and a nil recs means no
+// leaf commits to one. It returns None for an empty slice. The rows are
+// appended in post-order, left before right. The hasher's counter
+// observes one hash per internal row (w-1 total).
+func (f *Forest) Build(h *hashing.Hasher, leaves []hashing.Digest, recs []int32) uint32 {
 	if len(leaves) == 0 {
-		return nil
+		return None
 	}
 	if len(leaves) > math.MaxInt32 || (recs != nil && len(recs) != len(leaves)) {
 		panic(fmt.Sprintf("mhtree: %d leaves with %d record indices", len(leaves), len(recs)))
 	}
-	return build(h, leaves, recs, 0, len(leaves))
+	return f.build(h, leaves, recs, 0, len(leaves))
 }
 
-func build(h *hashing.Hasher, leaves []hashing.Digest, recs []int32, off, w int) *Node {
+func (f *Forest) build(h *hashing.Hasher, leaves []hashing.Digest, recs []int32, off, w int) uint32 {
 	if w == 1 {
-		n := &Node{H: leaves[off], W: 1, Rec: NoRecord}
+		rec := None
 		if recs != nil {
-			n.Rec = recs[off]
+			rec = uint32(recs[off])
 		}
-		return n
+		return f.row(leaves[off], None, rec, 1)
 	}
 	lw := verify.LeftWidth(w)
-	return join(h, build(h, leaves, recs, off, lw), build(h, leaves, recs, off+lw, w-lw))
+	l := f.build(h, leaves, recs, off, lw)
+	return f.join(h, l, f.build(h, leaves, recs, off+lw, w-lw))
 }
 
-// join hashes a new internal node over l and r.
-func join(h *hashing.Hasher, l, r *Node) *Node {
-	return &Node{H: h.Node(l.H, r.H), L: l, R: r, W: l.W + r.W, Rec: NoRecord}
-}
-
-// Root returns the root digest.
-func (n *Node) Root() hashing.Digest { return n.H }
-
-// LeafCount returns the number of leaves under n.
-func (n *Node) LeafCount() int { return int(n.W) }
-
-// leaf descends to leaf i (0-based) in O(log n).
-func (n *Node) leaf(i int) *Node {
-	if i < 0 || i >= int(n.W) {
-		panic(fmt.Sprintf("mhtree: leaf %d out of range [0,%d)", i, n.W))
-	}
-	for n.W > 1 {
-		lw := verify.LeftWidth(int(n.W))
-		if i < lw {
-			n = n.L
-		} else {
-			n = n.R
-			i -= lw
-		}
-	}
-	return n
-}
-
-// Leaf returns the digest of leaf i (0-based).
-func (n *Node) Leaf(i int) hashing.Digest { return n.leaf(i).H }
-
-// WithLeaf returns a tree equal to n except that leaf i holds digest d
-// and commits to record rec. The returned tree shares all untouched
-// subtrees with n.
-func WithLeaf(h *hashing.Hasher, n *Node, i int, d hashing.Digest, rec int) *Node {
-	if i < 0 || i >= int(n.W) {
-		panic(fmt.Sprintf("mhtree: leaf %d out of range [0,%d)", i, n.W))
-	}
-	if n.W == 1 {
-		return &Node{H: d, W: 1, Rec: int32(rec)}
-	}
-	lw := verify.LeftWidth(int(n.W))
-	if i < lw {
-		return join(h, WithLeaf(h, n.L, i, d, rec), n.R)
-	}
-	return join(h, n.L, WithLeaf(h, n.R, i-lw, d, rec))
-}
-
-// SwapLeaves returns a tree with leaves i and i+1 exchanged — digest and
-// record index together — sharing structure with n. This is the
-// adjacent-transposition derivation used when walking from one
-// subdomain's FMH-tree to the next.
+// Derive appends a tree equal to the one at root except at the leaf
+// positions at, ascending, without repeats and inside the tree, and
+// returns its root row:
+// the leaf at position p holds the digest and record leaf(p) returns.
+// Positions count from first, the position of root's leaf 0.
 //
-// One descent: the shared path down to the two leaves' lowest common
-// ancestor, then one WithLeaf on each side of it, so every new node —
-// the two leaves and the union of their root paths — is built and
-// hashed exactly once.
-func SwapLeaves(h *hashing.Hasher, n *Node, i int) *Node {
-	if i < 0 || i+1 >= int(n.W) {
-		panic(fmt.Sprintf("mhtree: swap at %d out of range [0,%d)", i, n.W-1))
+// One path-copying pass appends a row for each of those leaves and for
+// each of their ancestors — in post-order, left before right — and shares
+// every other row, so a subdomain whose order differs from its
+// neighbour's by any number of transpositions costs exactly the rows on
+// the union of the moved leaves' root paths, one hash per internal row.
+// With no positions it returns root.
+func (f *Forest) Derive(h *hashing.Hasher, root uint32, first int, at []int, leaf func(p int) (hashing.Digest, int)) uint32 {
+	if len(at) == 0 {
+		return root
 	}
-	lw := verify.LeftWidth(int(n.W))
-	switch {
-	case i+1 < lw:
-		return join(h, SwapLeaves(h, n.L, i), n.R)
-	case i >= lw:
-		return join(h, n.L, SwapLeaves(h, n.R, i-lw))
-	}
-	// n is the lowest common ancestor: leaf i is the left subtree's
-	// last, leaf i+1 the right subtree's first.
-	a, b := n.L.leaf(i), n.R.leaf(0)
-	return join(h, WithLeaf(h, n.L, i, b.H, int(b.Rec)), WithLeaf(h, n.R, 0, a.H, int(a.Rec)))
+	return f.derive(h, root, f.Width(root), first, at, leaf)
 }
 
-// ChangedNodes returns the number of nodes of next that are not the node
-// at the same position in prev, for two trees of equal width — when next
-// was derived from prev (SwapLeaves, WithLeaf), the nodes the derivation
-// created. It descends only where the two differ, so a caller can size a
-// table for a chain of lists' forest from the lists alone.
-func ChangedNodes(prev, next *Node) int {
-	if next == prev {
-		return 0
+func (f *Forest) derive(h *hashing.Hasher, n uint32, w, off int, at []int, leaf func(p int) (hashing.Digest, int)) uint32 {
+	if w == 1 {
+		d, rec := leaf(at[0])
+		return f.row(d, None, uint32(rec), 1)
 	}
-	if next.W == 1 {
-		return 1
+	lw := verify.LeftWidth(w)
+	k := 0
+	for k < len(at) && at[k] < off+lw {
+		k++
 	}
-	return 1 + ChangedNodes(prev.L, next.L) + ChangedNodes(prev.R, next.R)
+	l, r := f.Children(n)
+	if k > 0 {
+		l = f.derive(h, l, lw, off, at[:k], leaf)
+	}
+	if k < len(at) {
+		r = f.derive(h, r, w-lw, off+lw, at[k:], leaf)
+	}
+	return f.join(h, l, r)
 }
 
-// NodeCount returns the total number of distinct nodes reachable from n,
-// deduplicating shared subtrees. It measures the real memory footprint of
-// a persistent forest when called through CountForest.
-func (n *Node) NodeCount() int {
-	seen := make(map[*Node]bool)
-	return countNodes(n, seen)
-}
-
-// CountForest returns the number of distinct nodes across a set of trees
-// that may share structure.
-func CountForest(roots []*Node) int {
-	seen := make(map[*Node]bool)
-	total := 0
-	for _, r := range roots {
-		if r != nil {
-			total += countNodes(r, seen)
+// Append appends g's rows to f, moving their child indices past f's rows,
+// and returns that shift: g's row i is f's row i+shift. It joins tables
+// built apart (one per worker) into one.
+func (f *Forest) Append(g *Forest) (shift uint32) {
+	shift = uint32(f.Len())
+	at := len(f.rows)
+	f.rows = append(f.rows, g.rows...)
+	for o := at + hashing.Size; o < len(f.rows); o += RowSize {
+		if l := binary.BigEndian.Uint32(f.rows[o:]); l != None {
+			binary.BigEndian.PutUint32(f.rows[o:], l+shift)
+			binary.BigEndian.PutUint32(f.rows[o+4:], binary.BigEndian.Uint32(f.rows[o+4:])+shift)
 		}
 	}
-	return total
+	return shift
 }
 
-func countNodes(n *Node, seen map[*Node]bool) int {
-	if n == nil || seen[n] {
-		return 0
-	}
-	seen[n] = true
-	return 1 + countNodes(n.L, seen) + countNodes(n.R, seen)
-}
-
-// RangeProof writes the proof for leaves [lo, hi] (inclusive) into p,
-// reusing p.Hashes' array. The counter observes every node visited, the
-// server's VO-construction traversal cost in the paper's Fig 6.
-func (n *Node) RangeProof(p *verify.Proof, lo, hi int, ctr *metrics.Counter) error {
-	if lo < 0 || hi >= int(n.W) || lo > hi {
-		return fmt.Errorf("mhtree: range [%d,%d] out of bounds for %d leaves", lo, hi, n.W)
+// RangeProof writes the proof for leaves [lo, hi] (inclusive) of the tree
+// at root into p, reusing p.Hashes' array. The counter observes every
+// row visited, the server's VO-construction traversal cost in the
+// paper's Fig 6.
+func (f *Forest) RangeProof(p *verify.Proof, root uint32, lo, hi int, ctr *metrics.Counter) error {
+	w := f.Width(root)
+	if lo < 0 || hi >= w || lo > hi {
+		return fmt.Errorf("mhtree: range [%d,%d] out of bounds for %d leaves", lo, hi, w)
 	}
 	// A range leaves at most two outside subtrees per level. Writing by
 	// index keeps a caller's stack-backed array on its stack.
-	if need := 2 * bits.Len(uint(n.W)); cap(p.Hashes) < need {
+	if need := 2 * bits.Len(uint(w)); cap(p.Hashes) < need {
 		p.Hashes = make([]hashing.Digest, need)
 	}
 	p.Hashes = p.Hashes[:cap(p.Hashes)]
-	p.Hashes = p.Hashes[:n.rangeProof(p.Hashes, 0, 0, lo, hi, ctr)]
+	p.Hashes = p.Hashes[:f.rangeProof(p.Hashes, root, w, 0, 0, lo, hi, ctr)]
 	return nil
 }
 
-func (n *Node) rangeProof(dst []hashing.Digest, k, off, lo, hi int, ctr *metrics.Counter) int {
+func (f *Forest) rangeProof(dst []hashing.Digest, n uint32, w, k, off, lo, hi int, ctr *metrics.Counter) int {
 	ctr.AddNodes(1)
-	if off+int(n.W) <= lo || off > hi {
+	if off+w <= lo || off > hi {
 		// Entirely outside: contribute one digest.
-		dst[k] = n.H
+		dst[k] = f.Digest(n)
 		return k + 1
 	}
-	if n.W == 1 {
+	if w == 1 {
 		return k // inside the range; verifier recomputes it
 	}
-	k = n.L.rangeProof(dst, k, off, lo, hi, ctr)
-	return n.R.rangeProof(dst, k, off+verify.LeftWidth(int(n.W)), lo, hi, ctr)
+	l, r := f.Children(n)
+	lw := verify.LeftWidth(w)
+	k = f.rangeProof(dst, l, lw, k, off, lo, hi, ctr)
+	return f.rangeProof(dst, r, w-lw, k, off+lw, lo, hi, ctr)
 }

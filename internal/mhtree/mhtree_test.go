@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"unsafe"
 
 	"aqverify/internal/hashing"
 	"aqverify/internal/metrics"
@@ -21,20 +20,51 @@ func mkLeaves(n int, seed int64) []hashing.Digest {
 	return out
 }
 
-// leavesOf returns all leaf digests of n left to right.
-func leavesOf(n *Node) []hashing.Digest {
-	out := make([]hashing.Digest, 0, n.W)
-	var walk func(*Node)
-	walk = func(m *Node) {
-		if m.W == 1 {
-			out = append(out, m.H)
+// leavesOf returns all leaf digests of the tree at root, left to right.
+func leavesOf(f *Forest, root uint32) []hashing.Digest {
+	out := make([]hashing.Digest, 0, f.Width(root))
+	var walk func(uint32)
+	walk = func(n uint32) {
+		if f.Width(n) == 1 {
+			out = append(out, f.Digest(n))
 			return
 		}
-		walk(m.L)
-		walk(m.R)
+		l, r := f.Children(n)
+		walk(l)
+		walk(r)
 	}
-	walk(n)
+	walk(root)
 	return out
+}
+
+// leaf descends to leaf i of the tree at root.
+func leaf(f *Forest, root uint32, i int) uint32 {
+	for w := f.Width(root); w > 1; {
+		l, r := f.Children(root)
+		if lw := verify.LeftWidth(w); i < lw {
+			root, w = l, lw
+		} else {
+			root, w, i = r, w-lw, i-lw
+		}
+	}
+	return root
+}
+
+// withLeaf derives the tree with leaf i holding d and rec.
+func withLeaf(h *hashing.Hasher, f *Forest, root uint32, i int, d hashing.Digest, rec int) uint32 {
+	return f.Derive(h, root, 0, []int{i}, func(int) (hashing.Digest, int) { return d, rec })
+}
+
+// swapLeaves derives, in one pass, the tree with leaves i and i+1
+// exchanged — digest and record together.
+func swapLeaves(h *hashing.Hasher, f *Forest, root uint32, i int) uint32 {
+	a, b := leaf(f, root, i), leaf(f, root, i+1)
+	return f.Derive(h, root, 0, []int{i, i + 1}, func(p int) (hashing.Digest, int) {
+		if p == i {
+			return f.Digest(b), f.Rec(b)
+		}
+		return f.Digest(a), f.Rec(a)
+	})
 }
 
 func TestLeftWidth(t *testing.T) {
@@ -76,27 +106,29 @@ func TestBuildMatchesPaperConstruction(t *testing.T) {
 	h := hashing.New(nil)
 	for n := 1; n <= 70; n++ {
 		leaves := mkLeaves(n, int64(n))
-		tree := Build(h, leaves, nil)
-		if tree.LeafCount() != n {
-			t.Fatalf("n=%d: LeafCount = %d", n, tree.LeafCount())
+		f := new(Forest)
+		root := f.Build(h, leaves, nil)
+		if f.Width(root) != n || f.Len() != 2*n-1 {
+			t.Fatalf("n=%d: width %d in %d rows", n, f.Width(root), f.Len())
 		}
 		want := buildBottomUp(h, leaves)
-		if tree.Root() != want {
+		if f.Digest(root) != want {
 			t.Fatalf("n=%d: recursive build root differs from pair-and-promote root", n)
 		}
 	}
 }
 
 func TestBuildEmpty(t *testing.T) {
-	if Build(hashing.New(nil), nil, nil) != nil {
-		t.Error("empty build should be nil")
+	f := new(Forest)
+	if f.Build(hashing.New(nil), nil, nil) != None || f.Len() != 0 {
+		t.Error("empty build should be None and append nothing")
 	}
 }
 
 func TestBuildHashCount(t *testing.T) {
 	var ctr metrics.Counter
 	h := hashing.New(&ctr)
-	Build(h, mkLeaves(33, 1), nil)
+	new(Forest).Build(h, mkLeaves(33, 1), nil)
 	if ctr.Hashes != 32 {
 		t.Errorf("building 33 leaves used %d hashes, want 32 (w-1 internal nodes)", ctr.Hashes)
 	}
@@ -105,36 +137,35 @@ func TestBuildHashCount(t *testing.T) {
 func TestLeafAccess(t *testing.T) {
 	h := hashing.New(nil)
 	leaves := mkLeaves(13, 2)
-	tree := Build(h, leaves, nil)
+	f := new(Forest)
+	root := f.Build(h, leaves, nil)
 	for i, want := range leaves {
-		if got := tree.Leaf(i); got != want {
-			t.Fatalf("Leaf(%d) mismatch", i)
-		}
-	}
-	got := leavesOf(tree)
-	for i := range leaves {
-		if got[i] != leaves[i] {
+		if got := f.Digest(leaf(f, root, i)); got != want {
 			t.Fatalf("leaf %d mismatch", i)
 		}
+	}
+	if !slices.Equal(leavesOf(f, root), leaves) {
+		t.Fatal("the leaves read back differently")
 	}
 }
 
 func TestWithLeaf(t *testing.T) {
 	h := hashing.New(nil)
 	leaves := mkLeaves(10, 3)
-	tree := Build(h, leaves, nil)
+	f := new(Forest)
+	tree := f.Build(h, leaves, nil)
 	var repl hashing.Digest
 	repl[0] = 0xff
 	for i := 0; i < 10; i++ {
-		mod := WithLeaf(h, tree, i, repl, NoRecord)
+		mod := withLeaf(h, f, tree, i, repl, NoRecord)
 		want := append([]hashing.Digest(nil), leaves...)
 		want[i] = repl
-		if mod.Root() != Build(h, want, nil).Root() {
-			t.Fatalf("WithLeaf(%d) root differs from fresh build", i)
+		if f.Digest(mod) != fresh(h, want) {
+			t.Fatalf("deriving leaf %d: root differs from fresh build", i)
 		}
 		// Original is untouched (persistence).
-		if tree.Leaf(i) != leaves[i] {
-			t.Fatalf("WithLeaf(%d) mutated the original", i)
+		if f.Digest(leaf(f, tree, i)) != leaves[i] {
+			t.Fatalf("deriving leaf %d changed the original", i)
 		}
 	}
 }
@@ -143,52 +174,67 @@ func TestSwapLeaves(t *testing.T) {
 	h := hashing.New(nil)
 	for _, n := range []int{2, 3, 5, 8, 11, 16} {
 		leaves := mkLeaves(n, int64(n)*7)
-		tree := Build(h, leaves, nil)
+		f := new(Forest)
+		tree := f.Build(h, leaves, nil)
 		for i := 0; i+1 < n; i++ {
-			swapped := SwapLeaves(h, tree, i)
+			swapped := swapLeaves(h, f, tree, i)
 			want := append([]hashing.Digest(nil), leaves...)
 			want[i], want[i+1] = want[i+1], want[i]
-			if swapped.Root() != Build(h, want, nil).Root() {
-				t.Fatalf("n=%d SwapLeaves(%d) root differs from fresh build", n, i)
+			if f.Digest(swapped) != fresh(h, want) {
+				t.Fatalf("n=%d swap at %d: root differs from fresh build", n, i)
 			}
 		}
 	}
 }
 
-// twoWithLeaf is SwapLeaves as two root-path rewrites, the first of
-// which the second partly discards: the reference the one-descent swap
-// must reproduce node for node.
-func twoWithLeaf(h *hashing.Hasher, n *Node, i int) *Node {
-	a, b := n.leaf(i), n.leaf(i+1)
-	return WithLeaf(h, WithLeaf(h, n, i, b.H, int(b.Rec)), i+1, a.H, int(a.Rec))
+// oneByOne derives the positions at one at a time, each a root-path
+// rewrite the next may partly discard: the reference the one-pass
+// derivation must reproduce row for row.
+func oneByOne(h *hashing.Hasher, f *Forest, root uint32, at []int, leaf func(p int) (hashing.Digest, int)) uint32 {
+	for _, p := range at {
+		d, rec := leaf(p)
+		root = withLeaf(h, f, root, p, d, rec)
+	}
+	return root
 }
 
-// sameTree reports whether a and b are the same tree node for node: a
-// node of old must be shared by both (the same pointer), and a new one
-// must agree in digest, width and record with new children alike.
-func sameTree(a, b *Node, old map[*Node]bool) bool {
-	if old[a] || old[b] {
+// sameTree reports whether a and b are the same tree row for row: a row
+// below old (a row of the tree derived from) must be shared by both,
+// and a new one must agree in digest, width and record with new
+// children alike.
+func sameTree(f *Forest, a, b uint32, old uint32) bool {
+	if a < old || b < old {
 		return a == b
 	}
-	if a == nil || b == nil {
-		return a == b
+	if f.Digest(a) != f.Digest(b) || f.Width(a) != f.Width(b) {
+		return false
 	}
-	return a.H == b.H && a.W == b.W && a.Rec == b.Rec && sameTree(a.L, b.L, old) && sameTree(a.R, b.R, old)
+	al, ar := f.Children(a)
+	bl, br := f.Children(b)
+	if f.Width(a) == 1 {
+		return al == bl && ar == br
+	}
+	return sameTree(f, al, bl, old) && sameTree(f, ar, br, old)
 }
 
-// newNodes counts the nodes of n that old does not hold.
-func newNodes(n *Node, old map[*Node]bool) int {
-	if n == nil || old[n] {
+// newRows counts the rows of the tree at n at or above old.
+func newRows(f *Forest, n uint32, old uint32) int {
+	if n < old {
 		return 0
 	}
-	return 1 + newNodes(n.L, old) + newNodes(n.R, old)
+	if f.Width(n) == 1 {
+		return 1
+	}
+	l, r := f.Children(n)
+	return 1 + newRows(f, l, old) + newRows(f, r, old)
 }
 
-// TestSwapLeavesIsTwoWithLeaf holds the one-descent swap to the
-// two-WithLeaf composition at every width and position — same digests,
-// records and shared subtrees — and to its cost: the two new leaves plus
-// one hashed node per node on the union of their root paths, the count
-// ChangedNodes reads off the two trees.
+// TestSwapLeavesIsTwoWithLeaf holds the one-pass derivation to the
+// composition of one-leaf rewrites at every width, for a swap at every
+// position and for random sets of moved leaves — same digests, records
+// and shared rows — and to its cost: a row for each moved leaf and one
+// hashed row per row on the union of their root paths, and nothing else
+// appended.
 func TestSwapLeavesIsTwoWithLeaf(t *testing.T) {
 	var ctr metrics.Counter
 	h, ref := hashing.New(&ctr), hashing.New(nil)
@@ -198,50 +244,50 @@ func TestSwapLeavesIsTwoWithLeaf(t *testing.T) {
 		for i, r := range rng.Perm(w) {
 			recs[i] = int32(r)
 		}
-		tree := Build(ref, mkLeaves(w, int64(w)), recs)
-		old := make(map[*Node]bool, 2*w)
-		var mark func(*Node)
-		mark = func(n *Node) {
-			if n != nil && !old[n] {
-				old[n] = true
-				mark(n.L)
-				mark(n.R)
-			}
-		}
-		mark(tree)
-		for i := 0; i+1 < w; i++ {
+		leaves := mkLeaves(w, int64(w))
+		f := new(Forest)
+		tree := f.Build(ref, leaves, recs)
+		check := func(at []int, leafAt func(p int) (hashing.Digest, int)) uint32 {
+			t.Helper()
+			old := uint32(f.Len())
 			ctr = metrics.Counter{}
-			got, want := SwapLeaves(h, tree, i), twoWithLeaf(ref, tree, i)
-			if !sameTree(got, want, old) {
-				t.Fatalf("w=%d i=%d: the swapped tree is not the two-WithLeaf tree node for node", w, i)
+			got := f.Derive(h, tree, 0, at, leafAt)
+			made := f.Len() - int(old)
+			want := oneByOne(ref, f, tree, at, leafAt)
+			if !sameTree(f, got, want, old) {
+				t.Fatalf("w=%d at=%v: the derived tree is not the one-by-one tree row for row", w, at)
 			}
-			if got.Root() != want.Root() || !slices.Equal(leavesOf(got), leavesOf(want)) ||
-				!slices.Equal(records(got, 0, w-1), records(want, 0, w-1)) {
-				t.Fatalf("w=%d i=%d: root, leaves or records differ", w, i)
+			if !slices.Equal(records(f, got, 0, w-1), records(f, want, 0, w-1)) {
+				t.Fatalf("w=%d at=%v: records differ", w, at)
 			}
-			made := newNodes(got, old)
-			if made != ChangedNodes(tree, got) || made != newNodes(want, old) {
-				t.Fatalf("w=%d i=%d: %d new nodes, ChangedNodes says %d, the reference keeps %d", w, i, made, ChangedNodes(tree, got), newNodes(want, old))
+			if n := newRows(f, got, old); made != n {
+				t.Fatalf("w=%d at=%v: %d rows appended, the tree holds %d new", w, at, made, n)
 			}
-			if int(ctr.Hashes) != made-2 {
-				t.Fatalf("w=%d i=%d: %d hashes for %d new internal nodes", w, i, ctr.Hashes, made-2)
+			if int(ctr.Hashes) != made-len(at) {
+				t.Fatalf("w=%d at=%v: %d hashes for %d new internal rows", w, at, ctr.Hashes, made-len(at))
 			}
+			return got
 		}
-		// A 50-swap chain shares exactly what the reference's shares, and
-		// its adjacent differences count its forest.
-		got, want := []*Node{tree}, []*Node{tree}
-		counted := 2*w - 1
-		for k := 0; k < 50; k++ {
-			i := rng.Intn(w - 1)
-			got = append(got, SwapLeaves(h, got[k], i))
-			want = append(want, twoWithLeaf(ref, want[k], i))
-			if got[k+1].Root() != want[k+1].Root() || recordAt(got[k+1], i) != recordAt(want[k+1], i) {
-				t.Fatalf("w=%d: chain step %d differs", w, k)
-			}
-			counted += ChangedNodes(got[k], got[k+1])
+		for i := 0; i+1 < w; i++ {
+			a, b := leaf(f, tree, i), leaf(f, tree, i+1)
+			check([]int{i, i + 1}, func(p int) (hashing.Digest, int) {
+				if p == i {
+					return f.Digest(b), f.Rec(b)
+				}
+				return f.Digest(a), f.Rec(a)
+			})
 		}
-		if g, r := CountForest(got), CountForest(want); g != r || g != counted {
-			t.Fatalf("w=%d: the chain's forest has %d nodes, the reference's %d, ChangedNodes sums to %d", w, g, r, counted)
+		for k := 0; k < 5; k++ {
+			at := rng.Perm(w)[:1+rng.Intn(w)]
+			slices.Sort(at)
+			got := check(at, func(p int) (hashing.Digest, int) { return leaves[w-1-p], p })
+			want := slices.Clone(leaves)
+			for _, p := range at {
+				want[p] = leaves[w-1-p]
+			}
+			if f.Digest(got) != fresh(ref, want) {
+				t.Fatalf("w=%d at=%v: root differs from fresh build", w, at)
+			}
 		}
 	}
 }
@@ -249,20 +295,17 @@ func TestSwapLeavesIsTwoWithLeaf(t *testing.T) {
 func TestPersistentSharingBoundsMemory(t *testing.T) {
 	h := hashing.New(nil)
 	n := 256
-	base := Build(h, mkLeaves(n, 9), nil)
-	roots := []*Node{base}
-	cur := base
+	f := new(Forest)
+	cur := f.Build(h, mkLeaves(n, 9), nil)
 	derivations := 200
 	for i := 0; i < derivations; i++ {
-		cur = SwapLeaves(h, cur, i%(n-1))
-		roots = append(roots, cur)
+		cur = swapLeaves(h, f, cur, i%(n-1))
 	}
-	total := CountForest(roots)
 	// A fresh build per derivation would cost (2n-1) * (derivations+1)
-	// ≈ 102k nodes; sharing should stay well under a quarter of that.
+	// ≈ 102k rows; sharing should stay well under a quarter of that.
 	independent := (2*n - 1) * (derivations + 1)
-	if total >= independent/4 {
-		t.Errorf("persistent forest has %d nodes; expected far fewer than %d", total, independent)
+	if f.Len() >= independent/4 {
+		t.Errorf("persistent forest has %d rows; expected far fewer than %d", f.Len(), independent)
 	}
 }
 
@@ -270,10 +313,11 @@ func TestRangeProofRoundTrip(t *testing.T) {
 	h := hashing.New(nil)
 	for _, n := range []int{1, 2, 3, 7, 8, 13, 32, 57} {
 		leaves := mkLeaves(n, int64(n)*13)
-		tree := Build(h, leaves, nil)
+		f := new(Forest)
+		tree := f.Build(h, leaves, nil)
 		for lo := 0; lo < n; lo++ {
 			for hi := lo; hi < n; hi++ {
-				proof, err := rangeProof(tree, lo, hi, nil)
+				proof, err := rangeProof(f, tree, lo, hi, nil)
 				if err != nil {
 					t.Fatalf("n=%d RangeProof(%d,%d): %v", n, lo, hi, err)
 				}
@@ -281,7 +325,7 @@ func TestRangeProofRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("n=%d verify.ComputeRoot(%d,%d): %v", n, lo, hi, err)
 				}
-				if root != tree.Root() {
+				if root != f.Digest(tree) {
 					t.Fatalf("n=%d range [%d,%d]: recomputed root differs", n, lo, hi)
 				}
 			}
@@ -290,10 +334,10 @@ func TestRangeProofRoundTrip(t *testing.T) {
 }
 
 func TestRangeProofRejectsBadRange(t *testing.T) {
-	h := hashing.New(nil)
-	tree := Build(h, mkLeaves(5, 1), nil)
+	f := new(Forest)
+	tree := f.Build(hashing.New(nil), mkLeaves(5, 1), nil)
 	for _, rg := range [][2]int{{-1, 2}, {0, 5}, {3, 2}} {
-		if _, err := rangeProof(tree, rg[0], rg[1], nil); err == nil {
+		if _, err := rangeProof(f, tree, rg[0], rg[1], nil); err == nil {
 			t.Errorf("RangeProof(%d,%d) accepted", rg[0], rg[1])
 		}
 	}
@@ -303,20 +347,22 @@ func TestComputeRootDetectsTampering(t *testing.T) {
 	h := hashing.New(nil)
 	n := 20
 	leaves := mkLeaves(n, 5)
-	tree := Build(h, leaves, nil)
+	f := new(Forest)
+	tree := f.Build(h, leaves, nil)
+	want := f.Digest(tree)
 	lo, hi := 4, 9
-	proof, _ := rangeProof(tree, lo, hi, nil)
+	proof, _ := rangeProof(f, tree, lo, hi, nil)
 	rng := leaves[lo : hi+1]
 
 	// Tampered leaf digest -> different root.
 	bad := append([]hashing.Digest(nil), rng...)
 	bad[2][0] ^= 1
-	if root, err := verify.ComputeRoot(h, n, lo, bad, proof); err == nil && root == tree.Root() {
+	if root, err := verify.ComputeRoot(h, n, lo, bad, proof); err == nil && root == want {
 		t.Error("tampered leaf digest still produced the correct root")
 	}
 
 	// Shifted position -> different root (or error).
-	if root, err := verify.ComputeRoot(h, n, lo+1, rng, proof); err == nil && root == tree.Root() {
+	if root, err := verify.ComputeRoot(h, n, lo+1, rng, proof); err == nil && root == want {
 		t.Error("shifted range still produced the correct root")
 	}
 
@@ -336,8 +382,8 @@ func TestComputeRootDetectsTampering(t *testing.T) {
 	// hides inside proof-covered subtrees (see ComputeRoot's doc comment);
 	// once the range includes the tree's tail, it must be caught.
 	tailLo := n - 3
-	tailProof, _ := rangeProof(tree, tailLo, n-1, nil)
-	if root, err := verify.ComputeRoot(h, n+1, tailLo, leaves[tailLo:], tailProof); err == nil && root == tree.Root() {
+	tailProof, _ := rangeProof(f, tree, tailLo, n-1, nil)
+	if root, err := verify.ComputeRoot(h, n+1, tailLo, leaves[tailLo:], tailProof); err == nil && root == want {
 		t.Error("forged leaf count with in-range tail still produced the correct root")
 	}
 }
@@ -363,10 +409,10 @@ func TestComputeRootRejectsInvalidArgs(t *testing.T) {
 }
 
 func TestRangeProofSizeLogarithmic(t *testing.T) {
-	h := hashing.New(nil)
 	n := 4096
-	tree := Build(h, mkLeaves(n, 21), nil)
-	proof, err := rangeProof(tree, 2000, 2002, nil)
+	f := new(Forest)
+	tree := f.Build(hashing.New(nil), mkLeaves(n, 21), nil)
+	proof, err := rangeProof(f, tree, 2000, 2002, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,10 +423,10 @@ func TestRangeProofSizeLogarithmic(t *testing.T) {
 }
 
 func TestRangeProofCountsTraversal(t *testing.T) {
-	h := hashing.New(nil)
-	tree := Build(h, mkLeaves(64, 2), nil)
+	f := new(Forest)
+	tree := f.Build(hashing.New(nil), mkLeaves(64, 2), nil)
 	var ctr metrics.Counter
-	if _, err := rangeProof(tree, 10, 12, &ctr); err != nil {
+	if _, err := rangeProof(f, tree, 10, 12, &ctr); err != nil {
 		t.Fatal(err)
 	}
 	if ctr.NodesVisited == 0 {
@@ -388,28 +434,30 @@ func TestRangeProofCountsTraversal(t *testing.T) {
 	}
 }
 
+// TestNodeCountDedup: a derived tree costs the forest only its new rows.
 func TestNodeCountDedup(t *testing.T) {
 	h := hashing.New(nil)
-	tree := Build(h, mkLeaves(8, 3), nil)
-	if got := tree.NodeCount(); got != 15 {
-		t.Errorf("NodeCount = %d, want 15", got)
+	f := new(Forest)
+	tree := f.Build(h, mkLeaves(8, 3), nil)
+	if got := f.Len(); got != 15 {
+		t.Errorf("Len = %d, want 15", got)
 	}
-	derived := SwapLeaves(h, tree, 0)
+	swapLeaves(h, f, tree, 0)
 	// Swap at 0 touches the two leaves' shared path: leaves 0,1 share a
-	// parent, so new nodes are 2 leaves + 3 ancestors = 5.
-	if got := CountForest([]*Node{tree, derived}); got != 20 {
-		t.Errorf("forest count = %d, want 20", got)
+	// parent, so new rows are 2 leaves + 3 ancestors = 5.
+	if got := f.Len(); got != 20 {
+		t.Errorf("forest has %d rows, want 20", got)
 	}
 }
 
 // TestLeavesNameTheirRecords: the record index is part of the leaf — it is
 // read back by position and by range, a swap carries it with the digest,
-// an untagged build names nothing — and it costs the node no space.
+// an untagged build names nothing — and it costs the row no space.
 func TestLeavesNameTheirRecords(t *testing.T) {
-	// Digest, two children, and width + record packed into one word's
-	// worth: 56 bytes on 64-bit, what the node was before it named a record.
-	if sz, want := unsafe.Sizeof(Node{}), hashing.Size+2*unsafe.Sizeof(uintptr(0))+8; sz != want {
-		t.Fatalf("Node is %d bytes, want %d", sz, want)
+	// Digest, two child slots and the width: the record rides in a leaf's
+	// right slot.
+	if RowSize != hashing.Size+12 {
+		t.Fatalf("a row is %d bytes, want %d", RowSize, hashing.Size+12)
 	}
 	h := hashing.New(nil)
 	rng := rand.New(rand.NewSource(5))
@@ -420,49 +468,68 @@ func TestLeavesNameTheirRecords(t *testing.T) {
 		for i, r := range want {
 			recs[i] = int32(r)
 		}
-		tree := Build(h, leaves, recs)
+		f := new(Forest)
+		tree := f.Build(h, leaves, recs)
 		for step := 0; step < 3*n; step++ {
 			if n > 1 {
 				i := rng.Intn(n - 1)
-				tree = SwapLeaves(h, tree, i)
+				tree = swapLeaves(h, f, tree, i)
 				want[i], want[i+1] = want[i+1], want[i]
 				leaves[i], leaves[i+1] = leaves[i+1], leaves[i]
 			}
 			for i, r := range want {
-				if got := recordAt(tree, i); got != r {
+				if got := f.Rec(leaf(f, tree, i)); got != r {
 					t.Fatalf("n=%d: leaf %d names %d, want %d", n, i, got, r)
 				}
 			}
 			lo := rng.Intn(n)
 			hi := lo + rng.Intn(n-lo)
-			if got := records(tree, lo, hi); !slices.Equal(got, want[lo:hi+1]) {
+			if got := records(f, tree, lo, hi); !slices.Equal(got, want[lo:hi+1]) {
 				t.Fatalf("n=%d: leaves %d..%d name %v, want %v", n, lo, hi, got, want[lo:hi+1])
 			}
 		}
-		if tree.Root() != Build(h, leaves, nil).Root() {
+		if f.Digest(tree) != f.Digest(f.Build(h, leaves, nil)) {
 			t.Fatalf("n=%d: the record index changed the root digest", n)
 		}
-		if got := recordAt(Build(h, leaves, nil), n-1); got != NoRecord {
-			t.Fatalf("n=%d: an untagged leaf names record %d", n, got)
+		if u := f.Build(h, leaves, nil); f.Rec(leaf(f, u, n-1)) != NoRecord {
+			t.Fatalf("n=%d: an untagged leaf names record %d", n, f.Rec(leaf(f, u, n-1)))
 		}
 	}
 }
 
+// TestAppendRebases: two forests built apart and joined are the forest
+// built in one, row for row.
+func TestAppendRebases(t *testing.T) {
+	h := hashing.New(nil)
+	one, a, b := new(Forest), new(Forest), new(Forest)
+	for i, f := range []*Forest{a, a, b, b, b} {
+		leaves := mkLeaves(3+i, int64(i))
+		one.Build(h, leaves, nil)
+		f.Build(h, leaves, nil)
+	}
+	if shift := a.Append(b); shift != 12 || !slices.Equal(a.Rows(), one.Rows()) {
+		t.Fatalf("joined forests differ from the one-table build (shift %d)", shift)
+	}
+}
+
+// fresh is the root digest of a tree built over leaves on its own.
+func fresh(h *hashing.Hasher, leaves []hashing.Digest) hashing.Digest {
+	f := new(Forest)
+	return f.Digest(f.Build(h, leaves, nil))
+}
+
 // rangeProof is RangeProof into a fresh proof.
-func rangeProof(n *Node, lo, hi int, ctr *metrics.Counter) (verify.Proof, error) {
+func rangeProof(f *Forest, root uint32, lo, hi int, ctr *metrics.Counter) (verify.Proof, error) {
 	var p verify.Proof
-	err := n.RangeProof(&p, lo, hi, ctr)
+	err := f.RangeProof(&p, root, lo, hi, ctr)
 	return p, err
 }
 
-// recordAt reads leaf i by one root-to-leaf descent.
-func recordAt(n *Node, i int) int { return int(n.leaf(i).Rec) }
-
 // records reads leaves [lo, hi], one descent each.
-func records(n *Node, lo, hi int) []int {
+func records(f *Forest, root uint32, lo, hi int) []int {
 	var out []int
 	for i := lo; i <= hi; i++ {
-		out = append(out, recordAt(n, i))
+		out = append(out, f.Rec(leaf(f, root, i)))
 	}
 	return out
 }
