@@ -397,6 +397,7 @@ func decodeTree(data []byte) (*decodedTree, error) {
 		r.Corrupt("empty imh tree")
 	}
 	inodes := make([]itree.Node, nt)
+	ints := make([]itree.Intersection, nt) // one slab: internal nodes point into it
 	leaves := make([]itree.Subdomain, ns)
 	subPtrs := make([]*itree.Subdomain, ns)
 	seen := 0
@@ -439,7 +440,8 @@ func decodeTree(data []byte) (*decodedTree, error) {
 				r.Corrupt("imh node %d hyperplane encoding", i)
 				break
 			}
-			inodes[i].Int = &itree.Intersection{I: int(ii), J: int(jj), H: hp}
+			ints[i] = itree.Intersection{I: int(ii), J: int(jj), H: hp}
+			inodes[i].Int = &ints[i]
 			inodes[i].Above, inodes[i].Below = &inodes[ai], &inodes[bi]
 		default:
 			r.Corrupt("unknown imh node kind %d", kind)

@@ -11,7 +11,7 @@ import (
 // contiguous leaf range: the digests of the maximal subtrees entirely
 // outside the range, in deterministic depth-first order. Its size is
 // O(log n) regardless of the range width. The server writes it
-// (mhtree.Node.RangeProof); ComputeRoot replays it.
+// (mhtree.Forest.RangeProof); ComputeRoot replays it.
 type Proof struct {
 	Hashes []hashing.Digest
 }
