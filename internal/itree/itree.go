@@ -182,7 +182,7 @@ func threshold(fs []funcs.Linear, a, b int, lo, hi float64) float64 {
 	for uint64(h-l) > 1 { // h − l may exceed the int64 range
 		m := l + int64(uint64(h-l)/2)
 		if x, y := unkey(l), unkey(h); math.Float64bits(x)>>52 != math.Float64bits(y)>>52 {
-			if v := key(x/2 + y/2); l < v && v < h {
+			if v := key(float64(x/2) + float64(y/2)); l < v && v < h {
 				m = v
 			}
 		}
