@@ -54,9 +54,9 @@
 //
 // Every evaluator — a local tree, a domain-sharded tree set, the
 // in-process server, a vqserve process over HTTP, a multi-process
-// fanout — implements one Backend interface: Query answers one query,
-// QueryBatch a whole batch (slices parallel to the input), and
-// QueryStream yields results as they complete. Calls are tuned by
+// fanout — implements one Backend interface: QueryBatch answers a whole
+// batch (slices parallel to the input) in one exchange, and Query
+// answers one query as a batch of one. Calls are tuned by
 // functional options: WithWorkers bounds the fan-out, WithCounter
 // collects cost metrics, WithVerify checks every answer against the
 // owner's published parameters before it is returned. Contexts cancel
@@ -88,12 +88,9 @@
 // built tree is byte-identical for every worker count. WithVerify
 // on a QueryBatch checks the answers concurrently on the client side
 // across the WithWorkers pool. Over HTTP,
-// cmd/vqserve exposes POST /query/batch, which carries many queries in
-// one length-prefixed frame and answers them concurrently on the
-// server, and POST /query/stream, which pipelines the batch's answers
-// back frame by frame in completion order — the first verified result
-// is in hand before the last query finishes (see internal/transport and
-// docs/WIRE.md).
+// cmd/vqserve exposes one query exchange, POST /query/batch, which
+// carries many queries in one length-prefixed frame and answers them
+// concurrently on the server (see internal/transport and docs/WIRE.md).
 //
 // # Sharding
 //
@@ -227,16 +224,14 @@ const ShardNone = build.ShardNone
 // interface over every evaluator — local tree, shard set, in-process
 // server, HTTP remote, multi-process fanout.
 type (
-	// Backend is the unified query surface: Query, QueryBatch and
-	// QueryStream with functional options.
+	// Backend is the unified query surface: Query and QueryBatch with
+	// functional options.
 	Backend = backend.Backend
 	// BackendAnswer is one query's outcome on any backend: the
 	// serialized answer bytes, the answering shard, and — once verified —
 	// the result records.
 	BackendAnswer = backend.Answer
-	// BackendResult pairs a streamed item's answer with its error.
-	BackendResult = backend.BatchResult
-	// BackendOption tunes one Query/QueryBatch/QueryStream call.
+	// BackendOption tunes one Query/QueryBatch call.
 	BackendOption = backend.Option
 	// Fanout composes K single-shard backends into one logical database.
 	Fanout = backend.Fanout

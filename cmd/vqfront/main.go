@@ -39,9 +39,9 @@
 // The shard plan is recovered from the backends' advertised serving
 // domains exactly as for the unreplicated front; batches — a single
 // query is a batch of one, and its answer names its routed shard —
-// split per owning shard and forward concurrently; streams pipeline per
-// shard and merge in completion order. GET /metrics serves the
-// Prometheus text exposition (tally, cache and front families).
+// split per owning shard and forward concurrently. POST /query/batch is
+// the one query exchange. GET /metrics serves the Prometheus text
+// exposition (tally, cache and front families).
 package main
 
 import (
@@ -112,7 +112,7 @@ func run() error {
 	for i, b := range plan.Boxes {
 		fmt.Printf("  shard %d [%g, %g]: %s\n", i, b.Lo[plan.Axis], b.Hi[plan.Axis], strings.Join(groups[i], " "))
 	}
-	fmt.Printf("serving on %s; endpoints: POST /query/batch, POST /query/stream, GET /params, GET /stats, GET /metrics\n", *addr)
+	fmt.Printf("serving on %s; endpoints: POST /query/batch, GET /params, GET /stats, GET /metrics\n", *addr)
 	httpSrv := &http.Server{
 		Addr:              *addr,
 		Handler:           h,

@@ -30,11 +30,10 @@
 // with hit/miss/collapse/eviction counters. Epoch swaps invalidate by
 // keying — stale entries are never served.
 //
-// Endpoints: POST /query/batch and POST /query/stream (binary; a single
-// query is a batch of one, and the stream route pipelines a batch's
-// answers back in completion order, flushed frame by frame), GET
-// /params, GET /stats, GET /metrics (Prometheus text exposition of the
-// same counters). POST /query is retired and answers 404.
+// Endpoints: POST /query/batch (binary; the one query exchange — a
+// single query is a batch of one), GET /params, GET /stats, GET
+// /metrics (Prometheus text exposition of the same counters). POST
+// /query and POST /query/stream are retired and answer 404.
 //
 // A K-process deployment:
 //
@@ -127,7 +126,7 @@ func run(args []string) error {
 		fmt.Printf("loaded artifact %.12s (%s, %d shard(s), epoch %d) from %s\n",
 			a.HashHex(), srv.Name(), len(srv.Epochs()), srv.Epoch(), cfg.loadDir)
 	}
-	fmt.Printf("serving on %s (domain [%g, %g]); endpoints: POST /query/batch, POST /query/stream, GET /params, GET /stats, GET /metrics\n",
+	fmt.Printf("serving on %s (domain [%g, %g]); endpoints: POST /query/batch, GET /params, GET /stats, GET /metrics\n",
 		cfg.addr, dom.Lo[0], dom.Hi[0])
 	httpSrv := &http.Server{
 		Addr:              cfg.addr,

@@ -398,7 +398,7 @@ func (a *Artifact) Backend() (backend.Backend, error) {
 // and must not be used afterwards: behind a server.Server, close the
 // previous epoch's artifact only once every exchange that began before
 // the Swap has finished — the server pins a snapshot per exchange, so a
-// stream still being consumed reads the old mapping until its last item.
+// batch still being answered reads the old mapping until its last item.
 func (a *Artifact) Close() error {
 	var first error
 	for _, mp := range a.maps {

@@ -1,8 +1,8 @@
 // Package backend defines the unified query plane: one context-aware
-// interface — Query, QueryBatch, QueryStream — over every evaluator the
-// protocol has, local or remote. The paper's flow is always the same
-// (query → answer+VO → verify), so the repo exposes it through a single
-// Backend interface implemented by
+// interface — Query, QueryBatch — over every evaluator the protocol
+// has, local or remote. The paper's flow is one exchange (query →
+// answer+VO → verify), so the repo exposes it through a single Backend
+// interface implemented by
 //
 //   - Local — one in-process IFMH-tree (*core.Tree),
 //   - Sharded — a domain-sharded tree set (*shard.Set): routed by the
@@ -15,26 +15,24 @@
 //     Remotes, one vqserve per shard) into one logical database.
 //
 // Every answer carries the serialized wire bytes — the wire.EncodeIFMH
-// payload of a batch or stream item — plus the answering shard and
-// epoch, so callers can layer verification, persistence or re-routing
-// uniformly. A backend implements two exchanges, QueryBatch and
-// QueryStream; its Query is One, a batch of one. Functional options
-// replace positional parameters: WithWorkers bounds batch concurrency,
-// WithCounter accumulates the caller-side cost metrics, and WithVerify
-// checks every answer against the owner's published parameters before
-// it is returned, filling Answer.Records.
+// payload of a batch item — plus the answering shard and epoch, so
+// callers can layer verification, persistence or re-routing uniformly.
+// A backend implements one exchange, QueryBatch; its Query is One, a
+// batch of one. Functional options replace positional parameters:
+// WithWorkers bounds batch concurrency, WithCounter accumulates the
+// caller-side cost metrics, and WithVerify checks every answer against
+// the owner's published parameters before it is returned, filling
+// Answer.Records.
 //
 // Batches are index-stable: the slices QueryBatch returns are parallel
-// to the input, and QueryStream yields (index, result) pairs as items
-// finish, in completion order. Cancellation is cooperative everywhere: a
-// done context stops new work promptly and surfaces ctx.Err() on the
-// items it prevented.
+// to the input. Cancellation is cooperative everywhere: a done context
+// stops new work promptly and surfaces ctx.Err() on the items it
+// prevented.
 package backend
 
 import (
 	"context"
 	"fmt"
-	"iter"
 
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
@@ -44,7 +42,7 @@ import (
 )
 
 // Answer is one query's outcome on any backend: the serialized answer
-// bytes (the wire.EncodeIFMH payload of a batch or stream item) plus the
+// bytes (the wire.EncodeIFMH payload of a batch item) plus the
 // answering shard and the publication epoch it answered under. Records is
 // populated only when the answer was verified (the WithVerify option)
 // or decoded by the backend itself; callers that skip verification work
@@ -97,13 +95,6 @@ func (e *EpochError) Error() string {
 	return fmt.Sprintf("backend: shard %d answered from %s epoch %d, client pinned epoch %d; re-read /params", e.Shard, dir, e.Got, e.Want)
 }
 
-// BatchResult pairs one batch item's answer with its error; exactly one
-// of the two is meaningful. QueryStream yields it with the item's index.
-type BatchResult struct {
-	Answer Answer
-	Err    error
-}
-
 // Backend is the unified query surface. Implementations answer from
 // immutable (or internally synchronized) state and are safe for
 // concurrent use.
@@ -117,13 +108,9 @@ type Backend interface {
 	// to qs. A per-item error never aborts the rest of the batch;
 	// indexes a canceled context prevented report ctx.Err().
 	QueryBatch(ctx context.Context, qs []query.Query, opts ...Option) ([]Answer, []error)
-	// QueryStream answers many queries and yields (index, result) pairs
-	// as items finish, in completion order. Stopping the iteration early
-	// cancels the remaining work.
-	QueryStream(ctx context.Context, qs []query.Query, opts ...Option) iter.Seq2[int, BatchResult]
 }
 
-// Option tunes one Query/QueryBatch/QueryStream call.
+// Option tunes one Query/QueryBatch call.
 type Option func(*Call)
 
 // verifyFunc decodes one serialized answer, checks it echoes q and

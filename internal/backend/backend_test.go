@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"iter"
 	"testing"
 	"time"
 
@@ -67,7 +66,7 @@ func testQueries(dom geometry.Box, n int) []query.Query {
 
 // TestLocalMatchesTreeProcess pins the plane to the primitive: a Local
 // backend returns, byte for byte, what Tree.Process + wire encoding
-// return, through all three entry points.
+// return, through both entry points.
 func TestLocalMatchesTreeProcess(t *testing.T) {
 	_, tree, dom, _ := fixture(t, 60)
 	b, err := NewLocal(tree)
@@ -108,25 +107,6 @@ func TestLocalMatchesTreeProcess(t *testing.T) {
 		}
 		if !bytes.Equal(answers[i].Raw, want[i]) {
 			t.Fatalf("batch item %d: bytes differ", i)
-		}
-	}
-
-	seen := make([]bool, len(qs))
-	for i, r := range b.QueryStream(ctx, qs, WithWorkers(2)) {
-		if r.Err != nil {
-			t.Fatalf("stream item %d: %v", i, r.Err)
-		}
-		if seen[i] {
-			t.Fatalf("stream yielded item %d twice", i)
-		}
-		seen[i] = true
-		if !bytes.Equal(r.Answer.Raw, want[i]) {
-			t.Fatalf("stream item %d: bytes differ", i)
-		}
-	}
-	for i, ok := range seen {
-		if !ok {
-			t.Fatalf("stream never yielded item %d", i)
 		}
 	}
 }
@@ -193,10 +173,6 @@ func (m tamper) Query(ctx context.Context, q query.Query, opts ...Option) (Answe
 
 func (m tamper) QueryBatch(ctx context.Context, qs []query.Query, opts ...Option) ([]Answer, []error) {
 	return DriveBatch(ctx, m.process, qs, opts...)
-}
-
-func (m tamper) QueryStream(ctx context.Context, qs []query.Query, opts ...Option) iter.Seq2[int, BatchResult] {
-	return DriveStream(ctx, m.process, qs, opts...)
 }
 
 // TestShardedMatchesRouter: the Sharded backend answers every query on
@@ -280,26 +256,5 @@ func TestBatchCancellation(t *testing.T) {
 	}
 	if canceled == 0 {
 		t.Fatal("no item reports context.Canceled")
-	}
-}
-
-// TestStreamEarlyBreak: breaking the stream consumer cancels the
-// remaining work without deadlocking or double-yielding.
-func TestStreamEarlyBreak(t *testing.T) {
-	_, tree, dom, _ := fixture(t, 60)
-	b, err := NewLocal(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := testQueries(dom, 40)
-	got := 0
-	for range b.QueryStream(context.Background(), qs, WithWorkers(2)) {
-		got++
-		if got == 3 {
-			break
-		}
-	}
-	if got != 3 {
-		t.Fatalf("consumed %d items, want 3", got)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"aqverify/internal/metrics"
-	"aqverify/internal/pool"
 	"aqverify/internal/query"
 )
 
@@ -16,9 +15,8 @@ import (
 // (and FinishBatch, which charges) touches the caller's WithCounter
 // counter, so only they inherit its contract — the calling goroutine,
 // or after a fan-out has joined; Finish writes the scratch counter it
-// is handed and may run anywhere. The rest of the kit is in compose.go
-// (Merge, Fail, Collect, One, Buffered) and describe.go (Epoch, Epochs,
-// Find).
+// is handed and may run anywhere. The rest of the kit is in driver.go
+// (DriveBatch, One) and describe.go (Epoch, Epochs, Find).
 type Call struct {
 	workers int
 	ctr     *metrics.Counter
@@ -51,17 +49,6 @@ func (c Call) check(q query.Query, ans *Answer, ctr *metrics.Counter) error {
 	}
 	ans.Records = recs
 	return nil
-}
-
-// Workers returns the pool width finishing n answers is worth: the
-// WithWorkers bound as the batch drivers size it when the call
-// verifies, 1 when it does not — finishing is then byte accounting
-// only, cheaper than a goroutine hand-off.
-func (c Call) Workers(n int) int {
-	if c.verify == nil {
-		return 1
-	}
-	return pool.Workers(c.workers, n)
 }
 
 // Finish applies the call to one answer produced elsewhere, exactly as

@@ -2,7 +2,6 @@ package backend
 
 import (
 	"context"
-	"iter"
 
 	"aqverify/internal/metrics"
 	"aqverify/internal/pool"
@@ -18,10 +17,9 @@ import (
 // epoch 0 when the query failed before reaching a bundle. The drivers
 // do not account bytes themselves; a Process that already charges them,
 // like the in-process server's encoders, must not be charged twice.
-// DriveBatch and DriveStream lift a Process into the two exchanges, and
-// One makes Query a batch of one, so implementing a new backend — in
-// this package or outside it — means supplying only the evaluation
-// itself.
+// DriveBatch lifts a Process into the batch exchange, and One makes
+// Query a batch of one, so implementing a new backend — in this package
+// or outside it — means supplying only the evaluation itself.
 type Process func(q query.Query, ctr *metrics.Counter) (shard int, epoch uint64, raw []byte, err error)
 
 // DriveBatch answers a batch through p across a bounded worker pool,
@@ -102,32 +100,10 @@ func driveOne(c Call, p Process, q query.Query, ctr *metrics.Counter) (Answer, e
 	return ans, err
 }
 
-// DriveStream yields (index, result) pairs in completion order. An early
-// break from the consumer cancels the remaining work; the producer pool
-// is always fully joined before the iterator returns.
-func DriveStream(ctx context.Context, p Process, qs []query.Query, opts ...Option) iter.Seq2[int, BatchResult] {
-	c := Resolve(opts)
-	return func(yield func(int, BatchResult) bool) {
-		if len(qs) == 0 {
-			return
-		}
-		workers := pool.Workers(c.workers, len(qs))
-		ctrs := make([]metrics.Counter, workers)
-		started := make([]bool, len(qs))
-		var stopped error // the pool's verdict, read after the join
-		Merge(ctx, yield, func(yield func(int, BatchResult) bool) {
-			c.Charge(ctrs...)
-			// Surface cancellation on the indexes the pool never reached.
-			if stopped != nil {
-				Fail(started, stopped)(yield)
-			}
-		}, func(ctx context.Context, emit func(int, BatchResult) bool) {
-			stopped = pool.RunCtx(ctx, len(qs), workers, func(w, i int) {
-				started[i] = true
-				var r BatchResult
-				r.Answer, r.Err = driveOne(c, p, qs[i], &ctrs[w])
-				emit(i, r)
-			})
-		})
-	}
+// One answers q as a batch of one through b's QueryBatch — every
+// backend's Query, so a single answer travels, is attributed and is
+// finished exactly as a batch item is, with its real shard and epoch.
+func One(ctx context.Context, b Backend, q query.Query, opts ...Option) (Answer, error) {
+	answers, errs := b.QueryBatch(ctx, []query.Query{q}, opts...)
+	return answers[0], errs[0]
 }

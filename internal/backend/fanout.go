@@ -3,7 +3,6 @@ package backend
 import (
 	"context"
 	"fmt"
-	"iter"
 	"slices"
 	"sync"
 
@@ -131,49 +130,6 @@ func (f *Fanout) QueryBatch(ctx context.Context, qs []query.Query, opts ...Optio
 	// goroutine: children wrote private ones, charged after the join.
 	Resolve(opts).Charge(ctrs...)
 	return answers, errs
-}
-
-// QueryStream implements Backend: every owning child streams its
-// sub-batch concurrently and the front-end merges the streams, yielding
-// each item under its original index as it completes. An early break
-// cancels all child streams. Every child writes a private counter,
-// charged after the join.
-func (f *Fanout) QueryStream(ctx context.Context, qs []query.Query, opts ...Option) iter.Seq2[int, BatchResult] {
-	return func(yield func(int, BatchResult) bool) {
-		if len(qs) == 0 {
-			return
-		}
-		groups, errs := f.plan.Group(qs)
-		// Unroutable queries complete immediately.
-		for i, err := range errs {
-			if err != nil && !yield(i, BatchResult{Answer: Answer{Shard: wire.ShardNone}, Err: err}) {
-				return
-			}
-		}
-		ctrs := make([]metrics.Counter, len(f.kids))
-		var kids []func(context.Context, func(int, BatchResult) bool)
-		for sh, g := range groups {
-			if len(g) == 0 {
-				continue
-			}
-			kids = append(kids, func(ctx context.Context, emit func(int, BatchResult) bool) {
-				for j, r := range f.kids[sh].QueryStream(ctx, pick(qs, g), ReplaceCounter(opts, &ctrs[sh])...) {
-					r.Answer.Shard = sh // the front-end's routing choice, refused or not
-					if !emit(g[j], r) {
-						return // breaking the child's stream cancels it
-					}
-				}
-			})
-		}
-		// A batch that one shard owns has nothing to merge: its child
-		// emits from one goroutine, so it runs here.
-		if len(kids) == 1 {
-			kids[0](ctx, yield)
-		} else {
-			Merge(ctx, yield, func(func(int, BatchResult) bool) {}, kids...)
-		}
-		Resolve(opts).Charge(ctrs...)
-	}
 }
 
 // pick returns the queries at the given batch indexes, in order — one

@@ -174,42 +174,6 @@ func TestFanoutOnCutRouting(t *testing.T) {
 	}
 }
 
-// TestFanoutStream: the merged stream yields every routable index
-// exactly once with the owning shard's attribution.
-func TestFanoutStream(t *testing.T) {
-	_, f, dom, pub := fanoutFixture(t, 100, 4)
-	qs := fanoutQueries(dom, f.Plan().Cuts, 10, 3)
-	qs = append(qs, query.NewTopK(geometry.Point{dom.Hi[0] + 1}, 1)) // unroutable
-	seen := make([]bool, len(qs))
-	for i, r := range f.QueryStream(context.Background(), qs, WithVerify(pub)) {
-		if seen[i] {
-			t.Fatalf("stream yielded item %d twice", i)
-		}
-		seen[i] = true
-		if i == len(qs)-1 {
-			if r.Err == nil {
-				t.Fatal("unroutable query answered")
-			}
-			if r.Answer.Shard != wire.ShardNone {
-				t.Fatalf("unroutable item attributed to shard %d", r.Answer.Shard)
-			}
-			continue
-		}
-		if r.Err != nil {
-			t.Fatalf("item %d: %v", i, r.Err)
-		}
-		want, _ := f.Plan().RouteQuery(qs[i])
-		if r.Answer.Shard != want {
-			t.Fatalf("item %d attributed to shard %d, want %d", i, r.Answer.Shard, want)
-		}
-	}
-	for i, ok := range seen {
-		if !ok {
-			t.Fatalf("stream never yielded item %d", i)
-		}
-	}
-}
-
 // TestNewFanoutValidation covers the constructor's error paths.
 func TestNewFanoutValidation(t *testing.T) {
 	_, f, _, _ := fanoutFixture(t, 60, 2)

@@ -3,7 +3,6 @@ package backend
 import (
 	"context"
 	"fmt"
-	"iter"
 	"slices"
 
 	"aqverify/internal/core"
@@ -46,11 +45,6 @@ func (b *Local) Query(ctx context.Context, q query.Query, opts ...Option) (Answe
 // QueryBatch implements Backend.
 func (b *Local) QueryBatch(ctx context.Context, qs []query.Query, opts ...Option) ([]Answer, []error) {
 	return DriveBatch(ctx, b.process, qs, opts...)
-}
-
-// QueryStream implements Backend.
-func (b *Local) QueryStream(ctx context.Context, qs []query.Query, opts ...Option) iter.Seq2[int, BatchResult] {
-	return DriveStream(ctx, b.process, qs, opts...)
 }
 
 // Epoch returns the served tree's publication epoch.
@@ -128,11 +122,6 @@ func (b *Sharded) QueryBatch(ctx context.Context, qs []query.Query, opts ...Opti
 		}
 	}
 	return answers, errs
-}
-
-// QueryStream implements Backend.
-func (b *Sharded) QueryStream(ctx context.Context, qs []query.Query, opts ...Option) iter.Seq2[int, BatchResult] {
-	return DriveStream(ctx, b.process, qs, opts...)
 }
 
 // Epoch returns the served set's publication epoch — the maximum across

@@ -2,8 +2,7 @@ package cache
 
 import (
 	"context"
-	"fmt"
-	"iter"
+	"sync"
 
 	"aqverify/internal/backend"
 	"aqverify/internal/metrics"
@@ -74,132 +73,74 @@ func (c *Cache) classify(qs []query.Query) classified {
 	return cl
 }
 
-// QueryBatch implements Backend: the led misses walk the inner backend
-// as one buffered sub-batch, so its shard grouping, worker pool and —
-// behind a front — hedging apply.
+// QueryBatch implements Backend, writing each outcome straight into its
+// index. Hits are served on the calling goroutine; the led misses walk
+// the inner backend as one QueryBatch, so its shard grouping, worker
+// pool and — behind a front — hedging apply; each wait on another
+// batch's flight runs on its own goroutine. The waits start before the
+// led batch runs: two batches that each wait on a flight the other
+// leads would otherwise deadlock. When nothing waits, no goroutine is
+// started. The call's cost folds into the caller's counter once, after
+// the join.
 func (c *Cache) QueryBatch(ctx context.Context, qs []query.Query, opts ...backend.Option) ([]backend.Answer, []error) {
-	return backend.Collect(len(qs), c.stream(ctx, qs, opts, backend.Buffered))
-}
-
-// QueryStream implements Backend: the led misses stream off the inner
-// backend and are yielded as they land. Item order is not index order.
-func (c *Cache) QueryStream(ctx context.Context, qs []query.Query, opts ...backend.Option) iter.Seq2[int, backend.BatchResult] {
-	return c.stream(ctx, qs, opts, backend.Backend.QueryStream)
-}
-
-// stream is both exchanges' body. A batch that is all hits is served
-// on the calling goroutine, with nothing to overlap; any other goes to
-// overlap. Breaking out of the iteration cancels the inner exchange and
-// completes this call's unfinished flights with the cancellation
-// (waiters elsewhere retry them).
-func (c *Cache) stream(ctx context.Context, qs []query.Query, opts []backend.Option,
-	exchange func(backend.Backend, context.Context, []query.Query, ...backend.Option) iter.Seq2[int, backend.BatchResult]) iter.Seq2[int, backend.BatchResult] {
-	return func(yield func(int, backend.BatchResult) bool) {
-		if len(qs) == 0 {
-			return
+	answers, errs := make([]backend.Answer, len(qs)), make([]error, len(qs))
+	if err := ctx.Err(); err != nil {
+		for i := range qs {
+			answers[i], errs[i] = backend.Answer{Shard: wire.ShardNone}, err
 		}
-		if err := ctx.Err(); err != nil {
-			backend.Fail(make([]bool, len(qs)), err)(yield)
-			return
-		}
-		call := backend.Resolve(opts)
-		cl := c.classify(qs)
-		if len(cl.led)+len(cl.wait) > 0 {
-			c.overlap(ctx, call, qs, opts, cl, exchange, yield)
-			return
-		}
-		var cost metrics.Counter
-		c.serveHits(call, qs, cl.slots, &cost, yield)
-		call.Charge(cost)
+		return answers, errs
 	}
-}
-
-// serveHits yields the batch's cached items, charging cost, until the
-// consumer stops listening.
-func (c *Cache) serveHits(call backend.Call, qs []query.Query, slots []slot, cost *metrics.Counter, emit func(int, backend.BatchResult) bool) {
-	for i, s := range slots {
-		if !s.hit {
-			continue
-		}
-		var r backend.BatchResult
-		r.Answer, r.Err = c.serve(call, qs[i], s.k, s.e, cost)
-		if !emit(i, r) {
-			return
-		}
-	}
-}
-
-// overlap serves a batch with misses. Cached items are yielded without
-// waiting on any walk, and no walk waits on them: led misses go to the
-// inner backend as one sub-batch through exchange — its QueryStream, or
-// its QueryBatch through backend.Buffered — at once, and are yielded as
-// they land; collapsed items are yielded as their foreign flights
-// resolve. The call's cost folds into the caller's counter once, at the
-// end.
-func (c *Cache) overlap(ctx context.Context, call backend.Call, qs []query.Query, opts []backend.Option, cl classified,
-	exchange func(backend.Backend, context.Context, []query.Query, ...backend.Option) iter.Seq2[int, backend.BatchResult],
-	yield func(int, backend.BatchResult) bool) {
-	// Producers write private counters, folded once they are done: the
-	// hits', the inner exchange's, one per foreign flight.
+	call := backend.Resolve(opts)
+	cl := c.classify(qs)
+	// Private counters, folded after the join: the hits' and the led
+	// batch's, then one per foreign flight.
 	costs := make([]metrics.Counter, 2+len(cl.wait))
-	producers := []func(context.Context, func(int, backend.BatchResult) bool){
-		func(_ context.Context, emit func(int, backend.BatchResult) bool) {
-			c.serveHits(call, qs, cl.slots, &costs[0], emit)
-		},
+	var wg sync.WaitGroup
+	for wi, w := range cl.wait {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctr := &costs[2+wi]
+			ans, err := c.await(ctx, call, qs[w.i], cl.slots[w.i].k, w.fl, ctr)
+			if foreignCancel(ctx, err) {
+				ans, err = c.Query(ctx, qs[w.i], backend.ReplaceCounter(opts, ctr)...)
+			}
+			answers[w.i], errs[w.i] = ans, err
+		}()
+	}
+	for i, s := range cl.slots {
+		if s.hit {
+			answers[i], errs[i] = c.serve(call, qs[i], s.k, s.e, &costs[0])
+		}
 	}
 	if len(cl.led) > 0 {
-		producers = append(producers, func(ctx context.Context, emit func(int, backend.BatchResult) bool) {
-			subqs := make([]query.Query, len(cl.led))
-			for j, lf := range cl.led {
-				subqs[j] = qs[lf.idxs[0]]
-			}
-			landed := make([]bool, len(cl.led))
-			for j, r := range exchange(c.inner, ctx, subqs, backend.ReplaceCounter(opts, &costs[1])...) {
-				landed[j] = true
-				if !c.settle(cl.led[j], r, &costs[1], emit) {
-					break // which cancels the inner exchange
-				}
-			}
-			// An inner exchange normally answers every index; if it
-			// ended early (our cancel, or a dying transport), the
-			// leftover flights must still complete or foreign waiters
-			// hang.
-			err := ctx.Err()
-			if err == nil {
-				err = fmt.Errorf("cache: inner stream ended without answering")
-			}
-			for j, r := range backend.Fail(landed, err) {
-				c.settle(cl.led[j], r, &costs[1], emit)
-			}
-		})
+		c.lead(ctx, qs, opts, cl.led, answers, errs, &costs[1])
 	}
-	for wi, w := range cl.wait {
-		producers = append(producers, func(ctx context.Context, emit func(int, backend.BatchResult) bool) {
-			r, retry := c.await(ctx, call, qs[w.i], cl.slots[w.i].k, w.fl, &costs[2+wi])
-			if retry {
-				r.Answer, r.Err = c.Query(ctx, qs[w.i], backend.ReplaceCounter(opts, &costs[2+wi])...)
-			}
-			emit(w.i, r)
-		})
-	}
-	backend.Merge(ctx, yield, func(func(int, backend.BatchResult) bool) {
-		call.Charge(costs...)
-	}, producers...)
+	wg.Wait()
+	call.Charge(costs...)
+	return answers, errs
 }
 
-// settle publishes one led flight's result and fans it out to every
-// batch index that shares the key, reporting whether the consumer is
-// still listening. Duplicate indexes are charged their answer bytes —
-// the caller receives that many copies — but not a second walk.
-func (c *Cache) settle(lf *ledFlight, r backend.BatchResult, cost *metrics.Counter, emit func(int, backend.BatchResult) bool) bool {
-	c.land(lf.k, lf.fl, r)
-	for di, i := range lf.idxs {
-		if !emit(i, r) {
-			return false
-		}
-		if di > 0 && r.Err == nil {
-			cost.AddBytes(uint64(len(r.Answer.Raw)))
+// lead walks the batch's led misses on the inner backend as one
+// sub-batch, publishes each flight's outcome and fans it out to every
+// batch index that shares the key. Duplicate indexes are charged their
+// answer bytes — the caller receives that many copies — but not a
+// second walk.
+func (c *Cache) lead(ctx context.Context, qs []query.Query, opts []backend.Option, led []*ledFlight,
+	answers []backend.Answer, errs []error, cost *metrics.Counter) {
+	subqs := make([]query.Query, len(led))
+	for j, lf := range led {
+		subqs[j] = qs[lf.idxs[0]]
+	}
+	subAnswers, subErrs := c.inner.QueryBatch(ctx, subqs, backend.ReplaceCounter(opts, cost)...)
+	for j, lf := range led {
+		ans, err := subAnswers[j], subErrs[j]
+		c.land(lf.k, lf.fl, ans, err)
+		for di, i := range lf.idxs {
+			answers[i], errs[i] = ans, err
+			if di > 0 && err == nil {
+				cost.AddBytes(uint64(len(ans.Raw)))
+			}
 		}
 	}
-	return true
 }

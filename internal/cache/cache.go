@@ -199,33 +199,31 @@ func (c *Cache) Query(ctx context.Context, q query.Query, opts ...backend.Option
 // land publishes a led flight's outcome: a success is stored before
 // the flight completes (see flightMap), a failure only completes it —
 // errors are never cached.
-func (c *Cache) land(k akey, fl *flight, r backend.BatchResult) {
-	if r.Err == nil {
+func (c *Cache) land(k akey, fl *flight, ans backend.Answer, err error) {
+	if err == nil {
 		// A stored backend.Answer.Raw view would pin the frame it came in.
-		e := entryOf(r.Answer)
+		e := entryOf(ans)
 		e.raw = append(make([]byte, 0, len(e.raw)), e.raw...)
-		c.evictions.Add(int64(c.answers.put(storeKey(k, r.Answer), e)))
+		c.evictions.Add(int64(c.answers.put(storeKey(k, ans), e)))
 	}
-	c.flights.complete(k, fl, r.Answer, r.Err)
+	c.flights.complete(k, fl, ans, err)
 }
 
 // await waits out a foreign flight under this call's context and
 // serves its result. A foreign leader's cancellation is not this
-// call's: when the flight dies of a context error while ctx is still
-// live, retry is set and the caller runs the lookup again (and may lead
-// its own flight).
-func (c *Cache) await(ctx context.Context, call backend.Call, q query.Query, k akey, fl *flight, cost *metrics.Counter) (r backend.BatchResult, retry bool) {
+// call's: a context error while ctx is still live (foreignCancel) is
+// the caller's cue to run the lookup again, and perhaps lead its own
+// flight.
+func (c *Cache) await(ctx context.Context, call backend.Call, q query.Query, k akey, fl *flight, cost *metrics.Counter) (backend.Answer, error) {
 	select {
 	case <-fl.done:
 		if fl.err != nil {
-			r.Answer, r.Err = backend.Answer{Shard: fl.ans.Shard, Epoch: fl.ans.Epoch}, fl.err
-			return r, isCtxError(fl.err) && ctx.Err() == nil
+			return backend.Answer{Shard: fl.ans.Shard, Epoch: fl.ans.Epoch}, fl.err
 		}
-		r.Answer, r.Err = c.serve(call, q, k, entryOf(fl.ans), cost)
+		return c.serve(call, q, k, entryOf(fl.ans), cost)
 	case <-ctx.Done():
-		r.Answer, r.Err = backend.Answer{Shard: wire.ShardNone}, ctx.Err()
+		return backend.Answer{Shard: wire.ShardNone}, ctx.Err()
 	}
-	return r, false
 }
 
 // serve finishes one cached or flight-shared answer for this call:
@@ -262,6 +260,8 @@ func storeKey(k akey, ans backend.Answer) akey {
 	return k
 }
 
-func isCtxError(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+// foreignCancel reports whether err is a context error that ctx, still
+// live, did not cause: a canceled foreign leader's.
+func foreignCancel(ctx context.Context, err error) bool {
+	return (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) && ctx.Err() == nil
 }

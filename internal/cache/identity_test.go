@@ -34,8 +34,8 @@ func identityQueries(dom geometry.Box, plan *shard.Plan) []query.Query {
 // checkIdentity asserts the cache is answer-invisible on one surface:
 // every query answered twice through the cache (miss, then hit) matches
 // the uncached backend byte for byte — outcome, wire bytes, shard
-// attribution, epoch, verified records — and the batch and stream
-// entry points agree with the uncached batch.
+// attribution, epoch, verified records — and the batch entry point
+// agrees with the uncached batch.
 func checkIdentity(t *testing.T, surface string, uncached backend.Backend, cached *cache.Cache, pub verify.PublicParams, qs []query.Query) {
 	t.Helper()
 	ctx := context.Background()
@@ -92,26 +92,12 @@ func checkIdentity(t *testing.T, surface string, uncached backend.Backend, cache
 		}
 	}
 
-	// The batch and stream entry points compare against the uncached
-	// batch, so each entry point is held to its own surface's exact
-	// wire behavior.
+	// The batch entry point compares against the uncached batch, so it
+	// is held to its own surface's exact wire behavior.
 	wantB, wantBErr := uncached.QueryBatch(ctx, qs, withVerify)
 	answers, errs := cached.QueryBatch(ctx, qs, withVerify, backend.WithWorkers(3))
 	for i := range qs {
 		match(wantB, wantBErr, "batch", i, answers[i], errs[i])
-	}
-	seen := make([]bool, len(qs))
-	for i, r := range cached.QueryStream(ctx, qs, withVerify, backend.WithWorkers(2)) {
-		if seen[i] {
-			t.Fatalf("%s stream yielded %d twice", surface, i)
-		}
-		seen[i] = true
-		match(wantB, wantBErr, "stream", i, r.Answer, r.Err)
-	}
-	for i, s := range seen {
-		if !s {
-			t.Fatalf("%s stream never yielded %d", surface, i)
-		}
 	}
 }
 

@@ -171,20 +171,15 @@ func TestSwapInvalidationInProcess(t *testing.T) {
 							return
 						default:
 						}
-						switch g % 3 {
-						case 0:
+						if g%2 == 0 {
 							for i, q := range qs {
 								ans, err := c.Query(ctx, q)
 								check(i, ans, err)
 							}
-						case 1:
+						} else {
 							answers, errs := c.QueryBatch(ctx, qs, backend.WithWorkers(2))
 							for i := range qs {
 								check(i, answers[i], errs[i])
-							}
-						default:
-							for i, r := range c.QueryStream(ctx, qs) {
-								check(i, r.Answer, r.Err)
 							}
 						}
 						rounds.Add(1)

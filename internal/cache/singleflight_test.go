@@ -3,7 +3,6 @@ package cache_test
 import (
 	"context"
 	"errors"
-	"iter"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -54,17 +53,6 @@ func (b *gatedBackend) QueryBatch(ctx context.Context, qs []query.Query, opts ..
 		answers[i], errs[i] = b.Query(ctx, q, opts...)
 	}
 	return answers, errs
-}
-
-func (b *gatedBackend) QueryStream(ctx context.Context, qs []query.Query, opts ...backend.Option) iter.Seq2[int, backend.BatchResult] {
-	return func(yield func(int, backend.BatchResult) bool) {
-		for i, q := range qs {
-			ans, err := b.Query(ctx, q, opts...)
-			if !yield(i, backend.BatchResult{Answer: ans, Err: err}) {
-				return
-			}
-		}
-	}
 }
 
 // waitFor polls until cond holds or the deadline passes.
@@ -181,104 +169,77 @@ func TestSingleFlightCollapse(t *testing.T) {
 // TestCanceledLeaderDoesNotPoison pins the leader-side half of the
 // cancellation contract: when the flight's leader is canceled, a waiter
 // whose context is live retries — becoming the new leader — instead of
-// inheriting the foreign cancellation.
+// inheriting the foreign cancellation. The leader is a single query, or
+// a batch whose index 0 is cached and whose miss is canceled mid-walk:
+// the batch still serves its hit, and the flight it led is released.
 func TestCanceledLeaderDoesNotPoison(t *testing.T) {
 	res := outsrc(t, 80, verify.OneSignature)
 	local, err := backend.NewLocal(res.Tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gated := newGated(local)
-	c, err := cache.Wrap(gated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := spreadQueries(res.Tree.Domain(), 1)[0]
-	ctx := context.Background()
-
-	leaderCtx, cancelLeader := context.WithCancel(ctx)
-	leaderDone := make(chan error, 1)
-	go func() {
-		_, err := c.Query(leaderCtx, q)
-		leaderDone <- err
-	}()
-	waitFor(t, "the leader's walk to start", func() bool { return gated.walks.Load() == 1 })
-
-	waiterDone := make(chan error, 1)
-	go func() {
-		_, err := c.Query(ctx, q)
-		waiterDone <- err
-	}()
-	waitFor(t, "the waiter to collapse onto the flight", func() bool {
-		return c.CacheStats().Collapses >= 1
-	})
-
-	cancelLeader()
-	if err := <-leaderDone; !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled leader returned %v", err)
-	}
-	// The waiter retries and leads its own walk; release it.
-	waitFor(t, "the waiter to re-lead", func() bool { return gated.walks.Load() == 2 })
-	close(gated.gate)
-	if err := <-waiterDone; err != nil {
-		t.Fatalf("waiter inherited the leader's cancellation: %v", err)
-	}
-}
-
-// TestStreamBreakReleasesLedFlights: a stream over a hit and a miss
-// starts the miss's walk without waiting for the hit to be consumed,
-// and a consumer that breaks on the hit strands nothing — the walk is
-// canceled, the flight the stream led completes with the cancellation,
-// and a foreign waiter collapsed onto it retries and is answered.
-func TestStreamBreakReleasesLedFlights(t *testing.T) {
-	res := outsrc(t, 80, verify.OneSignature)
-	local, err := backend.NewLocal(res.Tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gated := newGated(local)
-	c, err := cache.Wrap(gated)
-	if err != nil {
-		t.Fatal(err)
-	}
 	qs := spreadQueries(res.Tree.Domain(), 2)
-	ctx := context.Background()
+	for _, tc := range []struct {
+		name   string
+		cached []query.Query // answered, so cached, before the leader starts
+		lead   []query.Query // the leader's batch; its last query misses
+	}{
+		{"single query", nil, qs[1:]},
+		{"batch with a cached index 0", qs[:1], qs},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gated := newGated(local)
+			c, err := cache.Wrap(gated)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			for _, q := range tc.cached {
+				warmed := make(chan error, 1)
+				go func() {
+					_, err := c.Query(ctx, q)
+					warmed <- err
+				}()
+				gated.gate <- struct{}{}
+				if err := <-warmed; err != nil {
+					t.Fatal(err)
+				}
+			}
+			walked := gated.walks.Load()
+			miss := tc.lead[len(tc.lead)-1]
 
-	warmed := make(chan error, 1)
-	go func() {
-		_, err := c.Query(ctx, qs[0])
-		warmed <- err
-	}()
-	gated.gate <- struct{}{}
-	if err := <-warmed; err != nil {
-		t.Fatal(err)
-	}
+			leaderCtx, cancelLeader := context.WithCancel(ctx)
+			leaderDone := make(chan error, 1)
+			go func() {
+				_, errs := c.QueryBatch(leaderCtx, tc.lead)
+				for i, err := range errs[:len(errs)-1] {
+					if err != nil {
+						t.Errorf("cached index %d of the canceled batch: %v", i, err)
+					}
+				}
+				leaderDone <- errs[len(errs)-1]
+			}()
+			waitFor(t, "the leader's walk to start", func() bool { return gated.walks.Load() == walked+1 })
 
-	waiterDone := make(chan error, 1)
-	yielded := 0
-	for i, r := range c.QueryStream(ctx, qs) {
-		yielded++
-		if i != 0 || r.Err != nil {
-			t.Fatalf("first item is index %d (err %v), want the cached index 0", i, r.Err)
-		}
-		waitFor(t, "the miss's walk to start while the hit is still being consumed", func() bool {
-			return gated.walks.Load() == 2
+			waiterDone := make(chan error, 1)
+			go func() {
+				_, err := c.Query(ctx, miss)
+				waiterDone <- err
+			}()
+			waitFor(t, "the waiter to collapse onto the flight", func() bool {
+				return c.CacheStats().Collapses >= 1
+			})
+
+			cancelLeader()
+			if err := <-leaderDone; !errors.Is(err, context.Canceled) {
+				t.Fatalf("canceled leader returned %v", err)
+			}
+			// The waiter retries and leads its own walk; release it.
+			waitFor(t, "the waiter to re-lead", func() bool { return gated.walks.Load() == walked+2 })
+			close(gated.gate)
+			if err := <-waiterDone; err != nil {
+				t.Fatalf("waiter inherited the leader's cancellation: %v", err)
+			}
 		})
-		go func() {
-			_, err := c.Query(ctx, qs[1])
-			waiterDone <- err
-		}()
-		waitFor(t, "the foreign waiter to collapse onto the led flight", func() bool {
-			return c.CacheStats().Collapses >= 1
-		})
-		break
-	}
-	if yielded != 1 {
-		t.Fatalf("stream yielded %d items before the break, want 1", yielded)
-	}
-	waitFor(t, "the waiter to re-lead the canceled flight", func() bool { return gated.walks.Load() == 3 })
-	close(gated.gate)
-	if err := <-waiterDone; err != nil {
-		t.Fatalf("waiter inherited the stream's cancellation: %v", err)
 	}
 }

@@ -24,8 +24,8 @@ import (
 	"aqverify/internal/workload"
 )
 
-// ask sends qs through one of the three entry points of b; the sweeps
-// run every adversary through all of them.
+// ask sends qs through one of the two entry points of b; the sweeps
+// run every adversary through both.
 var entryPoints = []struct {
 	name string
 	ask  func(b backend.Backend, qs []query.Query, opts ...backend.Option) ([]backend.Answer, []error)
@@ -39,13 +39,6 @@ var entryPoints = []struct {
 	}},
 	{"QueryBatch", func(b backend.Backend, qs []query.Query, opts ...backend.Option) ([]backend.Answer, []error) {
 		return b.QueryBatch(context.Background(), qs, opts...)
-	}},
-	{"QueryStream", func(b backend.Backend, qs []query.Query, opts ...backend.Option) ([]backend.Answer, []error) {
-		answers, errs := make([]backend.Answer, len(qs)), make([]error, len(qs))
-		for i, r := range b.QueryStream(context.Background(), qs, opts...) {
-			answers[i], errs[i] = r.Answer, r.Err
-		}
-		return answers, errs
 	}},
 }
 
@@ -67,7 +60,7 @@ func sameRecords(a, b []record.Record) bool {
 // attack catalogue (the lying server: same bytes it could have produced
 // itself), garbage and empty bytes, a replayed honest answer to a
 // different query — must be rejected with verify.ErrVerification, through
-// Query, QueryBatch and QueryStream alike. A refused query stays a
+// Query and QueryBatch alike. A refused query stays a
 // server error, never a verification rejection. Every surface takes the
 // battery twice: cold, and again after a verifying caller has been
 // there first — a cache then holds verified records for the honest

@@ -2,6 +2,8 @@ package e2e
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -13,7 +15,6 @@ import (
 	"aqverify/internal/cache"
 	"aqverify/internal/front"
 	"aqverify/internal/geometry"
-	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/transport"
 	"aqverify/internal/verify"
@@ -70,87 +71,37 @@ func settled(ok func() bool) bool {
 	return false
 }
 
-// TestStreamBreakLeavesNothingBehind is ROADMAP aim 3 on every surface:
-// no goroutine, in-flight slot or cache flight outlives a stream its
-// consumer abandoned (an early break) or its caller canceled
-// mid-stream, and the WithCounter total is the bytes of the items that
-// were actually yielded.
-//
-// The break scenario keeps its batch inside shard 0 and its pool one
-// wide: the counter is exact along a chain of single producers (Merge's
-// lock step). Where siblings produce concurrently — a fanout's other
-// children, a pool's other workers — an answer a sibling finished just
-// before the break is charged and then dropped.
-func TestStreamBreakLeavesNothingBehind(t *testing.T) {
+// TestCanceledBatchLeavesNothingBehind is ROADMAP aim 3 on every
+// surface: no goroutine, in-flight slot or cache flight outlives a
+// batch its caller canceled, and a canceled batch still accounts for
+// every index — answered, or failed with ctx's error and no bytes. The
+// cancel lands before the batch starts and at two offsets into it, so
+// on every surface some cancels land while items are in flight.
+func TestCanceledBatchLeavesNothingBehind(t *testing.T) {
 	ss, plan, _ := surfaces(t, 80, 3, verify.OneSignature)
 	f, stack := frontStack(t, 80, 3)
 	ss = append(ss, stack)
-	spread := func(box geometry.Box) []query.Query {
-		var qs []query.Query
-		for i := 1; i <= 4; i++ {
-			x := geometry.Point{box.Lo[0] + (box.Hi[0]-box.Lo[0])*float64(i)/5}
-			qs = append(qs, query.NewTopK(x, 1+i), query.NewRange(x, -3, 3))
-		}
-		return qs
-	}
-
-	scenarios := []struct {
-		name string
-		qs   []query.Query
-		// consume drains the stream its own way, reporting the answer
-		// bytes it was yielded.
-		consume func(t *testing.T, cancel context.CancelFunc, qs []query.Query, stream func(yield func(int, backend.BatchResult) bool)) uint64
-	}{
-		{"break after the first item", spread(plan.Boxes[0]),
-			func(t *testing.T, _ context.CancelFunc, _ []query.Query, stream func(func(int, backend.BatchResult) bool)) uint64 {
-				for _, r := range stream {
-					if r.Err != nil {
-						t.Fatalf("first item: %v", r.Err)
-					}
-					return uint64(len(r.Answer.Raw))
-				}
-				t.Fatal("stream yielded nothing")
-				return 0
-			}},
-		{"cancel mid-stream", spread(plan.Domain),
-			func(t *testing.T, cancel context.CancelFunc, qs []query.Query, stream func(func(int, backend.BatchResult) bool)) uint64 {
-				var bytes uint64
-				seen := make([]bool, len(qs))
-				for i, r := range stream {
-					cancel() // after the first item; a no-op from then on
-					if seen[i] {
-						t.Fatalf("index %d yielded twice", i)
-					}
-					seen[i] = true
-					if r.Err == nil {
-						bytes += uint64(len(r.Answer.Raw))
-					} else if r.Answer.Raw != nil {
-						t.Fatalf("index %d: failed item still carries bytes", i)
-					}
-				}
-				for i, ok := range seen {
-					if !ok {
-						t.Fatalf("index %d never yielded: a canceled stream still accounts for every item", i)
-					}
-				}
-				return bytes
-			}},
+	var qs []query.Query
+	for i := 1; i <= 4; i++ {
+		x := geometry.Point{plan.Domain.Lo[0] + (plan.Domain.Hi[0]-plan.Domain.Lo[0])*float64(i)/5}
+		qs = append(qs, query.NewTopK(x, 1+i), query.NewRange(x, -3, 3))
 	}
 
 	for _, su := range ss {
-		for _, sc := range scenarios {
-			t.Run(su.name+"/"+sc.name, func(t *testing.T) {
-				drain := func(ctx context.Context, opts ...backend.Option) {
-					for i, r := range su.b.QueryStream(ctx, sc.qs, append(opts, su.verify)...) {
-						if r.Err != nil {
-							t.Fatalf("full stream, query %d: %v", i, r.Err)
+		for _, after := range []time.Duration{0, 100 * time.Microsecond, time.Millisecond} {
+			t.Run(fmt.Sprintf("%s/cancel_after_%dus", su.name, after.Microseconds()), func(t *testing.T) {
+				full := func(ctx context.Context) {
+					answers, errs := su.b.QueryBatch(ctx, qs, su.verify)
+					for i, err := range errs {
+						if err != nil {
+							t.Fatalf("full batch, query %d: %v", i, err)
 						}
-						if r.Answer.Epoch == 0 {
-							t.Fatalf("full stream, query %d: answer carries no publication epoch", i)
+						if answers[i].Epoch == 0 {
+							t.Fatalf("full batch, query %d: answer carries no publication epoch", i)
 						}
 					}
 				}
-				drain(context.Background()) // warm connections and the cache before the baseline
+				full(context.Background()) // warm connections and the cache before the baseline
 				var baseline int
 				settled(func() bool {
 					n := runtime.NumGoroutine()
@@ -161,16 +112,27 @@ func TestStreamBreakLeavesNothingBehind(t *testing.T) {
 
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
-				var ctr metrics.Counter
-				yielded := sc.consume(t, cancel, sc.qs,
-					su.b.QueryStream(ctx, sc.qs, su.verify, backend.WithCounter(&ctr), backend.WithWorkers(1)))
-				if ctr.Bytes != yielded {
-					t.Errorf("WithCounter saw %d answer bytes, the consumer was yielded %d", ctr.Bytes, yielded)
+				if after == 0 {
+					cancel()
+				} else {
+					defer time.AfterFunc(after, cancel).Stop()
+				}
+				answers, errs := su.b.QueryBatch(ctx, qs, su.verify, backend.WithWorkers(1))
+				for i, err := range errs {
+					if err == nil {
+						continue
+					}
+					if !errors.Is(err, context.Canceled) {
+						t.Fatalf("index %d: %v; a canceled batch answers an index or fails it with ctx's error", i, err)
+					}
+					if answers[i].Raw != nil {
+						t.Fatalf("index %d: failed item still carries bytes", i)
+					}
 				}
 
 				if !settled(func() bool { return runtime.NumGoroutine() <= baseline }) {
 					buf := make([]byte, 1<<20)
-					t.Errorf("%d goroutines, %d before the stream:\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+					t.Errorf("%d goroutines, %d before the batch:\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
 				}
 				if !settled(func() bool {
 					snap := f.Snapshot()
@@ -188,7 +150,7 @@ func TestStreamBreakLeavesNothingBehind(t *testing.T) {
 				// left for it to wait on.
 				again, stop := context.WithTimeout(context.Background(), 10*time.Second)
 				defer stop()
-				drain(again)
+				full(again)
 			})
 		}
 	}

@@ -96,7 +96,7 @@ func (o Options) withDefaults() Options {
 // fan-out connections: bounded dial and response-header waits so a dead
 // replica fails fast instead of hanging an exchange, keep-alives and a
 // per-host idle pool sized for steady fan-out traffic, and no overall
-// request timeout — streams are legitimately long-lived, and slow
+// request timeout — a large batch may legitimately take long, and slow
 // replicas are the hedging layer's job, not a transport deadline's.
 func HTTPClient() *http.Client {
 	return &http.Client{

@@ -166,9 +166,8 @@ func TestAdmissionBurst(t *testing.T) {
 		t.Errorf("in-flight gauge still %d after the burst drained", snap.InFlight)
 	}
 
-	// The raw statuses, pinned: with the gate held full, both the batch
-	// and the stream route answer 429 before committing to a response
-	// body — a shed stream never starts.
+	// The raw status, pinned: with the gate held full, the batch route
+	// answers 429 before committing to a response body.
 	release1, err := f.Admit()
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +176,7 @@ func TestAdmissionBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, route := range []string{"/query/batch", "/query/stream"} {
+	for _, route := range []string{"/query/batch"} {
 		resp, err := http.Post(ts.URL+route, "application/octet-stream", bytes.NewReader(wire.EncodeQueryBatch(qs[:1])))
 		if err != nil {
 			t.Fatal(err)
@@ -191,5 +190,34 @@ func TestAdmissionBurst(t *testing.T) {
 	release2()
 	if _, err := r.Query(ctx, qs[0], withVerify); err != nil {
 		t.Errorf("query after releasing the gate: %v", err)
+	}
+}
+
+// TestFrontServesOneExchange: the front serves the one query exchange
+// its shards do — the retired single-query and stream routes are 404s,
+// not relayed and not gated.
+func TestFrontServesOneExchange(t *testing.T) {
+	fl := newFleet(t, 2, 1, nil)
+	f, params, err := front.DialFront(fl.groups, nil, front.Options{MaxInFlight: 2, ProbeEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	h, err := transport.NewBackendHandler(f, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	body := wire.EncodeQueryBatch(fleetQueries(fl.dom, 1))
+	for _, route := range []string{"/query", "/query/stream"} {
+		resp, err := http.Post(ts.URL+route, "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s on the front: status %d, want 404", route, resp.StatusCode)
+		}
 	}
 }

@@ -67,7 +67,6 @@ type ReplicaStat struct {
 // ShardStat is one replica set's counter snapshot.
 type ShardStat struct {
 	Requests         int64 // batch/query exchanges routed to the set
-	Streams          int64 // stream exchanges routed to the set
 	Hedges           int64 // hedge launches issued
 	HedgeWins        int64 // hedges whose answer won the race
 	HedgesSuppressed int64 // hedge deadline fired but the budget refused

@@ -3,7 +3,6 @@ package front
 import (
 	"context"
 	"errors"
-	"iter"
 	"math/rand/v2"
 	"sync/atomic"
 	"time"
@@ -40,7 +39,6 @@ type ReplicaSet struct {
 	opt   Options
 
 	requests   atomic.Int64
-	streams    atomic.Int64
 	hedges     atomic.Int64
 	hedgeWins  atomic.Int64
 	suppressed atomic.Int64
@@ -309,42 +307,11 @@ func (s *ReplicaSet) QueryBatch(ctx context.Context, qs []query.Query, opts ...b
 	return res.answers, res.errs
 }
 
-// QueryStream implements backend.Backend: one replica (picked by P2C)
-// streams the whole sub-batch. Streams are not hedged — a stream's
-// answers arrive incrementally and re-issuing a half-delivered stream
-// would duplicate work for items already verified; the tail-latency win
-// belongs to the batch exchange.
-func (s *ReplicaSet) QueryStream(ctx context.Context, qs []query.Query, opts ...backend.Option) iter.Seq2[int, backend.BatchResult] {
-	return func(yield func(int, backend.BatchResult) bool) {
-		if len(qs) == 0 {
-			return
-		}
-		s.streams.Add(1)
-		r := s.pick(nil)
-		r.inflight.Add(1)
-		defer r.inflight.Add(-1)
-		sawTransportErr := false
-		for i, res := range r.rem.QueryStream(ctx, qs, opts...) {
-			if !sawTransportErr && res.Err != nil && wholesale([]error{res.Err}) != nil {
-				sawTransportErr = true
-				s.noteFailure(r, res.Err)
-			}
-			if !yield(i, res) {
-				return
-			}
-		}
-		if !sawTransportErr {
-			s.noteSuccess(r)
-		}
-	}
-}
-
 // stat snapshots the set's counters; fleetEpoch (the newest epoch any
 // replica of any shard serves) anchors the per-replica lag gauges.
 func (s *ReplicaSet) stat(fleetEpoch uint64) ShardStat {
 	st := ShardStat{
 		Requests:         s.requests.Load(),
-		Streams:          s.streams.Load(),
 		Hedges:           s.hedges.Load(),
 		HedgeWins:        s.hedgeWins.Load(),
 		HedgesSuppressed: s.suppressed.Load(),

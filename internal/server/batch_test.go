@@ -41,7 +41,7 @@ func TestQueryErrorKeepsTotalsClean(t *testing.T) {
 	}
 }
 
-// TestQueryBatchMatchesQuery: the batched and streamed paths must
+// TestQueryBatchMatchesQuery: the batched path must
 // produce, for every query, exactly the bytes and errors the
 // single-query path produces, for any worker count, and charge the
 // caller's counter identically.
@@ -99,13 +99,6 @@ func TestQueryBatchMatchesQuery(t *testing.T) {
 			outs[i] = answers[i].Raw
 		}
 		check("batch", got, outs, errs)
-
-		got = metrics.Counter{}
-		outs, errs = make([][]byte, len(qs)), make([]error, len(qs))
-		for i, r := range s.QueryStream(ctx, qs, backend.WithWorkers(workers), backend.WithCounter(&got)) {
-			outs[i], errs[i] = r.Answer.Raw, r.Err
-		}
-		check("stream", got, outs, errs)
 	}
 }
 

@@ -2,7 +2,6 @@ package server_test
 
 import (
 	"context"
-	"iter"
 	"sync/atomic"
 	"testing"
 
@@ -42,13 +41,9 @@ func (p *parked) QueryBatch(ctx context.Context, qs []query.Query, opts ...backe
 	return backend.DriveBatch(ctx, p.process, qs, opts...)
 }
 
-func (p *parked) QueryStream(ctx context.Context, qs []query.Query, opts ...backend.Option) iter.Seq2[int, backend.BatchResult] {
-	return backend.DriveStream(ctx, p.process, qs, opts...)
-}
-
 // TestExchangeSeesOneEpoch: the server pins its snapshot per exchange,
-// not per query. A batch and a stream that are half answered when a
-// Swap lands finish on the epoch they started on, item for item; the
+// not per query. A batch that is half answered when a Swap lands
+// finishes on the epoch it started on, item for item; the
 // next exchange is the new epoch's.
 func TestExchangeSeesOneEpoch(t *testing.T) {
 	qs := make([]query.Query, 6)
@@ -66,13 +61,6 @@ func TestExchangeSeesOneEpoch(t *testing.T) {
 			answers, _ := b.QueryBatch(ctx, qs, serial)
 			for i, a := range answers {
 				epochs[i] = a.Epoch
-			}
-			return epochs
-		}},
-		{"QueryStream", func(b backend.Backend) []uint64 {
-			epochs := make([]uint64, len(qs))
-			for i, r := range b.QueryStream(ctx, qs, serial) {
-				epochs[i] = r.Answer.Epoch
 			}
 			return epochs
 		}},

@@ -14,7 +14,7 @@ import (
 // TestStatsRaceUnderBatch is the regression test for the serving-tally
 // audit, on the handler that now owns the tally: outcome counts are
 // bumped by every concurrent exchange, so interleaving batches, single
-// queries (batches of one) and streams with /stats and /metrics readers — and
+// queries (batches of one) with /stats and /metrics readers — and
 // a Swap landing mid-traffic, which both readers observe — must be clean
 // under -race. The plain counts — answered, refused, per-shard — are
 // atomics and only the multi-field metrics counter sits under the mutex;
@@ -75,20 +75,11 @@ func TestStatsRaceUnderBatch(t *testing.T) {
 			}
 		}
 	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		<-start
-		for r := 0; r < rounds; r++ {
-			for range h.QueryStream(context.Background(), qs) {
-			}
-		}
-	}()
 	close(start)
 	wg.Wait()
 
 	routable := len(qs) - 1
-	writers := 3 + 1 + 1 // batch goroutines + Query loop + QueryStream loop
+	writers := 3 + 1 // batch goroutines + Query loop
 	st := h.stats(t)
 	if want := writers * rounds * routable; st.Queries != want {
 		t.Errorf("answered = %d, want %d", st.Queries, want)

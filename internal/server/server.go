@@ -14,7 +14,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"iter"
 	"sync"
 	"sync/atomic"
 
@@ -28,8 +27,8 @@ type Backend = backend.Backend
 
 // serving is one immutable epoch's snapshot of the hosted backend, with
 // the epochs it reported when it was published. The server swaps whole
-// snapshots atomically and an exchange — a query, a batch, a stream —
-// loads the pointer once, so every item of it is routed, answered and
+// snapshots atomically and an exchange — a query or a batch — loads
+// the pointer once, so every item of it is routed, answered and
 // attributed by the one epoch it started on even if a swap lands
 // mid-exchange. epochs is per shard, nil for an unsharded backend.
 type serving struct {
@@ -80,7 +79,7 @@ func New(b Backend) (*Server, error) {
 // In-flight exchanges finish against the snapshot they started on: what
 // must be waited out before the previous epoch's resources are released
 // (an artifact.Artifact closed) is every exchange that began before the
-// swap, a long stream included — not merely the queries then running.
+// swap — not merely the queries then running.
 func (s *Server) Swap(b Backend) error {
 	if b == nil {
 		return fmt.Errorf("server: swap needs a backend")
@@ -123,12 +122,6 @@ func (s *Server) Query(ctx context.Context, q query.Query, opts ...backend.Optio
 // snapshot's, so it answers from one epoch.
 func (s *Server) QueryBatch(ctx context.Context, qs []query.Query, opts ...backend.Option) ([]backend.Answer, []error) {
 	return s.serving.Load().backend.QueryBatch(ctx, qs, opts...)
-}
-
-// QueryStream implements backend.Backend: the snapshot is the one
-// serving when the stream is requested, however long it is consumed.
-func (s *Server) QueryStream(ctx context.Context, qs []query.Query, opts ...backend.Option) iter.Seq2[int, backend.BatchResult] {
-	return s.serving.Load().backend.QueryStream(ctx, qs, opts...)
 }
 
 // Inner returns the currently serving backend (see backend.Find).

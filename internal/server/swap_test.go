@@ -274,7 +274,7 @@ func TestQueryDuringSwapRace(t *testing.T) {
 			}()
 			for w := 0; w < 3; w++ {
 				wg.Add(1)
-				go func(w int) {
+				go func() {
 					defer wg.Done()
 					done := false
 					for !done {
@@ -283,18 +283,12 @@ func TestQueryDuringSwapRace(t *testing.T) {
 							done = true // one final pass after the last swap
 						default:
 						}
-						if w%2 == 0 {
-							answers, errs := srv.QueryBatch(ctx, qs)
-							for j := range qs {
-								checkEpochAnswer(t, &pubs, qs[j], answers[j], errs[j])
-							}
-						} else {
-							for j, r := range srv.QueryStream(ctx, qs) {
-								checkEpochAnswer(t, &pubs, qs[j], r.Answer, r.Err)
-							}
+						answers, errs := srv.QueryBatch(ctx, qs)
+						for j := range qs {
+							checkEpochAnswer(t, &pubs, qs[j], answers[j], errs[j])
 						}
 					}
-				}(w)
+				}()
 			}
 			wg.Wait()
 			if srv.Epoch() != lastEpoch {

@@ -2,7 +2,6 @@ package tamper
 
 import (
 	"context"
-	"iter"
 	"math/rand"
 
 	"aqverify/internal/backend"
@@ -54,37 +53,22 @@ func (c Channel) Query(ctx context.Context, q query.Query, opts ...backend.Optio
 }
 
 // QueryBatch implements backend.Backend over the inner backend's
-// buffered exchange.
+// QueryBatch, run with no options: every honest answer is rewritten and
+// finished under the caller's options on the calling goroutine, and a
+// rejected answer keeps only its attribution. Only bytes cross the
+// channel: records the inner backend attached (a warm cache does, even
+// unasked) vouch for the honest bytes, not the rewritten ones, and are
+// dropped.
 func (c Channel) QueryBatch(ctx context.Context, qs []query.Query, opts ...backend.Option) ([]backend.Answer, []error) {
-	return backend.Collect(len(qs), c.stream(ctx, qs, opts, backend.Buffered))
-}
-
-// QueryStream implements backend.Backend over the inner backend's
-// stream.
-func (c Channel) QueryStream(ctx context.Context, qs []query.Query, opts ...backend.Option) iter.Seq2[int, backend.BatchResult] {
-	return c.stream(ctx, qs, opts, backend.Backend.QueryStream)
-}
-
-// stream is both exchanges' body: every honest answer of the inner
-// exchange is rewritten and finished under the caller's options, on the
-// consuming goroutine; a rejected answer keeps only its attribution.
-// Only bytes cross the channel: records the inner backend attached (a
-// warm cache does, even unasked) vouch for the honest bytes, not the
-// rewritten ones, and are dropped.
-func (c Channel) stream(ctx context.Context, qs []query.Query, opts []backend.Option,
-	exchange func(backend.Backend, context.Context, []query.Query, ...backend.Option) iter.Seq2[int, backend.BatchResult]) iter.Seq2[int, backend.BatchResult] {
-	return func(yield func(int, backend.BatchResult) bool) {
-		call := backend.Resolve(opts)
-		var cost metrics.Counter
-		defer func() { call.Charge(cost) }()
-		for i, r := range exchange(c.Inner, ctx, qs) {
-			if r.Err == nil {
-				r.Answer.Raw, r.Answer.Records = c.Rewrite(qs[i], r.Answer.Raw), nil
-				r.Err = call.Finish(qs[i], &r.Answer, &cost)
-			}
-			if !yield(i, r) {
-				return
-			}
+	answers, errs := c.Inner.QueryBatch(ctx, qs)
+	call := backend.Resolve(opts)
+	var cost metrics.Counter
+	for i := range answers {
+		if errs[i] == nil {
+			answers[i].Raw, answers[i].Records = c.Rewrite(qs[i], answers[i].Raw), nil
+			errs[i] = call.Finish(qs[i], &answers[i], &cost)
 		}
 	}
+	call.Charge(cost)
+	return answers, errs
 }

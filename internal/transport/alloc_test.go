@@ -6,7 +6,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"iter"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -38,15 +37,12 @@ func (c cannedBackend) Query(ctx context.Context, q query.Query, opts ...backend
 func (c cannedBackend) QueryBatch(ctx context.Context, qs []query.Query, opts ...backend.Option) ([]backend.Answer, []error) {
 	return backend.DriveBatch(ctx, c.process, qs, opts...)
 }
-func (c cannedBackend) QueryStream(ctx context.Context, qs []query.Query, opts ...backend.Option) iter.Seq2[int, backend.BatchResult] {
-	return backend.DriveStream(ctx, c.process, qs, opts...)
-}
 
 // serveCanned stands one handler over b up and dials it.
 func serveCanned(t *testing.T, b backend.Backend) (*Remote, *httptest.Server) {
 	t.Helper()
 	_, pub, _ := fixtures(t)
-	h, err := NewBackendHandler(b, gateParams(t, pub))
+	h, err := NewBackendHandler(b, bundleParams(t, pub))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,19 +128,17 @@ func TestBatchExchangeAllocBudget(t *testing.T) {
 // TestBufferedResponsesDeclareTheirLength: the buffered route sends its
 // frame with a Content-Length (so the receiver reserves it once) — a
 // batch of one, which is every single query, as much as a batch of
-// many — and the stream route cannot and stays chunked.
+// many.
 func TestBufferedResponsesDeclareTheirLength(t *testing.T) {
 	// Past the 2 KB under which net/http would declare a length by itself.
 	_, ts := serveCanned(t, cannedBackend{raw: bytes.Repeat([]byte{0xA1}, 3000)})
 	q := query.NewTopK(geometry.Point{0}, 1)
 	for _, tc := range []struct {
-		path     string
-		body     []byte
-		declared bool
+		path string
+		body []byte
 	}{
-		{"/query/batch", wire.EncodeQueryBatch([]query.Query{q}), true},
-		{"/query/batch", wire.EncodeQueryBatch([]query.Query{q, q}), true},
-		{"/query/stream", wire.EncodeQueryBatch([]query.Query{q, q}), false},
+		{"/query/batch", wire.EncodeQueryBatch([]query.Query{q})},
+		{"/query/batch", wire.EncodeQueryBatch([]query.Query{q, q})},
 	} {
 		resp, err := ts.Client().Post(ts.URL+tc.path, "application/octet-stream", bytes.NewReader(tc.body))
 		if err != nil {
@@ -155,11 +149,8 @@ func TestBufferedResponsesDeclareTheirLength(t *testing.T) {
 		if err != nil || resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d, read error %v", tc.path, resp.StatusCode, err)
 		}
-		if tc.declared && resp.ContentLength != int64(len(body)) {
+		if resp.ContentLength != int64(len(body)) {
 			t.Errorf("%s: Content-Length %d for a %d-byte frame", tc.path, resp.ContentLength, len(body))
-		}
-		if !tc.declared && (resp.ContentLength != -1 || !strings.Contains(strings.Join(resp.TransferEncoding, ","), "chunked")) {
-			t.Errorf("%s: Content-Length %d, Transfer-Encoding %v; a stream has no length to declare", tc.path, resp.ContentLength, resp.TransferEncoding)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -13,6 +14,7 @@ import (
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
 	"aqverify/internal/verify"
+	"aqverify/internal/wire"
 )
 
 // TestMethodNotAllowed: routes use Go 1.22 method patterns, so a request
@@ -28,7 +30,6 @@ func TestMethodNotAllowed(t *testing.T) {
 	defer ts.Close()
 
 	for _, tc := range []struct{ method, path string }{
-		{http.MethodGet, "/query/stream"},
 		{http.MethodGet, "/query/batch"},
 		{http.MethodPost, "/params"},
 		{http.MethodPost, "/stats"},
@@ -158,5 +159,44 @@ func TestHTTPBatchBadFrame(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("junk batch: status %d, want %d", resp.StatusCode, http.StatusBadRequest)
+	}
+}
+
+// TestQueryOversizeRequest is the regression for the silent-truncation
+// bug: an over-limit request body used to be cut at the limit and
+// misreported as a 400 bad query; it is a 413 on the query route,
+// whose limit is the 4 MiB of a query batch.
+func TestQueryOversizeRequest(t *testing.T) {
+	srv, pub, dom := fixtures(t)
+	h, err := NewIFMHHandler(srv, pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+
+	post := func(path string, body []byte) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/octet-stream", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	// Oversize: one byte past the limit must be a 413, not a truncated
+	// parse failure.
+	big := make([]byte, maxBatchBytes+1)
+	copy(big, wire.EncodeQueryBatch([]query.Query{query.NewTopK(geometry.Point{dom.Lo[0]}, 1)}))
+	for _, path := range []string{"/query/batch"} {
+		if got := post(path, big); got != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversize %s = %d, want 413", path, got)
+		}
+		// In-limit garbage is still a 400.
+		if got := post(path, []byte{0xFF, 1, 2}); got != http.StatusBadRequest {
+			t.Errorf("bad %s = %d, want 400", path, got)
+		}
 	}
 }

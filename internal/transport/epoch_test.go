@@ -68,8 +68,8 @@ func mutated(t *testing.T, prev *build.Result, i int) *build.Result {
 
 // TestEpochPinAndRefresh walks the full client-side epoch lifecycle
 // over real HTTP: the pin lands at dial, epoch words travel in batch
-// and stream answers, a server swap turns the next answers into typed
-// EpochErrors (batch and stream alike), /params and /stats report the
+// answers, a server swap turns the next answers into typed
+// EpochErrors, /params and /stats report the
 // live epoch, and Refresh re-pins so re-queries verify at the new
 // epoch.
 func TestEpochPinAndRefresh(t *testing.T) {
@@ -103,11 +103,6 @@ func TestEpochPinAndRefresh(t *testing.T) {
 			t.Fatalf("epoch-1 answer %d stamped %d", i, answers[i].Epoch)
 		}
 	}
-	for i, br := range r.QueryStream(ctx, qs) {
-		if br.Err != nil || br.Answer.Epoch != 1 {
-			t.Fatalf("epoch-1 stream item %d: epoch %d err %v", i, br.Answer.Epoch, br.Err)
-		}
-	}
 
 	// The owner mutates and the server swaps the new bundle in.
 	res2 := mutated(t, res, 0)
@@ -130,19 +125,13 @@ func TestEpochPinAndRefresh(t *testing.T) {
 		t.Errorf("/stats epoch=%d swaps=%d, want 2/1", stats.Epoch, stats.Swaps)
 	}
 
-	// The pinned client now gets typed staleness errors, batch and
-	// stream alike — not misleading verification failures.
+	// The pinned client now gets typed staleness errors — not
+	// misleading verification failures.
 	_, errs = r.QueryBatch(ctx, qs, backend.WithVerify(res.Public))
 	for i := range qs {
 		var ee *backend.EpochError
 		if !errors.As(errs[i], &ee) || ee.Want != 1 || ee.Got != 2 {
 			t.Fatalf("post-swap batch item %d: err = %v, want EpochError{1,2}", i, errs[i])
-		}
-	}
-	for i, br := range r.QueryStream(ctx, qs) {
-		var ee *backend.EpochError
-		if !errors.As(br.Err, &ee) {
-			t.Fatalf("post-swap stream item %d: err = %v, want EpochError", i, br.Err)
 		}
 	}
 
@@ -166,9 +155,8 @@ func TestEpochPinAndRefresh(t *testing.T) {
 // HTTPClient.QueryBatchCtx skipped the pin check, so after a swap a
 // pinned client saw an opaque verification failure (the epoch-2 answer
 // checked against epoch-1 parameters) instead of the typed staleness
-// signal. Every client entry point — a single query, the buffered batch
-// and the pipelined stream (inline and pooled verification), raw or
-// verifying against the now-stale bundle — must report
+// signal. Every client entry point — a single query and the batch, raw
+// or verifying against the now-stale bundle — must report
 // *backend.EpochError and never ErrVerification. A single query used to
 // travel a route with no epoch word and was stamped with the pin, so it
 // was accepted against the stale bundle.
@@ -197,13 +185,6 @@ func TestStaleAnswerIsEpochErrorOnEveryEntryPoint(t *testing.T) {
 		_, errs := r.QueryBatch(ctx, qs, opts...)
 		return errs
 	}
-	stream := func(r *Remote, opts ...backend.Option) []error {
-		errs := make([]error, len(qs))
-		for i, br := range r.QueryStream(ctx, qs, opts...) {
-			errs[i] = br.Err
-		}
-		return errs
-	}
 	for _, tc := range []struct {
 		name string
 		errs []error
@@ -212,9 +193,6 @@ func TestStaleAnswerIsEpochErrorOnEveryEntryPoint(t *testing.T) {
 		{"query verify", single(r, stale)},
 		{"batch raw", batch(r)},
 		{"batch verify", batch(r, stale)},
-		{"stream raw", stream(r)},
-		{"stream verify inline", stream(r, stale, backend.WithWorkers(1))},
-		{"stream verify pooled", stream(r, stale, backend.WithWorkers(4))},
 	} {
 		for i, err := range tc.errs {
 			var ee *backend.EpochError
@@ -244,8 +222,8 @@ func getJSON(t *testing.T, url string, out any) {
 // TestKProcessEpochRaceUnderSwap is the multi-process half of the
 // query-during-swap guarantee: K shard processes behind a
 // vqfront-equivalent front-end are swapped to new epochs shard by
-// shard — a rolling deployment — while clients hammer the batch and
-// stream planes through the front-end. Every successful answer must
+// shard — a rolling deployment — while clients hammer the batch plane
+// through the front-end. Every successful answer must
 // verify against the published parameters of the exact epoch it is
 // stamped with, every failure must be the typed staleness signal
 // (recovered by Refresh), and the front-end's advertised epoch must
@@ -341,7 +319,7 @@ func TestKProcessEpochRaceUnderSwap(t *testing.T) {
 	}()
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			done := false
 			for !done {
@@ -374,15 +352,9 @@ func TestKProcessEpochRaceUnderSwap(t *testing.T) {
 						t.Errorf("answer does not verify against its own epoch %d: %v", ans.Epoch, verr)
 					}
 				}
-				if w%2 == 0 {
-					answers, errs := r.QueryBatch(ctx, qs)
-					for i := range qs {
-						check(i, answers[i], errs[i])
-					}
-				} else {
-					for i, br := range r.QueryStream(ctx, qs) {
-						check(i, br.Answer, br.Err)
-					}
+				answers, errs := r.QueryBatch(ctx, qs)
+				for i := range qs {
+					check(i, answers[i], errs[i])
 				}
 				if stale {
 					if _, err := r.Client().Refresh(ctx); err != nil {
@@ -391,7 +363,7 @@ func TestKProcessEpochRaceUnderSwap(t *testing.T) {
 					}
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 

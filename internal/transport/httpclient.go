@@ -36,10 +36,10 @@ type HTTPClient struct {
 	params Params
 	pub    verify.PublicParams // Epoch is stamped by Public() from the live pin
 	// epoch pins the publication epoch the client verified /params
-	// against, compared to the epoch word of every batched or streamed
-	// answer: a mismatch is a typed staleness signal (the server swapped
-	// a mutated bundle in, or a replica lags), not a verification
-	// failure. Refresh re-pins it; it is never 0.
+	// against, compared to the epoch word of every batched answer: a
+	// mismatch is a typed staleness signal (the server swapped a mutated
+	// bundle in, or a replica lags), not a verification failure.
+	// Refresh re-pins it; it is never 0.
 	epoch atomic.Uint64
 }
 
@@ -205,49 +205,10 @@ func (c *HTTPClient) rawBatch(ctx context.Context, qs []query.Query) ([]wire.Bat
 	return items, nil
 }
 
-// openStream posts a query batch to POST /query/stream and hands back
-// the incremental frame decoder over the still-open response body, so
-// items can be consumed as the server completes them. The caller owns
-// the body and must close it — closing early is the honest way to break
-// the stream, cancelling the server's in-flight work.
-func (c *HTTPClient) openStream(ctx context.Context, qs []query.Query) (*wire.StreamReader, io.ReadCloser, error) {
-	resp, err := c.exchange(ctx, "/query/stream", wire.EncodeQueryBatch(qs))
-	if err != nil {
-		return nil, nil, err
-	}
-	sr, err := wire.NewStreamReader(resp.Body)
-	if err == nil && sr.Count() != len(qs) {
-		err = fmt.Errorf("stream answers %d of %d queries", sr.Count(), len(qs))
-	}
-	if err != nil {
-		resp.Body.Close()
-		return nil, nil, fmt.Errorf("transport: answer stream: %w", err)
-	}
-	return sr, resp.Body, nil
-}
-
 // post sends one octet-stream request and buffers up to limit response
-// bytes.
+// bytes once the status is 200; any other status is an error surfacing
+// the server's message.
 func (c *HTTPClient) post(ctx context.Context, path string, reqBody []byte, limit int64) ([]byte, error) {
-	resp, err := c.exchange(ctx, path, reqBody)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := readBody(resp.Body, resp.ContentLength, limit)
-	if errors.Is(err, errBodyTooBig) {
-		return nil, fmt.Errorf("transport: answer exceeds %d bytes", limit)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("transport: read answer: %w", err)
-	}
-	return body, nil
-}
-
-// exchange posts one octet-stream request and returns the response
-// with its body still open once the status is 200; any other status is
-// an error surfacing the server's message, the body already closed.
-func (c *HTTPClient) exchange(ctx context.Context, path string, reqBody []byte) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(reqBody))
 	if err != nil {
 		return nil, fmt.Errorf("transport: build request: %w", err)
@@ -257,16 +218,23 @@ func (c *HTTPClient) exchange(ctx context.Context, path string, reqBody []byte) 
 	if err != nil {
 		return nil, fmt.Errorf("transport: post %s: %w", path, err)
 	}
-	if resp.StatusCode == http.StatusOK {
-		return resp, nil
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+		if resp.StatusCode == http.StatusTooManyRequests {
+			// The host's admission gate shed the request before any work
+			// started; surface the typed overload signal so callers can
+			// retry elsewhere instead of treating it as a server fault.
+			return nil, fmt.Errorf("transport: %s: %w", strings.TrimSpace(string(msg)), wire.ErrOverload)
+		}
+		return nil, fmt.Errorf("transport: server returned %s: %s", resp.Status, strings.TrimSpace(string(msg)))
 	}
-	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusTooManyRequests {
-		// The host's admission gate shed the request before any work
-		// started; surface the typed overload signal so callers can
-		// retry elsewhere instead of treating it as a server fault.
-		return nil, fmt.Errorf("transport: %s: %w", strings.TrimSpace(string(msg)), wire.ErrOverload)
+	body, err := readBody(resp.Body, resp.ContentLength, limit)
+	if errors.Is(err, errBodyTooBig) {
+		return nil, fmt.Errorf("transport: answer exceeds %d bytes", limit)
 	}
-	return nil, fmt.Errorf("transport: server returned %s: %s", resp.Status, strings.TrimSpace(string(msg)))
+	if err != nil {
+		return nil, fmt.Errorf("transport: read answer: %w", err)
+	}
+	return body, nil
 }

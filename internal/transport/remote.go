@@ -2,14 +2,10 @@ package transport
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
-	"iter"
 	"net/http"
 
 	"aqverify/internal/backend"
-	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/wire"
 )
@@ -22,12 +18,7 @@ import (
 // Answers are returned raw by default, exactly as they traveled;
 // WithVerify(pub) checks each one against the owner's published
 // parameters first, like every other backend. QueryBatch spends one
-// HTTP exchange for the whole batch; QueryStream opens the pipelined
-// POST /query/stream exchange and yields each item — verified as it
-// lands, under WithVerify, across the WithWorkers pool when one is
-// requested — the moment its frame arrives, in completion order. There
-// is no fallback between the two: a server without the stream route
-// fails the stream's items like any other bad status.
+// HTTP exchange for the whole batch.
 type Remote struct {
 	c *HTTPClient
 	// relay disables pin enforcement: a front-end's child remote
@@ -126,113 +117,35 @@ func (r *Remote) QueryBatch(ctx context.Context, qs []query.Query, opts ...backe
 	if len(qs) == 0 {
 		return []backend.Answer{}, []error{}
 	}
-	items, err := r.c.rawBatch(ctx, qs)
-	if err != nil {
-		return backend.Collect(len(qs), backend.Fail(make([]bool, len(qs)), r.wrapErr(err)))
-	}
 	answers := make([]backend.Answer, len(qs))
 	errs := make([]error, len(qs))
+	items, err := r.c.rawBatch(ctx, qs)
+	if err != nil {
+		err = r.wrapErr(err)
+		for i := range qs {
+			answers[i], errs[i] = backend.Answer{Shard: wire.ShardNone}, err
+		}
+		return answers, errs
+	}
 	for i, it := range items {
-		res := r.outcome(i, it)
-		answers[i], errs[i] = res.Answer, res.Err
+		answers[i], errs[i] = r.outcome(i, it)
 	}
 	backend.Resolve(opts).FinishBatch(ctx, qs, answers, errs)
 	return answers, errs
 }
 
-// outcome turns one wire item — a batch frame's or a stream's — into
-// the caller's result, unfinished: a refusal, a typed epoch mismatch,
-// or the raw answer bytes. Errors keep the item's shard and epoch
-// attribution and carry no bytes, per the Answer contract.
-func (r *Remote) outcome(i int, it wire.BatchAnswer) backend.BatchResult {
-	res := backend.BatchResult{Answer: backend.Answer{Shard: it.Shard, Epoch: it.Epoch}}
+// outcome turns one batch item into the caller's result, unfinished: a
+// refusal, a typed epoch mismatch, or the raw answer bytes. Errors keep
+// the item's shard and epoch attribution and carry no bytes, per the
+// Answer contract.
+func (r *Remote) outcome(i int, it wire.BatchAnswer) (backend.Answer, error) {
+	ans := backend.Answer{Shard: it.Shard, Epoch: it.Epoch}
 	if it.Status == wire.StatusRefused {
-		res.Err = fmt.Errorf("transport: server refused query %d: %s", i, it.Err)
-	} else if res.Err = r.epochErr(it); res.Err == nil {
-		res.Answer.Raw = it.Answer
+		return ans, fmt.Errorf("transport: server refused query %d: %s", i, it.Err)
 	}
-	return res
-}
-
-// QueryStream implements backend.Backend over the pipelined wire
-// transport: the batch travels in one POST /query/stream exchange whose
-// response is decoded frame by frame off the open body, so each item
-// yields — verified first, under WithVerify — as the server completes
-// it, in completion order, with the first result observable before the
-// last one is computed. Breaking out of the iteration cancels the
-// request and closes the body, which cancels the server's in-flight
-// work. A transport failure (the post itself, any non-200 status — the
-// route's 404 included, every handler in this module serves it — or a
-// frame stream that dies, is truncated or malformed) fails exactly the
-// items that had not yet been delivered.
-//
-// One reader decodes frames and call.Workers goroutines finish them:
-// under WithVerify with a pool requested, per-item verification is real
-// work, worth overlapping with the network and with itself, and the
-// consumer sees verification-completion order.
-func (r *Remote) QueryStream(ctx context.Context, qs []query.Query, opts ...backend.Option) iter.Seq2[int, backend.BatchResult] {
-	return func(yield func(int, backend.BatchResult) bool) {
-		if len(qs) == 0 {
-			return
-		}
-		call := backend.Resolve(opts)
-		costs := make([]metrics.Counter, call.Workers(len(qs))) // one per finisher
-		delivered := make([]bool, len(qs))
-		// The finishers drain frames until the reader closes it, so the
-		// reader's sends never block for good.
-		frames := make(chan wire.StreamItem)
-		var failed error // the reader's verdict, read after the join
-		producers := []func(context.Context, func(int, backend.BatchResult) bool){
-			func(ctx context.Context, _ func(int, backend.BatchResult) bool) {
-				defer close(frames)
-				failed = r.readStream(ctx, qs, frames)
-			},
-		}
-		for w := range costs {
-			producers = append(producers, func(ctx context.Context, emit func(int, backend.BatchResult) bool) {
-				for item := range frames {
-					if ctx.Err() != nil {
-						continue // broken or canceled: finish nothing the consumer will not see
-					}
-					res := r.outcome(item.Index, item.Ans)
-					if res.Err == nil {
-						res.Err = call.Finish(qs[item.Index], &res.Answer, &costs[w])
-					}
-					delivered[item.Index] = true
-					emit(item.Index, res)
-				}
-			})
-		}
-		backend.Merge(ctx, yield, func(yield func(int, backend.BatchResult) bool) {
-			call.Charge(costs...)
-			if failed == nil {
-				failed = ctx.Err() // every frame arrived, but a cancel kept the finishers from some
-			}
-			if failed != nil {
-				backend.Fail(delivered, failed)(yield)
-			}
-		}, producers...)
+	if err := r.epochErr(it); err != nil {
+		return ans, err
 	}
-}
-
-// readStream runs one POST /query/stream exchange under ctx, sending
-// each item frame to frames as it is decoded. It returns nil after the
-// strict trailer — every item was delivered — and the attributed
-// transport error otherwise.
-func (r *Remote) readStream(ctx context.Context, qs []query.Query, frames chan<- wire.StreamItem) error {
-	sr, body, err := r.c.openStream(ctx, qs)
-	if err != nil {
-		return r.wrapErr(err)
-	}
-	defer body.Close()
-	for {
-		item, err := sr.Next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return r.wrapErr(fmt.Errorf("transport: answer stream: %w", err))
-		}
-		frames <- item
-	}
+	ans.Raw = it.Answer
+	return ans, nil
 }

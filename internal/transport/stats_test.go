@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"fmt"
-	"iter"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -63,10 +62,9 @@ func wrapped(t *testing.T, b backend.Backend) *cache.Cache {
 	return c
 }
 
-// routes drive one batch through each of a dialed session's three entry
-// points — one query at a time (a batch of one each), the buffered batch
-// and the stream — discarding the outcomes: the battery reads them off
-// /stats.
+// routes drive one batch through each of a dialed session's two entry
+// points — one query at a time (a batch of one each) and the batch —
+// discarding the outcomes: the battery reads them off /stats.
 var routes = []struct {
 	name  string
 	drive func(r *Remote, qs []query.Query)
@@ -77,15 +75,11 @@ var routes = []struct {
 		}
 	}},
 	{"/query/batch", func(r *Remote, qs []query.Query) { r.QueryBatch(context.Background(), qs) }},
-	{"/query/stream", func(r *Remote, qs []query.Query) {
-		for range r.QueryStream(context.Background(), qs) {
-		}
-	}},
 }
 
 // TestStatsIdentity is the one-tally battery: the same mixed batch —
 // all four query kinds, one on a shard cut, one no shard owns, one
-// refused — driven one query at a time, as a batch and as a stream through
+// refused — driven one query at a time and as a batch through
 // every host shape must read the same on /stats, because exactly one
 // thing counts served traffic (the handler) and it counts from what
 // every backend hands back. queries and errors agree across all five
@@ -284,18 +278,14 @@ func (b walkThenRefuse) QueryBatch(ctx context.Context, qs []query.Query, opts .
 	return backend.DriveBatch(ctx, b.process, qs, opts...)
 }
 
-func (b walkThenRefuse) QueryStream(ctx context.Context, qs []query.Query, opts ...backend.Option) iter.Seq2[int, backend.BatchResult] {
-	return backend.DriveStream(ctx, b.process, qs, opts...)
-}
-
 // TestRefusedCostRule pins the tally's one rule for a failed query's
-// cost on all three entry points: the totals are the exchange's counter,
+// cost on both entry points: the totals are the exchange's counter,
 // whole — the refused item's partial walk is in, the unroutable one had
 // none — while queries counts the answered item only, and the refusal
 // keeps its shard attribution.
 func TestRefusedCostRule(t *testing.T) {
 	_, pub, _ := fixtures(t)
-	url := serveBackend(t, walkThenRefuse{}, gateParams(t, pub))
+	url := serveBackend(t, walkThenRefuse{}, bundleParams(t, pub))
 	r, err := DialRemote(url, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -14,13 +14,13 @@ import (
 // exchanges bump them — and only the multi-field metrics.Counter sits
 // behind the mutex.
 //
-// One rule for cost, on every route and every host: the totals are what
+// One rule for cost, on every host: the totals are what
 // the exchanges' WithCounter counters reported, whole — a refused
 // query's partial traversal included (in practice nothing: validation,
 // the domain check and routing all precede the walk) — while queries
-// counts answered items only and errors the rest. A stream counts the
-// items it delivered and folds its counter in when it ends, so counts
-// may momentarily lead the cost total.
+// counts answered items only and errors the rest. A batch counts its
+// items before it folds its counter in, so counts may momentarily lead
+// the cost total.
 type tally struct {
 	outcomes               // all items
 	epoch    atomic.Uint64 // newest serving epoch observed

@@ -8,7 +8,6 @@
 // Endpoints:
 //
 //	POST /query/batch   body: wire-encoded query batch  -> wire-encoded answer batch
-//	POST /query/stream  body: wire-encoded query batch  -> pipelined answer stream
 //	GET  /params        -> JSON trust bundle (scheme, verifier key, template, mode, domain)
 //	GET  /stats         -> JSON cumulative server metrics
 //	GET  /metrics       -> the same counters as a Prometheus text exposition
@@ -16,28 +15,24 @@
 // The handler serves any backend.Backend — the in-process server, one
 // shard's tree of a multi-process deployment, a backend.Fanout composing
 // K remote shard servers (cmd/vqfront), any of them behind the cache
-// tier — and is the one place served traffic is counted: every query
+// tier — and is the one place served traffic is counted: the query
 // route records each item's outcome and the exchange's cost into the
 // handler's tally (tally.go states the rules), so /stats and /metrics
 // read the same on every host and no backend keeps a serving count.
-// There is no single-query route: a single query is a batch of one
+// There is one query exchange: a single query is a batch of one
 // (backend.One), so every answer travels with its shard and epoch, and
-// POST /query, retired, is a 404. The batch endpoint carries many
-// queries in one length-prefixed frame (see wire.EncodeQueryBatch) and
-// answers them concurrently on the server; each item of the response is either that query's answer bytes
-// or its error string, so one bad query never fails the batch. The
-// stream endpoint takes the same request frame but pipelines the
-// response: item frames are written and flushed in completion order as
-// the backend's QueryStream yields them, closed by a trailer that makes
-// truncation detectable, so the client sees the first answer before the
-// last one is computed and a client disconnect cancels the in-flight
-// work through the request context. Against a domain-sharded server,
-// batch items are grouped per shard before dispatch and each response
-// item carries the answering shard's id (docs/WIRE.md specifies the
-// byte layouts); /params advertises the shard count, the serving domain
-// and the stream capability, and /stats the per-shard tallies. Routes
-// are registered with Go 1.22 method patterns, so a wrong-method
-// request is a 405, not a 404.
+// POST /query and POST /query/stream, both retired, are 404s. The batch
+// endpoint carries many queries in one length-prefixed frame (see
+// wire.EncodeQueryBatch) and answers them concurrently on the server;
+// each item of the response is either that query's answer bytes or its
+// error string, so one bad query never fails the batch, and a client
+// that disconnects cancels the in-flight work through the request
+// context. Against a domain-sharded server, batch items are grouped per
+// shard before dispatch and each response item carries the answering
+// shard's id (docs/WIRE.md specifies the byte layouts); /params
+// advertises the shard count and the serving domain, and /stats the
+// per-shard tallies. Routes are registered with Go 1.22 method
+// patterns, so a wrong-method request is a 405, not a 404.
 package transport
 
 import (
@@ -77,16 +72,11 @@ type Params struct {
 	// deployment — that shard's sub-box. A routing front-end (vqfront)
 	// reconstructs the shard plan from its backends' domains.
 	Domain *BoxJSON `json:"domain,omitempty"`
-	// Stream advertises POST /query/stream, the pipelined answer
-	// transport; every handler in this module sets it. Informational:
-	// clients do not consult it, and a server without the route fails a
-	// stream's items like any other bad status.
-	Stream bool `json:"stream,omitempty"`
 	// Epoch advertises the serving publication epoch: 1 for a fresh
 	// outsourcing, bumped by every mutation batch the owner applies and
 	// the server swaps in. Always >= 1: Dial and Refresh refuse a bundle
 	// without one. Clients pin it at dial and compare it against the
-	// epoch word every answer carries in its batch or stream item,
+	// epoch word every answer carries in its batch item,
 	// surfacing a mismatch as a typed staleness error rather than a
 	// verification failure.
 	Epoch uint64 `json:"epoch,omitempty"`
@@ -145,10 +135,9 @@ func (b *BoxJSON) Box() (geometry.Box, bool) {
 // admitter is the admission surface a served backend may expose — the
 // front plane's bounded in-flight gate. The handler admits at the HTTP
 // boundary, before any request frame is decoded, so an overloaded host
-// answers every query route with a cheap 429 instead of queuing the
-// work (and a stream is refused before its header commits the 200).
+// answers the query route with a cheap 429 instead of queuing the work.
 // release is deferred to the end of the exchange, so one admission
-// covers a whole streamed response's lifetime.
+// covers the whole response.
 type admitter interface {
 	Admit() (release func(), err error)
 }
@@ -167,7 +156,7 @@ type cacheSource interface {
 }
 
 // Handler serves one query backend over HTTP and keeps the one tally of
-// what it served: every query route records each item's outcome and the
+// what it served: the query route records each item's outcome and the
 // exchange's cost, whatever the backend is.
 type Handler struct {
 	b       backend.Backend
@@ -221,7 +210,6 @@ func NewBackendHandler(b backend.Backend, p Params) (*Handler, error) {
 	if p.Backend == "" {
 		p.Backend = b.Name()
 	}
-	p.Stream = true // the handler always serves the pipelined route
 	h := &Handler{b: b, params: p, mux: http.NewServeMux()}
 	h.tally = newTally(backend.Epoch(b), backend.Epochs(b))
 	// Optional surfaces may sit behind decorators (vqfront -cache wraps
@@ -232,7 +220,6 @@ func NewBackendHandler(b backend.Backend, p Params) (*Handler, error) {
 	h.promSrc, _ = backend.Find[promSource](b)
 	h.cache, _ = backend.Find[cacheSource](b)
 	h.mux.HandleFunc("POST /query/batch", h.admitted(h.handleBatch))
-	h.mux.HandleFunc("POST /query/stream", h.admitted(h.handleStream))
 	h.mux.HandleFunc("GET /params", h.handleParams)
 	h.mux.HandleFunc("GET /stats", h.handleStats)
 	h.mux.HandleFunc("GET /metrics", h.handleMetrics)
@@ -240,11 +227,8 @@ func NewBackendHandler(b backend.Backend, p Params) (*Handler, error) {
 }
 
 // admitted puts the backend's admission gate, when it has one, in front
-// of a query route: a refusal is a 429 before any of the request is
-// read, and one admission covers the whole exchange — for a stream, its
-// whole response, which is also why admission must precede the route:
-// once a stream's 200 and header are written there is no status left to
-// shed with.
+// of the query route: a refusal is a 429 before any of the request is
+// read, and one admission covers the whole exchange.
 func (h *Handler) admitted(route http.HandlerFunc) http.HandlerFunc {
 	if h.admit == nil {
 		return route
@@ -287,8 +271,8 @@ func readBody(body io.Reader, declared, limit int64) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// readBatchRequest reads and decodes the query-batch frame both query
-// routes take, writing the error response itself: a 413 past
+// readBatchRequest reads and decodes the query-batch frame the query
+// route takes, writing the error response itself: a 413 past
 // maxBatchBytes, a 400 for a body that does not arrive or decode.
 func readBatchRequest(w http.ResponseWriter, r *http.Request) ([]query.Query, bool) {
 	body, err := readBody(r.Body, r.ContentLength, maxBatchBytes)
@@ -344,50 +328,6 @@ func batchItem(ans backend.Answer, err error) wire.BatchAnswer {
 		return wire.NewRefusal(err.Error(), ans.Shard).AtEpoch(ans.Epoch)
 	}
 	return wire.NewAnswer(ans.Raw, ans.Shard).AtEpoch(ans.Epoch)
-}
-
-// handleStream answers a batch over the pipelined wire transport: the
-// request is the same query-batch frame POST /query/batch takes, but
-// the response is written frame by frame as the backend's QueryStream
-// yields completions — header, one flushed item frame per outcome in
-// completion order, then the trailer. A client that disconnects (or
-// breaks out of its stream) cancels the remaining server-side work
-// through r.Context(); the trailer is only written after a complete
-// stream, so a dying server is always detectable as truncation.
-func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
-	qs, ok := readBatchRequest(w, r)
-	if !ok {
-		return
-	}
-	flush := http.NewResponseController(w).Flush // a no-op error where w cannot flush
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if _, err := w.Write(wire.EncodeStreamHeader(len(qs))); err != nil {
-		return
-	}
-	flush()
-	var ctr metrics.Counter
-	sent := 0
-	for i, res := range h.b.QueryStream(r.Context(), qs, backend.WithCounter(&ctr)) {
-		if r.Context().Err() != nil {
-			break // client gone; stop writing, cancel the rest
-		}
-		frame, err := wire.EncodeStreamItem(i, batchItem(res.Answer, res.Err))
-		if err != nil {
-			break // unencodable outcome: close as a truncated stream
-		}
-		if _, err := w.Write(frame); err != nil {
-			break
-		}
-		flush()
-		// Tally what was actually delivered: items the disconnect
-		// prevented never reach the stream and never count.
-		h.tally.count(res.Answer.Shard, res.Err)
-		sent++
-	}
-	if sent == len(qs) {
-		w.Write(wire.EncodeStreamTrailer(sent))
-	}
-	h.tally.addCost(ctr)
 }
 
 // handleParams serves the trust bundle with the *live* serving epoch:

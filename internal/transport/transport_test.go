@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"encoding/base64"
 	"errors"
 	"math/rand"
 	"net/http"
@@ -68,6 +69,21 @@ func newServer(t *testing.T, b server.Backend) *server.Server {
 		t.Fatal(err)
 	}
 	return srv
+}
+
+// bundleParams builds a valid trust bundle around the fixture verifier
+// so Dial accepts a handler over a hand-made backend.
+func bundleParams(t *testing.T, pub verify.PublicParams) Params {
+	t.Helper()
+	vb, err := verify.MarshalVerifier(pub.Verifier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Params{
+		Backend:  "ifmh-multi",
+		Verifier: base64.StdEncoding.EncodeToString(vb),
+		Template: toTplJSON(pub.Template),
+	}
 }
 
 // dialVerifying dials url the way a data user does — with nothing but
@@ -157,7 +173,7 @@ func TestDialRefusesWhatNoServerPublishes(t *testing.T) {
 		{"mesh backend", func(p *Params) { p.Backend = "mesh" }, `unknown backend "mesh"`},
 		{"no epoch", func(p *Params) { p.Epoch = 0 }, "no publication epoch"},
 	} {
-		p := gateParams(t, pub)
+		p := bundleParams(t, pub)
 		p.Epoch = 1
 		c.mutate(&p)
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, p) }))
@@ -241,14 +257,16 @@ func TestHTTPErrorPaths(t *testing.T) {
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
-	// Malformed query bytes, and the retired single-query route: a client
-	// of an older build fails loudly there instead of misparsing.
+	// Malformed query bytes, and the retired single-query and stream
+	// routes: a client of an older build fails loudly there instead of
+	// misparsing.
 	for _, tc := range []struct {
 		path   string
 		status int
 	}{
 		{"/query/batch", http.StatusBadRequest},
 		{"/query", http.StatusNotFound},
+		{"/query/stream", http.StatusNotFound},
 	} {
 		resp, err := ts.Client().Post(ts.URL+tc.path, "application/octet-stream", strings.NewReader("junk"))
 		if err != nil {
@@ -278,5 +296,39 @@ func TestHTTPErrorPaths(t *testing.T) {
 	// Dial against a non-server fails cleanly.
 	if _, err := Dial("http://127.0.0.1:1", nil); err == nil {
 		t.Error("Dial to dead address succeeded")
+	}
+}
+
+// TestRemoteCanceledContext: a canceled context aborts every Remote
+// entry point's HTTP exchange and surfaces context.Canceled on every
+// item — no unverified frame ever reaches the verification fan-out —
+// and the same remote still answers under a live context.
+func TestRemoteCanceledContext(t *testing.T) {
+	srv, pub, dom := fixtures(t)
+	h, err := NewIFMHHandler(srv, pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	r, withVerify := dialVerifying(t, ts.URL, nil)
+	q := query.NewTopK(geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}, 2)
+	qs := []query.Query{q}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := r.Query(ctx, q, withVerify); !errors.Is(err, context.Canceled) {
+		t.Errorf("Query on a canceled context: %v, want context.Canceled", err)
+	}
+	if _, errs := r.QueryBatch(ctx, qs, withVerify); !errors.Is(errs[0], context.Canceled) {
+		t.Errorf("QueryBatch on a canceled context: %v, want context.Canceled", errs[0])
+	}
+
+	// The live paths still work.
+	if ans, err := r.Query(context.Background(), q, withVerify); err != nil || len(ans.Records) == 0 {
+		t.Fatalf("live Query: recs=%d err=%v", len(ans.Records), err)
+	}
+	if answers, errs := r.QueryBatch(context.Background(), qs, withVerify); errs[0] != nil || len(answers[0].Records) == 0 {
+		t.Fatalf("live QueryBatch: err=%v", errs[0])
 	}
 }

@@ -39,7 +39,7 @@ func TestTrustedBaseIsANumber(t *testing.T) {
 		maxPkgs, maxLOC int
 	}{
 		{"aqverify/internal/verify", 9, 2518},
-		{"aqverify/internal/wire", 10, 3273},
+		{"aqverify/internal/wire", 10, 3031},
 	} {
 		out, err := exec.Command("go", "list", "-deps", "-f", "{{if not .Standard}}{{.Dir}}{{end}}", c.pkg).Output()
 		if err != nil {

@@ -13,14 +13,14 @@ import (
 // layout per magic: 0xB2 was the answer-batch layout without the
 // per-item shard id, 0xB3 the layout without the per-item epoch word —
 // both are retired, and a frame carrying either fails decoding rather
-// than being misparsed under the current layout.
+// than being misparsed under the current layout. 0xB4 and 0xB6 were
+// the retired answer-stream layouts and stay reserved (docs/WIRE.md).
 const (
 	magicQueryBatch  = 0xB1
 	magicAnswerBatch = 0xB5
 
-	// Retired layouts, recognized only to refuse them by name.
-	magicAnswerBatchV1  = 0xB3
-	magicAnswerStreamV1 = 0xB4
+	// Retired layout, recognized only to refuse it by name.
+	magicAnswerBatchV1 = 0xB3
 )
 
 // maxBatchItems bounds the item count a decoder accepts, so a forged
@@ -45,9 +45,9 @@ const (
 	StatusAnswer uint8 = 1
 )
 
-// BatchAnswer is one entry of a batched or streamed response: either
-// the serialized answer bytes (the EncodeIFMH payload of a batch or
-// stream item) or the server's refusal, selected by the explicit Status
+// BatchAnswer is one entry of a batched response: either the
+// serialized answer bytes (the EncodeIFMH payload of a batch item) or
+// the server's refusal, selected by the explicit Status
 // byte — use NewAnswer/NewRefusal rather than struct literals so the
 // status always matches the payload. Shard records which shard of a
 // domain-sharded deployment answered (ShardNone when unsharded or
@@ -55,7 +55,7 @@ const (
 // that answered. Every bundle has an epoch >= 1, so 0 has exactly one
 // meaning on the wire: refused before any bundle answered (a routing
 // failure, a cancelled item). Epochs travel per item, not per frame,
-// because a front-end merging per-shard streams can legitimately relay
+// because a front-end merging per-shard batches can legitimately relay
 // items from shards mid-swap at different epochs; the client, not the
 // frame, decides what a torn mix means. Verification never depends on
 // either word — they are observability and staleness detection.
@@ -156,8 +156,7 @@ func EncodeAnswerBatch(items []BatchAnswer) ([]byte, error) {
 }
 
 // writeAnswerItem appends one outcome's status byte, 1-biased shard id,
-// epoch word and length-prefixed payload — the item layout the answer
-// batch and the answer stream share.
+// epoch word and length-prefixed payload.
 func writeAnswerItem(w *codec.Writer, it BatchAnswer) error {
 	if it.Status != StatusAnswer && it.Status != StatusRefused {
 		return fmt.Errorf("unknown status %d", it.Status)
@@ -209,8 +208,7 @@ func DecodeAnswerBatch(b []byte) ([]BatchAnswer, error) {
 }
 
 // readAnswerItem reads one outcome in the layout writeAnswerItem writes,
-// its payload a view of the input: both the answer batch and the answer
-// stream decode their items here.
+// its payload a view of the input.
 func readAnswerItem(r *codec.Reader) BatchAnswer {
 	status := r.U8("item status")
 	if status != StatusAnswer && status != StatusRefused {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"io"
 	"math"
 	"testing"
 
@@ -270,79 +269,6 @@ func TestWrappedStartFrameIsRefused(t *testing.T) {
 			t.Errorf("%v: forged frame with a wrapped window start: %v, want a verification failure", verify.Mode(mode), err)
 		}
 	}
-}
-
-// FuzzDecodeAnswerStream drives the incremental stream decoder over
-// attacker-controlled bytes: it must never panic, and any stream it
-// drains cleanly must re-encode — header, items in arrival order,
-// trailer — to the identical bytes (the codec admits exactly one
-// encoding per stream).
-func FuzzDecodeAnswerStream(f *testing.F) {
-	mustItem := func(index int, it BatchAnswer) []byte {
-		frame, err := EncodeStreamItem(index, it)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return frame
-	}
-	stream := func(count int, frames ...[]byte) []byte {
-		out := EncodeStreamHeader(count)
-		for _, fr := range frames {
-			out = append(out, fr...)
-		}
-		return out
-	}
-	// A complete two-item stream, completion order ≠ index order, one
-	// item carrying a publication epoch.
-	full := stream(2,
-		mustItem(1, NewAnswer([]byte{0xA1, 1, 2}, 0).AtEpoch(4)),
-		mustItem(0, NewRefusal("no", ShardNone)),
-		EncodeStreamTrailer(2))
-	f.Add(full)
-	// Truncated trailer: the stream dies one byte into the tally.
-	f.Add(full[:len(full)-3])
-	// Duplicate index.
-	f.Add(stream(2,
-		mustItem(0, NewAnswer([]byte{0xA1}, 1)),
-		mustItem(0, NewAnswer([]byte{0xA1}, 1)),
-		EncodeStreamTrailer(2)))
-	// Out-of-range index.
-	f.Add(stream(1,
-		mustItem(3, NewAnswer(nil, ShardNone)),
-		EncodeStreamTrailer(1)))
-	// Empty stream, bare header, wrong magic.
-	f.Add(stream(0, EncodeStreamTrailer(0)))
-	f.Add(EncodeStreamHeader(5))
-	f.Add([]byte{0xB3, 0, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		sr, err := NewStreamReader(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var items []StreamItem
-		for {
-			it, err := sr.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return
-			}
-			items = append(items, it)
-		}
-		enc := EncodeStreamHeader(sr.Count())
-		for _, it := range items {
-			frame, err := EncodeStreamItem(it.Index, it.Ans)
-			if err != nil {
-				t.Fatalf("accepted item does not re-encode: %v", err)
-			}
-			enc = append(enc, frame...)
-		}
-		enc = append(enc, EncodeStreamTrailer(len(items))...)
-		if !bytes.Equal(enc, data) {
-			t.Fatalf("decode/encode not canonical: %d vs %d bytes", len(enc), len(data))
-		}
-	})
 }
 
 // FuzzDecodeAnswerBatch drives the epoch-carrying answer-batch decoder
