@@ -84,8 +84,10 @@
 // Construction shards its embarrassingly parallel steps — record
 // digesting, multivariate FMH-list building, hash propagation,
 // multi-signature signing — across Params.Workers goroutines (0 = one
-// per CPU, 1 = serial); the univariate sweep is one serial walk. The
-// built tree is byte-identical for every worker count. WithVerify
+// per CPU, 1 = serial). The univariate sweep is one serial walk that
+// appends its lists' structure; one pass after it hashes their rows in
+// contiguous ranges on the same workers. The built tree is
+// byte-identical for every worker count. WithVerify
 // on a QueryBatch checks the answers concurrently on the client side
 // across the WithWorkers pool. Over HTTP,
 // cmd/vqserve exposes one query exchange, POST /query/batch, which

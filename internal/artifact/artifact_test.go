@@ -11,6 +11,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -620,6 +621,35 @@ func TestOpenCopiesTheForest(t *testing.T) {
 			if _, err := backend.One(ctx, b, q, backend.WithVerify(a.Result.Public)); err != nil {
 				t.Fatalf("%v: %v after the forest was overwritten in the file", mode, err)
 			}
+		}
+	}
+}
+
+// TestOpenedAttributesAreCapped: Open decodes every record's attributes
+// into one slab, each record's slice capped at its own end, so an append
+// to one record's attributes copies them instead of overwriting the next
+// record's.
+func TestOpenedAttributesAreCapped(t *testing.T) {
+	spec := testSpec(t, 40, 3)
+	res, err := build.Outsource(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := Save(dir, res); err != nil {
+		t.Fatal(err)
+	}
+	a, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	recs := a.Result.Tree.Snapshot().Table.Records
+	for i := range recs[:len(recs)-1] {
+		next := slices.Clone(recs[i+1].Attrs)
+		_ = append(recs[i].Attrs, 1e300, 1e300)
+		if !slices.Equal(recs[i+1].Attrs, next) || !slices.Equal(recs[i+1].Attrs, spec.Table.Records[i+1].Attrs) {
+			t.Fatalf("appending to record %d's attributes changed record %d's", i, i+1)
 		}
 	}
 }

@@ -295,9 +295,24 @@ func decodeTree(data []byte) (*decodedTree, error) {
 	}
 	n := r.Count("record", 16)
 	recs := make([]record.Record, n)
+	// Every record's attributes in one slab: a table's records all have
+	// the schema's arity. Each record's slice is cut at its own end, so
+	// an append to it copies instead of overwriting the next record's.
+	// The slab grows past its first array only on input too short to
+	// hold them, which fails below.
+	slab := make([]float64, 0, min(uint64(n)*uint64(ncols), uint64(len(r.Buf)/8)))
 	for i := range recs {
 		recs[i].ID = r.U64("record id")
-		recs[i].Attrs = readF64s(r, r.Count("attribute", 8), "attributes")
+		if k := r.Count("attribute", 8); r.Err() == nil && k != ncols {
+			r.Corrupt("record %d has %d attributes, schema wants %d", i, k, ncols)
+		}
+		if r.Err() != nil {
+			return nil, r.Err()
+		}
+		for range ncols {
+			slab = append(slab, r.F64("attributes"))
+		}
+		recs[i].Attrs = slab[len(slab)-ncols : len(slab) : len(slab)]
 		recs[i].Payload = r.Bytes("record payload")
 	}
 	if r.Err() != nil {

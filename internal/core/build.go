@@ -26,7 +26,9 @@ import (
 // Every stage with independent units is sharded across Params.Workers
 // goroutines: record digesting, per-subdomain FMH-list construction
 // (multivariate templates), level-order IMH hash propagation, and
-// multi-signature signing; the univariate sweep is one serial walk. The
+// multi-signature signing. The univariate sweep is one serial walk that
+// appends the FMH chain's structure; its internal rows are then hashed
+// in one pass over contiguous row ranges (mhtree.Forest.HashCtx). The
 // output is byte-identical for every worker count: every digest and
 // signature input depends only on its own index, and per-worker hash
 // counters are merged after each join.
@@ -130,7 +132,9 @@ func (p Params) progress(stage Stage, units int) {
 // derived from its left neighbour in one path-copying pass over the
 // positions the boundary's swaps touched. The chain is O(n + S log n)
 // rows in one forest, against the S·(2(n+2)−1) of one from-scratch tree
-// per subdomain. Then propagate and sign. leaves[rec] is record rec's
+// per subdomain. The serial walk appends only the derived rows'
+// structure; one hash pass over Params.Workers goroutines fills their
+// digests after it. Then propagate and sign. leaves[rec] is record rec's
 // leaf digest.
 func (o *Owner) build1D(ctx context.Context, leaves []hashing.Digest) error {
 	p := o.p
@@ -165,16 +169,18 @@ func (o *Owner) build1D(ctx context.Context, leaves []hashing.Digest) error {
 	p.progress(StageLists, len(subs))
 	var list fmh.List
 	var at []int
+	var derived uint32 // the first row of gap 1's list: HashCtx fills the rows from there
 	err = arr.Sweep(ctx, o.fs, func(g int, perm, swaps []int) error {
 		if g == 0 {
 			list = fmh.Build(o.hasher, o.forest, perm, leaves)
+			derived = uint32(o.forest.Len())
 		} else {
 			at = at[:0]
 			for _, pos := range swaps {
 				at = append(at, pos, pos+1)
 			}
 			slices.Sort(at)
-			list = list.Derive(o.hasher, slices.Compact(at), perm, leaves)
+			list = list.Derive(slices.Compact(at), perm, leaves)
 		}
 		o.swaps += len(swaps)
 		infos[g] = SubInfo{Sub: subs[g], List: list}
@@ -182,6 +188,9 @@ func (o *Owner) build1D(ctx context.Context, leaves []hashing.Digest) error {
 		return nil
 	})
 	if err != nil {
+		return err
+	}
+	if err := o.forest.HashCtx(ctx, o.hasher, derived, p.workers()); err != nil {
 		return err
 	}
 	return o.seal(ctx)
@@ -201,9 +210,10 @@ func (o *Owner) seal(ctx context.Context) error {
 // point and builds its list from scratch — there is no sweep order to
 // exploit in d >= 2. The subdomains are independent, so the sort + FMH
 // build shards across the worker pool: each chunk of subdomains builds
-// its lists into a forest of its own, and the chunks' forests are then
-// joined in subdomain order, so the rows are the same for every worker
-// count.
+// and hashes its lists into a forest of its own (fmh.Build runs the
+// forest's serial Hash pass on the chunk's goroutine), and the chunks'
+// forests are then joined in subdomain order, so the rows are the same
+// for every worker count.
 func (o *Owner) buildListsND(ctx context.Context, workers int, leaves []hashing.Digest) error {
 	subs := o.itree.Subs
 	infos := make([]SubInfo, len(subs))
@@ -258,11 +268,12 @@ func (o *Owner) propagateHashes(ctx context.Context, workers int) error {
 	for d := len(levels) - 1; d >= 0; d-- {
 		level := levels[d]
 		err := o.parallelChunks(ctx, workers, len(level), func(h *hashing.Hasher, lo, hi int) error {
+			var enc [64]byte // a hyperplane in up to 6 variables encodes on the stack
 			for _, n := range level[lo:hi] {
 				if n.IsLeaf() {
 					n.Hash = h.Subdomain(o.subs[n.Leaf.ID].List.Root())
 				} else {
-					n.Hash = h.Intersection(n.Int.H.Encode(nil), n.Above.Hash, n.Below.Hash)
+					n.Hash = h.Intersection(n.Int.H.Encode(enc[:0]), n.Above.Hash, n.Below.Hash)
 				}
 			}
 			return nil

@@ -15,6 +15,7 @@ import (
 	"aqverify/internal/metrics"
 	"aqverify/internal/record"
 	"aqverify/internal/verify"
+	"aqverify/internal/workload"
 )
 
 // buildWorkers builds a 1-D tree with an explicit worker count and its
@@ -80,6 +81,63 @@ func TestParallelBuildIdentical(t *testing.T) {
 			}
 			if serialCtr.Hashes == 0 || int(serialCtr.SigSigns) != serial.SignatureCount() {
 				t.Errorf("construction not instrumented: %v for %d signatures", &serialCtr, serial.SignatureCount())
+			}
+		})
+	}
+}
+
+// TestForestRowsIdenticalAcrossWorkers holds the univariate FMH chain's
+// hash pass to its contract on the republish benchmark's table (2 000
+// lines, seed 1, the canonical order under seed 1): at 1, 2, 3 and 8
+// workers, in both signature modes, the forest's row table is the same
+// bytes and the hash count is the same. The pass cuts the rows after gap
+// 0's list into equal ranges; the test checks that some cut falls
+// strictly inside one gap's derived rows, so a worker does recompute a
+// child on an earlier worker's side of the cut.
+func TestForestRowsIdenticalAcrossWorkers(t *testing.T) {
+	tbl, dom, err := workload.Lines(workload.LinesConfig{N: 2000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []verify.Mode{verify.OneSignature, verify.MultiSignature} {
+		t.Run(mode.String(), func(t *testing.T) {
+			var ref []byte
+			var refCtr metrics.Counter
+			midGap := false
+			for _, workers := range []int{1, 2, 3, 8} {
+				var ctr metrics.Counter
+				o, err := BuildCtx(context.Background(), tbl, Params{
+					Mode: mode, Signer: testSigner, Domain: dom, Template: funcs.AffineLine(0, 1),
+					Hasher: hashing.New(&ctr), Seed: 1, Workers: workers,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows := o.forest.Rows()
+				if workers == 1 {
+					ref, refCtr = rows, ctr
+					continue
+				}
+				if !bytes.Equal(rows, ref) {
+					t.Fatalf("workers=%d: the forest's rows differ from the serial build's", workers)
+				}
+				if ctr != refCtr {
+					t.Errorf("workers=%d: counters differ:\nserial: %v\nnow:    %v", workers, &refCtr, &ctr)
+				}
+				// Gap g's rows are (root of g−1, root of g]; the hash pass
+				// cuts [from, n) at from + (n−from)·k/workers.
+				from, n := o.subs[0].List.Row+1, uint32(o.forest.Len())
+				for k := 1; k < workers; k++ {
+					cut := from + uint32(uint64(n-from)*uint64(k)/uint64(workers))
+					for g := 1; g < len(o.subs); g++ {
+						if o.subs[g-1].List.Row+1 < cut && cut <= o.subs[g].List.Row {
+							midGap = true
+						}
+					}
+				}
+			}
+			if !midGap {
+				t.Error("no range cut fell inside a gap's derived rows")
 			}
 		})
 	}

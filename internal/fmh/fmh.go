@@ -19,8 +19,9 @@
 // A list is a root row in an mhtree.Forest, the one table its
 // neighbours' lists share rows in. Lists are immutable; Derive appends
 // the next subdomain's list in O(log n) rows per moved record, sharing
-// every untouched row. The client's counterpart of BoundaryProof is
-// verify.ComputeFMHRoot.
+// every untouched row, and leaves the hashing to one pass over the
+// forest (mhtree.Forest.HashCtx). The client's counterpart of
+// BoundaryProof is verify.ComputeFMHRoot.
 package fmh
 
 import (
@@ -40,10 +41,11 @@ type List struct {
 	Row    uint32
 }
 
-// Build appends to f the FMH-tree for a sorted function list: perm[p] is
-// the index of the record at sorted position p, and leaf[rec] is that
-// record's leaf digest, h.Leaf of its record digest. Sentinel leaves are
-// added automatically and commit to no record.
+// Build appends to f the FMH-tree for a sorted function list and hashes
+// it: perm[p] is the index of the record at sorted position p, and
+// leaf[rec] is that record's leaf digest, h.Leaf of its record digest.
+// Sentinel leaves are added automatically and commit to no record. Every
+// row of f before the new ones must already be hashed.
 func Build(h *hashing.Hasher, f *mhtree.Forest, perm []int, leaf []hashing.Digest) List {
 	n := len(perm)
 	leaves := make([]hashing.Digest, n+2)
@@ -53,7 +55,10 @@ func Build(h *hashing.Hasher, f *mhtree.Forest, perm []int, leaf []hashing.Diges
 		leaves[p+1], recs[p+1] = leaf[rec], int32(rec)
 	}
 	leaves[n+1], recs[n+1] = h.SentinelMax(n), mhtree.NoRecord
-	return List{N: n, Forest: f, Row: f.Build(h, leaves, recs)}
+	from := uint32(f.Len())
+	l := List{N: n, Forest: f, Row: f.Build(leaves, recs)}
+	f.Hash(h, from)
+	return l
 }
 
 // Derive returns the list whose order is perm, for a perm that differs
@@ -62,9 +67,11 @@ func Build(h *hashing.Hasher, f *mhtree.Forest, perm []int, leaf []hashing.Diges
 // appends a leaf row naming perm[p], with digest leaf[perm[p]], for each
 // p in at and a row for each of their ancestors. This is the step between
 // two adjacent subdomains, whose orders differ by the boundary's
-// transpositions.
-func (l List) Derive(h *hashing.Hasher, at, perm []int, leaf []hashing.Digest) List {
-	l.Row = l.Forest.Derive(h, l.Row, -1, at, func(p int) (hashing.Digest, int) {
+// transpositions. It appends structure only: the new internal rows, and
+// so the list's root, read zero until the forest's hash pass fills them,
+// once for a whole chain of derivations.
+func (l List) Derive(at, perm []int, leaf []hashing.Digest) List {
+	l.Row = l.Forest.Derive(l.Row, -1, at, func(p int) (hashing.Digest, int) {
 		return leaf[perm[p]], perm[p]
 	})
 	return l

@@ -76,7 +76,15 @@ func TestRootBindsLength(t *testing.T) {
 // exchanged, perm updated to match.
 func swap(h *hashing.Hasher, l List, perm []int, leafD []hashing.Digest, p int) List {
 	perm[p], perm[p+1] = perm[p+1], perm[p]
-	return l.Derive(h, []int{p, p + 1}, perm, leafD)
+	return derive(h, l, []int{p, p + 1}, perm, leafD)
+}
+
+// derive is Derive with the new rows hashed.
+func derive(h *hashing.Hasher, l List, at, perm []int, leafD []hashing.Digest) List {
+	from := uint32(l.Forest.Len())
+	l = l.Derive(at, perm, leafD)
+	l.Forest.Hash(h, from)
+	return l
 }
 
 func TestDeriveSwap(t *testing.T) {
@@ -108,7 +116,7 @@ func TestDeriveSwap(t *testing.T) {
 					t.Errorf("deriving positions %v (a sentinel's) accepted", at)
 				}
 			}()
-			l.Derive(h, at, identity(n), leafD)
+			l.Derive(at, identity(n), leafD)
 		}()
 	}
 }
@@ -212,7 +220,7 @@ func TestDeriveSwapChainMatchesFreshBuilds(t *testing.T) {
 			at = append(at, p, p+1)
 		}
 		slices.Sort(at)
-		cur = cur.Derive(h, slices.Compact(at), perm, leafD)
+		cur = derive(h, cur, slices.Compact(at), perm, leafD)
 		fresh := Build(h, new(mhtree.Forest), perm, leafD)
 		if cur.Root() != fresh.Root() {
 			t.Fatalf("step %d: derived root diverged from fresh build", step)

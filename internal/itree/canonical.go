@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
-	"hash/fnv"
 	"slices"
 
 	"aqverify/internal/geometry"
@@ -33,14 +32,19 @@ import (
 
 // priorityOf returns the canonical priority of one intersection: a
 // seeded FNV-64a over the hyperplane's canonical byte encoding. It
-// depends only on the hyperplane content, not on the pair indexes.
+// depends only on the hyperplane content, not on the pair indexes. The
+// seed and the encoding go into a stack buffer (a hyperplane in up to 5
+// variables fits) and the hash is inlined, so a priority allocates
+// nothing.
 func priorityOf(seed int64, h geometry.Hyperplane) uint64 {
-	f := fnv.New64a()
-	var s [8]byte
-	binary.BigEndian.PutUint64(s[:], uint64(seed))
-	f.Write(s[:])
-	f.Write(h.Encode(nil))
-	return f.Sum64()
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	var buf [64]byte
+	p := uint64(offset64)
+	for _, c := range h.Encode(binary.BigEndian.AppendUint64(buf[:0], uint64(seed))) {
+		p ^= uint64(c)
+		p *= prime64
+	}
+	return p
 }
 
 // canonCmp is the canonical strict total order on intersections:
@@ -53,7 +57,8 @@ func canonCmp(pa uint64, a Intersection, pb uint64, b Intersection) int {
 	if c := cmp.Compare(pa, pb); c != 0 {
 		return c
 	}
-	if c := bytes.Compare(a.H.Encode(nil), b.H.Encode(nil)); c != 0 {
+	var ea, eb [64]byte
+	if c := bytes.Compare(a.H.Encode(ea[:0]), b.H.Encode(eb[:0])); c != 0 {
 		return c
 	}
 	if c := cmp.Compare(a.I, b.I); c != 0 {

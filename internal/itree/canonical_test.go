@@ -2,6 +2,8 @@ package itree
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -241,5 +243,30 @@ func TestNewArrangement1DAllocs(t *testing.T) {
 	})
 	if per := allocs / float64(len(inters)); per > 5 {
 		t.Errorf("%.0f allocations for %d intersections: %.1f per intersection, want at most 5", allocs, len(inters), per)
+	}
+}
+
+// TestPriorityIsFNV64a: the inline priority hash is FNV-64a over the
+// seed's big-endian bytes and the hyperplane's encoding, for 1 to 7
+// coefficients — past the stack buffer too — and allocates nothing for
+// a 1-D boundary.
+func TestPriorityIsFNV64a(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	for k := 0; k < 2000; k++ {
+		h := geometry.Hyperplane{C: make([]float64, 1+k%7), B: rng.NormFloat64()}
+		for i := range h.C {
+			h.C[i] = rng.NormFloat64()
+		}
+		seed := rng.Int63() - rng.Int63()
+		f := fnv.New64a()
+		f.Write(binary.BigEndian.AppendUint64(nil, uint64(seed)))
+		f.Write(h.Encode(nil))
+		if got, want := priorityOf(seed, h), f.Sum64(); got != want {
+			t.Fatalf("%v under seed %d: priority %x, FNV-64a %x", h, seed, got, want)
+		}
+	}
+	h := geometry.Hyperplane{C: []float64{1}, B: -0.5}
+	if allocs := testing.AllocsPerRun(100, func() { priorityOf(7, h) }); allocs != 0 {
+		t.Errorf("a 1-D priority allocates %v times", allocs)
 	}
 }

@@ -13,18 +13,22 @@
 //
 // Trees live in a Forest: one pointer-free table of fixed-size rows —
 // digest, left child, right child, width — appended children before
-// parents, a tree being the index of its root row. Rows are never
-// rewritten: deriving a tree that differs at a few leaves appends a row
-// for each of them and each of their ancestors and shares every other
-// row. The IFMH construction leans on this heavily — consecutive
-// subdomains differ by adjacent transpositions, so S subdomains cost
-// O(n + S log n) rows instead of O(S n) — and the garbage collector never
-// scans the table, which holds no pointer. The rows are the artifact's
-// forest section byte for byte, so saving a forest is one append and
-// opening one is one copy.
+// parents, a tree being the index of its root row. Build and Derive
+// append structure only — internal rows get a zero digest — and one
+// pass (Hash, or HashCtx over contiguous row ranges on several
+// goroutines) then fills every new internal row; no row changes after
+// that. Deriving a tree that differs at a few leaves appends a row for
+// each of them and each of their ancestors and shares every other row.
+// The IFMH construction leans on this heavily — consecutive subdomains
+// differ by adjacent transpositions, so S subdomains cost O(n + S log n)
+// rows instead of O(S n) — and the garbage collector never scans the
+// table, which holds no pointer. The rows are the artifact's forest
+// section byte for byte, so saving a forest is one append and opening
+// one is one copy.
 package mhtree
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -32,6 +36,7 @@ import (
 
 	"aqverify/internal/hashing"
 	"aqverify/internal/metrics"
+	"aqverify/internal/pool"
 	"aqverify/internal/verify"
 )
 
@@ -105,34 +110,38 @@ func (f *Forest) Rec(i uint32) int {
 func (f *Forest) row(d hashing.Digest, l, r uint32, w int) uint32 {
 	i := uint32(f.Len())
 	f.Grow(1)
-	f.rows = append(f.rows, d[:]...)
-	f.rows = binary.BigEndian.AppendUint32(f.rows, l)
-	f.rows = binary.BigEndian.AppendUint32(f.rows, r)
-	f.rows = binary.BigEndian.AppendUint32(f.rows, uint32(w))
+	o := len(f.rows)
+	f.rows = f.rows[:o+RowSize]
+	copy(f.rows[o:], d[:])
+	binary.BigEndian.PutUint32(f.rows[o+hashing.Size:], l)
+	binary.BigEndian.PutUint32(f.rows[o+hashing.Size+4:], r)
+	binary.BigEndian.PutUint32(f.rows[o+hashing.Size+8:], uint32(w))
 	return i
 }
 
-// join appends the internal row over l and r, hashing it.
-func (f *Forest) join(h *hashing.Hasher, l, r uint32) uint32 {
-	return f.row(h.Node(f.Digest(l), f.Digest(r)), l, r, f.Width(l)+f.Width(r))
+// join appends the internal row over l and r with a zero digest, for
+// Hash to fill.
+func (f *Forest) join(l, r uint32) uint32 {
+	return f.row(hashing.Digest{}, l, r, f.Width(l)+f.Width(r))
 }
 
-// Build appends a tree over the given leaf digests and returns its root
-// row; recs[i] is the record leaf i commits to, and a nil recs means no
-// leaf commits to one. It returns None for an empty slice. The rows are
-// appended in post-order, left before right. The hasher's counter
-// observes one hash per internal row (w-1 total).
-func (f *Forest) Build(h *hashing.Hasher, leaves []hashing.Digest, recs []int32) uint32 {
+// Build appends the structure of a tree over the given leaf digests and
+// returns its root row; recs[i] is the record leaf i commits to, and a
+// nil recs means no leaf commits to one. It returns None for an empty
+// slice. The rows are appended in post-order, left before right. Leaf
+// rows carry their digests; internal rows read zero until Hash fills
+// them.
+func (f *Forest) Build(leaves []hashing.Digest, recs []int32) uint32 {
 	if len(leaves) == 0 {
 		return None
 	}
 	if len(leaves) > math.MaxInt32 || (recs != nil && len(recs) != len(leaves)) {
 		panic(fmt.Sprintf("mhtree: %d leaves with %d record indices", len(leaves), len(recs)))
 	}
-	return f.build(h, leaves, recs, 0, len(leaves))
+	return f.build(leaves, recs, 0, len(leaves))
 }
 
-func (f *Forest) build(h *hashing.Hasher, leaves []hashing.Digest, recs []int32, off, w int) uint32 {
+func (f *Forest) build(leaves []hashing.Digest, recs []int32, off, w int) uint32 {
 	if w == 1 {
 		rec := None
 		if recs != nil {
@@ -141,30 +150,30 @@ func (f *Forest) build(h *hashing.Hasher, leaves []hashing.Digest, recs []int32,
 		return f.row(leaves[off], None, rec, 1)
 	}
 	lw := verify.LeftWidth(w)
-	l := f.build(h, leaves, recs, off, lw)
-	return f.join(h, l, f.build(h, leaves, recs, off+lw, w-lw))
+	l := f.build(leaves, recs, off, lw)
+	return f.join(l, f.build(leaves, recs, off+lw, w-lw))
 }
 
-// Derive appends a tree equal to the one at root except at the leaf
-// positions at, ascending, without repeats and inside the tree, and
-// returns its root row:
-// the leaf at position p holds the digest and record leaf(p) returns.
-// Positions count from first, the position of root's leaf 0.
+// Derive appends the structure of a tree equal to the one at root except
+// at the leaf positions at, ascending, without repeats and inside the
+// tree, and returns its root row: the leaf at position p holds the digest
+// and record leaf(p) returns. Positions count from first, the position of
+// root's leaf 0.
 //
 // One path-copying pass appends a row for each of those leaves and for
 // each of their ancestors — in post-order, left before right — and shares
 // every other row, so a subdomain whose order differs from its
 // neighbour's by any number of transpositions costs exactly the rows on
-// the union of the moved leaves' root paths, one hash per internal row.
-// With no positions it returns root.
-func (f *Forest) Derive(h *hashing.Hasher, root uint32, first int, at []int, leaf func(p int) (hashing.Digest, int)) uint32 {
+// the union of the moved leaves' root paths; the Hash pass then spends
+// one hash per new internal row. With no positions it returns root.
+func (f *Forest) Derive(root uint32, first int, at []int, leaf func(p int) (hashing.Digest, int)) uint32 {
 	if len(at) == 0 {
 		return root
 	}
-	return f.derive(h, root, f.Width(root), first, at, leaf)
+	return f.derive(root, f.Width(root), first, at, leaf)
 }
 
-func (f *Forest) derive(h *hashing.Hasher, n uint32, w, off int, at []int, leaf func(p int) (hashing.Digest, int)) uint32 {
+func (f *Forest) derive(n uint32, w, off int, at []int, leaf func(p int) (hashing.Digest, int)) uint32 {
 	if w == 1 {
 		d, rec := leaf(at[0])
 		return f.row(d, None, uint32(rec), 1)
@@ -176,12 +185,88 @@ func (f *Forest) derive(h *hashing.Hasher, n uint32, w, off int, at []int, leaf 
 	}
 	l, r := f.Children(n)
 	if k > 0 {
-		l = f.derive(h, l, lw, off, at[:k], leaf)
+		l = f.derive(l, lw, off, at[:k], leaf)
 	}
 	if k < len(at) {
-		r = f.derive(h, r, w-lw, off+lw, at[k:], leaf)
+		r = f.derive(r, w-lw, off+lw, at[k:], leaf)
 	}
-	return f.join(h, l, r)
+	return f.join(l, r)
+}
+
+// Hash fills, in row order, the digest of every internal row at or
+// after from; every row before from must already be hashed. h's counter
+// observes one hash per row filled.
+func (f *Forest) Hash(h *hashing.Hasher, from uint32) {
+	f.hashRange(h, from, from, uint32(f.Len()))
+}
+
+// HashCtx is Hash cut into workers contiguous ranges of equal row count,
+// hashed concurrently, each in row order. A child in an earlier range is
+// recomputed privately (memoised, uncounted) rather than read from a
+// slot another worker writes: on a derivation chain, whose trees reach
+// back only into the tree they derive from, that is about one tree's
+// internal rows per extra worker. The workers write disjoint digest
+// slots, so the rows are the same bytes, and h's counter sees one hash
+// per row filled, at every worker count. A ctx done before a range
+// starts skips it, and HashCtx returns ctx.Err().
+func (f *Forest) HashCtx(ctx context.Context, h *hashing.Hasher, from uint32, workers int) error {
+	n := uint32(f.Len())
+	if from >= n {
+		return ctx.Err()
+	}
+	workers = max(1, min(workers, int(n-from)))
+	ctrs := make([]metrics.Counter, workers)
+	err := pool.RunCtx(ctx, workers, workers, func(_, k int) {
+		lo := from + uint32(uint64(n-from)*uint64(k)/uint64(workers))
+		hi := from + uint32(uint64(n-from)*uint64(k+1)/uint64(workers))
+		f.hashRange(h.WithCounter(&ctrs[k]), from, lo, hi)
+	})
+	for _, c := range ctrs {
+		h.Counter().Add(c)
+	}
+	return err
+}
+
+// hashRange hashes the internal rows in [lo, hi), a range of the rows
+// from on.
+func (f *Forest) hashRange(h *hashing.Hasher, from, lo, hi uint32) {
+	b := below{f: f, h: h.WithCounter(nil), from: from, lo: lo}
+	for i := lo; i < hi; i++ {
+		if l, r := f.Children(i); l != None {
+			d := h.Node(b.digest(l), b.digest(r))
+			copy(f.rows[int(i)*RowSize:], d[:])
+		}
+	}
+}
+
+// below reads a child's digest for a worker whose range starts at lo: a
+// leaf, a row before from or a row of its own range is in the table,
+// and an internal row in [from, lo) — another worker's, perhaps not yet
+// written — is recomputed here once.
+type below struct {
+	f        *Forest
+	h        *hashing.Hasher
+	from, lo uint32
+	memo     map[uint32]hashing.Digest
+}
+
+func (b *below) digest(i uint32) hashing.Digest {
+	if i < b.from || i >= b.lo {
+		return b.f.Digest(i)
+	}
+	l, r := b.f.Children(i)
+	if l == None {
+		return b.f.Digest(i)
+	}
+	if d, ok := b.memo[i]; ok {
+		return d
+	}
+	if b.memo == nil {
+		b.memo = make(map[uint32]hashing.Digest)
+	}
+	d := b.h.Node(b.digest(l), b.digest(r))
+	b.memo[i] = d
+	return d
 }
 
 // Append appends g's rows to f, moving their child indices past f's rows,

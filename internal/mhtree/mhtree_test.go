@@ -1,6 +1,8 @@
 package mhtree
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -50,16 +52,32 @@ func leaf(f *Forest, root uint32, i int) uint32 {
 	return root
 }
 
+// build is Build with the new rows hashed.
+func build(h *hashing.Hasher, f *Forest, leaves []hashing.Digest, recs []int32) uint32 {
+	from := uint32(f.Len())
+	root := f.Build(leaves, recs)
+	f.Hash(h, from)
+	return root
+}
+
+// derive is Derive with the new rows hashed.
+func derive(h *hashing.Hasher, f *Forest, root uint32, at []int, leaf func(p int) (hashing.Digest, int)) uint32 {
+	from := uint32(f.Len())
+	root = f.Derive(root, 0, at, leaf)
+	f.Hash(h, from)
+	return root
+}
+
 // withLeaf derives the tree with leaf i holding d and rec.
 func withLeaf(h *hashing.Hasher, f *Forest, root uint32, i int, d hashing.Digest, rec int) uint32 {
-	return f.Derive(h, root, 0, []int{i}, func(int) (hashing.Digest, int) { return d, rec })
+	return derive(h, f, root, []int{i}, func(int) (hashing.Digest, int) { return d, rec })
 }
 
 // swapLeaves derives, in one pass, the tree with leaves i and i+1
 // exchanged — digest and record together.
 func swapLeaves(h *hashing.Hasher, f *Forest, root uint32, i int) uint32 {
 	a, b := leaf(f, root, i), leaf(f, root, i+1)
-	return f.Derive(h, root, 0, []int{i, i + 1}, func(p int) (hashing.Digest, int) {
+	return derive(h, f, root, []int{i, i + 1}, func(p int) (hashing.Digest, int) {
 		if p == i {
 			return f.Digest(b), f.Rec(b)
 		}
@@ -107,7 +125,7 @@ func TestBuildMatchesPaperConstruction(t *testing.T) {
 	for n := 1; n <= 70; n++ {
 		leaves := mkLeaves(n, int64(n))
 		f := new(Forest)
-		root := f.Build(h, leaves, nil)
+		root := build(h, f, leaves, nil)
 		if f.Width(root) != n || f.Len() != 2*n-1 {
 			t.Fatalf("n=%d: width %d in %d rows", n, f.Width(root), f.Len())
 		}
@@ -120,7 +138,7 @@ func TestBuildMatchesPaperConstruction(t *testing.T) {
 
 func TestBuildEmpty(t *testing.T) {
 	f := new(Forest)
-	if f.Build(hashing.New(nil), nil, nil) != None || f.Len() != 0 {
+	if build(hashing.New(nil), f, nil, nil) != None || f.Len() != 0 {
 		t.Error("empty build should be None and append nothing")
 	}
 }
@@ -128,7 +146,7 @@ func TestBuildEmpty(t *testing.T) {
 func TestBuildHashCount(t *testing.T) {
 	var ctr metrics.Counter
 	h := hashing.New(&ctr)
-	new(Forest).Build(h, mkLeaves(33, 1), nil)
+	build(h, new(Forest), mkLeaves(33, 1), nil)
 	if ctr.Hashes != 32 {
 		t.Errorf("building 33 leaves used %d hashes, want 32 (w-1 internal nodes)", ctr.Hashes)
 	}
@@ -138,7 +156,7 @@ func TestLeafAccess(t *testing.T) {
 	h := hashing.New(nil)
 	leaves := mkLeaves(13, 2)
 	f := new(Forest)
-	root := f.Build(h, leaves, nil)
+	root := build(h, f, leaves, nil)
 	for i, want := range leaves {
 		if got := f.Digest(leaf(f, root, i)); got != want {
 			t.Fatalf("leaf %d mismatch", i)
@@ -153,7 +171,7 @@ func TestWithLeaf(t *testing.T) {
 	h := hashing.New(nil)
 	leaves := mkLeaves(10, 3)
 	f := new(Forest)
-	tree := f.Build(h, leaves, nil)
+	tree := build(h, f, leaves, nil)
 	var repl hashing.Digest
 	repl[0] = 0xff
 	for i := 0; i < 10; i++ {
@@ -175,7 +193,7 @@ func TestSwapLeaves(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 8, 11, 16} {
 		leaves := mkLeaves(n, int64(n)*7)
 		f := new(Forest)
-		tree := f.Build(h, leaves, nil)
+		tree := build(h, f, leaves, nil)
 		for i := 0; i+1 < n; i++ {
 			swapped := swapLeaves(h, f, tree, i)
 			want := append([]hashing.Digest(nil), leaves...)
@@ -246,12 +264,12 @@ func TestSwapLeavesIsTwoWithLeaf(t *testing.T) {
 		}
 		leaves := mkLeaves(w, int64(w))
 		f := new(Forest)
-		tree := f.Build(ref, leaves, recs)
+		tree := build(ref, f, leaves, recs)
 		check := func(at []int, leafAt func(p int) (hashing.Digest, int)) uint32 {
 			t.Helper()
 			old := uint32(f.Len())
 			ctr = metrics.Counter{}
-			got := f.Derive(h, tree, 0, at, leafAt)
+			got := derive(h, f, tree, at, leafAt)
 			made := f.Len() - int(old)
 			want := oneByOne(ref, f, tree, at, leafAt)
 			if !sameTree(f, got, want, old) {
@@ -292,11 +310,68 @@ func TestSwapLeavesIsTwoWithLeaf(t *testing.T) {
 	}
 }
 
+// TestHashIsOnePassAtEveryWorkerCount: a derivation chain appended
+// unhashed after a hashed tree, then hashed from its first new row, is
+// the same table at every worker count — every cut between two workers
+// lands somewhere inside a derived tree — with one counted hash per new
+// internal row, and every tree's root is the root of a fresh build over
+// its leaves.
+func TestHashIsOnePassAtEveryWorkerCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	const w = 67
+	leaves := mkLeaves(w, 49)
+	chain := new(Forest)
+	roots := []uint32{build(hashing.New(nil), chain, leaves, nil)}
+	from := uint32(chain.Len())
+	want := [][]hashing.Digest{slices.Clone(leaves)}
+	for k := 0; k < 60; k++ {
+		at := rng.Perm(w)[:1+rng.Intn(4)]
+		slices.Sort(at)
+		for _, p := range at {
+			leaves[p] = mkLeaves(1, int64(100*k+p))[0]
+		}
+		roots = append(roots, chain.Derive(roots[len(roots)-1], 0, at, func(p int) (hashing.Digest, int) { return leaves[p], NoRecord }))
+		want = append(want, slices.Clone(leaves))
+	}
+	internal := 0
+	for i := from; i < uint32(chain.Len()); i++ {
+		if chain.Width(i) > 1 {
+			internal++
+		}
+	}
+	var ref []byte
+	for _, workers := range []int{1, 2, 3, 5, 8, 64} {
+		f := FromRows(slices.Clone(chain.Rows()))
+		var ctr metrics.Counter
+		if err := f.HashCtx(context.Background(), hashing.New(&ctr), from, workers); err != nil {
+			t.Fatal(err)
+		}
+		if int(ctr.Hashes) != internal {
+			t.Errorf("workers=%d: %d hashes for %d new internal rows", workers, ctr.Hashes, internal)
+		}
+		if workers == 1 {
+			ref = f.Rows()
+			for k, root := range roots {
+				if f.Digest(root) != fresh(hashing.New(nil), want[k]) {
+					t.Fatalf("tree %d: root differs from a fresh build over its leaves", k)
+				}
+			}
+		} else if !slices.Equal(f.Rows(), ref) {
+			t.Fatalf("workers=%d: the hashed rows differ from the serial pass's", workers)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := FromRows(slices.Clone(chain.Rows())).HashCtx(ctx, hashing.New(nil), from, 2); !errors.Is(err, context.Canceled) {
+		t.Errorf("a canceled pass returned %v", err)
+	}
+}
+
 func TestPersistentSharingBoundsMemory(t *testing.T) {
 	h := hashing.New(nil)
 	n := 256
 	f := new(Forest)
-	cur := f.Build(h, mkLeaves(n, 9), nil)
+	cur := build(h, f, mkLeaves(n, 9), nil)
 	derivations := 200
 	for i := 0; i < derivations; i++ {
 		cur = swapLeaves(h, f, cur, i%(n-1))
@@ -314,7 +389,7 @@ func TestRangeProofRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7, 8, 13, 32, 57} {
 		leaves := mkLeaves(n, int64(n)*13)
 		f := new(Forest)
-		tree := f.Build(h, leaves, nil)
+		tree := build(h, f, leaves, nil)
 		for lo := 0; lo < n; lo++ {
 			for hi := lo; hi < n; hi++ {
 				proof, err := rangeProof(f, tree, lo, hi, nil)
@@ -335,7 +410,7 @@ func TestRangeProofRoundTrip(t *testing.T) {
 
 func TestRangeProofRejectsBadRange(t *testing.T) {
 	f := new(Forest)
-	tree := f.Build(hashing.New(nil), mkLeaves(5, 1), nil)
+	tree := build(hashing.New(nil), f, mkLeaves(5, 1), nil)
 	for _, rg := range [][2]int{{-1, 2}, {0, 5}, {3, 2}} {
 		if _, err := rangeProof(f, tree, rg[0], rg[1], nil); err == nil {
 			t.Errorf("RangeProof(%d,%d) accepted", rg[0], rg[1])
@@ -348,7 +423,7 @@ func TestComputeRootDetectsTampering(t *testing.T) {
 	n := 20
 	leaves := mkLeaves(n, 5)
 	f := new(Forest)
-	tree := f.Build(h, leaves, nil)
+	tree := build(h, f, leaves, nil)
 	want := f.Digest(tree)
 	lo, hi := 4, 9
 	proof, _ := rangeProof(f, tree, lo, hi, nil)
@@ -411,7 +486,7 @@ func TestComputeRootRejectsInvalidArgs(t *testing.T) {
 func TestRangeProofSizeLogarithmic(t *testing.T) {
 	n := 4096
 	f := new(Forest)
-	tree := f.Build(hashing.New(nil), mkLeaves(n, 21), nil)
+	tree := build(hashing.New(nil), f, mkLeaves(n, 21), nil)
 	proof, err := rangeProof(f, tree, 2000, 2002, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -424,7 +499,7 @@ func TestRangeProofSizeLogarithmic(t *testing.T) {
 
 func TestRangeProofCountsTraversal(t *testing.T) {
 	f := new(Forest)
-	tree := f.Build(hashing.New(nil), mkLeaves(64, 2), nil)
+	tree := build(hashing.New(nil), f, mkLeaves(64, 2), nil)
 	var ctr metrics.Counter
 	if _, err := rangeProof(f, tree, 10, 12, &ctr); err != nil {
 		t.Fatal(err)
@@ -438,7 +513,7 @@ func TestRangeProofCountsTraversal(t *testing.T) {
 func TestNodeCountDedup(t *testing.T) {
 	h := hashing.New(nil)
 	f := new(Forest)
-	tree := f.Build(h, mkLeaves(8, 3), nil)
+	tree := build(h, f, mkLeaves(8, 3), nil)
 	if got := f.Len(); got != 15 {
 		t.Errorf("Len = %d, want 15", got)
 	}
@@ -469,7 +544,7 @@ func TestLeavesNameTheirRecords(t *testing.T) {
 			recs[i] = int32(r)
 		}
 		f := new(Forest)
-		tree := f.Build(h, leaves, recs)
+		tree := build(h, f, leaves, recs)
 		for step := 0; step < 3*n; step++ {
 			if n > 1 {
 				i := rng.Intn(n - 1)
@@ -488,10 +563,10 @@ func TestLeavesNameTheirRecords(t *testing.T) {
 				t.Fatalf("n=%d: leaves %d..%d name %v, want %v", n, lo, hi, got, want[lo:hi+1])
 			}
 		}
-		if f.Digest(tree) != f.Digest(f.Build(h, leaves, nil)) {
+		if f.Digest(tree) != f.Digest(build(h, f, leaves, nil)) {
 			t.Fatalf("n=%d: the record index changed the root digest", n)
 		}
-		if u := f.Build(h, leaves, nil); f.Rec(leaf(f, u, n-1)) != NoRecord {
+		if u := build(h, f, leaves, nil); f.Rec(leaf(f, u, n-1)) != NoRecord {
 			t.Fatalf("n=%d: an untagged leaf names record %d", n, f.Rec(leaf(f, u, n-1)))
 		}
 	}
@@ -504,8 +579,8 @@ func TestAppendRebases(t *testing.T) {
 	one, a, b := new(Forest), new(Forest), new(Forest)
 	for i, f := range []*Forest{a, a, b, b, b} {
 		leaves := mkLeaves(3+i, int64(i))
-		one.Build(h, leaves, nil)
-		f.Build(h, leaves, nil)
+		build(h, one, leaves, nil)
+		build(h, f, leaves, nil)
 	}
 	if shift := a.Append(b); shift != 12 || !slices.Equal(a.Rows(), one.Rows()) {
 		t.Fatalf("joined forests differ from the one-table build (shift %d)", shift)
@@ -515,7 +590,7 @@ func TestAppendRebases(t *testing.T) {
 // fresh is the root digest of a tree built over leaves on its own.
 func fresh(h *hashing.Hasher, leaves []hashing.Digest) hashing.Digest {
 	f := new(Forest)
-	return f.Digest(f.Build(h, leaves, nil))
+	return f.Digest(build(h, f, leaves, nil))
 }
 
 // rangeProof is RangeProof into a fresh proof.
