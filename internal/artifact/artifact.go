@@ -203,16 +203,28 @@ func Save(dir string, res *build.Result) (Info, error) {
 			shardIdx = i
 			name = shardName(i)
 		}
-		blob, h, err := encodeTree(t.Snapshot(), shardIdx)
+		names = append(names, name)
+		// The blob's sealed trailer is hashed on a second goroutine while
+		// the fingerprint is taken and the body written, and written last;
+		// the deferred wait joins it on every return.
+		body := encodeBody(t.Snapshot(), shardIdx)
+		sum := sumAside(body)
+		defer sum()
+		m.fingerprints[i] = t.Fingerprint()
+		f, err := os.OpenFile(tempName(dir, name), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 		if err != nil {
 			return Info{}, err
 		}
-		names = append(names, name)
-		if err := os.WriteFile(tempName(dir, name), blob, 0o644); err != nil {
+		_, err = f.Write(body)
+		if m.fileHashes[i] = sum(); err == nil {
+			_, err = f.Write(m.fileHashes[i][:])
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			return Info{}, err
 		}
-		m.fileHashes[i] = h
-		m.fingerprints[i] = t.Fingerprint()
 	}
 	mb, _ := encodeManifest(m)
 	names = append(names, ManifestName)

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math"
+	"sync"
 
 	"aqverify/internal/codec"
 	"aqverify/internal/core"
@@ -93,15 +94,16 @@ func readBox(r *codec.Reader, what string) geometry.Box {
 	return b
 }
 
-// encodeTree serializes one built tree's serve-state into a sealed blob.
+// encodeBody serializes one built tree's serve-state into a blob, all
+// but the sealed trailer, which Save appends as it writes the file.
 // The FMH forest is the tree's row table as it is held in memory
 // (mhtree.Forest): children before parents, every list's rows appended
 // after its left neighbour's, sharing what the lists share, so the file
 // is O(forest), not O(S·n). The IMH tree is a post-order table. shardIdx
 // is the tree's position in a sharded set, or build.ShardNone. The blob
-// is one allocation of its exact length
-// (TestEncodeTreeIsOneExactAllocation).
-func encodeTree(s core.Snapshot, shardIdx int) ([]byte, hashing.Digest, error) {
+// is one allocation of its exact sealed length, the trailer's room
+// reserved (TestEncodeTreeIsOneExactAllocation).
+func encodeBody(s core.Snapshot, shardIdx int) []byte {
 	nf := s.Forest.Len()
 	ni, isize := imhSize(s.ITree.Root)
 	w := &codec.Writer{Buf: make([]byte, 0, sizeTree(s, nf, isize))}
@@ -173,8 +175,7 @@ func encodeTree(s core.Snapshot, shardIdx int) ([]byte, hashing.Digest, error) {
 	irow(s.ITree.Root)
 
 	w.Bytes(s.RootSig)
-	buf, h := seal(w)
-	return buf, h, nil
+	return w.Buf
 }
 
 // imhSize counts the rows and bytes of the IMH table under n.
@@ -187,8 +188,9 @@ func imhSize(n *itree.Node) (rows, size int) {
 	return ra + rb + 1, sa + sb + 1 + 4 + 4 + 4 + n.Int.H.EncodedLen() + 4 + 4 + hashing.Size
 }
 
-// sizeTree is len(encodeTree(s, …)) for a forest of nf rows and an IMH
-// table of isize bytes, field for field in encodeTree's order.
+// sizeTree is the sealed length of encodeBody(s, …) for a forest of nf
+// rows and an IMH table of isize bytes, field for field in encodeBody's
+// order.
 func sizeTree(s core.Snapshot, nf, isize int) int {
 	n := len(magicTree) + 4 + 8 + 1 + 4 + 4 + 16*s.Domain.Dim()
 	n += 4 + len(s.Table.Schema.Name) + 4
@@ -251,19 +253,40 @@ func joinSpans(l, r leafSpan) leafSpan {
 type decodedTree struct {
 	core.Snapshot
 	shard uint32         // nilIndex when the blob belongs to no shard
-	hash  hashing.Digest // the sealed trailer
+	hash  hashing.Digest // the sealed trailer, equal to the content's SHA-256
 }
 
-// decodeTree parses a tree blob. The structural pass validates every
+// decodeTree parses a tree blob: parseTree's structural pass while a
+// second goroutine hashes the sealed content, then the sealed trailer's
+// check, so a file that parses but was bit-flipped is refused as
+// ErrCorrupt by content hash. The hash joins before decodeTree returns on
+// any path: a caller may unmap data as soon as it has.
+func decodeTree(data []byte) (*decodedTree, error) {
+	sum := sumAside(data[:max(0, len(data)-hashing.Size)])
+	d, err := parseTree(data)
+	if h := sum(); err == nil && h != d.hash {
+		return nil, fmt.Errorf("%w: tree blob content hash mismatch", ErrCorrupt)
+	}
+	return d, err
+}
+
+// sumAside starts the SHA-256 of b on a second goroutine and returns the
+// wait for it, which may be called again.
+func sumAside(b []byte) func() hashing.Digest {
+	c := make(chan hashing.Digest, 1)
+	go func() { c <- sha256.Sum256(b) }()
+	return sync.OnceValue(func() hashing.Digest { return <-c })
+}
+
+// parseTree parses a tree blob's structure. It validates every
 // count, index and cross-reference (children before parents, leaf ids
 // unique and in range, node widths consistent, every list's leaves
 // naming records of the table between two sentinels) so that no accepted
-// structure can make the serving tree index out of bounds; the sealed
-// trailer is checked last, so a file that parses but was bit-flipped
-// is refused as ErrCorrupt by content hash. Variable-length fields
-// alias data — on a memory-mapped file the signatures, inequality
-// encodings and record payloads are served straight out of the map.
-func decodeTree(data []byte) (*decodedTree, error) {
+// structure can make the serving tree index out of bounds, and reads the
+// sealed trailer into hash unchecked. Variable-length fields alias data
+// — on a memory-mapped file the signatures, inequality encodings and
+// record payloads are served straight out of the map.
+func parseTree(data []byte) (*decodedTree, error) {
 	if len(data) < len(magicTree) {
 		return nil, fmt.Errorf("%w: %d-byte file", ErrTruncated, len(data))
 	}
@@ -413,6 +436,10 @@ func decodeTree(data []byte) (*decodedTree, error) {
 	}
 	inodes := make([]itree.Node, nt)
 	ints := make([]itree.Intersection, nt) // one slab: internal nodes point into it
+	// Every internal node's coefficients in one slab, bounded by the bytes
+	// left, as the attributes' is: each takes 8 bytes of its encoding. A
+	// node past a forged slab's end decodes into its own array.
+	coefs := make([]float64, 0, min(uint64(max(nt-ns, 0))*uint64(dim), uint64(len(r.Buf)/8)))
 	leaves := make([]itree.Subdomain, ns)
 	subPtrs := make([]*itree.Subdomain, ns)
 	seen := 0
@@ -450,11 +477,13 @@ func decodeTree(data []byte) (*decodedTree, error) {
 				r.Corrupt("imh node %d references a later child", i)
 				break
 			}
-			hp, err := geometry.DecodeHyperplane(enc)
+			end := min(len(coefs)+dim, cap(coefs))
+			hp, err := geometry.DecodeHyperplane(enc, coefs[len(coefs):len(coefs):end])
 			if err != nil || len(hp.C) != dim {
 				r.Corrupt("imh node %d hyperplane encoding", i)
 				break
 			}
+			coefs = coefs[:end]
 			ints[i] = itree.Intersection{I: int(ii), J: int(jj), H: hp}
 			inodes[i].Int = &ints[i]
 			inodes[i].Above, inodes[i].Below = &inodes[ai], &inodes[bi]
@@ -482,13 +511,9 @@ func decodeTree(data []byte) (*decodedTree, error) {
 	d.RootSig = r.Bytes("root signature")
 
 	// Sealed trailer: the content hash over everything before it.
-	want := readDigest(r, "content hash")
+	d.hash = readDigest(r, "content hash")
 	if err := r.Done(); err != nil {
 		return nil, err
-	}
-	d.hash = hashing.Digest(sha256.Sum256(data[:len(data)-len(want)]))
-	if d.hash != want {
-		return nil, fmt.Errorf("%w: tree blob content hash mismatch", ErrCorrupt)
 	}
 	return d, nil
 }

@@ -189,7 +189,7 @@ func everyFloatOrdered(t *testing.T, res *Result) {
 		}
 		n := len(fs)
 		for id, si := range snap.Subs {
-			iv := si.Sub.Region.(itree.Interval1D)
+			iv := si.Sub.Region.(*itree.Interval1D)
 			last := iv.Hi
 			if iv.HiStrict {
 				last = math.Nextafter(iv.Hi, math.Inf(-1))

@@ -25,13 +25,15 @@ import (
 //
 // Every stage with independent units is sharded across Params.Workers
 // goroutines: record digesting, per-subdomain FMH-list construction
-// (multivariate templates), level-order IMH hash propagation, and
-// multi-signature signing. The univariate sweep is one serial walk that
-// appends the FMH chain's structure; its internal rows are then hashed
-// in one pass over contiguous row ranges (mhtree.Forest.HashCtx). The
-// output is byte-identical for every worker count: every digest and
-// signature input depends only on its own index, and per-worker hash
-// counters are merged after each join.
+// (multivariate templates), IMH hash propagation (one post-order pass,
+// the subtrees below the root's first levels forked across the pool),
+// and multi-signature signing. The univariate sweep is one serial walk
+// that appends the FMH chain's structure; its internal rows are then
+// hashed in one pass over contiguous row ranges
+// (mhtree.Forest.HashCtx). The output is byte-identical for every
+// worker count: every digest and signature input depends only on its
+// own index, and per-goroutine hash counters are merged after each
+// join.
 //
 // Cancellation is cooperative: a done ctx stops each stage's worker pool
 // from claiming new chunks, the serial stages check between units, and
@@ -245,45 +247,50 @@ func (o *Owner) buildListsND(ctx context.Context, workers int, leaves []hashing.
 
 // propagateHashes fills every IMH node's hash bottom-up (paper §3.1 step
 // 3): subdomain leaves hash their FMH root; intersection nodes bind their
-// hyperplane to their children's hashes. The walk is level-parallel:
-// nodes are grouped by depth and each level is sharded across the worker
-// pool, deepest first, so every node's children are hashed before the
-// node itself — a node's hash depends only on its own children, which
-// keeps the digest byte-identical for every worker count.
+// hyperplane to their children's hashes. It is one post-order pass: the
+// subtrees a few levels down are hashed across the worker pool, each on
+// one goroutine, then the nodes above them. A node's hash depends only on
+// its own children, so the digests are the same at every worker count.
 func (o *Owner) propagateHashes(ctx context.Context, workers int) error {
-	var levels [][]*itree.Node
-	var walk func(n *itree.Node, d int)
-	walk = func(n *itree.Node, d int) {
-		if d == len(levels) {
-			levels = append(levels, nil)
-		}
-		levels[d] = append(levels[d], n)
-		if n.IsLeaf() {
-			return
-		}
-		walk(n.Above, d+1)
-		walk(n.Below, d+1)
-	}
-	walk(o.itree.Root, 0)
-	for d := len(levels) - 1; d >= 0; d-- {
-		level := levels[d]
-		err := o.parallelChunks(ctx, workers, len(level), func(h *hashing.Hasher, lo, hi int) error {
-			var enc [64]byte // a hyperplane in up to 6 variables encodes on the stack
-			for _, n := range level[lo:hi] {
-				if n.IsLeaf() {
-					n.Hash = h.Subdomain(o.subs[n.Leaf.ID].List.Root())
-				} else {
-					n.Hash = h.Intersection(n.Int.H.Encode(enc[:0]), n.Above.Hash, n.Below.Hash)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return err
+	depth := bits.Len(uint(workers)) + 3 // about 16 subtrees per worker
+	var forks []*itree.Node              // the subtrees depth levels down, and the leaves above them
+	var split func(n *itree.Node, d int)
+	split = func(n *itree.Node, d int) {
+		if d == 0 || n.IsLeaf() {
+			forks = append(forks, n)
+		} else {
+			split(n.Above, d-1)
+			split(n.Below, d-1)
 		}
 	}
+	split(o.itree.Root, depth)
+	err := o.parallelChunks(ctx, workers, len(forks), func(h *hashing.Hasher, lo, hi int) error {
+		for _, n := range forks[lo:hi] {
+			o.hashIMH(h, n, -1)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	o.hashIMH(o.hasher, o.itree.Root, depth)
 	o.rootDigest = o.hasher.Root(o.itree.Root.Hash)
 	return nil
+}
+
+// hashIMH fills the hashes of n's subtree in post-order — at d ≥ 0 all
+// but those of the forks split found d levels down, hashed already.
+func (o *Owner) hashIMH(h *hashing.Hasher, n *itree.Node, d int) {
+	switch {
+	case d == 0 || d > 0 && n.IsLeaf():
+	case n.IsLeaf():
+		n.Hash = h.Subdomain(o.subs[n.Leaf.ID].List.Root())
+	default:
+		o.hashIMH(h, n.Above, d-1)
+		o.hashIMH(h, n.Below, d-1)
+		var enc [64]byte // a hyperplane in up to 6 variables encodes on the stack
+		n.Hash = h.Intersection(n.Int.H.Encode(enc[:0]), n.Above.Hash, n.Below.Hash)
+	}
 }
 
 // sign executes step 4 for the configured mode. Multi-signature mode

@@ -163,7 +163,7 @@ func TestSweepChainMatchesFreshLists(t *testing.T) {
 					leaves[i] = tree.hasher.Leaf(tree.hasher.Record(rec))
 				}
 				for k, si := range tree.subs {
-					perm := itree.SortAtExact(tree.fs, si.Sub.Region.(itree.Interval1D).Witness())
+					perm := itree.SortAtExact(tree.fs, si.Sub.Region.(*itree.Interval1D).Witness())
 					fresh := fmh.Build(tree.hasher, new(mhtree.Forest), perm, leaves)
 					if si.List.Root() != fresh.Root() {
 						t.Fatalf("subdomain %d of %d: the derived list's root differs from a fresh list over the same order", k, len(tree.subs))

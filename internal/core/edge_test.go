@@ -164,7 +164,7 @@ func TestWitnessFallbackOnTiedFloats(t *testing.T) {
 		}
 		checked := 0
 		for id, si := range tree.subs {
-			iv := si.Sub.Region.(itree.Interval1D)
+			iv := si.Sub.Region.(*itree.Interval1D)
 			got, err := si.List.Window(nil, 0, n)
 			if err != nil {
 				t.Fatal(err)

@@ -319,7 +319,7 @@ func TestLeafIndexIsThePermutation(t *testing.T) {
 		}
 		out := make([][]int, len(snap.ITree.Subs))
 		for id, sub := range snap.ITree.Subs {
-			out[id] = itree.SortAtExact(fs, sub.Region.(itree.Interval1D).Witness())
+			out[id] = itree.SortAtExact(fs, sub.Region.(*itree.Interval1D).Witness())
 		}
 		return out
 	}

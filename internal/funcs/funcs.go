@@ -112,7 +112,11 @@ func (t Template) Validate(arity int) error {
 
 // Interpret converts one record into its math function under the template.
 func (t Template) Interpret(index int, r record.Record) Linear {
-	coef := make([]float64, len(t.CoefAttrs))
+	return t.interpret(index, r, make([]float64, len(t.CoefAttrs)))
+}
+
+// interpret is Interpret writing the coefficients into coef.
+func (t Template) interpret(index int, r record.Record, coef []float64) Linear {
 	for v, a := range t.CoefAttrs {
 		coef[v] = r.Attrs[a]
 	}
@@ -137,14 +141,16 @@ func (t Template) Score(r record.Record, x geometry.Point) float64 {
 	return s + bias
 }
 
-// InterpretTable converts every record of a table, in table order.
+// InterpretTable converts every record of a table, in table order, the
+// coefficients cut from one array.
 func (t Template) InterpretTable(tbl record.Table) ([]Linear, error) {
 	if err := t.Validate(tbl.Schema.Arity()); err != nil {
 		return nil, err
 	}
-	out := make([]Linear, tbl.Len())
+	out, d := make([]Linear, tbl.Len()), len(t.CoefAttrs)
+	coef := make([]float64, d*tbl.Len()) // every record's coefficients in one slab
 	for i, r := range tbl.Records {
-		out[i] = t.Interpret(i, r)
+		out[i] = t.interpret(i, r, coef[i*d:(i+1)*d:(i+1)*d])
 	}
 	return out, nil
 }

@@ -55,7 +55,7 @@ func TestDecodeHalfspacesBoundsCountByBytes(t *testing.T) {
 func TestDecodeHyperplaneCountDoesNotWrap(t *testing.T) {
 	for _, count := range [][]byte{{0x1F, 0xFF, 0xFF, 0xFF}, {0x3F, 0xFF, 0xFF, 0xFF}, {0xFF, 0xFF, 0xFF, 0xFF}} {
 		src := append(append([]byte(nil), count...), make([]byte, 8)...)
-		if _, err := DecodeHyperplane(src); err == nil {
+		if _, err := DecodeHyperplane(src, nil); err == nil {
 			t.Fatalf("count % x over 8 bytes accepted", count)
 		}
 		if _, err := decodeHalfspace(append([]byte{0}, src...)); err == nil {

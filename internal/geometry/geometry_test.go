@@ -41,7 +41,7 @@ func TestHyperplaneEncodeRoundTrip(t *testing.T) {
 	f := func(c []float64, b float64) bool {
 		h := Hyperplane{C: c, B: b}
 		enc := h.Encode(nil)
-		got, err := DecodeHyperplane(enc)
+		got, err := DecodeHyperplane(enc, nil)
 		if err != nil {
 			return false
 		}
@@ -64,7 +64,7 @@ func TestDecodeHyperplaneTruncated(t *testing.T) {
 	h := Hyperplane{C: []float64{1, 2, 3}, B: 4}
 	enc := h.Encode(nil)
 	for cut := 0; cut < len(enc); cut++ {
-		if _, err := DecodeHyperplane(enc[:cut]); err == nil {
+		if _, err := DecodeHyperplane(enc[:cut], nil); err == nil {
 			t.Fatalf("DecodeHyperplane accepted truncation at %d", cut)
 		}
 	}

@@ -7,6 +7,7 @@ package geometry
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 
 	"aqverify/internal/codec"
 	"aqverify/internal/linalg"
@@ -84,21 +85,22 @@ func reserve(dst []byte, n int) []byte {
 // EncodedLen returns len(h.Encode(nil)).
 func (h Hyperplane) EncodedLen() int { return 4 + 8*(len(h.C)+1) }
 
-// DecodeHyperplane parses exactly one hyperplane written by Encode: the
-// bytes are the server's, so the coefficient count is bounded by the
-// bytes present before anything is allocated for it, and a byte left
-// over is refused.
-func DecodeHyperplane(src []byte) (Hyperplane, error) {
+// DecodeHyperplane parses exactly one hyperplane written by Encode, its
+// coefficients into c's array when they fit: the bytes are the server's,
+// so the coefficient count is bounded by the bytes present before
+// anything is allocated for it, and a byte left over is refused.
+func DecodeHyperplane(src []byte, c []float64) (Hyperplane, error) {
 	r := codec.Reader{Buf: src}
-	h := readHyperplane(&r)
+	h := readHyperplane(&r, c)
 	if err := r.Done(); err != nil {
 		return Hyperplane{}, err
 	}
 	return h, nil
 }
 
-func readHyperplane(r *codec.Reader) Hyperplane {
-	c := make([]float64, r.Count("hyperplane coefficient", 8))
+func readHyperplane(r *codec.Reader, c []float64) Hyperplane {
+	n := r.Count("hyperplane coefficient", 8)
+	c = slices.Grow(c[:0], n)[:n]
 	for i := range c {
 		c[i] = r.F64("hyperplane coefficient")
 	}
@@ -157,7 +159,7 @@ const minHalfspaceLen = 1 + 4 + 8
 // so that every accepted encoding is the one Encode writes.
 func readHalfspace(r *codec.Reader) Halfspace {
 	strict := r.Bool("halfspace strictness")
-	return Halfspace{H: readHyperplane(r), Strict: strict}
+	return Halfspace{H: readHyperplane(r, nil), Strict: strict}
 }
 
 // EncodeHalfspaces appends a canonical encoding of a halfspace list: a

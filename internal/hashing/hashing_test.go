@@ -111,3 +111,16 @@ func TestMultiSigAndMeshPairDiffer(t *testing.T) {
 		t.Error("mesh pair digest must bind the run encoding")
 	}
 }
+
+// BenchmarkNode times one internal Merkle-node hash: 65 bytes, two
+// SHA-256 blocks, the unit the FMH forest and every proof check spend.
+//
+//	go test ./internal/hashing -run '^$' -bench Node -count 10
+func BenchmarkNode(b *testing.B) {
+	h := New(nil)
+	var l, r Digest
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		l = h.Node(l, r)
+	}
+}

@@ -117,7 +117,7 @@ func (a *Arrangement1D) NumBreakpoints() int { return len(a.Groups) }
 // the canonical tree's g-th subdomain, and holds at least the float
 // T_{g-1} (lo for gap 0).
 func (a *Arrangement1D) Gap(g int) Interval1D {
-	iv := a.space.Root().(Interval1D)
+	iv := Interval1D{Lo: a.space.domain.Lo[0], Hi: a.space.domain.Hi[0]}
 	if g > 0 {
 		iv.Lo = a.Groups[g-1].T
 	}
@@ -180,13 +180,15 @@ func BuildCanonical1D(space *Space1D, arr *Arrangement1D) *Tree {
 	nb := len(arr.Groups)
 	t := &Tree{Space: space, Subs: make([]*Subdomain, nb+1), NodeCount: 2*nb + 1, Inserted: nb}
 	// One slab for the nodes — group g's internal node at g, gap g's
-	// leaf at nb+g — and one for the subdomains.
+	// leaf at nb+g — one for the subdomains and one for their regions.
 	nodes := make([]Node, 2*nb+1)
 	subs := make([]Subdomain, nb+1)
+	gaps := make([]Interval1D, nb+1)
 
 	// Attach leaves: gap g's leaf is the arrangement's g-th gap.
 	leafFor := func(g int) *Node {
-		subs[g] = Subdomain{ID: g, Region: arr.Gap(g)}
+		gaps[g] = arr.Gap(g)
+		subs[g] = Subdomain{ID: g, Region: &gaps[g]}
 		t.Subs[g] = &subs[g]
 		nodes[nb+g].Leaf = t.Subs[g]
 		return &nodes[nb+g]

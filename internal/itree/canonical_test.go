@@ -34,7 +34,7 @@ func sameTree(t *testing.T, a, b *Tree) {
 			if s.ID != i {
 				t.Fatalf("Subs[%d] has ID %d", i, s.ID)
 			}
-			if i > 0 && tr.Subs[i-1].Region.(Interval1D).Lo >= s.Region.(Interval1D).Lo {
+			if i > 0 && tr.Subs[i-1].Region.(*Interval1D).Lo >= s.Region.(*Interval1D).Lo {
 				t.Fatalf("Subs[%d] does not start right of Subs[%d]", i, i-1)
 			}
 		}
@@ -45,8 +45,8 @@ func sameTree(t *testing.T, a, b *Tree) {
 			t.Fatalf("%s: leaf %v vs %v", path, x.IsLeaf(), y.IsLeaf())
 		}
 		if x.IsLeaf() {
-			ix := x.Leaf.Region.(Interval1D)
-			iy := y.Leaf.Region.(Interval1D)
+			ix := *x.Leaf.Region.(*Interval1D)
+			iy := *y.Leaf.Region.(*Interval1D)
 			if ix != iy {
 				t.Fatalf("%s: leaf interval %+v vs %+v", path, ix, iy)
 			}

@@ -298,8 +298,8 @@ func (t *Tree) enumerate() {
 	walk(t.Root)
 	if _, ok := t.Space.(*Space1D); ok {
 		sort.Slice(leaves, func(a, b int) bool {
-			ia := leaves[a].Region.(Interval1D)
-			ib := leaves[b].Region.(Interval1D)
+			ia := leaves[a].Region.(*Interval1D)
+			ib := leaves[b].Region.(*Interval1D)
 			return ia.Lo < ib.Lo
 		})
 	}

@@ -46,8 +46,8 @@ func boundaries1D(t *testing.T, tree *Tree) []float64 {
 	t.Helper()
 	out := make([]float64, 0, len(tree.Subs))
 	for i := 0; i+1 < len(tree.Subs); i++ {
-		cur := tree.Subs[i].Region.(Interval1D)
-		next := tree.Subs[i+1].Region.(Interval1D)
+		cur := tree.Subs[i].Region.(*Interval1D)
+		next := tree.Subs[i+1].Region.(*Interval1D)
 		if cur.Hi != next.Lo || !cur.HiStrict {
 			t.Fatalf("leaves %d and %d do not abut (%+v vs %+v)", i, i+1, cur, next)
 		}
@@ -147,8 +147,8 @@ func TestSubdomainOrderIsSpatial1D(t *testing.T) {
 	}
 	// Intervals tile the domain left to right.
 	boundaries1D(t, tree)
-	first := tree.Subs[0].Region.(Interval1D)
-	last := tree.Subs[len(tree.Subs)-1].Region.(Interval1D)
+	first := tree.Subs[0].Region.(*Interval1D)
+	last := tree.Subs[len(tree.Subs)-1].Region.(*Interval1D)
 	if first.Lo != -2 {
 		t.Errorf("first interval starts at %v, want the domain edge -2", first.Lo)
 	}
@@ -169,7 +169,7 @@ func TestSortabilityAcrossSubdomains(t *testing.T) {
 	fs := lines(params...)
 	tree := build1D(t, fs, -1, 1, 3)
 	for _, sub := range tree.Subs {
-		iv := sub.Region.(Interval1D)
+		iv := sub.Region.(*Interval1D)
 		lo, hi := iv.Lo, iv.Hi
 		w := (hi - lo)
 		base := SortAt(fs, geometry.Point{lo + w*0.5})

@@ -64,9 +64,10 @@ type Space1D struct {
 	domain geometry.Box
 }
 
-// Interval1D is Space1D's Region implementation: the floats x with
-// Lo ≤ x < Hi when HiStrict, Lo ≤ x ≤ Hi otherwise. Ends are always
-// finite because the root region is the owner-specified bounded domain.
+// Interval1D is Space1D's Region implementation, held by pointer (so a
+// tree's regions can live in one slab): the floats x with Lo ≤ x < Hi
+// when HiStrict, Lo ≤ x ≤ Hi otherwise. Ends are always finite because
+// the root region is the owner-specified bounded domain.
 type Interval1D struct {
 	Lo, Hi   float64
 	HiStrict bool
@@ -91,7 +92,7 @@ func (s *Space1D) Dim() int { return 1 }
 
 // Root implements Space: the whole domain interval, closed on both ends.
 func (s *Space1D) Root() Region {
-	return Interval1D{Lo: s.domain.Lo[0], Hi: s.domain.Hi[0]}
+	return &Interval1D{Lo: s.domain.Lo[0], Hi: s.domain.Hi[0]}
 }
 
 // Partition implements Space for a threshold x − τ = 0 (any other
@@ -99,7 +100,7 @@ func (s *Space1D) Root() Region {
 // it lies below τ and some at or above, returning above = [τ, Hi] and
 // below = [Lo, τ).
 func (s *Space1D) Partition(r Region, h geometry.Hyperplane) (Region, Region, bool) {
-	iv := r.(Interval1D)
+	iv := r.(*Interval1D)
 	if len(h.C) != 1 || h.C[0] != 1 {
 		return nil, nil, false
 	}
@@ -107,12 +108,12 @@ func (s *Space1D) Partition(r Region, h geometry.Hyperplane) (Region, Region, bo
 	if !(iv.Lo < t && (t < iv.Hi || t == iv.Hi && !iv.HiStrict)) {
 		return nil, nil, false
 	}
-	return Interval1D{Lo: t, Hi: iv.Hi, HiStrict: iv.HiStrict}, Interval1D{Lo: iv.Lo, Hi: t, HiStrict: true}, true
+	return &Interval1D{Lo: t, Hi: iv.Hi, HiStrict: iv.HiStrict}, &Interval1D{Lo: iv.Lo, Hi: t, HiStrict: true}, true
 }
 
 // Witness implements Space: the interval's Witness.
 func (s *Space1D) Witness(r Region) geometry.Point {
-	return geometry.Point{r.(Interval1D).Witness()}
+	return geometry.Point{r.(*Interval1D).Witness()}
 }
 
 // Witness returns a float of the interval: the float halfway between
@@ -129,7 +130,7 @@ func (iv Interval1D) Witness() float64 {
 // HiStrict), two constraints so the multi-signature verification object
 // stays small. Both signs are exact in float64.
 func (s *Space1D) Halfspaces(r Region) []geometry.Halfspace {
-	iv := r.(Interval1D)
+	iv := r.(*Interval1D)
 	return []geometry.Halfspace{
 		{H: geometry.Hyperplane{C: []float64{1}, B: -iv.Lo}},
 		{H: geometry.Hyperplane{C: []float64{-1}, B: iv.Hi}, Strict: iv.HiStrict},
@@ -141,7 +142,7 @@ func (s *Space1D) Contains(r Region, x geometry.Point) bool {
 	if len(x) != 1 {
 		return false
 	}
-	iv := r.(Interval1D)
+	iv := r.(*Interval1D)
 	return iv.Lo <= x[0] && (x[0] < iv.Hi || x[0] == iv.Hi && !iv.HiStrict)
 }
 

@@ -33,13 +33,17 @@ func TestClosureReachesNoBuilder(t *testing.T) {
 // the module packages `go list -deps` reaches from the verifier and from
 // the wire codec, and their non-test lines counted by scripts/loc.sh's
 // rule. A change may lower a ceiling; one that raises it says why.
+// 2 518 / 3 031 rose by 8 when record coefficients and decoded
+// hyperplanes began filling one caller-given array each
+// (funcs.InterpretTable, geometry.DecodeHyperplane): a republish open
+// had spent one allocation per record and per IMH node on them.
 func TestTrustedBaseIsANumber(t *testing.T) {
 	for _, c := range []struct {
 		pkg             string
 		maxPkgs, maxLOC int
 	}{
-		{"aqverify/internal/verify", 9, 2518},
-		{"aqverify/internal/wire", 10, 3031},
+		{"aqverify/internal/verify", 9, 2526},
+		{"aqverify/internal/wire", 10, 3039},
 	} {
 		out, err := exec.Command("go", "list", "-deps", "-f", "{{if not .Standard}}{{.Dir}}{{end}}", c.pkg).Output()
 		if err != nil {

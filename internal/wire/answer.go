@@ -221,7 +221,7 @@ func DecodeIFMH(b []byte) (*verify.Answer, error) {
 	np := r.Count("path", 1+hashing.Size)
 	for i := 0; i < np; i++ {
 		var st verify.PathStep
-		hp, err := geometry.DecodeHyperplane(r.Bytes("path hyperplane"))
+		hp, err := geometry.DecodeHyperplane(r.Bytes("path hyperplane"), nil)
 		if err != nil {
 			r.Corrupt("path step %d hyperplane: %v", i, err)
 		}
