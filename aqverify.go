@@ -329,10 +329,10 @@ func Outsource(ctx context.Context, spec BuildSpec, opts ...BuildOption) (*Build
 // WithMode selects the IFMH signing scheme (default OneSignature).
 func WithMode(m Mode) BuildOption { return build.WithMode(m) }
 
-// WithShuffle seeds the canonical priorities that shape the IMH-tree
-// (default 0). Every build is in canonical order — expected-logarithmic
-// depth, shape a pure function of the table; the seed only picks which
-// such tree, and only one-signature verification objects depend on it.
+// WithShuffle seeds the canonical priorities that shape an n-D IMH-tree
+// (default 0): the seed picks which expected-logarithmic tree, and only
+// one-signature verification objects depend on it. A univariate tree is
+// the median split over its thresholds, whatever the seed.
 func WithShuffle(seed int64) BuildOption { return build.WithShuffle(seed) }
 
 // WithBuildWorkers bounds the parallel construction stages' worker pool

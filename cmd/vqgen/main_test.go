@@ -58,17 +58,18 @@ func TestFlagsValidatedBeforeBuilding(t *testing.T) {
 // four builds of one n = 2 000 lines table: a change that moves any
 // signed byte of a univariate build (an order, a boundary, a tree
 // shape, an encoding) moves one of these, and must say why. They last
-// moved when a 1-D boundary became a float threshold x − τ.
+// moved when every univariate IMH-tree became the median split over its
+// thresholds (a new shape: every IMH hash and the root signature).
 func TestArtifactHashesArePinned(t *testing.T) {
 	base := []string{"-kind", "lines", "-n", "2000", "-seed", "1", "-keyseed", "7", "-outsource"}
 	for _, tc := range []struct {
 		flags []string
 		want  string
 	}{
-		{[]string{"-mode", "multi", "-shards", "2"}, "e9e83c6893bc"},
-		{[]string{"-mode", "multi", "-shards", "4", "-planner", "quantile"}, "6f020ae530f1"},
-		{[]string{"-mode", "multi", "-shards", "4"}, "7185530e6195"},
-		{[]string{"-mode", "one"}, "23129aecc0e2"},
+		{[]string{"-mode", "multi", "-shards", "2"}, "dfc707d5505d"},
+		{[]string{"-mode", "multi", "-shards", "4", "-planner", "quantile"}, "d01e357883d3"},
+		{[]string{"-mode", "multi", "-shards", "4"}, "8a6bf5a31e5e"},
+		{[]string{"-mode", "one"}, "7fafc1b3d924"},
 	} {
 		dir := filepath.Join(t.TempDir(), "A")
 		args := append(append(append([]string(nil), base...), tc.flags...), "-artifact", dir)

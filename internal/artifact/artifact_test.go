@@ -380,10 +380,10 @@ func TestEncodeTreeIsOneExactAllocation(t *testing.T) {
 		{"2d", points, []build.Option{build.WithMode(verify.MultiSignature), build.WithWorkers(1)}, false, []string{"5212debb2680f324948dacb9d852fdee4070b8548fcccb5ff57a13664567c780"}},
 		{"2d-8workers", points, []build.Option{build.WithMode(verify.MultiSignature), build.WithWorkers(8)}, false, []string{"5212debb2680f324948dacb9d852fdee4070b8548fcccb5ff57a13664567c780"}},
 		{"set", lines, []build.Option{build.WithMode(verify.OneSignature), build.WithShuffle(4), build.WithShards(2, 0)}, false, []string{
-			"1e567015304d52fa65766fdb1f3263eee26c69c8b0953eee0586217923108258",
-			"b72d48b981223467ab816390417c53d30dbdf76f0c987eccf01a1128a5e7d277",
+			"335ee46ba17260cccfbc0f587bcdef059c6247b2ccbdbc7ece12de3c18234f1f",
+			"1bc752fc4a08821f80b11b355578c7ef3e4eaf30e6b526a23144e481f2c47b8f",
 		}},
-		{"pencil", pencil, []build.Option{build.WithMode(verify.OneSignature)}, false, []string{"0ca7ba29f5dccd77d1053dce889c1caca6b6edd9ae9d2b56a9fca45ed0ccc053"}},
+		{"pencil", pencil, []build.Option{build.WithMode(verify.OneSignature)}, false, []string{"c50089b4324306faf125b740d5c69fc706479bcf5371d30468a7645136ca64ec"}},
 		{"reopened", lines, []build.Option{build.WithMode(verify.MultiSignature), build.WithShuffle(4)}, true, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -951,8 +951,8 @@ func TestFormat3IsRefused(t *testing.T) {
 // breaks, the format or the default build changed: a format change bumps
 // formatVersion; either way the doc's quoted bytes are rewritten with the
 // constants here (the tree's IMH shape is part of the blob, so a change
-// to the default canonical order moves the hashes without touching the
-// format).
+// to how a univariate tree is shaped moves the hashes without touching
+// the format).
 func TestWorkedExample(t *testing.T) {
 	signer, err := sig.NewSigner(sig.Ed25519, sig.Options{Rand: sig.DeterministicRand(1)})
 	if err != nil {
@@ -986,9 +986,9 @@ func TestWorkedExample(t *testing.T) {
 	blob := mustRead(t, filepath.Join(dir, treeName))
 	blobHash := sha256.Sum256(blob[:len(blob)-32])
 
-	const wantManifest = "4151414d00000004010000000000000001000000002d04302a300506032b6570032100069d8d6980eaf1bca2e4118bc612a13f23791bf2c60ceef2692b581d27b0a1590000000b616666696e652d6c696e650000000100000000000000013e112e0be826d69500000001bff00000000000003ff0000000000000000000000000000000000001f78f87787d692a94be9cacda96dc2e42020dfb37e30fb08df228c1667d3a6836cafb424b6e936672277474c60ffc613114b57cb08ca35e9f10644e01b8204c99931ab3e9c5f55fa659f39653c7bd39ed0effa39e78c410ebb4e9f32b81bd7229"
-	const wantBlobHash = "f78f87787d692a94be9cacda96dc2e42020dfb37e30fb08df228c1667d3a6836"
-	const wantArtifact = "931ab3e9c5f55fa659f39653c7bd39ed0effa39e78c410ebb4e9f32b81bd7229"
+	const wantManifest = "4151414d00000004010000000000000001000000002d04302a300506032b6570032100069d8d6980eaf1bca2e4118bc612a13f23791bf2c60ceef2692b581d27b0a1590000000b616666696e652d6c696e650000000100000000000000013e112e0be826d69500000001bff00000000000003ff0000000000000000000000000000000000001f5a56ef2c3b0ef417a9ca4af948d728f057c41c3a7aa34c139b703c9c4403ff5096ed7d34c46799f99001a10d98defcd26cb25c29338f60b9b37811f643068e000a4a29e89167aab76261f1e209a9e69710b0484c74f151bccefac068b6548f5"
+	const wantBlobHash = "f5a56ef2c3b0ef417a9ca4af948d728f057c41c3a7aa34c139b703c9c4403ff5"
+	const wantArtifact = "00a4a29e89167aab76261f1e209a9e69710b0484c74f151bccefac068b6548f5"
 	if manifestHex != wantManifest {
 		t.Errorf("manifest bytes drifted:\n got %s\nwant %s", manifestHex, wantManifest)
 	}

@@ -127,12 +127,13 @@ type options struct {
 // WithMode selects the IFMH signing scheme (default verify.OneSignature).
 func WithMode(m verify.Mode) Option { return func(o *options) { o.mode = m } }
 
-// WithShuffle seeds the canonical priorities that shape the IMH-tree
-// (default 0; shard i of a set uses seed+i). Every build is in canonical
-// order — expected-logarithmic depth, shape a pure function of the
-// table — so the seed only picks which such tree: one-signature
-// verification objects, which carry the IMH path, depend on it;
-// multi-signature answers do not.
+// WithShuffle seeds the canonical priorities that shape an n-D IMH-tree
+// (default 0; shard i of a set uses seed+i). An n-D build is in
+// canonical order — expected-logarithmic depth, shape a pure function
+// of the table — so the seed only picks which such tree. A univariate
+// tree is the median split over its thresholds and ignores the seed.
+// One-signature verification objects, which carry the IMH path, depend
+// on the shape; multi-signature answers do not.
 func WithShuffle(seed int64) Option { return func(o *options) { o.seed = seed } }
 
 // WithWorkers bounds every parallel construction stage's worker pool:

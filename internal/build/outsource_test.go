@@ -261,7 +261,10 @@ func TestOutsourceProgress(t *testing.T) {
 // plan (format 4), and again when a 1-D boundary became a float
 // threshold: every node hyperplane is x − τ, which moves the canonical
 // priorities, the tree shape, every IMH hash and, in multi-signature
-// mode, each subdomain's inequalities.
+// mode, each subdomain's inequalities; and again when every univariate
+// tree became the median split over its thresholds, which moves the
+// shape and every IMH hash (a subdomain's inequalities and FMH list
+// stay as they were).
 func TestPinnedFingerprints(t *testing.T) {
 	ctx := context.Background()
 	spec := testSpec(t, 60, 3, workload.Gaussian)
@@ -271,17 +274,17 @@ func TestPinnedFingerprints(t *testing.T) {
 		want   []string
 	}{
 		{verify.OneSignature, 0, []string{
-			"014e098b89f28f064a1f37d92eec938d41a94e3d75fafaaa213471538f4969ea"}},
+			"e4f2b101426a801d836a1ff37ef6154f6b47ee8ae14ba2433d1e254dba7c9e29"}},
 		{verify.OneSignature, 3, []string{
-			"a0dfe60150eb4536466f250fd8d73230e5a0598e8b3fdeee0da45dbeaa4275f5",
-			"61c995a9c9bc793d481fa0c1ed701f7e2090f58b65fb856e0cdffb81ea2cf03f",
-			"a6fc0d61ed090e115be7b312eed294e45c52f2a30d118270638d2b4fc391c872"}},
+			"0f7e26fe90e609ed1eb267389e241476ec4166fd0a4610821871610b5ee7e0e8",
+			"1982d022d2b2fc2782363def41f0638bf6cbdd1f464ef0215db77708b7bbb64a",
+			"b0c96876c8d2061fb60ed61f98178e9f68b3526f34ac20923ad90abb149d82ae"}},
 		{verify.MultiSignature, 0, []string{
-			"ff3899821efbd9e6555b61c556ba5e8189fa3b44f22070630b39154e69f93cff"}},
+			"b2fd1ec31822f9b67f010a3882c40254ff6dcc733d766ebc06edd47ce09cdf89"}},
 		{verify.MultiSignature, 3, []string{
-			"509fc4c84917d9dddf346f24abc6b300a4887abb9bc1c2aa8d0f29155e91ec37",
-			"e11dc4dedca644d1c70cd232b6a45c143444c79452b75a03ae873e3fabfc341f",
-			"d0e5a0b25380f507be26a521cc0d023fc9a39d0304938ec8805d7e911d4e1a74"}},
+			"86b80e8c44a79f6b0c1664b80d71a84313981e0e1c1ac70b7de6f4b1b76077f7",
+			"2e0bc3988a8636d24bfec930b66b3f9c13dcd535d31a304149306e193342780f",
+			"38b573f1cd848f553cd571e36dc7aed02ed85b6feb98c559c11af9f2488a6ca6"}},
 	} {
 		opts := []Option{WithMode(c.mode), WithShuffle(5)}
 		if c.shards > 0 {

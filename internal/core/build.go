@@ -128,8 +128,8 @@ func (p Params) progress(stage Stage, units int) {
 }
 
 // build1D is the univariate pipeline: enumerate the pairs crossing
-// inside the domain, sort them into the arrangement, read the canonical
-// I-tree directly off it, then walk its gaps (Arrangement1D.Sweep): gap
+// inside the domain, sort them into the arrangement, build the
+// median-split I-tree over its thresholds, then walk its gaps (Arrangement1D.Sweep): gap
 // 0's list is built from its sorted order and every other list is
 // derived from its left neighbour in one path-copying pass over the
 // positions the boundary's swaps touched. The chain is O(n + S log n)
@@ -154,7 +154,7 @@ func (o *Owner) build1D(ctx context.Context, leaves []hashing.Digest) error {
 	if err != nil {
 		return err
 	}
-	arr := itree.NewArrangement1D(space, inters, p.Seed)
+	arr := itree.NewArrangement1D(space, inters)
 	p.progress(StageITree, arr.NumBreakpoints())
 	if err := ctx.Err(); err != nil {
 		return err

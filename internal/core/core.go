@@ -70,10 +70,12 @@ type Params struct {
 	// Hasher provides the one-way hash; nil means an uninstrumented
 	// SHA-256 hasher.
 	Hasher *hashing.Hasher
-	// Seed seeds the canonical priorities that shape the IMH-tree (see
-	// itree's canonical order): every seed gives an expected-logarithmic
-	// tree, a different seed a different one. Only one-signature
-	// verification objects — which carry the IMH path — depend on it.
+	// Seed seeds the canonical priorities that shape an n-D IMH-tree
+	// (see itree's canonical order): every seed gives an
+	// expected-logarithmic tree, a different seed a different one. A
+	// univariate tree is the median split over its thresholds, the same
+	// for every seed. Only one-signature verification objects — which
+	// carry the IMH path — depend on the shape.
 	Seed int64
 	// Workers bounds the construction worker pool sharding record
 	// digesting, n-D FMH-list building, hash propagation and

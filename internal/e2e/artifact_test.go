@@ -193,7 +193,7 @@ func TestArtifactFanout(t *testing.T) {
 // compose: that is what a rolling redeploy looks like.
 func TestArtifactFanoutMismatch(t *testing.T) {
 	resA := buildForArtifact(t, 120, 1, build.WithShards(2, 0))
-	resB := buildForArtifact(t, 120, 2, build.WithShards(2, 0)) // different shuffle -> different artifact
+	resB := buildForArtifact(t, 120, 1, build.WithShards(2, 0), build.WithEpoch(2)) // next epoch -> different artifact
 	dirA, dirB := t.TempDir(), t.TempDir()
 	if _, err := artifact.Save(dirA, resA); err != nil {
 		t.Fatal(err)

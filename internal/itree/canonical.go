@@ -11,24 +11,23 @@ import (
 
 // Canonical insertion order.
 //
-// The query plane needs a balanced tree, and a build must be
-// deterministic: the same table must give the same tree, whatever order
-// its pairs are enumerated in or how many workers build it. The
-// canonical order gives both. Every intersection gets a pseudorandom
-// priority keyed by its content (a seeded FNV-64a of the hyperplane's
-// canonical encoding), and insertion proceeds in ascending
+// An n-D build must be deterministic: the same table must give the same
+// tree, whatever order its pairs are enumerated in or how many workers
+// build it. The canonical order gives that. Every intersection gets a
+// pseudorandom priority keyed by its content (a seeded FNV-64a of the
+// hyperplane's canonical encoding), and Build inserts in ascending
 // (priority, hyperplane bytes, I, J) order. Inserting keys into a
 // leaf-split BST in ascending priority order yields the treap over
-// (key, priority) — and a treap with distinct priorities is *unique*
-// given its key set. The tree is therefore expected-logarithmic
-// (priorities are uniform for non-adversarial inputs, whatever order
-// the pairs enumerate in) and content-determined: BuildCanonical1D
-// reconstructs the identical tree directly from a sorted threshold
-// arrangement in O(S).
+// (key, priority), so the tree is expected-logarithmic (priorities are
+// uniform for non-adversarial inputs, whatever order the pairs
+// enumerate in) and content-determined.
 //
 // The priority hash is deliberately non-cryptographic: it only balances
 // the tree, never authenticates anything, and a crafted table can at
-// worst degrade depth, not soundness.
+// worst degrade depth, not soundness. A univariate tree takes no
+// priorities: BuildCanonical1D splits the sorted thresholds at their
+// median, which is as much a pure function of the content and bounds
+// every depth by ⌈log₂ S⌉ for S subdomains.
 
 // priorityOf returns the canonical priority of one intersection: a
 // seeded FNV-64a over the hyperplane's canonical byte encoding. It
@@ -85,16 +84,14 @@ func canonicalOrder(inters []Intersection, seed int64) []int {
 }
 
 // Group1D is one boundary of a 1-D arrangement: every enumerated pair
-// whose threshold is the same float, in canonical order. They share one
-// hyperplane, x − T = 0, so Members[0] — the member a canonical-order
-// insertion would insert first — is the representative only by (I, J).
+// whose threshold is the same float, ordered by (I, J). They share one
+// hyperplane, x − T = 0, so Members[0] is the representative only by
+// its indexes.
 type Group1D struct {
 	// T is the threshold, in (lo, hi] of the domain.
 	T float64
-	// Members lists the group's intersections in canonical order.
+	// Members lists the group's intersections by (I, J).
 	Members []Intersection
-	// prio caches the group's canonical priority.
-	prio uint64
 }
 
 // Arrangement1D is the threshold-sorted view of a 1-D pair enumeration:
@@ -129,35 +126,27 @@ func (a *Arrangement1D) Gap(g int) Interval1D {
 
 // NewArrangement1D builds the arrangement of a Pairs1DCtx enumeration
 // over the space's domain: the pairs are sorted by threshold, then by
-// canonical order, and grouped by threshold. The order is total over
-// distinct pairs, so an unstable sort gives the one arrangement, and
-// members and groups live in two slabs.
-func NewArrangement1D(space *Space1D, inters []Intersection, seed int64) *Arrangement1D {
-	type entry struct {
-		in   Intersection
-		prio uint64
-	}
-	entries := make([]entry, len(inters))
-	for k, in := range inters {
-		entries[k] = entry{in: in, prio: priorityOf(seed, in.H)}
-	}
-	slices.SortFunc(entries, func(a, b entry) int {
-		if c := cmp.Compare(b.in.H.B, a.in.H.B); c != 0 {
+// (I, J), and grouped by threshold. An enumeration lists each pair
+// once, so the order is total and an unstable sort gives the one
+// arrangement; members and groups live in two slabs.
+func NewArrangement1D(space *Space1D, inters []Intersection) *Arrangement1D {
+	members := slices.Clone(inters)
+	slices.SortFunc(members, func(a, b Intersection) int {
+		if c := cmp.Compare(b.H.B, a.H.B); c != 0 {
 			return c // ascending T = −B
 		}
-		return canonCmp(a.prio, a.in, b.prio, b.in)
+		if c := cmp.Compare(a.I, b.I); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.J, b.J)
 	})
-	members := make([]Intersection, len(entries))
-	for k, e := range entries {
-		members[k] = e.in
-	}
-	groups := make([]Group1D, 0, len(entries))
-	for i := 0; i < len(entries); {
+	groups := make([]Group1D, 0, len(members))
+	for i := 0; i < len(members); {
 		j := i + 1
-		for j < len(entries) && members[j].H.B == members[i].H.B {
+		for j < len(members) && members[j].H.B == members[i].H.B {
 			j++
 		}
-		groups = append(groups, Group1D{T: -members[i].H.B, Members: members[i:j:j], prio: entries[i].prio})
+		groups = append(groups, Group1D{T: -members[i].H.B, Members: members[i:j:j]})
 		i = j
 	}
 	arr := &Arrangement1D{Groups: make([]*Group1D, len(groups)), space: space}
@@ -167,87 +156,45 @@ func NewArrangement1D(space *Space1D, inters []Intersection, seed int64) *Arrang
 	return arr
 }
 
-// BuildCanonical1D reconstructs the canonical I-tree directly from an
-// arrangement in O(S): a stack-based Cartesian construction over the
-// threshold sequence (BST by threshold, min-heap by canonical
-// priority), with the subdomain leaves attached into the gaps. By treap
-// uniqueness it returns the same tree Build produces by inserting the
-// arrangement's intersections in canonical order, without any of
-// Build's O(S log S) descent work — and without its leaf sort: the leaf
-// of gap g is already the g-th from the left, so it is created as
-// Subs[g] with ID g. Every univariate tree is constructed here.
+// BuildCanonical1D builds the univariate I-tree from an arrangement in
+// O(S): the median-split tree over its sorted thresholds. The root
+// splits at the median boundary and each side recurses on its own
+// boundaries, so a subtree over m gaps holds ⌈m/2⌉ on its left and
+// every root-to-leaf path takes at most ⌈log₂ S⌉ steps for S gaps. The
+// tree is the one inserting each group's members in that pre-order
+// builds, a pure function of the thresholds with no seed. Group g's
+// internal node lives at slot g of one node slab and gap g's leaf at
+// nb+g; the leaf of gap g is the g-th from the left, so it is created as
+// Subs[g] with ID g and nothing is sorted. Every univariate tree is
+// constructed here.
 func BuildCanonical1D(space *Space1D, arr *Arrangement1D) *Tree {
 	nb := len(arr.Groups)
 	t := &Tree{Space: space, Subs: make([]*Subdomain, nb+1), NodeCount: 2*nb + 1, Inserted: nb}
-	// One slab for the nodes — group g's internal node at g, gap g's
-	// leaf at nb+g — one for the subdomains and one for their regions.
+	// One slab for the nodes, one for the subdomains and one for their
+	// regions.
 	nodes := make([]Node, 2*nb+1)
 	subs := make([]Subdomain, nb+1)
 	gaps := make([]Interval1D, nb+1)
-
-	// Attach leaves: gap g's leaf is the arrangement's g-th gap.
-	leafFor := func(g int) *Node {
+	for g := range subs {
 		gaps[g] = arr.Gap(g)
 		subs[g] = Subdomain{ID: g, Region: &gaps[g]}
 		t.Subs[g] = &subs[g]
 		nodes[nb+g].Leaf = t.Subs[g]
-		return &nodes[nb+g]
 	}
-	if nb == 0 {
-		t.Root = leafFor(0)
-		return t
-	}
-
-	// Cartesian construction of the internal-node skeleton: walk the
-	// thresholds left to right, keeping the rightmost spine on a stack
-	// ordered by ascending priority from bottom to top of the tree.
-	less := func(a, b int) bool {
-		ga, gb := arr.Groups[a], arr.Groups[b]
-		return canonCmp(ga.prio, ga.Members[0], gb.prio, gb.Members[0]) < 0
-	}
-	// left[i] / right[i] are the child *groups* of group i, -1 for none.
-	left := make([]int, nb)
-	right := make([]int, nb)
-	for i := range left {
-		left[i], right[i] = -1, -1
-	}
-	var stack []int
-	for i := range arr.Groups {
-		var last = -1
-		for len(stack) > 0 && less(i, stack[len(stack)-1]) {
-			last = stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
+	// split returns the subtree over gaps lo..hi, split at boundary m
+	// (gap m lies immediately left of it, gap m+1 immediately right).
+	var split func(lo, hi int) *Node
+	split = func(lo, hi int) *Node {
+		if lo == hi {
+			return &nodes[nb+lo]
 		}
-		left[i] = last
-		if len(stack) > 0 {
-			right[stack[len(stack)-1]] = i
-		}
-		stack = append(stack, i)
-	}
-	rootGroup := stack[0]
-
-	// build assembles the subtree rooted at group g by recursing on the
-	// skeleton; a missing child means the adjacent gap leaf (gap g lies
-	// immediately left of boundary g, gap g+1 immediately right).
-	var build func(g int) *Node
-	build = func(g int) *Node {
-		n := &nodes[g]
-		n.Int = &arr.Groups[g].Members[0]
-		var l, r *Node
-		if left[g] >= 0 {
-			l = build(left[g])
-		} else {
-			l = leafFor(g)
-		}
-		if right[g] >= 0 {
-			r = build(right[g])
-		} else {
-			r = leafFor(g + 1)
-		}
+		m := lo + (hi-lo)/2
+		n := &nodes[m]
+		n.Int = &arr.Groups[m].Members[0]
 		// "Above" is the halfspace x − T >= 0: the right side.
-		n.Above, n.Below = r, l
+		n.Below, n.Above = split(lo, m), split(m+1, hi)
 		return n
 	}
-	t.Root = build(rootGroup)
+	t.Root = split(0, nb)
 	return t
 }

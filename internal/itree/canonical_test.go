@@ -1,11 +1,13 @@
 package itree
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"aqverify/internal/funcs"
@@ -89,26 +91,62 @@ func randomLines(n int, seed int64) []funcs.Linear {
 	return fs
 }
 
-// bothWays builds the tree of one (sub-)domain by canonical-order
-// insertion and directly from the arrangement, asserts the two are the
-// same tree, and returns it.
-func bothWays(t *testing.T, dom geometry.Box, inters []Intersection, seed int64) *Tree {
+// medianOrder is the reference insertion order of a univariate tree,
+// read off the enumeration rather than an Arrangement1D: the distinct
+// thresholds ascending, the median one first and then each side's in
+// the same way (pre-order), every threshold's intersections by (I, J).
+// The median of the boundaries lo..hi-1 is lo + (hi−lo)/2, so a subtree
+// over m gaps holds ⌈m/2⌉ on its left.
+func medianOrder(inters []Intersection) []int {
+	byT := make([]int, len(inters))
+	for i := range byT {
+		byT[i] = i
+	}
+	slices.SortFunc(byT, func(a, b int) int {
+		x, y := inters[a], inters[b]
+		return cmp.Or(cmp.Compare(-x.H.B, -y.H.B), cmp.Compare(x.I, y.I), cmp.Compare(x.J, y.J))
+	})
+	var runs []int // runs[k] starts the k-th distinct threshold in byT
+	for i, k := range byT {
+		if i == 0 || inters[k].H.B != inters[byT[i-1]].H.B {
+			runs = append(runs, i)
+		}
+	}
+	runs = append(runs, len(byT))
+	order := make([]int, 0, len(inters))
+	var visit func(lo, hi int)
+	visit = func(lo, hi int) {
+		if lo == hi {
+			return
+		}
+		m := lo + (hi-lo)/2
+		order = append(order, byT[runs[m]:runs[m+1]]...)
+		visit(lo, m)
+		visit(m+1, hi)
+	}
+	visit(0, len(runs)-1)
+	return order
+}
+
+// bothWays builds the tree of one (sub-)domain by inserting its
+// intersections in median order and directly from the arrangement,
+// asserts the two are the same tree, and returns it.
+func bothWays(t *testing.T, dom geometry.Box, inters []Intersection) *Tree {
 	t.Helper()
 	space, err := NewSpace1D(dom)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaInsert := Build(space, inters, seed)
-	arr := NewArrangement1D(space, inters, seed)
-	direct := BuildCanonical1D(space, arr)
+	viaInsert := insertInOrder(space, inters, medianOrder(inters))
+	direct := BuildCanonical1D(space, NewArrangement1D(space, inters))
 	sameTree(t, viaInsert, direct)
 	return direct
 }
 
 // TestBuildCanonicalEqualsInsert is the construction's keystone: the
-// direct Cartesian construction from the arrangement — the only way a
-// univariate tree is built — must reproduce the insert-path canonical
-// tree exactly, treap uniqueness in action, across random inputs with
+// direct median-split construction from the arrangement — the only way
+// a univariate tree is built — must reproduce the tree that literal
+// insertion in median order builds, across random inputs with
 // duplicate breakpoints, concurrent crossing points and out-of-domain
 // intersections, and on forced ties and edges: three lines through one
 // point, a crossing exactly on each domain edge, and one exactly on a
@@ -127,7 +165,7 @@ func TestBuildCanonicalEqualsInsert(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bothWays(t, dom, inters, int64(trial*7))
+		bothWays(t, dom, inters)
 	}
 
 	const cut = 0.5
@@ -140,49 +178,47 @@ func TestBuildCanonicalEqualsInsert(t *testing.T) {
 		// Three lines through (cut, 0.5).
 		[2]float64{1, 0}, [2]float64{-1, 1}, [2]float64{2, -0.5},
 	)
-	for seed := int64(0); seed < 4; seed++ {
-		inters, err := Pairs1DCtx(context.Background(), fs, dom)
+	inters, err := Pairs1DCtx(context.Background(), fs, dom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := bothWays(t, dom, inters)
+	hasBoundary := func(tree *Tree, x float64) bool {
+		for _, b := range boundaries1D(t, tree) {
+			if b == x {
+				return true
+			}
+		}
+		return false
+	}
+	if !hasBoundary(whole, 1) || !hasBoundary(whole, cut) {
+		t.Fatal("the concurrent crossing points are not boundaries of the whole-domain tree")
+	}
+	// Lines 3 and 4 meet on lo in one order and part in the other:
+	// their threshold is the float after lo. Lines 5 and 6 meet on
+	// hi in the order they held (ties go by index), so they have
+	// none. Lines 1 and 4 also meet on hi, but in the other order:
+	// hi alone is a leaf.
+	if hasBoundary(whole, -1) || !hasBoundary(whole, math.Nextafter(-1, 0)) || !hasBoundary(whole, 2) {
+		t.Fatal("the crossings on the domain edges are not the boundaries their orders make")
+	}
+	inserted := 0
+	for k, box := range []geometry.Box{
+		geometry.MustBox([]float64{-1}, []float64{math.Nextafter(cut, -1)}),
+		geometry.MustBox([]float64{cut}, []float64{2}),
+	} {
+		own, err := Pairs1DCtx(context.Background(), fs, box)
 		if err != nil {
 			t.Fatal(err)
 		}
-		whole := bothWays(t, dom, inters, seed)
-		hasBoundary := func(tree *Tree, x float64) bool {
-			for _, b := range boundaries1D(t, tree) {
-				if b == x {
-					return true
-				}
-			}
-			return false
+		sub := bothWays(t, box, own)
+		if hasBoundary(sub, cut) {
+			t.Fatalf("shard %d: the crossing on the cut split the sub-box", k)
 		}
-		if !hasBoundary(whole, 1) || !hasBoundary(whole, cut) {
-			t.Fatal("the concurrent crossing points are not boundaries of the whole-domain tree")
-		}
-		// Lines 3 and 4 meet on lo in one order and part in the other:
-		// their threshold is the float after lo. Lines 5 and 6 meet on
-		// hi in the order they held (ties go by index), so they have
-		// none. Lines 1 and 4 also meet on hi, but in the other order:
-		// hi alone is a leaf.
-		if hasBoundary(whole, -1) || !hasBoundary(whole, math.Nextafter(-1, 0)) || !hasBoundary(whole, 2) {
-			t.Fatal("the crossings on the domain edges are not the boundaries their orders make")
-		}
-		inserted := 0
-		for k, box := range []geometry.Box{
-			geometry.MustBox([]float64{-1}, []float64{math.Nextafter(cut, -1)}),
-			geometry.MustBox([]float64{cut}, []float64{2}),
-		} {
-			own, err := Pairs1DCtx(context.Background(), fs, box)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sub := bothWays(t, box, own, seed+int64(k))
-			if hasBoundary(sub, cut) {
-				t.Fatalf("shard %d: the crossing on the cut split the sub-box", k)
-			}
-			inserted += sub.Inserted
-		}
-		if inserted != whole.Inserted-1 {
-			t.Fatalf("shards hold %d breakpoints, want the whole domain's %d minus the one on the cut", inserted, whole.Inserted)
-		}
+		inserted += sub.Inserted
+	}
+	if inserted != whole.Inserted-1 {
+		t.Fatalf("shards hold %d breakpoints, want the whole domain's %d minus the one on the cut", inserted, whole.Inserted)
 	}
 }
 
@@ -207,7 +243,7 @@ func TestBuildCanonical1DAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr := NewArrangement1D(space, inters, 1)
+	arr := NewArrangement1D(space, inters)
 	allocs := testing.AllocsPerRun(3, func() {
 		BuildCanonical1D(space, arr)
 	})
@@ -239,7 +275,7 @@ func TestNewArrangement1DAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		NewArrangement1D(space, inters, 1)
+		NewArrangement1D(space, inters)
 	})
 	if per := allocs / float64(len(inters)); per > 5 {
 		t.Errorf("%.0f allocations for %d intersections: %.1f per intersection, want at most 5", allocs, len(inters), per)

@@ -7,17 +7,16 @@
 //
 // The paper's §3.1 step 1 inserts every intersection from the root,
 // descending to each leaf whose region it genuinely splits; it fixes no
-// insertion order. This package fixes the canonical one (canonical.go),
-// which makes the tree a pure function of the intersection set, and
-// builds it two ways: Build runs the literal insertions over an abstract
-// Space — the only construction for the LP-backed n-dimensional
-// space — while a univariate build sorts the thresholds once into an
-// Arrangement1D and reads the same tree straight off it
-// (BuildCanonical1D), numbering each subdomain by its gap. Only Build,
-// the tests' 1-D reference, sorts its leaves to number them. The same
-// arrangement is walked by Sweep (sweep.go), which hands each gap's
-// sorted order to the IFMH-tree's list chain and to the signature-mesh
-// baseline's run signing.
+// insertion order. This package fixes one per space, so the tree is a
+// pure function of the intersection set: Build runs the literal
+// insertions in the canonical order (canonical.go) over the LP-backed
+// n-dimensional space, while a univariate build sorts the thresholds
+// once into an Arrangement1D and builds the median-split tree over them
+// (BuildCanonical1D), numbering each subdomain by its gap — the tree
+// inserting the medians first would build. The same arrangement is
+// walked by Sweep (sweep.go), which hands each gap's sorted order to the
+// IFMH-tree's list chain and to the signature-mesh baseline's run
+// signing.
 package itree
 
 import (
@@ -231,10 +230,8 @@ func PairsND(fs []funcs.Linear) []Intersection {
 
 // Build constructs the I-tree by inserting the intersections one by one
 // in the canonical content-keyed order under seed (see canonical.go). It
-// is the only construction for n-D spaces; univariate builds go through
-// NewArrangement1D and BuildCanonical1D, which return the same tree
-// without the descents — Build over a 1-D space is the reference the
-// tests compare that direct construction against.
+// is the construction for n-D spaces; univariate builds go through
+// NewArrangement1D and BuildCanonical1D.
 func Build(space Space, inters []Intersection, seed int64) *Tree {
 	t := &Tree{
 		Space:     space,
@@ -281,9 +278,9 @@ func (t *Tree) insert(n *Node, region Region, in *Intersection) {
 }
 
 // enumerate assigns Build's subdomain IDs and fills Subs. For a 1-D
-// space it sorts the leaves by interval start, so IDs run left to right
-// as BuildCanonical1D's gap numbers do; other spaces keep discovery
-// order.
+// space (the tests' insertion reference) it sorts the leaves by
+// interval start, so IDs run left to right as BuildCanonical1D's gap
+// numbers do; other spaces keep discovery order.
 func (t *Tree) enumerate() {
 	var leaves []*Subdomain
 	var walk func(n *Node)

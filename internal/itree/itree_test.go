@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -24,19 +25,11 @@ func lines(params ...[2]float64) []funcs.Linear {
 	return fs
 }
 
-func build1D(t *testing.T, fs []funcs.Linear, lo, hi float64, seed int64) *Tree {
+// build1D builds the univariate tree of fs over [lo, hi] the way the
+// owner does.
+func build1D(t *testing.T, fs []funcs.Linear, lo, hi float64) *Tree {
 	t.Helper()
-	domain := geometry.MustBox([]float64{lo}, []float64{hi})
-	space, err := NewSpace1D(domain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inters, err := Pairs1DCtx(context.Background(), fs, domain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree := Build(space, inters, seed)
-	return tree
+	return BuildCanonical1D(arrangement1D(t, fs, lo, hi))
 }
 
 // boundaries1D returns the S-1 interior thresholds separating
@@ -61,7 +54,7 @@ func TestPaperFourLineExample(t *testing.T) {
 	// six intersections inside the domain partition it into seven
 	// subdomains.
 	fs := lines([2]float64{1, 0}, [2]float64{-1, 10}, [2]float64{0.5, 3.1}, [2]float64{-0.5, 8.3})
-	tree := build1D(t, fs, -100, 100, 0)
+	tree := build1D(t, fs, -100, 100)
 	if got := len(tree.Subs); got != 7 {
 		t.Fatalf("subdomains = %d, want 7", got)
 	}
@@ -85,7 +78,7 @@ func TestPaperFourLineExample(t *testing.T) {
 
 func TestParallelLinesNoSplit(t *testing.T) {
 	fs := lines([2]float64{1, 0}, [2]float64{1, 5}, [2]float64{1, -3})
-	tree := build1D(t, fs, 0, 10, 0)
+	tree := build1D(t, fs, 0, 10)
 	if len(tree.Subs) != 1 {
 		t.Fatalf("parallel lines should leave one subdomain, got %d", len(tree.Subs))
 	}
@@ -94,7 +87,7 @@ func TestParallelLinesNoSplit(t *testing.T) {
 func TestOutOfDomainIntersections(t *testing.T) {
 	// Lines crossing at x=50, domain [0,10]: no split.
 	fs := lines([2]float64{1, 0}, [2]float64{0, 50})
-	tree := build1D(t, fs, 0, 10, 0)
+	tree := build1D(t, fs, 0, 10)
 	if len(tree.Subs) != 1 {
 		t.Fatalf("out-of-domain intersection split the domain: %d subdomains", len(tree.Subs))
 	}
@@ -107,7 +100,7 @@ func TestSearchFindsContainingSubdomain(t *testing.T) {
 		params = append(params, [2]float64{rng.NormFloat64(), rng.NormFloat64() * 5})
 	}
 	fs := lines(params...)
-	tree := build1D(t, fs, -3, 3, 7)
+	tree := build1D(t, fs, -3, 3)
 	space := tree.Space
 	for trial := 0; trial < 200; trial++ {
 		x := geometry.Point{rng.Float64()*6 - 3}
@@ -125,7 +118,7 @@ func TestSearchFindsContainingSubdomain(t *testing.T) {
 
 func TestSearchCountsNodes(t *testing.T) {
 	fs := lines([2]float64{1, 0}, [2]float64{-1, 2})
-	tree := build1D(t, fs, 0, 10, 0)
+	tree := build1D(t, fs, 0, 10)
 	var ctr metrics.Counter
 	tree.Search(geometry.Point{5}, &ctr, nil)
 	if ctr.NodesVisited < 2 {
@@ -139,7 +132,7 @@ func TestSubdomainOrderIsSpatial1D(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		params = append(params, [2]float64{rng.NormFloat64(), rng.NormFloat64()})
 	}
-	tree := build1D(t, lines(params...), -2, 2, 11)
+	tree := build1D(t, lines(params...), -2, 2)
 	for i, sub := range tree.Subs {
 		if sub.ID != i {
 			t.Fatalf("Subs[%d].ID = %d", i, sub.ID)
@@ -167,7 +160,7 @@ func TestSortabilityAcrossSubdomains(t *testing.T) {
 		params = append(params, [2]float64{rng.NormFloat64(), rng.NormFloat64()})
 	}
 	fs := lines(params...)
-	tree := build1D(t, fs, -1, 1, 3)
+	tree := build1D(t, fs, -1, 1)
 	for _, sub := range tree.Subs {
 		iv := sub.Region.(*Interval1D)
 		lo, hi := iv.Lo, iv.Hi
@@ -187,9 +180,8 @@ func TestSortabilityAcrossSubdomains(t *testing.T) {
 // TestCanonicalDepthOnAscendingBreakpoints feeds the construction its
 // worst enumeration: one flat line crossed by S parallel ones, its S
 // breakpoints listed in ascending order, so inserting them as listed
-// would grow a depth-S path. The canonical order ignores how
-// the pairs enumerate; the depth stays within 4·log2 S for every seed
-// tried, on the insert path and the direct construction alike.
+// would grow a depth-S path. The median split ignores how the pairs
+// enumerate: every leaf is at most ⌈log₂(S+1)⌉ steps from the root.
 func TestCanonicalDepthOnAscendingBreakpoints(t *testing.T) {
 	const s = 1024
 	params := [][2]float64{{0, 0}}
@@ -210,19 +202,12 @@ func TestCanonicalDepthOnAscendingBreakpoints(t *testing.T) {
 	if len(inters) != s {
 		t.Fatalf("%d intersections, want %d", len(inters), s)
 	}
-	bound := 4 * int(math.Log2(s))
-	for seed := int64(0); seed < 5; seed++ {
-		arr := NewArrangement1D(space, inters, seed)
-		direct := BuildCanonical1D(space, arr)
-		if len(direct.Subs) != s+1 {
-			t.Fatalf("seed %d: %d subdomains, want %d", seed, len(direct.Subs), s+1)
-		}
-		if d := direct.Depth(); d > bound {
-			t.Errorf("seed %d: depth %d over %d breakpoints, want <= %d", seed, d, s, bound)
-		}
+	direct := BuildCanonical1D(space, NewArrangement1D(space, inters))
+	if len(direct.Subs) != s+1 {
+		t.Fatalf("%d subdomains, want %d", len(direct.Subs), s+1)
 	}
-	if d := build1D(t, fs, 0.5, s+0.5, 0).Depth(); d > bound {
-		t.Errorf("insert path: depth %d over %d breakpoints, want <= %d", d, s, bound)
+	if steps, bound := direct.Depth()-1, bits.Len(uint(s)); steps > bound {
+		t.Errorf("%d steps to the deepest of %d leaves, want <= %d", steps, s+1, bound)
 	}
 }
 
@@ -386,8 +371,12 @@ func TestSpaceNDSplitIsScaleInvariant(t *testing.T) {
 					t.Fatal(err)
 				}
 				inters := PairsND(fs)
+				space, err := NewSpaceND(dom)
+				if err != nil {
+					t.Fatal(err)
+				}
 				order := canonicalOrder(inters, 0)
-				base := insertInOrder(t, dom, inters, order)
+				base := insertInOrder(space, inters, order)
 				for _, k := range []int{-23, -17, -10, 10, 20} {
 					scaled := make([]funcs.Linear, len(fs))
 					for i, f := range fs {
@@ -397,7 +386,7 @@ func TestSpaceNDSplitIsScaleInvariant(t *testing.T) {
 						}
 						scaled[i] = funcs.Linear{Index: f.Index, RecordID: f.RecordID, Coef: c, Bias: math.Ldexp(f.Bias, k)}
 					}
-					got := insertInOrder(t, dom, PairsND(scaled), order)
+					got := insertInOrder(space, PairsND(scaled), order)
 					what := fmt.Sprintf("%dD n=%d %s scale 2^%d", dim, n, dist, k)
 					if got.NodeCount != base.NodeCount || len(got.Subs) != len(base.Subs) {
 						t.Fatalf("%s: %d nodes, %d subdomains; scale 1 has %d, %d", what, got.NodeCount, len(got.Subs), base.NodeCount, len(base.Subs))
@@ -413,14 +402,9 @@ func TestSpaceNDSplitIsScaleInvariant(t *testing.T) {
 	}
 }
 
-// insertInOrder builds the n-D I-tree over dom by inserting inters in
-// the given order.
-func insertInOrder(t *testing.T, dom geometry.Box, inters []Intersection, order []int) *Tree {
-	t.Helper()
-	space, err := NewSpaceND(dom)
-	if err != nil {
-		t.Fatal(err)
-	}
+// insertInOrder builds the I-tree over space by inserting inters in the
+// given order.
+func insertInOrder(space Space, inters []Intersection, order []int) *Tree {
 	tree := &Tree{Space: space, Root: &Node{Leaf: &Subdomain{Region: space.Root()}}, NodeCount: 1}
 	for _, k := range order {
 		tree.insert(tree.Root, space.Root(), &inters[k])

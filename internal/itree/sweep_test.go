@@ -26,7 +26,7 @@ func arrangement1D(t testing.TB, fs []funcs.Linear, lo, hi float64) (*Space1D, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	return space, NewArrangement1D(space, inters, 0)
+	return space, NewArrangement1D(space, inters)
 }
 
 // sweepOrders runs the sweep and returns a copy of every gap's order

@@ -139,7 +139,7 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Mesh, error) {
 
 	// The arrangement is the IFMH-tree's own: the same enumeration and
 	// threshold grouping. Only the thresholds and their crossing pairs
-	// are read — never the canonical order, so the seed is immaterial.
+	// are read.
 	inters, err := itree.Pairs1DCtx(ctx, fs, p.Domain)
 	if err != nil {
 		return nil, err
@@ -148,7 +148,7 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Mesh, error) {
 	if err != nil {
 		return nil, err
 	}
-	arr := itree.NewArrangement1D(space, inters, 0)
+	arr := itree.NewArrangement1D(space, inters)
 	m.witnesses = make([]float64, arr.NumBreakpoints()+1)
 	m.edges = make([]float64, 0, len(m.witnesses)+1)
 	m.edges = append(m.edges, p.Domain.Lo[0])
