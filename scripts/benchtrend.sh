@@ -6,7 +6,10 @@
 # reads the committed reports; it builds and runs nothing. Latencies
 # belong to the machine each report was taken on (its env block), so
 # read a row as a trend, not as a comparison — `sh benchmark/run.sh
-# --compare a.json b.json` is the bounded comparison.
+# --compare a.json b.json` is the bounded comparison. After the table it
+# lists the perf claims' pairs files (perf/*.json, written by
+# scripts/pairs.sh): per file its command and, per metric, the median
+# change/parent ratio, the pairs won and the parent's IQR.
 #
 # Usage: scripts/benchtrend.sh [root]   (default root: repo root)
 set -eu
@@ -35,4 +38,10 @@ for wl in $(jq -r '.workloads[].name' BENCHMARK.json); do
 		done
 		echo
 	done
+done
+
+for f in $(ls perf/*.json 2>/dev/null | sort -V); do
+	echo "== $f"
+	jq -r '"\(.parent[0:12]) -> \(.change[0:12]) identity same: \(.identity_same)", .command,
+		(.summary | to_entries[] | "\(.key): median ratio \(.value.median_ratio // 0 | . * 10000 | round / 10000), wins \(.value.wins)/\(.value.pairs), parent IQR \(.value.parent_iqr | . * 10000 | round / 10000)")' "$f"
 done
