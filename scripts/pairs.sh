@@ -26,8 +26,10 @@
 #   a benchmark run: benchmark/run.sh and its flags (the script adds
 #     --out and edits nothing under benchmark/), e.g.
 #       -- benchmark/run.sh --workload republish --seed 1 --seconds 8 --trace 0
-#     The values are the workload's end-to-end metrics, each side's host
-#     slowdown and its failed share.
+#     The values are the workload's end-to-end metrics (per-layer ones
+#     with --trace 1), its host slowdown and its failed share, each named
+#     <workload>/<metric> when the run covers several workloads; the
+#     identity is their answers_sha256 values, comma-joined.
 #
 # Needs git, go, sha256sum and python3. TMPDIR places the checkouts.
 set -eu
@@ -42,7 +44,7 @@ while [ $# -gt 0 ]; do
 	esac
 done
 [ $# -ge 4 ] && [ "$3" = "--" ] || {
-	sed -n 's/^# \{0,1\}//; 17,30p' "$0" >&2
+	sed -n 's/^# \{0,1\}//; 17,32p' "$0" >&2
 	exit 2
 }
 # q quotes one word for the shell.
@@ -120,13 +122,15 @@ one() {
 		}
 		python3 - "$tmp/$1.$2.json" "$2" "$1" >>"$rows" <<'EOF'
 import json, sys
-rep = json.load(open(sys.argv[1]))
-for w in rep["workloads"].values():
+ws = json.load(open(sys.argv[1]))["workloads"]
+ident = ",".join(w["info"]["answers_sha256"] for _, w in sorted(ws.items()))
+for name, w in sorted(ws.items()):
     info = w["info"]
-    vals = dict(w.get("end_to_end") or {})
+    vals = dict(w.get("end_to_end") or {}, **(w.get("per_layer") or {}))
     vals["host_slowdown"], vals["failed_share"] = info["host_slowdown"], info["failed_share"]
     for m, v in vals.items():
-        print("\t".join([sys.argv[2], sys.argv[3], m, repr(v), info["answers_sha256"]]))
+        m = m if len(ws) == 1 else name + "/" + m
+        print("\t".join([sys.argv[2], sys.argv[3], m, repr(v), ident]))
 EOF
 	fi
 }
@@ -145,7 +149,8 @@ python3 - "$rows" "$out" "$root/BENCHMARK.json" "$parent" "$change" "$command" "
 import json, statistics, sys
 rows, out, contract, parent, change, command, kind, moves = sys.argv[1:]
 lower = {"ns_op", "B_op", "allocs_op", "host_slowdown", "failed_share"}
-for m in json.load(open(contract))["end_to_end"]:
+spec = json.load(open(contract))
+for m in spec["end_to_end"] + spec["per_layer"]:
     if m["better"] == "lower":
         lower.add(m["name"])
 pairs, order = {}, []
@@ -170,10 +175,11 @@ for m in order:
     par = [pr["parent"][m] for pr in pairs]
     chg = [pr["change"][m] for pr in pairs]
     ratios = [c / p for p, c in zip(par, chg) if p != 0]
-    wins = sum((c < p) if m in lower else (c > p) for p, c in zip(par, chg))
+    low = m.split("/")[-1] in lower
+    wins = sum((c < p) if low else (c > p) for p, c in zip(par, chg))
     q1, q3 = quartiles(par)
     summary[m] = {
-        "better": "lower" if m in lower else "higher",
+        "better": "lower" if low else "higher",
         "median_ratio": statistics.median(ratios) if ratios else None,
         "wins": wins,
         "pairs": len(pairs),
