@@ -76,7 +76,7 @@ while [ $# -gt 0 ]; do
 done
 
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/pairs.XXXXXX")
-trap 'chmod -R u+w "$tmp" 2>/dev/null; rm -rf "$tmp"' EXIT INT TERM
+trap 'rm -rf "$tmp"' EXIT INT TERM
 rows=$tmp/rows.tsv
 : >"$rows"
 
