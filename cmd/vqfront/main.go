@@ -9,27 +9,25 @@
 //
 // Usage:
 //
-//	vqfront [-addr :8080] [-cache] [-replicas N] [-hedge 0.1] [-maxinflight 0]
+//	vqfront [-addr :8080] [-cache] [-replicas N] [-maxinflight 0]
 //	        -backends http://a1;http://a2,http://b1;http://b2
 //
 // -backends lists one group per shard, comma-separated; within a group,
 // semicolons separate that shard's replicas (a plain comma-separated
 // list — one process per shard — keeps working unchanged). With
 // replicas the front routes each exchange by power-of-two-choices over
-// live in-flight counts, health-checks every replica in the background
-// (/params probe; consecutive failures eject, recovery re-admits), and
-// — when -hedge is on — re-issues a slow batch to a second replica
-// after a p99-tracked deadline and takes the first answer. All replicas
-// must serve the same logical database (one backend name, verifier key,
-// template; one artifact set when artifact hashes are advertised);
-// replicas may lag each other's epoch mid-rollout, which shows up on
-// the epoch-lag gauges rather than failing composition.
+// live in-flight counts, fails over once to a sibling when an exchange
+// fails wholesale, and health-checks every replica in the background
+// (/params probe; consecutive failures eject, recovery re-admits). All
+// replicas must serve the same logical database (one backend name,
+// verifier key, template; one artifact set when artifact hashes are
+// advertised); replicas may lag each other's epoch mid-rollout, which
+// shows up on the epoch-lag gauges rather than failing composition.
 //
 // -replicas N asserts every shard group has exactly N replicas (0
-// skips the check). -hedge F caps issued hedges at fraction F of each
-// shard's requests (0 disables hedging). -maxinflight B bounds
-// concurrently admitted exchanges; the excess is shed with a 429
-// instead of queued (0 = unbounded).
+// skips the check). -maxinflight B bounds concurrently admitted
+// exchanges; the excess is shed with a 429 instead of queued (0 =
+// unbounded).
 //
 // -cache fronts the replica plane with the in-memory cache tier
 // (internal/cache): repeated queries are answered at the front-end
@@ -71,7 +69,6 @@ func run() error {
 		addr     = flag.String("addr", ":8080", "listen address")
 		backends = flag.String("backends", "", "shard groups, comma-separated; semicolon-separated replica URLs within a group (required)")
 		replicas = flag.Int("replicas", 0, "assert every shard group has exactly this many replicas (0 = any)")
-		hedge    = flag.Float64("hedge", 0, "hedge budget: re-issue slow batches to a second replica, capped at this fraction of requests (0 = off)")
 		maxInFl  = flag.Int("maxinflight", 0, "admission bound on concurrently served exchanges; excess is shed with 429 (0 = unbounded)")
 		cacheOn  = flag.Bool("cache", false, "front the fan-out with the in-memory cache tier (/stats gains a cache object)")
 	)
@@ -86,9 +83,8 @@ func run() error {
 
 	start := time.Now()
 	f, params, err := front.DialFront(groups, front.HTTPClient(), front.Options{
-		HedgeFraction: *hedge,
-		MaxInFlight:   *maxInFl,
-		Logf:          log.New(os.Stderr, "", log.LstdFlags).Printf,
+		MaxInFlight: *maxInFl,
+		Logf:        log.New(os.Stderr, "", log.LstdFlags).Printf,
 	})
 	if err != nil {
 		return err

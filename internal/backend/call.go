@@ -105,8 +105,7 @@ func (c Call) Charge(scratch ...metrics.Counter) {
 // other option forwards unchanged. It is how a wrapper re-dispatches
 // one logical call as several concurrent ones without breaking the
 // WithCounter contract: each launch writes a private counter, and the
-// wrapper Charges the ones that count — every shard's for a fanout,
-// only the winner's for a hedged pair — after the join.
+// wrapper Charges them — every shard's, for a fanout — after the join.
 func ReplaceCounter(opts []Option, ctr *metrics.Counter) []Option {
 	return append(opts[:len(opts):len(opts)], WithCounter(ctr))
 }

@@ -76,12 +76,12 @@ func (c *Cache) classify(qs []query.Query) classified {
 // QueryBatch implements Backend, writing each outcome straight into its
 // index. Hits are served on the calling goroutine; the led misses walk
 // the inner backend as one QueryBatch, so its shard grouping, worker
-// pool and — behind a front — hedging apply; each wait on another
-// batch's flight runs on its own goroutine. The waits start before the
-// led batch runs: two batches that each wait on a flight the other
-// leads would otherwise deadlock. When nothing waits, no goroutine is
-// started. The call's cost folds into the caller's counter once, after
-// the join.
+// pool and — behind a front — replica failover apply; each wait on
+// another batch's flight runs on its own goroutine. The waits start
+// before the led batch runs: two batches that each wait on a flight
+// the other leads would otherwise deadlock. When nothing waits, no
+// goroutine is started. The call's cost folds into the caller's
+// counter once, after the join.
 func (c *Cache) QueryBatch(ctx context.Context, qs []query.Query, opts ...backend.Option) ([]backend.Answer, []error) {
 	answers, errs := make([]backend.Answer, len(qs)), make([]error, len(qs))
 	if err := ctx.Err(); err != nil {

@@ -1,23 +1,20 @@
 // Package front is the production serving layer between clients and
 // the K shard processes of a multi-process deployment: replica sets,
-// hedged requests, admission control and the front's own observability.
+// admission control and the front's own observability.
 //
 // A vqfront composed with DialFront dials N replicas per shard and
 // serves the same endpoints a single vqserve serves; everything in this
 // package is invisible to the verification protocol. Per shard, a
 // ReplicaSet routes each exchange by power-of-two-choices over live
-// in-flight counts, hedges a batch onto a second replica after a
-// p99-tracked deadline (decaying latency digest; first healthy outcome
-// wins and the loser is canceled — safe by construction, queries are
-// read-only and every answer is verified client-side), caps hedges at a
-// configured fraction of traffic, fails over once on a wholesale
-// transport failure, and ejects a replica after consecutive failures
-// until the background /params prober sees it healthy again. The
-// Frontend composes the sets behind a backend.Fanout, adds the bounded
-// in-flight admission gate (shed requests surface as ErrOverload; the
-// HTTP handler maps them to 429), and exports hedge, ejection, shed,
-// per-replica epoch-lag and latency-histogram gauges through the
-// /metrics exposition.
+// in-flight counts and runs it on the calling goroutine, fails over
+// once on a wholesale transport failure (safe by construction: queries
+// are read-only and every answer is verified client-side), and ejects a
+// replica after consecutive failures until the background /params
+// prober sees it healthy again. The Frontend composes the sets behind a
+// backend.Fanout, adds the bounded in-flight admission gate (shed
+// requests surface as ErrOverload; the HTTP handler maps them to 429),
+// and exports retry, ejection, shed, per-replica epoch-lag and
+// latency-histogram gauges through the /metrics exposition.
 //
 // Replication interacts with the epoch plane the way a rolling swap
 // needs: replicas of one shard may legitimately serve different epochs
@@ -49,15 +46,9 @@ import (
 // never admitted; retrying elsewhere or after backoff is always safe.
 var ErrOverload = wire.ErrOverload
 
-// Options tunes a Frontend. The zero value is serviceable: hedging off,
-// admission unbounded, probes every 2s.
+// Options tunes a Frontend. The zero value is serviceable: admission
+// unbounded, probes every 2s.
 type Options struct {
-	// HedgeFraction caps issued hedges at this fraction of requests per
-	// shard; ≤ 0 disables hedging.
-	HedgeFraction float64
-	// HedgeAfterMin floors the hedge deadline (default 1ms), so a cold
-	// or very fast digest still waits a beat before doubling load.
-	HedgeAfterMin time.Duration
 	// MaxInFlight bounds concurrently admitted exchanges across the
 	// front; 0 means unbounded (no gate).
 	MaxInFlight int
@@ -74,9 +65,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.HedgeAfterMin <= 0 {
-		o.HedgeAfterMin = time.Millisecond
-	}
 	if o.FailAfter <= 0 {
 		o.FailAfter = 3
 	}
@@ -96,8 +84,8 @@ func (o Options) withDefaults() Options {
 // fan-out connections: bounded dial and response-header waits so a dead
 // replica fails fast instead of hanging an exchange, keep-alives and a
 // per-host idle pool sized for steady fan-out traffic, and no overall
-// request timeout — a large batch may legitimately take long, and slow
-// replicas are the hedging layer's job, not a transport deadline's.
+// request timeout — a large batch may legitimately take long, and P2C
+// already steers load away from a slow replica.
 func HTTPClient() *http.Client {
 	return &http.Client{
 		Transport: &http.Transport{
@@ -115,9 +103,9 @@ func HTTPClient() *http.Client {
 // Frontend is the replica-aware serving layer: a backend.Fanout whose
 // children are K ReplicaSets — so every query method, the plan and the
 // epochs are the Fanout's own, and each sub-batch gets its set's
-// routing, hedging and failover — plus the admission gate and the
-// front's gauges. Queries route ungated: the gate is the HTTP
-// boundary's concern, enforced by the transport handler through Admit
+// routing and failover — plus the admission gate and the front's
+// gauges. Queries route ungated: the gate is the HTTP boundary's
+// concern, enforced by the transport handler through Admit
 // (programmatic callers that want gating call Admit themselves).
 // WriteProm is what the handler's /metrics route picks up.
 type Frontend struct {

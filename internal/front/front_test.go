@@ -131,118 +131,6 @@ func (d delayQueries) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	d.h.ServeHTTP(w, r)
 }
 
-// TestHedgeRescuesSlowReplica pins the tentpole's tail collapse: with
-// one replica of shard 0 injected 250ms slow and hedging on, every
-// query — including those whose P2C pick landed on the slow replica —
-// completes well under the injected delay because the hedge re-issues
-// to the healthy sibling, and every answer still verifies.
-func TestHedgeRescuesSlowReplica(t *testing.T) {
-	const slow = 250 * time.Millisecond
-	var delay atomic.Int64
-	fl := newFleet(t, 2, 2, func(si, ri int, h http.Handler) http.Handler {
-		if si == 0 && ri == 1 {
-			return delayQueries{h, &delay, nil}
-		}
-		return h
-	})
-	f, _, err := front.DialFront(fl.groups, nil, front.Options{
-		HedgeFraction: 1,
-		HedgeAfterMin: 2 * time.Millisecond,
-		ProbeEvery:    -1,
-		Logf:          t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	delay.Store(int64(slow))
-
-	ctx := context.Background()
-	withVerify := backend.WithVerify(fl.res.Public)
-	for i, q := range fleetQueries(fl.dom, 30) {
-		t0 := time.Now()
-		if _, err := f.Query(ctx, q, withVerify); err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-		if d := time.Since(t0); d > slow/2 {
-			t.Errorf("query %d took %v; the hedge should have rescued it well under %v", i, d, slow/2)
-		}
-	}
-	snap := f.Snapshot()
-	if snap.Hedges() == 0 || snap.HedgeWins() == 0 {
-		t.Errorf("hedges=%d wins=%d after 30 queries against a slow replica; want both > 0",
-			snap.Hedges(), snap.HedgeWins())
-	}
-}
-
-// TestHedgeBudget pins the hedge cap: with a fraction too small for the
-// request count, deadlines fire but launches are suppressed, so a
-// degraded fleet is never double-loaded past the budget. With no budget
-// at all an exchange cannot hedge, so it arms no deadline and there is
-// nothing to suppress either.
-func TestHedgeBudget(t *testing.T) {
-	const slow = 30 * time.Millisecond
-	for _, tc := range []struct {
-		name           string
-		fraction       float64
-		wantSuppressed bool
-	}{
-		{"budget too small", 0.01, true}, // needs 100 requests before the first hedge
-		{"no budget", 0, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var delay, slowServed atomic.Int64
-			fl := newFleet(t, 2, 2, func(si, ri int, h http.Handler) http.Handler {
-				if si == 0 && ri == 1 {
-					return delayQueries{h, &delay, &slowServed}
-				}
-				return h
-			})
-			f, _, err := front.DialFront(fl.groups, nil, front.Options{
-				HedgeFraction: tc.fraction,
-				HedgeAfterMin: 2 * time.Millisecond,
-				ProbeEvery:    -1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			delay.Store(int64(slow))
-
-			ctx := context.Background()
-			withVerify := backend.WithVerify(fl.res.Public)
-			qs := fleetQueries(fl.dom, 16)
-			for i, q := range qs {
-				if _, err := f.Query(ctx, q, withVerify); err != nil {
-					t.Fatalf("query %d: %v", i, err)
-				}
-			}
-			// Idle replicas split P2C's pick by a coin flip, so shard 0's
-			// ~8 queries can all miss the slow replica. Send shard 0 more
-			// (qs[0] routes there) until the slow replica has been primary
-			// once, staying under the 100 requests at which the 0.01
-			// budget would allow a hedge.
-			for slowServed.Load() == 0 && f.Snapshot().Shards[0].Requests < 99 {
-				if _, err := f.Query(ctx, qs[0], withVerify); err != nil {
-					t.Fatalf("shard-0 query: %v", err)
-				}
-			}
-			snap := f.Snapshot()
-			if got := snap.Hedges(); got != 0 {
-				t.Errorf("issued %d hedges under a %v budget with 16 requests; want 0", got, tc.fraction)
-			}
-			var suppressed int64
-			for _, sh := range snap.Shards {
-				suppressed += sh.HedgesSuppressed
-			}
-			if (suppressed > 0) != tc.wantSuppressed {
-				t.Errorf("%d suppressed hedges; want some: %v (the slow replica's deadlines fire only when a budget could act on them)",
-					suppressed, tc.wantSuppressed)
-			}
-		})
-	}
-}
-
 // TestDialSurfacesFailingURL pins the satellite: both dial paths name
 // the URL that failed, typed as *transport.RemoteError, so a fleet
 // operator knows which replica of which group to fix.

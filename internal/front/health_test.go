@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,8 @@ import (
 
 	"aqverify/internal/backend"
 	"aqverify/internal/front"
+	"aqverify/internal/metrics"
+	"aqverify/internal/query"
 	"aqverify/internal/transport"
 	"aqverify/internal/wire"
 )
@@ -103,6 +106,97 @@ func TestEjectionAndReadmission(t *testing.T) {
 		snap := f.Snapshot()
 		return snap.Readmissions() >= 1 && replicaDown(snap) == nil
 	})
+}
+
+// failQueries injects a request fault: every query route answers 500
+// while control routes (/params) stay healthy, so only the request
+// path — never the prober — sees it. served counts the query exchanges
+// the replica took.
+type failQueries struct {
+	h      http.Handler
+	served *atomic.Int64
+}
+
+func (f failQueries) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if strings.HasPrefix(r.URL.Path, "/query") {
+		f.served.Add(1)
+		http.Error(w, "injected query failure", http.StatusInternalServerError)
+		return
+	}
+	f.h.ServeHTTP(w, r)
+}
+
+// TestWholesaleFailureFailsOverOnce pins the request failover path: a
+// replica whose every exchange fails wholesale costs each of those
+// exchanges one failover to its sibling, so every query still verifies;
+// the failures eject it exactly once, after FailAfter, and from then on
+// it takes no traffic. The caller's counter is charged exactly the
+// answered bytes — a failed exchange charges nothing.
+func TestWholesaleFailureFailsOverOnce(t *testing.T) {
+	const failAfter = 3
+	var failing, healthy, noDelay atomic.Int64
+	fl := newFleet(t, 2, 2, func(si, ri int, h http.Handler) http.Handler {
+		switch {
+		case si == 0 && ri == 1:
+			return failQueries{h, &failing}
+		case si == 0:
+			return delayQueries{h, &noDelay, &healthy}
+		}
+		return h
+	})
+	f, _, err := front.DialFront(fl.groups, nil, front.Options{
+		FailAfter:  failAfter,
+		ProbeEvery: -1,
+		Logf:       t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	ctx := context.Background()
+	var ctr metrics.Counter
+	opts := []backend.Option{backend.WithVerify(fl.res.Public), backend.WithCounter(&ctr)}
+	var answered uint64
+	ask := func(q query.Query) {
+		t.Helper()
+		ans, err := f.Query(ctx, q, opts...)
+		if err != nil {
+			t.Fatalf("query at %v: %v", q.X, err)
+		}
+		answered += uint64(len(ans.Raw))
+	}
+	// qs[0] routes to shard 0. P2C splits idle replicas by a coin flip,
+	// so keep querying until the failing replica has been picked
+	// FailAfter times.
+	qs := fleetQueries(fl.dom, 16)
+	for _, q := range qs {
+		ask(q)
+	}
+	for i := 0; failing.Load() < failAfter && i < 500; i++ {
+		ask(qs[0])
+	}
+	for _, q := range qs {
+		ask(q)
+	}
+
+	sh := f.Snapshot().Shards[0]
+	if got := failing.Load(); got != failAfter {
+		t.Errorf("the failing replica took %d exchanges; want exactly FailAfter = %d, then none", got, failAfter)
+	}
+	if sh.Retries != failing.Load() {
+		t.Errorf("shard 0 retried %d times; the failing replica took %d exchanges", sh.Retries, failing.Load())
+	}
+	if sh.Ejections != 1 || sh.Replicas[1].Up || !sh.Replicas[0].Up {
+		t.Errorf("ejections = %d, replicas up = %v, %v; want exactly replica 1 ejected, once",
+			sh.Ejections, sh.Replicas[0].Up, sh.Replicas[1].Up)
+	}
+	if healthy.Load() != sh.Requests {
+		t.Errorf("the healthy replica served %d of shard 0's %d exchanges; want every one", healthy.Load(), sh.Requests)
+	}
+	if ctr.Bytes != answered {
+		t.Errorf("counter charged %d bytes; the answers hold %d", ctr.Bytes, answered)
+	}
 }
 
 // TestAdmissionBurst pins admission control end to end: a burst of

@@ -10,8 +10,8 @@ import (
 
 // latencyBuckets are the per-shard request-latency histogram bounds, in
 // seconds. Loopback verified queries land in the sub-millisecond
-// buckets; WAN deployments and hedge-rescued tails in the middle; the
-// top bucket catches anything a deadline should have caught first.
+// buckets, WAN deployments in the middle, and a degraded replica's
+// tail in the top ones.
 var latencyBuckets = []float64{
 	.0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5,
 }
@@ -66,14 +66,11 @@ type ReplicaStat struct {
 
 // ShardStat is one replica set's counter snapshot.
 type ShardStat struct {
-	Requests         int64 // batch/query exchanges routed to the set
-	Hedges           int64 // hedge launches issued
-	HedgeWins        int64 // hedges whose answer won the race
-	HedgesSuppressed int64 // hedge deadline fired but the budget refused
-	Retries          int64 // failovers after a wholesale replica failure
-	Ejections        int64 // replicas ejected after consecutive failures
-	Readmissions     int64 // ejected replicas recovered by a probe or answer
-	Replicas         []ReplicaStat
+	Requests     int64 // batch/query exchanges routed to the set
+	Retries      int64 // failovers after a wholesale replica failure
+	Ejections    int64 // replicas ejected after consecutive failures
+	Readmissions int64 // ejected replicas recovered by a probe or answer
+	Replicas     []ReplicaStat
 }
 
 // Snapshot is the front's full gauge state at one instant — the same
@@ -93,12 +90,6 @@ func (s Snapshot) sum(of func(ShardStat) int64) (n int64) {
 	}
 	return n
 }
-
-// Hedges sums hedge launches across shards.
-func (s Snapshot) Hedges() int64 { return s.sum(func(sh ShardStat) int64 { return sh.Hedges }) }
-
-// HedgeWins sums won hedge races across shards.
-func (s Snapshot) HedgeWins() int64 { return s.sum(func(sh ShardStat) int64 { return sh.HedgeWins }) }
 
 // Ejections sums replica ejections across shards.
 func (s Snapshot) Ejections() int64 { return s.sum(func(sh ShardStat) int64 { return sh.Ejections }) }

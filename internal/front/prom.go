@@ -19,18 +19,12 @@ func (f *Frontend) WriteProm(p *transport.Prom) {
 	p.Scalar("aqv_front_shed_total", "counter", "Requests shed by the admission gate (answered 429).", snap.Shed)
 
 	p.Family("aqv_front_requests_total", "counter", "Batch/query exchanges routed, by shard.")
-	p.Family("aqv_front_hedges_total", "counter", "Hedge launches issued, by shard.")
-	p.Family("aqv_front_hedges_won_total", "counter", "Hedge launches that won the race, by shard.")
-	p.Family("aqv_front_hedges_suppressed_total", "counter", "Hedge deadlines the budget refused, by shard.")
 	p.Family("aqv_front_retries_total", "counter", "Failovers after a wholesale replica failure, by shard.")
 	p.Family("aqv_front_ejections_total", "counter", "Replica ejections, by shard.")
 	p.Family("aqv_front_readmissions_total", "counter", "Replica re-admissions, by shard.")
 	for i, sh := range snap.Shards {
 		l := shardLabel(i)
 		p.Int("aqv_front_requests_total", l, sh.Requests)
-		p.Int("aqv_front_hedges_total", l, sh.Hedges)
-		p.Int("aqv_front_hedges_won_total", l, sh.HedgeWins)
-		p.Int("aqv_front_hedges_suppressed_total", l, sh.HedgesSuppressed)
 		p.Int("aqv_front_retries_total", l, sh.Retries)
 		p.Int("aqv_front_ejections_total", l, sh.Ejections)
 		p.Int("aqv_front_readmissions_total", l, sh.Readmissions)

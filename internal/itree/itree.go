@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
@@ -277,10 +276,8 @@ func (t *Tree) insert(n *Node, region Region, in *Intersection) {
 	}
 }
 
-// enumerate assigns Build's subdomain IDs and fills Subs. For a 1-D
-// space (the tests' insertion reference) it sorts the leaves by
-// interval start, so IDs run left to right as BuildCanonical1D's gap
-// numbers do; other spaces keep discovery order.
+// enumerate assigns Build's subdomain IDs in discovery order and fills
+// Subs.
 func (t *Tree) enumerate() {
 	var leaves []*Subdomain
 	var walk func(n *Node)
@@ -293,13 +290,6 @@ func (t *Tree) enumerate() {
 		walk(n.Above)
 	}
 	walk(t.Root)
-	if _, ok := t.Space.(*Space1D); ok {
-		sort.Slice(leaves, func(a, b int) bool {
-			ia := leaves[a].Region.(*Interval1D)
-			ib := leaves[b].Region.(*Interval1D)
-			return ia.Lo < ib.Lo
-		})
-	}
 	for i, l := range leaves {
 		l.ID = i
 	}

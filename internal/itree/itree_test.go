@@ -403,12 +403,21 @@ func TestSpaceNDSplitIsScaleInvariant(t *testing.T) {
 }
 
 // insertInOrder builds the I-tree over space by inserting inters in the
-// given order.
+// given order. A 1-D tree's leaves are numbered left to right, as
+// BuildCanonical1D numbers its gaps.
 func insertInOrder(space Space, inters []Intersection, order []int) *Tree {
 	tree := &Tree{Space: space, Root: &Node{Leaf: &Subdomain{Region: space.Root()}}, NodeCount: 1}
 	for _, k := range order {
 		tree.insert(tree.Root, space.Root(), &inters[k])
 	}
 	tree.enumerate()
+	if _, ok := space.(*Space1D); ok {
+		slices.SortFunc(tree.Subs, func(a, b *Subdomain) int {
+			return cmp.Compare(a.Region.(*Interval1D).Lo, b.Region.(*Interval1D).Lo)
+		})
+		for i, s := range tree.Subs {
+			s.ID = i
+		}
+	}
 	return tree
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the GET /metrics route: the serving tally, cache-plane
-// counters and (on a front) the replica/hedge/shed gauges rendered as a
+// counters and (on a front) the replica/retry/shed gauges rendered as a
 // Prometheus text exposition. The writer is hand-rolled in
 // exposition.go (no client library); family names are pinned by a
 // golden file in internal/front's tests, so renames are deliberate

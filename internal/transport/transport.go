@@ -143,7 +143,7 @@ type admitter interface {
 }
 
 // promSource lets a served backend append its own metric families to
-// the handler's /metrics exposition (the front plane's hedge, replica
+// the handler's /metrics exposition (the front plane's retry, replica
 // and shed gauges).
 type promSource interface {
 	WriteProm(p *Prom)
