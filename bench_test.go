@@ -322,7 +322,8 @@ func mixedQueries(b *testing.B, tbl aqverify.Table, dom aqverify.Box, count int)
 // multi-signature). One op is one answer (ns/op ÷ 1000 = µs/answer).
 // cold verifies under the owner's raw key; warm under a verify.Memo that
 // has seen every answer once, which is what a dialed session reaches;
-// decode is wire.DecodeIFMH alone.
+// decode is wire.DecodeIFMH alone. cold and warm report hashes/answer,
+// the SHA-256 calls one verification makes (Fig 7a's count).
 func BenchmarkClientPath(b *testing.B) {
 	const n, count = 2000, 2048
 	tree, dom := buildFixture(b, n, aqverify.MultiSignature)
@@ -359,6 +360,7 @@ func BenchmarkClientPath(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				check(arm.pub, frames[i%count], &ctr)
 			}
+			b.ReportMetric(float64(ctr.Hashes)/float64(b.N), "hashes/answer")
 		})
 	}
 	b.Run("decode", func(b *testing.B) {

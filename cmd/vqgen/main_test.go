@@ -57,19 +57,21 @@ func TestFlagsValidatedBeforeBuilding(t *testing.T) {
 // TestArtifactHashesArePinned pins the content hash vqgen reports for
 // four builds of one n = 2 000 lines table: a change that moves any
 // signed byte of a univariate build (an order, a boundary, a tree
-// shape, an encoding) moves one of these, and must say why. They last
-// moved when every univariate IMH-tree became the median split over its
-// thresholds (a new shape: every IMH hash and the root signature).
+// shape, an encoding) moves one of these, and must say why. They moved
+// when every univariate IMH-tree became the median split over its
+// thresholds (a new shape: every IMH hash and the root signature), and
+// last at format 5, when an FMH leaf became one hash of its record's
+// encoding (every FMH and IMH digest and every signature; no length).
 func TestArtifactHashesArePinned(t *testing.T) {
 	base := []string{"-kind", "lines", "-n", "2000", "-seed", "1", "-keyseed", "7", "-outsource"}
 	for _, tc := range []struct {
 		flags []string
 		want  string
 	}{
-		{[]string{"-mode", "multi", "-shards", "2"}, "dfc707d5505d"},
-		{[]string{"-mode", "multi", "-shards", "4", "-planner", "quantile"}, "d01e357883d3"},
-		{[]string{"-mode", "multi", "-shards", "4"}, "8a6bf5a31e5e"},
-		{[]string{"-mode", "one"}, "7fafc1b3d924"},
+		{[]string{"-mode", "multi", "-shards", "2"}, "e4d176acc310"},
+		{[]string{"-mode", "multi", "-shards", "4", "-planner", "quantile"}, "4fc07a9d172c"},
+		{[]string{"-mode", "multi", "-shards", "4"}, "4593ea214983"},
+		{[]string{"-mode", "one"}, "674154729a4c"},
 	} {
 		dir := filepath.Join(t.TempDir(), "A")
 		args := append(append(append([]string(nil), base...), tc.flags...), "-artifact", dir)

@@ -349,7 +349,9 @@ func TestSwapBlueGreen(t *testing.T) {
 // artifact — and every row of the forest it writes is some list's: a
 // multi-swap gap leaves no dead rows. The blobs of the pencil (the multi-swap case), the 2-D
 // tree at one and at eight workers, and every shard of the set are
-// pinned by SHA-256.
+// pinned by SHA-256; they last moved at format 5, when an FMH leaf
+// became one hash of its record's encoding (every digest and
+// signature over the forest moved, no length).
 func TestEncodeTreeIsOneExactAllocation(t *testing.T) {
 	ctx := context.Background()
 	lines := testSpec(t, 60, 4)
@@ -377,13 +379,13 @@ func TestEncodeTreeIsOneExactAllocation(t *testing.T) {
 	}{
 		{"one", lines, []build.Option{build.WithMode(verify.OneSignature), build.WithShuffle(4)}, false, nil},
 		{"multi", lines, []build.Option{build.WithMode(verify.MultiSignature), build.WithShuffle(4)}, false, nil},
-		{"2d", points, []build.Option{build.WithMode(verify.MultiSignature), build.WithWorkers(1)}, false, []string{"5212debb2680f324948dacb9d852fdee4070b8548fcccb5ff57a13664567c780"}},
-		{"2d-8workers", points, []build.Option{build.WithMode(verify.MultiSignature), build.WithWorkers(8)}, false, []string{"5212debb2680f324948dacb9d852fdee4070b8548fcccb5ff57a13664567c780"}},
+		{"2d", points, []build.Option{build.WithMode(verify.MultiSignature), build.WithWorkers(1)}, false, []string{"161f43f4d67524160b321bbdfeb6248a65ad8b31a539e631144b20bc223d0042"}},
+		{"2d-8workers", points, []build.Option{build.WithMode(verify.MultiSignature), build.WithWorkers(8)}, false, []string{"161f43f4d67524160b321bbdfeb6248a65ad8b31a539e631144b20bc223d0042"}},
 		{"set", lines, []build.Option{build.WithMode(verify.OneSignature), build.WithShuffle(4), build.WithShards(2, 0)}, false, []string{
-			"335ee46ba17260cccfbc0f587bcdef059c6247b2ccbdbc7ece12de3c18234f1f",
-			"1bc752fc4a08821f80b11b355578c7ef3e4eaf30e6b526a23144e481f2c47b8f",
+			"d549273690111bb665d08b43a6bc02c41cde2e8cabcd77200e473d303f32bb7f",
+			"86e383b0cbb4d28da11cbe2b96a098cf5d835ba2d0d1fbd60d6a65b4ce12ed68",
 		}},
-		{"pencil", pencil, []build.Option{build.WithMode(verify.OneSignature)}, false, []string{"c50089b4324306faf125b740d5c69fc706479bcf5371d30468a7645136ca64ec"}},
+		{"pencil", pencil, []build.Option{build.WithMode(verify.OneSignature)}, false, []string{"c65c5c6390c6b148b4809ae4f214cb0e139288fa8a2c13baafaa1dfd1bf00f6e"}},
 		{"reopened", lines, []build.Option{build.WithMode(verify.MultiSignature), build.WithShuffle(4)}, true, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -881,42 +883,45 @@ func TestFormat2IsRefused(t *testing.T) {
 	}
 }
 
+// forestOffset is the offset of a blob's forest count: past magic, version,
+// epoch, mode, shard index, domain, schema and records. Format 3's sweep
+// plan sat there, before the forest.
+func forestOffset(s core.Snapshot) int {
+	at := len(magicTree) + 4 + 8 + 1 + 4 + 4 + 16*s.Domain.Dim() + 4 + len(s.Table.Schema.Name) + 4
+	for _, c := range s.Table.Schema.Columns {
+		at += 4 + len(c.Name) + 4 + len(c.Description)
+	}
+	at += 4
+	for _, rec := range s.Table.Records {
+		at += rec.EncodedLen()
+	}
+	return at
+}
+
 // TestFormat3IsRefused: format 3 carried the sweep plan — owner state no
 // server reads — between the records and the FMH forest. Both fixtures
-// are refused by version, and the blob the same build writes now is the
-// format-3 blob minus exactly that section, restamped and resealed, byte
-// for byte: no served byte moved. Since then a 1-D boundary has become
-// a float threshold, so the univariate fixture's IMH hyperplanes, every
-// hash over them and its signatures moved; what precedes the plan —
-// header, domain, schema and records — still matches byte for byte.
+// are refused by version, and the format-4 blob the same build wrote is
+// the format-3 blob minus exactly that section, restamped and resealed,
+// byte for byte: no served byte moved. Between the two fixtures a 1-D
+// boundary became a float threshold, so the univariate fixture's IMH
+// hyperplanes, every hash over them and its signatures moved; what
+// precedes the plan — header, domain, schema and records — still
+// matches byte for byte.
 func TestFormat3IsRefused(t *testing.T) {
 	for _, name := range oldFormatNames {
 		t.Run(name, func(t *testing.T) {
 			old := refusedByVersion(t, filepath.Join("testdata", "format3", name))
-			res := oldFormatBuild(t, name)
-			now := t.TempDir()
-			if _, err := Save(now, res); err != nil {
-				t.Fatal(err)
-			}
-			blob := mustRead(t, filepath.Join(now, treeName))
+			blob := mustRead(t, filepath.Join("testdata", "format4", name, treeName))
 
-			s := res.Tree.Snapshot()
+			s := oldFormatBuild(t, name).Tree.Snapshot()
 			n, boundaries := s.Table.Len(), len(s.Subs)-1
 			if s.Template.Dim() != 1 {
 				n, boundaries = 0, 0 // a multivariate tree had an empty plan
 			}
-			// The plan followed magic, version, epoch, mode, shard index,
-			// domain, schema and records: a u32-counted base permutation,
-			// then a u32-counted list of boundaries, each a u32-counted
-			// list of swap positions.
-			at := len(magicTree) + 4 + 8 + 1 + 4 + 4 + 16*s.Domain.Dim() + 4 + len(s.Table.Schema.Name) + 4
-			for _, c := range s.Table.Schema.Columns {
-				at += 4 + len(c.Name) + 4 + len(c.Description)
-			}
-			at += 4
-			for _, rec := range s.Table.Records {
-				at += rec.EncodedLen()
-			}
+			// The plan was a u32-counted base permutation, then a
+			// u32-counted list of boundaries, each a u32-counted list of
+			// swap positions.
+			at := forestOffset(s)
 			end := at
 			u32 := func() int { v := int(binary.BigEndian.Uint32(old[end:])); end += 4; return v }
 			if got := u32(); got != n {
@@ -931,15 +936,71 @@ func TestFormat3IsRefused(t *testing.T) {
 			}
 
 			body := append(append([]byte(nil), old[:at]...), old[end:]...)
-			binary.BigEndian.PutUint32(body[len(magicTree):], formatVersion)
+			binary.BigEndian.PutUint32(body[len(magicTree):], 4)
 			if s.Template.Dim() == 1 {
 				if !bytes.Equal(body[:at], blob[:at]) {
-					t.Errorf("the format-3 blob's first %d bytes, before its plan, are not the blob's written now", at)
+					t.Errorf("the format-3 blob's first %d bytes, before its plan, are not the format-4 blob's", at)
 				}
 				return
 			}
 			if !bytes.Equal(reseal(body), blob) {
-				t.Errorf("the format-3 blob minus its %d-byte plan is not the %d-byte blob written now", end-at, len(blob))
+				t.Errorf("the format-3 blob minus its %d-byte plan is not the %d-byte format-4 blob", end-at, len(blob))
+			}
+		})
+	}
+}
+
+// TestFormat4IsRefused: format 4 had format 5's layout, but each FMH
+// leaf row committed to H(0x02 | H(0x01 | enc(r))), over a record digest
+// the client no longer computes, where format 5 commits to
+// H(0x02 | enc(r)). Both fixtures are refused by version, and the blob
+// the same build writes now is the format-4 blob's length, with every
+// byte before the forest (restamped) and every forest row's children and
+// width unchanged: only digests moved. Each record leaf's digest is the
+// old rule over its record in the fixture and the new one now, both
+// computed here with crypto/sha256.
+func TestFormat4IsRefused(t *testing.T) {
+	for _, name := range oldFormatNames {
+		t.Run(name, func(t *testing.T) {
+			old := refusedByVersion(t, filepath.Join("testdata", "format4", name))
+			res := oldFormatBuild(t, name)
+			now := t.TempDir()
+			if _, err := Save(now, res); err != nil {
+				t.Fatal(err)
+			}
+			blob := mustRead(t, filepath.Join(now, treeName))
+			if len(old) != len(blob) {
+				t.Fatalf("the format-4 blob is %d bytes, the blob written now %d", len(old), len(blob))
+			}
+
+			s := res.Tree.Snapshot()
+			at := forestOffset(s)
+			head := append([]byte(nil), old[:at]...)
+			binary.BigEndian.PutUint32(head[len(magicTree):], formatVersion)
+			if !bytes.Equal(head, blob[:at]) {
+				t.Errorf("the format-4 blob's first %d bytes, before its forest, are not the blob's written now", at)
+			}
+			leaves := 0
+			for i := range int(binary.BigEndian.Uint32(blob[at:])) {
+				o := at + 4 + i*mhtree.RowSize
+				was, is := old[o:o+mhtree.RowSize], blob[o:o+mhtree.RowSize]
+				if !bytes.Equal(was[hashing.Size:], is[hashing.Size:]) {
+					t.Fatalf("forest row %d's children or width moved", i)
+				}
+				l, rec := binary.BigEndian.Uint32(is[hashing.Size:]), binary.BigEndian.Uint32(is[hashing.Size+4:])
+				if l != mhtree.None || rec == mhtree.None {
+					continue // an internal row or a sentinel leaf
+				}
+				enc := s.Table.Records[rec].Encode(nil)
+				inner := sha256.Sum256(append([]byte{0x01}, enc...))
+				wasD, isD := sha256.Sum256(append([]byte{0x02}, inner[:]...)), sha256.Sum256(append([]byte{0x02}, enc...))
+				if !bytes.Equal(was[:hashing.Size], wasD[:]) || !bytes.Equal(is[:hashing.Size], isD[:]) {
+					t.Errorf("leaf row %d (record %d) does not carry the format-4 rule then and the format-5 rule now", i, rec)
+				}
+				leaves++
+			}
+			if leaves < s.Table.Len() {
+				t.Errorf("%d record leaf rows for %d records", leaves, s.Table.Len())
 			}
 		})
 	}
@@ -986,9 +1047,9 @@ func TestWorkedExample(t *testing.T) {
 	blob := mustRead(t, filepath.Join(dir, treeName))
 	blobHash := sha256.Sum256(blob[:len(blob)-32])
 
-	const wantManifest = "4151414d00000004010000000000000001000000002d04302a300506032b6570032100069d8d6980eaf1bca2e4118bc612a13f23791bf2c60ceef2692b581d27b0a1590000000b616666696e652d6c696e650000000100000000000000013e112e0be826d69500000001bff00000000000003ff0000000000000000000000000000000000001f5a56ef2c3b0ef417a9ca4af948d728f057c41c3a7aa34c139b703c9c4403ff5096ed7d34c46799f99001a10d98defcd26cb25c29338f60b9b37811f643068e000a4a29e89167aab76261f1e209a9e69710b0484c74f151bccefac068b6548f5"
-	const wantBlobHash = "f5a56ef2c3b0ef417a9ca4af948d728f057c41c3a7aa34c139b703c9c4403ff5"
-	const wantArtifact = "00a4a29e89167aab76261f1e209a9e69710b0484c74f151bccefac068b6548f5"
+	const wantManifest = "4151414d00000005010000000000000001000000002d04302a300506032b6570032100069d8d6980eaf1bca2e4118bc612a13f23791bf2c60ceef2692b581d27b0a1590000000b616666696e652d6c696e650000000100000000000000013e112e0be826d69500000001bff00000000000003ff00000000000000000000000000000000000015cc7b7585e0dc9731e29c0382b7a8e6868a8a7e9823076f6bba3323fa01f4f344877f302ced0eb2b8111f7fe5117c25ecbb81e4594820458712e4659994a699b8cad744d4bf754282b84bb3c7674068bb0f6c69da4418e3eaf058aef6d436090"
+	const wantBlobHash = "5cc7b7585e0dc9731e29c0382b7a8e6868a8a7e9823076f6bba3323fa01f4f34"
+	const wantArtifact = "8cad744d4bf754282b84bb3c7674068bb0f6c69da4418e3eaf058aef6d436090"
 	if manifestHex != wantManifest {
 		t.Errorf("manifest bytes drifted:\n got %s\nwant %s", manifestHex, wantManifest)
 	}

@@ -20,13 +20,15 @@ import (
 )
 
 // formatVersion is the on-disk format version both file kinds carry.
-// Bump it on any layout change; Open refuses versions it does not know.
-// Version 2 put the record index in FMH leaf rows (version 1 leaves named
-// no record, so a version-1 forest cannot serve); version 3 dropped the
-// tree blob's flags byte and the per-subdomain permutation rows it
-// announced — the leaves are the only copy of the order; version 4
-// dropped the sweep plan, owner state no server reads.
-const formatVersion = 4
+// Bump it on any layout or digest-rule change; Open refuses versions it
+// does not know. Version 2 put the record index in FMH leaf rows
+// (version 1 leaves named no record, so a version-1 forest cannot serve);
+// version 3 dropped the tree blob's flags byte and the per-subdomain
+// permutation rows it announced — the leaves are the only copy of the
+// order; version 4 dropped the sweep plan, owner state no server reads;
+// version 5 hashes each leaf once, H(TagLeaf | enc(r)), which no
+// version-4 forest serves.
+const formatVersion = 5
 
 // nilIndex marks a nil child pointer / absent shard index in the node
 // tables (indices are u32, so the all-ones value can never be a real

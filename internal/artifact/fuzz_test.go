@@ -71,7 +71,7 @@ func withLeafRecord(t testing.TB, blob []byte, d hashing.Digest, rec uint32) []b
 // firstRecordLeaf is the FMH leaf digest of the seed build's record 0.
 func firstRecordLeaf(f testing.TB) hashing.Digest {
 	h := hashing.New(nil)
-	return h.Leaf(h.Record(testSpec(f, 4, 2).Table.Records[0]))
+	return h.Leaf(testSpec(f, 4, 2).Table.Records[0])
 }
 
 // FuzzDecodeTree hammers the blob decoder: any input must either decode
@@ -79,13 +79,13 @@ func firstRecordLeaf(f testing.TB) hashing.Digest {
 // The seed corpus covers the honest blob plus the refusal matrix's
 // shapes: truncations, a flipped content-hash bit, a wrong magic, older
 // format versions (stamped, and as the parent commits of the bumps wrote
-// them — see TestFormat2IsRefused and TestFormat3IsRefused), and a leaf
+// them — see TestFormat2IsRefused to TestFormat4IsRefused), and a leaf
 // row naming a record outside the table.
 func FuzzDecodeTree(f *testing.F) {
 	blob, _ := fuzzSeeds(f)
 	f.Add(blob)
 	f.Add(asVersion1(blob))
-	for _, format := range []string{"format2", "format3"} {
+	for _, format := range []string{"format2", "format3", "format4"} {
 		for _, name := range oldFormatNames {
 			old, err := os.ReadFile(filepath.Join("testdata", format, name, treeName))
 			if err != nil {

@@ -264,7 +264,9 @@ func TestOutsourceProgress(t *testing.T) {
 // mode, each subdomain's inequalities; and again when every univariate
 // tree became the median split over its thresholds, which moves the
 // shape and every IMH hash (a subdomain's inequalities and FMH list
-// stay as they were).
+// stay as they were); and again when an FMH leaf became one hash of its
+// record's encoding (format 5), which moves every FMH digest, every IMH
+// hash over them and every signature, the shapes unchanged.
 func TestPinnedFingerprints(t *testing.T) {
 	ctx := context.Background()
 	spec := testSpec(t, 60, 3, workload.Gaussian)
@@ -274,17 +276,17 @@ func TestPinnedFingerprints(t *testing.T) {
 		want   []string
 	}{
 		{verify.OneSignature, 0, []string{
-			"e4f2b101426a801d836a1ff37ef6154f6b47ee8ae14ba2433d1e254dba7c9e29"}},
+			"124519c0972ee99160d3009572f5cc398ff30cde778427294c3ba4afd59a8294"}},
 		{verify.OneSignature, 3, []string{
-			"0f7e26fe90e609ed1eb267389e241476ec4166fd0a4610821871610b5ee7e0e8",
-			"1982d022d2b2fc2782363def41f0638bf6cbdd1f464ef0215db77708b7bbb64a",
-			"b0c96876c8d2061fb60ed61f98178e9f68b3526f34ac20923ad90abb149d82ae"}},
+			"9b1371ecf0d61b09ad0077767cb985b49a871b2f360af0cdf357e5b378b0316a",
+			"fc282f7c556e7f50d16d58eb93023067b5b534c67199b95b4abb0cf1f833c873",
+			"4b96cf1e087b2d0301b19bf1f7793b9de14a8941208d0132e2c409b38b5b5e67"}},
 		{verify.MultiSignature, 0, []string{
-			"b2fd1ec31822f9b67f010a3882c40254ff6dcc733d766ebc06edd47ce09cdf89"}},
+			"084e8384d536dc7c793395253c3687bc956501775ba18c19f04b14c8dc057762"}},
 		{verify.MultiSignature, 3, []string{
-			"86b80e8c44a79f6b0c1664b80d71a84313981e0e1c1ac70b7de6f4b1b76077f7",
-			"2e0bc3988a8636d24bfec930b66b3f9c13dcd535d31a304149306e193342780f",
-			"38b573f1cd848f553cd571e36dc7aed02ed85b6feb98c559c11af9f2488a6ca6"}},
+			"095d96dab458059d3a57cbd32ab8273505b51709e698b25adc6997b015296dbd",
+			"764621290fe7e502883460f72d96691cc10490536718551f8efca0b16701d90e",
+			"1d7990a69ebeedcb10b20dd316eb246dcb6cc025d0d8fb05e426299c9c2b6862"}},
 	} {
 		opts := []Option{WithMode(c.mode), WithShuffle(5)}
 		if c.shards > 0 {

@@ -86,7 +86,7 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Owner, error) {
 	leaves := make([]hashing.Digest, tbl.Len())
 	err = o.parallelChunks(ctx, workers, tbl.Len(), func(h *hashing.Hasher, lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			leaves[i] = h.Leaf(h.Record(tbl.Records[i]))
+			leaves[i] = h.Leaf(tbl.Records[i])
 		}
 		return nil
 	})

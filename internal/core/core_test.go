@@ -160,7 +160,7 @@ func TestSweepChainMatchesFreshLists(t *testing.T) {
 				tree := build1D(t, tbl, mode)
 				leaves := make([]hashing.Digest, tbl.Len())
 				for i, rec := range tbl.Records {
-					leaves[i] = tree.hasher.Leaf(tree.hasher.Record(rec))
+					leaves[i] = tree.hasher.Leaf(rec)
 				}
 				for k, si := range tree.subs {
 					perm := itree.SortAtExact(tree.fs, si.Sub.Region.(*itree.Interval1D).Witness())

@@ -43,7 +43,7 @@ type List struct {
 
 // Build appends to f the FMH-tree for a sorted function list and hashes
 // it: perm[p] is the index of the record at sorted position p, and
-// leaf[rec] is that record's leaf digest, h.Leaf of its record digest.
+// leaf[rec] is that record's leaf digest, h.Leaf of the record.
 // Sentinel leaves are added automatically and commit to no record. Every
 // row of f before the new ones must already be hashed.
 func Build(h *hashing.Hasher, f *mhtree.Forest, perm []int, leaf []hashing.Digest) List {

@@ -20,7 +20,7 @@ func testList(t *testing.T, h *hashing.Hasher, n int, seed int64) (List, []hashi
 	leafD := make([]hashing.Digest, n)
 	for p := range leafD {
 		rec := record.Record{ID: uint64(p + 1), Attrs: []float64{rng.NormFloat64()}}
-		leafD[p] = h.Leaf(h.Record(rec))
+		leafD[p] = h.Leaf(rec)
 	}
 	l := Build(h, new(mhtree.Forest), identity(n), leafD)
 	return l, leafD
@@ -64,7 +64,7 @@ func TestBuildEmptyList(t *testing.T) {
 func TestRootBindsLength(t *testing.T) {
 	h := hashing.New(nil)
 	l5, d5 := testList(t, h, 5, 3)
-	// Same record digests, different claimed length -> different root
+	// Same leaf digests, different claimed length -> different root
 	// (sentinels bind n).
 	l5b := Build(h, new(mhtree.Forest), identity(5), d5)
 	if l5.Root() != l5b.Root() {
@@ -282,7 +282,7 @@ func TestReaderIsTheDescent(t *testing.T) {
 		perm := rng.Perm(n)
 		leaves := make([]hashing.Digest, n)
 		for rec := range leaves {
-			leaves[rec] = h.Leaf(hashing.Digest{byte(rec)})
+			leaves[rec] = h.Leaf(record.Record{ID: uint64(rec)})
 		}
 		l := Build(h, new(mhtree.Forest), perm, leaves)
 		var probes []int

@@ -24,9 +24,9 @@ type Digest = [Size]byte
 
 // Domain-separation tags. Each hash context gets a distinct tag byte.
 const (
-	// TagRecord prefixes record digests H(r).
+	// TagRecord prefixes record digests H(r): the mesh baseline's only.
 	TagRecord byte = 0x01
-	// TagLeaf prefixes FMH-tree leaf digests (over a record digest).
+	// TagLeaf prefixes FMH-tree leaf digests H(r), one hash per record.
 	TagLeaf byte = 0x02
 	// TagNode prefixes internal Merkle-node digests H(l | r).
 	TagNode byte = 0x03
@@ -57,11 +57,11 @@ const (
 // Hasher computes tagged SHA-256 digests and counts operations. The zero
 // value is usable; the counter may be nil. Hasher is not safe for
 // concurrent use; create one per goroutine (their only state is the
-// counter and Record's encoding scratch).
+// counter and the record-encoding scratch).
 type Hasher struct {
 	ctr *metrics.Counter
-	buf [256]byte // Record's scratch, held inline: a Hasher on the stack allocates nothing
-	enc []byte    // Record's scratch past len(buf): one per Hasher, not one per leaf
+	buf [256]byte // sumRecord's scratch, held inline: a Hasher on the stack allocates nothing
+	enc []byte    // sumRecord's scratch past len(buf): one per Hasher, not one per leaf
 }
 
 // New returns a Hasher that records operation counts into ctr (which may
@@ -90,18 +90,20 @@ func (h *Hasher) sum(tag byte, parts ...[]byte) Digest {
 	return d
 }
 
-// Record returns the digest H(TagRecord | canonical-encoding(r)).
-func (h *Hasher) Record(r record.Record) Digest {
+// Record returns the mesh baseline's record digest H(TagRecord | enc(r)).
+func (h *Hasher) Record(r record.Record) Digest { return h.sumRecord(TagRecord, r) }
+
+// Leaf returns the FMH leaf digest H(TagLeaf | enc(r)): one hash per
+// leaf, on the owner's side and the client's alike.
+func (h *Hasher) Leaf(r record.Record) Digest { return h.sumRecord(TagLeaf, r) }
+
+// sumRecord hashes tag | enc(r), encoding into the scratch.
+func (h *Hasher) sumRecord(tag byte, r record.Record) Digest {
 	if r.EncodedLen() <= len(h.buf) {
-		return h.sum(TagRecord, r.Encode(h.buf[:0]))
+		return h.sum(tag, r.Encode(h.buf[:0]))
 	}
 	h.enc = r.Encode(h.enc[:0])
-	return h.sum(TagRecord, h.enc)
-}
-
-// Leaf returns the FMH leaf digest over a record digest.
-func (h *Hasher) Leaf(recDigest Digest) Digest {
-	return h.sum(TagLeaf, recDigest[:])
+	return h.sum(tag, h.enc)
 }
 
 // SentinelMin returns the digest of the f_min token for a list. The list

@@ -1,6 +1,7 @@
 package hashing
 
 import (
+	"crypto/sha256"
 	"testing"
 
 	"aqverify/internal/metrics"
@@ -11,13 +12,43 @@ func TestDomainSeparation(t *testing.T) {
 	h := New(nil)
 	r := record.Record{ID: 1, Attrs: []float64{1}}
 	rd := h.Record(r)
-	// The same 32 bytes hashed under different tags must differ.
-	a := h.Leaf(rd)
+	// The same bytes hashed under different tags must differ: a record's
+	// leaf and its mesh digest, and one 32-byte digest under three tags.
+	a := h.Leaf(r)
 	b := h.Subdomain(rd)
 	c := h.Root(rd)
 	d := h.Ineqs(rd[:])
-	if a == b || a == c || b == c || a == d {
+	if a == rd || a == b || a == c || b == c || a == d {
 		t.Error("tagged digests collide across domains")
+	}
+}
+
+// TestLeafIsOneTaggedHashOfTheEncoding pins the FMH leaf rule against
+// crypto/sha256 directly: Leaf(r) = SHA-256(TagLeaf | r.Encode(nil)),
+// one counted hash, for a record that fits the inline scratch and one
+// whose encoding is longer; the short one allocates nothing.
+func TestLeafIsOneTaggedHashOfTheEncoding(t *testing.T) {
+	short := record.Record{ID: 7, Attrs: []float64{0.5, -2}, Payload: []byte("p")}
+	long := record.Record{ID: 8, Attrs: make([]float64, 40), Payload: make([]byte, 100)}
+	var h Hasher
+	if short.EncodedLen() > len(h.buf) || long.EncodedLen() <= len(h.buf) {
+		t.Fatalf("encodings of %d and %d bytes do not straddle the %d-byte scratch",
+			short.EncodedLen(), long.EncodedLen(), len(h.buf))
+	}
+	for _, r := range []record.Record{short, long} {
+		var ctr metrics.Counter
+		h := New(&ctr)
+		want := sha256.Sum256(append([]byte{0x02}, r.Encode(nil)...))
+		if got := h.Leaf(r); got != want {
+			t.Errorf("Leaf of a %d-byte encoding = %x, want SHA-256(0x02 | enc) = %x", r.EncodedLen(), got, want)
+		}
+		if ctr.Hashes != 1 || ctr.HashBytes != uint64(1+r.EncodedLen()) {
+			t.Errorf("Leaf of a %d-byte encoding counted %d hashes over %d bytes, want 1 over %d",
+				r.EncodedLen(), ctr.Hashes, ctr.HashBytes, 1+r.EncodedLen())
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { h.Leaf(short) }); a != 0 {
+		t.Errorf("Leaf of a short record allocates %v times, want 0", a)
 	}
 }
 
@@ -80,7 +111,7 @@ func TestCounterCountsOps(t *testing.T) {
 	h := New(&ctr)
 	r := record.Record{ID: 1, Attrs: []float64{1}}
 	d := h.Record(r)
-	h.Leaf(d)
+	h.Leaf(r)
 	h.Node(d, d)
 	if ctr.Hashes != 3 {
 		t.Errorf("Hashes = %d, want 3", ctr.Hashes)
@@ -91,7 +122,7 @@ func TestCounterCountsOps(t *testing.T) {
 	// Re-pointing the counter.
 	var ctr2 metrics.Counter
 	h2 := h.WithCounter(&ctr2)
-	h2.Leaf(d)
+	h2.Leaf(r)
 	if ctr2.Hashes != 1 || ctr.Hashes != 3 {
 		t.Error("WithCounter should isolate counting")
 	}

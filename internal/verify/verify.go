@@ -141,7 +141,7 @@ func Verify(pub PublicParams, q query.Query, recs []record.Record, vo *VO, ctr *
 	}
 	leaves = append(leaves, ld)
 	for _, r := range recs {
-		leaves = append(leaves, fmhLeafDigest(h, r))
+		leaves = append(leaves, h.Leaf(r))
 	}
 	rd, err := boundaryDigest(h, vo.Right, vo.ListLen)
 	if err != nil {

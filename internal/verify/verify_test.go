@@ -70,11 +70,11 @@ func forgeWrappedStart(t *testing.T, honest *verify.Answer, start int) *verify.A
 		case verify.BoundaryMax:
 			return h.SentinelMax(vo.ListLen)
 		}
-		return h.Leaf(h.Record(b.Rec))
+		return h.Leaf(b.Rec)
 	}
 	leaves := []hashing.Digest{leaf(vo.Left)}
 	for _, r := range honest.Records {
-		leaves = append(leaves, h.Leaf(h.Record(r)))
+		leaves = append(leaves, h.Leaf(r))
 	}
 	root, err := verify.ComputeFMHRoot(h, vo.ListLen, vo.Start, append(leaves, leaf(vo.Right)), vo.FProof)
 	if err != nil {

@@ -104,7 +104,7 @@ func (a *Answer) Clone() *Answer {
 func boundaryDigest(h *hashing.Hasher, b Boundary, listLen int) (hashing.Digest, error) {
 	switch b.Kind {
 	case BoundaryRecord:
-		return fmhLeafDigest(h, b.Rec), nil
+		return h.Leaf(b.Rec), nil
 	case BoundaryMin:
 		return h.SentinelMin(listLen), nil
 	case BoundaryMax:
@@ -112,8 +112,4 @@ func boundaryDigest(h *hashing.Hasher, b Boundary, listLen int) (hashing.Digest,
 	default:
 		return hashing.Digest{}, fmt.Errorf("verify: unknown boundary kind %d", b.Kind)
 	}
-}
-
-func fmhLeafDigest(h *hashing.Hasher, rec record.Record) hashing.Digest {
-	return h.Leaf(h.Record(rec))
 }

@@ -235,11 +235,11 @@ func wrappedStartFrame(tb testing.TB, tree *core.Tree) []byte {
 		case verify.BoundaryMax:
 			return h.SentinelMax(vo.ListLen)
 		}
-		return h.Leaf(h.Record(b.Rec))
+		return h.Leaf(b.Rec)
 	}
 	leaves := []hashing.Digest{leaf(vo.Left)}
 	for _, r := range honest.Records {
-		leaves = append(leaves, h.Leaf(h.Record(r)))
+		leaves = append(leaves, h.Leaf(r))
 	}
 	root, err := verify.ComputeFMHRoot(h, vo.ListLen, vo.Start, append(leaves, leaf(vo.Right)), vo.FProof)
 	if err != nil {
